@@ -9,9 +9,12 @@
 #   3. ringlint: the project-specific analyzers (internal/lint) over
 #      the whole tree — hot-path allocation, sim determinism, sleepy
 #      tests, atomic-field discipline, wire-protocol pairing, ack
-#      ordering (quorum, persistence, and transition-journal barriers).
+#      ordering (quorum, persistence, and move-journal barriers).
 #      Any finding fails the build; exemptions are //ring: directives
-#      in the source, where review can see them.
+#      in the source, where review can see them. scripts/loc.sh then
+#      prints the size report (non-test lines per internal/* package,
+#      wire message types) so lines and types removed are reported
+#      results, not estimates.
 #   4. external static analysis, version-pinned: staticcheck and
 #      govulncheck. Both run via `go run tool@version`, so they need
 #      module-proxy access; offline runs skip them with a warning
@@ -36,7 +39,7 @@
 #      seed -> schedule -> workload -> linearizability-check pipeline,
 #      three -durable seeds over the disk fault plane (kill -9 +
 #      recover-from-disk, WAL corruption, fsync faults), and three
-#      -elasticity seeds mixing live scheme conversions and join/leave
+#      -elasticity seeds mixing live scheme moves and join/leave
 #      resizes into the fault schedule, hard-bounded at 30s each. The
 #      deep seed sweeps run nightly
 #      (.github/workflows/nightly-chaos.yml); this is the per-push
@@ -45,7 +48,7 @@
 #      cluster over TCP, drives it with cmd/ringload (GF kernels +
 #      closed-loop rep3 and srs3.2, plus the rep3+bulkconv elasticity
 #      row: the same workload measured during a continuous background
-#      bulk conversion), then re-runs the suite on durable clusters
+#      bulk move), then re-runs the suite on durable clusters
 #      (DURABLE=1: -data-dir with fsync=always and fsync=interval —
 #      the durability-tax rows), writes BENCH_10.json, and fails on a
 #      >10% ops/sec or GB/s regression against the newest committed
@@ -64,6 +67,7 @@ stage_lint() {
 
     go build -o bin/ringlint ./cmd/ringlint
     ./bin/ringlint ./...
+    scripts/loc.sh
 
     # External analyzers: enforced whenever the module proxy is
     # reachable (always true in CI), skipped with a loud warning when

@@ -60,7 +60,7 @@ func run(args []string, out, errw io.Writer) int {
 	seeds := fs.String("seeds", "", "inclusive seed range lo:hi (overrides -seed)")
 	schedule := fs.String("schedule", "", "explicit nemesis schedule (overrides the generated one)")
 	bug := fs.Bool("bug", false, "inject the ack-before-quorum bug (validates the checker)")
-	convbug := fs.Bool("convbug", false, "inject the ack-before-journal transition bug (validates the checker)")
+	convbug := fs.Bool("convbug", false, "inject the ack-before-journal move bug (validates the checker)")
 	durable := fs.Bool("durable", false, "disk fault plane: durable nodes, crash-recovery schedules")
 	elasticity := fs.Bool("elasticity", false, "elasticity schedules: live conversions and join/leave resizes in the fault mix")
 	shrink := fs.Bool("shrink", true, "greedily shrink failing schedules")
@@ -109,7 +109,7 @@ func run(args []string, out, errw io.Writer) int {
 		switch r.Check.Verdict {
 		case linearize.Linearizable:
 			if *verbose {
-				fmt.Fprintf(out, "seed %d: ok (%d ops, %d abandoned, %d converts/resizes acked, faults %+v)\n",
+				fmt.Fprintf(out, "seed %d: ok (%d ops, %d abandoned, %d moves/resizes acked, faults %+v)\n",
 					s, len(r.History), r.Abandoned, r.ElasticAcked, r.Faults)
 			}
 		case linearize.Exhausted:

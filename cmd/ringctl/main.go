@@ -5,9 +5,9 @@
 //	ringctl -nodes host0:7000 put-in 3 mykey "erasure coded value"
 //	ringctl -nodes host0:7000 get mykey
 //	ringctl -nodes host0:7000 move mykey 2
+//	ringctl -nodes host0:7000 move mykey srs3.2 rep3
+//	ringctl -nodes host0:7000 move-prefix user/ srs3.2
 //	ringctl -nodes host0:7000 delete mykey
-//	ringctl -nodes host0:7000 convert mykey srs3.2
-//	ringctl -nodes host0:7000 convert-prefix user/ 4
 //	ringctl -nodes host0:7000 join 7
 //	ringctl -nodes host0:7000 leave 3
 //	ringctl -nodes host0:7000 mkmemgest srs3.2
@@ -38,8 +38,8 @@ import (
 
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: ringctl -nodes addr[,addr...] <command> [args]")
-	fmt.Fprintln(os.Stderr, "commands: put, put-in, get, delete, move, convert, convert-prefix, join, leave, mkmemgest, rmmemgest, set-default, describe, config, stats")
-	fmt.Fprintln(os.Stderr, "convert/convert-prefix take a destination memgest ID or scheme token (rep3, srs3.2)")
+	fmt.Fprintln(os.Stderr, "commands: put, put-in, get, delete, move, move-prefix, join, leave, mkmemgest, rmmemgest, set-default, describe, config, stats")
+	fmt.Fprintln(os.Stderr, "move <key> <to> [<from>] and move-prefix <prefix> <to> [<from>] take memgest IDs or scheme tokens (rep3, srs3.2)")
 	fmt.Fprintln(os.Stderr, "stats scrapes the -http addresses (ringd -http endpoints), not -nodes")
 	os.Exit(2)
 }
@@ -95,8 +95,8 @@ func main() {
 		return proto.MemgestID(v)
 	}
 	// resolveMg accepts a numeric memgest ID or a scheme token (rep3,
-	// srs3.2) resolved against the live configuration — so `convert`
-	// can be phrased by scheme, matching how operators think.
+	// srs3.2) resolved against the live configuration — so `move` can
+	// be phrased by scheme, matching how operators think.
 	resolveMg := func(s string) proto.MemgestID {
 		if v, err := strconv.ParseUint(s, 10, 32); err == nil {
 			return proto.MemgestID(v)
@@ -134,13 +134,9 @@ func main() {
 		need(1)
 		die(c.Delete(args[1]))
 		fmt.Println("OK")
-	case "move":
-		need(2)
-		ver, err := c.Move(args[1], parseMg(args[2]))
-		die(err)
-		fmt.Printf("OK version=%d\n", ver)
-	case "convert":
-		// convert <key> <to> [<from>]: re-encode one key's scheme.
+	case "move", "move-prefix":
+		// move <key> <to> [<from>] re-homes one key; move-prefix
+		// <prefix> <to> [<from>] fans out across every coordinator.
 		if len(args) != 3 && len(args) != 4 {
 			usage()
 		}
@@ -148,22 +144,16 @@ func main() {
 		if len(args) == 4 {
 			from = resolveMg(args[3])
 		}
-		ver, err := c.Convert(args[1], from, resolveMg(args[2]))
-		die(err)
-		fmt.Printf("OK version=%d\n", ver)
-	case "convert-prefix":
-		// convert-prefix <prefix> <to> [<from>]: bulk conversion across
-		// every coordinator.
-		if len(args) != 3 && len(args) != 4 {
-			usage()
+		to := resolveMg(args[2])
+		if args[0] == "move-prefix" {
+			count, err := c.MovePrefix(args[1], from, to)
+			die(err)
+			fmt.Printf("OK moved=%d\n", count)
+		} else {
+			ver, err := c.MoveIf(args[1], from, to)
+			die(err)
+			fmt.Printf("OK version=%d\n", ver)
 		}
-		var from proto.MemgestID
-		if len(args) == 4 {
-			from = resolveMg(args[3])
-		}
-		count, err := c.ConvertPrefix(args[1], from, resolveMg(args[2]))
-		die(err)
-		fmt.Printf("OK converted=%d\n", count)
 	case "join":
 		need(1)
 		id, err := strconv.ParseUint(args[1], 10, 32)

@@ -27,10 +27,10 @@
 // -prev-dir — fails (exit 1) on any >-tolerance regression.
 //
 // -convert adds the elasticity row: the same closed-loop workload
-// measured while a background bulk conversion continuously re-encodes
-// the whole key space back and forth between the replicated and the
-// erasure-coded memgest — the cost of live scheme transitions under
-// load, reported as scheme "<rep-scheme>+bulkconv".
+// measured while a background bulk move continuously re-encodes the
+// whole key space back and forth between the replicated and the
+// erasure-coded memgest — the cost of live scheme changes under load,
+// reported as scheme "<rep-scheme>+bulkconv".
 package main
 
 import (
@@ -114,7 +114,7 @@ func main() {
 	flag.BoolVar(&c.preload, "preload", true, "write the whole key space once before measuring")
 	flag.StringVar(&c.scheme, "scheme", "", "scheme label for reports (default memgest<id>)")
 	flag.BoolVar(&c.suite, "suite", false, "BENCH suite: measure GF kernels plus closed-loop runs on the rep and srs memgests")
-	flag.BoolVar(&c.convert, "convert", false, "add the convert-under-load row: closed-loop ops on -rep-memgest while a background bulk conversion churns the key space between the rep and srs memgests")
+	flag.BoolVar(&c.convert, "convert", false, "add the move-under-load row: closed-loop ops on -rep-memgest while a background bulk move churns the key space between the rep and srs memgests")
 	flag.IntVar(&c.repMG, "rep-memgest", 1, "suite: replicated memgest ID")
 	flag.IntVar(&c.srsMG, "srs-memgest", 2, "suite: erasure-coded memgest ID")
 	flag.StringVar(&c.repScheme, "rep-scheme", "rep3", "suite: scheme label of -rep-memgest")
@@ -180,7 +180,7 @@ func run(c config) error {
 				return err
 			}
 			result.Cluster = append(result.Cluster, row)
-			fmt.Printf("== %s/%s ==\n%d ops in %s: %.0f ops/sec, p50 %.0fus p99 %.0fus p99.9 %.0fus (%d keys bulk-converted behind the workload)\n",
+			fmt.Printf("== %s/%s ==\n%d ops in %s: %.0f ops/sec, p50 %.0fus p99 %.0fus p99.9 %.0fus (%d keys bulk-moved behind the workload)\n",
 				row.Scheme, row.Mode, row.Ops, c.duration, row.OpsPerSec, row.P50us, row.P99us, row.P999us, churned)
 		}
 	} else if !c.suite {
@@ -395,11 +395,11 @@ func measure(c config, clients []*client.Client, mg proto.MemgestID, scheme stri
 
 // measureConvert is the elasticity row: the closed-loop workload on
 // the replicated memgest measured while background goroutines
-// continuously bulk-convert the whole key space back and forth between
-// the rep and srs memgests. The row keys the trajectory as
-// "<rep-scheme>+bulkconv", so the gate compares conversion-under-load
-// throughput run over run. Returns the row and the total keys the
-// background churn converted.
+// continuously bulk-move (client.MovePrefix) the whole key space back
+// and forth between the rep and srs memgests. The row keys the
+// trajectory as "<rep-scheme>+bulkconv", so the gate compares
+// move-under-load throughput run over run. Returns the row and the
+// total keys the background churn moved.
 func measureConvert(c config, clients []*client.Client) (benchjson.Cluster, uint64, error) {
 	var (
 		stop    atomic.Bool
@@ -412,11 +412,11 @@ func measureConvert(c config, clients []*client.Client) (benchjson.Cluster, uint
 		go func(cl *client.Client) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
-				n, err := cl.ConvertPrefix("", 0, dsts[i%2])
+				n, err := cl.MovePrefix("", 0, dsts[i%2])
 				churned.Add(uint64(n))
 				if err != nil {
 					// The churn races the foreground puts (a key can change
-					// memgest between the scan and its convert); transient
+					// memgest between the scan and its move); transient
 					// failures are part of the contention being measured,
 					// not a failure of the run.
 					time.Sleep(20 * time.Millisecond)

@@ -143,8 +143,6 @@ func requestID(m proto.Message) (proto.ReqID, bool) {
 		return r.Req, true
 	case *proto.ResolveReply:
 		return r.Req, true
-	case *proto.ConvertReply:
-		return r.Req, true
 	case *proto.ResizeReply:
 		return r.Req, true
 	}
@@ -342,8 +340,19 @@ func (c *Client) Delete(key string) error {
 
 // Move transfers key to another memgest without resending its value.
 func (c *Client) Move(key string, mg proto.MemgestID) (proto.Version, error) {
+	return c.MoveIf(key, 0, mg)
+}
+
+// MoveIf is Move conditional on the key's current memgest: the move is
+// rejected (StInvalid) unless the newest committed version lives in
+// from (0 = wherever it lives). The call returns once the destination
+// write committed — the window the coordinator holds open is invisible
+// here beyond latency.
+func (c *Client) MoveIf(key string, from, to proto.MemgestID) (proto.Version, error) {
 	reply, err := c.doKeyOp(key,
-		func(req proto.ReqID) proto.Message { return &proto.Move{Req: req, Key: key, Memgest: mg} },
+		func(req proto.ReqID) proto.Message {
+			return &proto.Move{Req: req, Key: key, Memgest: to, From: from}
+		},
 		func(m proto.Message) proto.Status { return m.(*proto.MoveReply).Status })
 	if err != nil {
 		return 0, err

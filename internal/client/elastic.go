@@ -8,34 +8,13 @@ import (
 	"ring/internal/proto"
 )
 
-// Convert re-encodes the newest committed version of key into memgest
-// to, on the key's coordinator. from restricts the conversion to keys
-// currently in that memgest (0 = whichever memgest holds the highest
-// version). The call returns once the destination write committed and
-// the source copy was purged — the transition window the coordinator
-// holds open is invisible here beyond latency.
-func (c *Client) Convert(key string, from, to proto.MemgestID) (proto.Version, error) {
-	reply, err := c.doKeyOp(key,
-		func(req proto.ReqID) proto.Message {
-			return &proto.Convert{Req: req, Key: key, From: from, To: to}
-		},
-		func(m proto.Message) proto.Status { return m.(*proto.ConvertReply).Status })
-	if err != nil {
-		return 0, err
-	}
-	r := reply.(*proto.ConvertReply)
-	if r.Status == proto.StNotFound {
-		return 0, ErrNotFound
-	}
-	return r.Version, r.Status.Err()
-}
-
-// ConvertPrefix bulk-converts every key matching prefix into memgest
-// to. A coordinator only converts the keys of shards it owns, so the
-// client fans the request out to every distinct coordinator and sums
-// the per-node counts. Returns the number of keys converted (partial
-// on error: coordinators already answered have converted their keys).
-func (c *Client) ConvertPrefix(prefix string, from, to proto.MemgestID) (int, error) {
+// MovePrefix bulk-moves every key matching prefix into memgest to
+// (from as in MoveIf). A coordinator only moves the keys of shards it
+// owns, so the client fans the request out to every distinct
+// coordinator and sums the per-node counts. Returns the number of keys
+// moved (partial on error: coordinators already answered have moved
+// their keys).
+func (c *Client) MovePrefix(prefix string, from, to proto.MemgestID) (int, error) {
 	Metrics.Requests.Inc()
 	cfg := c.Config()
 	if cfg == nil || cfg.Shards() == 0 {
@@ -58,12 +37,12 @@ func (c *Client) ConvertPrefix(prefix string, from, to proto.MemgestID) (int, er
 			}
 			req := c.reqID()
 			reply, err := c.call(core.NodeAddr(id), req,
-				&proto.Convert{Req: req, Key: prefix, From: from, To: to, Prefix: true})
+				&proto.Move{Req: req, Key: prefix, Memgest: to, From: from, Prefix: true})
 			if err != nil {
 				lastErr = err
 				continue
 			}
-			r, ok := reply.(*proto.ConvertReply)
+			r, ok := reply.(*proto.MoveReply)
 			if !ok {
 				lastErr = fmt.Errorf("client: unexpected reply %T", reply)
 				continue
@@ -75,7 +54,7 @@ func (c *Client) ConvertPrefix(prefix string, from, to proto.MemgestID) (int, er
 			if err := r.Status.Err(); err != nil {
 				return total, err
 			}
-			total += int(r.Converted)
+			total += int(r.Moved)
 			done = true
 			break
 		}

@@ -23,14 +23,14 @@ func parseNodeAddr(addr string) (proto.NodeID, bool) {
 	return proto.NodeID(v), true
 }
 
-// blockWaiter is a request parked on an SRS block recovery.
+// blockWaiter is a request parked on the recovery of a lost Rep value
+// or SRS block: a get, or (move set) a move that re-enters admitMove.
 type blockWaiter struct {
 	client  string
 	req     proto.ReqID
 	key     string
 	version proto.Version
-	kind    replyKind // replyNone => parked get; replyMove => parked move
-	dst     proto.MemgestID
+	move    *proto.Move
 }
 
 // resolveMemgest maps a request's memgest field (0 = default) to the
@@ -72,7 +72,7 @@ func (n *Node) handlePut(from string, m *proto.Put) {
 	if !ok {
 		return
 	}
-	if n.parkOnConvert(shard, m.Key, from, m) {
+	if n.parkOnMove(shard, m.Key, from, m) {
 		return
 	}
 	mi := n.resolveMemgest(m.Memgest)
@@ -93,7 +93,7 @@ func (n *Node) handleDelete(from string, m *proto.Delete) {
 	if !ok {
 		return
 	}
-	if n.parkOnConvert(shard, m.Key, from, m) {
+	if n.parkOnMove(shard, m.Key, from, m) {
 		return
 	}
 	// A delete is a tombstone put into the memgest currently holding
@@ -112,10 +112,10 @@ func (n *Node) handleDelete(from string, m *proto.Delete) {
 }
 
 // doWrite runs the write-ahead, replicate, commit pipeline shared by
-// put, delete (tombstone), and the local half of move and convert. It
-// reports whether the write was actually launched (false means an
-// error reply was already sent) so the convert path can close its
-// journal window on a synchronous failure.
+// put, delete (tombstone), and the local half of move. It reports
+// whether the write was actually launched (false means an error reply
+// was already sent) so startMove can close its journal window on a
+// synchronous failure.
 func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard uint32, key string, value []byte, mgID proto.MemgestID, tombstone bool) bool {
 	st := n.mgFor(mgID)
 	if st == nil {
@@ -137,8 +137,6 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 		st.met.Deletes.Inc()
 	case replyMove:
 		st.met.Moves.Inc()
-	case replyConvert:
-		st.met.Converts.Inc()
 	}
 	vol := n.volFor(shard)
 	var ver proto.Version = 1
@@ -265,13 +263,11 @@ func (n *Node) replyStatus(replyTo string, req proto.ReqID, kind replyKind, s pr
 	case replyDelete:
 		n.send(replyTo, &proto.DeleteReply{Req: req, Status: s})
 	case replyMove:
-		n.send(replyTo, &proto.MoveReply{Req: req, Status: s, Version: ver})
-	case replyConvert:
-		if id, ok := strings.CutPrefix(replyTo, bulkConvPrefix); ok {
-			n.bulkConvertDone(id, s)
+		if id, ok := strings.CutPrefix(replyTo, bulkMovePrefix); ok {
+			n.bulkMoveDone(id, s)
 			return
 		}
-		n.send(replyTo, &proto.ConvertReply{Req: req, Status: s, Version: ver})
+		n.send(replyTo, &proto.MoveReply{Req: req, Status: s, Version: ver})
 	}
 }
 
@@ -295,12 +291,11 @@ func (n *Node) commitEntry(st *mgState, cs *coordShard, key string, ver proto.Ve
 	if op := kind.traceOp(); op != metrics.TraceNone {
 		n.Metrics.Trace.Record(op, key, uint32(st.info.ID), uint64(ver), uint8(proto.StOK), n.now, n.now-start)
 	}
-	if kind == replyConvert {
-		// Transition journal: the conversion's close record must be
-		// ordered before the ack escapes (the ackorder journal barrier) —
-		// a crash after the ack must replay to the new scheme, never the
-		// old one.
-		n.persistConvertEnd(st.info.ID, cs.shard, key, ver, e.Seq)
+	if kind == replyMove {
+		// Move journal: the window's close record must be ordered before
+		// the ack escapes (the ackorder journal barrier) — a crash after
+		// the ack must replay to the new scheme, never the old one.
+		n.persistMoveEnd(st.info.ID, cs.shard, key, ver, e.Seq)
 	}
 	n.replyStatus(replyTo, req, kind, proto.StOK, ver)
 
@@ -319,23 +314,18 @@ func (n *Node) commitEntry(st *mgState, cs *coordShard, key string, ver proto.Ve
 	// GC versions superseded by the newest committed one.
 	n.gcKey(cs.shard, key)
 
-	// A committed conversion closes its transition window, replaying
-	// any client writes parked on it.
-	if kind == replyConvert {
-		ck := convKey{shard: cs.shard, key: key}
-		if cv := n.converting[ck]; cv != nil && cv.newVer == ver {
-			n.finishConvert(ck, cv)
+	// A committed move closes its window, replaying any client writes
+	// parked on it.
+	if kind == replyMove {
+		mk := moveKey{shard: cs.shard, key: key}
+		if mv := n.moving[mk]; mv != nil && mv.newVer == ver {
+			n.closeMove(mk, mv)
 		}
 	}
 
-	// Parked moves proceed now that the source version is durable;
-	// parked converts go through the journaled transition path.
+	// Parked moves proceed now that the source version is durable.
 	for _, mw := range moves {
-		if mw.Convert {
-			n.performConvert(mw.Client, mw.Req, cs.shard, key, mw.Dst)
-		} else {
-			n.performMove(mw.Client, mw.Req, cs.shard, key, mw.Dst)
-		}
+		n.admitMove(mw.Client, mw.Move)
 	}
 }
 
@@ -512,107 +502,37 @@ func (n *Node) sendValueReply(st *mgState, cs *coordShard, e *store.Entry, clien
 		n.send(client, &proto.GetReply{Req: req, Status: proto.StNotFound})
 		return
 	}
-	var value []byte
-	switch st.info.Scheme.Kind {
-	case proto.SchemeRep:
-		if e.Value == nil && e.Rec.Length > 0 {
-			// Value lost in failover and not yet re-fetched: park on
-			// data recovery.
-			n.parkOnValueRecovery(st, cs, e, blockWaiter{client: client, req: req, key: e.Rec.Key, version: e.Rec.Version})
-			return
-		}
-		value = e.Value
-	case proto.SchemeSRS:
-		if e.Rec.Length > 0 {
-			if !cs.blockOK[e.Ext.Block] {
-				n.parkOnBlockRecovery(st, cs, e.Ext.Block, blockWaiter{client: client, req: req, key: e.Rec.Key, version: e.Rec.Version})
-				return
-			}
-			value = cs.heap.Read(e.Ext)
-		}
+	value, ok := n.localValue(st, cs, e, blockWaiter{client: client, req: req, key: e.Rec.Key, version: e.Rec.Version})
+	if !ok {
+		return
 	}
 	n.Metrics.Trace.Record(metrics.TraceGet, e.Rec.Key, uint32(st.info.ID), uint64(e.Rec.Version), uint8(proto.StOK), n.now, 0)
 	n.send(client, &proto.GetReply{Req: req, Status: proto.StOK, Version: e.Rec.Version, Value: value})
 }
 
-// handleMove coordinates a client move (re-put under a new memgest).
-//
-//ring:handler
-func (n *Node) handleMove(from string, m *proto.Move) {
-	n.Stats.Moves++
-	fail := func(s proto.Status) { n.send(from, &proto.MoveReply{Req: m.Req, Status: s}) }
-	shard, ok := n.checkClientOp(m.Key, fail)
-	if !ok {
-		return
+// localValue returns the bytes behind a committed, live entry. When a
+// failover lost them — a Rep value not yet re-fetched, an SRS block not
+// yet re-decoded — it parks w on their on-demand recovery and reports
+// false; releaseWaiter resumes the request.
+func (n *Node) localValue(st *mgState, cs *coordShard, e *store.Entry, w blockWaiter) ([]byte, bool) {
+	if e.Rec.Length == 0 {
+		return nil, true
 	}
-	if n.parkOnConvert(shard, m.Key, from, m) {
-		return
-	}
-	if n.cfg.Memgest(m.Memgest) == nil {
-		fail(proto.StNoMemgest)
-		return
-	}
-	ref, found := n.volFor(shard).Highest(m.Key)
-	if !found {
-		fail(proto.StNotFound)
-		return
-	}
-	e := n.lookupEntry(shard, m.Key, ref)
-	if e == nil {
-		fail(proto.StNotFound)
-		return
-	}
-	if !e.Rec.Committed {
-		// The paper: "the move request will also be postponed if the
-		// requested object is not durable."
-		e.ParkedMoves = append(e.ParkedMoves, store.MoveWaiter{Client: from, Req: m.Req, Dst: m.Memgest})
-		return
-	}
-	n.performMove(from, m.Req, shard, m.Key, m.Memgest)
-}
-
-// performMove reads the durable highest version locally and re-puts it
-// into the destination memgest with the next version number. No value
-// crosses the network from the client; thanks to SRS co-location the
-// read is purely local.
-func (n *Node) performMove(client string, req proto.ReqID, shard uint32, key string, dst proto.MemgestID) {
-	ref, found := n.volFor(shard).Highest(key)
-	if !found {
-		n.send(client, &proto.MoveReply{Req: req, Status: proto.StNotFound})
-		return
-	}
-	st := n.mgFor(ref.Memgest)
-	e := n.lookupEntry(shard, key, ref)
-	if st == nil || e == nil || e.Rec.Tombstone {
-		n.send(client, &proto.MoveReply{Req: req, Status: proto.StNotFound})
-		return
-	}
-	if ref.Memgest == dst {
-		// Already there: succeed without a new version. The version
-		// being reported is already committed and durable, so this is
-		// not an early ack.
-		n.send(client, &proto.MoveReply{Req: req, Status: proto.StOK, Version: ref.Version}) //ring:ackok no-op move: the version acked is already durable
-		return
-	}
-	cs := st.coord[shard]
-	var value []byte
 	switch st.info.Scheme.Kind {
 	case proto.SchemeRep:
-		if e.Value == nil && e.Rec.Length > 0 {
-			n.parkOnValueRecovery(st, cs, e, blockWaiter{client: client, req: req, key: key, version: ref.Version, kind: replyMove, dst: dst})
-			return
+		if e.Value == nil {
+			n.parkOnValueRecovery(st, cs, e, w)
+			return nil, false
 		}
-		value = e.Value
+		return e.Value, true
 	case proto.SchemeSRS:
-		if e.Rec.Length > 0 {
-			if !cs.blockOK[e.Ext.Block] {
-				n.parkOnBlockRecovery(st, cs, e.Ext.Block, blockWaiter{client: client, req: req, key: key, version: ref.Version, kind: replyMove, dst: dst})
-				return
-			}
-			value = cs.heap.Read(e.Ext)
+		if !cs.blockOK[e.Ext.Block] {
+			n.parkOnBlockRecovery(st, cs, e.Ext.Block, w)
+			return nil, false
 		}
+		return cs.heap.Read(e.Ext), true
 	}
-	n.doWrite(client, req, replyMove, shard, key, value, dst, false)
+	return nil, true
 }
 
 // handleRepAck counts a replica's ack toward the write's quorum.

@@ -144,13 +144,14 @@ func (n *Node) persistPurge(mgID proto.MemgestID, shard uint32, key string, ver 
 	n.persistErr(n.durable.Purge(durKey(mgID, shard), seq, key, ver))
 }
 
-// persistConvertBegin journals the opening of a scheme-transition
-// window: key is being re-encoded from srcMg into mgID as version ver.
+// persistMoveBegin journals the opening of a move window (the
+// on-disk conv-begin record): key is being re-homed from srcMg into
+// mgID as version ver.
 // It is written BEFORE the destination write launches, so a crash in
 // the window replays to the committed source version (the destination
 // append, being uncommitted, is dropped and the open window reported
 // via RecoveredShard.OpenConverts).
-func (n *Node) persistConvertBegin(mgID proto.MemgestID, shard uint32, key string, ver proto.Version, srcMg proto.MemgestID) {
+func (n *Node) persistMoveBegin(mgID proto.MemgestID, shard uint32, key string, ver proto.Version, srcMg proto.MemgestID) {
 	if n.durable == nil || n.durableErr != nil {
 		return
 	}
@@ -158,11 +159,11 @@ func (n *Node) persistConvertBegin(mgID proto.MemgestID, shard uint32, key strin
 	n.persistErr(n.durable.ConvertBegin(durKey(mgID, shard), 0, &rec))
 }
 
-// persistConvertEnd journals the closing of a transition window
-// (commit or abort). On the commit path it is ordered before the ack
-// escapes — the ackorder journal barrier — so an acknowledged
-// transition always replays to the new scheme.
-func (n *Node) persistConvertEnd(mgID proto.MemgestID, shard uint32, key string, ver proto.Version, seq proto.Seq) {
+// persistMoveEnd journals the closing of a move window (the on-disk
+// conv-end record; commit or abort). On the commit path it is ordered
+// before the ack escapes — the ackorder journal barrier — so an
+// acknowledged move always replays to the new scheme.
+func (n *Node) persistMoveEnd(mgID proto.MemgestID, shard uint32, key string, ver proto.Version, seq proto.Seq) {
 	if n.durable == nil || n.durableErr != nil {
 		return
 	}

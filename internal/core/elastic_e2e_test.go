@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"bytes"
@@ -6,57 +6,39 @@ import (
 	"testing"
 	"time"
 
+	"ring/internal/client"
+	"ring/internal/core"
 	"ring/internal/proto"
 	"ring/internal/replog"
 	"ring/internal/store"
 	"ring/internal/testutil"
 )
 
-// This file holds the end-to-end elasticity tests: kill -9 at each
-// phase of a scheme transition must recover to exactly the old or the
-// new scheme (never a hybrid), and join/leave must move only the
-// computed-minimal placement slots, as reported by the movement
-// counters.
+// This file holds the end-to-end move crash matrix, driven through
+// the real client: kill -9 at each phase of a move must recover to
+// exactly the old or the new scheme (never a hybrid).
 //
-// The transition crash matrix, by journal state at the kill:
+// The move crash matrix, by journal state at the kill:
 //
-//	before ConvertBegin   — nothing happened; trivially the old scheme.
-//	window open           — ConvertBegin journaled, destination write
+//	before conv-begin     — nothing happened; trivially the old scheme.
+//	window open           — conv-begin journaled, destination write
 //	                        uncommitted: recovery drops the uncommitted
 //	                        append and replays the committed source
-//	                        version (TestConvertKillMidWindowRecoversOld).
-//	after ConvertEnd      — the journal barrier ordered ConvertEnd
-//	                        before the ack escaped, so an acknowledged
-//	                        transition replays to the new scheme
-//	                        (TestConvertKillAfterCommitRecoversNew).
+//	                        version (TestMoveKillMidWindowRecoversOld).
+//	after conv-end        — the journal barrier ordered conv-end before
+//	                        the ack escaped, so an acknowledged move
+//	                        replays to the new scheme
+//	                        (TestMoveKillAfterCommitRecoversNew).
 
-func (c *durClient) convert(addr string, req proto.ReqID, key string, to proto.MemgestID) *proto.ConvertReply {
-	c.t.Helper()
-	m := c.rpc(addr, &proto.Convert{Req: req, Key: key, To: to}, func(m proto.Message) bool {
-		r, ok := m.(*proto.ConvertReply)
-		return ok && r.Req == req
-	})
-	return m.(*proto.ConvertReply)
-}
-
-func (c *durClient) resize(addr string, req proto.ReqID, op proto.ResizeOp, node proto.NodeID) *proto.ResizeReply {
-	c.t.Helper()
-	m := c.rpc(addr, &proto.Resize{Req: req, Op: op, Node: node}, func(m proto.Message) bool {
-		r, ok := m.(*proto.ResizeReply)
-		return ok && r.Req == req
-	})
-	return m.(*proto.ResizeReply)
-}
-
-// elasticSpec is a durable cluster with two reliable memgests to
-// convert between: mg1 Rep(3,3) and mg2 SRS(2,1,3). Failure detection
-// is effectively off so kill/restart cycles exercise the durable
-// rejoin path, not role substitution.
-func elasticSpec(t *testing.T) ClusterSpec {
-	return ClusterSpec{
+// elasticSpec is a durable cluster with two reliable memgests to move
+// between: mg1 Rep(3,3) and mg2 SRS(2,1,3). Failure detection is
+// effectively off so kill/restart cycles exercise the durable rejoin
+// path, not role substitution.
+func elasticSpec(t *testing.T) core.ClusterSpec {
+	return core.ClusterSpec{
 		Shards: 3, Redundant: 2, Spares: 1,
 		Memgests: []proto.Scheme{proto.Rep(3, 3), proto.SRS(2, 1, 3)},
-		Opts: Options{
+		Opts: core.Options{
 			BlockSize:      16 << 10,
 			HeartbeatEvery: 20 * time.Millisecond,
 			FailAfter:      10 * time.Minute,
@@ -67,8 +49,29 @@ func elasticSpec(t *testing.T) ClusterSpec {
 	}
 }
 
+// startElastic boots the cluster and dials a client on it.
+func startElastic(t *testing.T, spec core.ClusterSpec) (*core.Cluster, *client.Client) {
+	t.Helper()
+	cl, err := core.StartCluster(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Stop)
+	return cl, dialElastic(t, cl)
+}
+
+func dialElastic(t *testing.T, cl *core.Cluster) *client.Client {
+	t.Helper()
+	c, err := client.Dial(cl.Fabric, []string{core.NodeAddr(cl.Cfg.Leader)}, client.Options{Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	return c
+}
+
 // pickVictimKey finds a non-leader coordinator and a key it owns.
-func pickVictimKey(t *testing.T, cl *Cluster) (proto.NodeID, string) {
+func pickVictimKey(t *testing.T, cl *core.Cluster) (proto.NodeID, string) {
 	t.Helper()
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("conv-key-%d", i)
@@ -81,25 +84,36 @@ func pickVictimKey(t *testing.T, cl *Cluster) (proto.NodeID, string) {
 	return proto.NilNode, ""
 }
 
-// TestConvertKillAfterCommitRecoversNew crashes the coordinator right
-// after a transition acknowledged. The ConvertEnd journal record was
-// fsynced before the ack escaped, so the restarted node must serve the
-// key from the new scheme.
-func TestConvertKillAfterCommitRecoversNew(t *testing.T) {
-	cl, err := StartCluster(elasticSpec(t))
-	if err != nil {
-		t.Fatal(err)
+// getEventually reads key, retrying while the restarted coordinator is
+// still rejoining or recovering.
+func getEventually(t *testing.T, c *client.Client, key string, want []byte) {
+	t.Helper()
+	var got []byte
+	var err error
+	ok := testutil.Eventually(10*time.Second, 10*time.Millisecond, func() bool {
+		got, _, err = c.Get(key)
+		return err == nil
+	})
+	if !ok || !bytes.Equal(got, want) {
+		t.Fatalf("get %q after crash: %v, %dB", key, err, len(got))
 	}
-	defer cl.Stop()
-	c := newDurClient(t, cl)
+}
+
+// TestMoveKillAfterCommitRecoversNew crashes the coordinator right
+// after a move acknowledged. The conv-end journal record was fsynced
+// before the ack escaped, so the restarted node must serve the key from
+// the new scheme.
+func TestMoveKillAfterCommitRecoversNew(t *testing.T) {
+	cl, c := startElastic(t, elasticSpec(t))
 	victim, key := pickVictimKey(t, cl)
-	addr := NodeAddr(victim)
 
 	val := bytes.Repeat([]byte("conv"), 300)
-	c.put(addr, 1, key, val)
-	r := c.convert(addr, 2, key, 2)
-	if r.Status != proto.StOK {
-		t.Fatalf("convert: %v", r.Status)
+	if _, err := c.PutIn(key, val, 1); err != nil {
+		t.Fatal(err)
+	}
+	ver, err := c.Move(key, 2)
+	if err != nil {
+		t.Fatalf("move: %v", err)
 	}
 
 	cl.Kill(victim)
@@ -107,43 +121,33 @@ func TestConvertKillAfterCommitRecoversNew(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, got := c.get(addr, 3, key)
-	if st != proto.StOK || !bytes.Equal(got, val) {
-		t.Fatalf("get after crash: %v %dB", st, len(got))
-	}
+	getEventually(t, c, key, val)
 	// The highest version must live in the destination memgest — an
-	// acknowledged transition never replays to the source scheme.
+	// acknowledged move never replays to the source scheme.
 	ok := testutil.Eventually(10*time.Second, 10*time.Millisecond, func() bool {
-		var ref store.VersionRef
-		var found bool
-		cl.Runs[victim].Inspect(func(n *Node) {
-			ref, found = n.volFor(n.shardOf(key)).Highest(key)
-		})
-		return found && ref.Memgest == 2 && ref.Version == r.Version
+		var refs []store.VersionRef
+		cl.Runs[victim].Inspect(func(n *core.Node) { refs = n.KeyVersions(key) })
+		return len(refs) > 0 && refs[0].Memgest == 2 && refs[0].Version == ver
 	})
 	if !ok {
 		t.Fatal("recovered key not in the destination memgest")
 	}
 }
 
-// TestConvertKillMidWindowRecoversOld crashes the coordinator while a
-// transition window is open: the destination is SRS(2,1,3) whose single
-// parity node is dead, so the destination write can never reach quorum.
-// ConvertBegin is journaled but the destination append is uncommitted;
+// TestMoveKillMidWindowRecoversOld crashes the coordinator while a move
+// window is open: the destination is SRS(2,1,3) whose single parity
+// node is unreachable, so the destination write can never reach quorum.
+// conv-begin is journaled but the destination append is uncommitted;
 // recovery must drop it and serve the committed source version — old
 // scheme exactly, no hybrid.
-func TestConvertKillMidWindowRecoversOld(t *testing.T) {
-	cl, err := StartCluster(elasticSpec(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Stop()
-	c := newDurClient(t, cl)
+func TestMoveKillMidWindowRecoversOld(t *testing.T) {
+	cl, c := startElastic(t, elasticSpec(t))
 	victim, key := pickVictimKey(t, cl)
-	addr := NodeAddr(victim)
 
 	val := bytes.Repeat([]byte("wind"), 300)
-	c.put(addr, 1, key, val)
+	if _, err := c.PutIn(key, val, 1); err != nil {
+		t.Fatal(err)
+	}
 
 	// SRS(2,1,3) commits only after its one parity node acked. Cut the
 	// coordinator<->parity link (both stay alive and serving, so no
@@ -151,156 +155,52 @@ func TestConvertKillMidWindowRecoversOld(t *testing.T) {
 	// window stays open indefinitely (the write pipeline never
 	// retransmits, and the FailAfter abort is 10min away).
 	parity := cl.Cfg.Redundant[0]
-	vAddr, pAddr := NodeAddr(victim), NodeAddr(parity)
+	vAddr, pAddr := core.NodeAddr(victim), core.NodeAddr(parity)
 	cl.Fabric.SetDropFunc(func(from, to string) bool {
 		return (from == vAddr && to == pAddr) || (from == pAddr && to == vAddr)
 	})
 
-	// Fire the convert without waiting for a reply (none will come) and
-	// wait for the window to register on the coordinator.
-	if err := c.ep.Send(addr, proto.Encode(&proto.Convert{Req: 2, Key: key, To: 2})); err != nil {
-		t.Fatal(err)
-	}
+	// Fire the move from a client of its own (no reply will come; closing
+	// that client after the kill ends the call before it can retry
+	// against the restarted node) and wait for the window to register on
+	// the coordinator.
+	mover := dialElastic(t, cl)
+	moved := make(chan error, 1)
+	go func() {
+		_, err := mover.Move(key, 2)
+		moved <- err
+	}()
 	open := testutil.Eventually(10*time.Second, 5*time.Millisecond, func() bool {
 		var windows int
-		cl.Runs[victim].Inspect(func(n *Node) { windows = len(n.converting) })
+		cl.Runs[victim].Inspect(func(n *core.Node) { windows = n.OpenMoves() })
 		return windows == 1
 	})
 	if !open {
-		t.Fatal("transition window never opened")
+		t.Fatal("move window never opened")
 	}
 
 	// kill -9 with the window open, heal the link, restart. Every peer
 	// is alive and serving, so the victim's recovery completes.
 	cl.Kill(victim)
+	mover.Close()
+	if err := <-moved; err == nil {
+		t.Fatal("move acknowledged although its destination write never reached quorum")
+	}
 	cl.Fabric.SetDropFunc(nil)
 	if err := cl.Restart(victim); err != nil {
 		t.Fatal(err)
 	}
 
-	st, got := c.get(addr, 3, key)
-	if st != proto.StOK || !bytes.Equal(got, val) {
-		t.Fatalf("get after mid-window crash: %v %dB", st, len(got))
-	}
+	getEventually(t, c, key, val)
 	// Never hybrid: the recovered index holds exactly the committed
 	// source version; no trace of the uncommitted destination write.
-	cl.Runs[victim].Inspect(func(n *Node) {
-		refs := n.volFor(n.shardOf(key)).All(key)
+	cl.Runs[victim].Inspect(func(n *core.Node) {
+		refs := n.KeyVersions(key)
 		if len(refs) != 1 || refs[0].Memgest != 1 {
 			t.Errorf("recovered versions %v, want exactly one in memgest 1", refs)
 		}
-		if len(n.converting) != 0 {
-			t.Error("transition window survived the crash")
-		}
-	})
-}
-
-// TestResizeLeaveJoinMinimalMovement drives a graceful leave of a
-// coordinator and a join re-admitting it, asserting the protocol's
-// minimal-movement contract: leave moves exactly the placement slots
-// the departing node held (reported by the reply and the ShardsMoved
-// counter), join moves zero.
-func TestResizeLeaveJoinMinimalMovement(t *testing.T) {
-	spec := elasticSpec(t)
-	spec.Spares = 2
-	spec.DataDir = "" // membership test: durability is irrelevant here
-	cl, err := StartCluster(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Stop()
-	c := newDurClient(t, cl)
-
-	// Data on every shard so availability across the resize is checked.
-	want := make(map[string][]byte)
-	for i := 0; i < 9; i++ {
-		key := fmt.Sprintf("rsz-key-%d", i)
-		val := []byte(fmt.Sprintf("value-%d", i))
-		c.put(NodeAddr(cl.Cfg.CoordinatorOf(store.KeyHash(key))), proto.ReqID(i+1), key, val)
-		want[key] = val
-	}
-
-	leader := cl.Cfg.Leader
-	var victim proto.NodeID = proto.NilNode
-	for _, id := range cl.Cfg.Coords {
-		if id != leader {
-			victim = id
-			break
-		}
-	}
-	// The slots the victim holds are exactly what a minimal leave moves.
-	held := uint32(0)
-	for _, id := range cl.Cfg.Coords {
-		if id == victim {
-			held++
-		}
-	}
-	for _, id := range cl.Cfg.Redundant {
-		if id == victim {
-			held++
-		}
-	}
-	for i := range cl.Cfg.Memgests {
-		for _, id := range cl.Cfg.Memgests[i].Redundant {
-			if id == victim {
-				held++
-			}
-		}
-	}
-
-	r := c.resize(NodeAddr(leader), 100, proto.ResizeLeave, victim)
-	if r.Status != proto.StOK {
-		t.Fatalf("leave: %v", r.Status)
-	}
-	if r.Moved != held {
-		t.Fatalf("leave moved %d slots, want the %d the node held", r.Moved, held)
-	}
-	var shardsMoved uint64
-	var cfgAfter *proto.Config
-	cl.Runs[leader].Inspect(func(n *Node) {
-		shardsMoved = n.Metrics.ShardsMoved.Load()
-		cfgAfter = n.Config().Clone()
-	})
-	if shardsMoved != uint64(held) {
-		t.Fatalf("ShardsMoved = %d, want %d", shardsMoved, held)
-	}
-	for _, id := range cfgAfter.AllNodes() {
-		if id == victim {
-			t.Fatal("departed node still in the configuration")
-		}
-	}
-
-	// Every key stays readable: the substitute recovers the departed
-	// coordinator's shard, everything else never moved.
-	for key, val := range want {
-		addr := NodeAddr(cfgAfter.CoordinatorOf(store.KeyHash(key)))
-		st, got := c.get(addr, proto.ReqID(200+len(key)), key)
-		if st != proto.StOK || !bytes.Equal(got, val) {
-			t.Fatalf("get %q after leave: %v", key, st)
-		}
-	}
-
-	// Join the node back: zero movement, spare role only.
-	r2 := c.resize(NodeAddr(leader), 300, proto.ResizeJoin, victim)
-	if r2.Status != proto.StOK {
-		t.Fatalf("join: %v", r2.Status)
-	}
-	if r2.Moved != 0 {
-		t.Fatalf("join moved %d slots, want 0", r2.Moved)
-	}
-	if r2.Epoch <= r.Epoch {
-		t.Fatalf("join epoch %d not past leave epoch %d", r2.Epoch, r.Epoch)
-	}
-	cl.Runs[leader].Inspect(func(n *Node) {
-		if n.Metrics.ShardsMoved.Load() != uint64(held) {
-			t.Error("join changed the ShardsMoved counter")
-		}
-		spare := false
-		for _, id := range n.Config().Spares {
-			spare = spare || id == victim
-		}
-		if !spare {
-			t.Error("rejoined node is not a spare")
+		if n.OpenMoves() != 0 {
+			t.Error("move window survived the crash")
 		}
 	})
 }

@@ -1,0 +1,15 @@
+package core
+
+import "ring/internal/store"
+
+// Inspectors for the external (package core_test) e2e tests, which
+// drive the cluster through the real client and so cannot live in
+// package core.
+
+// KeyVersions returns the key's version refs, newest first.
+func (n *Node) KeyVersions(key string) []store.VersionRef {
+	return n.volFor(n.shardOf(key)).All(key)
+}
+
+// OpenMoves returns the number of open move windows.
+func (n *Node) OpenMoves() int { return len(n.moving) }

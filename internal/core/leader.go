@@ -18,7 +18,7 @@ func (n *Node) handleTick() {
 		n.followerTick()
 	}
 	n.recoveryTick()
-	n.convertTick()
+	n.moveTick()
 }
 
 // leaderTick sends heartbeats and checks follower liveness.

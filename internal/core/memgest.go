@@ -84,7 +84,6 @@ const (
 	replyPut
 	replyDelete
 	replyMove
-	replyConvert
 )
 
 // traceOp maps a reply kind to its trace classification; internal
@@ -97,8 +96,6 @@ func (k replyKind) traceOp() metrics.TraceOp {
 		return metrics.TraceDelete
 	case replyMove:
 		return metrics.TraceMove
-	case replyConvert:
-		return metrics.TraceConvert
 	}
 	return metrics.TraceNone
 }
@@ -341,11 +338,10 @@ func (n *Node) installConfig(cfg *proto.Config, bootstrap bool) {
 		n.resetUnconsumedStash()
 	}
 	// A pending leave fence is void if another configuration overtook
-	// it; open scheme-transition windows were planned against the
-	// previous configuration — abort and relaunch any the change
-	// invalidated.
+	// it; open move windows were planned against the previous
+	// configuration — abort and relaunch them.
 	n.abandonResize(cfg)
-	n.replanConverts()
+	n.replanMoves()
 }
 
 // ownedShards returns the shards this node currently coordinates.

@@ -10,12 +10,11 @@ import (
 // resolution succeed — a scripted workload of N puts therefore shows
 // exactly N here, never N plus redirects.
 type MemgestMetrics struct {
-	Puts     metrics.Counter
-	Gets     metrics.Counter
-	Deletes  metrics.Counter
-	Moves    metrics.Counter
-	Converts metrics.Counter
-	Commits  metrics.Counter
+	Puts    metrics.Counter
+	Gets    metrics.Counter
+	Deletes metrics.Counter
+	Moves   metrics.Counter
+	Commits metrics.Counter
 }
 
 // NodeMetrics is a node's always-on instrumentation. Counters and
@@ -49,14 +48,14 @@ type NodeMetrics struct {
 	// assert on (a join moves zero; a leave moves only the departing
 	// node's slots).
 	ShardsMoved metrics.Counter
-	// ConvertsReplanned counts transition windows aborted and relaunched
-	// because a configuration change invalidated their in-flight
-	// destination write.
-	ConvertsReplanned metrics.Counter
-	// ConvertsAborted counts transition windows the timeout closed
-	// because their destination write lost an append or ack to the
-	// network (the caller retries the conversion).
-	ConvertsAborted metrics.Counter
+	// MovesReplanned counts move windows aborted and relaunched because
+	// a configuration change invalidated their in-flight destination
+	// write.
+	MovesReplanned metrics.Counter
+	// MovesAborted counts move windows the timeout closed because their
+	// destination write lost an append or ack to the network (the caller
+	// retries the move).
+	MovesAborted metrics.Counter
 
 	// Trace is the per-op trace ring (runner-lock discipline).
 	Trace *metrics.TraceRing
@@ -86,12 +85,11 @@ func (m *NodeMetrics) mgMetrics(id proto.MemgestID) *MemgestMetrics {
 
 // MemgestOpCounts is the JSON-ready copy of one memgest's counters.
 type MemgestOpCounts struct {
-	Puts     uint64 `json:"puts"`
-	Gets     uint64 `json:"gets"`
-	Deletes  uint64 `json:"deletes"`
-	Moves    uint64 `json:"moves"`
-	Converts uint64 `json:"converts"`
-	Commits  uint64 `json:"commits"`
+	Puts    uint64 `json:"puts"`
+	Gets    uint64 `json:"gets"`
+	Deletes uint64 `json:"deletes"`
+	Moves   uint64 `json:"moves"`
+	Commits uint64 `json:"commits"`
 }
 
 // Add accumulates another count set (for cluster-wide aggregation).
@@ -100,7 +98,6 @@ func (c *MemgestOpCounts) Add(o MemgestOpCounts) {
 	c.Gets += o.Gets
 	c.Deletes += o.Deletes
 	c.Moves += o.Moves
-	c.Converts += o.Converts
 	c.Commits += o.Commits
 }
 
@@ -114,8 +111,8 @@ type MetricsSnapshot struct {
 	InboxHighWater  int64                               `json:"inbox_high_water"`
 	RecoveryBacklog int64                               `json:"recovery_backlog"`
 	ShardsMoved     uint64                              `json:"shards_moved"`
-	ConvertsRepl    uint64                              `json:"converts_replanned"`
-	ConvertsAborted uint64                              `json:"converts_aborted"`
+	MovesReplanned  uint64                              `json:"moves_replanned"`
+	MovesAborted    uint64                              `json:"moves_aborted"`
 	CommitRep       metrics.HistSnapshot                `json:"commit_latency_rep"`
 	CommitSRS       metrics.HistSnapshot                `json:"commit_latency_srs"`
 	Stats           Stats                               `json:"stats"`
@@ -136,8 +133,8 @@ func (n *Node) MetricsSnapshot() MetricsSnapshot {
 		InboxHighWater:  m.InboxHighWater.Load(),
 		RecoveryBacklog: m.RecoveryBacklog.Load(),
 		ShardsMoved:     m.ShardsMoved.Load(),
-		ConvertsRepl:    m.ConvertsReplanned.Load(),
-		ConvertsAborted: m.ConvertsAborted.Load(),
+		MovesReplanned:  m.MovesReplanned.Load(),
+		MovesAborted:    m.MovesAborted.Load(),
 		CommitRep:       m.CommitRep.Snapshot(),
 		CommitSRS:       m.CommitSRS.Snapshot(),
 		Stats:           n.Stats,
@@ -146,12 +143,11 @@ func (n *Node) MetricsSnapshot() MetricsSnapshot {
 	}
 	for id, mm := range m.mg {
 		s.Memgests[id] = MemgestOpCounts{
-			Puts:     mm.Puts.Load(),
-			Gets:     mm.Gets.Load(),
-			Deletes:  mm.Deletes.Load(),
-			Moves:    mm.Moves.Load(),
-			Converts: mm.Converts.Load(),
-			Commits:  mm.Commits.Load(),
+			Puts:    mm.Puts.Load(),
+			Gets:    mm.Gets.Load(),
+			Deletes: mm.Deletes.Load(),
+			Moves:   mm.Moves.Load(),
+			Commits: mm.Commits.Load(),
 		}
 	}
 	return s

@@ -65,9 +65,9 @@ type Options struct {
 	// must catch the lost updates this produces under faults. Never
 	// set it outside that test path.
 	ChaosUnsafeAck bool
-	// ChaosUnsafeConvert deliberately acknowledges scheme transitions
-	// before the transition journal record is written and purges the
-	// source version before the destination write is durable. It exists
+	// ChaosUnsafeConvert deliberately acknowledges moves before the
+	// move journal record is written and purges the source version
+	// before the destination write is durable. It exists
 	// ONLY to validate the elasticity chaos lane (cmd/ringchaos
 	// -convbug): a coordinator crash in the window silently loses the
 	// key, which the checker must flag. Never set it outside that path.
@@ -140,14 +140,14 @@ type Node struct {
 	bgInflight int
 	bgTasks0   map[proto.ReqID]bgTask
 
-	// converting tracks the open scheme-transition windows of shards
-	// this node coordinates: client writes to a converting key park here
-	// and replay when the window closes (commit or abort).
-	converting map[convKey]*convState
-	// bulkConverts aggregates in-flight prefix conversions; nextBulkID
-	// names them (node-local, never crosses the wire).
-	bulkConverts map[string]*bulkConvert
-	nextBulkID   uint64
+	// moving tracks the open move windows of shards this node
+	// coordinates: client writes to a moving key park here and replay
+	// when the window closes (commit or abort).
+	moving map[moveKey]*moveState
+	// bulkMoves aggregates in-flight prefix moves; nextBulkID names
+	// them (node-local, never crosses the wire).
+	bulkMoves  map[string]*bulkMove
+	nextBulkID uint64
 	// pendingResize is the leader's in-flight leave fence (one at a
 	// time): the new configuration is pushed to the departing node
 	// first, and announced cluster-wide only once that node acked it
@@ -187,7 +187,6 @@ type Node struct {
 // Stats counts node activity.
 type Stats struct {
 	Puts, Gets, Deletes, Moves   uint64
-	Converts                     uint64
 	Commits, ParkedGets          uint64
 	ParityUpdates, RepAppends    uint64
 	BlocksRecovered, MetaRecovs  uint64
@@ -263,8 +262,8 @@ func New(id proto.NodeID, cfg *proto.Config, opts Options) *Node {
 		dataRecs:       make(map[proto.ReqID]*dataRecovery),
 		parityRebuilds: make(map[proto.ReqID]*parityRebuild),
 		bgTasks0:       make(map[proto.ReqID]bgTask),
-		converting:     make(map[convKey]*convState),
-		bulkConverts:   make(map[string]*bulkConvert),
+		moving:         make(map[moveKey]*moveState),
+		bulkMoves:      make(map[string]*bulkMove),
 		serving:        true,
 		nextReq:        1,
 		nextMgID:       1,
@@ -327,8 +326,6 @@ func (n *Node) HandleMessage(now time.Duration, from string, msg proto.Message) 
 		n.handleDelete(from, m)
 	case *proto.Move:
 		n.handleMove(from, m)
-	case *proto.Convert:
-		n.handleConvert(from, m)
 	case *proto.Resize:
 		n.handleResize(from, m)
 	case *proto.CreateMemgest:

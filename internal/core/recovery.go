@@ -663,12 +663,8 @@ func (n *Node) handleDataFetchReply(_ string, m *proto.DataFetchReply) {
 
 // releaseWaiter resumes a request that was parked on data recovery.
 func (n *Node) releaseWaiter(st *mgState, cs *coordShard, w blockWaiter) {
-	if w.kind == replyMove {
-		n.performMove(w.client, w.req, cs.shard, w.key, w.dst)
-		return
-	}
-	if w.kind == replyConvert {
-		n.performConvert(w.client, w.req, cs.shard, w.key, w.dst)
+	if w.move != nil {
+		n.admitMove(w.client, w.move)
 		return
 	}
 	e := cs.meta.Get(w.key, w.version)

@@ -37,8 +37,8 @@ func NewRejoining(id proto.NodeID, cfg *proto.Config, opts Options) *Node {
 		dataRecs:       make(map[proto.ReqID]*dataRecovery),
 		parityRebuilds: make(map[proto.ReqID]*parityRebuild),
 		bgTasks0:       make(map[proto.ReqID]bgTask),
-		converting:     make(map[convKey]*convState),
-		bulkConverts:   make(map[string]*bulkConvert),
+		moving:         make(map[moveKey]*moveState),
+		bulkMoves:      make(map[string]*bulkMove),
 		rejoining:      true,
 		nextReq:        1,
 		nextMgID:       1,
@@ -74,8 +74,6 @@ func (n *Node) handleRejoining(from string, msg proto.Message) {
 		n.send(from, &proto.DeleteReply{Req: m.Req, Status: proto.StRetry})
 	case *proto.Move:
 		n.send(from, &proto.MoveReply{Req: m.Req, Status: proto.StRetry})
-	case *proto.Convert:
-		n.send(from, &proto.ConvertReply{Req: m.Req, Status: proto.StRetry})
 	case *proto.Resize:
 		n.send(from, &proto.ResizeReply{Req: m.Req, Status: proto.StRetry})
 	case *proto.CreateMemgest:

@@ -135,54 +135,3 @@ func TestKeepVersionsSurvivesCoordinatorFailure(t *testing.T) {
 		t.Fatalf("after failover: %v %q v%d (want reliable v1)", g.Status, g.Value, g.Version)
 	}
 }
-
-// TestParkedMove: a move requested while the key's highest version is
-// still uncommitted must wait for durability, then run (Section 5.2:
-// "the move request will also be postponed if the requested object is
-// not durable").
-func TestParkedMove(t *testing.T) {
-	h := newHarness(t, figure3Spec())
-	h.put("pmk", []byte("v1"), mgREP3)
-
-	n, id := h.coordinatorOf("pmk")
-	// Inject a put but hold back its replication traffic.
-	outs := n.HandleMessage(h.now, "client/p", &proto.Put{Req: 40, Key: "pmk", Value: []byte("v2"), Memgest: mgREP3})
-	var held []routedMsg
-	for _, o := range outs {
-		held = append(held, routedMsg{from: NodeAddr(id), to: o.To, msg: o.Msg})
-	}
-	// Move arrives while v2 is uncommitted: must produce no reply yet.
-	outs = n.HandleMessage(h.now, "client/m", &proto.Move{Req: 41, Key: "pmk", Memgest: mgSRS32})
-	if len(outs) != 0 {
-		t.Fatalf("move of uncommitted version answered immediately: %v", outs)
-	}
-	// Release replication; the commit must trigger the parked move,
-	// which itself commits into SRS32.
-	h.queue = append(h.queue, held...)
-	h.run()
-	mr := h.lastReply("client/m").(*proto.MoveReply)
-	if mr.Status != proto.StOK || mr.Version != 3 {
-		t.Fatalf("parked move reply: %+v", mr)
-	}
-	g := h.get("pmk")
-	if g.Status != proto.StOK || string(g.Value) != "v2" || g.Version != 3 {
-		t.Fatalf("after parked move: %v %q v%d", g.Status, g.Value, g.Version)
-	}
-	// The value now lives in SRS32.
-	shard := n.shardOf("pmk")
-	ref, _ := n.volFor(shard).Highest("pmk")
-	if ref.Memgest != mgSRS32 {
-		t.Fatalf("key landed in memgest %d", ref.Memgest)
-	}
-	h.checkParityInvariant()
-}
-
-// TestMoveOfTombstoneIsNotFound: moving a deleted key fails cleanly.
-func TestMoveOfTombstoneIsNotFound(t *testing.T) {
-	h := newHarness(t, figure3Spec())
-	h.put("tk", []byte("x"), mgREP1)
-	h.del("tk")
-	if r := h.move("tk", mgSRS32); r.Status != proto.StNotFound {
-		t.Fatalf("move of tombstone: %v", r.Status)
-	}
-}

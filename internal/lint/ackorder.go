@@ -15,14 +15,14 @@ import (
 // statically reachable before the barrier calls the handler owes —
 // quorum bookkeeping (tracker Open/Ack, quorumAcks), durable
 // persistence (persist*, SyncDurable, calls into the storage engines),
-// and the transition journal (persistConvert*: the conv-begin/conv-end
-// records a scheme transition must order before its ack, so a crash
-// replays to exactly the old or the new scheme).
+// and the move journal (persistMove*: the conv-begin/conv-end records
+// a move must order before its ack, so a crash replays to exactly the
+// old or the new scheme).
 //
 //	//ring:handler                requires quorum and persist
 //	//ring:handler persist        replica-side: persist-before-ack only
 //	//ring:handler quorum         quorum only
-//	//ring:handler journal        transition handler: journal-before-ack
+//	//ring:handler journal        move launch: journal-before-ack
 //
 // An emission is a send/sendNode/Send call whose message is a
 // *...Reply or *...Ack struct that succeeds: Status absent, Status set
@@ -564,10 +564,10 @@ func barrierPrimitive(info *types.Info, call *ast.CallExpr) ([numClasses]bool, b
 				return cls, true
 			}
 		}
-	case strings.HasPrefix(name, "persistConvert"):
-		// The transition journal: a durable append (so it satisfies the
-		// persist obligation) that is also the journal barrier a
-		// transition handler owes. Checked before the generic persist
+	case strings.HasPrefix(name, "persistMove"):
+		// The move journal: a durable append (so it satisfies the
+		// persist obligation) that is also the journal barrier a move
+		// launch owes. Checked before the generic persist
 		// prefix so the journal class binds.
 		cls[clsPersist], cls[clsJournal] = true, true
 		return cls, true

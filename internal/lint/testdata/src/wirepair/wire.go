@@ -14,12 +14,12 @@ const (
 	TOrphan                    // want `wire tag TOrphan has no message type`
 	TStat                      // fully paired: no diagnostics
 
-	// The elasticity vocabulary: transition and resize messages mirror
-	// internal/proto's TConvert/TResize family.
-	TConvert      // fully paired: no diagnostics
-	TConvertReply // Decode arm crossed with Convert
-	TResize       // fully paired: no diagnostics
-	TResizeReply  // want `wire tag TResizeReply has no case arm in Decode`
+	// The elasticity vocabulary: move and resize messages mirror
+	// internal/proto's TMove/TResize family.
+	TMove        // fully paired: no diagnostics
+	TMoveReply   // Decode arm crossed with Move
+	TResize      // fully paired: no diagnostics
+	TResizeReply // want `wire tag TResizeReply has no case arm in Decode`
 
 	// TFrame is a frame envelope: written by the batcher, stripped
 	// before Decode ever runs, so it deliberately has no message type.
@@ -56,15 +56,15 @@ type Stat struct{ N int }
 func (*Stat) Type() MsgType   { return TStat }
 func (*Stat) encode(b []byte) {}
 
-type Convert struct{ K string }
+type Move struct{ K string }
 
-func (*Convert) Type() MsgType   { return TConvert }
-func (*Convert) encode(b []byte) {}
+func (*Move) Type() MsgType   { return TMove }
+func (*Move) encode(b []byte) {}
 
-type ConvertReply struct{ Ver uint64 }
+type MoveReply struct{ Ver uint64 }
 
-func (*ConvertReply) Type() MsgType   { return TConvertReply }
-func (*ConvertReply) encode(b []byte) {}
+func (*MoveReply) Type() MsgType   { return TMoveReply }
+func (*MoveReply) encode(b []byte) {}
 
 type Resize struct{ Node uint32 }
 
@@ -79,7 +79,7 @@ func (*ResizeReply) encode(b []byte) {}
 func decPut(b []byte) *Put       { return &Put{} }
 func decGet(b []byte) *Get       { return &Get{} }
 func decStat(b []byte) *Stat     { return &Stat{} }
-func decConv(b []byte) *Convert  { return &Convert{} }
+func decMove(b []byte) *Move     { return &Move{} }
 func decResize(b []byte) *Resize { return &Resize{} }
 
 // Decode is the dispatch switch the analyzer pairs against Type().
@@ -100,11 +100,11 @@ func Decode(b []byte) (interface{}, error) {
 	case TStat:
 		m := decStat(b[1:])
 		return m, nil
-	case TConvert:
-		m := decConv(b[1:])
+	case TMove:
+		m := decMove(b[1:])
 		return m, nil
-	case TConvertReply: // want `Decode arm for tag TConvertReply constructs \*Convert, but ConvertReply's Type\(\) returns TConvertReply`
-		m := decConv(b[1:])
+	case TMoveReply: // want `Decode arm for tag TMoveReply constructs \*Move, but MoveReply's Type\(\) returns TMoveReply`
+		m := decMove(b[1:])
 		return m, nil
 	case TResize:
 		m := decResize(b[1:])

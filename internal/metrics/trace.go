@@ -16,7 +16,6 @@ const (
 	TraceGet
 	TraceDelete
 	TraceMove
-	TraceConvert
 )
 
 func (o TraceOp) String() string {
@@ -29,8 +28,6 @@ func (o TraceOp) String() string {
 		return "delete"
 	case TraceMove:
 		return "move"
-	case TraceConvert:
-		return "convert"
 	}
 	return "none"
 }

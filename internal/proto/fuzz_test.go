@@ -18,6 +18,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 		&PutReply{Req: 7, Status: StOK, Version: 9},
 		&Get{Req: 8, Key: "k", Version: 2},
 		&GetReply{Req: 8, Status: StNotFound, Version: 0, Value: nil},
+		&Move{Req: 9, Key: "k", Memgest: 2},
+		&Move{Req: 10, Key: "k", Memgest: 2, From: 1},
+		&Move{Req: 11, Key: "user:", Memgest: 3, From: 1, Prefix: true},
+		&MoveReply{Req: 11, Status: StOK, Version: 4, Moved: 7},
 		&Tick{},
 	}
 	for _, m := range seeds {

@@ -52,10 +52,8 @@ const (
 	// Membership (late addition, tagged after TTick to keep prior tags
 	// stable): a restarted node announcing itself to the leader.
 	TJoin
-	// Elasticity (tagged after TJoin to keep prior tags stable): online
-	// per-key scheme transitions and minimal-movement cluster resizing.
-	TConvert
-	TConvertReply
+	// Elasticity (tagged after TJoin to keep prior tags stable):
+	// minimal-movement cluster resizing.
 	TResize
 	TResizeReply
 )
@@ -215,10 +213,6 @@ func Decode(buf []byte) (Message, error) {
 		m = &Tick{}
 	case TJoin:
 		m = decJoin(r)
-	case TConvert:
-		m = decConvert(r)
-	case TConvertReply:
-		m = decConvertReply(r)
 	case TResize:
 		m = decResize(r)
 	case TResizeReply:
@@ -349,12 +343,24 @@ func decDeleteReply(r *reader) *DeleteReply {
 	return &DeleteReply{Req: ReqID(r.u64()), Status: Status(r.u8())}
 }
 
-// Move transfers key to another memgest without resending the value
-// (the data is local to the coordinator thanks to SRS co-location).
+// Move asks a key's coordinator to re-home its newest committed version
+// into another memgest — the paper's move (Section 4, Figure 8). No
+// value crosses the network: SRS co-location keeps it local to the
+// coordinator, which re-puts it under the next version inside a
+// journaled window (writes to the key park until the new version
+// commits). With Prefix set, Key is a prefix and the receiving
+// coordinator moves every matching key it owns, answering with the
+// count.
 type Move struct {
-	Req     ReqID
-	Key     string
+	Req ReqID
+	Key string
+	// Memgest is the destination memgest.
 	Memgest MemgestID
+	// From restricts the move to keys currently in this memgest
+	// (0 = unconditional).
+	From MemgestID
+	// Prefix treats Key as a prefix (bulk move).
+	Prefix bool
 }
 
 func (*Move) Type() MsgType { return TMove }
@@ -362,16 +368,29 @@ func (m *Move) encode(w *writer) {
 	w.u64(uint64(m.Req))
 	w.str(m.Key)
 	w.u32(uint32(m.Memgest))
+	// A plain move omits the conditional/bulk tail: the paper's move
+	// keeps its size on the wire (Figure 8 latencies are byte-exact).
+	if m.From != 0 || m.Prefix {
+		w.u32(uint32(m.From))
+		w.bool(m.Prefix)
+	}
 }
 func decMove(r *reader) *Move {
-	return &Move{Req: ReqID(r.u64()), Key: r.str(), Memgest: MemgestID(r.u32())}
+	m := &Move{Req: ReqID(r.u64()), Key: r.str(), Memgest: MemgestID(r.u32())}
+	if len(r.b) > 0 {
+		m.From, m.Prefix = MemgestID(r.u32()), r.bool()
+	}
+	return m
 }
 
-// MoveReply acknowledges a committed Move.
+// MoveReply acknowledges a committed Move. Version is the version the
+// key now holds in the destination memgest (single-key form); Moved
+// counts the keys moved (prefix form).
 type MoveReply struct {
 	Req     ReqID
 	Status  Status
 	Version Version
+	Moved   uint32
 }
 
 func (*MoveReply) Type() MsgType { return TMoveReply }
@@ -379,9 +398,17 @@ func (m *MoveReply) encode(w *writer) {
 	w.u64(uint64(m.Req))
 	w.u8(uint8(m.Status))
 	w.u64(uint64(m.Version))
+	// Only a bulk reply carries the count (see Move.encode).
+	if m.Moved != 0 {
+		w.u32(m.Moved)
+	}
 }
 func decMoveReply(r *reader) *MoveReply {
-	return &MoveReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Version: Version(r.u64())}
+	m := &MoveReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Version: Version(r.u64())}
+	if len(r.b) > 0 {
+		m.Moved = r.u32()
+	}
+	return m
 }
 
 // CreateMemgest asks the leader to instantiate a new storage scheme.
@@ -868,59 +895,6 @@ func decBlockFetchReply(r *reader) *BlockFetchReply {
 }
 
 // -------------------------------------------------------------- elasticity
-
-// Convert asks a key's coordinator to re-encode it from its current
-// memgest into another — the paper's local scheme move made live as an
-// online transition. The re-encode happens entirely on the coordinator
-// (SRS co-location keeps the value local); reads and writes of the key
-// are parked over the short commit window and released when the new
-// version commits. With Prefix set, Key is a prefix and the receiving
-// coordinator converts every matching key it owns, answering with the
-// count.
-type Convert struct {
-	Req ReqID
-	Key string
-	// From restricts the conversion to keys currently in this memgest
-	// (0 = whichever memgest holds the key's highest version).
-	From MemgestID
-	// To is the destination memgest.
-	To MemgestID
-	// Prefix treats Key as a prefix (bulk conversion).
-	Prefix bool
-}
-
-func (*Convert) Type() MsgType { return TConvert }
-func (m *Convert) encode(w *writer) {
-	w.u64(uint64(m.Req))
-	w.str(m.Key)
-	w.u32(uint32(m.From))
-	w.u32(uint32(m.To))
-	w.bool(m.Prefix)
-}
-func decConvert(r *reader) *Convert {
-	return &Convert{Req: ReqID(r.u64()), Key: r.str(), From: MemgestID(r.u32()), To: MemgestID(r.u32()), Prefix: r.bool()}
-}
-
-// ConvertReply acknowledges a committed conversion. Version is the new
-// version the key holds in the destination memgest (single-key form);
-// Converted counts the keys transitioned (prefix form).
-type ConvertReply struct {
-	Req       ReqID
-	Status    Status
-	Version   Version
-	Converted uint32
-}
-
-func (*ConvertReply) Type() MsgType { return TConvertReply }
-func (m *ConvertReply) encode(w *writer) {
-	w.u64(uint64(m.Req))
-	w.u8(uint8(m.Status))
-	w.u64(uint64(m.Version))
-	w.u32(m.Converted)
-}
-func decConvertReply(r *reader) *ConvertReply {
-	return &ConvertReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Version: Version(r.u64()), Converted: r.u32()}
-}
 
 // ResizeOp selects the direction of a Resize.
 type ResizeOp uint8

@@ -45,7 +45,10 @@ func TestRoundTripAllMessages(t *testing.T) {
 		&Delete{Req: 5, Key: "gone"},
 		&DeleteReply{Req: 5, Status: StOK},
 		&Move{Req: 6, Key: "k", Memgest: 9},
+		&Move{Req: 16, Key: "k", Memgest: 4, From: 2},
+		&Move{Req: 17, Key: "user:", Memgest: 3, Prefix: true},
 		&MoveReply{Req: 6, Status: StRetry, Version: 3},
+		&MoveReply{Req: 17, Status: StOK, Moved: 2},
 		&CreateMemgest{Req: 7, Scheme: SRS(2, 1, 3)},
 		&DeleteMemgest{Req: 8, Memgest: 4},
 		&SetDefault{Req: 9, Memgest: 4},
@@ -73,9 +76,6 @@ func TestRoundTripAllMessages(t *testing.T) {
 		&BlockFetchReply{Req: 15, Status: StOK, Block: 5, Data: []byte("blk")},
 		&Tick{},
 		&Join{Node: 3, Epoch: 9, Durable: true},
-		&Convert{Req: 16, Key: "k", From: 2, To: 4, Prefix: false},
-		&Convert{Req: 17, Key: "user:", From: 0, To: 3, Prefix: true},
-		&ConvertReply{Req: 16, Status: StOK, Version: 8, Converted: 2},
 		&Resize{Req: 18, Op: ResizeLeave, Node: 5},
 		&ResizeReply{Req: 18, Status: StOK, Moved: 4, Epoch: 11},
 	}

@@ -31,14 +31,14 @@ type ChaosRunSpec struct {
 	// UnsafeAck injects the ack-before-quorum bug (core.Options.
 	// ChaosUnsafeAck) to validate that the checker catches it.
 	UnsafeAck bool
-	// UnsafeConvert injects the ack-before-journal transition bug
-	// (core.Options.ChaosUnsafeConvert): converts acknowledge before
-	// the destination write is quorum-durable and purge the source
-	// eagerly. Only observable with Elasticity (or an explicit schedule
+	// UnsafeConvert injects the ack-before-journal move bug
+	// (core.Options.ChaosUnsafeConvert): moves acknowledge before the
+	// destination write is quorum-durable and purge the source eagerly.
+	// Only observable with Elasticity (or an explicit schedule
 	// containing convert steps).
 	UnsafeConvert bool
 	// Elasticity makes the seed-generated schedule
-	// GenElasticitySchedule: live scheme conversions and join/leave
+	// GenElasticitySchedule: live scheme moves and join/leave
 	// resizes blended into the fault mix, driven by the control agent.
 	Elasticity bool
 	// CheckBudget caps linearizability search states per key (<=0:
@@ -71,7 +71,7 @@ type ChaosRunResult struct {
 	Faults    FaultStats
 	Abandoned int
 	// ElasticAcked/ElasticAbandoned count control-plane operations
-	// (converts, resizes) that completed or ran out of retries; zero on
+	// (moves, resizes) that completed or ran out of retries; zero on
 	// runs without elasticity steps.
 	ElasticAcked     int
 	ElasticAbandoned int
@@ -153,8 +153,8 @@ func RunChaos(spec ChaosRunSpec) ChaosRunResult {
 		sched = GenDurableSchedule(spec.Seed, cfg.AllNodes(), spec.Active)
 	}
 	if spec.Elasticity {
-		// Converts target the workload's keyspace and memgests so
-		// transitions land on keys with live traffic.
+		// Moves target the workload's keyspace and memgests so they
+		// land on keys with live traffic.
 		sched = GenElasticitySchedule(spec.Seed, cfg.AllNodes(), spec.Active, w.Keys, w.Memgests)
 	}
 	if spec.Schedule != nil {

@@ -12,11 +12,11 @@ import (
 )
 
 // This file is the control-plane side of the elasticity nemesis: a
-// deterministic agent that issues scheme conversions and join/leave
+// deterministic agent that issues scheme moves and join/leave
 // resizes against the simulated cluster at scheduled virtual times,
 // retrying and re-resolving through failures exactly like an operator
 // driving ringctl would. It shares the fabric with the chaos clients
-// but records nothing in the linearizability history — converts do not
+// but records nothing in the linearizability history — moves do not
 // change values and resizes do not touch data, so their correctness is
 // asserted indirectly: the client-visible history must stay
 // linearizable while placements and schemes churn underneath it.
@@ -91,7 +91,7 @@ func (a *nemesisAgent) attempt(now time.Duration, op *nemesisOp) {
 	switch op.step.Kind {
 	case NemConvert:
 		key := fmt.Sprintf("k%d", op.step.A)
-		msg = &proto.Convert{Req: req, Key: key, To: proto.MemgestID(op.step.B)}
+		msg = &proto.Move{Req: req, Key: key, Memgest: proto.MemgestID(op.step.B)}
 		target = a.cfg.CoordinatorOf(store.KeyHash(key))
 	case NemJoin:
 		msg = &proto.Resize{Req: req, Op: proto.ResizeJoin, Node: op.step.A}
@@ -149,7 +149,7 @@ func (a *nemesisAgent) onMessage(now time.Duration, _ string, msg proto.Message)
 				a.cfg = r.Config.Clone()
 			}
 		}
-	case *proto.ConvertReply:
+	case *proto.MoveReply:
 		a.settle(now, r.Req, r.Status)
 	case *proto.ResizeReply:
 		a.settle(now, r.Req, r.Status)
@@ -180,7 +180,7 @@ func (a *nemesisAgent) settle(now time.Duration, req proto.ReqID, st proto.Statu
 
 // GenElasticitySchedule derives an elasticity nemesis schedule from a
 // seed: the fault mix of GenSchedule (crashes, flaky windows) blended
-// with scheme conversions over the workload's keyspace and graceful
+// with scheme moves over the workload's keyspace and graceful
 // leave/rejoin pairs on non-leader nodes, all inside [0, active]. Like
 // the other generators it deterministically cleans up at the end of
 // the active window; the cleanup re-admits every node that ever left
@@ -218,8 +218,8 @@ func GenElasticitySchedule(seed int64, nodes []proto.NodeID, active time.Duratio
 				add(NemesisStep{At: base, Kind: NemCalm})
 				flaky = false
 			}
-		case 3, 4: // convert a workload key to a random scheme (weighted
-			// double: transitions under load are the point of this lane)
+		case 3, 4: // move a workload key to a random scheme (weighted
+			// double: scheme changes under load are the point of this lane)
 			add(NemesisStep{
 				At: base, Kind: NemConvert,
 				A: proto.NodeID(rng.Intn(keys)),

@@ -50,9 +50,10 @@ const (
 	NemFsyncOK
 	// NemFsyncSlow makes node A's fsyncs 10x slower.
 	NemFsyncSlow
-	// NemConvert issues a live scheme transition of workload key
-	// "k<A>" to memgest B through the control agent (elastic.go),
-	// which retries and re-resolves like an operator would.
+	// NemConvert issues a move of workload key "k<A>" to memgest B
+	// through the control agent (elastic.go), which retries and
+	// re-resolves like an operator would. The schedule token stays
+	// "convert" so committed repro strings keep replaying.
 	NemConvert
 	// NemJoin admits node A into the cluster as a spare (idempotent).
 	NemJoin
@@ -410,11 +411,9 @@ func (s Schedule) Apply(sim *Sim, faultSeed int64) {
 func dupSafe(msg proto.Message) bool {
 	switch msg.(type) {
 	case *proto.Put, *proto.Delete, *proto.Move, *proto.ParityUpdate,
-		// A duplicated Convert re-executes after the first completed and
-		// allocates a fresh version in the destination; a duplicated
-		// Resize can fence a node that just rejoined. Both are client
-		// writes in the same exactly-once contract as Put.
-		*proto.Convert, *proto.Resize:
+		// A duplicated Resize can fence a node that just rejoined: a
+		// client write in the same exactly-once contract as Put.
+		*proto.Resize:
 		return false
 	}
 	return true

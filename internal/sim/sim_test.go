@@ -257,3 +257,55 @@ func TestSimDeterminism(t *testing.T) {
 		t.Fatalf("simulation not deterministic: (%v,%d) vs (%v,%d)", t1, d1, t2, d2)
 	}
 }
+
+// TestSimMoveRetryAfterLostFanout loses a move's destination fan-out
+// once and retries the move. The uncommitted destination version must
+// not stay the key's highest forever: the window times out, the first
+// attempt is answered StRetry, and the retry — parked on the window
+// meanwhile — runs and succeeds. (Before moves had a window timeout the
+// retry parked on the stuck version and neither attempt was ever
+// answered.)
+func TestSimMoveRetryAfterLostFanout(t *testing.T) {
+	spec := paperSpec()
+	spec.Opts.HeartbeatEvery = 100 * time.Microsecond
+	spec.Opts.FailAfter = time.Millisecond
+	s, err := NewFromSpec(spec, DefaultModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, _ := core.BootConfig(spec)
+	c := NewClient(s, "t", cfg)
+	val := bytes.Repeat([]byte("m"), 1024)
+	if _, pr, err := c.PutSync("k", val, 3); err != nil || pr.Status != proto.StOK {
+		t.Fatalf("put: %v %+v", err, pr)
+	}
+	s.EnableTicks(spec.Opts.HeartbeatEvery)
+
+	// The move's destination is SRS(3,2): its fan-out is ParityUpdate.
+	s.SetFaultFunc(func(_ time.Duration, _, _ string, msg proto.Message, _ int) FaultAction {
+		_, fanout := msg.(*proto.ParityUpdate)
+		return FaultAction{Drop: fanout}
+	})
+	var first, retry *proto.MoveReply
+	c.MoveAt(s.Now(), "k", 7, func(_ time.Duration, r *proto.MoveReply) { first = r })
+	s.Run(s.Now() + 2*spec.Opts.HeartbeatEvery)
+	if first != nil {
+		t.Fatalf("move answered although its fan-out was dropped: %+v", first)
+	}
+	s.SetFaultFunc(nil)
+	c.MoveAt(s.Now(), "k", 7, func(_ time.Duration, r *proto.MoveReply) { retry = r })
+	s.Run(s.Now() + 5*spec.Opts.FailAfter)
+
+	if first == nil || first.Status != proto.StRetry {
+		t.Fatalf("first attempt: %+v, want StRetry from the window timeout", first)
+	}
+	if retry == nil || retry.Status != proto.StOK {
+		t.Fatalf("retried move: %+v, want OK", retry)
+	}
+	var got *proto.GetReply
+	c.GetAt(s.Now(), "k", func(_ time.Duration, r *proto.GetReply) { got = r })
+	s.Run(s.Now() + spec.Opts.FailAfter)
+	if got == nil || got.Status != proto.StOK || !bytes.Equal(got.Value, val) || got.Version != retry.Version {
+		t.Fatalf("get after the retried move: %+v", got)
+	}
+}

@@ -114,6 +114,10 @@ type ClusterStats struct {
 	Memgests        map[proto.MemgestID]core.MemgestOpCounts
 	CommitRep       metrics.HistSnapshot
 	CommitSRS       metrics.HistSnapshot
+	// MovesAborted and MovesReplanned sum the move windows closed by the
+	// timeout and relaunched by a configuration change.
+	MovesAborted   uint64
+	MovesReplanned uint64
 	// RunnerGoroutines sums core.runner_goroutines across the scraped
 	// processes: the runner event loops actually executing — one per
 	// (node, group) pair under memgest-group sharding.
@@ -136,6 +140,8 @@ func Aggregate(nodes []Ringvars) ClusterStats {
 		cs.MsgsOut += n.MsgsOut
 		cs.PacketsOut += n.PacketsOut
 		cs.RecoveryBacklog += n.RecoveryBacklog
+		cs.MovesAborted += n.MovesAborted
+		cs.MovesReplanned += n.MovesReplanned
 		addStats(&cs.Stats, n.Stats)
 		for id, c := range n.Memgests {
 			agg := cs.Memgests[id]
@@ -219,8 +225,8 @@ func RenderStats(w io.Writer, cs ClusterStats) {
 	}
 	fmt.Fprintln(w)
 	st := cs.Stats
-	fmt.Fprintf(w, "ops: puts=%d gets=%d deletes=%d moves=%d commits=%d parked_gets=%d\n",
-		st.Puts, st.Gets, st.Deletes, st.Moves, st.Commits, st.ParkedGets)
+	fmt.Fprintf(w, "ops: puts=%d gets=%d deletes=%d moves=%d moves_aborted=%d moves_replanned=%d commits=%d parked_gets=%d\n",
+		st.Puts, st.Gets, st.Deletes, st.Moves, cs.MovesAborted, cs.MovesReplanned, st.Commits, st.ParkedGets)
 	ids := make([]proto.MemgestID, 0, len(cs.Memgests))
 	for id := range cs.Memgests {
 		ids = append(ids, id)

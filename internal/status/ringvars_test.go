@@ -53,7 +53,8 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 	defer c.Close()
 
 	// The scripted workload: 6 puts into the Rep memgest, 4 into the
-	// SRS memgest, 5 gets, 1 delete from each memgest.
+	// SRS memgest, 5 gets, 1 delete from each memgest, then 3 moves from
+	// the Rep memgest into the SRS one.
 	for i := 0; i < 6; i++ {
 		if _, err := c.PutIn(fmt.Sprintf("rep-%d", i), []byte("replicated"), 1); err != nil {
 			t.Fatal(err)
@@ -75,6 +76,11 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 	if err := c.Delete("srs-0"); err != nil {
 		t.Fatal(err)
 	}
+	for i := 1; i <= 3; i++ {
+		if _, err := c.Move(fmt.Sprintf("rep-%d", i), 2); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	cs, errs := CollectStats(addrs)
 	if len(errs) != 0 {
@@ -91,19 +97,25 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 	if cs.Stats.Puts != 10 || cs.Stats.Gets != 5 || cs.Stats.Deletes != 2 {
 		t.Fatalf("cluster ops: puts=%d gets=%d deletes=%d", cs.Stats.Puts, cs.Stats.Gets, cs.Stats.Deletes)
 	}
-	if cs.Stats.Commits != 12 {
-		t.Fatalf("cluster commits = %d, want 12", cs.Stats.Commits)
+	// N client moves count exactly N, in the one move family.
+	if cs.Stats.Moves != 3 || cs.MovesAborted != 0 || cs.MovesReplanned != 0 {
+		t.Fatalf("cluster moves=%d aborted=%d replanned=%d, want 3/0/0", cs.Stats.Moves, cs.MovesAborted, cs.MovesReplanned)
+	}
+	if cs.Stats.Commits != 15 {
+		t.Fatalf("cluster commits = %d, want 15", cs.Stats.Commits)
 	}
 	mg1, mg2 := cs.Memgests[1], cs.Memgests[2]
-	if mg1.Puts != 6 || mg1.Gets != 5 || mg1.Deletes != 1 || mg1.Commits != 7 {
+	if mg1.Puts != 6 || mg1.Gets != 5 || mg1.Deletes != 1 || mg1.Moves != 0 || mg1.Commits != 7 {
 		t.Fatalf("memgest 1 counts: %+v", mg1)
 	}
-	if mg2.Puts != 4 || mg2.Gets != 0 || mg2.Deletes != 1 || mg2.Commits != 5 {
+	// A move counts against the memgest it writes into.
+	if mg2.Puts != 4 || mg2.Gets != 0 || mg2.Deletes != 1 || mg2.Moves != 3 || mg2.Commits != 8 {
 		t.Fatalf("memgest 2 counts: %+v", mg2)
 	}
 	// Commit latency histograms split by scheme kind, one sample per
-	// commit: 7 Rep (6 puts + 1 delete), 5 SRS.
-	if cs.CommitRep.Count != 7 || cs.CommitSRS.Count != 5 {
+	// commit: 7 Rep (6 puts + 1 delete), 8 SRS (4 puts + 1 delete + 3
+	// moves).
+	if cs.CommitRep.Count != 7 || cs.CommitSRS.Count != 8 {
 		t.Fatalf("commit latency samples: rep=%d srs=%d", cs.CommitRep.Count, cs.CommitSRS.Count)
 	}
 	var bucketSum uint64
@@ -119,11 +131,11 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 	RenderStats(&buf, cs)
 	out := buf.String()
 	for _, want := range []string{
-		"ops: puts=10 gets=5 deletes=2",
-		"memgest 1: puts=6 gets=5 deletes=1",
-		"memgest 2: puts=4 gets=0 deletes=1",
+		"ops: puts=10 gets=5 deletes=2 moves=3 moves_aborted=0 moves_replanned=0",
+		"memgest 1: puts=6 gets=5 deletes=1 moves=0",
+		"memgest 2: puts=4 gets=0 deletes=1 moves=3",
 		"commit latency REP: n=7",
-		"commit latency SRS: n=5",
+		"commit latency SRS: n=8",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)

@@ -42,14 +42,11 @@ type Waiter struct {
 	Req    proto.ReqID
 }
 
-// MoveWaiter identifies a parked move (or, with Convert set, a parked
-// scheme transition — released through the journaled convert path
-// instead of the plain move path).
+// MoveWaiter identifies a parked move: the request re-enters the
+// coordinator's move path once the version it waits on is durable.
 type MoveWaiter struct {
-	Client  string
-	Req     proto.ReqID
-	Dst     proto.MemgestID
-	Convert bool
+	Client string
+	Move   *proto.Move
 }
 
 // MetaTable is the metadata hashtable of one memgest shard. The

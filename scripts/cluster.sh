@@ -29,7 +29,7 @@
 # Any extra arguments are passed to ringload verbatim; with none, the
 # full BENCH suite runs: GF kernels, closed-loop rep3 and srs3.2, and
 # the rep3+bulkconv elasticity row (the same closed-loop workload
-# measured while a background bulk conversion churns the key space
+# measured while a background bulk move churns the key space
 # between the two memgests).
 set -euo pipefail
 cd "$(dirname "$0")/.."
