@@ -13,6 +13,7 @@ package ring_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -22,6 +23,7 @@ import (
 	"ring/internal/experiments"
 	"ring/internal/gf"
 	"ring/internal/reliability"
+	"ring/internal/transport"
 	"ring/internal/workload"
 )
 
@@ -246,6 +248,106 @@ func TestHotpathZeroAlloc(t *testing.T) {
 			t.Errorf("%s allocates %v per call, want 0", name, n)
 		}
 	}
+}
+
+// allocBytesPerRun is testing.AllocsPerRun for bytes: the heap bytes
+// the whole process allocates per call of f, every goroutine counted —
+// which is what a pin on a path that crosses goroutines (sender, read
+// loop, runner) needs. A collection during the runs may cost the buffer
+// pools a few refills; the pins below leave room for that and none for
+// a value-sized allocation per operation.
+func allocBytesPerRun(runs int, f func()) float64 {
+	f() // reach steady state: connections dialled, pools and heaps warm
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestValuePathAllocs pins the single-copy value path end to end: with
+// 16 KiB values, neither a TCP round trip nor a whole SRS(3,2,3) put —
+// client, coordinator and both parity nodes together — allocates
+// anything near a value's size. Before the pooled frame reader, the
+// vectored frame write and the decode views, each of these allocated
+// several values' worth per operation.
+func TestValuePathAllocs(t *testing.T) {
+	const size = 16 << 10
+	val := make([]byte, size)
+
+	t.Run("tcp echo", func(t *testing.T) {
+		f := transport.NewTCPFabric()
+		a, err := f.Register("pin-a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		b, err := f.Register("pin-b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		f.Map("pin-b", transport.BoundAddr(b))
+		go func() {
+			for {
+				p, err := b.Recv()
+				if err != nil {
+					return
+				}
+				_ = b.Send(p.From, p.Payload)
+			}
+		}()
+		perOp := allocBytesPerRun(200, func() {
+			if err := a.Send("pin-b", append(transport.AcquireBufSize(size), val...)); err != nil {
+				t.Fatal(err)
+			}
+			p, err := a.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			transport.ReleaseBuf(p.Payload)
+		})
+		t.Logf("tcp echo: %.0f B per round trip", perOp)
+		if perOp > size/4 {
+			t.Errorf("16 KiB echo over loopback TCP allocates %.0f B per round trip, want < %d", perOp, size/4)
+		}
+	})
+
+	t.Run("srs put", func(t *testing.T) {
+		cl, err := ring.Start(ring.Config{
+			Shards: 3, Redundant: 2,
+			Memgests:  []ring.Scheme{ring.SRS(3, 2, 3)},
+			BlockSize: 4 << 20,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Stop()
+		c, err := cl.NewClient()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		keys := benchKeys("pin", 32)
+		for _, k := range keys { // first versions: the heaps reach working size
+			if _, err := c.Put(k, val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		perOp := allocBytesPerRun(200, func() {
+			if _, err := c.Put(keys[i%len(keys)], val); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		t.Logf("srs put: %.0f B per put", perOp)
+		if perOp > size/4 {
+			t.Errorf("16 KiB SRS(3,2,3) put over memnet allocates %.0f B across all five nodes and the client, want < %d", perOp, size/4)
+		}
+	})
 }
 
 // ------------------------- live (real execution) benchmarks ----------

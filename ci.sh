@@ -33,6 +33,8 @@
 #      catch a round-trip regression, short enough for every push.
 #      FuzzWALReplay is the durability one: arbitrary bytes as a WAL
 #      segment must replay without panicking and re-replay identically.
+#      FuzzBlockHeapModel is the memory one: the demand-backed block
+#      heap against a flat, fully allocated reference.
 #   8. bench smoke: every benchmark compiles and runs one iteration,
 #      output saved to bench.txt (uploaded as a CI artifact)
 #   9. chaos smoke: three fixed ringchaos seeds through the full
@@ -91,6 +93,7 @@ stage_chaos() {
     go test -run=NONE -fuzz=FuzzSRSRoundTrip -fuzztime=10s ./internal/srs/
     go test -run=NONE -fuzz=FuzzGFKernels -fuzztime=10s ./internal/gf/
     go test -run=NONE -fuzz=FuzzWALReplay -fuzztime=10s ./internal/wal/
+    go test -run=NONE -fuzz=FuzzBlockHeapModel -fuzztime=10s ./internal/store/
     go test -run=NONE -fuzz=FuzzCFGBuild -fuzztime=10s ./internal/lint/flow/
 
     go test -run=NONE -bench=. -benchtime=1x ./... | tee bench.txt

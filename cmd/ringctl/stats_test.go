@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -9,6 +10,14 @@ import (
 	"ring/internal/proto"
 	"ring/internal/status"
 )
+
+// TestMain switches payload poisoning on for every cluster these tests
+// drive: a handler that keeps a view into a packet past its return
+// reads 0xDB (see core.PoisonPayloads).
+func TestMain(m *testing.M) {
+	core.PoisonPayloads = true
+	os.Exit(m.Run())
+}
 
 func TestRunStats(t *testing.T) {
 	cl, err := core.StartCluster(core.ClusterSpec{

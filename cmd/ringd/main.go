@@ -70,14 +70,14 @@ func main() {
 	shards := flag.Int("shards", 3, "number of key shards (coordinator nodes)")
 	redundant := flag.Int("redundant", 2, "number of redundancy nodes")
 	memgests := flag.String("memgests", "rep1", "comma-separated schemes: repR or srsK.M")
-	blockSize := flag.Int("block-size", 64<<10, "SRS logical block size in bytes")
+	blockSize := flag.Int("block-size", 64<<10, "SRS logical block capacity in bytes (blocks are backed only where they are written)")
 	heartbeat := flag.Duration("heartbeat", 50*time.Millisecond, "leader heartbeat period")
 	failAfter := flag.Duration("fail-after", 250*time.Millisecond, "failure detection threshold")
 	groups := flag.Int("groups", 1, "independent memgest groups hosted by this process (group g listens on the node port + g)")
 	dataDir := flag.String("data-dir", "", "durable storage directory (empty = volatile, the paper's model); a restart over an existing directory recovers from it")
 	fsyncMode := flag.String("fsync", "always", "fsync policy for the durable store: always, interval, or never")
 	fsyncEvery := flag.Duration("fsync-interval", 5*time.Millisecond, "group-commit period under -fsync interval")
-	httpAddr := flag.String("http", "", "optional HTTP monitoring address serving /status, /metrics, /debug/ringvars and /debug/trace (e.g. :8080)")
+	httpAddr := flag.String("http", "", "optional HTTP monitoring address serving /status, /metrics, /debug/ringvars, /debug/trace and /debug/pprof/ (e.g. :8080)")
 	launch := flag.Int("launch", 0, "launcher mode: spawn a whole N-node cluster on localhost and supervise it")
 	basePort := flag.Int("base-port", 7400, "launcher mode: first TCP port (node i uses base-port + i*groups)")
 	httpBase := flag.Int("http-base", 0, "launcher mode: serve node i's monitoring on this port + i (0 disables)")

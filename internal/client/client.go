@@ -6,6 +6,7 @@
 package client
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -115,6 +116,11 @@ func (c *Client) recvLoop() {
 			if !ok {
 				return nil
 			}
+			if gr, ok := msg.(*proto.GetReply); ok {
+				// The value goes to the caller; the packet it is a view
+				// into goes back to the pool below.
+				gr.Value = bytes.Clone(gr.Value)
+			}
 			c.mu.Lock()
 			ch := c.waiters[req]
 			delete(c.waiters, req)
@@ -184,7 +190,7 @@ func (c *Client) call(to string, req proto.ReqID, msg proto.Message) (proto.Mess
 		delete(c.waiters, req)
 		c.mu.Unlock()
 	}
-	if err := c.ep.Send(to, proto.AppendEncode(transport.AcquireBuf(), msg)); err != nil {
+	if err := c.ep.Send(to, proto.AppendEncode(transport.AcquireBufSize(proto.SizeHint(msg)), msg)); err != nil {
 		cleanup()
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,14 @@ import (
 	"ring/internal/proto"
 	"ring/internal/testutil"
 )
+
+// TestMain switches payload poisoning on for every cluster these tests
+// drive: a handler that keeps a view into a packet past its return
+// reads 0xDB (see core.PoisonPayloads).
+func TestMain(m *testing.M) {
+	core.PoisonPayloads = true
+	os.Exit(m.Run())
+}
 
 func testSpec() core.ClusterSpec {
 	return core.ClusterSpec{

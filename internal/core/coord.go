@@ -8,6 +8,7 @@ import (
 	"ring/internal/metrics"
 	"ring/internal/proto"
 	"ring/internal/store"
+	"ring/internal/transport"
 )
 
 // parseNodeAddr extracts the node ID from a "node/<id>" address.
@@ -206,17 +207,22 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 			e.Rec.LocBlock = ext.Block
 			e.Rec.LocOff = ext.Off
 			stripeOff := uint32(st.layout.StripeOffset(int(ext.Block)))
-			deltas := st.layout.ParityDelta(int(ext.Block), delta)
 			// The coordinator performs the GF multiplications that
 			// build the per-parity deltas ("data nodes are responsible
-			// for calculating updates").
+			// for calculating updates"), each into a pooled buffer that
+			// goes back to the pool once its ParityUpdate is encoded.
+			n.deltas = n.deltas[:0]
+			for range st.info.Scheme.M {
+				n.deltas = append(n.deltas, transport.AcquireBufSize(len(delta))[:len(delta)])
+			}
+			st.layout.ParityDeltaInto(int(ext.Block), delta, n.deltas)
 			n.Stats.BytesParityXor += uint64(len(delta) * st.info.Scheme.M)
 			for r, pn := range parityNodes(&st.info) {
-				n.sendNode(pn, &proto.ParityUpdate{
+				n.sendScratch(NodeAddr(pn), &proto.ParityUpdate{
 					Memgest: mgID, Shard: shard, Seq: seq, Rec: e.Rec,
 					Block: ext.Block, StripeOff: stripeOff, Off: ext.Off,
-					Delta: deltas[r],
-				})
+					Delta: n.deltas[r],
+				}, n.deltas[r])
 				n.Stats.ParityUpdates++
 			}
 		} else {
@@ -231,6 +237,8 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 		}
 
 	case proto.SchemeRep:
+		// The one copy of a replicated put: value is a view into the
+		// client's packet (or into the source memgest, for a move).
 		e.Value = append([]byte(nil), value...)
 		msg := &proto.RepAppend{Memgest: mgID, Shard: shard, Seq: seq, Rec: e.Rec, Value: e.Value}
 		for _, rn := range replicaSet(n.cfg, &st.info, shard) {
@@ -502,37 +510,45 @@ func (n *Node) sendValueReply(st *mgState, cs *coordShard, e *store.Entry, clien
 		n.send(client, &proto.GetReply{Req: req, Status: proto.StNotFound})
 		return
 	}
-	value, ok := n.localValue(st, cs, e, blockWaiter{client: client, req: req, key: e.Rec.Key, version: e.Rec.Version})
+	value, scratch, ok := n.localValue(st, cs, e, blockWaiter{client: client, req: req, key: e.Rec.Key, version: e.Rec.Version})
 	if !ok {
 		return
 	}
 	n.Metrics.Trace.Record(metrics.TraceGet, e.Rec.Key, uint32(st.info.ID), uint64(e.Rec.Version), uint8(proto.StOK), n.now, 0)
-	n.send(client, &proto.GetReply{Req: req, Status: proto.StOK, Version: e.Rec.Version, Value: value})
+	n.sendScratch(client, &proto.GetReply{Req: req, Status: proto.StOK, Version: e.Rec.Version, Value: value}, scratch)
 }
 
-// localValue returns the bytes behind a committed, live entry. When a
-// failover lost them — a Rep value not yet re-fetched, an SRS block not
-// yet re-decoded — it parks w on their on-demand recovery and reports
-// false; releaseWaiter resumes the request.
-func (n *Node) localValue(st *mgState, cs *coordShard, e *store.Entry, w blockWaiter) ([]byte, bool) {
+// localValue returns the bytes behind a committed, live entry. A Rep
+// value is immutable once stored and is returned in place (scratch is
+// nil). An SRS value is read out of its block into a pooled buffer,
+// returned as scratch too: block bytes are live — a later event of the
+// same batch may free and rewrite the extent before a reply is encoded
+// — so the caller gets a copy, and owns it: it travels with a message
+// as Out.Scratch or goes back with transport.ReleaseBuf. When a
+// failover lost the bytes — a Rep value not yet re-fetched, an SRS block
+// not yet re-decoded — localValue parks w on their on-demand recovery
+// and reports false; releaseWaiter resumes the request.
+func (n *Node) localValue(st *mgState, cs *coordShard, e *store.Entry, w blockWaiter) (value, scratch []byte, ok bool) {
 	if e.Rec.Length == 0 {
-		return nil, true
+		return nil, nil, true
 	}
 	switch st.info.Scheme.Kind {
 	case proto.SchemeRep:
 		if e.Value == nil {
 			n.parkOnValueRecovery(st, cs, e, w)
-			return nil, false
+			return nil, nil, false
 		}
-		return e.Value, true
+		return e.Value, nil, true
 	case proto.SchemeSRS:
 		if !cs.blockOK[e.Ext.Block] {
 			n.parkOnBlockRecovery(st, cs, e.Ext.Block, w)
-			return nil, false
+			return nil, nil, false
 		}
-		return cs.heap.Read(e.Ext), true
+		buf := transport.AcquireBufSize(int(e.Ext.Len))[:e.Ext.Len]
+		cs.heap.ReadInto(buf, e.Ext)
+		return buf, buf, true
 	}
-	return nil, true
+	return nil, nil, true
 }
 
 // handleRepAck counts a replica's ack toward the write's quorum.

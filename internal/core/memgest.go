@@ -46,7 +46,6 @@ type coordShard struct {
 	meta    *store.MetaTable
 	heap    *store.BlockHeap // SRS only
 	tracker *replog.Tracker
-	log     *replog.Log
 	// pending maps in-flight sequences to their commit actions.
 	pending map[proto.Seq]*pendingCommit
 	// blockOK marks SRS logical blocks whose data is valid; false for
@@ -173,7 +172,6 @@ func (n *Node) newCoordShard(st *mgState, shard uint32, fresh bool) *coordShard 
 		shard:        shard,
 		meta:         store.NewMetaTable(),
 		tracker:      replog.NewTracker(),
-		log:          replog.NewLog(n.opts.LogRetain),
 		pending:      make(map[proto.Seq]*pendingCommit),
 		blockOK:      make(map[uint32]bool),
 		blockWaiters: make(map[uint32][]blockWaiter),

@@ -83,13 +83,23 @@ func (m *NodeMetrics) mgMetrics(id proto.MemgestID) *MemgestMetrics {
 	return mm
 }
 
-// MemgestOpCounts is the JSON-ready copy of one memgest's counters.
+// MemgestOpCounts is the JSON-ready copy of one memgest's counters,
+// plus what the memgest holds in memory on this node, read from the
+// store at snapshot time (nothing is kept up to date on the hot path).
 type MemgestOpCounts struct {
 	Puts    uint64 `json:"puts"`
 	Gets    uint64 `json:"gets"`
 	Deletes uint64 `json:"deletes"`
 	Moves   uint64 `json:"moves"`
 	Commits uint64 `json:"commits"`
+	// BlockBytesUsed is the bytes allocated to values in the SRS block
+	// heaps this node coordinates; BlockBytesBacked and
+	// ParityBytesBacked are the memory actually behind its data blocks
+	// and its parity blocks (see store.BlockHeap: capacity costs nothing
+	// until written).
+	BlockBytesUsed    uint64 `json:"store.block_bytes_used"`
+	BlockBytesBacked  uint64 `json:"store.block_bytes_backed"`
+	ParityBytesBacked uint64 `json:"store.parity_bytes_backed"`
 }
 
 // Add accumulates another count set (for cluster-wide aggregation).
@@ -99,6 +109,9 @@ func (c *MemgestOpCounts) Add(o MemgestOpCounts) {
 	c.Deletes += o.Deletes
 	c.Moves += o.Moves
 	c.Commits += o.Commits
+	c.BlockBytesUsed += o.BlockBytesUsed
+	c.BlockBytesBacked += o.BlockBytesBacked
+	c.ParityBytesBacked += o.ParityBytesBacked
 }
 
 // MetricsSnapshot is a point-in-time copy of a node's instrumentation,
@@ -142,13 +155,25 @@ func (n *Node) MetricsSnapshot() MetricsSnapshot {
 		TraceRecorded:   m.Trace.Recorded(),
 	}
 	for id, mm := range m.mg {
-		s.Memgests[id] = MemgestOpCounts{
+		c := MemgestOpCounts{
 			Puts:    mm.Puts.Load(),
 			Gets:    mm.Gets.Load(),
 			Deletes: mm.Deletes.Load(),
 			Moves:   mm.Moves.Load(),
 			Commits: mm.Commits.Load(),
 		}
+		if st := n.mg[id]; st != nil {
+			for _, cs := range st.coord {
+				if cs.heap != nil {
+					c.BlockBytesUsed += cs.heap.UsedBytes()
+					c.BlockBytesBacked += cs.heap.BackedBytes()
+				}
+			}
+			if st.parity != nil {
+				c.ParityBytesBacked = st.parity.BackedBytes()
+			}
+		}
+		s.Memgests[id] = c
 	}
 	return s
 }

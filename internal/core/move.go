@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"sort"
 	"strconv"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"ring/internal/proto"
 	"ring/internal/store"
+	"ring/internal/transport"
 )
 
 // This file implements move, the one operation that changes a key's
@@ -73,11 +75,18 @@ type bulkMove struct {
 
 // parkOnMove parks a client write that arrived inside the key's open
 // move window. It reports whether the write was parked; a parked write
-// replays when the window closes.
+// replays when the window closes. This is the retention site of every
+// parked op, whichever path it replays through (closeMove, replanMoves,
+// a re-park by redispatchParked): a put's value is a view into a packet
+// that is recycled long before the window closes, so the parked put
+// owns a copy. Deletes and moves carry no bytes.
 func (n *Node) parkOnMove(shard uint32, key, from string, msg proto.Message) bool {
 	mv := n.moving[moveKey{shard: shard, key: key}]
 	if mv == nil {
 		return false
+	}
+	if put, ok := msg.(*proto.Put); ok {
+		put.Value = bytes.Clone(put.Value)
 	}
 	mv.parked = append(mv.parked, parkedOp{from: from, msg: msg})
 	return true
@@ -146,11 +155,13 @@ func (n *Node) admitMove(from string, m *proto.Move) {
 		n.replyStatus(from, m.Req, replyMove, proto.StOK, ref.Version) //ring:ackok no-op move: the version acked is already committed and durable
 		return
 	}
-	value, ok := n.localValue(st, st.coord[shard], e, blockWaiter{client: from, req: m.Req, key: m.Key, version: ref.Version, move: m})
+	value, scratch, ok := n.localValue(st, st.coord[shard], e, blockWaiter{client: from, req: m.Req, key: m.Key, version: ref.Version, move: m})
 	if !ok {
 		return
 	}
 	n.startMove(from, m, shard, ref, value)
+	// The destination write copied the value into its own memgest.
+	transport.ReleaseBuf(scratch)
 }
 
 // startMove opens the window: journal the conv-begin record, then run

@@ -51,8 +51,6 @@ type Options struct {
 	// paper's default ("removing of old versions after every committed
 	// put") is 0; the dynamic-importance use case raises it.
 	KeepVersions int
-	// LogRetain bounds the per-shard replicated log.
-	LogRetain int
 	// KeepDurableBackup prevents GC from removing the newest committed
 	// version that lives in a *reliable* memgest while every newer
 	// version sits in the unreliable Rep(1) scheme — the paper's
@@ -90,9 +88,6 @@ func (o Options) Defaults() Options {
 	if o.FailAfter <= 0 {
 		o.FailAfter = 5 * o.HeartbeatEvery
 	}
-	if o.LogRetain <= 0 {
-		o.LogRetain = 4096
-	}
 	return o
 }
 
@@ -100,6 +95,12 @@ func (o Options) Defaults() Options {
 type Out struct {
 	To  string
 	Msg proto.Message
+	// Scratch, when set, is the pooled buffer behind Msg's payload (a
+	// parity delta, a value read out of the block heap): whoever
+	// encodes Msg hands it back with transport.ReleaseBuf afterwards.
+	// A consumer that never encodes (the simulator) ignores it and the
+	// collector takes the buffer.
+	Scratch []byte
 }
 
 // Node is one Ring server. It is not safe for concurrent use: a runner
@@ -175,6 +176,9 @@ type Node struct {
 	nextReq proto.ReqID
 	now     time.Duration
 	outs    []Out
+	// deltas is doWrite's reusable list of the m per-parity delta
+	// buffers of the put in hand.
+	deltas [][]byte
 
 	// Counters for tests and instrumentation.
 	Stats Stats
@@ -289,6 +293,12 @@ func (n *Node) IsLeader() bool { return n.cfg != nil && n.cfg.Leader == n.id }
 // send queues an outgoing message.
 func (n *Node) send(to string, msg proto.Message) {
 	n.outs = append(n.outs, Out{To: to, Msg: msg})
+}
+
+// sendScratch queues a message whose payload lives in the pooled buffer
+// scratch (see Out.Scratch).
+func (n *Node) sendScratch(to string, msg proto.Message, scratch []byte) {
+	n.outs = append(n.outs, Out{To: to, Msg: msg, Scratch: scratch})
 }
 
 // sendNode queues a message to another node.

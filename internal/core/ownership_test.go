@@ -1,0 +1,158 @@
+package core
+
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"ring/internal/proto"
+	"ring/internal/transport"
+)
+
+// peer is a test-driven fabric endpoint: the test plays the client and
+// the replica by hand, so it decides exactly when each ack arrives.
+type peer struct {
+	t    *testing.T
+	ep   transport.Endpoint
+	msgs []proto.Message // decoded, not yet consumed
+}
+
+func (p *peer) send(to string, m proto.Message) {
+	p.t.Helper()
+	if err := p.ep.Send(to, proto.Encode(m)); err != nil {
+		p.t.Fatal(err)
+	}
+}
+
+// next returns the next message for which want reports true, skipping
+// the rest (heartbeats, commits, purges).
+func (p *peer) next(want func(proto.Message) bool) proto.Message {
+	p.t.Helper()
+	for {
+		for len(p.msgs) > 0 {
+			m := p.msgs[0]
+			p.msgs = p.msgs[1:]
+			if want(m) {
+				return m
+			}
+		}
+		pkt, err := p.ep.Recv()
+		if err != nil {
+			p.t.Fatal(err)
+		}
+		// The packet is never released, so the decoded views stay valid.
+		if err := proto.ForEachPacked(pkt.Payload, func(enc []byte) error {
+			m, err := proto.Decode(enc)
+			if err == nil {
+				p.msgs = append(p.msgs, m)
+			}
+			return err
+		}); err != nil {
+			p.t.Fatal(err)
+		}
+	}
+}
+
+func (p *peer) nextAppend() *proto.RepAppend {
+	p.t.Helper()
+	return p.next(func(m proto.Message) bool { _, ok := m.(*proto.RepAppend); return ok }).(*proto.RepAppend)
+}
+
+// TestParkedPutOwnsItsValue pins the ownership rule at the park site: a
+// put that parks on an open move window outlives the packet it arrived
+// in, so it must own a copy of its value. The runner recycles the
+// packet (and, under PoisonPayloads, overwrites it with 0xDB) as soon
+// as the parking handler returns; when the window closes the replayed
+// put must still carry the client's bytes. Remove the copy in
+// parkOnMove and the replica below receives 16 KiB of 0xDB.
+func TestParkedPutOwnsItsValue(t *testing.T) {
+	if !PoisonPayloads {
+		t.Fatal("PoisonPayloads is off: TestMain must switch it on")
+	}
+	cfg, err := BootConfig(ClusterSpec{
+		Shards: 1, Redundant: 1,
+		Memgests: []proto.Scheme{proto.Rep(2, 1), proto.Rep(2, 1)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Node 0 is real; its one replica, node 1, is played by the test. No
+	// timer traffic: every packet below is caused by the test.
+	fabric := transport.NewMemFabric(0)
+	r, err := StartRunner(New(0, cfg, Options{HeartbeatEvery: time.Minute, FailAfter: 10 * time.Minute}), fabric, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	register := func(addr string) *peer {
+		ep, err := fabric.Register(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ep.Close() })
+		return &peer{t: t, ep: ep}
+	}
+	client, replica := register("client/t"), register(NodeAddr(1))
+	coord := NodeAddr(0)
+	ack := func(a *proto.RepAppend) {
+		replica.send(coord, &proto.RepAck{Memgest: a.Memgest, Shard: a.Shard, Seq: a.Seq})
+	}
+	isReply := func(m proto.Message) bool {
+		switch m.(type) {
+		case *proto.PutReply, *proto.MoveReply, *proto.GetReply:
+			return true
+		}
+		return false
+	}
+
+	client.send(coord, &proto.Put{Req: 1, Key: "k", Value: []byte("v1"), Memgest: 1})
+	ack(replica.nextAppend())
+	if rep := client.next(isReply).(*proto.PutReply); rep.Status != proto.StOK {
+		t.Fatalf("put: %v", rep.Status)
+	}
+
+	// Open the window and hold it: the destination append stays unacked.
+	client.send(coord, &proto.Move{Req: 2, Key: "k", Memgest: 2})
+	moveAppend := replica.nextAppend()
+	if moveAppend.Memgest != 2 {
+		t.Fatalf("move's destination append went to memgest %d", moveAppend.Memgest)
+	}
+
+	// The put parks. The runner handles packets in order, so once the
+	// marker put behind it has reached the replica, the parked put's
+	// packet has been consumed and recycled.
+	val := bytes.Repeat([]byte("park"), 4<<10)
+	client.send(coord, &proto.Put{Req: 3, Key: "k", Value: val, Memgest: 1})
+	client.send(coord, &proto.Put{Req: 4, Key: "marker", Value: []byte("m"), Memgest: 1})
+	if a := replica.nextAppend(); a.Rec.Key != "marker" {
+		t.Fatalf("append for %q while the put should be parked", a.Rec.Key)
+	}
+	var parked int
+	r.Inspect(func(n *Node) {
+		for _, mv := range n.moving {
+			parked += len(mv.parked)
+		}
+	})
+	if parked != 1 {
+		t.Fatalf("%d ops parked on the window, want 1", parked)
+	}
+
+	// Close the window: the move commits and the parked put replays.
+	ack(moveAppend)
+	if rep := client.next(isReply).(*proto.MoveReply); rep.Status != proto.StOK {
+		t.Fatalf("move: %v", rep.Status)
+	}
+	replayed := replica.nextAppend()
+	if replayed.Rec.Key != "k" || !bytes.Equal(replayed.Value, val) {
+		t.Fatalf("replayed put carries %d bytes starting %x, want the client's %d bytes of %q",
+			len(replayed.Value), replayed.Value[:min(8, len(replayed.Value))], len(val), val[:4])
+	}
+	ack(replayed)
+	if rep := client.next(isReply).(*proto.PutReply); rep.Req != 3 || rep.Status != proto.StOK {
+		t.Fatalf("replayed put: %+v", rep)
+	}
+	client.send(coord, &proto.Get{Req: 5, Key: "k"})
+	if rep := client.next(isReply).(*proto.GetReply); rep.Status != proto.StOK || !bytes.Equal(rep.Value, val) {
+		t.Fatalf("get after replay: %v, %d bytes", rep.Status, len(rep.Value))
+	}
+}

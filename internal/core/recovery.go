@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"sort"
 
 	"ring/internal/proto"
@@ -467,7 +468,7 @@ func (n *Node) handleBlockRecover(from string, m *proto.BlockRecover) {
 	br := &blockRecovery{
 		requester: from, req: m.Req, memgest: m.Memgest, block: m.Block,
 		have: map[int][]byte{
-			st.layout.K + st.parityIdx: append([]byte(nil), st.parity.Block(t)...),
+			st.layout.K + st.parityIdx: st.parity.Block(t),
 		},
 	}
 	for _, b := range st.layout.StripeMembers(t) {
@@ -496,7 +497,8 @@ func (n *Node) handleBlockFetchReply(_ string, m *proto.BlockFetchReply) {
 		}
 		br.pending--
 		if m.Status == proto.StOK {
-			br.have[st.layout.StripePos(int(m.Block))] = m.Data
+			// Retention site: the block waits for its stripe siblings.
+			br.have[st.layout.StripePos(int(m.Block))] = bytes.Clone(m.Data)
 		}
 		if br.pending == 0 {
 			n.finishBlockRecovery(st, br)
@@ -511,7 +513,8 @@ func (n *Node) handleBlockFetchReply(_ string, m *proto.BlockFetchReply) {
 		}
 		pr.pending--
 		if m.Status == proto.StOK {
-			pr.have[st.layout.StripePos(int(m.Block))] = m.Data
+			// Retention site, as above.
+			pr.have[st.layout.StripePos(int(m.Block))] = bytes.Clone(m.Data)
 		} else {
 			pr.failed = true
 		}
@@ -532,7 +535,7 @@ func (n *Node) handleBlockFetchReply(_ string, m *proto.BlockFetchReply) {
 				n.requeue(pr.task)
 				return
 			}
-			copy(st.parity.Block(pr.stripe), blk)
+			st.parity.SetBlock(pr.stripe, blk)
 		}
 	}
 }
@@ -561,7 +564,7 @@ func (n *Node) finishBlockRecovery(st *mgState, br *blockRecovery) {
 	stripeData[int(br.block)] = data
 	if len(stripeData) == st.layout.K {
 		if blk, err := st.layout.RecoverParityBlock(st.parityIdx, t, stripeData); err == nil {
-			copy(st.parity.Block(t), blk)
+			st.parity.SetBlock(t, blk)
 		}
 	}
 	n.send(br.requester, &proto.BlockRecoverReply{Req: br.req, Status: proto.StOK, Block: br.block, Data: data})
@@ -634,9 +637,11 @@ func (n *Node) handleDataFetchReply(_ string, m *proto.DataFetchReply) {
 		return
 	}
 	ek := store.EntryKey{Key: dr.key, Version: dr.version}
+	// Retention site (both installs below): the entry keeps the value,
+	// m.Value is a view into the packet.
 	if tracked && task.replica {
 		if e := st.rmetaFor(dr.shard).Get(dr.key, dr.version); e != nil {
-			e.Value = m.Value
+			e.Value = bytes.Clone(m.Value)
 			n.persistInstall(st, dr.shard, e)
 		}
 		return
@@ -649,7 +654,7 @@ func (n *Node) handleDataFetchReply(_ string, m *proto.DataFetchReply) {
 	if e == nil {
 		return
 	}
-	e.Value = m.Value
+	e.Value = bytes.Clone(m.Value)
 	n.persistInstall(st, dr.shard, e)
 	if cs.valueFetching != nil {
 		delete(cs.valueFetching, ek)

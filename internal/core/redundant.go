@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+
 	"ring/internal/proto"
 	"ring/internal/store"
 )
@@ -42,7 +44,9 @@ func (n *Node) handleRepAppend(from string, m *proto.RepAppend) {
 		return
 	}
 	rt := st.rmetaFor(m.Shard)
-	e := &store.Entry{Rec: m.Rec, Value: m.Value, Seq: m.Seq}
+	// Retention site: the replica keeps the value past this handler, and
+	// m.Value is a view into a packet the runner recycles — its one copy.
+	e := &store.Entry{Rec: m.Rec, Value: bytes.Clone(m.Value), Seq: m.Seq}
 	rt.Put(e)
 	st.rseqFor(m.Shard)[m.Seq] = store.EntryKey{Key: m.Rec.Key, Version: m.Rec.Version}
 	n.persistAppend(st, m.Shard, e)
@@ -176,7 +180,6 @@ func (n *Node) handleBlockFetch(from string, m *proto.BlockFetch) {
 		return
 	}
 	n.send(from, &proto.BlockFetchReply{
-		Req: m.Req, Status: proto.StOK, Block: m.Block,
-		Data: append([]byte(nil), cs.heap.BlockData(m.Block)...),
+		Req: m.Req, Status: proto.StOK, Block: m.Block, Data: cs.heap.BlockData(m.Block),
 	})
 }

@@ -14,6 +14,14 @@ import (
 	"ring/internal/wal"
 )
 
+// PoisonPayloads makes every runner overwrite a consumed packet with
+// 0xDB before recycling it. It is a test switch, set (in TestMain,
+// before any runner starts) by every package whose tests drive a
+// Cluster: a handler that kept a view into a packet past its return
+// then reads 0xDB the first time it looks, instead of whatever a later
+// packet happens to put there under production timing.
+var PoisonPayloads bool
+
 // RunnerGoroutines counts live runner event-loop goroutines
 // process-wide, one per hosted node. With memgest-group sharding a
 // process hosts one runner per (node, group) pair, so this gauge is
@@ -44,11 +52,13 @@ type Runner struct {
 	depth func() int
 
 	// Event-loop scratch (single-goroutine): the dispatch copy of the
-	// node's output buffer and the per-destination coalescing group.
+	// node's output buffer, the per-destination coalescing group, and
+	// the pooled payload buffers (Out.Scratch) of the group's messages.
 	// Reused across events so the steady-state send path does not
 	// allocate beyond the owned payload buffers handed to the fabric.
-	scratch []Out
-	group   []proto.Message
+	scratch  []Out
+	group    []proto.Message
+	payloads [][]byte
 }
 
 // StartRunner registers the node's endpoint on the fabric and starts
@@ -182,8 +192,15 @@ func (r *Runner) drain(p transport.Packet, packets <-chan transport.Packet) bool
 			r.scratch = append(r.scratch, r.node.HandleMessage(now, p.From, msg)...)
 			return nil
 		})
-		// Decode copied every field out, so the payload can be
-		// recycled into the send-side buffer pool.
+		// Every handler of every message in the packet has returned,
+		// and a handler copies what it keeps (the ownership rule of
+		// package transport): the decoded views are dead, the payload
+		// goes back to the pool.
+		if PoisonPayloads {
+			for i := range p.Payload {
+				p.Payload[i] = 0xDB
+			}
+		}
 		transport.ReleaseBuf(p.Payload)
 		if drained >= maxDrain {
 			break
@@ -238,8 +255,11 @@ func (r *Runner) dispatch(f func(time.Duration) []Out) bool {
 // each group as a single packet: m parity updates or r replica
 // appends fanning out to the same peer cost one Send, the equivalent
 // of posting back-to-back verbs with a single doorbell. Message order
-// per destination is preserved; entries are cleared afterwards so the
-// scratch slice does not pin messages.
+// per destination is preserved. Each packet is encoded into a pooled
+// buffer sized for it up front, so encoding never regrows one, and the
+// pooled payload buffers of its messages (Out.Scratch) go back to the
+// pool the moment the packet holds their bytes. Entries are cleared as
+// they are sent so the scratch slices do not pin messages.
 //
 //ring:hotpath
 func (r *Runner) flush(outs []Out) {
@@ -248,23 +268,30 @@ func (r *Runner) flush(outs []Out) {
 			continue // already coalesced into an earlier group
 		}
 		to := outs[i].To
-		r.group = append(r.group[:0], outs[i].Msg)
-		for j := i + 1; j < len(outs); j++ {
-			if outs[j].To == to {
-				r.group = append(r.group, outs[j].Msg)
-				outs[j] = Out{}
+		size := 0
+		r.group, r.payloads = r.group[:0], r.payloads[:0]
+		for j := i; j < len(outs); j++ {
+			if outs[j].To != to {
+				continue
 			}
+			r.group = append(r.group, outs[j].Msg)
+			size += proto.SizeHint(outs[j].Msg)
+			if outs[j].Scratch != nil {
+				r.payloads = append(r.payloads, outs[j].Scratch)
+			}
+			outs[j] = Out{}
 		}
-		buf := proto.AppendBatch(transport.AcquireBuf(), r.group...)
+		buf := proto.AppendBatch(transport.AcquireBufSize(size), r.group...)
+		for _, b := range r.payloads {
+			transport.ReleaseBuf(b)
+		}
 		r.node.Metrics.MsgsOut.Add(uint64(len(r.group)))
 		r.node.Metrics.PacketsOut.Inc()
 		// Best-effort, like a datagram fabric: dead peers are the
 		// failure detector's problem, not the sender's.
 		_ = r.ep.Send(to, buf)
-		outs[i] = Out{}
-	}
-	for i := range r.group {
-		r.group[i] = nil
+		clear(r.group)
+		clear(r.payloads)
 	}
 }
 

@@ -38,7 +38,7 @@ func TestFlushCoalescesPerDestination(t *testing.T) {
 	}
 	r.flush(outs)
 	for i, o := range outs {
-		if o != (Out{}) {
+		if o.To != "" || o.Msg != nil || o.Scratch != nil {
 			t.Errorf("outs[%d] not cleared after flush: %+v", i, o)
 		}
 	}

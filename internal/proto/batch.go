@@ -44,6 +44,36 @@ func AppendBatch(buf []byte, msgs ...Message) []byte {
 	return buf
 }
 
+// SizeHint returns the buffer capacity to encode m into without
+// regrowing it: an upper bound for the messages that carry a payload
+// (their fixed fields, the largest being ParityUpdate's 63 bytes, and
+// AppendBatch's framing fit in the 96 bytes allowed for them), and
+// those same 96 bytes for the rest, where an outsized one (a
+// configuration, a metadata table) just grows its buffer as any append
+// would.
+//
+//ring:hotpath
+func SizeHint(m Message) int {
+	n := 96
+	switch m := m.(type) {
+	case *Put:
+		n += len(m.Key) + len(m.Value)
+	case *GetReply:
+		n += len(m.Value)
+	case *RepAppend:
+		n += len(m.Rec.Key) + len(m.Value)
+	case *ParityUpdate:
+		n += len(m.Rec.Key) + len(m.Delta)
+	case *DataFetchReply:
+		n += len(m.Value)
+	case *BlockRecoverReply:
+		n += len(m.Data)
+	case *BlockFetchReply:
+		n += len(m.Data)
+	}
+	return n
+}
+
 // IsBatch reports whether an encoded packet is a TBatch envelope.
 func IsBatch(pkt []byte) bool {
 	return len(pkt) > 0 && MsgType(pkt[0]) == TBatch
@@ -52,9 +82,10 @@ func IsBatch(pkt []byte) bool {
 // ForEachPacked calls fn once per encoded message carried by pkt: for
 // a TBatch packet it visits every sub-message in order, for any other
 // packet it visits the packet itself. The sub-slices passed to fn
-// alias pkt and are only valid during the call; fn must Decode (which
-// copies all variable-length fields) or copy before retaining. A
-// non-nil error from fn stops the iteration and is returned.
+// alias pkt, and so do the byte fields of whatever fn decodes from
+// them: both are valid until pkt is recycled, and fn copies what it
+// keeps longer. A non-nil error from fn stops the iteration and is
+// returned.
 //
 //ring:hotpath
 func ForEachPacked(pkt []byte, fn func(enc []byte) error) error {

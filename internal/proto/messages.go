@@ -133,7 +133,8 @@ func AppendEncode(buf []byte, m Message) []byte {
 	return buf
 }
 
-// Decode parses an envelope produced by Encode.
+// Decode parses an envelope produced by Encode. The []byte fields of
+// the returned message alias buf (see the package doc).
 //
 //ring:hotpath
 func Decode(buf []byte) (Message, error) {

@@ -17,6 +17,15 @@
 // messages]); ForEachPacked iterates the sub-messages of such a
 // packet (and degrades to a single visit for plain envelopes). See
 // batch.go for the exact frame layout.
+//
+// Decoding does not copy payloads: every []byte field of a decoded
+// message (Put.Value, RepAppend.Value, ParityUpdate.Delta, GetReply.Value,
+// the recovery replies' Value/Data) is a view into the buffer handed
+// to Decode and is valid only as long as that buffer is. Whoever
+// recycles the buffer owns the rule that goes with it: a consumer that
+// keeps such bytes past the buffer's release copies them first (see
+// the transport package's "Payload ownership"). Strings and all
+// fixed-width fields are copied out as before.
 package proto
 
 import (
@@ -108,14 +117,16 @@ func (r *reader) u64() uint64 {
 
 func (r *reader) bool() bool { return r.u8() != 0 }
 
+// bytes returns a view into the input, not a copy (see Decode), with
+// its capacity clipped so that an append cannot run into the bytes that
+// follow it in the packet.
 func (r *reader) bytes() []byte {
 	n := int(r.u32())
 	if r.err != nil || len(r.b) < n {
 		r.fail()
 		return nil
 	}
-	v := make([]byte, n)
-	copy(v, r.b[:n])
+	v := r.b[:n:n]
 	r.b = r.b[n:]
 	return v
 }

@@ -1,7 +1,7 @@
 // Package replog implements the coordinator-side machinery of a
-// memgest's replicated log: sequence allocation, per-entry ack
-// tracking against a required quorum, and a bounded ordered log of
-// recent entries kept for redundancy-node catch-up.
+// memgest's replicated log: sequence allocation and per-entry ack
+// tracking against a required quorum. Redundancy nodes that fall
+// behind catch up by state transfer (MetaFetch), not log replay.
 //
 // Every memgest has one log per shard (Section 5.2: "Each memgest has
 // a special replicated log to propagate updates generated from client
@@ -100,73 +100,4 @@ func (t *Tracker) PendingSeqs() []proto.Seq {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Record is one retained log entry: the marshaled replication message
-// that produced it, so it can be re-sent verbatim to a node catching
-// up.
-type Record struct {
-	Seq     proto.Seq
-	Payload []byte
-}
-
-// Log is a bounded in-order record of recent replication messages.
-// When the bound is exceeded the oldest entries are discarded; nodes
-// that have fallen behind the log's base must take a full state
-// transfer (MetaFetch) instead of a log replay.
-type Log struct {
-	max  int
-	base proto.Seq // sequence of recs[0]
-	recs []Record
-}
-
-// NewLog creates a log retaining at most max entries (max <= 0 selects
-// a default of 4096).
-func NewLog(max int) *Log {
-	if max <= 0 {
-		max = 4096
-	}
-	return &Log{max: max, base: 1}
-}
-
-// Append stores a record; sequences must be appended in strictly
-// increasing order.
-func (l *Log) Append(seq proto.Seq, payload []byte) {
-	if n := len(l.recs); n > 0 && seq <= l.recs[n-1].Seq {
-		panic(fmt.Sprintf("replog: append of seq %d after %d", seq, l.recs[n-1].Seq))
-	}
-	l.recs = append(l.recs, Record{Seq: seq, Payload: payload})
-	if len(l.recs) > l.max {
-		drop := len(l.recs) - l.max
-		l.base = l.recs[drop].Seq
-		l.recs = append([]Record(nil), l.recs[drop:]...)
-	}
-}
-
-// Since returns all records with sequence > seq, or ok=false when the
-// log has been truncated past seq (full state transfer required).
-func (l *Log) Since(seq proto.Seq) (recs []Record, ok bool) {
-	if len(l.recs) == 0 {
-		return nil, true
-	}
-	if seq+1 < l.base {
-		return nil, false
-	}
-	i := sort.Search(len(l.recs), func(i int) bool { return l.recs[i].Seq > seq })
-	return append([]Record(nil), l.recs[i:]...), true
-}
-
-// Len returns the number of retained records.
-func (l *Log) Len() int { return len(l.recs) }
-
-// Base returns the oldest retained sequence (or the next sequence when
-// empty).
-func (l *Log) Base() proto.Seq { return l.base }
-
-// LastSeq returns the newest retained sequence, or 0 when empty.
-func (l *Log) LastSeq() proto.Seq {
-	if len(l.recs) == 0 {
-		return 0
-	}
-	return l.recs[len(l.recs)-1].Seq
 }

@@ -1,10 +1,6 @@
 package replog
 
-import (
-	"testing"
-
-	"ring/internal/proto"
-)
+import "testing"
 
 func TestTrackerSequences(t *testing.T) {
 	tr := NewTracker()
@@ -91,117 +87,19 @@ func TestTrackerOutOfOrderCommits(t *testing.T) {
 	}
 }
 
-func TestLogAppendSince(t *testing.T) {
-	l := NewLog(10)
-	for s := proto.Seq(1); s <= 5; s++ {
-		l.Append(s, []byte{byte(s)})
-	}
-	if l.Len() != 5 || l.Base() != 1 || l.LastSeq() != 5 {
-		t.Fatalf("len=%d base=%d last=%d", l.Len(), l.Base(), l.LastSeq())
-	}
-	recs, ok := l.Since(2)
-	if !ok || len(recs) != 3 || recs[0].Seq != 3 {
-		t.Fatalf("Since(2) = %v %v", recs, ok)
-	}
-	recs, ok = l.Since(5)
-	if !ok || len(recs) != 0 {
-		t.Fatalf("Since(5) = %v %v", recs, ok)
-	}
-	recs, ok = l.Since(0)
-	if !ok || len(recs) != 5 {
-		t.Fatalf("Since(0) = %v %v", recs, ok)
-	}
-}
-
-func TestLogTruncation(t *testing.T) {
-	l := NewLog(3)
-	for s := proto.Seq(1); s <= 10; s++ {
-		l.Append(s, nil)
-	}
-	if l.Len() != 3 || l.Base() != 8 {
-		t.Fatalf("len=%d base=%d", l.Len(), l.Base())
-	}
-	if _, ok := l.Since(5); ok {
-		t.Fatal("Since below base must report truncation")
-	}
-	recs, ok := l.Since(7)
-	if !ok || len(recs) != 3 {
-		t.Fatalf("Since(7) = %v %v", recs, ok)
-	}
-}
-
-func TestLogTruncationAtCommitBoundary(t *testing.T) {
-	// A follower whose last applied sequence sits exactly one below the
-	// log's base is still servable: Since(base-1) yields every retained
-	// record with nothing missing in between. One sequence further back
-	// and the gap is real — replay must be refused in favour of a full
-	// state transfer.
-	l := NewLog(4)
-	for s := proto.Seq(1); s <= 9; s++ {
-		l.Append(s, []byte{byte(s)})
-	}
-	base := l.Base() // 6: entries 6..9 retained
-	if base != 6 {
-		t.Fatalf("base = %d, want 6", base)
-	}
-	recs, ok := l.Since(base - 1)
-	if !ok || len(recs) != 4 || recs[0].Seq != base {
-		t.Fatalf("Since(base-1) = %v %v, want the full retained window", recs, ok)
-	}
-	if _, ok := l.Since(base - 2); ok {
-		t.Fatal("Since(base-2) must report truncation: seq base-1 is gone")
-	}
-	// The boundary tracks further truncation.
-	l.Append(10, nil)
-	if l.Base() != 7 {
-		t.Fatalf("base after append = %d, want 7", l.Base())
-	}
-	if _, ok := l.Since(5); ok {
-		t.Fatal("previously-servable follower fell behind the moving base")
-	}
-}
-
-func TestLogTruncationWithSparseSequences(t *testing.T) {
-	// Sequence numbers can be sparse (cancelled entries never retry
-	// their seq). The truncation check is about the oldest retained
-	// sequence, not the count of records.
-	l := NewLog(2)
-	l.Append(2, nil)
-	l.Append(5, nil)
-	l.Append(9, nil) // drops seq 2; base becomes 5
-	if l.Base() != 5 {
-		t.Fatalf("base = %d, want 5", l.Base())
-	}
-	recs, ok := l.Since(4)
-	if !ok || len(recs) != 2 || recs[0].Seq != 5 {
-		t.Fatalf("Since(4) = %v %v", recs, ok)
-	}
-	// seq 3/4 were never appended, but a follower at 3 cannot prove
-	// that from the log alone: anything below base-1 is refused.
-	if _, ok := l.Since(3); ok {
-		t.Fatal("Since(3) below base-1 must report truncation")
-	}
-}
-
-func TestReplayOfLogWithAbortedVersion(t *testing.T) {
-	// A coordinator appends the replication record before the quorum
-	// resolves; an abort (Cancel) leaves the record in the log. Replay
-	// must deliver it verbatim — redundancy nodes reconcile aborted
-	// versions from the metadata, not from log surgery — and the
-	// tracker must treat the aborted sequence as dead.
+func TestTrackerAbortedSequence(t *testing.T) {
+	// An abort (Cancel) kills the sequence: a late ack must not report
+	// a commit, and progress resumes with a fresh sequence.
 	tr := NewTracker()
-	l := NewLog(8)
 
 	s1 := tr.Next()
 	tr.Open(s1, 2)
-	l.Append(s1, []byte("v1"))
 	if !tr.Ack(s1, 10) {
 		tr.Ack(s1, 11)
 	}
 
 	s2 := tr.Next()
 	tr.Open(s2, 2)
-	l.Append(s2, []byte("v2-aborted"))
 	tr.Ack(s2, 10)
 	tr.Cancel(s2) // aborted before quorum
 
@@ -212,48 +110,12 @@ func TestReplayOfLogWithAbortedVersion(t *testing.T) {
 		t.Fatalf("pending = %d after abort, want 0", tr.Pending())
 	}
 
-	// The aborted sequence's record still replays in order.
-	recs, ok := l.Since(0)
-	if !ok || len(recs) != 2 {
-		t.Fatalf("Since(0) = %v %v", recs, ok)
-	}
-	if recs[1].Seq != s2 || string(recs[1].Payload) != "v2-aborted" {
-		t.Fatalf("aborted record not replayed verbatim: %v", recs[1])
-	}
-
-	// Progress resumes past the aborted sequence with a fresh one.
 	s3 := tr.Next()
 	if s3 != s2+1 {
 		t.Fatalf("next seq after abort = %d, want %d", s3, s2+1)
 	}
 	tr.Open(s3, 1)
-	l.Append(s3, []byte("v3"))
 	if !tr.Ack(s3, 10) {
 		t.Fatal("post-abort entry failed to commit")
 	}
-	if got, _ := l.Since(s1); len(got) != 2 || got[0].Seq != s2 || got[1].Seq != s3 {
-		t.Fatalf("Since(%d) = %v, want aborted then committed record", s1, got)
-	}
-}
-
-func TestLogEmptySince(t *testing.T) {
-	l := NewLog(0)
-	recs, ok := l.Since(0)
-	if !ok || len(recs) != 0 {
-		t.Fatal("empty log Since failed")
-	}
-	if l.LastSeq() != 0 {
-		t.Fatal("empty LastSeq != 0")
-	}
-}
-
-func TestLogOutOfOrderAppendPanics(t *testing.T) {
-	l := NewLog(0)
-	l.Append(2, nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-order append did not panic")
-		}
-	}()
-	l.Append(2, nil)
 }

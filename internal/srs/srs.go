@@ -159,8 +159,13 @@ func (l *Layout) Coefficient(r, b int) byte {
 
 func (l *Layout) checkBlock(b int) {
 	if b < 0 || b >= l.L {
-		panic(fmt.Sprintf("srs: logical block %d out of range [0,%d)", b, l.L))
+		l.panicBlock(b)
 	}
+}
+
+//ring:hotpath-stop cold panic constructor
+func (l *Layout) panicBlock(b int) {
+	panic(fmt.Sprintf("srs: logical block %d out of range [0,%d)", b, l.L))
 }
 
 // StripeMembers returns, for stripe offset t, the logical data blocks
@@ -313,14 +318,26 @@ type ParityKey struct {
 // logical block b changes by delta (= old XOR new): out[r] must be
 // XORed into parity node r at stripe offset StripeOffset(b).
 func (l *Layout) ParityDelta(b int, delta []byte) [][]byte {
+	n := len(delta)
+	buf := make([]byte, l.M*n)
 	out := make([][]byte, l.M)
+	for r := range out {
+		out[r] = buf[r*n : (r+1)*n : (r+1)*n]
+	}
+	l.ParityDeltaInto(b, delta, out)
+	return out
+}
+
+// ParityDeltaInto is ParityDelta into buffers the caller owns: out
+// holds M slices of len(delta) bytes each. The coordinator's put path
+// passes pooled buffers, so a put allocates nothing value-sized here.
+//
+//ring:hotpath
+func (l *Layout) ParityDeltaInto(b int, delta []byte, out [][]byte) {
 	j := l.StripePos(b)
 	for r := 0; r < l.M; r++ {
-		d := make([]byte, len(delta))
-		gf.MulSlice(l.enc.Coefficient(r, j), delta, d)
-		out[r] = d
+		gf.MulSlice(l.enc.Coefficient(r, j), delta, out[r])
 	}
-	return out
 }
 
 // CanTolerate reports whether the code survives the simultaneous

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	rtmetrics "runtime/metrics"
 	"sort"
 	"strconv"
 	"strings"
@@ -56,10 +57,37 @@ func (s *Server) handleRingvars(w http.ResponseWriter, _ *http.Request) {
 		rv.Node = n.MetricsSnapshot()
 	})
 	rv.Process = metrics.Default.Snapshot()
+	addGoHeapVars(rv.Process)
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(rv)
+}
+
+// goHeapVars maps the process vars that describe the Go heap to the
+// runtime/metrics samples behind them: what the collector counts as
+// live, the heap size it lets the process grow to before the next
+// cycle, and how many cycles have run. Resident memory tracks the goal,
+// not the live bytes, which is why all three are worth seeing.
+var goHeapVars = [...][2]string{
+	{"go.heap_live_bytes", "/gc/heap/live:bytes"},
+	{"go.heap_goal_bytes", "/gc/heap/goal:bytes"},
+	{"go.gc_cycles", "/gc/cycles/total:gc-cycles"},
+}
+
+// addGoHeapVars reads goHeapVars into vars; it runs per scrape, nothing
+// on any hot path feeds it.
+func addGoHeapVars(vars map[string]any) {
+	samples := make([]rtmetrics.Sample, len(goHeapVars))
+	for i, v := range goHeapVars {
+		samples[i].Name = v[1]
+	}
+	rtmetrics.Read(samples)
+	for i, v := range goHeapVars {
+		if samples[i].Value.Kind() == rtmetrics.KindUint64 {
+			vars[v[0]] = samples[i].Value.Uint64()
+		}
+	}
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -125,6 +153,9 @@ type ClusterStats struct {
 	// GroupQueueDepth sums core.group.<g>.queue_depth per group: the
 	// instantaneous inbox backlog of each group's runners.
 	GroupQueueDepth map[int]int64
+	// HeapLive, HeapGoal and GCCycles sum go.heap_live_bytes,
+	// go.heap_goal_bytes and go.gc_cycles across the scraped processes.
+	HeapLive, HeapGoal, GCCycles int64
 }
 
 // Aggregate folds per-node ringvars into cluster totals.
@@ -155,10 +186,19 @@ func Aggregate(nodes []Ringvars) ClusterStats {
 			if !ok {
 				continue
 			}
-			if name == "core.runner_goroutines" {
+			switch name {
+			case "core.runner_goroutines":
 				cs.RunnerGoroutines += iv
-			} else if g, ok := groupOfQueueGauge(name); ok {
-				cs.GroupQueueDepth[g] += iv
+			case "go.heap_live_bytes":
+				cs.HeapLive += iv
+			case "go.heap_goal_bytes":
+				cs.HeapGoal += iv
+			case "go.gc_cycles":
+				cs.GCCycles += iv
+			default:
+				if g, ok := groupOfQueueGauge(name); ok {
+					cs.GroupQueueDepth[g] += iv
+				}
 			}
 		}
 	}
@@ -232,11 +272,15 @@ func RenderStats(w io.Writer, cs ClusterStats) {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	var mem core.MemgestOpCounts
 	for _, id := range ids {
 		c := cs.Memgests[id]
 		fmt.Fprintf(w, "memgest %d: puts=%d gets=%d deletes=%d moves=%d commits=%d\n",
 			id, c.Puts, c.Gets, c.Deletes, c.Moves, c.Commits)
+		mem.Add(c)
 	}
+	fmt.Fprintf(w, "memory: block_used=%d block_backed=%d parity_backed=%d heap_live=%d heap_goal=%d gc_cycles=%d\n",
+		mem.BlockBytesUsed, mem.BlockBytesBacked, mem.ParityBytesBacked, cs.HeapLive, cs.HeapGoal, cs.GCCycles)
 	renderHist(w, "commit latency REP", cs.CommitRep)
 	renderHist(w, "commit latency SRS", cs.CommitSRS)
 }

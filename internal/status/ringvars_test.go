@@ -60,10 +60,30 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	srsVal := []byte("erasure-coded-value")
 	for i := 0; i < 4; i++ {
-		if _, err := c.PutIn(fmt.Sprintf("srs-%d", i), []byte("erasure-coded-value"), 2); err != nil {
+		if _, err := c.PutIn(fmt.Sprintf("srs-%d", i), srsVal, 2); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// Memory is as exact as the op counters: one put of V bytes to each
+	// of N distinct SRS keys is N*V allocated block bytes summed over the
+	// coordinators, all of them backed, with parity backed behind them —
+	// and nothing in the Rep memgest, which has no blocks.
+	mid, errs := CollectStats(addrs)
+	if len(errs) != 0 {
+		t.Fatalf("scrape errors: %v", errs)
+	}
+	if m := mid.Memgests[2]; m.BlockBytesUsed != uint64(4*len(srsVal)) || m.BlockBytesBacked < m.BlockBytesUsed || m.ParityBytesBacked == 0 {
+		t.Fatalf("memgest 2 memory after 4 puts of %dB: %+v", len(srsVal), m)
+	}
+	if m := mid.Memgests[1]; m.BlockBytesUsed != 0 || m.BlockBytesBacked != 0 || m.ParityBytesBacked != 0 {
+		t.Fatalf("Rep memgest reports block memory: %+v", m)
+	}
+	// The Go heap vars crossed the boundary too (live bytes and cycles are
+	// legitimately zero before the first collection; the goal never is).
+	if mid.HeapGoal <= 0 {
+		t.Fatalf("go heap vars: live=%d goal=%d cycles=%d", mid.HeapLive, mid.HeapGoal, mid.GCCycles)
 	}
 	for i := 0; i < 5; i++ {
 		if _, _, err := c.Get(fmt.Sprintf("rep-%d", i)); err != nil {
@@ -136,6 +156,8 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 		"memgest 2: puts=4 gets=0 deletes=1 moves=3",
 		"commit latency REP: n=7",
 		"commit latency SRS: n=8",
+		// 3 of the 4 SRS puts survive the delete, plus the 3 moved values.
+		fmt.Sprintf("memory: block_used=%d block_backed=", 3*len(srsVal)+3*len("replicated")),
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)

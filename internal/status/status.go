@@ -3,8 +3,9 @@
 // metrics at /metrics, the full instrumentation document at
 // /debug/ringvars (per-memgest op counters, commit-latency
 // histograms, transport/client counters), and the most recent
-// operations at /debug/trace. ringd serves it with the -http flag;
-// `ringctl stats` scrapes and aggregates it cluster-wide.
+// operations at /debug/trace, and the Go profiles at /debug/pprof/.
+// ringd serves it with the -http flag; `ringctl stats` scrapes and
+// aggregates it cluster-wide.
 package status
 
 import (
@@ -12,6 +13,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 
 	"ring/internal/core"
 	"ring/internal/proto"
@@ -80,6 +82,11 @@ func Serve(r *core.Runner, addr string) (*Server, error) {
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/debug/ringvars", s.handleRingvars)
 	mux.HandleFunc("/debug/trace", s.handleTrace)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s.srv = &http.Server{Handler: mux}
 	go s.srv.Serve(ln)
 	return s, nil

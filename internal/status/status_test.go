@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,14 @@ import (
 	"ring/internal/core"
 	"ring/internal/proto"
 )
+
+// TestMain switches payload poisoning on for every cluster these tests
+// drive: a handler that keeps a view into a packet past its return
+// reads 0xDB (see core.PoisonPayloads).
+func TestMain(m *testing.M) {
+	core.PoisonPayloads = true
+	os.Exit(m.Run())
+}
 
 func TestStatusAndMetrics(t *testing.T) {
 	cl, err := core.StartCluster(core.ClusterSpec{
@@ -79,5 +88,15 @@ func TestStatusAndMetrics(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, text)
 		}
+	}
+
+	// /debug/pprof/: the Go profiles are mounted on the same mux.
+	presp, err := http.Get("http://" + srv.Addr() + "/debug/pprof/heap?debug=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer presp.Body.Close()
+	if body, _ := io.ReadAll(presp.Body); presp.StatusCode != http.StatusOK || !strings.Contains(string(body), "heap profile") {
+		t.Fatalf("heap profile: %s\n%.200s", presp.Status, body)
 	}
 }

@@ -6,6 +6,8 @@
 package store
 
 import (
+	"bytes"
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -33,6 +35,95 @@ type Extent struct {
 // ErrHeapFull is returned when no block has room for an allocation.
 var ErrHeapFull = errors.New("store: heap full")
 
+// region is the demand-backed storage under BlockHeap and ParityRegion:
+// a run of blocks of blockSize bytes each, where blockSize is a capacity
+// and not a reservation. A block is a row of fixed-size chunks, each
+// with no backing until a write reaches it; bytes of an unbacked chunk
+// read as zero. Resident memory therefore follows the bytes stored
+// (first-fit allocation keeps those at the front of each block), and
+// nothing is ever copied to grow: a block that has reached its working
+// size and one still filling pay the same per operation.
+type region struct {
+	blockSize int
+	chunk     int        // chunk size: chunkSize, or blockSize if smaller
+	blocks    [][][]byte // blocks[b][c] is nil until written
+}
+
+// chunkSize bounds the slack of a block (the unused tail of its last
+// backed chunk) and how often a value straddles two chunks.
+const chunkSize = 64 << 10
+
+func newRegion(nblocks, blockSize int) region {
+	r := region{blockSize: blockSize, chunk: min(chunkSize, blockSize), blocks: make([][][]byte, nblocks)}
+	for b := range r.blocks {
+		r.blocks[b] = make([][]byte, (blockSize+r.chunk-1)/r.chunk)
+	}
+	return r
+}
+
+// each visits bytes [off, off+n) of block b chunk by chunk: fn gets the
+// piece of the chunk's backing that lies in the range and the piece's
+// position within the range. With back set, unbacked chunks are backed
+// first; otherwise they are visited with a nil piece of length m.
+//
+//ring:hotpath
+func (r *region) each(b, off, n int, back bool, fn func(p []byte, i, m int)) {
+	for i := 0; i < n; {
+		c, o := (off+i)/r.chunk, (off+i)%r.chunk
+		m := min(n-i, r.chunkLen(c)-o)
+		ch := r.blocks[b][c]
+		if ch == nil && back {
+			ch = make([]byte, r.chunkLen(c))
+			r.blocks[b][c] = ch
+		}
+		if ch != nil {
+			ch = ch[o : o+m]
+		}
+		fn(ch, i, m)
+		i += m
+	}
+}
+
+// chunkLen is the size of chunk c of a block: the last may be short.
+func (r *region) chunkLen(c int) int { return min(r.chunk, r.blockSize-c*r.chunk) }
+
+// snapshot returns a copy of all blockSize bytes of block b.
+func (r *region) snapshot(b int) []byte {
+	out := make([]byte, r.blockSize)
+	for c, ch := range r.blocks[b] {
+		copy(out[c*r.chunk:], ch)
+	}
+	return out
+}
+
+// install overwrites block b with data (blockSize bytes). A chunk that
+// is all zeros in data and was never backed stays unbacked, so an
+// installed block is as small as the one it was recovered from.
+func (r *region) install(b int, data []byte) {
+	if len(data) != r.blockSize {
+		panic(fmt.Sprintf("store: block install of %d bytes, want %d", len(data), r.blockSize))
+	}
+	for c, ch := range r.blocks[b] {
+		piece := data[c*r.chunk:][:r.chunkLen(c)]
+		if ch != nil {
+			copy(ch, piece)
+		} else if len(bytes.TrimLeft(piece, "\x00")) > 0 {
+			r.blocks[b][c] = bytes.Clone(piece)
+		}
+	}
+}
+
+// backed returns the bytes of backing currently allocated.
+func (r *region) backed() uint64 {
+	var n uint64
+	for _, blk := range r.blocks {
+		for _, ch := range blk {
+			n += uint64(len(ch))
+		}
+	}
+	return n
+}
+
 // freeRun is a free byte range within one block.
 type freeRun struct {
 	off, n uint32
@@ -41,13 +132,15 @@ type freeRun struct {
 // BlockHeap is the primary-data region a coordinator owns for one SRS
 // memgest: a contiguous run of logical blocks, each of fixed capacity.
 // Allocation is first-fit within a block with coalescing frees; values
-// never span blocks.
+// never span blocks. Allocating costs no memory; writing does (see
+// region).
 type BlockHeap struct {
 	firstBlock uint32
 	blockSize  uint32
-	blocks     [][]byte
+	data       region
 	free       [][]freeRun // free[i]: sorted disjoint free runs of block i
 	used       uint64
+	delta      []byte // scratch behind Write's result
 }
 
 // NewBlockHeap creates a heap of nblocks logical blocks, each of
@@ -59,11 +152,10 @@ func NewBlockHeap(firstBlock, nblocks, blockSize int) *BlockHeap {
 	h := &BlockHeap{
 		firstBlock: uint32(firstBlock),
 		blockSize:  uint32(blockSize),
-		blocks:     make([][]byte, nblocks),
+		data:       newRegion(nblocks, blockSize),
 		free:       make([][]freeRun, nblocks),
 	}
-	for i := range h.blocks {
-		h.blocks[i] = make([]byte, blockSize)
+	for i := range h.free {
 		h.free[i] = []freeRun{{0, uint32(blockSize)}}
 	}
 	return h
@@ -73,7 +165,7 @@ func NewBlockHeap(firstBlock, nblocks, blockSize int) *BlockHeap {
 func (h *BlockHeap) BlockSize() int { return int(h.blockSize) }
 
 // Blocks returns the number of logical blocks.
-func (h *BlockHeap) Blocks() int { return len(h.blocks) }
+func (h *BlockHeap) Blocks() int { return len(h.free) }
 
 // FirstBlock returns the global index of the heap's first block.
 func (h *BlockHeap) FirstBlock() uint32 { return h.firstBlock }
@@ -81,15 +173,17 @@ func (h *BlockHeap) FirstBlock() uint32 { return h.firstBlock }
 // UsedBytes returns the number of currently allocated bytes.
 func (h *BlockHeap) UsedBytes() uint64 { return h.used }
 
+// BackedBytes returns the bytes of memory behind the heap's blocks.
+func (h *BlockHeap) BackedBytes() uint64 { return h.data.backed() }
+
 // Alloc reserves n bytes inside a single block (first fit) and returns
 // the extent. It fails with ErrHeapFull when no block has a large
 // enough free run, and rejects n larger than a block or zero.
+//
+//ring:hotpath
 func (h *BlockHeap) Alloc(n int) (Extent, error) {
-	if n <= 0 {
-		return Extent{}, fmt.Errorf("store: invalid allocation size %d", n)
-	}
-	if uint32(n) > h.blockSize {
-		return Extent{}, fmt.Errorf("store: allocation %d exceeds block size %d", n, h.blockSize)
+	if n <= 0 || uint32(n) > h.blockSize {
+		return Extent{}, errAllocSize(n, h.blockSize)
 	}
 	for b := range h.free {
 		for i, run := range h.free[b] {
@@ -109,9 +203,19 @@ func (h *BlockHeap) Alloc(n int) (Extent, error) {
 	return Extent{}, ErrHeapFull
 }
 
+//ring:hotpath-stop cold error constructor
+func errAllocSize(n int, blockSize uint32) error {
+	if n <= 0 {
+		return fmt.Errorf("store: invalid allocation size %d", n)
+	}
+	return fmt.Errorf("store: allocation %d exceeds block size %d", n, blockSize)
+}
+
 // Free returns an extent to the free list, coalescing with adjacent
 // runs. Double frees and out-of-range extents panic: they indicate
-// metadata corruption, which must not be masked.
+// metadata corruption, which must not be masked. The backing stays: a
+// freed extent keeps its bytes until reused, which the parity deltas of
+// the next write into it rely on.
 func (h *BlockHeap) Free(ext Extent) {
 	b := h.localBlock(ext)
 	runs := h.free[b]
@@ -172,111 +276,145 @@ func (h *BlockHeap) Reserve(ext Extent) error {
 
 func (h *BlockHeap) localBlock(ext Extent) int {
 	b := int(ext.Block) - int(h.firstBlock)
-	if b < 0 || b >= len(h.blocks) {
-		panic(fmt.Sprintf("store: extent block %d outside heap [%d,%d)", ext.Block, h.firstBlock, int(h.firstBlock)+len(h.blocks)))
-	}
-	if ext.Off+ext.Len > h.blockSize {
-		panic(fmt.Sprintf("store: extent %+v exceeds block size %d", ext, h.blockSize))
+	if b < 0 || b >= len(h.free) || ext.Off+ext.Len > h.blockSize {
+		h.panicExtent(ext)
 	}
 	return b
 }
 
+//ring:hotpath-stop cold panic constructor
+func (h *BlockHeap) panicExtent(ext Extent) {
+	if b := int(ext.Block) - int(h.firstBlock); b < 0 || b >= len(h.free) {
+		panic(fmt.Sprintf("store: extent block %d outside heap [%d,%d)", ext.Block, h.firstBlock, int(h.firstBlock)+len(h.free)))
+	}
+	panic(fmt.Sprintf("store: extent %+v exceeds block size %d", ext, h.blockSize))
+}
+
 // Read returns a copy of the bytes at ext.
 func (h *BlockHeap) Read(ext Extent) []byte {
-	b := h.localBlock(ext)
 	out := make([]byte, ext.Len)
-	copy(out, h.blocks[b][ext.Off:ext.Off+ext.Len])
+	h.ReadInto(out, ext)
 	return out
 }
 
-// ReadInPlace returns the live bytes at ext without copying; callers
-// must not retain the slice across mutations.
-func (h *BlockHeap) ReadInPlace(ext Extent) []byte {
-	b := h.localBlock(ext)
-	return h.blocks[b][ext.Off : ext.Off+ext.Len]
+// ReadInto copies the bytes at ext into dst, which must be ext.Len
+// long (the coordinator passes a pooled buffer).
+//
+//ring:hotpath
+func (h *BlockHeap) ReadInto(dst []byte, ext Extent) {
+	if uint32(len(dst)) != ext.Len {
+		panicLen("read", len(dst), ext.Len)
+	}
+	h.data.each(h.localBlock(ext), int(ext.Off), len(dst), false, func(p []byte, i, m int) {
+		if p == nil {
+			clear(dst[i : i+m])
+		} else {
+			copy(dst[i:], p)
+		}
+	})
 }
 
 // Write stores val at ext and returns the delta (old XOR new) that
 // parity nodes must apply, per the paper's update rule. The returned
-// slice is freshly allocated.
+// slice is scratch owned by the heap: it is valid until the next Write.
+//
+//ring:hotpath
 func (h *BlockHeap) Write(ext Extent, val []byte) (delta []byte) {
 	if uint32(len(val)) != ext.Len {
-		panic(fmt.Sprintf("store: write of %d bytes into extent of %d", len(val), ext.Len))
+		panicLen("write", len(val), ext.Len)
 	}
-	b := h.localBlock(ext)
-	dst := h.blocks[b][ext.Off : ext.Off+ext.Len]
-	delta = make([]byte, len(val))
-	for i := range val {
-		delta[i] = dst[i] ^ val[i]
-		dst[i] = val[i]
+	if cap(h.delta) < len(val) {
+		h.delta = make([]byte, len(val))
 	}
+	delta = h.delta[:len(val)]
+	h.data.each(h.localBlock(ext), int(ext.Off), len(val), true, func(p []byte, i, m int) {
+		subtle.XORBytes(delta[i:i+m], p, val[i:i+m])
+		copy(p, val[i:i+m])
+	})
 	return delta
 }
 
-// BlockData returns the raw contents of global logical block idx; used
-// when a parity node fetches stripe blocks for decoding.
+//ring:hotpath-stop cold panic constructor
+func panicLen(op string, n int, want uint32) {
+	panic(fmt.Sprintf("store: %s of %d bytes on an extent of %d", op, n, want))
+}
+
+// BlockData returns a copy of the contents of global logical block idx,
+// all blockSize bytes of it; used when a parity node fetches stripe
+// blocks for decoding.
 func (h *BlockHeap) BlockData(idx uint32) []byte {
-	return h.blocks[h.localBlock(Extent{Block: idx})]
+	return h.data.snapshot(h.localBlock(Extent{Block: idx}))
 }
 
 // SetBlockData overwrites a whole logical block (recovery install).
 func (h *BlockHeap) SetBlockData(idx uint32, data []byte) {
-	b := h.localBlock(Extent{Block: idx})
-	if len(data) != int(h.blockSize) {
-		panic(fmt.Sprintf("store: block install of %d bytes, want %d", len(data), h.blockSize))
-	}
-	copy(h.blocks[b], data)
+	h.data.install(h.localBlock(Extent{Block: idx}), data)
 }
 
 // FreeBytes returns the total free capacity, for balance accounting.
 func (h *BlockHeap) FreeBytes() uint64 {
-	return uint64(len(h.blocks))*uint64(h.blockSize) - h.used
+	return uint64(len(h.free))*uint64(h.blockSize) - h.used
 }
 
 // ParityRegion is the storage of one parity node for one SRS memgest:
 // one parity block per stripe offset, updated by XORing in
-// coefficient-multiplied deltas.
+// coefficient-multiplied deltas. Like the data blocks whose offsets it
+// mirrors, a parity block is backed only where it was written.
 type ParityRegion struct {
-	blockSize uint32
-	blocks    [][]byte
+	data region
 }
 
-// NewParityRegion allocates stripes parity blocks of blockSize bytes.
+// NewParityRegion creates stripes parity blocks of blockSize bytes.
 func NewParityRegion(stripes, blockSize int) *ParityRegion {
 	if stripes <= 0 || blockSize <= 0 {
 		panic(fmt.Sprintf("store: invalid parity geometry %d x %d", stripes, blockSize))
 	}
-	p := &ParityRegion{blockSize: uint32(blockSize), blocks: make([][]byte, stripes)}
-	for i := range p.blocks {
-		p.blocks[i] = make([]byte, blockSize)
-	}
-	return p
+	return &ParityRegion{data: newRegion(stripes, blockSize)}
 }
 
 // ApplyDelta XORs delta into parity block t at byte offset off.
+//
+//ring:hotpath
 func (p *ParityRegion) ApplyDelta(t, off int, delta []byte) {
-	if t < 0 || t >= len(p.blocks) {
-		panic(fmt.Sprintf("store: parity block %d out of range [0,%d)", t, len(p.blocks)))
+	end := off + len(delta)
+	if t < 0 || t >= len(p.data.blocks) || off < 0 || end > p.data.blockSize {
+		p.panicRange(t, off, end)
 	}
-	if off < 0 || off+len(delta) > int(p.blockSize) {
-		panic(fmt.Sprintf("store: parity delta [%d,%d) exceeds block size %d", off, off+len(delta), p.blockSize))
-	}
-	dst := p.blocks[t][off : off+len(delta)]
-	for i := range delta {
-		dst[i] ^= delta[i]
+	p.data.each(t, off, len(delta), true, func(dst []byte, i, m int) {
+		subtle.XORBytes(dst, dst, delta[i:i+m])
+	})
+}
+
+//ring:hotpath-stop cold panic constructor
+func (p *ParityRegion) panicRange(t, off, end int) {
+	p.checkBlock(t)
+	panic(fmt.Sprintf("store: parity delta [%d,%d) exceeds block size %d", off, end, p.data.blockSize))
+}
+
+func (p *ParityRegion) checkBlock(t int) {
+	if t < 0 || t >= len(p.data.blocks) {
+		panic(fmt.Sprintf("store: parity block %d out of range [0,%d)", t, len(p.data.blocks)))
 	}
 }
 
-// Block returns the live contents of parity block t.
+// Block returns a copy of the contents of parity block t, all blockSize
+// bytes of it.
 func (p *ParityRegion) Block(t int) []byte {
-	if t < 0 || t >= len(p.blocks) {
-		panic(fmt.Sprintf("store: parity block %d out of range", t))
-	}
-	return p.blocks[t]
+	p.checkBlock(t)
+	return p.data.snapshot(t)
 }
+
+// SetBlock overwrites parity block t (rebuild install).
+func (p *ParityRegion) SetBlock(t int, data []byte) {
+	p.checkBlock(t)
+	p.data.install(t, data)
+}
+
+// BackedBytes returns the bytes of memory behind the parity blocks.
+func (p *ParityRegion) BackedBytes() uint64 { return p.data.backed() }
 
 // Stripes returns the number of parity blocks.
-func (p *ParityRegion) Stripes() int { return len(p.blocks) }
+func (p *ParityRegion) Stripes() int { return len(p.data.blocks) }
 
 // BlockSize returns the per-block capacity.
-func (p *ParityRegion) BlockSize() int { return int(p.blockSize) }
+func (p *ParityRegion) BlockSize() int { return p.data.blockSize }

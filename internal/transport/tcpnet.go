@@ -22,10 +22,13 @@ import (
 // connection) to keep the framing stateless and trivially robust to
 // reconnects.
 //
-// Send follows the package-level ownership contract: the payload is
-// copied into the frame synchronously and recycled into the buffer
-// pool before Send returns, so callers must hand over a buffer they
-// will never touch again.
+// Send follows the package-level ownership contract: header and
+// payload leave in one vectored write straight from the caller's
+// buffer, which is recycled into the buffer pool before Send returns,
+// so callers must hand over a buffer they will never touch again. The
+// receive side reads each payload into a pooled buffer of its size
+// class; nothing value-sized is allocated per frame in either
+// direction.
 type TCPFabric struct {
 	mu sync.Mutex
 	// resolve maps logical addresses to TCP "host:port" when the two
@@ -145,11 +148,46 @@ func (e *tcpEndpoint) acceptLoop() {
 	}
 }
 
+// maxFrame bounds a frame's declared length; a whole-block transfer of
+// the largest supported block fits with room to spare.
+const maxFrame = 64 << 20
+
+// frameVec is the scratch of one frame write: the header and the
+// two-element vector handed to writev. Pooled, so a send allocates
+// neither; a pool rather than per-connection state, so concurrent
+// senders on one connection need no lock of ours (the socket's own
+// write lock keeps their frames whole).
+type frameVec struct {
+	hdr []byte      // [4-byte frame length][2-byte address length][address]
+	arr [2][]byte   // backing of vec: header, payload
+	vec net.Buffers // consumed by WriteTo, rebuilt from arr for every frame
+}
+
+var frameVecs = sync.Pool{New: func() any { return new(frameVec) }}
+
+// writeFrame sends header and payload with one vectored write (writev
+// on a TCP socket): no staging copy of the payload.
+//
+//ring:hotpath
+func writeFrame(c net.Conn, from string, payload []byte) error {
+	v := frameVecs.Get().(*frameVec)
+	v.hdr = binary.BigEndian.AppendUint32(v.hdr[:0], uint32(2+len(from)+len(payload)))
+	v.hdr = binary.BigEndian.AppendUint16(v.hdr, uint16(len(from)))
+	v.hdr = append(v.hdr, from...)
+	v.arr[0], v.arr[1] = v.hdr, payload
+	v.vec = v.arr[:]
+	_, err := v.vec.WriteTo(c)
+	v.arr[1] = nil // do not pin the caller's buffer
+	frameVecs.Put(v)
+	return err
+}
+
+//ring:hotpath
 func (e *tcpEndpoint) readLoop(c net.Conn) {
 	defer c.Close()
-	r := bufio.NewReaderSize(c, 64<<10)
+	fr := frameReader{r: bufio.NewReaderSize(c, 64<<10)}
 	for {
-		from, payload, err := readFrame(r)
+		from, payload, err := fr.next()
 		if err != nil {
 			return
 		}
@@ -160,39 +198,58 @@ func (e *tcpEndpoint) readLoop(c net.Conn) {
 		case e.inbox <- Packet{From: from, Payload: payload}:
 			countRecv(payload, len(e.inbox))
 		case <-e.done:
+			ReleaseBuf(payload)
 			return
 		}
 	}
 }
 
-func readFrame(r io.Reader) (string, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return "", nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n < 2 || n > 64<<20 {
-		return "", nil, fmt.Errorf("transport: bad frame length %d", n)
-	}
-	frame := make([]byte, n)
-	if _, err := io.ReadFull(r, frame); err != nil {
-		return "", nil, err
-	}
-	alen := int(binary.BigEndian.Uint16(frame[:2]))
-	if 2+alen > len(frame) {
-		return "", nil, fmt.Errorf("transport: bad address length %d", alen)
-	}
-	return string(frame[2 : 2+alen]), frame[2+alen:], nil
+// frameReader reads the frames of one connection. Its scratch makes a
+// frame cost no allocation: the fixed part of the header, the sender
+// address bytes, and the address as a string, rebuilt only when it
+// differs from the previous frame's (on one connection it never does).
+type frameReader struct {
+	r    io.Reader
+	hdr  [6]byte
+	addr []byte
+	from string
 }
 
-func writeFrame(c net.Conn, from string, payload []byte) error {
-	buf := make([]byte, 4+2+len(from)+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(2+len(from)+len(payload)))
-	binary.BigEndian.PutUint16(buf[4:], uint16(len(from)))
-	copy(buf[6:], from)
-	copy(buf[6+len(from):], payload)
-	_, err := c.Write(buf)
-	return err
+// next reads one frame, the payload into a pooled buffer of its size
+// class, which the receiver releases once the packet is consumed.
+//
+//ring:hotpath
+func (fr *frameReader) next() (from string, payload []byte, err error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
+		return "", nil, err
+	}
+	n := int(binary.BigEndian.Uint32(fr.hdr[:]))
+	alen := int(binary.BigEndian.Uint16(fr.hdr[4:]))
+	if n > maxFrame || 2+alen > n {
+		return "", nil, errBadFrame(n, alen)
+	}
+	if cap(fr.addr) < alen {
+		fr.addr = make([]byte, alen)
+	}
+	fr.addr = fr.addr[:alen]
+	if _, err := io.ReadFull(fr.r, fr.addr); err != nil {
+		return "", nil, err
+	}
+	if fr.from != string(fr.addr) {
+		fr.from = string(fr.addr)
+	}
+	plen := n - 2 - alen
+	payload = AcquireBufSize(plen)[:plen]
+	if _, err := io.ReadFull(fr.r, payload); err != nil {
+		ReleaseBuf(payload)
+		return "", nil, err
+	}
+	return fr.from, payload, nil
+}
+
+//ring:hotpath-stop cold error constructor
+func errBadFrame(n, alen int) error {
+	return fmt.Errorf("transport: bad frame: length %d, address length %d", n, alen)
 }
 
 func (e *tcpEndpoint) Send(to string, payload []byte) error {
@@ -218,6 +275,8 @@ func (e *tcpEndpoint) Send(to string, payload []byte) error {
 
 // transmit performs the actual framed write (dialing on demand),
 // bypassing fault injection.
+//
+//ring:hotpath
 func (e *tcpEndpoint) transmit(to string, payload []byte) error {
 	e.mu.Lock()
 	c := e.conns[to]
@@ -227,30 +286,11 @@ func (e *tcpEndpoint) transmit(to string, payload []byte) error {
 	}
 	e.mu.Unlock()
 	if c == nil {
-		nc, err := net.Dial("tcp", e.fabric.lookup(to))
-		if err != nil {
+		var err error
+		if c, err = e.dial(to); err != nil {
 			Metrics.SendErrors.Inc()
-			return fmt.Errorf("%w: %s (%v)", ErrUnknownPeer, to, err)
-		}
-		e.mu.Lock()
-		var lost net.Conn
-		if old := e.conns[to]; old != nil {
-			// Lost the race; keep the existing connection and close
-			// ours below, outside the lock — Close can block on the
-			// TCP stack and everything sending through this endpoint
-			// serializes on e.mu.
-			lost = nc
-			c = old
-		} else {
-			e.conns[to] = nc
-			c = nc
-			// Connections are full duplex: the peer replies over the
-			// same socket, so read from dialed connections too.
-			go e.readLoop(nc)
-		}
-		e.mu.Unlock()
-		if lost != nil {
-			lost.Close()
+			ReleaseBuf(payload)
+			return err
 		}
 	}
 	err := writeFrame(c, e.addr, payload)
@@ -259,8 +299,8 @@ func (e *tcpEndpoint) transmit(to string, payload []byte) error {
 	} else {
 		Metrics.SendErrors.Inc()
 	}
-	// The frame write staged its own copy; the caller's payload is
-	// transport-owned now (package ownership contract) and can be
+	// The write has returned, so the kernel has its copy; the caller's
+	// payload is transport-owned (package ownership contract) and is
 	// recycled either way.
 	ReleaseBuf(payload)
 	if err != nil {
@@ -271,9 +311,41 @@ func (e *tcpEndpoint) transmit(to string, payload []byte) error {
 		}
 		e.mu.Unlock()
 		c.Close()
-		return fmt.Errorf("%w: %s (%v)", ErrUnknownPeer, to, err)
+		return errPeer(to, err)
 	}
 	return nil
+}
+
+// dial opens the outbound connection to a peer, once per peer.
+//
+//ring:hotpath-stop cold: first send to a peer
+func (e *tcpEndpoint) dial(to string) (net.Conn, error) {
+	nc, err := net.Dial("tcp", e.fabric.lookup(to))
+	if err != nil {
+		return nil, errPeer(to, err)
+	}
+	e.mu.Lock()
+	c := e.conns[to]
+	if c == nil {
+		e.conns[to] = nc
+		// Connections are full duplex: the peer replies over the same
+		// socket, so read from dialed connections too.
+		go e.readLoop(nc)
+	}
+	e.mu.Unlock()
+	if c == nil {
+		return nc, nil
+	}
+	// Lost the race; keep the existing connection and close ours outside
+	// the lock — Close can block on the TCP stack and everything sending
+	// through this endpoint serializes on e.mu.
+	nc.Close()
+	return c, nil
+}
+
+//ring:hotpath-stop cold error constructor
+func errPeer(to string, err error) error {
+	return fmt.Errorf("%w: %s (%v)", ErrUnknownPeer, to, err)
 }
 
 func (e *tcpEndpoint) Recv() (Packet, error) {

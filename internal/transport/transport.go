@@ -18,51 +18,117 @@
 // Send transfers ownership of the payload slice to the transport: the
 // caller must not read or modify it after Send returns, whether or
 // not Send reported an error. This lets memnet hand the very same
-// slice to the receiver instead of copying it, the way an RDMA send
-// posts a registered buffer rather than staging a copy. Symmetrically
-// the receiver owns Recv's Packet.Payload outright and may recycle it
-// once the packet is fully consumed. AcquireBuf/ReleaseBuf implement
-// that recycling: senders encode into AcquireBuf buffers, receivers
-// return fully-decoded payloads with ReleaseBuf, and the steady-state
-// message path allocates nothing. Both are optional — any fresh slice
-// may be sent, and unreleased payloads are simply garbage collected.
+// slice to the receiver instead of copying it, and tcpnet write it to
+// the socket in place, the way an RDMA send posts a registered buffer
+// rather than staging a copy. Symmetrically the receiver owns Recv's
+// Packet.Payload outright and recycles it with ReleaseBuf once the
+// packet is consumed.
+//
+// Consumed means more than decoded: proto.Decode may alias the payload
+// (the byte fields of a decoded message are views into it), so a
+// packet is consumed only when every handler of every message it
+// carried has returned. The one rule: a handler that keeps bytes of a
+// message past its return copies them; everything else reads the
+// packet in place. AcquireBuf/AcquireBufSize/ReleaseBuf implement the
+// recycling: senders encode into acquired buffers, receivers release
+// consumed payloads, and the steady-state message path allocates
+// nothing. All are optional — any fresh slice may be sent, and
+// unreleased payloads are simply garbage collected.
 package transport
 
 import (
 	"errors"
+	"math/bits"
 	"sync"
 	"time"
 )
 
-// bufPool recycles payload buffers between receivers (which release
-// fully-decoded packets) and senders (which acquire encode buffers) —
-// the stand-in for an RDMA registered-buffer pool.
-var bufPool sync.Pool
+// The buffer pool is the stand-in for an RDMA registered-buffer pool.
+// It is split into power-of-two size classes, so that a receiver
+// releasing 40-byte acks and a sender acquiring room for a 16 KiB
+// parity update do not trade buffers and regrow them: class c holds
+// buffers with capacity in [minBuf<<c, minBuf<<(c+1)). Payloads past
+// the largest class (whole-block transfers during recovery) are left
+// to the collector rather than retained.
+const (
+	minBufShift = 10 // 1 KiB
+	maxBufShift = 20 // 1 MiB
+	minBuf      = 1 << minBufShift
+	bufClasses  = maxBufShift - minBufShift + 1
+)
 
-// AcquireBuf returns an empty buffer to encode an outgoing payload
-// into. Append to it, then pass the result to Send, which takes
-// ownership.
+var (
+	bufPools [bufClasses]sync.Pool // of *[]byte with the buffer in it
+	// hdrPool recycles the emptied *[]byte boxes, so that a release
+	// does not allocate a slice header to carry the buffer.
+	hdrPool sync.Pool
+)
+
+// AcquireBuf returns an empty buffer for a caller that does not know
+// how much it will append: the smallest buffer the pool holds, whatever
+// its class, or a fresh 1 KiB one. Append to it, then pass the result to
+// Send, which takes ownership. A caller that knows the size asks
+// AcquireBufSize and stays in its class.
 //
 //ring:hotpath
 func AcquireBuf() []byte {
-	if p, _ := bufPool.Get().(*[]byte); p != nil {
-		return (*p)[:0]
+	for c := range bufPools {
+		if b := pooled(c); b != nil {
+			return b
+		}
 	}
-	return make([]byte, 0, 1024)
+	return make([]byte, 0, minBuf)
+}
+
+// AcquireBufSize returns an empty buffer with room for n bytes.
+//
+//ring:hotpath
+func AcquireBufSize(n int) []byte {
+	c := 0
+	if n > minBuf {
+		c = bits.Len(uint(n-1)) - minBufShift
+	}
+	if c >= bufClasses {
+		return make([]byte, 0, n)
+	}
+	if b := pooled(c); b != nil {
+		return b
+	}
+	return make([]byte, 0, minBuf<<c)
+}
+
+// pooled takes a buffer out of class c, or returns nil if it is empty.
+//
+//ring:hotpath
+func pooled(c int) []byte {
+	p, _ := bufPools[c].Get().(*[]byte)
+	if p == nil {
+		return nil
+	}
+	b := *p
+	*p = nil
+	hdrPool.Put(p)
+	return b
 }
 
 // ReleaseBuf recycles a payload buffer whose contents are no longer
-// referenced anywhere — typically a Recv payload after every field of
-// the decoded message has been copied out. Releasing a buffer that is
-// still aliased corrupts later messages; when in doubt, don't release
-// (the pool is purely an optimization).
+// referenced anywhere — a Recv payload once consumed (see the package
+// doc). Releasing a buffer that is still aliased corrupts later
+// messages; when in doubt, don't release (the pool is purely an
+// optimization).
 //
 //ring:hotpath
 func ReleaseBuf(b []byte) {
-	if cap(b) == 0 {
+	c := bits.Len(uint(cap(b))) - 1 - minBufShift
+	if c < 0 || c >= bufClasses {
 		return
 	}
-	bufPool.Put(&b)
+	p, _ := hdrPool.Get().(*[]byte)
+	if p == nil {
+		p = new([]byte)
+	}
+	*p = b[:0]
+	bufPools[c].Put(p)
 }
 
 // Packet is one datagram delivered through a fabric.
@@ -83,7 +149,7 @@ type Endpoint interface {
 	Send(to string, payload []byte) error
 	// Recv blocks until a packet arrives or the endpoint closes. The
 	// returned Packet.Payload is owned by the caller, who may hand it
-	// to ReleaseBuf once fully decoded.
+	// to ReleaseBuf once consumed (see the package doc).
 	Recv() (Packet, error)
 	// Close unregisters the endpoint and unblocks Recv.
 	Close() error

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -111,6 +112,25 @@ func TestBufPoolRecycles(t *testing.T) {
 	}
 	ReleaseBuf(got)
 	ReleaseBuf(nil) // zero-cap release must be a no-op
+}
+
+// TestBufPoolSizeClasses: whatever capacities are released into the
+// pool, an acquire is never handed a buffer smaller than it asked for.
+func TestBufPoolSizeClasses(t *testing.T) {
+	sizes := []int{0, 1, 40, 1024, 1025, 4096, 16384, 16384 + 67, 1 << 20, 1<<20 + 1, 3 << 20}
+	for round := 0; round < 3; round++ {
+		// Odd capacities, as append growth and sub-sliced frames produce.
+		for _, c := range []int{0, 100, 1023, 1024, 5000, 16383, 16385, 40000, 1<<21 - 1, 1 << 21, 5 << 20} {
+			ReleaseBuf(make([]byte, 0, c))
+		}
+		for _, n := range sizes {
+			b := AcquireBufSize(n)
+			if len(b) != 0 || cap(b) < n {
+				t.Fatalf("AcquireBufSize(%d): len %d cap %d", n, len(b), cap(b))
+			}
+			defer ReleaseBuf(b)
+		}
+	}
 }
 
 func TestMemFabricDropFunc(t *testing.T) {
@@ -245,6 +265,69 @@ func TestTCPFabricLargeAndMany(t *testing.T) {
 			t.Fatalf("frame %d corrupted", i)
 		}
 	}
+}
+
+// TestTCPFabricFramesStayWhole: concurrent senders share one socket and
+// write header and payload as a two-part vector; every frame must still
+// arrive whole, whatever mix of size classes is in flight, and a peer
+// that sends a malformed frame loses its own connection only.
+func TestTCPFabricFramesStayWhole(t *testing.T) {
+	f := NewTCPFabric()
+	f.Map("b", "127.0.0.1:0")
+	a, _ := f.Register("a")
+	defer a.Close()
+	b, _ := f.Register("b")
+	defer b.Close()
+	f.Map("b", BoundAddr(b))
+
+	// A stranger whose frame claims a longer address than the frame.
+	bad, err := net.Dial("tcp", BoundAddr(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	if _, err := bad.Write([]byte{0, 0, 0, 3, 0, 9, 'x'}); err != nil {
+		t.Fatal(err)
+	}
+
+	const senders, perSender = 8, 200
+	sizes := []int{0, 1, 40, 1000, 1024, 5000, 16384 + 67, 70000}
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < perSender; i++ {
+				n := sizes[(s+i)%len(sizes)]
+				buf := AcquireBufSize(n + 1)
+				buf = append(buf, byte(s))
+				for j := 0; j < n; j++ {
+					buf = append(buf, byte(s+n))
+				}
+				if err := a.Send("b", buf); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(s)
+	}
+	for got := 0; got < senders*perSender; got++ {
+		p, err := b.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.From != "a" || len(p.Payload) == 0 {
+			t.Fatalf("frame %d: from %q, %d bytes", got, p.From, len(p.Payload))
+		}
+		s, n := int(p.Payload[0]), len(p.Payload)-1
+		for _, c := range p.Payload[1:] {
+			if c != byte(s+n) {
+				t.Fatalf("frame %d (sender %d, %d bytes) is torn", got, s, n)
+			}
+		}
+		ReleaseBuf(p.Payload)
+	}
+	wg.Wait()
 }
 
 func TestTCPFabricReplyRouting(t *testing.T) {

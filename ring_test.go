@@ -4,10 +4,20 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 
 	"ring"
+	"ring/internal/core"
 )
+
+// TestMain switches payload poisoning on for every cluster these tests
+// drive: a handler that keeps a view into a packet past its return
+// reads 0xDB (see core.PoisonPayloads).
+func TestMain(m *testing.M) {
+	core.PoisonPayloads = true
+	os.Exit(m.Run())
+}
 
 func startCluster(t *testing.T) (*ring.Cluster, *ring.Client) {
 	t.Helper()
