@@ -39,8 +39,8 @@
 #      output saved to bench.txt (uploaded as a CI artifact)
 #   9. chaos smoke: three fixed ringchaos seeds through the full
 #      seed -> schedule -> workload -> linearizability-check pipeline,
-#      three -durable seeds over the disk fault plane (kill -9 +
-#      recover-from-disk, WAL corruption, fsync faults), and three
+#      twenty-four -durable seeds over the disk fault plane (kill -9 +
+#      recover-from-disk, WAL corruption, fsync faults; 2 s), and three
 #      -elasticity seeds mixing live scheme moves and join/leave
 #      resizes into the fault schedule, hard-bounded at 30s each. The
 #      deep seed sweeps run nightly
@@ -100,7 +100,7 @@ stage_chaos() {
 
     go build -o bin/ringchaos ./cmd/ringchaos
     timeout 30 ./bin/ringchaos -seeds 1:3 -v
-    timeout 30 ./bin/ringchaos -durable -seeds 1:3 -v
+    timeout 30 ./bin/ringchaos -durable -seeds 1:24 -v
     timeout 30 ./bin/ringchaos -elasticity -seeds 1:3 -v
 
     DURABLE=1 BENCH_OUT=BENCH_10.json ISSUE=10 PREV_DIR=. DURATION=3s timeout 300 scripts/cluster.sh

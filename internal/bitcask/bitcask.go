@@ -32,6 +32,9 @@ const (
 	tombstone = ^uint32(0)
 	maxKey    = 1 << 16
 	maxValue  = 64 << 20
+	// maxScratch bounds the frame buffer kept between records, so one
+	// large value is not held for the life of the store.
+	maxScratch = 64 << 10
 
 	// DefaultSegmentBytes rotates data files at this size when Options
 	// leaves it zero.
@@ -62,6 +65,7 @@ type DB struct {
 	handles map[uint64]wal.File // lazily opened read handles for sealed files
 
 	activeOff int64
+	frame     []byte // appendRecord's scratch: the frame being written
 	dirty     bool
 	damaged   bool
 	syncs     uint64
@@ -327,27 +331,23 @@ func (db *DB) appendRecord(key string, val []byte, del bool) (loc, error) {
 			return loc{}, err
 		}
 	}
-	var hdr [frameSize]byte
 	vlen := uint32(len(val))
-	sum := crc32.Checksum([]byte(key), castagnoli)
 	if del {
 		vlen = tombstone
-	} else {
-		sum = crc32.Update(sum, castagnoli, val)
 	}
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(key)))
-	binary.LittleEndian.PutUint32(hdr[4:], vlen)
-	binary.LittleEndian.PutUint32(hdr[8:], sum)
-	if _, err := db.active.Append(hdr[:]); err != nil {
+	// One frame, one File.Append: header, key and value are assembled in
+	// the reused scratch buffer, which holds one record and nothing across
+	// records.
+	b := append(db.frame[:0], make([]byte, frameSize)...)
+	b = append(append(b, key...), val...)
+	binary.LittleEndian.PutUint32(b[0:], uint32(len(key)))
+	binary.LittleEndian.PutUint32(b[4:], vlen)
+	binary.LittleEndian.PutUint32(b[8:], crc32.Checksum(b[frameSize:], castagnoli))
+	if cap(b) <= maxScratch {
+		db.frame = b
+	}
+	if _, err := db.active.Append(b); err != nil {
 		return loc{}, err
-	}
-	if _, err := db.active.Append([]byte(key)); err != nil {
-		return loc{}, err
-	}
-	if !del {
-		if _, err := db.active.Append(val); err != nil {
-			return loc{}, err
-		}
 	}
 	l := loc{
 		file:   db.files[len(db.files)-1],

@@ -12,8 +12,15 @@ import (
 // the node state machine. Every mutation of a metadata table has a
 // persist hook; the hooks only buffer (group commit), and the hosting
 // runner calls SyncDurable at each event-batch boundary BEFORE any of
-// the batch's outputs are transmitted — so under fsync policy
-// "always", an acknowledged write is a durable write.
+// the batch's outputs are transmitted. A sync is owed by an
+// acknowledgement, not by dirt: the batch fsyncs when one of its
+// outputs is an ack-class message (proto.MsgType.IsAck — what tells
+// another party that something happened here) or when it ran a tick.
+// Requests, replication fan-out, commit notices and purges promise
+// their receiver nothing about this node's disk, so they leave without
+// waiting for it and the records behind them ride the next ack or
+// tick. Under fsync policy "always" an acknowledged write is therefore
+// still a durable write — and that is all the policy ever promised.
 //
 // Persist errors are sticky: after the first failed append or sync
 // the node must crash-stop (fsyncgate semantics — a node that cannot
@@ -55,21 +62,20 @@ func (n *Node) joinDurable() bool {
 	return false
 }
 
-// SyncDurable applies the fsync policy at an event-batch boundary.
-// The runner must call it BEFORE emitting the batch's outputs and
-// crash-stop the node on error.
+// SyncDurable applies the fsync policy at an event-batch boundary, if
+// the batch owes a sync (it queued an acknowledgement or ran a tick).
+// The runner must call it BEFORE emitting any of the batch's outputs
+// and crash-stop the node on error.
 func (n *Node) SyncDurable() error {
+	acks, owed := n.acksOwed, n.acksOwed > 0 || n.tickOwed
+	n.acksOwed, n.tickOwed = 0, false
 	if n.durable == nil {
 		return nil
 	}
-	if n.durableErr != nil {
-		return n.durableErr
+	if n.durableErr == nil && owed {
+		n.durableErr = n.durable.MaybeSync(n.now, acks)
 	}
-	if err := n.durable.MaybeSync(n.now); err != nil {
-		n.durableErr = err
-		return err
-	}
-	return nil
+	return n.durableErr
 }
 
 // CloseDurable flushes and closes the durable store (clean shutdown;
@@ -182,14 +188,23 @@ func (n *Node) persistReset(mgID proto.MemgestID, shard uint32) {
 }
 
 // takeStash consumes the recovered durable state of one shard, if any.
+// What a damaged store recovered is not installed: the log lost a
+// suffix, so what survives may be an older state than Bitcask's —
+// versions purged since are back, and the purges are gone — and the
+// full transfer a damaged store owes (Since == 0) only adds entries,
+// it cannot take a resurrected one away. The shard is voided on disk
+// and rebuilt from the group like a volatile node's; only the highest
+// sequence survives, to keep the allocator clear of the old life.
 func (n *Node) takeStash(mgID proto.MemgestID, shard uint32) *replog.RecoveredShard {
-	if n.durStash == nil {
-		return nil
-	}
 	sk := durKey(mgID, shard)
 	rs := n.durStash[sk]
-	if rs != nil {
-		delete(n.durStash, sk)
+	if rs == nil {
+		return nil
+	}
+	delete(n.durStash, sk)
+	if n.durable.Damaged() {
+		n.persistReset(mgID, shard)
+		return &replog.RecoveredShard{MaxSeq: rs.MaxSeq}
 	}
 	return rs
 }
@@ -262,12 +277,7 @@ func (n *Node) resetUnconsumedStash() {
 	for sk := range stash {
 		sks = append(sks, sk)
 	}
-	sort.Slice(sks, func(i, j int) bool {
-		if sks[i].Memgest != sks[j].Memgest {
-			return sks[i].Memgest < sks[j].Memgest
-		}
-		return sks[i].Shard < sks[j].Shard
-	})
+	sort.Slice(sks, func(i, j int) bool { return sks[i].Less(sks[j]) })
 	for _, sk := range sks {
 		n.persistErr(n.durable.Reset(sk))
 	}

@@ -8,6 +8,9 @@ import (
 
 // handleTick drives all time-based behaviour of the node.
 func (n *Node) handleTick() {
+	// A tick bounds how long a mutation nobody acknowledges (a replica's
+	// commit marker, a purge) stays unsynced.
+	n.tickOwed = true
 	if n.rejoining {
 		n.joinTick()
 		return

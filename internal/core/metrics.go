@@ -3,6 +3,7 @@ package core
 import (
 	"ring/internal/metrics"
 	"ring/internal/proto"
+	"ring/internal/replog"
 )
 
 // MemgestMetrics counts client operations actually executed against one
@@ -131,6 +132,9 @@ type MetricsSnapshot struct {
 	Stats           Stats                               `json:"stats"`
 	Memgests        map[proto.MemgestID]MemgestOpCounts `json:"memgests"`
 	TraceRecorded   uint64                              `json:"trace_recorded"`
+	// Durable is the durable tier's instrumentation; nil on a volatile
+	// node.
+	Durable *replog.Stats `json:"durable,omitempty"`
 }
 
 // MetricsSnapshot copies the node's instrumentation. Like every Node
@@ -174,6 +178,11 @@ func (n *Node) MetricsSnapshot() MetricsSnapshot {
 			}
 		}
 		s.Memgests[id] = c
+	}
+	if n.durable != nil {
+		ds := n.durable.DurableStats()
+		ds.Failed = n.durableErr != nil
+		s.Durable = &ds
 	}
 	return s
 }

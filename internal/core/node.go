@@ -172,6 +172,11 @@ type Node struct {
 	durable    *replog.Durable
 	durableErr error
 	durStash   map[replog.ShardKey]*replog.RecoveredShard
+	// acksOwed counts the acknowledgements (proto.MsgType.IsAck) queued
+	// since the last SyncDurable and tickOwed records a tick in the same
+	// span: a batch with neither owes the disk nothing (see durable.go).
+	acksOwed int
+	tickOwed bool
 
 	nextReq proto.ReqID
 	now     time.Duration
@@ -292,12 +297,16 @@ func (n *Node) IsLeader() bool { return n.cfg != nil && n.cfg.Leader == n.id }
 
 // send queues an outgoing message.
 func (n *Node) send(to string, msg proto.Message) {
-	n.outs = append(n.outs, Out{To: to, Msg: msg})
+	n.sendScratch(to, msg, nil)
 }
 
 // sendScratch queues a message whose payload lives in the pooled buffer
-// scratch (see Out.Scratch).
+// scratch (see Out.Scratch). Every output passes through here, so this
+// is where a batch learns it owes an acknowledgement.
 func (n *Node) sendScratch(to string, msg proto.Message, scratch []byte) {
+	if msg.Type().IsAck() {
+		n.acksOwed++
+	}
 	n.outs = append(n.outs, Out{To: to, Msg: msg, Scratch: scratch})
 }
 

@@ -36,7 +36,7 @@ func dropsOnBitcask(db *bitcask.DB) {
 
 func dropsOnDurable(d *replog.Durable, sk replog.ShardKey) {
 	d.Purge(sk, 1, "k", 2) // want `durable error discarded: replog\.Purge`
-	d.MaybeSync(0)         // want `durable error discarded: replog\.MaybeSync`
+	d.MaybeSync(0, 0)      // want `durable error discarded: replog\.MaybeSync`
 	if err := d.Reset(sk); err != nil {
 		panic(err)
 	}
@@ -69,7 +69,7 @@ func lineJustified(db *bitcask.DB) {
 // parallelAssign pins the per-slot blank check in a parallel
 // assignment: only the durable call's own slot may trip it.
 func parallelAssign(w *wal.WAL, db *bitcask.DB) {
-	a, _ := w.Appends(), db.Sync() // want `durable error discarded: bitcask\.Sync`
+	a, _ := w.Stats(), db.Sync() // want `durable error discarded: bitcask\.Sync`
 	_, b := db.Len(), w.Sync()
 	if b != nil {
 		panic(b)

@@ -58,6 +58,22 @@ const (
 	TResizeReply
 )
 
+// IsAck reports whether t is an acknowledgement: a message that tells
+// its receiver something happened at the sender — every *Reply and
+// *Ack type, the class internal/lint/ackorder orders behind the quorum
+// and persist barriers. A durable node fsyncs before a batch holding
+// one leaves; requests, fan-out and commit notices promise nothing and
+// do not wait.
+func (t MsgType) IsAck() bool {
+	switch t {
+	case TPutReply, TGetReply, TDeleteReply, TMoveReply, TMemgestReply, TResolveReply,
+		TRepAck, TParityAck, THeartbeatAck, TConfigAck,
+		TMetaFetchReply, TDataFetchReply, TBlockRecoverReply, TBlockFetchReply, TResizeReply:
+		return true
+	}
+	return false
+}
+
 // Status is the result code carried by replies.
 type Status uint8
 

@@ -3,6 +3,7 @@ package proto
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -86,6 +87,12 @@ func TestRoundTripAllMessages(t *testing.T) {
 			t.Errorf("%T round trip mismatch:\n got %#v\nwant %#v", m, got, m)
 		}
 		seen[m.Type()] = true
+		// IsAck is the *Reply / *Ack naming internal/lint/ackorder goes by,
+		// written down as a predicate: the two must name the same class.
+		name := reflect.TypeOf(m).Elem().Name()
+		if byName := strings.HasSuffix(name, "Reply") || strings.HasSuffix(name, "Ack"); m.Type().IsAck() != byName {
+			t.Errorf("%s: IsAck() = %v, but ackorder's naming rule says %v", name, m.Type().IsAck(), byName)
+		}
 	}
 	// Every defined message type must be covered.
 	for ty := TPut; ty <= TResizeReply; ty++ {

@@ -1,7 +1,6 @@
 package replog
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -9,6 +8,7 @@ import (
 	"time"
 
 	"ring/internal/bitcask"
+	"ring/internal/metrics"
 	"ring/internal/proto"
 	"ring/internal/wal"
 )
@@ -16,26 +16,27 @@ import (
 // Durable persists a node's memgest state across crashes by pairing
 // the two storage engines:
 //
-//   - the WAL (internal/wal) records write-ahead appends — metadata
-//     plus, for Rep memgests, the value — the moment an entry enters a
-//     metadata table, before any ack leaves the node;
+//   - the WAL (internal/wal) records every mutation in order — the
+//     write-ahead append (metadata plus, for Rep memgests, the value)
+//     the moment an entry enters a metadata table, then its commit,
+//     purge, install or reset — and is the only file an acknowledgement
+//     waits on: Sync is one fsync of its active segment;
 //   - the Bitcask store (internal/bitcask) holds one record per
-//     *committed* entry, written when the entry commits, keyed by
-//     (memgest, shard, version, key).
+//     *committed* entry, keyed by (memgest, shard, version, key), and is
+//     the checkpoint behind the log: it is written along with the WAL
+//     but fsynced only by checkpoint, once per sealed WAL segment,
+//     immediately before the segments it then covers are pruned.
 //
-// Group commit: mutations only buffer; the hosting runner (or the
-// simulator) calls MaybeSync after each event batch, which fsyncs per
-// the configured policy — and always Bitcask before the WAL. That
-// ordering is the crash-consistency backbone: a record present in the
-// durable WAL implies every Bitcask effect of earlier batches is
-// durable too, so replay never needs cross-engine ordering beyond
-// "Bitcask end-state first, then the WAL on top".
+// What a crash leaves is therefore "whatever Bitcask kept, plus a WAL
+// suffix that holds every mutation Bitcask may be missing"; replaying
+// that suffix in log order over Bitcask's entries is idempotent, so
+// neither file's fsync is ordered against the other's.
 //
-// WAL segments are pruned prefix-only, and a segment only becomes
-// prunable once every append in it is resolved — its commit landed in
-// a *synced* Bitcask record, or it was purged or reset — so pruning
-// can never orphan a committed record, and never resurrects a purged
-// version (mid-log gaps are impossible).
+// WAL segments are pruned prefix-only, up to the lowest segment still
+// holding an append whose commit, purge or reset had not reached
+// Bitcask at its last fsync — so pruning can never orphan a committed
+// record, and never resurrects a purged version (mid-log gaps are
+// impossible).
 type Durable struct {
 	w    *wal.WAL
 	db   *bitcask.DB
@@ -45,18 +46,16 @@ type Durable struct {
 	damaged bool
 
 	// unresolved maps each write-ahead append still awaiting its
-	// commit/purge to the WAL segment holding it; segLive counts the
-	// records blocking each segment from pruning.
+	// commit/purge to the WAL segment holding it; the lowest of them is
+	// where a checkpoint stops pruning.
 	unresolved map[urKey]uint64
-	segLive    map[uint64]int
-	// pendingSegs are segments owed one decrement at the next
-	// successful Sync (commit/purge/reset records, and resolved
-	// appends, stop blocking only once their Bitcask effect is synced).
-	pendingSegs []uint64
+	// sealedSeen is the WAL's sealed-segment count at the last checkpoint.
+	sealedSeen uint64
 
 	lastSync time.Duration
-	appends  uint64
-	syncs    uint64
+	stats    Stats
+	fsyncLat metrics.Histogram
+	ckptLat  metrics.Histogram
 }
 
 type urKey struct {
@@ -68,9 +67,10 @@ type urKey struct {
 type FsyncPolicy uint8
 
 const (
-	// FsyncAlways syncs after every event batch that dirtied the
-	// store: an ack implies durability. The only policy under which a
-	// crash cannot lose acknowledged writes locally.
+	// FsyncAlways syncs before every acknowledgement: no reply or ack
+	// leaves the node until the state it acknowledges is fsynced. The
+	// only policy under which a crash cannot lose acknowledged writes
+	// locally.
 	FsyncAlways FsyncPolicy = iota
 	// FsyncInterval syncs at most once per interval of the node's
 	// event clock; a crash loses at most one interval of acked writes
@@ -123,6 +123,15 @@ type ShardKey struct {
 	Shard   uint32
 }
 
+// Less orders shard keys by (memgest, shard): the order everything
+// that must replay identically walks them in.
+func (a ShardKey) Less(b ShardKey) bool {
+	if a.Memgest != b.Memgest {
+		return a.Memgest < b.Memgest
+	}
+	return a.Shard < b.Shard
+}
+
 // RecoveredEntry is one committed entry replayed from disk.
 type RecoveredEntry struct {
 	Rec proto.MetaRecord
@@ -158,6 +167,13 @@ type entryKey struct {
 	ver proto.Version
 }
 
+func (a entryKey) less(b entryKey) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return a.ver < b.ver
+}
+
 // WAL record kinds.
 const (
 	kAppend = 1 // write-ahead append: full record (+ value for Rep)
@@ -173,16 +189,46 @@ const (
 	// Memgest field records the *source* memgest.
 	kConvBegin = 5
 	kConvEnd   = 6
+	// kInstall is an entry learned through recovery: an append that is
+	// born committed. Bitcask gets the same entry, but only the WAL is
+	// fsynced before the next acknowledgement.
+	kInstall = 7
 )
 
-// OpenDurable opens (or creates) the store in fsys, replaying the
-// Bitcask keydir and the WAL into the recovered stash. Recovery ends
-// with a normalization pass: committed entries are (re)written to
-// Bitcask where missing, surviving uncommitted appends are compacted
-// into a fresh WAL generation, and the old segments are dropped — so
-// prune bookkeeping restarts exact and replay cost never accretes
-// across restarts.
-func OpenDurable(fsys wal.FS, opts DurableOptions) (*Durable, error) {
+// replayEntry is an entry during OpenDurable; inDB marks one that is
+// exactly what Bitcask holds, so normalization need not rewrite it.
+type replayEntry struct {
+	RecoveredEntry
+	inDB bool
+}
+
+// replayShard is one shard's state during OpenDurable: Bitcask's
+// entries first, then the WAL's records applied on top in log order.
+type replayShard struct {
+	entries    map[entryKey]*replayEntry
+	unresolved map[proto.Seq]entryKey // appends with no commit/purge yet
+	orphans    map[entryKey]bool      // commits whose entry is nowhere
+	convOpen   map[entryKey]proto.MetaRecord
+	maxSeq     proto.Seq
+}
+
+func newReplayShard() *replayShard {
+	return &replayShard{
+		entries:    make(map[entryKey]*replayEntry),
+		unresolved: make(map[proto.Seq]entryKey),
+		orphans:    make(map[entryKey]bool),
+		convOpen:   make(map[entryKey]proto.MetaRecord),
+	}
+}
+
+// OpenDurable opens (or creates) the store in fsys and replays it into
+// the recovered stash: Bitcask's committed entries, then the WAL in log
+// order on top. Recovery ends as a full checkpoint: Bitcask is made to
+// hold exactly the committed entries and fsynced, the surviving
+// uncommitted appends are compacted into a fresh WAL generation, and
+// the old segments are dropped — so prune bookkeeping restarts exact
+// and replay cost never accretes across restarts.
+func OpenDurable(fsys wal.FS, opts DurableOptions) (_ *Durable, err error) {
 	if opts.Interval <= 0 {
 		opts.Interval = 5 * time.Millisecond
 	}
@@ -198,33 +244,49 @@ func OpenDurable(fsys wal.FS, opts DurableOptions) (*Durable, error) {
 		opts:       opts,
 		stash:      make(map[ShardKey]*RecoveredShard),
 		unresolved: make(map[urKey]uint64),
-		segLive:    make(map[uint64]int),
 	}
+	// A failed open hands the caller nothing to close, so it closes what
+	// it opened itself, whichever step failed.
+	defer func() {
+		if err != nil {
+			d.abandon()
+		}
+	}()
 
-	// Phase 1: the WAL, in log order, into per-shard replay state.
-	type walShard struct {
-		entries    map[entryKey]*RecoveredEntry // appends; Committed set by kCommit
-		purged     map[entryKey]bool
-		unresolved map[proto.Seq]entryKey
-		deferred   []entryKey // commits whose append is not in the WAL
-		convOpen   map[entryKey]proto.MetaRecord
-		maxSeq     proto.Seq
-	}
-	walSt := make(map[ShardKey]*walShard)
-	shard := func(sk ShardKey) *walShard {
-		st, ok := walSt[sk]
+	shards := make(map[ShardKey]*replayShard)
+	shard := func(sk ShardKey) *replayShard {
+		st, ok := shards[sk]
 		if !ok {
-			st = &walShard{
-				entries:    make(map[entryKey]*RecoveredEntry),
-				purged:     make(map[entryKey]bool),
-				unresolved: make(map[proto.Seq]entryKey),
-				convOpen:   make(map[entryKey]proto.MetaRecord),
-			}
-			walSt[sk] = st
+			st = newReplayShard()
+			shards[sk] = st
 		}
 		return st
 	}
-	w, err := wal.Open(fsys, wal.Options{SegmentBytes: opts.WALSegmentBytes}, func(_ uint64, payload []byte) error {
+
+	// Phase 1: Bitcask — every committed entry it kept.
+	var dbKeys []string
+	err = db.Range(func(k string, v []byte) error {
+		sk, ek, ok := decodeDBKey(k)
+		e, ok2 := decodeEnvelope(v)
+		if !ok || !ok2 {
+			d.damaged = true
+			return nil
+		}
+		e.Rec.Committed = true
+		st := shard(sk)
+		st.entries[ek] = &replayEntry{RecoveredEntry: e, inDB: true}
+		st.maxSeq = max(st.maxSeq, e.Seq)
+		dbKeys = append(dbKeys, k)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Phase 2: the WAL on top, in log order. It holds every mutation
+	// since the last checkpoint, so whatever Bitcask kept of them —
+	// nothing, some, or all — the result is the same.
+	d.w, err = wal.Open(fsys, wal.Options{SegmentBytes: opts.WALSegmentBytes}, func(_ uint64, payload []byte) error {
 		r, ok := decodeWALRecord(payload)
 		if !ok {
 			d.damaged = true
@@ -233,222 +295,132 @@ func OpenDurable(fsys wal.FS, opts DurableOptions) (*Durable, error) {
 		st := shard(r.sk)
 		ek := entryKey{r.rec.Key, r.rec.Version}
 		switch r.kind {
-		case kAppend:
-			st.entries[ek] = &RecoveredEntry{Rec: r.rec, Seq: r.seq, Value: r.value, HasValue: r.hasValue}
-			st.unresolved[r.seq] = ek
-			delete(st.purged, ek)
+		case kAppend, kInstall:
+			delete(st.orphans, ek)
+			if old := st.entries[ek]; r.kind == kAppend && old != nil && old.Rec.Committed && old.Seq == r.seq {
+				break // Bitcask kept this append's commit: it supersedes the write-ahead copy
+			}
+			e := &replayEntry{RecoveredEntry: RecoveredEntry{Rec: r.rec, Seq: r.seq, Value: r.value, HasValue: r.hasValue}}
+			e.Rec.Committed = r.kind == kInstall
+			st.entries[ek] = e
+			if r.kind == kAppend {
+				st.unresolved[r.seq] = ek
+			}
 		case kCommit:
-			if e, ok := st.entries[ek]; ok {
+			if e := st.entries[ek]; e != nil {
 				e.Rec.Committed = true
 			} else {
-				st.deferred = append(st.deferred, ek)
+				st.orphans[ek] = true
 			}
 			delete(st.unresolved, r.seq)
 		case kPurge:
 			delete(st.entries, ek)
-			st.purged[ek] = true
-			if r.seq != 0 {
-				delete(st.unresolved, r.seq)
-			}
+			delete(st.orphans, ek)
+			delete(st.unresolved, r.seq)
 		case kConvBegin:
 			st.convOpen[ek] = r.rec
 		case kConvEnd:
 			delete(st.convOpen, ek)
 		case kReset:
-			delete(walSt, r.sk)
+			// Voids what Bitcask kept of the shard too, not only the log.
+			*st = *newReplayShard()
 			return nil
 		default:
 			d.damaged = true
 			return nil
 		}
-		if r.seq > st.maxSeq {
-			st.maxSeq = r.seq
-		}
+		st.maxSeq = max(st.maxSeq, r.seq)
 		return nil
 	})
 	if err != nil {
-		db.Close() //ring:durableok open failed, the WAL error is the one to surface
 		return nil, err
 	}
-	d.w = w
-	if w.Damaged() || db.Damaged() {
+	if d.w.Damaged() || db.Damaged() {
 		d.damaged = true
 	}
 
-	// Phase 2: the Bitcask end-state — every synced committed entry.
-	type finalShard struct {
-		entries map[entryKey]*RecoveredEntry
-		maxSeq  proto.Seq
-		full    bool // force Since = 0
-	}
-	final := make(map[ShardKey]*finalShard)
-	fshard := func(sk ShardKey) *finalShard {
-		st, ok := final[sk]
-		if !ok {
-			st = &finalShard{entries: make(map[entryKey]*RecoveredEntry)}
-			final[sk] = st
-		}
-		return st
-	}
-	err = db.Range(func(k string, v []byte) error {
-		sk, ek, ok := decodeDBKey(k)
-		if !ok {
-			d.damaged = true
-			return nil
-		}
-		e, ok := decodeEnvelope(v)
-		if !ok {
-			d.damaged = true
-			return nil
-		}
-		e.Rec.Committed = true
-		st := fshard(sk)
-		st.entries[ek] = &e
-		if e.Seq > st.maxSeq {
-			st.maxSeq = e.Seq
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 3: merge the WAL on top. The sync ordering (Bitcask before
-	// WAL, same group commit) means a durable WAL record implies its
-	// batch's predecessors hit Bitcask, so "end-state plus WAL deltas"
-	// is a consistent cut.
-	type pendingAppend struct {
-		sk ShardKey
-		e  *RecoveredEntry
-	}
-	var uncommitted []pendingAppend
-	for sk, st := range walSt {
-		fs := fshard(sk)
-		if st.maxSeq > fs.maxSeq {
-			fs.maxSeq = st.maxSeq
-		}
-		for ek := range st.purged {
-			delete(fs.entries, ek)
-		}
-		for ek, e := range st.entries {
-			if e.Rec.Committed {
-				if bc, ok := fs.entries[ek]; ok && bc.HasValue && !e.HasValue {
-					e.Value, e.HasValue = bc.Value, true
-				}
-				fs.entries[ek] = e
-				continue
-			}
-			if _, ok := fs.entries[ek]; ok {
-				// Committed in Bitcask supersedes the write-ahead copy.
-				delete(st.unresolved, e.Seq)
-				continue
-			}
-			uncommitted = append(uncommitted, pendingAppend{sk, e})
-		}
-		for _, ek := range st.deferred {
-			if _, ok := fs.entries[ek]; !ok {
-				// A commit marker whose entry is nowhere: durable state
-				// was lost; only a full transfer is safe.
-				fs.full = true
-			}
-		}
-	}
-
-	// Phase 4: build the stash (committed entries only — an append that
+	// Phase 3: build the stash (committed entries only — an append that
 	// never committed was never acknowledged, so dropping it is a legal
 	// outcome of the crashed operation; it still lowers Since so the
 	// group sync re-covers its range).
-	skeys := make([]ShardKey, 0, len(final))
-	for sk := range final {
+	skeys := make([]ShardKey, 0, len(shards))
+	for sk := range shards {
 		skeys = append(skeys, sk)
 	}
-	sort.Slice(skeys, func(i, j int) bool {
-		a, b := skeys[i], skeys[j]
-		if a.Memgest != b.Memgest {
-			return a.Memgest < b.Memgest
-		}
-		return a.Shard < b.Shard
-	})
+	sort.Slice(skeys, func(i, j int) bool { return skeys[i].Less(skeys[j]) })
+	type pendingAppend struct {
+		sk ShardKey
+		e  *replayEntry
+	}
+	var uncommitted []pendingAppend
 	for _, sk := range skeys {
-		fs := final[sk]
-		rs := &RecoveredShard{MaxSeq: fs.maxSeq}
-		for _, e := range fs.entries {
-			rs.Entries = append(rs.Entries, *e)
+		st := shards[sk]
+		if len(st.entries) == 0 && st.maxSeq == 0 {
+			continue // reset, and nothing since
 		}
-		sort.Slice(rs.Entries, func(i, j int) bool {
-			a, b := &rs.Entries[i], &rs.Entries[j]
-			if a.Rec.Key != b.Rec.Key {
-				return a.Rec.Key < b.Rec.Key
+		eks := make([]entryKey, 0, len(st.entries))
+		for ek := range st.entries {
+			eks = append(eks, ek)
+		}
+		sort.Slice(eks, func(i, j int) bool { return eks[i].less(eks[j]) })
+		rs := &RecoveredShard{MaxSeq: st.maxSeq, Since: st.maxSeq}
+		for _, ek := range eks {
+			e := st.entries[ek]
+			if !e.Rec.Committed {
+				uncommitted = append(uncommitted, pendingAppend{sk, e})
+				continue
 			}
-			return a.Rec.Version < b.Rec.Version
+			rs.Entries = append(rs.Entries, e.RecoveredEntry)
+			// Normalize on disk as we go: every committed entry lands in
+			// Bitcask.
+			if !e.inDB {
+				if err = db.Put(encodeDBKey(sk, ek), encodeEnvelope(&e.RecoveredEntry)); err != nil {
+					return nil, err
+				}
+			}
+		}
+		for seq := range st.unresolved {
+			rs.Since = min(rs.Since, seq-1)
+		}
+		// A conversion journaled open whose destination version never
+		// committed rolled back at the crash: the uncommitted append (if
+		// any survived) is dropped above, so the key remains in its
+		// source scheme.
+		for ek, rec := range st.convOpen {
+			if e := st.entries[ek]; e == nil || !e.Rec.Committed {
+				rs.OpenConverts = append(rs.OpenConverts, rec)
+			}
+		}
+		sort.Slice(rs.OpenConverts, func(i, j int) bool {
+			a, b := &rs.OpenConverts[i], &rs.OpenConverts[j]
+			return entryKey{a.Key, a.Version}.less(entryKey{b.Key, b.Version})
 		})
-		rs.Since = fs.maxSeq
-		if st, ok := walSt[sk]; ok {
-			for seq := range st.unresolved {
-				if seq-1 < rs.Since {
-					rs.Since = seq - 1
-				}
-			}
-			// A conversion journaled open whose destination version never
-			// committed rolled back at the crash: the uncommitted append
-			// (if any survived) is dropped above, so the key remains in
-			// its source scheme.
-			for ek, rec := range st.convOpen {
-				if _, committed := fs.entries[ek]; !committed {
-					rs.OpenConverts = append(rs.OpenConverts, rec)
-				}
-			}
-			sort.Slice(rs.OpenConverts, func(i, j int) bool {
-				a, b := &rs.OpenConverts[i], &rs.OpenConverts[j]
-				if a.Key != b.Key {
-					return a.Key < b.Key
-				}
-				return a.Version < b.Version
-			})
-		}
-		if fs.full || d.damaged {
+		// A commit marker whose entry is nowhere means durable state was
+		// lost; only a full transfer is safe.
+		if len(st.orphans) > 0 || d.damaged {
 			rs.Since = 0
 		}
 		d.stash[sk] = rs
 	}
 
-	// Phase 5: normalize on disk. Committed entries all land in
-	// Bitcask; the WAL is rewritten to hold exactly the surviving
-	// uncommitted appends.
-	for _, sk := range skeys {
-		fs := final[sk]
-		eks := make([]entryKey, 0, len(fs.entries))
-		for ek := range fs.entries {
-			eks = append(eks, ek)
-		}
-		sort.Slice(eks, func(i, j int) bool {
-			if eks[i].key != eks[j].key {
-				return eks[i].key < eks[j].key
-			}
-			return eks[i].ver < eks[j].ver
-		})
-		for _, ek := range eks {
-			e := fs.entries[ek]
-			env := encodeEnvelope(e)
-			key := encodeDBKey(sk, ek)
-			if cur, ok, err := db.Get(key); err == nil && ok && bytes.Equal(cur, env) {
-				continue
-			}
-			if err := db.Put(key, env); err != nil {
+	// Phase 4: finish the checkpoint. Bitcask drops what the WAL purged or
+	// reset after Bitcask last heard of it and is fsynced; only then is
+	// the WAL rewritten to hold exactly the surviving uncommitted appends.
+	for _, key := range dbKeys {
+		sk, ek, _ := decodeDBKey(key)
+		if e := shards[sk].entries[ek]; e == nil || !e.Rec.Committed {
+			if err = db.Delete(key); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if err := db.Sync(); err != nil {
+	if err = db.Sync(); err != nil {
 		return nil, err
 	}
 	sort.Slice(uncommitted, func(i, j int) bool {
 		a, b := uncommitted[i], uncommitted[j]
 		if a.sk != b.sk {
-			if a.sk.Memgest != b.sk.Memgest {
-				return a.sk.Memgest < b.sk.Memgest
-			}
-			return a.sk.Shard < b.sk.Shard
+			return a.sk.Less(b.sk)
 		}
 		return a.e.Seq < b.e.Seq
 	})
@@ -456,15 +428,24 @@ func OpenDurable(fsys wal.FS, opts DurableOptions) (*Durable, error) {
 	for i, p := range uncommitted {
 		recs[i] = encodeWALRecord(kAppend, p.sk, p.e.Seq, &p.e.Rec, p.e.Value, p.e.HasValue)
 	}
-	segs, err := w.Compact(recs)
+	segs, err := d.w.Compact(recs)
 	if err != nil {
 		return nil, err
 	}
 	for i, p := range uncommitted {
 		d.unresolved[urKey{p.sk, p.e.Seq}] = segs[i]
-		d.segLive[segs[i]]++
 	}
 	return d, nil
+}
+
+// abandon closes both engines after a failed open.
+//
+//ring:durableok the open failed; its error is the one to surface
+func (d *Durable) abandon() {
+	if d.w != nil {
+		d.w.Close()
+	}
+	d.db.Close()
 }
 
 // Recovered returns the replayed durable state, keyed by shard. The
@@ -476,46 +457,56 @@ func (d *Durable) Recovered() map[ShardKey]*RecoveredShard { return d.stash }
 // bytes (every stash shard then carries Since == 0).
 func (d *Durable) Damaged() bool { return d.damaged }
 
+// journal appends one record to the WAL.
+func (d *Durable) journal(kind byte, sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, value []byte, hasValue bool) error {
+	_, err := d.w.AppendFramed(encodeWALRecord(kind, sk, seq, rec, value, hasValue))
+	return err
+}
+
+// put writes a committed entry's Bitcask record.
+func (d *Durable) put(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, value []byte, hasValue bool) error {
+	e := RecoveredEntry{Rec: *rec, Seq: seq, Value: value, HasValue: hasValue}
+	e.Rec.Committed = true
+	return d.db.Put(encodeDBKey(sk, entryKey{rec.Key, rec.Version}), encodeEnvelope(&e))
+}
+
 // Append persists a write-ahead append: the entry just added to a
 // metadata table, before any ack references it. value rides along for
 // Rep memgests (hasValue); SRS appends are metadata-only.
 func (d *Durable) Append(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, value []byte, hasValue bool) error {
-	seg, err := d.w.Append(encodeWALRecord(kAppend, sk, seq, rec, value, hasValue))
+	seg, err := d.w.AppendFramed(encodeWALRecord(kAppend, sk, seq, rec, value, hasValue))
 	if err != nil {
 		return err
 	}
 	d.unresolved[urKey{sk, seq}] = seg
-	d.segLive[seg]++
-	d.appends++
+	d.stats.Appends++
 	return nil
 }
 
 // Commit persists an entry's commit: the full record goes to Bitcask
 // and a slim marker to the WAL, resolving the matching append.
 func (d *Durable) Commit(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, value []byte, hasValue bool) error {
-	e := RecoveredEntry{Rec: *rec, Seq: seq, Value: value, HasValue: hasValue}
-	e.Rec.Committed = true
-	if err := d.db.Put(encodeDBKey(sk, entryKey{rec.Key, rec.Version}), encodeEnvelope(&e)); err != nil {
+	if err := d.put(sk, seq, rec, value, hasValue); err != nil {
 		return err
 	}
 	slim := proto.MetaRecord{Key: rec.Key, Version: rec.Version}
-	seg, err := d.w.Append(encodeWALRecord(kCommit, sk, seq, &slim, nil, false))
-	if err != nil {
+	if err := d.journal(kCommit, sk, seq, &slim, nil, false); err != nil {
 		return err
 	}
-	d.segLive[seg]++
-	d.pendingSegs = append(d.pendingSegs, seg)
-	d.resolve(sk, seq)
+	delete(d.unresolved, urKey{sk, seq})
 	return nil
 }
 
 // Install persists an entry learned through recovery (already
-// committed group-wide): Bitcask only — there is no append to resolve
-// and no ordering against the WAL to keep.
+// committed group-wide). The WAL record is what makes it durable ahead
+// of the next acknowledgement: without it a crash before the next
+// checkpoint would lose the entry *below* a durable MaxSeq, where no
+// delta sync would ever look for it again.
 func (d *Durable) Install(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, value []byte, hasValue bool) error {
-	e := RecoveredEntry{Rec: *rec, Seq: seq, Value: value, HasValue: hasValue}
-	e.Rec.Committed = true
-	return d.db.Put(encodeDBKey(sk, entryKey{rec.Key, rec.Version}), encodeEnvelope(&e))
+	if err := d.put(sk, seq, rec, value, hasValue); err != nil {
+		return err
+	}
+	return d.journal(kInstall, sk, seq, rec, value, hasValue)
 }
 
 // Purge removes a version (GC of superseded versions, or abort of an
@@ -525,15 +516,10 @@ func (d *Durable) Purge(sk ShardKey, seq proto.Seq, key string, ver proto.Versio
 		return err
 	}
 	slim := proto.MetaRecord{Key: key, Version: ver}
-	seg, err := d.w.Append(encodeWALRecord(kPurge, sk, seq, &slim, nil, false))
-	if err != nil {
+	if err := d.journal(kPurge, sk, seq, &slim, nil, false); err != nil {
 		return err
 	}
-	d.segLive[seg]++
-	d.pendingSegs = append(d.pendingSegs, seg)
-	if seq != 0 {
-		d.resolve(sk, seq)
-	}
+	delete(d.unresolved, urKey{sk, seq})
 	return nil
 }
 
@@ -543,26 +529,14 @@ func (d *Durable) Purge(sk ShardKey, seq proto.Seq, key string, ver proto.Versio
 // with its Memgest field recording the source memgest. A begin without
 // a matching end after a crash marks a transition that rolled back.
 func (d *Durable) ConvertBegin(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord) error {
-	seg, err := d.w.Append(encodeWALRecord(kConvBegin, sk, seq, rec, nil, false))
-	if err != nil {
-		return err
-	}
-	d.segLive[seg]++
-	d.pendingSegs = append(d.pendingSegs, seg)
-	return nil
+	return d.journal(kConvBegin, sk, seq, rec, nil, false)
 }
 
 // ConvertEnd journals the close of a scheme transition — on commit it
 // must be appended before the client ack escapes (the ackorder journal
 // barrier); on abort it simply closes the window.
 func (d *Durable) ConvertEnd(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord) error {
-	seg, err := d.w.Append(encodeWALRecord(kConvEnd, sk, seq, rec, nil, false))
-	if err != nil {
-		return err
-	}
-	d.segLive[seg]++
-	d.pendingSegs = append(d.pendingSegs, seg)
-	return nil
+	return d.journal(kConvEnd, sk, seq, rec, nil, false)
 }
 
 // Reset voids all durable state of a shard — the node shed the role,
@@ -572,122 +546,139 @@ func (d *Durable) Reset(sk ShardKey) error {
 	if _, err := d.db.DeletePrefix(string(encodeDBPrefix(sk))); err != nil {
 		return err
 	}
-	seg, err := d.w.Append(encodeWALRecord(kReset, sk, 0, &proto.MetaRecord{}, nil, false))
-	if err != nil {
+	if err := d.journal(kReset, sk, 0, &proto.MetaRecord{}, nil, false); err != nil {
 		return err
 	}
-	d.segLive[seg]++
-	d.pendingSegs = append(d.pendingSegs, seg)
-	for uk, aseg := range d.unresolved {
+	for uk := range d.unresolved {
 		if uk.sk == sk {
 			delete(d.unresolved, uk)
-			d.pendingSegs = append(d.pendingSegs, aseg)
 		}
 	}
 	delete(d.stash, sk)
 	return nil
 }
 
-func (d *Durable) resolve(sk ShardKey, seq proto.Seq) {
-	uk := urKey{sk, seq}
-	if seg, ok := d.unresolved[uk]; ok {
-		delete(d.unresolved, uk)
-		d.pendingSegs = append(d.pendingSegs, seg)
+// Dirty reports whether unsynced mutations exist. Every mutation
+// writes a WAL record, so the WAL alone answers.
+func (d *Durable) Dirty() bool { return d.w.Dirty() }
+
+// MaybeSync applies the fsync policy on behalf of a batch that owes an
+// acknowledgement (acks of them, for the per-sync statistics) or a
+// tick; now is the node's event clock. The hosting runner must not
+// emit the batch's outputs if this fails: an un-fsyncable disk means
+// acks can no longer promise durability, so the node crash-stops
+// instead (fsyncgate semantics).
+func (d *Durable) MaybeSync(now time.Duration, acks int) error {
+	switch {
+	case !d.Dirty() || d.opts.Policy == FsyncNever:
+		return nil
+	case d.opts.Policy == FsyncInterval && now-d.lastSync < d.opts.Interval:
+		return nil
 	}
+	d.lastSync = now
+	d.stats.SyncAcks += uint64(acks)
+	return d.Sync()
 }
 
-// Dirty reports whether unsynced mutations exist.
-func (d *Durable) Dirty() bool { return d.w.Dirty() || d.db.Dirty() }
-
-// MaybeSync applies the fsync policy at a group-commit boundary, where
-// now is the node's event clock. The hosting runner must not emit the
-// batch's outputs if this fails: an un-fsyncable disk means acks can
-// no longer promise durability, so the node crash-stops instead
-// (fsyncgate semantics).
-func (d *Durable) MaybeSync(now time.Duration) error {
-	switch d.opts.Policy {
-	case FsyncAlways:
-		if d.Dirty() {
-			return d.Sync()
-		}
-	case FsyncInterval:
-		if d.Dirty() && now-d.lastSync >= d.opts.Interval {
-			d.lastSync = now
-			return d.Sync()
-		}
-	case FsyncNever:
-	}
-	return nil
-}
-
-// Sync fsyncs Bitcask, then the WAL — the order the crash-consistency
-// invariant depends on — then settles prune bookkeeping and drops any
-// fully-resolved prefix of sealed WAL segments.
+// Sync is the group commit: one fsync, of the WAL's active segment.
+// When a segment sealed since the last checkpoint (or Bitcask is due a
+// merge), the checkpoint follows it.
 func (d *Durable) Sync() error {
-	if err := d.db.Sync(); err != nil {
-		return err
-	}
+	start := time.Now()
 	if err := d.w.Sync(); err != nil {
 		return err
 	}
-	d.syncs++
-	for _, seg := range d.pendingSegs {
-		d.segLive[seg]--
-	}
-	d.pendingSegs = d.pendingSegs[:0]
-	return d.checkpoint()
-}
-
-// checkpoint prunes the fully-resolved sealed prefix of the WAL and
-// compacts Bitcask once enough dead records accumulate.
-func (d *Durable) checkpoint() error {
-	sealed := d.w.SealedSegments()
-	cut := -1
-	for i, seg := range sealed {
-		if d.segLive[seg] != 0 {
-			break
-		}
-		cut = i
-	}
-	if cut >= 0 {
-		if err := d.w.PruneTo(sealed[cut] + 1); err != nil {
-			return err
-		}
-		for _, seg := range sealed[:cut+1] {
-			delete(d.segLive, seg)
-		}
-	}
-	if d.db.Dead() >= d.opts.CompactDead {
-		return d.db.Merge()
+	d.fsyncLat.Observe(time.Since(start))
+	ws := d.w.Stats()
+	d.stats.Syncs++
+	d.stats.SyncRecords, d.stats.AppendsSynced = ws.Appends, d.stats.Appends
+	if ws.Sealed != d.sealedSeen || d.db.Dead() >= d.opts.CompactDead {
+		return d.checkpoint()
 	}
 	return nil
 }
 
-// Stats is a point-in-time summary for tests and monitoring.
+// checkpoint makes Bitcask catch up with the WAL and drops the WAL
+// prefix it then covers: fsync Bitcask (merging first once enough dead
+// records piled up), then prune the sealed segments below the lowest
+// one holding an append that fsync left unresolved. The only Bitcask
+// fsync outside OpenDurable; callers have just synced the WAL, so
+// Bitcask is never made durable ahead of the log.
+func (d *Durable) checkpoint() error {
+	start := time.Now()
+	d.sealedSeen = d.w.Stats().Sealed
+	var err error
+	if d.db.Dead() >= d.opts.CompactDead {
+		err = d.db.Merge()
+	} else {
+		err = d.db.Sync()
+	}
+	if err != nil {
+		return err
+	}
+	floor := d.w.ActiveSegment()
+	for _, seg := range d.unresolved {
+		floor = min(floor, seg)
+	}
+	if err := d.w.PruneTo(floor); err != nil {
+		return err
+	}
+	d.stats.Checkpoints++
+	d.ckptLat.Observe(time.Since(start))
+	return nil
+}
+
+// Stats is the durable tier's instrumentation: a point-in-time copy for
+// /debug/ringvars, `ringctl stats` and tests.
 type Stats struct {
-	Appends     uint64
-	Syncs       uint64
-	Unresolved  int
-	WALSegments int
-	DataFiles   int
-	LiveKeys    int
+	// Appends counts write-ahead appends; AppendsSynced those of them a
+	// Sync has made durable (each is then free to be acknowledged).
+	Appends       uint64 `json:"appends"`
+	AppendsSynced uint64 `json:"appends_synced"`
+	// Syncs counts group commits (one WAL fsync each), SyncRecords the
+	// WAL records and SyncAcks the acknowledgements they released.
+	Syncs       uint64               `json:"wal_fsyncs"`
+	SyncRecords uint64               `json:"sync_records"`
+	SyncAcks    uint64               `json:"sync_acks"`
+	Fsync       metrics.HistSnapshot `json:"wal_fsync_latency"`
+	WALBytes    uint64               `json:"wal_bytes"`
+	WALSealed   uint64               `json:"wal_segments_sealed"`
+	WALPruned   uint64               `json:"wal_segments_pruned"`
+	// Checkpoints counts Bitcask catch-ups (fsync + WAL prune).
+	Checkpoints   uint64               `json:"checkpoints"`
+	Checkpoint    metrics.HistSnapshot `json:"checkpoint_latency"`
+	BitcaskFsyncs uint64               `json:"bitcask_fsyncs"`
+	LiveKeys      int                  `json:"bitcask_live_records"`
+	DeadRecords   int                  `json:"bitcask_dead_records"`
+	Unresolved    int                  `json:"unresolved_appends"`
+	WALSegments   int                  `json:"wal_segments"`
+	DataFiles     int                  `json:"bitcask_files"`
+	// Failed is the node's sticky persist-error flag (set by core: the
+	// node crash-stops once a write or fsync failed).
+	Failed bool `json:"failed"`
 }
 
 // DurableStats reports the store's counters.
 func (d *Durable) DurableStats() Stats {
-	return Stats{
-		Appends:     d.appends,
-		Syncs:       d.syncs,
-		Unresolved:  len(d.unresolved),
-		WALSegments: len(d.w.SealedSegments()) + 1,
-		DataFiles:   len(d.db.Files()),
-		LiveKeys:    d.db.Len(),
-	}
+	s, ws := d.stats, d.w.Stats()
+	s.Fsync, s.Checkpoint = d.fsyncLat.Snapshot(), d.ckptLat.Snapshot()
+	s.WALBytes, s.WALSealed, s.WALPruned = ws.Bytes, ws.Sealed, ws.Pruned
+	s.BitcaskFsyncs = d.db.Syncs()
+	s.LiveKeys, s.DeadRecords = d.db.Len(), d.db.Dead()
+	s.Unresolved = len(d.unresolved)
+	s.WALSegments = len(d.w.SealedSegments()) + 1
+	s.DataFiles = len(d.db.Files())
+	return s
 }
 
-// Close flushes and fsyncs both engines and closes every file.
+// Close checkpoints fully — WAL, then Bitcask, then the prune — and
+// closes every file, so a cleanly stopped store reopens with nothing to
+// replay but its unresolved appends.
 func (d *Durable) Close() error {
 	err := d.Sync()
+	if err == nil {
+		err = d.checkpoint()
+	}
 	if werr := d.w.Close(); err == nil {
 		err = werr
 	}
@@ -770,9 +761,10 @@ func decodeEnvelope(b []byte) (RecoveredEntry, bool) {
 
 // WAL record: [kind u8][mg u32][shard u32][seq u64][metaRecord]
 // [hasValue u8][value]; kCommit/kPurge carry a slim record (key and
-// version only), kReset an empty one.
+// version only), kReset an empty one. The record is returned behind
+// wal.FrameHeader spare bytes, ready for AppendFramed.
 func encodeWALRecord(kind byte, sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, value []byte, hasValue bool) []byte {
-	b := make([]byte, 0, 48+len(rec.Key)+len(value))
+	b := make([]byte, wal.FrameHeader, wal.FrameHeader+48+len(rec.Key)+len(value))
 	b = append(b, kind)
 	b = binary.LittleEndian.AppendUint32(b, uint32(sk.Memgest))
 	b = binary.LittleEndian.AppendUint32(b, sk.Shard)

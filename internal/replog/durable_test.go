@@ -380,13 +380,13 @@ func TestFsyncPolicies(t *testing.T) {
 	d := openDurable(t, fs, DurableOptions{Policy: FsyncInterval, Interval: 5 * time.Millisecond})
 	base := fs.Syncs()
 	mustAppend(t, d, testSK, 1, "a", 1)
-	if err := d.MaybeSync(1 * time.Millisecond); err != nil {
+	if err := d.MaybeSync(1*time.Millisecond, 0); err != nil {
 		t.Fatal(err)
 	}
 	if fs.Syncs() != base {
 		t.Fatal("interval policy synced before the interval elapsed")
 	}
-	if err := d.MaybeSync(6 * time.Millisecond); err != nil {
+	if err := d.MaybeSync(6*time.Millisecond, 0); err != nil {
 		t.Fatal(err)
 	}
 	if fs.Syncs() == base {
@@ -395,7 +395,7 @@ func TestFsyncPolicies(t *testing.T) {
 
 	dn := openDurable(t, wal.NewMemFS(), DurableOptions{Policy: FsyncNever})
 	mustAppend(t, dn, testSK, 1, "a", 1)
-	if err := dn.MaybeSync(time.Hour); err != nil {
+	if err := dn.MaybeSync(time.Hour, 0); err != nil {
 		t.Fatal(err)
 	}
 	if dn.DurableStats().Syncs != 0 {
@@ -409,7 +409,7 @@ func TestFsyncErrorSurfaces(t *testing.T) {
 	mustAppend(t, d, testSK, 1, "a", 1)
 	boom := errors.New("fsyncgate")
 	fs.FailSyncs(boom)
-	if err := d.MaybeSync(0); !errors.Is(err, boom) {
+	if err := d.MaybeSync(0, 1); !errors.Is(err, boom) {
 		t.Fatalf("MaybeSync over failing disk = %v, want %v", err, boom)
 	}
 }

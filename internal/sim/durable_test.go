@@ -7,6 +7,7 @@ import (
 	"ring/internal/linearize"
 	"ring/internal/proto"
 	"ring/internal/replog"
+	"ring/internal/store"
 )
 
 // TestDurableChaosSeedsLinearizable is the disk-fault counterpart of
@@ -133,5 +134,72 @@ func TestDurableFsyncErrorCrashStops(t *testing.T) {
 
 	if !s.Dead(victim) {
 		t.Fatal("node with a failing disk kept running past its next group commit")
+	}
+}
+
+// TestCoordinatorKilledBetweenFanoutAndSync pins the hazard that only
+// acknowledgements waiting for the disk opens: a coordinator fans a
+// write out before its own write-ahead append is fsynced, so a kill in
+// between (here a power cut: the disk keeps an rng-chosen part of the
+// unsynced bytes) restarts it holding a MaxSeq and a version *below*
+// what its replicas hold. That is safe because a recovered coordinator
+// serves nothing until its delta sync is in: the replicas' records past
+// its floor re-install the lost entry, their MaxSeq advances its
+// sequence allocator past the lost sequence, and only then does it
+// coordinate the next write to the same key (DESIGN.md section 9). One
+// client, one key: every retry and every later write lands on the
+// entry the crash orphaned.
+func TestCoordinatorKilledBetweenFanoutAndSync(t *testing.T) {
+	const mg, key = proto.MemgestID(2), "k0" // Rep(3,3)
+	opts := replog.DurableOptions{Policy: replog.FsyncAlways}
+	lost := 0
+	for seed := int64(1); seed <= 8; seed++ {
+		cfg := mustChaosConfig(t)
+		s := New(cfg, chaosCluster(false, false).Opts, DefaultModel())
+		if err := s.EnableDurable(seed, opts); err != nil {
+			t.Fatal(err)
+		}
+		s.EnableTicks(100 * time.Microsecond)
+		h := NewChaosHarness(s, cfg, ChaosOptions{
+			Seed: seed, Clients: 1, Keys: 1, OpsPerClient: 60,
+			ThinkTime: 200 * time.Microsecond, Memgests: []proto.MemgestID{mg},
+		})
+		shard := uint32(cfg.ShardOf(store.KeyHash(key)))
+		coord := cfg.Coords[shard]
+		killed := false
+		for !h.Done() && s.Now() < 100*time.Millisecond && s.Step() {
+			if killed || s.Now() < 3*time.Millisecond {
+				continue
+			}
+			d := s.Node(coord).MetricsSnapshot().Durable
+			if d.Appends == d.AppendsSynced {
+				continue
+			}
+			// The coordinator just ran a write: append buffered, RepAppends
+			// on the wire, nothing fsynced. It is the shard's only writer
+			// in its first life, so it has allocated sequences 1..Appends.
+			killed = true
+			s.Kill(coord)
+			replayed, err := replog.OpenDurable(s.DiskFS(coord), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rs := replayed.Recovered()[replog.ShardKey{Memgest: mg, Shard: shard}]; rs == nil || uint64(rs.MaxSeq) < d.Appends {
+				lost++
+			}
+			s.At(s.Now()+time.Millisecond, func(time.Duration) { s.Restart(coord) })
+		}
+		if !killed {
+			t.Fatalf("seed %d: never caught the coordinator between fan-out and sync", seed)
+		}
+		if !h.Done() {
+			t.Errorf("seed %d: workload did not complete after the restart", seed)
+		}
+		if r := linearize.Check(h.History(), 0); r.Verdict != linearize.Linearizable {
+			t.Errorf("seed %d: %s", seed, r)
+		}
+	}
+	if lost == 0 {
+		t.Fatal("no seed in 1..8 tore the coordinator's append off its disk: the hazard was never exercised")
 	}
 }

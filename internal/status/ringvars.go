@@ -14,6 +14,7 @@ import (
 	"ring/internal/core"
 	"ring/internal/metrics"
 	"ring/internal/proto"
+	"ring/internal/replog"
 )
 
 // Ringvars is the expvar-style JSON document served at
@@ -156,6 +157,10 @@ type ClusterStats struct {
 	// HeapLive, HeapGoal and GCCycles sum go.heap_live_bytes,
 	// go.heap_goal_bytes and go.gc_cycles across the scraped processes.
 	HeapLive, HeapGoal, GCCycles int64
+	// Durable sums the durable tiers of the nodes that have one (nil when
+	// none does); Failed then means some node's is in its sticky-error
+	// state.
+	Durable *replog.Stats
 }
 
 // Aggregate folds per-node ringvars into cluster totals.
@@ -181,6 +186,12 @@ func Aggregate(nodes []Ringvars) ClusterStats {
 		}
 		cs.CommitRep = cs.CommitRep.Merge(n.CommitRep)
 		cs.CommitSRS = cs.CommitSRS.Merge(n.CommitSRS)
+		if n.Durable != nil {
+			if cs.Durable == nil {
+				cs.Durable = new(replog.Stats)
+			}
+			addDurable(cs.Durable, n.Durable)
+		}
 		for name, v := range rv.Process {
 			iv, ok := processInt64(v)
 			if !ok {
@@ -250,6 +261,27 @@ func addStats(dst *core.Stats, s core.Stats) {
 	dst.BytesMetaInstalled += s.BytesMetaInstalled
 }
 
+func addDurable(dst, s *replog.Stats) {
+	dst.Appends += s.Appends
+	dst.AppendsSynced += s.AppendsSynced
+	dst.Syncs += s.Syncs
+	dst.SyncRecords += s.SyncRecords
+	dst.SyncAcks += s.SyncAcks
+	dst.Fsync = dst.Fsync.Merge(s.Fsync)
+	dst.WALBytes += s.WALBytes
+	dst.WALSealed += s.WALSealed
+	dst.WALPruned += s.WALPruned
+	dst.Checkpoints += s.Checkpoints
+	dst.Checkpoint = dst.Checkpoint.Merge(s.Checkpoint)
+	dst.BitcaskFsyncs += s.BitcaskFsyncs
+	dst.LiveKeys += s.LiveKeys
+	dst.DeadRecords += s.DeadRecords
+	dst.Unresolved += s.Unresolved
+	dst.WALSegments += s.WALSegments
+	dst.DataFiles += s.DataFiles
+	dst.Failed = dst.Failed || s.Failed
+}
+
 // RenderStats writes the `ringctl stats` text view of one aggregation.
 func RenderStats(w io.Writer, cs ClusterStats) {
 	fmt.Fprintf(w, "nodes=%d events=%d msgs_out=%d packets_out=%d recovery_backlog=%d\n",
@@ -281,6 +313,15 @@ func RenderStats(w io.Writer, cs ClusterStats) {
 	}
 	fmt.Fprintf(w, "memory: block_used=%d block_backed=%d parity_backed=%d heap_live=%d heap_goal=%d gc_cycles=%d\n",
 		mem.BlockBytesUsed, mem.BlockBytesBacked, mem.ParityBytesBacked, cs.HeapLive, cs.HeapGoal, cs.GCCycles)
+	if d := cs.Durable; d != nil {
+		// Per group commit: the WAL records it made durable and the
+		// acknowledgements it released.
+		per := func(n uint64) float64 { return float64(n) / float64(max(d.Syncs, 1)) }
+		fmt.Fprintf(w, "durable: wal_fsyncs=%d fsync_p50<=%s fsync_p99<=%s records/sync=%.1f acks/sync=%.1f wal_bytes=%d sealed=%d pruned=%d checkpoints=%d checkpoint_p99<=%s bitcask_fsyncs=%d live=%d dead=%d unresolved=%d failed=%v\n",
+			d.Syncs, time.Duration(d.Fsync.Quantile(0.5)), time.Duration(d.Fsync.Quantile(0.99)), per(d.SyncRecords), per(d.SyncAcks),
+			d.WALBytes, d.WALSealed, d.WALPruned, d.Checkpoints, time.Duration(d.Checkpoint.Quantile(0.99)),
+			d.BitcaskFsyncs, d.LiveKeys, d.DeadRecords, d.Unresolved, d.Failed)
+	}
 	renderHist(w, "commit latency REP", cs.CommitRep)
 	renderHist(w, "commit latency SRS", cs.CommitSRS)
 }

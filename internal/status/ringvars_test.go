@@ -13,6 +13,8 @@ import (
 	"ring/internal/core"
 	"ring/internal/metrics"
 	"ring/internal/proto"
+	"ring/internal/replog"
+	"ring/internal/store"
 )
 
 // startObservedCluster boots a cluster with a status server on every
@@ -43,7 +45,10 @@ func startObservedCluster(t *testing.T, spec core.ClusterSpec) (*core.Cluster, [
 func TestRingvarsAggregateExactCounts(t *testing.T) {
 	cl, addrs := startObservedCluster(t, core.ClusterSpec{
 		Shards: 3, Redundant: 2,
-		Memgests: []proto.Scheme{proto.Rep(3, 3), proto.SRS(3, 2, 3)},
+		Memgests:    []proto.Scheme{proto.Rep(3, 3), proto.SRS(3, 2, 3)},
+		Opts:        core.Options{SyncReplication: true},
+		DataDir:     t.TempDir(),
+		DurableOpts: replog.DurableOptions{Policy: replog.FsyncAlways},
 	})
 
 	c, err := client.Dial(cl.Fabric, []string{core.NodeAddr(0)}, client.Options{Timeout: 5 * time.Second})
@@ -51,6 +56,46 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+
+	// The durable tier first, while its counters are still a function of
+	// one key: N sequential puts to the Rep(3,3) memgest are N write-ahead
+	// appends on the key's coordinator and on each of its two replicas
+	// (nodes 3 and 4), every one of them fsynced before its PutReply or
+	// RepAck left — so each of the three counts at least N WAL fsyncs and
+	// exactly N appends made durable. (SyncReplication makes the put wait
+	// for both RepAcks; under the majority quorum the replica that is not
+	// waited for may take two appends in one batch and fsync them once.)
+	// And no node has fsynced Bitcask: that waits for the first WAL
+	// segment to seal.
+	const durPuts = 8
+	for i := 0; i < durPuts; i++ {
+		if _, err := c.PutIn("dur", []byte("made durable"), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	coord := cl.Cfg.Coords[cl.Cfg.ShardOf(store.KeyHash("dur"))]
+	var rvs []Ringvars
+	for _, a := range addrs {
+		rv, err := FetchRingvars(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rvs = append(rvs, rv)
+	}
+	for _, rv := range rvs {
+		d := rv.Node.Durable
+		if d == nil || d.BitcaskFsyncs != 0 || d.Checkpoints != 0 || d.WALSealed != 0 || d.Failed {
+			t.Fatalf("node %d before its first WAL segment sealed: %+v", rv.NodeID, d)
+		}
+		if id := rv.NodeID; id == coord || id == 3 || id == 4 {
+			if d.Appends != durPuts || d.AppendsSynced != durPuts || d.Syncs < durPuts ||
+				d.Fsync.Count != d.Syncs || d.SyncRecords < 2*durPuts || d.SyncAcks < durPuts || d.WALBytes == 0 {
+				t.Fatalf("node %d after %d puts: %+v", id, durPuts, d)
+			}
+		} else if d.Appends != 0 {
+			t.Fatalf("node %d holds no copy of the key but counts %d appends", rv.NodeID, d.Appends)
+		}
+	}
 
 	// The scripted workload: 6 puts into the Rep memgest, 4 into the
 	// SRS memgest, 5 gets, 1 delete from each memgest, then 3 moves from
@@ -114,18 +159,18 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 	if cs.RunnerGoroutines < int64(len(addrs)) {
 		t.Fatalf("RunnerGoroutines = %d, want >= %d", cs.RunnerGoroutines, len(addrs))
 	}
-	if cs.Stats.Puts != 10 || cs.Stats.Gets != 5 || cs.Stats.Deletes != 2 {
+	if cs.Stats.Puts != 10+durPuts || cs.Stats.Gets != 5 || cs.Stats.Deletes != 2 {
 		t.Fatalf("cluster ops: puts=%d gets=%d deletes=%d", cs.Stats.Puts, cs.Stats.Gets, cs.Stats.Deletes)
 	}
 	// N client moves count exactly N, in the one move family.
 	if cs.Stats.Moves != 3 || cs.MovesAborted != 0 || cs.MovesReplanned != 0 {
 		t.Fatalf("cluster moves=%d aborted=%d replanned=%d, want 3/0/0", cs.Stats.Moves, cs.MovesAborted, cs.MovesReplanned)
 	}
-	if cs.Stats.Commits != 15 {
-		t.Fatalf("cluster commits = %d, want 15", cs.Stats.Commits)
+	if cs.Stats.Commits != 15+durPuts {
+		t.Fatalf("cluster commits = %d, want %d", cs.Stats.Commits, 15+durPuts)
 	}
 	mg1, mg2 := cs.Memgests[1], cs.Memgests[2]
-	if mg1.Puts != 6 || mg1.Gets != 5 || mg1.Deletes != 1 || mg1.Moves != 0 || mg1.Commits != 7 {
+	if mg1.Puts != 6+durPuts || mg1.Gets != 5 || mg1.Deletes != 1 || mg1.Moves != 0 || mg1.Commits != 7+durPuts {
 		t.Fatalf("memgest 1 counts: %+v", mg1)
 	}
 	// A move counts against the memgest it writes into.
@@ -135,7 +180,7 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 	// Commit latency histograms split by scheme kind, one sample per
 	// commit: 7 Rep (6 puts + 1 delete), 8 SRS (4 puts + 1 delete + 3
 	// moves).
-	if cs.CommitRep.Count != 7 || cs.CommitSRS.Count != 8 {
+	if cs.CommitRep.Count != 7+durPuts || cs.CommitSRS.Count != 8 {
 		t.Fatalf("commit latency samples: rep=%d srs=%d", cs.CommitRep.Count, cs.CommitSRS.Count)
 	}
 	var bucketSum uint64
@@ -151,10 +196,14 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 	RenderStats(&buf, cs)
 	out := buf.String()
 	for _, want := range []string{
-		"ops: puts=10 gets=5 deletes=2 moves=3 moves_aborted=0 moves_replanned=0",
-		"memgest 1: puts=6 gets=5 deletes=1 moves=0",
+		fmt.Sprintf("ops: puts=%d gets=5 deletes=2 moves=3 moves_aborted=0 moves_replanned=0", 10+durPuts),
+		fmt.Sprintf("memgest 1: puts=%d gets=5 deletes=1 moves=0", 6+durPuts),
 		"memgest 2: puts=4 gets=0 deletes=1 moves=3",
-		"commit latency REP: n=7",
+		fmt.Sprintf("commit latency REP: n=%d", 7+durPuts),
+		// One line for the durable tier, summed over the five nodes.
+		fmt.Sprintf("durable: wal_fsyncs=%d fsync_p50<=", cs.Durable.Syncs),
+		"bitcask_fsyncs=0 ",
+		"failed=false",
 		"commit latency SRS: n=8",
 		// 3 of the 4 SRS puts survive the delete, plus the 3 moved values.
 		fmt.Sprintf("memory: block_used=%d block_backed=", 3*len(srsVal)+3*len("replicated")),

@@ -20,6 +20,8 @@ const (
 	// maxRecord bounds a single payload; a length field beyond it is
 	// treated as tail damage, not an allocation request.
 	maxRecord = 16 << 20
+	// maxScratch bounds the frame buffer Append keeps between records.
+	maxScratch = 64 << 10
 
 	// DefaultSegmentBytes is the rotation threshold when Options leaves
 	// it zero.
@@ -49,10 +51,16 @@ type WAL struct {
 	activeIdx uint64
 	sealed    []uint64 // ascending, all synced and closed
 
+	frame   []byte // Append's scratch: the frame being written
 	dirty   bool
 	damaged bool
-	syncs   uint64
-	appends uint64
+	stats   Stats
+}
+
+// Stats counts what a WAL did since Open: records and bytes appended,
+// fsyncs issued (seals included), segments sealed and segments pruned.
+type Stats struct {
+	Appends, Bytes, Syncs, Sealed, Pruned uint64
 }
 
 // SegName returns the file name of segment idx; exported for tests and
@@ -241,10 +249,25 @@ func (w *WAL) createSegment(idx uint64) error {
 	return nil
 }
 
+// FrameHeader is the room AppendFramed needs in front of a payload.
+const FrameHeader = frameSize
+
 // Append adds one record to the log and returns the index of the
 // segment it landed in (the unit of pruning). The record is not
 // durable until the next Sync.
 func (w *WAL) Append(payload []byte) (uint64, error) {
+	frame := append(append(w.frame[:0], make([]byte, frameSize)...), payload...)
+	if cap(frame) <= maxScratch {
+		w.frame = frame
+	}
+	return w.AppendFramed(frame)
+}
+
+// AppendFramed is Append for a caller that built its payload behind
+// FrameHeader spare bytes: the header is written into frame[:FrameHeader]
+// and the record reaches the file as one File.Append, with no copy.
+func (w *WAL) AppendFramed(frame []byte) (uint64, error) {
+	payload := frame[frameSize:]
 	if len(payload) > maxRecord {
 		return 0, fmt.Errorf("wal: record of %d bytes exceeds limit", len(payload))
 	}
@@ -253,17 +276,14 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	var hdr [frameSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
-	if _, err := w.active.Append(hdr[:]); err != nil {
-		return 0, err
-	}
-	if _, err := w.active.Append(payload); err != nil {
+	binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
+	if _, err := w.active.Append(frame); err != nil {
 		return 0, err
 	}
 	w.dirty = true
-	w.appends++
+	w.stats.Appends++
+	w.stats.Bytes += uint64(len(frame))
 	return w.activeIdx, nil
 }
 
@@ -276,7 +296,8 @@ func (w *WAL) rotate() error {
 	if err := w.active.Close(); err != nil {
 		return err
 	}
-	w.syncs++
+	w.stats.Syncs++
+	w.stats.Sealed++
 	w.dirty = false
 	w.sealed = append(w.sealed, w.activeIdx)
 	return w.createSegment(w.activeIdx + 1)
@@ -291,7 +312,7 @@ func (w *WAL) Sync() error {
 		return err
 	}
 	w.dirty = false
-	w.syncs++
+	w.stats.Syncs++
 	return nil
 }
 
@@ -309,11 +330,8 @@ func (w *WAL) ActiveSegment() uint64 { return w.activeIdx }
 // SealedSegments returns the ascending indexes of sealed segments.
 func (w *WAL) SealedSegments() []uint64 { return append([]uint64(nil), w.sealed...) }
 
-// Syncs counts fsyncs issued by this WAL (including seals).
-func (w *WAL) Syncs() uint64 { return w.syncs }
-
-// Appends counts records appended by this WAL instance.
-func (w *WAL) Appends() uint64 { return w.appends }
+// Stats returns the counters of this WAL instance.
+func (w *WAL) Stats() Stats { return w.stats }
 
 // PruneTo deletes every sealed segment with index < idx. The caller
 // must only prune a *prefix* whose records are all superseded by
@@ -330,10 +348,11 @@ func (w *WAL) PruneTo(idx uint64) error {
 			// Keep the failed segment and everything not yet visited in
 			// the sealed list; replaying or re-pruning them later is
 			// merely wasteful, losing track of them is not (a dropped
-			// entry is never pruned and its segLive count never settles).
+			// entry is never pruned).
 			w.sealed = append(kept, w.sealed[i:]...)
 			return err
 		}
+		w.stats.Pruned++
 	}
 	w.sealed = kept
 	return nil
@@ -345,8 +364,8 @@ func (w *WAL) PruneTo(idx uint64) error {
 // A crash at any point leaves a log that replays to the same state —
 // old and new segments merely overlap and replay is idempotent.
 // Recovery uses this to rewrite the surviving records once, so prune
-// bookkeeping restarts exact; the returned slice gives the segment
-// each record landed in.
+// bookkeeping restarts exact; records are framed as for AppendFramed
+// and the returned slice gives the segment each one landed in.
 func (w *WAL) Compact(records [][]byte) ([]uint64, error) {
 	oldSealed := append([]uint64(nil), w.sealed...)
 	oldActive := w.activeIdx
@@ -362,7 +381,7 @@ func (w *WAL) Compact(records [][]byte) ([]uint64, error) {
 	}
 	segs := make([]uint64, len(records))
 	for i, rec := range records {
-		seg, err := w.Append(rec)
+		seg, err := w.AppendFramed(rec)
 		if err != nil {
 			return nil, err
 		}

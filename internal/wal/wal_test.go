@@ -245,7 +245,9 @@ func TestCompactRewritesLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	keep := [][]byte{[]byte("survivor-1"), []byte("survivor-2")}
+	// Compact takes records framed as for AppendFramed.
+	hdr := make([]byte, FrameHeader)
+	keep := [][]byte{append(hdr[:FrameHeader:FrameHeader], "survivor-1"...), append(hdr[:FrameHeader:FrameHeader], "survivor-2"...)}
 	segs, err := w.Compact(keep)
 	if err != nil {
 		t.Fatal(err)
