@@ -135,6 +135,27 @@ func TestDurableReproSchedules(t *testing.T) {
 	}
 }
 
+// TestElasticityReproSchedules pins the shrunk repros of elasticity
+// seeds 41 and 127: stale reads from leave/join/kill alone, no message
+// loss. Both were one bug — evicting a spare took a second spare out of
+// the configuration with it (stripRoles, now core.evict), so after
+// `leave:5` healthy node 6 was no longer a member and was never told.
+func TestElasticityReproSchedules(t *testing.T) {
+	for _, tc := range []struct{ name, seed, schedule string }{
+		{"spare-leak-41", "41", "1.266648ms:leave:5;3.007224ms:join:5;9.207951ms:leave:1;12.656982ms:join:1;24.212436ms:leave:5"},
+		{"spare-leak-127", "127", "1.38407ms:leave:1;3.303297ms:join:1;6.140004ms:leave:2;7.898554ms:join:2;12.347831ms:kill:0;12.881046ms:restart:0;18.31042ms:leave:2;30.399853ms:leave:5;35.115352ms:join:5"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out, errw strings.Builder
+			args := []string{"-elasticity", "-seed", tc.seed, "-schedule", tc.schedule}
+			if code := run(args, &out, &errw); code != 0 {
+				t.Fatalf("repro `ringchaos %s` failed (exit %d)\n%s%s",
+					strings.Join(args, " "), code, out.String(), errw.String())
+			}
+		})
+	}
+}
+
 func TestBadFlags(t *testing.T) {
 	var out, errw strings.Builder
 	if code := run([]string{"-seeds", "9:1"}, &out, &errw); code != 2 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"ring/internal/proto"
@@ -24,34 +25,23 @@ func (n *Node) handleTick() {
 	n.moveTick()
 }
 
-// leaderTick sends heartbeats and checks follower liveness.
+// leaderTick drives a pending fence, checks follower liveness, and
+// sends heartbeats — last, so that they carry the epoch of whatever the
+// tick announced and a member that got the announce acks that epoch.
 func (n *Node) leaderTick() {
+	n.reconfigTick()
+	// Failure detection: one reconfiguration at a time keeps reasoning
+	// simple, so evict the first silent node there is a change to make
+	// for (with no spare left a dead role-holder keeps its slots, and
+	// must not hide the silent nodes after it).
 	for _, id := range n.cfg.AllNodes() {
-		if id == n.id {
-			continue
+		if id != n.id && n.now-n.lastAck[id] > n.opts.FailAfter && n.propose(evict(id), proto.NilNode, noReply) {
+			break
 		}
-		n.sendNode(id, &proto.Heartbeat{Epoch: n.cfg.Epoch})
 	}
-	if n.pendingResize != nil {
-		// A leave fence is in flight; it owns reconfiguration until it
-		// completes (failure detection would race it to the same epoch).
-		n.resizeTick()
-		return
-	}
-	// Failure detection: promote a spare for the first node that went
-	// silent (one reconfiguration at a time keeps reasoning simple).
 	for _, id := range n.cfg.AllNodes() {
-		if id == n.id {
-			continue
-		}
-		last, ok := n.lastAck[id]
-		if !ok {
-			n.lastAck[id] = n.now
-			continue
-		}
-		if n.now-last > n.opts.FailAfter {
-			n.replaceNode(id)
-			return
+		if id != n.id {
+			n.sendNode(id, &proto.Heartbeat{Epoch: n.cfg.Epoch})
 		}
 	}
 }
@@ -74,7 +64,7 @@ func (n *Node) followerTick() {
 		return
 	}
 	n.lastHeartbeat = n.now // avoid re-triggering while reconfiguring
-	n.becomeLeaderAndReplace(n.cfg.Leader)
+	n.propose(takeover(n.id, n.cfg.Leader), proto.NilNode, noReply)
 }
 
 // successor returns the lowest node ID in the config excluding the
@@ -90,61 +80,30 @@ func (n *Node) successor(dead proto.NodeID) proto.NodeID {
 	return n.id
 }
 
-// becomeLeaderAndReplace assumes leadership with a bumped epoch and
-// substitutes a spare for the dead node's roles.
-func (n *Node) becomeLeaderAndReplace(dead proto.NodeID) {
-	cfg := n.cfg.Clone()
-	cfg.Epoch++
-	cfg.Leader = n.id
-	n.cfg = cfg
-	for _, id := range cfg.AllNodes() {
-		n.lastAck[id] = n.now
-	}
-	n.replaceNode(dead)
-}
-
-// replaceNode builds and broadcasts a new configuration in which the
-// first spare takes over every role of the failed node. With no spare
-// available the node is removed from the spare list only; coordinator
-// and redundancy roles it held become unavailable until an operator
-// adds capacity — matching the paper's deployment assumption of
-// provisioned spares.
-func (n *Node) replaceNode(dead proto.NodeID) {
-	cfg := n.cfg.Clone()
-	cfg.Epoch++
-	delete(n.lastAck, dead)
-	stripRoles(cfg, dead)
-	n.pushConfig(cfg)
-}
-
-// pushConfig installs a new configuration locally and replicates it to
-// every node (the membership log entry of Section 5.5: "the leader
-// replicates an entry over the log, which consists of the new
-// responsibilities for all of the nodes").
-func (n *Node) pushConfig(cfg *proto.Config) {
-	n.installConfig(cfg, false)
-	for _, id := range cfg.AllNodes() {
-		if id == n.id {
-			continue
-		}
-		n.sendNode(id, &proto.ConfigPush{Config: cfg.Clone()})
-	}
-}
-
 func (n *Node) handleHeartbeat(from string, m *proto.Heartbeat) {
 	if m.Epoch < n.cfg.Epoch {
 		return // stale leader
 	}
 	n.lastHeartbeat = n.now
-	n.send(from, &proto.HeartbeatAck{Epoch: m.Epoch})
+	// The ack says what this node has installed, not what it was sent:
+	// a leader ahead of it re-pushes.
+	n.send(from, &proto.HeartbeatAck{Epoch: n.cfg.Epoch})
 }
 
+// handleHeartbeatAck records a member's liveness and repairs a lost
+// ConfigPush: a member still below the leader's epoch is sent the
+// current configuration again, once per heartbeat it answers.
 func (n *Node) handleHeartbeatAck(from string, m *proto.HeartbeatAck) {
-	if !n.IsLeader() || m.Epoch != n.cfg.Epoch {
+	id, ok := parseNodeAddr(from)
+	if !ok || !n.IsLeader() {
 		return
 	}
-	if id, ok := parseNodeAddr(from); ok {
-		n.lastAck[id] = n.now
+	if _, member := n.lastAck[id]; !member {
+		return // an ack in flight must not outlive its sender's membership
+	}
+	n.lastAck[id] = n.now
+	if m.Epoch < n.cfg.Epoch {
+		n.repush(id, n.cfg)
 	}
 }
 
@@ -167,112 +126,90 @@ func (n *Node) handleConfigPush(from string, m *proto.ConfigPush) {
 	n.send(from, &proto.ConfigAck{Epoch: m.Config.Epoch})
 }
 
+// memgestReply answers a memgest verb; id and scheme ride only on
+// success.
+func (n *Node) memgestReply(from string, req proto.ReqID, id proto.MemgestID, sc proto.Scheme) replyFunc {
+	return func(st proto.Status, _ uint32, _ proto.Epoch) {
+		r := &proto.MemgestReply{Req: req, Status: st}
+		if st == proto.StOK {
+			r.Memgest, r.Scheme = id, sc
+		}
+		n.send(from, r)
+	}
+}
+
 // handleCreateMemgest processes the leader-only createMemgest request:
 // validate the descriptor, place its redundancy, assign an ID, and
 // replicate the new configuration.
 func (n *Node) handleCreateMemgest(from string, m *proto.CreateMemgest) {
-	if !n.IsLeader() {
-		n.send(from, &proto.MemgestReply{Req: m.Req, Status: proto.StWrongNode})
-		return
-	}
-	if n.pendingResize != nil {
-		n.send(from, &proto.MemgestReply{Req: m.Req, Status: proto.StRetry})
-		return
-	}
-	sc := m.Scheme
-	reject := func() {
-		n.send(from, &proto.MemgestReply{Req: m.Req, Status: proto.StInvalid})
-	}
-	if err := sc.Validate(); err != nil {
-		reject()
-		return
-	}
-	s, d := len(n.cfg.Coords), len(n.cfg.Redundant)
-	if sc.S != s {
-		reject() // every memgest in the group shares the same s
-		return
-	}
-	switch sc.Kind {
-	case proto.SchemeSRS:
-		if sc.M > d {
-			reject() // d bounds the number of parity nodes
-			return
+	sc, id := m.Scheme, n.nextMgID // installConfig moves nextMgID past it
+	n.propose(func(cfg *proto.Config) proto.Status {
+		s, d := len(cfg.Coords), len(cfg.Redundant)
+		switch {
+		case sc.Validate() != nil,
+			sc.S != s,                                // every memgest in the group shares the same s
+			sc.Kind == proto.SchemeSRS && sc.M > d,   // d bounds the number of parity nodes
+			sc.Kind == proto.SchemeRep && sc.R > s+d: // s+d bounds the replication factor
+			return proto.StInvalid
 		}
-	case proto.SchemeRep:
-		if sc.R > s+d {
-			reject() // s+d bounds the replication factor
-			return
+		cfg.Memgests = append(cfg.Memgests, proto.MemgestInfo{
+			ID:        id,
+			Scheme:    sc,
+			Redundant: slices.Clone(cfg.Redundant),
+		})
+		if cfg.Default == 0 {
+			cfg.Default = id
 		}
-	}
-	id := n.nextMgID
-	n.nextMgID++
-	cfg := n.cfg.Clone()
-	cfg.Epoch++
-	cfg.Memgests = append(cfg.Memgests, proto.MemgestInfo{
-		ID:        id,
-		Scheme:    sc,
-		Redundant: append([]proto.NodeID(nil), cfg.Redundant...),
-	})
-	if cfg.Default == 0 {
-		cfg.Default = id
-	}
-	n.pushConfig(cfg)
-	n.send(from, &proto.MemgestReply{Req: m.Req, Status: proto.StOK, Memgest: id, Scheme: sc})
+		return proto.StOK
+	}, proto.NilNode, n.memgestReply(from, m.Req, id, sc))
 }
 
 // handleDeleteMemgest removes a memgest cluster-wide. Keys stored only
 // in it become unavailable; callers are expected to have moved them.
 func (n *Node) handleDeleteMemgest(from string, m *proto.DeleteMemgest) {
-	if !n.IsLeader() {
-		n.send(from, &proto.MemgestReply{Req: m.Req, Status: proto.StWrongNode})
-		return
-	}
-	if n.pendingResize != nil {
-		n.send(from, &proto.MemgestReply{Req: m.Req, Status: proto.StRetry})
-		return
-	}
-	if n.cfg.Memgest(m.Memgest) == nil {
-		n.send(from, &proto.MemgestReply{Req: m.Req, Status: proto.StNoMemgest})
-		return
-	}
-	cfg := n.cfg.Clone()
-	cfg.Epoch++
-	for i := range cfg.Memgests {
-		if cfg.Memgests[i].ID == m.Memgest {
-			cfg.Memgests = append(cfg.Memgests[:i], cfg.Memgests[i+1:]...)
-			break
+	n.propose(func(cfg *proto.Config) proto.Status {
+		i := slices.IndexFunc(cfg.Memgests, func(mi proto.MemgestInfo) bool { return mi.ID == m.Memgest })
+		if i < 0 {
+			return proto.StNoMemgest
 		}
-	}
-	if cfg.Default == m.Memgest {
-		cfg.Default = 0
-		if len(cfg.Memgests) > 0 {
-			cfg.Default = cfg.Memgests[0].ID
+		cfg.Memgests = slices.Delete(cfg.Memgests, i, i+1)
+		if cfg.Default == m.Memgest {
+			cfg.Default = 0
+			if len(cfg.Memgests) > 0 {
+				cfg.Default = cfg.Memgests[0].ID
+			}
 		}
-	}
-	n.pushConfig(cfg)
-	n.send(from, &proto.MemgestReply{Req: m.Req, Status: proto.StOK, Memgest: m.Memgest})
+		return proto.StOK
+	}, proto.NilNode, n.memgestReply(from, m.Req, m.Memgest, proto.Scheme{}))
 }
 
 // handleSetDefault changes the memgest used by puts without an
 // explicit memgest argument.
 func (n *Node) handleSetDefault(from string, m *proto.SetDefault) {
-	if !n.IsLeader() {
-		n.send(from, &proto.MemgestReply{Req: m.Req, Status: proto.StWrongNode})
-		return
+	n.propose(func(cfg *proto.Config) proto.Status {
+		if cfg.Memgest(m.Memgest) == nil {
+			return proto.StNoMemgest
+		}
+		cfg.Default = m.Memgest
+		return proto.StOK
+	}, proto.NilNode, n.memgestReply(from, m.Req, m.Memgest, proto.Scheme{}))
+}
+
+// handleResize processes an operator's join or leave. A join is a pure
+// configuration broadcast; a leave is fenced behind the departing node.
+func (n *Node) handleResize(from string, m *proto.Resize) {
+	req := m.Req // a fenced leave answers after this handler returned
+	reply := func(st proto.Status, moved uint32, epoch proto.Epoch) {
+		n.send(from, &proto.ResizeReply{Req: req, Status: st, Moved: moved, Epoch: epoch})
 	}
-	if n.pendingResize != nil {
-		n.send(from, &proto.MemgestReply{Req: m.Req, Status: proto.StRetry})
-		return
+	switch m.Op {
+	case proto.ResizeJoin:
+		n.propose(admit(m.Node), proto.NilNode, reply)
+	case proto.ResizeLeave:
+		n.propose(leave(m.Node), m.Node, reply)
+	default:
+		reply(proto.StInvalid, 0, 0)
 	}
-	if n.cfg.Memgest(m.Memgest) == nil {
-		n.send(from, &proto.MemgestReply{Req: m.Req, Status: proto.StNoMemgest})
-		return
-	}
-	cfg := n.cfg.Clone()
-	cfg.Epoch++
-	cfg.Default = m.Memgest
-	n.pushConfig(cfg)
-	n.send(from, &proto.MemgestReply{Req: m.Req, Status: proto.StOK, Memgest: m.Memgest})
 }
 
 // handleGetDescriptor serves a memgest's scheme from any node.

@@ -200,13 +200,19 @@ func (n *Node) installConfig(cfg *proto.Config, bootstrap bool) {
 	n.cfg = cfg
 	n.prev = prev
 	if cfg.Leader == n.id {
-		// Seed liveness tracking so freshly learned nodes are not
-		// instantly declared dead.
+		// Liveness is tracked for exactly the members. A node that left
+		// is forgotten; one just learned of, and every one at the start
+		// of a term, is not instantly declared dead on what an earlier
+		// term or membership last heard.
+		led := prev != nil && prev.Leader == n.id
+		lastAck := make(map[proto.NodeID]time.Duration)
 		for _, id := range cfg.AllNodes() {
-			if _, ok := n.lastAck[id]; !ok {
-				n.lastAck[id] = n.now
+			lastAck[id] = n.now
+			if last, ok := n.lastAck[id]; ok && led {
+				lastAck[id] = last
 			}
 		}
+		n.lastAck = lastAck
 		// Memgest IDs continue above anything in the config.
 		for _, mi := range cfg.Memgests {
 			if mi.ID >= n.nextMgID {
@@ -335,10 +341,10 @@ func (n *Node) installConfig(cfg *proto.Config, bootstrap bool) {
 	if n.durStash != nil && !n.rejoining {
 		n.resetUnconsumedStash()
 	}
-	// A pending leave fence is void if another configuration overtook
-	// it; open move windows were planned against the previous
-	// configuration — abort and relaunch them.
-	n.abandonResize(cfg)
+	// A pending change and the open move windows were planned against
+	// the previous configuration: the change is void, the windows abort
+	// and relaunch.
+	n.abandonPending()
 	n.replanMoves()
 }
 

@@ -45,10 +45,15 @@ type NodeMetrics struct {
 	// (queued + in flight); it drains to zero as a failover heals.
 	RecoveryBacklog metrics.Gauge
 	// ShardsMoved counts placement slots the leader actually reassigned
-	// across resizes — the minimal-movement metric the elasticity tests
-	// assert on (a join moves zero; a leave moves only the departing
-	// node's slots).
+	// across configuration changes — the minimal-movement metric the
+	// elasticity tests assert on (a join moves zero; a leave or a
+	// failover moves only the departed node's slots).
 	ShardsMoved metrics.Counter
+	// ConfigRepushes counts configurations the leader sent a second
+	// time: a fence its departing node has not acknowledged, or the
+	// current configuration to a member whose heartbeat ack showed an
+	// older epoch. Zero on a fabric that loses nothing.
+	ConfigRepushes metrics.Counter
 	// MovesReplanned counts move windows aborted and relaunched because
 	// a configuration change invalidated their in-flight destination
 	// write.
@@ -125,6 +130,7 @@ type MetricsSnapshot struct {
 	InboxHighWater  int64                               `json:"inbox_high_water"`
 	RecoveryBacklog int64                               `json:"recovery_backlog"`
 	ShardsMoved     uint64                              `json:"shards_moved"`
+	ConfigRepushes  uint64                              `json:"config_repushes"`
 	MovesReplanned  uint64                              `json:"moves_replanned"`
 	MovesAborted    uint64                              `json:"moves_aborted"`
 	CommitRep       metrics.HistSnapshot                `json:"commit_latency_rep"`
@@ -150,6 +156,7 @@ func (n *Node) MetricsSnapshot() MetricsSnapshot {
 		InboxHighWater:  m.InboxHighWater.Load(),
 		RecoveryBacklog: m.RecoveryBacklog.Load(),
 		ShardsMoved:     m.ShardsMoved.Load(),
+		ConfigRepushes:  m.ConfigRepushes.Load(),
 		MovesReplanned:  m.MovesReplanned.Load(),
 		MovesAborted:    m.MovesAborted.Load(),
 		CommitRep:       m.CommitRep.Snapshot(),

@@ -119,7 +119,8 @@ type Node struct {
 	// mg is the per-memgest state for every role this node plays.
 	mg map[proto.MemgestID]*mgState
 
-	// Leader state.
+	// Leader state. lastAck holds when each member last answered a
+	// heartbeat; installConfig keeps its keys exactly the members.
 	lastAck  map[proto.NodeID]time.Duration
 	nextMgID proto.MemgestID
 	// Follower state.
@@ -149,11 +150,9 @@ type Node struct {
 	// them (node-local, never crosses the wire).
 	bulkMoves  map[string]*bulkMove
 	nextBulkID uint64
-	// pendingResize is the leader's in-flight leave fence (one at a
-	// time): the new configuration is pushed to the departing node
-	// first, and announced cluster-wide only once that node acked it
-	// (or went silent past FailAfter).
-	pendingResize *resizeState
+	// pendingChange is the leader's configuration change held back behind a
+	// fence (one at a time; see reconfig.go, which owns it).
+	pendingChange *change
 
 	// serving is false while metadata recovery is in progress; client
 	// requests are answered with StRetry until it completes.
@@ -265,7 +264,6 @@ func New(id proto.NodeID, cfg *proto.Config, opts Options) *Node {
 		opts:           opts.Defaults(),
 		vol:            make(map[uint32]*store.VolatileIndex),
 		mg:             make(map[proto.MemgestID]*mgState),
-		lastAck:        make(map[proto.NodeID]time.Duration),
 		recovering:     make(map[proto.ReqID]*metaRecovery),
 		blockRecs:      make(map[proto.ReqID]*blockRecovery),
 		dataRecs:       make(map[proto.ReqID]*dataRecovery),

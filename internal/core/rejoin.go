@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"time"
 
 	"ring/internal/proto"
 	"ring/internal/store"
@@ -31,7 +30,6 @@ func NewRejoining(id proto.NodeID, cfg *proto.Config, opts Options) *Node {
 		cfg:            cfg,
 		vol:            make(map[uint32]*store.VolatileIndex),
 		mg:             make(map[proto.MemgestID]*mgState),
-		lastAck:        make(map[proto.NodeID]time.Duration),
 		recovering:     make(map[proto.ReqID]*metaRecovery),
 		blockRecs:      make(map[proto.ReqID]*blockRecovery),
 		dataRecs:       make(map[proto.ReqID]*dataRecovery),
@@ -114,118 +112,33 @@ func (n *Node) joinTick() {
 
 // handleJoin processes a restarted node's announcement. Non-leaders
 // point the joiner at the current configuration (and therefore the
-// current leader). The leader strips any data roles the joiner still
-// holds — its memory is gone, so those roles must be re-recovered by
-// a substitute, or by the joiner itself through the normal takeover
-// path if no spare is available — and re-admits it as a spare.
+// current leader). The leader re-admits it: a node that recovered
+// committed state from its data directory keeps the roles it holds and
+// delta-syncs from the group under the takeover path; an amnesiac one
+// has them handed to a spare and comes back as a spare itself, in one
+// configuration change. Join has no reply of its own — a refused
+// proposal (a fence is pending) is retried by the joiner's next tick,
+// and a joiner the configuration already has in the place it asks for
+// missed the push that put it there, so it is sent again.
 func (n *Node) handleJoin(from string, m *proto.Join) {
 	if m.Node == n.id {
 		return
 	}
 	if !n.IsLeader() {
-		n.send(from, &proto.ConfigPush{Config: n.cfg.Clone()})
+		n.sendConfig(m.Node, n.cfg)
 		return
 	}
-	if n.pendingResize != nil {
-		// A leave fence owns reconfiguration; the joiner's tick-driven
-		// re-announce retries after it completes.
-		return
+	if _, member := n.lastAck[m.Node]; member {
+		n.lastAck[m.Node] = n.now
 	}
-	n.lastAck[m.Node] = n.now
-	switch {
-	case n.holdsDataRole(m.Node):
-		if m.Durable {
-			// Durable rejoin: the node recovered committed state from its
-			// data directory, so its roles are worth keeping. Resend the
-			// current configuration unchanged; the joiner installs its
-			// stash under the takeover path and delta-syncs from the
-			// group instead of refetching everything.
-			n.sendNode(m.Node, &proto.ConfigPush{Config: n.cfg.Clone()})
-			return
+	d := readmit(m.Node)
+	if m.Durable {
+		d = admit(m.Node)
+	}
+	was := n.cfg.Epoch
+	n.propose(d, proto.NilNode, func(st proto.Status, _ uint32, epoch proto.Epoch) {
+		if st == proto.StOK && epoch == was {
+			n.sendConfig(m.Node, n.cfg)
 		}
-		// Amnesiac rejoin: still assigned roles, state lost. Same
-		// substitution as a detected failure, then back in as a spare,
-		// all in one configuration change.
-		cfg := n.cfg.Clone()
-		cfg.Epoch++
-		stripRoles(cfg, m.Node)
-		cfg.Spares = append(cfg.Spares, m.Node)
-		n.pushConfig(cfg)
-	case n.inConfig(m.Node):
-		// Already re-admitted (a previous ConfigPush was lost): resend.
-		n.sendNode(m.Node, &proto.ConfigPush{Config: n.cfg.Clone()})
-	default:
-		cfg := n.cfg.Clone()
-		cfg.Epoch++
-		cfg.Spares = append(cfg.Spares, m.Node)
-		n.pushConfig(cfg)
-	}
-}
-
-// holdsDataRole reports whether id is assigned any coordinator or
-// redundancy role in the current configuration.
-func (n *Node) holdsDataRole(id proto.NodeID) bool {
-	for _, c := range n.cfg.Coords {
-		if c == id {
-			return true
-		}
-	}
-	for _, r := range n.cfg.Redundant {
-		if r == id {
-			return true
-		}
-	}
-	for i := range n.cfg.Memgests {
-		for _, r := range n.cfg.Memgests[i].Redundant {
-			if r == id {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// inConfig reports whether id appears anywhere in the configuration.
-func (n *Node) inConfig(id proto.NodeID) bool {
-	for _, nid := range n.cfg.AllNodes() {
-		if nid == id {
-			return true
-		}
-	}
-	return false
-}
-
-// stripRoles removes every data role `dead` holds from cfg,
-// substituting the first available spare (if any) — shared by
-// failure-driven replacement (replaceNode) and amnesiac rejoin
-// (handleJoin). With no spare the roles keep their assignment; the
-// joiner will re-recover them itself through the takeover path.
-func stripRoles(cfg *proto.Config, dead proto.NodeID) {
-	var spare proto.NodeID = proto.NilNode
-	for i, s := range cfg.Spares {
-		if s != dead {
-			spare = s
-			cfg.Spares = append(cfg.Spares[:i], cfg.Spares[i+1:]...)
-			break
-		}
-	}
-	// If the dead node was itself a spare, just drop it.
-	for i, s := range cfg.Spares {
-		if s == dead {
-			cfg.Spares = append(cfg.Spares[:i], cfg.Spares[i+1:]...)
-			break
-		}
-	}
-	substitute := func(ids []proto.NodeID) {
-		for i, id := range ids {
-			if id == dead && spare != proto.NilNode {
-				ids[i] = spare
-			}
-		}
-	}
-	substitute(cfg.Coords)
-	substitute(cfg.Redundant)
-	for i := range cfg.Memgests {
-		substitute(cfg.Memgests[i].Redundant)
-	}
+	})
 }

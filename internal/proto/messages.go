@@ -673,7 +673,9 @@ func (*Heartbeat) Type() MsgType        { return THeartbeat }
 func (m *Heartbeat) encode(w *writer)   { w.u64(uint64(m.Epoch)) }
 func decHeartbeat(r *reader) *Heartbeat { return &Heartbeat{Epoch: Epoch(r.u64())} }
 
-// HeartbeatAck confirms liveness to the leader.
+// HeartbeatAck confirms liveness to the leader. Epoch is the
+// configuration the sender has installed, not an echo of the
+// heartbeat's: one below the leader's tells it a ConfigPush was lost.
 type HeartbeatAck struct {
 	Epoch Epoch
 }

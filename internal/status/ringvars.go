@@ -147,6 +147,11 @@ type ClusterStats struct {
 	// timeout and relaunched by a configuration change.
 	MovesAborted   uint64
 	MovesReplanned uint64
+	// ShardsMoved and ConfigRepushes sum, over the nodes that have led,
+	// the placement slots configuration changes reassigned and the
+	// configurations sent a second time.
+	ShardsMoved    uint64
+	ConfigRepushes uint64
 	// RunnerGoroutines sums core.runner_goroutines across the scraped
 	// processes: the runner event loops actually executing — one per
 	// (node, group) pair under memgest-group sharding.
@@ -178,6 +183,8 @@ func Aggregate(nodes []Ringvars) ClusterStats {
 		cs.RecoveryBacklog += n.RecoveryBacklog
 		cs.MovesAborted += n.MovesAborted
 		cs.MovesReplanned += n.MovesReplanned
+		cs.ShardsMoved += n.ShardsMoved
+		cs.ConfigRepushes += n.ConfigRepushes
 		addStats(&cs.Stats, n.Stats)
 		for id, c := range n.Memgests {
 			agg := cs.Memgests[id]
@@ -299,6 +306,7 @@ func RenderStats(w io.Writer, cs ClusterStats) {
 	st := cs.Stats
 	fmt.Fprintf(w, "ops: puts=%d gets=%d deletes=%d moves=%d moves_aborted=%d moves_replanned=%d commits=%d parked_gets=%d\n",
 		st.Puts, st.Gets, st.Deletes, st.Moves, cs.MovesAborted, cs.MovesReplanned, st.Commits, st.ParkedGets)
+	fmt.Fprintf(w, "config: shards_moved=%d config_repushes=%d\n", cs.ShardsMoved, cs.ConfigRepushes)
 	ids := make([]proto.MemgestID, 0, len(cs.Memgests))
 	for id := range cs.Memgests {
 		ids = append(ids, id)

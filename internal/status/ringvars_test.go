@@ -166,6 +166,11 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 	if cs.Stats.Moves != 3 || cs.MovesAborted != 0 || cs.MovesReplanned != 0 {
 		t.Fatalf("cluster moves=%d aborted=%d replanned=%d, want 3/0/0", cs.Stats.Moves, cs.MovesAborted, cs.MovesReplanned)
 	}
+	// The configuration never changed and the fabric lost nothing: no
+	// slot moved, and no configuration was sent twice.
+	if cs.ShardsMoved != 0 || cs.ConfigRepushes != 0 {
+		t.Fatalf("cluster shards_moved=%d config_repushes=%d, want 0/0", cs.ShardsMoved, cs.ConfigRepushes)
+	}
 	if cs.Stats.Commits != 15+durPuts {
 		t.Fatalf("cluster commits = %d, want %d", cs.Stats.Commits, 15+durPuts)
 	}
@@ -197,6 +202,7 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		fmt.Sprintf("ops: puts=%d gets=5 deletes=2 moves=3 moves_aborted=0 moves_replanned=0", 10+durPuts),
+		"config: shards_moved=0 config_repushes=0",
 		fmt.Sprintf("memgest 1: puts=%d gets=5 deletes=1 moves=0", 6+durPuts),
 		"memgest 2: puts=4 gets=0 deletes=1 moves=3",
 		fmt.Sprintf("commit latency REP: n=%d", 7+durPuts),
@@ -229,13 +235,13 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 // round trip and therefore arrive as float64.
 func TestAggregateProcessGauges(t *testing.T) {
 	nodes := []Ringvars{
-		{Process: map[string]any{
+		{Node: core.MetricsSnapshot{ShardsMoved: 4, ConfigRepushes: 2}, Process: map[string]any{
 			"core.runner_goroutines":   float64(3), // as decoded from JSON
 			"core.group.0.queue_depth": float64(2),
 			"core.group.1.queue_depth": int64(5), // as from an in-process snapshot
 			"transport.something":      "not a number",
 		}},
-		{Process: map[string]any{
+		{Node: core.MetricsSnapshot{ConfigRepushes: 3}, Process: map[string]any{
 			"core.runner_goroutines":   int64(2),
 			"core.group.0.queue_depth": uint64(1),
 			"core.group.oops":          float64(9), // malformed name: ignored
@@ -251,8 +257,13 @@ func TestAggregateProcessGauges(t *testing.T) {
 
 	var buf bytes.Buffer
 	RenderStats(&buf, cs)
-	if out := buf.String(); !strings.Contains(out, "runners: goroutines=5 group0_queue=3 group1_queue=5") {
-		t.Fatalf("render missing runner line:\n%s", out)
+	out := buf.String()
+	// A leader's configuration counters fold the same way: the nodes that
+	// have led each report their own.
+	for _, want := range []string{"runners: goroutines=5 group0_queue=3 group1_queue=5", "config: shards_moved=4 config_repushes=5"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("render missing %q:\n%s", want, out)
+		}
 	}
 }
 
