@@ -12,9 +12,10 @@
 #      ordering (quorum, persistence, and move-journal barriers).
 #      Any finding fails the build; exemptions are //ring: directives
 #      in the source, where review can see them. scripts/loc.sh then
-#      prints the size report (non-test lines per internal/* package,
-#      wire message types) so lines and types removed are reported
-#      results, not estimates.
+#      prints the size report (non-test lines per internal/* package
+#      and under cmd/, scripts/ lines, wire message types, top-level
+#      files) so lines and types removed are reported results, not
+#      estimates.
 #   4. external static analysis, version-pinned: staticcheck and
 #      govulncheck. Both run via `go run tool@version`, so they need
 #      module-proxy access; offline runs skip them with a warning
@@ -28,15 +29,16 @@
 #      core crash-recovery e2e, sim disk fault plane — rides in
 #      ./internal/... and so runs under -race here too
 #
-# chaos — fuzz, bench, and the chaos/BENCH canaries:
+# chaos — fuzz, bench, and the chaos/benchmark canaries:
 #   7. fuzz smoke: each fuzz target runs for 10s — long enough to
 #      catch a round-trip regression, short enough for every push.
 #      FuzzWALReplay is the durability one: arbitrary bytes as a WAL
 #      segment must replay without panicking and re-replay identically.
 #      FuzzBlockHeapModel is the memory one: the demand-backed block
 #      heap against a flat, fully allocated reference.
-#   8. bench smoke: every benchmark compiles and runs one iteration,
-#      output saved to bench.txt (uploaded as a CI artifact)
+#   8. bench smoke: every Go benchmark compiles and runs one
+#      iteration; a benchmark that panics or no longer builds fails
+#      the stage, and the numbers scroll by in the job log
 #   9. chaos smoke: three fixed ringchaos seeds through the full
 #      seed -> schedule -> workload -> linearizability-check pipeline,
 #      twenty-four -durable seeds over the disk fault plane (kill -9 +
@@ -47,16 +49,13 @@
 #      each. The deep seed sweeps run nightly
 #      (.github/workflows/nightly-chaos.yml); this is the per-push
 #      canary that the chaos harness itself still works.
-#  10. BENCH trajectory: scripts/cluster.sh boots a real 5-process
-#      cluster over TCP, drives it with cmd/ringload (GF kernels +
-#      closed-loop rep3 and srs3.2, plus the rep3+bulkconv elasticity
-#      row: the same workload measured during a continuous background
-#      bulk move), then re-runs the suite on durable clusters
-#      (DURABLE=1: -data-dir with fsync=always and fsync=interval —
-#      the durability-tax rows), writes BENCH_10.json, and fails on a
-#      >10% ops/sec or GB/s regression against the newest committed
-#      BENCH_*.json (a no-op for rows the trajectory has no earlier
-#      point for). The file is uploaded as a CI artifact.
+#  10. benchmark canary: the real harness, once. `go run ./benchmark`
+#      builds ringd, boots five processes with -fsync always, drives
+#      rep3_1k_fsync for 5 s and checks every reply against the writes
+#      the cluster acknowledged. Pass/fail on the exit code only: the
+#      numbers a CI host prints are never compared. Whether a change is
+#      faster is decided by the same command on one quiet machine,
+#      parent against change, per BENCHMARK.json's bounds.
 set -ex
 
 # Version pins for the external analyzers. CI caches on these; bump
@@ -97,14 +96,14 @@ stage_chaos() {
     go test -run=NONE -fuzz=FuzzBlockHeapModel -fuzztime=10s ./internal/store/
     go test -run=NONE -fuzz=FuzzCFGBuild -fuzztime=10s ./internal/lint/flow/
 
-    go test -run=NONE -bench=. -benchtime=1x ./... | tee bench.txt
+    go test -run=NONE -bench=. -benchtime=1x ./...
 
     go build -o bin/ringchaos ./cmd/ringchaos
     timeout 30 ./bin/ringchaos -seeds 1:3 -v
     timeout 30 ./bin/ringchaos -durable -seeds 1:24 -v
     timeout 30 ./bin/ringchaos -elasticity -seeds 1:10 -v
 
-    DURABLE=1 BENCH_OUT=BENCH_10.json ISSUE=10 PREV_DIR=. DURATION=3s timeout 300 scripts/cluster.sh
+    timeout 120 go run ./benchmark -workload rep3_1k_fsync -seconds 5
 }
 
 case "${1:-all}" in

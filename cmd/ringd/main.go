@@ -38,8 +38,8 @@
 //	ringd -launch 5 -base-port 7400 -shards 3 -redundant 2 \
 //	      -memgests rep3,srs3.2 -groups 2
 //
-// scripts/cluster.sh wraps this together with cmd/ringload into a
-// one-command benchmark run.
+// The launcher prints the -nodes list as RING_NODES=...; cmd/ringload
+// drives the cluster from it.
 package main
 
 import (

@@ -1,7 +1,8 @@
 // Command ringload is the YCSB-style load generator for live Ring
-// clusters over TCP: it drives a deployment started by cmd/ringd (or
-// scripts/cluster.sh) with the paper's workloads and reports ops/sec
-// and exact p50/p99/p999 latency percentiles.
+// clusters over TCP: it drives a deployment started by cmd/ringd with
+// the paper's workloads and prints ops/sec and exact p50/p99/p999
+// latency percentiles. It measures and prints; comparing a number
+// against another run is `go run ./benchmark`'s job.
 //
 // Two offered-load models:
 //
@@ -19,24 +20,11 @@
 // the -keys footprint). Deployments sharded with ringd -groups G are
 // driven group-aware: every key routes to its group's fabric with the
 // same core.GroupOf mapping the servers use.
-//
-// With -bench-out the run is appended to the machine-checked BENCH
-// trajectory: -suite measures the GF kernels plus one closed-loop run
-// against the replicated and erasure-coded memgests, writes
-// BENCH_<issue>.json, and — when a previous BENCH_*.json exists in
-// -prev-dir — fails (exit 1) on any >-tolerance regression.
-//
-// -convert adds the elasticity row: the same closed-loop workload
-// measured while a background bulk move continuously re-encodes the
-// whole key space back and forth between the replicated and the
-// erasure-coded memgest — the cost of live scheme changes under load,
-// reported as scheme "<rep-scheme>+bulkconv".
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
 	"net"
 	"os"
 	"sort"
@@ -46,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ring/internal/benchjson"
 	"ring/internal/client"
 	"ring/internal/core"
 	"ring/internal/proto"
@@ -56,173 +43,119 @@ import (
 )
 
 type config struct {
-	nodes     string
-	groups    int
-	memgest   int
-	mode      string
-	clients   int
-	depth     int
-	rate      float64
-	duration  time.Duration
-	ops       int
-	keys      int
-	value     int
-	mix       string
-	dist      string
-	theta     float64
-	trace     string
-	seed      int64
-	timeout   time.Duration
-	retries   int
-	preload   bool
-	scheme    string
-	suite     bool
-	convert   bool
-	repMG     int
-	srsMG     int
-	repScheme string
-	srsScheme string
-	benchOut  string
-	merge     bool
-	kernels   bool
-	issue     int
-	prevDir   string
-	tolerance float64
-	kernelB   int
+	nodes    string
+	groups   int
+	memgest  int
+	mode     string
+	clients  int
+	depth    int
+	rate     float64
+	duration time.Duration
+	ops      int
+	keys     int
+	value    int
+	mix      string
+	dist     string
+	theta    float64
+	trace    string
+	seed     int64
+	timeout  time.Duration
+	retries  int
+	preload  bool
+	scheme   string
+}
+
+// bindFlags declares ringload's flags on fs; parsing fills c.
+func bindFlags(fs *flag.FlagSet, c *config) {
+	fs.StringVar(&c.nodes, "nodes", "", "comma-separated TCP addresses of all cluster nodes, in node-ID order (ringd -launch prints this as RING_NODES)")
+	fs.IntVar(&c.groups, "groups", 1, "memgest groups of the deployment (must match ringd -groups)")
+	fs.IntVar(&c.memgest, "memgest", 0, "memgest ID to drive (0 = cluster default)")
+	fs.StringVar(&c.mode, "mode", "closed", "offered-load model: closed or open")
+	fs.IntVar(&c.clients, "clients", 4, "closed-loop client count")
+	fs.IntVar(&c.depth, "depth", 4, "concurrent streams per client (total concurrency = clients*depth)")
+	fs.Float64Var(&c.rate, "rate", 2000, "open-loop offered load in ops/sec")
+	fs.DurationVar(&c.duration, "duration", 5*time.Second, "measurement duration")
+	fs.IntVar(&c.ops, "ops", 0, "operation cap (0 = run for -duration)")
+	fs.IntVar(&c.keys, "keys", 1024, "key-space size")
+	fs.IntVar(&c.value, "value", 1024, "value size in bytes")
+	fs.StringVar(&c.mix, "mix", "50:50", "get:put ratio, e.g. 95:5")
+	fs.StringVar(&c.dist, "dist", "zipfian", "key popularity: zipfian or uniform")
+	fs.Float64Var(&c.theta, "theta", workload.DefaultTheta, "zipfian theta")
+	fs.StringVar(&c.trace, "trace", "", "replay a named trace's statistics (Financial1, Financial2, WebSearch1..3) instead of -mix/-value")
+	fs.Int64Var(&c.seed, "seed", 1, "workload seed")
+	fs.DurationVar(&c.timeout, "timeout", 3*time.Second, "per-attempt request timeout")
+	fs.IntVar(&c.retries, "retries", 8, "request retry budget")
+	fs.BoolVar(&c.preload, "preload", true, "write the whole key space once before measuring")
+	fs.StringVar(&c.scheme, "scheme", "", "scheme label for reports (default memgest<id>)")
 }
 
 func main() {
 	var c config
-	flag.StringVar(&c.nodes, "nodes", "", "comma-separated TCP addresses of all cluster nodes, in node-ID order (ringd -launch prints this as RING_NODES)")
-	flag.IntVar(&c.groups, "groups", 1, "memgest groups of the deployment (must match ringd -groups)")
-	flag.IntVar(&c.memgest, "memgest", 0, "memgest ID to drive (0 = cluster default)")
-	flag.StringVar(&c.mode, "mode", "closed", "offered-load model: closed or open")
-	flag.IntVar(&c.clients, "clients", 4, "closed-loop client count")
-	flag.IntVar(&c.depth, "depth", 4, "concurrent streams per client (total concurrency = clients*depth)")
-	flag.Float64Var(&c.rate, "rate", 2000, "open-loop offered load in ops/sec")
-	flag.DurationVar(&c.duration, "duration", 5*time.Second, "measurement duration")
-	flag.IntVar(&c.ops, "ops", 0, "operation cap (0 = run for -duration)")
-	flag.IntVar(&c.keys, "keys", 1024, "key-space size")
-	flag.IntVar(&c.value, "value", 1024, "value size in bytes")
-	flag.StringVar(&c.mix, "mix", "50:50", "get:put ratio, e.g. 95:5")
-	flag.StringVar(&c.dist, "dist", "zipfian", "key popularity: zipfian or uniform")
-	flag.Float64Var(&c.theta, "theta", workload.DefaultTheta, "zipfian theta")
-	flag.StringVar(&c.trace, "trace", "", "replay a named trace's statistics (Financial1, Financial2, WebSearch1..3) instead of -mix/-value")
-	flag.Int64Var(&c.seed, "seed", 1, "workload seed")
-	flag.DurationVar(&c.timeout, "timeout", 3*time.Second, "per-attempt request timeout")
-	flag.IntVar(&c.retries, "retries", 8, "request retry budget")
-	flag.BoolVar(&c.preload, "preload", true, "write the whole key space once before measuring")
-	flag.StringVar(&c.scheme, "scheme", "", "scheme label for reports (default memgest<id>)")
-	flag.BoolVar(&c.suite, "suite", false, "BENCH suite: measure GF kernels plus closed-loop runs on the rep and srs memgests")
-	flag.BoolVar(&c.convert, "convert", false, "add the move-under-load row: closed-loop ops on -rep-memgest while a background bulk move churns the key space between the rep and srs memgests")
-	flag.IntVar(&c.repMG, "rep-memgest", 1, "suite: replicated memgest ID")
-	flag.IntVar(&c.srsMG, "srs-memgest", 2, "suite: erasure-coded memgest ID")
-	flag.StringVar(&c.repScheme, "rep-scheme", "rep3", "suite: scheme label of -rep-memgest")
-	flag.StringVar(&c.srsScheme, "srs-scheme", "srs3.2", "suite: scheme label of -srs-memgest")
-	flag.StringVar(&c.benchOut, "bench-out", "", "write a benchjson result to this path (e.g. BENCH_7.json)")
-	flag.BoolVar(&c.merge, "bench-merge", false, "append this run's cluster rows to an existing -bench-out file (multi-boot trajectories, e.g. volatile + durable passes)")
-	flag.BoolVar(&c.kernels, "kernels", true, "suite: measure the GF kernels (disable on merge passes that only add cluster rows)")
-	flag.IntVar(&c.issue, "issue", 7, "issue number recorded in -bench-out")
-	flag.StringVar(&c.prevDir, "prev-dir", "", "directory holding committed BENCH_*.json to gate against (empty = no gate)")
-	flag.Float64Var(&c.tolerance, "tolerance", 0.10, "fractional regression tolerance for the gate")
-	flag.IntVar(&c.kernelB, "kernel-bytes", 4096, "buffer size for the suite's GF kernel measurements")
+	bindFlags(flag.CommandLine, &c)
 	flag.Parse()
 
-	if err := run(c); err != nil {
-		log.Fatalf("ringload: %v", err)
+	if err := c.validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "ringload: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
 	}
+	res, err := run(c)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ringload: %v\n", err)
+		os.Exit(1)
+	}
+	label := c.scheme
+	if label == "" {
+		label = fmt.Sprintf("memgest%d", c.memgest)
+	}
+	fmt.Printf("== %s/%s ==\n%d ops in %s: %.0f ops/sec, p50 %.0fus p99 %.0fus p99.9 %.0fus\n",
+		label, c.mode, res.ops, res.elapsed.Round(time.Millisecond), float64(res.ops)/res.elapsed.Seconds(), res.p50us, res.p99us, res.p999us)
 }
 
-func run(c config) error {
-	result := benchjson.Result{Schema: benchjson.Schema, Issue: c.issue, Host: benchjson.CurrentHost()}
-
-	if c.suite && c.kernels {
-		fmt.Printf("== GF kernels (%d B buffers) ==\n", c.kernelB)
-		result.Kernels = benchjson.MeasureGFKernels(c.kernelB)
-		for _, k := range result.Kernels {
-			fmt.Printf("%-12s %8.2f GB/s  (byte-wise %6.2f GB/s, %.2fx)\n", k.Name, k.GBps, k.BaseGBps, k.Speedup)
-		}
-		fmt.Printf("geomean speedup: %.2fx\n", benchjson.GeomeanSpeedup(result.Kernels))
-	}
-
-	if c.nodes != "" {
-		clients, err := dialGroups(c)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			for _, cl := range clients {
-				cl.Close()
-			}
-		}()
-		runs := []struct {
-			mg     int
-			scheme string
-		}{{c.memgest, c.scheme}}
-		if c.suite {
-			runs = []struct {
-				mg     int
-				scheme string
-			}{{c.repMG, c.repScheme}, {c.srsMG, c.srsScheme}}
-		}
-		for _, r := range runs {
-			row, err := measure(c, clients, proto.MemgestID(r.mg), r.scheme)
-			if err != nil {
-				return err
-			}
-			result.Cluster = append(result.Cluster, row)
-			fmt.Printf("== %s/%s ==\n%d ops in %s: %.0f ops/sec, p50 %.0fus p99 %.0fus p99.9 %.0fus\n",
-				row.Scheme, row.Mode, row.Ops, c.duration, row.OpsPerSec, row.P50us, row.P99us, row.P999us)
-		}
-		if c.convert {
-			row, churned, err := measureConvert(c, clients)
-			if err != nil {
-				return err
-			}
-			result.Cluster = append(result.Cluster, row)
-			fmt.Printf("== %s/%s ==\n%d ops in %s: %.0f ops/sec, p50 %.0fus p99 %.0fus p99.9 %.0fus (%d keys bulk-moved behind the workload)\n",
-				row.Scheme, row.Mode, row.Ops, c.duration, row.OpsPerSec, row.P50us, row.P99us, row.P999us, churned)
-		}
-	} else if !c.suite {
-		return fmt.Errorf("nothing to do: need -nodes and/or -suite")
-	}
-
-	if c.benchOut != "" {
-		if c.merge {
-			if old, err := benchjson.Read(c.benchOut); err == nil {
-				// Earlier passes' rows come first; kernels survive from the
-				// pass that measured them.
-				if len(result.Kernels) == 0 {
-					result.Kernels = old.Kernels
-				}
-				result.Cluster = append(old.Cluster, result.Cluster...)
-			} else if !os.IsNotExist(err) {
-				return err
-			}
-		}
-		if err := benchjson.Write(c.benchOut, result); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", c.benchOut)
-	}
-	if c.prevDir != "" {
-		prev, path, ok, err := benchjson.FindPrevious(c.prevDir, c.issue)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			fmt.Printf("bench gate: no previous BENCH_*.json in %s — seeding the trajectory\n", c.prevDir)
-			return nil
-		}
-		if regs := benchjson.Compare(prev, result, c.tolerance); len(regs) > 0 {
-			for _, r := range regs {
-				fmt.Fprintf(os.Stderr, "bench gate REGRESSION vs %s: %s\n", path, r)
-			}
-			return fmt.Errorf("%d regression(s) beyond %.0f%% vs %s", len(regs), c.tolerance*100, path)
-		}
-		fmt.Printf("bench gate: no regressions beyond %.0f%% vs %s\n", c.tolerance*100, path)
+// validate rejects flag values no run can use, before anything is
+// dialed: a usage error, not a failed measurement.
+func (c config) validate() error {
+	switch {
+	case c.nodes == "":
+		return fmt.Errorf("-nodes is required")
+	case c.mode != "closed" && c.mode != "open":
+		return fmt.Errorf("unknown -mode %q (want closed or open)", c.mode)
+	case c.mode == "open" && !(c.rate > 0): // also rejects NaN
+		return fmt.Errorf("-rate must be positive, got %v", c.rate)
+	case c.clients <= 0:
+		return fmt.Errorf("-clients must be positive, got %d", c.clients)
+	case c.depth <= 0:
+		return fmt.Errorf("-depth must be positive, got %d", c.depth)
+	case c.keys <= 0:
+		return fmt.Errorf("-keys must be positive, got %d", c.keys)
+	case c.value <= 0:
+		return fmt.Errorf("-value must be positive, got %d", c.value)
 	}
 	return nil
+}
+
+// result is what one load run measured.
+type result struct {
+	ops     int // operations completed; a run with any failure is an error
+	elapsed time.Duration
+	p50us   float64
+	p99us   float64
+	p999us  float64
+}
+
+// run dials the cluster c.nodes names and drives one load run against
+// c.memgest.
+func run(c config) (result, error) {
+	clients, err := dialGroups(c)
+	if err != nil {
+		return result{}, err
+	}
+	defer func() {
+		for _, cl := range clients {
+			cl.Close()
+		}
+	}()
+	return measure(c, clients)
 }
 
 // dialGroups connects one client per memgest group. Group g's fabric
@@ -316,12 +249,9 @@ func plan(c config, n int) ([]op, error) {
 	return ops, nil
 }
 
-// measure drives one load run against the cluster and reports it as a
-// trajectory row.
-func measure(c config, clients []*client.Client, mg proto.MemgestID, scheme string) (benchjson.Cluster, error) {
-	if scheme == "" {
-		scheme = fmt.Sprintf("memgest%d", mg)
-	}
+// measure drives one load run against the dialed cluster.
+func measure(c config, clients []*client.Client) (result, error) {
+	mg := proto.MemgestID(c.memgest)
 	n := c.ops
 	if n <= 0 {
 		if c.mode == "open" {
@@ -334,11 +264,11 @@ func measure(c config, clients []*client.Client, mg proto.MemgestID, scheme stri
 	}
 	ops, err := plan(c, n)
 	if err != nil {
-		return benchjson.Cluster{}, err
+		return result{}, err
 	}
 	if c.preload {
 		if err := preloadKeys(c, clients, mg, ops); err != nil {
-			return benchjson.Cluster{}, err
+			return result{}, err
 		}
 	}
 
@@ -355,79 +285,32 @@ func measure(c config, clients []*client.Client, mg proto.MemgestID, scheme stri
 		return err
 	}
 
-	var lats []time.Duration
-	var elapsed time.Duration
-	var errs int64
-	switch c.mode {
-	case "closed":
-		lats, elapsed, errs = runClosed(c, ops, doOp)
-	case "open":
-		lats, elapsed, errs = runOpen(c, ops, doOp)
-	default:
-		return benchjson.Cluster{}, fmt.Errorf("unknown mode %q", c.mode)
+	runLoad := runClosed
+	if c.mode == "open" {
+		runLoad = runOpen
 	}
-	if errs > 0 {
-		return benchjson.Cluster{}, fmt.Errorf("%s/%s: %d of %d operations failed", scheme, c.mode, errs, len(lats))
-	}
-	if len(lats) == 0 {
-		return benchjson.Cluster{}, fmt.Errorf("%s/%s: no operations completed", scheme, c.mode)
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	mixLabel := c.mix
-	if c.trace != "" {
-		mixLabel = "trace:" + c.trace
-	}
-	return benchjson.Cluster{
-		Scheme:     scheme,
-		Mode:       c.mode,
-		Procs:      len(strings.Split(c.nodes, ",")),
-		Groups:     len(clients),
-		Clients:    c.clients * c.depth,
-		ValueBytes: c.value,
-		Mix:        mixLabel,
-		Ops:        len(lats),
-		OpsPerSec:  float64(len(lats)) / elapsed.Seconds(),
-		P50us:      quantileUS(lats, 0.50),
-		P99us:      quantileUS(lats, 0.99),
-		P999us:     quantileUS(lats, 0.999),
-	}, nil
+	lats, elapsed, errs := runLoad(c, ops, doOp)
+	return summarize(lats, elapsed, errs)
 }
 
-// measureConvert is the elasticity row: the closed-loop workload on
-// the replicated memgest measured while background goroutines
-// continuously bulk-move (client.MovePrefix) the whole key space back
-// and forth between the rep and srs memgests. The row keys the
-// trajectory as "<rep-scheme>+bulkconv", so the gate compares
-// move-under-load throughput run over run. Returns the row and the
-// total keys the background churn moved.
-func measureConvert(c config, clients []*client.Client) (benchjson.Cluster, uint64, error) {
-	var (
-		stop    atomic.Bool
-		churned atomic.Uint64
-		wg      sync.WaitGroup
-	)
-	dsts := [2]proto.MemgestID{proto.MemgestID(c.srsMG), proto.MemgestID(c.repMG)}
-	for _, cl := range clients {
-		wg.Add(1)
-		go func(cl *client.Client) {
-			defer wg.Done()
-			for i := 0; !stop.Load(); i++ {
-				n, err := cl.MovePrefix("", 0, dsts[i%2])
-				churned.Add(uint64(n))
-				if err != nil {
-					// The churn races the foreground puts (a key can change
-					// memgest between the scan and its move); transient
-					// failures are part of the contention being measured,
-					// not a failure of the run.
-					time.Sleep(20 * time.Millisecond)
-				}
-			}
-		}(cl)
+// summarize turns one run's successful latencies and failure count
+// into its result. Any failed operation fails the run: lats holds
+// successes only, so the attempts are its length plus errs.
+func summarize(lats []time.Duration, elapsed time.Duration, errs int64) (result, error) {
+	if errs > 0 {
+		return result{}, fmt.Errorf("%d of %d operations failed", errs, int64(len(lats))+errs)
 	}
-	row, err := measure(c, clients, proto.MemgestID(c.repMG), c.repScheme+"+bulkconv")
-	stop.Store(true)
-	wg.Wait()
-	return row, churned.Load(), err
+	if len(lats) == 0 {
+		return result{}, fmt.Errorf("no operations completed")
+	}
+	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	return result{
+		ops:     len(lats),
+		elapsed: elapsed,
+		p50us:   quantileUS(lats, 0.50),
+		p99us:   quantileUS(lats, 0.99),
+		p999us:  quantileUS(lats, 0.999),
+	}, nil
 }
 
 // preloadKeys writes every key the plan touches once, so gets during
@@ -463,9 +346,6 @@ func preloadKeys(c config, clients []*client.Client, mg proto.MemgestID, ops []o
 // so two streams never contend on a key ordering artifact.
 func runClosed(c config, ops []op, doOp func(op) error) ([]time.Duration, time.Duration, int64) {
 	workers := c.clients * c.depth
-	if workers < 1 {
-		workers = 1
-	}
 	var (
 		next    atomic.Int64
 		errs    atomic.Int64

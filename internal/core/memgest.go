@@ -264,7 +264,6 @@ func (n *Node) installConfig(cfg *proto.Config, bootstrap bool) {
 				needsRecovery = true
 				since := n.installCoordStash(st, cs)
 				n.startMetaRecovery(mi.ID, shard, roleCoordinator, since)
-				n.scheduleDataRecovery(st, cs)
 			}
 		}
 

@@ -315,12 +315,6 @@ func (n *Node) finishMetaRecovery(mr *metaRecovery) {
 	}
 }
 
-// scheduleDataRecovery marks every block of a taken-over SRS shard as
-// pending (bgBlock tasks are queued after metadata arrives, since
-// extents must be reserved first). For Rep shards values are queued in
-// finishMetaRecovery. Present for symmetry and future use.
-func (n *Node) scheduleDataRecovery(st *mgState, cs *coordShard) {}
-
 // scheduleParityRebuild queues a rebuild of every parity stripe block
 // of a newly assigned parity node.
 func (n *Node) scheduleParityRebuild(st *mgState) {

@@ -17,9 +17,9 @@
 // because scalar Go has no PSHUFB. XorSlice (multiplication by one,
 // the first parity row of our Cauchy matrices) defers to
 // crypto/subtle.XORBytes, which the runtime implements with the
-// platform's vector ISA. The byte-at-a-time kernels remain as
-// MulSliceRef/MulSliceXorRef/XorSliceRef reference implementations,
-// used by the differential and fuzz tests to pin bit-exactness.
+// platform's vector ISA. The byte-at-a-time kernels they replaced live
+// on in gf_ref_test.go as the oracle the differential and fuzz tests
+// pin bit-exactness against.
 package gf
 
 import (
@@ -302,95 +302,4 @@ func XorSlice(src, dst []byte) {
 		panicLen("XorSlice", len(src), len(dst))
 	}
 	subtle.XORBytes(dst, dst, src)
-}
-
-// ------------------------------------------------ reference kernels
-//
-// The byte-at-a-time kernels the word-wide versions replaced. They
-// stay as the ground truth for differential and fuzz tests and as the
-// baseline the BENCH trajectory measures speedups against.
-
-// MulSliceRef is the byte-wise reference for MulSlice.
-func MulSliceRef(c byte, src, dst []byte) {
-	if len(src) != len(dst) {
-		panicLen("MulSliceRef", len(src), len(dst))
-	}
-	switch c {
-	case 0:
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	case 1:
-		copy(dst, src)
-		return
-	}
-	t := MulTable(c)
-	n := len(src)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		dst[i] = t[src[i]]
-		dst[i+1] = t[src[i+1]]
-		dst[i+2] = t[src[i+2]]
-		dst[i+3] = t[src[i+3]]
-		dst[i+4] = t[src[i+4]]
-		dst[i+5] = t[src[i+5]]
-		dst[i+6] = t[src[i+6]]
-		dst[i+7] = t[src[i+7]]
-	}
-	for ; i < n; i++ {
-		dst[i] = t[src[i]]
-	}
-}
-
-// MulSliceXorRef is the byte-wise reference for MulSliceXor.
-func MulSliceXorRef(c byte, src, dst []byte) {
-	if len(src) != len(dst) {
-		panicLen("MulSliceXorRef", len(src), len(dst))
-	}
-	if c == 0 {
-		return
-	}
-	if c == 1 {
-		XorSliceRef(src, dst)
-		return
-	}
-	t := MulTable(c)
-	n := len(src)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		dst[i] ^= t[src[i]]
-		dst[i+1] ^= t[src[i+1]]
-		dst[i+2] ^= t[src[i+2]]
-		dst[i+3] ^= t[src[i+3]]
-		dst[i+4] ^= t[src[i+4]]
-		dst[i+5] ^= t[src[i+5]]
-		dst[i+6] ^= t[src[i+6]]
-		dst[i+7] ^= t[src[i+7]]
-	}
-	for ; i < n; i++ {
-		dst[i] ^= t[src[i]]
-	}
-}
-
-// XorSliceRef is the byte-wise reference for XorSlice.
-func XorSliceRef(src, dst []byte) {
-	if len(src) != len(dst) {
-		panicLen("XorSliceRef", len(src), len(dst))
-	}
-	n := len(src)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		dst[i] ^= src[i]
-		dst[i+1] ^= src[i+1]
-		dst[i+2] ^= src[i+2]
-		dst[i+3] ^= src[i+3]
-		dst[i+4] ^= src[i+4]
-		dst[i+5] ^= src[i+5]
-		dst[i+6] ^= src[i+6]
-		dst[i+7] ^= src[i+7]
-	}
-	for ; i < n; i++ {
-		dst[i] ^= src[i]
-	}
 }

@@ -23,14 +23,14 @@ func TestKernelDifferential(t *testing.T) {
 				cb := byte(c)
 				want := make([]byte, n)
 				got := make([]byte, n)
-				MulSliceRef(cb, src, want)
+				mulSliceRef(cb, src, want)
 				MulSlice(cb, src, got)
 				if !bytes.Equal(want, got) {
 					t.Fatalf("MulSlice c=%d n=%d align=%d diverges from reference", c, n, a)
 				}
 				copy(want, base)
 				copy(got, base)
-				MulSliceXorRef(cb, src, want)
+				mulSliceXorRef(cb, src, want)
 				MulSliceXor(cb, src, got)
 				if !bytes.Equal(want, got) {
 					t.Fatalf("MulSliceXor c=%d n=%d align=%d diverges from reference", c, n, a)
@@ -38,7 +38,7 @@ func TestKernelDifferential(t *testing.T) {
 			}
 			want := append([]byte(nil), base...)
 			got := append([]byte(nil), base...)
-			XorSliceRef(src, want)
+			xorSliceRef(src, want)
 			XorSlice(src, got)
 			if !bytes.Equal(want, got) {
 				t.Fatalf("XorSlice n=%d align=%d diverges from reference", n, a)
@@ -55,7 +55,7 @@ func TestKernelInPlace(t *testing.T) {
 		orig := randBytes(rng, n)
 		for _, c := range []byte{0, 1, 2, 0x8e, 0xff} {
 			want := make([]byte, n)
-			MulSliceRef(c, orig, want)
+			mulSliceRef(c, orig, want)
 			got := append([]byte(nil), orig...)
 			MulSlice(c, got, got)
 			if !bytes.Equal(want, got) {
@@ -87,7 +87,7 @@ func FuzzGFKernels(f *testing.F) {
 
 		want := make([]byte, n)
 		got := make([]byte, n)
-		MulSliceRef(c, src, want)
+		mulSliceRef(c, src, want)
 		MulSlice(c, src, got)
 		if !bytes.Equal(want, got) {
 			t.Fatalf("MulSlice c=%d n=%d off=%d diverges from reference", c, n, off)
@@ -95,7 +95,7 @@ func FuzzGFKernels(f *testing.F) {
 
 		copy(want, base)
 		copy(got, base)
-		MulSliceXorRef(c, src, want)
+		mulSliceXorRef(c, src, want)
 		MulSliceXor(c, src, got)
 		if !bytes.Equal(want, got) {
 			t.Fatalf("MulSliceXor c=%d n=%d off=%d diverges from reference", c, n, off)
@@ -103,7 +103,7 @@ func FuzzGFKernels(f *testing.F) {
 
 		copy(want, base)
 		copy(got, base)
-		XorSliceRef(src, want)
+		xorSliceRef(src, want)
 		XorSlice(src, got)
 		if !bytes.Equal(want, got) {
 			t.Fatalf("XorSlice n=%d off=%d diverges from reference", n, off)
@@ -123,8 +123,8 @@ func FuzzGFKernels(f *testing.F) {
 	})
 }
 
-// The 4 KiB benchmark pairs below are the before/after the BENCH
-// trajectory records: <kernel> is the word-wide implementation,
+// The 4 KiB benchmark pairs below are the before/after of the
+// word-wide kernels: <kernel> is the word-wide implementation,
 // <kernel>Ref the byte-wise baseline it must beat.
 
 func benchPair(b *testing.B, n int, word, ref func(src, dst []byte)) {
@@ -148,15 +148,15 @@ func benchPair(b *testing.B, n int, word, ref func(src, dst []byte)) {
 func BenchmarkMulSlice4KiB(b *testing.B) {
 	benchPair(b, 4096,
 		func(s, d []byte) { MulSlice(0x57, s, d) },
-		func(s, d []byte) { MulSliceRef(0x57, s, d) })
+		func(s, d []byte) { mulSliceRef(0x57, s, d) })
 }
 
 func BenchmarkMulSliceXor4KiB(b *testing.B) {
 	benchPair(b, 4096,
 		func(s, d []byte) { MulSliceXor(0x57, s, d) },
-		func(s, d []byte) { MulSliceXorRef(0x57, s, d) })
+		func(s, d []byte) { mulSliceXorRef(0x57, s, d) })
 }
 
 func BenchmarkXorSlice4KiB(b *testing.B) {
-	benchPair(b, 4096, XorSlice, XorSliceRef)
+	benchPair(b, 4096, XorSlice, xorSliceRef)
 }

@@ -113,9 +113,6 @@ func NewCallGraph(pkg *types.Package, info *types.Info, files []*ast.File, skip 
 	return cg
 }
 
-// UnitOf returns the unit for a *ast.FuncDecl or *ast.FuncLit, or nil.
-func (cg *CallGraph) UnitOf(decl ast.Node) *Unit { return cg.byDecl[decl] }
-
 // Callees resolves the same-package units call may invoke. Calls
 // through function-typed parameters or fields, and calls into other
 // packages, resolve to nothing — the documented soundness boundary.

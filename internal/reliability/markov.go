@@ -203,12 +203,6 @@ func (c *Chain) Reliability(t float64) float64 {
 	return r
 }
 
-// PointAvailability returns A(t) = P_0(t): per Appendix A.3, only the
-// fully recovered state is available.
-func (c *Chain) PointAvailability(t float64) float64 {
-	return c.Transient(t)[0]
-}
-
 // Repairable returns a copy of the chain in which the absorbing
 // data-loss state is repaired (restored from external backup and
 // re-initialized) at the given rate. The availability analysis of

@@ -85,15 +85,6 @@ func buildCodingMatrix(k, m int) Matrix {
 	return h
 }
 
-// DataShards returns k.
-func (e *Encoder) DataShards() int { return e.k }
-
-// ParityShards returns m.
-func (e *Encoder) ParityShards() int { return e.m }
-
-// TotalShards returns k+m.
-func (e *Encoder) TotalShards() int { return e.k + e.m }
-
 // CodingMatrix returns a copy of H = [I; G].
 func (e *Encoder) CodingMatrix() Matrix { return e.h.Clone() }
 

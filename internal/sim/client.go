@@ -120,17 +120,6 @@ func (c *Client) MoveAt(at time.Duration, key string, mg proto.MemgestID, done f
 	})
 }
 
-// DeleteAt schedules a delete.
-func (c *Client) DeleteAt(at time.Duration, key string, done func(time.Duration, *proto.DeleteReply)) {
-	c.do(at, c.coordAddr(key), func(req proto.ReqID) proto.Message {
-		return &proto.Delete{Req: req, Key: key}
-	}, func(lat time.Duration, m proto.Message) {
-		if r, ok := m.(*proto.DeleteReply); ok && done != nil {
-			done(lat, r)
-		}
-	})
-}
-
 // PutSync performs a put and runs the simulation until it completes,
 // returning the latency. Only valid when no other traffic is pending.
 func (c *Client) PutSync(key string, value []byte, mg proto.MemgestID) (time.Duration, *proto.PutReply, error) {

@@ -69,9 +69,6 @@ func (s *Sim) EnableDurable(seed int64, opts replog.DurableOptions) error {
 	return nil
 }
 
-// DurableEnabled reports whether the disk fault plane is active.
-func (s *Sim) DurableEnabled() bool { return s.dur != nil }
-
 // DiskFS exposes a node's simulated disk (nil without EnableDurable);
 // for tests.
 func (s *Sim) DiskFS(id proto.NodeID) *wal.MemFS {

@@ -418,17 +418,3 @@ func dupSafe(msg proto.Message) bool {
 	}
 	return true
 }
-
-// Kills returns the node IDs the schedule ever crashes, for tests that
-// assert restart behaviour.
-func (s Schedule) Kills() []proto.NodeID {
-	var out []proto.NodeID
-	seen := make(map[proto.NodeID]bool)
-	for _, st := range s.Steps {
-		if st.Kind == NemKill && !seen[st.A] {
-			seen[st.A] = true
-			out = append(out, st.A)
-		}
-	}
-	return out
-}

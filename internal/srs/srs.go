@@ -104,9 +104,6 @@ func (l *Layout) BlocksPerParityNode() int { return l.L / l.K }
 // Stripes returns the number of independent RS stripes, l/k.
 func (l *Layout) Stripes() int { return l.L / l.K }
 
-// TotalNodes returns s+m.
-func (l *Layout) TotalNodes() int { return l.S + l.M }
-
 // DataNodeOf returns the data node holding logical block b.
 func (l *Layout) DataNodeOf(b int) int {
 	l.checkBlock(b)
