@@ -39,16 +39,19 @@
 #   8. bench smoke: every Go benchmark compiles and runs one
 #      iteration; a benchmark that panics or no longer builds fails
 #      the stage, and the numbers scroll by in the job log
-#   9. chaos smoke: three fixed ringchaos seeds through the full
-#      seed -> schedule -> workload -> linearizability-check pipeline,
-#      twenty-four -durable seeds over the disk fault plane (kill -9 +
-#      recover-from-disk, WAL corruption, fsync faults; 2 s), and ten
-#      -elasticity seeds mixing live scheme moves and join/leave
-#      resizes into the fault schedule (the longest all-green prefix:
-#      seed 11 is red under message loss alone), hard-bounded at 30s
-#      each. The deep seed sweeps run nightly
-#      (.github/workflows/nightly-chaos.yml); this is the per-push
-#      canary that the chaos harness itself still works.
+#   9. chaos smoke: the longest all-green prefix of every ringchaos lane
+#      through the full seed -> schedule -> workload ->
+#      linearizability-check pipeline: seeds 1:120 of the plain lane
+#      (crash, partition, loss, delay, duplication; 125 is its first
+#      red seed), 1:150 of the -durable lane over the disk fault plane
+#      (kill -9 + recover-from-disk, WAL corruption, fsync faults; 160
+#      is red) and 1:10 of the -elasticity lane mixing live scheme
+#      moves and join/leave resizes into the fault schedule (11 is red
+#      under message loss alone) — about 2 s each, hard-bounded at 30s.
+#      Every client in these runs goes through the one simulated request
+#      path (internal/sim/caller.go), so a change to how a client
+#      retries, re-resolves or gives up trips here per push. The deep
+#      seed sweeps run nightly (.github/workflows/nightly-chaos.yml).
 #  10. benchmark canary: the real harness, once. `go run ./benchmark`
 #      builds ringd, boots five processes with -fsync always, drives
 #      rep3_1k_fsync for 5 s and checks every reply against the writes
@@ -99,8 +102,8 @@ stage_chaos() {
     go test -run=NONE -bench=. -benchtime=1x ./...
 
     go build -o bin/ringchaos ./cmd/ringchaos
-    timeout 30 ./bin/ringchaos -seeds 1:3 -v
-    timeout 30 ./bin/ringchaos -durable -seeds 1:24 -v
+    timeout 30 ./bin/ringchaos -seeds 1:120 -v
+    timeout 30 ./bin/ringchaos -durable -seeds 1:150 -v
     timeout 30 ./bin/ringchaos -elasticity -seeds 1:10 -v
 
     timeout 120 go run ./benchmark -workload rep3_1k_fsync -seconds 5

@@ -1,28 +1,19 @@
 // Command ringlint runs Ring's project-specific static-analysis suite
-// (see internal/lint) in two modes:
-//
-// Standalone, over package patterns resolved in the current module:
+// (see internal/lint) over package patterns resolved in the current
+// module:
 //
 //	go build -o bin/ringlint ./cmd/ringlint
 //	./bin/ringlint ./...
 //
-// As a go vet backend, speaking vet's unitchecker protocol:
-//
-//	go vet -vettool=$(pwd)/bin/ringlint ./...
-//
-// Exit status: 0 clean, 1 findings, 2 usage or load/type errors.
+// Findings print as file:line:col: analyzer: message, the shape CI's
+// problem matcher parses. Exit status: 0 clean, 1 findings, 2 usage or
+// load/type errors.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/token"
-	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"ring/internal/lint"
 )
@@ -32,27 +23,14 @@ func main() {
 }
 
 func run(args []string) int {
-	// `go vet -vettool` first interrogates the tool with -flags (a JSON
-	// list of supported analyzer flags; ringlint exposes none) and
-	// -V=full, then invokes it with a single *.cfg JSON argument per
-	// package.
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return 0
-	}
 	fs := flag.NewFlagSet("ringlint", flag.ContinueOnError)
-	versionFlag := fs.String("V", "", "print version and exit (vet protocol)")
 	listFlag := fs.Bool("list", false, "list analyzers and exit")
-	jsonFlag := fs.Bool("json", false, "emit one JSON object per finding (standalone mode)")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: ringlint [-json] [packages]  |  ringlint <file.cfg> (vet protocol)\n")
+		fmt.Fprintf(fs.Output(), "usage: ringlint [-list] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *versionFlag != "" {
-		return printVersion(*versionFlag)
 	}
 	if *listFlag {
 		for _, a := range lint.Analyzers() {
@@ -60,45 +38,7 @@ func run(args []string) int {
 		}
 		return 0
 	}
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return runVet(rest[0])
-	}
-	return runStandalone(rest, *jsonFlag)
-}
-
-// printVersion implements `ringlint -V=full`. vet requires the output
-// shape "<name> version <version>"; the version must be stable for a
-// given build, so it is derived from the executable's content hash.
-func printVersion(mode string) int {
-	if mode != "full" {
-		fmt.Println("ringlint version devel")
-		return 0
-	}
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("ringlint version devel comments-go-here buildID=%02x\n", h.Sum(nil))
-	return 0
-}
-
-// ------------------------------------------------------------- standalone
-
-// jsonDiagnostic is the machine-readable finding shape emitted by
-// `ringlint -json`: one JSON object per line (JSONL), consumed by the
-// CI problem matcher and any tooling that wants findings without
-// scraping the human rendering.
-type jsonDiagnostic struct {
-	Analyzer string `json:"analyzer"`
-	Pos      string `json:"pos"` // file:line:col
-	Message  string `json:"message"`
-}
-
-func runStandalone(patterns []string, asJSON bool) int {
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -107,7 +47,6 @@ func runStandalone(patterns []string, asJSON bool) int {
 		fmt.Fprintf(os.Stderr, "ringlint: %v\n", err)
 		return 2
 	}
-	enc := json.NewEncoder(os.Stdout)
 	status := 0
 	for _, pkg := range pkgs {
 		for _, terr := range pkg.TypeErrors {
@@ -123,111 +62,11 @@ func runStandalone(patterns []string, asJSON bool) int {
 			return 2
 		}
 		for _, d := range diags {
-			if asJSON {
-				enc.Encode(jsonDiagnostic{
-					Analyzer: d.Analyzer,
-					Pos:      pkg.Fset.Position(d.Pos).String(),
-					Message:  strings.TrimPrefix(d.Message, d.Analyzer+": "),
-				})
-			} else {
-				fmt.Printf("%s: %s\n", pkg.Fset.Position(d.Pos), d.Message)
-			}
+			fmt.Printf("%s: %s\n", pkg.Fset.Position(d.Pos), d.Message)
 			if status == 0 {
 				status = 1
 			}
 		}
 	}
 	return status
-}
-
-// ------------------------------------------------------------ vet protocol
-
-// vetConfig is the subset of the unitchecker .cfg file ringlint needs.
-type vetConfig struct {
-	ID                        string // package ID
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string // import path -> canonical path
-	PackageFile               map[string]string // canonical path -> export data file
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func runVet(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ringlint: %v\n", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "ringlint: parsing %s: %v\n", cfgPath, err)
-		return 2
-	}
-	// ringlint computes no cross-package facts, but vet expects the
-	// output file regardless.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "ringlint: %v\n", err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	var goFiles []string
-	for _, f := range cfg.GoFiles {
-		// cgo-generated files live outside the package dir; ringlint
-		// analyzes the checked-in sources only.
-		if strings.HasSuffix(f, ".go") {
-			goFiles = append(goFiles, f)
-		}
-	}
-	pkg, err := lint.CheckFiles(cfg.ImportPath, goFiles, func(path string) (string, bool) {
-		if c, ok := cfg.ImportMap[path]; ok {
-			path = c
-		}
-		f, ok := cfg.PackageFile[path]
-		return f, ok
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ringlint: %s: %v\n", cfg.ImportPath, err)
-		return 2
-	}
-	if len(pkg.TypeErrors) > 0 {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		for _, terr := range pkg.TypeErrors {
-			fmt.Fprintf(os.Stderr, "ringlint: %s: %v\n", cfg.ImportPath, terr)
-		}
-		return 2
-	}
-	diags, err := lint.RunAnalyzers(pkg, lint.Analyzers())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ringlint: %v\n", err)
-		return 2
-	}
-	// vet diagnostics go to stderr as file:line:col: message; exit 1
-	// tells the go command the package has findings.
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s\n", relPosition(pkg.Fset, d.Pos), d.Message)
-	}
-	if len(diags) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// relPosition renders pos with a working-directory-relative filename
-// when that is shorter, matching go vet's own output style.
-func relPosition(fset *token.FileSet, pos token.Pos) string {
-	p := fset.Position(pos)
-	if wd, err := os.Getwd(); err == nil {
-		if r, err := filepath.Rel(wd, p.Filename); err == nil && !strings.HasPrefix(r, "..") {
-			p.Filename = r
-		}
-	}
-	return p.String()
 }

@@ -20,47 +20,45 @@ import (
 )
 
 // future is the completion cell shared by the typed futures: the
-// operation goroutine fills msg/err and closes done.
-type future struct {
-	done chan struct{}
-	msg  proto.Message
-	err  error
+// operation goroutine fills reply/err and closes done.
+type future[R proto.Reply] struct {
+	done  chan struct{}
+	reply R
+	err   error
 }
 
-func (f *future) wait() (proto.Message, error) {
+func (f *future[R]) wait() (R, error) {
 	<-f.done
-	return f.msg, f.err
+	return f.reply, f.err
 }
 
 // The do*Op helpers run one key-routed operation synchronously; they
 // are the unit of work shared by the synchronous API, the standalone
 // futures, and pipeline workers.
 
-func (c *Client) doPutOp(key string, value []byte, mg proto.MemgestID) (proto.Message, error) {
-	return c.doKeyOp(key,
-		func(req proto.ReqID) proto.Message {
-			return &proto.Put{Req: req, Key: key, Value: value, Memgest: mg}
-		},
-		func(m proto.Message) proto.Status { return m.(*proto.PutReply).Status })
+func (c *Client) doPutOp(key string, value []byte, mg proto.MemgestID) (*proto.PutReply, error) {
+	return keyOp[*proto.PutReply](c, key, func(req proto.ReqID) proto.Message {
+		return &proto.Put{Req: req, Key: key, Value: value, Memgest: mg}
+	})
 }
 
-func (c *Client) doGetOp(key string, ver proto.Version) (proto.Message, error) {
-	return c.doKeyOp(key,
-		func(req proto.ReqID) proto.Message { return &proto.Get{Req: req, Key: key, Version: ver} },
-		func(m proto.Message) proto.Status { return m.(*proto.GetReply).Status })
+func (c *Client) doGetOp(key string, ver proto.Version) (*proto.GetReply, error) {
+	return keyOp[*proto.GetReply](c, key, func(req proto.ReqID) proto.Message {
+		return &proto.Get{Req: req, Key: key, Version: ver}
+	})
 }
 
-func (c *Client) doDeleteOp(key string) (proto.Message, error) {
-	return c.doKeyOp(key,
-		func(req proto.ReqID) proto.Message { return &proto.Delete{Req: req, Key: key} },
-		func(m proto.Message) proto.Status { return m.(*proto.DeleteReply).Status })
+func (c *Client) doDeleteOp(key string) (*proto.DeleteReply, error) {
+	return keyOp[*proto.DeleteReply](c, key, func(req proto.ReqID) proto.Message {
+		return &proto.Delete{Req: req, Key: key}
+	})
 }
 
 // startOp issues one operation asynchronously on its own goroutine.
-func (c *Client) startOp(op func() (proto.Message, error)) *future {
-	f := &future{done: make(chan struct{})}
+func startOp[R proto.Reply](op func() (R, error)) *future[R] {
+	f := &future[R]{done: make(chan struct{})}
 	go func() {
-		f.msg, f.err = op()
+		f.reply, f.err = op()
 		close(f.done)
 	}()
 	return f
@@ -69,17 +67,16 @@ func (c *Client) startOp(op func() (proto.Message, error)) *future {
 // ----------------------------------------------------------- typed futures
 
 // PutFuture resolves an asynchronous Put.
-type PutFuture struct{ f *future }
+type PutFuture struct{ f *future[*proto.PutReply] }
 
 // Wait blocks until the put commits (or fails) and returns the
 // committed version.
 func (f *PutFuture) Wait() (proto.Version, error) { return putResult(f.f.wait()) }
 
-func putResult(m proto.Message, err error) (proto.Version, error) {
+func putResult(r *proto.PutReply, err error) (proto.Version, error) {
 	if err != nil {
 		return 0, err
 	}
-	r := m.(*proto.PutReply)
 	if r.Status != proto.StOK {
 		return 0, r.Status.Err()
 	}
@@ -87,17 +84,16 @@ func putResult(m proto.Message, err error) (proto.Version, error) {
 }
 
 // GetFuture resolves an asynchronous Get.
-type GetFuture struct{ f *future }
+type GetFuture struct{ f *future[*proto.GetReply] }
 
 // Wait blocks until the reply arrives and returns the value and its
 // version (or ErrNotFound).
 func (f *GetFuture) Wait() ([]byte, proto.Version, error) { return getResult(f.f.wait()) }
 
-func getResult(m proto.Message, err error) ([]byte, proto.Version, error) {
+func getResult(r *proto.GetReply, err error) ([]byte, proto.Version, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	r := m.(*proto.GetReply)
 	switch r.Status {
 	case proto.StOK:
 		return r.Value, r.Version, nil
@@ -109,16 +105,15 @@ func getResult(m proto.Message, err error) ([]byte, proto.Version, error) {
 }
 
 // DeleteFuture resolves an asynchronous Delete.
-type DeleteFuture struct{ f *future }
+type DeleteFuture struct{ f *future[*proto.DeleteReply] }
 
 // Wait blocks until the tombstone commits (or ErrNotFound).
 func (f *DeleteFuture) Wait() error { return deleteResult(f.f.wait()) }
 
-func deleteResult(m proto.Message, err error) error {
+func deleteResult(r *proto.DeleteReply, err error) error {
 	if err != nil {
 		return err
 	}
-	r := m.(*proto.DeleteReply)
 	if r.Status == proto.StNotFound {
 		return ErrNotFound
 	}
@@ -136,7 +131,7 @@ func (c *Client) PutAsync(key string, value []byte) *PutFuture {
 // PutInAsync stores value under key in a specific memgest without
 // waiting for the commit.
 func (c *Client) PutInAsync(key string, value []byte, mg proto.MemgestID) *PutFuture {
-	return &PutFuture{f: c.startOp(func() (proto.Message, error) { return c.doPutOp(key, value, mg) })}
+	return &PutFuture{f: startOp(func() (*proto.PutReply, error) { return c.doPutOp(key, value, mg) })}
 }
 
 // GetAsync fetches the newest committed value of key without waiting.
@@ -147,12 +142,12 @@ func (c *Client) GetAsync(key string) *GetFuture {
 // GetVersionAsync fetches a specific retained version of key
 // (0 = newest) without waiting.
 func (c *Client) GetVersionAsync(key string, ver proto.Version) *GetFuture {
-	return &GetFuture{f: c.startOp(func() (proto.Message, error) { return c.doGetOp(key, ver) })}
+	return &GetFuture{f: startOp(func() (*proto.GetReply, error) { return c.doGetOp(key, ver) })}
 }
 
 // DeleteAsync removes key without waiting for the commit.
 func (c *Client) DeleteAsync(key string) *DeleteFuture {
-	return &DeleteFuture{f: c.startOp(func() (proto.Message, error) { return c.doDeleteOp(key) })}
+	return &DeleteFuture{f: startOp(func() (*proto.DeleteReply, error) { return c.doDeleteOp(key) })}
 }
 
 // ---------------------------------------------------------------- pipeline
@@ -205,13 +200,13 @@ func (c *Client) NewPipeline(depth int) *Pipeline {
 
 // submit hands one operation to a worker, blocking while every worker
 // is busy — that block is what bounds the pipeline depth.
-func (p *Pipeline) submit(op func() (proto.Message, error), result func(proto.Message, error) error) *future {
-	f := &future{done: make(chan struct{})}
+func submit[R proto.Reply](p *Pipeline, op func() (R, error), result func(R, error) error) *future[R] {
+	f := &future[R]{done: make(chan struct{})}
 	p.wg.Add(1)
 	job := func() {
 		Metrics.PipelineDepth.Observe(int64(p.inflight.Add(1)))
-		f.msg, f.err = op()
-		err := result(f.msg, f.err)
+		f.reply, f.err = op()
+		err := result(f.reply, f.err)
 		p.inflight.Add(-1)
 		p.end(err)
 		close(f.done)
@@ -244,23 +239,21 @@ func (p *Pipeline) Put(key string, value []byte) *PutFuture {
 
 // PutIn issues an asynchronous put into a specific memgest.
 func (p *Pipeline) PutIn(key string, value []byte, mg proto.MemgestID) *PutFuture {
-	return &PutFuture{f: p.submit(
-		func() (proto.Message, error) { return p.c.doPutOp(key, value, mg) },
-		func(m proto.Message, err error) error { _, e := putResult(m, err); return e })}
+	return &PutFuture{f: submit(p,
+		func() (*proto.PutReply, error) { return p.c.doPutOp(key, value, mg) },
+		func(r *proto.PutReply, err error) error { _, e := putResult(r, err); return e })}
 }
 
 // Get issues an asynchronous get.
 func (p *Pipeline) Get(key string) *GetFuture {
-	return &GetFuture{f: p.submit(
-		func() (proto.Message, error) { return p.c.doGetOp(key, 0) },
-		func(m proto.Message, err error) error { _, _, e := getResult(m, err); return e })}
+	return &GetFuture{f: submit(p,
+		func() (*proto.GetReply, error) { return p.c.doGetOp(key, 0) },
+		func(r *proto.GetReply, err error) error { _, _, e := getResult(r, err); return e })}
 }
 
 // Delete issues an asynchronous delete.
 func (p *Pipeline) Delete(key string) *DeleteFuture {
-	return &DeleteFuture{f: p.submit(
-		func() (proto.Message, error) { return p.c.doDeleteOp(key) },
-		func(m proto.Message, err error) error { return deleteResult(m, err) })}
+	return &DeleteFuture{f: submit(p, func() (*proto.DeleteReply, error) { return p.c.doDeleteOp(key) }, deleteResult)}
 }
 
 // Flush waits for every operation issued so far to complete and

@@ -43,6 +43,8 @@ var ErrTimeout = errors.New("client: request timed out")
 // ErrNotFound is returned by Get/Delete/Move for missing keys.
 var ErrNotFound = errors.New("client: key not found")
 
+var errNoConfig = errors.New("client: no configuration")
+
 var clientSeq atomic.Uint64
 
 // Client is a synchronous Ring client. It is safe for concurrent use.
@@ -53,7 +55,7 @@ type Client struct {
 	mu      sync.Mutex
 	cfg     *proto.Config
 	nextReq uint64
-	waiters map[proto.ReqID]chan proto.Message
+	waiters map[proto.ReqID]chan proto.Reply
 
 	closed chan struct{}
 }
@@ -70,7 +72,7 @@ func Dial(fabric transport.Fabric, bootstrap []string, opts Options) (*Client, e
 		opts:    opts.defaults(),
 		ep:      ep,
 		nextReq: 1,
-		waiters: make(map[proto.ReqID]chan proto.Message),
+		waiters: make(map[proto.ReqID]chan proto.Reply),
 		closed:  make(chan struct{}),
 	}
 	go c.recvLoop()
@@ -112,7 +114,7 @@ func (c *Client) recvLoop() {
 			if err != nil {
 				return nil
 			}
-			req, ok := requestID(msg)
+			reply, ok := msg.(proto.Reply)
 			if !ok {
 				return nil
 			}
@@ -122,11 +124,11 @@ func (c *Client) recvLoop() {
 				gr.Value = bytes.Clone(gr.Value)
 			}
 			c.mu.Lock()
-			ch := c.waiters[req]
-			delete(c.waiters, req)
+			ch := c.waiters[reply.Request()]
+			delete(c.waiters, reply.Request())
 			c.mu.Unlock()
 			if ch != nil {
-				ch <- msg
+				ch <- reply
 			}
 			return nil
 		})
@@ -134,28 +136,6 @@ func (c *Client) recvLoop() {
 	}
 }
 
-// requestID extracts the correlation id from a reply message.
-func requestID(m proto.Message) (proto.ReqID, bool) {
-	switch r := m.(type) {
-	case *proto.PutReply:
-		return r.Req, true
-	case *proto.GetReply:
-		return r.Req, true
-	case *proto.DeleteReply:
-		return r.Req, true
-	case *proto.MoveReply:
-		return r.Req, true
-	case *proto.MemgestReply:
-		return r.Req, true
-	case *proto.ResolveReply:
-		return r.Req, true
-	case *proto.ResizeReply:
-		return r.Req, true
-	}
-	return 0, false
-}
-
-// call sends a request to `to` and waits for the matching reply.
 // timerPool recycles timeout timers across calls: time.After would
 // leave a live runtime timer behind for the full timeout after every
 // completed request, which at pipelined rates means thousands of
@@ -180,8 +160,9 @@ func releaseTimer(t *time.Timer) {
 	timerPool.Put(t)
 }
 
-func (c *Client) call(to string, req proto.ReqID, msg proto.Message) (proto.Message, error) {
-	ch := make(chan proto.Message, 1)
+// call sends a request to `to` and waits for the matching reply.
+func (c *Client) call(to string, req proto.ReqID, msg proto.Message) (proto.Reply, error) {
+	ch := make(chan proto.Reply, 1)
 	c.mu.Lock()
 	c.waiters[req] = ch
 	c.mu.Unlock()
@@ -219,71 +200,71 @@ func (c *Client) reqID() proto.ReqID {
 
 // resolve queries the given addresses (or every node of the last known
 // config) for the freshest configuration — the client-side analogue of
-// the paper's multicast re-discovery.
+// the paper's multicast re-discovery. All addresses are asked at once,
+// so unreachable nodes cost one Timeout together, not one each; and the
+// view only moves forward: an answer older than the configuration
+// already held (a stale node was the only one to reply) is ignored.
 func (c *Client) resolve(addrs []string) error {
 	Metrics.Resolves.Inc()
 	if addrs == nil {
-		c.mu.Lock()
-		if c.cfg != nil {
-			for _, id := range c.cfg.AllNodes() {
+		if cfg := c.Config(); cfg != nil {
+			for _, id := range cfg.AllNodes() {
 				addrs = append(addrs, core.NodeAddr(id))
 			}
 		}
+	}
+	answers := make(chan *proto.Config, len(addrs))
+	for _, a := range addrs {
+		go func() {
+			req := c.reqID()
+			reply, _ := c.call(a, req, &proto.Resolve{Req: req})
+			var cfg *proto.Config
+			if rr, ok := reply.(*proto.ResolveReply); ok {
+				cfg = rr.Config
+			}
+			answers <- cfg
+		}()
+	}
+	answered := false
+	for range addrs {
+		cfg := <-answers
+		if cfg == nil {
+			continue
+		}
+		answered = true
+		c.mu.Lock()
+		if c.cfg == nil || cfg.Epoch >= c.cfg.Epoch {
+			c.cfg = cfg
+		}
 		c.mu.Unlock()
 	}
-	var best *proto.Config
-	for _, a := range addrs {
-		req := c.reqID()
-		reply, err := c.call(a, req, &proto.Resolve{Req: req})
-		if err != nil {
-			continue
-		}
-		rr, ok := reply.(*proto.ResolveReply)
-		if !ok {
-			continue
-		}
-		if best == nil || rr.Config.Epoch > best.Epoch {
-			best = rr.Config
-		}
-	}
-	if best == nil {
+	if !answered {
 		return fmt.Errorf("client: no node answered resolve")
 	}
-	c.mu.Lock()
-	c.cfg = best
-	c.mu.Unlock()
 	return nil
 }
 
-func (c *Client) coordinatorFor(key string) (string, error) {
-	c.mu.Lock()
-	cfg := c.cfg
-	c.mu.Unlock()
-	if cfg == nil || cfg.Shards() == 0 {
-		return "", fmt.Errorf("client: no configuration")
-	}
-	return core.NodeAddr(cfg.CoordinatorOf(store.KeyHash(key))), nil
+// route picks the node one attempt of a request goes to, from the
+// configuration the client holds at that attempt.
+type route func(cfg *proto.Config) proto.NodeID
+
+func toCoordinator(key string) route {
+	return func(cfg *proto.Config) proto.NodeID { return cfg.CoordinatorOf(store.KeyHash(key)) }
 }
 
-func (c *Client) leaderAddr() (string, error) {
-	c.mu.Lock()
-	cfg := c.cfg
-	c.mu.Unlock()
-	if cfg == nil {
-		return "", fmt.Errorf("client: no configuration")
-	}
-	return core.NodeAddr(cfg.Leader), nil
+func toLeader(cfg *proto.Config) proto.NodeID { return cfg.Leader }
+
+func toNode(id proto.NodeID) route {
+	return func(*proto.Config) proto.NodeID { return id }
 }
 
-// retryStatus reports whether a status warrants re-resolving and
-// retrying.
-func retryStatus(s proto.Status) bool {
-	return s == proto.StWrongNode || s == proto.StRetry || s == proto.StUnavailable
-}
-
-// doKeyOp runs a key-routed request with timeout/wrong-node retry.
-func (c *Client) doKeyOp(key string, build func(proto.ReqID) proto.Message, status func(proto.Message) proto.Status) (proto.Message, error) {
-	Metrics.Requests.Inc()
+// do is the client's one request path (Section 5.5): send to the node
+// the current configuration names, and on a timeout, a transient
+// status, or a reply that is not the R this request is answered with
+// (a late reply to a previous process's request with the same ReqID),
+// re-discover the configuration, back off, and send again under a
+// fresh ReqID, Options.Retries times over.
+func do[R proto.Reply](c *Client, to route, build func(proto.ReqID) proto.Message) (R, error) {
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
 		if attempt > 0 {
@@ -292,27 +273,42 @@ func (c *Client) doKeyOp(key string, build func(proto.ReqID) proto.Message, stat
 			// Brief backoff: the cluster may be mid-reconfiguration.
 			time.Sleep(time.Duration(attempt) * 10 * time.Millisecond)
 		}
-		to, err := c.coordinatorFor(key)
-		if err != nil {
-			lastErr = err
+		cfg := c.Config()
+		if cfg == nil || cfg.Shards() == 0 {
+			lastErr = errNoConfig
 			continue
 		}
 		req := c.reqID()
-		reply, err := c.call(to, req, build(req))
+		reply, err := c.call(core.NodeAddr(to(cfg)), req, build(req))
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		if s := status(reply); retryStatus(s) {
+		r, ok := reply.(R)
+		if !ok {
+			lastErr = fmt.Errorf("client: unexpected reply %T", reply)
+			continue
+		}
+		if s := r.Result(); s.Transient() {
 			lastErr = s.Err()
 			continue
 		}
-		return reply, nil
+		return r, nil
 	}
-	if lastErr == nil {
-		lastErr = ErrTimeout
-	}
-	return nil, lastErr
+	var none R
+	return none, lastErr
+}
+
+// keyOp runs one operation routed by its key.
+func keyOp[R proto.Reply](c *Client, key string, build func(proto.ReqID) proto.Message) (R, error) {
+	Metrics.Requests.Inc()
+	return do[R](c, toCoordinator(key), build)
+}
+
+// leaderOp runs one management operation, routed to the leader.
+func leaderOp[R proto.Reply](c *Client, build func(proto.ReqID) proto.Message) (R, error) {
+	Metrics.Requests.Inc()
+	return do[R](c, toLeader, build)
 }
 
 // Put stores value under key in the cluster's default memgest.
@@ -355,62 +351,21 @@ func (c *Client) Move(key string, mg proto.MemgestID) (proto.Version, error) {
 // write committed — the window the coordinator holds open is invisible
 // here beyond latency.
 func (c *Client) MoveIf(key string, from, to proto.MemgestID) (proto.Version, error) {
-	reply, err := c.doKeyOp(key,
-		func(req proto.ReqID) proto.Message {
-			return &proto.Move{Req: req, Key: key, Memgest: to, From: from}
-		},
-		func(m proto.Message) proto.Status { return m.(*proto.MoveReply).Status })
+	r, err := keyOp[*proto.MoveReply](c, key, func(req proto.ReqID) proto.Message {
+		return &proto.Move{Req: req, Key: key, Memgest: to, From: from}
+	})
 	if err != nil {
 		return 0, err
 	}
-	r := reply.(*proto.MoveReply)
 	if r.Status == proto.StNotFound {
 		return 0, ErrNotFound
 	}
 	return r.Version, r.Status.Err()
 }
 
-// doLeaderOp runs a leader-routed management request.
-func (c *Client) doLeaderOp(build func(proto.ReqID) proto.Message) (*proto.MemgestReply, error) {
-	Metrics.Requests.Inc()
-	var lastErr error
-	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
-		if attempt > 0 {
-			Metrics.Retries.Inc()
-			_ = c.resolve(nil)
-			time.Sleep(time.Duration(attempt) * 10 * time.Millisecond)
-		}
-		to, err := c.leaderAddr()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		req := c.reqID()
-		reply, err := c.call(to, req, build(req))
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		r, ok := reply.(*proto.MemgestReply)
-		if !ok {
-			lastErr = fmt.Errorf("client: unexpected reply %T", reply)
-			continue
-		}
-		if retryStatus(r.Status) {
-			lastErr = r.Status.Err()
-			continue
-		}
-		return r, nil
-	}
-	if lastErr == nil {
-		lastErr = ErrTimeout
-	}
-	return nil, lastErr
-}
-
 // CreateMemgest instantiates a new storage scheme and returns its ID.
 func (c *Client) CreateMemgest(sc proto.Scheme) (proto.MemgestID, error) {
-	r, err := c.doLeaderOp(func(req proto.ReqID) proto.Message {
+	r, err := leaderOp[*proto.MemgestReply](c, func(req proto.ReqID) proto.Message {
 		return &proto.CreateMemgest{Req: req, Scheme: sc}
 	})
 	if err != nil {
@@ -426,7 +381,7 @@ func (c *Client) CreateMemgest(sc proto.Scheme) (proto.MemgestID, error) {
 
 // DeleteMemgest removes a memgest.
 func (c *Client) DeleteMemgest(id proto.MemgestID) error {
-	r, err := c.doLeaderOp(func(req proto.ReqID) proto.Message {
+	r, err := leaderOp[*proto.MemgestReply](c, func(req proto.ReqID) proto.Message {
 		return &proto.DeleteMemgest{Req: req, Memgest: id}
 	})
 	if err != nil {
@@ -439,7 +394,7 @@ func (c *Client) DeleteMemgest(id proto.MemgestID) error {
 // SetDefaultMemgest selects the memgest for puts without an explicit
 // scheme.
 func (c *Client) SetDefaultMemgest(id proto.MemgestID) error {
-	r, err := c.doLeaderOp(func(req proto.ReqID) proto.Message {
+	r, err := leaderOp[*proto.MemgestReply](c, func(req proto.ReqID) proto.Message {
 		return &proto.SetDefault{Req: req, Memgest: id}
 	})
 	if err != nil {
@@ -451,7 +406,7 @@ func (c *Client) SetDefaultMemgest(id proto.MemgestID) error {
 
 // GetMemgestDescriptor fetches a memgest's scheme.
 func (c *Client) GetMemgestDescriptor(id proto.MemgestID) (proto.Scheme, error) {
-	r, err := c.doLeaderOp(func(req proto.ReqID) proto.Message {
+	r, err := leaderOp[*proto.MemgestReply](c, func(req proto.ReqID) proto.Message {
 		return &proto.GetDescriptor{Req: req, Memgest: id}
 	})
 	if err != nil {

@@ -1,12 +1,6 @@
 package client
 
-import (
-	"fmt"
-	"time"
-
-	"ring/internal/core"
-	"ring/internal/proto"
-)
+import "ring/internal/proto"
 
 // MovePrefix bulk-moves every key matching prefix into memgest to
 // (from as in MoveIf). A coordinator only moves the keys of shards it
@@ -18,7 +12,7 @@ func (c *Client) MovePrefix(prefix string, from, to proto.MemgestID) (int, error
 	Metrics.Requests.Inc()
 	cfg := c.Config()
 	if cfg == nil || cfg.Shards() == 0 {
-		return 0, fmt.Errorf("client: no configuration")
+		return 0, errNoConfig
 	}
 	total := 0
 	seen := make(map[proto.NodeID]bool)
@@ -27,94 +21,40 @@ func (c *Client) MovePrefix(prefix string, from, to proto.MemgestID) (int, error
 			continue
 		}
 		seen[id] = true
-		var lastErr error
-		done := false
-		for attempt := 0; attempt <= c.opts.Retries; attempt++ {
-			if attempt > 0 {
-				Metrics.Retries.Inc()
-				_ = c.resolve(nil)
-				time.Sleep(time.Duration(attempt) * 10 * time.Millisecond)
-			}
-			req := c.reqID()
-			reply, err := c.call(core.NodeAddr(id), req,
-				&proto.Move{Req: req, Key: prefix, Memgest: to, From: from, Prefix: true})
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			r, ok := reply.(*proto.MoveReply)
-			if !ok {
-				lastErr = fmt.Errorf("client: unexpected reply %T", reply)
-				continue
-			}
-			if retryStatus(r.Status) {
-				lastErr = r.Status.Err()
-				continue
-			}
-			if err := r.Status.Err(); err != nil {
-				return total, err
-			}
-			total += int(r.Moved)
-			done = true
-			break
+		r, err := do[*proto.MoveReply](c, toNode(id), func(req proto.ReqID) proto.Message {
+			return &proto.Move{Req: req, Key: prefix, Memgest: to, From: from, Prefix: true}
+		})
+		if err == nil {
+			err = r.Status.Err()
 		}
-		if !done {
-			if lastErr == nil {
-				lastErr = ErrTimeout
-			}
-			return total, lastErr
+		if err != nil {
+			return total, err
 		}
+		total += int(r.Moved)
 	}
 	return total, nil
 }
 
-// doResize runs a leader-routed membership request.
-func (c *Client) doResize(op proto.ResizeOp, node proto.NodeID) (*proto.ResizeReply, error) {
-	Metrics.Requests.Inc()
-	var lastErr error
-	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
-		if attempt > 0 {
-			Metrics.Retries.Inc()
-			_ = c.resolve(nil)
-			time.Sleep(time.Duration(attempt) * 10 * time.Millisecond)
-		}
-		to, err := c.leaderAddr()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		req := c.reqID()
-		reply, err := c.call(to, req, &proto.Resize{Req: req, Op: op, Node: node})
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		r, ok := reply.(*proto.ResizeReply)
-		if !ok {
-			lastErr = fmt.Errorf("client: unexpected reply %T", reply)
-			continue
-		}
-		if retryStatus(r.Status) {
-			lastErr = r.Status.Err()
-			continue
-		}
-		return r, nil
+// resize runs one membership change and, when the leader answered,
+// refreshes the configuration it produced.
+func (c *Client) resize(op proto.ResizeOp, node proto.NodeID) (*proto.ResizeReply, error) {
+	r, err := leaderOp[*proto.ResizeReply](c, func(req proto.ReqID) proto.Message {
+		return &proto.Resize{Req: req, Op: op, Node: node}
+	})
+	if err == nil {
+		_ = c.resolve(nil)
 	}
-	if lastErr == nil {
-		lastErr = ErrTimeout
-	}
-	return nil, lastErr
+	return r, err
 }
 
 // ResizeJoin admits node into the cluster as a spare (quarantine-then-
 // announce: the node must be running and rejoining). Idempotent.
 // Returns the epoch of the configuration that includes the node.
 func (c *Client) ResizeJoin(node proto.NodeID) (proto.Epoch, error) {
-	r, err := c.doResize(proto.ResizeJoin, node)
+	r, err := c.resize(proto.ResizeJoin, node)
 	if err != nil {
 		return 0, err
 	}
-	_ = c.resolve(nil)
 	return r.Epoch, r.Status.Err()
 }
 
@@ -124,10 +64,9 @@ func (c *Client) ResizeJoin(node proto.NodeID) (proto.Epoch, error) {
 // of placement slots that actually moved (the minimal-movement
 // metric) and the new epoch.
 func (c *Client) ResizeLeave(node proto.NodeID) (int, proto.Epoch, error) {
-	r, err := c.doResize(proto.ResizeLeave, node)
+	r, err := c.resize(proto.ResizeLeave, node)
 	if err != nil {
 		return 0, 0, err
 	}
-	_ = c.resolve(nil)
 	return int(r.Moved), r.Epoch, r.Status.Err()
 }

@@ -40,8 +40,7 @@
 // analysis framework: the module is dependency-free by policy), with
 // packages loaded through `go list -export` so dependencies are
 // imported from compiled export data exactly as go vet does. The
-// driver lives in cmd/ringlint, runnable standalone or as a
-// `go vet -vettool=` backend.
+// driver lives in cmd/ringlint.
 //
 // # Directives
 //
@@ -85,13 +84,10 @@ import (
 )
 
 // Diagnostic is one finding, positioned in the analyzed source. The
-// Message carries an "<analyzer>: " prefix for the human-readable
-// renderings; Analyzer holds the bare name for structured output
-// (ringlint -json).
+// Message carries an "<analyzer>: " prefix.
 type Diagnostic struct {
-	Pos      token.Pos
-	Analyzer string
-	Message  string
+	Pos     token.Pos
+	Message string
 }
 
 // Analyzer is one named check run over a type-checked package.

@@ -301,15 +301,6 @@ func (s *substImporter) Import(path string) (*types.Package, error) {
 	return s.imp.Import(path)
 }
 
-// CheckFiles parses and type-checks an explicit file list as one
-// package, resolving imports through find (import path -> export data
-// file). It is the vet-protocol entry point used by cmd/ringlint,
-// where the go command supplies both the file list and the export map.
-func CheckFiles(pkgPath string, files []string, find func(path string) (string, bool)) (*Package, error) {
-	fset := token.NewFileSet()
-	return check(fset, exportImporter(fset, find), pkgPath, "", files)
-}
-
 // LoadDir parses and type-checks a single directory of Go files as one
 // package — the fixture loader for analyzer tests. pkgPath overrides
 // the import path the analyzers observe, letting fixtures impersonate

@@ -28,7 +28,6 @@ func RunAnalyzersIgnoring(pkg *Package, analyzers []*Analyzer, ignore map[string
 		}
 		name := a.Name
 		pass.report = func(d Diagnostic) {
-			d.Analyzer = name
 			d.Message = name + ": " + d.Message
 			diags = append(diags, d)
 		}

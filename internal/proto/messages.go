@@ -115,11 +115,47 @@ func (s Status) Err() error {
 	return fmt.Errorf("ring: %s", s)
 }
 
+// Transient reports whether s tells the client its view of the cluster
+// is stale or the cluster is mid-change: re-resolve the configuration
+// and send the request again (Section 5.5). Every other status is the
+// request's answer.
+func (s Status) Transient() bool {
+	return s == StWrongNode || s == StRetry || s == StUnavailable
+}
+
 // Message is implemented by every wire message.
 type Message interface {
 	Type() MsgType
 	encode(w *writer)
 }
+
+// Reply is implemented by the seven replies a client receives: the
+// request the reply answers and how that request ended. It is all a
+// client needs to correlate a reply and decide whether to retry, so
+// client code never switches over the concrete reply types.
+type Reply interface {
+	Message
+	Request() ReqID
+	Result() Status
+}
+
+func (m *PutReply) Request() ReqID     { return m.Req }
+func (m *PutReply) Result() Status     { return m.Status }
+func (m *GetReply) Request() ReqID     { return m.Req }
+func (m *GetReply) Result() Status     { return m.Status }
+func (m *DeleteReply) Request() ReqID  { return m.Req }
+func (m *DeleteReply) Result() Status  { return m.Status }
+func (m *MoveReply) Request() ReqID    { return m.Req }
+func (m *MoveReply) Result() Status    { return m.Status }
+func (m *MemgestReply) Request() ReqID { return m.Req }
+func (m *MemgestReply) Result() Status { return m.Status }
+func (m *ResizeReply) Request() ReqID  { return m.Req }
+func (m *ResizeReply) Result() Status  { return m.Status }
+func (m *ResolveReply) Request() ReqID { return m.Req }
+
+// Result is StOK: a node that answers Resolve at all answers with its
+// configuration.
+func (m *ResolveReply) Result() Status { return StOK }
 
 // Encode serializes a message with its envelope type byte. It is a
 // convenience shim over AppendEncode that allocates a fresh buffer.

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"time"
 
-	"ring/internal/core"
 	"ring/internal/linearize"
 	"ring/internal/proto"
 	"ring/internal/store"
@@ -15,11 +14,11 @@ import (
 
 // This file is the instrumented workload side of the chaos harness:
 // closed-loop clients that issue puts/gets/deletes against the
-// simulated cluster, retry and re-resolve through failures like the
-// real client library, and record every operation as an
-// invocation/response pair for the linearizability checker. All
-// randomness comes from seeded generators, so a run is a pure
-// function of its seed.
+// simulated cluster — retrying and re-resolving through failures like
+// the real client library, which is caller.go's half — and record every
+// operation as an invocation/response pair for the linearizability
+// checker. All randomness comes from seeded generators, so a run is a
+// pure function of its seed.
 
 // ChaosOptions parameterizes a chaos workload.
 type ChaosOptions struct {
@@ -89,20 +88,15 @@ func NewChaosHarness(s *Sim, cfg *proto.Config, opts ChaosOptions) *ChaosHarness
 	h := &ChaosHarness{sim: s, opts: opts, nextVal: 1}
 	for i := 0; i < opts.Clients; i++ {
 		c := &chaosClient{
-			h:    h,
-			sim:  s,
-			idx:  i,
-			addr: fmt.Sprintf("client/chaos%d", i),
-			cfg:  cfg.Clone(),
-			rng:  rand.New(rand.NewSource(opts.Seed*1_000_003 + int64(i)*7919)),
-			left: opts.OpsPerClient,
+			caller: newCaller(s, fmt.Sprintf("client/chaos%d", i), cfg.Clone(), opts.OpTimeout, opts.OpRetries),
+			h:      h,
+			idx:    i,
+			rng:    rand.New(rand.NewSource(opts.Seed*1_000_003 + int64(i)*7919)),
+			left:   opts.OpsPerClient,
 		}
-		s.RegisterClient(c.addr, c.onMessage)
 		h.running++
 		// Stagger starts so clients do not move in lockstep.
-		start := time.Duration(i) * 20 * time.Microsecond
-		cc := c
-		s.At(s.Now()+start, func(now time.Duration) { cc.startNext(now) })
+		s.At(s.Now()+time.Duration(i)*20*time.Microsecond, c.startNext)
 	}
 	return h
 }
@@ -123,34 +117,15 @@ func (h *ChaosHarness) History() []linearize.Op { return h.history }
 // Done reports whether every client completed its operations.
 func (h *ChaosHarness) Done() bool { return h.running == 0 }
 
-// chaosOp is one logical operation possibly spanning several attempts.
-type chaosOp struct {
-	histIdx  int
-	kind     linearize.Kind
-	key      string
-	arg      uint64
-	mg       proto.MemgestID
-	attempts int
-	// reqs holds the request IDs of all outstanding attempts; a reply
-	// to ANY of them completes the operation (each attempt's
-	// observation falls inside the operation's real-time window).
-	reqs map[proto.ReqID]bool
-	done bool
-}
-
+// chaosClient is one closed-loop workload client: it generates
+// operations and records them in the shared history; sending, retrying
+// and re-resolving are the caller's.
 type chaosClient struct {
+	*caller
 	h    *ChaosHarness
-	sim  *Sim
 	idx  int
-	addr string
-	cfg  *proto.Config
 	rng  *rand.Rand
 	left int
-
-	nextReq     proto.ReqID
-	cur         *chaosOp
-	resolveReqs map[proto.ReqID]bool
-	resolveRR   int
 }
 
 // scheduleNext queues the next operation after the think-time pause.
@@ -159,12 +134,11 @@ func (c *chaosClient) scheduleNext(now time.Duration) {
 		c.startNext(now)
 		return
 	}
-	c.sim.At(now+c.h.opts.ThinkTime, func(tnow time.Duration) { c.startNext(tnow) })
+	c.sim.At(now+c.h.opts.ThinkTime, c.startNext)
 }
 
 func (c *chaosClient) startNext(now time.Duration) {
 	if c.left == 0 {
-		c.cur = nil
 		c.h.running--
 		return
 	}
@@ -179,26 +153,56 @@ func (c *chaosClient) startNext(now time.Duration) {
 		kind = linearize.KDelete
 	}
 	key := fmt.Sprintf("k%d", c.rng.Intn(c.h.opts.Keys))
-	op := &chaosOp{
-		histIdx: len(c.h.history),
-		kind:    kind,
-		key:     key,
-		mg:      c.h.opts.Memgests[c.rng.Intn(len(c.h.opts.Memgests))],
-		reqs:    make(map[proto.ReqID]bool),
-	}
+	mg := c.h.opts.Memgests[c.rng.Intn(len(c.h.opts.Memgests))]
+	var arg uint64
 	if kind == linearize.KPut {
-		op.arg = c.h.nextVal
+		arg = c.h.nextVal
 		c.h.nextVal++
 	}
+	histIdx := len(c.h.history)
 	c.h.history = append(c.h.history, linearize.Op{
 		Client: c.idx,
 		Kind:   kind,
 		Key:    key,
-		Arg:    op.arg,
+		Arg:    arg,
 		Invoke: now,
 	})
-	c.cur = op
-	c.sendAttempt(now)
+	c.start(now, func(cfg *proto.Config, req proto.ReqID) (proto.NodeID, proto.Message) {
+		to := cfg.CoordinatorOf(store.KeyHash(key))
+		switch kind {
+		case linearize.KPut:
+			return to, &proto.Put{Req: req, Key: key, Value: chaosValue(arg), Memgest: mg}
+		case linearize.KGet:
+			return to, &proto.Get{Req: req, Key: key}
+		default:
+			return to, &proto.Delete{Req: req, Key: key}
+		}
+	}, func(now time.Duration, r proto.Reply) bool {
+		if r == nil {
+			// Out of attempts: the operation stays pending in the history
+			// (it may or may not have taken effect).
+			c.h.Abandoned++
+			c.scheduleNext(now)
+			return true
+		}
+		// Only an answer completes an operation in the history; StRetry,
+		// StWrongNode, StUnavailable and anything else is tried again.
+		st := r.Result()
+		if st != proto.StOK && st != proto.StNotFound {
+			return false
+		}
+		rec := &c.h.history[histIdx]
+		rec.Return = now
+		rec.Done = true
+		if gr, ok := r.(*proto.GetReply); ok {
+			rec.Found = st == proto.StOK
+			if rec.Found {
+				rec.Val = chaosObserved(gr.Value)
+			}
+		}
+		c.scheduleNext(now)
+		return true
+	})
 }
 
 // chaosValue encodes a write's value: the 8-byte argument followed by
@@ -223,121 +227,4 @@ func chaosObserved(v []byte) uint64 {
 	f := fnv.New64a()
 	f.Write(v)
 	return f.Sum64()
-}
-
-func (c *chaosClient) coordAddr(key string) string {
-	return core.NodeAddr(c.cfg.CoordinatorOf(store.KeyHash(key)))
-}
-
-func (c *chaosClient) sendAttempt(now time.Duration) {
-	op := c.cur
-	req := c.nextReq
-	c.nextReq++
-	op.reqs[req] = true
-	var msg proto.Message
-	switch op.kind {
-	case linearize.KPut:
-		msg = &proto.Put{Req: req, Key: op.key, Value: chaosValue(op.arg), Memgest: op.mg}
-	case linearize.KGet:
-		msg = &proto.Get{Req: req, Key: op.key}
-	case linearize.KDelete:
-		msg = &proto.Delete{Req: req, Key: op.key}
-	}
-	c.sim.Send(c.addr, c.coordAddr(op.key), msg)
-	att := op.attempts
-	c.sim.At(now+c.h.opts.OpTimeout, func(tnow time.Duration) {
-		if c.cur == op && !op.done && op.attempts == att {
-			c.retry(tnow)
-		}
-	})
-}
-
-// retry re-resolves the configuration and re-sends the current
-// operation, or abandons it after OpRetries attempts (the operation
-// stays pending in the history: it may or may not have taken effect).
-func (c *chaosClient) retry(now time.Duration) {
-	op := c.cur
-	op.attempts++
-	if op.attempts > c.h.opts.OpRetries {
-		op.done = true
-		c.h.Abandoned++
-		c.scheduleNext(now)
-		return
-	}
-	c.resolve(now)
-	c.sendAttempt(now)
-}
-
-// resolve asks the next node (round-robin) for its current
-// configuration; replies with a newer epoch update the routing view.
-func (c *chaosClient) resolve(now time.Duration) {
-	ids := c.cfg.AllNodes()
-	if len(ids) == 0 {
-		return
-	}
-	target := ids[c.resolveRR%len(ids)]
-	c.resolveRR++
-	req := c.nextReq
-	c.nextReq++
-	if c.resolveReqs == nil {
-		c.resolveReqs = make(map[proto.ReqID]bool)
-	}
-	c.resolveReqs[req] = true
-	c.sim.Send(c.addr, core.NodeAddr(target), &proto.Resolve{Req: req})
-}
-
-func (c *chaosClient) onMessage(now time.Duration, _ string, msg proto.Message) {
-	if r, ok := msg.(*proto.ResolveReply); ok {
-		if c.resolveReqs[r.Req] {
-			delete(c.resolveReqs, r.Req)
-			if r.Config != nil && r.Config.Epoch >= c.cfg.Epoch {
-				c.cfg = r.Config.Clone()
-			}
-		}
-		return
-	}
-	op := c.cur
-	if op == nil || op.done {
-		return
-	}
-	var req proto.ReqID
-	var status proto.Status
-	var value []byte
-	switch r := msg.(type) {
-	case *proto.PutReply:
-		req, status = r.Req, r.Status
-	case *proto.GetReply:
-		req, status, value = r.Req, r.Status, r.Value
-	case *proto.DeleteReply:
-		req, status = r.Req, r.Status
-	default:
-		return
-	}
-	if !op.reqs[req] {
-		return // a previous operation's late reply
-	}
-	switch status {
-	case proto.StOK, proto.StNotFound:
-		op.done = true
-		rec := &c.h.history[op.histIdx]
-		rec.Return = now
-		rec.Done = true
-		if op.kind == linearize.KGet {
-			rec.Found = status == proto.StOK
-			if rec.Found {
-				rec.Val = chaosObserved(value)
-			}
-		}
-		c.scheduleNext(now)
-	default:
-		// StRetry, StWrongNode, StUnavailable, ...: re-resolve and try
-		// again after a short backoff (immediate resends against a
-		// recovering coordinator just burn attempts).
-		att := op.attempts
-		c.sim.At(now+c.h.opts.OpTimeout/4, func(tnow time.Duration) {
-			if c.cur == op && !op.done && op.attempts == att {
-				c.retry(tnow)
-			}
-		})
-	}
 }

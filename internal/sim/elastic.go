@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"ring/internal/core"
 	"ring/internal/proto"
 	"ring/internal/store"
 )
@@ -14,8 +13,8 @@ import (
 // This file is the control-plane side of the elasticity nemesis: a
 // deterministic agent that issues scheme moves and join/leave
 // resizes against the simulated cluster at scheduled virtual times,
-// retrying and re-resolving through failures exactly like an operator
-// driving ringctl would. It shares the fabric with the chaos clients
+// retrying and re-resolving through failures (caller.go) exactly like an
+// operator driving ringctl would. It shares the fabric with the chaos clients
 // but records nothing in the linearizability history — moves do not
 // change values and resizes do not touch data, so their correctness is
 // asserted indirectly: the client-visible history must stay
@@ -34,26 +33,10 @@ const (
 	nemesisRetries = 30
 )
 
-// nemesisOp is one control operation possibly spanning several
-// attempts.
-type nemesisOp struct {
-	step     NemesisStep
-	attempts int
-	done     bool
-}
-
 // nemesisAgent drives NemConvert/NemJoin/NemLeave steps. One per
 // simulation, created lazily by the first elastic step applied.
 type nemesisAgent struct {
-	sim     *Sim
-	cfg     *proto.Config
-	nextReq proto.ReqID
-	// ops maps every attempt's request ID to its operation; a reply to
-	// any attempt settles the operation.
-	ops         map[proto.ReqID]*nemesisOp
-	resolveReqs map[proto.ReqID]bool
-	rr          int
-
+	*caller
 	// Acked counts control operations that reached a terminal reply;
 	// Abandoned counts those that exhausted their retries.
 	Acked     int
@@ -64,118 +47,37 @@ type nemesisAgent struct {
 // registering it on first use.
 func (s *Sim) elasticAgent() *nemesisAgent {
 	if s.elastic == nil {
-		s.elastic = &nemesisAgent{
-			sim:         s,
-			cfg:         s.cfg0.Clone(),
-			nextReq:     1,
-			ops:         make(map[proto.ReqID]*nemesisOp),
-			resolveReqs: make(map[proto.ReqID]bool),
-		}
-		s.RegisterClient(nemesisAddr, s.elastic.onMessage)
+		s.elastic = &nemesisAgent{caller: newCaller(s, nemesisAddr, s.cfg0.Clone(), nemesisTimeout, nemesisRetries)}
 	}
 	return s.elastic
 }
 
-// launch starts driving one elastic schedule step.
+// launch starts driving one elastic schedule step: a move goes to the
+// key's coordinator, a resize to the leader. A transient status is
+// retried; anything else (success or a definitive rejection such as
+// StNotFound for a key never written) ends the operation.
 func (a *nemesisAgent) launch(now time.Duration, step NemesisStep) {
-	a.attempt(now, &nemesisOp{step: step})
-}
-
-// attempt sends one try of the operation and arms its retry timer.
-func (a *nemesisAgent) attempt(now time.Duration, op *nemesisOp) {
-	req := a.nextReq
-	a.nextReq++
-	a.ops[req] = op
-	var msg proto.Message
-	var target proto.NodeID
-	switch op.step.Kind {
-	case NemConvert:
-		key := fmt.Sprintf("k%d", op.step.A)
-		msg = &proto.Move{Req: req, Key: key, Memgest: proto.MemgestID(op.step.B)}
-		target = a.cfg.CoordinatorOf(store.KeyHash(key))
-	case NemJoin:
-		msg = &proto.Resize{Req: req, Op: proto.ResizeJoin, Node: op.step.A}
-		target = a.cfg.Leader
-	case NemLeave:
-		msg = &proto.Resize{Req: req, Op: proto.ResizeLeave, Node: op.step.A}
-		target = a.cfg.Leader
-	default:
-		return
-	}
-	a.sim.Send(nemesisAddr, core.NodeAddr(target), msg)
-	att := op.attempts
-	a.sim.At(now+nemesisTimeout, func(tnow time.Duration) {
-		if !op.done && op.attempts == att {
-			a.retry(tnow, op)
+	a.start(now, func(cfg *proto.Config, req proto.ReqID) (proto.NodeID, proto.Message) {
+		switch step.Kind {
+		case NemConvert:
+			key := fmt.Sprintf("k%d", step.A)
+			return cfg.CoordinatorOf(store.KeyHash(key)), &proto.Move{Req: req, Key: key, Memgest: proto.MemgestID(step.B)}
+		case NemJoin:
+			return cfg.Leader, &proto.Resize{Req: req, Op: proto.ResizeJoin, Node: step.A}
+		default:
+			return cfg.Leader, &proto.Resize{Req: req, Op: proto.ResizeLeave, Node: step.A}
 		}
+	}, func(_ time.Duration, r proto.Reply) bool {
+		switch {
+		case r == nil:
+			a.Abandoned++
+		case r.Result().Transient():
+			return false
+		default:
+			a.Acked++
+		}
+		return true
 	})
-}
-
-// retry re-resolves the routing view and re-sends, or abandons the
-// operation past its attempt budget.
-func (a *nemesisAgent) retry(now time.Duration, op *nemesisOp) {
-	op.attempts++
-	if op.attempts > nemesisRetries {
-		op.done = true
-		a.Abandoned++
-		return
-	}
-	a.resolve(now)
-	a.attempt(now, op)
-}
-
-// resolve asks the next node (round-robin) for its configuration;
-// replies with a newer epoch update routing, exactly like the chaos
-// clients and the real client library.
-func (a *nemesisAgent) resolve(now time.Duration) {
-	ids := a.cfg.AllNodes()
-	if len(ids) == 0 {
-		return
-	}
-	target := ids[a.rr%len(ids)]
-	a.rr++
-	req := a.nextReq
-	a.nextReq++
-	a.resolveReqs[req] = true
-	a.sim.Send(nemesisAddr, core.NodeAddr(target), &proto.Resolve{Req: req})
-}
-
-func (a *nemesisAgent) onMessage(now time.Duration, _ string, msg proto.Message) {
-	switch r := msg.(type) {
-	case *proto.ResolveReply:
-		if a.resolveReqs[r.Req] {
-			delete(a.resolveReqs, r.Req)
-			if r.Config != nil && r.Config.Epoch >= a.cfg.Epoch {
-				a.cfg = r.Config.Clone()
-			}
-		}
-	case *proto.MoveReply:
-		a.settle(now, r.Req, r.Status)
-	case *proto.ResizeReply:
-		a.settle(now, r.Req, r.Status)
-	}
-}
-
-// settle applies a reply: transient statuses back off and retry,
-// anything else (success or a definitive rejection such as StNotFound
-// for a key never written) ends the operation.
-func (a *nemesisAgent) settle(now time.Duration, req proto.ReqID, st proto.Status) {
-	op := a.ops[req]
-	if op == nil || op.done {
-		return
-	}
-	switch st {
-	case proto.StRetry, proto.StWrongNode, proto.StUnavailable:
-		att := op.attempts
-		a.sim.At(now+nemesisTimeout/4, func(tnow time.Duration) {
-			if !op.done && op.attempts == att {
-				a.retry(tnow, op)
-			}
-		})
-	default:
-		op.done = true
-		a.Acked++
-	}
 }
 
 // GenElasticitySchedule derives an elasticity nemesis schedule from a
