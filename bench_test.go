@@ -348,6 +348,45 @@ func TestValuePathAllocs(t *testing.T) {
 			t.Errorf("16 KiB SRS(3,2,3) put over memnet allocates %.0f B across all five nodes and the client, want < %d", perOp, size/4)
 		}
 	})
+
+	// A replicated put used to allocate the value once per copy kept, on
+	// the coordinator and on each replica. The copies now go into slots
+	// of the tables' arenas and the RepAppend carries a pooled copy:
+	// nothing value-sized is left. Rep(2,3) and not Rep(3,3): with one
+	// replica the put waits for every copy, so no replica lags behind
+	// the loop holding packets that the pool then has to replace.
+	t.Run("rep put", func(t *testing.T) {
+		cl, err := ring.Start(ring.Config{
+			Shards: 3, Redundant: 2,
+			Memgests: []ring.Scheme{ring.Rep(2, 3)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Stop()
+		c, err := cl.NewClient()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		keys := benchKeys("pin", 32)
+		for _, k := range keys { // first versions: every table has its slots
+			if _, err := c.Put(k, val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		perOp := allocBytesPerRun(200, func() {
+			if _, err := c.Put(keys[i%len(keys)], val); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		t.Logf("rep put: %.0f B per put", perOp)
+		if perOp > size/4 {
+			t.Errorf("16 KiB Rep(2,3) put over memnet allocates %.0f B across all five nodes and the client, want < %d", perOp, size/4)
+		}
+	})
 }
 
 // ------------------------- live (real execution) benchmarks ----------

@@ -22,20 +22,30 @@
 #      while CI (which always has network) enforces them.
 #
 # test — the tier-1 gate:
-#   5. everything builds, every test passes
+#   5. everything builds, every test passes; internal/store's chunk
+#      source is the one build-tagged pair in the tree, so the half this
+#      host does not run is compiled too: the plain-heap fallback
+#      (GOOS=windows go build, with cmd/ringd on top of it) and the
+#      mmap one (GOOS=darwin go vet)
 #   6. the concurrency-heavy packages under the race detector
 #      (the simulator-driven experiments are legitimately slow there,
 #      hence the generous timeout); the durable path — replog engine,
 #      core crash-recovery e2e, sim disk fault plane — rides in
-#      ./internal/... and so runs under -race here too
+#      ./internal/... and so runs under -race here too, and so do the
+#      arena tests (internal/store's model and poison tests, core's
+#      same-drain purge test and memory pin): the chunk pool is the one
+#      piece of the store that runners share
 #
 # chaos — fuzz, bench, and the chaos/benchmark canaries:
 #   7. fuzz smoke: each fuzz target runs for 10s — long enough to
 #      catch a round-trip regression, short enough for every push.
 #      FuzzWALReplay is the durability one: arbitrary bytes as a WAL
 #      segment must replay without panicking and re-replay identically.
-#      FuzzBlockHeapModel is the memory one: the demand-backed block
-#      heap against a flat, fully allocated reference.
+#      FuzzBlockHeapModel and FuzzValueArenaModel are the memory ones:
+#      the demand-backed block heap against a flat, fully allocated
+#      reference, and the tables' value slots against a map of byte
+#      slices (no overlap, freed slots reused first, exact accounting,
+#      every chunk back on drop).
 #   8. bench smoke: every Go benchmark compiles and runs one
 #      iteration; a benchmark that panics or no longer builds fails
 #      the stage, and the numbers scroll by in the job log
@@ -87,6 +97,8 @@ stage_lint() {
 
 stage_test() {
     go build ./...
+    GOOS=windows go build ./internal/store/ ./cmd/ringd/
+    GOOS=darwin go vet ./internal/store/
     go test ./...
     go test -race -timeout 900s ./internal/...
 }
@@ -97,6 +109,7 @@ stage_chaos() {
     go test -run=NONE -fuzz=FuzzGFKernels -fuzztime=10s ./internal/gf/
     go test -run=NONE -fuzz=FuzzWALReplay -fuzztime=10s ./internal/wal/
     go test -run=NONE -fuzz=FuzzBlockHeapModel -fuzztime=10s ./internal/store/
+    go test -run=NONE -fuzz=FuzzValueArenaModel -fuzztime=10s ./internal/store/
     go test -run=NONE -fuzz=FuzzCFGBuild -fuzztime=10s ./internal/lint/flow/
 
     go test -run=NONE -bench=. -benchtime=1x ./...

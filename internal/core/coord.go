@@ -167,13 +167,13 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 				return false
 			}
 			cs.heap.Write(ext, value)
-			e.Ext = ext
 			e.Rec.LocBlock = ext.Block
 			e.Rec.LocOff = ext.Off
-		} else if st.info.Scheme.Kind == proto.SchemeRep {
-			e.Value = append([]byte(nil), value...)
 		}
 		cs.meta.Put(e)
+		if st.info.Scheme.Kind == proto.SchemeRep {
+			cs.meta.Hold(e, value)
+		}
 		vol.Add(key, ver, mgID)
 		n.persistAppend(st, shard, e)
 		n.commitEntry(st, cs, key, ver, replyTo, req, kind, n.now) //ring:ackok deliberate ack-before-quorum chaos injection
@@ -203,7 +203,6 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 			}
 			delta := cs.heap.Write(ext, value)
 			n.Stats.BytesWritten += uint64(len(value))
-			e.Ext = ext
 			e.Rec.LocBlock = ext.Block
 			e.Rec.LocOff = ext.Off
 			stripeOff := uint32(st.layout.StripeOffset(int(ext.Block)))
@@ -237,19 +236,24 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 		}
 
 	case proto.SchemeRep:
-		// The one copy of a replicated put: value is a view into the
-		// client's packet (or into the source memgest, for a move).
-		e.Value = append([]byte(nil), value...)
-		msg := &proto.RepAppend{Memgest: mgID, Shard: shard, Seq: seq, Rec: e.Rec, Value: e.Value}
+		// value is a view into the client's packet (or the copy a move
+		// read out of its source memgest): each replica's append carries
+		// a copy of its own, because the encoder reads it after this
+		// handler and every later one of the batch have returned.
 		for _, rn := range replicaSet(n.cfg, &st.info, shard) {
-			n.sendNode(rn, msg)
+			buf := copyOut(value)
+			n.sendScratch(NodeAddr(rn), &proto.RepAppend{Memgest: mgID, Shard: shard, Seq: seq, Rec: e.Rec, Value: buf}, buf)
 			n.Stats.RepAppends++
 		}
 	}
 
 	// Write-ahead: the entry is inserted (uncommitted) before the
-	// commit decision.
+	// commit decision. A replicated put's one copy on this node is the
+	// table's.
 	cs.meta.Put(e)
+	if st.info.Scheme.Kind == proto.SchemeRep {
+		cs.meta.Hold(e, value)
+	}
 	vol.Add(key, ver, mgID)
 	n.persistAppend(st, shard, e)
 
@@ -309,12 +313,10 @@ func (n *Node) commitEntry(st *mgState, cs *coordShard, key string, ver proto.Ve
 
 	// Answer gets parked on this entry (Figure 5: replies are released
 	// at commit time with this exact version).
-	for _, w := range e.ParkedGets {
+	parked := e.TakeParked()
+	for _, w := range parked.Gets {
 		n.sendValueReply(st, cs, e, w.Client, w.Req)
 	}
-	e.ParkedGets = nil
-	moves := e.ParkedMoves
-	e.ParkedMoves = nil
 
 	// Propagate the commit so redundancy copies flip their flag.
 	n.broadcastCommit(st, cs.shard, e.Seq)
@@ -332,7 +334,7 @@ func (n *Node) commitEntry(st *mgState, cs *coordShard, key string, ver proto.Ve
 	}
 
 	// Parked moves proceed now that the source version is durable.
-	for _, mw := range moves {
+	for _, mw := range parked.Moves {
 		n.admitMove(mw.Client, mw.Move)
 	}
 }
@@ -406,8 +408,7 @@ func (n *Node) gcKey(shard uint32, key string) {
 	if newestCommitted == 0 && kept == 0 {
 		if cur := vol.All(key); len(cur) == 1 {
 			if e := n.lookupEntry(shard, key, cur[0]); e != nil &&
-				e.Rec.Tombstone && e.Rec.Committed &&
-				len(e.ParkedGets) == 0 && len(e.ParkedMoves) == 0 {
+				e.Rec.Tombstone && e.Rec.Committed && !e.HasParked() {
 				n.purgeVersion(shard, key, cur[0])
 			}
 		}
@@ -443,8 +444,8 @@ func (n *Node) purgeVersion(shard uint32, key string, ref store.VersionRef) {
 		return
 	}
 	n.persistPurge(ref.Memgest, shard, key, ref.Version, e.Seq)
-	if e.Ext.Len > 0 && cs.heap != nil {
-		cs.heap.Free(e.Ext)
+	if ext := e.Extent(); ext.Len > 0 && cs.heap != nil {
+		cs.heap.Free(ext)
 	}
 	n.volFor(shard).Remove(key, ref.Version)
 	msg := &proto.Purge{Memgest: ref.Memgest, Shard: shard, Key: key, Version: ref.Version}
@@ -495,7 +496,8 @@ func (n *Node) handleGet(from string, m *proto.Get) {
 	if !e.Rec.Committed {
 		// Park: the reply is released when this exact version commits
 		// (Figure 5, client D).
-		e.ParkedGets = append(e.ParkedGets, store.Waiter{Client: from, Req: m.Req})
+		p := e.Park()
+		p.Gets = append(p.Gets, store.Waiter{Client: from, Req: m.Req})
 		n.Stats.ParkedGets++
 		return
 	}
@@ -510,45 +512,54 @@ func (n *Node) sendValueReply(st *mgState, cs *coordShard, e *store.Entry, clien
 		n.send(client, &proto.GetReply{Req: req, Status: proto.StNotFound})
 		return
 	}
-	value, scratch, ok := n.localValue(st, cs, e, blockWaiter{client: client, req: req, key: e.Rec.Key, version: e.Rec.Version})
+	value, ok := n.localValue(st, cs, e, blockWaiter{client: client, req: req, key: e.Rec.Key, version: e.Rec.Version})
 	if !ok {
 		return
 	}
 	n.Metrics.Trace.Record(metrics.TraceGet, e.Rec.Key, uint32(st.info.ID), uint64(e.Rec.Version), uint8(proto.StOK), n.now, 0)
-	n.sendScratch(client, &proto.GetReply{Req: req, Status: proto.StOK, Version: e.Rec.Version, Value: value}, scratch)
+	n.sendScratch(client, &proto.GetReply{Req: req, Status: proto.StOK, Version: e.Rec.Version, Value: value}, value)
 }
 
-// localValue returns the bytes behind a committed, live entry. A Rep
-// value is immutable once stored and is returned in place (scratch is
-// nil). An SRS value is read out of its block into a pooled buffer,
-// returned as scratch too: block bytes are live — a later event of the
-// same batch may free and rewrite the extent before a reply is encoded
-// — so the caller gets a copy, and owns it: it travels with a message
-// as Out.Scratch or goes back with transport.ReleaseBuf. When a
-// failover lost the bytes — a Rep value not yet re-fetched, an SRS block
-// not yet re-decoded — localValue parks w on their on-demand recovery
-// and reports false; releaseWaiter resumes the request.
-func (n *Node) localValue(st *mgState, cs *coordShard, e *store.Entry, w blockWaiter) (value, scratch []byte, ok bool) {
+// localValue returns a copy of the bytes behind a committed, live
+// entry, in a pooled buffer the caller owns: it travels with a message
+// as Out.Scratch or goes back with transport.ReleaseBuf. Stored bytes
+// are live — a later event of the same batch may free a Rep value's
+// slot or an SRS extent and write the next value there before a reply
+// is encoded — so no view of them leaves the handler that read them.
+// When a failover lost the bytes — a Rep value not yet re-fetched, an
+// SRS block not yet re-decoded — localValue parks w on their on-demand
+// recovery and reports false; releaseWaiter resumes the request.
+func (n *Node) localValue(st *mgState, cs *coordShard, e *store.Entry, w blockWaiter) (value []byte, ok bool) {
 	if e.Rec.Length == 0 {
-		return nil, nil, true
+		return nil, true
 	}
 	switch st.info.Scheme.Kind {
 	case proto.SchemeRep:
-		if e.Value == nil {
+		b, held := e.Bytes()
+		if !held {
 			n.parkOnValueRecovery(st, cs, e, w)
-			return nil, nil, false
+			return nil, false
 		}
-		return e.Value, nil, true
+		return copyOut(b), true
 	case proto.SchemeSRS:
-		if !cs.blockOK[e.Ext.Block] {
-			n.parkOnBlockRecovery(st, cs, e.Ext.Block, w)
-			return nil, nil, false
+		ext := e.Extent()
+		if !cs.blockOK[ext.Block] {
+			n.parkOnBlockRecovery(st, cs, ext.Block, w)
+			return nil, false
 		}
-		buf := transport.AcquireBufSize(int(e.Ext.Len))[:e.Ext.Len]
-		cs.heap.ReadInto(buf, e.Ext)
-		return buf, buf, true
+		buf := transport.AcquireBufSize(int(ext.Len))[:ext.Len]
+		cs.heap.ReadInto(buf, ext)
+		return buf, true
 	}
-	return nil, nil, true
+	return nil, true
+}
+
+// copyOut copies b into a pooled buffer (nil for no bytes).
+func copyOut(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	return append(transport.AcquireBufSize(len(b)), b...)
 }
 
 // handleRepAck counts a replica's ack toward the write's quorum.

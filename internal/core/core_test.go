@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -22,6 +23,8 @@ type harness struct {
 	// client inboxes, keyed by address.
 	clientIn map[string][]proto.Message
 	now      time.Duration
+	// observe, when set, sees every message as it is delivered.
+	observe func(routedMsg)
 }
 
 type routedMsg struct {
@@ -88,6 +91,9 @@ func (h *harness) run() {
 		}
 		m := h.queue[0]
 		h.queue = h.queue[1:]
+		if h.observe != nil {
+			h.observe(m)
+		}
 		id, ok := parseNodeAddr(m.to)
 		if !ok {
 			h.clientIn[m.to] = append(h.clientIn[m.to], m.msg)
@@ -649,6 +655,45 @@ func TestCoordinatorFailover(t *testing.T) {
 		if r := h.put(key, []byte("post-failover"), keys[key]); r.Status != proto.StOK {
 			t.Fatalf("put %s after failover: %v", key, r.Status)
 		}
+	}
+}
+
+// TestRecoveryFetchesValuesInKeyOrder: a coordinator taking over a Rep
+// shard queues the background fetches of the values it lost in (key,
+// version) order, not in the order its metadata table — a Go map —
+// happens to walk, so two runs of one seed send the same DataFetches in
+// the same order (ROADMAP item 1e: a dozen chaos seeds differed from
+// themselves on exactly this).
+func TestRecoveryFetchesValuesInKeyOrder(t *testing.T) {
+	h := newHarness(t, figure3Spec())
+	want := 0
+	for i := 0; want < 64; i++ {
+		key := fmt.Sprintf("rk-%03d", i)
+		if _, id := h.coordinatorOf(key); id != 1 {
+			continue
+		}
+		h.put(key, []byte("val-"+key), mgREP3)
+		want++
+	}
+	var fetched []store.EntryKey
+	h.observe = func(m routedMsg) {
+		if df, ok := m.msg.(*proto.DataFetch); ok && df.Memgest == mgREP3 {
+			fetched = append(fetched, store.EntryKey{Key: df.Key, Version: df.Version})
+		}
+	}
+	h.kill(1)
+	lead := h.nodes[0]
+	if !h.tickUntil(10*time.Millisecond, 100, func() bool { return lead.cfg.Epoch >= 2 }) {
+		t.Fatal("leader did not reconfigure")
+	}
+	if !h.tickUntil(10*time.Millisecond, 400, func() bool { return h.recovered(lead.cfg.Coords[1]) }) {
+		t.Fatal("replacement never finished recovery")
+	}
+	if len(fetched) != want {
+		t.Fatalf("replacement fetched %d values, want %d", len(fetched), want)
+	}
+	if !sort.SliceIsSorted(fetched, func(i, j int) bool { return fetched[i].Less(fetched[j]) }) {
+		t.Fatalf("DataFetches left in table order, not key order: %v ...", fetched[:8])
 	}
 }
 

@@ -107,8 +107,10 @@ func durKey(mgID proto.MemgestID, shard uint32) replog.ShardKey {
 // persist metadata only (block data is re-decoded from the parity
 // group on recovery, per the paper's recovery protocol).
 func durValue(st *mgState, e *store.Entry) ([]byte, bool) {
-	if st.info.Scheme.Kind == proto.SchemeRep && e.Value != nil {
-		return e.Value, true
+	if st.info.Scheme.Kind == proto.SchemeRep {
+		if b, _ := e.Bytes(); b != nil {
+			return b, true
+		}
 	}
 	return nil, false
 }
@@ -223,12 +225,8 @@ func (n *Node) installCoordStash(st *mgState, cs *coordShard) proto.Seq {
 	for i := range rs.Entries {
 		re := &rs.Entries[i]
 		e := &store.Entry{Rec: re.Rec, Seq: re.Seq}
-		if re.HasValue {
-			e.Value = re.Value
-		}
-		if st.layout != nil && re.Rec.Length > 0 && !re.Rec.Tombstone {
-			e.Ext = store.Extent{Block: re.Rec.LocBlock, Off: re.Rec.LocOff, Len: re.Rec.Length}
-			if err := cs.heap.Reserve(e.Ext); err != nil {
+		if st.layout != nil {
+			if err := cs.heap.Reserve(e.Extent()); err != nil {
 				// Conflicting extent (only possible after disk damage,
 				// which already forces Since == 0): let the group sync
 				// re-install this entry.
@@ -236,6 +234,9 @@ func (n *Node) installCoordStash(st *mgState, cs *coordShard) proto.Seq {
 			}
 		}
 		cs.meta.Put(e)
+		if re.HasValue {
+			cs.meta.Hold(e, re.Value)
+		}
 		vol.Add(re.Rec.Key, re.Rec.Version, st.info.ID)
 	}
 	// Sequences allocated in the new life must never collide with the
@@ -256,10 +257,10 @@ func (n *Node) installRedundantStash(st *mgState, shard uint32) proto.Seq {
 	for i := range rs.Entries {
 		re := &rs.Entries[i]
 		e := &store.Entry{Rec: re.Rec, Seq: re.Seq}
-		if re.HasValue {
-			e.Value = re.Value
-		}
 		rt.Put(e)
+		if re.HasValue {
+			rt.Hold(e, re.Value)
+		}
 	}
 	return rs.Since
 }

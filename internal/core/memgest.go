@@ -170,21 +170,50 @@ func (n *Node) newMgState(info proto.MemgestInfo) *mgState {
 func (n *Node) newCoordShard(st *mgState, shard uint32, fresh bool) *coordShard {
 	cs := &coordShard{
 		shard:        shard,
-		meta:         store.NewMetaTable(),
+		meta:         newMetaTable(),
 		tracker:      replog.NewTracker(),
 		pending:      make(map[proto.Seq]*pendingCommit),
 		blockOK:      make(map[uint32]bool),
 		blockWaiters: make(map[uint32][]blockWaiter),
+
+		blockFetching: make(map[uint32]bool),
+		valueWaiters:  make(map[store.EntryKey][]blockWaiter),
+		valueFetching: make(map[store.EntryKey]bool),
 	}
 	if st.layout != nil {
 		lo, hi := st.layout.NodeBlocks(int(shard))
 		cs.heap = store.NewBlockHeap(lo, hi-lo, n.opts.BlockSize)
+		// This node multiplies the deltas of this shard's puts.
+		st.layout.WarmParityDelta(int(shard))
 		for b := lo; b < hi; b++ {
 			cs.blockOK[uint32(b)] = fresh
 		}
 	}
 	st.coord[shard] = cs
 	return cs
+}
+
+// drop gives back the memory behind a shard this node no longer
+// coordinates.
+func (cs *coordShard) drop() {
+	cs.meta.Drop()
+	if cs.heap != nil {
+		cs.heap.Drop()
+	}
+}
+
+// drop gives back the memory behind everything the node held for a
+// memgest that no longer exists.
+func (st *mgState) drop() {
+	for _, cs := range st.coord {
+		cs.drop()
+	}
+	for _, rt := range st.rmeta {
+		rt.Drop()
+	}
+	if st.parity != nil {
+		st.parity.Drop()
+	}
 }
 
 // mgFor returns the memgest state, or nil when unknown.
@@ -227,6 +256,7 @@ func (n *Node) installConfig(cfg *proto.Config, bootstrap bool) {
 	for id := range n.mg {
 		if cfg.Memgest(id) == nil {
 			n.resetMgDurable(n.mg[id])
+			n.mg[id].drop()
 			delete(n.mg, id)
 			delete(n.Metrics.mg, id)
 		}
@@ -249,7 +279,8 @@ func (n *Node) installConfig(cfg *proto.Config, bootstrap bool) {
 				// Lost the role (shouldn't happen in this design except
 				// via memgest deletion); drop any stale state, durable
 				// state included.
-				if _, ok := st.coord[shard]; ok {
+				if cs, ok := st.coord[shard]; ok {
+					cs.drop()
 					delete(st.coord, shard)
 					n.persistReset(mi.ID, shard)
 				}
@@ -281,7 +312,9 @@ func (n *Node) installConfig(cfg *proto.Config, bootstrap bool) {
 			if pidx >= 0 && st.parity == nil {
 				st.parity = store.NewParityRegion(st.layout.Stripes(), n.opts.BlockSize)
 				for shard := 0; shard < mi.Scheme.S; shard++ {
-					st.rmeta[uint32(shard)] = store.NewMetaTable()
+					// A parity node's tables hold no values: one made on
+					// demand before this configuration has nothing to drop.
+					st.rmeta[uint32(shard)] = newMetaTable()
 				}
 				if existedBefore && !bootstrap {
 					needsRecovery = true
@@ -307,7 +340,7 @@ func (n *Node) installConfig(cfg *proto.Config, bootstrap bool) {
 				if _, ok := st.rmeta[shard]; ok {
 					continue
 				}
-				st.rmeta[shard] = store.NewMetaTable()
+				st.rmeta[shard] = newMetaTable()
 				if existedBefore && !bootstrap {
 					needsRecovery = true
 					since := n.installRedundantStash(st, shard)

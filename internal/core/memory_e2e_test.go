@@ -1,0 +1,114 @@
+package core_test
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"ring/internal/client"
+	"ring/internal/core"
+	"ring/internal/proto"
+	"ring/internal/store"
+)
+
+// TestBytesPerStoredByte is the tier-1 pin on memory per stored byte,
+// the in-process miniature of the benchmark's tier_1k_read90_move
+// set-up: 4096 keys of 1 KiB go into Rep(3,3), every other pair of them
+// moves to SRS(3,2,3), and every key is read back and checked. What the
+// loaded cluster holds beyond the idle one — the live Go heap after a
+// collection, and the bytes the arena has mapped — is compared with
+// what the codes alone would store, 3 bytes per Rep byte and 5/3 per
+// SRS byte. Both terms repeat exactly from run to run, which is why
+// they are the pin and resident memory (which adds the collector's
+// headroom and the spans garbage died in) is the benchmark's business.
+//
+// Two bounds, because the sum alone cannot tell where bytes are. The
+// collected heap must hold metadata only: under a third of what the
+// codes store (measured 0.29: ~230 B per entry copy for the entry, its
+// key, its hashtable slot and the coordinator's volatile index; with
+// values on the heap it was 1.37). And heap plus arena must stay near
+// the measured 1.98, which is not the codes' rate and cannot be at
+// 1 KiB: the metadata is the 0.29, and the arena gives back whole
+// chunks, not slots, so the 6 MiB of Rep slots the moved half freed
+// stay mapped for the next puts (the 15.8 MiB below is 12 of Rep at the
+// peak plus 3.3 of SRS plus under one chunk of slack per table and
+// region). Both are what ROADMAP item 4 has left.
+func TestBytesPerStoredByte(t *testing.T) {
+	const (
+		keys      = 4096
+		valueSize = 1 << 10
+		mgRep     = proto.MemgestID(1)
+		mgSRS     = proto.MemgestID(2)
+		heapBound = 0.33
+		sumBound  = 2.05
+	)
+	cl, err := core.StartCluster(core.ClusterSpec{
+		Shards: 3, Redundant: 2,
+		Memgests: []proto.Scheme{proto.Rep(3, 3), proto.SRS(3, 2, 3)},
+		Opts:     core.Options{BlockSize: 2 << 20},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	c, err := client.Dial(cl.Fabric, []string{core.NodeAddr(0)}, client.Options{Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	key := func(i int) string { return fmt.Sprintf("%08x", i) }
+	value := func(i int) []byte {
+		v := bytes.Repeat([]byte{byte(i)}, valueSize)
+		copy(v, key(i))
+		return v
+	}
+	moved := func(i int) bool { return (i>>1)&1 == 0 }
+
+	var idle, loaded runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&idle)
+	arenaIdle := store.ArenaBytesBacked()
+
+	p := c.NewPipeline(32)
+	for i := 0; i < keys; i++ {
+		p.PutIn(key(i), value(i), mgRep)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var repBytes, srsBytes float64
+	for i := 0; i < keys; i++ {
+		if !moved(i) {
+			repBytes += valueSize
+			continue
+		}
+		srsBytes += valueSize
+		if _, err := c.MoveIf(key(i), mgRep, mgSRS); err != nil {
+			t.Fatalf("move %s: %v", key(i), err)
+		}
+	}
+	for i := 0; i < keys; i++ {
+		got, _, err := c.Get(key(i))
+		if err != nil || !bytes.Equal(got, value(i)) {
+			t.Fatalf("get %s: %v, %d bytes", key(i), err, len(got))
+		}
+	}
+
+	runtime.GC()
+	runtime.ReadMemStats(&loaded)
+	const mib = 1 << 20
+	heap := float64(loaded.HeapAlloc) - float64(idle.HeapAlloc)
+	arena := float64(store.ArenaBytesBacked() - arenaIdle)
+	ideal := 3*repBytes + 5.0/3*srsBytes
+	t.Logf("live heap %+.2f MiB (%.2f x) + arena %+.2f MiB = %.2f x the codes' %.2f MiB",
+		heap/mib, heap/ideal, arena/mib, (heap+arena)/ideal, ideal/mib)
+	if heap > heapBound*ideal {
+		t.Errorf("the collected heap grew by %.2f x what the codes store, want <= %.2f: it should hold metadata only", heap/ideal, heapBound)
+	}
+	if ratio := (heap + arena) / ideal; ratio > sumBound {
+		t.Errorf("the loaded cluster holds %.2f x what its codes store, want <= %.2f", ratio, sumBound)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"ring/internal/metrics"
 	"ring/internal/proto"
 	"ring/internal/replog"
+	"ring/internal/store"
 )
 
 // MemgestMetrics counts client operations actually executed against one
@@ -102,10 +103,14 @@ type MemgestOpCounts struct {
 	// heaps this node coordinates; BlockBytesBacked and
 	// ParityBytesBacked are the memory actually behind its data blocks
 	// and its parity blocks (see store.BlockHeap: capacity costs nothing
-	// until written).
+	// until written). ValueBytesUsed is the bytes of the Rep values this
+	// node holds, as coordinator or replica, and ValueBytesBacked the
+	// chunks behind their slots (see store.MetaTable.Hold).
 	BlockBytesUsed    uint64 `json:"store.block_bytes_used"`
 	BlockBytesBacked  uint64 `json:"store.block_bytes_backed"`
 	ParityBytesBacked uint64 `json:"store.parity_bytes_backed"`
+	ValueBytesUsed    uint64 `json:"store.value_bytes_used"`
+	ValueBytesBacked  uint64 `json:"store.value_bytes_backed"`
 }
 
 // Add accumulates another count set (for cluster-wide aggregation).
@@ -118,6 +123,8 @@ func (c *MemgestOpCounts) Add(o MemgestOpCounts) {
 	c.BlockBytesUsed += o.BlockBytesUsed
 	c.BlockBytesBacked += o.BlockBytesBacked
 	c.ParityBytesBacked += o.ParityBytesBacked
+	c.ValueBytesUsed += o.ValueBytesUsed
+	c.ValueBytesBacked += o.ValueBytesBacked
 }
 
 // MetricsSnapshot is a point-in-time copy of a node's instrumentation,
@@ -138,6 +145,9 @@ type MetricsSnapshot struct {
 	Stats           Stats                               `json:"stats"`
 	Memgests        map[proto.MemgestID]MemgestOpCounts `json:"memgests"`
 	TraceRecorded   uint64                              `json:"trace_recorded"`
+	// MetaEntries counts the metadata entries the node holds, over every
+	// table of every role: what the collected heap is mostly made of.
+	MetaEntries uint64 `json:"meta_entries"`
 	// Durable is the durable tier's instrumentation; nil on a volatile
 	// node.
 	Durable *replog.Stats `json:"durable,omitempty"`
@@ -174,11 +184,21 @@ func (n *Node) MetricsSnapshot() MetricsSnapshot {
 			Commits: mm.Commits.Load(),
 		}
 		if st := n.mg[id]; st != nil {
+			table := func(t *store.MetaTable) {
+				used, backed := t.ValueBytes()
+				c.ValueBytesUsed += used
+				c.ValueBytesBacked += backed
+				s.MetaEntries += uint64(t.Len())
+			}
 			for _, cs := range st.coord {
+				table(cs.meta)
 				if cs.heap != nil {
 					c.BlockBytesUsed += cs.heap.UsedBytes()
 					c.BlockBytesBacked += cs.heap.BackedBytes()
 				}
+			}
+			for _, rt := range st.rmeta {
+				table(rt)
 			}
 			if st.parity != nil {
 				c.ParityBytesBacked = st.parity.BackedBytes()

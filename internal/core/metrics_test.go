@@ -8,6 +8,7 @@ import (
 	"ring/internal/metrics"
 	"ring/internal/proto"
 	"ring/internal/store"
+	"ring/internal/transport"
 )
 
 // soloNode builds a single node that coordinates everything with an
@@ -181,11 +182,16 @@ func TestInstrumentedHotPathAllocs(t *testing.T) {
 	getAllocs := testing.AllocsPerRun(100, func() {
 		now += time.Millisecond
 		req++
-		n.HandleMessage(now, "client/1", &proto.Get{Req: req, Key: "hot"})
+		// The reply carries a pooled copy of the value; hand it back as
+		// the runner's flush does once the packet holds the bytes.
+		for _, o := range n.HandleMessage(now, "client/1", &proto.Get{Req: req, Key: "hot"}) {
+			transport.ReleaseBuf(o.Scratch)
+		}
 	})
-	// Put: reply struct + stored entry + value copy + index/GC churn.
-	if putAllocs > 9 {
-		t.Errorf("instrumented put path: %.1f allocs/op, want <= 9", putAllocs)
+	// Put: reply struct + stored entry + index/GC churn. The value copy
+	// is not among them: it goes into a slot of the table's arena.
+	if putAllocs > 7 {
+		t.Errorf("instrumented put path: %.1f allocs/op, want <= 7", putAllocs)
 	}
 	// Get: reply struct + the fail-closure capture.
 	if getAllocs > 2 {

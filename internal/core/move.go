@@ -138,7 +138,8 @@ func (n *Node) admitMove(from string, m *proto.Move) {
 	if !e.Rec.Committed {
 		// The paper: "the move request will also be postponed if the
 		// requested object is not durable."
-		e.ParkedMoves = append(e.ParkedMoves, store.MoveWaiter{Client: from, Move: m})
+		p := e.Park()
+		p.Moves = append(p.Moves, store.MoveWaiter{Client: from, Move: m})
 		return
 	}
 	switch {
@@ -155,13 +156,13 @@ func (n *Node) admitMove(from string, m *proto.Move) {
 		n.replyStatus(from, m.Req, replyMove, proto.StOK, ref.Version) //ring:ackok no-op move: the version acked is already committed and durable
 		return
 	}
-	value, scratch, ok := n.localValue(st, st.coord[shard], e, blockWaiter{client: from, req: m.Req, key: m.Key, version: ref.Version, move: m})
+	value, ok := n.localValue(st, st.coord[shard], e, blockWaiter{client: from, req: m.Req, key: m.Key, version: ref.Version, move: m})
 	if !ok {
 		return
 	}
 	n.startMove(from, m, shard, ref, value)
 	// The destination write copied the value into its own memgest.
-	transport.ReleaseBuf(scratch)
+	transport.ReleaseBuf(value)
 }
 
 // startMove opens the window: journal the conv-begin record, then run
@@ -312,10 +313,9 @@ func (n *Node) abortMoveWrite(mk moveKey, mv *moveState) {
 						delete(cs.pending, seq)
 					}
 				}
-				for _, w := range e.ParkedGets {
+				for _, w := range e.TakeParked().Gets {
 					n.send(w.Client, &proto.GetReply{Req: w.Req, Status: proto.StRetry})
 				}
-				e.ParkedGets = nil
 				n.purgeVersion(mk.shard, mk.key, store.VersionRef{Version: mv.newVer, Memgest: dst})
 			}
 		}

@@ -178,7 +178,7 @@ func TestMove(t *testing.T) {
 			n, _ := h.coordinatorOf("mk")
 			shard := n.shardOf("mk")
 			ref, _ := n.volFor(shard).Highest("mk")
-			n.lookupEntry(shard, "mk", ref).Value = nil
+			n.mg[mgREP3].coord[shard].meta.Hold(n.lookupEntry(shard, "mk", ref), nil)
 			if r := h.move("mk", mgSRS32); r.Status != proto.StOK || r.Version != 2 {
 				t.Fatalf("move through value recovery: %+v", r)
 			}
@@ -195,7 +195,7 @@ func TestMove(t *testing.T) {
 			shard := n.shardOf("mk")
 			ref, _ := n.volFor(shard).Highest("mk")
 			cs := n.mg[mgSRS32].coord[shard]
-			block := n.lookupEntry(shard, "mk", ref).Ext.Block
+			block := n.lookupEntry(shard, "mk", ref).Extent().Block
 			cs.blockOK[block] = false
 			if r := h.move("mk", mgREP3); r.Status != proto.StOK || r.Version != 2 {
 				t.Fatalf("move through block recovery: %+v", r)

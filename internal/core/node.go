@@ -96,8 +96,8 @@ type Out struct {
 	To  string
 	Msg proto.Message
 	// Scratch, when set, is the pooled buffer behind Msg's payload (a
-	// parity delta, a value read out of the block heap): whoever
-	// encodes Msg hands it back with transport.ReleaseBuf afterwards.
+	// parity delta, the copy of a stored value): whoever encodes Msg
+	// hands it back with transport.ReleaseBuf afterwards.
 	// A consumer that never encodes (the simulator) ignores it and the
 	// collector takes the buffer.
 	Scratch []byte
@@ -130,14 +130,12 @@ type Node struct {
 	recovering map[proto.ReqID]*metaRecovery
 	// Pending block recoveries this node is running as parity master.
 	blockRecs map[proto.ReqID]*blockRecovery
-	// Outstanding data/block recovery requests issued by this node as
-	// a recovering coordinator or replica.
-	dataRecs map[proto.ReqID]*dataRecovery
 	// parityRebuilds tracks stripe rebuilds on a new parity node.
 	parityRebuilds map[proto.ReqID]*parityRebuild
 	// bgQueue and bgInflight implement the bounded background data
-	// recovery pump; bgTasks0 maps outstanding request IDs back to
-	// their queue task for retry accounting.
+	// recovery pump; bgTasks0 maps the block and value requests this
+	// node has outstanding, as a recovering coordinator or replica, to
+	// their tasks: what to install when the reply comes, what to retry.
 	bgQueue    []bgTask
 	bgInflight int
 	bgTasks0   map[proto.ReqID]bgTask
@@ -246,15 +244,6 @@ type blockRecovery struct {
 	pending int
 }
 
-// dataRecovery tracks a value or block this node asked to be recovered.
-type dataRecovery struct {
-	memgest proto.MemgestID
-	shard   uint32
-	block   uint32 // SRS block recovery
-	key     string // Rep value recovery
-	version proto.Version
-}
-
 // New creates a node with an installed initial configuration. All
 // nodes of a fresh cluster are constructed with the same config; no
 // recovery is triggered for roles assigned at construction.
@@ -266,7 +255,6 @@ func New(id proto.NodeID, cfg *proto.Config, opts Options) *Node {
 		mg:             make(map[proto.MemgestID]*mgState),
 		recovering:     make(map[proto.ReqID]*metaRecovery),
 		blockRecs:      make(map[proto.ReqID]*blockRecovery),
-		dataRecs:       make(map[proto.ReqID]*dataRecovery),
 		parityRebuilds: make(map[proto.ReqID]*parityRebuild),
 		bgTasks0:       make(map[proto.ReqID]bgTask),
 		moving:         make(map[moveKey]*moveState),

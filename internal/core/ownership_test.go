@@ -156,3 +156,82 @@ func TestParkedPutOwnsItsValue(t *testing.T) {
 		t.Fatalf("get after replay: %v, %d bytes", rep.Status, len(rep.Value))
 	}
 }
+
+// TestGetReplySurvivesPurgeInSameDrain pins the rule that no stored
+// byte is read after the handler that could free it returns. A drain
+// runs up to 64 packets before flush encodes anything, so the reply to
+// a Get of version 1 is still an unencoded message when, later in the
+// same drain, the ack that commits version 2 purges version 1 (the
+// freed slot is overwritten with 0xDB under PoisonPayloads) and a put
+// of another key takes the slot. The reply must carry version 1's
+// bytes: sendValueReply copied them out. Hand the GetReply a view of
+// the slot instead and the client reads the other key's value.
+func TestGetReplySurvivesPurgeInSameDrain(t *testing.T) {
+	if !PoisonPayloads {
+		t.Fatal("PoisonPayloads is off: TestMain must switch it on")
+	}
+	cfg, err := BootConfig(ClusterSpec{Shards: 1, Redundant: 1, Memgests: []proto.Scheme{proto.Rep(2, 1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabric := transport.NewMemFabric(0)
+	register := func(addr string) *peer {
+		ep, err := fabric.Register(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ep.Close() })
+		return &peer{t: t, ep: ep}
+	}
+	self, client, replica := register(NodeAddr(0)), register("client/t"), register(NodeAddr(1))
+	// No event loop: the test decides which packets share a drain.
+	r := &Runner{ep: self.ep, node: New(0, cfg, Options{}), start: time.Now()}
+	drain := func(from string, msgs ...proto.Message) {
+		t.Helper()
+		packets := make(chan transport.Packet, len(msgs))
+		for _, m := range msgs[1:] {
+			packets <- transport.Packet{From: from, Payload: proto.Encode(m)}
+		}
+		if !r.drain(transport.Packet{From: from, Payload: proto.Encode(msgs[0])}, packets) {
+			t.Fatal("drain reported a closed inbox")
+		}
+	}
+	val := func(b byte) []byte { return bytes.Repeat([]byte{b}, 1000) }
+	isGetReply := func(m proto.Message) bool { _, ok := m.(*proto.GetReply); return ok }
+
+	// Version 1 committed, version 2 appended and waiting for its ack.
+	drain(client.ep.Addr(), &proto.Put{Req: 1, Key: "k", Value: val(1)})
+	a1 := replica.nextAppend()
+	drain(replica.ep.Addr(), &proto.RepAck{Memgest: a1.Memgest, Shard: a1.Shard, Seq: a1.Seq})
+	drain(client.ep.Addr(), &proto.Put{Req: 2, Key: "k", Value: val(2)})
+	a2 := replica.nextAppend()
+
+	slotOf := func(key string, ver proto.Version) (slot *byte) {
+		r.Inspect(func(n *Node) {
+			if e := n.mg[1].coord[0].meta.Get(key, ver); e != nil {
+				b, _ := e.Bytes()
+				slot = &b[0]
+			}
+		})
+		return slot
+	}
+	slot1 := slotOf("k", 1)
+
+	// One drain: read version 1, commit version 2 (purging 1), reuse the slot.
+	packets := make(chan transport.Packet, 2)
+	packets <- transport.Packet{From: replica.ep.Addr(), Payload: proto.Encode(&proto.RepAck{Memgest: a2.Memgest, Shard: a2.Shard, Seq: a2.Seq})}
+	packets <- transport.Packet{From: client.ep.Addr(), Payload: proto.Encode(&proto.Put{Req: 4, Key: "other", Value: val(3)})}
+	r.drain(transport.Packet{From: client.ep.Addr(), Payload: proto.Encode(&proto.Get{Req: 3, Key: "k", Version: 1})}, packets)
+
+	if slotOf("k", 1) != nil {
+		t.Fatal("version 1 was not purged in the drain")
+	}
+	if slotOf("other", 1) != slot1 {
+		t.Fatal("the put of the other key did not take version 1's slot")
+	}
+	rep := client.next(isGetReply).(*proto.GetReply)
+	if rep.Status != proto.StOK || rep.Version != 1 || !bytes.Equal(rep.Value, val(1)) {
+		t.Fatalf("get of version 1 answered %v version %d with %d bytes of %#x, want 1000 of 0x01",
+			rep.Status, rep.Version, len(rep.Value), rep.Value[:min(1, len(rep.Value))])
+	}
+}

@@ -208,12 +208,7 @@ func (n *Node) finishMetaRecovery(mr *metaRecovery) {
 	for ek := range union {
 		keys = append(keys, ek)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Key != keys[j].Key {
-			return keys[i].Key < keys[j].Key
-		}
-		return keys[i].Version < keys[j].Version
-	})
+	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
 
 	for _, ek := range keys {
 		mg := union[ek]
@@ -246,9 +241,8 @@ func (n *Node) finishMetaRecovery(mr *metaRecovery) {
 				continue
 			}
 			e := &store.Entry{Rec: mg.rec}
-			if st.layout != nil && mg.rec.Length > 0 && !mg.rec.Tombstone {
-				e.Ext = store.Extent{Block: mg.rec.LocBlock, Off: mg.rec.LocOff, Len: mg.rec.Length}
-				if err := cs.heap.Reserve(e.Ext); err != nil {
+			if st.layout != nil {
+				if err := cs.heap.Reserve(e.Extent()); err != nil {
 					// Conflicting metadata (should not happen); skip.
 					continue
 				}
@@ -264,54 +258,36 @@ func (n *Node) finishMetaRecovery(mr *metaRecovery) {
 				n.bgQueue = append(n.bgQueue, bgTask{kind: bgBlock, memgest: mr.memgest, shard: mr.shard, block: uint32(b)})
 			}
 		} else if st.info.Scheme.R > 1 {
-			cs.meta.Range(func(e *store.Entry) bool {
-				if e.Rec.Length > 0 && !e.Rec.Tombstone {
-					n.bgQueue = append(n.bgQueue, bgTask{kind: bgValue, memgest: mr.memgest, shard: mr.shard, key: e.Rec.Key, version: e.Rec.Version})
+			// The whole table, not just keys: a stash entry may lack its
+			// bytes too. Records is sorted, like everything recovery
+			// queues — the table is a Go map, and the order of these
+			// fetches is the order of the messages that answer them.
+			for _, rec := range cs.meta.Records() {
+				if !cs.meta.Get(rec.Key, rec.Version).Held() {
+					n.bgQueue = append(n.bgQueue, bgTask{kind: bgValue, memgest: mr.memgest, shard: mr.shard, key: rec.Key, version: rec.Version})
 				}
-				return true
-			})
-		}
-
-	case roleReplica:
-		rt := st.rmetaFor(mr.shard)
-		for _, ek := range keys {
-			mg := union[ek]
-			if existing := rt.Get(ek.Key, ek.Version); existing != nil {
-				if !existing.Rec.Committed {
-					existing.Rec.Committed = true
-					n.persistInstall(st, mr.shard, existing)
-				}
-				if existing.Value != nil || mg.rec.Length == 0 || mg.rec.Tombstone {
-					continue
-				}
-				n.bgQueue = append(n.bgQueue, bgTask{kind: bgValue, memgest: mr.memgest, shard: mr.shard, key: mg.rec.Key, version: mg.rec.Version, replica: true})
-				continue
-			}
-			e := &store.Entry{Rec: mg.rec}
-			rt.Put(e)
-			n.persistInstall(st, mr.shard, e)
-			if mg.rec.Length > 0 && !mg.rec.Tombstone {
-				n.bgQueue = append(n.bgQueue, bgTask{kind: bgValue, memgest: mr.memgest, shard: mr.shard, key: mg.rec.Key, version: mg.rec.Version, replica: true})
 			}
 		}
 
-	case roleParity:
+	case roleReplica, roleParity:
 		rt := st.rmetaFor(mr.shard)
 		for _, ek := range keys {
-			mg := union[ek]
-			if existing := rt.Get(ek.Key, ek.Version); existing != nil {
-				if !existing.Rec.Committed {
-					existing.Rec.Committed = true
-					n.persistInstall(st, mr.shard, existing)
-				}
-				continue
+			e := rt.Get(ek.Key, ek.Version)
+			if e == nil {
+				e = &store.Entry{Rec: union[ek].rec}
+				rt.Put(e)
+				n.persistInstall(st, mr.shard, e)
+			} else if !e.Rec.Committed {
+				e.Rec.Committed = true
+				n.persistInstall(st, mr.shard, e)
 			}
-			e := &store.Entry{Rec: mg.rec}
-			rt.Put(e)
-			n.persistInstall(st, mr.shard, e)
+			// A replica fetches the bytes it lacks entry by entry; parity
+			// blocks are rebuilt once per stripe, not per shard, and
+			// scheduleParityRebuild queued them already.
+			if mr.role == roleReplica && !e.Held() {
+				n.bgQueue = append(n.bgQueue, bgTask{kind: bgValue, memgest: mr.memgest, shard: mr.shard, key: ek.Key, version: ek.Version, replica: true})
+			}
 		}
-		// Parity blocks are rebuilt once per stripe, not per shard;
-		// scheduleParityRebuild queued them already.
 	}
 }
 
@@ -355,9 +331,6 @@ func (n *Node) issueBgTask(task bgTask) {
 		if cs == nil || cs.blockOK[task.block] {
 			return
 		}
-		if cs.blockFetching == nil {
-			cs.blockFetching = make(map[uint32]bool)
-		}
 		if cs.blockFetching[task.block] {
 			return
 		}
@@ -371,7 +344,7 @@ func (n *Node) issueBgTask(task bgTask) {
 		} else if cs := st.coord[task.shard]; cs != nil {
 			e = cs.meta.Get(task.key, task.version)
 		}
-		if e == nil || e.Value != nil {
+		if e == nil || e.Held() {
 			return
 		}
 		n.issueValueFetch(st, task)
@@ -391,7 +364,6 @@ func (n *Node) issueBlockRecover(st *mgState, cs *coordShard, task bgTask) {
 	pns := parityNodes(&st.info)
 	target := pns[task.retries%len(pns)]
 	req := n.reqID()
-	n.dataRecs[req] = &dataRecovery{memgest: task.memgest, shard: task.shard, block: task.block}
 	n.bgInflight++
 	n.bgTasks0[req] = task
 	n.sendNode(target, &proto.BlockRecover{Req: req, Memgest: task.memgest, Block: task.block})
@@ -415,7 +387,6 @@ func (n *Node) issueValueFetch(st *mgState, task bgTask) {
 		return
 	}
 	req := n.reqID()
-	n.dataRecs[req] = &dataRecovery{memgest: task.memgest, shard: task.shard, key: task.key, version: task.version}
 	n.bgInflight++
 	n.bgTasks0[req] = task
 	n.sendNode(target, &proto.DataFetch{Req: req, Memgest: task.memgest, Shard: task.shard, Key: task.key, Version: task.version})
@@ -564,34 +535,33 @@ func (n *Node) finishBlockRecovery(st *mgState, br *blockRecovery) {
 	n.send(br.requester, &proto.BlockRecoverReply{Req: br.req, Status: proto.StOK, Block: br.block, Data: data})
 }
 
+// takeBgTask settles the outstanding block or value request a reply
+// answers and returns its task with the memgest's state; the state is
+// nil for a reply nobody waits for, or to a memgest since deleted.
+func (n *Node) takeBgTask(req proto.ReqID) (bgTask, *mgState) {
+	task, ok := n.bgTasks0[req]
+	if !ok {
+		return task, nil
+	}
+	delete(n.bgTasks0, req)
+	n.bgInflight--
+	return task, n.mgFor(task.memgest)
+}
+
 // handleBlockRecoverReply installs a recovered block on the
 // coordinator and releases requests parked on it.
 func (n *Node) handleBlockRecoverReply(_ string, m *proto.BlockRecoverReply) {
-	dr, ok := n.dataRecs[m.Req]
-	if !ok {
-		return
-	}
-	delete(n.dataRecs, m.Req)
-	task, tracked := n.bgTasks0[m.Req]
-	if tracked {
-		delete(n.bgTasks0, m.Req)
-		n.bgInflight--
-	}
-	st := n.mgFor(dr.memgest)
+	task, st := n.takeBgTask(m.Req)
 	if st == nil {
 		return
 	}
-	cs := st.coord[dr.shard]
+	cs := st.coord[task.shard]
 	if cs == nil {
 		return
 	}
-	if cs.blockFetching != nil {
-		delete(cs.blockFetching, m.Block)
-	}
+	delete(cs.blockFetching, m.Block)
 	if m.Status != proto.StOK {
-		if tracked {
-			n.requeue(task)
-		}
+		n.requeue(task)
 		return
 	}
 	if cs.blockOK[m.Block] {
@@ -610,49 +580,36 @@ func (n *Node) handleBlockRecoverReply(_ string, m *proto.BlockRecoverReply) {
 // handleDataFetchReply installs a recovered value and releases parked
 // requests.
 func (n *Node) handleDataFetchReply(_ string, m *proto.DataFetchReply) {
-	dr, ok := n.dataRecs[m.Req]
-	if !ok {
-		return
-	}
-	delete(n.dataRecs, m.Req)
-	task, tracked := n.bgTasks0[m.Req]
-	if tracked {
-		delete(n.bgTasks0, m.Req)
-		n.bgInflight--
-	}
-	st := n.mgFor(dr.memgest)
+	task, st := n.takeBgTask(m.Req)
 	if st == nil {
 		return
 	}
 	if m.Status != proto.StOK {
-		if tracked {
-			n.requeue(task)
+		n.requeue(task)
+		return
+	}
+	ek := store.EntryKey{Key: task.key, Version: task.version}
+	// Retention site (both installs below): the table keeps a copy of
+	// the value, m.Value is a view into the packet.
+	if task.replica {
+		rt := st.rmetaFor(task.shard)
+		if e := rt.Get(ek.Key, ek.Version); e != nil {
+			rt.Hold(e, m.Value)
+			n.persistInstall(st, task.shard, e)
 		}
 		return
 	}
-	ek := store.EntryKey{Key: dr.key, Version: dr.version}
-	// Retention site (both installs below): the entry keeps the value,
-	// m.Value is a view into the packet.
-	if tracked && task.replica {
-		if e := st.rmetaFor(dr.shard).Get(dr.key, dr.version); e != nil {
-			e.Value = bytes.Clone(m.Value)
-			n.persistInstall(st, dr.shard, e)
-		}
-		return
-	}
-	cs := st.coord[dr.shard]
+	cs := st.coord[task.shard]
 	if cs == nil {
 		return
 	}
-	e := cs.meta.Get(dr.key, dr.version)
+	e := cs.meta.Get(ek.Key, ek.Version)
 	if e == nil {
 		return
 	}
-	e.Value = bytes.Clone(m.Value)
-	n.persistInstall(st, dr.shard, e)
-	if cs.valueFetching != nil {
-		delete(cs.valueFetching, ek)
-	}
+	cs.meta.Hold(e, m.Value)
+	n.persistInstall(st, task.shard, e)
+	delete(cs.valueFetching, ek)
 	waiters := cs.valueWaiters[ek]
 	delete(cs.valueWaiters, ek)
 	for _, w := range waiters {
@@ -680,45 +637,26 @@ func (n *Node) releaseWaiter(st *mgState, cs *coordShard, w blockWaiter) {
 // with high priority").
 func (n *Node) parkOnBlockRecovery(st *mgState, cs *coordShard, block uint32, w blockWaiter) {
 	cs.blockWaiters[block] = append(cs.blockWaiters[block], w)
-	if cs.blockFetching == nil {
-		cs.blockFetching = make(map[uint32]bool)
-	}
 	if cs.blockFetching[block] {
 		return
 	}
 	cs.blockFetching[block] = true
 	// On-demand recovery bypasses the background queue and its
 	// in-flight limit.
-	pns := parityNodes(&st.info)
-	req := n.reqID()
-	n.dataRecs[req] = &dataRecovery{memgest: st.info.ID, shard: cs.shard, block: block}
-	n.bgTasks0[req] = bgTask{kind: bgBlock, memgest: st.info.ID, shard: cs.shard, block: block}
-	n.bgInflight++
-	n.sendNode(pns[0], &proto.BlockRecover{Req: req, Memgest: st.info.ID, Block: block})
+	n.issueBlockRecover(st, cs, bgTask{kind: bgBlock, memgest: st.info.ID, shard: cs.shard, block: block})
 }
 
 // parkOnValueRecovery queues a request behind a Rep value fetch.
 func (n *Node) parkOnValueRecovery(st *mgState, cs *coordShard, e *store.Entry, w blockWaiter) {
 	ek := store.EntryKey{Key: e.Rec.Key, Version: e.Rec.Version}
-	if cs.valueWaiters == nil {
-		cs.valueWaiters = make(map[store.EntryKey][]blockWaiter)
-	}
 	cs.valueWaiters[ek] = append(cs.valueWaiters[ek], w)
-	if cs.valueFetching == nil {
-		cs.valueFetching = make(map[store.EntryKey]bool)
-	}
 	if cs.valueFetching[ek] {
 		return
 	}
 	cs.valueFetching[ek] = true
-	rs := replicaSet(n.cfg, &st.info, cs.shard)
-	if len(rs) == 0 {
+	if len(replicaSet(n.cfg, &st.info, cs.shard)) == 0 {
 		n.send(w.client, &proto.GetReply{Req: w.req, Status: proto.StUnavailable})
 		return
 	}
-	req := n.reqID()
-	n.dataRecs[req] = &dataRecovery{memgest: st.info.ID, shard: cs.shard, key: e.Rec.Key, version: e.Rec.Version}
-	n.bgTasks0[req] = bgTask{kind: bgValue, memgest: st.info.ID, shard: cs.shard, key: e.Rec.Key, version: e.Rec.Version}
-	n.bgInflight++
-	n.sendNode(rs[0], &proto.DataFetch{Req: req, Memgest: st.info.ID, Shard: cs.shard, Key: e.Rec.Key, Version: e.Rec.Version})
+	n.issueValueFetch(st, bgTask{kind: bgValue, memgest: st.info.ID, shard: cs.shard, key: ek.Key, version: ek.Version})
 }

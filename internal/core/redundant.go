@@ -1,11 +1,16 @@
 package core
 
 import (
-	"bytes"
-
 	"ring/internal/proto"
 	"ring/internal/store"
 )
+
+// newMetaTable creates a node's metadata table.
+func newMetaTable() *store.MetaTable {
+	t := store.NewMetaTable()
+	t.Poison = PoisonPayloads
+	return t
+}
 
 // rmetaFor returns (creating on demand) the redundancy-side metadata
 // table for one shard of a memgest. Creation on demand tolerates
@@ -13,7 +18,7 @@ import (
 func (st *mgState) rmetaFor(shard uint32) *store.MetaTable {
 	t, ok := st.rmeta[shard]
 	if !ok {
-		t = store.NewMetaTable()
+		t = newMetaTable()
 		st.rmeta[shard] = t
 	}
 	return t
@@ -46,8 +51,9 @@ func (n *Node) handleRepAppend(from string, m *proto.RepAppend) {
 	rt := st.rmetaFor(m.Shard)
 	// Retention site: the replica keeps the value past this handler, and
 	// m.Value is a view into a packet the runner recycles — its one copy.
-	e := &store.Entry{Rec: m.Rec, Value: bytes.Clone(m.Value), Seq: m.Seq}
+	e := &store.Entry{Rec: m.Rec, Seq: m.Seq}
 	rt.Put(e)
+	rt.Hold(e, m.Value)
 	st.rseqFor(m.Shard)[m.Seq] = store.EntryKey{Key: m.Rec.Key, Version: m.Rec.Version}
 	n.persistAppend(st, m.Shard, e)
 	n.send(from, &proto.RepAck{Memgest: m.Memgest, Shard: m.Shard, Seq: m.Seq})
@@ -158,11 +164,13 @@ func (n *Node) handleDataFetch(from string, m *proto.DataFetch) {
 			e = rt.Get(m.Key, m.Version)
 		}
 	}
-	if e == nil || (e.Value == nil && e.Rec.Length > 0) {
+	if e == nil || !e.Held() {
 		n.send(from, &proto.DataFetchReply{Req: m.Req, Status: proto.StNotFound})
 		return
 	}
-	n.send(from, &proto.DataFetchReply{Req: m.Req, Status: proto.StOK, Value: e.Value})
+	b, _ := e.Bytes()
+	value := copyOut(b)
+	n.sendScratch(from, &proto.DataFetchReply{Req: m.Req, Status: proto.StOK, Value: value}, value)
 }
 
 // handleBlockFetch serves the raw contents of one SRS logical block

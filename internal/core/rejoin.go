@@ -32,7 +32,6 @@ func NewRejoining(id proto.NodeID, cfg *proto.Config, opts Options) *Node {
 		mg:             make(map[proto.MemgestID]*mgState),
 		recovering:     make(map[proto.ReqID]*metaRecovery),
 		blockRecs:      make(map[proto.ReqID]*blockRecovery),
-		dataRecs:       make(map[proto.ReqID]*dataRecovery),
 		parityRebuilds: make(map[proto.ReqID]*parityRebuild),
 		bgTasks0:       make(map[proto.ReqID]bgTask),
 		moving:         make(map[moveKey]*moveState),

@@ -188,22 +188,26 @@ func TestFanoutOnePacketPerPeerPerEvent(t *testing.T) {
 				}
 			}
 
-			put(1) // version 1 commits; nothing to purge yet
-
-			pc := &packetCounter{counts: make(map[[2]string]int)}
-			cl.Fabric.SetDropFunc(pc.tap)
-			put(2) // overwrite: append event + commit event (commit+purge)
 			// The client reply is flushed before the commit-event packets
 			// to the redundancy peers; poll until they land instead of
 			// guessing a fixed delay. A timeout falls through to the
 			// exact-count assertions below, which report the shortfall.
-			testutil.Eventually(5*time.Second, time.Millisecond, func() bool {
-				return pc.get(coord, NodeAddr(3)) >= 2 && pc.get(coord, NodeAddr(4)) >= 2
-			})
+			pc := &packetCounter{counts: make(map[[2]string]int)}
+			cl.Fabric.SetDropFunc(pc.tap)
+			landed := func(n int) {
+				testutil.Eventually(5*time.Second, time.Millisecond, func() bool {
+					return pc.get(coord, NodeAddr(3)) >= n && pc.get(coord, NodeAddr(4)) >= n
+				})
+			}
+			put(1) // version 1 commits; nothing to purge yet
+			landed(2)
+			before := map[proto.NodeID]int{3: pc.get(coord, NodeAddr(3)), 4: pc.get(coord, NodeAddr(4))}
+			put(2) // overwrite: append event + commit event (commit+purge)
+			landed(4)
 			cl.Fabric.SetDropFunc(nil)
 
 			for _, peer := range []proto.NodeID{3, 4} {
-				got := pc.get(coord, NodeAddr(peer))
+				got := pc.get(coord, NodeAddr(peer)) - before[peer]
 				if got != 2 {
 					t.Errorf("%s -> %s: %d packets for one overwrite put, want 2 (append event + coalesced commit event)",
 						coord, NodeAddr(peer), got)

@@ -27,6 +27,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync/atomic"
+
+	"ring/internal/metrics"
 )
 
 // Poly is the primitive polynomial defining the field, with the x^8
@@ -178,14 +180,26 @@ func buildWordTable(c byte) *[1 << 16]uint16 {
 	for i := range t {
 		t[i] = uint16(row[i&0xff]) | uint16(row[i>>8])<<8
 	}
-	wordTbl[c].CompareAndSwap(nil, t)
+	if wordTbl[c].CompareAndSwap(nil, t) {
+		WordTablesBuilt.Inc()
+	}
 	return wordTbl[c].Load()
 }
 
+// WordTablesBuilt counts the split product tables this process holds,
+// 128 KiB each (gf.word_tables_built in /debug/ringvars): a node that
+// never multiplies — a replica, a parity node, which only XORs — builds
+// none.
+var WordTablesBuilt metrics.Counter
+
+func init() {
+	metrics.Default.Register("gf.word_tables_built", &WordTablesBuilt)
+}
+
 // WarmTables pre-builds the split product tables for the given
-// coefficients. Encoders call it at construction with their coding
-// matrix so the first write of a connection never pays the 128 KiB
-// table build inside the commit path.
+// coefficients. A node that is about to multiply by them on its commit
+// path calls it when it learns its role, so that no put pays a 128 KiB
+// table build; everything else builds on first use.
 func WarmTables(coeffs ...byte) {
 	for _, c := range coeffs {
 		if c > 1 {

@@ -51,6 +51,8 @@
 //	                     subsystems bounded by their own rules)
 //	//ring:wallclock     exempts a function from simdeterminism (the
 //	                     deliberate real-time boundary, e.g. Runner)
+//	//ring:maporder      exempts one store map walk (same line) from
+//	                     simdeterminism: its order cannot be observed
 //	//ring:sleepok       exempts one sleep in a test (doc or same line)
 //	//ring:nonatomic     exempts one access from atomicfield (e.g.
 //	                     constructor init before the value is shared)

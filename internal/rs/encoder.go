@@ -39,14 +39,12 @@ func NewEncoder(k, m int) (*Encoder, error) {
 	if k+m > 256 {
 		return nil, fmt.Errorf("rs: k+m must be <= 256, got %d", k+m)
 	}
-	e := &Encoder{k: k, m: m, h: buildCodingMatrix(k, m)}
-	// Pre-build the word-wide product tables for every generator
-	// coefficient so the lazy 128 KiB builds happen here, not on the
-	// first encode of the commit path.
-	for j := 0; j < m; j++ {
-		gf.WarmTables(e.h[k+j]...)
-	}
-	return e, nil
+	// No product table is built here: most holders of an encoder never
+	// multiply (a parity node XORs deltas a coordinator multiplied), so
+	// the 128 KiB word tables are built by gf on first use, or ahead of
+	// it by the one caller with a commit path to protect
+	// (srs.Layout.WarmParityDelta).
+	return &Encoder{k: k, m: m, h: buildCodingMatrix(k, m)}, nil
 }
 
 // buildCodingMatrix produces H = [I; G] with the property that any k

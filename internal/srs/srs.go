@@ -337,6 +337,20 @@ func (l *Layout) ParityDeltaInto(b int, delta []byte, out [][]byte) {
 	}
 }
 
+// WarmParityDelta builds the product tables ParityDeltaInto multiplies
+// with for the blocks of one data node, so that the node's first puts
+// do not build them (128 KiB per coefficient) on the commit path. A
+// node needs the coefficients of its own stripe positions only: at most
+// M tables when it holds one position, none for an all-ones parity row.
+func (l *Layout) WarmParityDelta(node int) {
+	lo, hi := l.NodeBlocks(node)
+	for b := lo; b < hi; b++ {
+		for r := 0; r < l.M; r++ {
+			gf.WarmTables(l.enc.Coefficient(r, l.StripePos(b)))
+		}
+	}
+}
+
 // CanTolerate reports whether the code survives the simultaneous
 // failure of the given nodes. Node indices 0..s-1 are data nodes,
 // s..s+m-1 are parity nodes. Because RS(k,m) is MDS, a stripe is

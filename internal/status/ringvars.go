@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	rtmetrics "runtime/metrics"
 	"sort"
 	"strconv"
@@ -57,8 +58,7 @@ func (s *Server) handleRingvars(w http.ResponseWriter, _ *http.Request) {
 		rv.NodeID = n.ID()
 		rv.Node = n.MetricsSnapshot()
 	})
-	rv.Process = metrics.Default.Snapshot()
-	addGoHeapVars(rv.Process)
+	rv.Process = processVars()
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -89,6 +89,43 @@ func addGoHeapVars(vars map[string]any) {
 			vars[v[0]] = samples[i].Value.Uint64()
 		}
 	}
+}
+
+// processVars is the process section of /debug/ringvars: the registry
+// every subsystem exports into (transport.*, core.*, gf.*,
+// process.arena_bytes_backed), the Go heap, and what the kernel says is
+// resident.
+func processVars() map[string]any {
+	vars := metrics.Default.Snapshot()
+	addGoHeapVars(vars)
+	vars["process.rss_anon_bytes"], vars["process.rss_file_bytes"] = residentBytes()
+	return vars
+}
+
+// residentBytes reads the process's resident anonymous memory (the Go
+// heap, the arena, stacks) and file-backed memory (text, read-only
+// data, shared libraries) from /proc/self/status; both are 0 where the
+// kernel offers no such file.
+func residentBytes() (anon, file uint64) {
+	b, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0, 0
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		name, rest, _ := strings.Cut(line, ":")
+		if name != "RssAnon" && name != "RssFile" {
+			continue
+		}
+		if f := strings.Fields(rest); len(f) > 0 {
+			kb, _ := strconv.ParseUint(f[0], 10, 64)
+			if name == "RssAnon" {
+				anon = kb << 10
+			} else {
+				file = kb << 10
+			}
+		}
+	}
+	return anon, file
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -162,6 +199,11 @@ type ClusterStats struct {
 	// HeapLive, HeapGoal and GCCycles sum go.heap_live_bytes,
 	// go.heap_goal_bytes and go.gc_cycles across the scraped processes.
 	HeapLive, HeapGoal, GCCycles int64
+	// ArenaBacked, RSSAnon and RSSFile sum process.arena_bytes_backed,
+	// process.rss_anon_bytes and process.rss_file_bytes the same way;
+	// MetaEntries sums the nodes' meta_entries.
+	ArenaBacked, RSSAnon, RSSFile int64
+	MetaEntries                   uint64
 	// Durable sums the durable tiers of the nodes that have one (nil when
 	// none does); Failed then means some node's is in its sticky-error
 	// state.
@@ -185,6 +227,7 @@ func Aggregate(nodes []Ringvars) ClusterStats {
 		cs.MovesReplanned += n.MovesReplanned
 		cs.ShardsMoved += n.ShardsMoved
 		cs.ConfigRepushes += n.ConfigRepushes
+		cs.MetaEntries += n.MetaEntries
 		addStats(&cs.Stats, n.Stats)
 		for id, c := range n.Memgests {
 			agg := cs.Memgests[id]
@@ -213,6 +256,12 @@ func Aggregate(nodes []Ringvars) ClusterStats {
 				cs.HeapGoal += iv
 			case "go.gc_cycles":
 				cs.GCCycles += iv
+			case "process.arena_bytes_backed":
+				cs.ArenaBacked += iv
+			case "process.rss_anon_bytes":
+				cs.RSSAnon += iv
+			case "process.rss_file_bytes":
+				cs.RSSFile += iv
 			default:
 				if g, ok := groupOfQueueGauge(name); ok {
 					cs.GroupQueueDepth[g] += iv
@@ -319,8 +368,9 @@ func RenderStats(w io.Writer, cs ClusterStats) {
 			id, c.Puts, c.Gets, c.Deletes, c.Moves, c.Commits)
 		mem.Add(c)
 	}
-	fmt.Fprintf(w, "memory: block_used=%d block_backed=%d parity_backed=%d heap_live=%d heap_goal=%d gc_cycles=%d\n",
-		mem.BlockBytesUsed, mem.BlockBytesBacked, mem.ParityBytesBacked, cs.HeapLive, cs.HeapGoal, cs.GCCycles)
+	fmt.Fprintf(w, "memory: block_used=%d block_backed=%d parity_backed=%d value_used=%d value_backed=%d arena_backed=%d meta_entries=%d heap_live=%d heap_goal=%d gc_cycles=%d rss_anon=%d rss_file=%d\n",
+		mem.BlockBytesUsed, mem.BlockBytesBacked, mem.ParityBytesBacked, mem.ValueBytesUsed, mem.ValueBytesBacked,
+		cs.ArenaBacked, cs.MetaEntries, cs.HeapLive, cs.HeapGoal, cs.GCCycles, cs.RSSAnon, cs.RSSFile)
 	if d := cs.Durable; d != nil {
 		// Per group commit: the WAL records it made durable and the
 		// acknowledgements it released.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"ring/internal/proto"
 	"ring/internal/replog"
 	"ring/internal/store"
+	"ring/internal/testutil"
 )
 
 // startObservedCluster boots a cluster with a status server on every
@@ -125,6 +127,30 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 	if m := mid.Memgests[1]; m.BlockBytesUsed != 0 || m.BlockBytesBacked != 0 || m.ParityBytesBacked != 0 {
 		t.Fatalf("Rep memgest reports block memory: %+v", m)
 	}
+	// The Rep side is as exact: three copies of the live version of each
+	// of the seven Rep keys (every superseded "dur" version was purged on
+	// the replicas before a later put's RepAppend reached them), held in
+	// whole chunks, and none in the SRS memgest. And one metadata entry
+	// per live version and copy: 3 per Rep key, and for an SRS key its
+	// coordinator's and the two parity nodes'.
+	repBytes := uint64(3 * (len("made durable") + 6*len("replicated")))
+	if m := mid.Memgests[1]; m.ValueBytesUsed != repBytes || m.ValueBytesBacked < m.ValueBytesUsed || m.ValueBytesBacked%(64<<10) != 0 {
+		t.Fatalf("memgest 1 holds %d value bytes in %d, want %d in whole chunks", m.ValueBytesUsed, m.ValueBytesBacked, repBytes)
+	}
+	if m := mid.Memgests[2]; m.ValueBytesUsed != 0 || m.ValueBytesBacked != 0 {
+		t.Fatalf("SRS memgest reports Rep values: %+v", m)
+	}
+	if mid.MetaEntries != 3*(1+6)+3*4 {
+		t.Fatalf("cluster holds %d metadata entries, want %d", mid.MetaEntries, 3*(1+6)+3*4)
+	}
+	// The process vars crossed the boundary: everything stored sits in
+	// the arena, and on Linux the kernel's view of the process comes with it.
+	if mid.ArenaBacked < int64(mid.Memgests[1].ValueBytesBacked) {
+		t.Fatalf("process.arena_bytes_backed sums to %d, below the %d behind the Rep values alone", mid.ArenaBacked, mid.Memgests[1].ValueBytesBacked)
+	}
+	if runtime.GOOS == "linux" && (mid.RSSAnon <= 0 || mid.RSSFile <= 0) {
+		t.Fatalf("process.rss_anon_bytes=%d process.rss_file_bytes=%d", mid.RSSAnon, mid.RSSFile)
+	}
 	// The Go heap vars crossed the boundary too (live bytes and cycles are
 	// legitimately zero before the first collection; the goal never is).
 	if mid.HeapGoal <= 0 {
@@ -213,10 +239,22 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 		"commit latency SRS: n=8",
 		// 3 of the 4 SRS puts survive the delete, plus the 3 moved values.
 		fmt.Sprintf("memory: block_used=%d block_backed=", 3*len(srsVal)+3*len("replicated")),
+		fmt.Sprintf(" meta_entries=%d heap_live=", cs.MetaEntries),
+		" rss_file=",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
+	}
+
+	// The delete and the three moves freed four Rep values on every copy
+	// (the replicas purge when the coordinator's Purge reaches them).
+	repBytes -= uint64(3 * 4 * len("replicated"))
+	if !testutil.Eventually(5*time.Second, 5*time.Millisecond, func() bool {
+		now, _ := CollectStats(addrs)
+		return now.Memgests[1].ValueBytesUsed == repBytes
+	}) {
+		t.Fatalf("Rep value bytes did not settle at %d", repBytes)
 	}
 
 	// Watch mode renders one block per round.

@@ -112,7 +112,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	snap := s.snapshot()
+	var snap Snapshot
+	var ms core.MetricsSnapshot
+	s.runner.Inspect(func(n *core.Node) { snap, ms = Collect(n), n.MetricsSnapshot() })
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	b := func(v bool) int {
 		if v {
@@ -140,4 +142,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "ring_bytes_written_total %d\n", st.BytesWritten)
 	fmt.Fprintf(w, "ring_bytes_parity_xor_total %d\n", st.BytesParityXor)
 	fmt.Fprintf(w, "ring_bytes_decoded_total %d\n", st.BytesDecoded)
+	// Memory, as /debug/ringvars attributes it: stored bytes per memgest,
+	// the entries that index them, and the process around both.
+	for _, m := range snap.Memgests {
+		c := ms.Memgests[m.ID]
+		fmt.Fprintf(w, "ring_store_block_bytes_used{memgest=\"%d\"} %d\n", m.ID, c.BlockBytesUsed)
+		fmt.Fprintf(w, "ring_store_block_bytes_backed{memgest=\"%d\"} %d\n", m.ID, c.BlockBytesBacked)
+		fmt.Fprintf(w, "ring_store_parity_bytes_backed{memgest=\"%d\"} %d\n", m.ID, c.ParityBytesBacked)
+		fmt.Fprintf(w, "ring_store_value_bytes_used{memgest=\"%d\"} %d\n", m.ID, c.ValueBytesUsed)
+		fmt.Fprintf(w, "ring_store_value_bytes_backed{memgest=\"%d\"} %d\n", m.ID, c.ValueBytesBacked)
+	}
+	fmt.Fprintf(w, "ring_meta_entries %d\n", ms.MetaEntries)
+	pv := processVars()
+	for _, name := range []string{"arena_bytes_backed", "rss_anon_bytes", "rss_file_bytes"} {
+		fmt.Fprintf(w, "ring_process_%s %v\n", name, pv["process."+name])
+	}
 }

@@ -47,14 +47,11 @@ type region struct {
 	blockSize int
 	chunk     int        // chunk size: chunkSize, or blockSize if smaller
 	blocks    [][][]byte // blocks[b][c] is nil until written
+	mem       *arena     // where the backing comes from; never freed into, so always zero
 }
 
-// chunkSize bounds the slack of a block (the unused tail of its last
-// backed chunk) and how often a value straddles two chunks.
-const chunkSize = 64 << 10
-
 func newRegion(nblocks, blockSize int) region {
-	r := region{blockSize: blockSize, chunk: min(chunkSize, blockSize), blocks: make([][][]byte, nblocks)}
+	r := region{blockSize: blockSize, chunk: min(chunkSize, blockSize), blocks: make([][][]byte, nblocks), mem: newArena(false)}
 	for b := range r.blocks {
 		r.blocks[b] = make([][]byte, (blockSize+r.chunk-1)/r.chunk)
 	}
@@ -73,7 +70,7 @@ func (r *region) each(b, off, n int, back bool, fn func(p []byte, i, m int)) {
 		m := min(n-i, r.chunkLen(c)-o)
 		ch := r.blocks[b][c]
 		if ch == nil && back {
-			ch = make([]byte, r.chunkLen(c))
+			ch = r.mem.alloc(r.chunkLen(c))
 			r.blocks[b][c] = ch
 		}
 		if ch != nil {
@@ -108,9 +105,17 @@ func (r *region) install(b int, data []byte) {
 		if ch != nil {
 			copy(ch, piece)
 		} else if len(bytes.TrimLeft(piece, "\x00")) > 0 {
-			r.blocks[b][c] = bytes.Clone(piece)
+			r.blocks[b][c] = r.mem.alloc(len(piece))
+			copy(r.blocks[b][c], piece)
 		}
 	}
+}
+
+// drop returns the backing to the chunk pool. The region is unusable
+// afterwards: its owner is being discarded.
+func (r *region) drop() {
+	r.mem.drop()
+	r.blocks = nil
 }
 
 // backed returns the bytes of backing currently allocated.
@@ -175,6 +180,10 @@ func (h *BlockHeap) UsedBytes() uint64 { return h.used }
 
 // BackedBytes returns the bytes of memory behind the heap's blocks.
 func (h *BlockHeap) BackedBytes() uint64 { return h.data.backed() }
+
+// Drop gives the heap's memory back for other nodes of the process to
+// use; the heap must not be used again.
+func (h *BlockHeap) Drop() { h.data.drop() }
 
 // Alloc reserves n bytes inside a single block (first fit) and returns
 // the extent. It fails with ErrHeapFull when no block has a large
@@ -412,6 +421,10 @@ func (p *ParityRegion) SetBlock(t int, data []byte) {
 
 // BackedBytes returns the bytes of memory behind the parity blocks.
 func (p *ParityRegion) BackedBytes() uint64 { return p.data.backed() }
+
+// Drop gives the region's memory back for other nodes of the process to
+// use; the region must not be used again.
+func (p *ParityRegion) Drop() { p.data.drop() }
 
 // Stripes returns the number of parity blocks.
 func (p *ParityRegion) Stripes() int { return len(p.data.blocks) }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"sort"
+	"unsafe"
 
 	"ring/internal/proto"
 )
@@ -13,28 +14,96 @@ type EntryKey struct {
 	Version proto.Version
 }
 
+// Less orders entry keys by key, then version: the order in which
+// anything taken out of a table (a Go map) is put on a wire or a queue.
+func (k EntryKey) Less(o EntryKey) bool {
+	if k.Key != o.Key {
+		return k.Key < o.Key
+	}
+	return k.Version < o.Version
+}
+
 // Entry is one metadata hashtable record:
 //
 //	key,version -> data, length, committed, requests
 //
 // The committed flag and parked requests are the volatile part of the
-// paper's scheme; Rec carries everything that is replicated.
+// paper's scheme; Rec carries everything that is replicated. Where the
+// entry's bytes are is one of two places, and one question answers
+// both: an SRS value sits in its coordinator's BlockHeap at Extent (Rec
+// says where; the parity nodes' copies of the entry have none), a Rep
+// value in a slot of the table that indexes the entry, put there by
+// Hold and read with Bytes.
 type Entry struct {
 	Rec proto.MetaRecord
-	// Value holds the bytes for replicated memgests (where redundancy
-	// nodes store full copies). For SRS memgests the primary bytes
-	// live in the coordinator's BlockHeap at Ext and Value is nil.
-	Value []byte
-	// Ext locates the bytes in the block heap (SRS memgests only).
-	Ext Extent
 	// Seq is the replicated-log sequence that carried this entry.
 	Seq proto.Seq
-	// ParkedGets are get requests waiting for this entry to commit
-	// (client address + request id), per Figure 5 of the paper.
-	ParkedGets []Waiter
-	// ParkedMoves are move requests waiting for durability.
-	ParkedMoves []MoveWaiter
+	// slot is the Rep value held for this entry, n bytes in the table's
+	// arena; nil when the table holds none.
+	slot *byte
+	n    uint32
+	// parked exists only while requests wait for the entry to commit.
+	parked *Parked
 }
+
+// Extent locates an SRS entry's bytes in the block heap; its Len is
+// zero when the entry has none (a tombstone, an empty value).
+func (e *Entry) Extent() Extent {
+	if e.Rec.Tombstone {
+		return Extent{}
+	}
+	return Extent{Block: e.Rec.LocBlock, Off: e.Rec.LocOff, Len: e.Rec.Length}
+}
+
+// Bytes returns the Rep value the entry's table holds for it, and
+// whether it holds it. An entry that carries no bytes (a tombstone, an
+// empty value) is held, with nil bytes; an entry that recovery
+// installed ahead of its bytes is not, until Hold. The bytes are a view
+// of the slot: Delete, a replacing Put, Hold and Drop free it, so a
+// caller that sends them anywhere copies them before it returns.
+func (e *Entry) Bytes() (b []byte, held bool) {
+	if e.slot != nil {
+		return unsafe.Slice(e.slot, e.n), true
+	}
+	return nil, e.Rec.Length == 0 || e.Rec.Tombstone
+}
+
+// Held is the second result of Bytes.
+func (e *Entry) Held() bool {
+	_, held := e.Bytes()
+	return held
+}
+
+// Parked is what waits for an uncommitted entry to commit.
+type Parked struct {
+	// Gets are get requests answered with this exact version at commit
+	// time (client address + request id), per Figure 5 of the paper.
+	Gets []Waiter
+	// Moves are move requests waiting for durability.
+	Moves []MoveWaiter
+}
+
+// Park returns the entry's parked requests, to append to.
+func (e *Entry) Park() *Parked {
+	if e.parked == nil {
+		e.parked = new(Parked)
+	}
+	return e.parked
+}
+
+// TakeParked detaches and returns what is parked on the entry; nothing
+// is once it has committed.
+func (e *Entry) TakeParked() Parked {
+	p := e.parked
+	e.parked = nil
+	if p == nil {
+		return Parked{}
+	}
+	return *p
+}
+
+// HasParked reports whether any request waits on the entry.
+func (e *Entry) HasParked() bool { return e.parked != nil }
 
 // Waiter identifies a parked get reply.
 type Waiter struct {
@@ -51,10 +120,17 @@ type MoveWaiter struct {
 
 // MetaTable is the metadata hashtable of one memgest shard. The
 // coordinator's copy is authoritative; replicas and parity nodes hold
-// replicas maintained through the replicated log.
+// replicas maintained through the replicated log. The table of a Rep
+// memgest also owns the values of its entries (Hold): removing an
+// entry frees its value, and Drop gives all of them back at once.
 type MetaTable struct {
 	entries map[EntryKey]*Entry
 	bytes   uint64 // approximate serialized size, for recovery sizing
+	vals    *arena // the held values; nil until the first
+	// Poison is a test switch (core.PoisonPayloads): the bytes of a
+	// freed value are overwritten with 0xDB, so a view kept past the
+	// free is a wrong value and not a lucky one.
+	Poison bool
 }
 
 // NewMetaTable creates an empty table.
@@ -68,14 +144,63 @@ func recSize(rec *proto.MetaRecord) uint64 {
 }
 
 // Put inserts or replaces an entry (write-ahead: entries are inserted
-// before they are committed).
+// before they are committed). A replaced entry's value is freed.
 func (t *MetaTable) Put(e *Entry) {
 	k := EntryKey{e.Rec.Key, e.Rec.Version}
 	if old, ok := t.entries[k]; ok {
 		t.bytes -= recSize(&old.Rec)
+		if old != e {
+			t.release(old)
+		}
 	}
 	t.entries[k] = e
 	t.bytes += recSize(&e.Rec)
+}
+
+// Hold makes the table keep a copy of value as the bytes of e, an entry
+// of this table, in place of any it held before. This is the one copy a
+// Rep node makes of a value: value may be a view into a packet.
+func (t *MetaTable) Hold(e *Entry, value []byte) {
+	t.release(e)
+	if len(value) == 0 {
+		return
+	}
+	if t.vals == nil {
+		t.vals = newArena(t.Poison)
+	}
+	b := t.vals.alloc(len(value))
+	copy(b, value)
+	e.slot, e.n = &b[0], uint32(len(value))
+}
+
+func (t *MetaTable) release(e *Entry) {
+	if e.slot != nil {
+		t.vals.free(unsafe.Slice(e.slot, e.n))
+		e.slot, e.n = nil, 0
+	}
+}
+
+// ValueBytes returns the bytes of the values the table holds and the
+// bytes of memory behind them (whole chunks: freed slots wait there for
+// the next value of their size).
+func (t *MetaTable) ValueBytes() (used, backed uint64) {
+	if t.vals == nil {
+		return 0, 0
+	}
+	return t.vals.used, t.vals.backed()
+}
+
+// Drop empties the table and gives the memory of its values back for
+// other tables of the process to use. A node calls it on a table it
+// discards while it lives on; the tables of a node discarded whole are
+// found by the collector.
+func (t *MetaTable) Drop() {
+	if t.vals != nil {
+		t.vals.drop()
+		t.vals = nil
+	}
+	clear(t.entries)
+	t.bytes = 0
 }
 
 // Get returns the entry for (key, version), or nil.
@@ -83,7 +208,8 @@ func (t *MetaTable) Get(key string, v proto.Version) *Entry {
 	return t.entries[EntryKey{key, v}]
 }
 
-// Delete removes (key, version) and returns the removed entry, if any.
+// Delete removes (key, version) and returns the removed entry, if any;
+// the value it held is freed.
 func (t *MetaTable) Delete(key string, v proto.Version) *Entry {
 	k := EntryKey{key, v}
 	e, ok := t.entries[k]
@@ -92,6 +218,7 @@ func (t *MetaTable) Delete(key string, v proto.Version) *Entry {
 	}
 	delete(t.entries, k)
 	t.bytes -= recSize(&e.Rec)
+	t.release(e)
 	return e
 }
 
