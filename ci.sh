@@ -8,8 +8,8 @@
 #   2. go vet across the tree
 #   3. ringlint: the project-specific analyzers (internal/lint) over
 #      the whole tree — hot-path allocation, sim determinism, sleepy
-#      tests, atomic-field discipline, wire-protocol pairing, ack
-#      ordering (quorum, persistence, and move-journal barriers).
+#      tests, durable-path errors, ack ordering (quorum and persistence
+#      barriers), lock discipline, goroutine lifetimes.
 #      Any finding fails the build; exemptions are //ring: directives
 #      in the source, where review can see them. scripts/loc.sh then
 #      prints the size report (non-test lines per internal/* package

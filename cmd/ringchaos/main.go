@@ -21,9 +21,9 @@
 //	                                   conversions and join/leave resizes
 //	                                   blended into the fault mix
 //	ringchaos -elasticity -convbug -seed 5
-//	                                   inject the ack-before-journal
-//	                                   transition bug (the checker must
-//	                                   catch it)
+//	                                   inject the ack-before-commit
+//	                                   move bug (the checker must catch
+//	                                   it)
 //	ringchaos -seeds 1:20 -shrink=false -v
 //	ringchaos -seeds 1:500 -dump out/    write failure artifacts to out/
 //
@@ -60,7 +60,7 @@ func run(args []string, out, errw io.Writer) int {
 	seeds := fs.String("seeds", "", "inclusive seed range lo:hi (overrides -seed)")
 	schedule := fs.String("schedule", "", "explicit nemesis schedule (overrides the generated one)")
 	bug := fs.Bool("bug", false, "inject the ack-before-quorum bug (validates the checker)")
-	convbug := fs.Bool("convbug", false, "inject the ack-before-journal move bug (validates the checker)")
+	convbug := fs.Bool("convbug", false, "inject the ack-before-commit move bug (validates the checker)")
 	durable := fs.Bool("durable", false, "disk fault plane: durable nodes, crash-recovery schedules")
 	elasticity := fs.Bool("elasticity", false, "elasticity schedules: live conversions and join/leave resizes in the fault mix")
 	shrink := fs.Bool("shrink", true, "greedily shrink failing schedules")

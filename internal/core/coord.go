@@ -115,7 +115,7 @@ func (n *Node) handleDelete(from string, m *proto.Delete) {
 // doWrite runs the write-ahead, replicate, commit pipeline shared by
 // put, delete (tombstone), and the local half of move. It reports
 // whether the write was actually launched (false means an error reply
-// was already sent) so startMove can close its journal window on a
+// was already sent) so startMove can close its window on a
 // synchronous failure.
 func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard uint32, key string, value []byte, mgID proto.MemgestID, tombstone bool) bool {
 	st := n.mgFor(mgID)
@@ -302,12 +302,6 @@ func (n *Node) commitEntry(st *mgState, cs *coordShard, key string, ver proto.Ve
 	}
 	if op := kind.traceOp(); op != metrics.TraceNone {
 		n.Metrics.Trace.Record(op, key, uint32(st.info.ID), uint64(ver), uint8(proto.StOK), n.now, n.now-start)
-	}
-	if kind == replyMove {
-		// Move journal: the window's close record must be ordered before
-		// the ack escapes (the ackorder journal barrier) — a crash after
-		// the ack must replay to the new scheme, never the old one.
-		n.persistMoveEnd(st.info.ID, cs.shard, key, ver, e.Seq)
 	}
 	n.replyStatus(replyTo, req, kind, proto.StOK, ver)
 

@@ -152,33 +152,6 @@ func (n *Node) persistPurge(mgID proto.MemgestID, shard uint32, key string, ver 
 	n.persistErr(n.durable.Purge(durKey(mgID, shard), seq, key, ver))
 }
 
-// persistMoveBegin journals the opening of a move window (the
-// on-disk conv-begin record): key is being re-homed from srcMg into
-// mgID as version ver.
-// It is written BEFORE the destination write launches, so a crash in
-// the window replays to the committed source version (the destination
-// append, being uncommitted, is dropped and the open window reported
-// via RecoveredShard.OpenConverts).
-func (n *Node) persistMoveBegin(mgID proto.MemgestID, shard uint32, key string, ver proto.Version, srcMg proto.MemgestID) {
-	if n.durable == nil || n.durableErr != nil {
-		return
-	}
-	rec := proto.MetaRecord{Key: key, Version: ver, Memgest: srcMg}
-	n.persistErr(n.durable.ConvertBegin(durKey(mgID, shard), 0, &rec))
-}
-
-// persistMoveEnd journals the closing of a move window (the on-disk
-// conv-end record; commit or abort). On the commit path it is ordered
-// before the ack escapes — the ackorder journal barrier — so an
-// acknowledged move always replays to the new scheme.
-func (n *Node) persistMoveEnd(mgID proto.MemgestID, shard uint32, key string, ver proto.Version, seq proto.Seq) {
-	if n.durable == nil || n.durableErr != nil {
-		return
-	}
-	rec := proto.MetaRecord{Key: key, Version: ver}
-	n.persistErr(n.durable.ConvertEnd(durKey(mgID, shard), seq, &rec))
-}
-
 // persistReset voids the durable state of a shard whose role this
 // node lost — replaying it in a later life would resurrect state that
 // now belongs to another node.
@@ -211,63 +184,48 @@ func (n *Node) takeStash(mgID proto.MemgestID, shard uint32) *replog.RecoveredSh
 	return rs
 }
 
-// installCoordStash seeds a taken-over coordinator shard from the
-// recovered durable state and returns the delta floor for the group
-// sync. All stash entries are committed; SRS entries re-reserve their
-// heap extents (block data itself is re-decoded in the background),
-// Rep entries carry their persisted values.
-func (n *Node) installCoordStash(st *mgState, cs *coordShard) proto.Seq {
-	rs := n.takeStash(st.info.ID, cs.shard)
+// installStash seeds a role just gained from what an earlier life of
+// this node left on disk for its shard, and returns the delta floor
+// for the group sync. All stash entries are committed and Rep entries
+// carry their persisted values; a coordinator's SRS entries re-reserve
+// their heap extents (block data itself is re-decoded in the
+// background).
+func (n *Node) installStash(st *mgState, r role) proto.Seq {
+	rs := n.takeStash(r.mg, r.shard)
 	if rs == nil {
 		return 0
 	}
-	vol := n.volFor(cs.shard)
+	table, cs := st.rmeta[r.shard], st.coord[r.shard]
+	if r.kind == roleCoordinator {
+		table = cs.meta
+		// Sequences allocated in the new life must never collide with the
+		// old life's (a replica matching an old seq to a new entry would
+		// corrupt commit resolution).
+		cs.tracker.Advance(rs.MaxSeq)
+	}
 	for i := range rs.Entries {
 		re := &rs.Entries[i]
 		e := &store.Entry{Rec: re.Rec, Seq: re.Seq}
-		if st.layout != nil {
-			if err := cs.heap.Reserve(e.Extent()); err != nil {
+		if r.kind == roleCoordinator {
+			if st.layout != nil && cs.heap.Reserve(e.Extent()) != nil {
 				// Conflicting extent (only possible after disk damage,
 				// which already forces Since == 0): let the group sync
 				// re-install this entry.
 				continue
 			}
+			n.volFor(r.shard).Add(re.Rec.Key, re.Rec.Version, r.mg)
 		}
-		cs.meta.Put(e)
+		table.Put(e)
 		if re.HasValue {
-			cs.meta.Hold(e, re.Value)
-		}
-		vol.Add(re.Rec.Key, re.Rec.Version, st.info.ID)
-	}
-	// Sequences allocated in the new life must never collide with the
-	// old life's (a replica matching an old seq to a new entry would
-	// corrupt commit resolution).
-	cs.tracker.Advance(rs.MaxSeq)
-	return rs.Since
-}
-
-// installRedundantStash seeds a taken-over replica/parity metadata
-// table from the recovered durable state and returns the delta floor.
-func (n *Node) installRedundantStash(st *mgState, shard uint32) proto.Seq {
-	rs := n.takeStash(st.info.ID, shard)
-	if rs == nil {
-		return 0
-	}
-	rt := st.rmetaFor(shard)
-	for i := range rs.Entries {
-		re := &rs.Entries[i]
-		e := &store.Entry{Rec: re.Rec, Seq: re.Seq}
-		rt.Put(e)
-		if re.HasValue {
-			rt.Hold(e, re.Value)
+			table.Hold(e, re.Value)
 		}
 	}
 	return rs.Since
 }
 
-// resetUnconsumedStash voids durable shards no installed role claimed
-// (the leader re-admitted us as a spare, or a role moved while we were
-// down). Runs once, after the re-admitting configuration installs.
+// resetUnconsumedStash voids the durable shards gainRole left in the
+// stash (the leader re-admitted us as a spare, or a role moved while we
+// were down). Runs once, after the re-admitting configuration installs.
 func (n *Node) resetUnconsumedStash() {
 	stash := n.durStash
 	n.durStash = nil
@@ -281,28 +239,5 @@ func (n *Node) resetUnconsumedStash() {
 	sort.Slice(sks, func(i, j int) bool { return sks[i].Less(sks[j]) })
 	for _, sk := range sks {
 		n.persistErr(n.durable.Reset(sk))
-	}
-}
-
-// resetMgDurable voids every durable shard of a memgest this node is
-// dropping (memgest deleted, or coordinator shard reassigned).
-func (n *Node) resetMgDurable(st *mgState) {
-	if n.durable == nil {
-		return
-	}
-	shards := make(map[uint32]bool)
-	for shard := range st.coord {
-		shards[shard] = true
-	}
-	for shard := range st.rmeta {
-		shards[shard] = true
-	}
-	ordered := make([]uint32, 0, len(shards))
-	for shard := range shards {
-		ordered = append(ordered, shard)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
-	for _, shard := range ordered {
-		n.persistReset(st.info.ID, shard)
 	}
 }

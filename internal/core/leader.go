@@ -121,7 +121,7 @@ func (n *Node) handleConfigPush(from string, m *proto.ConfigPush) {
 			return
 		}
 	}
-	n.installConfig(m.Config, false)
+	n.installConfig(m.Config)
 	n.lastHeartbeat = n.now
 	n.send(from, &proto.ConfigAck{Epoch: m.Config.Epoch})
 }

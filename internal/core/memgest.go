@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"ring/internal/metrics"
@@ -156,6 +157,7 @@ func (n *Node) newMgState(info proto.MemgestInfo) *mgState {
 		met:       n.Metrics.mgMetrics(info.ID),
 		coord:     make(map[uint32]*coordShard),
 		rmeta:     make(map[uint32]*store.MetaTable),
+		rseq:      make(map[uint32]map[proto.Seq]store.EntryKey),
 	}
 	if info.Scheme.Kind == proto.SchemeSRS {
 		st.layout = srs.MustLayout(info.Scheme.K, info.Scheme.M, info.Scheme.S)
@@ -193,41 +195,62 @@ func (n *Node) newCoordShard(st *mgState, shard uint32, fresh bool) *coordShard 
 	return cs
 }
 
-// drop gives back the memory behind a shard this node no longer
-// coordinates.
-func (cs *coordShard) drop() {
-	cs.meta.Drop()
-	if cs.heap != nil {
-		cs.heap.Drop()
-	}
-}
-
-// drop gives back the memory behind everything the node held for a
-// memgest that no longer exists.
-func (st *mgState) drop() {
-	for _, cs := range st.coord {
-		cs.drop()
-	}
-	for _, rt := range st.rmeta {
-		rt.Drop()
-	}
-	if st.parity != nil {
-		st.parity.Drop()
-	}
-}
-
 // mgFor returns the memgest state, or nil when unknown.
 func (n *Node) mgFor(id proto.MemgestID) *mgState {
 	return n.mg[id]
 }
 
-// installConfig applies a configuration, creating role state for new
-// assignments and scheduling recovery for roles taken over from failed
-// nodes. bootstrap suppresses recovery (initial cluster construction).
-func (n *Node) installConfig(cfg *proto.Config, bootstrap bool) {
+// role is one responsibility a configuration gives a node: coordinator,
+// replica or parity node of one shard of one memgest.
+type role struct {
+	mg    proto.MemgestID
+	shard uint32
+	kind  recoveredRole
+}
+
+// rolesOf lists the roles cfg gives node id: memgest by memgest in
+// configuration order, a memgest's coordinator roles before its
+// redundancy roles, each by shard. A parity node replicates the
+// metadata of every shard of its memgest; a spare, a redundancy node
+// outside a memgest's first m, and a node the configuration does not
+// name hold nothing.
+func rolesOf(cfg *proto.Config, id proto.NodeID) []role {
+	var out []role
+	for i := range cfg.Memgests {
+		mi := &cfg.Memgests[i]
+		for shard, c := range cfg.Coords {
+			if c == id {
+				out = append(out, role{mi.ID, uint32(shard), roleCoordinator})
+			}
+		}
+		if mi.Scheme.Kind == proto.SchemeSRS {
+			if slices.Contains(parityNodes(mi), id) {
+				for shard := 0; shard < mi.Scheme.S; shard++ {
+					out = append(out, role{mi.ID, uint32(shard), roleParity})
+				}
+			}
+			continue
+		}
+		for shard := range cfg.Coords {
+			if slices.Contains(replicaSet(cfg, mi, uint32(shard)), id) {
+				out = append(out, role{mi.ID, uint32(shard), roleReplica})
+			}
+		}
+	}
+	return out
+}
+
+// installConfig applies a configuration. What this node holds is what
+// the configuration being replaced gave it — nothing when there was
+// none (initial cluster construction), and nothing on a quarantined
+// node, whose boot configuration names roles whose state the crash
+// took. Every role the new configuration adds to that goes through
+// gainRole, every role it takes away through loseRole, and nothing
+// else creates or drops role state: a table's existence says nothing
+// about whose shard it is.
+func (n *Node) installConfig(cfg *proto.Config) {
 	prev := n.cfg
 	n.cfg = cfg
-	n.prev = prev
 	if cfg.Leader == n.id {
 		// Liveness is tracked for exactly the members. A node that left
 		// is forgotten; one just learned of, and every one at the start
@@ -250,124 +273,46 @@ func (n *Node) installConfig(cfg *proto.Config, bootstrap bool) {
 		}
 	}
 
-	// Drop state (and counters) for memgests that no longer exist. The
-	// durable shards are voided too: replaying them in a later life
-	// would resurrect a deleted memgest.
+	var held []role
+	if prev != nil && !n.rejoining {
+		held = rolesOf(prev, n.id)
+	}
+	roles := rolesOf(cfg, n.id)
+	for _, r := range held {
+		if !slices.Contains(roles, r) {
+			n.loseRole(r)
+		}
+	}
 	for id := range n.mg {
 		if cfg.Memgest(id) == nil {
-			n.resetMgDurable(n.mg[id])
-			n.mg[id].drop()
 			delete(n.mg, id)
 			delete(n.Metrics.mg, id)
 		}
 	}
-
-	needsRecovery := false
 	for _, mi := range cfg.Memgests {
-		existedBefore := prev != nil && prev.Memgest(mi.ID) != nil
-		st := n.mg[mi.ID]
-		if st == nil {
-			st = n.newMgState(mi)
-			n.mg[mi.ID] = st
-		} else {
+		if st := n.mg[mi.ID]; st != nil {
 			st.info = mi
-		}
-
-		// Coordinator roles.
-		for shard := uint32(0); int(shard) < len(cfg.Coords); shard++ {
-			if cfg.Coords[shard] != n.id {
-				// Lost the role (shouldn't happen in this design except
-				// via memgest deletion); drop any stale state, durable
-				// state included.
-				if cs, ok := st.coord[shard]; ok {
-					cs.drop()
-					delete(st.coord, shard)
-					n.persistReset(mi.ID, shard)
-				}
-				continue
-			}
-			if _, ok := st.coord[shard]; ok {
-				continue
-			}
-			takeover := existedBefore && !bootstrap
-			cs := n.newCoordShard(st, shard, !takeover)
-			if takeover {
-				needsRecovery = true
-				since := n.installCoordStash(st, cs)
-				n.startMetaRecovery(mi.ID, shard, roleCoordinator, since)
-			}
-		}
-
-		// Redundancy roles.
-		switch mi.Scheme.Kind {
-		case proto.SchemeSRS:
-			pidx := -1
-			for i, p := range parityNodes(&mi) {
-				if p == n.id {
-					pidx = i
-					break
-				}
-			}
-			st.parityIdx = pidx
-			if pidx >= 0 && st.parity == nil {
-				st.parity = store.NewParityRegion(st.layout.Stripes(), n.opts.BlockSize)
-				for shard := 0; shard < mi.Scheme.S; shard++ {
-					// A parity node's tables hold no values: one made on
-					// demand before this configuration has nothing to drop.
-					st.rmeta[uint32(shard)] = newMetaTable()
-				}
-				if existedBefore && !bootstrap {
-					needsRecovery = true
-					for shard := 0; shard < mi.Scheme.S; shard++ {
-						since := n.installRedundantStash(st, uint32(shard))
-						n.startMetaRecovery(mi.ID, uint32(shard), roleParity, since)
-					}
-					n.scheduleParityRebuild(st)
-				}
-			}
-		case proto.SchemeRep:
-			for shard := uint32(0); int(shard) < len(cfg.Coords); shard++ {
-				isReplica := false
-				for _, r := range replicaSet(cfg, &mi, shard) {
-					if r == n.id {
-						isReplica = true
-						break
-					}
-				}
-				if !isReplica {
-					continue
-				}
-				if _, ok := st.rmeta[shard]; ok {
-					continue
-				}
-				st.rmeta[shard] = newMetaTable()
-				if existedBefore && !bootstrap {
-					needsRecovery = true
-					since := n.installRedundantStash(st, shard)
-					n.startMetaRecovery(mi.ID, shard, roleReplica, since)
-				}
-			}
+		} else {
+			n.mg[mi.ID] = n.newMgState(mi)
 		}
 	}
-	if needsRecovery {
-		n.serving = false
-	}
-	if n.rejoining {
-		for _, id := range cfg.AllNodes() {
-			if id == n.id {
-				// The leader re-admitted us: leave quarantine. Usually we
-				// come back as a role-less spare and serve immediately;
-				// if no spare was free we kept our old roles and the
-				// takeover recovery scheduled above re-fetches their
-				// state (serving stays false until it completes).
-				n.rejoining = false
-				n.joinAttempts = 0
-				n.serving = !needsRecovery
-				break
-			}
+	for _, r := range roles {
+		if !slices.Contains(held, r) {
+			// A memgest this very configuration created has no earlier
+			// holder to recover from, nor has anything at construction.
+			n.gainRole(r, prev == nil || prev.Memgest(r.mg) == nil)
 		}
 	}
-	// Durable shards no installed role claimed are voided: either the
+	if n.rejoining && isMember(cfg, n.id) {
+		// The leader re-admitted us: leave quarantine. Usually we come
+		// back as a role-less spare and serve immediately; if no spare was
+		// free we kept our old roles and serve once the recoveries gainRole
+		// started re-fetched their state.
+		n.rejoining = false
+		n.joinAttempts = 0
+		n.serving = len(n.recovering) == 0
+	}
+	// Durable shards no gained role claimed are voided: either the
 	// leader re-admitted us into different roles, or a role moved while
 	// we were down. Keeping them would resurrect stale state next life.
 	if n.durStash != nil && !n.rejoining {
@@ -378,6 +323,65 @@ func (n *Node) installConfig(cfg *proto.Config, bootstrap bool) {
 	// and relaunch.
 	n.abandonPending()
 	n.replanMoves()
+}
+
+// gainRole creates the state of a role the configuration just gave
+// this node: the table, and the heap or parity region beside it. Unless
+// the role is fresh it had a holder before, so it is recovered before
+// the node serves (Section 6.4): what an earlier life of this node left
+// on disk goes in first, a metadata fetch from the group brings the
+// rest, and a parity node rebuilds its blocks.
+func (n *Node) gainRole(r role, fresh bool) {
+	st := n.mg[r.mg]
+	switch r.kind {
+	case roleCoordinator:
+		n.newCoordShard(st, r.shard, fresh)
+	case roleParity:
+		if st.parity == nil { // one region behind the memgest's s parity roles
+			st.parityIdx = slices.Index(parityNodes(&st.info), n.id)
+			st.parity = store.NewParityRegion(st.layout.Stripes(), n.opts.BlockSize)
+			if !fresh {
+				n.scheduleParityRebuild(st)
+			}
+		}
+		fallthrough
+	case roleReplica:
+		st.rmeta[r.shard] = newMetaTable()
+	}
+	if !fresh {
+		n.startMetaRecovery(r.mg, r.shard, r.kind, n.installStash(st, r))
+	}
+}
+
+// loseRole drops everything held for a role the configuration took
+// away: the memory, the bookkeeping of writes in flight (their clients
+// retry against the new holder), and the durable shard, which replayed
+// in a later life would resurrect state that now belongs elsewhere.
+func (n *Node) loseRole(r role) {
+	st := n.mg[r.mg]
+	switch r.kind {
+	case roleCoordinator:
+		cs := st.coord[r.shard]
+		cs.meta.Drop()
+		if cs.heap != nil {
+			cs.heap.Drop()
+		}
+		delete(st.coord, r.shard)
+		if !n.coordinates(r.shard) {
+			delete(n.vol, r.shard)
+		}
+	case roleParity:
+		if st.parity != nil {
+			st.parity.Drop()
+			st.parity, st.parityIdx = nil, -1
+		}
+		fallthrough
+	case roleReplica:
+		st.rmeta[r.shard].Drop()
+		delete(st.rmeta, r.shard)
+		delete(st.rseq, r.shard)
+	}
+	n.persistReset(r.mg, r.shard)
 }
 
 // ownedShards returns the shards this node currently coordinates.

@@ -16,18 +16,18 @@ import (
 // scheme (the paper's Section 4, Figure 8): re-homing the key's durable
 // highest version from its current memgest into another one — Rep(3)
 // to SRS(3,2), say — while the cluster keeps serving. A move is a
-// journaled re-put: the coordinator reads the committed source version
-// locally (SRS co-location makes the read free of network traffic),
-// opens a window, and runs the normal write pipeline into the
-// destination memgest. Client writes to the key park on the window and
+// re-put: the coordinator reads the committed source version locally
+// (SRS co-location makes the read free of network traffic), opens a
+// window, and runs the normal write pipeline into the destination
+// memgest. Client writes to the key park on the window and
 // replay when it closes; reads ride the existing parked-get machinery
 // (a get of the in-flight destination version parks until commit, gets
 // of the source version keep being served from it). The window is
-// crash-safe: a conv-begin record is journaled before the destination
-// write launches and a conv-end record is journaled before the ack
-// escapes, so replay lands on exactly the old or the new scheme, never
-// a hybrid. A move may be conditional on the source memgest
-// (Move.From) or fan out over a key prefix (Move.Prefix).
+// crash-safe with no record of its own: the destination version commits
+// before the ack escapes and the source version is purged only after,
+// so replay lands on exactly the old or the new scheme, never a hybrid.
+// A move may be conditional on the source memgest (Move.From) or fan
+// out over a key prefix (Move.Prefix).
 
 // moveKey identifies one open move window on a coordinator.
 type moveKey struct {
@@ -165,43 +165,31 @@ func (n *Node) admitMove(from string, m *proto.Move) {
 	transport.ReleaseBuf(value)
 }
 
-// startMove opens the window: journal the conv-begin record, then run
-// the destination write through the normal pipeline. The window closes
-// in commitEntry (conv-end journaled before the ack) or right here on
-// a synchronous launch failure.
-//
-// The journal obligation is rooted here rather than on handleMove:
-// downstream of the conv-begin record the move rides the shared write
-// pipeline, whose acks for ordinary puts legitimately carry no journal
-// record — the analyzer cannot split commitEntry's kind conditional,
-// but it can (and does) prove no ack escapes this function before the
-// conv-begin record is down. The conv-end-before-ack half lives in
-// commitEntry and is covered by the crash-matrix e2e tests and the
-// elasticity chaos lane.
-//
-//ring:handler journal move windows must hit the journal before any ack
+// startMove opens the window and runs the destination write through
+// the normal pipeline. The window closes in commitEntry or right here on
+// a synchronous launch failure. It keeps nothing on disk of its own: the
+// destination version's append and commit records decide, on replay,
+// whether the key is under the old scheme or the new one.
 func (n *Node) startMove(client string, m *proto.Move, shard uint32, src store.VersionRef, value []byte) {
 	newVer := src.Version + 1
 	if n.opts.ChaosUnsafeConvert {
 		// Injected bug (elasticity chaos-lane validation only): ack the
-		// move before any journal record exists and purge the source
+		// move before its write is even launched and purge the source
 		// version while the destination write is still in flight. A
 		// coordinator crash inside that gap silently loses the key's
 		// acknowledged state, which the linearizability checker must flag
 		// and the shrinker must reduce.
-		n.replyStatus(client, m.Req, replyMove, proto.StOK, newVer)        //ring:ackok deliberate ack-before-journal chaos injection
-		n.doWrite("", 0, replyNone, shard, m.Key, value, m.Memgest, false) //ring:ackok chaos injection: the unjournaled write is the injected bug
+		n.replyStatus(client, m.Req, replyMove, proto.StOK, newVer)        //ring:ackok deliberate ack-before-write chaos injection
+		n.doWrite("", 0, replyNone, shard, m.Key, value, m.Memgest, false) //ring:ackok chaos injection: the write nobody waits for is the injected bug
 		n.purgeVersion(shard, m.Key, src)
 		return
 	}
 	mk := moveKey{shard: shard, key: m.Key}
 	mv := &moveState{client: client, m: m, newVer: newVer, started: n.now}
 	n.moving[mk] = mv
-	n.persistMoveBegin(m.Memgest, shard, m.Key, newVer, src.Memgest)
 	if !n.doWrite(client, m.Req, replyMove, shard, m.Key, value, m.Memgest, false) {
 		// The launch failed synchronously and the error reply is already
-		// queued: close the journal window and lift the parking.
-		n.persistMoveEnd(m.Memgest, shard, m.Key, newVer, 0)
+		// queued: lift the parking.
 		n.closeMove(mk, mv)
 	}
 }
@@ -299,10 +287,9 @@ func (n *Node) bulkMoveDone(id string, s proto.Status) {
 // abortMoveWrite cancels a window's in-flight destination write: the
 // pending commit is dropped (a late ack must not resurrect it), gets
 // parked on the uncommitted destination version are bounced with
-// StRetry (moves never park there — they park on the window), the
-// version is purged, and the journal window closed. The committed
-// source version is untouched — aborting a move always lands on the old
-// scheme.
+// StRetry (moves never park there — they park on the window), and the
+// version is purged. The committed source version is untouched —
+// aborting a move always lands on the old scheme.
 func (n *Node) abortMoveWrite(mk moveKey, mv *moveState) {
 	dst := mv.m.Memgest
 	if st := n.mgFor(dst); st != nil {
@@ -320,7 +307,6 @@ func (n *Node) abortMoveWrite(mk moveKey, mv *moveState) {
 			}
 		}
 	}
-	n.persistMoveEnd(dst, mk.shard, mk.key, mv.newVer, 0)
 }
 
 // openMoves lists the windows open for longer than minAge in (shard,
@@ -349,7 +335,7 @@ func (n *Node) openMoves(minAge time.Duration) []moveKey {
 // from loss through client retries, but those park on the window here,
 // so a stuck window would wedge the key forever (new attempts of the
 // move itself included). The abort purges the uncommitted destination
-// version, journals the window closed, and answers StRetry; the
+// version and answers StRetry; the
 // committed source version is untouched, so the caller simply moves
 // again.
 func (n *Node) moveTick() {

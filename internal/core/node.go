@@ -64,11 +64,11 @@ type Options struct {
 	// set it outside that test path.
 	ChaosUnsafeAck bool
 	// ChaosUnsafeConvert deliberately acknowledges moves before the
-	// move journal record is written and purges the source version
-	// before the destination write is durable. It exists
-	// ONLY to validate the elasticity chaos lane (cmd/ringchaos
-	// -convbug): a coordinator crash in the window silently loses the
-	// key, which the checker must flag. Never set it outside that path.
+	// destination write is launched and purges the source version
+	// before that write is durable. It exists ONLY to validate the
+	// elasticity chaos lane (cmd/ringchaos -convbug): a coordinator
+	// crash in the window silently loses the key, which the checker must
+	// flag. Never set it outside that path.
 	ChaosUnsafeConvert bool
 	// SyncReplication switches Rep memgests from quorum commits
 	// (majority of r) to fully synchronous commits (all r copies), the
@@ -110,8 +110,7 @@ type Node struct {
 	id   proto.NodeID
 	opts Options
 
-	cfg  *proto.Config
-	prev *proto.Config // previous config, to detect role changes
+	cfg *proto.Config
 
 	// vol is the volatile hashtable, one per shard this node
 	// coordinates.
@@ -264,7 +263,7 @@ func New(id proto.NodeID, cfg *proto.Config, opts Options) *Node {
 		nextMgID:       1,
 		Metrics:        newNodeMetrics(),
 	}
-	n.installConfig(cfg, true)
+	n.installConfig(cfg)
 	return n
 }
 

@@ -197,7 +197,7 @@ func (n *Node) propose(d delta, fence proto.NodeID, reply replyFunc) bool {
 // normal takeover path; every other slot keeps its data where it is.
 func (n *Node) announce(p *change) {
 	n.pendingChange = nil
-	n.installConfig(p.cfg, false)
+	n.installConfig(p.cfg)
 	for _, id := range p.cfg.AllNodes() {
 		if id != n.id {
 			n.sendConfig(id, p.cfg)

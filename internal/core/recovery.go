@@ -270,7 +270,10 @@ func (n *Node) finishMetaRecovery(mr *metaRecovery) {
 		}
 
 	case roleReplica, roleParity:
-		rt := st.rmetaFor(mr.shard)
+		rt := st.rmeta[mr.shard]
+		if rt == nil {
+			return
+		}
 		for _, ek := range keys {
 			e := rt.Get(ek.Key, ek.Version)
 			if e == nil {
@@ -338,16 +341,13 @@ func (n *Node) issueBgTask(task bgTask) {
 		n.issueBlockRecover(st, cs, task)
 
 	case bgValue:
-		var e *store.Entry
-		if task.replica {
-			e = st.rmetaFor(task.shard).Get(task.key, task.version)
-		} else if cs := st.coord[task.shard]; cs != nil {
-			e = cs.meta.Get(task.key, task.version)
-		}
-		if e == nil || e.Held() {
+		table := st.tableFor(task)
+		if table == nil {
 			return
 		}
-		n.issueValueFetch(st, task)
+		if e := table.Get(task.key, task.version); e != nil && !e.Held() {
+			n.issueValueFetch(st, task)
+		}
 
 	case bgParity:
 		if st.parity == nil || st.layout == nil {
@@ -485,6 +485,9 @@ func (n *Node) handleBlockFetchReply(_ string, m *proto.BlockFetchReply) {
 		}
 		if pr.pending == 0 {
 			n.bgInflight--
+			if st.parity == nil {
+				return // the role went while the stripe was gathered
+			}
 			if pr.failed || len(pr.have) < st.layout.K {
 				n.requeue(pr.task)
 				return
@@ -519,7 +522,8 @@ func (n *Node) finishBlockRecovery(st *mgState, br *blockRecovery) {
 	}
 	n.Stats.BlocksRecovered++
 	n.Stats.BytesDecoded += uint64(st.layout.K * len(data))
-	// Scrub: recompute our own parity block from the full stripe.
+	// Scrub: recompute our own parity block from the full stripe, if
+	// the role did not go while it was gathered.
 	stripeData := make(map[int][]byte, st.layout.K)
 	for pos, blk := range br.have {
 		if pos < st.layout.K {
@@ -527,12 +531,24 @@ func (n *Node) finishBlockRecovery(st *mgState, br *blockRecovery) {
 		}
 	}
 	stripeData[int(br.block)] = data
-	if len(stripeData) == st.layout.K {
+	if len(stripeData) == st.layout.K && st.parity != nil {
 		if blk, err := st.layout.RecoverParityBlock(st.parityIdx, t, stripeData); err == nil {
 			st.parity.SetBlock(t, blk)
 		}
 	}
 	n.send(br.requester, &proto.BlockRecoverReply{Req: br.req, Status: proto.StOK, Block: br.block, Data: data})
+}
+
+// tableFor returns the table a value fetch installs into, or nil when
+// the role it was queued for has since gone.
+func (st *mgState) tableFor(task bgTask) *store.MetaTable {
+	if task.replica {
+		return st.rmeta[task.shard]
+	}
+	if cs := st.coord[task.shard]; cs != nil {
+		return cs.meta
+	}
+	return nil
 }
 
 // takeBgTask settles the outstanding block or value request a reply
@@ -588,27 +604,22 @@ func (n *Node) handleDataFetchReply(_ string, m *proto.DataFetchReply) {
 		n.requeue(task)
 		return
 	}
-	ek := store.EntryKey{Key: task.key, Version: task.version}
-	// Retention site (both installs below): the table keeps a copy of
-	// the value, m.Value is a view into the packet.
-	if task.replica {
-		rt := st.rmetaFor(task.shard)
-		if e := rt.Get(ek.Key, ek.Version); e != nil {
-			rt.Hold(e, m.Value)
-			n.persistInstall(st, task.shard, e)
-		}
+	table := st.tableFor(task)
+	if table == nil {
 		return
 	}
-	cs := st.coord[task.shard]
-	if cs == nil {
-		return
-	}
-	e := cs.meta.Get(ek.Key, ek.Version)
+	e := table.Get(task.key, task.version)
 	if e == nil {
 		return
 	}
-	cs.meta.Hold(e, m.Value)
+	// Retention site: the table keeps a copy of the value, m.Value is a
+	// view into the packet.
+	table.Hold(e, m.Value)
 	n.persistInstall(st, task.shard, e)
+	if task.replica {
+		return
+	}
+	cs, ek := st.coord[task.shard], store.EntryKey{Key: task.key, Version: task.version}
 	delete(cs.valueFetching, ek)
 	waiters := cs.valueWaiters[ek]
 	delete(cs.valueWaiters, ek)

@@ -12,24 +12,24 @@ func newMetaTable() *store.MetaTable {
 	return t
 }
 
-// rmetaFor returns (creating on demand) the redundancy-side metadata
-// table for one shard of a memgest. Creation on demand tolerates
-// config installation races between coordinator and redundancy nodes.
-func (st *mgState) rmetaFor(shard uint32) *store.MetaTable {
-	t, ok := st.rmeta[shard]
-	if !ok {
-		t = newMetaTable()
-		st.rmeta[shard] = t
+// rmetaFor returns the memgest state and metadata table behind a
+// replica or parity role of this node, or nils. Only gainRole makes
+// the table, so replication traffic for a role the installed
+// configuration does not give this node — a spare the coordinator
+// learned of first, a node that left — is dropped, unstored and
+// unacknowledged: a node acking appends into a table it never
+// recovered would silently weaken quorums.
+func (n *Node) rmetaFor(mgID proto.MemgestID, shard uint32) (*mgState, *store.MetaTable) {
+	st := n.mg[mgID]
+	if st == nil || st.rmeta[shard] == nil {
+		return nil, nil
 	}
-	return t
+	return st, st.rmeta[shard]
 }
 
 // rseqFor returns the seq -> entry-key index of a shard, used to flip
 // committed flags when RepCommit arrives (which carries only the seq).
 func (st *mgState) rseqFor(shard uint32) map[proto.Seq]store.EntryKey {
-	if st.rseq == nil {
-		st.rseq = make(map[uint32]map[proto.Seq]store.EntryKey)
-	}
 	m, ok := st.rseq[shard]
 	if !ok {
 		m = make(map[proto.Seq]store.EntryKey)
@@ -44,11 +44,10 @@ func (st *mgState) rseqFor(shard uint32) map[proto.Seq]store.EntryKey {
 //
 //ring:handler persist
 func (n *Node) handleRepAppend(from string, m *proto.RepAppend) {
-	st := n.mgFor(m.Memgest)
-	if st == nil {
+	st, rt := n.rmetaFor(m.Memgest, m.Shard)
+	if rt == nil {
 		return
 	}
-	rt := st.rmetaFor(m.Shard)
 	// Retention site: the replica keeps the value past this handler, and
 	// m.Value is a view into a packet the runner recycles — its one copy.
 	e := &store.Entry{Rec: m.Rec, Seq: m.Seq}
@@ -65,15 +64,14 @@ func (n *Node) handleRepAppend(from string, m *proto.RepAppend) {
 //
 //ring:handler persist
 func (n *Node) handleParityUpdate(from string, m *proto.ParityUpdate) {
-	st := n.mgFor(m.Memgest)
-	if st == nil || st.parity == nil {
+	st, rt := n.rmetaFor(m.Memgest, m.Shard)
+	if rt == nil || st.parity == nil {
 		return
 	}
 	if len(m.Delta) > 0 {
 		st.parity.ApplyDelta(int(m.StripeOff), int(m.Off), m.Delta)
 		n.Stats.BytesParityXor += uint64(len(m.Delta))
 	}
-	rt := st.rmetaFor(m.Shard)
 	e := &store.Entry{Rec: m.Rec, Seq: m.Seq}
 	rt.Put(e)
 	st.rseqFor(m.Shard)[m.Seq] = store.EntryKey{Key: m.Rec.Key, Version: m.Rec.Version}
@@ -84,8 +82,8 @@ func (n *Node) handleParityUpdate(from string, m *proto.ParityUpdate) {
 // handleRepCommit flips the committed flag on the redundancy copy of a
 // log entry.
 func (n *Node) handleRepCommit(_ string, m *proto.RepCommit) {
-	st := n.mgFor(m.Memgest)
-	if st == nil {
+	st, rt := n.rmetaFor(m.Memgest, m.Shard)
+	if rt == nil {
 		return
 	}
 	seqIdx := st.rseqFor(m.Shard)
@@ -94,7 +92,7 @@ func (n *Node) handleRepCommit(_ string, m *proto.RepCommit) {
 		return
 	}
 	delete(seqIdx, m.Seq)
-	if e := st.rmetaFor(m.Shard).Get(ek.Key, ek.Version); e != nil {
+	if e := rt.Get(ek.Key, ek.Version); e != nil {
 		e.Rec.Committed = true
 		n.persistCommit(st, m.Shard, e)
 	}
@@ -105,16 +103,15 @@ func (n *Node) handleRepCommit(_ string, m *proto.RepCommit) {
 // until reused, and reuse deltas are computed against those contents,
 // so the stripe invariant holds throughout.
 func (n *Node) handlePurge(_ string, m *proto.Purge) {
-	st := n.mgFor(m.Memgest)
-	if st == nil {
+	st, rt := n.rmetaFor(m.Memgest, m.Shard)
+	if rt == nil {
 		return
 	}
 	var seq proto.Seq
-	if e := st.rmetaFor(m.Shard).Get(m.Key, m.Version); e != nil {
+	if e := rt.Delete(m.Key, m.Version); e != nil {
 		delete(st.rseqFor(m.Shard), e.Seq)
 		seq = e.Seq
 	}
-	st.rmetaFor(m.Shard).Delete(m.Key, m.Version)
 	// Persist even when the in-memory copy is already gone: the durable
 	// store may still hold the record from a previous life.
 	n.persistPurge(m.Memgest, m.Shard, m.Key, m.Version, seq)

@@ -13,16 +13,12 @@ import (
 // a dataflow property: on protocol-handler paths (rooted at functions
 // annotated //ring:handler), no reply or ack emission may be
 // statically reachable before the barrier calls the handler owes —
-// quorum bookkeeping (tracker Open/Ack, quorumAcks), durable
-// persistence (persist*, SyncDurable, calls into the storage engines),
-// and the move journal (persistMove*: the conv-begin/conv-end records
-// a move must order before its ack, so a crash replays to exactly the
-// old or the new scheme).
+// quorum bookkeeping (tracker Open/Ack, quorumAcks) and durable
+// persistence (persist*, SyncDurable, calls into the storage engines).
 //
 //	//ring:handler                requires quorum and persist
 //	//ring:handler persist        replica-side: persist-before-ack only
 //	//ring:handler quorum         quorum only
-//	//ring:handler journal        move launch: journal-before-ack
 //
 // An emission is a send/sendNode/Send call whose message is a
 // *...Reply or *...Ack struct that succeeds: Status absent, Status set
@@ -50,11 +46,10 @@ var AckOrder = &Analyzer{
 const (
 	clsQuorum = iota
 	clsPersist
-	clsJournal
 	numClasses
 )
 
-var className = [numClasses]string{"quorum", "persist", "journal"}
+var className = [numClasses]string{"quorum", "persist"}
 
 type ackEvKind int
 
@@ -183,8 +178,7 @@ func runAckOrder(pass *Pass) error {
 
 // handlerClasses parses a //ring:handler directive: leading arguments
 // name the required barrier classes; a bare directive (or one going
-// straight to justification prose) requires quorum and persist — the
-// journal class is only owed where named, by transition handlers.
+// straight to justification prose) requires quorum and persist.
 func handlerClasses(fd *ast.FuncDecl) (*[numClasses]bool, bool) {
 	args, ok := directiveArgs(fd.Doc, "handler")
 	if !ok {
@@ -200,9 +194,6 @@ loop:
 			named = true
 		case "persist":
 			req[clsPersist] = true
-			named = true
-		case "journal":
-			req[clsJournal] = true
 			named = true
 		default:
 			break loop // justification prose
@@ -564,13 +555,6 @@ func barrierPrimitive(info *types.Info, call *ast.CallExpr) ([numClasses]bool, b
 				return cls, true
 			}
 		}
-	case strings.HasPrefix(name, "persistMove"):
-		// The move journal: a durable append (so it satisfies the
-		// persist obligation) that is also the journal barrier a move
-		// launch owes. Checked before the generic persist
-		// prefix so the journal class binds.
-		cls[clsPersist], cls[clsJournal] = true, true
-		return cls, true
 	case strings.HasPrefix(name, "persist") || name == "SyncDurable":
 		cls[clsPersist] = true
 		return cls, true

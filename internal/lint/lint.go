@@ -11,12 +11,6 @@
 //     runs stay reproducible.
 //   - sleepytest: no bare time.Sleep in _test.go files — the flake
 //     class the tickUntil/poll helpers eradicated.
-//   - atomicfield: a struct field accessed through sync/atomic calls
-//     anywhere in a package must be accessed atomically everywhere in
-//     it, catching races -race only finds on executed interleavings.
-//   - wirepair: every wire message type tag has a matching message
-//     struct, encode method, and Decode arm, and no Decode arm
-//     constructs a message of a different tag.
 //   - durablepath: no call into the durable storage packages
 //     (internal/wal, internal/bitcask, internal/replog) discards its
 //     error — a dropped fsync or append error silently un-durables an
@@ -54,10 +48,6 @@
 //	//ring:maporder      exempts one store map walk (same line) from
 //	                     simdeterminism: its order cannot be observed
 //	//ring:sleepok       exempts one sleep in a test (doc or same line)
-//	//ring:nonatomic     exempts one access from atomicfield (e.g.
-//	                     constructor init before the value is shared)
-//	//ring:wireframe     marks a MsgType constant as a frame envelope
-//	                     tag with no message struct (TBatch)
 //	//ring:durableok     exempts one durable-storage call (line or
 //	                     enclosing function) from durablepath
 //	//ring:handler       marks a protocol handler as an ackorder root;
@@ -149,8 +139,6 @@ func Analyzers() []*Analyzer {
 		HotPathAlloc,
 		SimDeterminism,
 		SleepyTest,
-		AtomicField,
-		WirePair,
 		DurablePath,
 		AckOrder,
 		LockGuard,

@@ -40,14 +40,6 @@ func TestSleepyTest(t *testing.T) {
 	RunFixture(t, SleepyTest, fixtureDir("sleepytest"), "fixture/sleepytest")
 }
 
-func TestAtomicField(t *testing.T) {
-	RunFixture(t, AtomicField, fixtureDir("atomicfield"), "fixture/atomicfield")
-}
-
-func TestWirePair(t *testing.T) {
-	RunFixture(t, WirePair, fixtureDir("wirepair"), "fixture/wirepair")
-}
-
 func TestDurablePath(t *testing.T) {
 	RunFixture(t, DurablePath, fixtureDir("durablepath"), "fixture/durablepath")
 }
@@ -163,7 +155,7 @@ func TestRepoClean(t *testing.T) {
 	// every push. repoCleanBudget is build-tag-selected (60s, 180s
 	// under -race).
 	if elapsed := time.Since(start); elapsed > repoCleanBudget {
-		t.Errorf("full-module lint sweep took %v, budget %v: loader cache or analyzer perf regressed", elapsed, repoCleanBudget)
+		t.Errorf("full-module lint sweep took %v, budget %v: analyzer perf regressed", elapsed, repoCleanBudget)
 	}
 }
 

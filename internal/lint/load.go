@@ -2,7 +2,6 @@ package lint
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -11,11 +10,9 @@ import (
 	"go/token"
 	"go/types"
 	"io"
-	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 )
@@ -62,7 +59,7 @@ type listPkg struct {
 // produced by `go list -export`, so loading works offline and never
 // re-type-checks the standard library from source.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	out, err := listOutput(dir, patterns)
+	out, err := runGoList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -120,45 +117,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// ----------------------------------------------------------- list cache
-
-// listOutput returns the `go list -export -json` output for patterns,
-// consulting an on-disk cache first. `go list -export` is the dominant
-// cost of Load — it compiles every dependency's export data — and its
-// output is a pure function of the module's source state and the
-// toolchain, so the cache key is a hash over go.mod, every tracked .go
-// file, the toolchain version/target, the listing directory, and the
-// patterns. A hit is trusted only after every Export artifact it names
-// still exists on disk (the build cache may have been trimmed since).
-func listOutput(dir string, patterns []string) ([]byte, error) {
-	key, err := listCacheKey(dir, patterns)
-	if err != nil {
-		// Unhashable tree (permission error mid-walk, dir outside any
-		// module): fall back to an uncached listing rather than failing
-		// a path that would otherwise work.
-		return runGoList(dir, patterns)
-	}
-	path := filepath.Join(os.TempDir(), "ringlint-list-"+key+".json")
-	if out, err := os.ReadFile(path); err == nil && exportsValid(out) {
-		return out, nil
-	}
-	out, err := runGoList(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	// Atomic publish (temp + rename) so concurrent loaders never read a
-	// torn file; losing the race just means both write the same bytes.
-	if tmp, err := os.CreateTemp(os.TempDir(), "ringlint-list-*.tmp"); err == nil {
-		if _, werr := tmp.Write(out); werr == nil && tmp.Close() == nil {
-			os.Rename(tmp.Name(), path)
-		} else {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}
-	return out, nil
-}
-
+// runGoList runs `go list -export`, which compiles every dependency's
+// export data into Go's build cache — and finds it there the next
+// time, which is all the caching the loader needs.
 func runGoList(dir string, patterns []string) ([]byte, error) {
 	args := []string{
 		"list", "-e", "-deps", "-test", "-export",
@@ -174,80 +135,6 @@ func runGoList(dir string, patterns []string) ([]byte, error) {
 		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
 	}
 	return out, nil
-}
-
-// listCacheKey hashes everything the go list output can depend on.
-// The walk skips directories go itself ignores (dot, underscore,
-// testdata) so fixture edits do not invalidate the cache.
-func listCacheKey(dir string, patterns []string) (string, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return "", err
-	}
-	root := abs
-	for {
-		if _, err := os.Stat(filepath.Join(root, "go.mod")); err == nil {
-			break
-		}
-		parent := filepath.Dir(root)
-		if parent == root {
-			return "", fmt.Errorf("lint: no go.mod above %s", abs)
-		}
-		root = parent
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s/%s\x00%s\x00%s\x00%s\x00",
-		runtime.Version(), runtime.GOOS, runtime.GOARCH,
-		root, abs, strings.Join(patterns, "\x00"))
-	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if p != root && (strings.HasPrefix(name, ".") ||
-				strings.HasPrefix(name, "_") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if name != "go.mod" && !strings.HasSuffix(name, ".go") {
-			return nil
-		}
-		data, err := os.ReadFile(p)
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(root, p)
-		fmt.Fprintf(h, "%s\x00%d\x00", filepath.ToSlash(rel), len(data))
-		h.Write(data)
-		return nil
-	})
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:8]), nil
-}
-
-// exportsValid reports whether every export artifact a cached listing
-// references still exists. The go build cache prunes by LRU, so a
-// stale hit must fall through to a fresh `go list -export` (which
-// regenerates the artifacts) instead of failing later in the importer.
-func exportsValid(out []byte) bool {
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listPkg
-		if err := dec.Decode(&p); err == io.EOF {
-			return true
-		} else if err != nil {
-			return false
-		}
-		if p.Export != "" {
-			if _, err := os.Stat(p.Export); err != nil {
-				return false
-			}
-		}
-	}
 }
 
 // check parses and type-checks one set of files as a package.

@@ -165,52 +165,6 @@ func (n *Node) handleForwarded(req uint64) {
 	n.persistVia(req)
 }
 
-// ---------------------------------------------------------------- journal
-
-// persistMoveBegin stands in for the move journal: a durable append
-// that is also the journal barrier (both classes).
-func (n *Node) persistMoveBegin(seq uint64) {
-	n.log = append(n.log, seq)
-}
-
-// startMoveClean journals the move window open before the ack; the
-// move journal satisfies persist and journal at once.
-//
-//ring:handler persist journal
-func (n *Node) startMoveClean(req uint64) {
-	n.persistMoveBegin(req)
-	n.send(0, &MoveReply{Status: StOK})
-}
-
-// handleJournalIsPersist: the move journal is itself a durable
-// append, so a plain persist obligation is satisfied by it too.
-//
-//ring:handler persist
-func (n *Node) handleJournalIsPersist(req uint64) {
-	n.persistMoveBegin(req)
-	n.send(0, &PutReply{Req: req, Status: StOK})
-}
-
-// handlePersistNotJournal persists — but an ordinary append is not the
-// move journal, so only the journal class fires.
-//
-//ring:handler persist journal
-func (n *Node) handlePersistNotJournal(req uint64) {
-	n.persistVia(req)
-	n.send(0, &PutReply{Req: req, Status: StOK}) // want "emits PutReply before its journal barrier"
-	n.persistMoveBegin(req)
-}
-
-// handleJournalEarlyAck acks before any journal record exists: the
-// ack-before-journal bug class (a crash in the gap loses the
-// acknowledged move).
-//
-//ring:handler journal
-func (n *Node) handleJournalEarlyAck(req uint64) {
-	n.send(0, &PutReply{Req: req, Status: StOK}) // want "emits PutReply before its journal barrier"
-	n.persistMoveBegin(req)
-}
-
 // ---------------------------------------------------------------- exemption
 
 // handleChaos mirrors the deliberate ChaosUnsafeAck injection site:

@@ -22,7 +22,7 @@ import "encoding/binary"
 // can be appended without colliding. It is a frame envelope, not a
 // message: AppendBatch writes it and ForEachPacked strips it before
 // Decode ever sees the payload.
-const TBatch MsgType = 0xFF //ring:wireframe frame envelope, stripped before Decode
+const TBatch MsgType = 0xFF
 
 // AppendBatch frames msgs into buf as one packet and returns the
 // extended slice. A single message is emitted as its plain envelope

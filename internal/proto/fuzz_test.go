@@ -8,10 +8,10 @@ import (
 // FuzzWireRoundTrip drives arbitrary bytes through the decode→encode
 // cycle and pins the fixed point: any packet Decode accepts must
 // re-encode to bytes Decode accepts again with an identical second
-// encoding. Divergence means an encode method and its decode arm have
-// drifted (a field read but not written, or written twice) — exactly
-// the asymmetry the wirepair analyzer guards statically; the fuzzer
-// guards the dynamic byte-level contract.
+// encoding. Divergence means a type's encode and decode methods have
+// drifted (a field read but not written, or written twice):
+// TestWireTable pairs a tag with its type, the fuzzer guards the
+// byte-level contract between that type's two methods.
 func FuzzWireRoundTrip(f *testing.F) {
 	seeds := []Message{
 		&Put{Req: 7, Key: "k", Value: []byte("v"), Memgest: 3},

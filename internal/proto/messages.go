@@ -56,7 +56,59 @@ const (
 	// minimal-movement cluster resizing.
 	TResize
 	TResizeReply
+	// tEnd is one past the last message tag; a new tag goes above it
+	// and gets its row in wire.
+	tEnd
 )
+
+// wire is the wire protocol's one table: for every tag the message
+// type that carries it, and whether that message is an
+// acknowledgement. A tag listed twice does not compile, and neither
+// does a type without Type, encode or decode; TestWireTable fails on a
+// tag without a row, a row whose message answers Type() with another
+// tag, and a tag two types claim. Decode and IsAck are read off it.
+var wire = [tEnd]struct {
+	make func() Message
+	ack  bool
+}{
+	TPut:               {make: func() Message { return new(Put) }},
+	TPutReply:          {make: func() Message { return new(PutReply) }, ack: true},
+	TGet:               {make: func() Message { return new(Get) }},
+	TGetReply:          {make: func() Message { return new(GetReply) }, ack: true},
+	TDelete:            {make: func() Message { return new(Delete) }},
+	TDeleteReply:       {make: func() Message { return new(DeleteReply) }, ack: true},
+	TMove:              {make: func() Message { return new(Move) }},
+	TMoveReply:         {make: func() Message { return new(MoveReply) }, ack: true},
+	TCreateMemgest:     {make: func() Message { return new(CreateMemgest) }},
+	TDeleteMemgest:     {make: func() Message { return new(DeleteMemgest) }},
+	TSetDefault:        {make: func() Message { return new(SetDefault) }},
+	TGetDescriptor:     {make: func() Message { return new(GetDescriptor) }},
+	TMemgestReply:      {make: func() Message { return new(MemgestReply) }, ack: true},
+	TResolve:           {make: func() Message { return new(Resolve) }},
+	TResolveReply:      {make: func() Message { return new(ResolveReply) }, ack: true},
+	TRepAppend:         {make: func() Message { return new(RepAppend) }},
+	TRepAck:            {make: func() Message { return new(RepAck) }, ack: true},
+	TRepCommit:         {make: func() Message { return new(RepCommit) }},
+	TParityUpdate:      {make: func() Message { return new(ParityUpdate) }},
+	TParityAck:         {make: func() Message { return new(ParityAck) }, ack: true},
+	TPurge:             {make: func() Message { return new(Purge) }},
+	THeartbeat:         {make: func() Message { return new(Heartbeat) }},
+	THeartbeatAck:      {make: func() Message { return new(HeartbeatAck) }, ack: true},
+	TConfigPush:        {make: func() Message { return new(ConfigPush) }},
+	TConfigAck:         {make: func() Message { return new(ConfigAck) }, ack: true},
+	TMetaFetch:         {make: func() Message { return new(MetaFetch) }},
+	TMetaFetchReply:    {make: func() Message { return new(MetaFetchReply) }, ack: true},
+	TDataFetch:         {make: func() Message { return new(DataFetch) }},
+	TDataFetchReply:    {make: func() Message { return new(DataFetchReply) }, ack: true},
+	TBlockRecover:      {make: func() Message { return new(BlockRecover) }},
+	TBlockRecoverReply: {make: func() Message { return new(BlockRecoverReply) }, ack: true},
+	TBlockFetch:        {make: func() Message { return new(BlockFetch) }},
+	TBlockFetchReply:   {make: func() Message { return new(BlockFetchReply) }, ack: true},
+	TTick:              {make: func() Message { return new(Tick) }},
+	TJoin:              {make: func() Message { return new(Join) }},
+	TResize:            {make: func() Message { return new(Resize) }},
+	TResizeReply:       {make: func() Message { return new(ResizeReply) }, ack: true},
+}
 
 // IsAck reports whether t is an acknowledgement: a message that tells
 // its receiver something happened at the sender — every *Reply and
@@ -64,15 +116,7 @@ const (
 // and persist barriers. A durable node fsyncs before a batch holding
 // one leaves; requests, fan-out and commit notices promise nothing and
 // do not wait.
-func (t MsgType) IsAck() bool {
-	switch t {
-	case TPutReply, TGetReply, TDeleteReply, TMoveReply, TMemgestReply, TResolveReply,
-		TRepAck, TParityAck, THeartbeatAck, TConfigAck,
-		TMetaFetchReply, TDataFetchReply, TBlockRecoverReply, TBlockFetchReply, TResizeReply:
-		return true
-	}
-	return false
-}
+func (t MsgType) IsAck() bool { return t < tEnd && wire[t].ack }
 
 // Status is the result code carried by replies.
 type Status uint8
@@ -127,6 +171,7 @@ func (s Status) Transient() bool {
 type Message interface {
 	Type() MsgType
 	encode(w *writer)
+	decode(r *reader)
 }
 
 // Reply is implemented by the seven replies a client receives: the
@@ -185,6 +230,10 @@ func AppendEncode(buf []byte, m Message) []byte {
 	return buf
 }
 
+// readerPool recycles reader headers, for writerPool's reason: decode
+// is an interface method.
+var readerPool = sync.Pool{New: func() any { return new(reader) }}
+
 // Decode parses an envelope produced by Encode. The []byte fields of
 // the returned message alias buf (see the package doc).
 //
@@ -193,87 +242,18 @@ func Decode(buf []byte) (Message, error) {
 	if len(buf) < 1 {
 		return nil, ErrTruncated
 	}
-	r := &reader{b: buf[1:]}
-	var m Message
-	switch MsgType(buf[0]) {
-	case TPut:
-		m = decPut(r)
-	case TPutReply:
-		m = decPutReply(r)
-	case TGet:
-		m = decGet(r)
-	case TGetReply:
-		m = decGetReply(r)
-	case TDelete:
-		m = decDelete(r)
-	case TDeleteReply:
-		m = decDeleteReply(r)
-	case TMove:
-		m = decMove(r)
-	case TMoveReply:
-		m = decMoveReply(r)
-	case TCreateMemgest:
-		m = decCreateMemgest(r)
-	case TDeleteMemgest:
-		m = decDeleteMemgest(r)
-	case TSetDefault:
-		m = decSetDefault(r)
-	case TGetDescriptor:
-		m = decGetDescriptor(r)
-	case TMemgestReply:
-		m = decMemgestReply(r)
-	case TResolve:
-		m = decResolve(r)
-	case TResolveReply:
-		m = decResolveReply(r)
-	case TRepAppend:
-		m = decRepAppend(r)
-	case TRepAck:
-		m = decRepAck(r)
-	case TRepCommit:
-		m = decRepCommit(r)
-	case TParityUpdate:
-		m = decParityUpdate(r)
-	case TParityAck:
-		m = decParityAck(r)
-	case TPurge:
-		m = decPurge(r)
-	case THeartbeat:
-		m = decHeartbeat(r)
-	case THeartbeatAck:
-		m = decHeartbeatAck(r)
-	case TConfigPush:
-		m = decConfigPush(r)
-	case TConfigAck:
-		m = decConfigAck(r)
-	case TMetaFetch:
-		m = decMetaFetch(r)
-	case TMetaFetchReply:
-		m = decMetaFetchReply(r)
-	case TDataFetch:
-		m = decDataFetch(r)
-	case TDataFetchReply:
-		m = decDataFetchReply(r)
-	case TBlockRecover:
-		m = decBlockRecover(r)
-	case TBlockRecoverReply:
-		m = decBlockRecoverReply(r)
-	case TBlockFetch:
-		m = decBlockFetch(r)
-	case TBlockFetchReply:
-		m = decBlockFetchReply(r)
-	case TTick:
-		m = &Tick{}
-	case TJoin:
-		m = decJoin(r)
-	case TResize:
-		m = decResize(r)
-	case TResizeReply:
-		m = decResizeReply(r)
-	default:
+	t := MsgType(buf[0])
+	if t >= tEnd || wire[t].make == nil {
 		return nil, errUnknownType(buf[0])
 	}
-	if err := r.done(); err != nil {
+	m := wire[t].make()
+	r := readerPool.Get().(*reader)
+	r.b = buf[1:]
+	m.decode(r)
+	err := r.done()
+	*r = reader{}
+	readerPool.Put(r)
+	if err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -307,8 +287,8 @@ func (m *Put) encode(w *writer) {
 	w.bytes(m.Value)
 	w.u32(uint32(m.Memgest))
 }
-func decPut(r *reader) *Put {
-	return &Put{Req: ReqID(r.u64()), Key: r.str(), Value: r.bytes(), Memgest: MemgestID(r.u32())}
+func (m *Put) decode(r *reader) {
+	*m = Put{Req: ReqID(r.u64()), Key: r.str(), Value: r.bytes(), Memgest: MemgestID(r.u32())}
 }
 
 // PutReply acknowledges a committed Put.
@@ -324,8 +304,8 @@ func (m *PutReply) encode(w *writer) {
 	w.u8(uint8(m.Status))
 	w.u64(uint64(m.Version))
 }
-func decPutReply(r *reader) *PutReply {
-	return &PutReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Version: Version(r.u64())}
+func (m *PutReply) decode(r *reader) {
+	*m = PutReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Version: Version(r.u64())}
 }
 
 // Get reads a version of key: Version 0 selects the highest version
@@ -345,8 +325,8 @@ func (m *Get) encode(w *writer) {
 	w.str(m.Key)
 	w.u64(uint64(m.Version))
 }
-func decGet(r *reader) *Get {
-	return &Get{Req: ReqID(r.u64()), Key: r.str(), Version: Version(r.u64())}
+func (m *Get) decode(r *reader) {
+	*m = Get{Req: ReqID(r.u64()), Key: r.str(), Version: Version(r.u64())}
 }
 
 // GetReply returns the value (or NotFound).
@@ -364,8 +344,8 @@ func (m *GetReply) encode(w *writer) {
 	w.u64(uint64(m.Version))
 	w.bytes(m.Value)
 }
-func decGetReply(r *reader) *GetReply {
-	return &GetReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Version: Version(r.u64()), Value: r.bytes()}
+func (m *GetReply) decode(r *reader) {
+	*m = GetReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Version: Version(r.u64()), Value: r.bytes()}
 }
 
 // Delete removes key (a committed tombstone version).
@@ -379,7 +359,7 @@ func (m *Delete) encode(w *writer) {
 	w.u64(uint64(m.Req))
 	w.str(m.Key)
 }
-func decDelete(r *reader) *Delete { return &Delete{Req: ReqID(r.u64()), Key: r.str()} }
+func (m *Delete) decode(r *reader) { *m = Delete{Req: ReqID(r.u64()), Key: r.str()} }
 
 // DeleteReply acknowledges a Delete.
 type DeleteReply struct {
@@ -392,16 +372,15 @@ func (m *DeleteReply) encode(w *writer) {
 	w.u64(uint64(m.Req))
 	w.u8(uint8(m.Status))
 }
-func decDeleteReply(r *reader) *DeleteReply {
-	return &DeleteReply{Req: ReqID(r.u64()), Status: Status(r.u8())}
+func (m *DeleteReply) decode(r *reader) {
+	*m = DeleteReply{Req: ReqID(r.u64()), Status: Status(r.u8())}
 }
 
 // Move asks a key's coordinator to re-home its newest committed version
 // into another memgest — the paper's move (Section 4, Figure 8). No
 // value crosses the network: SRS co-location keeps it local to the
 // coordinator, which re-puts it under the next version inside a
-// journaled window (writes to the key park until the new version
-// commits). With Prefix set, Key is a prefix and the receiving
+// window (writes to the key park until the new version commits). With Prefix set, Key is a prefix and the receiving
 // coordinator moves every matching key it owns, answering with the
 // count.
 type Move struct {
@@ -428,12 +407,11 @@ func (m *Move) encode(w *writer) {
 		w.bool(m.Prefix)
 	}
 }
-func decMove(r *reader) *Move {
-	m := &Move{Req: ReqID(r.u64()), Key: r.str(), Memgest: MemgestID(r.u32())}
+func (m *Move) decode(r *reader) {
+	*m = Move{Req: ReqID(r.u64()), Key: r.str(), Memgest: MemgestID(r.u32())}
 	if len(r.b) > 0 {
 		m.From, m.Prefix = MemgestID(r.u32()), r.bool()
 	}
-	return m
 }
 
 // MoveReply acknowledges a committed Move. Version is the version the
@@ -456,12 +434,11 @@ func (m *MoveReply) encode(w *writer) {
 		w.u32(m.Moved)
 	}
 }
-func decMoveReply(r *reader) *MoveReply {
-	m := &MoveReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Version: Version(r.u64())}
+func (m *MoveReply) decode(r *reader) {
+	*m = MoveReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Version: Version(r.u64())}
 	if len(r.b) > 0 {
 		m.Moved = r.u32()
 	}
-	return m
 }
 
 // CreateMemgest asks the leader to instantiate a new storage scheme.
@@ -475,8 +452,8 @@ func (m *CreateMemgest) encode(w *writer) {
 	w.u64(uint64(m.Req))
 	w.scheme(m.Scheme)
 }
-func decCreateMemgest(r *reader) *CreateMemgest {
-	return &CreateMemgest{Req: ReqID(r.u64()), Scheme: r.scheme()}
+func (m *CreateMemgest) decode(r *reader) {
+	*m = CreateMemgest{Req: ReqID(r.u64()), Scheme: r.scheme()}
 }
 
 // DeleteMemgest removes a memgest (which must be empty of live keys in
@@ -491,8 +468,8 @@ func (m *DeleteMemgest) encode(w *writer) {
 	w.u64(uint64(m.Req))
 	w.u32(uint32(m.Memgest))
 }
-func decDeleteMemgest(r *reader) *DeleteMemgest {
-	return &DeleteMemgest{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32())}
+func (m *DeleteMemgest) decode(r *reader) {
+	*m = DeleteMemgest{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32())}
 }
 
 // SetDefault selects the memgest used for puts without an explicit one.
@@ -506,8 +483,8 @@ func (m *SetDefault) encode(w *writer) {
 	w.u64(uint64(m.Req))
 	w.u32(uint32(m.Memgest))
 }
-func decSetDefault(r *reader) *SetDefault {
-	return &SetDefault{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32())}
+func (m *SetDefault) decode(r *reader) {
+	*m = SetDefault{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32())}
 }
 
 // GetDescriptor retrieves a memgest's scheme.
@@ -521,8 +498,8 @@ func (m *GetDescriptor) encode(w *writer) {
 	w.u64(uint64(m.Req))
 	w.u32(uint32(m.Memgest))
 }
-func decGetDescriptor(r *reader) *GetDescriptor {
-	return &GetDescriptor{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32())}
+func (m *GetDescriptor) decode(r *reader) {
+	*m = GetDescriptor{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32())}
 }
 
 // MemgestReply answers memgest management requests.
@@ -540,8 +517,8 @@ func (m *MemgestReply) encode(w *writer) {
 	w.u32(uint32(m.Memgest))
 	w.scheme(m.Scheme)
 }
-func decMemgestReply(r *reader) *MemgestReply {
-	return &MemgestReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Memgest: MemgestID(r.u32()), Scheme: r.scheme()}
+func (m *MemgestReply) decode(r *reader) {
+	*m = MemgestReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Memgest: MemgestID(r.u32()), Scheme: r.scheme()}
 }
 
 // Resolve asks any node for the current cluster configuration.
@@ -551,7 +528,7 @@ type Resolve struct {
 
 func (*Resolve) Type() MsgType      { return TResolve }
 func (m *Resolve) encode(w *writer) { w.u64(uint64(m.Req)) }
-func decResolve(r *reader) *Resolve { return &Resolve{Req: ReqID(r.u64())} }
+func (m *Resolve) decode(r *reader) { *m = Resolve{Req: ReqID(r.u64())} }
 
 // ResolveReply carries the node's current configuration.
 type ResolveReply struct {
@@ -564,8 +541,8 @@ func (m *ResolveReply) encode(w *writer) {
 	w.u64(uint64(m.Req))
 	w.config(m.Config)
 }
-func decResolveReply(r *reader) *ResolveReply {
-	return &ResolveReply{Req: ReqID(r.u64()), Config: r.config()}
+func (m *ResolveReply) decode(r *reader) {
+	*m = ResolveReply{Req: ReqID(r.u64()), Config: r.config()}
 }
 
 // ------------------------------------------------------------- replication
@@ -588,8 +565,8 @@ func (m *RepAppend) encode(w *writer) {
 	w.metaRecord(&m.Rec)
 	w.bytes(m.Value)
 }
-func decRepAppend(r *reader) *RepAppend {
-	return &RepAppend{Memgest: MemgestID(r.u32()), Shard: r.u32(), Seq: Seq(r.u64()), Rec: r.metaRecord(), Value: r.bytes()}
+func (m *RepAppend) decode(r *reader) {
+	*m = RepAppend{Memgest: MemgestID(r.u32()), Shard: r.u32(), Seq: Seq(r.u64()), Rec: r.metaRecord(), Value: r.bytes()}
 }
 
 // RepAck acknowledges replication of one log entry.
@@ -605,8 +582,8 @@ func (m *RepAck) encode(w *writer) {
 	w.u32(m.Shard)
 	w.u64(uint64(m.Seq))
 }
-func decRepAck(r *reader) *RepAck {
-	return &RepAck{Memgest: MemgestID(r.u32()), Shard: r.u32(), Seq: Seq(r.u64())}
+func (m *RepAck) decode(r *reader) {
+	*m = RepAck{Memgest: MemgestID(r.u32()), Shard: r.u32(), Seq: Seq(r.u64())}
 }
 
 // RepCommit advances the commit index on replicas and parity nodes so
@@ -623,8 +600,8 @@ func (m *RepCommit) encode(w *writer) {
 	w.u32(m.Shard)
 	w.u64(uint64(m.Seq))
 }
-func decRepCommit(r *reader) *RepCommit {
-	return &RepCommit{Memgest: MemgestID(r.u32()), Shard: r.u32(), Seq: Seq(r.u64())}
+func (m *RepCommit) decode(r *reader) {
+	*m = RepCommit{Memgest: MemgestID(r.u32()), Shard: r.u32(), Seq: Seq(r.u64())}
 }
 
 // ParityUpdate carries the coefficient-multiplied delta produced by a
@@ -654,8 +631,8 @@ func (m *ParityUpdate) encode(w *writer) {
 	w.u32(m.Off)
 	w.bytes(m.Delta)
 }
-func decParityUpdate(r *reader) *ParityUpdate {
-	return &ParityUpdate{
+func (m *ParityUpdate) decode(r *reader) {
+	*m = ParityUpdate{
 		Memgest: MemgestID(r.u32()), Shard: r.u32(), Seq: Seq(r.u64()),
 		Rec: r.metaRecord(), Block: r.u32(), StripeOff: r.u32(), Off: r.u32(), Delta: r.bytes(),
 	}
@@ -674,8 +651,8 @@ func (m *ParityAck) encode(w *writer) {
 	w.u32(m.Shard)
 	w.u64(uint64(m.Seq))
 }
-func decParityAck(r *reader) *ParityAck {
-	return &ParityAck{Memgest: MemgestID(r.u32()), Shard: r.u32(), Seq: Seq(r.u64())}
+func (m *ParityAck) decode(r *reader) {
+	*m = ParityAck{Memgest: MemgestID(r.u32()), Shard: r.u32(), Seq: Seq(r.u64())}
 }
 
 // Purge garbage-collects an old version of a key on redundancy nodes
@@ -694,8 +671,8 @@ func (m *Purge) encode(w *writer) {
 	w.str(m.Key)
 	w.u64(uint64(m.Version))
 }
-func decPurge(r *reader) *Purge {
-	return &Purge{Memgest: MemgestID(r.u32()), Shard: r.u32(), Key: r.str(), Version: Version(r.u64())}
+func (m *Purge) decode(r *reader) {
+	*m = Purge{Memgest: MemgestID(r.u32()), Shard: r.u32(), Key: r.str(), Version: Version(r.u64())}
 }
 
 // ------------------------------------------------------------- membership
@@ -705,9 +682,9 @@ type Heartbeat struct {
 	Epoch Epoch
 }
 
-func (*Heartbeat) Type() MsgType        { return THeartbeat }
-func (m *Heartbeat) encode(w *writer)   { w.u64(uint64(m.Epoch)) }
-func decHeartbeat(r *reader) *Heartbeat { return &Heartbeat{Epoch: Epoch(r.u64())} }
+func (*Heartbeat) Type() MsgType      { return THeartbeat }
+func (m *Heartbeat) encode(w *writer) { w.u64(uint64(m.Epoch)) }
+func (m *Heartbeat) decode(r *reader) { *m = Heartbeat{Epoch: Epoch(r.u64())} }
 
 // HeartbeatAck confirms liveness to the leader. Epoch is the
 // configuration the sender has installed, not an echo of the
@@ -718,8 +695,8 @@ type HeartbeatAck struct {
 
 func (*HeartbeatAck) Type() MsgType      { return THeartbeatAck }
 func (m *HeartbeatAck) encode(w *writer) { w.u64(uint64(m.Epoch)) }
-func decHeartbeatAck(r *reader) *HeartbeatAck {
-	return &HeartbeatAck{Epoch: Epoch(r.u64())}
+func (m *HeartbeatAck) decode(r *reader) {
+	*m = HeartbeatAck{Epoch: Epoch(r.u64())}
 }
 
 // ConfigPush replicates a new configuration (role assignment entry of
@@ -730,8 +707,8 @@ type ConfigPush struct {
 
 func (*ConfigPush) Type() MsgType      { return TConfigPush }
 func (m *ConfigPush) encode(w *writer) { w.config(m.Config) }
-func decConfigPush(r *reader) *ConfigPush {
-	return &ConfigPush{Config: r.config()}
+func (m *ConfigPush) decode(r *reader) {
+	*m = ConfigPush{Config: r.config()}
 }
 
 // Join is sent by a node that (re)started with empty state and wants
@@ -761,8 +738,8 @@ func (m *Join) encode(w *writer) {
 	w.u64(uint64(m.Epoch))
 	w.bool(m.Durable)
 }
-func decJoin(r *reader) *Join {
-	return &Join{Node: NodeID(r.u32()), Epoch: Epoch(r.u64()), Durable: r.bool()}
+func (m *Join) decode(r *reader) {
+	*m = Join{Node: NodeID(r.u32()), Epoch: Epoch(r.u64()), Durable: r.bool()}
 }
 
 // ConfigAck confirms installation of a configuration epoch.
@@ -770,9 +747,9 @@ type ConfigAck struct {
 	Epoch Epoch
 }
 
-func (*ConfigAck) Type() MsgType        { return TConfigAck }
-func (m *ConfigAck) encode(w *writer)   { w.u64(uint64(m.Epoch)) }
-func decConfigAck(r *reader) *ConfigAck { return &ConfigAck{Epoch: Epoch(r.u64())} }
+func (*ConfigAck) Type() MsgType      { return TConfigAck }
+func (m *ConfigAck) encode(w *writer) { w.u64(uint64(m.Epoch)) }
+func (m *ConfigAck) decode(r *reader) { *m = ConfigAck{Epoch: Epoch(r.u64())} }
 
 // --------------------------------------------------------------- recovery
 
@@ -795,8 +772,8 @@ func (m *MetaFetch) encode(w *writer) {
 	w.u32(m.Shard)
 	w.u64(uint64(m.Since))
 }
-func decMetaFetch(r *reader) *MetaFetch {
-	return &MetaFetch{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32()), Shard: r.u32(), Since: Seq(r.u64())}
+func (m *MetaFetch) decode(r *reader) {
+	*m = MetaFetch{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32()), Shard: r.u32(), Since: Seq(r.u64())}
 }
 
 // MetaFetchReply returns the metadata records and the log position up
@@ -822,18 +799,17 @@ func (m *MetaFetchReply) encode(w *writer) {
 		w.metaRecord(&m.Recs[i])
 	}
 }
-func decMetaFetchReply(r *reader) *MetaFetchReply {
-	m := &MetaFetchReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Memgest: MemgestID(r.u32()), Shard: r.u32(), Seq: Seq(r.u64())}
+func (m *MetaFetchReply) decode(r *reader) {
+	*m = MetaFetchReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Memgest: MemgestID(r.u32()), Shard: r.u32(), Seq: Seq(r.u64())}
 	n := int(r.u32())
 	if r.err != nil || n > len(r.b) {
 		r.fail()
-		return m
+		return
 	}
 	m.Recs = make([]MetaRecord, n)
 	for i := range m.Recs {
 		m.Recs[i] = r.metaRecord()
 	}
-	return m
 }
 
 // DataFetch asks a replica for the value of (key, version) during
@@ -854,8 +830,8 @@ func (m *DataFetch) encode(w *writer) {
 	w.str(m.Key)
 	w.u64(uint64(m.Version))
 }
-func decDataFetch(r *reader) *DataFetch {
-	return &DataFetch{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32()), Shard: r.u32(), Key: r.str(), Version: Version(r.u64())}
+func (m *DataFetch) decode(r *reader) {
+	*m = DataFetch{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32()), Shard: r.u32(), Key: r.str(), Version: Version(r.u64())}
 }
 
 // DataFetchReply returns the requested value.
@@ -871,8 +847,8 @@ func (m *DataFetchReply) encode(w *writer) {
 	w.u8(uint8(m.Status))
 	w.bytes(m.Value)
 }
-func decDataFetchReply(r *reader) *DataFetchReply {
-	return &DataFetchReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Value: r.bytes()}
+func (m *DataFetchReply) decode(r *reader) {
+	*m = DataFetchReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Value: r.bytes()}
 }
 
 // BlockRecover asks a parity node to reconstruct one logical block of
@@ -889,8 +865,8 @@ func (m *BlockRecover) encode(w *writer) {
 	w.u32(uint32(m.Memgest))
 	w.u32(m.Block)
 }
-func decBlockRecover(r *reader) *BlockRecover {
-	return &BlockRecover{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32()), Block: r.u32()}
+func (m *BlockRecover) decode(r *reader) {
+	*m = BlockRecover{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32()), Block: r.u32()}
 }
 
 // BlockRecoverReply returns the reconstructed block contents.
@@ -908,8 +884,8 @@ func (m *BlockRecoverReply) encode(w *writer) {
 	w.u32(m.Block)
 	w.bytes(m.Data)
 }
-func decBlockRecoverReply(r *reader) *BlockRecoverReply {
-	return &BlockRecoverReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Block: r.u32(), Data: r.bytes()}
+func (m *BlockRecoverReply) decode(r *reader) {
+	*m = BlockRecoverReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Block: r.u32(), Data: r.bytes()}
 }
 
 // BlockFetch asks a data node for the raw contents of one of its
@@ -926,8 +902,8 @@ func (m *BlockFetch) encode(w *writer) {
 	w.u32(uint32(m.Memgest))
 	w.u32(m.Block)
 }
-func decBlockFetch(r *reader) *BlockFetch {
-	return &BlockFetch{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32()), Block: r.u32()}
+func (m *BlockFetch) decode(r *reader) {
+	*m = BlockFetch{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32()), Block: r.u32()}
 }
 
 // BlockFetchReply returns the raw block contents.
@@ -945,8 +921,8 @@ func (m *BlockFetchReply) encode(w *writer) {
 	w.u32(m.Block)
 	w.bytes(m.Data)
 }
-func decBlockFetchReply(r *reader) *BlockFetchReply {
-	return &BlockFetchReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Block: r.u32(), Data: r.bytes()}
+func (m *BlockFetchReply) decode(r *reader) {
+	*m = BlockFetchReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Block: r.u32(), Data: r.bytes()}
 }
 
 // -------------------------------------------------------------- elasticity
@@ -977,8 +953,8 @@ func (m *Resize) encode(w *writer) {
 	w.u8(uint8(m.Op))
 	w.u32(uint32(m.Node))
 }
-func decResize(r *reader) *Resize {
-	return &Resize{Req: ReqID(r.u64()), Op: ResizeOp(r.u8()), Node: NodeID(r.u32())}
+func (m *Resize) decode(r *reader) {
+	*m = Resize{Req: ReqID(r.u64()), Op: ResizeOp(r.u8()), Node: NodeID(r.u32())}
 }
 
 // ResizeReply confirms a membership change. Moved counts the role
@@ -999,8 +975,8 @@ func (m *ResizeReply) encode(w *writer) {
 	w.u32(m.Moved)
 	w.u64(uint64(m.Epoch))
 }
-func decResizeReply(r *reader) *ResizeReply {
-	return &ResizeReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Moved: r.u32(), Epoch: Epoch(r.u64())}
+func (m *ResizeReply) decode(r *reader) {
+	*m = ResizeReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Moved: r.u32(), Epoch: Epoch(r.u64())}
 }
 
 // Tick is the local timer event delivered by runners; it never crosses
@@ -1009,3 +985,4 @@ type Tick struct{}
 
 func (*Tick) Type() MsgType    { return TTick }
 func (m *Tick) encode(*writer) {}
+func (m *Tick) decode(*reader) {}

@@ -153,13 +153,6 @@ type RecoveredShard struct {
 	// need to send records with Seq > Since. 0 forces a full transfer
 	// (fresh store, unresolved gaps, or detected corruption).
 	Since proto.Seq
-	// OpenConverts lists scheme transitions whose journal window was
-	// open at the crash and whose destination version never committed:
-	// each rolled back to the source scheme (old-or-new, never hybrid).
-	// Rec.Key/Version name the destination version that was dropped;
-	// Rec.Memgest is the source memgest the key remains in. Recovery
-	// needs nothing from this — it exists for crash tests and metrics.
-	OpenConverts []proto.MetaRecord
 }
 
 type entryKey struct {
@@ -180,15 +173,11 @@ const (
 	kCommit = 2 // commit marker: the entry moved to Bitcask
 	kPurge  = 3 // version purged (GC or abort)
 	kReset  = 4 // all prior records of the shard are void (role shed)
-	// Scheme-transition journal (elasticity): kConvBegin opens a
-	// conversion window before the destination write-ahead append,
-	// kConvEnd closes it ordered before the ack (or on abort). A begin
-	// whose destination version never committed proves the transition
-	// rolled back to the source scheme — the old-or-new guarantee the
-	// crash tests pin. Rec carries the destination key/version; its
-	// Memgest field records the *source* memgest.
-	kConvBegin = 5
-	kConvEnd   = 6
+	// 5 and 6 were the move journal's window records, which recovery
+	// never read: replay skips them in a data directory an older binary
+	// wrote, and the numbers stay reserved.
+	kMoveBegin = 5
+	kMoveEnd   = 6
 	// kInstall is an entry learned through recovery: an append that is
 	// born committed. Bitcask gets the same entry, but only the WAL is
 	// fsynced before the next acknowledgement.
@@ -208,7 +197,6 @@ type replayShard struct {
 	entries    map[entryKey]*replayEntry
 	unresolved map[proto.Seq]entryKey // appends with no commit/purge yet
 	orphans    map[entryKey]bool      // commits whose entry is nowhere
-	convOpen   map[entryKey]proto.MetaRecord
 	maxSeq     proto.Seq
 }
 
@@ -217,7 +205,6 @@ func newReplayShard() *replayShard {
 		entries:    make(map[entryKey]*replayEntry),
 		unresolved: make(map[proto.Seq]entryKey),
 		orphans:    make(map[entryKey]bool),
-		convOpen:   make(map[entryKey]proto.MetaRecord),
 	}
 }
 
@@ -317,10 +304,7 @@ func OpenDurable(fsys wal.FS, opts DurableOptions) (_ *Durable, err error) {
 			delete(st.entries, ek)
 			delete(st.orphans, ek)
 			delete(st.unresolved, r.seq)
-		case kConvBegin:
-			st.convOpen[ek] = r.rec
-		case kConvEnd:
-			delete(st.convOpen, ek)
+		case kMoveBegin, kMoveEnd:
 		case kReset:
 			// Voids what Bitcask kept of the shard too, not only the log.
 			*st = *newReplayShard()
@@ -382,19 +366,6 @@ func OpenDurable(fsys wal.FS, opts DurableOptions) (_ *Durable, err error) {
 		for seq := range st.unresolved {
 			rs.Since = min(rs.Since, seq-1)
 		}
-		// A conversion journaled open whose destination version never
-		// committed rolled back at the crash: the uncommitted append (if
-		// any survived) is dropped above, so the key remains in its
-		// source scheme.
-		for ek, rec := range st.convOpen {
-			if e := st.entries[ek]; e == nil || !e.Rec.Committed {
-				rs.OpenConverts = append(rs.OpenConverts, rec)
-			}
-		}
-		sort.Slice(rs.OpenConverts, func(i, j int) bool {
-			a, b := &rs.OpenConverts[i], &rs.OpenConverts[j]
-			return entryKey{a.Key, a.Version}.less(entryKey{b.Key, b.Version})
-		})
 		// A commit marker whose entry is nowhere means durable state was
 		// lost; only a full transfer is safe.
 		if len(st.orphans) > 0 || d.damaged {
@@ -521,22 +492,6 @@ func (d *Durable) Purge(sk ShardKey, seq proto.Seq, key string, ver proto.Versio
 	}
 	delete(d.unresolved, urKey{sk, seq})
 	return nil
-}
-
-// ConvertBegin journals the opening of a scheme transition, BEFORE the
-// destination version's write-ahead append. sk addresses the
-// destination (memgest, shard); rec names the destination key/version
-// with its Memgest field recording the source memgest. A begin without
-// a matching end after a crash marks a transition that rolled back.
-func (d *Durable) ConvertBegin(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord) error {
-	return d.journal(kConvBegin, sk, seq, rec, nil, false)
-}
-
-// ConvertEnd journals the close of a scheme transition — on commit it
-// must be appended before the client ack escapes (the ackorder journal
-// barrier); on abort it simply closes the window.
-func (d *Durable) ConvertEnd(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord) error {
-	return d.journal(kConvEnd, sk, seq, rec, nil, false)
 }
 
 // Reset voids all durable state of a shard — the node shed the role,

@@ -305,6 +305,31 @@ func TestResetFencesShard(t *testing.T) {
 	}
 }
 
+// TestRetiredMoveRecordsSkipped: a data directory written by a binary
+// that still journaled move windows replays as if the window records
+// were not there — not as damage, which would cost a full resync.
+func TestRetiredMoveRecordsSkipped(t *testing.T) {
+	fs := wal.NewMemFS()
+	d := openDurable(t, fs, DurableOptions{})
+	for _, kind := range []byte{kMoveBegin, kMoveEnd} {
+		if err := d.journal(kind, testSK, 0, rec("k", 2), nil, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustAppend(t, d, testSK, 1, "k", 2)
+	mustCommit(t, d, testSK, 1, "k", 2)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d = openDurable(t, fs, DurableOptions{})
+	if rs := d.Recovered()[testSK]; d.Damaged() || rs == nil || shardEntry(t, rs, "k", 2) == nil || rs.Since != 1 {
+		t.Fatalf("damaged=%v shard=%+v", d.Damaged(), rs)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestInstallPersists(t *testing.T) {
 	fs := wal.NewMemFS()
 	d := openDurable(t, fs, DurableOptions{Policy: FsyncAlways})

@@ -31,7 +31,7 @@ type ChaosRunSpec struct {
 	// UnsafeAck injects the ack-before-quorum bug (core.Options.
 	// ChaosUnsafeAck) to validate that the checker catches it.
 	UnsafeAck bool
-	// UnsafeConvert injects the ack-before-journal move bug
+	// UnsafeConvert injects the ack-before-commit move bug
 	// (core.Options.ChaosUnsafeConvert): moves acknowledge before the
 	// destination write is quorum-durable and purge the source eagerly.
 	// Only observable with Elasticity (or an explicit schedule
