@@ -45,7 +45,8 @@
 #      the demand-backed block heap against a flat, fully allocated
 #      reference, and the tables' value slots against a map of byte
 #      slices (no overlap, freed slots reused first, exact accounting,
-#      every chunk back on drop).
+#      values intact and stale views poisoned across evacuations, every
+#      chunk back on drop).
 #   8. bench smoke: every Go benchmark compiles and runs one
 #      iteration; a benchmark that panics or no longer builds fails
 #      the stage, and the numbers scroll by in the job log
@@ -62,13 +63,18 @@
 #      path (internal/sim/caller.go), so a change to how a client
 #      retries, re-resolves or gives up trips here per push. The deep
 #      seed sweeps run nightly (.github/workflows/nightly-chaos.yml).
-#  10. benchmark canary: the real harness, once. `go run ./benchmark`
-#      builds ringd, boots five processes with -fsync always, drives
-#      rep3_1k_fsync for 5 s and checks every reply against the writes
-#      the cluster acknowledged. Pass/fail on the exit code only: the
-#      numbers a CI host prints are never compared. Whether a change is
-#      faster is decided by the same command on one quiet machine,
-#      parent against change, per BENCHMARK.json's bounds.
+#  10. benchmark canaries: the real harness, twice. `go run ./benchmark`
+#      builds ringd and boots five processes: with -fsync always it
+#      drives rep3_1k_fsync for 5 s and checks every reply against the
+#      writes the cluster acknowledged; on tier_1k_read90_move the
+#      set-up moves half of 16384 keys from Rep to SRS and the load
+#      keeps moving keys between the schemes under 90 % reads, the one
+#      run that checks every reply byte for byte while the value arenas
+#      relocate stored values to give chunks back.
+#      Pass/fail on the exit code only: the numbers a CI host prints
+#      are never compared. Whether a change is faster is decided by the
+#      same command on one quiet machine, parent against change, per
+#      BENCHMARK.json's bounds.
 set -ex
 
 # Version pins for the external analyzers. CI caches on these; bump
@@ -120,6 +126,7 @@ stage_chaos() {
     timeout 30 ./bin/ringchaos -elasticity -seeds 1:10 -v
 
     timeout 120 go run ./benchmark -workload rep3_1k_fsync -seconds 5
+    timeout 120 go run ./benchmark -workload tier_1k_read90_move -seconds 5
 }
 
 case "${1:-all}" in

@@ -362,7 +362,7 @@ func (n *Node) loseRole(r role) {
 	switch r.kind {
 	case roleCoordinator:
 		cs := st.coord[r.shard]
-		cs.meta.Drop()
+		dropTable(st, cs.meta)
 		if cs.heap != nil {
 			cs.heap.Drop()
 		}
@@ -377,11 +377,20 @@ func (n *Node) loseRole(r role) {
 		}
 		fallthrough
 	case roleReplica:
-		st.rmeta[r.shard].Drop()
+		dropTable(st, st.rmeta[r.shard])
 		delete(st.rmeta, r.shard)
 		delete(st.rseq, r.shard)
 	}
 	n.persistReset(r.mg, r.shard)
+}
+
+// dropTable gives the memory of a lost role's table back, and keeps
+// what the table had counted.
+func dropTable(st *mgState, t *store.MetaTable) {
+	moves := t.ValueMoves()
+	st.met.ValueSlotsRelocated.Add(moves.SlotsRelocated)
+	st.met.ValueChunksReleased.Add(moves.ChunksReleased)
+	t.Drop()
 }
 
 // ownedShards returns the shards this node currently coordinates.

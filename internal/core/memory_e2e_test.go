@@ -27,14 +27,19 @@ import (
 // Two bounds, because the sum alone cannot tell where bytes are. The
 // collected heap must hold metadata only: under a third of what the
 // codes store (measured 0.29: ~230 B per entry copy for the entry, its
-// key, its hashtable slot and the coordinator's volatile index; with
-// values on the heap it was 1.37). And heap plus arena must stay near
-// the measured 1.98, which is not the codes' rate and cannot be at
-// 1 KiB: the metadata is the 0.29, and the arena gives back whole
-// chunks, not slots, so the 6 MiB of Rep slots the moved half freed
-// stay mapped for the next puts (the 15.8 MiB below is 12 of Rep at the
-// peak plus 3.3 of SRS plus under one chunk of slack per table and
-// region). Both are what ROADMAP item 4 has left.
+// key, its hashtable slot, the coordinator's volatile index and the
+// arena's pointer back to the entry; with values on the heap it was
+// 1.37). And heap plus arena must stay near the measured 1.75, which is
+// not the codes' rate and cannot be at 1 KiB and this size: the metadata
+// is the 0.29, and of the arena's 13.6 MiB, 6 are the Rep values that
+// stayed, 3.3 the SRS blocks and parity — written into chunks the Rep
+// tables evacuated as their keys left, where until PR 21 the freed
+// slots stayed mapped and the sum was 1.98 — and the rest is slack that
+// does not grow with the data: each of the nine Rep tables keeps up to
+// store's evacuateAt (four chunks) of freed slots and a newest chunk,
+// each region under a chunk per block, and the pool whatever chunks
+// nobody has taken yet (logged below). The benchmark's tables are four
+// times these, so the same slack weighs a quarter there.
 func TestBytesPerStoredByte(t *testing.T) {
 	const (
 		keys      = 4096
@@ -42,7 +47,7 @@ func TestBytesPerStoredByte(t *testing.T) {
 		mgRep     = proto.MemgestID(1)
 		mgSRS     = proto.MemgestID(2)
 		heapBound = 0.33
-		sumBound  = 2.05
+		sumBound  = 1.80 // measured 1.75, plus 3 %
 	)
 	cl, err := core.StartCluster(core.ClusterSpec{
 		Shards: 3, Redundant: 2,
@@ -103,8 +108,8 @@ func TestBytesPerStoredByte(t *testing.T) {
 	heap := float64(loaded.HeapAlloc) - float64(idle.HeapAlloc)
 	arena := float64(store.ArenaBytesBacked() - arenaIdle)
 	ideal := 3*repBytes + 5.0/3*srsBytes
-	t.Logf("live heap %+.2f MiB (%.2f x) + arena %+.2f MiB = %.2f x the codes' %.2f MiB",
-		heap/mib, heap/ideal, arena/mib, (heap+arena)/ideal, ideal/mib)
+	t.Logf("live heap %+.2f MiB (%.2f x) + arena %+.2f MiB (%.2f of them pooled) = %.2f x the codes' %.2f MiB",
+		heap/mib, heap/ideal, arena/mib, float64(store.ArenaBytesPooled())/mib, (heap+arena)/ideal, ideal/mib)
 	if heap > heapBound*ideal {
 		t.Errorf("the collected heap grew by %.2f x what the codes store, want <= %.2f: it should hold metadata only", heap/ideal, heapBound)
 	}

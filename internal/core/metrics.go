@@ -17,6 +17,11 @@ type MemgestMetrics struct {
 	Deletes metrics.Counter
 	Moves   metrics.Counter
 	Commits metrics.Counter
+	// ValueSlotsRelocated and ValueChunksReleased are what the tables of
+	// roles this node has since lost had counted (see loseRole); the
+	// tables it holds keep their own until then.
+	ValueSlotsRelocated metrics.Counter
+	ValueChunksReleased metrics.Counter
 }
 
 // NodeMetrics is a node's always-on instrumentation. Counters and
@@ -106,11 +111,17 @@ type MemgestOpCounts struct {
 	// until written). ValueBytesUsed is the bytes of the Rep values this
 	// node holds, as coordinator or replica, and ValueBytesBacked the
 	// chunks behind their slots (see store.MetaTable.Hold).
-	BlockBytesUsed    uint64 `json:"store.block_bytes_used"`
-	BlockBytesBacked  uint64 `json:"store.block_bytes_backed"`
-	ParityBytesBacked uint64 `json:"store.parity_bytes_backed"`
-	ValueBytesUsed    uint64 `json:"store.value_bytes_used"`
-	ValueBytesBacked  uint64 `json:"store.value_bytes_backed"`
+	// ValueSlotsRelocated and ValueChunksReleased count, since the node
+	// started, the Rep values its tables copied to another chunk and the
+	// chunks they emptied that way and gave back to the process (see
+	// store.ValueMoves): zero while keys only arrive.
+	BlockBytesUsed      uint64 `json:"store.block_bytes_used"`
+	BlockBytesBacked    uint64 `json:"store.block_bytes_backed"`
+	ParityBytesBacked   uint64 `json:"store.parity_bytes_backed"`
+	ValueBytesUsed      uint64 `json:"store.value_bytes_used"`
+	ValueBytesBacked    uint64 `json:"store.value_bytes_backed"`
+	ValueSlotsRelocated uint64 `json:"store.value_slots_relocated"`
+	ValueChunksReleased uint64 `json:"store.value_chunks_released"`
 }
 
 // Add accumulates another count set (for cluster-wide aggregation).
@@ -125,6 +136,8 @@ func (c *MemgestOpCounts) Add(o MemgestOpCounts) {
 	c.ParityBytesBacked += o.ParityBytesBacked
 	c.ValueBytesUsed += o.ValueBytesUsed
 	c.ValueBytesBacked += o.ValueBytesBacked
+	c.ValueSlotsRelocated += o.ValueSlotsRelocated
+	c.ValueChunksReleased += o.ValueChunksReleased
 }
 
 // MetricsSnapshot is a point-in-time copy of a node's instrumentation,
@@ -182,12 +195,18 @@ func (n *Node) MetricsSnapshot() MetricsSnapshot {
 			Deletes: mm.Deletes.Load(),
 			Moves:   mm.Moves.Load(),
 			Commits: mm.Commits.Load(),
+
+			ValueSlotsRelocated: mm.ValueSlotsRelocated.Load(),
+			ValueChunksReleased: mm.ValueChunksReleased.Load(),
 		}
 		if st := n.mg[id]; st != nil {
 			table := func(t *store.MetaTable) {
 				used, backed := t.ValueBytes()
 				c.ValueBytesUsed += used
 				c.ValueBytesBacked += backed
+				moves := t.ValueMoves()
+				c.ValueSlotsRelocated += moves.SlotsRelocated
+				c.ValueChunksReleased += moves.ChunksReleased
 				s.MetaEntries += uint64(t.Len())
 			}
 			for _, cs := range st.coord {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ring/internal/proto"
+	"ring/internal/store"
 	"ring/internal/transport"
 )
 
@@ -233,5 +234,125 @@ func TestGetReplySurvivesPurgeInSameDrain(t *testing.T) {
 	if rep.Status != proto.StOK || rep.Version != 1 || !bytes.Equal(rep.Value, val(1)) {
 		t.Fatalf("get of version 1 answered %v version %d with %d bytes of %#x, want 1000 of 0x01",
 			rep.Status, rep.Version, len(rep.Value), rep.Value[:min(1, len(rep.Value))])
+	}
+}
+
+// TestRepliesSurviveEvacuationInSameDrain extends that rule to stored
+// bytes that move: a free may evacuate a chunk of the table (see
+// store's arena), which copies the values of other keys elsewhere and,
+// under PoisonPayloads, overwrites the whole chunk with 0xDB. A get
+// reply, a DataFetchReply and the value a move reads out of its source
+// memgest are all still unencoded messages when, later in the same
+// drain, the ack that commits another key's version 2 purges its version
+// 1, the freed slots reach the arena's threshold and the chunk the three
+// values sit in is emptied. Each must carry its key's bytes — every
+// reader copied them out — and a get after the purge, in the same drain,
+// must find them where they went.
+func TestRepliesSurviveEvacuationInSameDrain(t *testing.T) {
+	if !PoisonPayloads {
+		t.Fatal("PoisonPayloads is off: TestMain must switch it on")
+	}
+	cfg, err := BootConfig(ClusterSpec{
+		Shards: 1, Redundant: 1,
+		Memgests: []proto.Scheme{proto.Rep(2, 1), proto.Rep(2, 1)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabric := transport.NewMemFabric(0)
+	register := func(addr string) *peer {
+		ep, err := fabric.Register(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ep.Close() })
+		return &peer{t: t, ep: ep}
+	}
+	self, client, replica := register(NodeAddr(0)), register("client/t"), register(NodeAddr(1))
+	// No event loop: the test decides which packets share a drain.
+	node := New(0, cfg, Options{})
+	r := &Runner{ep: self.ep, node: node, start: time.Now()}
+	drain := func(pkts ...transport.Packet) {
+		t.Helper()
+		rest := make(chan transport.Packet, len(pkts))
+		for _, p := range pkts[1:] {
+			rest <- p
+		}
+		if !r.drain(pkts[0], rest) {
+			t.Fatal("drain reported a closed inbox")
+		}
+	}
+	from := func(p *peer, m proto.Message) transport.Packet {
+		return transport.Packet{From: p.ep.Addr(), Payload: proto.Encode(m)}
+	}
+	ackOf := func(a *proto.RepAppend) transport.Packet {
+		return from(replica, &proto.RepAck{Memgest: a.Memgest, Shard: a.Shard, Seq: a.Seq})
+	}
+	const size = 1000 // 64 slots of 1 KiB to a 64 KiB chunk
+	val := func(b byte) []byte { return bytes.Repeat([]byte{b}, size) }
+
+	// The first five slots of the table's first chunk: three committed
+	// keys, and a fourth with version 1 committed and version 2 waiting.
+	for i, key := range []string{"get", "fetch", "move", "k"} {
+		drain(from(client, &proto.Put{Req: proto.ReqID(i + 1), Key: key, Value: val(byte(i + 1)), Memgest: 1}))
+		drain(ackOf(replica.nextAppend()))
+	}
+	drain(from(client, &proto.Put{Req: 5, Key: "k", Value: val(5), Memgest: 1}))
+	k2 := replica.nextAppend()
+
+	// Fill that chunk and six more behind the protocol's back, then free
+	// slots until one more makes four chunks' worth: every filler of the
+	// first chunk, so that it is the sparsest, and 40 of each of the next
+	// five less one.
+	table := node.mg[1].coord[0].meta
+	filler := func(i int) string { return "filler" + string(rune('0'+i/64)) + string(rune('0'+i%64)) }
+	for i := 5; i < 7*64; i++ {
+		e := &store.Entry{Rec: proto.MetaRecord{Key: filler(i), Version: 1, Length: size}}
+		table.Put(e)
+		table.Hold(e, val(0xF1))
+	}
+	freed := 0
+	for i := 5; i < 6*64 && freed < 4*64-1; i++ {
+		if i < 64 || i%64 < 40 {
+			table.Delete(filler(i), 1)
+			freed++
+		}
+	}
+	if freed != 4*64-1 || table.ValueMoves() != (store.ValueMoves{}) {
+		t.Fatalf("%d slots freed, %+v: want one short of an evacuation", freed, table.ValueMoves())
+	}
+	view := func(key string) []byte {
+		b, _ := table.Get(key, 1).Bytes()
+		return b
+	}
+	before := view("get")
+
+	// One drain: the three reads, the purge that evacuates, a read after.
+	drain(
+		from(client, &proto.Get{Req: 6, Key: "get"}),
+		from(replica, &proto.DataFetch{Req: 7, Memgest: 1, Shard: 0, Key: "fetch", Version: 1}),
+		from(client, &proto.Move{Req: 8, Key: "move", Memgest: 2}),
+		ackOf(k2),
+		from(client, &proto.Get{Req: 9, Key: "get"}),
+	)
+
+	if got := table.ValueMoves(); got.ChunksReleased != 1 || got.SlotsRelocated != 4 {
+		t.Fatalf("the purge of k's version 1 moved %+v, want the first chunk's four values", got)
+	}
+	if after := view("get"); &after[0] == &before[0] || !bytes.Equal(before, bytes.Repeat([]byte{0xDB}, size)) {
+		t.Fatalf("the value of \"get\" did not move, or the chunk it left reads %#x, not poison", before[0])
+	}
+	for _, req := range []proto.ReqID{6, 9} {
+		rep := client.next(func(m proto.Message) bool { _, ok := m.(*proto.GetReply); return ok }).(*proto.GetReply)
+		if rep.Req != req || rep.Status != proto.StOK || !bytes.Equal(rep.Value, val(1)) {
+			t.Fatalf("get %d answered req %d %v with %d bytes of %#x, want %d of 0x01", req, rep.Req, rep.Status, len(rep.Value), rep.Value[:min(1, len(rep.Value))], size)
+		}
+	}
+	fetched := replica.next(func(m proto.Message) bool { _, ok := m.(*proto.DataFetchReply); return ok }).(*proto.DataFetchReply)
+	if fetched.Status != proto.StOK || !bytes.Equal(fetched.Value, val(2)) {
+		t.Fatalf("data fetch answered %v with %d bytes of %#x, want %d of 0x02", fetched.Status, len(fetched.Value), fetched.Value[:min(1, len(fetched.Value))], size)
+	}
+	if moved := replica.nextAppend(); moved.Memgest != 2 || moved.Rec.Key != "move" || !bytes.Equal(moved.Value, val(3)) {
+		t.Fatalf("the move's destination append is for %q in memgest %d with %d bytes of %#x, want %d of 0x03", moved.Rec.Key, moved.Memgest, len(moved.Value), moved.Value[:min(1, len(moved.Value))], size)
 	}
 }

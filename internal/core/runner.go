@@ -82,14 +82,15 @@ func StartRunner(n *Node, fabric transport.Fabric, tickEvery time.Duration) (*Ru
 		done:    make(chan struct{}),
 	}
 	if cr, ok := ep.(transport.ChanReceiver); ok {
-		// Fabric with a channel inbox (memnet): the event loop selects
-		// on it directly — no forwarder goroutine, one less handoff per
-		// packet.
+		// Fabric with a channel inbox (memnet, tcpnet): the event loop
+		// selects on it directly — no forwarder goroutine, one less
+		// handoff per packet.
 		inbox := cr.RecvChan()
 		r.depth = func() int { return len(inbox) }
 		RunnerGoroutines.Add(1)
 		go r.loop(inbox, cr.Closed())
 	} else {
+		// An endpoint that only has Recv (a wrapper around either).
 		packets := make(chan transport.Packet, 1024)
 		r.depth = func() int { return len(packets) }
 		go func() {

@@ -216,3 +216,56 @@ func TestFanoutOnePacketPerPeerPerEvent(t *testing.T) {
 		})
 	}
 }
+
+// TestRunnerOverTCPStopsAndKills: a runner over the TCP fabric selects
+// on the endpoint's inbox itself (transport.ChanReceiver), as it does
+// over memnet — one event-loop goroutine and no forwarder — serves a
+// request that way, and both Stop and Kill return with the loop gone.
+func TestRunnerOverTCPStopsAndKills(t *testing.T) {
+	cfg, err := BootConfig(ClusterSpec{Shards: 1, Redundant: 0, Memgests: []proto.Scheme{proto.Rep(1, 1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, stop := range map[string]func(*Runner){"Stop": (*Runner).Stop, "Kill": (*Runner).Kill} {
+		t.Run(name, func(t *testing.T) {
+			before := RunnerGoroutines.Load()
+			fabric := transport.NewTCPFabric()
+			r, err := StartRunner(New(0, cfg, Options{}), fabric, time.Minute)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := r.ep.(transport.ChanReceiver); !ok || RunnerGoroutines.Load() != before+1 {
+				t.Fatalf("%T: ChanReceiver=%v, %d runner goroutines, want %d", r.ep, ok, RunnerGoroutines.Load(), before+1)
+			}
+			fabric.Map(NodeAddr(0), transport.BoundAddr(r.ep))
+			client, err := fabric.Register("client/t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			if err := client.Send(NodeAddr(0), proto.Encode(&proto.Get{Req: 1, Key: "absent"})); err != nil {
+				t.Fatal(err)
+			}
+			pkt, err := client.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m, err := proto.Decode(pkt.Payload); err != nil || m.(*proto.GetReply).Status != proto.StNotFound {
+				t.Fatalf("get over TCP answered %+v, %v", m, err)
+			}
+			stopped := make(chan struct{})
+			go func() {
+				stop(r)
+				close(stopped)
+			}()
+			select {
+			case <-stopped:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s did not return", name)
+			}
+			if got := RunnerGoroutines.Load(); got != before {
+				t.Fatalf("%d runner goroutines after %s, want %d", got, name, before)
+			}
+		})
+	}
+}

@@ -171,7 +171,10 @@ func (s Status) Transient() bool {
 type Message interface {
 	Type() MsgType
 	encode(w *writer)
-	decode(r *reader)
+	// decode fills the message from r and reports whether r held exactly
+	// one. The reader comes by value: behind a pointer it would have to
+	// live on the heap, the callee being unknown to Decode.
+	decode(r reader) error
 }
 
 // Reply is implemented by the seven replies a client receives: the
@@ -230,10 +233,6 @@ func AppendEncode(buf []byte, m Message) []byte {
 	return buf
 }
 
-// readerPool recycles reader headers, for writerPool's reason: decode
-// is an interface method.
-var readerPool = sync.Pool{New: func() any { return new(reader) }}
-
 // Decode parses an envelope produced by Encode. The []byte fields of
 // the returned message alias buf (see the package doc).
 //
@@ -247,13 +246,7 @@ func Decode(buf []byte) (Message, error) {
 		return nil, errUnknownType(buf[0])
 	}
 	m := wire[t].make()
-	r := readerPool.Get().(*reader)
-	r.b = buf[1:]
-	m.decode(r)
-	err := r.done()
-	*r = reader{}
-	readerPool.Put(r)
-	if err != nil {
+	if err := m.decode(reader{b: buf[1:]}); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -287,8 +280,11 @@ func (m *Put) encode(w *writer) {
 	w.bytes(m.Value)
 	w.u32(uint32(m.Memgest))
 }
-func (m *Put) decode(r *reader) {
-	*m = Put{Req: ReqID(r.u64()), Key: r.str(), Value: r.bytes(), Memgest: MemgestID(r.u32())}
+func (m *Put) decode(r reader) error {
+	// Field by field, on the benchmarked type: a composite literal is
+	// built aside and copied in through the write barrier.
+	m.Req, m.Key, m.Value, m.Memgest = ReqID(r.u64()), r.str(), r.bytes(), MemgestID(r.u32())
+	return r.done()
 }
 
 // PutReply acknowledges a committed Put.
@@ -304,8 +300,9 @@ func (m *PutReply) encode(w *writer) {
 	w.u8(uint8(m.Status))
 	w.u64(uint64(m.Version))
 }
-func (m *PutReply) decode(r *reader) {
+func (m *PutReply) decode(r reader) error {
 	*m = PutReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Version: Version(r.u64())}
+	return r.done()
 }
 
 // Get reads a version of key: Version 0 selects the highest version
@@ -325,8 +322,9 @@ func (m *Get) encode(w *writer) {
 	w.str(m.Key)
 	w.u64(uint64(m.Version))
 }
-func (m *Get) decode(r *reader) {
+func (m *Get) decode(r reader) error {
 	*m = Get{Req: ReqID(r.u64()), Key: r.str(), Version: Version(r.u64())}
+	return r.done()
 }
 
 // GetReply returns the value (or NotFound).
@@ -344,8 +342,9 @@ func (m *GetReply) encode(w *writer) {
 	w.u64(uint64(m.Version))
 	w.bytes(m.Value)
 }
-func (m *GetReply) decode(r *reader) {
+func (m *GetReply) decode(r reader) error {
 	*m = GetReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Version: Version(r.u64()), Value: r.bytes()}
+	return r.done()
 }
 
 // Delete removes key (a committed tombstone version).
@@ -359,7 +358,10 @@ func (m *Delete) encode(w *writer) {
 	w.u64(uint64(m.Req))
 	w.str(m.Key)
 }
-func (m *Delete) decode(r *reader) { *m = Delete{Req: ReqID(r.u64()), Key: r.str()} }
+func (m *Delete) decode(r reader) error {
+	*m = Delete{Req: ReqID(r.u64()), Key: r.str()}
+	return r.done()
+}
 
 // DeleteReply acknowledges a Delete.
 type DeleteReply struct {
@@ -372,8 +374,9 @@ func (m *DeleteReply) encode(w *writer) {
 	w.u64(uint64(m.Req))
 	w.u8(uint8(m.Status))
 }
-func (m *DeleteReply) decode(r *reader) {
+func (m *DeleteReply) decode(r reader) error {
 	*m = DeleteReply{Req: ReqID(r.u64()), Status: Status(r.u8())}
+	return r.done()
 }
 
 // Move asks a key's coordinator to re-home its newest committed version
@@ -407,11 +410,12 @@ func (m *Move) encode(w *writer) {
 		w.bool(m.Prefix)
 	}
 }
-func (m *Move) decode(r *reader) {
+func (m *Move) decode(r reader) error {
 	*m = Move{Req: ReqID(r.u64()), Key: r.str(), Memgest: MemgestID(r.u32())}
 	if len(r.b) > 0 {
 		m.From, m.Prefix = MemgestID(r.u32()), r.bool()
 	}
+	return r.done()
 }
 
 // MoveReply acknowledges a committed Move. Version is the version the
@@ -434,11 +438,12 @@ func (m *MoveReply) encode(w *writer) {
 		w.u32(m.Moved)
 	}
 }
-func (m *MoveReply) decode(r *reader) {
+func (m *MoveReply) decode(r reader) error {
 	*m = MoveReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Version: Version(r.u64())}
 	if len(r.b) > 0 {
 		m.Moved = r.u32()
 	}
+	return r.done()
 }
 
 // CreateMemgest asks the leader to instantiate a new storage scheme.
@@ -452,8 +457,9 @@ func (m *CreateMemgest) encode(w *writer) {
 	w.u64(uint64(m.Req))
 	w.scheme(m.Scheme)
 }
-func (m *CreateMemgest) decode(r *reader) {
+func (m *CreateMemgest) decode(r reader) error {
 	*m = CreateMemgest{Req: ReqID(r.u64()), Scheme: r.scheme()}
+	return r.done()
 }
 
 // DeleteMemgest removes a memgest (which must be empty of live keys in
@@ -468,8 +474,9 @@ func (m *DeleteMemgest) encode(w *writer) {
 	w.u64(uint64(m.Req))
 	w.u32(uint32(m.Memgest))
 }
-func (m *DeleteMemgest) decode(r *reader) {
+func (m *DeleteMemgest) decode(r reader) error {
 	*m = DeleteMemgest{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32())}
+	return r.done()
 }
 
 // SetDefault selects the memgest used for puts without an explicit one.
@@ -483,8 +490,9 @@ func (m *SetDefault) encode(w *writer) {
 	w.u64(uint64(m.Req))
 	w.u32(uint32(m.Memgest))
 }
-func (m *SetDefault) decode(r *reader) {
+func (m *SetDefault) decode(r reader) error {
 	*m = SetDefault{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32())}
+	return r.done()
 }
 
 // GetDescriptor retrieves a memgest's scheme.
@@ -498,8 +506,9 @@ func (m *GetDescriptor) encode(w *writer) {
 	w.u64(uint64(m.Req))
 	w.u32(uint32(m.Memgest))
 }
-func (m *GetDescriptor) decode(r *reader) {
+func (m *GetDescriptor) decode(r reader) error {
 	*m = GetDescriptor{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32())}
+	return r.done()
 }
 
 // MemgestReply answers memgest management requests.
@@ -517,8 +526,9 @@ func (m *MemgestReply) encode(w *writer) {
 	w.u32(uint32(m.Memgest))
 	w.scheme(m.Scheme)
 }
-func (m *MemgestReply) decode(r *reader) {
+func (m *MemgestReply) decode(r reader) error {
 	*m = MemgestReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Memgest: MemgestID(r.u32()), Scheme: r.scheme()}
+	return r.done()
 }
 
 // Resolve asks any node for the current cluster configuration.
@@ -528,7 +538,10 @@ type Resolve struct {
 
 func (*Resolve) Type() MsgType      { return TResolve }
 func (m *Resolve) encode(w *writer) { w.u64(uint64(m.Req)) }
-func (m *Resolve) decode(r *reader) { *m = Resolve{Req: ReqID(r.u64())} }
+func (m *Resolve) decode(r reader) error {
+	*m = Resolve{Req: ReqID(r.u64())}
+	return r.done()
+}
 
 // ResolveReply carries the node's current configuration.
 type ResolveReply struct {
@@ -541,8 +554,9 @@ func (m *ResolveReply) encode(w *writer) {
 	w.u64(uint64(m.Req))
 	w.config(m.Config)
 }
-func (m *ResolveReply) decode(r *reader) {
+func (m *ResolveReply) decode(r reader) error {
 	*m = ResolveReply{Req: ReqID(r.u64()), Config: r.config()}
+	return r.done()
 }
 
 // ------------------------------------------------------------- replication
@@ -565,8 +579,9 @@ func (m *RepAppend) encode(w *writer) {
 	w.metaRecord(&m.Rec)
 	w.bytes(m.Value)
 }
-func (m *RepAppend) decode(r *reader) {
+func (m *RepAppend) decode(r reader) error {
 	*m = RepAppend{Memgest: MemgestID(r.u32()), Shard: r.u32(), Seq: Seq(r.u64()), Rec: r.metaRecord(), Value: r.bytes()}
+	return r.done()
 }
 
 // RepAck acknowledges replication of one log entry.
@@ -582,8 +597,9 @@ func (m *RepAck) encode(w *writer) {
 	w.u32(m.Shard)
 	w.u64(uint64(m.Seq))
 }
-func (m *RepAck) decode(r *reader) {
+func (m *RepAck) decode(r reader) error {
 	*m = RepAck{Memgest: MemgestID(r.u32()), Shard: r.u32(), Seq: Seq(r.u64())}
+	return r.done()
 }
 
 // RepCommit advances the commit index on replicas and parity nodes so
@@ -600,8 +616,9 @@ func (m *RepCommit) encode(w *writer) {
 	w.u32(m.Shard)
 	w.u64(uint64(m.Seq))
 }
-func (m *RepCommit) decode(r *reader) {
+func (m *RepCommit) decode(r reader) error {
 	*m = RepCommit{Memgest: MemgestID(r.u32()), Shard: r.u32(), Seq: Seq(r.u64())}
+	return r.done()
 }
 
 // ParityUpdate carries the coefficient-multiplied delta produced by a
@@ -631,11 +648,12 @@ func (m *ParityUpdate) encode(w *writer) {
 	w.u32(m.Off)
 	w.bytes(m.Delta)
 }
-func (m *ParityUpdate) decode(r *reader) {
+func (m *ParityUpdate) decode(r reader) error {
 	*m = ParityUpdate{
 		Memgest: MemgestID(r.u32()), Shard: r.u32(), Seq: Seq(r.u64()),
 		Rec: r.metaRecord(), Block: r.u32(), StripeOff: r.u32(), Off: r.u32(), Delta: r.bytes(),
 	}
+	return r.done()
 }
 
 // ParityAck acknowledges application of a parity update.
@@ -651,8 +669,9 @@ func (m *ParityAck) encode(w *writer) {
 	w.u32(m.Shard)
 	w.u64(uint64(m.Seq))
 }
-func (m *ParityAck) decode(r *reader) {
+func (m *ParityAck) decode(r reader) error {
 	*m = ParityAck{Memgest: MemgestID(r.u32()), Shard: r.u32(), Seq: Seq(r.u64())}
+	return r.done()
 }
 
 // Purge garbage-collects an old version of a key on redundancy nodes
@@ -671,8 +690,9 @@ func (m *Purge) encode(w *writer) {
 	w.str(m.Key)
 	w.u64(uint64(m.Version))
 }
-func (m *Purge) decode(r *reader) {
+func (m *Purge) decode(r reader) error {
 	*m = Purge{Memgest: MemgestID(r.u32()), Shard: r.u32(), Key: r.str(), Version: Version(r.u64())}
+	return r.done()
 }
 
 // ------------------------------------------------------------- membership
@@ -684,7 +704,10 @@ type Heartbeat struct {
 
 func (*Heartbeat) Type() MsgType      { return THeartbeat }
 func (m *Heartbeat) encode(w *writer) { w.u64(uint64(m.Epoch)) }
-func (m *Heartbeat) decode(r *reader) { *m = Heartbeat{Epoch: Epoch(r.u64())} }
+func (m *Heartbeat) decode(r reader) error {
+	*m = Heartbeat{Epoch: Epoch(r.u64())}
+	return r.done()
+}
 
 // HeartbeatAck confirms liveness to the leader. Epoch is the
 // configuration the sender has installed, not an echo of the
@@ -695,8 +718,9 @@ type HeartbeatAck struct {
 
 func (*HeartbeatAck) Type() MsgType      { return THeartbeatAck }
 func (m *HeartbeatAck) encode(w *writer) { w.u64(uint64(m.Epoch)) }
-func (m *HeartbeatAck) decode(r *reader) {
+func (m *HeartbeatAck) decode(r reader) error {
 	*m = HeartbeatAck{Epoch: Epoch(r.u64())}
+	return r.done()
 }
 
 // ConfigPush replicates a new configuration (role assignment entry of
@@ -707,8 +731,9 @@ type ConfigPush struct {
 
 func (*ConfigPush) Type() MsgType      { return TConfigPush }
 func (m *ConfigPush) encode(w *writer) { w.config(m.Config) }
-func (m *ConfigPush) decode(r *reader) {
+func (m *ConfigPush) decode(r reader) error {
 	*m = ConfigPush{Config: r.config()}
+	return r.done()
 }
 
 // Join is sent by a node that (re)started with empty state and wants
@@ -738,8 +763,9 @@ func (m *Join) encode(w *writer) {
 	w.u64(uint64(m.Epoch))
 	w.bool(m.Durable)
 }
-func (m *Join) decode(r *reader) {
+func (m *Join) decode(r reader) error {
 	*m = Join{Node: NodeID(r.u32()), Epoch: Epoch(r.u64()), Durable: r.bool()}
+	return r.done()
 }
 
 // ConfigAck confirms installation of a configuration epoch.
@@ -749,7 +775,10 @@ type ConfigAck struct {
 
 func (*ConfigAck) Type() MsgType      { return TConfigAck }
 func (m *ConfigAck) encode(w *writer) { w.u64(uint64(m.Epoch)) }
-func (m *ConfigAck) decode(r *reader) { *m = ConfigAck{Epoch: Epoch(r.u64())} }
+func (m *ConfigAck) decode(r reader) error {
+	*m = ConfigAck{Epoch: Epoch(r.u64())}
+	return r.done()
+}
 
 // --------------------------------------------------------------- recovery
 
@@ -772,8 +801,9 @@ func (m *MetaFetch) encode(w *writer) {
 	w.u32(m.Shard)
 	w.u64(uint64(m.Since))
 }
-func (m *MetaFetch) decode(r *reader) {
+func (m *MetaFetch) decode(r reader) error {
 	*m = MetaFetch{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32()), Shard: r.u32(), Since: Seq(r.u64())}
+	return r.done()
 }
 
 // MetaFetchReply returns the metadata records and the log position up
@@ -799,17 +829,18 @@ func (m *MetaFetchReply) encode(w *writer) {
 		w.metaRecord(&m.Recs[i])
 	}
 }
-func (m *MetaFetchReply) decode(r *reader) {
+func (m *MetaFetchReply) decode(r reader) error {
 	*m = MetaFetchReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Memgest: MemgestID(r.u32()), Shard: r.u32(), Seq: Seq(r.u64())}
 	n := int(r.u32())
 	if r.err != nil || n > len(r.b) {
 		r.fail()
-		return
+		return r.err
 	}
 	m.Recs = make([]MetaRecord, n)
 	for i := range m.Recs {
 		m.Recs[i] = r.metaRecord()
 	}
+	return r.done()
 }
 
 // DataFetch asks a replica for the value of (key, version) during
@@ -830,8 +861,9 @@ func (m *DataFetch) encode(w *writer) {
 	w.str(m.Key)
 	w.u64(uint64(m.Version))
 }
-func (m *DataFetch) decode(r *reader) {
+func (m *DataFetch) decode(r reader) error {
 	*m = DataFetch{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32()), Shard: r.u32(), Key: r.str(), Version: Version(r.u64())}
+	return r.done()
 }
 
 // DataFetchReply returns the requested value.
@@ -847,8 +879,9 @@ func (m *DataFetchReply) encode(w *writer) {
 	w.u8(uint8(m.Status))
 	w.bytes(m.Value)
 }
-func (m *DataFetchReply) decode(r *reader) {
+func (m *DataFetchReply) decode(r reader) error {
 	*m = DataFetchReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Value: r.bytes()}
+	return r.done()
 }
 
 // BlockRecover asks a parity node to reconstruct one logical block of
@@ -865,8 +898,9 @@ func (m *BlockRecover) encode(w *writer) {
 	w.u32(uint32(m.Memgest))
 	w.u32(m.Block)
 }
-func (m *BlockRecover) decode(r *reader) {
+func (m *BlockRecover) decode(r reader) error {
 	*m = BlockRecover{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32()), Block: r.u32()}
+	return r.done()
 }
 
 // BlockRecoverReply returns the reconstructed block contents.
@@ -884,8 +918,9 @@ func (m *BlockRecoverReply) encode(w *writer) {
 	w.u32(m.Block)
 	w.bytes(m.Data)
 }
-func (m *BlockRecoverReply) decode(r *reader) {
+func (m *BlockRecoverReply) decode(r reader) error {
 	*m = BlockRecoverReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Block: r.u32(), Data: r.bytes()}
+	return r.done()
 }
 
 // BlockFetch asks a data node for the raw contents of one of its
@@ -902,8 +937,9 @@ func (m *BlockFetch) encode(w *writer) {
 	w.u32(uint32(m.Memgest))
 	w.u32(m.Block)
 }
-func (m *BlockFetch) decode(r *reader) {
+func (m *BlockFetch) decode(r reader) error {
 	*m = BlockFetch{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32()), Block: r.u32()}
+	return r.done()
 }
 
 // BlockFetchReply returns the raw block contents.
@@ -921,8 +957,9 @@ func (m *BlockFetchReply) encode(w *writer) {
 	w.u32(m.Block)
 	w.bytes(m.Data)
 }
-func (m *BlockFetchReply) decode(r *reader) {
+func (m *BlockFetchReply) decode(r reader) error {
 	*m = BlockFetchReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Block: r.u32(), Data: r.bytes()}
+	return r.done()
 }
 
 // -------------------------------------------------------------- elasticity
@@ -953,8 +990,9 @@ func (m *Resize) encode(w *writer) {
 	w.u8(uint8(m.Op))
 	w.u32(uint32(m.Node))
 }
-func (m *Resize) decode(r *reader) {
+func (m *Resize) decode(r reader) error {
 	*m = Resize{Req: ReqID(r.u64()), Op: ResizeOp(r.u8()), Node: NodeID(r.u32())}
+	return r.done()
 }
 
 // ResizeReply confirms a membership change. Moved counts the role
@@ -975,14 +1013,15 @@ func (m *ResizeReply) encode(w *writer) {
 	w.u32(m.Moved)
 	w.u64(uint64(m.Epoch))
 }
-func (m *ResizeReply) decode(r *reader) {
+func (m *ResizeReply) decode(r reader) error {
 	*m = ResizeReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Moved: r.u32(), Epoch: Epoch(r.u64())}
+	return r.done()
 }
 
 // Tick is the local timer event delivered by runners; it never crosses
 // the network.
 type Tick struct{}
 
-func (*Tick) Type() MsgType    { return TTick }
-func (m *Tick) encode(*writer) {}
-func (m *Tick) decode(*reader) {}
+func (*Tick) Type() MsgType           { return TTick }
+func (m *Tick) encode(*writer)        {}
+func (m *Tick) decode(r reader) error { return r.done() }

@@ -257,6 +257,58 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 		t.Fatalf("Rep value bytes did not settle at %d", repBytes)
 	}
 
+	// Memory given back is as exact. Twenty values of two 28 KiB slots
+	// to a chunk land in one shard's table on its coordinator and both
+	// replicas: nine chunks behind the table's newest. Deleting the first
+	// of each pair frees nine slots, under the arena's four chunks'
+	// worth; the tenth, out of the newest chunk, reaches it, and each of
+	// the three tables empties the chunk it filed last — one value copied,
+	// one chunk to the pool. No counter moved before that, the process
+	// gauge every node reports is the pool's size, and every survivor
+	// reads back.
+	if cs.Memgests[1].ValueSlotsRelocated != 0 || cs.Memgests[1].ValueChunksReleased != 0 {
+		t.Fatalf("memgest 1 gave memory back before anything large was freed: %+v", cs.Memgests[1])
+	}
+	big := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i)}, 28000) }
+	var keys []string
+	for i := 0; len(keys) < 20; i++ {
+		if k := fmt.Sprintf("big-%d", i); cl.Cfg.ShardOf(store.KeyHash(k)) == 0 {
+			keys = append(keys, k)
+		}
+	}
+	for i, k := range keys {
+		if _, err := c.PutIn(k, big(i), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pooledBefore := store.ArenaBytesPooled()
+	for i := 0; i < 20; i += 2 {
+		if err := c.Delete(keys[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var gave ClusterStats
+	if !testutil.Eventually(5*time.Second, 5*time.Millisecond, func() bool {
+		gave, _ = CollectStats(addrs)
+		return gave.Memgests[1].ValueChunksReleased == 3 && gave.ArenaPooled == int64(len(addrs))*int64(store.ArenaBytesPooled())
+	}) {
+		t.Fatalf("memgest 1 after ten large deletes: %+v, arena_pooled=%d", gave.Memgests[1], gave.ArenaPooled)
+	}
+	if m := gave.Memgests[1]; m.ValueSlotsRelocated != 3 || gave.Memgests[2].ValueChunksReleased != 0 || store.ArenaBytesPooled() < pooledBefore+3*(64<<10) {
+		t.Fatalf("memgest 1 relocated %d slots, memgest 2 released %d chunks, the pool went from %d to %d bytes",
+			m.ValueSlotsRelocated, gave.Memgests[2].ValueChunksReleased, pooledBefore, store.ArenaBytesPooled())
+	}
+	for i := 1; i < 20; i += 2 {
+		if got, _, err := c.Get(keys[i]); err != nil || !bytes.Equal(got, big(i)) {
+			t.Fatalf("get %s after the evacuation: %v, %d bytes", keys[i], err, len(got))
+		}
+	}
+	buf.Reset()
+	RenderStats(&buf, gave)
+	if want := fmt.Sprintf(" slots_relocated=3 chunks_released=3 arena_backed=%d arena_pooled=%d ", gave.ArenaBacked, gave.ArenaPooled); !strings.Contains(buf.String(), want) {
+		t.Fatalf("render missing %q:\n%s", want, buf.String())
+	}
+
 	// Watch mode renders one block per round.
 	buf.Reset()
 	if err := WatchStats(&buf, addrs, time.Millisecond, 2); err != nil {

@@ -151,10 +151,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(w, "ring_store_parity_bytes_backed{memgest=\"%d\"} %d\n", m.ID, c.ParityBytesBacked)
 		fmt.Fprintf(w, "ring_store_value_bytes_used{memgest=\"%d\"} %d\n", m.ID, c.ValueBytesUsed)
 		fmt.Fprintf(w, "ring_store_value_bytes_backed{memgest=\"%d\"} %d\n", m.ID, c.ValueBytesBacked)
+		fmt.Fprintf(w, "ring_store_value_slots_relocated_total{memgest=\"%d\"} %d\n", m.ID, c.ValueSlotsRelocated)
+		fmt.Fprintf(w, "ring_store_value_chunks_released_total{memgest=\"%d\"} %d\n", m.ID, c.ValueChunksReleased)
 	}
 	fmt.Fprintf(w, "ring_meta_entries %d\n", ms.MetaEntries)
 	pv := processVars()
-	for _, name := range []string{"arena_bytes_backed", "rss_anon_bytes", "rss_file_bytes"} {
+	for _, name := range []string{"arena_bytes_backed", "arena_bytes_pooled", "rss_anon_bytes", "rss_file_bytes"} {
 		fmt.Fprintf(w, "ring_process_%s %v\n", name, pv["process."+name])
 	}
 }

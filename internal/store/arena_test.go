@@ -10,19 +10,53 @@ import (
 	"ring/internal/proto"
 )
 
-// FuzzValueArenaModel drives two MetaTables that hold Rep values and a
-// map of plain byte slices with the same fuzzer-chosen stream of puts,
-// value replacements, deletes and table drops. Every value must read
-// back as the model's, no two live slots of either table may overlap, a
-// freed slot must be taken before anything new is cut, the used/backed
-// accounting must be exact, and a dropped table must hand every chunk
-// back to the pool and every run back to the system. Value sizes span
-// the 16-byte classes, the quarter-doubling classes, a whole chunk and
-// runs beyond one.
+// FuzzValueArenaModel drives two poisoned MetaTables that hold Rep
+// values and a map of plain byte slices with the same fuzzer-chosen
+// stream of puts, value replacements, deletes, evacuations and table
+// drops. Every value must read back as the model's wherever its slot now
+// is, no two live slots of either table may overlap, a freed slot must
+// be taken before a new chunk is cut, the arena's books (bytes used and
+// backed, live bytes and owners per chunk, the freed slots, where each
+// chunk is filed) must be exact, fewer than evacuateAt bytes of freed
+// slots may remain after any step unless an evacuation found no room,
+// a view taken before its value was deleted or its chunk evacuated must
+// read 0xDB, and a dropped table must hand every chunk back to the pool
+// and every run back to the system. Value sizes span the 16-byte
+// classes, the quarter-doubling classes, a whole chunk and runs beyond
+// one.
 func FuzzValueArenaModel(f *testing.F) {
-	f.Add([]byte{0, 1, 9, 0, 2, 9, 1, 1, 0, 3, 40, 5, 0, 0, 1, 200, 4, 0, 5})
-	f.Add([]byte{0, 7, 255, 0, 8, 254, 1, 7, 0, 9, 255, 2, 8, 3, 5, 4, 1, 0, 7, 3})
-	f.Add(bytes.Repeat([]byte{0, 3, 77, 1, 3, 5}, 30))
+	f.Add([]byte{0, 1, 0, 9, 0, 2, 0, 9, 1, 1, 0, 3, 0, 40, 5, 0, 0, 1, 200, 4, 0, 5})
+	f.Add([]byte{0, 7, 0, 255, 0, 8, 0, 254, 0, 7, 2, 9, 0, 8, 3, 0, 0, 5, 1, 7, 0, 253, 1, 0, 4})
+	f.Add(bytes.Repeat([]byte{0, 3, 0, 77, 1, 3, 5}, 30))
+	// Nine values of three to a chunk, two deleted from the oldest chunk
+	// and one from the next, then evacuate: the one left in the oldest
+	// moves over.
+	var seed []byte
+	for k := byte(0); k < 9; k++ {
+		seed = append(seed, 0, k, 0, 212)
+	}
+	f.Add(append(seed, 0, 0, 3, 0, 1, 3, 0, 3, 3, 0, 0, 6, 0, 0, 5, 0, 0, 6))
+	// Six chunk-sized values, five deleted: the freed slots reach
+	// evacuateAt and whole chunks go back on their own.
+	seed = nil
+	for k := byte(0); k < 6; k++ {
+		seed = append(seed, 1, k, 0, 249)
+	}
+	for k := byte(0); k < 5; k++ {
+		seed = append(seed, 1, k, 3)
+	}
+	f.Add(append(seed, 1, 0, 5))
+	// Fourteen chunks of a 40 KiB and a 20 KiB value each; with the small
+	// ones deleted the freed slots pass evacuateAt but no large value has
+	// anywhere to go, until large ones are deleted too.
+	seed = nil
+	for k := byte(0); k < 14; k++ {
+		seed = append(seed, 0, 2*k, 0, 230, 0, 2*k+1, 0, 212)
+	}
+	for k := byte(0); k < 14; k++ {
+		seed = append(seed, 0, 2*k+1, 3)
+	}
+	f.Add(append(seed, 0, 0, 3, 0, 2, 3, 0, 4, 3, 0, 0, 5))
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		arg := func() int {
@@ -46,105 +80,164 @@ func FuzzValueArenaModel(f *testing.F) {
 				return chunkSize + (v-249)*3000 // runs of their own
 			}
 		}
-		// model mirrors one table: what it holds, and the arena's state as
-		// far as the accounting shows it.
-		type model struct {
-			vals   map[EntryKey][]byte
-			freed  [numClasses]int
-			tail   int
-			chunks int
-			runs   uint64
-		}
+		type model map[EntryKey][]byte
 		tables := [2]*MetaTable{NewMetaTable(), NewMetaTable()}
-		models := [2]*model{{vals: map[EntryKey][]byte{}}, {vals: map[EntryKey][]byte{}}}
+		models := [2]model{{}, {}}
+		for _, tb := range tables {
+			tb.Poison = true
+		}
 		defer func() {
 			for _, tb := range tables {
 				tb.Drop()
 			}
 		}()
-		pageRound := func(n int) uint64 { return uint64((n + pageSize - 1) &^ (pageSize - 1)) }
-		release := func(m *model, old []byte) {
-			switch n := len(old); {
-			case n == 0:
-			case n > chunkSize:
-				m.runs -= pageRound(n)
-			default:
-				c, _ := slotClass(n)
-				m.freed[c]++
+		pooled := func() int {
+			chunkPool.mu.Lock()
+			defer chunkPool.mu.Unlock()
+			return len(chunkPool.free)
+		}
+		// views returns where the chunk-held values of a table are now.
+		views := func(tb *MetaTable, m model) map[EntryKey][]byte {
+			out := map[EntryKey][]byte{}
+			for ek, v := range m {
+				if len(v) > 0 && len(v) <= chunkSize {
+					out[ek], _ = tb.Get(ek.Key, ek.Version).Bytes()
+				}
+			}
+			return out
+		}
+		// stale fails unless every view whose value has since gone or
+		// moved reads as poison. It is called before anything could have
+		// taken the chunk again.
+		stale := func(step int, tb *MetaTable, before map[EntryKey][]byte) {
+			for ek, old := range before {
+				var now []byte
+				if e := tb.Get(ek.Key, ek.Version); e != nil {
+					now, _ = e.Bytes()
+				}
+				if len(now) > 0 && &now[0] == &old[0] {
+					continue
+				}
+				if !bytes.Equal(old, bytes.Repeat([]byte{0xDB}, len(old))) {
+					t.Fatalf("step %d: the view of %v taken before it was freed or moved reads %x..., want 0xDB", step, ek, old[:4])
+				}
 			}
 		}
-		take := func(m *model, n int) {
-			switch {
-			case n == 0:
-			case n > chunkSize:
-				m.runs += pageRound(n)
-			default:
-				c, sz := slotClass(n)
-				if m.freed[c] > 0 {
-					m.freed[c]--
-				} else {
-					if m.tail < sz {
-						m.chunks++
-						m.tail = chunkSize
+		// books checks a table's arena against its model.
+		books := func(step, i int) {
+			tb, m := tables[i], models[i]
+			var used, runs uint64
+			slots, slotBytes := 0, 0
+			for _, v := range m {
+				used += uint64(len(v))
+				switch n := len(v); {
+				case n > chunkSize:
+					runs += uint64((n + pageSize - 1) &^ (pageSize - 1))
+				case n > 0:
+					_, sz := slotClass(n)
+					slots++
+					slotBytes += sz
+				}
+			}
+			a := tb.vals
+			if a == nil {
+				a = &arena{}
+			}
+			if gotUsed, gotBacked := tb.ValueBytes(); gotUsed != used || gotBacked != uint64(len(a.chunks))*chunkSize+runs {
+				t.Fatalf("step %d: table %d accounts used %d backed %d, model used %d chunks %d runs %d",
+					step, i, gotUsed, gotBacked, used, len(a.chunks), runs)
+			}
+			filed := 0
+			for level, f := range a.fill {
+				for pos, c := range f {
+					filed++
+					if a.chunks[chunkKey(&c.mem[0])] != c || int(c.level) != level || int(c.pos) != pos || int(c.live)/fillStep != level {
+						t.Fatalf("step %d: table %d files a chunk of %d live bytes at %d/%d as %d/%d", step, i, c.live, level, pos, c.level, c.pos)
 					}
-					m.tail -= sz
+					slots -= len(c.owners)
+					slotBytes -= int(c.live)
+					for at, e := range c.owners {
+						if int(e.at) != at || a.chunks[chunkKey(e.slot)] != c {
+							t.Fatalf("step %d: table %d: owner %d of a chunk says %d, or its slot is elsewhere", step, i, at, e.at)
+						}
+					}
+				}
+			}
+			if filed != len(a.chunks) || slots != 0 || slotBytes != 0 {
+				t.Fatalf("step %d: table %d files %d of %d chunks and misses %d owners, %d live bytes", step, i, filed, len(a.chunks), slots, slotBytes)
+			}
+			free := 0
+			for class, f := range a.freed {
+				free += len(f) * classSize(class)
+			}
+			if free != a.freeBytes || free >= evacuateAt+a.deferred {
+				t.Fatalf("step %d: table %d holds %d bytes of freed slots, counts %d, and may hold %d+%d", step, i, free, a.freeBytes, evacuateAt, a.deferred)
+			}
+		}
+		// hold checks that a value goes into a freed slot of its class
+		// whenever there is one.
+		hold := func(step int, tb *MetaTable, e *Entry, val []byte) {
+			var cur *chunk
+			if tb.vals != nil {
+				cur = tb.vals.cur
+			}
+			tb.Hold(e, val)
+			if n := len(val); n > 0 && n <= chunkSize && tb.vals.cur != cur {
+				if class, _ := slotClass(n); len(tb.vals.freed[class]) > 0 {
+					t.Fatalf("step %d: a chunk was cut for %d bytes while %d freed slots of their class wait", step, n, len(tb.vals.freed[class]))
 				}
 			}
 		}
 		for step := 0; len(ops) > 0; step++ {
 			i := arg() % 2
 			tb, m := tables[i], models[i]
-			ek := EntryKey{Key: fmt.Sprintf("k%d", arg()%12), Version: 1}
-			switch op := arg() % 6; op {
+			ek := EntryKey{Key: fmt.Sprintf("k%d", arg()%40), Version: 1}
+			switch op := arg() % 7; op {
 			case 0, 1: // Put (a new entry, replacing any old one) and Hold
 				val := make([]byte, size(arg()))
 				for j := range val {
 					val[j] = byte(step + j*13)
 				}
 				e := &Entry{Rec: proto.MetaRecord{Key: ek.Key, Version: ek.Version, Length: uint32(len(val))}}
-				release(m, m.vals[ek])
-				take(m, len(val))
 				tb.Put(e)
-				tb.Hold(e, val)
-				m.vals[ek] = val
+				hold(step, tb, e, val)
+				m[ek] = val
 			case 2: // Hold again: the entry's value is replaced in place
 				e := tb.Get(ek.Key, ek.Version)
 				if e == nil {
 					continue
 				}
 				val := bytes.Repeat([]byte{byte(step)}, size(arg()))
-				release(m, m.vals[ek])
-				take(m, len(val))
 				e.Rec.Length = uint32(len(val))
-				tb.Hold(e, val)
-				m.vals[ek] = val
+				hold(step, tb, e, val)
+				m[ek] = val
 			case 3: // Delete
-				if _, had := m.vals[ek]; (tb.Delete(ek.Key, ek.Version) != nil) != had {
+				before := views(tb, m)
+				if _, had := m[ek]; (tb.Delete(ek.Key, ek.Version) != nil) != had {
 					t.Fatalf("Delete(%v) disagrees with the model (had=%v)", ek, had)
 				}
-				release(m, m.vals[ek])
-				delete(m.vals, ek)
+				delete(m, ek)
+				stale(step, tb, before)
 			case 4: // Drop the table: chunks to the pool, runs to the system
-				chunkPool.mu.Lock()
-				pooled := len(chunkPool.free)
-				chunkPool.mu.Unlock()
-				mapped := ArenaBytesBacked()
+				was, mapped := pooled(), ArenaBytesBacked()
+				var chunks int
+				var runs uint64
+				if tb.vals != nil {
+					chunks, runs = len(tb.vals.chunks), tb.vals.runLen
+				}
 				tb.Drop()
-				chunkPool.mu.Lock()
-				got := len(chunkPool.free) - pooled
-				chunkPool.mu.Unlock()
-				if got != m.chunks || mapped-ArenaBytesBacked() != m.runs {
-					t.Fatalf("Drop returned %d chunks and %d run bytes, want %d and %d", got, mapped-ArenaBytesBacked(), m.chunks, m.runs)
+				if got := pooled() - was; got != chunks || mapped-ArenaBytesBacked() != runs {
+					t.Fatalf("Drop returned %d chunks and %d run bytes, want %d and %d", got, mapped-ArenaBytesBacked(), chunks, runs)
 				}
 				if tb.Len() != 0 {
 					t.Fatalf("dropped table still has %d entries", tb.Len())
 				}
-				*m = model{vals: map[EntryKey][]byte{}}
+				clear(m)
 			case 5: // read everything back, and look for overlaps
 				type span struct{ lo, hi uintptr }
 				var spans []span
 				for k, tb := range tables {
-					for ek, want := range models[k].vals {
+					for ek, want := range models[k] {
 						e := tb.Get(ek.Key, ek.Version)
 						if e == nil {
 							t.Fatalf("table %d lost %v", k, ek)
@@ -165,17 +258,91 @@ func FuzzValueArenaModel(f *testing.F) {
 						t.Fatalf("live values overlap: %v and %v", spans[j-1], spans[j])
 					}
 				}
+			case 6: // evacuate now, whatever the freed slots amount to
+				if tb.vals == nil {
+					continue
+				}
+				before, was, chunks := views(tb, m), pooled(), len(tb.vals.chunks)
+				did := tb.vals.evacuate()
+				if got := pooled() - was; (got == 1) != did || chunks-len(tb.vals.chunks) != got {
+					t.Fatalf("step %d: evacuate reported %v, the pool gained %d chunks and the table lost %d", step, did, got, chunks-len(tb.vals.chunks))
+				}
+				stale(step, tb, before)
+				for ek, want := range m {
+					if got, _ := tb.Get(ek.Key, ek.Version).Bytes(); !bytes.Equal(got, want) {
+						t.Fatalf("step %d: %v reads differently after an evacuation", step, ek)
+					}
+				}
 			}
-			var used uint64
-			for _, v := range m.vals {
-				used += uint64(len(v))
-			}
-			if gotUsed, gotBacked := tb.ValueBytes(); gotUsed != used || gotBacked != uint64(m.chunks)*chunkSize+m.runs {
-				t.Fatalf("step %d: table %d accounts used %d backed %d, model used %d chunks %d runs %d",
-					step, i, gotUsed, gotBacked, used, m.chunks, m.runs)
-			}
+			books(step, i)
 		}
 	})
+}
+
+// TestValueArenaGivesChunksBack: a table that loses half its values
+// gives back the chunks they filled, whatever the values' sizes, while it
+// lives: what stays behind the rest is bounded by a constant, evacuateAt
+// of freed slots plus the newest chunk's uncut tail, not by what was
+// freed (the arena this one replaced kept all of it: backed = 2 x used).
+func TestValueArenaGivesChunksBack(t *testing.T) {
+	const slack = evacuateAt + chunkSize
+	for _, tc := range []struct {
+		name  string
+		sizes []int // of consecutive keys, over and over; all are whole slots or whole pages
+	}{
+		{"one class", []int{1 << 10}},
+		{"two classes sharing chunks", []int{1 << 10, 256}},
+		{"runs in the mix", []int{1 << 10, 1 << 10, 1 << 10, 1 << 10, 1 << 10, 1 << 10, 1 << 10, 1 << 10, 2 * chunkSize}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const keys = 4096
+			tb := NewMetaTable()
+			tb.Poison = true
+			defer tb.Drop()
+			key := func(i int) string { return fmt.Sprintf("%08x", i) }
+			value := func(i int) []byte {
+				v := bytes.Repeat([]byte{byte(i)}, tc.sizes[i%len(tc.sizes)])
+				copy(v, key(i))
+				return v
+			}
+			for i := 0; i < keys; i++ {
+				e := &Entry{Rec: proto.MetaRecord{Key: key(i), Version: 1, Length: uint32(len(value(i)))}}
+				tb.Put(e)
+				tb.Hold(e, value(i))
+			}
+			full, backedFull := tb.ValueBytes()
+			if backedFull > full+chunkSize {
+				t.Fatalf("the full table holds %d bytes in %d", full, backedFull)
+			}
+			gone := func(i int) bool { return (i>>1)&1 == 0 } // every other pair
+			was := ArenaBytesPooled()
+			for i := 0; i < keys; i++ {
+				if gone(i) {
+					tb.Delete(key(i), 1)
+				}
+			}
+			used, backed := tb.ValueBytes()
+			moves := tb.ValueMoves()
+			t.Logf("%d bytes in %d backed, then %d in %d: %d slots relocated, %d chunks released", full, backedFull, used, backed, moves.SlotsRelocated, moves.ChunksReleased)
+			if used > full*6/10 || backed > used+slack {
+				t.Errorf("after deleting half, %d bytes are held in %d, want at most %d more", used, backed, slack)
+			}
+			if got := ArenaBytesPooled() - was; got != moves.ChunksReleased*chunkSize || uint64(backedFull-backed) < got {
+				t.Errorf("the pool gained %d bytes, the table released %d chunks and shrank by %d", got, moves.ChunksReleased, backedFull-backed)
+			}
+			for i := 0; i < keys; i++ {
+				e := tb.Get(key(i), 1)
+				if gone(i) != (e == nil) {
+					t.Fatalf("key %d: gone=%v, entry %v", i, gone(i), e)
+				}
+				if e != nil {
+					if got, _ := e.Bytes(); !bytes.Equal(got, value(i)) {
+						t.Fatalf("key %d reads %d bytes that differ from its value", i, len(got))
+					}
+				}
+			}
+		})
+	}
 }
 
 // TestSlotClasses: every size up to a chunk lands in a class whose slot
@@ -185,8 +352,8 @@ func TestSlotClasses(t *testing.T) {
 	prevClass, prevSize := -1, 0
 	for n := 1; n <= chunkSize; n++ {
 		class, size := slotClass(n)
-		if size < n || class < 0 || class >= numClasses {
-			t.Fatalf("slotClass(%d) = class %d size %d", n, class, size)
+		if size < n || class < 0 || class >= numClasses || classSize(class) != size {
+			t.Fatalf("slotClass(%d) = class %d size %d, classSize %d", n, class, size, classSize(class))
 		}
 		if n > 128 && (size-n)*5 >= size {
 			t.Fatalf("slotClass(%d): slot of %d wastes a fifth or more", n, size)

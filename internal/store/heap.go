@@ -70,7 +70,7 @@ func (r *region) each(b, off, n int, back bool, fn func(p []byte, i, m int)) {
 		m := min(n-i, r.chunkLen(c)-o)
 		ch := r.blocks[b][c]
 		if ch == nil && back {
-			ch = r.mem.alloc(r.chunkLen(c))
+			ch = r.mem.alloc(r.chunkLen(c), nil)
 			r.blocks[b][c] = ch
 		}
 		if ch != nil {
@@ -105,7 +105,7 @@ func (r *region) install(b int, data []byte) {
 		if ch != nil {
 			copy(ch, piece)
 		} else if len(bytes.TrimLeft(piece, "\x00")) > 0 {
-			r.blocks[b][c] = r.mem.alloc(len(piece))
+			r.blocks[b][c] = r.mem.alloc(len(piece), nil)
 			copy(r.blocks[b][c], piece)
 		}
 	}

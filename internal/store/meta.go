@@ -39,9 +39,11 @@ type Entry struct {
 	// Seq is the replicated-log sequence that carried this entry.
 	Seq proto.Seq
 	// slot is the Rep value held for this entry, n bytes in the table's
-	// arena; nil when the table holds none.
+	// arena; nil when the table holds none. at is the entry's place
+	// among the owners of the slot's chunk.
 	slot *byte
 	n    uint32
+	at   uint32
 	// parked exists only while requests wait for the entry to commit.
 	parked *Parked
 }
@@ -59,8 +61,11 @@ func (e *Entry) Extent() Extent {
 // whether it holds it. An entry that carries no bytes (a tombstone, an
 // empty value) is held, with nil bytes; an entry that recovery
 // installed ahead of its bytes is not, until Hold. The bytes are a view
-// of the slot: Delete, a replacing Put, Hold and Drop free it, so a
-// caller that sends them anywhere copies them before it returns.
+// of the slot, good until the table next frees a value: Delete, a
+// replacing Put, Hold and Drop free this entry's slot, and a free of any
+// entry's may move the values of others to another chunk (the arena's
+// evacuate). So a caller copies them before the table changes, and
+// always before it returns.
 func (e *Entry) Bytes() (b []byte, held bool) {
 	if e.slot != nil {
 		return unsafe.Slice(e.slot, e.n), true
@@ -159,7 +164,8 @@ func (t *MetaTable) Put(e *Entry) {
 
 // Hold makes the table keep a copy of value as the bytes of e, an entry
 // of this table, in place of any it held before. This is the one copy a
-// Rep node makes of a value: value may be a view into a packet.
+// Rep node makes of a value: value may be a view into a packet, but not
+// of bytes this table holds (freeing e's old ones may move them).
 func (t *MetaTable) Hold(e *Entry, value []byte) {
 	t.release(e)
 	if len(value) == 0 {
@@ -168,26 +174,33 @@ func (t *MetaTable) Hold(e *Entry, value []byte) {
 	if t.vals == nil {
 		t.vals = newArena(t.Poison)
 	}
-	b := t.vals.alloc(len(value))
-	copy(b, value)
-	e.slot, e.n = &b[0], uint32(len(value))
+	copy(t.vals.alloc(len(value), e), value)
 }
 
 func (t *MetaTable) release(e *Entry) {
 	if e.slot != nil {
-		t.vals.free(unsafe.Slice(e.slot, e.n))
-		e.slot, e.n = nil, 0
+		t.vals.free(e)
 	}
 }
 
 // ValueBytes returns the bytes of the values the table holds and the
-// bytes of memory behind them (whole chunks: freed slots wait there for
-// the next value of their size).
+// bytes of memory behind them: whole chunks, of which under
+// evacuateAt bytes are freed slots waiting for the next value of their
+// size.
 func (t *MetaTable) ValueBytes() (used, backed uint64) {
 	if t.vals == nil {
 		return 0, 0
 	}
 	return t.vals.used, t.vals.backed()
+}
+
+// ValueMoves returns what the table has done so far to give the memory
+// of freed values back while it lives; Drop forgets it.
+func (t *MetaTable) ValueMoves() ValueMoves {
+	if t.vals == nil {
+		return ValueMoves{}
+	}
+	return t.vals.moved
 }
 
 // Drop empties the table and gives the memory of its values back for

@@ -138,6 +138,11 @@ type tcpEndpoint struct {
 
 func (e *tcpEndpoint) Addr() string { return e.addr }
 
+// RecvChan and Closed implement ChanReceiver: the read loops only ever
+// send on the inbox, and Close closes done.
+func (e *tcpEndpoint) RecvChan() <-chan Packet { return e.inbox }
+func (e *tcpEndpoint) Closed() <-chan struct{} { return e.done }
+
 func (e *tcpEndpoint) acceptLoop() {
 	for {
 		c, err := e.ln.Accept()

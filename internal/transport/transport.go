@@ -163,10 +163,11 @@ type Fabric interface {
 }
 
 // ChanReceiver is an optional Endpoint extension implemented by
-// fabrics whose inbox is a Go channel. Event loops select on RecvChan
-// directly instead of dedicating a forwarder goroutine to blocking
-// Recv calls — one less goroutine handoff on every packet, which on
-// the in-process fabric is a large share of per-message cost.
+// fabrics whose inbox is a Go channel: both of this package's. Event
+// loops select on RecvChan directly instead of dedicating a forwarder
+// goroutine to blocking Recv calls — one less goroutine handoff on every
+// packet, which on the in-process fabric is a large share of
+// per-message cost.
 type ChanReceiver interface {
 	// RecvChan returns the endpoint's inbox. A packet read from it is
 	// owned by the reader exactly as if Recv had returned it. The

@@ -410,3 +410,55 @@ func BenchmarkMemFabricRoundTrip(b *testing.B) {
 	b.StopTimer()
 	dst.Close()
 }
+
+// TestEndpointsAreChanReceivers: the endpoints of both fabrics hand an
+// event loop their inbox itself, so it can select on packets without a
+// forwarder goroutine; the channel delivers what Recv would have, and
+// Close fires Closed without closing the inbox.
+func TestEndpointsAreChanReceivers(t *testing.T) {
+	tcp := NewTCPFabric()
+	for name, f := range map[string]Fabric{"memnet": NewMemFabric(0), "tcpnet": tcp} {
+		t.Run(name, func(t *testing.T) {
+			tcp.Map("a", "127.0.0.1:0")
+			tcp.Map("b", "127.0.0.1:0")
+			a, err := f.Register("a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			b, err := f.Register("b")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tcp.Map("b", BoundAddr(b))
+			cr, ok := b.(ChanReceiver)
+			if !ok {
+				t.Fatalf("%T does not implement ChanReceiver", b)
+			}
+			if err := a.Send("b", []byte("into the inbox")); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case p := <-cr.RecvChan():
+				if p.From != "a" || string(p.Payload) != "into the inbox" {
+					t.Fatalf("got %+v", p)
+				}
+			case <-cr.Closed():
+				t.Fatal("Closed fired on an open endpoint")
+			case <-time.After(5 * time.Second):
+				t.Fatal("nothing arrived on RecvChan")
+			}
+			b.Close()
+			select {
+			case <-cr.Closed():
+			case <-time.After(5 * time.Second):
+				t.Fatal("Close did not fire Closed")
+			}
+			select {
+			case p, open := <-cr.RecvChan():
+				t.Fatalf("the inbox of a closed endpoint yields %+v (open=%v)", p, open)
+			default:
+			}
+		})
+	}
+}
