@@ -6,10 +6,11 @@
 # lint — fast static gate:
 #   1. formatting: gofmt must be a no-op across the tree
 #   2. go vet across the tree
-#   3. ringlint: the project-specific analyzers (internal/lint) over
-#      the whole tree — hot-path allocation, sim determinism, sleepy
-#      tests, durable-path errors, ack ordering (quorum and persistence
-#      barriers), lock discipline, goroutine lifetimes.
+#   3. ringlint: the six project-specific analyzers (internal/lint)
+#      over the whole tree — hot-path allocation, sim determinism,
+#      sleepy tests, durable-path errors, lock discipline, goroutine
+#      lifetimes. (Ack ordering is not among them: acknowledging ahead
+#      of the quorum or the sync does not compile, see stage 5.)
 #      Any finding fails the build; exemptions are //ring: directives
 #      in the source, where review can see them. scripts/loc.sh then
 #      prints the size report (non-test lines per internal/* package
@@ -22,7 +23,11 @@
 #      while CI (which always has network) enforces them.
 #
 # test — the tier-1 gate:
-#   5. everything builds, every test passes; internal/store's chunk
+#   5. everything builds, every test passes — among them
+#      TestAckBeforeBarrierDoesNotCompile (internal/core), which applies
+#      the seven ack-before-barrier mutations with `go build -overlay`
+#      and wants each rejected by the compiler; eight builds, ~1.5 s,
+#      skipped under -short; internal/store's chunk
 #      source is the one build-tagged pair in the tree, so the half this
 #      host does not run is compiled too: the plain-heap fallback
 #      (GOOS=windows go build, with cmd/ringd on top of it) and the

@@ -7,6 +7,7 @@ import (
 
 	"ring/internal/metrics"
 	"ring/internal/proto"
+	"ring/internal/replog"
 	"ring/internal/store"
 	"ring/internal/transport"
 )
@@ -46,29 +47,27 @@ func (n *Node) resolveMemgest(id proto.MemgestID) *proto.MemgestInfo {
 // checkClientOp performs the routing checks shared by all client data
 // operations and returns the shard, or false after queuing an error
 // reply built by fail.
-func (n *Node) checkClientOp(key string, fail func(proto.Status)) (uint32, bool) {
+func (n *Node) checkClientOp(key string, fail func(refusal)) (uint32, bool) {
 	if len(n.cfg.Coords) == 0 {
-		fail(proto.StUnavailable)
+		fail(refUnavailable)
 		return 0, false
 	}
 	shard := n.shardOf(key)
 	if !n.coordinates(shard) {
-		fail(proto.StWrongNode)
+		fail(refWrongNode)
 		return 0, false
 	}
 	if !n.serving {
-		fail(proto.StRetry)
+		fail(refRetry)
 		return 0, false
 	}
 	return shard, true
 }
 
 // handlePut coordinates a client write.
-//
-//ring:handler
 func (n *Node) handlePut(from string, m *proto.Put) {
 	n.Stats.Puts++
-	fail := func(s proto.Status) { n.send(from, &proto.PutReply{Req: m.Req, Status: s}) }
+	fail := func(s refusal) { n.refuse(from, m.Req, replyPut, s) }
 	shard, ok := n.checkClientOp(m.Key, fail)
 	if !ok {
 		return
@@ -78,18 +77,16 @@ func (n *Node) handlePut(from string, m *proto.Put) {
 	}
 	mi := n.resolveMemgest(m.Memgest)
 	if mi == nil {
-		fail(proto.StNoMemgest)
+		fail(refNoMemgest)
 		return
 	}
 	n.doWrite(from, m.Req, replyPut, shard, m.Key, m.Value, mi.ID, false)
 }
 
 // handleDelete coordinates a client delete (a tombstone write).
-//
-//ring:handler
 func (n *Node) handleDelete(from string, m *proto.Delete) {
 	n.Stats.Deletes++
-	fail := func(s proto.Status) { n.send(from, &proto.DeleteReply{Req: m.Req, Status: s}) }
+	fail := func(s refusal) { n.refuse(from, m.Req, replyDelete, s) }
 	shard, ok := n.checkClientOp(m.Key, fail)
 	if !ok {
 		return
@@ -102,11 +99,11 @@ func (n *Node) handleDelete(from string, m *proto.Delete) {
 	// whose newest version is already a tombstone is absent.
 	ref, found := n.volFor(shard).Highest(m.Key)
 	if !found {
-		fail(proto.StNotFound)
+		fail(refNotFound)
 		return
 	}
 	if e := n.lookupEntry(shard, m.Key, ref); e == nil || e.Rec.Tombstone {
-		fail(proto.StNotFound)
+		fail(refNotFound)
 		return
 	}
 	n.doWrite(from, m.Req, replyDelete, shard, m.Key, nil, ref.Memgest, true)
@@ -120,12 +117,12 @@ func (n *Node) handleDelete(from string, m *proto.Delete) {
 func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard uint32, key string, value []byte, mgID proto.MemgestID, tombstone bool) bool {
 	st := n.mgFor(mgID)
 	if st == nil {
-		n.replyStatus(replyTo, req, kind, proto.StNoMemgest, 0)
+		n.refuse(replyTo, req, kind, refNoMemgest)
 		return false
 	}
 	cs := st.coord[shard]
 	if cs == nil {
-		n.replyStatus(replyTo, req, kind, proto.StWrongNode, 0)
+		n.refuse(replyTo, req, kind, refWrongNode)
 		return false
 	}
 	// Count the op against its memgest only now, with routing and
@@ -163,7 +160,7 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 		if st.info.Scheme.Kind == proto.SchemeSRS && !tombstone && len(value) > 0 {
 			ext, err := cs.heap.Alloc(len(value))
 			if err != nil {
-				n.replyStatus(replyTo, req, kind, proto.StUnavailable, 0)
+				n.refuse(replyTo, req, kind, refUnavailable)
 				return false
 			}
 			cs.heap.Write(ext, value)
@@ -176,29 +173,23 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 		}
 		vol.Add(key, ver, mgID)
 		n.persistAppend(st, shard, e)
-		n.commitEntry(st, cs, key, ver, replyTo, req, kind, n.now) //ring:ackok deliberate ack-before-quorum chaos injection
+		n.commitEntry(replog.ChaosForgeQuorum(), st, cs, key, ver, replyTo, req, kind, n.now)
 		return true
 	}
-
-	// The quorum size is decided up front, before any redundancy
-	// traffic is issued: every scheme owes the same answer, and the
-	// commit decision below must be dominated by this bookkeeping
-	// (ackorder checks exactly that).
-	need := n.quorumAcks(st.info.Scheme)
 
 	switch st.info.Scheme.Kind {
 	case proto.SchemeSRS:
 		if !tombstone && len(value) > 0 {
 			ext, err := cs.heap.Alloc(len(value))
 			if err != nil {
-				n.replyStatus(replyTo, req, kind, proto.StUnavailable, 0)
+				n.refuse(replyTo, req, kind, refUnavailable)
 				return false
 			}
 			if !cs.blockOK[ext.Block] {
 				// The target block has not been re-decoded yet after a
 				// failover; writing would corrupt parity deltas.
 				cs.heap.Free(ext)
-				n.replyStatus(replyTo, req, kind, proto.StRetry, 0)
+				n.refuse(replyTo, req, kind, refRetry)
 				return false
 			}
 			delta := cs.heap.Write(ext, value)
@@ -257,36 +248,76 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 	vol.Add(key, ver, mgID)
 	n.persistAppend(st, shard, e)
 
-	if need == 0 {
+	if q, done := cs.tracker.Open(seq, n.quorumAcks(st.info.Scheme)); done {
 		// Unreliable memgests commit immediately (Rep(1,s)).
-		n.commitEntry(st, cs, key, ver, replyTo, req, kind, n.now)
+		n.commitEntry(q, st, cs, key, ver, replyTo, req, kind, n.now)
 		return true
 	}
-	cs.tracker.Open(seq, need)
 	cs.pending[seq] = &pendingCommit{key: key, version: ver, start: n.now, replyTo: replyTo, req: req, kind: kind}
 	return true
 }
 
-// replyStatus sends the error reply appropriate for a write kind.
-func (n *Node) replyStatus(replyTo string, req proto.ReqID, kind replyKind, s proto.Status, ver proto.Version) {
+// refusal is the status of a refused write: any but StOK, for which it
+// has no constant. A proto.Status does not convert to it implicitly, so
+// no forwarded status can turn a refusal into an acknowledgement;
+// refuse rejects the zero value Go still allows.
+type refusal proto.Status
+
+const (
+	refNotFound    = refusal(proto.StNotFound)
+	refNoMemgest   = refusal(proto.StNoMemgest)
+	refWrongNode   = refusal(proto.StWrongNode)
+	refRetry       = refusal(proto.StRetry)
+	refInvalid     = refusal(proto.StInvalid)
+	refUnavailable = refusal(proto.StUnavailable)
+)
+
+// refuse sends the error reply appropriate for a write kind.
+func (n *Node) refuse(replyTo string, req proto.ReqID, kind replyKind, s refusal) {
+	if s == 0 {
+		panic("core: refusal carrying StOK")
+	}
 	switch kind {
 	case replyPut:
-		n.send(replyTo, &proto.PutReply{Req: req, Status: s, Version: ver})
+		n.send(replyTo, &proto.PutReply{Req: req, Status: proto.Status(s)})
 	case replyDelete:
-		n.send(replyTo, &proto.DeleteReply{Req: req, Status: s})
+		n.send(replyTo, &proto.DeleteReply{Req: req, Status: proto.Status(s)})
 	case replyMove:
 		if id, ok := strings.CutPrefix(replyTo, bulkMovePrefix); ok {
 			n.bulkMoveDone(id, s)
 			return
 		}
-		n.send(replyTo, &proto.MoveReply{Req: req, Status: s, Version: ver})
+		n.send(replyTo, &proto.MoveReply{Req: req, Status: proto.Status(s)})
 	}
 }
 
-// commitEntry marks (key, version) committed, replies to the client,
-// answers parked requests, propagates the commit to redundancy nodes,
-// and garbage-collects superseded versions.
-func (n *Node) commitEntry(st *mgState, cs *coordShard, key string, ver proto.Version, replyTo string, req proto.ReqID, kind replyKind, start time.Duration) {
+// replyOK acknowledges a write. It is the only function that builds a
+// PutReply, DeleteReply or MoveReply able to say StOK, and it takes the
+// proof that the write's redundancy is complete: from commitEntry, or
+// from replog.Committed for a move that had nothing to write.
+func (n *Node) replyOK(q replog.Quorum, replyTo string, req proto.ReqID, kind replyKind, ver proto.Version) {
+	q.Assert()
+	switch kind {
+	case replyPut:
+		n.send(replyTo, &proto.PutReply{Req: req, Status: proto.StOK, Version: ver})
+	case replyDelete:
+		n.send(replyTo, &proto.DeleteReply{Req: req, Status: proto.StOK})
+	case replyMove:
+		if id, ok := strings.CutPrefix(replyTo, bulkMovePrefix); ok {
+			if bm := n.bulkMoveDone(id, 0); bm != nil {
+				n.send(bm.client, &proto.MoveReply{Req: bm.req, Status: proto.StOK, Moved: bm.moved})
+			}
+			return
+		}
+		n.send(replyTo, &proto.MoveReply{Req: req, Status: proto.StOK, Version: ver})
+	}
+}
+
+// commitEntry marks (key, version) committed under the proof that its
+// redundancy is complete, replies to the client, answers parked
+// requests, propagates the commit to redundancy nodes, and
+// garbage-collects superseded versions.
+func (n *Node) commitEntry(q replog.Quorum, st *mgState, cs *coordShard, key string, ver proto.Version, replyTo string, req proto.ReqID, kind replyKind, start time.Duration) {
 	e := cs.meta.Get(key, ver)
 	if e == nil {
 		return // purged concurrently (superseded before committing)
@@ -303,7 +334,7 @@ func (n *Node) commitEntry(st *mgState, cs *coordShard, key string, ver proto.Ve
 	if op := kind.traceOp(); op != metrics.TraceNone {
 		n.Metrics.Trace.Record(op, key, uint32(st.info.ID), uint64(ver), uint8(proto.StOK), n.now, n.now-start)
 	}
-	n.replyStatus(replyTo, req, kind, proto.StOK, ver)
+	n.replyOK(q, replyTo, req, kind, ver)
 
 	// Answer gets parked on this entry (Figure 5: replies are released
 	// at commit time with this exact version).
@@ -456,7 +487,7 @@ func (n *Node) purgeVersion(shard uint32, key string, ref store.VersionRef) {
 
 func (n *Node) handleGet(from string, m *proto.Get) {
 	n.Stats.Gets++
-	fail := func(s proto.Status) { n.send(from, &proto.GetReply{Req: m.Req, Status: s}) }
+	fail := func(s refusal) { n.send(from, &proto.GetReply{Req: m.Req, Status: proto.Status(s)}) }
 	shard, ok := n.checkClientOp(m.Key, fail)
 	if !ok {
 		return
@@ -476,13 +507,13 @@ func (n *Node) handleGet(from string, m *proto.Get) {
 		}
 	}
 	if !found {
-		fail(proto.StNotFound)
+		fail(refNotFound)
 		return
 	}
 	st := n.mgFor(ref.Memgest)
 	e := n.lookupEntry(shard, m.Key, ref)
 	if st == nil || e == nil {
-		fail(proto.StNotFound)
+		fail(refNotFound)
 		return
 	}
 	cs := st.coord[shard]
@@ -556,29 +587,13 @@ func copyOut(b []byte) []byte {
 	return append(transport.AcquireBufSize(len(b)), b...)
 }
 
-// handleRepAck counts a replica's ack toward the write's quorum.
-//
-//ring:handler
-func (n *Node) handleRepAck(from string, m *proto.RepAck) {
+// handleAck counts a replica's RepAck or a parity node's ParityAck
+// toward the write's quorum, and commits it on the ack that completes it.
+func (n *Node) handleAck(from string, mgID proto.MemgestID, shard uint32, seq proto.Seq) {
 	id, ok := parseNodeAddr(from)
 	if !ok {
 		return
 	}
-	n.handleAck(m.Memgest, m.Shard, m.Seq, id)
-}
-
-// handleParityAck counts a parity node's ack toward the write's quorum.
-//
-//ring:handler
-func (n *Node) handleParityAck(from string, m *proto.ParityAck) {
-	id, ok := parseNodeAddr(from)
-	if !ok {
-		return
-	}
-	n.handleAck(m.Memgest, m.Shard, m.Seq, id)
-}
-
-func (n *Node) handleAck(mgID proto.MemgestID, shard uint32, seq proto.Seq, from proto.NodeID) {
 	st := n.mgFor(mgID)
 	if st == nil {
 		return
@@ -587,7 +602,8 @@ func (n *Node) handleAck(mgID proto.MemgestID, shard uint32, seq proto.Seq, from
 	if cs == nil {
 		return
 	}
-	if !cs.tracker.Ack(seq, from) {
+	q, reached := cs.tracker.Ack(seq, id)
+	if !reached {
 		return
 	}
 	pc := cs.pending[seq]
@@ -595,5 +611,5 @@ func (n *Node) handleAck(mgID proto.MemgestID, shard uint32, seq proto.Seq, from
 		return
 	}
 	delete(cs.pending, seq)
-	n.commitEntry(st, cs, pc.key, pc.version, pc.replyTo, pc.req, pc.kind, pc.start)
+	n.commitEntry(q, st, cs, pc.key, pc.version, pc.replyTo, pc.req, pc.kind, pc.start)
 }

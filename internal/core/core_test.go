@@ -106,7 +106,7 @@ func (h *harness) run() {
 		if n == nil {
 			continue
 		}
-		outs := n.HandleMessage(h.now, m.from, m.msg)
+		outs := n.deliver(h.now, m.from, m.msg)
 		for _, o := range outs {
 			h.queue = append(h.queue, routedMsg{from: m.to, to: o.To, msg: o.Msg})
 		}
@@ -142,7 +142,7 @@ func (h *harness) tick(d time.Duration) {
 		if h.dead[id] {
 			continue
 		}
-		outs := n.HandleTick(h.now)
+		outs := n.tickOuts(h.now)
 		for _, o := range outs {
 			h.queue = append(h.queue, routedMsg{from: NodeAddr(id), to: o.To, msg: o.Msg})
 		}
@@ -227,7 +227,7 @@ func (h *harness) moveIf(key string, from, to proto.MemgestID) *proto.MoveReply 
 func (h *harness) inject(key, client string, msg proto.Message) []routedMsg {
 	n, id := h.coordinatorOf(key)
 	var held []routedMsg
-	for _, o := range n.HandleMessage(h.now, client, msg) {
+	for _, o := range n.deliver(h.now, client, msg) {
 		held = append(held, routedMsg{from: NodeAddr(id), to: o.To, msg: o.Msg})
 	}
 	return held
@@ -455,13 +455,13 @@ func TestUncommittedGetIsParked(t *testing.T) {
 	n, id := h.coordinatorOf("pk")
 	// Inject the put but do NOT run the router yet: replication
 	// messages stay queued.
-	outs := n.HandleMessage(h.now, "client/p", &proto.Put{Req: 10, Key: "pk", Value: []byte("new"), Memgest: mgREP3})
+	outs := n.deliver(h.now, "client/p", &proto.Put{Req: 10, Key: "pk", Value: []byte("new"), Memgest: mgREP3})
 	var repl []routedMsg
 	for _, o := range outs {
 		repl = append(repl, routedMsg{from: NodeAddr(id), to: o.To, msg: o.Msg})
 	}
 	// Concurrent get: arrives while version 2 is uncommitted.
-	outs = n.HandleMessage(h.now, "client/g", &proto.Get{Req: 11, Key: "pk"})
+	outs = n.deliver(h.now, "client/g", &proto.Get{Req: 11, Key: "pk"})
 	if len(outs) != 0 {
 		t.Fatalf("get of uncommitted version answered immediately: %v", outs)
 	}
@@ -487,7 +487,7 @@ func TestRepQuorumCommitBeforeAllAcks(t *testing.T) {
 	// two acks; the put must commit without the third.
 	h := newHarness(t, figure3Spec())
 	n, id := h.coordinatorOf("qk")
-	outs := n.HandleMessage(h.now, "client/q", &proto.Put{Req: 12, Key: "qk", Value: []byte("v"), Memgest: mgREP4})
+	outs := n.deliver(h.now, "client/q", &proto.Put{Req: 12, Key: "qk", Value: []byte("v"), Memgest: mgREP4})
 	var appends []routedMsg
 	for _, o := range outs {
 		appends = append(appends, routedMsg{from: NodeAddr(id), to: o.To, msg: o.Msg})
@@ -525,7 +525,7 @@ func TestParityDeltaPath(t *testing.T) {
 func TestCreateAndUseMemgest(t *testing.T) {
 	h := newHarness(t, figure3Spec())
 	leader := h.nodes[0]
-	outs := leader.HandleMessage(h.now, "client/m", &proto.CreateMemgest{Req: 20, Scheme: proto.SRS(2, 2, 3)})
+	outs := leader.deliver(h.now, "client/m", &proto.CreateMemgest{Req: 20, Scheme: proto.SRS(2, 2, 3)})
 	for _, o := range outs {
 		h.queue = append(h.queue, routedMsg{from: NodeAddr(0), to: o.To, msg: o.Msg})
 	}
@@ -549,7 +549,7 @@ func TestCreateAndUseMemgest(t *testing.T) {
 
 	// Invalid schemes are rejected.
 	for _, sc := range []proto.Scheme{proto.SRS(3, 3, 3), proto.Rep(9, 3), proto.SRS(2, 1, 4)} {
-		outs := leader.HandleMessage(h.now, "client/m", &proto.CreateMemgest{Req: 21, Scheme: sc})
+		outs := leader.deliver(h.now, "client/m", &proto.CreateMemgest{Req: 21, Scheme: sc})
 		if len(outs) != 1 {
 			t.Fatal("expected direct reply")
 		}
@@ -558,7 +558,7 @@ func TestCreateAndUseMemgest(t *testing.T) {
 		}
 	}
 	// Non-leader rejects management ops.
-	outs = h.nodes[1].HandleMessage(h.now, "client/m", &proto.CreateMemgest{Req: 22, Scheme: proto.Rep(2, 3)})
+	outs = h.nodes[1].deliver(h.now, "client/m", &proto.CreateMemgest{Req: 22, Scheme: proto.Rep(2, 3)})
 	if outs[0].Msg.(*proto.MemgestReply).Status != proto.StWrongNode {
 		t.Fatal("non-leader accepted createMemgest")
 	}

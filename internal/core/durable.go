@@ -10,11 +10,11 @@ import (
 
 // This file wires the durable engine (internal/replog.Durable) into
 // the node state machine. Every mutation of a metadata table has a
-// persist hook; the hooks only buffer (group commit), and the hosting
-// runner calls SyncDurable at each event-batch boundary BEFORE any of
-// the batch's outputs are transmitted. A sync is owed by an
-// acknowledgement, not by dirt: the batch fsyncs when one of its
-// outputs is an ack-class message (proto.MsgType.IsAck — what tells
+// persist hook; the hooks only buffer (group commit), and the batch's
+// outputs reach the hosting runner only through Node.Flush, which syncs
+// at the event-batch boundary before it hands them over. A sync is
+// owed by an acknowledgement, not by dirt: the batch fsyncs when one of
+// its outputs is an ack-class message (proto.MsgType.IsAck — what tells
 // another party that something happened here) or when it ran a tick.
 // Requests, replication fan-out, commit notices and purges promise
 // their receiver nothing about this node's disk, so they leave without
@@ -24,8 +24,8 @@ import (
 //
 // Persist errors are sticky: after the first failed append or sync
 // the node must crash-stop (fsyncgate semantics — a node that cannot
-// promise durability must not keep acknowledging), which the runner
-// enforces by dropping the batch's outputs and halting the node.
+// promise durability must not keep acknowledging): Flush then hands no
+// outputs over, and the runner halts the node.
 
 // SetDurable attaches a durable store to a freshly constructed node
 // (empty data directory). For a node restarting over an existing data
@@ -62,22 +62,6 @@ func (n *Node) joinDurable() bool {
 	return false
 }
 
-// SyncDurable applies the fsync policy at an event-batch boundary, if
-// the batch owes a sync (it queued an acknowledgement or ran a tick).
-// The runner must call it BEFORE emitting any of the batch's outputs
-// and crash-stop the node on error.
-func (n *Node) SyncDurable() error {
-	acks, owed := n.acksOwed, n.acksOwed > 0 || n.tickOwed
-	n.acksOwed, n.tickOwed = 0, false
-	if n.durable == nil {
-		return nil
-	}
-	if n.durableErr == nil && owed {
-		n.durableErr = n.durable.MaybeSync(n.now, acks)
-	}
-	return n.durableErr
-}
-
 // CloseDurable flushes and closes the durable store (clean shutdown;
 // a crash simply skips this).
 func (n *Node) CloseDurable() error {
@@ -90,8 +74,8 @@ func (n *Node) CloseDurable() error {
 }
 
 // persistErr records the first durable-layer error; every later hook
-// and SyncDurable observe it, so the failure surfaces at the next
-// batch boundary no matter which mutation hit it.
+// and Flush observe it, so the failure surfaces at the next batch
+// boundary no matter which mutation hit it.
 func (n *Node) persistErr(err error) {
 	if err != nil && n.durableErr == nil {
 		n.durableErr = err
@@ -115,14 +99,23 @@ func durValue(st *mgState, e *store.Entry) ([]byte, bool) {
 	return nil, false
 }
 
+// logged names an entry persistAppend has recorded: its record is
+// behind the sync of the Flush its acknowledgement leaves through (on a
+// volatile node the table is all there is).
+type logged struct {
+	st    *mgState
+	shard uint32
+	seq   proto.Seq
+}
+
 // persistAppend records a write-ahead append (coordinator doWrite,
 // replica RepAppend, parity ParityUpdate).
-func (n *Node) persistAppend(st *mgState, shard uint32, e *store.Entry) {
-	if n.durable == nil || n.durableErr != nil {
-		return
+func (n *Node) persistAppend(st *mgState, shard uint32, e *store.Entry) logged {
+	if n.durable != nil && n.durableErr == nil {
+		value, hasValue := durValue(st, e)
+		n.persistErr(n.durable.Append(durKey(st.info.ID, shard), e.Seq, &e.Rec, value, hasValue))
 	}
-	value, hasValue := durValue(st, e)
-	n.persistErr(n.durable.Append(durKey(st.info.ID, shard), e.Seq, &e.Rec, value, hasValue))
+	return logged{st: st, shard: shard, seq: e.Seq}
 }
 
 // persistCommit records an entry's commit.

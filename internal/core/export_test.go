@@ -3,7 +3,9 @@ package core
 import (
 	"os"
 	"testing"
+	"time"
 
+	"ring/internal/proto"
 	"ring/internal/store"
 )
 
@@ -13,6 +15,29 @@ import (
 func TestMain(m *testing.M) {
 	PoisonPayloads = true
 	os.Exit(m.Run())
+}
+
+// deliver and tickOuts run one event as a batch of its own, the way the
+// simulator does, and return what the node's Flush handed over (the
+// caller's until the Flush after the next): HandleMessage and HandleTick
+// return nothing, so every test that reads a handler's outputs reads
+// them here.
+func (n *Node) deliver(now time.Duration, from string, msg proto.Message) []Out {
+	n.HandleMessage(now, from, msg)
+	return n.flushOuts()
+}
+
+func (n *Node) tickOuts(now time.Duration) []Out {
+	n.HandleTick(now)
+	return n.flushOuts()
+}
+
+func (n *Node) flushOuts() []Out {
+	outs, err := n.Flush()
+	if err != nil {
+		panic(err)
+	}
+	return outs
 }
 
 // Inspectors for the external (package core_test) e2e tests, which

@@ -161,6 +161,9 @@ type MetricsSnapshot struct {
 	// MetaEntries counts the metadata entries the node holds, over every
 	// table of every role: what the collected heap is mostly made of.
 	MetaEntries uint64 `json:"meta_entries"`
+	// WritesAwaitingQuorum counts the coordinated writes whose redundancy
+	// acks are owed (replog.Tracker.Pending over the shards): 0 at rest.
+	WritesAwaitingQuorum int64 `json:"core.writes_awaiting_quorum"`
 	// Durable is the durable tier's instrumentation; nil on a volatile
 	// node.
 	Durable *replog.Stats `json:"durable,omitempty"`
@@ -211,6 +214,7 @@ func (n *Node) MetricsSnapshot() MetricsSnapshot {
 			}
 			for _, cs := range st.coord {
 				table(cs.meta)
+				s.WritesAwaitingQuorum += int64(cs.tracker.Pending())
 				if cs.heap != nil {
 					c.BlockBytesUsed += cs.heap.UsedBytes()
 					c.BlockBytesBacked += cs.heap.BackedBytes()

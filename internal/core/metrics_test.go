@@ -32,7 +32,7 @@ func TestNodeMetricsExactCounts(t *testing.T) {
 	now := time.Duration(0)
 	step := func(msg proto.Message) []Out {
 		now += time.Millisecond
-		return n.HandleMessage(now, "client/1", msg)
+		return n.deliver(now, "client/1", msg)
 	}
 	const puts, gets = 5, 3
 	for i := 0; i < puts; i++ {
@@ -171,20 +171,20 @@ func TestInstrumentedHotPathAllocs(t *testing.T) {
 	now := time.Duration(0)
 	val := []byte("value-bytes")
 	// Warm up: first put creates the shard index and key entries.
-	n.HandleMessage(now, "client/1", &proto.Put{Req: 1, Key: "hot", Value: val})
+	n.deliver(now, "client/1", &proto.Put{Req: 1, Key: "hot", Value: val})
 
 	req := proto.ReqID(2)
 	putAllocs := testing.AllocsPerRun(100, func() {
 		now += time.Millisecond
 		req++
-		n.HandleMessage(now, "client/1", &proto.Put{Req: req, Key: "hot", Value: val})
+		n.deliver(now, "client/1", &proto.Put{Req: req, Key: "hot", Value: val})
 	})
 	getAllocs := testing.AllocsPerRun(100, func() {
 		now += time.Millisecond
 		req++
 		// The reply carries a pooled copy of the value; hand it back as
 		// the runner's flush does once the packet holds the bytes.
-		for _, o := range n.HandleMessage(now, "client/1", &proto.Get{Req: req, Key: "hot"}) {
+		for _, o := range n.deliver(now, "client/1", &proto.Get{Req: req, Key: "hot"}) {
 			transport.ReleaseBuf(o.Scratch)
 		}
 	})

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ring/internal/proto"
+	"ring/internal/replog"
 	"ring/internal/store"
 	"ring/internal/transport"
 )
@@ -70,7 +71,7 @@ type bulkMove struct {
 	req         proto.ReqID
 	outstanding int
 	moved       uint32
-	failed      proto.Status
+	failed      refusal // the first among the keys, 0 while there is none
 }
 
 // parkOnMove parks a client write that arrived inside the key's open
@@ -93,8 +94,6 @@ func (n *Node) parkOnMove(shard uint32, key, from string, msg proto.Message) boo
 }
 
 // handleMove coordinates a client move.
-//
-//ring:handler
 func (n *Node) handleMove(from string, m *proto.Move) {
 	n.Stats.Moves++
 	if m.Prefix {
@@ -110,9 +109,9 @@ func (n *Node) handleMove(from string, m *proto.Move) {
 // uncommitted version, or on value/block recovery — re-enters here, so
 // the rules are checked against the state the move actually runs on.
 // from may be a bulk-move internal address; every reply goes through
-// replyStatus so the routing is uniform.
+// refuse or replyOK so the routing is uniform.
 func (n *Node) admitMove(from string, m *proto.Move) {
-	fail := func(s proto.Status) { n.replyStatus(from, m.Req, replyMove, s, 0) }
+	fail := func(s refusal) { n.refuse(from, m.Req, replyMove, s) }
 	shard, ok := n.checkClientOp(m.Key, fail)
 	if !ok {
 		return
@@ -121,18 +120,18 @@ func (n *Node) admitMove(from string, m *proto.Move) {
 		return
 	}
 	if n.cfg.Memgest(m.Memgest) == nil {
-		fail(proto.StNoMemgest)
+		fail(refNoMemgest)
 		return
 	}
 	ref, found := n.volFor(shard).Highest(m.Key)
 	if !found {
-		fail(proto.StNotFound)
+		fail(refNotFound)
 		return
 	}
 	st := n.mgFor(ref.Memgest)
 	e := n.lookupEntry(shard, m.Key, ref)
 	if e == nil {
-		fail(proto.StNotFound)
+		fail(refNotFound)
 		return
 	}
 	if !e.Rec.Committed {
@@ -144,16 +143,17 @@ func (n *Node) admitMove(from string, m *proto.Move) {
 	}
 	switch {
 	case e.Rec.Tombstone:
-		fail(proto.StNotFound)
+		fail(refNotFound)
 		return
 	case m.From != 0 && ref.Memgest != m.From:
 		// Conditional move: the key is not under the scheme the caller
 		// believes (a concurrent move won).
-		fail(proto.StInvalid)
+		fail(refInvalid)
 		return
 	case ref.Memgest == m.Memgest:
-		// Already there: succeed without a new version.
-		n.replyStatus(from, m.Req, replyMove, proto.StOK, ref.Version) //ring:ackok no-op move: the version acked is already committed and durable
+		// Already there: succeed without a new version, on the proof of
+		// the committed one it names.
+		n.replyOK(replog.Committed(&e.Rec), from, m.Req, replyMove, ref.Version)
 		return
 	}
 	value, ok := n.localValue(st, st.coord[shard], e, blockWaiter{client: from, req: m.Req, key: m.Key, version: ref.Version, move: m})
@@ -179,8 +179,8 @@ func (n *Node) startMove(client string, m *proto.Move, shard uint32, src store.V
 		// coordinator crash inside that gap silently loses the key's
 		// acknowledged state, which the linearizability checker must flag
 		// and the shrinker must reduce.
-		n.replyStatus(client, m.Req, replyMove, proto.StOK, newVer)        //ring:ackok deliberate ack-before-write chaos injection
-		n.doWrite("", 0, replyNone, shard, m.Key, value, m.Memgest, false) //ring:ackok chaos injection: the write nobody waits for is the injected bug
+		n.replyOK(replog.ChaosForgeQuorum(), client, m.Req, replyMove, newVer)
+		n.doWrite("", 0, replyNone, shard, m.Key, value, m.Memgest, false)
 		n.purgeVersion(shard, m.Key, src)
 		return
 	}
@@ -209,11 +209,11 @@ func (n *Node) closeMove(mk moveKey, mv *moveState) {
 func (n *Node) redispatchParked(p parkedOp) {
 	switch m := p.msg.(type) {
 	case *proto.Put:
-		n.handlePut(p.from, m) //ring:ackok replayed op: it owes and runs its own barrier pipeline
+		n.handlePut(p.from, m)
 	case *proto.Delete:
-		n.handleDelete(p.from, m) //ring:ackok replayed op: it owes and runs its own barrier pipeline
+		n.handleDelete(p.from, m)
 	case *proto.Move:
-		n.admitMove(p.from, m) //ring:ackok replayed op: it owes and runs its own barrier pipeline
+		n.admitMove(p.from, m)
 	}
 }
 
@@ -222,17 +222,17 @@ func (n *Node) redispatchParked(p parkedOp) {
 // single-key move with an internal reply address; the client gets one
 // aggregated reply once the last key settles.
 func (n *Node) handleMovePrefix(from string, m *proto.Move) {
-	fail := func(s proto.Status) { n.send(from, &proto.MoveReply{Req: m.Req, Status: s}) }
+	fail := func(s refusal) { n.refuse(from, m.Req, replyMove, s) }
 	if len(n.cfg.Coords) == 0 {
-		fail(proto.StUnavailable)
+		fail(refUnavailable)
 		return
 	}
 	if !n.serving {
-		fail(proto.StRetry)
+		fail(refRetry)
 		return
 	}
 	if n.cfg.Memgest(m.Memgest) == nil {
-		fail(proto.StNoMemgest)
+		fail(refNoMemgest)
 		return
 	}
 	// Collect matching keys across every owned shard. Hashtable
@@ -249,7 +249,8 @@ func (n *Node) handleMovePrefix(from string, m *proto.Move) {
 	}
 	sort.Strings(keys)
 	if len(keys) == 0 {
-		n.send(from, &proto.MoveReply{Req: m.Req, Status: proto.StOK}) //ring:ackok empty bulk move: no state changed, nothing owed durability
+		// Nothing matched, nothing is written: the proof over no entry.
+		n.replyOK(replog.Committed(), from, m.Req, replyMove, 0)
 		return
 	}
 	id := strconv.FormatUint(n.nextBulkID, 10)
@@ -261,45 +262,47 @@ func (n *Node) handleMovePrefix(from string, m *proto.Move) {
 	}
 }
 
-// bulkMoveDone records one key's outcome against its bulk move and
-// emits the aggregated reply when the last key settles. Keys already
-// under the destination scheme count as moved; the first non-OK status
-// wins the aggregate (individual keys may still have moved — Moved
-// reports how many).
-func (n *Node) bulkMoveDone(id string, s proto.Status) {
+// bulkMoveDone records one key's outcome against its bulk move: its
+// refusal, or 0 from replyOK for a key that moved (or was already under
+// the destination scheme). When the last key settles, the first refusal
+// wins the aggregate and is sent from here (Moved reports how many keys
+// moved all the same); a bulk move with none is returned to replyOK,
+// which acknowledges it under the proof of the key that settled it.
+func (n *Node) bulkMoveDone(id string, s refusal) *bulkMove {
 	bm := n.bulkMoves[id]
 	if bm == nil {
-		return
+		return nil
 	}
-	if s == proto.StOK {
+	if s == 0 {
 		bm.moved++
-	} else if bm.failed == proto.StOK {
+	} else if bm.failed == 0 {
 		bm.failed = s
 	}
 	bm.outstanding--
 	if bm.outstanding > 0 {
-		return
+		return nil
 	}
 	delete(n.bulkMoves, id)
-	n.send(bm.client, &proto.MoveReply{Req: bm.req, Status: bm.failed, Moved: bm.moved}) //ring:ackok aggregate reply: every per-key outcome it summarizes passed its own barriers
+	if bm.failed != 0 {
+		n.send(bm.client, &proto.MoveReply{Req: bm.req, Status: proto.Status(bm.failed), Moved: bm.moved})
+		return nil
+	}
+	return bm
 }
 
 // abortMoveWrite cancels a window's in-flight destination write: the
-// pending commit is dropped (a late ack must not resurrect it), gets
-// parked on the uncommitted destination version are bounced with
-// StRetry (moves never park there — they park on the window), and the
-// version is purged. The committed source version is untouched —
-// aborting a move always lands on the old scheme.
+// pending commit and its open quorum are dropped (a late ack must not
+// resurrect it), gets parked on the uncommitted destination version are
+// bounced with StRetry (moves never park there — they park on the
+// window), and the version is purged. The committed source version is
+// untouched — aborting a move always lands on the old scheme.
 func (n *Node) abortMoveWrite(mk moveKey, mv *moveState) {
 	dst := mv.m.Memgest
 	if st := n.mgFor(dst); st != nil {
 		if cs := st.coord[mk.shard]; cs != nil {
 			if e := cs.meta.Get(mk.key, mv.newVer); e != nil && !e.Rec.Committed {
-				for seq, pc := range cs.pending {
-					if pc.key == mk.key && pc.version == mv.newVer {
-						delete(cs.pending, seq)
-					}
-				}
+				delete(cs.pending, e.Seq)
+				cs.tracker.Cancel(e.Seq)
 				for _, w := range e.TakeParked().Gets {
 					n.send(w.Client, &proto.GetReply{Req: w.Req, Status: proto.StRetry})
 				}
@@ -349,7 +352,7 @@ func (n *Node) moveTick() {
 		}
 		n.Metrics.MovesAborted.Inc()
 		n.abortMoveWrite(mk, mv)
-		n.replyStatus(mv.client, mv.m.Req, replyMove, proto.StRetry, 0)
+		n.refuse(mv.client, mv.m.Req, replyMove, refRetry)
 		n.closeMove(mk, mv)
 	}
 }

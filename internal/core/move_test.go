@@ -131,6 +131,35 @@ func TestMove(t *testing.T) {
 			}
 			h.checkParityInvariant()
 		}},
+		{"a window that loses its fan-out aborts and leaves nothing open", func(t *testing.T, h *harness) {
+			n, _ := h.coordinatorOf("mk")
+			awaiting := func() int64 { return n.MetricsSnapshot().WritesAwaitingQuorum }
+			held := h.inject("mk", "client/p", &proto.Put{Req: 70, Key: "mk", Value: val, Memgest: mgREP3})
+			if got := awaiting(); got != 1 {
+				t.Fatalf("writes_awaiting_quorum = %d mid-put, want 1", got)
+			}
+			h.release(held)
+			// The move's ParityUpdates are never delivered: the window
+			// outlives the failure detector and is aborted.
+			h.inject("mk", "client/m", &proto.Move{Req: 71, Key: "mk", Memgest: mgSRS32})
+			if got := awaiting(); got != 1 {
+				t.Fatalf("writes_awaiting_quorum = %d mid-move, want 1", got)
+			}
+			if !h.tickUntil(n.opts.HeartbeatEvery, 20, func() bool { return len(h.replies("client/m")) > 0 }) {
+				t.Fatal("the stuck window was never answered")
+			}
+			if r := h.lastReply("client/m").(*proto.MoveReply); r.Status != proto.StRetry {
+				t.Fatalf("aborted move: %+v, want StRetry", r)
+			}
+			cs := n.mg[mgSRS32].coord[n.shardOf("mk")]
+			if len(cs.pending) != 0 || cs.tracker.Pending() != 0 || awaiting() != 0 {
+				t.Fatalf("aborted window left %d pending commits, %d open quorum entries (gauge %d)",
+					len(cs.pending), cs.tracker.Pending(), awaiting())
+			}
+			if r := h.move("mk", mgSRS32); r.Status != proto.StOK || r.Version != 2 {
+				t.Fatalf("retried move: %+v", r)
+			}
+		}},
 		{"prefix move fans out and counts", func(t *testing.T, h *harness) {
 			const users = 12
 			small := val[:64]

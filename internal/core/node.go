@@ -104,8 +104,8 @@ type Out struct {
 }
 
 // Node is one Ring server. It is not safe for concurrent use: a runner
-// must serialize HandleMessage and HandleTick calls, exactly like the
-// paper's single-threaded event loop.
+// must serialize HandleMessage, HandleTick and Flush calls, exactly like
+// the paper's single-threaded event loop.
 type Node struct {
 	id   proto.NodeID
 	opts Options
@@ -169,14 +169,16 @@ type Node struct {
 	durableErr error
 	durStash   map[replog.ShardKey]*replog.RecoveredShard
 	// acksOwed counts the acknowledgements (proto.MsgType.IsAck) queued
-	// since the last SyncDurable and tickOwed records a tick in the same
-	// span: a batch with neither owes the disk nothing (see durable.go).
+	// since the last Flush and tickOwed records a tick in the same span:
+	// a batch with neither owes the disk nothing (see durable.go).
 	acksOwed int
 	tickOwed bool
 
 	nextReq proto.ReqID
 	now     time.Duration
-	outs    []Out
+	// outs collects the batch's outputs until Flush hands them over;
+	// flushed is the buffer the last Flush handed out, reused after next.
+	outs, flushed []Out
 	// deltas is doWrite's reusable list of the m per-parity delta
 	// buffers of the put in hand.
 	deltas [][]byte
@@ -308,17 +310,16 @@ func (n *Node) reqID() proto.ReqID {
 }
 
 // HandleMessage processes one incoming message at the given node-local
-// time and returns the messages to transmit. `from` is the fabric
-// address of the sender.
+// time. `from` is the fabric address of the sender. The messages to
+// transmit stay in the node until Flush.
 //
 //ring:hotpath-stop the Node state machine is bounded by its own rules (simdeterminism), not the zero-alloc budget
-func (n *Node) HandleMessage(now time.Duration, from string, msg proto.Message) []Out {
+func (n *Node) HandleMessage(now time.Duration, from string, msg proto.Message) {
 	n.now = now
-	n.outs = n.outs[:0]
 	n.Metrics.Events.Inc()
 	if n.rejoining {
 		n.handleRejoining(from, msg)
-		return n.outs
+		return
 	}
 	switch m := msg.(type) {
 	// Client operations.
@@ -346,13 +347,13 @@ func (n *Node) HandleMessage(now time.Duration, from string, msg proto.Message) 
 	case *proto.RepAppend:
 		n.handleRepAppend(from, m)
 	case *proto.RepAck:
-		n.handleRepAck(from, m)
+		n.handleAck(from, m.Memgest, m.Shard, m.Seq)
 	case *proto.RepCommit:
 		n.handleRepCommit(from, m)
 	case *proto.ParityUpdate:
 		n.handleParityUpdate(from, m)
 	case *proto.ParityAck:
-		n.handleParityAck(from, m)
+		n.handleAck(from, m.Memgest, m.Shard, m.Seq)
 	case *proto.Purge:
 		n.handlePurge(from, m)
 	// Membership.
@@ -386,19 +387,37 @@ func (n *Node) HandleMessage(now time.Duration, from string, msg proto.Message) 
 	case *proto.Tick:
 		n.handleTick()
 	}
-	return n.outs
 }
 
 // HandleTick drives time-based behaviour (heartbeats, failure
 // detection, background recovery).
 //
 //ring:hotpath-stop the Node state machine is bounded by its own rules (simdeterminism), not the zero-alloc budget
-func (n *Node) HandleTick(now time.Duration) []Out {
+func (n *Node) HandleTick(now time.Duration) {
 	n.now = now
-	n.outs = n.outs[:0]
 	n.Metrics.Ticks.Inc()
 	n.handleTick()
-	return n.outs
+}
+
+// Flush ends an event batch: it applies the fsync policy if the batch
+// owes a sync (it queued an acknowledgement or ran a tick) and only
+// then hands over what the handlers queued. It is the one way outputs
+// leave a node, so no acknowledgement is transmitted ahead of the
+// records behind it, whatever order a handler persisted and queued in.
+// On error nothing is handed over and the caller must crash-stop the
+// node. The slice is the caller's until the Flush after the next one.
+func (n *Node) Flush() ([]Out, error) {
+	acks, owed := n.acksOwed, n.acksOwed > 0 || n.tickOwed
+	n.acksOwed, n.tickOwed = 0, false
+	outs := n.outs
+	n.outs, n.flushed = n.flushed[:0], outs
+	if n.durable != nil && n.durableErr == nil && owed {
+		n.durableErr = n.durable.MaybeSync(n.now, acks)
+	}
+	if n.durable != nil && n.durableErr != nil {
+		return nil, n.durableErr
+	}
+	return outs, nil
 }
 
 // shardOf returns the shard a key maps to under the current config.

@@ -99,7 +99,7 @@ func TestDeltas(t *testing.T) {
 }
 
 // machine drives one node's configuration-change machine through
-// HandleMessage and HandleTick and reads the []Out they return: no
+// HandleMessage and HandleTick and reads the []Out each one flushes: no
 // router, no other state machine unless the test builds one.
 type machine struct {
 	t   *testing.T
@@ -116,7 +116,7 @@ func newMachine(t *testing.T, id proto.NodeID) *machine {
 }
 
 func (m *machine) msg(from string, msg proto.Message) []Out {
-	return slices.Clone(m.n.HandleMessage(m.now, from, msg))
+	return slices.Clone(m.n.deliver(m.now, from, msg))
 }
 
 // tick advances one heartbeat period. Every member but the silent ones
@@ -125,11 +125,11 @@ func (m *machine) msg(from string, msg proto.Message) []Out {
 func (m *machine) tick(silent ...proto.NodeID) []Out {
 	for _, id := range m.n.cfg.AllNodes() {
 		if id != m.n.id && !slices.Contains(silent, id) {
-			m.n.HandleMessage(m.now, NodeAddr(id), &proto.HeartbeatAck{Epoch: m.n.cfg.Epoch})
+			m.n.deliver(m.now, NodeAddr(id), &proto.HeartbeatAck{Epoch: m.n.cfg.Epoch})
 		}
 	}
 	m.now += m.n.opts.HeartbeatEvery
-	return slices.Clone(m.n.HandleTick(m.now))
+	return slices.Clone(m.n.tickOuts(m.now))
 }
 
 // pushes returns the epoch of the ConfigPush each node was sent.
@@ -296,9 +296,9 @@ func TestProposalsWhileFencePending(t *testing.T) {
 // dead leader's shard handed to a spare — is one configuration change.
 func TestLeaderTakeoverIsOneEpoch(t *testing.T) {
 	m := newMachine(t, 1)
-	m.n.HandleTick(m.now) // arms the follower's heartbeat timer
+	m.n.tickOuts(m.now) // arms the follower's heartbeat timer
 	m.now += m.n.opts.FailAfter + m.n.opts.HeartbeatEvery
-	outs := slices.Clone(m.n.HandleTick(m.now))
+	outs := slices.Clone(m.n.tickOuts(m.now))
 
 	cfg := m.n.cfg
 	if cfg.Epoch != 2 || cfg.Leader != 1 || cfg.Coords[0] != 5 || isMember(cfg, 0) {

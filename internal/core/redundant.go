@@ -38,11 +38,20 @@ func (st *mgState) rseqFor(shard uint32) map[proto.Seq]store.EntryKey {
 	return m
 }
 
+// ackAppend acknowledges a replicated entry to its coordinator: the
+// only function that builds a RepAck or a ParityAck, and only from what
+// persistAppend returned — a redundancy node acks what it has logged.
+func (n *Node) ackAppend(to string, l logged) {
+	if l.st.info.Scheme.Kind == proto.SchemeSRS {
+		n.send(to, &proto.ParityAck{Memgest: l.st.info.ID, Shard: l.shard, Seq: l.seq})
+	} else {
+		n.send(to, &proto.RepAck{Memgest: l.st.info.ID, Shard: l.shard, Seq: l.seq})
+	}
+}
+
 // handleRepAppend applies a replicated-log entry on a replica of a
 // Rep memgest: store the (still uncommitted) metadata record and the
 // value, then acknowledge.
-//
-//ring:handler persist
 func (n *Node) handleRepAppend(from string, m *proto.RepAppend) {
 	st, rt := n.rmetaFor(m.Memgest, m.Shard)
 	if rt == nil {
@@ -54,15 +63,12 @@ func (n *Node) handleRepAppend(from string, m *proto.RepAppend) {
 	rt.Put(e)
 	rt.Hold(e, m.Value)
 	st.rseqFor(m.Shard)[m.Seq] = store.EntryKey{Key: m.Rec.Key, Version: m.Rec.Version}
-	n.persistAppend(st, m.Shard, e)
-	n.send(from, &proto.RepAck{Memgest: m.Memgest, Shard: m.Shard, Seq: m.Seq})
+	n.ackAppend(from, n.persistAppend(st, m.Shard, e))
 }
 
 // handleParityUpdate applies a coefficient-multiplied delta to this
 // parity node's region and installs the metadata record in its replica
 // of the shard's metadata hashtable.
-//
-//ring:handler persist
 func (n *Node) handleParityUpdate(from string, m *proto.ParityUpdate) {
 	st, rt := n.rmetaFor(m.Memgest, m.Shard)
 	if rt == nil || st.parity == nil {
@@ -75,8 +81,7 @@ func (n *Node) handleParityUpdate(from string, m *proto.ParityUpdate) {
 	e := &store.Entry{Rec: m.Rec, Seq: m.Seq}
 	rt.Put(e)
 	st.rseqFor(m.Shard)[m.Seq] = store.EntryKey{Key: m.Rec.Key, Version: m.Rec.Version}
-	n.persistAppend(st, m.Shard, e)
-	n.send(from, &proto.ParityAck{Memgest: m.Memgest, Shard: m.Shard, Seq: m.Seq})
+	n.ackAppend(from, n.persistAppend(st, m.Shard, e))
 }
 
 // handleRepCommit flips the committed flag on the redundancy copy of a

@@ -189,7 +189,7 @@ func TestEarlyAppendDoesNotStandInForRecovery(t *testing.T) {
 				Rec: proto.MetaRecord{Key: "early", Version: 1, Memgest: rolesSRS}},
 		}
 		for _, msg := range early {
-			if outs := spare.HandleMessage(h.now, from, msg); len(outs) != 0 {
+			if outs := spare.deliver(h.now, from, msg); len(outs) != 0 {
 				t.Fatalf("a spare answered %T with %T", msg, outs[0].Msg)
 			}
 		}

@@ -51,12 +51,11 @@ type Runner struct {
 	// by the queue-depth gauges at scrape time.
 	depth func() int
 
-	// Event-loop scratch (single-goroutine): the dispatch copy of the
-	// node's output buffer, the per-destination coalescing group, and
-	// the pooled payload buffers (Out.Scratch) of the group's messages.
-	// Reused across events so the steady-state send path does not
-	// allocate beyond the owned payload buffers handed to the fabric.
-	scratch  []Out
+	// Event-loop scratch (single-goroutine): the per-destination
+	// coalescing group and the pooled payload buffers (Out.Scratch) of
+	// the group's messages. Reused across events so the steady-state send
+	// path does not allocate beyond the owned payload buffers handed to
+	// the fabric.
 	group    []proto.Message
 	payloads [][]byte
 }
@@ -147,7 +146,7 @@ func (r *Runner) loop(packets <-chan transport.Packet, epClosed <-chan struct{})
 				return
 			}
 		case <-ticker.C:
-			if !r.dispatch(r.node.HandleTick) {
+			if !r.tick() {
 				return
 			}
 		}
@@ -167,9 +166,10 @@ const maxDrain = 64
 // and the client replies they unlock as single per-peer sends. It
 // returns false once the packet channel has closed.
 //
-// SyncDurable runs under r.mu by design: the fsync must land before any
-// of the batch's outputs escape the lock (crash-stop-before-outputs),
-// and r.mu has no other contenders besides Inspect.
+// Flush runs under r.mu by design: it is the node's group commit, and
+// the batch's outputs exist outside the node only once it has returned
+// them (crash-stop-before-outputs); r.mu has no other contenders
+// besides Inspect.
 //
 //ring:hotpath
 //ring:wallclock converts wall time to the node's event clock
@@ -178,7 +178,6 @@ func (r *Runner) drain(p transport.Packet, packets <-chan transport.Packet) bool
 	open := true
 	r.mu.Lock()
 	now := time.Since(r.start)
-	r.scratch = r.scratch[:0]
 	// The channel backlog plus the packet in hand is the inbox depth
 	// this wakeup observed.
 	r.node.Metrics.InboxHighWater.Observe(int64(len(packets)) + 1)
@@ -190,7 +189,7 @@ func (r *Runner) drain(p transport.Packet, packets <-chan transport.Packet) bool
 			if err != nil {
 				return nil // drop malformed messages
 			}
-			r.scratch = append(r.scratch, r.node.HandleMessage(now, p.From, msg)...)
+			r.node.HandleMessage(now, p.From, msg)
 			return nil
 		})
 		// Every handler of every message in the packet has returned,
@@ -218,37 +217,34 @@ func (r *Runner) drain(p transport.Packet, packets <-chan transport.Packet) bool
 			break
 		}
 	}
-	syncErr := r.node.SyncDurable()
-	r.mu.Unlock()
-	if syncErr != nil {
-		// Durability lost: crash-stop before any of the batch's outputs
-		// escape, so nothing acknowledged this batch can be un-durable.
-		r.halt()
-		return false
-	}
-	r.flush(r.scratch)
-	return open
+	return r.endBatch() && open
 }
 
-// dispatch runs one state-machine step under the lock and flushes the
-// outputs outside it.
+// tick runs the node's timer step as a batch of its own.
 //
 //ring:hotpath
 //ring:wallclock converts wall time to the node's event clock
 //ring:lockok deliberate hold-across-fsync, see drain
-func (r *Runner) dispatch(f func(time.Duration) []Out) bool {
+func (r *Runner) tick() bool {
 	r.mu.Lock()
-	outs := f(time.Since(r.start))
-	// Copy into the runner-owned scratch: the node reuses its output
-	// buffer across calls, and sends must happen outside the lock.
-	r.scratch = append(r.scratch[:0], outs...)
-	syncErr := r.node.SyncDurable()
+	r.node.HandleTick(time.Since(r.start))
+	return r.endBatch()
+}
+
+// endBatch ends the batch the caller ran under r.mu: the node's Flush,
+// still under the lock, then the sends outside it. On a lost disk the
+// node hands no outputs over — nothing acknowledged this batch can be
+// un-durable — and the runner crash-stops, reporting false.
+//
+//ring:hotpath
+func (r *Runner) endBatch() bool {
+	outs, err := r.node.Flush()
 	r.mu.Unlock()
-	if syncErr != nil {
+	if err != nil {
 		r.halt()
 		return false
 	}
-	r.flush(r.scratch)
+	r.flush(outs)
 	return true
 }
 
@@ -260,7 +256,8 @@ func (r *Runner) dispatch(f func(time.Duration) []Out) bool {
 // buffer sized for it up front, so encoding never regrows one, and the
 // pooled payload buffers of its messages (Out.Scratch) go back to the
 // pool the moment the packet holds their bytes. Entries are cleared as
-// they are sent so the scratch slices do not pin messages.
+// they are sent so the node's buffer and the scratch slices do not pin
+// messages.
 //
 //ring:hotpath
 func (r *Runner) flush(outs []Out) {

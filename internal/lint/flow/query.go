@@ -31,10 +31,3 @@ func (g *Graph) ReachableAvoiding(start *Node, stop func(*Node) bool) map[*Node]
 func (g *Graph) ExitReachable() bool {
 	return g.ReachableAvoiding(g.Entry, nil)[g.Exit]
 }
-
-// AllPathsPass reports whether every Entry -> Exit path flows through
-// a node satisfying pass — a forward must-analysis phrased as its
-// contrapositive: no barrier-avoiding path reaches Exit.
-func (g *Graph) AllPathsPass(pass func(*Node) bool) bool {
-	return !g.ReachableAvoiding(g.Entry, pass)[g.Exit]
-}

@@ -32,8 +32,7 @@ var GoroutineLife = &Analyzer{
 func runGoroutineLife(pass *Pass) error {
 	cg := flow.NewCallGraph(pass.Pkg, pass.Info, pass.Files, pass.IsTestFile)
 	exemptAt := func(n ast.Node) bool {
-		return pass.directiveEnabled("goroutineok") &&
-			(pass.lineDirective(n.Pos(), "goroutineok") || enclosingFuncHasDirective(pass, n.Pos(), "goroutineok"))
+		return pass.lineDirective(n.Pos(), "goroutineok") || enclosingFuncHasDirective(pass, n.Pos(), "goroutineok")
 	}
 
 	for _, f := range pass.Files {

@@ -15,11 +15,6 @@
 //     (internal/wal, internal/bitcask, internal/replog) discards its
 //     error — a dropped fsync or append error silently un-durables an
 //     acknowledged write.
-//   - ackorder: on //ring:handler-annotated protocol handlers, no
-//     reply or ack emission is statically reachable before the
-//     quorum-bookkeeping and persist calls the handler owes — the
-//     paper's "acknowledge only after quorum and durability" rule as
-//     a dataflow property (internal/lint/flow).
 //   - lockguard: mutex-guarded fields (inferred by majority of
 //     accesses, or declared //ring:guardedby) are accessed under
 //     their mutex, and no blocking operation — durable-storage or
@@ -29,6 +24,10 @@
 //     shutdown path (CFG exit reachable: a return, break, or select
 //     exit case), and time.After/time.Tick never sit in a loop (the
 //     classic timer-leak shape).
+//
+// The paper's acknowledgement-ordering rule is not among them: it is
+// two function signatures (replog.Quorum, core.Node.Flush) the compiler
+// checks; see DESIGN.md section 7.
 //
 // The suite is built directly on go/ast and go/types (no external
 // analysis framework: the module is dependency-free by policy), with
@@ -50,12 +49,6 @@
 //	//ring:sleepok       exempts one sleep in a test (doc or same line)
 //	//ring:durableok     exempts one durable-storage call (line or
 //	                     enclosing function) from durablepath
-//	//ring:handler       marks a protocol handler as an ackorder root;
-//	                     optional args name the barrier classes owed
-//	                     ("quorum", "persist"; bare means both)
-//	//ring:ackok         exempts one reply/ack emission (same line)
-//	                     from ackorder — the ChaosUnsafeAck injection
-//	                     site is the canonical use
 //	//ring:guardedby     on a struct field: declares the sibling mutex
 //	                     field guarding it (overrides inference)
 //	//ring:lockok        exempts one access or blocking call (line or
@@ -99,18 +92,8 @@ type Pass struct {
 	// PkgPath is the import path the analyzers see. Fixture tests
 	// override it to impersonate restricted paths.
 	PkgPath string
-	// IgnoreDirectives disables honoring the named //ring: exemption
-	// directives — a test hook for asserting that an exempted finding
-	// would otherwise fire (e.g. the ChaosUnsafeAck //ring:ackok site).
-	IgnoreDirectives map[string]bool
 
 	report func(Diagnostic)
-}
-
-// directiveEnabled reports whether the named directive should be
-// honored in this pass (see IgnoreDirectives).
-func (p *Pass) directiveEnabled(name string) bool {
-	return !p.IgnoreDirectives[name]
 }
 
 // Reportf records a diagnostic at pos.
@@ -140,7 +123,6 @@ func Analyzers() []*Analyzer {
 		SimDeterminism,
 		SleepyTest,
 		DurablePath,
-		AckOrder,
 		LockGuard,
 		GoroutineLife,
 	}

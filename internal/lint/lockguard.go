@@ -156,8 +156,7 @@ func runLockGuard(pass *Pass) error {
 	}
 
 	exempt := func(pos token.Pos) bool {
-		return pass.directiveEnabled("lockok") &&
-			(pass.lineDirective(pos, "lockok") || enclosingFuncHasDirective(pass, pos, "lockok"))
+		return pass.lineDirective(pos, "lockok") || enclosingFuncHasDirective(pass, pos, "lockok")
 	}
 	heldAny := func(state map[lockKey]lockVal) (lockKey, bool) {
 		var best lockKey
@@ -518,6 +517,19 @@ func (st *lockState) classifyCall(u *flow.Unit, call *ast.CallExpr) (lockOp, boo
 		return lockOp{kind: opCall, callees: callees, pos: call.Pos(), label: calleeLabel(call)}, true
 	}
 	return lockOp{}, false
+}
+
+// calleeLabel names a call's callee for diagnostics.
+func calleeLabel(call *ast.CallExpr) string {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		return fun.Name
+	case *ast.SelectorExpr:
+		return fun.Sel.Name
+	case *ast.FuncLit:
+		return "a function literal"
+	}
+	return "a call"
 }
 
 // classifyAccess turns a field selection into an access op when the

@@ -8,23 +8,15 @@ import (
 // RunAnalyzers runs the given analyzers over one loaded package and
 // returns their findings sorted by source position.
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunAnalyzersIgnoring(pkg, analyzers, nil)
-}
-
-// RunAnalyzersIgnoring is RunAnalyzers with the named //ring:
-// exemption directives disabled — the test hook that asserts exempted
-// findings would otherwise fire.
-func RunAnalyzersIgnoring(pkg *Package, analyzers []*Analyzer, ignore map[string]bool) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
-			Analyzer:         a,
-			Fset:             pkg.Fset,
-			Files:            pkg.Files,
-			Pkg:              pkg.Pkg,
-			Info:             pkg.Info,
-			PkgPath:          pkg.PkgPath,
-			IgnoreDirectives: ignore,
+			Analyzer: a,
+			Fset:     pkg.Fset,
+			Files:    pkg.Files,
+			Pkg:      pkg.Pkg,
+			Info:     pkg.Info,
+			PkgPath:  pkg.PkgPath,
 		}
 		name := a.Name
 		pass.report = func(d Diagnostic) {

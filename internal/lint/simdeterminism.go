@@ -89,7 +89,7 @@ func runSimDeterminism(pass *Pass) error {
 				pn := pkgNameOf(pass.Info, sel.X)
 				if pn == nil {
 					if typ := mapWalkOf(pass.Info, sel); typ != "" && !sortsAfter(pass.Info, fd.Body, call) &&
-						!(pass.directiveEnabled("maporder") && pass.lineDirective(call.Pos(), "maporder")) {
+						!pass.lineDirective(call.Pos(), "maporder") {
 						pass.Reportf(call.Pos(), "nondeterminism in simulated package: %s.%s visits in Go map order and nothing after it in %s sorts (collect and sort, or mark the walk //ring:maporder with why its order cannot be observed)", typ, sel.Sel.Name, fd.Name.Name)
 					}
 					return true

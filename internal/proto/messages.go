@@ -112,10 +112,9 @@ var wire = [tEnd]struct {
 
 // IsAck reports whether t is an acknowledgement: a message that tells
 // its receiver something happened at the sender — every *Reply and
-// *Ack type, the class internal/lint/ackorder orders behind the quorum
-// and persist barriers. A durable node fsyncs before a batch holding
-// one leaves; requests, fan-out and commit notices promise nothing and
-// do not wait.
+// *Ack type. It is what core.Node counts as acksOwed: a durable node
+// fsyncs before a batch holding one leaves; requests, fan-out and
+// commit notices promise nothing and do not wait.
 func (t MsgType) IsAck() bool { return t < tEnd && wire[t].ack }
 
 // Status is the result code carried by replies.

@@ -87,11 +87,13 @@ func TestRoundTripAllMessages(t *testing.T) {
 			t.Errorf("%T round trip mismatch:\n got %#v\nwant %#v", m, got, m)
 		}
 		seen[m.Type()] = true
-		// IsAck is the *Reply / *Ack naming internal/lint/ackorder goes by,
-		// written down as a predicate: the two must name the same class.
+		// IsAck is what a durable node counts to decide whether a batch
+		// owes a sync: the messages that tell their receiver something
+		// happened at the sender. The tree names exactly those *Reply and
+		// *Ack; predicate and naming must stay in step.
 		name := reflect.TypeOf(m).Elem().Name()
 		if byName := strings.HasSuffix(name, "Reply") || strings.HasSuffix(name, "Ack"); m.Type().IsAck() != byName {
-			t.Errorf("%s: IsAck() = %v, but ackorder's naming rule says %v", name, m.Type().IsAck(), byName)
+			t.Errorf("%s: IsAck() = %v, but the *Reply / *Ack naming says %v", name, m.Type().IsAck(), byName)
 		}
 	}
 	// Every defined message type must be covered.

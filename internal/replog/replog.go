@@ -12,10 +12,42 @@ package replog
 
 import (
 	"fmt"
-	"sort"
 
 	"ring/internal/proto"
 )
+
+// Quorum is proof that a write's redundancy is complete: the paper's
+// rule — acknowledge a write only after every redundancy update it
+// owes — as a value the coordinator's commit and success replies take
+// as an argument, so acknowledging early does not type-check. Only this
+// package makes a valid one (Tracker.Ack, Tracker.Open, Committed,
+// ChaosForgeQuorum); the zero value, which any package can write, is
+// rejected by the sinks' Assert.
+type Quorum struct{ held bool }
+
+// Assert panics on the zero Quorum.
+func (q Quorum) Assert() {
+	if !q.held {
+		panic("replog: zero Quorum: a write acknowledged without proof that its redundancy is complete")
+	}
+}
+
+// Committed is the proof for acknowledging without writing, held when
+// every record named is committed: a move that finds its key under the
+// destination scheme names that version, an empty prefix move names none.
+func Committed(recs ...*proto.MetaRecord) Quorum {
+	for _, r := range recs {
+		if !r.Committed {
+			return Quorum{}
+		}
+	}
+	return Quorum{held: true}
+}
+
+// ChaosForgeQuorum forges the proof for a write whose redundancy is NOT
+// complete. Its only callers are the two bugs the chaos harness injects
+// (core.Options.ChaosUnsafeAck, ChaosUnsafeConvert): core's TestProofPins.
+func ChaosForgeQuorum() Quorum { return Quorum{held: true} }
 
 // Tracker allocates sequence numbers and counts acknowledgements until
 // each entry reaches its required quorum.
@@ -51,53 +83,41 @@ func (t *Tracker) Advance(seq proto.Seq) {
 	}
 }
 
-// Open registers an in-flight entry requiring `need` remote acks.
-// need == 0 entries are trivially complete and are not registered.
-func (t *Tracker) Open(seq proto.Seq, need int) {
+// Open registers an in-flight entry requiring `need` remote acks. A
+// need == 0 entry is complete: not registered, its proof returned.
+func (t *Tracker) Open(seq proto.Seq, need int) (Quorum, bool) {
 	if need < 0 {
 		panic(fmt.Sprintf("replog: negative ack requirement %d", need))
 	}
 	if need == 0 {
-		return
+		return Quorum{held: true}, true
 	}
 	if _, ok := t.pending[seq]; ok {
 		panic(fmt.Sprintf("replog: seq %d opened twice", seq))
 	}
 	t.pending[seq] = &entry{need: need, acks: make(map[proto.NodeID]bool)}
+	return Quorum{}, false
 }
 
-// Ack records an acknowledgement from a node. It returns true exactly
-// once: when the entry reaches its quorum. Duplicate acks from the
-// same node and acks for unknown (already complete or never opened)
-// sequences are ignored.
-func (t *Tracker) Ack(seq proto.Seq, from proto.NodeID) bool {
+// Ack records an acknowledgement from a node. It returns the entry's
+// proof and true exactly once: when the entry reaches its quorum.
+// Duplicate acks from the same node and acks for unknown (already
+// complete, cancelled or never opened) sequences are ignored.
+func (t *Tracker) Ack(seq proto.Seq, from proto.NodeID) (Quorum, bool) {
 	e, ok := t.pending[seq]
-	if !ok {
-		return false
-	}
-	if e.acks[from] {
-		return false
+	if !ok || e.acks[from] {
+		return Quorum{}, false
 	}
 	e.acks[from] = true
-	if len(e.acks) >= e.need {
-		delete(t.pending, seq)
-		return true
+	if len(e.acks) < e.need {
+		return Quorum{}, false
 	}
-	return false
+	delete(t.pending, seq)
+	return Quorum{held: true}, true
 }
 
 // Pending returns the number of in-flight entries.
 func (t *Tracker) Pending() int { return len(t.pending) }
 
-// Cancel drops an in-flight entry (e.g. the memgest was deleted).
+// Cancel drops an in-flight entry (an aborted write): late acks are ignored.
 func (t *Tracker) Cancel(seq proto.Seq) { delete(t.pending, seq) }
-
-// PendingSeqs returns the in-flight sequences in ascending order.
-func (t *Tracker) PendingSeqs() []proto.Seq {
-	out := make([]proto.Seq, 0, len(t.pending))
-	for s := range t.pending {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

@@ -134,28 +134,20 @@ func (s *Sim) crashDisk(id proto.NodeID) {
 	}
 }
 
-// syncDurable runs the node's group commit at the end of one CPU slot
-// and returns the virtual time its fsyncs cost. ok=false means the
-// disk failed and the node must crash-stop without emitting outputs.
-func (s *Sim) syncDurable(h *nodeHost, id proto.NodeID) (time.Duration, bool) {
-	if s.dur == nil || !h.node.HasDurable() {
-		return 0, true
+// syncCost returns the virtual time the fsyncs of node id's last Flush
+// (its group commit at the end of one CPU slot) cost.
+func (s *Sim) syncCost(h *nodeHost, id proto.NodeID) time.Duration {
+	if s.dur == nil || !h.node.HasDurable() || s.dur.fs[id] == nil {
+		return 0
 	}
-	if err := h.node.SyncDurable(); err != nil {
-		return 0, false
-	}
-	fsys := s.dur.fs[id]
-	if fsys == nil {
-		return 0, true
-	}
-	total := fsys.Syncs()
+	total := s.dur.fs[id].Syncs()
 	delta := total - s.dur.lastSync[id]
 	s.dur.lastSync[id] = total
 	cost := time.Duration(delta) * s.dur.syncCost
 	if s.dur.slow[id] {
 		cost *= 10
 	}
-	return cost, true
+	return cost
 }
 
 // recoverNode builds the state machine of a restarting node: over its

@@ -371,11 +371,10 @@ func (s *Sim) RunToQuiescence() { s.Run(0) }
 // virtual time and schedules its outputs through the NIC.
 func (s *Sim) process(h *nodeHost, id proto.NodeID, qm queuedMsg) {
 	start := s.now
-	var outs []core.Out
 	if qm.tick {
-		outs = h.node.HandleTick(start)
+		h.node.HandleTick(start)
 	} else {
-		outs = h.node.HandleMessage(start, qm.from, qm.msg)
+		h.node.HandleMessage(start, qm.from, qm.msg)
 	}
 
 	// Charge CPU for the actual work performed, read from the node's
@@ -400,15 +399,16 @@ func (s *Sim) process(h *nodeHost, id proto.NodeID, qm queuedMsg) {
 	d += time.Duration(qm.size) * s.Model.CPUPerByteCopy
 	h.lastStats = st
 
-	// Group commit at the batch boundary, BEFORE any outputs escape. A
-	// failed fsync crash-stops the node: its acknowledgements for this
-	// batch are never sent, exactly like the real runner.
-	syncCost, syncOK := s.syncDurable(h, id)
-	if !syncOK {
+	// Group commit at the batch boundary: the node hands its outputs
+	// over only once it has synced. A failed fsync crash-stops the node:
+	// its acknowledgements for this batch are never sent, exactly like
+	// the real runner.
+	outs, err := h.node.Flush()
+	if err != nil {
 		s.Kill(id)
 		return
 	}
-	d += syncCost
+	d += s.syncCost(h, id)
 
 	outBufs := make([]int, len(outs))
 	for i, o := range outs {

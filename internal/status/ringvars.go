@@ -184,6 +184,9 @@ type ClusterStats struct {
 	// timeout and relaunched by a configuration change.
 	MovesAborted   uint64
 	MovesReplanned uint64
+	// WritesAwaitingQuorum sums core.writes_awaiting_quorum: coordinated
+	// writes whose redundancy acks are owed right now.
+	WritesAwaitingQuorum int64
 	// ShardsMoved and ConfigRepushes sum, over the nodes that have led,
 	// the placement slots configuration changes reassigned and the
 	// configurations sent a second time.
@@ -226,6 +229,7 @@ func Aggregate(nodes []Ringvars) ClusterStats {
 		cs.RecoveryBacklog += n.RecoveryBacklog
 		cs.MovesAborted += n.MovesAborted
 		cs.MovesReplanned += n.MovesReplanned
+		cs.WritesAwaitingQuorum += n.WritesAwaitingQuorum
 		cs.ShardsMoved += n.ShardsMoved
 		cs.ConfigRepushes += n.ConfigRepushes
 		cs.MetaEntries += n.MetaEntries
@@ -356,8 +360,8 @@ func RenderStats(w io.Writer, cs ClusterStats) {
 	}
 	fmt.Fprintln(w)
 	st := cs.Stats
-	fmt.Fprintf(w, "ops: puts=%d gets=%d deletes=%d moves=%d moves_aborted=%d moves_replanned=%d commits=%d parked_gets=%d\n",
-		st.Puts, st.Gets, st.Deletes, st.Moves, cs.MovesAborted, cs.MovesReplanned, st.Commits, st.ParkedGets)
+	fmt.Fprintf(w, "ops: puts=%d gets=%d deletes=%d moves=%d moves_aborted=%d moves_replanned=%d commits=%d parked_gets=%d writes_awaiting_quorum=%d\n",
+		st.Puts, st.Gets, st.Deletes, st.Moves, cs.MovesAborted, cs.MovesReplanned, st.Commits, st.ParkedGets, cs.WritesAwaitingQuorum)
 	fmt.Fprintf(w, "config: shards_moved=%d config_repushes=%d\n", cs.ShardsMoved, cs.ConfigRepushes)
 	ids := make([]proto.MemgestID, 0, len(cs.Memgests))
 	for id := range cs.Memgests {

@@ -197,6 +197,11 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 	if cs.ShardsMoved != 0 || cs.ConfigRepushes != 0 {
 		t.Fatalf("cluster shards_moved=%d config_repushes=%d, want 0/0", cs.ShardsMoved, cs.ConfigRepushes)
 	}
+	// Every op above was answered: no coordinated write still waits for
+	// redundancy acks.
+	if cs.WritesAwaitingQuorum != 0 {
+		t.Fatalf("quiesced cluster reports %d writes awaiting quorum", cs.WritesAwaitingQuorum)
+	}
 	if cs.Stats.Commits != 15+durPuts {
 		t.Fatalf("cluster commits = %d, want %d", cs.Stats.Commits, 15+durPuts)
 	}
@@ -228,6 +233,7 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		fmt.Sprintf("ops: puts=%d gets=5 deletes=2 moves=3 moves_aborted=0 moves_replanned=0", 10+durPuts),
+		" parked_gets=0 writes_awaiting_quorum=0\n",
 		"config: shards_moved=0 config_repushes=0",
 		fmt.Sprintf("memgest 1: puts=%d gets=5 deletes=1 moves=0", 6+durPuts),
 		"memgest 2: puts=4 gets=0 deletes=1 moves=3",
