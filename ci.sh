@@ -27,7 +27,12 @@
 #      TestAckBeforeBarrierDoesNotCompile (internal/core), which applies
 #      the seven ack-before-barrier mutations with `go build -overlay`
 #      and wants each rejected by the compiler; eight builds, ~1.5 s,
-#      skipped under -short; internal/store's chunk
+#      skipped under -short; and the recovery machine's three:
+#      TestRecoverySurvivesLostFetches (the network eats the first one
+#      or four of each kind of recovery message; every want is met, no
+#      want or gather is left on any node), TestDoubleFailureRecovery
+#      (every coordinator + redundant-node pair, ending in the parity
+#      invariant) and TestLostRoleForgetsItsWants; internal/store's chunk
 #      source is the one build-tagged pair in the tree, so the half this
 #      host does not run is compiled too: the plain-heap fallback
 #      (GOOS=windows go build, with cmd/ringd on top of it) and the
@@ -66,8 +71,16 @@
 #      under message loss alone) — about 2 s each, hard-bounded at 30s.
 #      Every client in these runs goes through the one simulated request
 #      path (internal/sim/caller.go), so a change to how a client
-#      retries, re-resolves or gives up trips here per push. The deep
-#      seed sweeps run nightly (.github/workflows/nightly-chaos.yml).
+#      retries, re-resolves or gives up trips here per push. Then the
+#      three full bands (plain 1:2000, -durable 1:2000, -elasticity
+#      1:500, unshrunk: 24 + 23 + 6 s on 2 vCPUs): a change that touches
+#      recovery or message counts moves which seeds draw which faults,
+#      so no band can be held seed by seed; what is held is that none
+#      gets redder. A band fails when its `N/M seeds FAILED` count is
+#      above the ceiling written below. ROADMAP item 1(b)'s
+#      `chaos.expect` (lane, seed, class) replaces the three numbers.
+#      The deep seed sweeps run nightly
+#      (.github/workflows/nightly-chaos.yml).
 #  10. benchmark canaries: the real harness, twice. `go run ./benchmark`
 #      builds ringd and boots five processes: with -fsync always it
 #      drives rep3_1k_fsync for 5 s and checks every reply against the
@@ -114,6 +127,24 @@ stage_test() {
     go test -race -timeout 900s ./internal/...
 }
 
+# chaos_band CEILING ARGS... runs one full ringchaos band unshrunk and
+# fails unless it ran to its summary line with at most CEILING seeds red
+# (ringchaos itself exits 1 on any red seed, which a full band has).
+chaos_band() {
+    ceiling=$1
+    shift
+    out=$(timeout 60 ./bin/ringchaos -shrink=false "$@" | tail -n 1)
+    echo "$out"
+    case "$out" in
+    *"seeds ok"*) ;;
+    *"seeds FAILED"*)
+        red=${out#ringchaos: }
+        test "${red%%/*}" -le "$ceiling"
+        ;;
+    *) false ;;
+    esac
+}
+
 stage_chaos() {
     go test -run=NONE -fuzz=FuzzWireRoundTrip -fuzztime=10s ./internal/proto/
     go test -run=NONE -fuzz=FuzzSRSRoundTrip -fuzztime=10s ./internal/srs/
@@ -129,6 +160,9 @@ stage_chaos() {
     timeout 30 ./bin/ringchaos -seeds 1:120 -v
     timeout 30 ./bin/ringchaos -durable -seeds 1:150 -v
     timeout 30 ./bin/ringchaos -elasticity -seeds 1:10 -v
+    chaos_band 40 -seeds 1:2000
+    chaos_band 32 -durable -seeds 1:2000
+    chaos_band 8 -elasticity -seeds 1:500
 
     timeout 120 go run ./benchmark -workload rep3_1k_fsync -seconds 5
     timeout 120 go run ./benchmark -workload tier_1k_read90_move -seconds 5

@@ -25,8 +25,8 @@ func parseNodeAddr(addr string) (proto.NodeID, bool) {
 	return proto.NodeID(v), true
 }
 
-// blockWaiter is a request parked on the recovery of a lost Rep value
-// or SRS block: a get, or (move set) a move that re-enters admitMove.
+// blockWaiter is a request parked on the want for a lost Rep value or
+// SRS block: a get, or (move set) a move that re-enters admitMove.
 type blockWaiter struct {
 	client  string
 	req     proto.ReqID
@@ -57,7 +57,7 @@ func (n *Node) checkClientOp(key string, fail func(refusal)) (uint32, bool) {
 		fail(refWrongNode)
 		return 0, false
 	}
-	if !n.serving {
+	if n.recovering(shard) {
 		fail(refRetry)
 		return 0, false
 	}
@@ -185,10 +185,12 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 				n.refuse(replyTo, req, kind, refUnavailable)
 				return false
 			}
-			if !cs.blockOK[ext.Block] {
+			if w := n.wants.at[blockWant(mgID, shard, ext.Block)]; w != nil {
 				// The target block has not been re-decoded yet after a
-				// failover; writing would corrupt parity deltas.
+				// failover; writing would corrupt parity deltas. Decode it
+				// next: the client is about to come back.
 				cs.heap.Free(ext)
+				n.hurry(w)
 				n.refuse(replyTo, req, kind, refRetry)
 				return false
 			}
@@ -552,31 +554,30 @@ func (n *Node) sendValueReply(st *mgState, cs *coordShard, e *store.Entry, clien
 // slot or an SRS extent and write the next value there before a reply
 // is encoded — so no view of them leaves the handler that read them.
 // When a failover lost the bytes — a Rep value not yet re-fetched, an
-// SRS block not yet re-decoded — localValue parks w on their on-demand
-// recovery and reports false; releaseWaiter resumes the request.
+// SRS block not yet re-decoded — localValue parks w on their want, has
+// it asked at once, and reports false; closeWant resumes the request.
 func (n *Node) localValue(st *mgState, cs *coordShard, e *store.Entry, w blockWaiter) (value []byte, ok bool) {
 	if e.Rec.Length == 0 {
 		return nil, true
 	}
-	switch st.info.Scheme.Kind {
-	case proto.SchemeRep:
-		b, held := e.Bytes()
-		if !held {
-			n.parkOnValueRecovery(st, cs, e, w)
-			return nil, false
+	var lost wantID
+	if st.info.Scheme.Kind == proto.SchemeRep {
+		if b, held := e.Bytes(); held {
+			return copyOut(b), true
 		}
-		return copyOut(b), true
-	case proto.SchemeSRS:
+		lost = valueWant(role{st.info.ID, cs.shard, roleCoordinator}, e.Rec.Key, e.Rec.Version)
+	} else {
 		ext := e.Extent()
-		if !cs.blockOK[ext.Block] {
-			n.parkOnBlockRecovery(st, cs, ext.Block, w)
-			return nil, false
+		if lost = blockWant(st.info.ID, cs.shard, ext.Block); !n.lacks(lost) {
+			buf := transport.AcquireBufSize(int(ext.Len))[:ext.Len]
+			cs.heap.ReadInto(buf, ext)
+			return buf, true
 		}
-		buf := transport.AcquireBufSize(int(ext.Len))[:ext.Len]
-		cs.heap.ReadInto(buf, ext)
-		return buf, true
 	}
-	return nil, true
+	want := n.wants.open(lost)
+	want.parked = append(want.parked, w)
+	n.hurry(want)
+	return nil, false
 }
 
 // copyOut copies b into a pooled buffer (nil for no bytes).

@@ -23,8 +23,10 @@ type harness struct {
 	// client inboxes, keyed by address.
 	clientIn map[string][]proto.Message
 	now      time.Duration
-	// observe, when set, sees every message as it is delivered.
+	// observe, when set, sees every message as it is delivered; drop,
+	// when set, says which of them the network loses instead.
 	observe func(routedMsg)
+	drop    func(routedMsg) bool
 }
 
 type routedMsg struct {
@@ -94,6 +96,9 @@ func (h *harness) run() {
 		if h.observe != nil {
 			h.observe(m)
 		}
+		if h.drop != nil && h.drop(m) {
+			continue
+		}
 		id, ok := parseNodeAddr(m.to)
 		if !ok {
 			h.clientIn[m.to] = append(h.clientIn[m.to], m.msg)
@@ -129,10 +134,21 @@ func (h *harness) tickUntil(d time.Duration, max int, cond func() bool) bool {
 }
 
 // recovered reports whether a node finished recovery completely:
-// serving, with the background block/value queue drained.
+// admitted, wanting nothing, gathering nothing.
 func (h *harness) recovered(id proto.NodeID) bool {
 	n := h.nodes[id]
-	return n.serving && len(n.bgQueue) == 0 && n.bgInflight == 0
+	return n.Serving() && len(n.wants.at) == 0 && len(n.gathers) == 0
+}
+
+// config returns the newest configuration a live node has installed.
+func (h *harness) config() *proto.Config {
+	var cfg *proto.Config
+	for id, n := range h.nodes {
+		if !h.dead[id] && (cfg == nil || n.cfg.Epoch > cfg.Epoch) {
+			cfg = n.cfg
+		}
+	}
+	return cfg
 }
 
 // tick advances virtual time and fires every node's timer.
@@ -155,17 +171,7 @@ func (h *harness) kill(id proto.NodeID) { h.dead[id] = true }
 
 // coordinatorOf returns the live node coordinating key.
 func (h *harness) coordinatorOf(key string) (*Node, proto.NodeID) {
-	// Use any live node's config (highest epoch wins).
-	var cfg *proto.Config
-	for id, n := range h.nodes {
-		if h.dead[id] {
-			continue
-		}
-		if cfg == nil || n.cfg.Epoch > cfg.Epoch {
-			cfg = n.cfg
-		}
-	}
-	id := cfg.CoordinatorOf(store.KeyHash(key))
+	id := h.config().CoordinatorOf(store.KeyHash(key))
 	return h.nodes[id], id
 }
 
@@ -661,7 +667,7 @@ func TestCoordinatorFailover(t *testing.T) {
 // TestRecoveryFetchesValuesInKeyOrder: a coordinator taking over a Rep
 // shard queues the background fetches of the values it lost in (key,
 // version) order, not in the order its metadata table — a Go map —
-// happens to walk, so two runs of one seed send the same DataFetches in
+// happens to walk, so two runs of one seed send the same Fetches in
 // the same order (ROADMAP item 1e: a dozen chaos seeds differed from
 // themselves on exactly this).
 func TestRecoveryFetchesValuesInKeyOrder(t *testing.T) {
@@ -677,7 +683,7 @@ func TestRecoveryFetchesValuesInKeyOrder(t *testing.T) {
 	}
 	var fetched []store.EntryKey
 	h.observe = func(m routedMsg) {
-		if df, ok := m.msg.(*proto.DataFetch); ok && df.Memgest == mgREP3 {
+		if df, ok := m.msg.(*proto.Fetch); ok && df.Memgest == mgREP3 {
 			fetched = append(fetched, store.EntryKey{Key: df.Key, Version: df.Version})
 		}
 	}
@@ -693,7 +699,7 @@ func TestRecoveryFetchesValuesInKeyOrder(t *testing.T) {
 		t.Fatalf("replacement fetched %d values, want %d", len(fetched), want)
 	}
 	if !sort.SliceIsSorted(fetched, func(i, j int) bool { return fetched[i].Less(fetched[j]) }) {
-		t.Fatalf("DataFetches left in table order, not key order: %v ...", fetched[:8])
+		t.Fatalf("Fetches left in table order, not key order: %v ...", fetched[:8])
 	}
 }
 
@@ -800,55 +806,71 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
+// TestDoubleFailureRecovery kills a coordinator AND a redundant node at
+// once, every pair of the Figure 3 deployment. The replacement
+// coordinator's metadata fetch initially targets the dead redundant
+// node; the tick-driven retry must prune it once the leader
+// reconfigures, letting recovery converge instead of wedging. And the
+// replacement parity node holds no parity yet: asked to decode a block
+// of the replacement coordinator it must refuse until its own stripes
+// are rebuilt, or the keys read back as bytes no client wrote.
 func TestDoubleFailureRecovery(t *testing.T) {
-	// Kill a coordinator AND a parity node at once. The replacement
-	// coordinator's metadata fetch initially targets the dead parity
-	// node; the tick-driven retry must prune it once the leader
-	// reconfigures, letting recovery converge instead of wedging.
-	h := newHarness(t, figure3Spec())
-	keys := map[string][]byte{}
-	for i := 0; i < 12; i++ {
-		key := fmt.Sprintf("df-%d", i)
-		val := bytes.Repeat([]byte{byte(i + 1)}, 400)
-		mg := []proto.MemgestID{mgSRS32, mgREP3}[i%2]
-		h.put(key, val, mg)
-		keys[key] = val
-	}
-	h.kill(1) // coordinator of shard 1
-	h.kill(4) // redundant node: parity 1 of SRS32, replica of REP3
-	// Both dead nodes must be replaced (idle spares are trivially
-	// "recovered", so require the reconfiguration first) and both
-	// replacements must finish recovery completely.
-	lead := h.nodes[0]
-	replaced := func() bool {
-		if lead.cfg.Coords[1] == 1 {
-			return false
-		}
-		for _, r := range lead.cfg.Memgests[mgSRS32-1].Redundant {
-			if r == 4 {
-				return false
+	for _, pair := range [][2]proto.NodeID{{0, 3}, {0, 4}, {1, 3}, {1, 4}, {2, 3}, {2, 4}} {
+		t.Run(fmt.Sprintf("kill-%d-%d", pair[0], pair[1]), func(t *testing.T) {
+			h := newHarness(t, figure3Spec())
+			keys := map[string][]byte{}
+			for i := 0; i < 24; i++ {
+				key := fmt.Sprintf("df-%d", i)
+				val := bytes.Repeat([]byte{byte(i + 1)}, 400)
+				h.put(key, val, []proto.MemgestID{mgSRS32, mgREP3}[i%2])
+				keys[key] = val
 			}
-		}
-		return h.recovered(5) && h.recovered(6)
-	}
-	if !h.tickUntil(10*time.Millisecond, 400, replaced) {
-		t.Fatalf("double failure never fully recovered (epoch %d, coords %v)", lead.cfg.Epoch, lead.cfg.Coords)
-	}
-	// Survivable data: REP3 keys always (quorum held); SRS32 keys on
-	// shards other than 1 trivially; SRS32 keys on shard 1 lost BOTH a
-	// data column and one parity — still within m=2, so they must be
-	// recoverable too.
-	for key, val := range keys {
-		g := h.get(key)
-		if g.Status != proto.StOK || !bytes.Equal(g.Value, val) {
-			t.Fatalf("key %s after double failure: %v", key, g.Status)
-		}
-	}
-	// Cluster accepts new writes everywhere.
-	for i := 0; i < 6; i++ {
-		if r := h.put(fmt.Sprintf("df-new-%d", i), []byte("post"), mgSRS32); r.Status != proto.StOK {
-			t.Fatalf("post-recovery put: %v", r.Status)
-		}
+			h.kill(pair[0]) // a coordinator (node 0 leads as well)
+			h.kill(pair[1]) // parity node of the SRS memgests, replica of the Rep ones
+			// Both dead nodes must be replaced and everything that survives
+			// recovered. What does not: losing node 3 with a coordinator is
+			// one failure more than Rep(2,3), SRS(2,1,3) and SRS(3,1,3)
+			// tolerate, and the wants for their blocks stay open for good.
+			settled := func() bool {
+				cfg := h.config()
+				for id, n := range h.nodes {
+					if h.dead[id] {
+						if holdsRole(cfg, id) {
+							return false
+						}
+						continue
+					}
+					if n.cfg.Epoch != cfg.Epoch || !n.Serving() {
+						return false
+					}
+					for id := range n.wants.at {
+						if id.role.mg == mgSRS32 || id.role.mg == mgREP3 || id.role.mg == mgREP4 {
+							return false
+						}
+					}
+				}
+				return true
+			}
+			if !h.tickUntil(10*time.Millisecond, 600, settled) {
+				t.Fatalf("double failure never fully recovered (config %+v)", h.config())
+			}
+			// Survivable data: REP3 keys always (one copy of three is left);
+			// SRS32 keys of the dead coordinator lost BOTH a data column and
+			// one parity — still within m=2, so they must be recoverable too.
+			for key, val := range keys {
+				if g := h.get(key); g.Status != proto.StOK || !bytes.Equal(g.Value, val) {
+					t.Fatalf("key %s after double failure: %v, %d bytes of %#x", key, g.Status, len(g.Value), g.Value[:min(1, len(g.Value))])
+				}
+			}
+			h.checkParityInvariant()
+			// Cluster accepts new writes everywhere.
+			for i := 0; i < 6; i++ {
+				if r := h.put(fmt.Sprintf("df-new-%d", i), []byte("post"), mgSRS32); r.Status != proto.StOK {
+					t.Fatalf("post-recovery put: %v", r.Status)
+				}
+			}
+			h.checkParityInvariant()
+		})
 	}
 }
 

@@ -49,17 +49,6 @@ type coordShard struct {
 	tracker *replog.Tracker
 	// pending maps in-flight sequences to their commit actions.
 	pending map[proto.Seq]*pendingCommit
-	// blockOK marks SRS logical blocks whose data is valid; false for
-	// blocks still awaiting recovery after a failover.
-	blockOK map[uint32]bool
-	// blockWaiters queues requests waiting for a block recovery, and
-	// blockFetching marks blocks with a recovery in flight.
-	blockWaiters  map[uint32][]blockWaiter
-	blockFetching map[uint32]bool
-	// valueWaiters queues requests waiting for a Rep value fetch, and
-	// valueFetching marks fetches in flight.
-	valueWaiters  map[store.EntryKey][]blockWaiter
-	valueFetching map[store.EntryKey]bool
 }
 
 // pendingCommit describes what to do when an in-flight entry reaches
@@ -166,33 +155,29 @@ func (n *Node) newMgState(info proto.MemgestInfo) *mgState {
 }
 
 // newCoordShard builds coordinator state for one shard of a memgest.
-// fresh indicates the memgest is newly created (all blocks valid); a
-// non-fresh creation (failover takeover) starts with every block
-// invalid pending recovery.
-func (n *Node) newCoordShard(st *mgState, shard uint32, fresh bool) *coordShard {
+func (n *Node) newCoordShard(st *mgState, shard uint32) *coordShard {
 	cs := &coordShard{
-		shard:        shard,
-		meta:         newMetaTable(),
-		tracker:      replog.NewTracker(),
-		pending:      make(map[proto.Seq]*pendingCommit),
-		blockOK:      make(map[uint32]bool),
-		blockWaiters: make(map[uint32][]blockWaiter),
-
-		blockFetching: make(map[uint32]bool),
-		valueWaiters:  make(map[store.EntryKey][]blockWaiter),
-		valueFetching: make(map[store.EntryKey]bool),
+		shard:   shard,
+		meta:    newMetaTable(),
+		tracker: replog.NewTracker(),
+		pending: make(map[proto.Seq]*pendingCommit),
 	}
 	if st.layout != nil {
 		lo, hi := st.layout.NodeBlocks(int(shard))
 		cs.heap = store.NewBlockHeap(lo, hi-lo, n.opts.BlockSize)
 		// This node multiplies the deltas of this shard's puts.
 		st.layout.WarmParityDelta(int(shard))
-		for b := lo; b < hi; b++ {
-			cs.blockOK[uint32(b)] = fresh
-		}
 	}
 	st.coord[shard] = cs
 	return cs
+}
+
+// table returns the metadata table behind a role this node holds.
+func (st *mgState) table(r role) *store.MetaTable {
+	if r.kind == roleCoordinator {
+		return st.coord[r.shard].meta
+	}
+	return st.rmeta[r.shard]
 }
 
 // mgFor returns the memgest state, or nil when unknown.
@@ -310,7 +295,6 @@ func (n *Node) installConfig(cfg *proto.Config) {
 		// started re-fetched their state.
 		n.rejoining = false
 		n.joinAttempts = 0
-		n.serving = len(n.recovering) == 0
 	}
 	// Durable shards no gained role claimed are voided: either the
 	// leader re-admitted us into different roles, or a role moved while
@@ -335,13 +319,13 @@ func (n *Node) gainRole(r role, fresh bool) {
 	st := n.mg[r.mg]
 	switch r.kind {
 	case roleCoordinator:
-		n.newCoordShard(st, r.shard, fresh)
+		n.newCoordShard(st, r.shard)
 	case roleParity:
 		if st.parity == nil { // one region behind the memgest's s parity roles
 			st.parityIdx = slices.Index(parityNodes(&st.info), n.id)
 			st.parity = store.NewParityRegion(st.layout.Stripes(), n.opts.BlockSize)
-			if !fresh {
-				n.scheduleParityRebuild(st)
+			for t := 0; !fresh && t < st.layout.Stripes(); t++ {
+				n.wants.open(stripeWant(r.mg, t))
 			}
 		}
 		fallthrough
@@ -349,7 +333,7 @@ func (n *Node) gainRole(r role, fresh bool) {
 		st.rmeta[r.shard] = newMetaTable()
 	}
 	if !fresh {
-		n.startMetaRecovery(r.mg, r.shard, r.kind, n.installStash(st, r))
+		n.wantMetadata(r, n.installStash(st, r))
 	}
 }
 
@@ -358,6 +342,7 @@ func (n *Node) gainRole(r role, fresh bool) {
 // retry against the new holder), and the durable shard, which replayed
 // in a later life would resurrect state that now belongs elsewhere.
 func (n *Node) loseRole(r role) {
+	n.forgetWants(r)
 	st := n.mg[r.mg]
 	switch r.kind {
 	case roleCoordinator:
@@ -407,5 +392,5 @@ func (n *Node) ownedShards() []uint32 {
 // String renders the node's role summary for debugging.
 func (n *Node) String() string {
 	return fmt.Sprintf("node %d (epoch %d, leader=%v, serving=%v, shards=%v)",
-		n.id, n.cfg.Epoch, n.IsLeader(), n.serving, n.ownedShards())
+		n.id, n.cfg.Epoch, n.IsLeader(), n.Serving(), n.ownedShards())
 }

@@ -47,9 +47,9 @@ type NodeMetrics struct {
 	// quorum commit) split by scheme class.
 	CommitRep metrics.Histogram
 	CommitSRS metrics.Histogram
-	// RecoveryBacklog is the current background recovery queue depth
-	// (queued + in flight); it drains to zero as a failover heals.
-	RecoveryBacklog metrics.Gauge
+	// RecoveryReasks counts the recovery asks sent a second time or
+	// more: the source refused or stayed silent.
+	RecoveryReasks metrics.Counter
 	// ShardsMoved counts placement slots the leader actually reassigned
 	// across configuration changes — the minimal-movement metric the
 	// elasticity tests assert on (a join moves zero; a leave or a
@@ -164,6 +164,15 @@ type MetricsSnapshot struct {
 	// WritesAwaitingQuorum counts the coordinated writes whose redundancy
 	// acks are owed (replog.Tracker.Pending over the shards): 0 at rest.
 	WritesAwaitingQuorum int64 `json:"core.writes_awaiting_quorum"`
+	// ShardsRecovering and ShardsDegraded count the shards this node
+	// coordinates that still want metadata (and refuse requests) and
+	// that want values or blocks (and fetch what a request needs first);
+	// RecoveryBacklog is the length of the want table they are read off.
+	// All three are 0 at rest. RecoveryReasks counts asks that had to be
+	// repeated.
+	ShardsRecovering int64  `json:"core.shards_recovering"`
+	ShardsDegraded   int64  `json:"core.shards_degraded"`
+	RecoveryReasks   uint64 `json:"core.recovery_reasks"`
 	// Durable is the durable tier's instrumentation; nil on a volatile
 	// node.
 	Durable *replog.Stats `json:"durable,omitempty"`
@@ -180,7 +189,8 @@ func (n *Node) MetricsSnapshot() MetricsSnapshot {
 		MsgsOut:         m.MsgsOut.Load(),
 		PacketsOut:      m.PacketsOut.Load(),
 		InboxHighWater:  m.InboxHighWater.Load(),
-		RecoveryBacklog: m.RecoveryBacklog.Load(),
+		RecoveryBacklog: int64(len(n.wants.at)),
+		RecoveryReasks:  m.RecoveryReasks.Load(),
 		ShardsMoved:     m.ShardsMoved.Load(),
 		ConfigRepushes:  m.ConfigRepushes.Load(),
 		MovesReplanned:  m.MovesReplanned.Load(),
@@ -191,6 +201,7 @@ func (n *Node) MetricsSnapshot() MetricsSnapshot {
 		Memgests:        make(map[proto.MemgestID]MemgestOpCounts, len(m.mg)),
 		TraceRecorded:   m.Trace.Recorded(),
 	}
+	s.ShardsRecovering, s.ShardsDegraded = n.shardStates()
 	for id, mm := range m.mg {
 		c := MemgestOpCounts{
 			Puts:    mm.Puts.Load(),

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -106,7 +107,7 @@ func (n *Node) handleMove(from string, m *proto.Move) {
 // admitMove runs one key's move from the top: routing, the key's open
 // window, validation against the durable highest version, the local
 // read, and the launch. Every deferred move — parked on a window, on an
-// uncommitted version, or on value/block recovery — re-enters here, so
+// uncommitted version, or on the want for a value or block — re-enters here, so
 // the rules are checked against the state the move actually runs on.
 // from may be a bulk-move internal address; every reply goes through
 // refuse or replyOK so the routing is uniform.
@@ -227,7 +228,7 @@ func (n *Node) handleMovePrefix(from string, m *proto.Move) {
 		fail(refUnavailable)
 		return
 	}
-	if !n.serving {
+	if slices.ContainsFunc(n.ownedShards(), n.recovering) {
 		fail(refRetry)
 		return
 	}

@@ -223,13 +223,12 @@ func TestMove(t *testing.T) {
 			n, _ := h.coordinatorOf("mk")
 			shard := n.shardOf("mk")
 			ref, _ := n.volFor(shard).Highest("mk")
-			cs := n.mg[mgSRS32].coord[shard]
-			block := n.lookupEntry(shard, "mk", ref).Extent().Block
-			cs.blockOK[block] = false
+			lost := blockWant(mgSRS32, shard, n.lookupEntry(shard, "mk", ref).Extent().Block)
+			n.wants.open(lost)
 			if r := h.move("mk", mgREP3); r.Status != proto.StOK || r.Version != 2 {
 				t.Fatalf("move through block recovery: %+v", r)
 			}
-			if !cs.blockOK[block] {
+			if n.lacks(lost) {
 				t.Fatal("block was not recovered")
 			}
 			if g := h.get("mk"); g.Status != proto.StOK || !bytes.Equal(g.Value, val) {

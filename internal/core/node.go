@@ -125,19 +125,11 @@ type Node struct {
 	// Follower state.
 	lastHeartbeat time.Duration
 
-	// Recovery state: outstanding metadata fetches keyed by request.
-	recovering map[proto.ReqID]*metaRecovery
-	// Pending block recoveries this node is running as parity master.
-	blockRecs map[proto.ReqID]*blockRecovery
-	// parityRebuilds tracks stripe rebuilds on a new parity node.
-	parityRebuilds map[proto.ReqID]*parityRebuild
-	// bgQueue and bgInflight implement the bounded background data
-	// recovery pump; bgTasks0 maps the block and value requests this
-	// node has outstanding, as a recovering coordinator or replica, to
-	// their tasks: what to install when the reply comes, what to retry.
-	bgQueue    []bgTask
-	bgInflight int
-	bgTasks0   map[proto.ReqID]bgTask
+	// wants is everything this node's roles lack, and gathers the parity
+	// stripes it is collecting block by block (see recovery.go, which
+	// owns both).
+	wants   wantTable
+	gathers []*gather
 
 	// moving tracks the open move windows of shards this node
 	// coordinates: client writes to a moving key park here and replay
@@ -150,10 +142,6 @@ type Node struct {
 	// pendingChange is the leader's configuration change held back behind a
 	// fence (one at a time; see reconfig.go, which owns it).
 	pendingChange *change
-
-	// serving is false while metadata recovery is in progress; client
-	// requests are answered with StRetry until it completes.
-	serving bool
 
 	// rejoining is true on a node that restarted with empty state and
 	// has not yet been re-admitted by the leader (see rejoin.go). While
@@ -206,25 +194,6 @@ type Stats struct {
 	BytesMetaInstalled uint64
 }
 
-// metaRecovery tracks one outstanding MetaFetch.
-type metaRecovery struct {
-	memgest proto.MemgestID
-	shard   uint32
-	// role is what this node becomes for the memgest once recovered.
-	role recoveredRole
-	// peers yet to answer (for union merging we ask several).
-	waiting map[proto.NodeID]bool
-	// replies collected so far, per peer.
-	replies []*proto.MetaFetchReply
-	// lastSent drives the tick-based retry: peers that die mid-fetch
-	// are pruned once the config drops them, and surviving peers are
-	// re-asked (MetaFetch is an idempotent snapshot read).
-	lastSent time.Duration
-	// since is the delta floor carried on every (re)send: a node that
-	// recovered durable state only needs records past it.
-	since proto.Seq
-}
-
 type recoveredRole uint8
 
 const (
@@ -233,38 +202,27 @@ const (
 	roleParity
 )
 
-// blockRecovery is parity-master state for one in-flight stripe decode.
-type blockRecovery struct {
-	requester string
-	req       proto.ReqID
-	memgest   proto.MemgestID
-	block     uint32
-	// have maps stripe position -> block contents gathered so far
-	// (including this node's own parity at position k+r).
-	have    map[int][]byte
-	pending int
+// newNode creates a node that holds nothing yet.
+func newNode(id proto.NodeID, opts Options) *Node {
+	return &Node{
+		id:        id,
+		opts:      opts.Defaults(),
+		vol:       make(map[uint32]*store.VolatileIndex),
+		mg:        make(map[proto.MemgestID]*mgState),
+		wants:     wantTable{at: make(map[wantID]*want), byReq: make(map[proto.ReqID]*want)},
+		moving:    make(map[moveKey]*moveState),
+		bulkMoves: make(map[string]*bulkMove),
+		nextReq:   1,
+		nextMgID:  1,
+		Metrics:   newNodeMetrics(),
+	}
 }
 
 // New creates a node with an installed initial configuration. All
 // nodes of a fresh cluster are constructed with the same config; no
 // recovery is triggered for roles assigned at construction.
 func New(id proto.NodeID, cfg *proto.Config, opts Options) *Node {
-	n := &Node{
-		id:             id,
-		opts:           opts.Defaults(),
-		vol:            make(map[uint32]*store.VolatileIndex),
-		mg:             make(map[proto.MemgestID]*mgState),
-		recovering:     make(map[proto.ReqID]*metaRecovery),
-		blockRecs:      make(map[proto.ReqID]*blockRecovery),
-		parityRebuilds: make(map[proto.ReqID]*parityRebuild),
-		bgTasks0:       make(map[proto.ReqID]bgTask),
-		moving:         make(map[moveKey]*moveState),
-		bulkMoves:      make(map[string]*bulkMove),
-		serving:        true,
-		nextReq:        1,
-		nextMgID:       1,
-		Metrics:        newNodeMetrics(),
-	}
+	n := newNode(id, opts)
 	n.installConfig(cfg)
 	return n
 }
@@ -274,10 +232,6 @@ func (n *Node) ID() proto.NodeID { return n.id }
 
 // Config returns the currently installed configuration.
 func (n *Node) Config() *proto.Config { return n.cfg }
-
-// Serving reports whether the node has completed recovery and serves
-// client requests.
-func (n *Node) Serving() bool { return n.serving }
 
 // IsLeader reports whether this node is the current leader.
 func (n *Node) IsLeader() bool { return n.cfg != nil && n.cfg.Leader == n.id }
@@ -372,18 +326,10 @@ func (n *Node) HandleMessage(now time.Duration, from string, msg proto.Message) 
 		n.handleMetaFetch(from, m)
 	case *proto.MetaFetchReply:
 		n.handleMetaFetchReply(from, m)
-	case *proto.DataFetch:
-		n.handleDataFetch(from, m)
-	case *proto.DataFetchReply:
-		n.handleDataFetchReply(from, m)
-	case *proto.BlockRecover:
-		n.handleBlockRecover(from, m)
-	case *proto.BlockRecoverReply:
-		n.handleBlockRecoverReply(from, m)
-	case *proto.BlockFetch:
-		n.handleBlockFetch(from, m)
-	case *proto.BlockFetchReply:
-		n.handleBlockFetchReply(from, m)
+	case *proto.Fetch:
+		n.handleFetch(from, m)
+	case *proto.FetchReply:
+		n.handleFetchReply(from, m)
 	case *proto.Tick:
 		n.handleTick()
 	}

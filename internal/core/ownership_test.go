@@ -241,7 +241,7 @@ func TestGetReplySurvivesPurgeInSameDrain(t *testing.T) {
 // bytes that move: a free may evacuate a chunk of the table (see
 // store's arena), which copies the values of other keys elsewhere and,
 // under PoisonPayloads, overwrites the whole chunk with 0xDB. A get
-// reply, a DataFetchReply and the value a move reads out of its source
+// reply, a FetchReply and the value a move reads out of its source
 // memgest are all still unencoded messages when, later in the same
 // drain, the ack that commits another key's version 2 purges its version
 // 1, the freed slots reach the arena's threshold and the chunk the three
@@ -330,7 +330,7 @@ func TestRepliesSurviveEvacuationInSameDrain(t *testing.T) {
 	// One drain: the three reads, the purge that evacuates, a read after.
 	drain(
 		from(client, &proto.Get{Req: 6, Key: "get"}),
-		from(replica, &proto.DataFetch{Req: 7, Memgest: 1, Shard: 0, Key: "fetch", Version: 1}),
+		from(replica, &proto.Fetch{Req: 7, Memgest: 1, Shard: 0, Key: "fetch", Version: 1}),
 		from(client, &proto.Move{Req: 8, Key: "move", Memgest: 2}),
 		ackOf(k2),
 		from(client, &proto.Get{Req: 9, Key: "get"}),
@@ -348,9 +348,9 @@ func TestRepliesSurviveEvacuationInSameDrain(t *testing.T) {
 			t.Fatalf("get %d answered req %d %v with %d bytes of %#x, want %d of 0x01", req, rep.Req, rep.Status, len(rep.Value), rep.Value[:min(1, len(rep.Value))], size)
 		}
 	}
-	fetched := replica.next(func(m proto.Message) bool { _, ok := m.(*proto.DataFetchReply); return ok }).(*proto.DataFetchReply)
-	if fetched.Status != proto.StOK || !bytes.Equal(fetched.Value, val(2)) {
-		t.Fatalf("data fetch answered %v with %d bytes of %#x, want %d of 0x02", fetched.Status, len(fetched.Value), fetched.Value[:min(1, len(fetched.Value))], size)
+	fetched := replica.next(func(m proto.Message) bool { _, ok := m.(*proto.FetchReply); return ok }).(*proto.FetchReply)
+	if fetched.Status != proto.StOK || !bytes.Equal(fetched.Data, val(2)) {
+		t.Fatalf("data fetch answered %v with %d bytes of %#x, want %d of 0x02", fetched.Status, len(fetched.Data), fetched.Data[:min(1, len(fetched.Data))], size)
 	}
 	if moved := replica.nextAppend(); moved.Memgest != 2 || moved.Rec.Key != "move" || !bytes.Equal(moved.Value, val(3)) {
 		t.Fatalf("the move's destination append is for %q in memgest %d with %d bytes of %#x, want %d of 0x03", moved.Rec.Key, moved.Memgest, len(moved.Value), moved.Value[:min(1, len(moved.Value))], size)

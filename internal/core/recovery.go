@@ -2,166 +2,387 @@ package core
 
 import (
 	"bytes"
+	"container/list"
+	"maps"
+	"slices"
 	"sort"
+	"time"
 
 	"ring/internal/proto"
 	"ring/internal/store"
 )
 
-// bgKind classifies background recovery work items.
-type bgKind uint8
+// This file is the node's one recovery machine (Section 6.4). What a
+// role of this node lacks is a want, and every want is in one table:
+// gainRole opens a role's metadata want (and a parity region's stripe
+// wants), the metadata's arrival opens a want for each value or block
+// it names and this node does not hold, a reply that brings the bytes
+// closes the want, and loseRole forgets the role's. One pump,
+// recoveryTick, asks: a few queued wants at a time, a want a request
+// waits on at once, and again — from the next source — any want its
+// source refused or left unanswered. Nothing gives up: a want stays
+// until it is met or its role goes.
+//
+// A shard's state is read off the table, never stored: recovering
+// while a coordinator role of it wants its metadata, degraded while one
+// wants values or blocks, normal otherwise. DESIGN.md section 5
+// ("Recovery states") has what each request does in each.
+
+// wantKind says what a want lacks.
+type wantKind uint8
 
 const (
-	bgBlock  bgKind = iota + 1 // SRS coordinator: decode one logical block
-	bgValue                    // Rep: fetch one value copy
-	bgParity                   // SRS parity: rebuild one stripe's parity block
+	wantMeta   wantKind = iota + 1 // the metadata table of the role's shard
+	wantValue                      // the bytes of one (key, version) of a replicated memgest
+	wantBlock                      // one SRS data block, decoded by a parity node
+	wantStripe                     // one parity block, re-encoded from its stripe's data blocks
 )
 
-// bgTask is one queued background recovery item.
-type bgTask struct {
-	kind    bgKind
-	memgest proto.MemgestID
-	shard   uint32
-	block   uint32 // bgBlock
-	stripe  int    // bgParity
-	key     string // bgValue
-	version proto.Version
-	replica bool // bgValue: install into the replica table, not coord
-	retries int
+// wantID names a want: whose it is and what is missing. The parity
+// region sits behind all s parity roles of a memgest, which come and go
+// together; its stripe wants are filed under the role of shard 0.
+type wantID struct {
+	role    role
+	what    wantKind
+	key     string        // wantValue
+	version proto.Version // wantValue
+	block   uint32        // wantBlock: the logical block; wantStripe: the stripe
 }
 
-const (
-	maxBgInflight = 4
-	maxRetries    = 16
-)
+// want is one open entry of the table.
+type want struct {
+	wantID
+	el *list.Element
+	// req names the want in every ask sent for it (0 until the first),
+	// so a late answer to an earlier ask is as good as one to the last;
+	// asked says an ask is out and askedAt when it left. An ask silent
+	// for patience is taken back: FailAfter, and FailAfter more with
+	// every silence, so that an answer that takes long to produce (a
+	// block is far bigger than a heartbeat) is asked for ever more
+	// rarely until it fits. attempt counts the asks and rotates the
+	// source.
+	req      proto.ReqID
+	asked    bool
+	askedAt  time.Duration
+	patience time.Duration
+	attempt  int
+	// parked are the gets and moves that need the bytes.
+	parked []blockWaiter
 
-// startMetaRecovery begins fetching the metadata hashtable of one
-// memgest shard from the nodes that replicate it (step 5 of the
-// Section 6.4 recovery sequence). since > 0 turns the fetch into a
-// delta sync: the node recovered durable state up to that sequence
-// and only needs what came after.
-func (n *Node) startMetaRecovery(mgID proto.MemgestID, shard uint32, role recoveredRole, since proto.Seq) {
-	mi := n.cfg.Memgest(mgID)
-	if mi == nil {
-		return
+	// A metadata want asks every peer holding a copy and merges what
+	// they answer: since is the delta floor (a node that recovered
+	// durable state needs only what came after), waiting the peers yet
+	// to answer, replies what the others said.
+	since   proto.Seq
+	waiting []proto.NodeID
+	replies []*proto.MetaFetchReply
+}
+
+// wantTable is what the node lacks: the open wants in the order the
+// pump asks them, by name, and — those ever asked — by request.
+type wantTable struct {
+	order list.List // of *want
+	at    map[wantID]*want
+	byReq map[proto.ReqID]*want
+}
+
+// open returns the want named id, filing it at the end of the table if
+// it is not there yet.
+func (t *wantTable) open(id wantID) *want {
+	w := t.at[id]
+	if w == nil {
+		w = &want{wantID: id}
+		w.el = t.order.PushBack(w)
+		t.at[id] = w
 	}
+	return w
+}
+
+func (t *wantTable) remove(w *want) {
+	t.order.Remove(w.el)
+	delete(t.at, w.wantID)
+	delete(t.byReq, w.req)
+}
+
+// maxBgInflight bounds the value, block and stripe asks in flight that
+// no request waits for.
+const maxBgInflight = 4
+
+// blockWant names the want for one SRS block of a shard this node
+// coordinates.
+func blockWant(mg proto.MemgestID, shard, block uint32) wantID {
+	return wantID{role: role{mg, shard, roleCoordinator}, what: wantBlock, block: block}
+}
+
+// valueWant names the want for the bytes of one version a role holds the
+// metadata of.
+func valueWant(r role, key string, version proto.Version) wantID {
+	return wantID{role: r, what: wantValue, key: key, version: version}
+}
+
+// stripeWant names the want for one block of this node's parity region.
+func stripeWant(mg proto.MemgestID, stripe int) wantID {
+	return wantID{role: role{mg, 0, roleParity}, what: wantStripe, block: uint32(stripe)}
+}
+
+// lacks reports whether the node is without what id names: the want is
+// open, or the metadata that would have opened it is still to come. It
+// is the one serve-side rule — a node does not serve bytes it has an
+// open want for.
+func (n *Node) lacks(id wantID) bool {
+	return len(n.wants.at) > 0 &&
+		(n.wants.at[id] != nil || n.wants.at[wantID{role: id.role, what: wantMeta}] != nil)
+}
+
+// recovering reports whether a shard this node coordinates still wants
+// metadata: until every memgest's table is in, the shard's volatile
+// index cannot say where a key's newest version lives.
+func (n *Node) recovering(shard uint32) bool {
+	if len(n.wants.at) == 0 {
+		return false
+	}
+	for i := range n.cfg.Memgests {
+		if n.wants.at[wantID{role: role{n.cfg.Memgests[i].ID, shard, roleCoordinator}, what: wantMeta}] != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// shardStates counts the shards this node coordinates that are
+// recovering and that are degraded.
+func (n *Node) shardStates() (recovering, degraded int64) {
+	shards := make(map[uint32]bool)
+	for id := range n.wants.at {
+		if id.role.kind == roleCoordinator {
+			shards[id.role.shard] = true
+		}
+	}
+	for shard := range shards {
+		if n.recovering(shard) {
+			recovering++
+		} else {
+			degraded++
+		}
+	}
+	return recovering, degraded
+}
+
+// Serving reports whether the node has been admitted and the metadata
+// of every role it holds is in.
+func (n *Node) Serving() bool {
+	for _, w := range n.wants.at {
+		if w.what == wantMeta {
+			return false
+		}
+	}
+	return !n.rejoining
+}
+
+// wantMetadata opens the metadata want of a role just gained and asks
+// the nodes that replicate the shard (step 5 of the Section 6.4
+// sequence): a coordinator asks its parity nodes or replicas, a
+// redundancy copy asks the authoritative coordinator. Rep(1,s) has
+// nobody to ask and restarts empty.
+func (n *Node) wantMetadata(r role, since proto.Seq) {
+	mi := &n.mg[r.mg].info
 	var peers []proto.NodeID
-	switch role {
-	case roleCoordinator:
-		if mi.Scheme.Kind == proto.SchemeSRS {
-			peers = parityNodes(mi)
-		} else if mi.Scheme.R > 1 {
-			peers = replicaSet(n.cfg, mi, shard)
-		}
-		// Rep(1,s): nothing replicates the shard; it restarts empty.
-	case roleReplica, roleParity:
-		// Redundancy copies recover from the authoritative coordinator.
-		if int(shard) < len(n.cfg.Coords) {
-			peers = []proto.NodeID{n.cfg.Coords[shard]}
-		}
+	switch {
+	case r.kind != roleCoordinator:
+		peers = []proto.NodeID{n.cfg.Coords[r.shard]}
+	case mi.Scheme.Kind == proto.SchemeSRS:
+		peers = parityNodes(mi)
+	default:
+		peers = replicaSet(n.cfg, mi, r.shard)
 	}
-	// Never fetch from ourselves.
-	filtered := peers[:0:0]
-	for _, p := range peers {
-		if p != n.id {
-			filtered = append(filtered, p)
-		}
-	}
-	if len(filtered) == 0 {
+	peers = slices.DeleteFunc(slices.Clone(peers), func(p proto.NodeID) bool { return p == n.id })
+	if len(peers) == 0 {
 		return
 	}
-	req := n.reqID()
-	mr := &metaRecovery{memgest: mgID, shard: shard, role: role, since: since, waiting: make(map[proto.NodeID]bool)}
-	for _, p := range filtered {
-		mr.waiting[p] = true
-		n.sendNode(p, &proto.MetaFetch{Req: req, Memgest: mgID, Shard: shard, Since: since})
-	}
-	mr.lastSent = n.now
-	n.recovering[req] = mr
-	n.serving = false
+	w := n.wants.open(wantID{role: r, what: wantMeta})
+	w.since, w.waiting = since, peers
+	n.ask(w)
 }
 
-// pumpMetaRecoveries retries stalled metadata fetches and prunes peers
-// that have been removed from the configuration (they died and were
-// replaced); without this, a peer failing mid-recovery would wedge the
-// recovering node in the non-serving state forever.
-func (n *Node) pumpMetaRecoveries() {
-	if len(n.recovering) == 0 {
-		return
+// ask sends a want's request to its next source. A want no longer
+// needed (its entry was purged, or got its bytes some other way) is
+// closed instead.
+func (n *Node) ask(w *want) {
+	st := n.mg[w.role.mg]
+	if w.what == wantValue {
+		if e := st.table(w.role).Get(w.key, w.version); e == nil || e.Held() {
+			n.closeWant(w)
+			return
+		}
 	}
-	alive := make(map[proto.NodeID]bool)
-	for _, id := range n.cfg.AllNodes() {
-		alive[id] = true
+	if w.req == 0 {
+		w.req, w.patience = n.reqID(), n.opts.FailAfter
+		n.wants.byReq[w.req] = w
 	}
-	// Iterate in request order: map order would vary run to run, and
-	// replayability (ringchaos) requires every state transition and
-	// message send to happen in identical order for identical seeds.
-	reqs := make([]proto.ReqID, 0, len(n.recovering))
-	for req := range n.recovering {
-		reqs = append(reqs, req)
+	w.asked, w.askedAt = true, n.now
+	if w.attempt > 0 {
+		n.Metrics.RecoveryReasks.Inc()
 	}
-	sort.Slice(reqs, func(i, j int) bool { return reqs[i] < reqs[j] })
-	for _, req := range reqs {
-		mr := n.recovering[req]
-		if n.now-mr.lastSent <= n.opts.FailAfter {
-			continue
+	var src []proto.NodeID
+	switch {
+	case w.what == wantMeta:
+		for _, p := range w.waiting {
+			n.sendNode(p, &proto.MetaFetch{Req: w.req, Memgest: w.role.mg, Shard: w.role.shard, Since: w.since})
 		}
-		for _, p := range sortedWaiting(mr.waiting) {
-			if !alive[p] {
-				delete(mr.waiting, p)
-			}
-		}
-		if len(mr.waiting) == 0 {
-			delete(n.recovering, req)
-			n.finishMetaRecovery(mr)
-			if len(n.recovering) == 0 {
-				n.serving = true
-			}
-			continue
-		}
-		mr.lastSent = n.now
-		for _, p := range sortedWaiting(mr.waiting) {
-			n.sendNode(p, &proto.MetaFetch{Req: req, Memgest: mr.memgest, Shard: mr.shard, Since: mr.since})
-		}
+	case w.what == wantStripe:
+		n.startGather(st, int(w.block), -1, "", w.req)
+	case w.what == wantBlock:
+		src = parityNodes(&st.info)
+	case w.role.kind == roleCoordinator:
+		src = replicaSet(n.cfg, &st.info, w.role.shard)
+	default: // a replica asks the coordinator
+		src = []proto.NodeID{n.cfg.Coords[w.role.shard]}
+	}
+	if src != nil {
+		n.sendNode(src[w.attempt%len(src)], &proto.Fetch{
+			Req: w.req, Memgest: w.role.mg, Shard: w.role.shard, Key: w.key, Version: w.version, Block: w.block,
+		})
+	}
+	w.attempt++
+}
+
+// hurry asks a want a request needs at once, outside the background
+// budget ("if the requested data is lost, it will be recovered with an
+// on the fly recovery algorithm with high priority"), and keeps it at
+// the head of the table.
+func (n *Node) hurry(w *want) {
+	n.wants.order.MoveToFront(w.el)
+	if !w.asked {
+		n.ask(w)
 	}
 }
 
-// sortedWaiting returns a recovery's outstanding peers in ID order, so
-// retransmits go out deterministically.
-func sortedWaiting(waiting map[proto.NodeID]bool) []proto.NodeID {
-	ids := make([]proto.NodeID, 0, len(waiting))
-	for p := range waiting {
-		ids = append(ids, p)
+// askAgain takes back an ask its source refused or never answered; the
+// pump sends the next one, after the wants already queued unless a
+// request is waiting.
+func (n *Node) askAgain(w *want) {
+	w.asked = false
+	if len(w.parked) == 0 {
+		n.wants.order.MoveToBack(w.el)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+}
+
+// closeWant removes a met want and resumes the requests parked on it.
+func (n *Node) closeWant(w *want) {
+	n.wants.remove(w)
+	st := n.mg[w.role.mg]
+	for _, pw := range w.parked {
+		if pw.move != nil {
+			n.admitMove(pw.client, pw.move)
+		} else if e := st.coord[w.role.shard].meta.Get(pw.key, pw.version); e != nil {
+			n.sendValueReply(st, st.coord[w.role.shard], e, pw.client, pw.req)
+		} else {
+			// The version was purged while the get waited (a newer one
+			// committed): the client asks again and gets that one.
+			n.send(pw.client, &proto.GetReply{Req: pw.req, Status: proto.StRetry})
+		}
+	}
+}
+
+// forgetWants drops every want of a role the configuration took away,
+// and the stripes a lost parity region was gathering; the requests
+// parked on them retry against the role's new holder.
+func (n *Node) forgetWants(r role) {
+	var next *list.Element
+	for el := n.wants.order.Front(); el != nil; el = next {
+		next = el.Next()
+		w := el.Value.(*want)
+		if w.role != r {
+			continue
+		}
+		n.wants.remove(w)
+		for _, pw := range w.parked {
+			if pw.move != nil {
+				n.refuse(pw.client, pw.move.Req, replyMove, refRetry)
+			} else {
+				n.send(pw.client, &proto.GetReply{Req: pw.req, Status: proto.StRetry})
+			}
+		}
+	}
+	if r.kind == roleParity {
+		n.gathers = slices.DeleteFunc(n.gathers, func(g *gather) bool { return g.mg == r.mg })
+	}
+}
+
+// recoveryTick is the pump. It asks again for the blocks of every
+// gather that has been silent for its patience, takes back every ask
+// that has been — a metadata want first forgets the peers the
+// configuration dropped (they died and were replaced; waiting for them
+// would wedge the shard in recovering forever) and is complete if none
+// is left; a stripe want is never silent, its gather is — and then asks
+// from the head of the table: every want a request waits on, and queued
+// ones while fewer than maxBgInflight are in flight.
+func (n *Node) recoveryTick() {
+	for _, g := range n.gathers {
+		if n.now-g.askedAt > g.patience {
+			g.patience *= 2
+			n.Metrics.RecoveryReasks.Inc()
+			n.askBlocks(n.mg[g.mg], g)
+		}
+	}
+	inflight := 0
+	var next *list.Element
+	for el := n.wants.order.Front(); el != nil; el = next {
+		next = el.Next()
+		w := el.Value.(*want)
+		switch {
+		case !w.asked:
+		case n.now-w.askedAt <= w.patience || w.what == wantStripe:
+			if w.what != wantMeta {
+				inflight++
+			}
+		default:
+			w.patience *= 2
+			if w.what != wantMeta {
+				n.askAgain(w)
+				break
+			}
+			w.waiting = slices.DeleteFunc(w.waiting, func(p proto.NodeID) bool { return !isMember(n.cfg, p) })
+			if len(w.waiting) == 0 {
+				n.finishMetadata(w)
+			} else {
+				n.ask(w)
+			}
+		}
+	}
+	for el := n.wants.order.Front(); el != nil; el = next {
+		next = el.Next()
+		w := el.Value.(*want)
+		if w.asked {
+			continue
+		}
+		if len(w.parked) == 0 && inflight >= maxBgInflight {
+			break
+		}
+		if n.ask(w); w.asked {
+			inflight++
+		}
+	}
 }
 
 func (n *Node) handleMetaFetchReply(from string, m *proto.MetaFetchReply) {
-	mr := n.recovering[m.Req]
-	if mr == nil {
-		return
-	}
+	w := n.wants.byReq[m.Req]
 	id, ok := parseNodeAddr(from)
-	if !ok || !mr.waiting[id] {
+	if w == nil || w.what != wantMeta || !ok || !slices.Contains(w.waiting, id) {
 		return
 	}
-	delete(mr.waiting, id)
+	w.waiting = slices.DeleteFunc(w.waiting, func(p proto.NodeID) bool { return p == id })
 	if m.Status == proto.StOK {
-		mr.replies = append(mr.replies, m)
+		w.replies = append(w.replies, m)
 	}
-	if len(mr.waiting) > 0 {
-		return
-	}
-	delete(n.recovering, m.Req)
-	n.finishMetaRecovery(mr)
-	if len(n.recovering) == 0 {
-		n.serving = true
+	if len(w.waiting) == 0 {
+		n.finishMetadata(w)
 	}
 }
 
-// finishMetaRecovery merges the fetched metadata copies and installs
-// them for the recovered role, then queues background data recovery.
+// finishMetadata merges the fetched metadata copies, installs them for
+// the role, and opens a want for each value or block the role now
+// knows of and does not hold.
 //
 // Commit resolution: every entry present on ANY queried copy is
 // treated as committed. A write-ahead entry reaches a redundancy node
@@ -174,500 +395,205 @@ func (n *Node) handleMetaFetchReply(from string, m *proto.MetaFetchReply) {
 // highest committed version: a resurrected stale version is
 // superseded by the newer committed version that any ack quorum
 // guarantees is also in the union.
-func (n *Node) finishMetaRecovery(mr *metaRecovery) {
-	st := n.mgFor(mr.memgest)
-	if st == nil {
-		return
-	}
+func (n *Node) finishMetadata(w *want) {
+	n.wants.remove(w)
+	st, r := n.mg[w.role.mg], w.role
 	n.Stats.MetaRecovs++
 
-	type merged struct {
-		rec   proto.MetaRecord
-		count int
-	}
-	union := make(map[store.EntryKey]*merged)
-	for _, rep := range mr.replies {
+	table, cs := st.table(r), st.coord[r.shard]
+	union := make(map[store.EntryKey]proto.MetaRecord)
+	for _, rep := range w.replies {
+		if r.kind == roleCoordinator {
+			// A durable node delta-synced: advance the sequence allocator
+			// past everything the peers have seen, so re-allocated
+			// sequences never collide with the previous life's.
+			cs.tracker.Advance(rep.Seq)
+		}
 		for _, rec := range rep.Recs {
-			ek := store.EntryKey{Key: rec.Key, Version: rec.Version}
-			mg, ok := union[ek]
-			if !ok {
-				union[ek] = &merged{rec: rec, count: 1}
-				continue
-			}
-			mg.count++
-			if rec.Committed {
-				mg.rec.Committed = true
-			}
+			rec.Committed = true
+			union[store.EntryKey{Key: rec.Key, Version: rec.Version}] = rec
 		}
 	}
 	// Install in (key, version) order: map iteration order is random
 	// per run, and it leaks into the heap-extent reservation order, the
-	// background-recovery queue, and ultimately the message schedule —
-	// which must be a pure function of the seed for replay to work.
+	// order of the table, and ultimately the message schedule — which
+	// must be a pure function of the seed for replay to work.
 	keys := make([]store.EntryKey, 0, len(union))
-	for ek := range union {
+	for ek, rec := range union {
 		keys = append(keys, ek)
+		n.Stats.BytesMetaInstalled += uint64(len(rec.Key)) + 26
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
 
 	for _, ek := range keys {
-		mg := union[ek]
-		mg.rec.Committed = true
-		n.Stats.BytesMetaInstalled += uint64(len(mg.rec.Key)) + 26
-	}
-
-	switch mr.role {
-	case roleCoordinator:
-		cs := st.coord[mr.shard]
-		if cs == nil {
-			return
-		}
-		// A durable node delta-synced: advance the sequence allocator
-		// past everything the peers have seen, so re-allocated sequences
-		// never collide with the previous life's.
-		for _, rep := range mr.replies {
-			cs.tracker.Advance(rep.Seq)
-		}
-		vol := n.volFor(mr.shard)
-		for _, ek := range keys {
-			mg := union[ek]
-			if existing := cs.meta.Get(ek.Key, ek.Version); existing != nil {
-				// Already installed from the durable stash: keep its value
-				// and extent, just make sure it is committed.
-				if !existing.Rec.Committed {
-					existing.Rec.Committed = true
-					n.persistInstall(st, mr.shard, existing)
-				}
-				continue
-			}
-			e := &store.Entry{Rec: mg.rec}
-			if st.layout != nil {
-				if err := cs.heap.Reserve(e.Extent()); err != nil {
-					// Conflicting metadata (should not happen); skip.
-					continue
-				}
-			}
-			cs.meta.Put(e)
-			vol.Add(mg.rec.Key, mg.rec.Version, mr.memgest)
-			n.persistInstall(st, mr.shard, e)
-		}
-		// Queue background data recovery.
-		if st.layout != nil {
-			lo, hi := st.layout.NodeBlocks(int(mr.shard))
-			for b := lo; b < hi; b++ {
-				n.bgQueue = append(n.bgQueue, bgTask{kind: bgBlock, memgest: mr.memgest, shard: mr.shard, block: uint32(b)})
-			}
-		} else if st.info.Scheme.R > 1 {
-			// The whole table, not just keys: a stash entry may lack its
-			// bytes too. Records is sorted, like everything recovery
-			// queues — the table is a Go map, and the order of these
-			// fetches is the order of the messages that answer them.
-			for _, rec := range cs.meta.Records() {
-				if !cs.meta.Get(rec.Key, rec.Version).Held() {
-					n.bgQueue = append(n.bgQueue, bgTask{kind: bgValue, memgest: mr.memgest, shard: mr.shard, key: rec.Key, version: rec.Version})
-				}
-			}
-		}
-
-	case roleReplica, roleParity:
-		rt := st.rmeta[mr.shard]
-		if rt == nil {
-			return
-		}
-		for _, ek := range keys {
-			e := rt.Get(ek.Key, ek.Version)
-			if e == nil {
-				e = &store.Entry{Rec: union[ek].rec}
-				rt.Put(e)
-				n.persistInstall(st, mr.shard, e)
-			} else if !e.Rec.Committed {
-				e.Rec.Committed = true
-				n.persistInstall(st, mr.shard, e)
-			}
-			// A replica fetches the bytes it lacks entry by entry; parity
-			// blocks are rebuilt once per stripe, not per shard, and
-			// scheduleParityRebuild queued them already.
-			if mr.role == roleReplica && !e.Held() {
-				n.bgQueue = append(n.bgQueue, bgTask{kind: bgValue, memgest: mr.memgest, shard: mr.shard, key: ek.Key, version: ek.Version, replica: true})
-			}
-		}
-	}
-}
-
-// scheduleParityRebuild queues a rebuild of every parity stripe block
-// of a newly assigned parity node.
-func (n *Node) scheduleParityRebuild(st *mgState) {
-	for t := 0; t < st.layout.Stripes(); t++ {
-		n.bgQueue = append(n.bgQueue, bgTask{kind: bgParity, memgest: st.info.ID, stripe: t})
-	}
-}
-
-// recoveryTick pumps the background recovery queue and retries
-// stalled metadata fetches.
-func (n *Node) recoveryTick() {
-	n.pumpMetaRecoveries()
-	for n.bgInflight < maxBgInflight && len(n.bgQueue) > 0 {
-		task := n.bgQueue[0]
-		n.bgQueue = n.bgQueue[1:]
-		n.issueBgTask(task)
-	}
-	n.Metrics.RecoveryBacklog.Set(int64(len(n.bgQueue) + n.bgInflight))
-}
-
-// requeue retries a failed background task, giving up after a bound.
-func (n *Node) requeue(task bgTask) {
-	task.retries++
-	if task.retries > maxRetries {
-		return
-	}
-	n.bgQueue = append(n.bgQueue, task)
-}
-
-func (n *Node) issueBgTask(task bgTask) {
-	st := n.mgFor(task.memgest)
-	if st == nil {
-		return
-	}
-	switch task.kind {
-	case bgBlock:
-		cs := st.coord[task.shard]
-		if cs == nil || cs.blockOK[task.block] {
-			return
-		}
-		if cs.blockFetching[task.block] {
-			return
-		}
-		cs.blockFetching[task.block] = true
-		n.issueBlockRecover(st, cs, task)
-
-	case bgValue:
-		table := st.tableFor(task)
-		if table == nil {
-			return
-		}
-		if e := table.Get(task.key, task.version); e != nil && !e.Held() {
-			n.issueValueFetch(st, task)
-		}
-
-	case bgParity:
-		if st.parity == nil || st.layout == nil {
-			return
-		}
-		n.issueParityRebuild(st, task)
-	}
-}
-
-// issueBlockRecover asks a parity node to decode one lost block. The
-// parity node is chosen round-robin by retry count so a dead parity
-// does not wedge recovery.
-func (n *Node) issueBlockRecover(st *mgState, cs *coordShard, task bgTask) {
-	pns := parityNodes(&st.info)
-	target := pns[task.retries%len(pns)]
-	req := n.reqID()
-	n.bgInflight++
-	n.bgTasks0[req] = task
-	n.sendNode(target, &proto.BlockRecover{Req: req, Memgest: task.memgest, Block: task.block})
-}
-
-// issueValueFetch asks a peer holding a copy for (key, version).
-func (n *Node) issueValueFetch(st *mgState, task bgTask) {
-	var target proto.NodeID
-	if task.replica {
-		// Replicas fetch from the coordinator.
-		target = n.cfg.Coords[task.shard]
-	} else {
-		// Coordinators fetch from a replica, rotating on retries.
-		rs := replicaSet(n.cfg, &st.info, task.shard)
-		if len(rs) == 0 {
-			return
-		}
-		target = rs[task.retries%len(rs)]
-	}
-	if target == n.id {
-		return
-	}
-	req := n.reqID()
-	n.bgInflight++
-	n.bgTasks0[req] = task
-	n.sendNode(target, &proto.DataFetch{Req: req, Memgest: task.memgest, Shard: task.shard, Key: task.key, Version: task.version})
-}
-
-// issueParityRebuild gathers the k data blocks of one stripe so this
-// parity node can recompute its parity block.
-func (n *Node) issueParityRebuild(st *mgState, task bgTask) {
-	members := st.layout.StripeMembers(task.stripe)
-	pr := &parityRebuild{memgest: task.memgest, stripe: task.stripe, have: make(map[int][]byte), task: task}
-	for _, b := range members {
-		owner := n.cfg.Coords[st.layout.DataNodeOf(b)]
-		req := n.reqID()
-		n.parityRebuilds[req] = pr
-		pr.pending++
-		n.sendNode(owner, &proto.BlockFetch{Req: req, Memgest: task.memgest, Block: uint32(b)})
-	}
-	if pr.pending > 0 {
-		n.bgInflight++
-	}
-}
-
-// parityRebuild tracks one stripe rebuild on a new parity node.
-type parityRebuild struct {
-	memgest proto.MemgestID
-	stripe  int
-	have    map[int][]byte
-	pending int
-	failed  bool
-	task    bgTask
-}
-
-// handleBlockRecover runs on a parity node: gather the k-1 sibling
-// data blocks of the lost block's stripe, add the local parity block,
-// and decode (the online decoding algorithm of Section 5.5).
-func (n *Node) handleBlockRecover(from string, m *proto.BlockRecover) {
-	st := n.mgFor(m.Memgest)
-	if st == nil || st.parity == nil || st.layout == nil || int(m.Block) >= st.layout.L {
-		n.send(from, &proto.BlockRecoverReply{Req: m.Req, Status: proto.StNoMemgest, Block: m.Block})
-		return
-	}
-	t := st.layout.StripeOffset(int(m.Block))
-	targetPos := st.layout.StripePos(int(m.Block))
-	br := &blockRecovery{
-		requester: from, req: m.Req, memgest: m.Memgest, block: m.Block,
-		have: map[int][]byte{
-			st.layout.K + st.parityIdx: st.parity.Block(t),
-		},
-	}
-	for _, b := range st.layout.StripeMembers(t) {
-		if st.layout.StripePos(b) == targetPos {
+		e := table.Get(ek.Key, ek.Version)
+		switch {
+		case e != nil && e.Rec.Committed:
 			continue
+		case e != nil:
+			// Already installed from the durable stash: keep its value and
+			// extent, just make sure it is committed.
+			e.Rec.Committed = true
+		default:
+			e = &store.Entry{Rec: union[ek]}
+			if r.kind == roleCoordinator {
+				if st.layout != nil && cs.heap.Reserve(e.Extent()) != nil {
+					continue // conflicting metadata (should not happen); skip
+				}
+				n.volFor(r.shard).Add(ek.Key, ek.Version, r.mg)
+			}
+			table.Put(e)
 		}
-		owner := n.cfg.Coords[st.layout.DataNodeOf(b)]
-		req := n.reqID()
-		n.blockRecs[req] = br
-		br.pending++
-		n.sendNode(owner, &proto.BlockFetch{Req: req, Memgest: m.Memgest, Block: uint32(b)})
+		n.persistInstall(st, r.shard, e)
 	}
-	if br.pending == 0 {
-		n.finishBlockRecovery(st, br)
+
+	switch {
+	case r.kind == roleParity:
+		// Parity blocks are rebuilt once per stripe, not per shard:
+		// gainRole opened those wants.
+	case st.layout != nil:
+		lo, hi := st.layout.NodeBlocks(int(r.shard))
+		for b := lo; b < hi; b++ {
+			n.wants.open(blockWant(r.mg, r.shard, uint32(b)))
+		}
+	case st.info.Scheme.R > 1:
+		// The whole table, not just keys: a stash entry may lack its
+		// bytes too. Records is sorted, like everything the table is
+		// filled from — the metadata table is a Go map, and the order of
+		// these wants is the order of the messages that ask for them.
+		for _, rec := range table.Records() {
+			if !table.Get(rec.Key, rec.Version).Held() {
+				n.wants.open(valueWant(r, rec.Key, rec.Version))
+			}
+		}
 	}
 }
 
-func (n *Node) handleBlockFetchReply(_ string, m *proto.BlockFetchReply) {
-	// The reply may belong to a block recovery (parity master) or to a
-	// parity rebuild (new parity node).
-	if br, ok := n.blockRecs[m.Req]; ok {
-		delete(n.blockRecs, m.Req)
-		st := n.mgFor(br.memgest)
-		if st == nil || st.layout == nil {
+// gather is one stripe being collected on a parity node: to decode the
+// block at stripe position missing for whoever asked (to, req), or —
+// missing < 0 — to re-encode this node's own parity block for the
+// stripe want asked as req. Its blocks are asked for together; while
+// one is silent all are asked for again, and what had come before is
+// dropped, so that what a gather ends with was read within one exchange
+// (an answer to an earlier round that comes late is as good as one to
+// the last). A coordinator answers with the block or a refusal, so a
+// gather ends.
+type gather struct {
+	mg      proto.MemgestID
+	stripe  int
+	missing int
+	to      string
+	req     proto.ReqID
+	// asked maps the request of every Fetch sent to the stripe position
+	// asked for; have maps stripe position -> block contents (nil: the
+	// coordinator refused; this node's own parity sits at position k+r
+	// when decoding).
+	asked    map[proto.ReqID]int
+	have     map[int][]byte
+	askedAt  time.Duration
+	patience time.Duration
+}
+
+// startGather asks the coordinators for the data blocks of a stripe,
+// all but the one at position missing. An ask whose gather is still
+// going (the asker's patience ran out first) starts no second one.
+func (n *Node) startGather(st *mgState, stripe, missing int, to string, req proto.ReqID) {
+	if slices.ContainsFunc(n.gathers, func(g *gather) bool { return g.to == to && g.req == req }) {
+		return
+	}
+	g := &gather{mg: st.info.ID, stripe: stripe, missing: missing, to: to, req: req, asked: make(map[proto.ReqID]int), patience: n.opts.FailAfter}
+	n.gathers = append(n.gathers, g)
+	n.askBlocks(st, g)
+}
+
+func (n *Node) askBlocks(st *mgState, g *gather) {
+	g.askedAt, g.have = n.now, make(map[int][]byte)
+	if g.missing >= 0 {
+		g.have[st.layout.K+st.parityIdx] = st.parity.Block(g.stripe)
+	}
+	for _, b := range st.layout.StripeMembers(g.stripe) {
+		if pos := st.layout.StripePos(b); pos != g.missing {
+			r := n.reqID()
+			g.asked[r] = pos
+			n.sendNode(n.cfg.Coords[st.layout.DataNodeOf(b)], &proto.Fetch{Req: r, Memgest: g.mg, Block: uint32(b)})
+		}
+	}
+}
+
+// handleFetchReply brings bytes: one block of a gather, or what a value
+// or block want asked for.
+func (n *Node) handleFetchReply(_ string, m *proto.FetchReply) {
+	for _, g := range n.gathers {
+		if pos, ok := g.asked[m.Req]; ok {
+			n.gathered(g, pos, m)
 			return
 		}
-		br.pending--
-		if m.Status == proto.StOK {
-			// Retention site: the block waits for its stripe siblings.
-			br.have[st.layout.StripePos(int(m.Block))] = bytes.Clone(m.Data)
-		}
-		if br.pending == 0 {
-			n.finishBlockRecovery(st, br)
-		}
-		return
 	}
-	if pr, ok := n.parityRebuilds[m.Req]; ok {
-		delete(n.parityRebuilds, m.Req)
-		st := n.mgFor(pr.memgest)
-		if st == nil || st.layout == nil {
-			return
-		}
-		pr.pending--
-		if m.Status == proto.StOK {
-			// Retention site, as above.
-			pr.have[st.layout.StripePos(int(m.Block))] = bytes.Clone(m.Data)
-		} else {
-			pr.failed = true
-		}
-		if pr.pending == 0 {
-			n.bgInflight--
-			if st.parity == nil {
-				return // the role went while the stripe was gathered
-			}
-			if pr.failed || len(pr.have) < st.layout.K {
-				n.requeue(pr.task)
-				return
-			}
-			// Recompute this node's parity block from the k data
-			// columns of the stripe.
-			stripeData := make(map[int][]byte, st.layout.K)
-			for pos, data := range pr.have {
-				stripeData[st.layout.BlockAt(pos, pr.stripe)] = data
-			}
-			blk, err := st.layout.RecoverParityBlock(st.parityIdx, pr.stripe, stripeData)
-			if err != nil {
-				n.requeue(pr.task)
-				return
-			}
-			st.parity.SetBlock(pr.stripe, blk)
-		}
-	}
-}
-
-// finishBlockRecovery decodes the lost block and replies; it also
-// refreshes this parity node's own stripe block from the now-complete
-// data columns, restoring the encode invariant even if a torn put had
-// diverged the parity copies.
-func (n *Node) finishBlockRecovery(st *mgState, br *blockRecovery) {
-	targetPos := st.layout.StripePos(int(br.block))
-	t := st.layout.StripeOffset(int(br.block))
-	data, err := st.layout.Encoder().ReconstructShard(targetPos, br.have)
-	if err != nil {
-		n.send(br.requester, &proto.BlockRecoverReply{Req: br.req, Status: proto.StUnavailable, Block: br.block})
-		return
-	}
-	n.Stats.BlocksRecovered++
-	n.Stats.BytesDecoded += uint64(st.layout.K * len(data))
-	// Scrub: recompute our own parity block from the full stripe, if
-	// the role did not go while it was gathered.
-	stripeData := make(map[int][]byte, st.layout.K)
-	for pos, blk := range br.have {
-		if pos < st.layout.K {
-			stripeData[st.layout.BlockAt(pos, t)] = blk
-		}
-	}
-	stripeData[int(br.block)] = data
-	if len(stripeData) == st.layout.K && st.parity != nil {
-		if blk, err := st.layout.RecoverParityBlock(st.parityIdx, t, stripeData); err == nil {
-			st.parity.SetBlock(t, blk)
-		}
-	}
-	n.send(br.requester, &proto.BlockRecoverReply{Req: br.req, Status: proto.StOK, Block: br.block, Data: data})
-}
-
-// tableFor returns the table a value fetch installs into, or nil when
-// the role it was queued for has since gone.
-func (st *mgState) tableFor(task bgTask) *store.MetaTable {
-	if task.replica {
-		return st.rmeta[task.shard]
-	}
-	if cs := st.coord[task.shard]; cs != nil {
-		return cs.meta
-	}
-	return nil
-}
-
-// takeBgTask settles the outstanding block or value request a reply
-// answers and returns its task with the memgest's state; the state is
-// nil for a reply nobody waits for, or to a memgest since deleted.
-func (n *Node) takeBgTask(req proto.ReqID) (bgTask, *mgState) {
-	task, ok := n.bgTasks0[req]
-	if !ok {
-		return task, nil
-	}
-	delete(n.bgTasks0, req)
-	n.bgInflight--
-	return task, n.mgFor(task.memgest)
-}
-
-// handleBlockRecoverReply installs a recovered block on the
-// coordinator and releases requests parked on it.
-func (n *Node) handleBlockRecoverReply(_ string, m *proto.BlockRecoverReply) {
-	task, st := n.takeBgTask(m.Req)
-	if st == nil {
-		return
-	}
-	cs := st.coord[task.shard]
-	if cs == nil {
-		return
-	}
-	delete(cs.blockFetching, m.Block)
-	if m.Status != proto.StOK {
-		n.requeue(task)
-		return
-	}
-	if cs.blockOK[m.Block] {
-		return
-	}
-	cs.heap.SetBlockData(m.Block, m.Data)
-	cs.blockOK[m.Block] = true
-	// Release requests parked on this block.
-	waiters := cs.blockWaiters[m.Block]
-	delete(cs.blockWaiters, m.Block)
-	for _, w := range waiters {
-		n.releaseWaiter(st, cs, w)
-	}
-}
-
-// handleDataFetchReply installs a recovered value and releases parked
-// requests.
-func (n *Node) handleDataFetchReply(_ string, m *proto.DataFetchReply) {
-	task, st := n.takeBgTask(m.Req)
-	if st == nil {
+	w := n.wants.byReq[m.Req]
+	if w == nil || w.what != wantValue && w.what != wantBlock {
 		return
 	}
 	if m.Status != proto.StOK {
-		n.requeue(task)
+		n.askAgain(w)
 		return
 	}
-	table := st.tableFor(task)
-	if table == nil {
-		return
+	st := n.mg[w.role.mg]
+	if w.what == wantBlock {
+		st.coord[w.role.shard].heap.SetBlockData(w.block, m.Data)
+	} else if e := st.table(w.role).Get(w.key, w.version); e != nil {
+		// Retention site: the table keeps a copy of the value, m.Data is a
+		// view into the packet.
+		st.table(w.role).Hold(e, m.Data)
+		n.persistInstall(st, w.role.shard, e)
 	}
-	e := table.Get(task.key, task.version)
-	if e == nil {
-		return
-	}
-	// Retention site: the table keeps a copy of the value, m.Value is a
-	// view into the packet.
-	table.Hold(e, m.Value)
-	n.persistInstall(st, task.shard, e)
-	if task.replica {
-		return
-	}
-	cs, ek := st.coord[task.shard], store.EntryKey{Key: task.key, Version: task.version}
-	delete(cs.valueFetching, ek)
-	waiters := cs.valueWaiters[ek]
-	delete(cs.valueWaiters, ek)
-	for _, w := range waiters {
-		n.releaseWaiter(st, cs, w)
-	}
+	n.closeWant(w)
 }
 
-// releaseWaiter resumes a request that was parked on data recovery.
-func (n *Node) releaseWaiter(st *mgState, cs *coordShard, w blockWaiter) {
-	if w.move != nil {
-		n.admitMove(w.client, w.move)
+// gathered takes one block of a gather; with the last one in it decodes
+// the missing block for its asker (the online decoding algorithm of
+// Section 5.5), or meets the stripe want. Either way, with all k data
+// columns in hand this node's parity block is set to their encode: that
+// is the rebuild, and after a decode it restores the encode invariant
+// even if a torn put had diverged the parity copies.
+func (n *Node) gathered(g *gather, pos int, m *proto.FetchReply) {
+	st := n.mg[g.mg]
+	g.have[pos] = nil
+	if m.Status == proto.StOK {
+		// Retention site: the block waits for its stripe siblings.
+		g.have[pos] = bytes.Clone(m.Data)
+	}
+	if len(g.have) < st.layout.K {
 		return
 	}
-	e := cs.meta.Get(w.key, w.version)
-	if e == nil {
-		n.send(w.client, &proto.GetReply{Req: w.req, Status: proto.StNotFound})
-		return
+	n.gathers = slices.DeleteFunc(n.gathers, func(o *gather) bool { return o == g })
+	maps.DeleteFunc(g.have, func(_ int, blk []byte) bool { return blk == nil })
+	k := st.layout.K
+	data := make(map[int][]byte, k) // logical block -> contents
+	for pos, blk := range g.have {
+		if pos < k {
+			data[st.layout.BlockAt(pos, g.stripe)] = blk
+		}
 	}
-	n.sendValueReply(st, cs, e, w.client, w.req)
-}
-
-// parkOnBlockRecovery queues a request behind an SRS block decode and
-// kicks an on-demand, high-priority recovery ("If the requested data
-// is lost, it will be recovered with an on the fly recovery algorithm
-// with high priority").
-func (n *Node) parkOnBlockRecovery(st *mgState, cs *coordShard, block uint32, w blockWaiter) {
-	cs.blockWaiters[block] = append(cs.blockWaiters[block], w)
-	if cs.blockFetching[block] {
-		return
+	var decoded []byte
+	if g.missing >= 0 {
+		var err error
+		if decoded, err = st.layout.Encoder().ReconstructShard(g.missing, g.have); err != nil {
+			n.send(g.to, &proto.FetchReply{Req: g.req, Status: proto.StUnavailable})
+			return
+		}
+		n.Stats.BlocksRecovered++
+		n.Stats.BytesDecoded += uint64(k * len(decoded))
+		data[st.layout.BlockAt(g.missing, g.stripe)] = decoded
 	}
-	cs.blockFetching[block] = true
-	// On-demand recovery bypasses the background queue and its
-	// in-flight limit.
-	n.issueBlockRecover(st, cs, bgTask{kind: bgBlock, memgest: st.info.ID, shard: cs.shard, block: block})
-}
-
-// parkOnValueRecovery queues a request behind a Rep value fetch.
-func (n *Node) parkOnValueRecovery(st *mgState, cs *coordShard, e *store.Entry, w blockWaiter) {
-	ek := store.EntryKey{Key: e.Rec.Key, Version: e.Rec.Version}
-	cs.valueWaiters[ek] = append(cs.valueWaiters[ek], w)
-	if cs.valueFetching[ek] {
-		return
+	blk, err := st.layout.RecoverParityBlock(st.parityIdx, g.stripe, data)
+	if err == nil {
+		st.parity.SetBlock(g.stripe, blk)
 	}
-	cs.valueFetching[ek] = true
-	if len(replicaSet(n.cfg, &st.info, cs.shard)) == 0 {
-		n.send(w.client, &proto.GetReply{Req: w.req, Status: proto.StUnavailable})
-		return
+	if g.missing >= 0 {
+		n.send(g.to, &proto.FetchReply{Req: g.req, Status: proto.StOK, Data: decoded})
+	} else if w := n.wants.byReq[g.req]; w != nil && err == nil {
+		n.closeWant(w)
+	} else if w != nil {
+		n.askAgain(w)
 	}
-	n.issueValueFetch(st, bgTask{kind: bgValue, memgest: st.info.ID, shard: cs.shard, key: ek.Key, version: ek.Version})
 }

@@ -148,48 +148,47 @@ func (n *Node) handleMetaFetch(from string, m *proto.MetaFetch) {
 	})
 }
 
-// handleDataFetch serves the value of (key, version) from a replica's
-// copy (Rep recovery: "it will request a copy of the requested data
-// from any available replica").
-func (n *Node) handleDataFetch(from string, m *proto.DataFetch) {
+// handleFetch serves the bytes at one place of a memgest, under the one
+// rule that a node does not serve what it has an open want for: a Rep
+// value from this node's copy of the shard, coordinator's or replica's
+// (Rep recovery: "it will request a copy of the requested data from any
+// available replica"); an SRS block from the heap of the coordinator
+// that owns it; and on a parity node the same block decoded from its
+// stripe, provided the node's own parity block of that stripe is whole.
+func (n *Node) handleFetch(from string, m *proto.Fetch) {
+	refuse := func(s proto.Status) { n.send(from, &proto.FetchReply{Req: m.Req, Status: s}) }
 	st := n.mgFor(m.Memgest)
-	if st == nil {
-		n.send(from, &proto.DataFetchReply{Req: m.Req, Status: proto.StNoMemgest})
-		return
-	}
-	var e *store.Entry
-	if cs := st.coord[m.Shard]; cs != nil {
-		e = cs.meta.Get(m.Key, m.Version)
-	}
-	if e == nil {
-		if rt, ok := st.rmeta[m.Shard]; ok {
-			e = rt.Get(m.Key, m.Version)
+	switch {
+	case st == nil || st.layout != nil && int(m.Block) >= st.layout.L:
+		refuse(proto.StNoMemgest)
+	case st.layout == nil:
+		r := role{m.Memgest, m.Shard, roleReplica}
+		if st.coord[m.Shard] != nil {
+			r.kind = roleCoordinator
+		}
+		var e *store.Entry
+		if t := st.table(r); t != nil && !n.lacks(valueWant(r, m.Key, m.Version)) {
+			e = t.Get(m.Key, m.Version)
+		}
+		if e == nil || !e.Held() {
+			refuse(proto.StNotFound)
+			return
+		}
+		b, _ := e.Bytes()
+		value := copyOut(b)
+		n.sendScratch(from, &proto.FetchReply{Req: m.Req, Status: proto.StOK, Data: value}, value)
+	default:
+		shard, stripe := uint32(st.layout.DataNodeOf(int(m.Block))), st.layout.StripeOffset(int(m.Block))
+		if cs := st.coord[shard]; cs != nil {
+			if n.lacks(blockWant(m.Memgest, shard, m.Block)) {
+				refuse(proto.StNotFound)
+				return
+			}
+			n.send(from, &proto.FetchReply{Req: m.Req, Status: proto.StOK, Data: cs.heap.BlockData(m.Block)})
+		} else if st.parity == nil || n.wants.at[stripeWant(m.Memgest, stripe)] != nil {
+			refuse(proto.StNotFound)
+		} else {
+			n.startGather(st, stripe, st.layout.StripePos(int(m.Block)), from, m.Req)
 		}
 	}
-	if e == nil || !e.Held() {
-		n.send(from, &proto.DataFetchReply{Req: m.Req, Status: proto.StNotFound})
-		return
-	}
-	b, _ := e.Bytes()
-	value := copyOut(b)
-	n.sendScratch(from, &proto.DataFetchReply{Req: m.Req, Status: proto.StOK, Value: value}, value)
-}
-
-// handleBlockFetch serves the raw contents of one SRS logical block
-// from the coordinator owning it (used by parity decode).
-func (n *Node) handleBlockFetch(from string, m *proto.BlockFetch) {
-	st := n.mgFor(m.Memgest)
-	if st == nil || st.layout == nil {
-		n.send(from, &proto.BlockFetchReply{Req: m.Req, Status: proto.StNoMemgest, Block: m.Block})
-		return
-	}
-	shard := uint32(st.layout.DataNodeOf(int(m.Block)))
-	cs := st.coord[shard]
-	if cs == nil || !cs.blockOK[m.Block] {
-		n.send(from, &proto.BlockFetchReply{Req: m.Req, Status: proto.StNotFound, Block: m.Block})
-		return
-	}
-	n.send(from, &proto.BlockFetchReply{
-		Req: m.Req, Status: proto.StOK, Block: m.Block, Data: cs.heap.BlockData(m.Block),
-	})
 }

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"ring/internal/proto"
-	"ring/internal/store"
 )
 
 // This file implements the crash-restart half of the membership
@@ -24,23 +23,8 @@ import (
 // acking appends would silently weaken quorums) and answers client
 // operations with StRetry.
 func NewRejoining(id proto.NodeID, cfg *proto.Config, opts Options) *Node {
-	n := &Node{
-		id:             id,
-		opts:           opts.Defaults(),
-		cfg:            cfg,
-		vol:            make(map[uint32]*store.VolatileIndex),
-		mg:             make(map[proto.MemgestID]*mgState),
-		recovering:     make(map[proto.ReqID]*metaRecovery),
-		blockRecs:      make(map[proto.ReqID]*blockRecovery),
-		parityRebuilds: make(map[proto.ReqID]*parityRebuild),
-		bgTasks0:       make(map[proto.ReqID]bgTask),
-		moving:         make(map[moveKey]*moveState),
-		bulkMoves:      make(map[string]*bulkMove),
-		rejoining:      true,
-		nextReq:        1,
-		nextMgID:       1,
-		Metrics:        newNodeMetrics(),
-	}
+	n := newNode(id, opts)
+	n.cfg, n.rejoining = cfg, true
 	return n
 }
 

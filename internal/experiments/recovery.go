@@ -143,12 +143,12 @@ func blockRecoveryOnce(label string, blockSize int) (time.Duration, error) {
 	parity := cfg.Memgests[mg-1].Redundant[0]
 	var done time.Duration
 	s.RegisterClient("client/f13", func(now time.Duration, _ string, msg proto.Message) {
-		if r, ok := msg.(*proto.BlockRecoverReply); ok && r.Status == proto.StOK {
+		if r, ok := msg.(*proto.FetchReply); ok && r.Status == proto.StOK {
 			done = now
 		}
 	})
 	start := s.Now()
-	s.Send("client/f13", core.NodeAddr(parity), &proto.BlockRecover{Req: 99, Memgest: mg, Block: 0})
+	s.Send("client/f13", core.NodeAddr(parity), &proto.Fetch{Req: 99, Memgest: mg, Block: 0})
 	s.RunToQuiescence()
 	if done == 0 {
 		return 0, fmt.Errorf("fig13: no recovery reply for %s/%d", label, blockSize)

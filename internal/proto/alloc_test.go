@@ -126,9 +126,7 @@ func TestSizeHintBoundsPayloadMessages(t *testing.T) {
 			&GetReply{Req: 1, Status: StOK, Version: 3, Value: v},
 			&RepAppend{Memgest: 2, Shard: 1, Seq: 9, Rec: rec, Value: v},
 			&ParityUpdate{Memgest: 2, Shard: 1, Seq: 9, Rec: rec, Block: 4, StripeOff: 1, Off: 128, Delta: v},
-			&DataFetchReply{Req: 1, Status: StOK, Value: v},
-			&BlockRecoverReply{Req: 1, Status: StOK, Block: 4, Data: v},
-			&BlockFetchReply{Req: 1, Status: StOK, Block: 4, Data: v},
+			&FetchReply{Req: 1, Status: StOK, Data: v},
 		}
 		hint := 0
 		for _, m := range msgs {

@@ -64,11 +64,7 @@ func SizeHint(m Message) int {
 		n += len(m.Rec.Key) + len(m.Value)
 	case *ParityUpdate:
 		n += len(m.Rec.Key) + len(m.Delta)
-	case *DataFetchReply:
-		n += len(m.Value)
-	case *BlockRecoverReply:
-		n += len(m.Data)
-	case *BlockFetchReply:
+	case *FetchReply:
 		n += len(m.Data)
 	}
 	return n

@@ -40,12 +40,8 @@ const (
 	// Recovery.
 	TMetaFetch
 	TMetaFetchReply
-	TDataFetch
-	TDataFetchReply
-	TBlockRecover
-	TBlockRecoverReply
-	TBlockFetch
-	TBlockFetchReply
+	TFetch
+	TFetchReply
 	// Local timer tick (never serialized onto the network, but given a
 	// type so runners can inject it uniformly).
 	TTick
@@ -71,43 +67,39 @@ var wire = [tEnd]struct {
 	make func() Message
 	ack  bool
 }{
-	TPut:               {make: func() Message { return new(Put) }},
-	TPutReply:          {make: func() Message { return new(PutReply) }, ack: true},
-	TGet:               {make: func() Message { return new(Get) }},
-	TGetReply:          {make: func() Message { return new(GetReply) }, ack: true},
-	TDelete:            {make: func() Message { return new(Delete) }},
-	TDeleteReply:       {make: func() Message { return new(DeleteReply) }, ack: true},
-	TMove:              {make: func() Message { return new(Move) }},
-	TMoveReply:         {make: func() Message { return new(MoveReply) }, ack: true},
-	TCreateMemgest:     {make: func() Message { return new(CreateMemgest) }},
-	TDeleteMemgest:     {make: func() Message { return new(DeleteMemgest) }},
-	TSetDefault:        {make: func() Message { return new(SetDefault) }},
-	TGetDescriptor:     {make: func() Message { return new(GetDescriptor) }},
-	TMemgestReply:      {make: func() Message { return new(MemgestReply) }, ack: true},
-	TResolve:           {make: func() Message { return new(Resolve) }},
-	TResolveReply:      {make: func() Message { return new(ResolveReply) }, ack: true},
-	TRepAppend:         {make: func() Message { return new(RepAppend) }},
-	TRepAck:            {make: func() Message { return new(RepAck) }, ack: true},
-	TRepCommit:         {make: func() Message { return new(RepCommit) }},
-	TParityUpdate:      {make: func() Message { return new(ParityUpdate) }},
-	TParityAck:         {make: func() Message { return new(ParityAck) }, ack: true},
-	TPurge:             {make: func() Message { return new(Purge) }},
-	THeartbeat:         {make: func() Message { return new(Heartbeat) }},
-	THeartbeatAck:      {make: func() Message { return new(HeartbeatAck) }, ack: true},
-	TConfigPush:        {make: func() Message { return new(ConfigPush) }},
-	TConfigAck:         {make: func() Message { return new(ConfigAck) }, ack: true},
-	TMetaFetch:         {make: func() Message { return new(MetaFetch) }},
-	TMetaFetchReply:    {make: func() Message { return new(MetaFetchReply) }, ack: true},
-	TDataFetch:         {make: func() Message { return new(DataFetch) }},
-	TDataFetchReply:    {make: func() Message { return new(DataFetchReply) }, ack: true},
-	TBlockRecover:      {make: func() Message { return new(BlockRecover) }},
-	TBlockRecoverReply: {make: func() Message { return new(BlockRecoverReply) }, ack: true},
-	TBlockFetch:        {make: func() Message { return new(BlockFetch) }},
-	TBlockFetchReply:   {make: func() Message { return new(BlockFetchReply) }, ack: true},
-	TTick:              {make: func() Message { return new(Tick) }},
-	TJoin:              {make: func() Message { return new(Join) }},
-	TResize:            {make: func() Message { return new(Resize) }},
-	TResizeReply:       {make: func() Message { return new(ResizeReply) }, ack: true},
+	TPut:            {make: func() Message { return new(Put) }},
+	TPutReply:       {make: func() Message { return new(PutReply) }, ack: true},
+	TGet:            {make: func() Message { return new(Get) }},
+	TGetReply:       {make: func() Message { return new(GetReply) }, ack: true},
+	TDelete:         {make: func() Message { return new(Delete) }},
+	TDeleteReply:    {make: func() Message { return new(DeleteReply) }, ack: true},
+	TMove:           {make: func() Message { return new(Move) }},
+	TMoveReply:      {make: func() Message { return new(MoveReply) }, ack: true},
+	TCreateMemgest:  {make: func() Message { return new(CreateMemgest) }},
+	TDeleteMemgest:  {make: func() Message { return new(DeleteMemgest) }},
+	TSetDefault:     {make: func() Message { return new(SetDefault) }},
+	TGetDescriptor:  {make: func() Message { return new(GetDescriptor) }},
+	TMemgestReply:   {make: func() Message { return new(MemgestReply) }, ack: true},
+	TResolve:        {make: func() Message { return new(Resolve) }},
+	TResolveReply:   {make: func() Message { return new(ResolveReply) }, ack: true},
+	TRepAppend:      {make: func() Message { return new(RepAppend) }},
+	TRepAck:         {make: func() Message { return new(RepAck) }, ack: true},
+	TRepCommit:      {make: func() Message { return new(RepCommit) }},
+	TParityUpdate:   {make: func() Message { return new(ParityUpdate) }},
+	TParityAck:      {make: func() Message { return new(ParityAck) }, ack: true},
+	TPurge:          {make: func() Message { return new(Purge) }},
+	THeartbeat:      {make: func() Message { return new(Heartbeat) }},
+	THeartbeatAck:   {make: func() Message { return new(HeartbeatAck) }, ack: true},
+	TConfigPush:     {make: func() Message { return new(ConfigPush) }},
+	TConfigAck:      {make: func() Message { return new(ConfigAck) }, ack: true},
+	TMetaFetch:      {make: func() Message { return new(MetaFetch) }},
+	TMetaFetchReply: {make: func() Message { return new(MetaFetchReply) }, ack: true},
+	TFetch:          {make: func() Message { return new(Fetch) }},
+	TFetchReply:     {make: func() Message { return new(FetchReply) }, ack: true},
+	TTick:           {make: func() Message { return new(Tick) }},
+	TJoin:           {make: func() Message { return new(Join) }},
+	TResize:         {make: func() Message { return new(Resize) }},
+	TResizeReply:    {make: func() Message { return new(ResizeReply) }, ack: true},
 }
 
 // IsAck reports whether t is an acknowledgement: a message that tells
@@ -842,122 +834,50 @@ func (m *MetaFetchReply) decode(r reader) error {
 	return r.done()
 }
 
-// DataFetch asks a replica for the value of (key, version) during
-// recovery of a replicated memgest.
-type DataFetch struct {
+// Fetch asks a node for the bytes at one place of a memgest: in a
+// replicated memgest the value of (Key, Version) of a shard, from any
+// node holding a copy; in an SRS memgest the logical block Block. The
+// coordinator of the block's shard reads it; a parity node decodes it
+// from the rest of its stripe (the on-the-fly recovery of Section
+// 5.5). Either way the answer is what the place holds, or a refusal.
+type Fetch struct {
 	Req     ReqID
 	Memgest MemgestID
 	Shard   uint32
 	Key     string
 	Version Version
+	Block   uint32
 }
 
-func (*DataFetch) Type() MsgType { return TDataFetch }
-func (m *DataFetch) encode(w *writer) {
+func (*Fetch) Type() MsgType { return TFetch }
+func (m *Fetch) encode(w *writer) {
 	w.u64(uint64(m.Req))
 	w.u32(uint32(m.Memgest))
 	w.u32(m.Shard)
 	w.str(m.Key)
 	w.u64(uint64(m.Version))
-}
-func (m *DataFetch) decode(r reader) error {
-	*m = DataFetch{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32()), Shard: r.u32(), Key: r.str(), Version: Version(r.u64())}
-	return r.done()
-}
-
-// DataFetchReply returns the requested value.
-type DataFetchReply struct {
-	Req    ReqID
-	Status Status
-	Value  []byte
-}
-
-func (*DataFetchReply) Type() MsgType { return TDataFetchReply }
-func (m *DataFetchReply) encode(w *writer) {
-	w.u64(uint64(m.Req))
-	w.u8(uint8(m.Status))
-	w.bytes(m.Value)
-}
-func (m *DataFetchReply) decode(r reader) error {
-	*m = DataFetchReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Value: r.bytes()}
-	return r.done()
-}
-
-// BlockRecover asks a parity node to reconstruct one logical block of
-// an SRS memgest (the on-the-fly recovery of Section 5.5).
-type BlockRecover struct {
-	Req     ReqID
-	Memgest MemgestID
-	Block   uint32
-}
-
-func (*BlockRecover) Type() MsgType { return TBlockRecover }
-func (m *BlockRecover) encode(w *writer) {
-	w.u64(uint64(m.Req))
-	w.u32(uint32(m.Memgest))
 	w.u32(m.Block)
 }
-func (m *BlockRecover) decode(r reader) error {
-	*m = BlockRecover{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32()), Block: r.u32()}
+func (m *Fetch) decode(r reader) error {
+	*m = Fetch{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32()), Shard: r.u32(), Key: r.str(), Version: Version(r.u64()), Block: r.u32()}
 	return r.done()
 }
 
-// BlockRecoverReply returns the reconstructed block contents.
-type BlockRecoverReply struct {
+// FetchReply returns the bytes a Fetch asked for.
+type FetchReply struct {
 	Req    ReqID
 	Status Status
-	Block  uint32
 	Data   []byte
 }
 
-func (*BlockRecoverReply) Type() MsgType { return TBlockRecoverReply }
-func (m *BlockRecoverReply) encode(w *writer) {
+func (*FetchReply) Type() MsgType { return TFetchReply }
+func (m *FetchReply) encode(w *writer) {
 	w.u64(uint64(m.Req))
 	w.u8(uint8(m.Status))
-	w.u32(m.Block)
 	w.bytes(m.Data)
 }
-func (m *BlockRecoverReply) decode(r reader) error {
-	*m = BlockRecoverReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Block: r.u32(), Data: r.bytes()}
-	return r.done()
-}
-
-// BlockFetch asks a data node for the raw contents of one of its
-// logical blocks (used by the parity node while decoding a stripe).
-type BlockFetch struct {
-	Req     ReqID
-	Memgest MemgestID
-	Block   uint32
-}
-
-func (*BlockFetch) Type() MsgType { return TBlockFetch }
-func (m *BlockFetch) encode(w *writer) {
-	w.u64(uint64(m.Req))
-	w.u32(uint32(m.Memgest))
-	w.u32(m.Block)
-}
-func (m *BlockFetch) decode(r reader) error {
-	*m = BlockFetch{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32()), Block: r.u32()}
-	return r.done()
-}
-
-// BlockFetchReply returns the raw block contents.
-type BlockFetchReply struct {
-	Req    ReqID
-	Status Status
-	Block  uint32
-	Data   []byte
-}
-
-func (*BlockFetchReply) Type() MsgType { return TBlockFetchReply }
-func (m *BlockFetchReply) encode(w *writer) {
-	w.u64(uint64(m.Req))
-	w.u8(uint8(m.Status))
-	w.u32(m.Block)
-	w.bytes(m.Data)
-}
-func (m *BlockFetchReply) decode(r reader) error {
-	*m = BlockFetchReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Block: r.u32(), Data: r.bytes()}
+func (m *FetchReply) decode(r reader) error {
+	*m = FetchReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Data: r.bytes()}
 	return r.done()
 }
 

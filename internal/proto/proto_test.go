@@ -69,12 +69,8 @@ func TestRoundTripAllMessages(t *testing.T) {
 		&ConfigAck{Epoch: 7},
 		&MetaFetch{Req: 12, Memgest: 1, Shard: 2, Since: 99},
 		&MetaFetchReply{Req: 12, Status: StOK, Memgest: 1, Shard: 2, Seq: 100, Recs: []MetaRecord{rec, {Key: "b"}}},
-		&DataFetch{Req: 13, Memgest: 2, Shard: 0, Key: "k", Version: 7},
-		&DataFetchReply{Req: 13, Status: StOK, Value: []byte("data")},
-		&BlockRecover{Req: 14, Memgest: 1, Block: 5},
-		&BlockRecoverReply{Req: 14, Status: StOK, Block: 5, Data: []byte("blk")},
-		&BlockFetch{Req: 15, Memgest: 1, Block: 5},
-		&BlockFetchReply{Req: 15, Status: StOK, Block: 5, Data: []byte("blk")},
+		&Fetch{Req: 13, Memgest: 2, Shard: 0, Key: "k", Version: 7, Block: 5},
+		&FetchReply{Req: 13, Status: StOK, Data: []byte("data")},
 		&Tick{},
 		&Join{Node: 3, Epoch: 9, Durable: true},
 		&Resize{Req: 18, Op: ResizeLeave, Node: 5},
@@ -116,9 +112,9 @@ func normalize(m Message) Message {
 		if len(v.Value) == 0 {
 			v.Value = nil
 		}
-	case *DataFetchReply:
-		if len(v.Value) == 0 {
-			v.Value = nil
+	case *FetchReply:
+		if len(v.Data) == 0 {
+			v.Data = nil
 		}
 	case *ResolveReply:
 		normalizeConfig(v.Config)

@@ -187,6 +187,13 @@ type ClusterStats struct {
 	// WritesAwaitingQuorum sums core.writes_awaiting_quorum: coordinated
 	// writes whose redundancy acks are owed right now.
 	WritesAwaitingQuorum int64
+	// ShardsRecovering, ShardsDegraded and RecoveryReasks sum
+	// core.shards_recovering, core.shards_degraded and
+	// core.recovery_reasks: shards refusing requests until their metadata
+	// is in, shards fetching lost bytes on demand, and recovery asks that
+	// had to be repeated.
+	ShardsRecovering, ShardsDegraded int64
+	RecoveryReasks                   uint64
 	// ShardsMoved and ConfigRepushes sum, over the nodes that have led,
 	// the placement slots configuration changes reassigned and the
 	// configurations sent a second time.
@@ -230,6 +237,9 @@ func Aggregate(nodes []Ringvars) ClusterStats {
 		cs.MovesAborted += n.MovesAborted
 		cs.MovesReplanned += n.MovesReplanned
 		cs.WritesAwaitingQuorum += n.WritesAwaitingQuorum
+		cs.ShardsRecovering += n.ShardsRecovering
+		cs.ShardsDegraded += n.ShardsDegraded
+		cs.RecoveryReasks += n.RecoveryReasks
 		cs.ShardsMoved += n.ShardsMoved
 		cs.ConfigRepushes += n.ConfigRepushes
 		cs.MetaEntries += n.MetaEntries
@@ -360,8 +370,9 @@ func RenderStats(w io.Writer, cs ClusterStats) {
 	}
 	fmt.Fprintln(w)
 	st := cs.Stats
-	fmt.Fprintf(w, "ops: puts=%d gets=%d deletes=%d moves=%d moves_aborted=%d moves_replanned=%d commits=%d parked_gets=%d writes_awaiting_quorum=%d\n",
-		st.Puts, st.Gets, st.Deletes, st.Moves, cs.MovesAborted, cs.MovesReplanned, st.Commits, st.ParkedGets, cs.WritesAwaitingQuorum)
+	fmt.Fprintf(w, "ops: puts=%d gets=%d deletes=%d moves=%d moves_aborted=%d moves_replanned=%d commits=%d parked_gets=%d writes_awaiting_quorum=%d shards_recovering=%d shards_degraded=%d recovery_reasks=%d\n",
+		st.Puts, st.Gets, st.Deletes, st.Moves, cs.MovesAborted, cs.MovesReplanned, st.Commits, st.ParkedGets, cs.WritesAwaitingQuorum,
+		cs.ShardsRecovering, cs.ShardsDegraded, cs.RecoveryReasks)
 	fmt.Fprintf(w, "config: shards_moved=%d config_repushes=%d\n", cs.ShardsMoved, cs.ConfigRepushes)
 	ids := make([]proto.MemgestID, 0, len(cs.Memgests))
 	for id := range cs.Memgests {

@@ -202,6 +202,12 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 	if cs.WritesAwaitingQuorum != 0 {
 		t.Fatalf("quiesced cluster reports %d writes awaiting quorum", cs.WritesAwaitingQuorum)
 	}
+	// Nothing failed: no shard recovers, none is degraded, no recovery
+	// ask was ever sent, let alone repeated.
+	if cs.ShardsRecovering != 0 || cs.ShardsDegraded != 0 || cs.RecoveryReasks != 0 || cs.RecoveryBacklog != 0 {
+		t.Fatalf("quiesced cluster reports shards_recovering=%d shards_degraded=%d recovery_reasks=%d recovery_backlog=%d",
+			cs.ShardsRecovering, cs.ShardsDegraded, cs.RecoveryReasks, cs.RecoveryBacklog)
+	}
 	if cs.Stats.Commits != 15+durPuts {
 		t.Fatalf("cluster commits = %d, want %d", cs.Stats.Commits, 15+durPuts)
 	}
@@ -233,7 +239,7 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		fmt.Sprintf("ops: puts=%d gets=5 deletes=2 moves=3 moves_aborted=0 moves_replanned=0", 10+durPuts),
-		" parked_gets=0 writes_awaiting_quorum=0\n",
+		" parked_gets=0 writes_awaiting_quorum=0 shards_recovering=0 shards_degraded=0 recovery_reasks=0\n",
 		"config: shards_moved=0 config_repushes=0",
 		fmt.Sprintf("memgest 1: puts=%d gets=5 deletes=1 moves=0", 6+durPuts),
 		"memgest 2: puts=4 gets=0 deletes=1 moves=3",

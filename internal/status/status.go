@@ -136,6 +136,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "ring_commits_total %d\n", st.Commits)
 	fmt.Fprintf(w, "ring_parked_gets_total %d\n", st.ParkedGets)
 	fmt.Fprintf(w, "ring_core_writes_awaiting_quorum %d\n", ms.WritesAwaitingQuorum)
+	fmt.Fprintf(w, "ring_core_shards_recovering %d\n", ms.ShardsRecovering)
+	fmt.Fprintf(w, "ring_core_shards_degraded %d\n", ms.ShardsDegraded)
+	fmt.Fprintf(w, "ring_core_recovery_reasks %d\n", ms.RecoveryReasks)
 	fmt.Fprintf(w, "ring_parity_updates_total %d\n", st.ParityUpdates)
 	fmt.Fprintf(w, "ring_rep_appends_total %d\n", st.RepAppends)
 	fmt.Fprintf(w, "ring_blocks_recovered_total %d\n", st.BlocksRecovered)
