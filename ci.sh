@@ -15,8 +15,14 @@
 #      in the source, where review can see them. scripts/loc.sh then
 #      prints the size report (non-test lines per internal/* package
 #      and under cmd/, scripts/ lines, wire message types, top-level
-#      files) so lines and types removed are reported results, not
-#      estimates.
+#      files, the packages ringd links from outside the module and the
+#      size of its text and read-only data) so lines and types removed
+#      are reported results, not estimates. Then the import gate: `go
+#      list -deps ./cmd/ringd` must name none of net/http, crypto/tls,
+#      crypto/x509, math/big. An idle Go process keeps its whole text
+#      resident, and one net/http import is 90 packages and 3.2 MB of
+#      it in each of a cluster's processes (DESIGN.md section 11); a
+#      failure prints the ring/... packages that import one of the four.
 #   4. external static analysis, version-pinned: staticcheck and
 #      govulncheck. Both run via `go run tool@version`, so they need
 #      module-proxy access; offline runs skip them with a warning
@@ -32,7 +38,15 @@
 #      or four of each kind of recovery message; every want is met, no
 #      want or gather is left on any node), TestDoubleFailureRecovery
 #      (every coordinator + redundant-node pair, ending in the parity
-#      invariant) and TestLostRoleForgetsItsWants; internal/store's chunk
+#      invariant) and TestLostRoleForgetsItsWants; the monitoring port's
+#      four (internal/status): TestMonitorDropsSilentClient (a client
+#      that sends nothing, or half a request head, is gone at the head
+#      deadline), TestServerCloseEndsConnections (no connection or
+#      goroutine outlives Close), TestServeConformance (Go's http.Client,
+#      a raw HTTP/1.0 GET, and what nobody should send: other methods,
+#      paths off the table, escaped and dotted paths, 64 KiB heads) and
+#      TestProfilesOneRequestAway (`go tool pprof` against the heap and a
+#      one-second CPU profile; skipped under -short); internal/store's chunk
 #      source is the one build-tagged pair in the tree, so the half this
 #      host does not run is compiled too: the plain-heap fallback
 #      (GOOS=windows go build, with cmd/ringd on top of it) and the
@@ -56,7 +70,10 @@
 #      reference, and the tables' value slots against a map of byte
 #      slices (no overlap, freed slots reused first, exact accounting,
 #      values intact and stale views poisoned across evacuations, every
-#      chunk back on drop).
+#      chunk back on drop). FuzzRequestHead is the monitoring port's:
+#      arbitrary bytes as a request head never panic the parser, never
+#      make it read past its 8 KiB cap, and reach a handler only by a
+#      path that is on the route table as sent.
 #   8. bench smoke: every Go benchmark compiles and runs one
 #      iteration; a benchmark that panics or no longer builds fails
 #      the stage, and the numbers scroll by in the job log
@@ -107,6 +124,13 @@ stage_lint() {
     go build -o bin/ringlint ./cmd/ringlint
     ./bin/ringlint ./...
     scripts/loc.sh
+    banned='net/http|crypto/tls|crypto/x509|math/big'
+    if go list -deps ./cmd/ringd | grep -Ex "$banned"; then
+        go list -deps -f '{{.ImportPath}} <- {{join .Imports " "}}' ./cmd/ringd |
+            grep '^ring' | grep -E " ($banned)( |\$)" || true
+        echo "cmd/ringd links the packages above; see DESIGN.md section 11" >&2
+        exit 1
+    fi
 
     # External analyzers: enforced whenever the module proxy is
     # reachable (always true in CI), skipped with a loud warning when
@@ -153,6 +177,7 @@ stage_chaos() {
     go test -run=NONE -fuzz=FuzzBlockHeapModel -fuzztime=10s ./internal/store/
     go test -run=NONE -fuzz=FuzzValueArenaModel -fuzztime=10s ./internal/store/
     go test -run=NONE -fuzz=FuzzCFGBuild -fuzztime=10s ./internal/lint/flow/
+    go test -run=NONE -fuzz=FuzzRequestHead -fuzztime=10s ./internal/status/
 
     go test -run=NONE -bench=. -benchtime=1x ./...
 

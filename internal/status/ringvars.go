@@ -1,10 +1,12 @@
 package status
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
+	"net"
+	"net/url"
 	"os"
 	rtmetrics "runtime/metrics"
 	"sort"
@@ -52,17 +54,14 @@ func traceRow(e metrics.TraceEntry) TraceRow {
 	}
 }
 
-func (s *Server) handleRingvars(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleRingvars(url.Values) response {
 	var rv Ringvars
 	s.runner.Inspect(func(n *core.Node) {
 		rv.NodeID = n.ID()
 		rv.Node = n.MetricsSnapshot()
 	})
 	rv.Process = processVars()
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(rv)
+	return jsonResponse(rv)
 }
 
 // goHeapVars maps the process vars that describe the Go heap to the
@@ -98,43 +97,47 @@ func addGoHeapVars(vars map[string]any) {
 func processVars() map[string]any {
 	vars := metrics.Default.Snapshot()
 	addGoHeapVars(vars)
-	vars["process.rss_anon_bytes"], vars["process.rss_file_bytes"] = residentBytes()
+	vars["process.rss_anon_bytes"], vars["process.rss_file_bytes"], vars["process.rss_peak_bytes"] = residentBytes()
 	return vars
 }
 
 // residentBytes reads the process's resident anonymous memory (the Go
-// heap, the arena, stacks) and file-backed memory (text, read-only
-// data, shared libraries) from /proc/self/status; both are 0 where the
-// kernel offers no such file.
-func residentBytes() (anon, file uint64) {
+// heap, the arena, stacks), its file-backed memory (text, read-only
+// data, shared libraries) and the most the two (and shared memory) have
+// come to together from /proc/self/status; all are 0 where the kernel
+// offers no such file.
+func residentBytes() (anon, file, peak uint64) {
 	b, err := os.ReadFile("/proc/self/status")
 	if err != nil {
-		return 0, 0
+		return 0, 0, 0
 	}
 	for _, line := range strings.Split(string(b), "\n") {
 		name, rest, _ := strings.Cut(line, ":")
-		if name != "RssAnon" && name != "RssFile" {
+		var dst *uint64
+		switch name {
+		case "RssAnon":
+			dst = &anon
+		case "RssFile":
+			dst = &file
+		case "VmHWM":
+			dst = &peak
+		default:
 			continue
 		}
 		if f := strings.Fields(rest); len(f) > 0 {
 			kb, _ := strconv.ParseUint(f[0], 10, 64)
-			if name == "RssAnon" {
-				anon = kb << 10
-			} else {
-				file = kb << 10
-			}
+			*dst = kb << 10
 		}
 	}
-	return anon, file
+	return anon, file, peak
 }
 
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleTrace(query url.Values) response {
 	count := 0 // 0 = everything held
-	if q := r.URL.Query().Get("n"); q != "" {
+	if q := query.Get("n"); q != "" {
 		v, err := strconv.Atoi(q)
 		if err != nil || v < 0 {
-			http.Error(w, fmt.Sprintf("bad n parameter %q: want a non-negative integer", q), http.StatusBadRequest)
-			return
+			return errorResponse(400, fmt.Sprintf("bad n parameter %q: want a non-negative integer", q))
 		}
 		count = v
 	}
@@ -144,25 +147,37 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	for i, e := range entries {
 		rows[i] = traceRow(e)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(rows)
+	return jsonResponse(rows)
 }
 
 // FetchRingvars GETs one node's /debug/ringvars document. addr is the
 // node's HTTP listen address ("host:port").
 func FetchRingvars(addr string) (Ringvars, error) {
 	var rv Ringvars
-	resp, err := http.Get("http://" + addr + "/debug/ringvars")
+	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		return rv, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return rv, fmt.Errorf("status: %s returned %s", addr, resp.Status)
+	defer c.Close()
+	// HTTP/1.0: the reply is neither chunked nor kept alive, whichever
+	// server answers, so the document is what follows the blank line.
+	if _, err := fmt.Fprintf(c, "GET /debug/ringvars HTTP/1.0\r\nHost: %s\r\n\r\n", addr); err != nil {
+		return rv, err
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&rv); err != nil {
+	br := bufio.NewReader(c)
+	line, err := br.ReadString('\n')
+	if err != nil {
+		return rv, fmt.Errorf("status: read reply from %s: %w", addr, err)
+	}
+	if _, st, _ := strings.Cut(strings.TrimSpace(line), " "); !strings.HasPrefix(st, "200") {
+		return rv, fmt.Errorf("status: %s returned %s", addr, st)
+	}
+	for len(strings.TrimRight(line, "\r\n")) > 0 { // skip the header lines
+		if line, err = br.ReadString('\n'); err != nil {
+			return rv, fmt.Errorf("status: read reply from %s: %w", addr, err)
+		}
+	}
+	if err := json.NewDecoder(br).Decode(&rv); err != nil {
 		return rv, fmt.Errorf("status: decode ringvars from %s: %w", addr, err)
 	}
 	return rv, nil
@@ -211,10 +226,11 @@ type ClusterStats struct {
 	HeapLive, HeapGoal, GCCycles int64
 	// ArenaBacked, ArenaPooled, RSSAnon and RSSFile sum
 	// process.arena_bytes_backed, process.arena_bytes_pooled,
-	// process.rss_anon_bytes and process.rss_file_bytes the same way;
-	// MetaEntries sums the nodes' meta_entries.
-	ArenaBacked, ArenaPooled, RSSAnon, RSSFile int64
-	MetaEntries                                uint64
+	// process.rss_anon_bytes, process.rss_file_bytes and
+	// process.rss_peak_bytes the same way; MetaEntries sums the nodes'
+	// meta_entries.
+	ArenaBacked, ArenaPooled, RSSAnon, RSSFile, RSSPeak int64
+	MetaEntries                                         uint64
 	// Durable sums the durable tiers of the nodes that have one (nil when
 	// none does); Failed then means some node's is in its sticky-error
 	// state.
@@ -279,6 +295,8 @@ func Aggregate(nodes []Ringvars) ClusterStats {
 				cs.RSSAnon += iv
 			case "process.rss_file_bytes":
 				cs.RSSFile += iv
+			case "process.rss_peak_bytes":
+				cs.RSSPeak += iv
 			default:
 				if g, ok := groupOfQueueGauge(name); ok {
 					cs.GroupQueueDepth[g] += iv
@@ -386,10 +404,10 @@ func RenderStats(w io.Writer, cs ClusterStats) {
 			id, c.Puts, c.Gets, c.Deletes, c.Moves, c.Commits)
 		mem.Add(c)
 	}
-	fmt.Fprintf(w, "memory: block_used=%d block_backed=%d parity_backed=%d value_used=%d value_backed=%d slots_relocated=%d chunks_released=%d arena_backed=%d arena_pooled=%d meta_entries=%d heap_live=%d heap_goal=%d gc_cycles=%d rss_anon=%d rss_file=%d\n",
+	fmt.Fprintf(w, "memory: block_used=%d block_backed=%d parity_backed=%d value_used=%d value_backed=%d slots_relocated=%d chunks_released=%d arena_backed=%d arena_pooled=%d meta_entries=%d heap_live=%d heap_goal=%d gc_cycles=%d rss_anon=%d rss_file=%d rss_peak=%d\n",
 		mem.BlockBytesUsed, mem.BlockBytesBacked, mem.ParityBytesBacked, mem.ValueBytesUsed, mem.ValueBytesBacked,
 		mem.ValueSlotsRelocated, mem.ValueChunksReleased,
-		cs.ArenaBacked, cs.ArenaPooled, cs.MetaEntries, cs.HeapLive, cs.HeapGoal, cs.GCCycles, cs.RSSAnon, cs.RSSFile)
+		cs.ArenaBacked, cs.ArenaPooled, cs.MetaEntries, cs.HeapLive, cs.HeapGoal, cs.GCCycles, cs.RSSAnon, cs.RSSFile, cs.RSSPeak)
 	if d := cs.Durable; d != nil {
 		// Per group commit: the WAL records it made durable and the
 		// acknowledgements it released.

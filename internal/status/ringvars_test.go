@@ -85,6 +85,12 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 		rvs = append(rvs, rv)
 	}
 	for _, rv := range rvs {
+		// The peak is read in the same pass as the two it bounds.
+		anon, _ := processInt64(rv.Process["process.rss_anon_bytes"])
+		file, _ := processInt64(rv.Process["process.rss_file_bytes"])
+		if peak, ok := processInt64(rv.Process["process.rss_peak_bytes"]); !ok || peak < anon+file || runtime.GOOS == "linux" && peak == 0 {
+			t.Fatalf("node %d: process.rss_peak_bytes=%d (present: %v), rss_anon_bytes=%d, rss_file_bytes=%d", rv.NodeID, peak, ok, anon, file)
+		}
 		d := rv.Node.Durable
 		if d == nil || d.BitcaskFsyncs != 0 || d.Checkpoints != 0 || d.WALSealed != 0 || d.Failed {
 			t.Fatalf("node %d before its first WAL segment sealed: %+v", rv.NodeID, d)
@@ -253,6 +259,7 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 		fmt.Sprintf("memory: block_used=%d block_backed=", 3*len(srsVal)+3*len("replicated")),
 		fmt.Sprintf(" meta_entries=%d heap_live=", cs.MetaEntries),
 		" rss_file=",
+		fmt.Sprintf(" rss_peak=%d\n", cs.RSSPeak),
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)

@@ -5,15 +5,16 @@
 // histograms, transport/client counters), and the most recent
 // operations at /debug/trace, and the Go profiles at /debug/pprof/.
 // ringd serves it with the -http flag; `ringctl stats` scrapes and
-// aggregates it cluster-wide.
+// aggregates it cluster-wide. The server (serve.go) and the one client
+// (FetchRingvars) are the package's own: the port's whole traffic is
+// bodiless GETs, and importing net/http would link a TLS stack and an
+// HTTP/2 implementation into every node to answer them.
 package status
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
-	"net"
-	"net/http"
-	"net/http/pprof"
+	"net/url"
 
 	"ring/internal/core"
 	"ring/internal/proto"
@@ -62,60 +63,21 @@ func Collect(n *core.Node) Snapshot {
 	return s
 }
 
-// Server serves /status and /metrics for one runner.
-type Server struct {
-	runner *core.Runner
-	ln     net.Listener
-	srv    *http.Server
-}
-
-// Serve starts the HTTP listener on addr (e.g. ":8080" or
-// "127.0.0.1:0") and returns the server; Close stops it.
-func Serve(r *core.Runner, addr string) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("status: listen %s: %w", addr, err)
-	}
-	s := &Server{runner: r, ln: ln}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/status", s.handleStatus)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/debug/ringvars", s.handleRingvars)
-	mux.HandleFunc("/debug/trace", s.handleTrace)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s.srv = &http.Server{Handler: mux}
-	go s.srv.Serve(ln)
-	return s, nil
-}
-
-// Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the HTTP server.
-func (s *Server) Close() error { return s.srv.Close() }
-
 func (s *Server) snapshot() Snapshot {
 	var snap Snapshot
 	s.runner.Inspect(func(n *core.Node) { snap = Collect(n) })
 	return snap
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(s.snapshot())
+func (s *Server) handleStatus(url.Values) response {
+	return jsonResponse(s.snapshot())
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleMetrics(url.Values) response {
 	var snap Snapshot
 	var ms core.MetricsSnapshot
 	s.runner.Inspect(func(n *core.Node) { snap, ms = Collect(n), n.MetricsSnapshot() })
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	w := new(bytes.Buffer)
 	b := func(v bool) int {
 		if v {
 			return 1
@@ -160,7 +122,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	fmt.Fprintf(w, "ring_meta_entries %d\n", ms.MetaEntries)
 	pv := processVars()
-	for _, name := range []string{"arena_bytes_backed", "arena_bytes_pooled", "rss_anon_bytes", "rss_file_bytes"} {
+	for _, name := range []string{"arena_bytes_backed", "arena_bytes_pooled", "rss_anon_bytes", "rss_file_bytes", "rss_peak_bytes"} {
 		fmt.Fprintf(w, "ring_process_%s %v\n", name, pv["process."+name])
 	}
+	return response{code: 200, ctype: "text/plain; version=0.0.4", body: w.Bytes()}
 }
