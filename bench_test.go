@@ -15,13 +15,17 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ring"
+	"ring/internal/client"
 	"ring/internal/core"
 	"ring/internal/experiments"
 	"ring/internal/gf"
+	"ring/internal/proto"
 	"ring/internal/reliability"
 	"ring/internal/transport"
 	"ring/internal/workload"
@@ -247,6 +251,49 @@ func TestHotpathZeroAlloc(t *testing.T) {
 		if n := testing.AllocsPerRun(100, f); n != 0 {
 			t.Errorf("%s allocates %v per call, want 0", name, n)
 		}
+	}
+}
+
+// TestSyncClientOpAllocs pins what one synchronous operation allocates
+// over memnet, the client, the coordinator and the read loops between
+// them counted together (Rep(1,3): nobody else takes part): 6 for a
+// Get and 10 for a 1 KiB Put. With a goroutine, a future, a reply
+// channel and a cleanup closure per call they were 13 and 17. (Like
+// the byte pins below, not a figure for -race builds, where sync.Pool
+// drops a quarter of what it is given.)
+func TestSyncClientOpAllocs(t *testing.T) {
+	cl, err := ring.Start(ring.Config{Shards: 3, Redundant: 2, Memgests: []ring.Scheme{ring.Rep(1, 3)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	c, err := cl.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	val := make([]byte, 1024)
+	keys := benchKeys("pin", 32)
+	for _, k := range keys { // first versions: the tables have their slots
+		if _, err := c.Put(k, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	get := testing.AllocsPerRun(500, func() {
+		if _, _, err := c.Get(keys[i%len(keys)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	put := testing.AllocsPerRun(500, func() {
+		if _, err := c.Put(keys[i%len(keys)], val); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if get > 6 || put > 10 {
+		t.Errorf("a Get allocates %v times and a 1 KiB Put %v, want at most 6 and 10", get, put)
 	}
 }
 
@@ -508,6 +555,84 @@ func BenchmarkLivePipelinedMixed_SRS32(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkClientBurstGetTCP is the client as the benchmark's preload
+// drives it: 32 callers on one client, synchronous 1 KiB gets against
+// the five-node deployment over loopback TCP. reqs/packet is what the
+// client's outboxes made of them.
+func BenchmarkClientBurstGetTCP(b *testing.B) {
+	const callers = 32
+	spec := core.ClusterSpec{Shards: 3, Redundant: 2, Memgests: []proto.Scheme{proto.Rep(3, 3)}}
+	cfg, err := core.BootConfig(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Every node listens on a port the kernel picks, and the fabric
+	// knows them all before the first runner sends.
+	fabric := transport.NewTCPFabric()
+	eps := make(map[proto.NodeID]transport.Endpoint)
+	for _, id := range cfg.AllNodes() {
+		addr := core.NodeAddr(id)
+		fabric.Map(addr, "127.0.0.1:0")
+		ep, err := fabric.Register(addr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fabric.Map(addr, transport.BoundAddr(ep))
+		eps[id] = ep
+	}
+	for id, ep := range eps {
+		r, err := core.StartRunner(core.New(id, cfg.Clone(), spec.Opts), registered{ep}, 10*time.Millisecond)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(r.Stop)
+	}
+	c, err := client.Dial(fabric, []string{core.NodeAddr(0)}, client.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(c.Close)
+	keys := benchKeys("burst", 1024)
+	val := make([]byte, 1024)
+	for _, k := range keys {
+		if _, err := c.Put(k, val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	requests, packets := client.Metrics.Requests.Load(), client.Metrics.Packets.Load()
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int64
+	)
+	b.SetBytes(1024)
+	b.ResetTimer()
+	for s := 0; s < callers; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1))
+				if i > b.N {
+					return
+				}
+				if _, _, err := c.Get(keys[i%len(keys)]); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	requests, packets = client.Metrics.Requests.Load()-requests, client.Metrics.Packets.Load()-packets
+	b.ReportMetric(float64(requests)/float64(packets), "reqs/packet")
+}
+
+// registered hands StartRunner an endpoint that is already listening.
+type registered struct{ ep transport.Endpoint }
+
+func (r registered) Register(string) (transport.Endpoint, error) { return r.ep, nil }
 
 func BenchmarkLiveMoveSRS32toREP1_1KiB(b *testing.B) {
 	_, c := liveCluster(b)

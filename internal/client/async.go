@@ -4,12 +4,13 @@ package client
 // request and return immediately with a future, so a single client
 // keeps many requests in flight over the fabric — the pipelining the
 // paper's throughput experiments (Fig 9, Table 1) rely on. Each
-// in-flight operation runs the same timeout + re-resolve retry state
-// machine as the synchronous API (which is just issue-then-Wait, a
-// pipeline of depth one), multiplexed over the client's single
-// endpoint by the waiter map. The Pipeline helper bounds the number
-// of outstanding operations and aggregates completions for bulk
-// loads and benchmarks.
+// in-flight operation runs the same do*Op as the synchronous API —
+// timeout, re-resolve and retry — on a goroutine of its own, where the
+// synchronous API runs it on its caller's; both are multiplexed over
+// the client's single endpoint by the waiter map and leave through the
+// same outboxes, so concurrent callers of either share packets. The
+// Pipeline helper bounds the number of outstanding operations and
+// aggregates completions for bulk loads and benchmarks.
 
 import (
 	"sync"

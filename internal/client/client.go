@@ -2,7 +2,9 @@
 // key-to-node routing of Section 5.1 (i = h(key) mod s), request/reply
 // correlation, and the timeout + re-resolve fallback of Section 5.5
 // (clients that get no answer re-discover the configuration and retry
-// against the node now responsible for the key).
+// against the node now responsible for the key). Requests that
+// concurrent callers address to one node in the same instant leave in
+// one packet (outbox.go).
 package client
 
 import (
@@ -52,12 +54,25 @@ type Client struct {
 	opts Options
 	ep   transport.Endpoint
 
-	mu      sync.Mutex
-	cfg     *proto.Config
-	nextReq uint64
-	waiters map[proto.ReqID]chan proto.Reply
+	nextReq atomic.Uint64
+
+	mu  sync.Mutex
+	cfg *proto.Config
+	// waiters holds the reply channel of every request in flight.
+	// Whoever deletes an entry owes its channel exactly one result:
+	// recvLoop the reply, a sender the error of the packet that did not
+	// leave; the caller itself deletes it to give up, and then nothing
+	// is owed.
+	waiters  map[proto.ReqID]chan result
+	outboxes map[string]*outbox // by destination
 
 	closed chan struct{}
+}
+
+// result is what a call waits for: the reply, or why there is none.
+type result struct {
+	reply proto.Reply
+	err   error
 }
 
 // Dial registers a client endpoint on the fabric and fetches the
@@ -69,11 +84,11 @@ func Dial(fabric transport.Fabric, bootstrap []string, opts Options) (*Client, e
 		return nil, err
 	}
 	c := &Client{
-		opts:    opts.defaults(),
-		ep:      ep,
-		nextReq: 1,
-		waiters: make(map[proto.ReqID]chan proto.Reply),
-		closed:  make(chan struct{}),
+		opts:     opts.defaults(),
+		ep:       ep,
+		waiters:  make(map[proto.ReqID]chan result),
+		outboxes: make(map[string]*outbox),
+		closed:   make(chan struct{}),
 	}
 	go c.recvLoop()
 	if err := c.resolve(bootstrap); err != nil {
@@ -123,13 +138,7 @@ func (c *Client) recvLoop() {
 				// into goes back to the pool below.
 				gr.Value = bytes.Clone(gr.Value)
 			}
-			c.mu.Lock()
-			ch := c.waiters[reply.Request()]
-			delete(c.waiters, reply.Request())
-			c.mu.Unlock()
-			if ch != nil {
-				ch <- reply
-			}
+			c.deliver(reply.Request(), result{reply: reply})
 			return nil
 		})
 		transport.ReleaseBuf(p.Payload)
@@ -160,43 +169,44 @@ func releaseTimer(t *time.Timer) {
 	timerPool.Put(t)
 }
 
-// call sends a request to `to` and waits for the matching reply.
-func (c *Client) call(to string, req proto.ReqID, msg proto.Message) (proto.Reply, error) {
-	ch := make(chan proto.Reply, 1)
+// replyChans recycles the one-slot channels calls wait on. A channel
+// goes back empty: its call either received the one result it was owed
+// or withdrew the waiter before anyone took it.
+var replyChans = sync.Pool{New: func() any { return make(chan result, 1) }}
+
+// deliver hands r to the call waiting for req, if it still is.
+func (c *Client) deliver(req proto.ReqID, r result) {
 	c.mu.Lock()
-	c.waiters[req] = ch
+	ch := c.waiters[req]
+	delete(c.waiters, req)
 	c.mu.Unlock()
-	cleanup := func() {
-		c.mu.Lock()
-		delete(c.waiters, req)
-		c.mu.Unlock()
-	}
-	if err := c.ep.Send(to, proto.AppendEncode(transport.AcquireBufSize(proto.SizeHint(msg)), msg)); err != nil {
-		cleanup()
-		return nil, err
-	}
-	t := acquireTimer(c.opts.Timeout)
-	defer releaseTimer(t)
-	select {
-	case reply := <-ch:
-		return reply, nil
-	case <-t.C:
-		Metrics.Timeouts.Inc()
-		cleanup()
-		return nil, ErrTimeout
-	case <-c.closed:
-		cleanup()
-		return nil, transport.ErrClosed
+	if ch != nil {
+		ch <- r
 	}
 }
 
-func (c *Client) reqID() proto.ReqID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r := proto.ReqID(c.nextReq)
-	c.nextReq++
-	return r
+// call queues a request for `to` (see outbox.go for how it leaves) and
+// waits for the matching reply.
+func (c *Client) call(to string, req proto.ReqID, msg proto.Message) (proto.Reply, error) {
+	ch := replyChans.Get().(chan result)
+	c.post(to, req, msg, ch)
+	t := acquireTimer(c.opts.Timeout)
+	var r result
+	select {
+	case r = <-ch:
+	case <-t.C:
+		if r = c.abandon(to, req, ch, ErrTimeout); r.err == ErrTimeout {
+			Metrics.Timeouts.Inc()
+		}
+	case <-c.closed:
+		r = c.abandon(to, req, ch, transport.ErrClosed)
+	}
+	releaseTimer(t)
+	replyChans.Put(ch)
+	return r.reply, r.err
 }
+
+func (c *Client) reqID() proto.ReqID { return proto.ReqID(c.nextReq.Add(1)) }
 
 // resolve queries the given addresses (or every node of the last known
 // config) for the freshest configuration — the client-side analogue of
@@ -316,10 +326,9 @@ func (c *Client) Put(key string, value []byte) (proto.Version, error) {
 	return c.PutIn(key, value, 0)
 }
 
-// PutIn stores value under key in a specific memgest. It is the
-// one-deep special case of the asynchronous path: issue, then wait.
+// PutIn stores value under key in a specific memgest.
 func (c *Client) PutIn(key string, value []byte, mg proto.MemgestID) (proto.Version, error) {
-	return c.PutInAsync(key, value, mg).Wait()
+	return putResult(c.doPutOp(key, value, mg))
 }
 
 // Get fetches the newest committed value of key.
@@ -332,12 +341,12 @@ func (c *Client) Get(key string) ([]byte, proto.Version, error) {
 // KeepVersions > 0 — e.g. the durable copy a key had before being
 // moved to the unreliable memgest.
 func (c *Client) GetVersion(key string, ver proto.Version) ([]byte, proto.Version, error) {
-	return c.GetVersionAsync(key, ver).Wait()
+	return getResult(c.doGetOp(key, ver))
 }
 
 // Delete removes key.
 func (c *Client) Delete(key string) error {
-	return c.DeleteAsync(key).Wait()
+	return deleteResult(c.doDeleteOp(key))
 }
 
 // Move transfers key to another memgest without resending its value.

@@ -11,6 +11,10 @@ var Metrics struct {
 	// Retries counts re-resolve-and-retry cycles on top of those.
 	Requests metrics.Counter
 	Retries  metrics.Counter
+	// Packets counts the packets requests left in: Requests plus
+	// Retries plus Resolves' probes, over Packets, is how many requests
+	// the outboxes put in a packet.
+	Packets metrics.Counter
 	// Timeouts counts individual calls that expired without a reply.
 	Timeouts metrics.Counter
 	// Resolves counts configuration re-discoveries.
@@ -24,6 +28,7 @@ func init() {
 	d := metrics.Default
 	d.Register("client.requests", &Metrics.Requests)
 	d.Register("client.retries", &Metrics.Retries)
+	d.Register("client.packets", &Metrics.Packets)
 	d.Register("client.timeouts", &Metrics.Timeouts)
 	d.Register("client.resolves", &Metrics.Resolves)
 	d.Register("client.pipeline_depth", &Metrics.PipelineDepth)

@@ -8,6 +8,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -37,8 +38,9 @@ type TCPFabric struct {
 	// faultFn, when set, may drop, delay, or duplicate outgoing frames
 	// (see FaultFunc). TCP itself never reorders or duplicates within a
 	// connection; the hook models faults above the socket, where the
-	// chaos harness injects them.
-	faultFn FaultFunc
+	// chaos harness injects them. Every Send reads it, so it is not
+	// behind mu.
+	faultFn atomic.Pointer[FaultFunc]
 }
 
 // NewTCPFabric creates a TCP-backed fabric. Logical addresses are used
@@ -49,19 +51,19 @@ func NewTCPFabric() *TCPFabric {
 
 // SetFaultFunc implements FaultInjector (nil disables).
 func (f *TCPFabric) SetFaultFunc(fn FaultFunc) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.faultFn = fn
+	if fn == nil {
+		f.faultFn.Store(nil)
+		return
+	}
+	f.faultFn.Store(&fn)
 }
 
 func (f *TCPFabric) fault(from, to string, size int) FaultAction {
-	f.mu.Lock()
-	fn := f.faultFn
-	f.mu.Unlock()
+	fn := f.faultFn.Load()
 	if fn == nil {
 		return FaultAction{}
 	}
-	return fn(from, to, size)
+	return (*fn)(from, to, size)
 }
 
 // Map binds a logical address to a concrete TCP address.
@@ -189,16 +191,22 @@ func writeFrame(c net.Conn, from string, payload []byte) error {
 
 //ring:hotpath
 func (e *tcpEndpoint) readLoop(c net.Conn) {
-	defer c.Close()
+	defer e.forget(c)
 	fr := frameReader{r: bufio.NewReaderSize(c, 64<<10)}
+	// last is the sender replyConns was last told speaks on c: on one
+	// connection it is the same for every frame.
+	var last string
 	for {
 		from, payload, err := fr.next()
 		if err != nil {
 			return
 		}
-		e.mu.Lock()
-		e.replyConns[from] = c
-		e.mu.Unlock()
+		if from != last {
+			e.mu.Lock()
+			e.replyConns[from] = c
+			e.mu.Unlock()
+			last = from
+		}
 		select {
 		case e.inbox <- Packet{From: from, Payload: payload}:
 			countRecv(payload, len(e.inbox))
@@ -309,16 +317,30 @@ func (e *tcpEndpoint) transmit(to string, payload []byte) error {
 	// recycled either way.
 	ReleaseBuf(payload)
 	if err != nil {
-		// Connection broke: forget it so the next send re-dials.
-		e.mu.Lock()
-		if e.conns[to] == c {
-			delete(e.conns, to)
-		}
-		e.mu.Unlock()
-		c.Close()
+		// Connection broke: forget it, dialled or inbound, so the next
+		// send re-dials.
+		e.forget(c)
 		return errPeer(to, err)
 	}
 	return nil
+}
+
+// forget closes c and drops every route that still leads to it: its
+// read loop has ended or a write to it failed, and a peer that comes
+// back is dialled, not written to on a dead socket.
+//
+//ring:hotpath-stop cold: a connection died
+func (e *tcpEndpoint) forget(c net.Conn) {
+	e.mu.Lock()
+	for _, m := range []map[string]net.Conn{e.conns, e.replyConns} {
+		for peer, pc := range m {
+			if pc == c {
+				delete(m, peer)
+			}
+		}
+	}
+	e.mu.Unlock()
+	c.Close()
 }
 
 // dial opens the outbound connection to a peer, once per peer.

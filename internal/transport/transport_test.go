@@ -462,3 +462,69 @@ func TestEndpointsAreChanReceivers(t *testing.T) {
 		})
 	}
 }
+
+// TestRestartedPeerIsDialledAgain: a peer that was only ever reached
+// over its own inbound connection (b dialled a; a never dialled b) is
+// dialled once that connection is dead, instead of being written to on
+// the closed socket for ever. One send may be lost finding out.
+func TestRestartedPeerIsDialledAgain(t *testing.T) {
+	f := NewTCPFabric()
+	f.Map("a", "127.0.0.1:0")
+	f.Map("b", "127.0.0.1:0")
+	a, err := f.Register("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := f.Register("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Map("a", BoundAddr(a))
+	f.Map("b", BoundAddr(b))
+
+	if err := b.Send("a", []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Send("b", []byte("over b's connection")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Recv(); err != nil {
+		t.Fatal(err)
+	}
+
+	// b restarts on the same address.
+	b.Close()
+	b2, err := f.Register("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b2.Close()
+
+	got := make(chan Packet, 1)
+	go func() {
+		if p, err := b2.Recv(); err == nil {
+			got <- p
+		}
+	}()
+	// a learns of the dead connection from its read loop or from one
+	// failed write, whichever comes first; either way it dials.
+	for i := 0; i < 20; i++ {
+		if err := a.Send("b", []byte("again")); err != nil {
+			continue
+		}
+		select {
+		case p := <-got:
+			if p.From != "a" || string(p.Payload) != "again" {
+				t.Fatalf("got %+v", p)
+			}
+			return
+		case <-time.After(100 * time.Millisecond):
+			// Written into the dying socket before its reset arrived.
+		}
+	}
+	t.Fatal("20 sends after the restart and a never dialled b")
+}
