@@ -257,10 +257,14 @@ func TestHotpathZeroAlloc(t *testing.T) {
 // TestSyncClientOpAllocs pins what one synchronous operation allocates
 // over memnet, the client, the coordinator and the read loops between
 // them counted together (Rep(1,3): nobody else takes part): 6 for a
-// Get and 10 for a 1 KiB Put. With a goroutine, a future, a reply
-// channel and a cleanup closure per call they were 13 and 17. (Like
-// the byte pins below, not a figure for -race builds, where sync.Pool
-// drops a quarter of what it is given.)
+// Get and 7 for a 1 KiB Put. With a goroutine, a future, a reply
+// channel and a cleanup closure per call they were 13 and 17; a put
+// was 10 until PR 30, while the coordinator allocated the entry, kept
+// the decoded key for it and copied the key's version list to collect
+// the old version — the entry is a slab slot now, the key the one its
+// first version brought, and the versions are walked where they are.
+// (Like the byte pins below, not a figure for -race builds, where
+// sync.Pool drops a quarter of what it is given.)
 func TestSyncClientOpAllocs(t *testing.T) {
 	cl, err := ring.Start(ring.Config{Shards: 3, Redundant: 2, Memgests: []ring.Scheme{ring.Rep(1, 3)}})
 	if err != nil {
@@ -292,8 +296,9 @@ func TestSyncClientOpAllocs(t *testing.T) {
 		}
 		i++
 	})
-	if get > 6 || put > 10 {
-		t.Errorf("a Get allocates %v times and a 1 KiB Put %v, want at most 6 and 10", get, put)
+	t.Logf("a Get allocates %v times, a 1 KiB Put %v", get, put)
+	if get > 6 || put > 7 {
+		t.Errorf("a Get allocates %v times and a 1 KiB Put %v, want at most 6 and 7", get, put)
 	}
 }
 
@@ -319,7 +324,10 @@ func allocBytesPerRun(runs int, f func()) float64 {
 // client, coordinator and both parity nodes together — allocates
 // anything near a value's size. Before the pooled frame reader, the
 // vectored frame write and the decode views, each of these allocated
-// several values' worth per operation.
+// several values' worth per operation. What is left is messages and
+// metadata: an SRS put allocates about 1100 B over its three nodes and
+// a Rep(2,3) put 820 B over its two (1430 and 1075 B until PR 30, when
+// each node's copy of the entry and of its key were heap objects).
 func TestValuePathAllocs(t *testing.T) {
 	const size = 16 << 10
 	val := make([]byte, size)

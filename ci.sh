@@ -54,7 +54,16 @@
 #      (a packet that does not leave is eight retries at once, not eight
 #      Timeouts) and TestCloseFailsQueuedRequests; the transport's
 #      TestRestartedPeerIsDialledAgain (a peer reached only over its own
-#      connection is dialled once that connection is dead); internal/store's chunk
+#      connection is dialled once that connection is dead); the shard
+#      index (internal/store, internal/core): TestMetaBytesPerEntry
+#      (16 384 entries in three tables of one index cost at most 112 B
+#      of collected heap each, key and hash slot included),
+#      TestMetaSlotsCrossTables (the slots one table frees are another's
+#      next entries: no slab is cut), TestDeleteMemgestUncoversOlderVersion
+#      (a deleted memgest takes its entries out of every node's index,
+#      and the version under them is the key's newest again) and
+#      TestStaleEntryPointerIsCaught (an entry read after the purge that
+#      freed it reads 0xDB); internal/store's chunk
 #      source is the one build-tagged pair in the tree, so the half this
 #      host does not run is compiled too: the plain-heap fallback
 #      (GOOS=windows go build, with cmd/ringd on top of it) and the
@@ -73,12 +82,16 @@
 #      catch a round-trip regression, short enough for every push.
 #      FuzzWALReplay is the durability one: arbitrary bytes as a WAL
 #      segment must replay without panicking and re-replay identically.
-#      FuzzBlockHeapModel and FuzzValueArenaModel are the memory ones:
-#      the demand-backed block heap against a flat, fully allocated
-#      reference, and the tables' value slots against a map of byte
-#      slices (no overlap, freed slots reused first, exact accounting,
-#      values intact and stale views poisoned across evacuations, every
-#      chunk back on drop). FuzzRequestHead is the monitoring port's:
+#      FuzzBlockHeapModel, FuzzValueArenaModel and FuzzMetaIndexModel
+#      are the memory ones: the demand-backed block heap against a
+#      flat, fully allocated reference, the tables' value slots against
+#      a map of byte slices (no overlap, freed slots reused first, exact
+#      accounting, values intact and stale views poisoned across
+#      evacuations, every chunk back on drop), and three metadata tables
+#      on one shard index against three maps and a sort (every table its
+#      own entries, every key its versions newest first across tables,
+#      rehashes at any fill, freed slab slots reused first and poisoned
+#      in between, bytes accounted exactly). FuzzRequestHead is the monitoring port's:
 #      arbitrary bytes as a request head never panic the parser, never
 #      make it read past its 8 KiB cap, and reach a handler only by a
 #      path that is on the route table as sent.
@@ -190,6 +203,7 @@ stage_chaos() {
     go test -run=NONE -fuzz=FuzzWALReplay -fuzztime=10s ./internal/wal/
     go test -run=NONE -fuzz=FuzzBlockHeapModel -fuzztime=10s ./internal/store/
     go test -run=NONE -fuzz=FuzzValueArenaModel -fuzztime=10s ./internal/store/
+    go test -run=NONE -fuzz=FuzzMetaIndexModel -fuzztime=10s ./internal/store/
     go test -run=NONE -fuzz=FuzzCFGBuild -fuzztime=10s ./internal/lint/flow/
     go test -run=NONE -fuzz=FuzzRequestHead -fuzztime=10s ./internal/status/
 

@@ -97,16 +97,12 @@ func (n *Node) handleDelete(from string, m *proto.Delete) {
 	// A delete is a tombstone put into the memgest currently holding
 	// the key's highest version (metadata suffices; no value). A key
 	// whose newest version is already a tombstone is absent.
-	ref, found := n.volFor(shard).Highest(m.Key)
-	if !found {
+	e := n.indexFor(shard).Highest(m.Key)
+	if e == nil || e.Rec.Tombstone {
 		fail(refNotFound)
 		return
 	}
-	if e := n.lookupEntry(shard, m.Key, ref); e == nil || e.Rec.Tombstone {
-		fail(refNotFound)
-		return
-	}
-	n.doWrite(from, m.Req, replyDelete, shard, m.Key, nil, ref.Memgest, true)
+	n.doWrite(from, m.Req, replyDelete, shard, m.Key, nil, e.Rec.Memgest, true)
 }
 
 // doWrite runs the write-ahead, replicate, commit pipeline shared by
@@ -136,17 +132,15 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 	case replyMove:
 		st.met.Moves.Inc()
 	}
-	vol := n.volFor(shard)
 	var ver proto.Version = 1
-	if hi, ok := vol.Highest(key); ok {
-		ver = hi.Version + 1
+	if hi := n.indexFor(shard).Highest(key); hi != nil {
+		ver = hi.Rec.Version + 1
 	}
 	rec := proto.MetaRecord{
 		Key: key, Version: ver, Memgest: mgID,
 		Tombstone: tombstone, Length: uint32(len(value)),
 	}
 	seq := cs.tracker.Next()
-	e := &store.Entry{Rec: rec, Seq: seq}
 
 	if n.opts.ChaosUnsafeAck {
 		// Injected bug (chaos-harness validation only): acknowledge and
@@ -164,15 +158,10 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 				return false
 			}
 			cs.heap.Write(ext, value)
-			e.Rec.LocBlock = ext.Block
-			e.Rec.LocOff = ext.Off
+			rec.LocBlock = ext.Block
+			rec.LocOff = ext.Off
 		}
-		cs.meta.Put(e)
-		if st.info.Scheme.Kind == proto.SchemeRep {
-			cs.meta.Hold(e, value)
-		}
-		vol.Add(key, ver, mgID)
-		n.persistAppend(st, shard, e)
+		n.writeAhead(st, cs, rec, seq, value)
 		n.commitEntry(replog.ChaosForgeQuorum(), st, cs, key, ver, replyTo, req, kind, n.now)
 		return true
 	}
@@ -196,8 +185,8 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 			}
 			delta := cs.heap.Write(ext, value)
 			n.Stats.BytesWritten += uint64(len(value))
-			e.Rec.LocBlock = ext.Block
-			e.Rec.LocOff = ext.Off
+			rec.LocBlock = ext.Block
+			rec.LocOff = ext.Off
 			stripeOff := uint32(st.layout.StripeOffset(int(ext.Block)))
 			// The coordinator performs the GF multiplications that
 			// build the per-parity deltas ("data nodes are responsible
@@ -211,7 +200,7 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 			n.Stats.BytesParityXor += uint64(len(delta) * st.info.Scheme.M)
 			for r, pn := range parityNodes(&st.info) {
 				n.sendScratch(NodeAddr(pn), &proto.ParityUpdate{
-					Memgest: mgID, Shard: shard, Seq: seq, Rec: e.Rec,
+					Memgest: mgID, Shard: shard, Seq: seq, Rec: rec,
 					Block: ext.Block, StripeOff: stripeOff, Off: ext.Off,
 					Delta: n.deltas[r],
 				}, n.deltas[r])
@@ -222,7 +211,7 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 			// replicated to every parity node for durability.
 			for _, pn := range parityNodes(&st.info) {
 				n.sendNode(pn, &proto.ParityUpdate{
-					Memgest: mgID, Shard: shard, Seq: seq, Rec: e.Rec,
+					Memgest: mgID, Shard: shard, Seq: seq, Rec: rec,
 				})
 				n.Stats.ParityUpdates++
 			}
@@ -235,20 +224,12 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 		// handler and every later one of the batch have returned.
 		for _, rn := range replicaSet(n.cfg, &st.info, shard) {
 			buf := copyOut(value)
-			n.sendScratch(NodeAddr(rn), &proto.RepAppend{Memgest: mgID, Shard: shard, Seq: seq, Rec: e.Rec, Value: buf}, buf)
+			n.sendScratch(NodeAddr(rn), &proto.RepAppend{Memgest: mgID, Shard: shard, Seq: seq, Rec: rec, Value: buf}, buf)
 			n.Stats.RepAppends++
 		}
 	}
 
-	// Write-ahead: the entry is inserted (uncommitted) before the
-	// commit decision. A replicated put's one copy on this node is the
-	// table's.
-	cs.meta.Put(e)
-	if st.info.Scheme.Kind == proto.SchemeRep {
-		cs.meta.Hold(e, value)
-	}
-	vol.Add(key, ver, mgID)
-	n.persistAppend(st, shard, e)
+	n.writeAhead(st, cs, rec, seq, value)
 
 	if q, done := cs.tracker.Open(seq, n.quorumAcks(st.info.Scheme)); done {
 		// Unreliable memgests commit immediately (Rep(1,s)).
@@ -257,6 +238,17 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 	}
 	cs.pending[seq] = &pendingCommit{key: key, version: ver, start: n.now, replyTo: replyTo, req: req, kind: kind}
 	return true
+}
+
+// writeAhead inserts a coordinated write's entry, uncommitted, before
+// the commit decision. A replicated put's one copy on this node is the
+// table's.
+func (n *Node) writeAhead(st *mgState, cs *coordShard, rec proto.MetaRecord, seq proto.Seq, value []byte) {
+	e := cs.meta.Put(&store.Entry{Rec: rec, Seq: seq})
+	if st.info.Scheme.Kind == proto.SchemeRep {
+		cs.meta.Hold(e, value)
+	}
+	n.persistAppend(st, cs.shard, e)
 }
 
 // refusal is the status of a refused write: any but StOK, for which it
@@ -384,75 +376,45 @@ func (n *Node) broadcastCommit(st *mgState, shard uint32, seq proto.Seq) {
 // gcKey removes committed versions of key that are superseded by the
 // newest committed version, keeping Options.KeepVersions extras.
 func (n *Node) gcKey(shard uint32, key string) {
-	vol := n.volFor(shard)
-	refs := vol.All(key)
-	// Find the newest committed version.
-	newestCommitted := -1
-	for i, ref := range refs {
-		if e := n.lookupEntry(shard, key, ref); e != nil && e.Rec.Committed {
-			newestCommitted = i
-			break
-		}
+	x := n.indexFor(shard)
+	head := x.Highest(key)
+	newest := head
+	for newest != nil && !newest.Rec.Committed {
+		newest = x.Older(newest)
 	}
-	if newestCommitted < 0 {
+	if newest == nil {
 		return
 	}
-	keep := n.opts.KeepVersions
-	kept := 0
+	unreliable := func(e *store.Entry) bool {
+		mi := n.cfg.Memgest(e.Rec.Memgest)
+		return mi != nil && mi.Scheme.Kind == proto.SchemeRep && mi.Scheme.R == 1
+	}
 	// With KeepDurableBackup, while the newest committed version is
 	// unreliable, the newest committed *reliable* version is pinned.
-	durablePinned := false
-	newestIsUnreliable := false
-	if n.opts.KeepDurableBackup {
-		if mi := n.cfg.Memgest(refs[newestCommitted].Memgest); mi != nil {
-			newestIsUnreliable = mi.Scheme.Kind == proto.SchemeRep && mi.Scheme.R == 1
-		}
-	}
-	for _, ref := range refs[newestCommitted+1:] {
-		e := n.lookupEntry(shard, key, ref)
-		if e == nil || !e.Rec.Committed {
+	pin := n.opts.KeepDurableBackup && unreliable(newest)
+	kept := 0
+	for e := x.Older(newest); e != nil; {
+		next := x.Older(e) // before a purge frees e's slot
+		switch {
+		case !e.Rec.Committed:
 			// Uncommitted lower versions stay: they may commit later
 			// and owe parked replies (then this GC runs again).
-			continue
-		}
-		if newestIsUnreliable && !durablePinned {
-			if mi := n.cfg.Memgest(ref.Memgest); mi != nil &&
-				!(mi.Scheme.Kind == proto.SchemeRep && mi.Scheme.R == 1) {
-				durablePinned = true
-				continue // pinned reliable backup
-			}
-		}
-		if kept < keep {
+		case pin && n.cfg.Memgest(e.Rec.Memgest) != nil && !unreliable(e):
+			pin = false // the pinned reliable backup
+		case kept < n.opts.KeepVersions:
 			kept++
-			continue
+		default:
+			n.purgeVersion(shard, key, e.Ref())
 		}
-		n.purgeVersion(shard, key, ref)
+		e = next
 	}
 	// A committed tombstone that has become the key's only version
 	// carries no information: the key is absent either way. Reclaim it
 	// once no newer (uncommitted) versions are in flight and nothing
 	// is parked on it.
-	if newestCommitted == 0 && kept == 0 {
-		if cur := vol.All(key); len(cur) == 1 {
-			if e := n.lookupEntry(shard, key, cur[0]); e != nil &&
-				e.Rec.Tombstone && e.Rec.Committed && !e.HasParked() {
-				n.purgeVersion(shard, key, cur[0])
-			}
-		}
+	if newest == head && x.Older(newest) == nil && newest.Rec.Tombstone && !newest.HasParked() {
+		n.purgeVersion(shard, key, newest.Ref())
 	}
-}
-
-// lookupEntry fetches the metadata entry behind a volatile-index ref.
-func (n *Node) lookupEntry(shard uint32, key string, ref store.VersionRef) *store.Entry {
-	st := n.mgFor(ref.Memgest)
-	if st == nil {
-		return nil
-	}
-	cs := st.coord[shard]
-	if cs == nil {
-		return nil
-	}
-	return cs.meta.Get(key, ref.Version)
 }
 
 // purgeVersion removes one version locally and tells the memgest's
@@ -466,15 +428,14 @@ func (n *Node) purgeVersion(shard uint32, key string, ref store.VersionRef) {
 	if cs == nil {
 		return
 	}
-	e := cs.meta.Delete(key, ref.Version)
-	if e == nil {
+	e, ok := cs.meta.Delete(key, ref.Version)
+	if !ok {
 		return
 	}
 	n.persistPurge(ref.Memgest, shard, key, ref.Version, e.Seq)
 	if ext := e.Extent(); ext.Len > 0 && cs.heap != nil {
 		cs.heap.Free(ext)
 	}
-	n.volFor(shard).Remove(key, ref.Version)
 	msg := &proto.Purge{Memgest: ref.Memgest, Shard: shard, Key: key, Version: ref.Version}
 	if st.info.Scheme.Kind == proto.SchemeSRS {
 		for _, pn := range parityNodes(&st.info) {
@@ -494,30 +455,18 @@ func (n *Node) handleGet(from string, m *proto.Get) {
 	if !ok {
 		return
 	}
-	var ref store.VersionRef
-	var found bool
-	if m.Version == 0 {
-		ref, found = n.volFor(shard).Highest(m.Key)
-	} else {
-		// Exact-version read: serve the requested version if it is
-		// still retained (Options.KeepVersions governs retention).
-		for _, r := range n.volFor(shard).All(m.Key) {
-			if r.Version == m.Version {
-				ref, found = r, true
-				break
-			}
-		}
+	x := n.indexFor(shard)
+	e := x.Highest(m.Key)
+	// Exact-version read: serve the requested version if it is still
+	// retained (Options.KeepVersions governs retention).
+	for m.Version != 0 && e != nil && e.Rec.Version != m.Version {
+		e = x.Older(e)
 	}
-	if !found {
+	if e == nil {
 		fail(refNotFound)
 		return
 	}
-	st := n.mgFor(ref.Memgest)
-	e := n.lookupEntry(shard, m.Key, ref)
-	if st == nil || e == nil {
-		fail(refNotFound)
-		return
-	}
+	st := n.mgFor(e.Rec.Memgest)
 	cs := st.coord[shard]
 	st.met.Gets.Inc()
 	if !e.Rec.Committed {

@@ -248,8 +248,7 @@ func (h *harness) release(held []routedMsg) {
 // memgestOf returns the memgest holding key's highest version.
 func (h *harness) memgestOf(key string) proto.MemgestID {
 	n, _ := h.coordinatorOf(key)
-	ref, _ := n.volFor(n.shardOf(key)).Highest(key)
-	return ref.Memgest
+	return n.KeyVersions(key)[0].Memgest
 }
 
 func (h *harness) del(key string) *proto.DeleteReply {
@@ -404,7 +403,7 @@ func TestPutVersioningAndOverwrite(t *testing.T) {
 	// Old versions must be GCed on the coordinator.
 	n, _ := h.coordinatorOf("k")
 	shard := n.shardOf("k")
-	if got := len(n.volFor(shard).All("k")); got != 1 {
+	if got := len(n.KeyVersions("k")); got != 1 {
 		t.Fatalf("GC left %d versions", got)
 	}
 	cs := n.mg[mgSRS32].coord[shard]
@@ -583,9 +582,7 @@ func TestSetDefaultMemgest(t *testing.T) {
 		t.Fatal(r.Status)
 	}
 	n, _ := h.coordinatorOf("dk")
-	shard := n.shardOf("dk")
-	ref, _ := n.volFor(shard).Highest("dk")
-	if ref.Memgest != mgSRS32 {
+	if ref := n.KeyVersions("dk")[0]; ref.Memgest != mgSRS32 {
 		t.Fatalf("default put landed in %d", ref.Memgest)
 	}
 }

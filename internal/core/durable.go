@@ -199,17 +199,13 @@ func (n *Node) installStash(st *mgState, r role) proto.Seq {
 	for i := range rs.Entries {
 		re := &rs.Entries[i]
 		e := &store.Entry{Rec: re.Rec, Seq: re.Seq}
-		if r.kind == roleCoordinator {
-			if st.layout != nil && cs.heap.Reserve(e.Extent()) != nil {
-				// Conflicting extent (only possible after disk damage,
-				// which already forces Since == 0): let the group sync
-				// re-install this entry.
-				continue
-			}
-			n.volFor(r.shard).Add(re.Rec.Key, re.Rec.Version, r.mg)
+		if r.kind == roleCoordinator && st.layout != nil && cs.heap.Reserve(e.Extent()) != nil {
+			// Conflicting extent (only possible after disk damage,
+			// which already forces Since == 0): let the group sync
+			// re-install this entry.
+			continue
 		}
-		table.Put(e)
-		if re.HasValue {
+		if e = table.Put(e); re.HasValue {
 			table.Hold(e, re.Value)
 		}
 	}

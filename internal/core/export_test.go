@@ -45,8 +45,12 @@ func (n *Node) flushOuts() []Out {
 // package core.
 
 // KeyVersions returns the key's version refs, newest first.
-func (n *Node) KeyVersions(key string) []store.VersionRef {
-	return n.volFor(n.shardOf(key)).All(key)
+func (n *Node) KeyVersions(key string) (refs []store.VersionRef) {
+	x := n.indexFor(n.shardOf(key))
+	for e := x.Highest(key); e != nil; e = x.Older(e) {
+		refs = append(refs, e.Ref())
+	}
+	return refs
 }
 
 // OpenMoves returns the number of open move windows.

@@ -158,7 +158,7 @@ func (n *Node) newMgState(info proto.MemgestInfo) *mgState {
 func (n *Node) newCoordShard(st *mgState, shard uint32) *coordShard {
 	cs := &coordShard{
 		shard:   shard,
-		meta:    newMetaTable(),
+		meta:    n.indexFor(shard).NewTable(),
 		tracker: replog.NewTracker(),
 		pending: make(map[proto.Seq]*pendingCommit),
 	}
@@ -330,7 +330,7 @@ func (n *Node) gainRole(r role, fresh bool) {
 		}
 		fallthrough
 	case roleReplica:
-		st.rmeta[r.shard] = newMetaTable()
+		st.rmeta[r.shard] = n.indexFor(r.shard).NewTable()
 	}
 	if !fresh {
 		n.wantMetadata(r, n.installStash(st, r))
@@ -352,9 +352,6 @@ func (n *Node) loseRole(r role) {
 			cs.heap.Drop()
 		}
 		delete(st.coord, r.shard)
-		if !n.coordinates(r.shard) {
-			delete(n.vol, r.shard)
-		}
 	case roleParity:
 		if st.parity != nil {
 			st.parity.Drop()

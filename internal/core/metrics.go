@@ -114,7 +114,10 @@ type MemgestOpCounts struct {
 	// ValueSlotsRelocated and ValueChunksReleased count, since the node
 	// started, the Rep values its tables copied to another chunk and the
 	// chunks they emptied that way and gave back to the process (see
-	// store.ValueMoves): zero while keys only arrive.
+	// store.ValueMoves): zero while keys only arrive. MetaBytes is what
+	// the node's entries of the memgest take beside their values: slab
+	// slots, and their share of the keys and hash indexes of their
+	// shards (see store.MetaTable.MetaBytes).
 	BlockBytesUsed      uint64 `json:"store.block_bytes_used"`
 	BlockBytesBacked    uint64 `json:"store.block_bytes_backed"`
 	ParityBytesBacked   uint64 `json:"store.parity_bytes_backed"`
@@ -122,6 +125,7 @@ type MemgestOpCounts struct {
 	ValueBytesBacked    uint64 `json:"store.value_bytes_backed"`
 	ValueSlotsRelocated uint64 `json:"store.value_slots_relocated"`
 	ValueChunksReleased uint64 `json:"store.value_chunks_released"`
+	MetaBytes           uint64 `json:"store.meta_bytes"`
 }
 
 // Add accumulates another count set (for cluster-wide aggregation).
@@ -138,6 +142,7 @@ func (c *MemgestOpCounts) Add(o MemgestOpCounts) {
 	c.ValueBytesBacked += o.ValueBytesBacked
 	c.ValueSlotsRelocated += o.ValueSlotsRelocated
 	c.ValueChunksReleased += o.ValueChunksReleased
+	c.MetaBytes += o.MetaBytes
 }
 
 // MetricsSnapshot is a point-in-time copy of a node's instrumentation,
@@ -221,6 +226,7 @@ func (n *Node) MetricsSnapshot() MetricsSnapshot {
 				moves := t.ValueMoves()
 				c.ValueSlotsRelocated += moves.SlotsRelocated
 				c.ValueChunksReleased += moves.ChunksReleased
+				c.MetaBytes += t.MetaBytes()
 				s.MetaEntries += uint64(t.Len())
 			}
 			for _, cs := range st.coord {

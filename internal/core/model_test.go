@@ -146,42 +146,53 @@ func runRandomOps(t *testing.T, seed int64, ops int, failover bool) {
 	h.checkIndexConsistency()
 }
 
-// checkIndexConsistency verifies, for every live coordinator, that the
-// volatile hashtable and the memgest metadata hashtables agree: every
-// index entry resolves to a metadata entry and vice versa for
-// committed data.
+// checkIndexConsistency verifies, for every live node, that each
+// shard's index and the metadata tables that are its views agree: a
+// walk of the index meets every table's entries and no others, each
+// under the table of its memgest, and a key's versions fall.
 func (h *harness) checkIndexConsistency() {
 	h.t.Helper()
 	for id, n := range h.nodes {
-		if h.dead[id] {
-			continue
+		if !h.dead[id] {
+			n.checkIndex(h.t)
 		}
-		for shard, vol := range n.vol {
-			if !n.coordinates(shard) {
-				continue
+	}
+}
+
+// checkIndex is checkIndexConsistency for one node.
+func (n *Node) checkIndex(t testing.TB) {
+	t.Helper()
+	for shard, x := range n.idx {
+		held := 0
+		for _, st := range n.mg {
+			if cs := st.coord[shard]; cs != nil {
+				held += cs.meta.Len()
 			}
-			// Every (key, version) in a metadata table appears in the
-			// volatile index.
-			for mgID, st := range n.mg {
-				cs := st.coord[shard]
-				if cs == nil {
-					continue
-				}
-				cs.meta.Range(func(e *store.Entry) bool {
-					refs := vol.All(e.Rec.Key)
-					found := false
-					for _, ref := range refs {
-						if ref.Version == e.Rec.Version && ref.Memgest == mgID {
-							found = true
-						}
-					}
-					if !found {
-						h.t.Fatalf("node %d shard %d: metadata entry (%s,v%d,mg%d) missing from volatile index",
-							id, shard, e.Rec.Key, e.Rec.Version, mgID)
-					}
-					return true
-				})
+			if rt := st.rmeta[shard]; rt != nil {
+				held += rt.Len()
 			}
+		}
+		walked := 0
+		x.Range(func(e *store.Entry) bool {
+			walked++
+			st := n.mg[e.Rec.Memgest]
+			if st == nil {
+				t.Fatalf("node %d shard %d: the index holds (%s,v%d) of memgest %d, which the node does not know", n.id, shard, e.Rec.Key, e.Rec.Version, e.Rec.Memgest)
+			}
+			table := st.rmeta[shard]
+			if cs := st.coord[shard]; cs != nil {
+				table = cs.meta
+			}
+			if table == nil || table.Get(e.Rec.Key, e.Rec.Version) != e {
+				t.Fatalf("node %d shard %d: index entry (%s,v%d,mg%d) is in no table of its memgest", n.id, shard, e.Rec.Key, e.Rec.Version, e.Rec.Memgest)
+			}
+			if o := x.Older(e); o != nil && (o.Rec.Key != e.Rec.Key || o.Rec.Version > e.Rec.Version) {
+				t.Fatalf("node %d shard %d: (%s,v%d) is followed by (%s,v%d)", n.id, shard, e.Rec.Key, e.Rec.Version, o.Rec.Key, o.Rec.Version)
+			}
+			return true
+		})
+		if walked != held {
+			t.Fatalf("node %d shard %d: a walk of the index meets %d entries, the tables count %d", n.id, shard, walked, held)
 		}
 	}
 }

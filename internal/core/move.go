@@ -124,17 +124,12 @@ func (n *Node) admitMove(from string, m *proto.Move) {
 		fail(refNoMemgest)
 		return
 	}
-	ref, found := n.volFor(shard).Highest(m.Key)
-	if !found {
-		fail(refNotFound)
-		return
-	}
-	st := n.mgFor(ref.Memgest)
-	e := n.lookupEntry(shard, m.Key, ref)
+	e := n.indexFor(shard).Highest(m.Key)
 	if e == nil {
 		fail(refNotFound)
 		return
 	}
+	ref, st := e.Ref(), n.mgFor(e.Rec.Memgest)
 	if !e.Rec.Committed {
 		// The paper: "the move request will also be postponed if the
 		// requested object is not durable."
@@ -236,19 +231,19 @@ func (n *Node) handleMovePrefix(from string, m *proto.Move) {
 		fail(refNoMemgest)
 		return
 	}
-	// Collect matching keys across every owned shard. Hashtable
-	// iteration order is arbitrary; sort so simulator replays are
-	// deterministic.
+	// Collect matching keys across every owned shard, once each, in
+	// key order: the order of the moves is the order of their messages.
 	var keys []string
 	for _, shard := range n.ownedShards() {
-		n.volFor(shard).EachKey(func(key string) bool {
-			if strings.HasPrefix(key, m.Key) {
-				keys = append(keys, key)
+		n.indexFor(shard).Range(func(e *store.Entry) bool {
+			if strings.HasPrefix(e.Rec.Key, m.Key) {
+				keys = append(keys, e.Rec.Key)
 			}
 			return true
 		})
 	}
 	sort.Strings(keys)
+	keys = slices.Compact(keys)
 	if len(keys) == 0 {
 		// Nothing matched, nothing is written: the proof over no entry.
 		n.replyOK(replog.Committed(), from, m.Req, replyMove, 0)

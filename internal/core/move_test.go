@@ -206,8 +206,7 @@ func TestMove(t *testing.T) {
 			// re-fetched it yet.
 			n, _ := h.coordinatorOf("mk")
 			shard := n.shardOf("mk")
-			ref, _ := n.volFor(shard).Highest("mk")
-			n.mg[mgREP3].coord[shard].meta.Hold(n.lookupEntry(shard, "mk", ref), nil)
+			n.mg[mgREP3].coord[shard].meta.Hold(n.indexFor(shard).Highest("mk"), nil)
 			if r := h.move("mk", mgSRS32); r.Status != proto.StOK || r.Version != 2 {
 				t.Fatalf("move through value recovery: %+v", r)
 			}
@@ -222,8 +221,7 @@ func TestMove(t *testing.T) {
 			// failover.
 			n, _ := h.coordinatorOf("mk")
 			shard := n.shardOf("mk")
-			ref, _ := n.volFor(shard).Highest("mk")
-			lost := blockWant(mgSRS32, shard, n.lookupEntry(shard, "mk", ref).Extent().Block)
+			lost := blockWant(mgSRS32, shard, n.indexFor(shard).Highest("mk").Extent().Block)
 			n.wants.open(lost)
 			if r := h.move("mk", mgREP3); r.Status != proto.StOK || r.Version != 2 {
 				t.Fatalf("move through block recovery: %+v", r)

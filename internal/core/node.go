@@ -112,9 +112,9 @@ type Node struct {
 
 	cfg *proto.Config
 
-	// vol is the volatile hashtable, one per shard this node
-	// coordinates.
-	vol map[uint32]*store.VolatileIndex
+	// idx is the volatile hashtable of each shard this node holds a role
+	// in: the one index behind the shard's table of every memgest.
+	idx map[uint32]*store.MetaIndex
 	// mg is the per-memgest state for every role this node plays.
 	mg map[proto.MemgestID]*mgState
 
@@ -207,7 +207,7 @@ func newNode(id proto.NodeID, opts Options) *Node {
 	return &Node{
 		id:        id,
 		opts:      opts.Defaults(),
-		vol:       make(map[uint32]*store.VolatileIndex),
+		idx:       make(map[uint32]*store.MetaIndex),
 		mg:        make(map[proto.MemgestID]*mgState),
 		wants:     wantTable{at: make(map[wantID]*want), byReq: make(map[proto.ReqID]*want)},
 		moving:    make(map[moveKey]*moveState),
@@ -376,13 +376,13 @@ func (n *Node) coordinates(shard uint32) bool {
 	return int(shard) < len(n.cfg.Coords) && n.cfg.Coords[shard] == n.id
 }
 
-// volFor returns (creating if needed) the volatile index of a shard
-// this node coordinates.
-func (n *Node) volFor(shard uint32) *store.VolatileIndex {
-	v, ok := n.vol[shard]
+// indexFor returns (creating if needed) the index of a shard.
+func (n *Node) indexFor(shard uint32) *store.MetaIndex {
+	x, ok := n.idx[shard]
 	if !ok {
-		v = store.NewVolatileIndex()
-		n.vol[shard] = v
+		x = store.NewMetaIndex()
+		x.Poison = PoisonPayloads
+		n.idx[shard] = x
 	}
-	return v
+	return x
 }

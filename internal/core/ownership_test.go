@@ -307,8 +307,7 @@ func TestRepliesSurviveEvacuationInSameDrain(t *testing.T) {
 	table := node.mg[1].coord[0].meta
 	filler := func(i int) string { return "filler" + string(rune('0'+i/64)) + string(rune('0'+i%64)) }
 	for i := 5; i < 7*64; i++ {
-		e := &store.Entry{Rec: proto.MetaRecord{Key: filler(i), Version: 1, Length: size}}
-		table.Put(e)
+		e := table.Put(&store.Entry{Rec: proto.MetaRecord{Key: filler(i), Version: 1, Length: size}})
 		table.Hold(e, val(0xF1))
 	}
 	freed := 0
@@ -354,5 +353,46 @@ func TestRepliesSurviveEvacuationInSameDrain(t *testing.T) {
 	}
 	if moved := replica.nextAppend(); moved.Memgest != 2 || moved.Rec.Key != "move" || !bytes.Equal(moved.Value, val(3)) {
 		t.Fatalf("the move's destination append is for %q in memgest %d with %d bytes of %#x, want %d of 0x03", moved.Rec.Key, moved.Memgest, len(moved.Value), moved.Value[:min(1, len(moved.Value))], size)
+	}
+}
+
+// TestStaleEntryPointerIsCaught extends the poison to metadata. Entries
+// live in slab slots of their shard's index, so a *store.Entry kept past
+// the Delete that freed it points at a slot the next put takes: without
+// the poison it would go on reading as the purged version, plausibly,
+// and then as another key's record. A handler that holds an entry
+// across a step that may purge it — commitEntry holds one across
+// gcKey — and reads it afterwards reads 0xDB under PoisonPayloads, in
+// every field, and no test of its output passes by luck.
+func TestStaleEntryPointerIsCaught(t *testing.T) {
+	if !PoisonPayloads {
+		t.Fatal("PoisonPayloads is off: TestMain must switch it on")
+	}
+	h := newHarness(t, figure3Spec())
+	h.put("k", []byte("one"), mgREP3)
+	n, _ := h.coordinatorOf("k")
+	table := n.mg[mgREP3].coord[n.shardOf("k")].meta
+	stale := table.Get("k", 1)
+	if stale == nil || stale.Rec.Key != "k" || !stale.Rec.Committed {
+		t.Fatalf("version 1 before it is purged: %+v", stale)
+	}
+	h.put("k", []byte("two"), mgREP3) // commits version 2 and purges version 1
+	if table.Get("k", 1) != nil {
+		t.Fatal("version 1 was not purged")
+	}
+	if b, _ := stale.Bytes(); stale.Rec.Version != 0xDBDBDBDBDBDBDBDB || stale.Rec.Memgest != 0xDBDBDBDB || stale.Seq != 0xDBDBDBDBDBDBDBDB ||
+		stale.Rec.Key != "\xDB\xDB\xDB\xDB\xDB\xDB\xDB\xDB" || b != nil {
+		t.Fatalf("an entry read after the purge that freed it reads %+v, want 0xDB throughout", stale.Rec)
+	}
+	// The slot is the next entry's, of any key in any table of the shard.
+	var other string
+	for i := 0; other == ""; i++ {
+		if k := "other" + string(rune('a'+i)); n.coordinates(n.shardOf(k)) && n.shardOf(k) == n.shardOf("k") {
+			other = k
+		}
+	}
+	h.put(other, []byte("three"), mgSRS32)
+	if got := n.mg[mgSRS32].coord[n.shardOf("k")].meta.Get(other, 1); got != stale {
+		t.Fatalf("the put of %q took the slot at %p, not the freed one at %p", other, got, stale)
 	}
 }

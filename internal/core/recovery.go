@@ -436,13 +436,10 @@ func (n *Node) finishMetadata(w *want) {
 			e.Rec.Committed = true
 		default:
 			e = &store.Entry{Rec: union[ek]}
-			if r.kind == roleCoordinator {
-				if st.layout != nil && cs.heap.Reserve(e.Extent()) != nil {
-					continue // conflicting metadata (should not happen); skip
-				}
-				n.volFor(r.shard).Add(ek.Key, ek.Version, r.mg)
+			if r.kind == roleCoordinator && st.layout != nil && cs.heap.Reserve(e.Extent()) != nil {
+				continue // conflicting metadata (should not happen); skip
 			}
-			table.Put(e)
+			e = table.Put(e)
 		}
 		n.persistInstall(st, r.shard, e)
 	}
@@ -458,10 +455,10 @@ func (n *Node) finishMetadata(w *want) {
 		}
 	case st.info.Scheme.R > 1:
 		// The whole table, not just keys: a stash entry may lack its
-		// bytes too. Records is sorted, like everything the table is
-		// filled from — the metadata table is a Go map, and the order of
-		// these wants is the order of the messages that ask for them.
-		for _, rec := range table.Records() {
+		// bytes too. RecordsSince is sorted, like everything the table is
+		// filled from: the order of these wants is the order of the
+		// messages that ask for them.
+		for _, rec := range table.RecordsSince(0) {
 			if !table.Get(rec.Key, rec.Version).Held() {
 				n.wants.open(valueWant(r, rec.Key, rec.Version))
 			}

@@ -5,13 +5,6 @@ import (
 	"ring/internal/store"
 )
 
-// newMetaTable creates a node's metadata table.
-func newMetaTable() *store.MetaTable {
-	t := store.NewMetaTable()
-	t.Poison = PoisonPayloads
-	return t
-}
-
 // rmetaFor returns the memgest state and metadata table behind a
 // replica or parity role of this node, or nils. Only gainRole makes
 // the table, so replication traffic for a role the installed
@@ -59,8 +52,7 @@ func (n *Node) handleRepAppend(from string, m *proto.RepAppend) {
 	}
 	// Retention site: the replica keeps the value past this handler, and
 	// m.Value is a view into a packet the runner recycles — its one copy.
-	e := &store.Entry{Rec: m.Rec, Seq: m.Seq}
-	rt.Put(e)
+	e := rt.Put(&store.Entry{Rec: m.Rec, Seq: m.Seq})
 	rt.Hold(e, m.Value)
 	st.rseqFor(m.Shard)[m.Seq] = store.EntryKey{Key: m.Rec.Key, Version: m.Rec.Version}
 	n.ackAppend(from, n.persistAppend(st, m.Shard, e))
@@ -78,8 +70,7 @@ func (n *Node) handleParityUpdate(from string, m *proto.ParityUpdate) {
 		st.parity.ApplyDelta(int(m.StripeOff), int(m.Off), m.Delta)
 		n.Stats.BytesParityXor += uint64(len(m.Delta))
 	}
-	e := &store.Entry{Rec: m.Rec, Seq: m.Seq}
-	rt.Put(e)
+	e := rt.Put(&store.Entry{Rec: m.Rec, Seq: m.Seq})
 	st.rseqFor(m.Shard)[m.Seq] = store.EntryKey{Key: m.Rec.Key, Version: m.Rec.Version}
 	n.ackAppend(from, n.persistAppend(st, m.Shard, e))
 }
@@ -113,7 +104,7 @@ func (n *Node) handlePurge(_ string, m *proto.Purge) {
 		return
 	}
 	var seq proto.Seq
-	if e := rt.Delete(m.Key, m.Version); e != nil {
+	if e, ok := rt.Delete(m.Key, m.Version); ok {
 		delete(st.rseqFor(m.Shard), e.Seq)
 		seq = e.Seq
 	}

@@ -103,7 +103,7 @@ func TestRegainedRoleRecovers(t *testing.T) {
 	// poisons it) by the time the next message is delivered.
 	var view []byte
 	for _, rt := range h.nodes[3].mg[rolesRep].rmeta {
-		if recs := rt.Records(); len(recs) > 0 {
+		if recs := rt.RecordsSince(0); len(recs) > 0 {
 			view, _ = rt.Get(recs[0].Key, recs[0].Version).Bytes()
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ring/internal/proto"
+	"ring/internal/store"
 )
 
 // getVersion drives an exact-version read through the harness.
@@ -133,5 +134,54 @@ func TestKeepVersionsSurvivesCoordinatorFailure(t *testing.T) {
 	g := h.get("hk")
 	if g.Status != proto.StOK || !bytes.Equal(g.Value, []byte("reliable")) || g.Version != 1 {
 		t.Fatalf("after failover: %v %q v%d (want reliable v1)", g.Status, g.Value, g.Version)
+	}
+}
+
+// TestDeleteMemgestUncoversOlderVersion: the index of a shard names
+// what its tables hold and nothing else. With v1 of a key kept in rep3
+// and v2 in srs3.2, deleting srs3.2 takes v2 away on every node and v1
+// is the key's newest version again. (At f8355ac the coordinator kept a
+// VolatileIndex beside its tables, loseRole dropped the table and left
+// the index's references into it, and the key answered "not found"
+// until its next put, for ever on a key never put again.) The next put
+// takes the highest version that exists plus one — 2 here, where the
+// stale reference gave 3: a version number is reused after a memgest
+// is deleted, as it is after a delete's tombstone is reclaimed, and
+// floors that forbid both are ROADMAP item 4(b).
+func TestDeleteMemgestUncoversOlderVersion(t *testing.T) {
+	spec := figure3Spec()
+	spec.Opts.KeepVersions = 1
+	h := newHarness(t, spec)
+	h.put("k", []byte("replicated"), mgREP3)
+	h.put("k", []byte("coded"), mgSRS32)
+	if g := h.get("k"); string(g.Value) != "coded" || g.Version != 2 {
+		t.Fatalf("before the delete: %q v%d", g.Value, g.Version)
+	}
+	h.send("client/d", 0, &proto.DeleteMemgest{Req: 31, Memgest: mgSRS32})
+	h.run()
+	if r := h.lastReply("client/d").(*proto.MemgestReply); r.Status != proto.StOK {
+		t.Fatalf("delete memgest: %v", r.Status)
+	}
+	if g := h.get("k"); g.Status != proto.StOK || string(g.Value) != "replicated" || g.Version != 1 {
+		t.Fatalf("after its newer version's memgest was deleted the key reads %v %q v%d, want v1's bytes", g.Status, g.Value, g.Version)
+	}
+	var entries uint64
+	for id, n := range h.nodes {
+		n.checkIndex(t)
+		for _, x := range n.idx {
+			x.Range(func(e *store.Entry) bool {
+				if entries++; e.Rec.Memgest == mgSRS32 {
+					t.Fatalf("node %d still indexes (%s,v%d) of the deleted memgest", id, e.Rec.Key, e.Rec.Version)
+				}
+				return true
+			})
+		}
+		entries -= n.MetricsSnapshot().MetaEntries
+	}
+	if entries != 0 {
+		t.Fatalf("a walk of the indexes and meta_entries differ by %d", int64(entries))
+	}
+	if p := h.put("k", []byte("again"), mgREP3); p.Status != proto.StOK || p.Version != 2 {
+		t.Fatalf("the put after: %v v%d, want v2", p.Status, p.Version)
 	}
 }

@@ -44,8 +44,6 @@
 //	                     subsystems bounded by their own rules)
 //	//ring:wallclock     exempts a function from simdeterminism (the
 //	                     deliberate real-time boundary, e.g. Runner)
-//	//ring:maporder      exempts one store map walk (same line) from
-//	                     simdeterminism: its order cannot be observed
 //	//ring:sleepok       exempts one sleep in a test (doc or same line)
 //	//ring:durableok     exempts one durable-storage call (line or
 //	                     enclosing function) from durablepath

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/types"
 	"strings"
 )
 
@@ -35,29 +34,16 @@ var globalRandFuncs = map[string]bool{
 	"Read": true, "Seed": true,
 }
 
-// mapWalks are the internal/store methods that hand their caller a
-// table's contents in Go map order, which differs from run to run of
-// one binary: whatever a simulated package does per visit — queue a
-// fetch, send a message — must not happen in that order.
-var mapWalks = map[string]string{
-	"MetaTable":     "Range",
-	"VolatileIndex": "EachKey",
-}
-
 // SimDeterminism forbids wall-clock time and global math/rand inside
 // the simulated packages (core, sim, srs): their state machines must
 // take time as an argument (the event clock) and randomness from a
 // seeded source, so every simnet run is reproducible from its seed.
 // The deliberate real-time boundary — core's Runner, which hosts the
 // same state machine on a live fabric — opts out per function with
-// //ring:wallclock. For the same reason a walk over a store hashtable
-// (MetaTable.Range, VolatileIndex.EachKey) must collect and sort: the
-// function that walks calls sort or slices afterwards, or the walk
-// carries //ring:maporder with the reason its order cannot be seen
-// (a sum, a count). Test files are exempt (they drive the harness).
+// //ring:wallclock. Test files are exempt (they drive the harness).
 var SimDeterminism = &Analyzer{
 	Name: "simdeterminism",
-	Doc:  "no time.Now/Sleep/After, global math/rand or unsorted store map walks in internal/core, internal/sim, internal/srs (use the event clock, seeded RNGs, and sort what a walk collects; //ring:wallclock for real-time boundaries, //ring:maporder for walks whose order is unobservable)",
+	Doc:  "no time.Now/Sleep/After or global math/rand in internal/core, internal/sim, internal/srs (use the event clock and seeded RNGs; //ring:wallclock for real-time boundaries)",
 	Run:  runSimDeterminism,
 }
 
@@ -88,10 +74,6 @@ func runSimDeterminism(pass *Pass) error {
 				}
 				pn := pkgNameOf(pass.Info, sel.X)
 				if pn == nil {
-					if typ := mapWalkOf(pass.Info, sel); typ != "" && !sortsAfter(pass.Info, fd.Body, call) &&
-						!pass.lineDirective(call.Pos(), "maporder") {
-						pass.Reportf(call.Pos(), "nondeterminism in simulated package: %s.%s visits in Go map order and nothing after it in %s sorts (collect and sort, or mark the walk //ring:maporder with why its order cannot be observed)", typ, sel.Sel.Name, fd.Name.Name)
-					}
 					return true
 				}
 				switch pn.Imported().Path() {
@@ -109,49 +91,6 @@ func runSimDeterminism(pass *Pass) error {
 		}
 	}
 	return nil
-}
-
-// mapWalkOf returns the store type whose map-order walk sel calls, or
-// "".
-func mapWalkOf(info *types.Info, sel *ast.SelectorExpr) string {
-	s := info.Selections[sel]
-	if s == nil || s.Kind() != types.MethodVal {
-		return ""
-	}
-	recv := s.Recv()
-	if p, ok := recv.(*types.Pointer); ok {
-		recv = p.Elem()
-	}
-	named, ok := recv.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "ring/internal/store" {
-		return ""
-	}
-	if mapWalks[named.Obj().Name()] != sel.Sel.Name {
-		return ""
-	}
-	return named.Obj().Name()
-}
-
-// sortsAfter reports whether body calls into package sort or slices
-// after the walk.
-func sortsAfter(info *types.Info, body *ast.BlockStmt, walk *ast.CallExpr) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || found || call.Pos() < walk.End() {
-			return !found
-		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-			if pn := pkgNameOf(info, sel.X); pn != nil {
-				switch pn.Imported().Path() {
-				case "sort", "slices":
-					found = true
-				}
-			}
-		}
-		return !found
-	})
-	return found
 }
 
 func restrictedPath(path string) bool {

@@ -4,10 +4,7 @@ package simdeterminism
 
 import (
 	"math/rand"
-	"sort"
 	"time"
-
-	"ring/internal/store"
 )
 
 type node struct {
@@ -37,46 +34,4 @@ func (n *node) StartLive() time.Time {
 
 func seeded(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed)) // sanctioned replacement
-}
-
-// Walks over the store's hashtables come back in Go map order.
-
-func queueInMapOrder(t *store.MetaTable, v *store.VolatileIndex) (keys []string) {
-	t.Range(func(e *store.Entry) bool { // want `MetaTable\.Range visits in Go map order and nothing after it in queueInMapOrder sorts`
-		keys = append(keys, e.Rec.Key)
-		return true
-	})
-	v.EachKey(func(key string) bool { // want `VolatileIndex\.EachKey visits in Go map order`
-		keys = append(keys, key)
-		return true
-	})
-	return keys
-}
-
-func queueSorted(t *store.MetaTable, v *store.VolatileIndex) (keys []string) {
-	sort.Strings(keys) // a sort before the walk orders nothing the walk adds
-	t.Range(func(e *store.Entry) bool {
-		keys = append(keys, e.Rec.Key)
-		return true
-	})
-	v.EachKey(func(key string) bool {
-		keys = append(keys, key)
-		return true
-	})
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedTooEarly(t *store.MetaTable) (keys []string) {
-	sort.Strings(keys)
-	t.Range(func(e *store.Entry) bool { // want `MetaTable\.Range visits in Go map order`
-		keys = append(keys, e.Rec.Key)
-		return true
-	})
-	return keys
-}
-
-func count(t *store.MetaTable) (n int) {
-	t.Range(func(*store.Entry) bool { n++; return true }) //ring:maporder a count is the same in any order
-	return n
 }

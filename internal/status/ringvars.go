@@ -92,8 +92,9 @@ func addGoHeapVars(vars map[string]any) {
 
 // processVars is the process section of /debug/ringvars: the registry
 // every subsystem exports into (transport.*, core.*, gf.*,
-// process.arena_bytes_backed and process.arena_bytes_pooled), the Go
-// heap, and what the kernel says is resident.
+// process.arena_bytes_backed, process.arena_bytes_pooled and
+// process.meta_bytes_backed), the Go heap, and what the kernel says is
+// resident.
 func processVars() map[string]any {
 	vars := metrics.Default.Snapshot()
 	addGoHeapVars(vars)
@@ -224,13 +225,13 @@ type ClusterStats struct {
 	// HeapLive, HeapGoal and GCCycles sum go.heap_live_bytes,
 	// go.heap_goal_bytes and go.gc_cycles across the scraped processes.
 	HeapLive, HeapGoal, GCCycles int64
-	// ArenaBacked, ArenaPooled, RSSAnon and RSSFile sum
-	// process.arena_bytes_backed, process.arena_bytes_pooled,
-	// process.rss_anon_bytes, process.rss_file_bytes and
-	// process.rss_peak_bytes the same way; MetaEntries sums the nodes'
-	// meta_entries.
-	ArenaBacked, ArenaPooled, RSSAnon, RSSFile, RSSPeak int64
-	MetaEntries                                         uint64
+	// ArenaBacked, ArenaPooled, MetaBacked, RSSAnon, RSSFile and RSSPeak
+	// sum process.arena_bytes_backed, process.arena_bytes_pooled,
+	// process.meta_bytes_backed, process.rss_anon_bytes,
+	// process.rss_file_bytes and process.rss_peak_bytes the same way;
+	// MetaEntries sums the nodes' meta_entries.
+	ArenaBacked, ArenaPooled, MetaBacked, RSSAnon, RSSFile, RSSPeak int64
+	MetaEntries                                                     uint64
 	// Durable sums the durable tiers of the nodes that have one (nil when
 	// none does); Failed then means some node's is in its sticky-error
 	// state.
@@ -291,6 +292,8 @@ func Aggregate(nodes []Ringvars) ClusterStats {
 				cs.ArenaBacked += iv
 			case "process.arena_bytes_pooled":
 				cs.ArenaPooled += iv
+			case "process.meta_bytes_backed":
+				cs.MetaBacked += iv
 			case "process.rss_anon_bytes":
 				cs.RSSAnon += iv
 			case "process.rss_file_bytes":
@@ -404,10 +407,10 @@ func RenderStats(w io.Writer, cs ClusterStats) {
 			id, c.Puts, c.Gets, c.Deletes, c.Moves, c.Commits)
 		mem.Add(c)
 	}
-	fmt.Fprintf(w, "memory: block_used=%d block_backed=%d parity_backed=%d value_used=%d value_backed=%d slots_relocated=%d chunks_released=%d arena_backed=%d arena_pooled=%d meta_entries=%d heap_live=%d heap_goal=%d gc_cycles=%d rss_anon=%d rss_file=%d rss_peak=%d\n",
+	fmt.Fprintf(w, "memory: block_used=%d block_backed=%d parity_backed=%d value_used=%d value_backed=%d slots_relocated=%d chunks_released=%d arena_backed=%d arena_pooled=%d meta_bytes=%d meta_backed=%d meta_entries=%d heap_live=%d heap_goal=%d gc_cycles=%d rss_anon=%d rss_file=%d rss_peak=%d\n",
 		mem.BlockBytesUsed, mem.BlockBytesBacked, mem.ParityBytesBacked, mem.ValueBytesUsed, mem.ValueBytesBacked,
 		mem.ValueSlotsRelocated, mem.ValueChunksReleased,
-		cs.ArenaBacked, cs.ArenaPooled, cs.MetaEntries, cs.HeapLive, cs.HeapGoal, cs.GCCycles, cs.RSSAnon, cs.RSSFile, cs.RSSPeak)
+		cs.ArenaBacked, cs.ArenaPooled, mem.MetaBytes, cs.MetaBacked, cs.MetaEntries, cs.HeapLive, cs.HeapGoal, cs.GCCycles, cs.RSSAnon, cs.RSSFile, cs.RSSPeak)
 	if d := cs.Durable; d != nil {
 		// Per group commit: the WAL records it made durable and the
 		// acknowledgements it released.

@@ -149,6 +149,33 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 	if mid.MetaEntries != 3*(1+6)+3*4 {
 		t.Fatalf("cluster holds %d metadata entries, want %d", mid.MetaEntries, 3*(1+6)+3*4)
 	}
+	// What those entries take is as exact: a slab slot each, and on each
+	// of a key's three nodes — its coordinator, and nodes 3 and 4 as
+	// replicas or parity nodes — the index of the key's shard holds the
+	// key's bytes once and a hash index that started at 8 slots and
+	// doubled whenever a key would have made it more than three quarters
+	// full. Every memgest's share of that, added up, is all of it.
+	perShard := map[int][]string{}
+	for _, k := range []string{"dur", "rep-0", "rep-1", "rep-2", "rep-3", "rep-4", "rep-5", "srs-0", "srs-1", "srs-2", "srs-3"} {
+		shard := cl.Cfg.ShardOf(store.KeyHash(k))
+		perShard[shard] = append(perShard[shard], k)
+	}
+	metaBytes := mid.MetaEntries * uint64(store.EntrySize)
+	for _, keys := range perShard {
+		slots := 8
+		for slots*3 < len(keys)*4 {
+			slots *= 2
+		}
+		metaBytes += 3 * uint64(4*slots+len(strings.Join(keys, "")))
+	}
+	if got := mid.Memgests[1].MetaBytes + mid.Memgests[2].MetaBytes; got != metaBytes || mid.Memgests[1].MetaBytes <= mid.Memgests[2].MetaBytes {
+		t.Fatalf("store.meta_bytes sums to %d + %d, want %d in all and more for the seven Rep keys than for the four SRS ones", mid.Memgests[1].MetaBytes, mid.Memgests[2].MetaBytes, metaBytes)
+	}
+	// Every node is in this process and reports the process's gauge: the
+	// slabs, hash indexes and key chunks cut, which hold at least that.
+	if mid.MetaBacked != int64(len(addrs))*int64(store.MetaBytesBacked()) || store.MetaBytesBacked() < metaBytes {
+		t.Fatalf("process.meta_bytes_backed sums to %d over %d nodes of a process that backs %d, for %d bytes in use", mid.MetaBacked, len(addrs), store.MetaBytesBacked(), metaBytes)
+	}
 	// The process vars crossed the boundary: everything stored sits in
 	// the arena, and on Linux the kernel's view of the process comes with it.
 	if mid.ArenaBacked < int64(mid.Memgests[1].ValueBytesBacked) {
@@ -257,7 +284,7 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 		"commit latency SRS: n=8",
 		// 3 of the 4 SRS puts survive the delete, plus the 3 moved values.
 		fmt.Sprintf("memory: block_used=%d block_backed=", 3*len(srsVal)+3*len("replicated")),
-		fmt.Sprintf(" meta_entries=%d heap_live=", cs.MetaEntries),
+		fmt.Sprintf(" meta_bytes=%d meta_backed=%d meta_entries=%d heap_live=", cs.Memgests[1].MetaBytes+cs.Memgests[2].MetaBytes, cs.MetaBacked, cs.MetaEntries),
 		" rss_file=",
 		fmt.Sprintf(" rss_peak=%d\n", cs.RSSPeak),
 	} {

@@ -119,10 +119,11 @@ func (s *Server) handleMetrics(url.Values) response {
 		fmt.Fprintf(w, "ring_store_value_bytes_backed{memgest=\"%d\"} %d\n", m.ID, c.ValueBytesBacked)
 		fmt.Fprintf(w, "ring_store_value_slots_relocated_total{memgest=\"%d\"} %d\n", m.ID, c.ValueSlotsRelocated)
 		fmt.Fprintf(w, "ring_store_value_chunks_released_total{memgest=\"%d\"} %d\n", m.ID, c.ValueChunksReleased)
+		fmt.Fprintf(w, "ring_store_meta_bytes{memgest=\"%d\"} %d\n", m.ID, c.MetaBytes)
 	}
 	fmt.Fprintf(w, "ring_meta_entries %d\n", ms.MetaEntries)
 	pv := processVars()
-	for _, name := range []string{"arena_bytes_backed", "arena_bytes_pooled", "rss_anon_bytes", "rss_file_bytes", "rss_peak_bytes"} {
+	for _, name := range []string{"arena_bytes_backed", "arena_bytes_pooled", "meta_bytes_backed", "rss_anon_bytes", "rss_file_bytes", "rss_peak_bytes"} {
 		fmt.Fprintf(w, "ring_process_%s %v\n", name, pv["process."+name])
 	}
 	return response{code: 200, ctype: "text/plain; version=0.0.4", body: w.Bytes()}

@@ -85,7 +85,7 @@ func TestStatusAndMetrics(t *testing.T) {
 	body, _ := io.ReadAll(mresp.Body)
 	text := string(body)
 	for _, want := range []string{"ring_node_id 0", "ring_is_leader 1", "ring_serving 1", "ring_memgests 2", "ring_puts_total", "ring_core_writes_awaiting_quorum 0", "ring_core_shards_recovering 0", "ring_core_shards_degraded 0", "ring_core_recovery_reasks 0", "ring_bytes_parity_xor_total",
-		`ring_store_value_bytes_used{memgest="1"} 0`, `ring_store_block_bytes_used{memgest="2"}`, "ring_meta_entries", "ring_process_arena_bytes_backed", "ring_process_rss_file_bytes",
+		`ring_store_value_bytes_used{memgest="1"} 0`, `ring_store_block_bytes_used{memgest="2"}`, `ring_store_meta_bytes{memgest="1"}`, "ring_meta_entries", "ring_process_arena_bytes_backed", "ring_process_meta_bytes_backed", "ring_process_rss_file_bytes",
 		`ring_store_value_slots_relocated_total{memgest="1"} 0`, `ring_store_value_chunks_released_total{memgest="1"} 0`, "ring_process_arena_bytes_pooled "} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, text)

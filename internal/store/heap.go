@@ -10,17 +10,12 @@ import (
 	"crypto/subtle"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 )
 
 // KeyHash returns the 64-bit FNV-1a hash used for key-to-shard
 // mapping: shard = KeyHash(key) mod s.
-func KeyHash(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return h.Sum64()
-}
+func KeyHash(key string) uint64 { return hashKey(key) }
 
 // Extent locates a value inside the block heap: global logical block
 // index, byte offset within the block, and length. Extents never span

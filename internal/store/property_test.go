@@ -2,67 +2,9 @@ package store
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
-
-	"ring/internal/proto"
 )
-
-// TestVolatileIndexAgainstModel drives random Add/Remove sequences and
-// compares every query against a straightforward map-of-slices model.
-func TestVolatileIndexAgainstModel(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		idx := NewVolatileIndex()
-		model := make(map[string]map[proto.Version]proto.MemgestID)
-		keys := []string{"a", "b", "c"}
-		for op := 0; op < 300; op++ {
-			key := keys[rng.Intn(len(keys))]
-			ver := proto.Version(rng.Intn(20))
-			switch rng.Intn(3) {
-			case 0, 1:
-				mg := proto.MemgestID(rng.Intn(5))
-				idx.Add(key, ver, mg)
-				if model[key] == nil {
-					model[key] = make(map[proto.Version]proto.MemgestID)
-				}
-				model[key][ver] = mg
-			case 2:
-				idx.Remove(key, ver)
-				delete(model[key], ver)
-			}
-			// Compare Highest and All for every key.
-			for _, k := range keys {
-				var vers []proto.Version
-				for v := range model[k] {
-					vers = append(vers, v)
-				}
-				sort.Slice(vers, func(i, j int) bool { return vers[i] > vers[j] })
-				got := idx.All(k)
-				if len(got) != len(vers) {
-					return false
-				}
-				for i, v := range vers {
-					if got[i].Version != v || got[i].Memgest != model[k][v] {
-						return false
-					}
-				}
-				hi, ok := idx.Highest(k)
-				if ok != (len(vers) > 0) {
-					return false
-				}
-				if ok && hi.Version != vers[0] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
 
 // TestBlockHeapConservation: allocated + free bytes always equals the
 // heap capacity under random workloads, and Reserve round-trips with

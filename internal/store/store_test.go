@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-
-	"ring/internal/proto"
 )
 
 func TestKeyHashStable(t *testing.T) {
@@ -222,137 +220,6 @@ func TestParityRegion(t *testing.T) {
 	p.ApplyDelta(0, 31, []byte{1, 2})
 }
 
-func rec(key string, v proto.Version, mg proto.MemgestID, committed bool) proto.MetaRecord {
-	return proto.MetaRecord{Key: key, Version: v, Memgest: mg, Committed: committed}
-}
-
-func TestMetaTable(t *testing.T) {
-	mt := NewMetaTable()
-	mt.Put(&Entry{Rec: rec("a", 1, 1, false)})
-	mt.Put(&Entry{Rec: rec("a", 2, 1, true)})
-	mt.Put(&Entry{Rec: rec("b", 1, 1, true)})
-	if mt.Len() != 3 {
-		t.Fatalf("Len = %d", mt.Len())
-	}
-	if e := mt.Get("a", 2); e == nil || !e.Rec.Committed {
-		t.Fatal("Get(a,2) wrong")
-	}
-	if mt.Get("a", 3) != nil {
-		t.Fatal("Get of absent version")
-	}
-	// Replace must not double-count size.
-	before := mt.SizeBytes()
-	mt.Put(&Entry{Rec: rec("a", 2, 1, true)})
-	if mt.SizeBytes() != before {
-		t.Fatal("replace changed size accounting")
-	}
-	recs := mt.Records()
-	if len(recs) != 3 || recs[0].Key != "a" || recs[0].Version != 1 || recs[2].Key != "b" {
-		t.Fatalf("Records order: %+v", recs)
-	}
-	if mt.Delete("a", 1) == nil || mt.Len() != 2 {
-		t.Fatal("Delete failed")
-	}
-	if mt.Delete("a", 1) != nil {
-		t.Fatal("second Delete returned entry")
-	}
-	n := 0
-	mt.Range(func(*Entry) bool { n++; return true })
-	if n != 2 {
-		t.Fatalf("Range visited %d", n)
-	}
-	n = 0
-	mt.Range(func(*Entry) bool { n++; return false })
-	if n != 1 {
-		t.Fatal("Range early stop failed")
-	}
-}
-
-func TestMetaTableSizeGrows(t *testing.T) {
-	mt := NewMetaTable()
-	var last uint64
-	for i := 0; i < 100; i++ {
-		mt.Put(&Entry{Rec: rec(string(rune('a'+i%26))+string(rune('0'+i/26)), proto.Version(i), 1, true)})
-		if mt.SizeBytes() <= last {
-			t.Fatal("size must grow monotonically with inserts")
-		}
-		last = mt.SizeBytes()
-	}
-}
-
-func TestVolatileIndex(t *testing.T) {
-	v := NewVolatileIndex()
-	if _, ok := v.Highest("k"); ok {
-		t.Fatal("empty index returned a version")
-	}
-	v.Add("k", 1, 10)
-	v.Add("k", 3, 11)
-	v.Add("k", 2, 10)
-	hi, ok := v.Highest("k")
-	if !ok || hi.Version != 3 || hi.Memgest != 11 {
-		t.Fatalf("Highest = %+v", hi)
-	}
-	all := v.All("k")
-	if len(all) != 3 || all[0].Version != 3 || all[2].Version != 1 {
-		t.Fatalf("All = %+v", all)
-	}
-	older := v.Older("k", 3)
-	if len(older) != 2 || older[0].Version != 2 {
-		t.Fatalf("Older = %+v", older)
-	}
-	if len(v.Older("k", 1)) != 0 {
-		t.Fatal("Older(1) must be empty")
-	}
-	// Duplicate version replaces memgest (a move in flight).
-	v.Add("k", 3, 12)
-	hi, _ = v.Highest("k")
-	if hi.Memgest != 12 {
-		t.Fatal("duplicate Add did not replace memgest")
-	}
-	if len(v.All("k")) != 3 {
-		t.Fatal("duplicate Add grew the list")
-	}
-	v.Remove("k", 3)
-	hi, _ = v.Highest("k")
-	if hi.Version != 2 {
-		t.Fatalf("after Remove: %+v", hi)
-	}
-	v.Remove("k", 99) // no-op
-	v.Remove("k", 2)
-	v.Remove("k", 1)
-	if _, ok := v.Highest("k"); ok {
-		t.Fatal("key should be gone")
-	}
-	if v.Keys() != 0 {
-		t.Fatal("Keys != 0")
-	}
-}
-
-func TestVolatileIndexRebuild(t *testing.T) {
-	t1 := NewMetaTable()
-	t1.Put(&Entry{Rec: rec("a", 1, 1, true)})
-	t1.Put(&Entry{Rec: rec("b", 5, 1, true)})
-	t2 := NewMetaTable()
-	t2.Put(&Entry{Rec: rec("a", 2, 2, false)})
-
-	v := NewVolatileIndex()
-	v.Add("stale", 9, 9)
-	v.RebuildFrom(map[proto.MemgestID]*MetaTable{1: t1, 2: t2})
-	if _, ok := v.Highest("stale"); ok {
-		t.Fatal("rebuild did not clear stale entries")
-	}
-	hi, ok := v.Highest("a")
-	if !ok || hi.Version != 2 || hi.Memgest != 2 {
-		t.Fatalf("rebuild Highest(a) = %+v", hi)
-	}
-	if hi, _ := v.Highest("b"); hi.Memgest != 1 {
-		t.Fatal("rebuild lost b")
-	}
-	if v.Keys() != 2 {
-		t.Fatalf("Keys = %d", v.Keys())
-	}
-}
-
 func BenchmarkHeapAllocFree(b *testing.B) {
 	h := NewBlockHeap(0, 64, 64*1024)
 	b.ReportAllocs()
@@ -362,15 +229,5 @@ func BenchmarkHeapAllocFree(b *testing.B) {
 			b.Fatal(err)
 		}
 		h.Free(e)
-	}
-}
-
-func BenchmarkVolatileIndexAdd(b *testing.B) {
-	v := NewVolatileIndex()
-	for i := 0; i < b.N; i++ {
-		v.Add("key", proto.Version(i), 1)
-		if i%4 == 3 {
-			v.Remove("key", proto.Version(i-3))
-		}
 	}
 }
