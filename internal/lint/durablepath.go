@@ -95,32 +95,16 @@ func runDurablePath(pass *Pass) error {
 // Interface methods (e.g. wal.FS) resolve to the interface's package,
 // so fakes and wrappers are covered at the call site that matters.
 func durableErrCall(pass *Pass, call *ast.CallExpr) (*types.Func, bool) {
-	var id *ast.Ident
-	switch f := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		id = f.Sel
-	case *ast.Ident:
-		id = f
-	default:
+	fn := calleeFunc(pass.Info, call)
+	if fn == nil || fn.Pkg() == nil || !durablePkgs[fn.Pkg().Path()] {
 		return nil, false
 	}
-	fn, ok := pass.Info.Uses[id].(*types.Func)
-	if !ok || fn.Pkg() == nil || !durablePkgs[fn.Pkg().Path()] {
-		return nil, false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return nil, false
-	}
-	res := sig.Results()
+	res := fn.Type().(*types.Signature).Results()
 	if res.Len() == 0 {
 		return nil, false
 	}
 	last := res.At(res.Len() - 1).Type()
-	if !types.Identical(last, types.Universe.Lookup("error").Type()) {
-		return nil, false
-	}
-	return fn, true
+	return fn, types.Identical(last, types.Universe.Lookup("error").Type())
 }
 
 // isBlank reports whether e is the blank identifier.

@@ -1,21 +1,17 @@
 package lint
 
-import (
-	"go/ast"
-
-	"ring/internal/lint/flow"
-)
+import "go/ast"
 
 // GoroutineLife checks goroutine lifecycle hygiene in non-test code:
 //
-//  1. Every goroutine needs a shutdown path. The spawned function's
-//     CFG must be able to reach its exit — a return, a break out of
-//     the loop, a select case that returns. A `for { ... }` with no
-//     way out runs until process death, which in a node that is
-//     supposed to be Close-able is a leak (and under the sim harness,
-//     a determinism hazard). The body is resolved conservatively: a
-//     function literal directly, or a same-package declared function;
-//     a goroutine running another package's code is out of scope.
+//  1. Every goroutine needs a shutdown path: some path through the
+//     spawned body must reach its end or a return (lockguard's
+//     statement walk answers it). A `for { ... }` with no way out runs
+//     until process death, which in a node that is supposed to be
+//     Close-able is a leak (and under the sim harness, a determinism
+//     hazard). The body is resolved conservatively: a function literal
+//     directly, or a same-package declared function; a goroutine
+//     running another package's code is out of scope.
 //  2. time.After and time.Tick allocate a timer/ticker that is never
 //     collected before firing; inside a loop that is an unbounded
 //     leak. Loops must hoist a time.NewTimer/NewTicker instead.
@@ -30,7 +26,7 @@ var GoroutineLife = &Analyzer{
 }
 
 func runGoroutineLife(pass *Pass) error {
-	cg := flow.NewCallGraph(pass.Pkg, pass.Info, pass.Files, pass.IsTestFile)
+	decls := funcDecls(pass)
 	exemptAt := func(n ast.Node) bool {
 		return pass.lineDirective(n.Pos(), "goroutineok") || enclosingFuncHasDirective(pass, n.Pos(), "goroutineok")
 	}
@@ -45,9 +41,13 @@ func runGoroutineLife(pass *Pass) error {
 				if exemptAt(n) {
 					return true
 				}
-				for _, u := range cg.Callees(n.Call) {
-					if !u.Graph.ExitReachable() {
-						pass.Reportf(n.Pos(), "goroutine %s has no shutdown path: its exit is unreachable", u.Name)
+				for _, fn := range callees(pass, decls, n.Call) {
+					name := "func literal"
+					if fd, ok := fn.(*ast.FuncDecl); ok {
+						name = fd.Name.Name
+					}
+					if runsForever(pass, funcBody(fn)) {
+						pass.Reportf(n.Pos(), "goroutine %s has no shutdown path: its exit is unreachable", name)
 					}
 				}
 			case *ast.CallExpr:
@@ -70,4 +70,14 @@ func runGoroutineLife(pass *Pass) error {
 		})
 	}
 	return nil
+}
+
+// runsForever reports whether no path through body reaches its end or
+// a return: lockguard's walk, with no mutex to track. A for with no
+// condition ends every path through it unless a break leaves it (a
+// break in a select or switch leaves only that), and so does a select
+// with no clauses.
+func runsForever(pass *Pass, body *ast.BlockStmt) bool {
+	g := &lockGuard{pass: pass}
+	return join(g.stmt(body, locks{}), g.exit) == nil
 }

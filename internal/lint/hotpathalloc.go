@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 )
 
 // HotPathAlloc enforces the zero-allocation message path. Functions
@@ -37,118 +38,45 @@ var HotPathAlloc = &Analyzer{
 }
 
 func runHotPathAlloc(pass *Pass) error {
-	decls := map[*types.Func]*ast.FuncDecl{}
+	decls := funcDecls(pass)
 	stops := map[*ast.FuncDecl]bool{}
 	type rootedFn struct {
 		fd   *ast.FuncDecl
 		root string
 	}
 	var queue []rootedFn
-	for _, f := range pass.Files {
-		if pass.IsTestFile(f) {
-			continue
-		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if obj, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
-				decls[obj] = fd
-			}
-			if hasDirective(fd.Doc, "hotpath-stop") {
-				stops[fd] = true
-			} else if hasDirective(fd.Doc, "hotpath") {
-				queue = append(queue, rootedFn{fd, fd.Name.Name})
-			}
+	for _, fd := range decls {
+		if hasDirective(fd.Doc, "hotpath-stop") {
+			stops[fd] = true
+		} else if hasDirective(fd.Doc, "hotpath") {
+			queue = append(queue, rootedFn{fd, fd.Name.Name})
 		}
 	}
+	// Source order: a function two roots reach is reported via the same
+	// one every run.
+	sort.Slice(queue, func(i, j int) bool { return queue[i].fd.Pos() < queue[j].fd.Pos() })
 
 	seen := map[*ast.FuncDecl]bool{}
 	for len(queue) > 0 {
 		item := queue[0]
 		queue = queue[1:]
-		if seen[item.fd] || stops[item.fd] || item.fd.Body == nil {
+		if seen[item.fd] || stops[item.fd] {
 			continue
 		}
 		seen[item.fd] = true
 		checkHotFunc(pass, item.fd, item.root)
-		for _, callee := range localCallees(pass, item.fd, decls) {
-			if !seen[callee] && !stops[callee] {
-				queue = append(queue, rootedFn{callee, item.root})
+		ast.Inspect(item.fd.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				for _, c := range callees(pass, decls, call) {
+					if fd, ok := c.(*ast.FuncDecl); ok && !seen[fd] && !stops[fd] {
+						queue = append(queue, rootedFn{fd, item.root})
+					}
+				}
 			}
-		}
+			return true
+		})
 	}
 	return nil
-}
-
-// localCallees resolves the same-package functions fd can call:
-// static calls plus, for calls through a same-package interface, every
-// same-package concrete method implementing it.
-func localCallees(pass *Pass, fd *ast.FuncDecl, decls map[*types.Func]*ast.FuncDecl) []*ast.FuncDecl {
-	var out []*ast.FuncDecl
-	added := map[*ast.FuncDecl]bool{}
-	add := func(obj types.Object) {
-		fn, ok := obj.(*types.Func)
-		if !ok || fn.Pkg() != pass.Pkg {
-			return
-		}
-		if d := decls[fn]; d != nil && !added[d] {
-			added[d] = true
-			out = append(out, d)
-		}
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			add(pass.Info.Uses[fun])
-		case *ast.SelectorExpr:
-			if sel := pass.Info.Selections[fun]; sel != nil {
-				if iface, ok := sel.Recv().Underlying().(*types.Interface); ok {
-					for _, m := range implementorsOf(pass, iface, sel.Obj().Name()) {
-						add(m)
-					}
-				} else {
-					add(sel.Obj())
-				}
-			} else {
-				add(pass.Info.Uses[fun.Sel]) // pkg-qualified: filtered by Pkg above
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// implementorsOf finds the method named name on every package-scope
-// named type (or its pointer) implementing iface.
-func implementorsOf(pass *Pass, iface *types.Interface, name string) []types.Object {
-	var out []types.Object
-	scope := pass.Pkg.Scope()
-	for _, tn := range scope.Names() {
-		obj, ok := scope.Lookup(tn).(*types.TypeName)
-		if !ok || obj.IsAlias() {
-			continue
-		}
-		T := obj.Type()
-		if _, ok := T.Underlying().(*types.Interface); ok {
-			continue
-		}
-		for _, t := range []types.Type{T, types.NewPointer(T)} {
-			if !types.Implements(t, iface) {
-				continue
-			}
-			if m, _, _ := types.LookupFieldOrMethod(t, true, pass.Pkg, name); m != nil {
-				out = append(out, m)
-			}
-			break
-		}
-	}
-	return out
 }
 
 // checkHotFunc flags the allocation patterns inside one hot function.

@@ -21,9 +21,9 @@
 //     network call, channel send/receive, select, sleep — runs while
 //     a sync.Mutex/RWMutex is held.
 //   - goroutinelife: goroutines spawned in non-test code have a
-//     shutdown path (CFG exit reachable: a return, break, or select
-//     exit case), and time.After/time.Tick never sit in a loop (the
-//     classic timer-leak shape).
+//     shutdown path (some path through the body reaches its end or a
+//     return, by lockguard's statement walk), and time.After/time.Tick
+//     never sit in a loop (the classic timer-leak shape).
 //
 // The paper's acknowledgement-ordering rule is not among them: it is
 // two function signatures (replog.Quorum, core.Node.Flush) the compiler
@@ -261,6 +261,112 @@ func calleeFromPkg(info *types.Info, call *ast.CallExpr, pkgPath string, names .
 		}
 	}
 	return "", false
+}
+
+// ---------------------------------------------------------------- calls
+
+// calleeFunc resolves call to the function or method it names, in any
+// package (an interface method resolves to the interface's), or nil.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
+}
+
+// funcDecls indexes the declared functions with a body in pass's
+// non-test files.
+func funcDecls(pass *Pass) map[*types.Func]*ast.FuncDecl {
+	decls := map[*types.Func]*ast.FuncDecl{}
+	for _, f := range pass.Files {
+		if pass.IsTestFile(f) {
+			continue
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				if fn, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
+					decls[fn] = fd
+				}
+			}
+		}
+	}
+	return decls
+}
+
+// funcBody returns the body of a *ast.FuncDecl or *ast.FuncLit, or nil.
+func funcBody(n ast.Node) *ast.BlockStmt {
+	switch n := n.(type) {
+	case *ast.FuncDecl:
+		return n.Body
+	case *ast.FuncLit:
+		return n.Body
+	}
+	return nil
+}
+
+// callees resolves the same-package functions call may run, as
+// *ast.FuncDecl or *ast.FuncLit: a literal called in place, a static
+// call among decls, or a call through an interface, which runs the
+// method of every package-scope type implementing it. Calls through
+// function-typed variables, parameters and fields, and calls into
+// other packages, resolve to nothing: the soundness boundary.
+func callees(pass *Pass, decls map[*types.Func]*ast.FuncDecl, call *ast.CallExpr) []ast.Node {
+	var out []ast.Node
+	add := func(obj types.Object) {
+		if fn, ok := obj.(*types.Func); ok && decls[fn] != nil {
+			out = append(out, decls[fn])
+		}
+	}
+	switch fun := call.Fun.(type) {
+	case *ast.FuncLit:
+		out = append(out, fun)
+	case *ast.Ident:
+		add(pass.Info.Uses[fun])
+	case *ast.SelectorExpr:
+		sel := pass.Info.Selections[fun]
+		if sel == nil {
+			add(pass.Info.Uses[fun.Sel]) // package-qualified
+		} else if iface, ok := sel.Recv().Underlying().(*types.Interface); ok {
+			for _, m := range implementorsOf(pass, iface, sel.Obj().Name()) {
+				add(m)
+			}
+		} else {
+			add(sel.Obj())
+		}
+	}
+	return out
+}
+
+// implementorsOf finds the method named name on every package-scope
+// named type (or its pointer) implementing iface.
+func implementorsOf(pass *Pass, iface *types.Interface, name string) []types.Object {
+	var out []types.Object
+	scope := pass.Pkg.Scope()
+	for _, tn := range scope.Names() {
+		obj, ok := scope.Lookup(tn).(*types.TypeName)
+		if !ok || obj.IsAlias() {
+			continue
+		}
+		T := obj.Type()
+		if _, ok := T.Underlying().(*types.Interface); ok {
+			continue
+		}
+		for _, t := range []types.Type{T, types.NewPointer(T)} {
+			if !types.Implements(t, iface) {
+				continue
+			}
+			if m, _, _ := types.LookupFieldOrMethod(t, true, pass.Pkg, name); m != nil {
+				out = append(out, m)
+			}
+			break
+		}
+	}
+	return out
 }
 
 // isInterface reports whether t's underlying type is an interface.

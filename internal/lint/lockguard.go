@@ -4,12 +4,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"ring/internal/lint/flow"
+	"maps"
+	"sort"
 )
 
-// LockGuard checks mutex discipline as a forward dataflow problem over
-// the flow CFGs:
+// LockGuard checks mutex discipline with one walk over each function
+// body that carries the lock state through its statements in order:
 //
 //  1. Guarded fields. A struct field is mutex-guarded when declared so
 //     (//ring:guardedby mu on the field) or when inference says so: at
@@ -26,11 +26,17 @@ import (
 //
 // Lock state is tracked per (root object, selector path) — r.mu and
 // e.fs.mu are distinct keys — with a three-point lattice
-// unheld/held/maybe merged at CFG joins. `defer mu.Unlock()` leaves
-// the state held, which is the point: the lock is held to function
-// exit. Function entry is assumed all-unheld; a callee relying on its
-// caller's lock shows up as a mostly-unheld field in inference rather
-// than a finding, the documented soundness trade.
+// unheld/held/maybe. Each arm of an if, switch or select starts from
+// the state before it and the arms join after it, with that state too
+// when an if has no else or a switch no default. A loop body is walked
+// again from the join of its entry and end states until that join
+// stops changing. break, continue and fallthrough hand their state to
+// the statement or clause they go to, return ends a path, and goto is
+// not modelled (the tree has none). `defer mu.Unlock()` leaves the
+// state held, which is the point: the lock is held to function exit.
+// Every function, literals included, starts all-unheld; a callee
+// relying on its caller's lock shows up as a mostly-unheld field in
+// inference rather than a finding, the documented soundness trade.
 //
 // Test files are skipped entirely. //ring:lockok (line or enclosing
 // function doc) exempts a finding; a function whose doc carries it is
@@ -42,29 +48,44 @@ var LockGuard = &Analyzer{
 	Run:  runLockGuard,
 }
 
-// lockVal is the per-key lattice value. Absence from the state map is
-// unheld.
-type lockVal int
+// locks is the lock state at one point of a walk, nil at a point no
+// path reaches: a mutex present is held on some path there, and true
+// when held on every path (the lattice unheld/maybe/held).
+type locks map[lockKey]bool
 
-const (
-	lkHeld lockVal = iota + 1
-	lkMaybe
-)
+// join merges b into a and returns it: a mutex the two disagree on,
+// unheld on one side included, is maybe.
+func join(a, b locks) locks {
+	switch {
+	case a == nil:
+		return maps.Clone(b)
+	case b == nil:
+		return a
+	}
+	for k, v := range b {
+		if held, ok := a[k]; !ok || held != v {
+			a[k] = false
+		}
+	}
+	for k := range a {
+		if _, ok := b[k]; !ok {
+			a[k] = false
+		}
+	}
+	return a
+}
 
 // lockKey names one mutex (or the base of a field access): the root
-// object plus the selector path from it ("mu", "fs.mu", "" for a bare
-// local).
+// object plus the selector path from it (".mu", ".fs.mu", "" for a bare
+// local). The zero key is an expression that has none.
 type lockKey struct {
 	base types.Object
 	path string
 }
 
-func (k lockKey) String() string {
-	if k.path == "" {
-		return k.base.Name()
-	}
-	return k.base.Name() + "." + k.path
-}
+func (k lockKey) String() string { return k.base.Name() + k.path }
+
+func (k lockKey) dot(name string) lockKey { return lockKey{k.base, k.path + "." + name} }
 
 type lockOpKind int
 
@@ -78,186 +99,385 @@ const (
 	opCall                      // same-package call (blocking via summary)
 )
 
-// lockOp is one position-ordered event inside a CFG node.
+// lockOp is one event of a function body, with what the walk knew of
+// the lock state when it reached it.
 type lockOp struct {
+	fn      ast.Node // the *ast.FuncDecl or *ast.FuncLit it is in
 	kind    lockOpKind
-	key     lockKey // lock/unlock ops
-	keyOK   bool
-	field   *types.Var // access ops
-	guard   lockKey    // the mutex key that would guard this access
-	guardOK bool
-	callees []*flow.Unit // opCall
+	key     lockKey    // the mutex locked or unlocked, or the one guarding an access
+	field   *types.Var // opAccess
+	callees []ast.Node // opCall
 	pos     token.Pos
 	label   string
+	held    bool    // key is held on every path here
+	holder  lockKey // a mutex held on some path here; zero if none
 }
 
-type lockState struct {
-	pass *Pass
-	cg   *flow.CallGraph
+type lockGuard struct {
+	pass  *Pass
+	decls map[*types.Func]*ast.FuncDecl
 	// mutexSib maps every field of a mutex-carrying struct to the name
 	// of the sibling mutex field guarding it (the declared //ring:guardedby
 	// target, else the struct's first mutex field).
 	mutexSib map[*types.Var]string
 	declared map[*types.Var]bool // //ring:guardedby present
-	ops      map[*flow.Unit]map[*flow.Node][]lockOp
-	mayBlock map[*flow.Unit]bool
-	// ctorOf lists the named struct types a unit constructs (composite
-	// literal); accesses to their fields in that unit are exempt from
-	// both inference and reporting — initialization before sharing.
-	ctorOf map[*flow.Unit]map[*types.Named]bool
-	outs   map[*flow.Unit]map[*flow.Node]map[lockKey]lockVal
+
+	ops []lockOp // of every function body, in walk order
+
+	// The body being walked: the fields of the struct types it builds
+	// (initialization before sharing, exempt), the statements around
+	// the walk that break and continue leave, innermost last, the state
+	// a fallthrough hands the next clause, and the join of the states
+	// at its returns.
+	fn      ast.Node
+	ctor    map[*types.Var]bool
+	targets []*target
+	fall    locks
+	exit    locks
+}
+
+// target is a for, range, switch or select statement, and the states
+// the breaks and continues leaving it hand it.
+type target struct {
+	label     string
+	loop      bool
+	brk, cont locks
 }
 
 func runLockGuard(pass *Pass) error {
-	st := &lockState{
-		pass:     pass,
-		cg:       flow.NewCallGraph(pass.Pkg, pass.Info, pass.Files, pass.IsTestFile),
-		mutexSib: map[*types.Var]string{},
-		declared: map[*types.Var]bool{},
-		ops:      map[*flow.Unit]map[*flow.Node][]lockOp{},
-		mayBlock: map[*flow.Unit]bool{},
-		ctorOf:   map[*flow.Unit]map[*types.Named]bool{},
-		outs:     map[*flow.Unit]map[*flow.Node]map[lockKey]lockVal{},
-	}
-	st.scanStructs()
-	for _, u := range st.cg.Units {
-		st.ctorOf[u] = st.constructedTypes(u)
-		st.ops[u] = st.extractOps(u)
-	}
-	st.fixMayBlock()
-	for _, u := range st.cg.Units {
-		st.outs[u] = st.dataflow(u)
-	}
-
-	// Inference: count accesses per field across the package, split by
-	// whether the sibling mutex is must-held at the access.
-	type count struct{ total, held int }
-	counts := map[*types.Var]*count{}
-	st.eachAccess(func(u *flow.Unit, op lockOp, state map[lockKey]lockVal) {
-		c := counts[op.field]
-		if c == nil {
-			c = &count{}
-			counts[op.field] = c
-		}
-		c.total++
-		if op.guardOK && state[op.guard] == lkHeld {
-			c.held++
-		}
-	})
-	guarded := map[*types.Var]bool{}
-	for f := range st.mutexSib {
-		if st.declared[f] {
-			guarded[f] = true
+	g := &lockGuard{pass: pass, decls: funcDecls(pass), mutexSib: map[*types.Var]string{}, declared: map[*types.Var]bool{}}
+	g.scanStructs()
+	for _, f := range pass.Files {
+		if pass.IsTestFile(f) {
 			continue
 		}
-		if c := counts[f]; c != nil && c.held >= 2 && c.held*4 >= c.total*3 {
-			guarded[f] = true
+		ast.Inspect(f, func(n ast.Node) bool {
+			if body := funcBody(n); body != nil {
+				g.fn, g.ctor, g.exit = n, g.constructedFields(body), nil
+				g.stmt(body, locks{})
+			}
+			return true
+		})
+	}
+
+	mayBlock := map[ast.Node]bool{}
+	blocks := func(callees []ast.Node) bool {
+		for _, c := range callees {
+			if mayBlock[c] {
+				return true
+			}
+		}
+		return false
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, op := range g.ops {
+			if !mayBlock[op.fn] && (op.kind == opBlock || op.kind == opCall && blocks(op.callees)) {
+				mayBlock[op.fn], changed = true, true
+			}
 		}
 	}
 
-	exempt := func(pos token.Pos) bool {
-		return pass.lineDirective(pos, "lockok") || enclosingFuncHasDirective(pass, pos, "lockok")
-	}
-	heldAny := func(state map[lockKey]lockVal) (lockKey, bool) {
-		var best lockKey
-		found := false
-		for k, v := range state {
-			if v == lkHeld {
-				return k, true
+	// Inference: count accesses per field across the package, and those
+	// with the sibling mutex must-held.
+	held, total := map[*types.Var]int{}, map[*types.Var]int{}
+	for _, op := range g.ops {
+		if op.kind == opAccess {
+			total[op.field]++
+			if op.held {
+				held[op.field]++
 			}
-			best, found = k, true
 		}
-		return best, found
 	}
 
-	// Reporting walk: replay each node's ops against its in-state.
-	for _, u := range st.cg.Units {
-		for _, n := range u.Graph.Nodes {
-			state := st.inState(u, n)
-			for _, op := range st.ops[u][n] {
-				switch op.kind {
-				case opLock:
-					if op.keyOK && state[op.key] == lkHeld && !exempt(op.pos) {
-						pass.Reportf(op.pos, "%s.Lock while %s is already held (self-deadlock)", op.key, op.key)
-					}
-				case opAccess:
-					if guarded[op.field] && !st.ctorOf[u][namedOwner(op.field)] {
-						if (!op.guardOK || state[op.guard] != lkHeld) && !exempt(op.pos) {
-							pass.Reportf(op.pos, "field %s is guarded by %s but accessed without holding it",
-								op.field.Name(), st.mutexSib[op.field])
-						}
-					}
-				case opBlock:
-					if k, held := heldAny(state); held && !exempt(op.pos) {
-						pass.Reportf(op.pos, "%s while %s is held", op.label, k)
-					}
-				case opCall:
-					blocking := false
-					for _, v := range op.callees {
-						if st.mayBlock[v] {
-							blocking = true
-						}
-					}
-					if blocking {
-						if k, held := heldAny(state); held && !exempt(op.pos) {
-							pass.Reportf(op.pos, "call to %s may block while %s is held", op.label, k)
-						}
-					}
-				}
-				st.apply(state, op)
-			}
+	report := func(pos token.Pos, format string, args ...interface{}) {
+		if !pass.lineDirective(pos, "lockok") && !enclosingFuncHasDirective(pass, pos, "lockok") {
+			pass.Reportf(pos, format, args...)
+		}
+	}
+	for _, op := range g.ops {
+		locked := op.holder.base != nil
+		switch f := op.field; {
+		case op.kind == opLock && op.held:
+			report(op.pos, "%s.Lock while %s is already held (self-deadlock)", op.key, op.key)
+		case op.kind == opAccess && !op.held && (g.declared[f] || held[f] >= 2 && held[f]*4 >= total[f]*3):
+			report(op.pos, "field %s is guarded by %s but accessed without holding it", f.Name(), g.mutexSib[f])
+		case op.kind == opBlock && locked:
+			report(op.pos, "%s while %s is held", op.label, op.holder)
+		case op.kind == opCall && locked && blocks(op.callees):
+			report(op.pos, "call to %s may block while %s is held", op.label, op.holder)
 		}
 	}
 	return nil
 }
 
+// ---------------------------------------------------------------- walk
+
+// stmt walks s from the state in, which it may change, and returns the
+// state after s: nil when no path falls out of it.
+func (g *lockGuard) stmt(s ast.Stmt, in locks) locks {
+	label := ""
+	if l, ok := s.(*ast.LabeledStmt); ok {
+		label, s = l.Label.Name, l.Stmt
+	}
+	if in == nil {
+		return nil
+	}
+	switch s := s.(type) {
+	case nil, *ast.DeferStmt:
+		// A deferred call runs at return; in particular a deferred
+		// Unlock does NOT release the lock here — held-to-exit is
+		// exactly the model we want.
+		return in
+	case *ast.BlockStmt:
+		return g.block(s.List, in)
+	case *ast.IfStmt:
+		in = g.stmt(s.Init, in)
+		g.scan(s.Cond, in, false)
+		out := g.stmt(s.Body, maps.Clone(in))
+		if s.Else != nil {
+			in = g.stmt(s.Else, in)
+		}
+		return join(out, in)
+	case *ast.ForStmt:
+		return g.loop(label, g.stmt(s.Init, in), s.Cond, s.Post, s.Body)
+	case *ast.RangeStmt:
+		return g.loop(label, in, s.X, nil, s.Body)
+	case *ast.SwitchStmt:
+		in = g.stmt(s.Init, in)
+		g.scan(s.Tag, in, false)
+		return g.clauses(label, in, s.Body, true)
+	case *ast.TypeSwitchStmt:
+		return g.clauses(label, g.stmt(s.Assign, g.stmt(s.Init, in)), s.Body, true)
+	case *ast.SelectStmt:
+		return g.clauses(label, in, s.Body, false)
+	case *ast.ReturnStmt:
+		g.scan(s, in, false)
+		g.exit = join(g.exit, in)
+		return nil
+	case *ast.BranchStmt:
+		switch s.Tok {
+		case token.GOTO:
+			return in // not modelled
+		case token.FALLTHROUGH:
+			g.fall = in
+			return nil
+		}
+		for i := len(g.targets) - 1; i >= 0; i-- {
+			t := g.targets[i]
+			if s.Label != nil && s.Label.Name != t.label || s.Label == nil && s.Tok == token.CONTINUE && !t.loop {
+				continue
+			}
+			to := &t.cont
+			if s.Tok == token.BREAK {
+				to = &t.brk
+			}
+			*to = join(*to, in)
+			break
+		}
+		return nil
+	}
+	g.scan(s, in, false)
+	return in
+}
+
+func (g *lockGuard) block(list []ast.Stmt, st locks) locks {
+	for _, s := range list {
+		st = g.stmt(s, st)
+	}
+	return st
+}
+
+// enter pushes t onto the targets; the func it returns pops it.
+func (g *lockGuard) enter(t *target) func() {
+	g.targets = append(g.targets, t)
+	return func() { g.targets = g.targets[:len(g.targets)-1] }
+}
+
+// loop walks a for or range statement. head, the condition or the
+// ranged expression, runs before every iteration, and a range or a
+// for with a condition can end there. The body is walked again from
+// the join of the entry state and the state it ends or continues with
+// until that join stops changing; only the last walk's ops are kept.
+func (g *lockGuard) loop(label string, in locks, head ast.Expr, post ast.Stmt, body *ast.BlockStmt) locks {
+	t := &target{label: label, loop: true}
+	defer g.enter(t)()
+	mark := len(g.ops)
+	for h := maps.Clone(in); ; {
+		g.ops, t.brk, t.cont = g.ops[:mark], nil, nil
+		st := maps.Clone(h)
+		g.scan(head, st, false)
+		end := g.stmt(post, join(g.stmt(body, maps.Clone(st)), t.cont))
+		if next := join(maps.Clone(in), end); !maps.Equal(next, h) {
+			h = next
+		} else if head == nil {
+			return t.brk
+		} else {
+			return join(t.brk, st)
+		}
+	}
+}
+
+// clauses walks the clauses of a switch or select, each from in (and
+// from what a fallthrough hands it). in also flows past the statement
+// when fallsPast — a switch, until a default clause turns up; a select
+// waits for one of its clauses, and its comms cannot block when it has
+// a default.
+func (g *lockGuard) clauses(label string, in locks, body *ast.BlockStmt, fallsPast bool) locks {
+	t := &target{label: label}
+	defer g.enter(t)()
+	nonBlocking := false
+	for _, c := range body.List {
+		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
+			nonBlocking = true
+		}
+	}
+	var out locks
+	for _, c := range body.List {
+		st := maps.Clone(in)
+		var list []ast.Stmt
+		switch c := c.(type) {
+		case *ast.CaseClause:
+			for _, e := range c.List {
+				g.scan(e, st, false)
+			}
+			list, fallsPast = c.Body, fallsPast && c.List != nil
+		case *ast.CommClause:
+			g.scan(c.Comm, st, nonBlocking)
+			list = c.Body
+		}
+		st, g.fall = join(st, g.fall), nil
+		out = join(out, g.block(list, st))
+	}
+	if fallsPast {
+		out = join(out, in)
+	}
+	return join(out, t.brk)
+}
+
+// scan applies the ops of one simple statement or expression to st in
+// source order and records them with the state each found. Function
+// literals are walked on their own and the call a go statement spawns
+// runs elsewhere, so neither counts here (the spawn's arguments do).
+// nonBlocking drops channel operations: the comm of a select with a
+// default.
+func (g *lockGuard) scan(n ast.Node, st locks, nonBlocking bool) {
+	if n == nil {
+		return
+	}
+	info := g.pass.Info
+	start := len(g.ops)
+	block := func(pos token.Pos, label string) {
+		g.ops = append(g.ops, lockOp{kind: opBlock, pos: pos, label: label})
+	}
+	// A range head whose expression is a channel blocks per iteration.
+	if e, ok := n.(ast.Expr); ok && isChan(info.TypeOf(e)) {
+		block(e.Pos(), "ranging over a channel")
+	}
+	var spawned *ast.CallExpr
+	if gs, ok := n.(*ast.GoStmt); ok {
+		spawned = gs.Call
+	}
+	ast.Inspect(n, func(x ast.Node) bool {
+		switch x := x.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.SendStmt:
+			if !nonBlocking {
+				block(x.Pos(), "channel send")
+			}
+		case *ast.UnaryExpr:
+			if x.Op == token.ARROW && !nonBlocking {
+				block(x.Pos(), "channel receive")
+			}
+		case *ast.CallExpr:
+			if op, ok := g.classifyCall(x); ok && x != spawned {
+				g.ops = append(g.ops, op)
+				// The m.mu of m.mu.Lock() is the discipline, not a
+				// guarded access.
+				return op.kind > opUnlock
+			}
+		case *ast.SelectorExpr:
+			if s := info.Selections[x]; s != nil && s.Kind() == types.FieldVal {
+				f := s.Obj().(*types.Var)
+				if sib, tracked := g.mutexSib[f]; tracked && !g.ctor[f] {
+					op := lockOp{kind: opAccess, field: f, pos: x.Sel.Pos()}
+					if base := exprKey(info, x.X); base.base != nil {
+						op.key = base.dot(sib)
+					}
+					g.ops = append(g.ops, op)
+				}
+			}
+		}
+		return true
+	})
+	ops := g.ops[start:]
+	sort.SliceStable(ops, func(i, j int) bool { return ops[i].pos < ops[j].pos })
+	for i := range ops {
+		op := &ops[i]
+		op.fn = g.fn
+		op.held = st[op.key] // the zero key is never stored
+		for k, held := range st {
+			if op.holder = k; held {
+				break
+			}
+		}
+		switch {
+		case op.key.base == nil:
+		case op.kind == opLock, op.kind == opRLock:
+			st[op.key] = true
+		case op.kind == opTryLock:
+			st[op.key] = false
+		case op.kind == opUnlock:
+			delete(st, op.key)
+		}
+	}
+}
+
+func isChan(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Chan)
+	return ok
+}
+
 // ---------------------------------------------------------------- structs
 
-// scanStructs finds every package-scope struct carrying a
-// sync.Mutex/RWMutex field and records, for each non-mutex field, the
-// sibling mutex guarding it.
-func (st *lockState) scanStructs() {
-	for _, f := range st.pass.Files {
+// scanStructs finds every struct carrying a sync.Mutex/RWMutex field
+// and records, for each other field, the sibling mutex guarding it.
+func (g *lockGuard) scanStructs() {
+	info := g.pass.Info
+	for _, f := range g.pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			s, ok := n.(*ast.StructType)
-			if !ok || s.Fields == nil {
+			if !ok {
 				return true
 			}
-			var mutexName string
+			mutex := ""
 			for _, fd := range s.Fields.List {
-				for _, name := range fd.Names {
-					if v, ok := st.pass.Info.Defs[name].(*types.Var); ok && isMutexType(v.Type()) {
-						mutexName = name.Name
-					}
-				}
-				if mutexName != "" {
-					break
+				if mutex == "" && len(fd.Names) > 0 && isMutexType(info.TypeOf(fd.Type)) {
+					mutex = fd.Names[len(fd.Names)-1].Name
 				}
 			}
-			if mutexName == "" {
-				return true
-			}
 			for _, fd := range s.Fields.List {
-				sib := mutexName
-				declared := false
-				if args, ok := directiveArgs(fd.Doc, "guardedby"); ok && len(args) > 0 {
-					sib, declared = args[0], true
-				} else if args, ok := directiveArgs(fd.Comment, "guardedby"); ok && len(args) > 0 {
-					sib, declared = args[0], true
+				args, _ := directiveArgs(fd.Doc, "guardedby")
+				if len(args) == 0 {
+					args, _ = directiveArgs(fd.Comment, "guardedby")
+				}
+				// A channel is its own synchronization; sending on one
+				// is not a guarded-field access.
+				t := info.TypeOf(fd.Type)
+				if mutex == "" || isMutexType(t) || isChan(t) && len(args) == 0 {
+					continue
+				}
+				sib := mutex
+				if len(args) > 0 {
+					sib = args[0]
 				}
 				for _, name := range fd.Names {
-					v, ok := st.pass.Info.Defs[name].(*types.Var)
-					if !ok || isMutexType(v.Type()) {
-						continue
-					}
-					if _, isChan := v.Type().Underlying().(*types.Chan); isChan && !declared {
-						// A channel is its own synchronization; sending
-						// on one is not a guarded-field access.
-						continue
-					}
-					st.mutexSib[v] = sib
-					if declared {
-						st.declared[v] = true
+					if v, ok := info.Defs[name].(*types.Var); ok {
+						g.mutexSib[v], g.declared[v] = sib, len(args) > 0
 					}
 				}
 			}
@@ -277,130 +497,48 @@ func isMutexType(t types.Type) bool {
 	return named.Obj().Name() == "Mutex" || named.Obj().Name() == "RWMutex"
 }
 
-// namedOwner returns the named struct type declaring field f, or nil.
-func namedOwner(f *types.Var) *types.Named {
-	// The field's parent scope does not lead back to the type; walk the
-	// package scope instead.
-	if f.Pkg() == nil {
-		return nil
-	}
-	scope := f.Pkg().Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok {
-			continue
-		}
-		s, ok := named.Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < s.NumFields(); i++ {
-			if s.Field(i) == f {
-				return named
+// constructedFields lists the fields of the named struct types body
+// builds with a composite literal.
+func (g *lockGuard) constructedFields(body *ast.BlockStmt) map[*types.Var]bool {
+	out := map[*types.Var]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.CompositeLit); ok {
+			t := g.pass.Info.Types[lit].Type
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
 			}
-		}
-	}
-	return nil
-}
-
-// constructedTypes lists named struct types the unit builds with a
-// composite literal.
-func (st *lockState) constructedTypes(u *flow.Unit) map[*types.Named]bool {
-	out := map[*types.Named]bool{}
-	ast.Inspect(u.Body, func(n ast.Node) bool {
-		lit, ok := n.(*ast.CompositeLit)
-		if !ok {
-			return true
-		}
-		t := st.pass.Info.Types[lit].Type
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if named, ok := t.(*types.Named); ok {
-			if _, isStruct := named.Underlying().(*types.Struct); isStruct {
-				out[named] = true
+			if named, ok := t.(*types.Named); ok {
+				if s, ok := named.Underlying().(*types.Struct); ok {
+					for i := 0; i < s.NumFields(); i++ {
+						out[s.Field(i)] = true
+					}
+				}
 			}
 		}
 		return true
 	})
 	return out
-}
-
-// ---------------------------------------------------------------- keys
-
-// exprKey resolves a selector chain rooted at a plain identifier to a
-// (base object, path) key. Anything else — an index expression, a call
-// result — is unkeyable.
-func exprKey(info *types.Info, e ast.Expr) (lockKey, bool) {
-	switch e := e.(type) {
-	case *ast.Ident:
-		obj := info.Uses[e]
-		if obj == nil {
-			obj = info.Defs[e]
-		}
-		if _, ok := obj.(*types.Var); ok {
-			return lockKey{base: obj}, true
-		}
-	case *ast.ParenExpr:
-		return exprKey(info, e.X)
-	case *ast.SelectorExpr:
-		k, ok := exprKey(info, e.X)
-		if !ok {
-			return lockKey{}, false
-		}
-		if k.path == "" {
-			k.path = e.Sel.Name
-		} else {
-			k.path += "." + e.Sel.Name
-		}
-		return k, true
-	}
-	return lockKey{}, false
 }
 
 // ---------------------------------------------------------------- ops
 
-type posRange struct{ lo, hi token.Pos }
-
-func inRanges(rs []posRange, pos token.Pos) bool {
-	for _, r := range rs {
-		if r.lo <= pos && pos < r.hi {
-			return true
+// exprKey resolves a selector chain rooted at a plain identifier to a
+// (base object, path) key. Anything else — an index expression, a call
+// result — is unkeyable: the zero key.
+func exprKey(info *types.Info, e ast.Expr) lockKey {
+	switch e := e.(type) {
+	case *ast.Ident:
+		if obj, ok := info.ObjectOf(e).(*types.Var); ok {
+			return lockKey{base: obj}
+		}
+	case *ast.ParenExpr:
+		return exprKey(info, e.X)
+	case *ast.SelectorExpr:
+		if k := exprKey(info, e.X); k.base != nil {
+			return k.dot(e.Sel.Name)
 		}
 	}
-	return false
-}
-
-// nonBlockingComms collects the positions of communication operations
-// belonging to selects that have a default clause — those never block.
-func nonBlockingComms(body *ast.BlockStmt) []posRange {
-	var out []posRange
-	ast.Inspect(body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectStmt)
-		if !ok {
-			return true
-		}
-		hasDefault := false
-		for _, cl := range sel.Body.List {
-			if cc, ok := cl.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if !hasDefault {
-			return true
-		}
-		for _, cl := range sel.Body.List {
-			if cc, ok := cl.(*ast.CommClause); ok && cc.Comm != nil {
-				out = append(out, posRange{cc.Comm.Pos(), cc.Comm.End()})
-			}
-		}
-		return true
-	})
-	return out
+	return lockKey{}
 }
 
 var lockMethods = map[string]lockOpKind{
@@ -412,299 +550,30 @@ var lockMethods = map[string]lockOpKind{
 	"RUnlock":  opUnlock,
 }
 
-// extractOps builds the position-ordered op lists of one unit.
-func (st *lockState) extractOps(u *flow.Unit) map[*flow.Node][]lockOp {
-	info := st.pass.Info
-	nbComms := nonBlockingComms(u.Body)
-	out := map[*flow.Node][]lockOp{}
-	for _, n := range u.Graph.Nodes {
-		if _, ok := n.Ast.(*ast.DeferStmt); ok {
-			// Deferred calls run at return; in particular a deferred
-			// Unlock does NOT release the lock here — held-to-exit is
-			// exactly the model we want.
-			continue
-		}
-		var ops []lockOp
-		// A range head whose expression is a channel blocks per
-		// iteration.
-		if ex, ok := n.Ast.(ast.Expr); ok {
-			if t := info.Types[ex].Type; t != nil {
-				if _, isChan := t.Underlying().(*types.Chan); isChan {
-					ops = append(ops, lockOp{kind: opBlock, pos: ex.Pos(), label: "ranging over a channel"})
-				}
-			}
-		}
-		// The call a go statement spawns runs in another goroutine; it
-		// never blocks the spawner (its arguments, evaluated here, can).
-		var spawned *ast.CallExpr
-		if g, ok := n.Ast.(*ast.GoStmt); ok {
-			spawned = g.Call
-		}
-		var lockRecvs []posRange
-		flow.ScanNode(n, func(x ast.Node) bool {
-			switch x := x.(type) {
-			case *ast.SendStmt:
-				if !inRanges(nbComms, x.Pos()) {
-					ops = append(ops, lockOp{kind: opBlock, pos: x.Pos(), label: "channel send"})
-				}
-			case *ast.UnaryExpr:
-				if x.Op == token.ARROW && !inRanges(nbComms, x.Pos()) {
-					ops = append(ops, lockOp{kind: opBlock, pos: x.Pos(), label: "channel receive"})
-				}
-			case *ast.CallExpr:
-				if x == spawned {
-					return true
-				}
-				if op, ok := st.classifyCall(u, x); ok {
-					ops = append(ops, op)
-					if op.kind <= opUnlock {
-						if sel, isSel := x.Fun.(*ast.SelectorExpr); isSel {
-							lockRecvs = append(lockRecvs, posRange{sel.X.Pos(), sel.X.End()})
-						}
-					}
-				}
-			case *ast.SelectorExpr:
-				if op, ok := st.classifyAccess(x); ok {
-					ops = append(ops, op)
-				}
-			}
-			return true
-		})
-		// Drop field accesses that are just the spine of a lock call
-		// (the m.mu in m.mu.Lock()) — they are the discipline, not a
-		// guarded access.
-		kept := ops[:0]
-		for _, op := range ops {
-			if op.kind == opAccess && inRanges(lockRecvs, op.pos) {
-				continue
-			}
-			kept = append(kept, op)
-		}
-		ops = kept
-		for i := 1; i < len(ops); i++ {
-			for j := i; j > 0 && ops[j].pos < ops[j-1].pos; j-- {
-				ops[j], ops[j-1] = ops[j-1], ops[j]
-			}
-		}
-		if len(ops) > 0 {
-			out[n] = ops
-		}
-	}
-	return out
-}
-
 // classifyCall turns a call into a lock op, a blocking primitive, or a
 // same-package call event.
-func (st *lockState) classifyCall(u *flow.Unit, call *ast.CallExpr) (lockOp, bool) {
-	info := st.pass.Info
+func (g *lockGuard) classifyCall(call *ast.CallExpr) (lockOp, bool) {
+	info := g.pass.Info
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if kind, isLockM := lockMethods[sel.Sel.Name]; isLockM && isMutexType(info.Types[sel.X].Type) {
-			key, keyOK := exprKey(info, sel.X)
-			return lockOp{kind: kind, key: key, keyOK: keyOK, pos: call.Pos()}, true
+			return lockOp{kind: kind, key: exprKey(info, sel.X), pos: call.Pos()}, true
 		}
 	}
-	if _, ok := calleeFromPkg(info, call, "time", "Sleep"); ok {
-		return lockOp{kind: opBlock, pos: call.Pos(), label: "time.Sleep"}, true
-	}
-	if fn := flow.CalleeFunc(info, call); fn != nil && fn.Pkg() != nil && fn.Pkg() != st.pass.Pkg {
-		p := fn.Pkg().Path()
-		if durablePkgs[p] || p == "ring/internal/transport" || p == "net" {
-			return lockOp{kind: opBlock, pos: call.Pos(),
-				label: "call to " + fn.Pkg().Name() + "." + fn.Name()}, true
+	if fn := calleeFunc(info, call); fn != nil && fn.Pkg() != nil && fn.Pkg() != g.pass.Pkg {
+		switch p := fn.Pkg().Path(); {
+		case p == "time" && fn.Name() == "Sleep":
+			return lockOp{kind: opBlock, pos: call.Pos(), label: "time.Sleep"}, true
+		case durablePkgs[p] || p == "ring/internal/transport" || p == "net":
+			return lockOp{kind: opBlock, pos: call.Pos(), label: "call to " + fn.Pkg().Name() + "." + fn.Name()}, true
 		}
 	}
-	if callees := st.cg.Callees(call); len(callees) > 0 {
-		return lockOp{kind: opCall, callees: callees, pos: call.Pos(), label: calleeLabel(call)}, true
-	}
-	return lockOp{}, false
-}
-
-// calleeLabel names a call's callee for diagnostics.
-func calleeLabel(call *ast.CallExpr) string {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		return fun.Sel.Name
-	case *ast.FuncLit:
-		return "a function literal"
-	}
-	return "a call"
-}
-
-// classifyAccess turns a field selection into an access op when the
-// field has a sibling mutex.
-func (st *lockState) classifyAccess(sel *ast.SelectorExpr) (lockOp, bool) {
-	info := st.pass.Info
-	s := info.Selections[sel]
-	if s == nil || s.Kind() != types.FieldVal {
+	callees := callees(g.pass, g.decls, call)
+	if len(callees) == 0 {
 		return lockOp{}, false
 	}
-	f, ok := s.Obj().(*types.Var)
-	if !ok {
-		return lockOp{}, false
+	label := "a function literal"
+	if fd, ok := callees[0].(*ast.FuncDecl); ok {
+		label = fd.Name.Name
 	}
-	sib, tracked := st.mutexSib[f]
-	if !tracked {
-		return lockOp{}, false
-	}
-	op := lockOp{kind: opAccess, field: f, pos: sel.Sel.Pos()}
-	if base, ok := exprKey(info, sel.X); ok {
-		if base.path == "" {
-			base.path = sib
-		} else {
-			base.path += "." + sib
-		}
-		op.guard, op.guardOK = base, true
-	}
-	return op, true
-}
-
-// ---------------------------------------------------------------- summaries
-
-// fixMayBlock marks units containing a blocking primitive, closed
-// under same-package calls.
-func (st *lockState) fixMayBlock() {
-	for _, u := range st.cg.Units {
-		for _, ops := range st.ops[u] {
-			for _, op := range ops {
-				if op.kind == opBlock {
-					st.mayBlock[u] = true
-				}
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, u := range st.cg.Units {
-			if st.mayBlock[u] {
-				continue
-			}
-			for _, ops := range st.ops[u] {
-				for _, op := range ops {
-					if op.kind != opCall {
-						continue
-					}
-					for _, v := range op.callees {
-						if st.mayBlock[v] {
-							st.mayBlock[u] = true
-							changed = true
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// ---------------------------------------------------------------- dataflow
-
-func mergeState(dst, src map[lockKey]lockVal) {
-	for k, v := range src {
-		if dst[k] != v {
-			dst[k] = lkMaybe // disagreement (incl. unheld-vs-held) joins to maybe
-		}
-	}
-	for k, v := range dst {
-		if v == lkHeld && src[k] == 0 {
-			dst[k] = lkMaybe
-		}
-	}
-}
-
-func cloneState(s map[lockKey]lockVal) map[lockKey]lockVal {
-	out := make(map[lockKey]lockVal, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
-func equalState(a, b map[lockKey]lockVal) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// apply runs one op's transfer on the state in place.
-func (st *lockState) apply(state map[lockKey]lockVal, op lockOp) {
-	if !op.keyOK {
-		return
-	}
-	switch op.kind {
-	case opLock, opRLock:
-		state[op.key] = lkHeld
-	case opTryLock:
-		state[op.key] = lkMaybe
-	case opUnlock:
-		delete(state, op.key)
-	}
-}
-
-// inState merges the predecessors' out-states of n. The entry node
-// (and any node with no predecessors) starts all-unheld. Predecessors
-// the fixpoint has not computed yet are bottom — the identity of the
-// merge, NOT all-unheld — otherwise a loop back edge poisons the head
-// to maybe on the first pass and the damage is permanent.
-func (st *lockState) inState(u *flow.Unit, n *flow.Node) map[lockKey]lockVal {
-	outs := st.outs[u]
-	var in map[lockKey]lockVal
-	for _, p := range n.Preds {
-		po, computed := outs[p]
-		if !computed {
-			continue
-		}
-		if in == nil {
-			in = cloneState(po)
-			continue
-		}
-		mergeState(in, po)
-	}
-	if in == nil {
-		in = map[lockKey]lockVal{}
-	}
-	return in
-}
-
-// dataflow computes the out-state of every node to a fixpoint.
-func (st *lockState) dataflow(u *flow.Unit) map[*flow.Node]map[lockKey]lockVal {
-	outs := map[*flow.Node]map[lockKey]lockVal{}
-	st.outs[u] = outs
-	for changed := true; changed; {
-		changed = false
-		for _, n := range u.Graph.Nodes {
-			state := st.inState(u, n)
-			for _, op := range st.ops[u][n] {
-				st.apply(state, op)
-			}
-			if !equalState(state, outs[n]) {
-				outs[n] = state
-				changed = true
-			}
-		}
-	}
-	return outs
-}
-
-// eachAccess replays every unit and hands each field access to fn with
-// the lock state in effect at it. Constructor units are skipped for
-// the types they build.
-func (st *lockState) eachAccess(fn func(u *flow.Unit, op lockOp, state map[lockKey]lockVal)) {
-	for _, u := range st.cg.Units {
-		for _, n := range u.Graph.Nodes {
-			state := st.inState(u, n)
-			for _, op := range st.ops[u][n] {
-				if op.kind == opAccess && !st.ctorOf[u][namedOwner(op.field)] {
-					fn(u, op, state)
-				}
-				st.apply(state, op)
-			}
-		}
-	}
+	return lockOp{kind: opCall, callees: callees, pos: call.Pos(), label: label}, true
 }

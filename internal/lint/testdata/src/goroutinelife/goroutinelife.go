@@ -67,6 +67,49 @@ func (s *server) startPinnedInline() {
 	go s.spinForever() //ring:goroutineok deliberate: killed by process exit
 }
 
+// breakLeavesSelect only leaves the select: the loop goes round again.
+func (s *server) breakLeavesSelect() {
+	for {
+		select {
+		case <-s.done:
+			break
+		case v := <-s.in:
+			use(v)
+		}
+	}
+}
+
+// breakLeavesLoop names the loop, so its break ends it.
+func (s *server) breakLeavesLoop() {
+loop:
+	for {
+		select {
+		case <-s.done:
+			break loop
+		case v := <-s.in:
+			use(v)
+		}
+	}
+}
+
+// returnsWhenStopped exits through a return under an if.
+func (s *server) returnsWhenStopped() {
+	for {
+		if stop() {
+			return
+		}
+		work()
+	}
+}
+
+func (s *server) startBreakers() {
+	go s.breakLeavesSelect() // want "goroutine breakLeavesSelect has no shutdown path"
+	go s.breakLeavesLoop()
+	go s.returnsWhenStopped()
+}
+
+func stop() bool { return false }
+
 // ---------------------------------------------------------------- timers
 
 func (s *server) pollLeaky() {

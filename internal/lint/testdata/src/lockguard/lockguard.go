@@ -3,6 +3,7 @@
 package lockguard
 
 import (
+	"net"
 	"sync"
 	"time"
 )
@@ -137,6 +138,56 @@ func (w *worker) holdsAcrossHelper() {
 	w.mu.Lock()
 	w.waits() // want "call to waits may block while w.mu is held"
 	w.mu.Unlock()
+}
+
+// pool keeps connections the way transport's TCP endpoint does: a
+// net.Conn's Close can block in the TCP stack.
+type pool struct {
+	mu    sync.Mutex
+	conns map[string]net.Conn
+}
+
+func (p *pool) keepFirst(to string, nc net.Conn) {
+	p.mu.Lock()
+	if c := p.conns[to]; c == nil {
+		p.conns[to] = nc
+	} else {
+		nc.Close() // want "call to net.Close while p.mu is held"
+	}
+	p.mu.Unlock()
+}
+
+func (p *pool) closeAllHeld() {
+	p.mu.Lock()
+	for _, c := range p.conns {
+		c.Close() // want "call to net.Close while p.mu is held"
+	}
+	p.mu.Unlock()
+}
+
+// hangUp reaches net for its callers.
+func hangUp(c net.Conn) { c.Close() }
+
+func (p *pool) dropHeld(to string) {
+	p.mu.Lock()
+	hangUp(p.conns[to]) // want "call to hangUp may block while p.mu is held"
+	delete(p.conns, to)
+	p.mu.Unlock()
+}
+
+// closeAll is the fixed shape: snapshot under the lock, close after
+// Unlock.
+func (p *pool) closeAll() {
+	p.mu.Lock()
+	conns := make([]net.Conn, 0, len(p.conns))
+	for _, c := range p.conns {
+		conns = append(conns, c)
+	}
+	p.conns = map[string]net.Conn{}
+	p.mu.Unlock()
+	for _, c := range conns {
+		c.Close()
+	}
 }
 
 // ---------------------------------------------------------------- deadlock
