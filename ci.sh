@@ -107,9 +107,10 @@
 #      is red) and 1:10 of the -elasticity lane mixing live scheme
 #      moves and join/leave resizes into the fault schedule (11 is red
 #      under message loss alone) — about 2 s each, hard-bounded at 30s.
-#      Every client in these runs goes through the one simulated request
-#      path (internal/sim/caller.go), so a change to how a client
-#      retries, re-resolves or gives up trips here per push. Then the
+#      Every client in these runs is a client.Session, the request logic
+#      ringd's clients run (internal/client/session.go, driven by
+#      internal/sim/session.go), so a change to how a client retries,
+#      re-resolves or gives up trips here per push. Then the
 #      three full bands (plain 1:2000, -durable 1:2000, -elasticity
 #      1:500, unshrunk: 24 + 23 + 6 s on 2 vCPUs): a change that touches
 #      recovery or message counts moves which seeds draw which faults,

@@ -7,7 +7,7 @@ package client
 // in-flight operation runs the same do*Op as the synchronous API —
 // timeout, re-resolve and retry — on a goroutine of its own, where the
 // synchronous API runs it on its caller's; both are multiplexed over
-// the client's single endpoint by the waiter map and leave through the
+// the client's single endpoint by its session and leave through the
 // same outboxes, so concurrent callers of either share packets. The
 // Pipeline helper bounds the number of outstanding operations and
 // aggregates completions for bulk loads and benchmarks.
@@ -35,23 +35,29 @@ func (f *future[R]) wait() (R, error) {
 
 // The do*Op helpers run one key-routed operation synchronously; they
 // are the unit of work shared by the synchronous API, the standalone
-// futures, and pipeline workers.
+// futures, and pipeline workers. Their message makers read the
+// arguments from the call: they capture nothing, so they cost no
+// allocation.
 
 func (c *Client) doPutOp(key string, value []byte, mg proto.MemgestID) (*proto.PutReply, error) {
-	return keyOp[*proto.PutReply](c, key, func(req proto.ReqID) proto.Message {
-		return &proto.Put{Req: req, Key: key, Value: value, Memgest: mg}
+	k := c.newCall(byKey, key)
+	k.value, k.mg = value, mg
+	return do[*proto.PutReply](k, func(k *call, req proto.ReqID) proto.Message {
+		return &proto.Put{Req: req, Key: k.key, Value: k.value, Memgest: k.mg}
 	})
 }
 
 func (c *Client) doGetOp(key string, ver proto.Version) (*proto.GetReply, error) {
-	return keyOp[*proto.GetReply](c, key, func(req proto.ReqID) proto.Message {
-		return &proto.Get{Req: req, Key: key, Version: ver}
+	k := c.newCall(byKey, key)
+	k.ver = ver
+	return do[*proto.GetReply](k, func(k *call, req proto.ReqID) proto.Message {
+		return &proto.Get{Req: req, Key: k.key, Version: k.ver}
 	})
 }
 
 func (c *Client) doDeleteOp(key string) (*proto.DeleteReply, error) {
-	return keyOp[*proto.DeleteReply](c, key, func(req proto.ReqID) proto.Message {
-		return &proto.Delete{Req: req, Key: key}
+	return do[*proto.DeleteReply](c.newCall(byKey, key), func(k *call, req proto.ReqID) proto.Message {
+		return &proto.Delete{Req: req, Key: k.key}
 	})
 }
 

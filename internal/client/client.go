@@ -1,16 +1,16 @@
-// Package client implements the synchronous Ring client: the
-// key-to-node routing of Section 5.1 (i = h(key) mod s), request/reply
-// correlation, and the timeout + re-resolve fallback of Section 5.5
-// (clients that get no answer re-discover the configuration and retry
-// against the node now responsible for the key). Requests that
-// concurrent callers address to one node in the same instant leave in
-// one packet (outbox.go).
+// Package client implements the Ring client: routing by h(key) mod s
+// (Section 5.1) and the timeout + re-resolve fallback of Section 5.5.
+// Session (session.go) is the protocol logic, which the simulator runs
+// too; Client drives it over a fabric, each operation on its caller's
+// goroutine, and sends what callers address to one node at once in one
+// packet (outbox.go).
 package client
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,38 +45,28 @@ var ErrTimeout = errors.New("client: request timed out")
 // ErrNotFound is returned by Get/Delete/Move for missing keys.
 var ErrNotFound = errors.New("client: key not found")
 
-var errNoConfig = errors.New("client: no configuration")
-
 var clientSeq atomic.Uint64
 
 // Client is a synchronous Ring client. It is safe for concurrent use.
 type Client struct {
 	opts Options
 	ep   transport.Endpoint
+	born time.Time // the session's clock reads the time since
 
-	nextReq atomic.Uint64
-
-	mu  sync.Mutex
-	cfg *proto.Config
-	// waiters holds the reply channel of every request in flight.
-	// Whoever deletes an entry owes its channel exactly one result:
-	// recvLoop the reply, a sender the error of the packet that did not
-	// leave; the caller itself deletes it to give up, and then nothing
-	// is owed.
-	waiters  map[proto.ReqID]chan result
+	mu       sync.Mutex
+	sess     *Session
 	outboxes map[string]*outbox // by destination
+	claimed  []*outbox          // found idle by sends, for the sender to send
+	asks     []*ask
 
-	closed chan struct{}
-}
-
-// result is what a call waits for: the reply, or why there is none.
-type result struct {
-	reply proto.Reply
-	err   error
+	closed    chan struct{}
+	closeOnce sync.Once
 }
 
 // Dial registers a client endpoint on the fabric and fetches the
 // configuration from the given bootstrap node addresses.
+//
+//ring:wallclock starts the session's clock
 func Dial(fabric transport.Fabric, bootstrap []string, opts Options) (*Client, error) {
 	addr := fmt.Sprintf("client/%d", clientSeq.Add(1))
 	ep, err := fabric.Register(addr)
@@ -86,10 +76,11 @@ func Dial(fabric transport.Fabric, bootstrap []string, opts Options) (*Client, e
 	c := &Client{
 		opts:     opts.defaults(),
 		ep:       ep,
-		waiters:  make(map[proto.ReqID]chan result),
+		born:     time.Now(),
 		outboxes: make(map[string]*outbox),
 		closed:   make(chan struct{}),
 	}
+	c.sess = NewSession(sink{c}, nil, c.opts.Timeout, c.opts.Retries)
 	go c.recvLoop()
 	if err := c.resolve(bootstrap); err != nil {
 		c.Close()
@@ -98,22 +89,49 @@ func Dial(fabric transport.Fabric, bootstrap []string, opts Options) (*Client, e
 	return c, nil
 }
 
-// Close releases the client endpoint.
+// Close releases the client endpoint; operations in flight end with
+// transport.ErrClosed.
 func (c *Client) Close() {
-	select {
-	case <-c.closed:
-		return
-	default:
-	}
-	close(c.closed)
-	c.ep.Close()
+	c.closeOnce.Do(func() {
+		close(c.closed)
+		c.ep.Close()
+	})
 }
 
 // Config returns the client's current view of the cluster.
 func (c *Client) Config() *proto.Config {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.cfg
+	return c.sess.View()
+}
+
+// now reads the session's clock.
+//
+//ring:wallclock the live client's event clock
+func (c *Client) now() time.Duration { return time.Since(c.born) }
+
+// sink is the Client as its session's Sink, under c.mu.
+type sink struct{ c *Client }
+
+func (s sink) Send(to proto.NodeID, req proto.ReqID, msg proto.Message) {
+	s.c.queue(core.NodeAddr(to), req, msg)
+}
+
+// At keeps the earliest wake-up of the current attempt; a back-off (from
+// a reply or a lost packet, not the call's goroutine) kicks it.
+func (s sink) At(w Wake) {
+	if k := w.Op.(*call); w.attempt != k.next.attempt {
+		k.next = w
+	} else if w.At < k.next.At {
+		k.next = w
+		k.kick()
+	}
+}
+
+func (c *Client) take(own []*outbox) []*outbox {
+	own = append(own[:0], c.claimed...)
+	c.claimed = c.claimed[:0]
+	return own
 }
 
 func (c *Client) recvLoop() {
@@ -122,15 +140,11 @@ func (c *Client) recvLoop() {
 		if err != nil {
 			return
 		}
-		// Servers coalesce replies bound for the same client into one
-		// TBatch packet; deliver each to its waiter.
+		// A packet may be a TBatch of replies.
 		_ = proto.ForEachPacked(p.Payload, func(enc []byte) error {
 			msg, err := proto.Decode(enc)
-			if err != nil {
-				return nil
-			}
-			reply, ok := msg.(proto.Reply)
-			if !ok {
+			r, ok := msg.(proto.Reply)
+			if err != nil || !ok {
 				return nil
 			}
 			if gr, ok := msg.(*proto.GetReply); ok {
@@ -138,187 +152,221 @@ func (c *Client) recvLoop() {
 				// into goes back to the pool below.
 				gr.Value = bytes.Clone(gr.Value)
 			}
-			c.deliver(reply.Request(), result{reply: reply})
+			c.mu.Lock()
+			if rr, ok := r.(*proto.ResolveReply); ok {
+				asked(c.asks, rr.Req, rr.Config != nil)
+			}
+			c.sess.Reply(c.now(), r)
+			c.mu.Unlock()
 			return nil
 		})
 		transport.ReleaseBuf(p.Payload)
 	}
 }
 
-// timerPool recycles timeout timers across calls: time.After would
-// leave a live runtime timer behind for the full timeout after every
-// completed request, which at pipelined rates means thousands of
-// orphaned timers churning the timer heap.
-var timerPool sync.Pool
-
-func acquireTimer(d time.Duration) *time.Timer {
-	if t, _ := timerPool.Get().(*time.Timer); t != nil {
-		t.Reset(d)
-		return t
-	}
-	return time.NewTimer(d)
-}
-
-func releaseTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	timerPool.Put(t)
-}
-
-// replyChans recycles the one-slot channels calls wait on. A channel
-// goes back empty: its call either received the one result it was owed
-// or withdrew the waiter before anyone took it.
-var replyChans = sync.Pool{New: func() any { return make(chan result, 1) }}
-
-// deliver hands r to the call waiting for req, if it still is.
-func (c *Client) deliver(req proto.ReqID, r result) {
+// failed tells the session the packet carrying reqs did not leave.
+func (c *Client) failed(reqs []proto.ReqID) {
 	c.mu.Lock()
-	ch := c.waiters[req]
-	delete(c.waiters, req)
+	for _, req := range reqs {
+		asked(c.asks, req, false)
+		c.sess.Failed(c.now(), req)
+	}
 	c.mu.Unlock()
-	if ch != nil {
-		ch <- r
-	}
 }
 
-// call queues a request for `to` (see outbox.go for how it leaves) and
-// waits for the matching reply.
-func (c *Client) call(to string, req proto.ReqID, msg proto.Message) (proto.Reply, error) {
-	ch := replyChans.Get().(chan result)
-	c.post(to, req, msg, ch)
-	t := acquireTimer(c.opts.Timeout)
-	var r result
-	select {
-	case r = <-ch:
-	case <-t.C:
-		if r = c.abandon(to, req, ch, ErrTimeout); r.err == ErrTimeout {
-			Metrics.Timeouts.Inc()
+// ask is an ask-all in flight: its Resolves are [lo, hi), left of them
+// neither answered nor lost.
+type ask struct {
+	lo, hi   proto.ReqID
+	left     int
+	answered bool
+	done     chan struct{}
+}
+
+func asked(asks []*ask, req proto.ReqID, answered bool) {
+	for _, a := range asks {
+		if a.lo <= req && req < a.hi {
+			a.answered = a.answered || answered
+			if a.left--; a.left == 0 {
+				close(a.done)
+			}
 		}
-	case <-c.closed:
-		r = c.abandon(to, req, ch, transport.ErrClosed)
 	}
-	releaseTimer(t)
-	replyChans.Put(ch)
-	return r.reply, r.err
 }
 
-func (c *Client) reqID() proto.ReqID { return proto.ReqID(c.nextReq.Add(1)) }
-
-// resolve queries the given addresses (or every node of the last known
-// config) for the freshest configuration — the client-side analogue of
-// the paper's multicast re-discovery. All addresses are asked at once,
-// so unreachable nodes cost one Timeout together, not one each; and the
-// view only moves forward: an answer older than the configuration
-// already held (a stale node was the only one to reply) is ignored.
+// resolve asks addrs (nil: the view's nodes) for the configuration at
+// once, so the unreachable cost one Timeout together, and waits until
+// each answered or was lost, or the Timeout passed.
+//
+//ring:wallclock waits one Timeout at most
 func (c *Client) resolve(addrs []string) error {
 	Metrics.Resolves.Inc()
+	a := &ask{done: make(chan struct{})}
+	c.mu.Lock()
 	if addrs == nil {
-		if cfg := c.Config(); cfg != nil {
-			for _, id := range cfg.AllNodes() {
-				addrs = append(addrs, core.NodeAddr(id))
-			}
+		for _, id := range c.sess.View().AllNodes() {
+			addrs = append(addrs, core.NodeAddr(id))
 		}
 	}
-	answers := make(chan *proto.Config, len(addrs))
-	for _, a := range addrs {
-		go func() {
-			req := c.reqID()
-			reply, _ := c.call(a, req, &proto.Resolve{Req: req})
-			var cfg *proto.Config
-			if rr, ok := reply.(*proto.ResolveReply); ok {
-				cfg = rr.Config
-			}
-			answers <- cfg
-		}()
+	a.left = len(addrs)
+	for _, to := range addrs {
+		m := c.sess.Ask(c.now())
+		a.hi = m.Req + 1 // the session files them one after another
+		c.queue(to, m.Req, m)
 	}
-	answered := false
-	for range addrs {
-		cfg := <-answers
-		if cfg == nil {
-			continue
-		}
-		answered = true
-		c.mu.Lock()
-		if c.cfg == nil || cfg.Epoch >= c.cfg.Epoch {
-			c.cfg = cfg
-		}
-		c.mu.Unlock()
+	a.lo = a.hi - proto.ReqID(a.left)
+	c.asks = append(c.asks, a)
+	own := c.take(nil)
+	c.mu.Unlock()
+	for _, ob := range own {
+		c.send(ob)
 	}
-	if !answered {
-		return fmt.Errorf("client: no node answered resolve")
+	t := time.NewTimer(c.opts.Timeout)
+	select {
+	case <-a.done:
+	case <-t.C:
+	case <-c.closed:
+	}
+	t.Stop()
+	c.mu.Lock()
+	c.asks = slices.DeleteFunc(c.asks, func(x *ask) bool { return x == a })
+	c.mu.Unlock()
+	if !a.answered {
+		return errors.New("client: no node answered resolve")
 	}
 	return nil
 }
 
-// route picks the node one attempt of a request goes to, from the
-// configuration the client holds at that attempt.
-type route func(cfg *proto.Config) proto.NodeID
+// call is an operation of the live client, waited on by its caller's
+// goroutine; to and msg make an attempt from the arguments key..node.
+type call struct {
+	OpState
+	c     *Client
+	to    func(k *call, view *proto.Config) proto.NodeID
+	msg   func(k *call, req proto.ReqID) proto.Message
+	key   string
+	value []byte
+	ver   proto.Version
+	mg    proto.MemgestID
+	node  proto.NodeID
+	want  proto.MsgType // of the reply that answers it
 
-func toCoordinator(key string) route {
-	return func(cfg *proto.Config) proto.NodeID { return cfg.CoordinatorOf(store.KeyHash(key)) }
+	next  Wake          // the earliest wake-up of the current attempt
+	timer *time.Timer   // kicks at next
+	kicks chan struct{} // one slot: look again
+	own   []*outbox     // claimed outboxes it is to send
+	reply proto.Reply
+	err   error // why the last attempt failed
 }
 
-func toLeader(cfg *proto.Config) proto.NodeID { return cfg.Leader }
+var calls = sync.Pool{New: func() any { return &call{kicks: make(chan struct{}, 1)} }}
 
-func toNode(id proto.NodeID) route {
-	return func(*proto.Config) proto.NodeID { return id }
+// newCall takes a call from the pool for one operation routed by to.
+func (c *Client) newCall(to func(*call, *proto.Config) proto.NodeID, key string) *call {
+	Metrics.Requests.Inc()
+	k := calls.Get().(*call)
+	k.c, k.to, k.key = c, to, key
+	return k
 }
 
-// do is the client's one request path (Section 5.5): send to the node
-// the current configuration names, and on a timeout, a transient
-// status, or a reply that is not the R this request is answered with
-// (a late reply to a previous process's request with the same ReqID),
-// re-discover the configuration, back off, and send again under a
-// fresh ReqID, Options.Retries times over.
-func do[R proto.Reply](c *Client, to route, build func(proto.ReqID) proto.Message) (R, error) {
-	var lastErr error
-	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
-		if attempt > 0 {
-			Metrics.Retries.Inc()
-			_ = c.resolve(nil)
-			// Brief backoff: the cluster may be mid-reconfiguration.
-			time.Sleep(time.Duration(attempt) * 10 * time.Millisecond)
-		}
-		cfg := c.Config()
-		if cfg == nil || cfg.Shards() == 0 {
-			lastErr = errNoConfig
-			continue
-		}
-		req := c.reqID()
-		reply, err := c.call(core.NodeAddr(to(cfg)), req, build(req))
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		r, ok := reply.(R)
-		if !ok {
-			lastErr = fmt.Errorf("client: unexpected reply %T", reply)
-			continue
-		}
-		if s := r.Result(); s.Transient() {
-			lastErr = s.Err()
-			continue
-		}
-		return r, nil
+func byKey(k *call, view *proto.Config) proto.NodeID {
+	return view.CoordinatorOf(store.KeyHash(k.key))
+}
+
+func toLeader(_ *call, view *proto.Config) proto.NodeID { return view.Leader }
+
+func toNode(k *call, _ *proto.Config) proto.NodeID { return k.node }
+
+func (k *call) Build(view *proto.Config, req proto.ReqID) (proto.NodeID, proto.Message) {
+	return k.to(k, view), k.msg(k, req)
+}
+
+// Done takes a reply of the wanted type and a status not transient. A
+// mistyped reply (a late one to an earlier life's ReqID) is transient.
+func (k *call) Done(_ time.Duration, r proto.Reply) bool {
+	switch {
+	case r == nil: // the budget ran out; err says why
+	case r.Type() != k.want:
+		k.err = fmt.Errorf("client: unexpected reply %T", r)
+		return false
+	case r.Result().Transient():
+		k.err = r.Result().Err()
+		return false
+	default:
+		k.reply = r
 	}
+	k.kick()
+	return true
+}
+
+func (k *call) kick() {
+	select {
+	case k.kicks <- struct{}{}:
+	default:
+	}
+}
+
+// arm makes k's timer kick it after d.
+//
+//ring:wallclock the live client's timer
+func (k *call) arm(d time.Duration) {
+	if k.timer == nil {
+		k.timer = time.AfterFunc(d, k.kick)
+		return
+	}
+	k.timer.Reset(d)
+}
+
+// do runs k, whose attempts msg makes, on the caller's goroutine until
+// a reply of type R settles it or an error ends it; a call that settled
+// goes back to the pool.
+func do[R proto.Reply](k *call, msg func(*call, proto.ReqID) proto.Message) (R, error) {
 	var none R
-	return none, lastErr
-}
-
-// keyOp runs one operation routed by its key.
-func keyOp[R proto.Reply](c *Client, key string, build func(proto.ReqID) proto.Message) (R, error) {
-	Metrics.Requests.Inc()
-	return do[R](c, toCoordinator(key), build)
-}
-
-// leaderOp runs one management operation, routed to the leader.
-func leaderOp[R proto.Reply](c *Client, build func(proto.ReqID) proto.Message) (R, error) {
-	Metrics.Requests.Inc()
-	return do[R](c, toLeader, build)
+	c := k.c
+	k.msg, k.want, k.err, k.next = msg, none.Type(), ErrTimeout, Wake{attempt: -1}
+	c.mu.Lock()
+	c.sess.Start(c.now(), k)
+	for !k.settled {
+		now := c.now()
+		if now >= k.next.At {
+			// Due: the attempt expired or a back-off ended.
+			attempts := k.attempts
+			if k.next.Timeout {
+				k.err = ErrTimeout
+				Metrics.Timeouts.Inc()
+			}
+			if c.sess.Wake(now, k.next); k.attempts > attempts && !k.settled {
+				Metrics.Retries.Inc()
+				Metrics.Resolves.Inc()
+			}
+			continue
+		}
+		k.arm(k.next.At - now)
+		k.own = c.take(k.own)
+		c.mu.Unlock()
+		for _, ob := range k.own {
+			c.send(ob)
+		}
+		select {
+		case <-k.kicks:
+		case <-c.closed:
+			c.mu.Lock()
+			c.forget(k) // k stays in the session's table, so out of the pool
+			return none, transport.ErrClosed
+		}
+		c.mu.Lock()
+	}
+	c.forget(k)
+	if k.timer != nil {
+		k.timer.Stop()
+	}
+	r, err := k.reply, k.err
+	*k = call{OpState: OpState{reqs: k.reqs[:0]}, timer: k.timer, kicks: k.kicks, own: k.own[:0]}
+	calls.Put(k)
+	if r == nil {
+		return none, err
+	}
+	return r.(R), nil
 }
 
 // Put stores value under key in the cluster's default memgest.
@@ -360,8 +408,8 @@ func (c *Client) Move(key string, mg proto.MemgestID) (proto.Version, error) {
 // write committed — the window the coordinator holds open is invisible
 // here beyond latency.
 func (c *Client) MoveIf(key string, from, to proto.MemgestID) (proto.Version, error) {
-	r, err := keyOp[*proto.MoveReply](c, key, func(req proto.ReqID) proto.Message {
-		return &proto.Move{Req: req, Key: key, Memgest: to, From: from}
+	r, err := do[*proto.MoveReply](c.newCall(byKey, key), func(k *call, req proto.ReqID) proto.Message {
+		return &proto.Move{Req: req, Key: k.key, Memgest: to, From: from}
 	})
 	if err != nil {
 		return 0, err
@@ -374,55 +422,47 @@ func (c *Client) MoveIf(key string, from, to proto.MemgestID) (proto.Version, er
 
 // CreateMemgest instantiates a new storage scheme and returns its ID.
 func (c *Client) CreateMemgest(sc proto.Scheme) (proto.MemgestID, error) {
-	r, err := leaderOp[*proto.MemgestReply](c, func(req proto.ReqID) proto.Message {
+	r, err := c.memgestOp(true, func(_ *call, req proto.ReqID) proto.Message {
 		return &proto.CreateMemgest{Req: req, Scheme: sc}
 	})
-	if err != nil {
-		return 0, err
-	}
-	if r.Status != proto.StOK {
-		return 0, r.Status.Err()
-	}
-	// Refresh the config so subsequent puts route into the new scheme.
-	_ = c.resolve(nil)
-	return r.Memgest, nil
+	return r.Memgest, err
 }
 
 // DeleteMemgest removes a memgest.
 func (c *Client) DeleteMemgest(id proto.MemgestID) error {
-	r, err := leaderOp[*proto.MemgestReply](c, func(req proto.ReqID) proto.Message {
+	_, err := c.memgestOp(true, func(_ *call, req proto.ReqID) proto.Message {
 		return &proto.DeleteMemgest{Req: req, Memgest: id}
 	})
-	if err != nil {
-		return err
-	}
-	_ = c.resolve(nil)
-	return r.Status.Err()
+	return err
 }
 
 // SetDefaultMemgest selects the memgest for puts without an explicit
 // scheme.
 func (c *Client) SetDefaultMemgest(id proto.MemgestID) error {
-	r, err := leaderOp[*proto.MemgestReply](c, func(req proto.ReqID) proto.Message {
+	_, err := c.memgestOp(true, func(_ *call, req proto.ReqID) proto.Message {
 		return &proto.SetDefault{Req: req, Memgest: id}
 	})
-	if err != nil {
-		return err
-	}
-	_ = c.resolve(nil)
-	return r.Status.Err()
+	return err
 }
 
 // GetMemgestDescriptor fetches a memgest's scheme.
 func (c *Client) GetMemgestDescriptor(id proto.MemgestID) (proto.Scheme, error) {
-	r, err := leaderOp[*proto.MemgestReply](c, func(req proto.ReqID) proto.Message {
+	r, err := c.memgestOp(false, func(_ *call, req proto.ReqID) proto.Message {
 		return &proto.GetDescriptor{Req: req, Memgest: id}
 	})
+	return r.Scheme, err
+}
+
+// memgestOp runs one memgest verb at the leader; one that changed the
+// configuration refreshes the view, so that later puts route by it. A
+// status other than StOK is the error.
+func (c *Client) memgestOp(refresh bool, msg func(*call, proto.ReqID) proto.Message) (proto.MemgestReply, error) {
+	r, err := do[*proto.MemgestReply](c.newCall(toLeader, ""), msg)
 	if err != nil {
-		return proto.Scheme{}, err
+		return proto.MemgestReply{}, err
 	}
-	if r.Status != proto.StOK {
-		return proto.Scheme{}, r.Status.Err()
+	if refresh {
+		_ = c.resolve(nil)
 	}
-	return r.Scheme, nil
+	return *r, r.Status.Err()
 }

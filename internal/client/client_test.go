@@ -286,6 +286,37 @@ func TestLiveLeaderFailover(t *testing.T) {
 	}
 }
 
+// TestConcurrentClose: a Client is safe for concurrent use, Close
+// included. When Close checked its channel and then closed it, two
+// callers could both pass the check, and the second close panicked.
+func TestConcurrentClose(t *testing.T) {
+	cfg := &proto.Config{Epoch: 1, Leader: 0, Coords: []proto.NodeID{0}}
+	fabric := fakeNodes(t, 1, func(_ proto.NodeID, m proto.Message) proto.Message {
+		if r, ok := m.(*proto.Resolve); ok {
+			return &proto.ResolveReply{Req: r.Req, Config: cfg}
+		}
+		return nil
+	})
+	for i := 0; i < 100; i++ {
+		c, err := Dial(fabric, []string{core.NodeAddr(0)}, Options{Timeout: time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				c.Close()
+			}()
+		}
+		close(start)
+		wg.Wait()
+	}
+}
+
 func TestLiveDialFailsWithoutNodes(t *testing.T) {
 	cl, err := core.StartCluster(testSpec())
 	if err != nil {

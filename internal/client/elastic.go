@@ -9,19 +9,16 @@ import "ring/internal/proto"
 // moved (partial on error: coordinators already answered have moved
 // their keys).
 func (c *Client) MovePrefix(prefix string, from, to proto.MemgestID) (int, error) {
-	Metrics.Requests.Inc()
-	cfg := c.Config()
-	if cfg == nil || cfg.Shards() == 0 {
-		return 0, errNoConfig
-	}
 	total := 0
 	seen := make(map[proto.NodeID]bool)
-	for _, id := range cfg.Coords {
+	for _, id := range c.Config().Coords {
 		if seen[id] {
 			continue
 		}
 		seen[id] = true
-		r, err := do[*proto.MoveReply](c, toNode(id), func(req proto.ReqID) proto.Message {
+		k := c.newCall(toNode, "")
+		k.node = id
+		r, err := do[*proto.MoveReply](k, func(_ *call, req proto.ReqID) proto.Message {
 			return &proto.Move{Req: req, Key: prefix, Memgest: to, From: from, Prefix: true}
 		})
 		if err == nil {
@@ -38,7 +35,7 @@ func (c *Client) MovePrefix(prefix string, from, to proto.MemgestID) (int, error
 // resize runs one membership change and, when the leader answered,
 // refreshes the configuration it produced.
 func (c *Client) resize(op proto.ResizeOp, node proto.NodeID) (*proto.ResizeReply, error) {
-	r, err := leaderOp[*proto.ResizeReply](c, func(req proto.ReqID) proto.Message {
+	r, err := do[*proto.ResizeReply](c.newCall(toLeader, ""), func(_ *call, req proto.ReqID) proto.Message {
 		return &proto.Resize{Req: req, Op: op, Node: node}
 	})
 	if err == nil {

@@ -8,16 +8,17 @@ import "ring/internal/metrics"
 // tool or benchmark) accumulates into them.
 var Metrics struct {
 	// Requests counts operations issued (first attempts only);
-	// Retries counts re-resolve-and-retry cycles on top of those.
+	// Retries counts resends on top of those.
 	Requests metrics.Counter
 	Retries  metrics.Counter
 	// Packets counts the packets requests left in: Requests plus
 	// Retries plus Resolves' probes, over Packets, is how many requests
 	// the outboxes put in a packet.
 	Packets metrics.Counter
-	// Timeouts counts individual calls that expired without a reply.
+	// Timeouts counts attempts that expired without a reply.
 	Timeouts metrics.Counter
-	// Resolves counts configuration re-discoveries.
+	// Resolves counts configuration re-discoveries: the Resolve before
+	// each resend, and each ask of every node at once.
 	Resolves metrics.Counter
 	// PipelineDepth is the high-water mark of concurrently executing
 	// pipelined operations.

@@ -30,6 +30,7 @@ import (
 // outbox is what one destination is owed. Everything but packing is
 // guarded by Client.mu.
 type outbox struct {
+	to string
 	// reqs and msgs are the queued requests, index for index.
 	reqs []proto.ReqID
 	msgs []proto.Message
@@ -39,35 +40,31 @@ type outbox struct {
 	// the sender swaps in for the ones it takes.
 	spareReqs []proto.ReqID
 	spareMsgs []proto.Message
-	// packing is held while the sender encodes the messages it took: a
-	// call that gives up may not return, and let its caller reuse the
-	// bytes the message points at, until the encoder is done with them.
+	// packing is held while the sender encodes the messages it took: an
+	// operation that ends may not return, and let its caller reuse the
+	// bytes a message points at, until the encoder is done with them.
 	packing sync.Mutex
 }
 
-// post registers ch as the waiter of req and queues msg for `to`,
-// sending the outbox's packets if nobody else is.
-func (c *Client) post(to string, req proto.ReqID, msg proto.Message, ch chan result) {
-	c.mu.Lock()
-	c.waiters[req] = ch
+// queue appends msg for `to`, under c.mu; an idle outbox is claimed
+// for the caller to send.
+func (c *Client) queue(to string, req proto.ReqID, msg proto.Message) {
 	ob := c.outboxes[to]
 	if ob == nil {
-		ob = new(outbox)
+		ob = &outbox{to: to}
 		c.outboxes[to] = ob
 	}
 	ob.reqs = append(ob.reqs, req)
 	ob.msgs = append(ob.msgs, msg)
-	idle := !ob.sending
-	ob.sending = true
-	c.mu.Unlock()
-	if idle {
-		c.send(to, ob)
+	if !ob.sending {
+		ob.sending = true
+		c.claimed = append(c.claimed, ob)
 	}
 }
 
 // send empties ob, one packet per pass. A packet that does not leave
-// fails every request in it at once, into do's re-resolve-and-retry.
-func (c *Client) send(to string, ob *outbox) {
+// is a transient answer to every request in it at once.
+func (c *Client) send(ob *outbox) {
 	runtime.Gosched()
 	for {
 		c.mu.Lock()
@@ -89,37 +86,30 @@ func (c *Client) send(to string, ob *outbox) {
 		clear(msgs)
 		ob.packing.Unlock()
 		Metrics.Packets.Inc()
-		if err := c.ep.Send(to, buf); err != nil {
-			for _, req := range reqs {
-				c.deliver(req, result{err: err})
-			}
+		if err := c.ep.Send(ob.to, buf); err != nil {
+			c.failed(reqs)
 		}
 		ob.spareReqs, ob.spareMsgs = reqs, msgs
 	}
 }
 
-// abandon ends a call nobody answered in time. It withdraws the waiter
-// and, if the request has not left the outbox, the request; if a sender
-// is encoding it this instant, it waits for that. A result somebody had
-// already taken the waiter to deliver wins over why.
-func (c *Client) abandon(to string, req proto.ReqID, ch chan result, why error) result {
-	c.mu.Lock()
-	_, waiting := c.waiters[req]
-	delete(c.waiters, req)
-	ob := c.outboxes[to]
-	i := slices.Index(ob.reqs, req)
-	if i >= 0 {
-		ob.reqs = slices.Delete(ob.reqs, i, i+1)
-		ob.msgs = slices.Delete(ob.msgs, i, i+1)
+// forget, under c.mu, which it releases, takes k's queued attempts out
+// of the outboxes and waits for any encoder at work, so that k's caller
+// may reuse what its messages point at. A lone attempt that was
+// answered has left already.
+func (c *Client) forget(k *call) {
+	if len(k.reqs) > 1 || k.reply == nil {
+		for _, ob := range c.outboxes {
+			for _, req := range k.reqs {
+				if i := slices.Index(ob.reqs, req); i >= 0 {
+					ob.reqs = slices.Delete(ob.reqs, i, i+1)
+					ob.msgs = slices.Delete(ob.msgs, i, i+1)
+				}
+			}
+			ob.packing.Lock()
+			//lint:ignore SA2001 the critical section waited for is the encoder's
+			ob.packing.Unlock()
+		}
 	}
 	c.mu.Unlock()
-	if !waiting {
-		return <-ch
-	}
-	if i < 0 {
-		ob.packing.Lock()
-		//lint:ignore SA2001 the critical section waited for is the encoder's
-		ob.packing.Unlock()
-	}
-	return result{err: why}
 }

@@ -292,10 +292,10 @@ func TestFailedPacketFailsItsRequests(t *testing.T) {
 		t.Errorf("the node answered %d requests, want %d: the held one and each retry, none twice", got, 1+callers)
 	}
 	b.c.mu.Lock()
-	left := len(b.c.waiters)
+	left := len(b.c.sess.pending)
 	b.c.mu.Unlock()
 	if left != 0 {
-		t.Errorf("%d waiters left behind", left)
+		t.Errorf("%d requests left in the session's table", left)
 	}
 }
 

@@ -6,9 +6,9 @@
 //   - hotpathalloc: functions annotated //ring:hotpath (and the local
 //     functions they reach) stay free of the allocation patterns that
 //     would regress the zero-allocation message path.
-//   - simdeterminism: the simulated packages (core, sim, srs) never
-//     read wall-clock time or the global math/rand state, so simnet
-//     runs stay reproducible.
+//   - simdeterminism: the simulated packages (client, core, sim, srs)
+//     never read wall-clock time or the global math/rand state, so
+//     simnet runs stay reproducible.
 //   - sleepytest: no bare time.Sleep in _test.go files — the flake
 //     class the tickUntil/poll helpers eradicated.
 //   - durablepath: no call into the durable storage packages

@@ -10,6 +10,7 @@ import (
 // single wall-clock read or global-RNG draw silently desynchronizes a
 // calibrated run from its seed.
 var restrictedPkgs = []string{
+	"ring/internal/client",
 	"ring/internal/core",
 	"ring/internal/sim",
 	"ring/internal/srs",
@@ -35,15 +36,16 @@ var globalRandFuncs = map[string]bool{
 }
 
 // SimDeterminism forbids wall-clock time and global math/rand inside
-// the simulated packages (core, sim, srs): their state machines must
-// take time as an argument (the event clock) and randomness from a
+// the simulated packages (client, core, sim, srs): their state machines
+// must take time as an argument (the event clock) and randomness from a
 // seeded source, so every simnet run is reproducible from its seed.
-// The deliberate real-time boundary — core's Runner, which hosts the
-// same state machine on a live fabric — opts out per function with
-// //ring:wallclock. Test files are exempt (they drive the harness).
+// The deliberate real-time boundaries — core's Runner and the live
+// Client, which host the same state machines on a live fabric — opt
+// out per function with //ring:wallclock. Test files are exempt (they
+// drive the harness).
 var SimDeterminism = &Analyzer{
 	Name: "simdeterminism",
-	Doc:  "no time.Now/Sleep/After or global math/rand in internal/core, internal/sim, internal/srs (use the event clock and seeded RNGs; //ring:wallclock for real-time boundaries)",
+	Doc:  "no time.Now/Sleep/After or global math/rand in internal/client, internal/core, internal/sim, internal/srs (use the event clock and seeded RNGs; //ring:wallclock for real-time boundaries)",
 	Run:  runSimDeterminism,
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"time"
 
+	"ring/internal/client"
 	"ring/internal/linearize"
 	"ring/internal/proto"
 	"ring/internal/store"
@@ -14,8 +15,8 @@ import (
 
 // This file is the instrumented workload side of the chaos harness:
 // closed-loop clients that issue puts/gets/deletes against the
-// simulated cluster — retrying and re-resolving through failures like
-// the real client library, which is caller.go's half — and record every
+// simulated cluster — retrying and re-resolving through failures with
+// the real client library's session (session.go) — and record every
 // operation as an invocation/response pair for the linearizability
 // checker. All randomness comes from seeded generators, so a run is a
 // pure function of its seed.
@@ -88,11 +89,11 @@ func NewChaosHarness(s *Sim, cfg *proto.Config, opts ChaosOptions) *ChaosHarness
 	h := &ChaosHarness{sim: s, opts: opts, nextVal: 1}
 	for i := 0; i < opts.Clients; i++ {
 		c := &chaosClient{
-			caller: newCaller(s, fmt.Sprintf("client/chaos%d", i), cfg.Clone(), opts.OpTimeout, opts.OpRetries),
-			h:      h,
-			idx:    i,
-			rng:    rand.New(rand.NewSource(opts.Seed*1_000_003 + int64(i)*7919)),
-			left:   opts.OpsPerClient,
+			session: newSession(s, fmt.Sprintf("client/chaos%d", i), cfg.Clone(), opts.OpTimeout, opts.OpRetries),
+			h:       h,
+			idx:     i,
+			rng:     rand.New(rand.NewSource(opts.Seed*1_000_003 + int64(i)*7919)),
+			left:    opts.OpsPerClient,
 		}
 		h.running++
 		// Stagger starts so clients do not move in lockstep.
@@ -119,9 +120,9 @@ func (h *ChaosHarness) Done() bool { return h.running == 0 }
 
 // chaosClient is one closed-loop workload client: it generates
 // operations and records them in the shared history; sending, retrying
-// and re-resolving are the caller's.
+// and re-resolving are the session's.
 type chaosClient struct {
-	*caller
+	*session
 	h    *ChaosHarness
 	idx  int
 	rng  *rand.Rand
@@ -167,7 +168,7 @@ func (c *chaosClient) startNext(now time.Duration) {
 		Arg:    arg,
 		Invoke: now,
 	})
-	c.start(now, func(cfg *proto.Config, req proto.ReqID) (proto.NodeID, proto.Message) {
+	c.Start(now, client.OpFuncs(func(cfg *proto.Config, req proto.ReqID) (proto.NodeID, proto.Message) {
 		to := cfg.CoordinatorOf(store.KeyHash(key))
 		switch kind {
 		case linearize.KPut:
@@ -202,7 +203,7 @@ func (c *chaosClient) startNext(now time.Duration) {
 		}
 		c.scheduleNext(now)
 		return true
-	})
+	}))
 }
 
 // chaosValue encodes a write's value: the 8-byte argument followed by

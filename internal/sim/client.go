@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"ring/internal/client"
 	"ring/internal/proto"
 	"ring/internal/store"
 )
@@ -12,29 +13,29 @@ import (
 // key hash like the real client and measures each operation's latency,
 // but lives inside the event loop and never retries — the experiments
 // run without faults, and a resend would be charged to the figure.
-type Client struct{ *caller }
+type Client struct{ *session }
 
 // NewClient registers a simulated client on the fabric.
 func NewClient(s *Sim, name string, cfg *proto.Config) *Client {
-	return &Client{newCaller(s, "client/"+name, cfg, 0, 0)}
+	return &Client{newSession(s, "client/"+name, cfg, 0, 0)}
 }
 
 // SetConfig updates the client's routing view (e.g. after simulated
-// failover).
-func (c *Client) SetConfig(cfg *proto.Config) { c.cfg = cfg }
+// failover) unless cfg is older.
+func (c *Client) SetConfig(cfg *proto.Config) { c.Adopt(cfg) }
 
 // do sends a key-routed request at virtual time `at` and invokes done
 // with the measured latency when a reply of type R arrives.
 func do[R proto.Reply](c *Client, at time.Duration, key string, build func(proto.ReqID) proto.Message, done func(time.Duration, R)) {
 	c.sim.At(at, func(sent time.Duration) {
-		c.start(sent, func(cfg *proto.Config, req proto.ReqID) (proto.NodeID, proto.Message) {
+		c.Start(sent, client.OpFuncs(func(cfg *proto.Config, req proto.ReqID) (proto.NodeID, proto.Message) {
 			return cfg.CoordinatorOf(store.KeyHash(key)), build(req)
 		}, func(now time.Duration, m proto.Reply) bool {
 			if r, ok := m.(R); ok && done != nil {
 				done(now-sent, r)
 			}
 			return true
-		})
+		}))
 	})
 }
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"ring/internal/client"
 	"ring/internal/proto"
 	"ring/internal/store"
 )
@@ -13,8 +14,8 @@ import (
 // This file is the control-plane side of the elasticity nemesis: a
 // deterministic agent that issues scheme moves and join/leave
 // resizes against the simulated cluster at scheduled virtual times,
-// retrying and re-resolving through failures (caller.go) exactly like an
-// operator driving ringctl would. It shares the fabric with the chaos clients
+// retrying and re-resolving through failures with the session ringctl's
+// client runs (session.go). It shares the fabric with the chaos clients
 // but records nothing in the linearizability history — moves do not
 // change values and resizes do not touch data, so their correctness is
 // asserted indirectly: the client-visible history must stay
@@ -36,7 +37,7 @@ const (
 // nemesisAgent drives NemConvert/NemJoin/NemLeave steps. One per
 // simulation, created lazily by the first elastic step applied.
 type nemesisAgent struct {
-	*caller
+	*session
 	// Acked counts control operations that reached a terminal reply;
 	// Abandoned counts those that exhausted their retries.
 	Acked     int
@@ -47,7 +48,7 @@ type nemesisAgent struct {
 // registering it on first use.
 func (s *Sim) elasticAgent() *nemesisAgent {
 	if s.elastic == nil {
-		s.elastic = &nemesisAgent{caller: newCaller(s, nemesisAddr, s.cfg0.Clone(), nemesisTimeout, nemesisRetries)}
+		s.elastic = &nemesisAgent{session: newSession(s, nemesisAddr, s.cfg0.Clone(), nemesisTimeout, nemesisRetries)}
 	}
 	return s.elastic
 }
@@ -57,7 +58,7 @@ func (s *Sim) elasticAgent() *nemesisAgent {
 // retried; anything else (success or a definitive rejection such as
 // StNotFound for a key never written) ends the operation.
 func (a *nemesisAgent) launch(now time.Duration, step NemesisStep) {
-	a.start(now, func(cfg *proto.Config, req proto.ReqID) (proto.NodeID, proto.Message) {
+	a.Start(now, client.OpFuncs(func(cfg *proto.Config, req proto.ReqID) (proto.NodeID, proto.Message) {
 		switch step.Kind {
 		case NemConvert:
 			key := fmt.Sprintf("k%d", step.A)
@@ -77,7 +78,7 @@ func (a *nemesisAgent) launch(now time.Duration, step NemesisStep) {
 			a.Acked++
 		}
 		return true
-	})
+	}))
 }
 
 // GenElasticitySchedule derives an elasticity nemesis schedule from a
