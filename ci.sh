@@ -213,9 +213,19 @@ stage_chaos() {
     timeout 30 ./bin/ringchaos -seeds 1:120 -v
     timeout 30 ./bin/ringchaos -durable -seeds 1:150 -v
     timeout 30 ./bin/ringchaos -elasticity -seeds 1:10 -v
-    chaos_band 40 -seeds 1:2000
+    # The ceilings are the maximum of six draws, not one. Patched in a
+    # scratch copy only, the simulator charged every message size+d
+    # bytes for d = 0, +1, -5, -20, +16, -30: no protocol or message
+    # changes, only when each lands. At 8263f1f (fixed-width wire) the
+    # bands read plain 40 / 38 / 44 / 51 / 44 / 48 red (mean 44.2, 106
+    # distinct seeds), durable 32 / 32 / 32 / 31 / 32 / 31, elasticity
+    # 7 / 7 / 6 / 9 / 9 / 6 (mean 7.3, 19 distinct seeds): a ceiling
+    # of 40 failed that unchanged tree in four of its five perturbed
+    # draws. A change that moves bytes or timing compares its own six
+    # draws and their per-seed union with the parent's.
+    chaos_band 51 -seeds 1:2000
     chaos_band 32 -durable -seeds 1:2000
-    chaos_band 7 -elasticity -seeds 1:500
+    chaos_band 9 -elasticity -seeds 1:500
 
     timeout 120 go run ./benchmark -workload rep3_1k_fsync -seconds 5
     timeout 120 go run ./benchmark -workload tier_1k_read90_move -seconds 5

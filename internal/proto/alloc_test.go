@@ -1,6 +1,9 @@
 package proto
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // Allocation-regression tests: the message hot path is pinned at its
 // allocation counts so refactors cannot quietly reintroduce per-message
@@ -104,7 +107,11 @@ func TestDecodeViewsAliasInput(t *testing.T) {
 	if len(put.Value) != 5 || cap(put.Value) != 5 {
 		t.Fatalf("view has len %d cap %d, want 5/5", len(put.Value), cap(put.Value))
 	}
-	enc[len(enc)-4-5] ^= 0xFF // first byte of the value inside the packet
+	at := bytes.Index(enc, []byte("value"))
+	if at < 0 {
+		t.Fatalf("value not found in %x", enc)
+	}
+	enc[at] ^= 0xFF // first byte of the value inside the packet
 	if put.Value[0] != 'v'^0xFF {
 		t.Fatal("Put.Value is a copy; Decode should alias its input")
 	}

@@ -1,6 +1,9 @@
 package proto
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Batch frame format.
 //
@@ -9,13 +12,15 @@ import "encoding/binary"
 // updates to the same peer costs a single datagram — the analogue of
 // posting back-to-back RDMA verbs and ringing the doorbell once:
 //
-//	[1-byte TBatch][u32 count][count × ([u32 len][len bytes of message])]
+//	[1-byte TBatch][varint count][count × ([varint len][len bytes of message])]
 //
 // Each sub-message is a complete envelope as produced by Encode /
 // AppendEncode (type byte included), so decoding a batch is just
-// slicing and dispatching through the ordinary Decode. Batches are
-// never nested: AppendBatch emits sub-messages flat, and
-// ForEachPacked treats a TBatch sub-message as malformed.
+// slicing and dispatching through the ordinary Decode. A length is
+// padded to the width of its message's SizeHint, reserved before the
+// message is encoded behind it, so nothing written moves. Batches are
+// never nested: AppendBatch emits sub-messages flat, and ForEachPacked
+// treats a TBatch sub-message as malformed.
 
 // TBatch tags a multi-message packet. It sits at the top of the type
 // space, far from the iota-assigned message types, so new messages
@@ -23,6 +28,21 @@ import "encoding/binary"
 // message: AppendBatch writes it and ForEachPacked strips it before
 // Decode ever sees the payload.
 const TBatch MsgType = 0xFF
+
+// lenPad is the zero bytes a length prefix is reserved with.
+var lenPad [binary.MaxVarintLen64]byte
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of v.
+func uvarintLen(v int) int { return (bits.Len64(uint64(v)|1) + 6) / 7 }
+
+// putPaddedUvarint writes v as a varint of exactly len(b) bytes:
+// continuation bits on all but the last. v must fit 7·len(b) bits.
+func putPaddedUvarint(b []byte, v int) {
+	for i := range b {
+		b[i] = byte(v>>(7*i)) | 0x80
+	}
+	b[len(b)-1] &^= 0x80
+}
 
 // AppendBatch frames msgs into buf as one packet and returns the
 // extended slice. A single message is emitted as its plain envelope
@@ -34,23 +54,27 @@ func AppendBatch(buf []byte, msgs ...Message) []byte {
 		return AppendEncode(buf, msgs[0])
 	}
 	buf = append(buf, uint8(TBatch))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(msgs)))
+	buf = binary.AppendUvarint(buf, uint64(len(msgs)))
 	for _, m := range msgs {
-		lenAt := len(buf)
-		buf = append(buf, 0, 0, 0, 0)
-		buf = AppendEncode(buf, m)
-		binary.LittleEndian.PutUint32(buf[lenAt:], uint32(len(buf)-lenAt-4))
+		lenAt, w := len(buf), uvarintLen(SizeHint(m))
+		buf = AppendEncode(append(buf, lenPad[:w]...), m)
+		if n := len(buf) - lenAt - w; uvarintLen(n) > w {
+			// A message SizeHint does not bound (a configuration, a
+			// metadata table, a long key) outgrew its prefix: encode it
+			// again behind a wide enough one.
+			w = uvarintLen(n)
+			buf = AppendEncode(append(buf[:lenAt], lenPad[:w]...), m)
+		}
+		putPaddedUvarint(buf[lenAt:lenAt+w], len(buf)-lenAt-w)
 	}
 	return buf
 }
 
 // SizeHint returns the buffer capacity to encode m into without
 // regrowing it: an upper bound for the messages that carry a payload
-// (their fixed fields, the largest being ParityUpdate's 63 bytes, and
-// AppendBatch's framing fit in the 96 bytes allowed for them), and
-// those same 96 bytes for the rest, where an outsized one (a
-// configuration, a metadata table) just grows its buffer as any append
-// would.
+// (96 bytes cover their other fields, ParityUpdate's 78 at most, and
+// AppendBatch's framing), and 96 bytes for the rest, where an outsized
+// one (a configuration, a metadata table) grows its buffer.
 //
 //ring:hotpath
 func SizeHint(m Message) int {
@@ -88,32 +112,22 @@ func ForEachPacked(pkt []byte, fn func(enc []byte) error) error {
 	if !IsBatch(pkt) {
 		return fn(pkt)
 	}
-	b := pkt[1:]
-	if len(b) < 4 {
-		return ErrTruncated
+	r := reader{b: pkt[1:]}
+	count := int(r.u32())
+	if count > len(r.b) {
+		r.fail() // every sub-message takes at least its length byte
 	}
-	count := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	for i := uint32(0); i < count; i++ {
-		if len(b) < 4 {
-			return ErrTruncated
-		}
-		n := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		if uint32(len(b)) < n {
-			return ErrTruncated
-		}
-		sub := b[:n]
-		b = b[n:]
-		if IsBatch(sub) {
+	for i := 0; i < count && r.err == nil; i++ {
+		sub := r.bytes()
+		switch {
+		case r.err != nil:
+		case IsBatch(sub):
 			return ErrUnknownType // nested batches are malformed
-		}
-		if err := fn(sub); err != nil {
-			return err
+		default:
+			if err := fn(sub); err != nil {
+				return err
+			}
 		}
 	}
-	if len(b) != 0 {
-		return ErrTruncated
-	}
-	return nil
+	return r.done()
 }

@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 )
@@ -26,12 +28,33 @@ func TestAppendEncodeMatchesEncode(t *testing.T) {
 }
 
 func TestBatchRoundTrip(t *testing.T) {
+	recs := make([]MetaRecord, 20)
+	for i := range recs {
+		recs[i] = MetaRecord{Key: "user:42", Version: Version(i + 1), Memgest: 2, Committed: true, Length: 1024}
+	}
 	msgs := []Message{
 		&RepCommit{Memgest: 1, Shard: 0, Seq: 7},
 		&Purge{Memgest: 1, Shard: 0, Key: "k", Version: 1},
 		&PutReply{Req: 3, Status: StOK, Version: 2},
+		// Under 128 bytes behind a prefix reserved for its 197-byte
+		// SizeHint: the length is padded to two bytes.
+		&RepAppend{Memgest: 1, Seq: 8, Rec: MetaRecord{Key: "k", Version: 2, Memgest: 1, Length: 100}, Value: make([]byte, 100)},
+		// Past the one byte its 96-byte SizeHint reserves: re-encoded
+		// behind a two-byte prefix.
+		&MetaFetchReply{Req: 4, Status: StOK, Memgest: 2, Seq: 20, Recs: recs},
 	}
 	pkt := AppendBatch(nil, msgs...)
+	// Each prefix is as wide as its reservation, and only as wide as it
+	// must be where the message outgrew it.
+	widths := []int{1, 1, 1, 2, 2}
+	b := pkt[2:]
+	for i, m := range msgs {
+		n, w := binary.Uvarint(b)
+		if w != widths[i] || n != uint64(len(Encode(m))) {
+			t.Fatalf("%T: prefix reads %d in %d bytes, want %d in %d", m, n, w, len(Encode(m)), widths[i])
+		}
+		b = b[w+int(n):]
+	}
 	if !IsBatch(pkt) {
 		t.Fatalf("multi-message packet not tagged TBatch: type %d", pkt[0])
 	}
@@ -81,11 +104,18 @@ func TestBatchSingleMessageIsPlainEnvelope(t *testing.T) {
 
 func TestBatchRejectsMalformed(t *testing.T) {
 	nop := func([]byte) error { return nil }
+	// [TBatch][count 2][len 2][THeartbeat 1][len 2][THeartbeat 2]
 	good := AppendBatch(nil, &Heartbeat{Epoch: 1}, &Heartbeat{Epoch: 2})
+	if want := []byte{byte(TBatch), 2, 2, byte(THeartbeat), 1, 2, byte(THeartbeat), 2}; !bytes.Equal(good, want) {
+		t.Fatalf("frame %x, want %x", good, want)
+	}
 	cases := map[string][]byte{
 		"empty body":       {byte(TBatch)},
-		"short count":      {byte(TBatch), 1, 0},
-		"truncated prefix": good[:len(good)-12],
+		"truncated count":  {byte(TBatch), 0x82},
+		"count over u32":   {byte(TBatch), 0x80, 0x80, 0x80, 0x80, 0x10},
+		"count over bytes": {byte(TBatch), 3, 1, byte(THeartbeat)},
+		"truncated prefix": {byte(TBatch), 2, 0x82},
+		"missing message":  good[:len(good)-3],
 		"truncated body":   good[:len(good)-1],
 		"trailing bytes":   append(append([]byte(nil), good...), 0xAA),
 	}
@@ -96,9 +126,7 @@ func TestBatchRejectsMalformed(t *testing.T) {
 	}
 	// A nested batch is malformed by construction.
 	inner := AppendBatch(nil, &Heartbeat{Epoch: 1}, &Heartbeat{Epoch: 2})
-	nested := []byte{byte(TBatch), 1, 0, 0, 0}
-	nested = append(nested, byte(len(inner)), 0, 0, 0)
-	nested = append(nested, inner...)
+	nested := append([]byte{byte(TBatch), 1, byte(len(inner))}, inner...)
 	if err := ForEachPacked(nested, nop); err == nil {
 		t.Error("nested batch: accepted")
 	}

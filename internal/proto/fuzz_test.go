@@ -29,8 +29,17 @@ func FuzzWireRoundTrip(f *testing.F) {
 	}
 	f.Add(AppendBatch(nil, seeds...))
 	f.Add([]byte{})
-	f.Add([]byte{0xFF, 0, 0, 0, 0})
+	f.Add([]byte{0xFF, 0})
 	f.Add([]byte{0x01})
+	// A RepCommit whose Seq 7 is written in three bytes: it decodes, and
+	// re-encodes in one.
+	f.Add([]byte{byte(TRepCommit), 1, 0, 0x87, 0x80, 0x00})
+	// A RepCommit whose memgest, a u32, holds 2^32.
+	f.Add([]byte{byte(TRepCommit), 0x80, 0x80, 0x80, 0x80, 0x10, 0, 7})
+	// A Put cut inside the varint of its ReqID.
+	f.Add([]byte{byte(TPut), 0x81})
+	// A TBatch whose count of three exceeds the bytes after it.
+	f.Add([]byte{byte(TBatch), 3, 2, byte(THeartbeat), 1})
 
 	f.Fuzz(func(t *testing.T, pkt []byte) {
 		// ForEachPacked must never panic on arbitrary input, and every

@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -171,12 +173,72 @@ func TestDecodeErrors(t *testing.T) {
 
 func TestDecodeHugeLengthPrefix(t *testing.T) {
 	// A length prefix far beyond the buffer must fail cleanly, not
-	// attempt a giant allocation.
-	buf := Encode(&Get{Req: 1, Key: "abc"})
-	// Patch the key length field (offset: 1 type + 8 req) to 2^31.
-	buf[9], buf[10], buf[11], buf[12] = 0xff, 0xff, 0xff, 0x7f
+	// attempt a giant allocation: a Get of key "abc" whose key length
+	// (after the type and a one-byte ReqID) reads 2^31 - 1.
+	buf := []byte{byte(TGet), 1, 0xff, 0xff, 0xff, 0xff, 0x07, 'a', 'b', 'c', 0}
 	if _, err := Decode(buf); err == nil {
 		t.Fatal("huge length accepted")
+	}
+}
+
+// TestWireSizes pins the encoded size of the messages a Rep(3,3) put
+// and get send, at the field values a long benchmark run reaches
+// (ReqID and Seq near 10^5, a hot key's Version near 10^3, an 8-byte
+// key, a 1 KiB value). Before every integer became a varint, with
+// 8-byte ReqID/Seq/Version and 4-byte memgest, shard and lengths:
+//
+//	message          fixed  varint
+//	RepAppend 1 KiB   1083    1050
+//	RepAck              17       6
+//	RepCommit           17       6
+//	Purge               29      14
+//	PutReply            18       7
+//	GetReply 1 KiB    1046    1033
+func TestWireSizes(t *testing.T) {
+	const (
+		req = ReqID(123456)
+		seq = Seq(123456)
+		ver = Version(1000)
+		key = "0001e240"
+	)
+	val := make([]byte, 1024)
+	rec := MetaRecord{Key: key, Version: ver, Memgest: 2, Length: 1024}
+	for _, tc := range []struct {
+		m    Message
+		want int
+	}{
+		{&RepAppend{Memgest: 2, Shard: 1, Seq: seq, Rec: rec, Value: val}, 1050},
+		{&RepAck{Memgest: 2, Shard: 1, Seq: seq}, 6},
+		{&RepCommit{Memgest: 2, Shard: 1, Seq: seq}, 6},
+		{&Purge{Memgest: 2, Shard: 1, Key: key, Version: ver}, 14},
+		{&PutReply{Req: req, Status: StOK, Version: ver}, 7},
+		{&GetReply{Req: req, Status: StOK, Version: ver, Value: val}, 1033},
+	} {
+		if got := len(Encode(tc.m)); got != tc.want {
+			t.Errorf("%T encodes to %d bytes, want %d", tc.m, got, tc.want)
+		}
+	}
+}
+
+// TestVarintBounds: a padded varint decodes to its value and
+// re-encodes minimal; a value past its field's type, or a varint that
+// overflows 64 bits, is malformed.
+func TestVarintBounds(t *testing.T) {
+	m, err := Decode([]byte{byte(TRepCommit), 1, 0, 0x87, 0x80, 0x00})
+	if err != nil || *m.(*RepCommit) != (RepCommit{Memgest: 1, Seq: 7}) {
+		t.Fatalf("padded Seq: %v, %v", m, err)
+	}
+	if enc, want := Encode(m), []byte{byte(TRepCommit), 1, 0, 7}; !bytes.Equal(enc, want) {
+		t.Fatalf("re-encoded as %x, want %x", enc, want)
+	}
+	for name, pkt := range map[string][]byte{
+		"u32 holding 2^32":   {byte(TRepCommit), 0x80, 0x80, 0x80, 0x80, 0x10, 0, 7},
+		"u16 holding 2^16":   {byte(TCreateMemgest), 1, byte(SchemeSRS), 0x80, 0x80, 0x04, 0, 0, 0},
+		"eleven-byte varint": {byte(TRepCommit), 1, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
+	} {
+		if _, err := Decode(pkt); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: %v, want ErrMalformed", name, err)
+		}
 	}
 }
 

@@ -155,24 +155,11 @@ type MemgestInfo struct {
 func (w *writer) memgestInfo(m MemgestInfo) {
 	w.u32(uint32(m.ID))
 	w.scheme(m.Scheme)
-	w.u16(uint16(len(m.Redundant)))
-	for _, n := range m.Redundant {
-		w.u32(uint32(n))
-	}
+	w.nodeList(m.Redundant)
 }
 
 func (r *reader) memgestInfo() MemgestInfo {
-	m := MemgestInfo{ID: MemgestID(r.u32()), Scheme: r.scheme()}
-	n := int(r.u16())
-	if r.err != nil || n > len(r.b) {
-		r.fail()
-		return m
-	}
-	m.Redundant = make([]NodeID, n)
-	for i := range m.Redundant {
-		m.Redundant[i] = NodeID(r.u32())
-	}
-	return m
+	return MemgestInfo{ID: MemgestID(r.u32()), Scheme: r.scheme(), Redundant: r.nodeList()}
 }
 
 // Config is the replicated cluster configuration: the role of every
@@ -254,23 +241,22 @@ func (c *Config) AllNodes() []NodeID {
 func (w *writer) config(c *Config) {
 	w.u64(uint64(c.Epoch))
 	w.u32(uint32(c.Leader))
-	w.u16(uint16(len(c.Coords)))
-	for _, n := range c.Coords {
-		w.u32(uint32(n))
-	}
-	w.u16(uint16(len(c.Redundant)))
-	for _, n := range c.Redundant {
-		w.u32(uint32(n))
-	}
-	w.u16(uint16(len(c.Spares)))
-	for _, n := range c.Spares {
-		w.u32(uint32(n))
-	}
+	w.nodeList(c.Coords)
+	w.nodeList(c.Redundant)
+	w.nodeList(c.Spares)
 	w.u16(uint16(len(c.Memgests)))
 	for i := range c.Memgests {
 		w.memgestInfo(c.Memgests[i])
 	}
 	w.u32(uint32(c.Default))
+}
+
+// nodeList encodes a u16-counted list of node IDs.
+func (w *writer) nodeList(ns []NodeID) {
+	w.u16(uint16(len(ns)))
+	for _, n := range ns {
+		w.u32(uint32(n))
+	}
 }
 
 // nodeList decodes a u16-counted list of node IDs.

@@ -3,17 +3,18 @@
 // configuration descriptors, and every message exchanged between
 // clients, coordinators, replicas, parity nodes, and the leader.
 //
-// Messages are encoded with a hand-rolled little-endian binary format
-// (no reflection): an envelope of [1-byte type][body]. Each message
-// implements Marshaler; Decode dispatches on the type byte. The format
-// is length-prefixed for all variable fields, rejects truncated input,
-// and is covered by round-trip and corpus tests.
+// Messages are encoded with a hand-rolled binary format (no
+// reflection): an envelope of [1-byte type][body], in which a Status or
+// a bool is one byte and every other integer and every length prefix an
+// unsigned varint that must fit its field's type. Decode dispatches on
+// the type byte, rejects truncated or malformed input, and is covered
+// by round-trip and corpus tests. There is no version byte.
 //
 // Encoding has two entry points: Encode allocates a fresh buffer, and
 // AppendEncode appends into a caller-owned buffer for the
 // zero-allocation hot path. Several messages bound for the same peer
 // can be coalesced into one packet with AppendBatch, producing a
-// TBatch envelope ([1-byte TBatch][u32 count][count length-prefixed
+// TBatch envelope ([1-byte TBatch][varint count][count length-prefixed
 // messages]); ForEachPacked iterates the sub-messages of such a
 // packet (and degrades to a single visit for plain envelopes). See
 // batch.go for the exact frame layout.
@@ -25,28 +26,34 @@
 // recycles the buffer owns the rule that goes with it: a consumer that
 // keeps such bytes past the buffer's release copies them first (see
 // the transport package's "Payload ownership"). Strings and all
-// fixed-width fields are copied out as before.
+// integer fields are copied out as before.
 package proto
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ErrTruncated is returned when a buffer ends before a complete value.
 var ErrTruncated = errors.New("proto: truncated message")
 
+// ErrMalformed is returned for a varint that overflows 64 bits or
+// whose value does not fit the field it encodes.
+var ErrMalformed = errors.New("proto: integer out of range for its field")
+
 // ErrUnknownType is returned for an unrecognized message type byte.
 var ErrUnknownType = errors.New("proto: unknown message type")
 
-// writer appends primitive values to a byte slice.
+// writer appends primitive values to a byte slice: one byte for a u8
+// or bool, an unsigned varint for every wider integer.
 type writer struct{ b []byte }
 
 func (w *writer) u8(v uint8)   { w.b = append(w.b, v) }
-func (w *writer) u16(v uint16) { w.b = binary.LittleEndian.AppendUint16(w.b, v) }
-func (w *writer) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *writer) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
+func (w *writer) u16(v uint16) { w.b = binary.AppendUvarint(w.b, uint64(v)) }
+func (w *writer) u32(v uint32) { w.b = binary.AppendUvarint(w.b, uint64(v)) }
+func (w *writer) u64(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
 func (w *writer) bool(v bool) {
 	if v {
 		w.u8(1)
@@ -85,35 +92,36 @@ func (r *reader) u8() uint8 {
 	return v
 }
 
-func (r *reader) u16() uint16 {
-	if r.err != nil || len(r.b) < 2 {
-		r.fail()
-		return 0
+// uvarint consumes one varint no larger than max. A padded varint
+// (continuation bits on a zero tail) is accepted, as binary.Uvarint
+// accepts it. One byte, which fits every field, is read inline.
+func (r *reader) uvarint(max uint64) uint64 {
+	if len(r.b) > 0 && r.b[0] < 0x80 && r.err == nil {
+		v := r.b[0]
+		r.b = r.b[1:]
+		return uint64(v)
 	}
-	v := binary.LittleEndian.Uint16(r.b)
-	r.b = r.b[2:]
-	return v
+	return r.uvarintLong(max)
 }
 
-func (r *reader) u32() uint32 {
-	if r.err != nil || len(r.b) < 4 {
-		r.fail()
-		return 0
+func (r *reader) uvarintLong(max uint64) uint64 {
+	v, n := binary.Uvarint(r.b)
+	switch {
+	case r.err != nil:
+	case n == 0:
+		r.err = ErrTruncated
+	case n < 0 || v > max:
+		r.err = ErrMalformed
+	default:
+		r.b = r.b[n:]
+		return v
 	}
-	v := binary.LittleEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v
+	return 0
 }
 
-func (r *reader) u64() uint64 {
-	if r.err != nil || len(r.b) < 8 {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
+func (r *reader) u16() uint16 { return uint16(r.uvarint(math.MaxUint16)) }
+func (r *reader) u32() uint32 { return uint32(r.uvarint(math.MaxUint32)) }
+func (r *reader) u64() uint64 { return r.uvarint(math.MaxUint64) }
 
 func (r *reader) bool() bool { return r.u8() != 0 }
 
@@ -131,16 +139,7 @@ func (r *reader) bytes() []byte {
 	return v
 }
 
-func (r *reader) str() string {
-	n := int(r.u32())
-	if r.err != nil || len(r.b) < n {
-		r.fail()
-		return ""
-	}
-	v := string(r.b[:n])
-	r.b = r.b[n:]
-	return v
-}
+func (r *reader) str() string { return string(r.bytes()) }
 
 func (r *reader) done() error {
 	if r.err != nil {

@@ -61,17 +61,24 @@ type CostModel struct {
 // DefaultModel returns constants calibrated so that the Figure 7
 // reproduction lands in the paper's range (get ≈ 5 µs, REP1 put
 // ≈ 5 µs at small sizes, SRS32 put ≈ 3x REP1 at 2 KiB).
+//
+// Copy, decode, metadata and send bytes cost no CPU: a Duration counts
+// whole nanoseconds, so a rate below one per byte cannot be written
+// here (time.Nanosecond / 4 is an integer division equal to zero), and
+// every figure is calibrated with these four at zero. Byte volume
+// reaches virtual time through NIC serialisation (NetBytesPerSec) and
+// parity XOR alone.
 func DefaultModel() CostModel {
 	return CostModel{
 		NetDelay:         1500 * time.Nanosecond,
 		NetBytesPerSec:   3.2e9, // ~26 Gb/s effective of the 40 Gb/s link
 		CPUFixed:         1400 * time.Nanosecond,
 		CPUFixedRepl:     700 * time.Nanosecond,
-		CPUPerByteCopy:   time.Nanosecond / 4,
+		CPUPerByteCopy:   0,
 		CPUPerByteXor:    2 * time.Nanosecond,
-		CPUPerByteDecode: time.Nanosecond / 2,
-		CPUPerByteMeta:   time.Nanosecond / 4,
-		CPUPerByteSend:   time.Nanosecond / 4,
+		CPUPerByteDecode: 0,
+		CPUPerByteMeta:   0,
+		CPUPerByteSend:   0,
 	}
 }
 
