@@ -515,32 +515,45 @@ func BenchmarkLiveGet1KiB(b *testing.B) {
 	}
 }
 
-// benchLivePipelinedPut drives the asynchronous client with `depth`
-// requests in flight — the pipelining the paper's throughput numbers
-// (Fig 9, Table 1) assume. Compare against the sequential
-// BenchmarkLivePut* loops above to see the latency-bound vs
-// fabric-bound gap.
-func benchLivePipelinedPut(b *testing.B, mg ring.MemgestID, size, depth int) {
+// liveCallers runs op(0..b.N-1) on 16 goroutines calling one client:
+// 16 requests in flight, which the paper's throughput numbers (Fig 9,
+// Table 1) assume. Compare against the sequential BenchmarkLivePut*
+// loops above to see the latency-bound vs fabric-bound gap.
+func liveCallers(b *testing.B, op func(i int) error) {
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for w := range 16 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < b.N; i += 16 {
+				if err := op(i); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func benchLiveCallersPut(b *testing.B, mg ring.MemgestID, size int) {
 	_, c := liveCluster(b)
 	val := make([]byte, size)
 	keys := benchKeys("k", 4096)
-	p := c.NewPipeline(depth)
 	b.SetBytes(int64(size))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.PutIn(keys[i%4096], val, mg)
-	}
-	if err := p.Flush(); err != nil {
-		b.Fatal(err)
-	}
+	liveCallers(b, func(i int) error {
+		_, err := c.PutIn(keys[i%4096], val, mg)
+		return err
+	})
 }
 
-func BenchmarkLivePipelinedPut_REP3(b *testing.B)  { benchLivePipelinedPut(b, 2, 1024, 16) }
-func BenchmarkLivePipelinedPut_SRS32(b *testing.B) { benchLivePipelinedPut(b, 4, 1024, 16) }
+func BenchmarkLiveCallersPut_REP3(b *testing.B)  { benchLiveCallersPut(b, 2, 1024) }
+func BenchmarkLiveCallersPut_SRS32(b *testing.B) { benchLiveCallersPut(b, 4, 1024) }
 
-// BenchmarkLivePipelinedMixed runs the paper's 95/5 get/put mix with 16
-// requests outstanding against SRS32.
-func BenchmarkLivePipelinedMixed_SRS32(b *testing.B) {
+// BenchmarkLiveCallersMixed_SRS32 runs the paper's 95/5 get/put mix with
+// 16 callers against SRS32.
+func BenchmarkLiveCallersMixed_SRS32(b *testing.B) {
 	_, c := liveCluster(b)
 	val := make([]byte, 1024)
 	for i := 0; i < 256; i++ {
@@ -549,19 +562,15 @@ func BenchmarkLivePipelinedMixed_SRS32(b *testing.B) {
 		}
 	}
 	keys := benchKeys("g", 256)
-	p := c.NewPipeline(16)
 	b.SetBytes(1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	liveCallers(b, func(i int) error {
 		if i%20 == 0 {
-			p.PutIn(keys[i%256], val, 4)
-		} else {
-			p.Get(keys[i%256])
+			_, err := c.PutIn(keys[i%256], val, 4)
+			return err
 		}
-	}
-	if err := p.Flush(); err != nil {
-		b.Fatal(err)
-	}
+		_, _, err := c.Get(keys[i%256])
+		return err
+	})
 }
 
 // BenchmarkClientBurstGetTCP is the client as the benchmark's preload

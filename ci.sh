@@ -12,7 +12,10 @@
 #      lifetimes. (Ack ordering is not among them: acknowledging ahead
 #      of the quorum or the sync does not compile, see stage 5.)
 #      Any finding fails the build; exemptions are //ring: directives
-#      in the source, where review can see them. scripts/loc.sh then
+#      in the source, where review can see them. doc_refs then fails
+#      on a backticked test name or internal/... or cmd/... path in
+#      DESIGN.md, README.md, EXPERIMENTS.md or benchmark/README.md that
+#      the tree does not have. scripts/loc.sh then
 #      prints the size report (non-test lines per internal/* package
 #      and under cmd/, scripts/ lines, wire message types, top-level
 #      files, the packages ringd links from outside the module and the
@@ -49,8 +52,8 @@
 #      one-second CPU profile; skipped under -short); the client's
 #      outbox (internal/client): TestSyncOpsRunOnTheCaller (seen from
 #      inside Send, a synchronous put, get or delete adds no goroutine),
-#      TestBurstLeavesInOnePacket (33 requests through every API, 2
-#      packets, each caller its own reply), TestFailedPacketFailsItsRequests
+#      TestBurstLeavesInOnePacket (33 callers of Put, Get and Delete,
+#      2 packets, each caller its own reply), TestFailedPacketFailsItsRequests
 #      (a packet that does not leave is eight retries at once, not eight
 #      Timeouts) and TestCloseFailsQueuedRequests; the transport's
 #      TestRestartedPeerIsDialledAgain (a peer reached only over its own
@@ -145,12 +148,40 @@ set -ex
 STATICCHECK_VERSION=2024.1.1
 GOVULNCHECK_VERSION=v1.1.3
 
+# doc_refs fails on a dead reference in the documents a reader starts
+# from: a backticked Test*/Fuzz* name that no _test.go file defines (a
+# trailing * or a -run= in front makes it a prefix) or a backticked
+# internal/... or cmd/... path that does not exist.
+doc_refs() {
+    spans=$(grep -ohE '`[^`]+`' DESIGN.md README.md EXPERIMENTS.md benchmark/README.md)
+    dead=$(
+        echo "$spans" | grep -oE '(-run=)?\b(Test|Fuzz)[A-Z][A-Za-z0-9_]*\*?' | sort -u |
+            while read -r name; do
+                base=${name#-run=}
+                base=${base%\*}
+                end='\('
+                [ "$base" = "$name" ] || end=
+                grep -rqE --include='*_test.go' "^func $base$end" . || echo "$name"
+            done
+        echo "$spans" | grep -oE '([ `]|\./)(internal|cmd)/[A-Za-z0-9_./-]*' |
+            sed -E 's#^([ `]|\./)##; s#\.\.\.$##' | sort -u |
+            while read -r path; do
+                [ -e "$path" ] || echo "$path"
+            done
+    )
+    if [ -n "$dead" ]; then
+        echo "dead references in the documents:" $dead >&2
+        return 1
+    fi
+}
+
 stage_lint() {
     test -z "$(gofmt -l .)"
     go vet ./...
 
     go build -o bin/ringlint ./cmd/ringlint
     ./bin/ringlint ./...
+    doc_refs
     scripts/loc.sh
     banned='net/http|crypto/tls|crypto/x509|math/big'
     if go list -deps ./cmd/ringd | grep -Ex "$banned"; then

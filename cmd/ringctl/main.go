@@ -69,9 +69,6 @@ func main() {
 		fabric.Map(logical, strings.TrimSpace(a))
 		bootstrap = append(bootstrap, logical)
 	}
-	// The client's own endpoint listens on an ephemeral port; servers
-	// reply over the inbound connection, so no reverse mapping exists.
-	fabric.Map("client/1", "127.0.0.1:0")
 
 	c, err := client.Dial(fabric, bootstrap, client.Options{})
 	if err != nil {

@@ -314,7 +314,8 @@ func summarize(lats []time.Duration, elapsed time.Duration, errs int64) (result,
 }
 
 // preloadKeys writes every key the plan touches once, so gets during
-// the measured window hit committed data.
+// the measured window hit committed data: 16 callers per group's client
+// keep 16 puts in flight on it.
 func preloadKeys(c config, clients []*client.Client, mg proto.MemgestID, ops []op) error {
 	seen := make(map[string][]byte, c.keys)
 	for _, o := range ops {
@@ -326,17 +327,36 @@ func preloadKeys(c config, clients []*client.Client, mg proto.MemgestID, ops []o
 			seen[o.key] = v
 		}
 	}
-	pipes := make([]*client.Pipeline, len(clients))
+	var wg sync.WaitGroup
+	failed := make(chan error, 1) // the first failure
+	keys := make([]chan string, len(clients))
 	for g, cl := range clients {
-		pipes[g] = cl.NewPipeline(16)
-	}
-	for k, v := range seen {
-		pipes[core.GroupOf(k, len(clients))].PutIn(k, v, mg)
-	}
-	for _, p := range pipes {
-		if err := p.Flush(); err != nil {
-			return fmt.Errorf("preload: %w", err)
+		keys[g] = make(chan string)
+		for range 16 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := range keys[g] {
+					if _, err := cl.PutIn(k, seen[k], mg); err != nil {
+						select {
+						case failed <- err:
+						default:
+						}
+					}
+				}
+			}()
 		}
+	}
+	for k := range seen {
+		keys[core.GroupOf(k, len(clients))] <- k
+	}
+	for _, ch := range keys {
+		close(ch)
+	}
+	wg.Wait()
+	close(failed)
+	if err := <-failed; err != nil {
+		return fmt.Errorf("preload: %w", err)
 	}
 	return nil
 }

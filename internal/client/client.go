@@ -3,16 +3,17 @@
 // Session (session.go) is the protocol logic, which the simulator runs
 // too; Client drives it over a fabric, each operation on its caller's
 // goroutine, and sends what callers address to one node at once in one
-// packet (outbox.go).
+// packet (outbox.go). N goroutines calling one Client keep N operations
+// in flight.
 package client
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ring/internal/core"
@@ -45,8 +46,6 @@ var ErrTimeout = errors.New("client: request timed out")
 // ErrNotFound is returned by Get/Delete/Move for missing keys.
 var ErrNotFound = errors.New("client: key not found")
 
-var clientSeq atomic.Uint64
-
 // Client is a synchronous Ring client. It is safe for concurrent use.
 type Client struct {
 	opts Options
@@ -64,12 +63,16 @@ type Client struct {
 }
 
 // Dial registers a client endpoint on the fabric and fetches the
-// configuration from the given bootstrap node addresses.
+// configuration from the given bootstrap node addresses. The endpoint's
+// name is 64 random bits: nodes route replies by name, so two clients
+// must not share one, even from two processes.
 //
-//ring:wallclock starts the session's clock
+//ring:wallclock starts the session's clock and draws the name
 func Dial(fabric transport.Fabric, bootstrap []string, opts Options) (*Client, error) {
-	addr := fmt.Sprintf("client/%d", clientSeq.Add(1))
-	ep, err := fabric.Register(addr)
+	if len(bootstrap) == 0 {
+		return nil, errors.New("client: no bootstrap address")
+	}
+	ep, err := fabric.Register(fmt.Sprintf("client/%016x", rand.Uint64()))
 	if err != nil {
 		return nil, err
 	}
@@ -374,9 +377,20 @@ func (c *Client) Put(key string, value []byte) (proto.Version, error) {
 	return c.PutIn(key, value, 0)
 }
 
+// The message makers of PutIn, GetVersion and Delete read the arguments
+// from the call: they capture nothing, so they cost no allocation.
+
 // PutIn stores value under key in a specific memgest.
 func (c *Client) PutIn(key string, value []byte, mg proto.MemgestID) (proto.Version, error) {
-	return putResult(c.doPutOp(key, value, mg))
+	k := c.newCall(byKey, key)
+	k.value, k.mg = value, mg
+	r, err := do[*proto.PutReply](k, func(k *call, req proto.ReqID) proto.Message {
+		return &proto.Put{Req: req, Key: k.key, Value: k.value, Memgest: k.mg}
+	})
+	if err = answer(r, err); err != nil {
+		return 0, err
+	}
+	return r.Version, nil
 }
 
 // Get fetches the newest committed value of key.
@@ -389,12 +403,34 @@ func (c *Client) Get(key string) ([]byte, proto.Version, error) {
 // KeepVersions > 0 — e.g. the durable copy a key had before being
 // moved to the unreliable memgest.
 func (c *Client) GetVersion(key string, ver proto.Version) ([]byte, proto.Version, error) {
-	return getResult(c.doGetOp(key, ver))
+	k := c.newCall(byKey, key)
+	k.ver = ver
+	r, err := do[*proto.GetReply](k, func(k *call, req proto.ReqID) proto.Message {
+		return &proto.Get{Req: req, Key: k.key, Version: k.ver}
+	})
+	if err = answer(r, err); err != nil {
+		return nil, 0, err
+	}
+	return r.Value, r.Version, nil
 }
 
 // Delete removes key.
 func (c *Client) Delete(key string) error {
-	return deleteResult(c.doDeleteOp(key))
+	return answer(do[*proto.DeleteReply](c.newCall(byKey, key), func(k *call, req proto.ReqID) proto.Message {
+		return &proto.Delete{Req: req, Key: k.key}
+	}))
+}
+
+// answer is how an operation ended: the error that ended it, else its
+// reply's status, StNotFound as ErrNotFound.
+func answer(r proto.Reply, err error) error {
+	switch {
+	case err != nil:
+		return err
+	case r.Result() == proto.StNotFound:
+		return ErrNotFound
+	}
+	return r.Result().Err()
 }
 
 // Move transfers key to another memgest without resending its value.
@@ -411,13 +447,10 @@ func (c *Client) MoveIf(key string, from, to proto.MemgestID) (proto.Version, er
 	r, err := do[*proto.MoveReply](c.newCall(byKey, key), func(k *call, req proto.ReqID) proto.Message {
 		return &proto.Move{Req: req, Key: k.key, Memgest: to, From: from}
 	})
-	if err != nil {
+	if err = answer(r, err); err != nil {
 		return 0, err
 	}
-	if r.Status == proto.StNotFound {
-		return 0, ErrNotFound
-	}
-	return r.Version, r.Status.Err()
+	return r.Version, nil
 }
 
 // CreateMemgest instantiates a new storage scheme and returns its ID.

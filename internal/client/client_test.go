@@ -12,6 +12,7 @@ import (
 	"ring/internal/core"
 	"ring/internal/proto"
 	"ring/internal/testutil"
+	"ring/internal/transport"
 )
 
 // TestMain switches payload poisoning on for every cluster these tests
@@ -176,6 +177,128 @@ func TestLiveConcurrentClients(t *testing.T) {
 	}
 }
 
+// together runs op(0..n-1), each on a goroutine of its own, and returns
+// the first error.
+func together(n int, op func(i int) error) error {
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() { errs <- op(i) }()
+	}
+	var first error
+	for i := 0; i < n; i++ {
+		if err := <-errs; first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// TestAsyncPutGetDelete: 32 callers of one client put, then get back,
+// their own keys, all in flight at once; a delete and a get of what it
+// deleted follow, and a delete of a missing key is ErrNotFound.
+func TestAsyncPutGetDelete(t *testing.T) {
+	_, c := startCluster(t)
+	key := func(i int) string { return fmt.Sprintf("callers-%d", i) }
+	if err := together(32, func(i int) error {
+		if ver, err := c.PutIn(key(i), []byte(key(i)), 2); err != nil || ver != 1 {
+			return fmt.Errorf("put %d: v%d %v", i, ver, err)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := together(32, func(i int) error {
+		if val, ver, err := c.Get(key(i)); err != nil || ver != 1 || string(val) != key(i) {
+			return fmt.Errorf("get %d: %q v%d %v", i, val, ver, err)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Delete(key(0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Get(key(0)); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("get deleted: %v", err)
+	}
+	if err := c.Delete("callers-never"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("delete missing: %v", err)
+	}
+}
+
+// TestPipelineMixedOpsAndReuse: eight callers of one client put 16
+// keys; a second batch on the same client then runs a get and a delete
+// at once, and each returns its own typed result.
+func TestPipelineMixedOpsAndReuse(t *testing.T) {
+	_, c := startCluster(t)
+	if err := together(8, func(g int) error {
+		for i := g; i < 16; i += 8 {
+			if _, err := c.PutIn(fmt.Sprintf("mix-%d", i), []byte{byte(i)}, 2); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var val []byte
+	if err := together(2, func(i int) error {
+		if i == 0 {
+			var err error
+			val, _, err = c.Get("mix-3")
+			return err
+		}
+		return c.Delete("mix-5")
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(val, []byte{3}) {
+		t.Fatalf("get mix-3: %q", val)
+	}
+	if _, _, err := c.Get("mix-5"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("mix-5 not deleted: %v", err)
+	}
+}
+
+// TestConcurrentCallersOneClient: four callers of one client, each
+// with 16 puts in a row, and every put is there afterwards.
+func TestConcurrentCallersOneClient(t *testing.T) {
+	_, c := startCluster(t)
+	if err := together(4, func(g int) error {
+		for i := 0; i < 16; i++ {
+			if _, err := c.PutIn(fmt.Sprintf("conc-%d-%d", g, i), []byte("v"), 2); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for g := 0; g < 4; g++ {
+		for i := 0; i < 16; i++ {
+			if _, _, err := c.Get(fmt.Sprintf("conc-%d-%d", g, i)); err != nil {
+				t.Fatalf("conc-%d-%d: %v", g, i, err)
+			}
+		}
+	}
+}
+
+// TestConcurrentOverwritesSameKey: 40 callers of one client overwrite
+// one key at once, which stresses the version chain and the coalesced
+// commit+purge path; the newest committed version is the 40th.
+func TestConcurrentOverwritesSameKey(t *testing.T) {
+	_, c := startCluster(t)
+	if err := together(40, func(i int) error {
+		_, err := c.PutIn("hot", []byte{byte(i)}, 2)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ver, err := c.Get("hot"); err != nil || ver != 40 {
+		t.Fatalf("version after 40 concurrent overwrites = %d, %v", ver, err)
+	}
+}
+
 func TestLiveContendedKey(t *testing.T) {
 	// Multiple clients hammer one key; versions must be unique and
 	// strictly increasing per the strong-consistency contract.
@@ -325,5 +448,25 @@ func TestLiveDialFailsWithoutNodes(t *testing.T) {
 	defer cl.Stop()
 	if _, err := Dial(cl.Fabric, []string{"node/99"}, Options{Timeout: 100 * time.Millisecond}); err == nil {
 		t.Fatal("dial to nonexistent bootstrap succeeded")
+	}
+}
+
+// TestDialWithoutBootstrap: with no node to ask, Dial fails at once,
+// before it registers an endpoint, whether the list is nil or empty.
+func TestDialWithoutBootstrap(t *testing.T) {
+	for _, bootstrap := range [][]string{nil, {}} {
+		fabric := &namingFabric{Fabric: transport.NewMemFabric(0)}
+		start := time.Now()
+		c, err := Dial(fabric, bootstrap, Options{Timeout: 2 * time.Second})
+		if err == nil {
+			c.Close()
+			t.Errorf("Dial(%#v) succeeded", bootstrap)
+		}
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("Dial(%#v) took %v to fail", bootstrap, took)
+		}
+		if len(fabric.names) != 0 {
+			t.Errorf("Dial(%#v) registered %v", bootstrap, fabric.names)
+		}
 	}
 }

@@ -20,9 +20,6 @@ var Metrics struct {
 	// Resolves counts configuration re-discoveries: the Resolve before
 	// each resend, and each ask of every node at once.
 	Resolves metrics.Counter
-	// PipelineDepth is the high-water mark of concurrently executing
-	// pipelined operations.
-	PipelineDepth metrics.MaxGauge
 }
 
 func init() {
@@ -32,5 +29,4 @@ func init() {
 	d.Register("client.packets", &Metrics.Packets)
 	d.Register("client.timeouts", &Metrics.Timeouts)
 	d.Register("client.resolves", &Metrics.Resolves)
-	d.Register("client.pipeline_depth", &Metrics.PipelineDepth)
 }

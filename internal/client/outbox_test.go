@@ -189,10 +189,10 @@ func packed(pkt []byte) (n int) {
 
 // ownGet and ownPut are calls whose reply shows whose it is: the fake
 // node answers a get with its key and a put with its value's length.
-func ownGet(get func(key string) ([]byte, proto.Version, error), i int) func() error {
+func (b *burst) ownGet(i int) func() error {
 	return func() error {
 		key := fmt.Sprintf("burst-%d", i)
-		val, _, err := get(key)
+		val, _, err := b.c.Get(key)
 		if err == nil && string(val) != key {
 			err = fmt.Errorf("get %s answered with %q", key, val)
 		}
@@ -200,9 +200,9 @@ func ownGet(get func(key string) ([]byte, proto.Version, error), i int) func() e
 	}
 }
 
-func ownPut(put func(key string, value []byte) (proto.Version, error), i int) func() error {
+func (b *burst) ownPut(i int) func() error {
 	return func() error {
-		ver, err := put(fmt.Sprintf("burst-%d", i), make([]byte, i+1))
+		ver, err := b.c.Put(fmt.Sprintf("burst-%d", i), make([]byte, i+1))
 		if err == nil && int(ver) != i+1 {
 			err = fmt.Errorf("put of %d bytes answered with version %d", i+1, ver)
 		}
@@ -211,33 +211,26 @@ func ownPut(put func(key string, value []byte) (proto.Version, error), i int) fu
 }
 
 // TestBurstLeavesInOnePacket: while one packet is being written, the
-// requests of every other caller queue behind it, whichever API they
-// came through, and leave together in the next: 33 requests, 2 packets,
+// requests of every other caller queue behind it, whatever operation
+// they are, and leave together in the next: 33 requests, 2 packets,
 // and each caller gets the reply to its own request.
 func TestBurstLeavesInOnePacket(t *testing.T) {
 	b := newBurst(t, 5*time.Second)
 	c := b.c
-	p := c.NewPipeline(8)
 	var rest []func() error
 	for i := 1; i <= 32; i++ {
-		switch i % 6 {
+		switch i % 3 {
 		case 0:
-			rest = append(rest, ownGet(c.Get, i))
+			rest = append(rest, b.ownGet(i))
 		case 1:
-			rest = append(rest, ownPut(c.Put, i))
+			rest = append(rest, b.ownPut(i))
 		case 2:
 			rest = append(rest, func() error { return c.Delete("burst") })
-		case 3:
-			rest = append(rest, ownGet(func(k string) ([]byte, proto.Version, error) { return c.GetAsync(k).Wait() }, i))
-		case 4:
-			rest = append(rest, ownPut(func(k string, v []byte) (proto.Version, error) { return c.PutAsync(k, v).Wait() }, i))
-		case 5:
-			rest = append(rest, ownGet(func(k string) ([]byte, proto.Version, error) { return p.Get(k).Wait() }, i))
 		}
 	}
 	requests, packets := Metrics.Requests.Load(), Metrics.Packets.Load()
 	errs := make(chan error, 1+len(rest))
-	b.hold(errs, ownGet(c.Get, 0), rest...)
+	b.hold(errs, b.ownGet(0), rest...)
 	close(b.release)
 	for i := 0; i < cap(errs); i++ {
 		if err := <-errs; err != nil {
@@ -273,11 +266,11 @@ func TestFailedPacketFailsItsRequests(t *testing.T) {
 	}
 	var rest []func() error
 	for i := 1; i <= callers; i++ {
-		rest = append(rest, ownGet(b.c.Get, i))
+		rest = append(rest, b.ownGet(i))
 	}
 	retries, timeouts := Metrics.Retries.Load(), Metrics.Timeouts.Load()
 	errs := make(chan error, 1+callers)
-	b.hold(errs, ownGet(b.c.Get, 0), rest...)
+	b.hold(errs, b.ownGet(0), rest...)
 	close(b.release)
 	for i := 0; i < cap(errs); i++ {
 		if err := <-errs; err != nil {
@@ -306,10 +299,10 @@ func TestCloseFailsQueuedRequests(t *testing.T) {
 	b := newBurst(t, time.Minute)
 	var rest []func() error
 	for i := 1; i <= callers; i++ {
-		rest = append(rest, ownPut(b.c.Put, i))
+		rest = append(rest, b.ownPut(i))
 	}
 	errs := make(chan error, 1+callers)
-	b.hold(errs, ownGet(b.c.Get, 0), rest...)
+	b.hold(errs, b.ownGet(0), rest...)
 	b.c.Close()
 	for i := 0; i < callers; i++ {
 		if err := <-errs; !errors.Is(err, transport.ErrClosed) {

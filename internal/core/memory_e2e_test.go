@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -83,12 +84,23 @@ func TestBytesPerStoredByte(t *testing.T) {
 	runtime.ReadMemStats(&idle)
 	arenaIdle := store.ArenaBytesBacked()
 
-	p := c.NewPipeline(32)
-	for i := 0; i < keys; i++ {
-		p.PutIn(key(i), value(i), mgRep)
+	// 32 callers of one client keep 32 puts in flight.
+	var wg sync.WaitGroup
+	for w := range 32 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < keys; i += 32 {
+				if _, err := c.PutIn(key(i), value(i), mgRep); err != nil {
+					t.Errorf("put %s: %v", key(i), err)
+					return
+				}
+			}
+		}()
 	}
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
 	}
 	var repBytes, srsBytes float64
 	for i := 0; i < keys; i++ {

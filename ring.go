@@ -148,7 +148,8 @@ func (c *Cluster) NewClient() (*Client, error) {
 	return &Client{inner: inner}, nil
 }
 
-// Client is a synchronous Ring client, safe for concurrent use.
+// Client is a synchronous Ring client, safe for concurrent use: N
+// goroutines calling one Client keep N operations in flight.
 type Client struct {
 	inner *client.Client
 }
@@ -208,43 +209,3 @@ func (c *Client) SetDefaultMemgest(id MemgestID) error {
 func (c *Client) GetMemgestDescriptor(id MemgestID) (Scheme, error) {
 	return c.inner.GetMemgestDescriptor(id)
 }
-
-// ------------------------------------------------- asynchronous operations
-
-// PutFuture resolves an asynchronous put; Wait returns the committed
-// version.
-type PutFuture = client.PutFuture
-
-// GetFuture resolves an asynchronous get; Wait returns value and
-// version.
-type GetFuture = client.GetFuture
-
-// DeleteFuture resolves an asynchronous delete.
-type DeleteFuture = client.DeleteFuture
-
-// Pipeline issues asynchronous operations with a bounded number
-// outstanding; see Client.NewPipeline.
-type Pipeline = client.Pipeline
-
-// PutAsync stores value under key in the default memgest without
-// waiting for the commit; many puts can be kept in flight at once.
-func (c *Client) PutAsync(key string, value []byte) *PutFuture {
-	return c.inner.PutAsync(key, value)
-}
-
-// PutInAsync stores value under key in a specific memgest without
-// waiting.
-func (c *Client) PutInAsync(key string, value []byte, mg MemgestID) *PutFuture {
-	return c.inner.PutInAsync(key, value, mg)
-}
-
-// GetAsync fetches key's newest committed value without waiting.
-func (c *Client) GetAsync(key string) *GetFuture { return c.inner.GetAsync(key) }
-
-// DeleteAsync removes key without waiting for the commit.
-func (c *Client) DeleteAsync(key string) *DeleteFuture { return c.inner.DeleteAsync(key) }
-
-// NewPipeline creates a pipeline over this client bounded to depth
-// outstanding operations (<= 0 selects 16): issue calls block only
-// while the bound is reached, and Flush waits for all completions.
-func (c *Client) NewPipeline(depth int) *Pipeline { return c.inner.NewPipeline(depth) }
