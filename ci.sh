@@ -150,8 +150,10 @@ GOVULNCHECK_VERSION=v1.1.3
 
 # doc_refs fails on a dead reference in the documents a reader starts
 # from: a backticked Test*/Fuzz* name that no _test.go file defines (a
-# trailing * or a -run= in front makes it a prefix) or a backticked
-# internal/... or cmd/... path that does not exist.
+# trailing * or a -run= in front makes it a prefix), a backticked
+# internal/... or cmd/... path that does not exist, or a backticked
+# composite literal Name{...} (a wire message, say) whose type no .go
+# file declares.
 doc_refs() {
     spans=$(grep -ohE '`[^`]+`' DESIGN.md README.md EXPERIMENTS.md benchmark/README.md)
     dead=$(
@@ -167,6 +169,10 @@ doc_refs() {
             sed -E 's#^([ `]|\./)##; s#\.\.\.$##' | sort -u |
             while read -r path; do
                 [ -e "$path" ] || echo "$path"
+            done
+        echo "$spans" | grep -oE '\b[A-Z][A-Za-z0-9_]*\{' | tr -d '{' | sort -u |
+            while read -r name; do
+                grep -rqE --include='*.go' "^type $name\b" . || echo "$name{}"
             done
     )
     if [ -n "$dead" ]; then

@@ -18,9 +18,9 @@
 //	                                   recover-from-disk, WAL corruption,
 //	                                   fsync faults)
 //	ringchaos -elasticity -seeds 1:8   elasticity schedules: live scheme
-//	                                   conversions and join/leave resizes
+//	                                   moves and join/leave resizes
 //	                                   blended into the fault mix
-//	ringchaos -elasticity -convbug -seed 5
+//	ringchaos -elasticity -movebug -seed 5
 //	                                   inject the ack-before-commit
 //	                                   move bug (the checker must catch
 //	                                   it)
@@ -60,9 +60,9 @@ func run(args []string, out, errw io.Writer) int {
 	seeds := fs.String("seeds", "", "inclusive seed range lo:hi (overrides -seed)")
 	schedule := fs.String("schedule", "", "explicit nemesis schedule (overrides the generated one)")
 	bug := fs.Bool("bug", false, "inject the ack-before-quorum bug (validates the checker)")
-	convbug := fs.Bool("convbug", false, "inject the ack-before-commit move bug (validates the checker)")
+	movebug := fs.Bool("movebug", false, "inject the ack-before-commit move bug (validates the checker)")
 	durable := fs.Bool("durable", false, "disk fault plane: durable nodes, crash-recovery schedules")
-	elasticity := fs.Bool("elasticity", false, "elasticity schedules: live conversions and join/leave resizes in the fault mix")
+	elasticity := fs.Bool("elasticity", false, "elasticity schedules: live moves and join/leave resizes in the fault mix")
 	shrink := fs.Bool("shrink", true, "greedily shrink failing schedules")
 	active := fs.Duration("active", 0, "nemesis window in virtual time (default 40ms)")
 	budget := fs.Int("budget", 0, "linearizability search budget per key (default 2e6 states)")
@@ -96,14 +96,14 @@ func run(args []string, out, errw io.Writer) int {
 	start := time.Now()
 	for s := lo; s <= hi; s++ {
 		spec := sim.ChaosRunSpec{
-			Seed:          s,
-			Schedule:      explicit,
-			UnsafeAck:     *bug,
-			UnsafeConvert: *convbug,
-			Durable:       *durable,
-			Elasticity:    *elasticity,
-			Active:        *active,
-			CheckBudget:   *budget,
+			Seed:        s,
+			Schedule:    explicit,
+			UnsafeAck:   *bug,
+			UnsafeMove:  *movebug,
+			Durable:     *durable,
+			Elasticity:  *elasticity,
+			Active:      *active,
+			CheckBudget: *budget,
 		}
 		r := sim.RunChaos(spec)
 		switch r.Check.Verdict {
@@ -124,8 +124,8 @@ func run(args []string, out, errw io.Writer) int {
 			if *bug {
 				repro += " -bug"
 			}
-			if *convbug {
-				repro += " -convbug"
+			if *movebug {
+				repro += " -movebug"
 			}
 			if *durable {
 				repro += " -durable"

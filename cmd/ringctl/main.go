@@ -98,10 +98,9 @@ func main() {
 		if v, err := strconv.ParseUint(s, 10, 32); err == nil {
 			return proto.MemgestID(v)
 		}
-		sc, err := parseScheme(s)
-		die(err)
 		cfg := c.Config()
-		sc.S = cfg.Shards()
+		sc, err := proto.ParseScheme(s, cfg.Shards())
+		die(err)
 		for _, m := range cfg.Memgests {
 			if m.Scheme == sc {
 				return m.ID
@@ -167,9 +166,8 @@ func main() {
 		fmt.Printf("OK moved=%d epoch=%d\n", moved, epoch)
 	case "mkmemgest":
 		need(1)
-		sc, err := parseScheme(args[1])
+		sc, err := proto.ParseScheme(args[1], c.Config().Shards()) // every memgest shares the group's s
 		die(err)
-		sc.S = c.Config().Shards() // every memgest shares the group's s
 		id, err := c.CreateMemgest(sc)
 		die(err)
 		fmt.Printf("OK memgest=%d (%v)\n", id, sc)
@@ -230,31 +228,4 @@ func runStats(w io.Writer, httpAddrs string, args []string) error {
 	}
 	status.RenderStats(w, cs)
 	return nil
-}
-
-// parseScheme parses repR or srsK.M. The shard count s is implicit:
-// the caller patches it from the cluster configuration, since every
-// memgest in a group must share it.
-func parseScheme(tok string) (proto.Scheme, error) {
-	tok = strings.ToLower(strings.TrimSpace(tok))
-	switch {
-	case strings.HasPrefix(tok, "rep"):
-		r, err := strconv.Atoi(tok[3:])
-		if err != nil {
-			return proto.Scheme{}, fmt.Errorf("bad scheme %q", tok)
-		}
-		return proto.Rep(r, 0), nil // s patched below by caller config
-	case strings.HasPrefix(tok, "srs"):
-		parts := strings.SplitN(tok[3:], ".", 2)
-		if len(parts) != 2 {
-			return proto.Scheme{}, fmt.Errorf("bad scheme %q (want srsK.M)", tok)
-		}
-		k, err1 := strconv.Atoi(parts[0])
-		m, err2 := strconv.Atoi(parts[1])
-		if err1 != nil || err2 != nil {
-			return proto.Scheme{}, fmt.Errorf("bad scheme %q", tok)
-		}
-		return proto.SRS(k, m, 0), nil
-	}
-	return proto.Scheme{}, fmt.Errorf("unknown scheme %q", tok)
 }

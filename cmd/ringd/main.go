@@ -327,28 +327,11 @@ func offsetPort(addr string, delta int) (string, error) {
 func parseMemgests(s string, shards int) ([]proto.Scheme, error) {
 	var out []proto.Scheme
 	for _, tok := range strings.Split(s, ",") {
-		tok = strings.TrimSpace(strings.ToLower(tok))
-		switch {
-		case strings.HasPrefix(tok, "rep"):
-			r, err := strconv.Atoi(tok[3:])
-			if err != nil {
-				return nil, fmt.Errorf("ringd: bad memgest %q", tok)
-			}
-			out = append(out, proto.Rep(r, shards))
-		case strings.HasPrefix(tok, "srs"):
-			parts := strings.SplitN(tok[3:], ".", 2)
-			if len(parts) != 2 {
-				return nil, fmt.Errorf("ringd: bad memgest %q (want srsK.M)", tok)
-			}
-			k, err1 := strconv.Atoi(parts[0])
-			m, err2 := strconv.Atoi(parts[1])
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("ringd: bad memgest %q", tok)
-			}
-			out = append(out, proto.SRS(k, m, shards))
-		default:
-			return nil, fmt.Errorf("ringd: unknown memgest %q", tok)
+		sc, err := proto.ParseScheme(tok, shards)
+		if err != nil {
+			return nil, fmt.Errorf("ringd: -memgests: %w", err)
 		}
+		out = append(out, sc)
 	}
 	return out, nil
 }

@@ -455,47 +455,48 @@ func (c *Client) MoveIf(key string, from, to proto.MemgestID) (proto.Version, er
 
 // CreateMemgest instantiates a new storage scheme and returns its ID.
 func (c *Client) CreateMemgest(sc proto.Scheme) (proto.MemgestID, error) {
-	r, err := c.memgestOp(true, func(_ *call, req proto.ReqID) proto.Message {
-		return &proto.CreateMemgest{Req: req, Scheme: sc}
-	})
+	r, err := c.reconfig(proto.Reconfig{Op: proto.ReconfigCreate, Scheme: sc})
 	return r.Memgest, err
 }
 
 // DeleteMemgest removes a memgest.
 func (c *Client) DeleteMemgest(id proto.MemgestID) error {
-	_, err := c.memgestOp(true, func(_ *call, req proto.ReqID) proto.Message {
-		return &proto.DeleteMemgest{Req: req, Memgest: id}
-	})
+	_, err := c.reconfig(proto.Reconfig{Op: proto.ReconfigDelete, Memgest: id})
 	return err
 }
 
 // SetDefaultMemgest selects the memgest for puts without an explicit
 // scheme.
 func (c *Client) SetDefaultMemgest(id proto.MemgestID) error {
-	_, err := c.memgestOp(true, func(_ *call, req proto.ReqID) proto.Message {
-		return &proto.SetDefault{Req: req, Memgest: id}
-	})
+	_, err := c.reconfig(proto.Reconfig{Op: proto.ReconfigSetDefault, Memgest: id})
 	return err
 }
 
-// GetMemgestDescriptor fetches a memgest's scheme.
+// GetMemgestDescriptor returns a memgest's scheme as the configuration,
+// resolved afresh, describes it.
 func (c *Client) GetMemgestDescriptor(id proto.MemgestID) (proto.Scheme, error) {
-	r, err := c.memgestOp(false, func(_ *call, req proto.ReqID) proto.Message {
-		return &proto.GetDescriptor{Req: req, Memgest: id}
-	})
-	return r.Scheme, err
+	if err := c.resolve(nil); err != nil {
+		return proto.Scheme{}, err
+	}
+	if mi := c.Config().Memgest(id); mi != nil {
+		return mi.Scheme, nil
+	}
+	return proto.Scheme{}, proto.StNoMemgest.Err()
 }
 
-// memgestOp runs one memgest verb at the leader; one that changed the
-// configuration refreshes the view, so that later puts route by it. A
-// status other than StOK is the error.
-func (c *Client) memgestOp(refresh bool, msg func(*call, proto.ReqID) proto.Message) (proto.MemgestReply, error) {
-	r, err := do[*proto.MemgestReply](c.newCall(toLeader, ""), msg)
+// reconfig runs one configuration change at the leader and, once the
+// leader answered, refreshes the view to the configuration it produced,
+// so that later operations route by it. A status other than StOK is the
+// error.
+func (c *Client) reconfig(m proto.Reconfig) (proto.ReconfigReply, error) {
+	r, err := do[*proto.ReconfigReply](c.newCall(toLeader, ""), func(_ *call, req proto.ReqID) proto.Message {
+		attempt := m
+		attempt.Req = req
+		return &attempt
+	})
 	if err != nil {
-		return proto.MemgestReply{}, err
+		return proto.ReconfigReply{}, err
 	}
-	if refresh {
-		_ = c.resolve(nil)
-	}
+	_ = c.resolve(nil)
 	return *r, r.Status.Err()
 }

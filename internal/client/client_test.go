@@ -116,10 +116,20 @@ func TestLiveMove(t *testing.T) {
 }
 
 func TestLiveCreateMemgest(t *testing.T) {
-	_, c := startCluster(t)
+	cl, c := startCluster(t)
+	// other's view predates the memgest: the descriptor is read off the
+	// configuration resolved afresh, not the view a client holds.
+	other, err := Dial(cl.Fabric, []string{core.NodeAddr(1)}, Options{Timeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
 	id, err := c.CreateMemgest(proto.SRS(2, 2, 3))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if sc, err := other.GetMemgestDescriptor(id); err != nil || sc != proto.SRS(2, 2, 3) {
+		t.Fatalf("descriptor of new memgest %d: %v, %v", id, sc, err)
 	}
 	if _, err := c.PutIn("newk", []byte("v"), id); err != nil {
 		t.Fatal(err)
@@ -133,6 +143,9 @@ func TestLiveCreateMemgest(t *testing.T) {
 	}
 	if _, err := c.PutIn("newk2", []byte("v"), id); err == nil {
 		t.Fatal("put into deleted memgest succeeded")
+	}
+	if _, err := c.GetMemgestDescriptor(id); err == nil || err.Error() != proto.StNoMemgest.Err().Error() {
+		t.Fatalf("descriptor of deleted memgest: %v", err)
 	}
 }
 

@@ -32,27 +32,12 @@ func (c *Client) MovePrefix(prefix string, from, to proto.MemgestID) (int, error
 	return total, nil
 }
 
-// resize runs one membership change and, when the leader answered,
-// refreshes the configuration it produced.
-func (c *Client) resize(op proto.ResizeOp, node proto.NodeID) (*proto.ResizeReply, error) {
-	r, err := do[*proto.ResizeReply](c.newCall(toLeader, ""), func(_ *call, req proto.ReqID) proto.Message {
-		return &proto.Resize{Req: req, Op: op, Node: node}
-	})
-	if err == nil {
-		_ = c.resolve(nil)
-	}
-	return r, err
-}
-
 // ResizeJoin admits node into the cluster as a spare (quarantine-then-
 // announce: the node must be running and rejoining). Idempotent.
 // Returns the epoch of the configuration that includes the node.
 func (c *Client) ResizeJoin(node proto.NodeID) (proto.Epoch, error) {
-	r, err := c.resize(proto.ResizeJoin, node)
-	if err != nil {
-		return 0, err
-	}
-	return r.Epoch, r.Status.Err()
+	r, err := c.reconfig(proto.Reconfig{Op: proto.ReconfigJoin, Node: node})
+	return r.Epoch, err
 }
 
 // ResizeLeave gracefully removes node: the leader fences it behind a
@@ -61,9 +46,6 @@ func (c *Client) ResizeJoin(node proto.NodeID) (proto.Epoch, error) {
 // of placement slots that actually moved (the minimal-movement
 // metric) and the new epoch.
 func (c *Client) ResizeLeave(node proto.NodeID) (int, proto.Epoch, error) {
-	r, err := c.resize(proto.ResizeLeave, node)
-	if err != nil {
-		return 0, 0, err
-	}
-	return int(r.Moved), r.Epoch, r.Status.Err()
+	r, err := c.reconfig(proto.Reconfig{Op: proto.ReconfigLeave, Node: node})
+	return int(r.Moved), r.Epoch, err
 }

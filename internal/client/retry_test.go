@@ -62,10 +62,8 @@ func replyTo(m proto.Message, st proto.Status) proto.Message {
 		return &proto.DeleteReply{Req: r.Req, Status: st}
 	case *proto.Move:
 		return &proto.MoveReply{Req: r.Req, Status: st, Version: 1, Moved: 1}
-	case *proto.SetDefault:
-		return &proto.MemgestReply{Req: r.Req, Status: st}
-	case *proto.Resize:
-		return &proto.ResizeReply{Req: r.Req, Status: st, Epoch: 1}
+	case *proto.Reconfig:
+		return &proto.ReconfigReply{Req: r.Req, Status: st, Epoch: 1}
 	}
 	return nil
 }

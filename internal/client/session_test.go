@@ -90,7 +90,7 @@ func resolved(cfg *proto.Config) func(proto.Message) proto.Reply {
 // transient one, appending it to outcomes (nil: abandoned).
 func join(outcomes *[]proto.Reply) Op {
 	return OpFuncs(func(cfg *proto.Config, req proto.ReqID) (proto.NodeID, proto.Message) {
-		return cfg.Leader, &proto.Resize{Req: req, Op: proto.ResizeJoin, Node: 4}
+		return cfg.Leader, &proto.Reconfig{Req: req, Op: proto.ReconfigJoin, Node: 4}
 	}, func(_ time.Duration, r proto.Reply) bool {
 		if r != nil && r.Result().Transient() {
 			return false
@@ -104,7 +104,7 @@ func join(outcomes *[]proto.Reply) Op {
 // abandoned exactly once after its attempt budget, with a Resolve
 // before every resend; replies that arrive for it afterwards are
 // ignored; a Resolve answer older than the view is ignored and a newer
-// one adopted; and a ResizeReply reaches its operation like any other
+// one adopted; and a ReconfigReply reaches its operation like any other
 // reply.
 func TestSessionBudgetLateRepliesAndView(t *testing.T) {
 	const peer = proto.NodeID(9)
@@ -114,7 +114,7 @@ func TestSessionBudgetLateRepliesAndView(t *testing.T) {
 
 	s.Start(0, join(&outcomes))
 	sc.run(s, resolved(view(3, 8)))
-	if n, r := count[*proto.Resize](sc, 0), count[*proto.Resolve](sc, 0); n != 4 || r != 3 {
+	if n, r := count[*proto.Reconfig](sc, 0), count[*proto.Resolve](sc, 0); n != 4 || r != 3 {
 		t.Fatalf("%d attempts and %d resolves, want the first try plus 3 resends, a Resolve before each", n, r)
 	}
 	if len(outcomes) != 1 || outcomes[0] != nil {
@@ -125,31 +125,31 @@ func TestSessionBudgetLateRepliesAndView(t *testing.T) {
 	}
 
 	for _, m := range sc.sent {
-		s.Reply(sc.now, &proto.ResizeReply{Req: m.req, Status: proto.StOK})
+		s.Reply(sc.now, &proto.ReconfigReply{Req: m.req, Status: proto.StOK})
 	}
 	if len(outcomes) != 1 {
 		t.Fatalf("a late reply to an abandoned operation was delivered: %v", outcomes[1:])
 	}
 
 	// A transient answer, then success: the resend follows a Resolve
-	// that now reports a newer epoch, and the ResizeReply is delivered.
+	// that now reports a newer epoch, and the ReconfigReply is delivered.
 	from, attempts := len(sc.sent), 0
 	s.Start(sc.now, join(&outcomes))
 	sc.run(s, func(m proto.Message) proto.Reply {
-		r, ok := m.(*proto.Resize)
+		r, ok := m.(*proto.Reconfig)
 		if !ok {
 			return resolved(view(6, peer))(m)
 		}
 		if attempts++; attempts == 1 {
-			return &proto.ResizeReply{Req: r.Req, Status: proto.StRetry}
+			return &proto.ReconfigReply{Req: r.Req, Status: proto.StRetry}
 		}
-		return &proto.ResizeReply{Req: r.Req, Status: proto.StOK, Epoch: 7}
+		return &proto.ReconfigReply{Req: r.Req, Status: proto.StOK, Epoch: 7}
 	})
 	if attempts != 2 || count[*proto.Resolve](sc, from) != 1 || len(outcomes) != 2 {
 		t.Fatalf("%d attempts, %d outcomes; want one resend, after a Resolve, after StRetry and one more outcome", attempts, len(outcomes))
 	}
-	if rr, ok := outcomes[1].(*proto.ResizeReply); !ok || rr.Status != proto.StOK || rr.Epoch != 7 {
-		t.Fatalf("second operation ended with %#v, want the peer's ResizeReply", outcomes[1])
+	if rr, ok := outcomes[1].(*proto.ReconfigReply); !ok || rr.Status != proto.StOK || rr.Epoch != 7 {
+		t.Fatalf("second operation ended with %#v, want the peer's ReconfigReply", outcomes[1])
 	}
 	if s.View().Epoch != 6 {
 		t.Fatalf("view is epoch %d after a Resolve answered epoch 6", s.View().Epoch)
@@ -174,8 +174,8 @@ func TestSessionBackOff(t *testing.T) {
 		var outcomes []proto.Reply
 		s.Start(0, join(&outcomes))
 		sc.run(s, func(m proto.Message) proto.Reply {
-			if r, ok := m.(*proto.Resize); ok {
-				return &proto.ResizeReply{Req: r.Req, Status: proto.StUnavailable}
+			if r, ok := m.(*proto.Reconfig); ok {
+				return &proto.ReconfigReply{Req: r.Req, Status: proto.StUnavailable}
 			}
 			return resolved(view(1, 9))(m)
 		})
@@ -211,7 +211,7 @@ func TestSessionPendingBound(t *testing.T) {
 	if n := len(s.pending); n != 3+2+1 {
 		t.Fatalf("%d requests in the table, want 3 attempts, 2 Resolves and 1 attempt", n)
 	}
-	s.Reply(sc.now, &proto.ResizeReply{Req: first, Status: proto.StOK})
+	s.Reply(sc.now, &proto.ReconfigReply{Req: first, Status: proto.StOK})
 	if len(a) != 1 || len(b) != 0 {
 		t.Fatalf("a reply to the first operation's first attempt settled %d of it and %d of the second", len(a), len(b))
 	}
@@ -264,14 +264,14 @@ func TestSessionFailedIsTransient(t *testing.T) {
 	sc.now = w.At
 	s.Wake(sc.now, w)
 	resolve, resend := sc.sent[1], sc.sent[2]
-	if _, ok := resolve.msg.(*proto.Resolve); !ok || resend.msg.Type() != proto.TResize {
+	if _, ok := resolve.msg.(*proto.Resolve); !ok || resend.msg.Type() != proto.TReconfig {
 		t.Fatalf("after the back-off sent %T then %T, want a Resolve then the resend", resolve.msg, resend.msg)
 	}
 	s.Failed(sc.now, resolve.req)
 	if _, ok := s.pending[resolve.req]; ok {
 		t.Fatal("a Resolve whose packet did not leave stayed in the table")
 	}
-	s.Reply(sc.now, &proto.ResizeReply{Req: resend.req, Status: proto.StOK})
+	s.Reply(sc.now, &proto.ReconfigReply{Req: resend.req, Status: proto.StOK})
 	if len(outcomes) != 1 || len(s.pending) != 0 {
 		t.Fatalf("outcomes %v, %d requests in the table; want the resend's answer and an empty table", outcomes, len(s.pending))
 	}

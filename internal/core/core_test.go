@@ -530,12 +530,12 @@ func TestParityDeltaPath(t *testing.T) {
 func TestCreateAndUseMemgest(t *testing.T) {
 	h := newHarness(t, figure3Spec())
 	leader := h.nodes[0]
-	outs := leader.deliver(h.now, "client/m", &proto.CreateMemgest{Req: 20, Scheme: proto.SRS(2, 2, 3)})
+	outs := leader.deliver(h.now, "client/m", &proto.Reconfig{Req: 20, Op: proto.ReconfigCreate, Scheme: proto.SRS(2, 2, 3)})
 	for _, o := range outs {
 		h.queue = append(h.queue, routedMsg{from: NodeAddr(0), to: o.To, msg: o.Msg})
 	}
 	h.run()
-	mr := h.lastReply("client/m").(*proto.MemgestReply)
+	mr := h.lastReply("client/m").(*proto.ReconfigReply)
 	if mr.Status != proto.StOK {
 		t.Fatalf("create: %v", mr.Status)
 	}
@@ -554,26 +554,26 @@ func TestCreateAndUseMemgest(t *testing.T) {
 
 	// Invalid schemes are rejected.
 	for _, sc := range []proto.Scheme{proto.SRS(3, 3, 3), proto.Rep(9, 3), proto.SRS(2, 1, 4)} {
-		outs := leader.deliver(h.now, "client/m", &proto.CreateMemgest{Req: 21, Scheme: sc})
+		outs := leader.deliver(h.now, "client/m", &proto.Reconfig{Req: 21, Op: proto.ReconfigCreate, Scheme: sc})
 		if len(outs) != 1 {
 			t.Fatal("expected direct reply")
 		}
-		if outs[0].Msg.(*proto.MemgestReply).Status != proto.StInvalid {
+		if outs[0].Msg.(*proto.ReconfigReply).Status != proto.StInvalid {
 			t.Fatalf("scheme %v accepted", sc)
 		}
 	}
 	// Non-leader rejects management ops.
-	outs = h.nodes[1].deliver(h.now, "client/m", &proto.CreateMemgest{Req: 22, Scheme: proto.Rep(2, 3)})
-	if outs[0].Msg.(*proto.MemgestReply).Status != proto.StWrongNode {
+	outs = h.nodes[1].deliver(h.now, "client/m", &proto.Reconfig{Req: 22, Op: proto.ReconfigCreate, Scheme: proto.Rep(2, 3)})
+	if outs[0].Msg.(*proto.ReconfigReply).Status != proto.StWrongNode {
 		t.Fatal("non-leader accepted createMemgest")
 	}
 }
 
 func TestSetDefaultMemgest(t *testing.T) {
 	h := newHarness(t, figure3Spec())
-	h.send("client/d", 0, &proto.SetDefault{Req: 30, Memgest: mgSRS32})
+	h.send("client/d", 0, &proto.Reconfig{Req: 30, Op: proto.ReconfigSetDefault, Memgest: mgSRS32})
 	h.run()
-	if r := h.lastReply("client/d").(*proto.MemgestReply); r.Status != proto.StOK {
+	if r := h.lastReply("client/d").(*proto.ReconfigReply); r.Status != proto.StOK {
 		t.Fatalf("set default: %v", r.Status)
 	}
 	// A put without memgest now lands in SRS32.
@@ -589,9 +589,9 @@ func TestSetDefaultMemgest(t *testing.T) {
 
 func TestDeleteMemgest(t *testing.T) {
 	h := newHarness(t, figure3Spec())
-	h.send("client/d", 0, &proto.DeleteMemgest{Req: 31, Memgest: mgREP2})
+	h.send("client/d", 0, &proto.Reconfig{Req: 31, Op: proto.ReconfigDelete, Memgest: mgREP2})
 	h.run()
-	if r := h.lastReply("client/d").(*proto.MemgestReply); r.Status != proto.StOK {
+	if r := h.lastReply("client/d").(*proto.ReconfigReply); r.Status != proto.StOK {
 		t.Fatalf("delete memgest: %v", r.Status)
 	}
 	r := h.put("x", []byte("v"), mgREP2)
@@ -599,9 +599,9 @@ func TestDeleteMemgest(t *testing.T) {
 		t.Fatalf("put into deleted memgest: %v", r.Status)
 	}
 	// Unknown memgest.
-	h.send("client/d", 0, &proto.DeleteMemgest{Req: 32, Memgest: 99})
+	h.send("client/d", 0, &proto.Reconfig{Req: 32, Op: proto.ReconfigDelete, Memgest: 99})
 	h.run()
-	if r := h.lastReply("client/d").(*proto.MemgestReply); r.Status != proto.StNoMemgest {
+	if r := h.lastReply("client/d").(*proto.ReconfigReply); r.Status != proto.StNoMemgest {
 		t.Fatalf("delete unknown: %v", r.Status)
 	}
 }

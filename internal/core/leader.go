@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"sort"
 
 	"ring/internal/proto"
@@ -126,98 +125,34 @@ func (n *Node) handleConfigPush(from string, m *proto.ConfigPush) {
 	n.send(from, &proto.ConfigAck{Epoch: m.Config.Epoch})
 }
 
-// memgestReply answers a memgest verb; id and scheme ride only on
-// success.
-func (n *Node) memgestReply(from string, req proto.ReqID, id proto.MemgestID, sc proto.Scheme) replyFunc {
-	return func(st proto.Status, _ uint32, _ proto.Epoch) {
-		r := &proto.MemgestReply{Req: req, Status: st}
+// handleReconfig runs an operator's change at the leader: each op is a
+// delta handed to propose, and only a leave is fenced behind the node
+// it removes.
+func (n *Node) handleReconfig(from string, m *proto.Reconfig) {
+	req, fence, id := m.Req, proto.NilNode, proto.MemgestID(0) // a fenced leave answers after this handler returned
+	reply := func(st proto.Status, moved uint32, epoch proto.Epoch) {
+		r := &proto.ReconfigReply{Req: req, Status: st, Moved: moved, Epoch: epoch}
 		if st == proto.StOK {
-			r.Memgest, r.Scheme = id, sc
+			r.Memgest = id
 		}
 		n.send(from, r)
 	}
-}
-
-// handleCreateMemgest processes the leader-only createMemgest request:
-// validate the descriptor, place its redundancy, assign an ID, and
-// replicate the new configuration.
-func (n *Node) handleCreateMemgest(from string, m *proto.CreateMemgest) {
-	sc, id := m.Scheme, n.nextMgID // installConfig moves nextMgID past it
-	n.propose(func(cfg *proto.Config) proto.Status {
-		s, d := len(cfg.Coords), len(cfg.Redundant)
-		switch {
-		case sc.Validate() != nil,
-			sc.S != s,                                // every memgest in the group shares the same s
-			sc.Kind == proto.SchemeSRS && sc.M > d,   // d bounds the number of parity nodes
-			sc.Kind == proto.SchemeRep && sc.R > s+d: // s+d bounds the replication factor
-			return proto.StInvalid
-		}
-		cfg.Memgests = append(cfg.Memgests, proto.MemgestInfo{
-			ID:        id,
-			Scheme:    sc,
-			Redundant: slices.Clone(cfg.Redundant),
-		})
-		if cfg.Default == 0 {
-			cfg.Default = id
-		}
-		return proto.StOK
-	}, proto.NilNode, n.memgestReply(from, m.Req, id, sc))
-}
-
-// handleDeleteMemgest removes a memgest cluster-wide. Keys stored only
-// in it become unavailable; callers are expected to have moved them.
-func (n *Node) handleDeleteMemgest(from string, m *proto.DeleteMemgest) {
-	n.propose(func(cfg *proto.Config) proto.Status {
-		i := slices.IndexFunc(cfg.Memgests, func(mi proto.MemgestInfo) bool { return mi.ID == m.Memgest })
-		if i < 0 {
-			return proto.StNoMemgest
-		}
-		cfg.Memgests = slices.Delete(cfg.Memgests, i, i+1)
-		if cfg.Default == m.Memgest {
-			cfg.Default = 0
-			if len(cfg.Memgests) > 0 {
-				cfg.Default = cfg.Memgests[0].ID
-			}
-		}
-		return proto.StOK
-	}, proto.NilNode, n.memgestReply(from, m.Req, m.Memgest, proto.Scheme{}))
-}
-
-// handleSetDefault changes the memgest used by puts without an
-// explicit memgest argument.
-func (n *Node) handleSetDefault(from string, m *proto.SetDefault) {
-	n.propose(func(cfg *proto.Config) proto.Status {
-		if cfg.Memgest(m.Memgest) == nil {
-			return proto.StNoMemgest
-		}
-		cfg.Default = m.Memgest
-		return proto.StOK
-	}, proto.NilNode, n.memgestReply(from, m.Req, m.Memgest, proto.Scheme{}))
-}
-
-// handleResize processes an operator's join or leave. A join is a pure
-// configuration broadcast; a leave is fenced behind the departing node.
-func (n *Node) handleResize(from string, m *proto.Resize) {
-	req := m.Req // a fenced leave answers after this handler returned
-	reply := func(st proto.Status, moved uint32, epoch proto.Epoch) {
-		n.send(from, &proto.ResizeReply{Req: req, Status: st, Moved: moved, Epoch: epoch})
-	}
+	var d delta
 	switch m.Op {
-	case proto.ResizeJoin:
-		n.propose(admit(m.Node), proto.NilNode, reply)
-	case proto.ResizeLeave:
-		n.propose(leave(m.Node), m.Node, reply)
+	case proto.ReconfigJoin:
+		d = admit(m.Node)
+	case proto.ReconfigLeave:
+		d, fence = leave(m.Node), m.Node
+	case proto.ReconfigCreate:
+		id = n.nextMgID // installConfig moves nextMgID past it
+		d = createMemgest(id, m.Scheme)
+	case proto.ReconfigDelete:
+		d = deleteMemgest(m.Memgest)
+	case proto.ReconfigSetDefault:
+		d = setDefault(m.Memgest)
 	default:
-		reply(proto.StInvalid, 0, 0)
-	}
-}
-
-// handleGetDescriptor serves a memgest's scheme from any node.
-func (n *Node) handleGetDescriptor(from string, m *proto.GetDescriptor) {
-	mi := n.cfg.Memgest(m.Memgest)
-	if mi == nil {
-		n.send(from, &proto.MemgestReply{Req: m.Req, Status: proto.StNoMemgest})
+		reply(proto.StInvalid, 0, n.cfg.Epoch)
 		return
 	}
-	n.send(from, &proto.MemgestReply{Req: m.Req, Status: proto.StOK, Memgest: mi.ID, Scheme: mi.Scheme})
+	n.propose(d, fence, reply)
 }

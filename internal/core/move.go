@@ -168,7 +168,7 @@ func (n *Node) admitMove(from string, m *proto.Move) {
 // whether the key is under the old scheme or the new one.
 func (n *Node) startMove(client string, m *proto.Move, shard uint32, src store.VersionRef, value []byte) {
 	newVer := src.Version + 1
-	if n.opts.ChaosUnsafeConvert {
+	if n.opts.ChaosUnsafeMove {
 		// Injected bug (elasticity chaos-lane validation only): ack the
 		// move before its write is even launched and purge the source
 		// version while the destination write is still in flight. A

@@ -63,13 +63,13 @@ type Options struct {
 	// must catch the lost updates this produces under faults. Never
 	// set it outside that test path.
 	ChaosUnsafeAck bool
-	// ChaosUnsafeConvert deliberately acknowledges moves before the
+	// ChaosUnsafeMove deliberately acknowledges moves before the
 	// destination write is launched and purges the source version
 	// before that write is durable. It exists ONLY to validate the
-	// elasticity chaos lane (cmd/ringchaos -convbug): a coordinator
+	// elasticity chaos lane (cmd/ringchaos -movebug): a coordinator
 	// crash in the window silently loses the key, which the checker must
 	// flag. Never set it outside that path.
-	ChaosUnsafeConvert bool
+	ChaosUnsafeMove bool
 	// SyncReplication switches Rep memgests from quorum commits
 	// (majority of r) to fully synchronous commits (all r copies), the
 	// alternative discussed in Section 3.1: r-1 failures tolerated for
@@ -285,16 +285,8 @@ func (n *Node) HandleMessage(now time.Duration, from string, msg proto.Message) 
 		n.handleDelete(from, m)
 	case *proto.Move:
 		n.handleMove(from, m)
-	case *proto.Resize:
-		n.handleResize(from, m)
-	case *proto.CreateMemgest:
-		n.handleCreateMemgest(from, m)
-	case *proto.DeleteMemgest:
-		n.handleDeleteMemgest(from, m)
-	case *proto.SetDefault:
-		n.handleSetDefault(from, m)
-	case *proto.GetDescriptor:
-		n.handleGetDescriptor(from, m)
+	case *proto.Reconfig:
+		n.handleReconfig(from, m)
 	case *proto.Resolve:
 		n.send(from, &proto.ResolveReply{Req: m.Req, Config: n.cfg.Clone()})
 	// Replication plane.
@@ -330,8 +322,6 @@ func (n *Node) HandleMessage(now time.Duration, from string, msg proto.Message) 
 		n.handleFetch(from, m)
 	case *proto.FetchReply:
 		n.handleFetchReply(from, m)
-	case *proto.Tick:
-		n.handleTick()
 	}
 }
 

@@ -193,8 +193,9 @@ func TestGetReplySurvivesPurgeInSameDrain(t *testing.T) {
 		for _, m := range msgs[1:] {
 			packets <- transport.Packet{From: from, Payload: proto.Encode(m)}
 		}
-		if !r.drain(transport.Packet{From: from, Payload: proto.Encode(msgs[0])}, packets) {
-			t.Fatal("drain reported a closed inbox")
+		r.inbox = packets
+		if !r.drain(transport.Packet{From: from, Payload: proto.Encode(msgs[0])}) {
+			t.Fatal("the node crash-stopped")
 		}
 	}
 	val := func(b byte) []byte { return bytes.Repeat([]byte{b}, 1000) }
@@ -222,7 +223,8 @@ func TestGetReplySurvivesPurgeInSameDrain(t *testing.T) {
 	packets := make(chan transport.Packet, 2)
 	packets <- transport.Packet{From: replica.ep.Addr(), Payload: proto.Encode(&proto.RepAck{Memgest: a2.Memgest, Shard: a2.Shard, Seq: a2.Seq})}
 	packets <- transport.Packet{From: client.ep.Addr(), Payload: proto.Encode(&proto.Put{Req: 4, Key: "other", Value: val(3)})}
-	r.drain(transport.Packet{From: client.ep.Addr(), Payload: proto.Encode(&proto.Get{Req: 3, Key: "k", Version: 1})}, packets)
+	r.inbox = packets
+	r.drain(transport.Packet{From: client.ep.Addr(), Payload: proto.Encode(&proto.Get{Req: 3, Key: "k", Version: 1})})
 
 	if slotOf("k", 1) != nil {
 		t.Fatal("version 1 was not purged in the drain")
@@ -278,8 +280,9 @@ func TestRepliesSurviveEvacuationInSameDrain(t *testing.T) {
 		for _, p := range pkts[1:] {
 			rest <- p
 		}
-		if !r.drain(pkts[0], rest) {
-			t.Fatal("drain reported a closed inbox")
+		r.inbox = rest
+		if !r.drain(pkts[0]) {
+			t.Fatal("the node crash-stopped")
 		}
 	}
 	from := func(p *peer, m proto.Message) transport.Packet {

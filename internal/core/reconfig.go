@@ -138,6 +138,58 @@ func leave(node proto.NodeID) delta {
 	}
 }
 
+// createMemgest adds a memgest of scheme sc under id, its redundancy on
+// the group's redundancy nodes, and makes it the default if there is
+// none.
+func createMemgest(id proto.MemgestID, sc proto.Scheme) delta {
+	return func(cfg *proto.Config) proto.Status {
+		s, d := len(cfg.Coords), len(cfg.Redundant)
+		switch {
+		case sc.Validate() != nil,
+			sc.S != s,                                // every memgest in the group shares the same s
+			sc.Kind == proto.SchemeSRS && sc.M > d,   // d bounds the number of parity nodes
+			sc.Kind == proto.SchemeRep && sc.R > s+d: // s+d bounds the replication factor
+			return proto.StInvalid
+		}
+		cfg.Memgests = append(cfg.Memgests, proto.MemgestInfo{ID: id, Scheme: sc, Redundant: slices.Clone(cfg.Redundant)})
+		if cfg.Default == 0 {
+			cfg.Default = id
+		}
+		return proto.StOK
+	}
+}
+
+// deleteMemgest removes memgest id cluster-wide; the default passes to
+// the first memgest left. Keys stored only in it become unavailable;
+// callers are expected to have moved them.
+func deleteMemgest(id proto.MemgestID) delta {
+	return func(cfg *proto.Config) proto.Status {
+		i := slices.IndexFunc(cfg.Memgests, func(mi proto.MemgestInfo) bool { return mi.ID == id })
+		if i < 0 {
+			return proto.StNoMemgest
+		}
+		cfg.Memgests = slices.Delete(cfg.Memgests, i, i+1)
+		if cfg.Default == id {
+			cfg.Default = 0
+			if len(cfg.Memgests) > 0 {
+				cfg.Default = cfg.Memgests[0].ID
+			}
+		}
+		return proto.StOK
+	}
+}
+
+// setDefault makes memgest id the one puts without a memgest land in.
+func setDefault(id proto.MemgestID) delta {
+	return func(cfg *proto.Config) proto.Status {
+		if cfg.Memgest(id) == nil {
+			return proto.StNoMemgest
+		}
+		cfg.Default = id
+		return proto.StOK
+	}
+}
+
 // readmit is the change an amnesiac restart asks for: whatever slots
 // the node still holds are worthless, so they go to a spare and the
 // node comes back as one.

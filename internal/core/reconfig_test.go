@@ -164,7 +164,7 @@ func replyTo(t *testing.T, outs []Out, client string) proto.Message {
 // push, checking it is the only thing the leader said.
 func (m *machine) fence(node proto.NodeID) *proto.ConfigPush {
 	m.t.Helper()
-	outs := m.msg("client/op", &proto.Resize{Req: 1, Op: proto.ResizeLeave, Node: node})
+	outs := m.msg("client/op", &proto.Reconfig{Req: 1, Op: proto.ReconfigLeave, Node: node})
 	if len(outs) != 1 || outs[0].To != NodeAddr(node) {
 		m.t.Fatalf("leave must push to the departing node alone, got %+v", outs)
 	}
@@ -202,7 +202,7 @@ func TestFencePushLostIsRepushed(t *testing.T) {
 	if _, told := got[NodeAddr(1)]; told || len(got) != 5 {
 		t.Fatalf("announce went to %v, want the five remaining members", got)
 	}
-	r, _ := replyTo(t, outs, "client/op").(*proto.ResizeReply)
+	r, _ := replyTo(t, outs, "client/op").(*proto.ReconfigReply)
 	if r == nil || r.Status != proto.StOK || r.Moved != 1 || r.Epoch != 2 || m.n.cfg.Epoch != 2 {
 		t.Fatalf("reply %+v, leader at epoch %d", r, m.n.cfg.Epoch)
 	}
@@ -232,7 +232,7 @@ func TestFenceSilentDeparterCompletesAsFailover(t *testing.T) {
 	if m.now <= m.n.opts.FailAfter {
 		t.Fatalf("fence completed at %v, before FailAfter", m.now)
 	}
-	r, _ := replyTo(t, outs, "client/op").(*proto.ResizeReply)
+	r, _ := replyTo(t, outs, "client/op").(*proto.ReconfigReply)
 	if r == nil || r.Status != proto.StOK || r.Moved != held || r.Epoch != 2 {
 		t.Fatalf("reply %+v, want StOK moved=%d epoch=2", r, held)
 	}
@@ -255,7 +255,7 @@ func TestFenceOvertakenIsAbandoned(t *testing.T) {
 	other := m.n.cfg.Clone()
 	other.Epoch, other.Leader = 3, 2
 	outs := m.msg(NodeAddr(2), &proto.ConfigPush{Config: other})
-	r, _ := replyTo(t, outs, "client/op").(*proto.ResizeReply)
+	r, _ := replyTo(t, outs, "client/op").(*proto.ReconfigReply)
 	if r == nil || r.Status != proto.StRetry {
 		t.Fatalf("reply %+v, want StRetry", r)
 	}
@@ -276,12 +276,12 @@ func TestProposalsWhileFencePending(t *testing.T) {
 	m.fence(1)
 	pending := m.n.pendingChange
 
-	outs := m.msg("client/b", &proto.Resize{Req: 2, Op: proto.ResizeLeave, Node: 2})
-	if r, _ := replyTo(t, outs, "client/b").(*proto.ResizeReply); len(outs) != 1 || r == nil || r.Status != proto.StRetry {
+	outs := m.msg("client/b", &proto.Reconfig{Req: 2, Op: proto.ReconfigLeave, Node: 2})
+	if r, _ := replyTo(t, outs, "client/b").(*proto.ReconfigReply); len(outs) != 1 || r == nil || r.Status != proto.StRetry {
 		t.Fatalf("second resize: %+v", outs)
 	}
-	outs = m.msg("client/c", &proto.CreateMemgest{Req: 3, Scheme: proto.Rep(2, 3)})
-	if r, _ := replyTo(t, outs, "client/c").(*proto.MemgestReply); len(outs) != 1 || r == nil || r.Status != proto.StRetry {
+	outs = m.msg("client/c", &proto.Reconfig{Req: 3, Op: proto.ReconfigCreate, Scheme: proto.Rep(2, 3)})
+	if r, _ := replyTo(t, outs, "client/c").(*proto.ReconfigReply); len(outs) != 1 || r == nil || r.Status != proto.StRetry {
 		t.Fatalf("create memgest: %+v", outs)
 	}
 	if outs = m.msg(NodeAddr(2), &proto.Join{Node: 2}); len(outs) != 0 {
@@ -313,5 +313,100 @@ func TestLeaderTakeoverIsOneEpoch(t *testing.T) {
 	// The dead leader held shard 0 and nothing else.
 	if len(got) != 5 || m.n.Metrics.ShardsMoved.Load() != 1 {
 		t.Fatalf("takeover announced to %v, ShardsMoved %d", got, m.n.Metrics.ShardsMoved.Load())
+	}
+}
+
+// reconfigOps is one request of every op, each a change the Figure 3
+// cluster can make in turn from its boot configuration.
+func reconfigOps() []*proto.Reconfig {
+	return []*proto.Reconfig{
+		{Req: 1, Op: proto.ReconfigJoin, Node: 9},
+		{Req: 2, Op: proto.ReconfigLeave, Node: 2},
+		{Req: 3, Op: proto.ReconfigCreate, Scheme: proto.Rep(2, 3)},
+		{Req: 4, Op: proto.ReconfigDelete, Memgest: mgREP2},
+		{Req: 5, Op: proto.ReconfigSetDefault, Memgest: mgSRS32},
+	}
+}
+
+// TestReconfigRepliesCarryEpoch: every op is one change and one epoch,
+// and its reply names the epoch it installed — a leave once the
+// departing node acknowledged its fence, every other op at once. Only a
+// create's reply carries a memgest, the ID it gave; an op that changes
+// nothing is answered at the current epoch.
+func TestReconfigRepliesCarryEpoch(t *testing.T) {
+	m := newMachine(t, 0)
+	for i, op := range reconfigOps() {
+		want := proto.Epoch(i + 2)
+		outs := m.msg("client/op", op)
+		if op.Op == proto.ReconfigLeave {
+			outs = m.msg(NodeAddr(op.Node), &proto.ConfigAck{Epoch: want})
+		}
+		var mg proto.MemgestID
+		if op.Op == proto.ReconfigCreate {
+			mg = m.n.cfg.Memgests[len(m.n.cfg.Memgests)-1].ID
+		}
+		r, _ := replyTo(t, outs, "client/op").(*proto.ReconfigReply)
+		if r == nil || r.Req != op.Req || r.Status != proto.StOK || r.Epoch != want || m.n.cfg.Epoch != want || r.Memgest != mg {
+			t.Fatalf("op %d: reply %+v, leader at epoch %d; want StOK at epoch %d, memgest %d", op.Op, r, m.n.cfg.Epoch, want, mg)
+		}
+	}
+	if m.n.cfg.Default != mgSRS32 || m.n.cfg.Memgest(mgREP2) != nil || m.n.cfg.Memgest(8) == nil || isMember(m.n.cfg, 2) || !isMember(m.n.cfg, 9) {
+		t.Fatalf("after every op: %+v", m.n.cfg)
+	}
+	outs := m.msg("client/op", &proto.Reconfig{Req: 6, Op: proto.ReconfigSetDefault, Memgest: mgSRS32})
+	if r, _ := replyTo(t, outs, "client/op").(*proto.ReconfigReply); len(outs) != 1 || r == nil || r.Status != proto.StOK || r.Epoch != 6 || m.n.cfg.Epoch != 6 {
+		t.Fatalf("a set-default that changes nothing: %+v, leader at epoch %d", outs, m.n.cfg.Epoch)
+	}
+}
+
+// TestReconfigUnknownOp: an op nobody defined is refused StInvalid, by
+// the leader and by any other node alike, and changes nothing.
+func TestReconfigUnknownOp(t *testing.T) {
+	for _, id := range []proto.NodeID{0, 1} {
+		m := newMachine(t, id)
+		outs := m.msg("client/op", &proto.Reconfig{Req: 7, Op: 99, Node: 3})
+		r, _ := replyTo(t, outs, "client/op").(*proto.ReconfigReply)
+		if len(outs) != 1 || r == nil || r.Req != 7 || r.Status != proto.StInvalid || m.n.cfg.Epoch != 1 {
+			t.Fatalf("node %d answered %+v at epoch %d", id, outs, m.n.cfg.Epoch)
+		}
+	}
+}
+
+// TestRejoiningAnswersReconfigRetry: a node quarantined after a restart
+// answers every op StRetry, so the operator re-resolves and finds the
+// leader, even when its boot configuration names the node leader.
+func TestRejoiningAnswersReconfigRetry(t *testing.T) {
+	cfg, err := BootConfig(figure3Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := NewRejoining(0, cfg, figure3Spec().Opts)
+	for _, op := range append(reconfigOps(), &proto.Reconfig{Req: 6, Op: 99}) {
+		outs := n.deliver(time.Millisecond, "client/op", op)
+		r, _ := replyTo(t, outs, "client/op").(*proto.ReconfigReply)
+		if len(outs) != 1 || r == nil || r.Req != op.Req || r.Status != proto.StRetry {
+			t.Fatalf("op %d: %+v", op.Op, outs)
+		}
+	}
+	if !n.Rejoining() || n.cfg.Epoch != 1 {
+		t.Fatalf("rejoining %v at epoch %d", n.Rejoining(), n.cfg.Epoch)
+	}
+}
+
+// TestNoPacketRunsTheTimer: a node's timer is its runner's to fire. A
+// message without fields would decode from its tag byte alone, and
+// none may make a leader do what its tick does: heartbeat the members.
+func TestNoPacketRunsTheTimer(t *testing.T) {
+	for b := 0; b < 256; b++ {
+		msg, err := proto.Decode([]byte{byte(b)})
+		if err != nil {
+			continue
+		}
+		m := newMachine(t, 0)
+		for _, o := range m.msg("client/x", msg) {
+			if _, ok := o.Msg.(*proto.Heartbeat); ok {
+				t.Fatalf("the one-byte packet %d (%T) from a client made the leader heartbeat %s", b, msg, o.To)
+			}
+		}
 	}
 }

@@ -169,7 +169,7 @@ func TestLostRoleForgetsItsWants(t *testing.T) {
 		t.Fatalf("get of a block not yet decoded was answered: %+v", h.replies("client/p"))
 	}
 
-	h.send("client/r", h.config().Leader, &proto.Resize{Req: 9, Op: proto.ResizeLeave, Node: coord})
+	h.send("client/r", h.config().Leader, &proto.Reconfig{Req: 9, Op: proto.ReconfigLeave, Node: coord})
 	h.run()
 	if !h.tickUntil(10*time.Millisecond, 100, func() bool { return !holdsRole(n.cfg, coord) }) {
 		t.Fatalf("node %d never left (config %+v)", coord, n.cfg)

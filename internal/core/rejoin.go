@@ -55,16 +55,8 @@ func (n *Node) handleRejoining(from string, msg proto.Message) {
 		n.send(from, &proto.DeleteReply{Req: m.Req, Status: proto.StRetry})
 	case *proto.Move:
 		n.send(from, &proto.MoveReply{Req: m.Req, Status: proto.StRetry})
-	case *proto.Resize:
-		n.send(from, &proto.ResizeReply{Req: m.Req, Status: proto.StRetry})
-	case *proto.CreateMemgest:
-		n.send(from, &proto.MemgestReply{Req: m.Req, Status: proto.StRetry})
-	case *proto.DeleteMemgest:
-		n.send(from, &proto.MemgestReply{Req: m.Req, Status: proto.StRetry})
-	case *proto.SetDefault:
-		n.send(from, &proto.MemgestReply{Req: m.Req, Status: proto.StRetry})
-	case *proto.GetDescriptor:
-		n.send(from, &proto.MemgestReply{Req: m.Req, Status: proto.StRetry})
+	case *proto.Reconfig:
+		n.send(from, &proto.ReconfigReply{Req: m.Req, Status: proto.StRetry})
 	}
 }
 

@@ -10,13 +10,13 @@ import (
 	"ring/internal/store"
 )
 
-func (c *durClient) resize(addr string, req proto.ReqID, op proto.ResizeOp, node proto.NodeID) *proto.ResizeReply {
+func (c *durClient) resize(addr string, req proto.ReqID, op proto.ReconfigOp, node proto.NodeID) *proto.ReconfigReply {
 	c.t.Helper()
-	m := c.rpc(addr, &proto.Resize{Req: req, Op: op, Node: node}, func(m proto.Message) bool {
-		r, ok := m.(*proto.ResizeReply)
+	m := c.rpc(addr, &proto.Reconfig{Req: req, Op: op, Node: node}, func(m proto.Message) bool {
+		r, ok := m.(*proto.ReconfigReply)
 		return ok && r.Req == req
 	})
-	return m.(*proto.ResizeReply)
+	return m.(*proto.ReconfigReply)
 }
 
 // TestResizeLeaveJoinMinimalMovement drives a graceful leave of a
@@ -81,7 +81,7 @@ func TestResizeLeaveJoinMinimalMovement(t *testing.T) {
 		}
 	}
 
-	r := c.resize(NodeAddr(leader), 100, proto.ResizeLeave, victim)
+	r := c.resize(NodeAddr(leader), 100, proto.ReconfigLeave, victim)
 	if r.Status != proto.StOK {
 		t.Fatalf("leave: %v", r.Status)
 	}
@@ -114,7 +114,7 @@ func TestResizeLeaveJoinMinimalMovement(t *testing.T) {
 	}
 
 	// Join the node back: zero movement, spare role only.
-	r2 := c.resize(NodeAddr(leader), 300, proto.ResizeJoin, victim)
+	r2 := c.resize(NodeAddr(leader), 300, proto.ReconfigJoin, victim)
 	if r2.Status != proto.StOK {
 		t.Fatalf("join: %v", r2.Status)
 	}

@@ -28,11 +28,11 @@ const (
 )
 
 // resize runs an operator's join or leave through the leader.
-func (h *harness) resize(op proto.ResizeOp, node proto.NodeID) {
+func (h *harness) resize(op proto.ReconfigOp, node proto.NodeID) {
 	h.t.Helper()
-	h.send("client/t", 0, &proto.Resize{Req: 9, Op: op, Node: node})
+	h.send("client/t", 0, &proto.Reconfig{Req: 9, Op: op, Node: node})
 	h.run()
-	if r, ok := h.lastReply("client/t").(*proto.ResizeReply); !ok || r.Status != proto.StOK {
+	if r, ok := h.lastReply("client/t").(*proto.ReconfigReply); !ok || r.Status != proto.StOK {
 		h.t.Fatalf("resize %v of node %d: %+v", op, node, r)
 	}
 	if !h.tickUntil(time.Millisecond, 500, func() bool {
@@ -116,7 +116,7 @@ func TestRegainedRoleRecovers(t *testing.T) {
 		_, push := m.msg.(*proto.ConfigPush)
 		pushed = pushed || push && m.to == NodeAddr(3)
 	}
-	h.resize(proto.ResizeLeave, 3)
+	h.resize(proto.ReconfigLeave, 3)
 	if got := h.holdings(3); got != (holdings{}) {
 		t.Fatalf("node 3 left and still holds %+v", got)
 	}
@@ -141,8 +141,8 @@ func TestRegainedRoleRecovers(t *testing.T) {
 		t.Fatalf("substitute holds %d entries, want 36", predecessor.entries)
 	}
 
-	h.resize(proto.ResizeJoin, 3)
-	h.resize(proto.ResizeLeave, 5)
+	h.resize(proto.ReconfigJoin, 3)
+	h.resize(proto.ReconfigLeave, 5)
 	if got := h.nodes[3].Stats.MetaRecovs; got != 6 {
 		t.Fatalf("node 3 regained six redundancy roles with %d metadata recoveries", got)
 	}
@@ -151,7 +151,7 @@ func TestRegainedRoleRecovers(t *testing.T) {
 	}
 	h.checkParityInvariant()
 
-	h.resize(proto.ResizeJoin, 5)
+	h.resize(proto.ReconfigJoin, 5)
 	h.kill(1)
 	if !h.tickUntil(time.Millisecond, 1000, func() bool {
 		return h.nodes[0].cfg.Coords[1] == 5 && h.recovered(5)
@@ -198,7 +198,7 @@ func TestEarlyAppendDoesNotStandInForRecovery(t *testing.T) {
 		t.Fatalf("a spare stored replication traffic: %+v", got)
 	}
 
-	h.resize(proto.ResizeLeave, 3)
+	h.resize(proto.ReconfigLeave, 3)
 	if got := spare.Stats.MetaRecovs; got != 6 {
 		t.Fatalf("substitute took six redundancy roles with %d metadata recoveries", got)
 	}

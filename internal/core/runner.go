@@ -41,15 +41,14 @@ type Runner struct {
 	ep    transport.Endpoint
 	ticks time.Duration
 
-	mu      sync.Mutex // guards node during Inspect
-	start   time.Time
-	stopped chan struct{}
-	done    chan struct{}
-	epOnce  sync.Once // ep.Close exactly once (halt and Stop both close)
+	mu     sync.Mutex // guards node during Inspect
+	start  time.Time
+	done   chan struct{}
+	epOnce sync.Once // ep.Close exactly once (halt and Stop both close)
 
-	// depth reports the current inbox backlog; set once at start, read
-	// by the queue-depth gauges at scrape time.
-	depth func() int
+	// inbox is the endpoint's receive channel; the queue-depth gauges
+	// read its length at scrape time.
+	inbox <-chan transport.Packet
 
 	// Event-loop scratch (single-goroutine): the per-destination
 	// coalescing group and the pooled payload buffers (Out.Scratch) of
@@ -61,7 +60,9 @@ type Runner struct {
 }
 
 // StartRunner registers the node's endpoint on the fabric and starts
-// its event loop. tickEvery <= 0 selects 10ms.
+// its event loop, which selects on the endpoint's inbox itself: the
+// endpoint must be a transport.ChanReceiver, as both fabrics' are.
+// tickEvery <= 0 selects 10ms.
 //
 //ring:wallclock the Runner is the deliberate real-time boundary hosting the event-driven node
 func StartRunner(n *Node, fabric transport.Fabric, tickEvery time.Duration) (*Runner, error) {
@@ -72,77 +73,44 @@ func StartRunner(n *Node, fabric transport.Fabric, tickEvery time.Duration) (*Ru
 	if err != nil {
 		return nil, err
 	}
+	cr, ok := ep.(transport.ChanReceiver)
+	if !ok {
+		ep.Close()
+		return nil, fmt.Errorf("core: endpoint %T has no inbox channel (transport.ChanReceiver)", ep)
+	}
 	r := &Runner{
-		node:    n,
-		ep:      ep,
-		ticks:   tickEvery,
-		start:   time.Now(),
-		stopped: make(chan struct{}),
-		done:    make(chan struct{}),
+		node:  n,
+		ep:    ep,
+		ticks: tickEvery,
+		start: time.Now(),
+		done:  make(chan struct{}),
+		inbox: cr.RecvChan(),
 	}
-	if cr, ok := ep.(transport.ChanReceiver); ok {
-		// Fabric with a channel inbox (memnet, tcpnet): the event loop
-		// selects on it directly — no forwarder goroutine, one less
-		// handoff per packet.
-		inbox := cr.RecvChan()
-		r.depth = func() int { return len(inbox) }
-		RunnerGoroutines.Add(1)
-		go r.loop(inbox, cr.Closed())
-	} else {
-		// An endpoint that only has Recv (a wrapper around either).
-		packets := make(chan transport.Packet, 1024)
-		r.depth = func() int { return len(packets) }
-		go func() {
-			for {
-				p, err := ep.Recv()
-				if err != nil {
-					close(packets)
-					return
-				}
-				select {
-				case packets <- p:
-				case <-r.stopped:
-					return
-				}
-			}
-		}()
-		RunnerGoroutines.Add(1)
-		go r.loop(packets, nil)
-	}
+	RunnerGoroutines.Add(1)
+	go r.loop(cr.Closed())
 	return r, nil
 }
 
 // InboxDepth returns the runner's current receive backlog — the
 // instantaneous form of the InboxHighWater mark, summed per group by
 // the queue-depth gauges.
-func (r *Runner) InboxDepth() int {
-	if r.depth == nil {
-		return 0
-	}
-	return r.depth()
-}
+func (r *Runner) InboxDepth() int { return len(r.inbox) }
 
-// loop is the node's event loop. packets either closes on shutdown
-// (forwarder path) or stays open with epClosed signalling shutdown
-// (ChanReceiver path); a nil epClosed never fires.
+// loop is the node's event loop. The inbox never closes: closing the
+// endpoint, which Stop, Kill and halt do, ends it.
 //
 //ring:wallclock real-time ticker driving the node's virtual clock
-func (r *Runner) loop(packets <-chan transport.Packet, epClosed <-chan struct{}) {
+func (r *Runner) loop(epClosed <-chan struct{}) {
 	defer close(r.done)
 	defer RunnerGoroutines.Add(-1)
 	ticker := time.NewTicker(r.ticks)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-r.stopped:
-			return
 		case <-epClosed:
 			return
-		case p, ok := <-packets:
-			if !ok {
-				return
-			}
-			if !r.drain(p, packets) {
+		case p := <-r.inbox:
+			if !r.drain(p) {
 				return
 			}
 		case <-ticker.C:
@@ -157,14 +125,14 @@ func (r *Runner) loop(packets <-chan transport.Packet, epClosed <-chan struct{})
 // a flooded node still flushes sends and honours Stop promptly.
 const maxDrain = 64
 
-// drain runs p plus any backlog already queued on packets through the
+// drain runs p plus any backlog already queued in the inbox through the
 // state machine under a single lock, then flushes every resulting send
 // in one coalesced pass. Processing the backlog per wakeup instead of
 // per packet amortises lock and scheduler traffic, and lets outputs of
 // different events destined for the same peer share a packet — e.g. a
 // coordinator that finds several acks queued emits the commit fan-out
 // and the client replies they unlock as single per-peer sends. It
-// returns false once the packet channel has closed.
+// returns false once the node has crash-stopped.
 //
 // Flush runs under r.mu by design: it is the node's group commit, and
 // the batch's outputs exist outside the node only once it has returned
@@ -174,13 +142,12 @@ const maxDrain = 64
 //ring:hotpath
 //ring:wallclock converts wall time to the node's event clock
 //ring:lockok deliberate hold-across-fsync, see above
-func (r *Runner) drain(p transport.Packet, packets <-chan transport.Packet) bool {
-	open := true
+func (r *Runner) drain(p transport.Packet) bool {
 	r.mu.Lock()
 	now := time.Since(r.start)
 	// The channel backlog plus the packet in hand is the inbox depth
 	// this wakeup observed.
-	r.node.Metrics.InboxHighWater.Observe(int64(len(packets)) + 1)
+	r.node.Metrics.InboxHighWater.Observe(int64(len(r.inbox)) + 1)
 	for drained := 0; ; drained++ {
 		// A packet carries one message or a TBatch of several; each is
 		// run through the state machine in arrival order.
@@ -207,17 +174,14 @@ func (r *Runner) drain(p transport.Packet, packets <-chan transport.Packet) bool
 		}
 		var more bool
 		select {
-		case p, more = <-packets:
-			if !more {
-				open = false
-			}
+		case p, more = <-r.inbox:
 		default:
 		}
 		if !more {
 			break
 		}
 	}
-	return r.endBatch() && open
+	return r.endBatch()
 }
 
 // tick runs the node's timer step as a batch of its own.
@@ -329,11 +293,6 @@ func (r *Runner) Kill() {
 //
 //ring:lockok CloseDurable intentionally closes under r.mu, see above
 func (r *Runner) stop(closeDurable bool) {
-	select {
-	case <-r.stopped:
-	default:
-		close(r.stopped)
-	}
 	r.epOnce.Do(func() { r.ep.Close() })
 	<-r.done
 	if closeDurable {

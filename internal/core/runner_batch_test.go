@@ -45,10 +45,10 @@ func TestFlushCoalescesPerDestination(t *testing.T) {
 
 	// Sentinels: if flush had emitted more than one packet per peer,
 	// the extra packet would arrive before the sentinel.
-	if err := self.Send("peer/a", proto.Encode(&proto.Tick{})); err != nil {
+	if err := self.Send("peer/a", proto.Encode(&proto.Heartbeat{Epoch: 9})); err != nil {
 		t.Fatal(err)
 	}
-	if err := self.Send("peer/b", proto.Encode(&proto.Tick{})); err != nil {
+	if err := self.Send("peer/b", proto.Encode(&proto.Heartbeat{Epoch: 9})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -86,7 +86,7 @@ func TestFlushCoalescesPerDestination(t *testing.T) {
 		t.Fatal(err)
 	} else if m, _ := proto.Decode(p.Payload); m == nil {
 		t.Fatalf("sentinel did not decode")
-	} else if _, ok := m.(*proto.Tick); !ok {
+	} else if h, ok := m.(*proto.Heartbeat); !ok || h.Epoch != 9 {
 		t.Fatalf("extra packet to peer/a before sentinel: %#v", m)
 	}
 
@@ -268,4 +268,32 @@ func TestRunnerOverTCPStopsAndKills(t *testing.T) {
 			}
 		})
 	}
+}
+
+// recvOnlyFabric registers endpoints that hide their inbox channel.
+type recvOnlyFabric struct{ *transport.MemFabric }
+
+func (f recvOnlyFabric) Register(addr string) (transport.Endpoint, error) {
+	ep, err := f.MemFabric.Register(addr)
+	return struct{ transport.Endpoint }{ep}, err
+}
+
+// TestRunnerNeedsChanReceiver: a runner selects on its endpoint's inbox
+// and has no other way to read one, so an endpoint without an inbox
+// channel is refused — and closed, its address free again.
+func TestRunnerNeedsChanReceiver(t *testing.T) {
+	cfg, err := BootConfig(ClusterSpec{Shards: 1, Memgests: []proto.Scheme{proto.Rep(1, 1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabric := recvOnlyFabric{transport.NewMemFabric(0)}
+	if r, err := StartRunner(New(0, cfg, Options{}), fabric, time.Minute); err == nil {
+		r.Stop()
+		t.Fatal("a runner started over an endpoint without an inbox channel")
+	}
+	ep, err := fabric.MemFabric.Register(NodeAddr(0))
+	if err != nil {
+		t.Fatalf("the refused endpoint still holds its address: %v", err)
+	}
+	ep.Close()
 }

@@ -157,9 +157,9 @@ func TestDeleteMemgestUncoversOlderVersion(t *testing.T) {
 	if g := h.get("k"); string(g.Value) != "coded" || g.Version != 2 {
 		t.Fatalf("before the delete: %q v%d", g.Value, g.Version)
 	}
-	h.send("client/d", 0, &proto.DeleteMemgest{Req: 31, Memgest: mgSRS32})
+	h.send("client/d", 0, &proto.Reconfig{Req: 31, Op: proto.ReconfigDelete, Memgest: mgSRS32})
 	h.run()
-	if r := h.lastReply("client/d").(*proto.MemgestReply); r.Status != proto.StOK {
+	if r := h.lastReply("client/d").(*proto.ReconfigReply); r.Status != proto.StOK {
 		t.Fatalf("delete memgest: %v", r.Status)
 	}
 	if g := h.get("k"); g.Status != proto.StOK || string(g.Value) != "replicated" || g.Version != 1 {

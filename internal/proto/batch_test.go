@@ -12,7 +12,7 @@ func TestAppendEncodeMatchesEncode(t *testing.T) {
 		&Put{Req: 7, Key: "k", Value: []byte("v"), Memgest: 2},
 		&GetReply{Req: 9, Status: StOK, Version: 3, Value: []byte("xyz")},
 		&RepCommit{Memgest: 1, Shard: 2, Seq: 44},
-		&Tick{},
+		&Heartbeat{Epoch: 1},
 	}
 	for _, m := range msgs {
 		plain := Encode(m)

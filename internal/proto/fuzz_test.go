@@ -22,7 +22,13 @@ func FuzzWireRoundTrip(f *testing.F) {
 		&Move{Req: 10, Key: "k", Memgest: 2, From: 1},
 		&Move{Req: 11, Key: "user:", Memgest: 3, From: 1, Prefix: true},
 		&MoveReply{Req: 11, Status: StOK, Version: 4, Moved: 7},
-		&Tick{},
+		&Reconfig{Req: 12, Op: ReconfigJoin, Node: 7},
+		&Reconfig{Req: 13, Op: ReconfigLeave, Node: 3},
+		&Reconfig{Req: 14, Op: ReconfigCreate, Scheme: SRS(3, 2, 3)},
+		&Reconfig{Req: 15, Op: ReconfigDelete, Memgest: 4},
+		&Reconfig{Req: 16, Op: ReconfigSetDefault, Memgest: 2},
+		&ReconfigReply{Req: 13, Status: StOK, Moved: 1, Epoch: 5},
+		&ReconfigReply{Req: 14, Status: StOK, Epoch: 6, Memgest: 8},
 	}
 	for _, m := range seeds {
 		f.Add(Encode(m))

@@ -18,11 +18,6 @@ const (
 	TDeleteReply
 	TMove
 	TMoveReply
-	TCreateMemgest
-	TDeleteMemgest
-	TSetDefault
-	TGetDescriptor
-	TMemgestReply
 	TResolve
 	TResolveReply
 	// Replication and parity propagation.
@@ -42,16 +37,11 @@ const (
 	TMetaFetchReply
 	TFetch
 	TFetchReply
-	// Local timer tick (never serialized onto the network, but given a
-	// type so runners can inject it uniformly).
-	TTick
-	// Membership (late addition, tagged after TTick to keep prior tags
-	// stable): a restarted node announcing itself to the leader.
+	// Membership: a restarted node announcing itself to the leader.
 	TJoin
-	// Elasticity (tagged after TJoin to keep prior tags stable):
-	// minimal-movement cluster resizing.
-	TResize
-	TResizeReply
+	// Control plane: every change an operator asks of the leader.
+	TReconfig
+	TReconfigReply
 	// tEnd is one past the last message tag; a new tag goes above it
 	// and gets its row in wire.
 	tEnd
@@ -75,11 +65,6 @@ var wire = [tEnd]struct {
 	TDeleteReply:    {make: func() Message { return new(DeleteReply) }, ack: true},
 	TMove:           {make: func() Message { return new(Move) }},
 	TMoveReply:      {make: func() Message { return new(MoveReply) }, ack: true},
-	TCreateMemgest:  {make: func() Message { return new(CreateMemgest) }},
-	TDeleteMemgest:  {make: func() Message { return new(DeleteMemgest) }},
-	TSetDefault:     {make: func() Message { return new(SetDefault) }},
-	TGetDescriptor:  {make: func() Message { return new(GetDescriptor) }},
-	TMemgestReply:   {make: func() Message { return new(MemgestReply) }, ack: true},
 	TResolve:        {make: func() Message { return new(Resolve) }},
 	TResolveReply:   {make: func() Message { return new(ResolveReply) }, ack: true},
 	TRepAppend:      {make: func() Message { return new(RepAppend) }},
@@ -96,10 +81,9 @@ var wire = [tEnd]struct {
 	TMetaFetchReply: {make: func() Message { return new(MetaFetchReply) }, ack: true},
 	TFetch:          {make: func() Message { return new(Fetch) }},
 	TFetchReply:     {make: func() Message { return new(FetchReply) }, ack: true},
-	TTick:           {make: func() Message { return new(Tick) }},
 	TJoin:           {make: func() Message { return new(Join) }},
-	TResize:         {make: func() Message { return new(Resize) }},
-	TResizeReply:    {make: func() Message { return new(ResizeReply) }, ack: true},
+	TReconfig:       {make: func() Message { return new(Reconfig) }},
+	TReconfigReply:  {make: func() Message { return new(ReconfigReply) }, ack: true},
 }
 
 // IsAck reports whether t is an acknowledgement: a message that tells
@@ -168,7 +152,7 @@ type Message interface {
 	decode(r reader) error
 }
 
-// Reply is implemented by the seven replies a client receives: the
+// Reply is implemented by the six replies a client receives: the
 // request the reply answers and how that request ended. It is all a
 // client needs to correlate a reply and decide whether to retry, so
 // client code never switches over the concrete reply types.
@@ -178,19 +162,17 @@ type Reply interface {
 	Result() Status
 }
 
-func (m *PutReply) Request() ReqID     { return m.Req }
-func (m *PutReply) Result() Status     { return m.Status }
-func (m *GetReply) Request() ReqID     { return m.Req }
-func (m *GetReply) Result() Status     { return m.Status }
-func (m *DeleteReply) Request() ReqID  { return m.Req }
-func (m *DeleteReply) Result() Status  { return m.Status }
-func (m *MoveReply) Request() ReqID    { return m.Req }
-func (m *MoveReply) Result() Status    { return m.Status }
-func (m *MemgestReply) Request() ReqID { return m.Req }
-func (m *MemgestReply) Result() Status { return m.Status }
-func (m *ResizeReply) Request() ReqID  { return m.Req }
-func (m *ResizeReply) Result() Status  { return m.Status }
-func (m *ResolveReply) Request() ReqID { return m.Req }
+func (m *PutReply) Request() ReqID      { return m.Req }
+func (m *PutReply) Result() Status      { return m.Status }
+func (m *GetReply) Request() ReqID      { return m.Req }
+func (m *GetReply) Result() Status      { return m.Status }
+func (m *DeleteReply) Request() ReqID   { return m.Req }
+func (m *DeleteReply) Result() Status   { return m.Status }
+func (m *MoveReply) Request() ReqID     { return m.Req }
+func (m *MoveReply) Result() Status     { return m.Status }
+func (m *ReconfigReply) Request() ReqID { return m.Req }
+func (m *ReconfigReply) Result() Status { return m.Status }
+func (m *ResolveReply) Request() ReqID  { return m.Req }
 
 // Result is StOK: a node that answers Resolve at all answers with its
 // configuration.
@@ -434,91 +416,6 @@ func (m *MoveReply) decode(r reader) error {
 	if len(r.b) > 0 {
 		m.Moved = r.u32()
 	}
-	return r.done()
-}
-
-// CreateMemgest asks the leader to instantiate a new storage scheme.
-type CreateMemgest struct {
-	Req    ReqID
-	Scheme Scheme
-}
-
-func (*CreateMemgest) Type() MsgType { return TCreateMemgest }
-func (m *CreateMemgest) encode(w *writer) {
-	w.u64(uint64(m.Req))
-	w.scheme(m.Scheme)
-}
-func (m *CreateMemgest) decode(r reader) error {
-	*m = CreateMemgest{Req: ReqID(r.u64()), Scheme: r.scheme()}
-	return r.done()
-}
-
-// DeleteMemgest removes a memgest (which must be empty of live keys in
-// this implementation).
-type DeleteMemgest struct {
-	Req     ReqID
-	Memgest MemgestID
-}
-
-func (*DeleteMemgest) Type() MsgType { return TDeleteMemgest }
-func (m *DeleteMemgest) encode(w *writer) {
-	w.u64(uint64(m.Req))
-	w.u32(uint32(m.Memgest))
-}
-func (m *DeleteMemgest) decode(r reader) error {
-	*m = DeleteMemgest{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32())}
-	return r.done()
-}
-
-// SetDefault selects the memgest used for puts without an explicit one.
-type SetDefault struct {
-	Req     ReqID
-	Memgest MemgestID
-}
-
-func (*SetDefault) Type() MsgType { return TSetDefault }
-func (m *SetDefault) encode(w *writer) {
-	w.u64(uint64(m.Req))
-	w.u32(uint32(m.Memgest))
-}
-func (m *SetDefault) decode(r reader) error {
-	*m = SetDefault{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32())}
-	return r.done()
-}
-
-// GetDescriptor retrieves a memgest's scheme.
-type GetDescriptor struct {
-	Req     ReqID
-	Memgest MemgestID
-}
-
-func (*GetDescriptor) Type() MsgType { return TGetDescriptor }
-func (m *GetDescriptor) encode(w *writer) {
-	w.u64(uint64(m.Req))
-	w.u32(uint32(m.Memgest))
-}
-func (m *GetDescriptor) decode(r reader) error {
-	*m = GetDescriptor{Req: ReqID(r.u64()), Memgest: MemgestID(r.u32())}
-	return r.done()
-}
-
-// MemgestReply answers memgest management requests.
-type MemgestReply struct {
-	Req     ReqID
-	Status  Status
-	Memgest MemgestID
-	Scheme  Scheme
-}
-
-func (*MemgestReply) Type() MsgType { return TMemgestReply }
-func (m *MemgestReply) encode(w *writer) {
-	w.u64(uint64(m.Req))
-	w.u8(uint8(m.Status))
-	w.u32(uint32(m.Memgest))
-	w.scheme(m.Scheme)
-}
-func (m *MemgestReply) decode(r reader) error {
-	*m = MemgestReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Memgest: MemgestID(r.u32()), Scheme: r.scheme()}
 	return r.done()
 }
 
@@ -881,66 +778,89 @@ func (m *FetchReply) decode(r reader) error {
 	return r.done()
 }
 
-// -------------------------------------------------------------- elasticity
+// ----------------------------------------------------------- control plane
 
-// ResizeOp selects the direction of a Resize.
-type ResizeOp uint8
+// ReconfigOp selects the change a Reconfig asks of the leader.
+type ReconfigOp uint8
 
 const (
-	// ResizeJoin admits a node into the cluster as a spare.
-	ResizeJoin ResizeOp = iota + 1
-	// ResizeLeave removes a node: the leader computes the minimal role
+	// ReconfigJoin admits Node into the cluster as a spare.
+	ReconfigJoin ReconfigOp = iota + 1
+	// ReconfigLeave removes Node: the leader computes the minimal role
 	// reassignment, fences the departing node with the new configuration
 	// first (so it stops serving before anyone else moves), and only
 	// then announces cluster-wide.
-	ResizeLeave
+	ReconfigLeave
+	// ReconfigCreate instantiates a memgest of Scheme; the reply carries
+	// the ID it was given.
+	ReconfigCreate
+	// ReconfigDelete removes memgest Memgest.
+	ReconfigDelete
+	// ReconfigSetDefault makes Memgest the memgest of puts that name
+	// none.
+	ReconfigSetDefault
 )
 
-// Resize asks the leader to grow or shrink the cluster by one node.
-type Resize struct {
-	Req  ReqID
-	Op   ResizeOp
-	Node NodeID
+// Reconfig asks the leader for one configuration change, the membership
+// log entry of Section 5.5: a node joins or leaves, or a memgest is
+// created, deleted or made the default. Node, Memgest and Scheme are
+// the arguments of the ops that read them.
+type Reconfig struct {
+	Req     ReqID
+	Op      ReconfigOp
+	Node    NodeID
+	Memgest MemgestID
+	Scheme  Scheme
 }
 
-func (*Resize) Type() MsgType { return TResize }
-func (m *Resize) encode(w *writer) {
+func (*Reconfig) Type() MsgType { return TReconfig }
+func (m *Reconfig) encode(w *writer) {
 	w.u64(uint64(m.Req))
 	w.u8(uint8(m.Op))
 	w.u32(uint32(m.Node))
+	// A join or leave omits the memgest tail (see Move.encode).
+	if m.Memgest != 0 || m.Scheme != (Scheme{}) {
+		w.u32(uint32(m.Memgest))
+		w.scheme(m.Scheme)
+	}
 }
-func (m *Resize) decode(r reader) error {
-	*m = Resize{Req: ReqID(r.u64()), Op: ResizeOp(r.u8()), Node: NodeID(r.u32())}
+func (m *Reconfig) decode(r reader) error {
+	*m = Reconfig{Req: ReqID(r.u64()), Op: ReconfigOp(r.u8()), Node: NodeID(r.u32())}
+	if len(r.b) > 0 {
+		m.Memgest, m.Scheme = MemgestID(r.u32()), r.scheme()
+	}
 	return r.done()
 }
 
-// ResizeReply confirms a membership change. Moved counts the role
-// slots whose assignment actually changed — the minimal-movement
-// metric: a leave that substitutes one spare moves only that node's
-// slots, never the whole keyspace.
-type ResizeReply struct {
-	Req    ReqID
-	Status Status
-	Moved  uint32
-	Epoch  Epoch
+// ReconfigReply answers a Reconfig. Epoch is the configuration the
+// change installed (the current one when it changed nothing). Moved
+// counts the role slots whose assignment actually changed — the
+// minimal-movement metric: a leave that substitutes one spare moves
+// only that node's slots, never the whole keyspace. Memgest is the ID
+// a create gave its memgest.
+type ReconfigReply struct {
+	Req     ReqID
+	Status  Status
+	Moved   uint32
+	Epoch   Epoch
+	Memgest MemgestID
 }
 
-func (*ResizeReply) Type() MsgType { return TResizeReply }
-func (m *ResizeReply) encode(w *writer) {
+func (*ReconfigReply) Type() MsgType { return TReconfigReply }
+func (m *ReconfigReply) encode(w *writer) {
 	w.u64(uint64(m.Req))
 	w.u8(uint8(m.Status))
 	w.u32(m.Moved)
 	w.u64(uint64(m.Epoch))
+	// Only a create's reply carries an ID (see Move.encode).
+	if m.Memgest != 0 {
+		w.u32(uint32(m.Memgest))
+	}
 }
-func (m *ResizeReply) decode(r reader) error {
-	*m = ResizeReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Moved: r.u32(), Epoch: Epoch(r.u64())}
+func (m *ReconfigReply) decode(r reader) error {
+	*m = ReconfigReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Moved: r.u32(), Epoch: Epoch(r.u64())}
+	if len(r.b) > 0 {
+		m.Memgest = MemgestID(r.u32())
+	}
 	return r.done()
 }
-
-// Tick is the local timer event delivered by runners; it never crosses
-// the network.
-type Tick struct{}
-
-func (*Tick) Type() MsgType           { return TTick }
-func (m *Tick) encode(*writer)        {}
-func (m *Tick) decode(r reader) error { return r.done() }

@@ -1,6 +1,10 @@
 package proto
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // NodeID identifies a server in the cluster. IDs are assigned at
 // deployment time and stable for the life of the process.
@@ -55,6 +59,34 @@ func Rep(r, s int) Scheme { return Scheme{Kind: SchemeRep, R: r, S: s} }
 
 // SRS constructs an SRS(k,m,s) scheme descriptor.
 func SRS(k, m, s int) Scheme { return Scheme{Kind: SchemeSRS, K: k, M: m, S: s} }
+
+// ParseScheme parses an operator's scheme token, repR or srsK.M in any
+// case and with surrounding spaces, into the scheme of that name over s
+// shards, and validates it.
+func ParseScheme(tok string, s int) (Scheme, error) {
+	tok = strings.ToLower(strings.TrimSpace(tok))
+	var sc Scheme
+	var err1, err2 error
+	switch k, m, dotted := strings.Cut(strings.TrimPrefix(tok, "srs"), "."); {
+	case strings.HasPrefix(tok, "rep"):
+		sc.Kind = SchemeRep
+		sc.R, err1 = strconv.Atoi(tok[3:])
+	case strings.HasPrefix(tok, "srs") && dotted:
+		sc.Kind = SchemeSRS
+		sc.K, err1 = strconv.Atoi(k)
+		sc.M, err2 = strconv.Atoi(m)
+	default:
+		err1 = strconv.ErrSyntax
+	}
+	if err1 != nil || err2 != nil {
+		return Scheme{}, fmt.Errorf("proto: bad scheme %q (want repR or srsK.M)", tok)
+	}
+	sc.S = s
+	if err := sc.Validate(); err != nil {
+		return Scheme{}, err
+	}
+	return sc, nil
+}
 
 // Validate checks the descriptor parameters.
 func (s Scheme) Validate() error {

@@ -46,7 +46,7 @@ func Committed(recs ...*proto.MetaRecord) Quorum {
 
 // ChaosForgeQuorum forges the proof for a write whose redundancy is NOT
 // complete. Its only callers are the two bugs the chaos harness injects
-// (core.Options.ChaosUnsafeAck, ChaosUnsafeConvert): core's TestProofPins.
+// (core.Options.ChaosUnsafeAck, ChaosUnsafeMove): core's TestProofPins.
 func ChaosForgeQuorum() Quorum { return Quorum{held: true} }
 
 // Tracker allocates sequence numbers and counts acknowledgements until

@@ -31,12 +31,12 @@ type ChaosRunSpec struct {
 	// UnsafeAck injects the ack-before-quorum bug (core.Options.
 	// ChaosUnsafeAck) to validate that the checker catches it.
 	UnsafeAck bool
-	// UnsafeConvert injects the ack-before-commit move bug
-	// (core.Options.ChaosUnsafeConvert): moves acknowledge before the
+	// UnsafeMove injects the ack-before-commit move bug
+	// (core.Options.ChaosUnsafeMove): moves acknowledge before the
 	// destination write is quorum-durable and purge the source eagerly.
 	// Only observable with Elasticity (or an explicit schedule
-	// containing convert steps).
-	UnsafeConvert bool
+	// containing move steps).
+	UnsafeMove bool
 	// Elasticity makes the seed-generated schedule
 	// GenElasticitySchedule: live scheme moves and join/leave
 	// resizes blended into the fault mix, driven by the control agent.
@@ -86,7 +86,7 @@ type ChaosRunResult struct {
 // mixed group of RELIABLE memgests only — Rep(1) loses data on a
 // crash by design, so including it would make every crash a false
 // "violation".
-func chaosCluster(unsafeAck, unsafeConvert bool) core.ClusterSpec {
+func chaosCluster(unsafeAck, unsafeMove bool) core.ClusterSpec {
 	return core.ClusterSpec{
 		Shards: 3, Redundant: 2, Spares: 2,
 		Memgests: []proto.Scheme{
@@ -106,9 +106,9 @@ func chaosCluster(unsafeAck, unsafeConvert bool) core.ClusterSpec {
 			// window into a spurious-failover storm in which live
 			// coordinators are deposed mid-write — a fault model the
 			// protocol (like the paper's) does not claim to survive.
-			FailAfter:          4 * time.Millisecond,
-			ChaosUnsafeAck:     unsafeAck,
-			ChaosUnsafeConvert: unsafeConvert,
+			FailAfter:       4 * time.Millisecond,
+			ChaosUnsafeAck:  unsafeAck,
+			ChaosUnsafeMove: unsafeMove,
 		},
 	}
 }
@@ -122,7 +122,7 @@ func chaosMemgests() []proto.MemgestID { return []proto.MemgestID{1, 2, 3, 4} }
 // linearizability.
 func RunChaos(spec ChaosRunSpec) ChaosRunResult {
 	spec = spec.withDefaults()
-	cluster := chaosCluster(spec.UnsafeAck, spec.UnsafeConvert)
+	cluster := chaosCluster(spec.UnsafeAck, spec.UnsafeMove)
 	cfg, err := core.BootConfig(cluster)
 	if err != nil {
 		panic(err) // static spec; cannot fail

@@ -34,7 +34,7 @@ const (
 	nemesisRetries = 30
 )
 
-// nemesisAgent drives NemConvert/NemJoin/NemLeave steps. One per
+// nemesisAgent drives NemMove/NemJoin/NemLeave steps. One per
 // simulation, created lazily by the first elastic step applied.
 type nemesisAgent struct {
 	*session
@@ -60,13 +60,13 @@ func (s *Sim) elasticAgent() *nemesisAgent {
 func (a *nemesisAgent) launch(now time.Duration, step NemesisStep) {
 	a.Start(now, client.OpFuncs(func(cfg *proto.Config, req proto.ReqID) (proto.NodeID, proto.Message) {
 		switch step.Kind {
-		case NemConvert:
+		case NemMove:
 			key := fmt.Sprintf("k%d", step.A)
 			return cfg.CoordinatorOf(store.KeyHash(key)), &proto.Move{Req: req, Key: key, Memgest: proto.MemgestID(step.B)}
 		case NemJoin:
-			return cfg.Leader, &proto.Resize{Req: req, Op: proto.ResizeJoin, Node: step.A}
+			return cfg.Leader, &proto.Reconfig{Req: req, Op: proto.ReconfigJoin, Node: step.A}
 		default:
-			return cfg.Leader, &proto.Resize{Req: req, Op: proto.ResizeLeave, Node: step.A}
+			return cfg.Leader, &proto.Reconfig{Req: req, Op: proto.ReconfigLeave, Node: step.A}
 		}
 	}, func(_ time.Duration, r proto.Reply) bool {
 		switch {
@@ -124,7 +124,7 @@ func GenElasticitySchedule(seed int64, nodes []proto.NodeID, active time.Duratio
 		case 3, 4: // move a workload key to a random scheme (weighted
 			// double: scheme changes under load are the point of this lane)
 			add(NemesisStep{
-				At: base, Kind: NemConvert,
+				At: base, Kind: NemMove,
 				A: proto.NodeID(rng.Intn(keys)),
 				B: proto.NodeID(mgs[rng.Intn(len(mgs))]),
 			})

@@ -8,11 +8,11 @@ import (
 )
 
 // TestElasticitySeedsLinearizable is the elasticity chaos lane: a band
-// of seeds whose schedules blend live scheme conversions and graceful
+// of seeds whose schedules blend live scheme moves and graceful
 // join/leave resizes into the usual fault mix, each of which must
 // yield a linearizable client history. Across the band the control
 // agent must actually land operations — a lane that never completes a
-// convert or resize tests nothing.
+// move or resize tests nothing.
 func TestElasticitySeedsLinearizable(t *testing.T) {
 	acked := 0
 	for seed := int64(1); seed <= 8; seed++ {
@@ -74,7 +74,7 @@ func TestElasticityScheduleRoundTrip(t *testing.T) {
 			t.Fatalf("seed %d: round trip changed schedule:\n%s\n%s", seed, s, p)
 		}
 	}
-	for _, good := range []string{"3ms:convert:2:4", "5ms:leave:5", "9ms:join:5"} {
+	for _, good := range []string{"3ms:move:2:4", "5ms:leave:5", "9ms:join:5"} {
 		p, err := ParseSchedule(good)
 		if err != nil {
 			t.Fatalf("%q must parse: %v", good, err)
@@ -83,26 +83,30 @@ func TestElasticityScheduleRoundTrip(t *testing.T) {
 			t.Fatalf("%q round-tripped to %q", good, p)
 		}
 	}
-	for _, bad := range []string{"3ms:convert:2", "3ms:convert", "5ms:leave", "9ms:join"} {
+	// The old token still reads, as a move: pinned repro strings use it.
+	if p, err := ParseSchedule("3ms:convert:2:4"); err != nil || p.String() != "3ms:move:2:4" {
+		t.Fatalf("3ms:convert:2:4 parsed to %q, %v; want 3ms:move:2:4", p, err)
+	}
+	for _, bad := range []string{"3ms:move:2", "3ms:move", "3ms:convert:2", "5ms:leave", "9ms:join"} {
 		if _, err := ParseSchedule(bad); err == nil {
 			t.Fatalf("%q must not parse", bad)
 		}
 	}
 }
 
-// TestChaosUnsafeConvertCaught validates the elasticity lane end to
+// TestChaosUnsafeMoveCaught validates the elasticity lane end to
 // end the same way TestChaosUnsafeAckCaught validates the write path:
-// an injected ack-before-journal transition bug (the convert
+// an injected ack-before-journal transition bug (the move
 // acknowledges before the destination write is quorum-durable and
 // eagerly purges the source) must produce a linearizability violation
 // on some seed, and the shrunk schedule must still reproduce it after
 // a round trip through its string form.
-func TestChaosUnsafeConvertCaught(t *testing.T) {
+func TestChaosUnsafeMoveCaught(t *testing.T) {
 	var spec ChaosRunSpec
 	var full ChaosRunResult
 	found := false
 	for seed := int64(1); seed <= 30; seed++ {
-		spec = ChaosRunSpec{Seed: seed, Elasticity: true, UnsafeConvert: true}
+		spec = ChaosRunSpec{Seed: seed, Elasticity: true, UnsafeMove: true}
 		full = RunChaos(spec)
 		if full.Check.Verdict == linearize.Violation {
 			found = true
@@ -110,7 +114,7 @@ func TestChaosUnsafeConvertCaught(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatal("injected ack-before-journal convert bug not caught on any seed in 1..30")
+		t.Fatal("injected ack-before-journal move bug not caught on any seed in 1..30")
 	}
 
 	shrunk, runs := ShrinkSchedule(spec, full.Schedule)

@@ -50,11 +50,11 @@ const (
 	NemFsyncOK
 	// NemFsyncSlow makes node A's fsyncs 10x slower.
 	NemFsyncSlow
-	// NemConvert issues a move of workload key "k<A>" to memgest B
+	// NemMove issues a move of workload key "k<A>" to memgest B
 	// through the control agent (elastic.go), which retries and
-	// re-resolves like an operator would. The schedule token stays
-	// "convert" so committed repro strings keep replaying.
-	NemConvert
+	// re-resolves like an operator would. ParseSchedule also reads the
+	// old token "convert", which pinned repro strings use.
+	NemMove
 	// NemJoin admits node A into the cluster as a spare (idempotent).
 	NemJoin
 	// NemLeave gracefully removes node A: fence first, then announce.
@@ -96,8 +96,8 @@ func (st NemesisStep) String() string {
 		return fmt.Sprintf("%s:fsyncok:%d", st.At, st.A)
 	case NemFsyncSlow:
 		return fmt.Sprintf("%s:fsyncslow:%d", st.At, st.A)
-	case NemConvert:
-		return fmt.Sprintf("%s:convert:%d:%d", st.At, st.A, st.B)
+	case NemMove:
+		return fmt.Sprintf("%s:move:%d:%d", st.At, st.A, st.B)
 	case NemJoin:
 		return fmt.Sprintf("%s:join:%d", st.At, st.A)
 	case NemLeave:
@@ -195,8 +195,8 @@ func ParseSchedule(text string) (Schedule, error) {
 			if st.A, err = node(2); err != nil {
 				return s, err
 			}
-		case "convert":
-			st.Kind = NemConvert
+		case "move", "convert":
+			st.Kind = NemMove
 			if st.A, err = node(2); err != nil {
 				return s, err
 			}
@@ -389,7 +389,7 @@ func (s Schedule) Apply(sim *Sim, faultSeed int64) {
 				sim.FailDisk(step.A, false)
 			case NemFsyncSlow:
 				sim.SlowDisk(step.A, true)
-			case NemConvert, NemJoin, NemLeave:
+			case NemMove, NemJoin, NemLeave:
 				sim.elasticAgent().launch(now, step)
 			}
 		})
@@ -411,9 +411,9 @@ func (s Schedule) Apply(sim *Sim, faultSeed int64) {
 func dupSafe(msg proto.Message) bool {
 	switch msg.(type) {
 	case *proto.Put, *proto.Delete, *proto.Move, *proto.ParityUpdate,
-		// A duplicated Resize can fence a node that just rejoined: a
+		// A duplicated Reconfig can fence a node that just rejoined: a
 		// client write in the same exactly-once contract as Put.
-		*proto.Resize:
+		*proto.Reconfig:
 		return false
 	}
 	return true

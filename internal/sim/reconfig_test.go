@@ -93,11 +93,11 @@ func TestLostConfigPushIsRepaired(t *testing.T) {
 		{
 			name: "create memgest",
 			act: func(r *reconfigSim) {
-				r.Send(operatorAddr, core.NodeAddr(0), &proto.CreateMemgest{Req: 1, Scheme: proto.SRS(2, 2, 3)})
+				r.Send(operatorAddr, core.NodeAddr(0), &proto.Reconfig{Req: 1, Op: proto.ReconfigCreate, Scheme: proto.SRS(2, 2, 3)})
 			},
 			announced: 6,
 			check: func(t *testing.T, r *reconfigSim, cfg *proto.Config) {
-				mr, _ := r.replies[0].(*proto.MemgestReply)
+				mr, _ := r.replies[0].(*proto.ReconfigReply)
 				if mr == nil || mr.Status != proto.StOK || mr.Memgest != 8 || cfg.Memgest(8) == nil {
 					t.Fatalf("create memgest: %+v", r.replies[0])
 				}
@@ -112,11 +112,11 @@ func TestLostConfigPushIsRepaired(t *testing.T) {
 		{
 			name: "leave",
 			act: func(r *reconfigSim) {
-				r.Send(operatorAddr, core.NodeAddr(0), &proto.Resize{Req: 1, Op: proto.ResizeLeave, Node: 1})
+				r.Send(operatorAddr, core.NodeAddr(0), &proto.Reconfig{Req: 1, Op: proto.ReconfigLeave, Node: 1})
 			},
 			announced: 1 + 5, // the fence, then the five remaining members
 			check: func(t *testing.T, r *reconfigSim, cfg *proto.Config) {
-				rr, _ := r.replies[0].(*proto.ResizeReply)
+				rr, _ := r.replies[0].(*proto.ReconfigReply)
 				if rr == nil || rr.Status != proto.StOK || rr.Moved != 1 || cfg.Coords[1] != 5 {
 					t.Fatalf("leave: %+v, coords %v", r.replies[0], cfg.Coords)
 				}

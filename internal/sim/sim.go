@@ -180,7 +180,7 @@ type Sim struct {
 	dur *durPlane
 
 	// Elasticity control agent (see elastic.go); nil until the first
-	// convert/join/leave nemesis step fires.
+	// move/join/leave nemesis step fires.
 	elastic *nemesisAgent
 
 	// Delivered counts messages delivered, for sanity checks.
