@@ -23,8 +23,8 @@
 //
 // Durable storage (-data-dir DIR): by default nodes are volatile, the
 // paper's model. With -data-dir each hosted group persists committed
-// state under DIR/group-<g> through a WAL + Bitcask engine; -fsync
-// picks the group-commit policy (always / interval / never) and
+// state under DIR/group-<g> in a write-ahead log that is the store;
+// -fsync picks the group-commit policy (always / interval / never) and
 // -fsync-interval its period. A node restarted over an existing
 // directory recovers from it and rejoins the cluster holding all
 // entries up to its durable commit index, syncing only the delta. In

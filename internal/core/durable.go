@@ -157,12 +157,13 @@ func (n *Node) persistReset(mgID proto.MemgestID, shard uint32) {
 
 // takeStash consumes the recovered durable state of one shard, if any.
 // What a damaged store recovered is not installed: the log lost a
-// suffix, so what survives may be an older state than Bitcask's —
-// versions purged since are back, and the purges are gone — and the
-// full transfer a damaged store owes (Since == 0) only adds entries,
-// it cannot take a resurrected one away. The shard is voided on disk
-// and rebuilt from the group like a volatile node's; only the highest
-// sequence survives, to keep the allocator clear of the old life.
+// suffix, so what survives may be an older state than the one it
+// synced — versions purged since are back, and the purges are gone —
+// and the full transfer a damaged store owes (Since == 0) only adds
+// entries, it cannot take a resurrected one away. The shard is voided
+// on disk and rebuilt from the group like a volatile node's; only the
+// highest sequence survives, to keep the allocator clear of the old
+// life.
 func (n *Node) takeStash(mgID proto.MemgestID, shard uint32) *replog.RecoveredShard {
 	sk := durKey(mgID, shard)
 	rs := n.durStash[sk]

@@ -41,7 +41,7 @@ func dropsOnDurable(d *replog.Durable, sk replog.ShardKey) {
 		panic(err)
 	}
 	// Error-free accessors stay free.
-	_ = d.Dirty()
+	_ = d.Damaged()
 	_ = d.DurableStats()
 }
 

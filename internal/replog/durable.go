@@ -7,61 +7,61 @@ import (
 	"strings"
 	"time"
 
-	"ring/internal/bitcask"
 	"ring/internal/metrics"
 	"ring/internal/proto"
 	"ring/internal/wal"
 )
 
-// Durable persists a node's memgest state across crashes by pairing
-// the two storage engines:
+// Durable persists a node's memgest state across crashes in one
+// write-ahead log (internal/wal), which is the store: every mutation
+// appends its record — the write-ahead append (metadata plus, for Rep
+// memgests, the value) the moment an entry enters a metadata table,
+// then its commit, purge, install or reset — and Sync is one fsync of
+// the active segment. Replaying the log in order rebuilds every entry.
 //
-//   - the WAL (internal/wal) records every mutation in order — the
-//     write-ahead append (metadata plus, for Rep memgests, the value)
-//     the moment an entry enters a metadata table, then its commit,
-//     purge, install or reset — and is the only file an acknowledgement
-//     waits on: Sync is one fsync of its active segment;
-//   - the Bitcask store (internal/bitcask) holds one record per
-//     *committed* entry, keyed by (memgest, shard, version, key), and is
-//     the checkpoint behind the log: it is written along with the WAL
-//     but fsynced only by checkpoint, once per sealed WAL segment,
-//     immediately before the segments it then covers are pruned.
-//
-// What a crash leaves is therefore "whatever Bitcask kept, plus a WAL
-// suffix that holds every mutation Bitcask may be missing"; replaying
-// that suffix in log order over Bitcask's entries is idempotent, so
-// neither file's fsync is ordered against the other's.
-//
-// WAL segments are pruned prefix-only, up to the lowest segment still
-// holding an append whose commit, purge or reset had not reached
-// Bitcask at its last fsync — so pruning can never orphan a committed
-// record, and never resurrects a purged version (mid-log gaps are
-// impossible).
+// An in-memory index names each entry's live record: the append or
+// install that carries it. Everything else in a sealed segment is dead
+// — a superseded or purged entry, a marker whose effect the index
+// already holds — and a merge drops it once the sealed segments hold
+// more dead bytes than live ones.
 type Durable struct {
 	w    *wal.WAL
-	db   *bitcask.DB
 	opts DurableOptions
 
 	stash   map[ShardKey]*RecoveredShard
 	damaged bool
 
-	// unresolved maps each write-ahead append still awaiting its
-	// commit/purge to the WAL segment holding it; the lowest of them is
-	// where a checkpoint stops pruning.
-	unresolved map[urKey]uint64
-	// sealedSeen is the WAL's sealed-segment count at the last checkpoint.
+	live map[ShardKey]map[entryKey]liveRec
+	segs map[uint64]*segUse
+	// tail is where the next record lands if the WAL keeps the segment.
+	tail recPos
+	// sealedSeen is the WAL's sealed-segment count at the last merge check.
 	sealedSeen uint64
 
 	lastSync time.Duration
 	stats    Stats
 	fsyncLat metrics.Histogram
-	ckptLat  metrics.Histogram
+	mergeLat metrics.Histogram
 }
 
-type urKey struct {
-	sk  ShardKey
-	seq proto.Seq
+// recPos names one record: its segment and its ordinal there.
+type recPos struct {
+	seg uint64
+	n   uint32
 }
+
+// liveRec is an index entry: where the entry's live record is, its
+// sequence and framed size, and whether the entry has committed since.
+type liveRec struct {
+	recPos
+	seq       proto.Seq
+	size      uint32
+	committed bool
+}
+
+// segUse is what one segment holds: framed bytes in all, and of them
+// the bytes of live records.
+type segUse struct{ bytes, live int64 }
 
 // FsyncPolicy selects when group commit actually fsyncs.
 type FsyncPolicy uint8
@@ -76,7 +76,7 @@ const (
 	// event clock; a crash loses at most one interval of acked writes
 	// (the group's other copies still hold them).
 	FsyncInterval
-	// FsyncNever leaves syncing to segment seals and Close.
+	// FsyncNever leaves syncing to segment seals, merges and Close.
 	FsyncNever
 )
 
@@ -107,14 +107,9 @@ func (p FsyncPolicy) String() string {
 
 // DurableOptions configures a Durable store.
 type DurableOptions struct {
-	Policy   FsyncPolicy
-	Interval time.Duration // FsyncInterval period (0 = 5ms)
-
-	WALSegmentBytes  int
-	DataSegmentBytes int
-	// CompactDead triggers a Bitcask merge once this many superseded
-	// records accumulate (0 = 1<<16).
-	CompactDead int
+	Policy          FsyncPolicy
+	Interval        time.Duration // FsyncInterval period (0 = 5ms)
+	WALSegmentBytes int
 }
 
 // ShardKey addresses one shard of one memgest in the durable store.
@@ -170,31 +165,17 @@ func (a entryKey) less(b entryKey) bool {
 // WAL record kinds.
 const (
 	kAppend = 1 // write-ahead append: full record (+ value for Rep)
-	kCommit = 2 // commit marker: the entry moved to Bitcask
+	kCommit = 2 // commit marker
 	kPurge  = 3 // version purged (GC or abort)
 	kReset  = 4 // all prior records of the shard are void (role shed)
-	// 5 and 6 were the move journal's window records, which recovery
-	// never read: replay skips them in a data directory an older binary
-	// wrote, and the numbers stay reserved.
-	kMoveBegin = 5
-	kMoveEnd   = 6
-	// kInstall is an entry learned through recovery: an append that is
-	// born committed. Bitcask gets the same entry, but only the WAL is
-	// fsynced before the next acknowledgement.
+	// kInstall is an entry that is committed when written: one learned
+	// through recovery, or a merge's copy of a committed entry.
 	kInstall = 7
 )
 
-// replayEntry is an entry during OpenDurable; inDB marks one that is
-// exactly what Bitcask holds, so normalization need not rewrite it.
-type replayEntry struct {
-	RecoveredEntry
-	inDB bool
-}
-
-// replayShard is one shard's state during OpenDurable: Bitcask's
-// entries first, then the WAL's records applied on top in log order.
+// replayShard is one shard's state while OpenDurable replays the log.
 type replayShard struct {
-	entries    map[entryKey]*replayEntry
+	entries    map[entryKey]*RecoveredEntry
 	unresolved map[proto.Seq]entryKey // appends with no commit/purge yet
 	orphans    map[entryKey]bool      // commits whose entry is nowhere
 	maxSeq     proto.Seq
@@ -202,92 +183,57 @@ type replayShard struct {
 
 func newReplayShard() *replayShard {
 	return &replayShard{
-		entries:    make(map[entryKey]*replayEntry),
+		entries:    make(map[entryKey]*RecoveredEntry),
 		unresolved: make(map[proto.Seq]entryKey),
 		orphans:    make(map[entryKey]bool),
 	}
 }
 
-// OpenDurable opens (or creates) the store in fsys and replays it into
-// the recovered stash: Bitcask's committed entries, then the WAL in log
-// order on top. Recovery ends as a full checkpoint: Bitcask is made to
-// hold exactly the committed entries and fsynced, the surviving
-// uncommitted appends are compacted into a fresh WAL generation, and
-// the old segments are dropped — so prune bookkeeping restarts exact
-// and replay cost never accretes across restarts.
-func OpenDurable(fsys wal.FS, opts DurableOptions) (_ *Durable, err error) {
+// OpenDurable opens (or creates) the store in fsys and replays the log
+// in order into the recovered stash. Recovery ends by compacting the
+// log: a fresh generation holds every committed entry as kInstall and
+// every open append as kAppend, and the old segments are dropped, so
+// replay cost never accretes across restarts.
+//
+// A directory holding Bitcask files ("bc-*") was written by an older
+// binary whose log no longer holds every committed entry; it is
+// refused, not half-read.
+func OpenDurable(fsys wal.FS, opts DurableOptions) (*Durable, error) {
 	if opts.Interval <= 0 {
 		opts.Interval = 5 * time.Millisecond
 	}
-	if opts.CompactDead <= 0 {
-		opts.CompactDead = 1 << 16
-	}
-	db, err := bitcask.Open(fsys, bitcask.Options{SegmentBytes: opts.DataSegmentBytes})
+	names, err := fsys.List()
 	if err != nil {
 		return nil, err
+	}
+	for _, name := range names {
+		if strings.HasPrefix(name, "bc-") {
+			return nil, fmt.Errorf("replog: %s was written by an older ringd that kept committed entries outside the log; remove the data directory and the node resyncs from its group", name)
+		}
 	}
 	d := &Durable{
-		db:         db,
-		opts:       opts,
-		stash:      make(map[ShardKey]*RecoveredShard),
-		unresolved: make(map[urKey]uint64),
+		opts:  opts,
+		stash: make(map[ShardKey]*RecoveredShard),
+		live:  make(map[ShardKey]map[entryKey]liveRec),
+		segs:  make(map[uint64]*segUse),
 	}
-	// A failed open hands the caller nothing to close, so it closes what
-	// it opened itself, whichever step failed.
-	defer func() {
-		if err != nil {
-			d.abandon()
-		}
-	}()
-
 	shards := make(map[ShardKey]*replayShard)
-	shard := func(sk ShardKey) *replayShard {
-		st, ok := shards[sk]
-		if !ok {
-			st = newReplayShard()
-			shards[sk] = st
-		}
-		return st
-	}
-
-	// Phase 1: Bitcask — every committed entry it kept.
-	var dbKeys []string
-	err = db.Range(func(k string, v []byte) error {
-		sk, ek, ok := decodeDBKey(k)
-		e, ok2 := decodeEnvelope(v)
-		if !ok || !ok2 {
-			d.damaged = true
-			return nil
-		}
-		e.Rec.Committed = true
-		st := shard(sk)
-		st.entries[ek] = &replayEntry{RecoveredEntry: e, inDB: true}
-		st.maxSeq = max(st.maxSeq, e.Seq)
-		dbKeys = append(dbKeys, k)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 2: the WAL on top, in log order. It holds every mutation
-	// since the last checkpoint, so whatever Bitcask kept of them —
-	// nothing, some, or all — the result is the same.
 	d.w, err = wal.Open(fsys, wal.Options{SegmentBytes: opts.WALSegmentBytes}, func(_ uint64, payload []byte) error {
 		r, ok := decodeWALRecord(payload)
 		if !ok {
 			d.damaged = true
 			return nil
 		}
-		st := shard(r.sk)
+		st := shards[r.sk]
+		if st == nil {
+			st = newReplayShard()
+			shards[r.sk] = st
+		}
 		ek := entryKey{r.rec.Key, r.rec.Version}
 		switch r.kind {
 		case kAppend, kInstall:
 			delete(st.orphans, ek)
-			if old := st.entries[ek]; r.kind == kAppend && old != nil && old.Rec.Committed && old.Seq == r.seq {
-				break // Bitcask kept this append's commit: it supersedes the write-ahead copy
-			}
-			e := &replayEntry{RecoveredEntry: RecoveredEntry{Rec: r.rec, Seq: r.seq, Value: r.value, HasValue: r.hasValue}}
+			e := &RecoveredEntry{Rec: r.rec, Seq: r.seq, Value: append([]byte(nil), r.value...), HasValue: r.hasValue}
 			e.Rec.Committed = r.kind == kInstall
 			st.entries[ek] = e
 			if r.kind == kAppend {
@@ -304,9 +250,7 @@ func OpenDurable(fsys wal.FS, opts DurableOptions) (_ *Durable, err error) {
 			delete(st.entries, ek)
 			delete(st.orphans, ek)
 			delete(st.unresolved, r.seq)
-		case kMoveBegin, kMoveEnd:
 		case kReset:
-			// Voids what Bitcask kept of the shard too, not only the log.
 			*st = *newReplayShard()
 			return nil
 		default:
@@ -319,24 +263,28 @@ func OpenDurable(fsys wal.FS, opts DurableOptions) (_ *Durable, err error) {
 	if err != nil {
 		return nil, err
 	}
-	if d.w.Damaged() || db.Damaged() {
-		d.damaged = true
+	if err := d.restore(shards); err != nil {
+		d.w.Close() //ring:durableok the open failed; its error is the one to surface
+		return nil, err
 	}
+	return d, nil
+}
 
-	// Phase 3: build the stash (committed entries only — an append that
-	// never committed was never acknowledged, so dropping it is a legal
-	// outcome of the crashed operation; it still lowers Since so the
-	// group sync re-covers its range).
+// restore builds the stash from the replayed shards and compacts the
+// log to what they hold.
+func (d *Durable) restore(shards map[ShardKey]*replayShard) error {
+	d.damaged = d.damaged || d.w.Damaged()
 	skeys := make([]ShardKey, 0, len(shards))
 	for sk := range shards {
 		skeys = append(skeys, sk)
 	}
 	sort.Slice(skeys, func(i, j int) bool { return skeys[i].Less(skeys[j]) })
-	type pendingAppend struct {
+	type kept struct {
 		sk ShardKey
-		e  *replayEntry
+		e  *RecoveredEntry
 	}
-	var uncommitted []pendingAppend
+	var recs [][]byte
+	var keep []kept
 	for _, sk := range skeys {
 		st := shards[sk]
 		if len(st.entries) == 0 && st.maxSeq == 0 {
@@ -349,19 +297,18 @@ func OpenDurable(fsys wal.FS, opts DurableOptions) (_ *Durable, err error) {
 		sort.Slice(eks, func(i, j int) bool { return eks[i].less(eks[j]) })
 		rs := &RecoveredShard{MaxSeq: st.maxSeq, Since: st.maxSeq}
 		for _, ek := range eks {
+			// An append that never committed was never acknowledged, so
+			// it stays out of the stash (dropping it is a legal outcome of
+			// the crashed operation); it stays in the log, and it lowers
+			// Since so the group sync re-covers its range.
 			e := st.entries[ek]
-			if !e.Rec.Committed {
-				uncommitted = append(uncommitted, pendingAppend{sk, e})
-				continue
+			kind := byte(kAppend)
+			if e.Rec.Committed {
+				kind = kInstall
+				rs.Entries = append(rs.Entries, *e)
 			}
-			rs.Entries = append(rs.Entries, e.RecoveredEntry)
-			// Normalize on disk as we go: every committed entry lands in
-			// Bitcask.
-			if !e.inDB {
-				if err = db.Put(encodeDBKey(sk, ek), encodeEnvelope(&e.RecoveredEntry)); err != nil {
-					return nil, err
-				}
-			}
+			recs = append(recs, encodeWALRecord(kind, sk, e.Seq, &e.Rec, e.Value, e.HasValue))
+			keep = append(keep, kept{sk, e})
 		}
 		for seq := range st.unresolved {
 			rs.Since = min(rs.Since, seq-1)
@@ -373,50 +320,14 @@ func OpenDurable(fsys wal.FS, opts DurableOptions) (_ *Durable, err error) {
 		}
 		d.stash[sk] = rs
 	}
-
-	// Phase 4: finish the checkpoint. Bitcask drops what the WAL purged or
-	// reset after Bitcask last heard of it and is fsynced; only then is
-	// the WAL rewritten to hold exactly the surviving uncommitted appends.
-	for _, key := range dbKeys {
-		sk, ek, _ := decodeDBKey(key)
-		if e := shards[sk].entries[ek]; e == nil || !e.Rec.Committed {
-			if err = db.Delete(key); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err = db.Sync(); err != nil {
-		return nil, err
-	}
-	sort.Slice(uncommitted, func(i, j int) bool {
-		a, b := uncommitted[i], uncommitted[j]
-		if a.sk != b.sk {
-			return a.sk.Less(b.sk)
-		}
-		return a.e.Seq < b.e.Seq
-	})
-	recs := make([][]byte, len(uncommitted))
-	for i, p := range uncommitted {
-		recs[i] = encodeWALRecord(kAppend, p.sk, p.e.Seq, &p.e.Rec, p.e.Value, p.e.HasValue)
-	}
 	segs, err := d.w.Compact(recs)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	for i, p := range uncommitted {
-		d.unresolved[urKey{p.sk, p.e.Seq}] = segs[i]
+	for i, k := range keep {
+		d.index(k.sk, &k.e.Rec, k.e.Seq, k.e.Rec.Committed, segs[i], len(recs[i]))
 	}
-	return d, nil
-}
-
-// abandon closes both engines after a failed open.
-//
-//ring:durableok the open failed; its error is the one to surface
-func (d *Durable) abandon() {
-	if d.w != nil {
-		d.w.Close()
-	}
-	d.db.Close()
+	return nil
 }
 
 // Recovered returns the replayed durable state, keyed by shard. The
@@ -428,69 +339,111 @@ func (d *Durable) Recovered() map[ShardKey]*RecoveredShard { return d.stash }
 // bytes (every stash shard then carries Since == 0).
 func (d *Durable) Damaged() bool { return d.damaged }
 
-// journal appends one record to the WAL.
-func (d *Durable) journal(kind byte, sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, value []byte, hasValue bool) error {
-	_, err := d.w.AppendFramed(encodeWALRecord(kind, sk, seq, rec, value, hasValue))
-	return err
+// landed books a framed record of size bytes that the WAL put in seg
+// and returns its position.
+func (d *Durable) landed(seg uint64, size int) recPos {
+	if seg != d.tail.seg {
+		d.tail = recPos{seg: seg}
+		d.segs[seg] = &segUse{}
+	}
+	at := d.tail
+	d.tail.n++
+	d.segs[seg].bytes += int64(size)
+	return at
 }
 
-// put writes a committed entry's Bitcask record.
-func (d *Durable) put(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, value []byte, hasValue bool) error {
-	e := RecoveredEntry{Rec: *rec, Seq: seq, Value: value, HasValue: hasValue}
-	e.Rec.Committed = true
-	return d.db.Put(encodeDBKey(sk, entryKey{rec.Key, rec.Version}), encodeEnvelope(&e))
+// book adds (sign 1) or removes (sign -1) an index entry's share of the
+// counts.
+func (d *Durable) book(l liveRec, sign int) {
+	d.segs[l.seg].live += int64(sign) * int64(l.size)
+	d.stats.LiveBytes += int64(sign) * int64(l.size)
+	d.stats.LiveRecords += sign
+	if !l.committed {
+		d.stats.Unresolved += sign
+	}
+}
+
+// index makes the record of size bytes the WAL just put in seg the
+// live one of rec's entry.
+func (d *Durable) index(sk ShardKey, rec *proto.MetaRecord, seq proto.Seq, committed bool, seg uint64, size int) {
+	l := liveRec{recPos: d.landed(seg, size), seq: seq, size: uint32(size), committed: committed}
+	ek := entryKey{rec.Key, rec.Version}
+	m := d.live[sk]
+	if m == nil {
+		m = make(map[entryKey]liveRec)
+		d.live[sk] = m
+	}
+	if old, ok := m[ek]; ok {
+		d.book(old, -1)
+	}
+	m[ek] = l
+	d.book(l, 1)
+}
+
+// put writes an entry's full record, framed, and makes it the live one.
+func (d *Durable) put(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, committed bool, frame []byte) error {
+	seg, err := d.w.AppendFramed(frame)
+	if err != nil {
+		return err
+	}
+	d.index(sk, rec, seq, committed, seg, len(frame))
+	return nil
+}
+
+// mark writes a commit, purge or reset marker: key and version only.
+func (d *Durable) mark(kind byte, sk ShardKey, seq proto.Seq, key string, ver proto.Version) error {
+	frame := encodeWALRecord(kind, sk, seq, &proto.MetaRecord{Key: key, Version: ver}, nil, false)
+	seg, err := d.w.AppendFramed(frame)
+	if err == nil {
+		d.landed(seg, len(frame))
+	}
+	return err
 }
 
 // Append persists a write-ahead append: the entry just added to a
 // metadata table, before any ack references it. value rides along for
 // Rep memgests (hasValue); SRS appends are metadata-only.
 func (d *Durable) Append(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, value []byte, hasValue bool) error {
-	seg, err := d.w.AppendFramed(encodeWALRecord(kAppend, sk, seq, rec, value, hasValue))
-	if err != nil {
+	if err := d.put(sk, seq, rec, false, encodeWALRecord(kAppend, sk, seq, rec, value, hasValue)); err != nil {
 		return err
 	}
-	d.unresolved[urKey{sk, seq}] = seg
 	d.stats.Appends++
 	return nil
 }
 
-// Commit persists an entry's commit: the full record goes to Bitcask
-// and a slim marker to the WAL, resolving the matching append.
-func (d *Durable) Commit(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, value []byte, hasValue bool) error {
-	if err := d.put(sk, seq, rec, value, hasValue); err != nil {
+// Commit persists an entry's commit as a marker naming its key and
+// version; the append carries the rest, so value and hasValue, which
+// mirror Append's, are not written.
+func (d *Durable) Commit(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, _ []byte, _ bool) error {
+	if err := d.mark(kCommit, sk, seq, rec.Key, rec.Version); err != nil {
 		return err
 	}
-	slim := proto.MetaRecord{Key: rec.Key, Version: rec.Version}
-	if err := d.journal(kCommit, sk, seq, &slim, nil, false); err != nil {
-		return err
+	ek := entryKey{rec.Key, rec.Version}
+	if l, ok := d.live[sk][ek]; ok && !l.committed {
+		l.committed = true
+		d.live[sk][ek] = l
+		d.stats.Unresolved--
 	}
-	delete(d.unresolved, urKey{sk, seq})
 	return nil
 }
 
 // Install persists an entry learned through recovery (already
-// committed group-wide). The WAL record is what makes it durable ahead
-// of the next acknowledgement: without it a crash before the next
-// checkpoint would lose the entry *below* a durable MaxSeq, where no
-// delta sync would ever look for it again.
+// committed group-wide).
 func (d *Durable) Install(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, value []byte, hasValue bool) error {
-	if err := d.put(sk, seq, rec, value, hasValue); err != nil {
-		return err
-	}
-	return d.journal(kInstall, sk, seq, rec, value, hasValue)
+	return d.put(sk, seq, rec, true, encodeWALRecord(kInstall, sk, seq, rec, value, hasValue))
 }
 
 // Purge removes a version (GC of superseded versions, or abort of an
 // uncommitted append). seq is the purged entry's sequence when known.
 func (d *Durable) Purge(sk ShardKey, seq proto.Seq, key string, ver proto.Version) error {
-	if err := d.db.Delete(encodeDBKey(sk, entryKey{key, ver})); err != nil {
+	if err := d.mark(kPurge, sk, seq, key, ver); err != nil {
 		return err
 	}
-	slim := proto.MetaRecord{Key: key, Version: ver}
-	if err := d.journal(kPurge, sk, seq, &slim, nil, false); err != nil {
-		return err
+	ek := entryKey{key, ver}
+	if l, ok := d.live[sk][ek]; ok {
+		d.book(l, -1)
+		delete(d.live[sk], ek)
 	}
-	delete(d.unresolved, urKey{sk, seq})
 	return nil
 }
 
@@ -498,88 +451,125 @@ func (d *Durable) Purge(sk ShardKey, seq proto.Seq, key string, ver proto.Versio
 // so replaying any of it after a crash would resurrect another
 // node's past.
 func (d *Durable) Reset(sk ShardKey) error {
-	if _, err := d.db.DeletePrefix(string(encodeDBPrefix(sk))); err != nil {
+	if err := d.mark(kReset, sk, 0, "", 0); err != nil {
 		return err
 	}
-	if err := d.journal(kReset, sk, 0, &proto.MetaRecord{}, nil, false); err != nil {
-		return err
+	for _, l := range d.live[sk] {
+		d.book(l, -1)
 	}
-	for uk := range d.unresolved {
-		if uk.sk == sk {
-			delete(d.unresolved, uk)
-		}
-	}
+	delete(d.live, sk)
 	delete(d.stash, sk)
 	return nil
 }
 
-// Dirty reports whether unsynced mutations exist. Every mutation
-// writes a WAL record, so the WAL alone answers.
-func (d *Durable) Dirty() bool { return d.w.Dirty() }
-
 // MaybeSync applies the fsync policy on behalf of a batch that owes an
 // acknowledgement (acks of them, for the per-sync statistics) or a
-// tick; now is the node's event clock. The hosting runner must not
-// emit the batch's outputs if this fails: an un-fsyncable disk means
-// acks can no longer promise durability, so the node crash-stops
-// instead (fsyncgate semantics).
+// tick; now is the node's event clock. Whatever the policy, a segment
+// sealed since the last call is then a reason to consider a merge. The
+// hosting runner must not emit the batch's outputs if this fails: an
+// un-fsyncable disk means acks can no longer promise durability, so
+// the node crash-stops instead (fsyncgate semantics).
 func (d *Durable) MaybeSync(now time.Duration, acks int) error {
 	switch {
-	case !d.Dirty() || d.opts.Policy == FsyncNever:
-		return nil
+	case !d.w.Dirty() || d.opts.Policy == FsyncNever:
 	case d.opts.Policy == FsyncInterval && now-d.lastSync < d.opts.Interval:
-		return nil
+	default:
+		d.lastSync = now
+		d.stats.SyncAcks += uint64(acks)
+		if err := d.sync(); err != nil {
+			return err
+		}
 	}
-	d.lastSync = now
-	d.stats.SyncAcks += uint64(acks)
-	return d.Sync()
+	return d.maybeMerge()
 }
 
-// Sync is the group commit: one fsync, of the WAL's active segment.
-// When a segment sealed since the last checkpoint (or Bitcask is due a
-// merge), the checkpoint follows it.
+// Sync is the group commit, one fsync of the WAL's active segment,
+// followed by a merge when one is due.
 func (d *Durable) Sync() error {
+	if err := d.sync(); err != nil {
+		return err
+	}
+	return d.maybeMerge()
+}
+
+func (d *Durable) sync() error {
 	start := time.Now()
 	if err := d.w.Sync(); err != nil {
 		return err
 	}
 	d.fsyncLat.Observe(time.Since(start))
-	ws := d.w.Stats()
 	d.stats.Syncs++
-	d.stats.SyncRecords, d.stats.AppendsSynced = ws.Appends, d.stats.Appends
-	if ws.Sealed != d.sealedSeen || d.db.Dead() >= d.opts.CompactDead {
-		return d.checkpoint()
-	}
+	d.stats.SyncRecords, d.stats.AppendsSynced = d.w.Stats().Appends, d.stats.Appends
 	return nil
 }
 
-// checkpoint makes Bitcask catch up with the WAL and drops the WAL
-// prefix it then covers: fsync Bitcask (merging first once enough dead
-// records piled up), then prune the sealed segments below the lowest
-// one holding an append that fsync left unresolved. The only Bitcask
-// fsync outside OpenDurable; callers have just synced the WAL, so
-// Bitcask is never made durable ahead of the log.
-func (d *Durable) checkpoint() error {
+// maybeMerge merges once a segment has sealed since the last check and
+// the sealed segments then hold more dead bytes than live ones: a merge
+// copies at most what it frees, and the log stays within about twice
+// the live bytes plus a segment.
+func (d *Durable) maybeMerge() error {
+	sealed := d.w.Stats().Sealed
+	if sealed == d.sealedSeen {
+		return nil
+	}
+	d.sealedSeen = sealed
+	var bytes, live int64
+	for _, seg := range d.w.SealedSegments() {
+		if u := d.segs[seg]; u != nil {
+			bytes, live = bytes+u.bytes, live+u.live
+		}
+	}
+	if bytes-live <= live {
+		return nil
+	}
+	return d.merge()
+}
+
+// merge reads the sealed segments oldest first, one at a time, and
+// re-appends each record the index names as live in its current state
+// — kInstall once committed, kAppend while not. It fsyncs the copies
+// and only then removes the segments it read. Every marker older than a
+// copy is reflected in it, and a marker about an entry that is gone is
+// harmless on replay, so a crash at any step replays to the same state.
+func (d *Durable) merge() error {
 	start := time.Now()
+	end := d.w.ActiveSegment()
+	var buf []byte // one segment's bytes at a time
+	for _, seg := range d.w.SealedSegments() {
+		at := recPos{seg: seg}
+		var err error
+		buf, err = d.w.ReadSegment(seg, buf, func(frame []byte) error {
+			pos := at
+			at.n++
+			r, ok := decodeWALRecord(frame[wal.FrameHeader:])
+			if !ok {
+				return nil // nothing live fails to decode: the index wrote it
+			}
+			l, ok := d.live[r.sk][entryKey{r.rec.Key, r.rec.Version}]
+			if !ok || l.recPos != pos {
+				return nil
+			}
+			// The copy is the record as read, its kind set to the entry's state.
+			frame[wal.FrameHeader] = kAppend
+			if l.committed {
+				frame[wal.FrameHeader] = kInstall
+			}
+			return d.put(r.sk, r.seq, &r.rec, l.committed, frame)
+		})
+		if err != nil {
+			return err
+		}
+		delete(d.segs, seg) // every live record in it has moved
+	}
+	if err := d.w.Sync(); err != nil {
+		return err
+	}
+	if err := d.w.PruneTo(end); err != nil {
+		return err
+	}
 	d.sealedSeen = d.w.Stats().Sealed
-	var err error
-	if d.db.Dead() >= d.opts.CompactDead {
-		err = d.db.Merge()
-	} else {
-		err = d.db.Sync()
-	}
-	if err != nil {
-		return err
-	}
-	floor := d.w.ActiveSegment()
-	for _, seg := range d.unresolved {
-		floor = min(floor, seg)
-	}
-	if err := d.w.PruneTo(floor); err != nil {
-		return err
-	}
-	d.stats.Checkpoints++
-	d.ckptLat.Observe(time.Since(start))
+	d.stats.Merges++
+	d.mergeLat.Observe(time.Since(start))
 	return nil
 }
 
@@ -599,15 +589,16 @@ type Stats struct {
 	WALBytes    uint64               `json:"wal_bytes"`
 	WALSealed   uint64               `json:"wal_segments_sealed"`
 	WALPruned   uint64               `json:"wal_segments_pruned"`
-	// Checkpoints counts Bitcask catch-ups (fsync + WAL prune).
-	Checkpoints   uint64               `json:"checkpoints"`
-	Checkpoint    metrics.HistSnapshot `json:"checkpoint_latency"`
-	BitcaskFsyncs uint64               `json:"bitcask_fsyncs"`
-	LiveKeys      int                  `json:"bitcask_live_records"`
-	DeadRecords   int                  `json:"bitcask_dead_records"`
-	Unresolved    int                  `json:"unresolved_appends"`
-	WALSegments   int                  `json:"wal_segments"`
-	DataFiles     int                  `json:"bitcask_files"`
+	// Merges counts merges (live records copied forward, the sealed
+	// segments they came from removed) and Merge times them.
+	Merges uint64               `json:"merges"`
+	Merge  metrics.HistSnapshot `json:"merge_latency"`
+	// LiveRecords is one per entry the store holds, LiveBytes their
+	// framed size, and Unresolved those not yet committed.
+	LiveRecords int   `json:"live_records"`
+	LiveBytes   int64 `json:"live_bytes"`
+	Unresolved  int   `json:"unresolved_appends"`
+	WALSegments int   `json:"wal_segments"`
 	// Failed is the node's sticky persist-error flag (set by core: the
 	// node crash-stops once a write or fsync failed).
 	Failed bool `json:"failed"`
@@ -616,103 +607,23 @@ type Stats struct {
 // DurableStats reports the store's counters.
 func (d *Durable) DurableStats() Stats {
 	s, ws := d.stats, d.w.Stats()
-	s.Fsync, s.Checkpoint = d.fsyncLat.Snapshot(), d.ckptLat.Snapshot()
+	s.Fsync, s.Merge = d.fsyncLat.Snapshot(), d.mergeLat.Snapshot()
 	s.WALBytes, s.WALSealed, s.WALPruned = ws.Bytes, ws.Sealed, ws.Pruned
-	s.BitcaskFsyncs = d.db.Syncs()
-	s.LiveKeys, s.DeadRecords = d.db.Len(), d.db.Dead()
-	s.Unresolved = len(d.unresolved)
 	s.WALSegments = len(d.w.SealedSegments()) + 1
-	s.DataFiles = len(d.db.Files())
 	return s
 }
 
-// Close checkpoints fully — WAL, then Bitcask, then the prune — and
-// closes every file, so a cleanly stopped store reopens with nothing to
-// replay but its unresolved appends.
+// Close syncs and closes the log; the next open replays and compacts
+// it.
 func (d *Durable) Close() error {
 	err := d.Sync()
-	if err == nil {
-		err = d.checkpoint()
-	}
 	if werr := d.w.Close(); err == nil {
 		err = werr
-	}
-	if derr := d.db.Close(); err == nil {
-		err = derr
 	}
 	return err
 }
 
 // --- encodings -------------------------------------------------------
-
-// Bitcask keys: [mg u32][shard u32][version u64][key bytes], all
-// little-endian. The 8-byte (mg, shard) prefix is the unit of Reset.
-func encodeDBPrefix(sk ShardKey) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint32(b[0:], uint32(sk.Memgest))
-	binary.LittleEndian.PutUint32(b[4:], sk.Shard)
-	return b[:]
-}
-
-func encodeDBKey(sk ShardKey, ek entryKey) string {
-	b := make([]byte, 0, 16+len(ek.key))
-	b = append(b, encodeDBPrefix(sk)...)
-	var v [8]byte
-	binary.LittleEndian.PutUint64(v[:], uint64(ek.ver))
-	b = append(b, v[:]...)
-	b = append(b, ek.key...)
-	return string(b)
-}
-
-func decodeDBKey(s string) (ShardKey, entryKey, bool) {
-	if len(s) < 16 {
-		return ShardKey{}, entryKey{}, false
-	}
-	b := []byte(s)
-	sk := ShardKey{
-		Memgest: proto.MemgestID(binary.LittleEndian.Uint32(b[0:])),
-		Shard:   binary.LittleEndian.Uint32(b[4:]),
-	}
-	ek := entryKey{
-		ver: proto.Version(binary.LittleEndian.Uint64(b[8:])),
-		key: string(b[16:]),
-	}
-	return sk, ek, true
-}
-
-// Bitcask envelope: [seq u64][metaRecord][hasValue u8][value].
-func encodeEnvelope(e *RecoveredEntry) []byte {
-	b := make([]byte, 0, 40+len(e.Rec.Key)+len(e.Value))
-	b = binary.LittleEndian.AppendUint64(b, uint64(e.Seq))
-	b = appendMetaRecord(b, &e.Rec)
-	if e.HasValue {
-		b = append(b, 1)
-		b = append(b, e.Value...)
-	} else {
-		b = append(b, 0)
-	}
-	return b
-}
-
-func decodeEnvelope(b []byte) (RecoveredEntry, bool) {
-	var e RecoveredEntry
-	if len(b) < 9 {
-		return e, false
-	}
-	e.Seq = proto.Seq(binary.LittleEndian.Uint64(b))
-	rec, rest, ok := readMetaRecord(b[8:])
-	if !ok || len(rest) < 1 {
-		return e, false
-	}
-	e.Rec = rec
-	if rest[0] == 1 {
-		e.HasValue = true
-		e.Value = append([]byte(nil), rest[1:]...)
-	} else if len(rest) != 1 {
-		return e, false
-	}
-	return e, true
-}
 
 // WAL record: [kind u8][mg u32][shard u32][seq u64][metaRecord]
 // [hasValue u8][value]; kCommit/kPurge carry a slim record (key and
@@ -743,6 +654,7 @@ type walRecord struct {
 	hasValue bool
 }
 
+// decodeWALRecord decodes a record; its value is a view into b.
 func decodeWALRecord(b []byte) (walRecord, bool) {
 	var r walRecord
 	if len(b) < 17 {
@@ -759,7 +671,7 @@ func decodeWALRecord(b []byte) (walRecord, bool) {
 	r.rec = rec
 	if rest[0] == 1 {
 		r.hasValue = true
-		r.value = append([]byte(nil), rest[1:]...)
+		r.value = rest[1:]
 	} else if len(rest) != 1 {
 		return r, false
 	}

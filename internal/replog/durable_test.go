@@ -205,24 +205,34 @@ func TestTruncateNeverOrphansCommitted(t *testing.T) {
 	}
 }
 
+// Overwrites leave dead records behind — superseded versions, their
+// purges, commit markers — and merges drop them: the log stays near
+// its live bytes.
 func TestPruneShrinksWAL(t *testing.T) {
 	fs := wal.NewMemFS()
 	opts := DurableOptions{Policy: FsyncAlways, WALSegmentBytes: 256}
 	d := openDurable(t, fs, opts)
-	for round := 0; round < 10; round++ {
-		for i := 0; i < 8; i++ {
-			seq := proto.Seq(round*8 + i + 1)
-			key := fmt.Sprintf("r%dk%d", round, i)
-			mustAppend(t, d, testSK, seq, key, 1)
-			mustCommit(t, d, testSK, seq, key, 1)
+	for i := 0; i < 80; i++ {
+		seq, key := proto.Seq(i+1), fmt.Sprintf("k%d", i%8)
+		mustAppend(t, d, testSK, seq, key, proto.Version(i+1))
+		mustCommit(t, d, testSK, seq, key, proto.Version(i+1))
+		if i >= 8 {
+			if err := d.Purge(testSK, seq-8, key, proto.Version(i-7)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := d.Sync(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Everything resolved: the sealed prefix must be pruned away.
-	if got := d.DurableStats().WALSegments; got > 3 {
-		t.Fatalf("WAL kept %d segments despite full resolution", got)
+	st := d.DurableStats()
+	if st.Merges == 0 || st.WALPruned == 0 || st.LiveRecords != 8 {
+		t.Fatalf("after 80 overwrites of 8 keys: %+v", st)
+	}
+	// Sealed bytes are at most twice the live ones after a merge check,
+	// and a segment is at most 256 bytes plus one record.
+	if limit := 2*st.LiveBytes/256 + 3; int64(st.WALSegments) > limit {
+		t.Fatalf("WAL kept %d segments for %d live bytes", st.WALSegments, st.LiveBytes)
 	}
 }
 
@@ -302,31 +312,6 @@ func TestResetFencesShard(t *testing.T) {
 	d3 := openDurable(t, fs, DurableOptions{Policy: FsyncAlways})
 	if e := shardEntry(t, d3.Recovered()[testSK], "newlife", 1); e == nil || !e.Rec.Committed {
 		t.Fatal("post-reset commit lost")
-	}
-}
-
-// TestRetiredMoveRecordsSkipped: a data directory written by a binary
-// that still journaled move windows replays as if the window records
-// were not there — not as damage, which would cost a full resync.
-func TestRetiredMoveRecordsSkipped(t *testing.T) {
-	fs := wal.NewMemFS()
-	d := openDurable(t, fs, DurableOptions{})
-	for _, kind := range []byte{kMoveBegin, kMoveEnd} {
-		if err := d.journal(kind, testSK, 0, rec("k", 2), nil, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustAppend(t, d, testSK, 1, "k", 2)
-	mustCommit(t, d, testSK, 1, "k", 2)
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	d = openDurable(t, fs, DurableOptions{})
-	if rs := d.Recovered()[testSK]; d.Damaged() || rs == nil || shardEntry(t, rs, "k", 2) == nil || rs.Since != 1 {
-		t.Fatalf("damaged=%v shard=%+v", d.Damaged(), rs)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -439,9 +424,11 @@ func TestFsyncErrorSurfaces(t *testing.T) {
 	}
 }
 
-func TestBitcaskMergeTriggered(t *testing.T) {
+// A merge copies the live version of a hot key forward and drops the
+// rest, and a crash after it replays exactly that version.
+func TestMergeKeepsTheLiveVersion(t *testing.T) {
 	fs := wal.NewMemFS()
-	d := openDurable(t, fs, DurableOptions{Policy: FsyncAlways, CompactDead: 8, DataSegmentBytes: 512})
+	d := openDurable(t, fs, DurableOptions{Policy: FsyncAlways, WALSegmentBytes: 512})
 	for i := 0; i < 32; i++ {
 		seq := proto.Seq(i + 1)
 		mustAppend(t, d, testSK, seq, "hot", proto.Version(i+1))
@@ -455,13 +442,13 @@ func TestBitcaskMergeTriggered(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if dead := d.DurableStats(); dead.DataFiles > 4 {
-		t.Fatalf("merge never triggered: %d data files, %d live keys", dead.DataFiles, dead.LiveKeys)
+	if st := d.DurableStats(); st.Merges == 0 || st.WALSegments > 4 || st.LiveRecords != 1 {
+		t.Fatalf("merge never triggered: %+v", st)
 	}
 	fs.Crash(rand.New(rand.NewSource(8)))
 	d2 := openDurable(t, fs, DurableOptions{Policy: FsyncAlways})
 	rs := d2.Recovered()[testSK]
-	if e := shardEntry(t, rs, "hot", 32); e == nil || !e.Rec.Committed {
+	if e := shardEntry(t, rs, "hot", 32); e == nil || !e.Rec.Committed || !bytes.Equal(e.Value, val("hot", 32)) {
 		t.Fatal("live version lost across merge + crash")
 	}
 	if len(rs.Entries) != 1 {
@@ -470,8 +457,8 @@ func TestBitcaskMergeTriggered(t *testing.T) {
 }
 
 func TestRecoveryIsIdempotent(t *testing.T) {
-	// Crashing immediately after a recovery (normalization rewrote the
-	// WAL and Bitcask) must replay to the identical state.
+	// Crashing immediately after a recovery (its compaction rewrote the
+	// log) must replay to the identical state.
 	fs := wal.NewMemFS()
 	d := openDurable(t, fs, DurableOptions{Policy: FsyncAlways})
 	for i := 0; i < 10; i++ {

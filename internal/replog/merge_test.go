@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -13,11 +14,11 @@ import (
 	"ring/internal/wal"
 )
 
-// The WAL is the only file an acknowledgement waits on, so between two
-// checkpoints Bitcask may hold none of what the log says. These tests
-// make that the worst it can be — powerCut loses every byte no fsync
-// covered — and check that each effect Bitcask alone used to carry is
-// recovered from the log.
+// The log is the store, and a merge rewrites it: live records are
+// copied to its end and the sealed segments they came from removed.
+// These tests cut the power at each step of that — powerCut loses every
+// byte no fsync covered — and check that nothing a copy carries is lost
+// and nothing a marker voided comes back.
 
 // zeroSource makes MemFS.Crash tear at the synced prefix exactly.
 type zeroSource struct{}
@@ -28,8 +29,8 @@ func (zeroSource) Seed(int64)   {}
 func powerCut(fs *wal.MemFS) { fs.Crash(rand.New(zeroSource{})) }
 
 // faultFS wraps an FS to count the files open through it and to fail a
-// chosen operation: fail is asked before every file Append, ReadAt and
-// Sync and every Remove, with the file's name.
+// chosen operation: fail is asked before every ReadFile and Remove and
+// every file Append, ReadAt and Sync, with the file's name.
 type faultFS struct {
 	wal.FS
 	open int
@@ -50,6 +51,13 @@ func (f *faultFS) OpenFile(name string) (wal.File, error) {
 	}
 	f.open++
 	return &faultFile{File: inner, fs: f, name: name}, nil
+}
+
+func (f *faultFS) ReadFile(name string) ([]byte, error) {
+	if err := f.check("read", name); err != nil {
+		return nil, err
+	}
+	return f.FS.ReadFile(name)
 }
 
 func (f *faultFS) Remove(name string) error {
@@ -107,6 +115,22 @@ func failFirst(op, prefix string, err error) func(string, string) error {
 	}
 }
 
+// inMerge fails the first op after a merge began reading a sealed
+// segment (the only ReadAt there is).
+func inMerge(op string, err error) func(string, string) error {
+	reading, done := false, false
+	return func(o, _ string) error {
+		switch {
+		case o == "readat":
+			reading = true
+		case reading && !done && o == op:
+			done = true
+			return err
+		}
+		return nil
+	}
+}
+
 // snapshot renders everything Recovered() holds, in a fixed order.
 func snapshot(d *Durable) string {
 	var sks []ShardKey
@@ -125,9 +149,31 @@ func snapshot(d *Durable) string {
 	return b.String()
 }
 
-// checkpointed returns a store holding k0..k3 committed in testSK, all
-// of it in fsynced Bitcask with an empty WAL behind (Close checkpoints).
-func checkpointed(t *testing.T, fs wal.FS) *Durable {
+// copiedByMerge returns a store holding k0..k3 committed in testSK,
+// their live records copies a merge made: 256-byte segments seal after
+// every record or two, and a forced merge moves them all forward.
+func copiedByMerge(t *testing.T, fs wal.FS) *Durable {
+	t.Helper()
+	d := openDurable(t, fs, DurableOptions{Policy: FsyncAlways, WALSegmentBytes: 256})
+	for i := 0; i < 4; i++ {
+		mustAppend(t, d, testSK, proto.Seq(i+1), fmt.Sprintf("k%d", i), 1)
+		mustCommit(t, d, testSK, proto.Seq(i+1), fmt.Sprintf("k%d", i), 1)
+	}
+	end := d.w.ActiveSegment()
+	if err := d.merge(); err != nil {
+		t.Fatal(err)
+	}
+	for ek, l := range d.live[testSK] {
+		if l.seg < end {
+			t.Fatalf("%v still lives in merged segment %d", ek, l.seg)
+		}
+	}
+	return d
+}
+
+// reopened returns a store holding k0..k3 committed in testSK, closed
+// and opened again: its log is the compacted generation recovery wrote.
+func reopened(t *testing.T, fs wal.FS) *Durable {
 	t.Helper()
 	d := openDurable(t, fs, DurableOptions{Policy: FsyncAlways})
 	for i := 0; i < 4; i++ {
@@ -140,8 +186,9 @@ func checkpointed(t *testing.T, fs wal.FS) *Durable {
 	return openDurable(t, fs, DurableOptions{Policy: FsyncAlways})
 }
 
-// An install sits below the shard's MaxSeq: if only Bitcask carried it,
-// a later synced append would make the floor cover a hole.
+// An install sits below the shard's MaxSeq: a crash before any merge
+// must find it in the log, or a later synced append would make the
+// floor cover a hole.
 func TestInstallSurvivesWithoutCheckpoint(t *testing.T) {
 	fs := wal.NewMemFS()
 	d := openDurable(t, fs, DurableOptions{Policy: FsyncAlways})
@@ -152,8 +199,8 @@ func TestInstallSurvivesWithoutCheckpoint(t *testing.T) {
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if st := d.DurableStats(); st.BitcaskFsyncs != 0 || st.Checkpoints != 0 {
-		t.Fatalf("a checkpoint ran (%+v): the test no longer covers the window it is about", st)
+	if st := d.DurableStats(); st.Merges != 0 || st.WALSealed != 0 {
+		t.Fatalf("a segment sealed (%+v): the test no longer covers the window it is about", st)
 	}
 	powerCut(fs)
 
@@ -166,9 +213,11 @@ func TestInstallSurvivesWithoutCheckpoint(t *testing.T) {
 	}
 }
 
-func TestResetVoidsWhatBitcaskKept(t *testing.T) {
+// A reset written after a merge copied the shard forward voids the
+// copies too, and recovery's compaction does not bring them back.
+func TestResetVoidsMergedCopies(t *testing.T) {
 	fs := wal.NewMemFS()
-	d := checkpointed(t, fs)
+	d := copiedByMerge(t, fs)
 	other := ShardKey{Memgest: 2, Shard: 1}
 	mustAppend(t, d, other, 1, "keep", 1)
 	mustCommit(t, d, other, 1, "keep", 1)
@@ -178,25 +227,26 @@ func TestResetVoidsWhatBitcaskKept(t *testing.T) {
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	powerCut(fs) // Bitcask still holds k0..k3: its tombstones were never fsynced
+	powerCut(fs)
 
 	d2 := openDurable(t, fs, DurableOptions{Policy: FsyncAlways})
 	if rs := d2.Recovered()[testSK]; rs != nil {
-		t.Fatalf("reset shard replayed from Bitcask: %s", snapshot(d2))
+		t.Fatalf("reset shard replayed from the merge's copies: %s", snapshot(d2))
 	}
 	if e := shardEntry(t, d2.Recovered()[other], "keep", 1); e == nil || !e.Rec.Committed {
 		t.Fatal("reset bled into another shard")
 	}
-	// And recovery made the reset stick: nothing comes back next time.
 	powerCut(fs)
 	if d3 := openDurable(t, fs, DurableOptions{Policy: FsyncAlways}); d3.Recovered()[testSK] != nil {
 		t.Fatalf("reset shard back after a second crash: %s", snapshot(d3))
 	}
 }
 
-func TestPurgeVoidsWhatBitcaskKept(t *testing.T) {
+// A purge written after a merge copied the version forward voids the
+// copy, and recovery's compaction does not bring it back.
+func TestPurgeVoidsMergedCopy(t *testing.T) {
 	fs := wal.NewMemFS()
-	d := checkpointed(t, fs)
+	d := copiedByMerge(t, fs)
 	if err := d.Purge(testSK, 2, "k1", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +258,7 @@ func TestPurgeVoidsWhatBitcaskKept(t *testing.T) {
 	d2 := openDurable(t, fs, DurableOptions{Policy: FsyncAlways})
 	rs := d2.Recovered()[testSK]
 	if shardEntry(t, rs, "k1", 1) != nil {
-		t.Fatalf("purged version replayed from Bitcask: %s", snapshot(d2))
+		t.Fatalf("purged version replayed from the merge's copy: %s", snapshot(d2))
 	}
 	if len(rs.Entries) != 3 || rs.Since != 4 {
 		t.Fatalf("after purge: %s", snapshot(d2))
@@ -219,9 +269,10 @@ func TestPurgeVoidsWhatBitcaskKept(t *testing.T) {
 	}
 }
 
-// A checkpoint is Bitcask fsync, then prune. A power cut before it,
-// between its two steps and after it must all recover the same state.
-func TestCrashAtEachCheckpointStep(t *testing.T) {
+// A merge is copies, their fsync, then the removal of what was copied
+// from. A power cut at the copies' fsync, at the first removal and
+// after the merge must all recover the same state.
+func TestCrashAtEachMergeStep(t *testing.T) {
 	boom := errors.New("power cut")
 	opts := DurableOptions{Policy: FsyncAlways, WALSegmentBytes: 2048}
 	run := func(fail func(string, string) error) string {
@@ -230,10 +281,11 @@ func TestCrashAtEachCheckpointStep(t *testing.T) {
 		d := openDurable(t, fs, opts)
 		fs.fail = fail
 		// Commits, overwrites with their purges, an install, and appends
-		// left open, a Sync after each step, until a Sync checkpoints.
-		for i := 0; ; i++ {
+		// left open, a Sync after each step, until a Sync merges.
+		var err error
+		for i := 0; err == nil && d.DurableStats().Merges == 0; i++ {
 			if i > 200 {
-				t.Fatal("no WAL segment ever sealed")
+				t.Fatal("no merge ever ran")
 			}
 			seq, key := proto.Seq(2*i+1), fmt.Sprintf("k%d", i%5)
 			mustAppend(t, d, testSK, seq, key, proto.Version(i+1))
@@ -251,28 +303,61 @@ func TestCrashAtEachCheckpointStep(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			err := d.Sync()
-			if err != nil && !errors.Is(err, boom) {
+			if err = d.Sync(); err != nil && !errors.Is(err, boom) {
 				t.Fatal(err)
 			}
-			if err != nil || d.DurableStats().Checkpoints > 0 {
-				break
-			}
+		}
+		if (err != nil) != (fail != nil) {
+			t.Fatalf("Sync = %v: the power cut missed the merge", err)
 		}
 		powerCut(mem)
 		return snapshot(openDurable(t, mem, opts))
 	}
 	after := run(nil)
-	// The checkpoint must have had purges, an install and open appends
-	// behind it, or the three runs agree about nothing.
+	// The merge must have had purges, an install and open appends behind
+	// it, or the three runs agree about nothing.
 	if !strings.Contains(after, "inst4@1") || strings.Contains(after, "k0@1 ") || !strings.Contains(after, "since=1 ") {
 		t.Fatalf("scenario lost its shape:\n%s", after)
 	}
-	if before := run(failFirst("sync", "bc-", boom)); before != after {
-		t.Fatalf("crash before the Bitcask fsync:\n%safter the checkpoint:\n%s", before, after)
+	if copies := run(inMerge("sync", boom)); copies != after {
+		t.Fatalf("crash at the copies' fsync:\n%safter the merge:\n%s", copies, after)
 	}
-	if between := run(failFirst("remove", "wal-", boom)); between != after {
-		t.Fatalf("crash between the Bitcask fsync and the prune:\n%safter the checkpoint:\n%s", between, after)
+	if removal := run(inMerge("remove", boom)); removal != after {
+		t.Fatalf("crash at the first removal:\n%safter the merge:\n%s", removal, after)
+	}
+}
+
+// Under FsyncNever nothing syncs on an acknowledgement's behalf, and a
+// merge still bounds the log: it runs whenever a segment has sealed,
+// whatever the policy, and fsyncs its copies itself.
+func TestNeverPolicyBoundsTheLog(t *testing.T) {
+	fs := wal.NewMemFS()
+	d := openDurable(t, fs, DurableOptions{Policy: FsyncNever, WALSegmentBytes: 256})
+	for i := 0; i < 500; i++ {
+		seq, key := proto.Seq(i+1), fmt.Sprintf("k%d", i%5)
+		mustAppend(t, d, testSK, seq, key, proto.Version(i+1))
+		mustCommit(t, d, testSK, seq, key, proto.Version(i+1))
+		if i >= 5 {
+			if err := d.Purge(testSK, seq-5, key, proto.Version(i-4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.MaybeSync(0, 1); err != nil { // as Flush calls it
+			t.Fatal(err)
+		}
+		if sealed := d.DurableStats().WALSegments - 1; sealed > 4 {
+			t.Fatalf("after %d overwrites of 5 keys the log keeps %d sealed segments", i+1, sealed)
+		}
+	}
+	// A power cut takes the unsynced tail, never a merge's copies: the
+	// log replays to a prefix of the writes, and each key keeps a version.
+	powerCut(fs)
+	d2 := openDurable(t, fs, DurableOptions{Policy: FsyncNever})
+	for i := 0; i < 5; i++ {
+		key := fmt.Sprintf("k%d", i)
+		if !slices.ContainsFunc(d2.Recovered()[testSK].Entries, func(e RecoveredEntry) bool { return e.Rec.Key == key }) {
+			t.Fatalf("%s lost:\n%s", key, snapshot(d2))
+		}
 	}
 }
 
@@ -283,16 +368,15 @@ func TestFailedOpenClosesItsFiles(t *testing.T) {
 	for _, tc := range []struct{ op, prefix string }{
 		{"sync", ""},       // the first fsync of the open, whichever file it is
 		{"sync", "wal-"},   // w.Compact
-		{"readat", "bc-"},  // db.Range
-		{"append", "bc-"},  // normalization's db.Put
+		{"read", "wal-"},   // wal.Open's replay
 		{"append", "wal-"}, // w.Compact's rewrite
 		{"remove", "wal-"}, // w.Compact dropping the old generation
 	} {
 		t.Run(tc.op+"/"+tc.prefix, func(t *testing.T) {
-			// A store with entries in Bitcask, committed entries only the
-			// WAL holds, and an open append: every phase has work to do.
+			// A store with a compacted generation, committed entries
+			// appended after it, and an open append: every step has work.
 			mem := wal.NewMemFS()
-			d := checkpointed(t, mem)
+			d := reopened(t, mem)
 			mustAppend(t, d, testSK, 5, "walonly", 1)
 			mustCommit(t, d, testSK, 5, "walonly", 1)
 			mustAppend(t, d, testSK, 6, "open", 1)
@@ -324,8 +408,8 @@ func TestFailedOpenClosesItsFiles(t *testing.T) {
 	}
 }
 
-// A put is three records — WAL append, Bitcask put, WAL commit marker —
-// and each reaches its file as one File.Append.
+// A put is two records — the append and the commit marker — and each
+// reaches the log as one File.Append.
 func TestOneFileAppendPerRecord(t *testing.T) {
 	appends := 0
 	fs := &faultFS{FS: wal.NewMemFS()}
@@ -338,7 +422,25 @@ func TestOneFileAppendPerRecord(t *testing.T) {
 	}
 	mustAppend(t, d, testSK, 1, "k", 1)
 	mustCommit(t, d, testSK, 1, "k", 1)
-	if appends != 3 {
-		t.Fatalf("append + commit made %d File.Append calls, want 3", appends)
+	if appends != 2 {
+		t.Fatalf("append + commit made %d File.Append calls, want 2", appends)
+	}
+}
+
+// A directory an older binary wrote keeps committed entries in Bitcask
+// files whose log records it pruned: replaying the log alone would drop
+// them silently, so the open refuses and says what to do.
+func TestOldDataDirectoryRefused(t *testing.T) {
+	fs := wal.NewMemFS()
+	f, err := fs.OpenFile("bc-00000001.data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Append([]byte("an older store")); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenDurable(fs, DurableOptions{})
+	if err == nil || !strings.Contains(err.Error(), "bc-00000001.data") || !strings.Contains(err.Error(), "remove the data directory") {
+		t.Fatalf("OpenDurable over an older directory = %v", err)
 	}
 }

@@ -203,3 +203,41 @@ func TestCoordinatorKilledBetweenFanoutAndSync(t *testing.T) {
 		t.Fatal("no seed in 1..8 tore the coordinator's append off its disk: the hazard was never exercised")
 	}
 }
+
+// TestDurableChaosMerges is the durable chaos run built by hand from
+// its pieces, with one change: 2 KiB WAL segments instead of 1 MiB
+// ones, which no run of the band ever seals. Every node's log then
+// seals and merges while the nemesis kills nodes, flips WAL bits and
+// fails fsyncs, and every seed must still yield a linearizable history.
+// 1:159 is the longest all-green prefix; 160 is red as it is on the
+// band (and 186, 202 and 307 are red after it).
+func TestDurableChaosMerges(t *testing.T) {
+	const seeds = 159
+	opts := replog.DurableOptions{Policy: replog.FsyncAlways, WALSegmentBytes: 2 << 10}
+	var merges uint64
+	for seed := int64(1); seed <= seeds; seed++ {
+		cfg := mustChaosConfig(t)
+		s := New(cfg, chaosCluster(false, false).Opts, DefaultModel())
+		if err := s.EnableDurable(seed, opts); err != nil {
+			t.Fatal(err)
+		}
+		s.EnableTicks(100 * time.Microsecond)
+		spec := ChaosRunSpec{Seed: seed}.withDefaults()
+		w := ChaosOptions{Seed: seed, Memgests: chaosMemgests()}.withDefaults()
+		w.ThinkTime = spec.Active / time.Duration(w.OpsPerClient)
+		sched := GenDurableSchedule(seed, cfg.AllNodes(), spec.Active)
+		sched.Apply(s, seed*1_000_000_007+12345)
+		h := NewChaosHarness(s, cfg, w)
+		if r := linearize.Check(h.Run(spec.Horizon), 0); r.Verdict != linearize.Linearizable {
+			t.Errorf("seed %d over 2 KiB segments: %v\nschedule: %s\n%s", seed, r.Verdict, sched, r)
+		}
+		for _, id := range cfg.AllNodes() {
+			if d := s.Node(id).MetricsSnapshot().Durable; d != nil {
+				merges += d.Merges
+			}
+		}
+	}
+	if merges == 0 {
+		t.Fatalf("%d seeds over 2 KiB segments never merged", seeds)
+	}
+}

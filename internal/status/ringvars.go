@@ -365,14 +365,12 @@ func addDurable(dst, s *replog.Stats) {
 	dst.WALBytes += s.WALBytes
 	dst.WALSealed += s.WALSealed
 	dst.WALPruned += s.WALPruned
-	dst.Checkpoints += s.Checkpoints
-	dst.Checkpoint = dst.Checkpoint.Merge(s.Checkpoint)
-	dst.BitcaskFsyncs += s.BitcaskFsyncs
-	dst.LiveKeys += s.LiveKeys
-	dst.DeadRecords += s.DeadRecords
+	dst.Merges += s.Merges
+	dst.Merge = dst.Merge.Merge(s.Merge)
+	dst.LiveRecords += s.LiveRecords
+	dst.LiveBytes += s.LiveBytes
 	dst.Unresolved += s.Unresolved
 	dst.WALSegments += s.WALSegments
-	dst.DataFiles += s.DataFiles
 	dst.Failed = dst.Failed || s.Failed
 }
 
@@ -415,10 +413,10 @@ func RenderStats(w io.Writer, cs ClusterStats) {
 		// Per group commit: the WAL records it made durable and the
 		// acknowledgements it released.
 		per := func(n uint64) float64 { return float64(n) / float64(max(d.Syncs, 1)) }
-		fmt.Fprintf(w, "durable: wal_fsyncs=%d fsync_p50<=%s fsync_p99<=%s records/sync=%.1f acks/sync=%.1f wal_bytes=%d sealed=%d pruned=%d checkpoints=%d checkpoint_p99<=%s bitcask_fsyncs=%d live=%d dead=%d unresolved=%d failed=%v\n",
+		fmt.Fprintf(w, "durable: wal_fsyncs=%d fsync_p50<=%s fsync_p99<=%s records/sync=%.1f acks/sync=%.1f wal_bytes=%d sealed=%d pruned=%d merges=%d merge_p99<=%s live=%d live_bytes=%d unresolved=%d failed=%v\n",
 			d.Syncs, time.Duration(d.Fsync.Quantile(0.5)), time.Duration(d.Fsync.Quantile(0.99)), per(d.SyncRecords), per(d.SyncAcks),
-			d.WALBytes, d.WALSealed, d.WALPruned, d.Checkpoints, time.Duration(d.Checkpoint.Quantile(0.99)),
-			d.BitcaskFsyncs, d.LiveKeys, d.DeadRecords, d.Unresolved, d.Failed)
+			d.WALBytes, d.WALSealed, d.WALPruned, d.Merges, time.Duration(d.Merge.Quantile(0.99)),
+			d.LiveRecords, d.LiveBytes, d.Unresolved, d.Failed)
 	}
 	renderHist(w, "commit latency REP", cs.CommitRep)
 	renderHist(w, "commit latency SRS", cs.CommitSRS)

@@ -67,8 +67,7 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 	// exactly N appends made durable. (SyncReplication makes the put wait
 	// for both RepAcks; under the majority quorum the replica that is not
 	// waited for may take two appends in one batch and fsync them once.)
-	// And no node has fsynced Bitcask: that waits for the first WAL
-	// segment to seal.
+	// And no node has merged: a merge waits for a WAL segment to seal.
 	const durPuts = 8
 	for i := 0; i < durPuts; i++ {
 		if _, err := c.PutIn("dur", []byte("made durable"), 1); err != nil {
@@ -92,7 +91,7 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 			t.Fatalf("node %d: process.rss_peak_bytes=%d (present: %v), rss_anon_bytes=%d, rss_file_bytes=%d", rv.NodeID, peak, ok, anon, file)
 		}
 		d := rv.Node.Durable
-		if d == nil || d.BitcaskFsyncs != 0 || d.Checkpoints != 0 || d.WALSealed != 0 || d.Failed {
+		if d == nil || d.Merges != 0 || d.WALSealed != 0 || d.Failed {
 			t.Fatalf("node %d before its first WAL segment sealed: %+v", rv.NodeID, d)
 		}
 		if id := rv.NodeID; id == coord || id == 3 || id == 4 {
@@ -148,6 +147,11 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 	}
 	if mid.MetaEntries != 3*(1+6)+3*4 {
 		t.Fatalf("cluster holds %d metadata entries, want %d", mid.MetaEntries, 3*(1+6)+3*4)
+	}
+	// The durable tier holds exactly what the tables do: one live record
+	// per entry, and every purge of a superseded version voided its record.
+	if d := mid.Durable; d == nil || uint64(d.LiveRecords) != mid.MetaEntries {
+		t.Fatalf("durable tier holds %+v for %d metadata entries", d, mid.MetaEntries)
 	}
 	// What those entries take is as exact: a slab slot each, and on each
 	// of a key's three nodes — its coordinator, and nodes 3 and 4 as
@@ -279,7 +283,7 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 		fmt.Sprintf("commit latency REP: n=%d", 7+durPuts),
 		// One line for the durable tier, summed over the five nodes.
 		fmt.Sprintf("durable: wal_fsyncs=%d fsync_p50<=", cs.Durable.Syncs),
-		"bitcask_fsyncs=0 ",
+		" merges=0 ",
 		"failed=false",
 		"commit latency SRS: n=8",
 		// 3 of the 4 SRS puts survive the delete, plus the 3 moved values.

@@ -61,9 +61,9 @@ func (d dirFS) OpenFile(name string) (File, error) {
 	}
 	if created {
 		// A new dirent is not crash-durable until the directory itself
-		// is fsynced: without this, a freshly rotated WAL segment or
-		// Bitcask data file can vanish entirely after power loss even
-		// though File.Sync succeeded on its contents.
+		// is fsynced: without this, a freshly rotated WAL segment can
+		// vanish entirely after power loss even though File.Sync
+		// succeeded on its contents.
 		if err := d.syncDir(); err != nil {
 			f.Close() //ring:durableok failed-path teardown, the primary error wins
 			return nil, err

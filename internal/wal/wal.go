@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -18,7 +19,7 @@ const (
 	headerSize = len(magic)
 	frameSize  = 8 // u32 length + u32 crc32c
 	// maxRecord bounds a single payload; a length field beyond it is
-	// treated as tail damage, not an allocation request.
+	// damage, not an allocation request.
 	maxRecord = 16 << 20
 	// maxScratch bounds the frame buffer Append keeps between records.
 	maxScratch = 64 << 10
@@ -128,11 +129,11 @@ func Open(fsys FS, opts Options, replay func(seg uint64, payload []byte) error) 
 		if err != nil {
 			return nil, err
 		}
-		validEnd, clean, torn := scanSegment(data, func(payload []byte) error {
+		validEnd, clean, torn := scanSegment(data, func(frame []byte) error {
 			if replay == nil {
 				return nil
 			}
-			return replay(idx, payload)
+			return replay(idx, frame[frameSize:])
 		})
 		if clean {
 			continue
@@ -195,10 +196,11 @@ func Open(fsys FS, opts Options, replay func(seg uint64, payload []byte) error) 
 }
 
 // scanSegment walks one segment's frames, calling replay for each
-// valid payload. It returns the byte offset of the end of the last
-// valid record, whether the whole segment was consumed cleanly, and —
-// when it was not — whether the invalid frame looks like a torn tail
-// (incomplete frame) rather than corruption (fully present, bad CRC).
+// valid one, header and payload. It returns the byte offset of the end
+// of the last valid record, whether the whole segment was consumed
+// cleanly, and — when it was not — whether the invalid frame looks like
+// a torn tail (incomplete frame) rather than corruption (fully present,
+// bad CRC, or a length no writer wrote).
 func scanSegment(data []byte, replay func([]byte) error) (validEnd int64, clean, torn bool) {
 	if len(data) < headerSize || string(data[:headerSize]) != magic {
 		// A header shorter than the magic is a torn creation; a full
@@ -212,15 +214,20 @@ func scanSegment(data []byte, replay func([]byte) error) (validEnd int64, clean,
 		}
 		length := binary.LittleEndian.Uint32(data[off:])
 		crc := binary.LittleEndian.Uint32(data[off+4:])
-		if length > maxRecord || off+frameSize+int(length) > len(data) {
+		if length > maxRecord {
+			// A torn write keeps a prefix of what was written, and nothing
+			// writes a length above maxRecord: the header was flipped.
+			return int64(off), false, false
+		}
+		if off+frameSize+int(length) > len(data) {
 			return int64(off), false, true
 		}
-		payload := data[off+frameSize : off+frameSize+int(length)]
-		if crc32.Checksum(payload, castagnoli) != crc {
+		frame := data[off : off+frameSize+int(length)]
+		if crc32.Checksum(frame[frameSize:], castagnoli) != crc {
 			return int64(off), false, false
 		}
 		if replay != nil {
-			if err := replay(payload); err != nil {
+			if err := replay(frame); err != nil {
 				// A replay error marks the record unusable but the frame
 				// itself was intact; treat as corruption.
 				return int64(off), false, false
@@ -329,6 +336,32 @@ func (w *WAL) ActiveSegment() uint64 { return w.activeIdx }
 
 // SealedSegments returns the ascending indexes of sealed segments.
 func (w *WAL) SealedSegments() []uint64 { return append([]uint64(nil), w.sealed...) }
+
+// ReadSegment calls fn with each record of sealed segment idx, in log
+// order, as its frame: FrameHeader bytes, then the payload, ready for
+// AppendFramed. The segment is read into buf, which is grown as needed
+// and returned for the next call, so a frame is fn's only until it
+// returns. A sealed segment was synced whole, so a frame that does not
+// check out is damage, and an error.
+func (w *WAL) ReadSegment(idx uint64, buf []byte, fn func(frame []byte) error) ([]byte, error) {
+	f, err := w.fs.OpenFile(SegName(idx))
+	if err != nil {
+		return buf, err
+	}
+	defer f.Close() //ring:durableok the segment is only read
+	buf = slices.Grow(buf[:0], int(f.Size()))[:f.Size()]
+	if _, err := f.ReadAt(buf, 0); err != nil {
+		return buf, err
+	}
+	var fnErr error
+	if _, clean, _ := scanSegment(buf, func(p []byte) error { fnErr = fn(p); return fnErr }); !clean {
+		if fnErr != nil {
+			return buf, fnErr
+		}
+		return buf, fmt.Errorf("wal: sealed segment %s is damaged", SegName(idx))
+	}
+	return buf, nil
+}
 
 // Stats returns the counters of this WAL instance.
 func (w *WAL) Stats() Stats { return w.stats }

@@ -170,6 +170,30 @@ func TestBitFlipDetectedAsDamage(t *testing.T) {
 	}
 }
 
+// A flip in the top byte of a length field makes the frame claim more
+// than the file holds, as a torn write does; but no writer wrote that
+// length, so it is damage, not a tail to drop quietly.
+func TestFlippedLengthIsDamage(t *testing.T) {
+	fs := NewMemFS()
+	w, _ := collect(t, fs, Options{})
+	for _, p := range []string{"first", "second", "third"} {
+		if _, err := w.Append([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	second := int64(headerSize + frameSize + len("first"))
+	if !fs.FlipBit(SegName(1), (second+3)*8+7) {
+		t.Fatal("nothing to flip")
+	}
+	w2, recs := collect(t, fs, Options{})
+	if !w2.Damaged() || len(recs) != 1 {
+		t.Fatalf("flipped length: damaged=%v, %d records replayed", w2.Damaged(), len(recs))
+	}
+}
+
 func TestCorruptionInNonFinalSegmentIsDamage(t *testing.T) {
 	fs := NewMemFS()
 	w, _ := collect(t, fs, Options{SegmentBytes: 64})
