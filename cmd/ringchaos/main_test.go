@@ -115,6 +115,12 @@ func TestDurableSeedsPass(t *testing.T) {
 // Seeds 18 and 19 are the shrunk schedules that were red at the commit
 // before the fix (core.takeStash); seed 22 reaches the same bug at the
 // fsync timing of the WAL-only group commit that landed with it.
+//
+// The flipped-length cases are seeds 1388 and 382 shrunk: the corrupt
+// step flips a bit of a length word in the newest segment, and while
+// the word carried no check, the frame overran the file and read as a
+// torn tail — the records after it were dropped without Damaged(), and
+// the node installed the older state.
 func TestDurableReproSchedules(t *testing.T) {
 	for _, tc := range []struct{ name, seed, schedule string }{
 		{"torn-tail", "2", "10ms:kill:1;16ms:restart:1"},
@@ -123,6 +129,8 @@ func TestDurableReproSchedules(t *testing.T) {
 		{"damaged-stash-18", "18", "1.63308ms:fsyncerr:2;4.036666ms:fsyncok:2;4.036666ms:restart:2;19.539583ms:fsyncerr:1;21.425213ms:fsyncok:1;21.425213ms:restart:1;29.124656ms:kill:2;30.528039ms:corrupt:2;31.931422ms:restart:2"},
 		{"damaged-stash-19", "19", "372.597µs:fsyncerr:1;25.43746ms:kill:0;26.721165ms:corrupt:0;28.004871ms:restart:0"},
 		{"damaged-stash-22", "22", "2.055434ms:kill:0;9.65799ms:kill:2;13.007458ms:restart:2;17.918918ms:kill:2;19.304237ms:corrupt:2;20.689557ms:restart:2"},
+		{"flipped-length-1388", "1388", "9.957026ms:kill:0;11.3155ms:corrupt:0;12.673975ms:restart:0"},
+		{"flipped-length-382", "382", "8.243768ms:kill:4;9.571384ms:corrupt:4;10.899001ms:restart:4;17.246223ms:kill:2"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out, errw strings.Builder

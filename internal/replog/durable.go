@@ -2,7 +2,9 @@ package replog
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -37,6 +39,8 @@ type Durable struct {
 	tail recPos
 	// sealedSeen is the WAL's sealed-segment count at the last merge check.
 	sealedSeen uint64
+	// frame is the scratch every record is encoded into and written from.
+	frame []byte
 
 	lastSync time.Duration
 	stats    Stats
@@ -196,8 +200,9 @@ func newReplayShard() *replayShard {
 // replay cost never accretes across restarts.
 //
 // A directory holding Bitcask files ("bc-*") was written by an older
-// binary whose log no longer holds every committed entry; it is
-// refused, not half-read.
+// binary whose log no longer holds every committed entry, and one whose
+// segments are in the older WAL format has frames without a length
+// check; both are refused, not half-read.
 func OpenDurable(fsys wal.FS, opts DurableOptions) (*Durable, error) {
 	if opts.Interval <= 0 {
 		opts.Interval = 5 * time.Millisecond
@@ -260,6 +265,9 @@ func OpenDurable(fsys wal.FS, opts DurableOptions) (*Durable, error) {
 		st.maxSeq = max(st.maxSeq, r.seq)
 		return nil
 	})
+	if errors.Is(err, wal.ErrOldFormat) {
+		return nil, fmt.Errorf("replog: %w, which an older ringd wrote; remove the data directory and the node resyncs from its group", err)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -271,7 +279,7 @@ func OpenDurable(fsys wal.FS, opts DurableOptions) (*Durable, error) {
 }
 
 // restore builds the stash from the replayed shards and compacts the
-// log to what they hold.
+// log to what they hold, writing each record as it is encoded.
 func (d *Durable) restore(shards map[ShardKey]*replayShard) error {
 	d.damaged = d.damaged || d.w.Damaged()
 	skeys := make([]ShardKey, 0, len(shards))
@@ -279,55 +287,45 @@ func (d *Durable) restore(shards map[ShardKey]*replayShard) error {
 		skeys = append(skeys, sk)
 	}
 	sort.Slice(skeys, func(i, j int) bool { return skeys[i].Less(skeys[j]) })
-	type kept struct {
-		sk ShardKey
-		e  *RecoveredEntry
-	}
-	var recs [][]byte
-	var keep []kept
-	for _, sk := range skeys {
-		st := shards[sk]
-		if len(st.entries) == 0 && st.maxSeq == 0 {
-			continue // reset, and nothing since
-		}
-		eks := make([]entryKey, 0, len(st.entries))
-		for ek := range st.entries {
-			eks = append(eks, ek)
-		}
-		sort.Slice(eks, func(i, j int) bool { return eks[i].less(eks[j]) })
-		rs := &RecoveredShard{MaxSeq: st.maxSeq, Since: st.maxSeq}
-		for _, ek := range eks {
-			// An append that never committed was never acknowledged, so
-			// it stays out of the stash (dropping it is a legal outcome of
-			// the crashed operation); it stays in the log, and it lowers
-			// Since so the group sync re-covers its range.
-			e := st.entries[ek]
-			kind := byte(kAppend)
-			if e.Rec.Committed {
-				kind = kInstall
-				rs.Entries = append(rs.Entries, *e)
+	return d.w.Compact(func() error {
+		for _, sk := range skeys {
+			st := shards[sk]
+			if len(st.entries) == 0 && st.maxSeq == 0 {
+				continue // reset, and nothing since
 			}
-			recs = append(recs, encodeWALRecord(kind, sk, e.Seq, &e.Rec, e.Value, e.HasValue))
-			keep = append(keep, kept{sk, e})
+			eks := make([]entryKey, 0, len(st.entries))
+			for ek := range st.entries {
+				eks = append(eks, ek)
+			}
+			sort.Slice(eks, func(i, j int) bool { return eks[i].less(eks[j]) })
+			rs := &RecoveredShard{MaxSeq: st.maxSeq, Since: st.maxSeq, Entries: make([]RecoveredEntry, 0, len(eks))}
+			for _, ek := range eks {
+				// An append that never committed was never acknowledged, so
+				// it stays out of the stash (dropping it is a legal outcome of
+				// the crashed operation); it stays in the log, and it lowers
+				// Since so the group sync re-covers its range.
+				e := st.entries[ek]
+				kind := byte(kAppend)
+				if e.Rec.Committed {
+					kind = kInstall
+					rs.Entries = append(rs.Entries, *e)
+				}
+				if err := d.put(sk, e.Seq, &e.Rec, e.Rec.Committed, d.encode(kind, sk, e.Seq, &e.Rec, e.Value, e.HasValue)); err != nil {
+					return err
+				}
+			}
+			for seq := range st.unresolved {
+				rs.Since = min(rs.Since, seq-1)
+			}
+			// A commit marker whose entry is nowhere means durable state was
+			// lost; only a full transfer is safe.
+			if len(st.orphans) > 0 || d.damaged {
+				rs.Since = 0
+			}
+			d.stash[sk] = rs
 		}
-		for seq := range st.unresolved {
-			rs.Since = min(rs.Since, seq-1)
-		}
-		// A commit marker whose entry is nowhere means durable state was
-		// lost; only a full transfer is safe.
-		if len(st.orphans) > 0 || d.damaged {
-			rs.Since = 0
-		}
-		d.stash[sk] = rs
-	}
-	segs, err := d.w.Compact(recs)
-	if err != nil {
-		return err
-	}
-	for i, k := range keep {
-		d.index(k.sk, &k.e.Rec, k.e.Seq, k.e.Rec.Committed, segs[i], len(recs[i]))
-	}
-	return nil
+		return nil
+	})
 }
 
 // Recovered returns the replayed durable state, keyed by shard. The
@@ -392,7 +390,7 @@ func (d *Durable) put(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, committ
 
 // mark writes a commit, purge or reset marker: key and version only.
 func (d *Durable) mark(kind byte, sk ShardKey, seq proto.Seq, key string, ver proto.Version) error {
-	frame := encodeWALRecord(kind, sk, seq, &proto.MetaRecord{Key: key, Version: ver}, nil, false)
+	frame := d.encode(kind, sk, seq, &proto.MetaRecord{Key: key, Version: ver}, nil, false)
 	seg, err := d.w.AppendFramed(frame)
 	if err == nil {
 		d.landed(seg, len(frame))
@@ -403,8 +401,10 @@ func (d *Durable) mark(kind byte, sk ShardKey, seq proto.Seq, key string, ver pr
 // Append persists a write-ahead append: the entry just added to a
 // metadata table, before any ack references it. value rides along for
 // Rep memgests (hasValue); SRS appends are metadata-only.
+//
+//ring:hotpath
 func (d *Durable) Append(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, value []byte, hasValue bool) error {
-	if err := d.put(sk, seq, rec, false, encodeWALRecord(kAppend, sk, seq, rec, value, hasValue)); err != nil {
+	if err := d.put(sk, seq, rec, false, d.encode(kAppend, sk, seq, rec, value, hasValue)); err != nil {
 		return err
 	}
 	d.stats.Appends++
@@ -414,6 +414,8 @@ func (d *Durable) Append(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, valu
 // Commit persists an entry's commit as a marker naming its key and
 // version; the append carries the rest, so value and hasValue, which
 // mirror Append's, are not written.
+//
+//ring:hotpath
 func (d *Durable) Commit(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, _ []byte, _ bool) error {
 	if err := d.mark(kCommit, sk, seq, rec.Key, rec.Version); err != nil {
 		return err
@@ -429,12 +431,16 @@ func (d *Durable) Commit(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, _ []
 
 // Install persists an entry learned through recovery (already
 // committed group-wide).
+//
+//ring:hotpath
 func (d *Durable) Install(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, value []byte, hasValue bool) error {
-	return d.put(sk, seq, rec, true, encodeWALRecord(kInstall, sk, seq, rec, value, hasValue))
+	return d.put(sk, seq, rec, true, d.encode(kInstall, sk, seq, rec, value, hasValue))
 }
 
 // Purge removes a version (GC of superseded versions, or abort of an
 // uncommitted append). seq is the purged entry's sequence when known.
+//
+//ring:hotpath
 func (d *Durable) Purge(sk ShardKey, seq proto.Seq, key string, ver proto.Version) error {
 	if err := d.mark(kPurge, sk, seq, key, ver); err != nil {
 		return err
@@ -625,12 +631,26 @@ func (d *Durable) Close() error {
 
 // --- encodings -------------------------------------------------------
 
+// maxScratch bounds the frame a Durable keeps, as the WAL bounds its
+// own: a larger record gets a buffer of its own, used once.
+const maxScratch = 64 << 10
+
+// encode builds a record behind wal.FrameHeader spare bytes in the
+// Durable's scratch frame, ready for AppendFramed, which copies it into
+// the file: the frame is free again once the record is written.
+func (d *Durable) encode(kind byte, sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, value []byte, hasValue bool) []byte {
+	f := slices.Grow(d.frame[:0], wal.FrameHeader+48+len(rec.Key)+len(value))[:wal.FrameHeader]
+	f = appendWALRecord(f, kind, sk, seq, rec, value, hasValue)
+	if cap(f) <= maxScratch {
+		d.frame = f
+	}
+	return f
+}
+
 // WAL record: [kind u8][mg u32][shard u32][seq u64][metaRecord]
 // [hasValue u8][value]; kCommit/kPurge carry a slim record (key and
-// version only), kReset an empty one. The record is returned behind
-// wal.FrameHeader spare bytes, ready for AppendFramed.
-func encodeWALRecord(kind byte, sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, value []byte, hasValue bool) []byte {
-	b := make([]byte, wal.FrameHeader, wal.FrameHeader+48+len(rec.Key)+len(value))
+// version only), kReset an empty one. appendWALRecord appends it to b.
+func appendWALRecord(b []byte, kind byte, sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, value []byte, hasValue bool) []byte {
 	b = append(b, kind)
 	b = binary.LittleEndian.AppendUint32(b, uint32(sk.Memgest))
 	b = binary.LittleEndian.AppendUint32(b, sk.Shard)

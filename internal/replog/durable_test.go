@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -523,5 +524,98 @@ func TestReadMetaRecordTruncated(t *testing.T) {
 	if !ok || len(rest) != 0 || m.Key != "key" || m.Version != 7 ||
 		!m.Committed || m.Length != 4 || m.LocBlock != 9 || m.LocOff != 11 {
 		t.Fatalf("full meta record = %+v ok=%v rest=%d", m, ok, len(rest))
+	}
+}
+
+// nullFS is a disk whose files keep nothing: Append only counts, so an
+// allocation a pin sees is the durable tier's own.
+type nullFS struct{ wal.FS }
+
+func (nullFS) OpenFile(string) (wal.File, error) { return &nullFile{}, nil }
+func (nullFS) List() ([]string, error)           { return nil, nil }
+func (nullFS) Remove(string) error               { return nil }
+
+type nullFile struct {
+	wal.File
+	size int64
+}
+
+func (f *nullFile) Append(p []byte) (int, error) { f.size += int64(len(p)); return len(p), nil }
+func (f *nullFile) Truncate(size int64) error    { f.size = size; return nil }
+func (f *nullFile) Size() int64                  { return f.size }
+func (f *nullFile) Sync() error                  { return nil }
+func (f *nullFile) Close() error                 { return nil }
+
+// Every record is encoded into one scratch frame the Durable keeps, so
+// in steady state a write allocates nothing: the bytes are copied once,
+// into the file.
+func TestDurableWritesDoNotAllocate(t *testing.T) {
+	d := openDurable(t, nullFS{}, DurableOptions{Policy: FsyncAlways})
+	r, value := rec("k", 1), make([]byte, 1<<10)
+	srs := &proto.MetaRecord{Key: "s", Version: 1, Memgest: 2, Length: 4096, LocBlock: 3}
+	for name, f := range map[string]func() error{
+		"rep append": func() error { return d.Append(testSK, 1, r, value, true) },
+		"rep commit": func() error { return d.Commit(testSK, 1, r, value, true) },
+		"rep purge":  func() error { return d.Purge(testSK, 1, r.Key, r.Version) },
+		"srs append": func() error { return d.Append(ShardKey{Memgest: 2}, 2, srs, nil, false) },
+	} {
+		if n := testing.AllocsPerRun(100, func() {
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s allocates %v times per call, want 0", name, n)
+		}
+	}
+}
+
+// A record larger than the scratch bound gets a buffer of its own: the
+// frame kept after a 1 MiB value is no bigger than the bound.
+func TestScratchFrameIsBounded(t *testing.T) {
+	d := openDurable(t, nullFS{}, DurableOptions{Policy: FsyncAlways})
+	for _, size := range []int{1 << 20, 1 << 10} {
+		if err := d.Append(testSK, 1, rec("k", 1), make([]byte, size), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c := cap(d.frame); c > maxScratch {
+		t.Fatalf("after a 1 MiB append and a 1 KiB one the scratch frame holds %d bytes, want <= %d", c, maxScratch)
+	}
+}
+
+// Recovery reads the log one segment at a time into one buffer and
+// writes its compaction record by record: what it allocates is about
+// the values it restores, not two more copies of the log.
+func TestOpenAllocatesAboutTheValues(t *testing.T) {
+	const n, size = 4096, 1 << 10
+	fs := wal.DirFS(t.TempDir())
+	d := openDurable(t, fs, DurableOptions{Policy: FsyncNever})
+	value := make([]byte, size)
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("k%05d", i)
+		if err := d.Append(testSK, proto.Seq(i+1), rec(key, 1), value, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Commit(testSK, proto.Seq(i+1), rec(key, 1), nil, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d = openDurable(t, fs, DurableOptions{Policy: FsyncNever})
+	runtime.ReadMemStats(&after)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(d.Recovered()[testSK].Entries); got != n {
+		t.Fatalf("recovered %d entries, want %d", got, n)
+	}
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / (n * size)
+	t.Logf("OpenDurable of %d x %d B allocates %.2fx the values", n, size, ratio)
+	if ratio > 2.75 {
+		t.Errorf("OpenDurable of %d x %d B allocates %.2fx the values, want <= 2.75", n, size, ratio)
 	}
 }

@@ -30,7 +30,9 @@ func powerCut(fs *wal.MemFS) { fs.Crash(rand.New(zeroSource{})) }
 
 // faultFS wraps an FS to count the files open through it and to fail a
 // chosen operation: fail is asked before every ReadFile and Remove and
-// every file Append, ReadAt and Sync, with the file's name.
+// every file Append, ReadAt and Sync, with the file's name. ReadFile and
+// ReadAt are both "read", so a read fault reaches the open path however
+// it reads.
 type faultFS struct {
 	wal.FS
 	open int
@@ -82,7 +84,7 @@ func (f *faultFile) Append(p []byte) (int, error) {
 }
 
 func (f *faultFile) ReadAt(p []byte, off int64) (int, error) {
-	if err := f.fs.check("readat", f.name); err != nil {
+	if err := f.fs.check("read", f.name); err != nil {
 		return 0, err
 	}
 	return f.File.ReadAt(p, off)
@@ -116,12 +118,12 @@ func failFirst(op, prefix string, err error) func(string, string) error {
 }
 
 // inMerge fails the first op after a merge began reading a sealed
-// segment (the only ReadAt there is).
+// segment (the only read once the store is open).
 func inMerge(op string, err error) func(string, string) error {
 	reading, done := false, false
 	return func(o, _ string) error {
 		switch {
-		case o == "readat":
+		case o == "read":
 			reading = true
 		case reading && !done && o == op:
 			done = true
@@ -428,19 +430,22 @@ func TestOneFileAppendPerRecord(t *testing.T) {
 }
 
 // A directory an older binary wrote keeps committed entries in Bitcask
-// files whose log records it pruned: replaying the log alone would drop
-// them silently, so the open refuses and says what to do.
+// files whose log records it pruned, or frames whose length words carry
+// no check: replaying it would drop entries silently or read a flipped
+// length as a torn tail, so the open refuses and says what to do.
 func TestOldDataDirectoryRefused(t *testing.T) {
-	fs := wal.NewMemFS()
-	f, err := fs.OpenFile("bc-00000001.data")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Append([]byte("an older store")); err != nil {
-		t.Fatal(err)
-	}
-	_, err = OpenDurable(fs, DurableOptions{})
-	if err == nil || !strings.Contains(err.Error(), "bc-00000001.data") || !strings.Contains(err.Error(), "remove the data directory") {
-		t.Fatalf("OpenDurable over an older directory = %v", err)
+	for _, name := range []string{"bc-00000001.data", wal.SegName(1)} {
+		fs := wal.NewMemFS()
+		f, err := fs.OpenFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Append([]byte("RINGWAL1 an older store")); err != nil {
+			t.Fatal(err)
+		}
+		_, err = OpenDurable(fs, DurableOptions{})
+		if err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "remove the data directory") {
+			t.Fatalf("OpenDurable over an older %s = %v", name, err)
+		}
 	}
 }

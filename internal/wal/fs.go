@@ -36,7 +36,9 @@ type FS interface {
 }
 
 // File is one open file. Appends go to the end; reads address absolute
-// offsets; Sync makes everything appended so far crash-durable.
+// offsets; Sync makes everything appended so far crash-durable. Append
+// must not retain p: the durable tier encodes every record into one
+// scratch frame and reuses it for the next.
 type File interface {
 	Append(p []byte) (int, error)
 	ReadAt(p []byte, off int64) (int, error)

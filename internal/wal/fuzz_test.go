@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -10,12 +11,18 @@ import (
 // errors, and always recovers the valid records as an exact prefix.
 // (Appended garbage can in principle frame-align into extra "valid"
 // records — CRC32C is detection, not authentication — so the check is
-// prefix equality, not exact length.)
+// prefix equality, not exact length.) When nrecs's top bit is set the
+// garbage is a segment of its own after the valid ones, and one that
+// starts with the older format's magic is refused with ErrOldFormat.
 func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{}, uint8(2))
+	f.Add([]byte{}, uint8(0x81)) // an empty newest segment: a torn creation
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint8(3))
-	f.Add([]byte("RINGWAL1"), uint8(0))
+	f.Add([]byte(magic), uint8(0))
 	f.Add([]byte{0x04, 0x00, 0x00, 0x00, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4}, uint8(5))
+	// A length word with one bit flipped (4 with check 4 is 0x04000004).
+	f.Add([]byte{0x04, 0x00, 0x00, 0x05, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4}, uint8(5))
+	f.Add([]byte(oldMagic+"\x04\x00\x00\x00"), uint8(0x82))
 	f.Fuzz(func(t *testing.T, garbage []byte, nrecs uint8) {
 		fs := NewMemFS()
 		w, err := Open(fs, Options{SegmentBytes: 256}, nil)
@@ -34,12 +41,17 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("Close: %v", err)
 		}
 
-		// Splice the garbage onto the tail of the newest segment.
 		names, err := fs.List()
 		if err != nil || len(names) == 0 {
 			t.Fatalf("List: %v %v", names, err)
 		}
-		tail, err := fs.OpenFile(names[len(names)-1])
+		target := names[len(names)-1]
+		ownSegment := nrecs&0x80 != 0
+		if ownSegment {
+			idx, _ := parseSegName(target)
+			target = SegName(idx + 1)
+		}
+		tail, err := fs.OpenFile(target)
 		if err != nil {
 			t.Fatalf("OpenFile: %v", err)
 		}
@@ -52,6 +64,12 @@ func FuzzWALReplay(f *testing.F) {
 			got = append(got, append([]byte(nil), payload...))
 			return nil
 		})
+		if ownSegment && bytes.HasPrefix(garbage, []byte(oldMagic)) {
+			if !errors.Is(err, ErrOldFormat) {
+				t.Fatalf("Open over a %s segment: %v", oldMagic, err)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("Open over garbage: %v", err)
 		}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"slices"
@@ -11,16 +12,18 @@ import (
 
 // Segment files are named wal-%08d.log with 1-based indexes that only
 // ever grow; each starts with an 8-byte magic and holds a stream of
-// [u32 length][u32 crc32c(payload)][payload] frames, little-endian.
+// [u24 length][u8 check][u32 crc32c(payload)][payload] frames,
+// little-endian. The check is the XOR of the three length bytes, so a
+// flip of any one bit of the length word is damage, not a torn tail.
 const (
 	segPrefix  = "wal-"
 	segSuffix  = ".log"
-	magic      = "RINGWAL1"
+	magic      = "RINGWAL2"
+	oldMagic   = "RINGWAL1" // u32 length, no check: refused, not read
 	headerSize = len(magic)
-	frameSize  = 8 // u32 length + u32 crc32c
-	// maxRecord bounds a single payload; a length field beyond it is
-	// damage, not an allocation request.
-	maxRecord = 16 << 20
+	frameSize  = 8 // length word + u32 crc32c
+	// maxRecord bounds a single payload: what 24 bits of length hold.
+	maxRecord = 1<<24 - 1
 	// maxScratch bounds the frame buffer Append keeps between records.
 	maxScratch = 64 << 10
 
@@ -30,6 +33,16 @@ const (
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// ErrOldFormat is Open's error for a segment an older binary wrote, whose
+// frames carry no length check.
+var ErrOldFormat = errors.New("wal: segment written in the " + oldMagic + " format")
+
+// lengthWord is a frame's first word: the payload length n < 1<<24 and,
+// in the top byte, its check.
+func lengthWord(n int) uint32 {
+	return uint32(n) | uint32(byte(n)^byte(n>>8)^byte(n>>16))<<24
+}
 
 // Options configures a WAL.
 type Options struct {
@@ -88,7 +101,9 @@ func parseSegName(name string) (uint64, bool) {
 }
 
 // Open replays every intact record through replay in log order,
-// truncates the torn tail, and leaves the log open for appending.
+// truncates the torn tail, and leaves the log open for appending. The
+// segments are read one at a time into one buffer, so a payload is
+// replay's only until it returns.
 //
 // The first invalid frame ends the log: the segment is truncated at
 // the last valid record and every later segment is deleted. A frame
@@ -97,7 +112,8 @@ func parseSegName(name string) (uint64, bool) {
 // fails its CRC, or any invalid frame in a non-final segment, is
 // *damage*: data that was once durable has been lost, so Damaged
 // reports true and the caller must treat local state as a hint rather
-// than truth (the recovery protocol falls back to a full resync).
+// than truth (the recovery protocol falls back to a full resync). A
+// segment an older binary wrote fails Open with ErrOldFormat.
 func Open(fsys FS, opts Options, replay func(seg uint64, payload []byte) error) (*WAL, error) {
 	segBytes := int64(opts.SegmentBytes)
 	if segBytes <= 0 {
@@ -124,10 +140,13 @@ func Open(fsys FS, opts Options, replay func(seg uint64, payload []byte) error) 
 	broken := false
 	end := len(idxs) // 1 + index (into idxs) of the segment ending the log
 	var tail int64   // valid byte length of segment idxs[end-1]
+	var data []byte  // one segment's bytes at a time
 	for i, idx := range idxs {
-		data, err := w.fs.ReadFile(SegName(idx))
-		if err != nil {
+		if data, err = w.readSegment(idx, data); err != nil {
 			return nil, err
+		}
+		if len(data) >= headerSize && string(data[:headerSize]) == oldMagic {
+			return nil, fmt.Errorf("%w: %s", ErrOldFormat, SegName(idx))
 		}
 		validEnd, clean, torn := scanSegment(data, func(frame []byte) error {
 			if replay == nil {
@@ -199,8 +218,8 @@ func Open(fsys FS, opts Options, replay func(seg uint64, payload []byte) error) 
 // valid one, header and payload. It returns the byte offset of the end
 // of the last valid record, whether the whole segment was consumed
 // cleanly, and — when it was not — whether the invalid frame looks like
-// a torn tail (incomplete frame) rather than corruption (fully present,
-// bad CRC, or a length no writer wrote).
+// a torn tail (incomplete frame) rather than corruption (fully present
+// with a bad CRC, or a length word that fails its check).
 func scanSegment(data []byte, replay func([]byte) error) (validEnd int64, clean, torn bool) {
 	if len(data) < headerSize || string(data[:headerSize]) != magic {
 		// A header shorter than the magic is a torn creation; a full
@@ -212,17 +231,18 @@ func scanSegment(data []byte, replay func([]byte) error) (validEnd int64, clean,
 		if len(data)-off < frameSize {
 			return int64(off), false, true
 		}
-		length := binary.LittleEndian.Uint32(data[off:])
+		word := binary.LittleEndian.Uint32(data[off:])
+		length := int(word & maxRecord)
 		crc := binary.LittleEndian.Uint32(data[off+4:])
-		if length > maxRecord {
-			// A torn write keeps a prefix of what was written, and nothing
-			// writes a length above maxRecord: the header was flipped.
+		if lengthWord(length) != word {
+			// A torn write keeps a prefix of what was written, and every
+			// writer writes a word that checks: the header was flipped.
 			return int64(off), false, false
 		}
-		if off+frameSize+int(length) > len(data) {
+		if off+frameSize+length > len(data) {
 			return int64(off), false, true
 		}
-		frame := data[off : off+frameSize+int(length)]
+		frame := data[off : off+frameSize+length]
 		if crc32.Checksum(frame[frameSize:], castagnoli) != crc {
 			return int64(off), false, false
 		}
@@ -233,7 +253,7 @@ func scanSegment(data []byte, replay func([]byte) error) (validEnd int64, clean,
 				return int64(off), false, false
 			}
 		}
-		off += frameSize + int(length)
+		off += frameSize + length
 	}
 	return int64(off), true, false
 }
@@ -272,18 +292,21 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 
 // AppendFramed is Append for a caller that built its payload behind
 // FrameHeader spare bytes: the header is written into frame[:FrameHeader]
-// and the record reaches the file as one File.Append, with no copy.
+// and the record reaches the file as one File.Append, with no copy. The
+// file keeps none of frame, so the caller may reuse it at once.
+//
+//ring:hotpath
 func (w *WAL) AppendFramed(frame []byte) (uint64, error) {
 	payload := frame[frameSize:]
 	if len(payload) > maxRecord {
-		return 0, fmt.Errorf("wal: record of %d bytes exceeds limit", len(payload))
+		return 0, errTooLarge(len(payload))
 	}
 	if w.active.Size() >= w.segBytes {
 		if err := w.rotate(); err != nil {
 			return 0, err
 		}
 	}
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[0:], lengthWord(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
 	if _, err := w.active.Append(frame); err != nil {
 		return 0, err
@@ -294,8 +317,13 @@ func (w *WAL) AppendFramed(frame []byte) (uint64, error) {
 	return w.activeIdx, nil
 }
 
+//ring:hotpath-stop cold error constructor
+func errTooLarge(n int) error { return fmt.Errorf("wal: record of %d bytes exceeds limit", n) }
+
 // rotate seals the active segment — synced, closed, never written
 // again — and opens the next one.
+//
+//ring:hotpath-stop cold: once per segment
 func (w *WAL) rotate() error {
 	if err := w.active.Sync(); err != nil {
 		return err
@@ -344,13 +372,8 @@ func (w *WAL) SealedSegments() []uint64 { return append([]uint64(nil), w.sealed.
 // returns. A sealed segment was synced whole, so a frame that does not
 // check out is damage, and an error.
 func (w *WAL) ReadSegment(idx uint64, buf []byte, fn func(frame []byte) error) ([]byte, error) {
-	f, err := w.fs.OpenFile(SegName(idx))
+	buf, err := w.readSegment(idx, buf)
 	if err != nil {
-		return buf, err
-	}
-	defer f.Close() //ring:durableok the segment is only read
-	buf = slices.Grow(buf[:0], int(f.Size()))[:f.Size()]
-	if _, err := f.ReadAt(buf, 0); err != nil {
 		return buf, err
 	}
 	var fnErr error
@@ -361,6 +384,20 @@ func (w *WAL) ReadSegment(idx uint64, buf []byte, fn func(frame []byte) error) (
 		return buf, fmt.Errorf("wal: sealed segment %s is damaged", SegName(idx))
 	}
 	return buf, nil
+}
+
+// readSegment reads segment idx whole into buf, grown as needed.
+func (w *WAL) readSegment(idx uint64, buf []byte) ([]byte, error) {
+	f, err := w.fs.OpenFile(SegName(idx))
+	if err != nil {
+		return buf, err
+	}
+	defer f.Close() //ring:durableok the segment is only read
+	buf = slices.Grow(buf[:0], int(f.Size()))[:f.Size()]
+	if len(buf) > 0 {
+		_, err = f.ReadAt(buf, 0)
+	}
+	return buf, err
 }
 
 // Stats returns the counters of this WAL instance.
@@ -391,45 +428,40 @@ func (w *WAL) PruneTo(idx uint64) error {
 	return nil
 }
 
-// Compact replaces the entire log with the given records: they are
-// written to a fresh segment (or several) with indexes above every
-// existing one, synced, and only then are the old segments deleted.
-// A crash at any point leaves a log that replays to the same state —
-// old and new segments merely overlap and replay is idempotent.
-// Recovery uses this to rewrite the surviving records once, so prune
-// bookkeeping restarts exact; records are framed as for AppendFramed
-// and the returned slice gives the segment each one landed in.
-func (w *WAL) Compact(records [][]byte) ([]uint64, error) {
+// Compact replaces the entire log with the records write appends: it
+// starts a fresh segment with an index above every existing one, calls
+// write, which appends each surviving record (Append or AppendFramed)
+// as it goes, syncs, and only then deletes the old segments. A crash at
+// any point leaves a log that replays to the same state — old and new
+// segments merely overlap and replay is idempotent. Recovery uses this
+// to rewrite the surviving records once, so prune bookkeeping restarts
+// exact.
+func (w *WAL) Compact(write func() error) error {
 	oldSealed := append([]uint64(nil), w.sealed...)
 	oldActive := w.activeIdx
 	if err := w.active.Sync(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := w.active.Close(); err != nil {
-		return nil, err
+		return err
 	}
 	w.sealed = w.sealed[:0]
 	if err := w.createSegment(oldActive + 1); err != nil {
-		return nil, err
+		return err
 	}
-	segs := make([]uint64, len(records))
-	for i, rec := range records {
-		seg, err := w.AppendFramed(rec)
-		if err != nil {
-			return nil, err
-		}
-		segs[i] = seg
+	if err := write(); err != nil {
+		return err
 	}
 	if err := w.Sync(); err != nil {
-		return nil, err
+		return err
 	}
 	// New state durable: the old segments are now redundant.
 	for _, idx := range append(oldSealed, oldActive) {
 		if err := w.fs.Remove(SegName(idx)); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return segs, nil
+	return nil
 }
 
 // Close syncs and closes the log.

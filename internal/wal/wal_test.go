@@ -170,27 +170,30 @@ func TestBitFlipDetectedAsDamage(t *testing.T) {
 	}
 }
 
-// A flip in the top byte of a length field makes the frame claim more
-// than the file holds, as a torn write does; but no writer wrote that
-// length, so it is damage, not a tail to drop quietly.
+// A flipped bit in a length word can make the frame claim more than the
+// file holds, as a torn write does; but the word then fails its check,
+// so every one of its 32 bits flipped is damage, not a tail to drop
+// quietly.
 func TestFlippedLengthIsDamage(t *testing.T) {
-	fs := NewMemFS()
-	w, _ := collect(t, fs, Options{})
-	for _, p := range []string{"first", "second", "third"} {
-		if _, err := w.Append([]byte(p)); err != nil {
+	second := int64(headerSize + frameSize + len("first"))
+	for bit := int64(0); bit < 32; bit++ {
+		fs := NewMemFS()
+		w, _ := collect(t, fs, Options{})
+		for _, p := range []string{"first", "second", "third"} {
+			if _, err := w.Append([]byte(p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	second := int64(headerSize + frameSize + len("first"))
-	if !fs.FlipBit(SegName(1), (second+3)*8+7) {
-		t.Fatal("nothing to flip")
-	}
-	w2, recs := collect(t, fs, Options{})
-	if !w2.Damaged() || len(recs) != 1 {
-		t.Fatalf("flipped length: damaged=%v, %d records replayed", w2.Damaged(), len(recs))
+		if !fs.FlipBit(SegName(1), second*8+bit) {
+			t.Fatal("nothing to flip")
+		}
+		w2, recs := collect(t, fs, Options{})
+		if !w2.Damaged() || len(recs) != 1 {
+			t.Errorf("length bit %d flipped: damaged=%v, %d records replayed", bit, w2.Damaged(), len(recs))
+		}
 	}
 }
 
@@ -269,15 +272,18 @@ func TestCompactRewritesLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Compact takes records framed as for AppendFramed.
-	hdr := make([]byte, FrameHeader)
-	keep := [][]byte{append(hdr[:FrameHeader:FrameHeader], "survivor-1"...), append(hdr[:FrameHeader:FrameHeader], "survivor-2"...)}
-	segs, err := w.Compact(keep)
+	// Compact's callback appends the survivors into the new generation.
+	old := w.ActiveSegment()
+	err := w.Compact(func() error {
+		for _, p := range []string{"survivor-1", "survivor-2"} {
+			if seg, err := w.Append([]byte(p)); err != nil || seg <= old {
+				return fmt.Errorf("survivor %s landed in segment %d (old active %d): %v", p, seg, old, err)
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(segs) != 2 {
-		t.Fatalf("Compact placements = %v", segs)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
