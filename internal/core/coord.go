@@ -12,8 +12,9 @@ import (
 	"ring/internal/transport"
 )
 
-// parseNodeAddr extracts the node ID from a "node/<id>" address.
-func parseNodeAddr(addr string) (proto.NodeID, bool) {
+// ParseNodeAddr extracts the node ID from a "node/<id>" address, the
+// inverse of NodeAddr.
+func ParseNodeAddr(addr string) (proto.NodeID, bool) {
 	rest, ok := strings.CutPrefix(addr, "node/")
 	if !ok {
 		return 0, false
@@ -68,6 +69,10 @@ func (n *Node) checkClientOp(key string, fail func(refusal)) (uint32, bool) {
 func (n *Node) handlePut(from string, m *proto.Put) {
 	n.Stats.Puts++
 	fail := func(s refusal) { n.refuse(from, m.Req, replyPut, s) }
+	if len(m.Key) > proto.MaxKey || len(m.Value) > proto.MaxValue {
+		fail(refInvalid)
+		return
+	}
 	shard, ok := n.checkClientOp(m.Key, fail)
 	if !ok {
 		return
@@ -540,7 +545,7 @@ func copyOut(b []byte) []byte {
 // handleAck counts a replica's RepAck or a parity node's ParityAck
 // toward the write's quorum, and commits it on the ack that completes it.
 func (n *Node) handleAck(from string, mgID proto.MemgestID, shard uint32, seq proto.Seq) {
-	id, ok := parseNodeAddr(from)
+	id, ok := ParseNodeAddr(from)
 	if !ok {
 		return
 	}

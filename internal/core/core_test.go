@@ -99,7 +99,7 @@ func (h *harness) run() {
 		if h.drop != nil && h.drop(m) {
 			continue
 		}
-		id, ok := parseNodeAddr(m.to)
+		id, ok := ParseNodeAddr(m.to)
 		if !ok {
 			h.clientIn[m.to] = append(h.clientIn[m.to], m.msg)
 			continue

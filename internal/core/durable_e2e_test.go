@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -59,13 +60,19 @@ func (c *durClient) rpc(addr string, msg proto.Message, match func(proto.Message
 
 func (c *durClient) put(addr string, req proto.ReqID, key string, value []byte) {
 	c.t.Helper()
+	if st := c.tryPut(addr, req, key, value); st != proto.StOK {
+		c.t.Fatalf("put %q: %v", key, st)
+	}
+}
+
+// tryPut sends one put and returns its reply's status.
+func (c *durClient) tryPut(addr string, req proto.ReqID, key string, value []byte) proto.Status {
+	c.t.Helper()
 	m := c.rpc(addr, &proto.Put{Req: req, Key: key, Value: value}, func(m proto.Message) bool {
 		r, ok := m.(*proto.PutReply)
 		return ok && r.Req == req
 	})
-	if r := m.(*proto.PutReply); r.Status != proto.StOK {
-		c.t.Fatalf("put %q: %v", key, r.Status)
-	}
+	return m.(*proto.PutReply).Status
 }
 
 // get retries through StRetry (node rejoining or recovering) until a
@@ -212,5 +219,41 @@ func TestClusterRestartAfterCleanStop(t *testing.T) {
 	}
 	if string(val) != "survives-clean-stop" {
 		t.Fatalf("get after clean stop + restart: %q", val)
+	}
+}
+
+// A put the log cannot hold is refused, not written: a Rep value past
+// proto.MaxValue would fail the coordinator's append and crash-stop it
+// on client input, and a key past proto.MaxKey would wrap its record's
+// key length and read as damage at the next open. The coordinator
+// refuses both and takes the next put.
+func TestOversizedPutIsRefused(t *testing.T) {
+	spec := ClusterSpec{
+		Shards: 3, Redundant: 2,
+		Memgests:    []proto.Scheme{proto.Rep(3, 3)},
+		Opts:        Options{HeartbeatEvery: 20 * time.Millisecond, FailAfter: 10 * time.Minute},
+		TickEvery:   2 * time.Millisecond,
+		DataDir:     t.TempDir(),
+		DurableOpts: replog.DurableOptions{Policy: replog.FsyncAlways},
+	}
+	cl, err := StartCluster(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	c := newDurClient(t, cl)
+	key := "big"
+	addr := NodeAddr(cl.Cfg.CoordinatorOf(store.KeyHash(key)))
+	if st := c.tryPut(addr, 1, key, make([]byte, 17<<20)); st != proto.StInvalid {
+		t.Fatalf("17 MiB put: %v, want %v", st, proto.StInvalid)
+	}
+	long := strings.Repeat("k", 70000)
+	if st := c.tryPut(NodeAddr(cl.Cfg.CoordinatorOf(store.KeyHash(long))), 2, long, []byte("v")); st != proto.StInvalid {
+		t.Fatalf("70000-byte key: %v, want %v", st, proto.StInvalid)
+	}
+	value := bytes.Repeat([]byte("v"), 1<<10)
+	c.put(addr, 3, key, value)
+	if st, got := c.get(addr, 4, key); st != proto.StOK || !bytes.Equal(got, value) {
+		t.Fatalf("get after the refused puts: %v, %d bytes", st, len(got))
 	}
 }

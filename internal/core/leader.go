@@ -93,7 +93,7 @@ func (n *Node) handleHeartbeat(from string, m *proto.Heartbeat) {
 // ConfigPush: a member still below the leader's epoch is sent the
 // current configuration again, once per heartbeat it answers.
 func (n *Node) handleHeartbeatAck(from string, m *proto.HeartbeatAck) {
-	id, ok := parseNodeAddr(from)
+	id, ok := ParseNodeAddr(from)
 	if !ok || !n.IsLeader() {
 		return
 	}

@@ -367,7 +367,7 @@ func (n *Node) recoveryTick() {
 
 func (n *Node) handleMetaFetchReply(from string, m *proto.MetaFetchReply) {
 	w := n.wants.byReq[m.Req]
-	id, ok := parseNodeAddr(from)
+	id, ok := ParseNodeAddr(from)
 	if w == nil || w.what != wantMeta || !ok || !slices.Contains(w.waiting, id) {
 		return
 	}

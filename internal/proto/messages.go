@@ -237,6 +237,15 @@ func errUnknownType(tag uint8) error {
 
 // ---------------------------------------------------------------- client ops
 
+// MaxKey and MaxValue bound a put: a node refuses a longer key or value
+// with StInvalid. MaxKey is what a durable record's 16-bit key length
+// holds, and the largest key and value with a record's header fit one
+// write-ahead log record (under 16 MiB).
+const (
+	MaxKey   = 1<<16 - 1
+	MaxValue = 16<<20 - 1<<17
+)
+
 // Put writes a value under key into the given memgest (0 = cluster
 // default).
 type Put struct {

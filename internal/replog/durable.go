@@ -1,11 +1,11 @@
 package replog
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -194,10 +194,11 @@ func newReplayShard() *replayShard {
 }
 
 // OpenDurable opens (or creates) the store in fsys and replays the log
-// in order into the recovered stash. Recovery ends by compacting the
-// log: a fresh generation holds every committed entry as kInstall and
-// every open append as kAppend, and the old segments are dropped, so
-// replay cost never accretes across restarts.
+// once, in order, building two things from the records where they lie:
+// the recovered stash and the live-record index, which books each
+// record exactly as an append at runtime does. It leaves the log as it
+// found it — the only write is wal.Open's truncation of a torn tail —
+// and the merges that run as segments seal keep replay cost bounded.
 //
 // A directory holding Bitcask files ("bc-*") was written by an older
 // binary whose log no longer holds every committed entry, and one whose
@@ -223,12 +224,15 @@ func OpenDurable(fsys wal.FS, opts DurableOptions) (*Durable, error) {
 		segs:  make(map[uint64]*segUse),
 	}
 	shards := make(map[ShardKey]*replayShard)
-	d.w, err = wal.Open(fsys, wal.Options{SegmentBytes: opts.WALSegmentBytes}, func(_ uint64, payload []byte) error {
+	d.w, err = wal.Open(fsys, wal.Options{SegmentBytes: opts.WALSegmentBytes}, func(seg uint64, payload []byte) error {
+		size := wal.FrameHeader + len(payload)
 		r, ok := decodeWALRecord(payload)
 		if !ok {
+			d.landed(seg, size) // it still takes its ordinal
 			d.damaged = true
 			return nil
 		}
+		d.apply(r.kind, r.sk, r.seq, &r.rec, seg, size)
 		st := shards[r.sk]
 		if st == nil {
 			st = newReplayShard()
@@ -271,61 +275,35 @@ func OpenDurable(fsys wal.FS, opts DurableOptions) (*Durable, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := d.restore(shards); err != nil {
-		d.w.Close() //ring:durableok the open failed; its error is the one to surface
-		return nil, err
+	d.damaged = d.damaged || d.w.Damaged()
+	for sk, st := range shards {
+		if len(st.entries) == 0 && st.maxSeq == 0 {
+			continue // reset, and nothing since
+		}
+		rs := &RecoveredShard{MaxSeq: st.maxSeq, Since: st.maxSeq, Entries: make([]RecoveredEntry, 0, len(st.entries))}
+		for _, e := range st.entries {
+			// An append that never committed was never acknowledged, so it
+			// stays out of the stash (dropping it is a legal outcome of the
+			// crashed operation); it stays in the log and the index, and it
+			// lowers Since so the group sync re-covers its range.
+			if e.Rec.Committed {
+				rs.Entries = append(rs.Entries, *e)
+			}
+		}
+		slices.SortFunc(rs.Entries, func(a, b RecoveredEntry) int {
+			return cmp.Or(strings.Compare(a.Rec.Key, b.Rec.Key), cmp.Compare(a.Rec.Version, b.Rec.Version))
+		})
+		for seq := range st.unresolved {
+			rs.Since = min(rs.Since, seq-1)
+		}
+		// A commit marker whose entry is nowhere means durable state was
+		// lost; only a full transfer is safe.
+		if len(st.orphans) > 0 || d.damaged {
+			rs.Since = 0
+		}
+		d.stash[sk] = rs
 	}
 	return d, nil
-}
-
-// restore builds the stash from the replayed shards and compacts the
-// log to what they hold, writing each record as it is encoded.
-func (d *Durable) restore(shards map[ShardKey]*replayShard) error {
-	d.damaged = d.damaged || d.w.Damaged()
-	skeys := make([]ShardKey, 0, len(shards))
-	for sk := range shards {
-		skeys = append(skeys, sk)
-	}
-	sort.Slice(skeys, func(i, j int) bool { return skeys[i].Less(skeys[j]) })
-	return d.w.Compact(func() error {
-		for _, sk := range skeys {
-			st := shards[sk]
-			if len(st.entries) == 0 && st.maxSeq == 0 {
-				continue // reset, and nothing since
-			}
-			eks := make([]entryKey, 0, len(st.entries))
-			for ek := range st.entries {
-				eks = append(eks, ek)
-			}
-			sort.Slice(eks, func(i, j int) bool { return eks[i].less(eks[j]) })
-			rs := &RecoveredShard{MaxSeq: st.maxSeq, Since: st.maxSeq, Entries: make([]RecoveredEntry, 0, len(eks))}
-			for _, ek := range eks {
-				// An append that never committed was never acknowledged, so
-				// it stays out of the stash (dropping it is a legal outcome of
-				// the crashed operation); it stays in the log, and it lowers
-				// Since so the group sync re-covers its range.
-				e := st.entries[ek]
-				kind := byte(kAppend)
-				if e.Rec.Committed {
-					kind = kInstall
-					rs.Entries = append(rs.Entries, *e)
-				}
-				if err := d.put(sk, e.Seq, &e.Rec, e.Rec.Committed, d.encode(kind, sk, e.Seq, &e.Rec, e.Value, e.HasValue)); err != nil {
-					return err
-				}
-			}
-			for seq := range st.unresolved {
-				rs.Since = min(rs.Since, seq-1)
-			}
-			// A commit marker whose entry is nowhere means durable state was
-			// lost; only a full transfer is safe.
-			if len(st.orphans) > 0 || d.damaged {
-				rs.Since = 0
-			}
-			d.stash[sk] = rs
-		}
-		return nil
-	})
 }
 
 // Recovered returns the replayed durable state, keyed by shard. The
@@ -361,41 +339,63 @@ func (d *Durable) book(l liveRec, sign int) {
 	}
 }
 
-// index makes the record of size bytes the WAL just put in seg the
-// live one of rec's entry.
-func (d *Durable) index(sk ShardKey, rec *proto.MetaRecord, seq proto.Seq, committed bool, seg uint64, size int) {
-	l := liveRec{recPos: d.landed(seg, size), seq: seq, size: uint32(size), committed: committed}
+// apply books a record of size bytes in seg — one just appended, or one
+// replay meets where it lies — into the index: an append or install
+// becomes its entry's live record, a commit marks it committed, a purge
+// or reset drops what it names. Any other kind only takes its ordinal.
+func (d *Durable) apply(kind byte, sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, seg uint64, size int) {
+	at := d.landed(seg, size)
 	ek := entryKey{rec.Key, rec.Version}
 	m := d.live[sk]
-	if m == nil {
-		m = make(map[entryKey]liveRec)
-		d.live[sk] = m
+	switch kind {
+	case kAppend, kInstall:
+		if m == nil {
+			m = make(map[entryKey]liveRec)
+			d.live[sk] = m
+		}
+		if old, ok := m[ek]; ok {
+			d.book(old, -1)
+		}
+		l := liveRec{recPos: at, seq: seq, size: uint32(size), committed: kind == kInstall}
+		m[ek] = l
+		d.book(l, 1)
+	case kCommit:
+		if l, ok := m[ek]; ok && !l.committed {
+			l.committed = true
+			m[ek] = l
+			d.stats.Unresolved--
+		}
+	case kPurge:
+		if l, ok := m[ek]; ok {
+			d.book(l, -1)
+			delete(m, ek)
+		}
+	case kReset:
+		for _, l := range m {
+			d.book(l, -1)
+		}
+		delete(d.live, sk)
 	}
-	if old, ok := m[ek]; ok {
-		d.book(old, -1)
-	}
-	m[ek] = l
-	d.book(l, 1)
 }
 
-// put writes an entry's full record, framed, and makes it the live one.
-func (d *Durable) put(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, committed bool, frame []byte) error {
+// write appends a framed record of rec and applies it to the index.
+func (d *Durable) write(kind byte, sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, frame []byte) error {
 	seg, err := d.w.AppendFramed(frame)
-	if err != nil {
-		return err
+	if err == nil {
+		d.apply(kind, sk, seq, rec, seg, len(frame))
 	}
-	d.index(sk, rec, seq, committed, seg, len(frame))
-	return nil
+	return err
+}
+
+// put writes an entry's full record: an append or an install.
+func (d *Durable) put(kind byte, sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, value []byte, hasValue bool) error {
+	return d.write(kind, sk, seq, rec, d.encode(kind, sk, seq, rec, value, hasValue))
 }
 
 // mark writes a commit, purge or reset marker: key and version only.
 func (d *Durable) mark(kind byte, sk ShardKey, seq proto.Seq, key string, ver proto.Version) error {
-	frame := d.encode(kind, sk, seq, &proto.MetaRecord{Key: key, Version: ver}, nil, false)
-	seg, err := d.w.AppendFramed(frame)
-	if err == nil {
-		d.landed(seg, len(frame))
-	}
-	return err
+	rec := proto.MetaRecord{Key: key, Version: ver}
+	return d.write(kind, sk, seq, &rec, d.encode(kind, sk, seq, &rec, nil, false))
 }
 
 // Append persists a write-ahead append: the entry just added to a
@@ -404,7 +404,7 @@ func (d *Durable) mark(kind byte, sk ShardKey, seq proto.Seq, key string, ver pr
 //
 //ring:hotpath
 func (d *Durable) Append(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, value []byte, hasValue bool) error {
-	if err := d.put(sk, seq, rec, false, d.encode(kAppend, sk, seq, rec, value, hasValue)); err != nil {
+	if err := d.put(kAppend, sk, seq, rec, value, hasValue); err != nil {
 		return err
 	}
 	d.stats.Appends++
@@ -417,16 +417,7 @@ func (d *Durable) Append(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, valu
 //
 //ring:hotpath
 func (d *Durable) Commit(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, _ []byte, _ bool) error {
-	if err := d.mark(kCommit, sk, seq, rec.Key, rec.Version); err != nil {
-		return err
-	}
-	ek := entryKey{rec.Key, rec.Version}
-	if l, ok := d.live[sk][ek]; ok && !l.committed {
-		l.committed = true
-		d.live[sk][ek] = l
-		d.stats.Unresolved--
-	}
-	return nil
+	return d.mark(kCommit, sk, seq, rec.Key, rec.Version)
 }
 
 // Install persists an entry learned through recovery (already
@@ -434,7 +425,7 @@ func (d *Durable) Commit(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, _ []
 //
 //ring:hotpath
 func (d *Durable) Install(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, value []byte, hasValue bool) error {
-	return d.put(sk, seq, rec, true, d.encode(kInstall, sk, seq, rec, value, hasValue))
+	return d.put(kInstall, sk, seq, rec, value, hasValue)
 }
 
 // Purge removes a version (GC of superseded versions, or abort of an
@@ -442,15 +433,7 @@ func (d *Durable) Install(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, val
 //
 //ring:hotpath
 func (d *Durable) Purge(sk ShardKey, seq proto.Seq, key string, ver proto.Version) error {
-	if err := d.mark(kPurge, sk, seq, key, ver); err != nil {
-		return err
-	}
-	ek := entryKey{key, ver}
-	if l, ok := d.live[sk][ek]; ok {
-		d.book(l, -1)
-		delete(d.live[sk], ek)
-	}
-	return nil
+	return d.mark(kPurge, sk, seq, key, ver)
 }
 
 // Reset voids all durable state of a shard — the node shed the role,
@@ -460,10 +443,6 @@ func (d *Durable) Reset(sk ShardKey) error {
 	if err := d.mark(kReset, sk, 0, "", 0); err != nil {
 		return err
 	}
-	for _, l := range d.live[sk] {
-		d.book(l, -1)
-	}
-	delete(d.live, sk)
 	delete(d.stash, sk)
 	return nil
 }
@@ -537,6 +516,7 @@ func (d *Durable) maybeMerge() error {
 // and only then removes the segments it read. Every marker older than a
 // copy is reflected in it, and a marker about an entry that is gone is
 // harmless on replay, so a crash at any step replays to the same state.
+// It is the only code that re-appends a record or removes a segment.
 func (d *Durable) merge() error {
 	start := time.Now()
 	end := d.w.ActiveSegment()
@@ -549,18 +529,19 @@ func (d *Durable) merge() error {
 			at.n++
 			r, ok := decodeWALRecord(frame[wal.FrameHeader:])
 			if !ok {
-				return nil // nothing live fails to decode: the index wrote it
+				return nil // nothing live fails to decode: replay indexes no such record
 			}
 			l, ok := d.live[r.sk][entryKey{r.rec.Key, r.rec.Version}]
 			if !ok || l.recPos != pos {
 				return nil
 			}
 			// The copy is the record as read, its kind set to the entry's state.
-			frame[wal.FrameHeader] = kAppend
+			kind := byte(kAppend)
 			if l.committed {
-				frame[wal.FrameHeader] = kInstall
+				kind = kInstall
 			}
-			return d.put(r.sk, r.seq, &r.rec, l.committed, frame)
+			frame[wal.FrameHeader] = kind
+			return d.write(kind, r.sk, r.seq, &r.rec, frame)
 		})
 		if err != nil {
 			return err
@@ -619,8 +600,7 @@ func (d *Durable) DurableStats() Stats {
 	return s
 }
 
-// Close syncs and closes the log; the next open replays and compacts
-// it.
+// Close syncs and closes the log; the next open replays it as it is.
 func (d *Durable) Close() error {
 	err := d.Sync()
 	if werr := d.w.Close(); err == nil {

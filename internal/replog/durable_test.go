@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -458,8 +459,8 @@ func TestMergeKeepsTheLiveVersion(t *testing.T) {
 }
 
 func TestRecoveryIsIdempotent(t *testing.T) {
-	// Crashing immediately after a recovery (its compaction rewrote the
-	// log) must replay to the identical state.
+	// Crashing immediately after a recovery must replay to the identical
+	// state.
 	fs := wal.NewMemFS()
 	d := openDurable(t, fs, DurableOptions{Policy: FsyncAlways})
 	for i := 0; i < 10; i++ {
@@ -584,8 +585,8 @@ func TestScratchFrameIsBounded(t *testing.T) {
 }
 
 // Recovery reads the log one segment at a time into one buffer and
-// writes its compaction record by record: what it allocates is about
-// the values it restores, not two more copies of the log.
+// writes nothing: what it allocates is about the values it restores,
+// not two more copies of the log.
 func TestOpenAllocatesAboutTheValues(t *testing.T) {
 	const n, size = 4096, 1 << 10
 	fs := wal.DirFS(t.TempDir())
@@ -617,5 +618,28 @@ func TestOpenAllocatesAboutTheValues(t *testing.T) {
 	t.Logf("OpenDurable of %d x %d B allocates %.2fx the values", n, size, ratio)
 	if ratio > 2.75 {
 		t.Errorf("OpenDurable of %d x %d B allocates %.2fx the values, want <= 2.75", n, size, ratio)
+	}
+}
+
+// The largest key and value a node accepts make one record the log
+// holds: it appends and reopens undamaged, key and value whole.
+func TestRecordAtTheLimitsReopens(t *testing.T) {
+	fs := wal.NewMemFS()
+	d := openDurable(t, fs, DurableOptions{Policy: FsyncAlways})
+	r := &proto.MetaRecord{Key: strings.Repeat("k", proto.MaxKey), Version: 1, Memgest: testSK.Memgest, Length: proto.MaxValue}
+	value := bytes.Repeat([]byte{7}, proto.MaxValue)
+	if err := d.Append(testSK, 1, r, value, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Commit(testSK, 1, r, nil, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d = openDurable(t, fs, DurableOptions{Policy: FsyncAlways})
+	e := shardEntry(t, d.Recovered()[testSK], r.Key, 1)
+	if d.Damaged() || e == nil || !e.Rec.Committed || !bytes.Equal(e.Value, value) {
+		t.Fatalf("record at the limits after reopen: damaged=%v entry found=%v", d.Damaged(), e != nil)
 	}
 }

@@ -78,8 +78,9 @@ func storeModel(t *testing.T, d *Durable) map[modelKey]modelEntry {
 // commits, purges, resets, installs, syncs, merges and power cuts, and
 // holds it to a map. The index counts what the map holds after every
 // operation, and a power cut recovers the map as it stood after some
-// operation since the last point that was fsynced — a sync, a merge,
-// an open — with the index and the stash agreeing on it.
+// operation since the last sync, merge or open (an open writes nothing,
+// and the power cut before it left nothing unsynced), with the index,
+// which replay builds, and the stash agreeing on it.
 func FuzzDurableModel(f *testing.F) {
 	f.Add([]byte{0, 2, 40, 1, 2, 0, 0, 4, 9, 7, 0, 0, 3, 0, 0, 7, 1, 3})
 	rng := rand.New(rand.NewSource(1))

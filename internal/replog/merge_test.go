@@ -30,7 +30,7 @@ func powerCut(fs *wal.MemFS) { fs.Crash(rand.New(zeroSource{})) }
 
 // faultFS wraps an FS to count the files open through it and to fail a
 // chosen operation: fail is asked before every ReadFile and Remove and
-// every file Append, ReadAt and Sync, with the file's name. ReadFile and
+// every file Append, ReadAt, Truncate and Sync, with the file's name. ReadFile and
 // ReadAt are both "read", so a read fault reaches the open path however
 // it reads.
 type faultFS struct {
@@ -88,6 +88,13 @@ func (f *faultFile) ReadAt(p []byte, off int64) (int, error) {
 		return 0, err
 	}
 	return f.File.ReadAt(p, off)
+}
+
+func (f *faultFile) Truncate(size int64) error {
+	if err := f.fs.check("truncate", f.name); err != nil {
+		return err
+	}
+	return f.File.Truncate(size)
 }
 
 func (f *faultFile) Sync() error {
@@ -174,7 +181,7 @@ func copiedByMerge(t *testing.T, fs wal.FS) *Durable {
 }
 
 // reopened returns a store holding k0..k3 committed in testSK, closed
-// and opened again: its log is the compacted generation recovery wrote.
+// and opened again: its index is the one replay built.
 func reopened(t *testing.T, fs wal.FS) *Durable {
 	t.Helper()
 	d := openDurable(t, fs, DurableOptions{Policy: FsyncAlways})
@@ -216,7 +223,7 @@ func TestInstallSurvivesWithoutCheckpoint(t *testing.T) {
 }
 
 // A reset written after a merge copied the shard forward voids the
-// copies too, and recovery's compaction does not bring them back.
+// copies too, and recovery does not bring them back.
 func TestResetVoidsMergedCopies(t *testing.T) {
 	fs := wal.NewMemFS()
 	d := copiedByMerge(t, fs)
@@ -245,7 +252,7 @@ func TestResetVoidsMergedCopies(t *testing.T) {
 }
 
 // A purge written after a merge copied the version forward voids the
-// copy, and recovery's compaction does not bring it back.
+// copy, and recovery does not bring it back.
 func TestPurgeVoidsMergedCopy(t *testing.T) {
 	fs := wal.NewMemFS()
 	d := copiedByMerge(t, fs)
@@ -364,49 +371,133 @@ func TestNeverPolicyBoundsTheLog(t *testing.T) {
 }
 
 // OpenDurable returns no handle on failure, so whatever it opened
-// before the failing step it must close itself.
+// before the failing step it must close itself. Its one step that can
+// fail is wal.Open's replay: it writes nothing.
 func TestFailedOpenClosesItsFiles(t *testing.T) {
 	boom := errors.New("disk gone")
-	for _, tc := range []struct{ op, prefix string }{
-		{"sync", ""},       // the first fsync of the open, whichever file it is
-		{"sync", "wal-"},   // w.Compact
-		{"read", "wal-"},   // wal.Open's replay
-		{"append", "wal-"}, // w.Compact's rewrite
-		{"remove", "wal-"}, // w.Compact dropping the old generation
-	} {
-		t.Run(tc.op+"/"+tc.prefix, func(t *testing.T) {
-			// A store with a compacted generation, committed entries
-			// appended after it, and an open append: every step has work.
-			mem := wal.NewMemFS()
-			d := reopened(t, mem)
-			mustAppend(t, d, testSK, 5, "walonly", 1)
-			mustCommit(t, d, testSK, 5, "walonly", 1)
-			mustAppend(t, d, testSK, 6, "open", 1)
-			if err := d.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			powerCut(mem)
+	t.Run("read/wal-", func(t *testing.T) {
+		// A reopened store, committed entries appended after it, and an
+		// open append.
+		mem := wal.NewMemFS()
+		d := reopened(t, mem)
+		mustAppend(t, d, testSK, 5, "walonly", 1)
+		mustCommit(t, d, testSK, 5, "walonly", 1)
+		mustAppend(t, d, testSK, 6, "open", 1)
+		if err := d.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		powerCut(mem)
 
-			fs := &faultFS{FS: mem, fail: failFirst(tc.op, tc.prefix, boom)}
-			if _, err := OpenDurable(fs, DurableOptions{Policy: FsyncAlways}); !errors.Is(err, boom) {
-				t.Fatalf("OpenDurable = %v, want %v", err, boom)
-			}
-			if fs.open != 0 {
-				t.Fatalf("failed open left %d files open", fs.open)
-			}
-			// The failure was transient: the next open recovers everything.
-			fs.fail = nil
-			d2 := openDurable(t, fs, DurableOptions{Policy: FsyncAlways})
-			if e := shardEntry(t, d2.Recovered()[testSK], "walonly", 1); e == nil || len(d2.Recovered()[testSK].Entries) != 5 {
-				t.Fatalf("after a failed open:\n%s", snapshot(d2))
-			}
-			if err := d2.Close(); err != nil {
+		fs := &faultFS{FS: mem, fail: failFirst("read", "wal-", boom)}
+		if _, err := OpenDurable(fs, DurableOptions{Policy: FsyncAlways}); !errors.Is(err, boom) {
+			t.Fatalf("OpenDurable = %v, want %v", err, boom)
+		}
+		if fs.open != 0 {
+			t.Fatalf("failed open left %d files open", fs.open)
+		}
+		// The failure was transient: the next open recovers everything.
+		fs.fail = nil
+		d2 := openDurable(t, fs, DurableOptions{Policy: FsyncAlways})
+		if e := shardEntry(t, d2.Recovered()[testSK], "walonly", 1); e == nil || len(d2.Recovered()[testSK].Entries) != 5 {
+			t.Fatalf("after a failed open:\n%s", snapshot(d2))
+		}
+		if err := d2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if fs.open != 0 {
+			t.Fatalf("Close left %d files open", fs.open)
+		}
+	})
+}
+
+// Recovery replays the log and writes nothing: over a log with
+// committed entries, open appends, a reset and a merge behind it, the
+// open makes no append, fsync, truncation or removal.
+func TestRecoveryWritesNothing(t *testing.T) {
+	mem := wal.NewMemFS()
+	opts := DurableOptions{Policy: FsyncAlways, WALSegmentBytes: 256}
+	d := copiedByMerge(t, mem)
+	other := ShardKey{Memgest: 2, Shard: 1}
+	for i := 0; i < 6; i++ {
+		seq, key := proto.Seq(10+i), fmt.Sprintf("w%d", i)
+		mustAppend(t, d, testSK, seq, key, 1)
+		if i%3 != 0 {
+			mustCommit(t, d, testSK, seq, key, 1)
+		}
+		mustAppend(t, d, other, seq, key, 1)
+	}
+	if err := d.Reset(other); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if st := d.DurableStats(); st.Merges == 0 || st.Unresolved != 2 || st.WALSegments < 3 {
+		t.Fatalf("the log lost its shape: %+v", st)
+	}
+	powerCut(mem)
+	want := snapshot(openDurable(t, mem, opts))
+
+	writes := map[string]int{}
+	fs := &faultFS{FS: mem, fail: func(op, _ string) error {
+		if op != "read" {
+			writes[op]++
+		}
+		return nil
+	}}
+	if got := snapshot(openDurable(t, fs, opts)); got != want || !strings.Contains(got, "w5@1") {
+		t.Fatalf("second open:\n%sfirst:\n%s", got, want)
+	}
+	if len(writes) != 0 {
+		t.Fatalf("OpenDurable wrote to the log: %v", writes)
+	}
+}
+
+// A merge right after an open copies exactly the records replay
+// indexed: a position that is off by one would name a record of
+// another entry, and the merge would drop the live one silently.
+func TestMergeAfterReopenReadsReplayedPositions(t *testing.T) {
+	mem := wal.NewMemFS()
+	opts := DurableOptions{Policy: FsyncAlways, WALSegmentBytes: 256}
+	d := openDurable(t, mem, opts)
+	for i := 0; i < 40; i++ {
+		seq, key := proto.Seq(i+1), fmt.Sprintf("k%d", i%7)
+		mustAppend(t, d, testSK, seq, key, proto.Version(i+1))
+		if i%5 != 4 {
+			mustCommit(t, d, testSK, seq, key, proto.Version(i+1))
+		}
+		if i >= 7 {
+			if err := d.Purge(testSK, seq-7, key, proto.Version(i-6)); err != nil {
 				t.Fatal(err)
 			}
-			if fs.open != 0 {
-				t.Fatalf("Close left %d files open", fs.open)
-			}
-		})
+		}
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	before := d.DurableStats()
+	powerCut(mem)
+
+	d = openDurable(t, mem, opts)
+	want := snapshot(d)
+	if st := d.DurableStats(); st.LiveRecords != before.LiveRecords || st.LiveBytes != before.LiveBytes || st.Unresolved != before.Unresolved {
+		t.Fatalf("replay indexed %+v, the store held %+v", st, before)
+	}
+	end := d.w.ActiveSegment()
+	if err := d.merge(); err != nil {
+		t.Fatal(err)
+	}
+	for ek, l := range d.live[testSK] {
+		if l.seg < end {
+			t.Fatalf("%v still lives in merged segment %d: the merge did not find it where replay put it", ek, l.seg)
+		}
+	}
+	if st := d.DurableStats(); st.LiveRecords != before.LiveRecords || st.WALPruned == 0 {
+		t.Fatalf("after the merge: %+v", st)
+	}
+	powerCut(mem)
+	if got := snapshot(openDurable(t, mem, opts)); got != want {
+		t.Fatalf("after a merge of the reopened log:\n%swant:\n%s", got, want)
 	}
 }
 

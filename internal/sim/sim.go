@@ -22,7 +22,6 @@ package sim
 
 import (
 	"container/heap"
-	"fmt"
 	"sort"
 	"time"
 
@@ -327,7 +326,7 @@ func (s *Sim) Step() bool {
 			fn(s.now, e.from, e.msg)
 			return true
 		}
-		id, ok := parseNode(e.to)
+		id, ok := core.ParseNodeAddr(e.to)
 		if !ok {
 			return true
 		}
@@ -463,12 +462,4 @@ func isControl(qm queuedMsg) bool {
 		return true
 	}
 	return false
-}
-
-func parseNode(addr string) (proto.NodeID, bool) {
-	var id uint32
-	if _, err := fmt.Sscanf(addr, "node/%d", &id); err != nil {
-		return 0, false
-	}
-	return proto.NodeID(id), true
 }

@@ -16,12 +16,9 @@ var Metrics struct {
 	PacketsSent metrics.Counter
 	BytesSent   metrics.Counter
 	BatchedSent metrics.Counter
-	// Drops, Delays, and Duplicates count packets faulted on purpose
-	// (SetFaultFunc / SetDropFunc injection); SendErrors counts sends
-	// that failed (unknown peer, dead dial).
+	// Drops counts packets dropped on purpose (SetDropFunc); SendErrors
+	// counts sends that failed (unknown peer, dead dial).
 	Drops      metrics.Counter
-	Delays     metrics.Counter
-	Duplicates metrics.Counter
 	SendErrors metrics.Counter
 	// PacketsRecv / BytesRecv count packets surfaced to receivers.
 	PacketsRecv metrics.Counter
@@ -36,8 +33,6 @@ func init() {
 	d.Register("transport.bytes_sent", &Metrics.BytesSent)
 	d.Register("transport.batched_sent", &Metrics.BatchedSent)
 	d.Register("transport.drops", &Metrics.Drops)
-	d.Register("transport.delays", &Metrics.Delays)
-	d.Register("transport.duplicates", &Metrics.Duplicates)
 	d.Register("transport.send_errors", &Metrics.SendErrors)
 	d.Register("transport.packets_recv", &Metrics.PacketsRecv)
 	d.Register("transport.bytes_recv", &Metrics.BytesRecv)

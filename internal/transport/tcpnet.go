@@ -8,8 +8,6 @@ import (
 	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // TCPFabric implements the fabric over real TCP sockets. Each endpoint
@@ -35,35 +33,12 @@ type TCPFabric struct {
 	// resolve maps logical addresses to TCP "host:port" when the two
 	// differ (ringd uses logical node names over real sockets).
 	resolve map[string]string
-	// faultFn, when set, may drop, delay, or duplicate outgoing frames
-	// (see FaultFunc). TCP itself never reorders or duplicates within a
-	// connection; the hook models faults above the socket, where the
-	// chaos harness injects them. Every Send reads it, so it is not
-	// behind mu.
-	faultFn atomic.Pointer[FaultFunc]
 }
 
 // NewTCPFabric creates a TCP-backed fabric. Logical addresses are used
 // verbatim as TCP addresses unless remapped with Map.
 func NewTCPFabric() *TCPFabric {
 	return &TCPFabric{resolve: make(map[string]string)}
-}
-
-// SetFaultFunc implements FaultInjector (nil disables).
-func (f *TCPFabric) SetFaultFunc(fn FaultFunc) {
-	if fn == nil {
-		f.faultFn.Store(nil)
-		return
-	}
-	f.faultFn.Store(&fn)
-}
-
-func (f *TCPFabric) fault(from, to string, size int) FaultAction {
-	fn := f.faultFn.Load()
-	if fn == nil {
-		return FaultAction{}
-	}
-	return (*fn)(from, to, size)
 }
 
 // Map binds a logical address to a concrete TCP address.
@@ -265,32 +240,10 @@ func errBadFrame(n, alen int) error {
 	return fmt.Errorf("transport: bad frame: length %d, address length %d", n, alen)
 }
 
-func (e *tcpEndpoint) Send(to string, payload []byte) error {
-	switch act := e.fabric.fault(e.addr, to, len(payload)); {
-	case act.Drop:
-		Metrics.Drops.Inc()
-		ReleaseBuf(payload)
-		return nil
-	case act.Duplicate || act.Delay > 0:
-		if act.Duplicate {
-			Metrics.Duplicates.Inc()
-			dup := append([]byte(nil), payload...)
-			e.transmit(to, dup)
-		}
-		if act.Delay > 0 {
-			Metrics.Delays.Inc()
-			time.AfterFunc(act.Delay, func() { e.transmit(to, payload) })
-			return nil
-		}
-	}
-	return e.transmit(to, payload)
-}
-
-// transmit performs the actual framed write (dialing on demand),
-// bypassing fault injection.
+// Send performs the framed write, dialling on demand.
 //
 //ring:hotpath
-func (e *tcpEndpoint) transmit(to string, payload []byte) error {
+func (e *tcpEndpoint) Send(to string, payload []byte) error {
 	e.mu.Lock()
 	c := e.conns[to]
 	if c == nil {

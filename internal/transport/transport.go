@@ -40,7 +40,6 @@ import (
 	"errors"
 	"math/bits"
 	"sync"
-	"time"
 )
 
 // The buffer pool is the stand-in for an RDMA registered-buffer pool.
@@ -189,14 +188,12 @@ var (
 // ---------------------------------------------------------------- memnet
 
 // MemFabric is an in-process fabric backed by per-endpoint buffered
-// channels. A Drop hook and per-endpoint partitions support failure
-// injection in tests.
+// channels. A drop predicate supports failure injection in tests.
 type MemFabric struct {
 	mu    sync.Mutex
 	peers map[string]*memEndpoint
-	// faultFn, when set, is consulted for every send and may drop,
-	// delay, or duplicate the packet (see FaultFunc).
-	faultFn FaultFunc
+	// drop, when set, is asked about every send (see SetDropFunc).
+	drop func(from, to string) bool
 	// queueLen is the per-endpoint inbox capacity.
 	queueLen int
 }
@@ -210,24 +207,14 @@ func NewMemFabric(queueLen int) *MemFabric {
 	return &MemFabric{peers: make(map[string]*memEndpoint), queueLen: queueLen}
 }
 
-// SetDropFunc installs a packet-drop predicate (nil disables). It is
-// the boolean special case of SetFaultFunc, kept for the existing
-// partition and message-loss tests.
+// SetDropFunc installs a packet-drop predicate (nil disables): a packet
+// from one address to another that it names is lost silently, like a
+// datagram on a congested link. It runs on the sender's goroutine under
+// no fabric lock.
 func (f *MemFabric) SetDropFunc(fn func(from, to string) bool) {
-	if fn == nil {
-		f.SetFaultFunc(nil)
-		return
-	}
-	f.SetFaultFunc(func(from, to string, _ int) FaultAction {
-		return FaultAction{Drop: fn(from, to)}
-	})
-}
-
-// SetFaultFunc implements FaultInjector (nil disables).
-func (f *MemFabric) SetFaultFunc(fn FaultFunc) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.faultFn = fn
+	f.drop = fn
 }
 
 // Register implements Fabric.
@@ -282,14 +269,10 @@ func (e *memEndpoint) Closed() <-chan struct{} { return e.done }
 func (e *memEndpoint) Send(to string, payload []byte) error {
 	f := e.fabric
 	f.mu.Lock()
-	fn := f.faultFn
+	drop := f.drop
 	peer := f.peers[to]
 	f.mu.Unlock()
-	var act FaultAction
-	if fn != nil {
-		act = fn(e.addr, to, len(payload))
-	}
-	if act.Drop {
+	if drop != nil && drop(e.addr, to) {
 		Metrics.Drops.Inc()
 		ReleaseBuf(payload) // silently lost, like a datagram
 		return nil
@@ -299,25 +282,6 @@ func (e *memEndpoint) Send(to string, payload []byte) error {
 		ReleaseBuf(payload)
 		return ErrUnknownPeer
 	}
-	if act.Duplicate {
-		// The duplicate needs its own allocation: ownership of each
-		// delivered payload transfers to the receiver independently.
-		Metrics.Duplicates.Inc()
-		dup := append([]byte(nil), payload...)
-		e.deliver(peer, dup)
-	}
-	if act.Delay > 0 {
-		Metrics.Delays.Inc()
-		time.AfterFunc(act.Delay, func() { e.deliver(peer, payload) })
-		return nil
-	}
-	return e.deliver(peer, payload)
-}
-
-// deliver enqueues payload into peer's inbox, transferring ownership.
-//
-//ring:hotpath
-func (e *memEndpoint) deliver(peer *memEndpoint, payload []byte) error {
 	countSend(payload)
 	// No copy: Send transfers payload ownership (package doc), so the
 	// receiver can be handed the sender's buffer directly.

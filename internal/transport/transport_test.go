@@ -149,6 +149,30 @@ func TestMemFabricDropFunc(t *testing.T) {
 	}
 }
 
+// TestMemDropFuncStillWorks: the predicate is asked per packet with
+// its sender and destination, so it takes one link and spares the rest.
+func TestMemDropFuncStillWorks(t *testing.T) {
+	f := NewMemFabric(0)
+	a, _ := f.Register("a")
+	b, _ := f.Register("b")
+	c, _ := f.Register("c")
+	f.SetDropFunc(func(from, to string) bool { return from == "a" && to == "b" })
+	a.Send("b", []byte("lost"))
+	a.Send("c", []byte("to c"))
+	b.Send("c", []byte("from b"))
+	f.SetDropFunc(nil)
+	a.Send("b", []byte("kept"))
+	for _, want := range []struct {
+		ep   Endpoint
+		from string
+		body string
+	}{{c, "a", "to c"}, {c, "b", "from b"}, {b, "a", "kept"}} {
+		if p, _ := want.ep.Recv(); p.From != want.from || string(p.Payload) != want.body {
+			t.Fatalf("%s received %q from %s, want %q from %s", want.ep.Addr(), p.Payload, p.From, want.body, want.from)
+		}
+	}
+}
+
 func TestMemFabricDisconnect(t *testing.T) {
 	f := NewMemFabric(0)
 	a, _ := f.Register("a")

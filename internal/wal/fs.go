@@ -105,8 +105,8 @@ func (d dirFS) Remove(name string) error {
 		}
 		return err
 	}
-	// Make the removal itself crash-durable, so Compact/Merge never
-	// treat an old generation as gone while its dirent could reappear.
+	// Make the removal itself crash-durable, so a merge never treats a
+	// segment as gone while its dirent could reappear.
 	return d.syncDir()
 }
 

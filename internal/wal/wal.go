@@ -428,42 +428,6 @@ func (w *WAL) PruneTo(idx uint64) error {
 	return nil
 }
 
-// Compact replaces the entire log with the records write appends: it
-// starts a fresh segment with an index above every existing one, calls
-// write, which appends each surviving record (Append or AppendFramed)
-// as it goes, syncs, and only then deletes the old segments. A crash at
-// any point leaves a log that replays to the same state — old and new
-// segments merely overlap and replay is idempotent. Recovery uses this
-// to rewrite the surviving records once, so prune bookkeeping restarts
-// exact.
-func (w *WAL) Compact(write func() error) error {
-	oldSealed := append([]uint64(nil), w.sealed...)
-	oldActive := w.activeIdx
-	if err := w.active.Sync(); err != nil {
-		return err
-	}
-	if err := w.active.Close(); err != nil {
-		return err
-	}
-	w.sealed = w.sealed[:0]
-	if err := w.createSegment(oldActive + 1); err != nil {
-		return err
-	}
-	if err := write(); err != nil {
-		return err
-	}
-	if err := w.Sync(); err != nil {
-		return err
-	}
-	// New state durable: the old segments are now redundant.
-	for _, idx := range append(oldSealed, oldActive) {
-		if err := w.fs.Remove(SegName(idx)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Close syncs and closes the log.
 func (w *WAL) Close() error {
 	if err := w.Sync(); err != nil {

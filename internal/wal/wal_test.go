@@ -263,37 +263,6 @@ func TestPruneToDropsPrefix(t *testing.T) {
 	}
 }
 
-func TestCompactRewritesLog(t *testing.T) {
-	fs := NewMemFS()
-	w, _ := collect(t, fs, Options{SegmentBytes: 64})
-	payload := bytes.Repeat([]byte("c"), 40)
-	for i := 0; i < 5; i++ {
-		if _, err := w.Append(payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Compact's callback appends the survivors into the new generation.
-	old := w.ActiveSegment()
-	err := w.Compact(func() error {
-		for _, p := range []string{"survivor-1", "survivor-2"} {
-			if seg, err := w.Append([]byte(p)); err != nil || seg <= old {
-				return fmt.Errorf("survivor %s landed in segment %d (old active %d): %v", p, seg, old, err)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, recs := collect(t, fs, Options{SegmentBytes: 64})
-	if len(recs) != 2 || string(recs[0].payload) != "survivor-1" || string(recs[1].payload) != "survivor-2" {
-		t.Fatalf("replay after compact = %v", recs)
-	}
-}
-
 func TestFailingSyncSurfaces(t *testing.T) {
 	fs := NewMemFS()
 	w, _ := collect(t, fs, Options{})
