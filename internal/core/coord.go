@@ -203,21 +203,21 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 			}
 			st.layout.ParityDeltaInto(int(ext.Block), delta, n.deltas)
 			n.Stats.BytesParityXor += uint64(len(delta) * st.info.Scheme.M)
-			for r, pn := range parityNodes(&st.info) {
-				n.sendScratch(NodeAddr(pn), &proto.ParityUpdate{
+			for r, pn := range cs.redundant {
+				n.sendScratch(NodeAddr(pn), proto.New(proto.ParityUpdate{
 					Memgest: mgID, Shard: shard, Seq: seq, Rec: rec,
 					Block: ext.Block, StripeOff: stripeOff, Off: ext.Off,
 					Delta: n.deltas[r],
-				}, n.deltas[r])
+				}), n.deltas[r])
 				n.Stats.ParityUpdates++
 			}
 		} else {
 			// Metadata-only update (tombstone or empty value): still
 			// replicated to every parity node for durability.
-			for _, pn := range parityNodes(&st.info) {
-				n.sendNode(pn, &proto.ParityUpdate{
+			for _, pn := range cs.redundant {
+				n.sendNode(pn, proto.New(proto.ParityUpdate{
 					Memgest: mgID, Shard: shard, Seq: seq, Rec: rec,
-				})
+				}))
 				n.Stats.ParityUpdates++
 			}
 		}
@@ -227,9 +227,9 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 		// read out of its source memgest): each replica's append carries
 		// a copy of its own, because the encoder reads it after this
 		// handler and every later one of the batch have returned.
-		for _, rn := range replicaSet(n.cfg, &st.info, shard) {
+		for _, rn := range cs.redundant {
 			buf := copyOut(value)
-			n.sendScratch(NodeAddr(rn), &proto.RepAppend{Memgest: mgID, Shard: shard, Seq: seq, Rec: rec, Value: buf}, buf)
+			n.sendScratch(NodeAddr(rn), proto.New(proto.RepAppend{Memgest: mgID, Shard: shard, Seq: seq, Rec: rec, Value: buf}), buf)
 			n.Stats.RepAppends++
 		}
 	}
@@ -241,7 +241,7 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 		n.commitEntry(q, st, cs, key, ver, replyTo, req, kind, n.now)
 		return true
 	}
-	cs.pending[seq] = &pendingCommit{key: key, version: ver, start: n.now, replyTo: replyTo, req: req, kind: kind}
+	cs.pending[seq] = pendingCommit{key: key, version: ver, start: n.now, replyTo: replyTo, req: req, kind: kind}
 	return true
 }
 
@@ -278,15 +278,15 @@ func (n *Node) refuse(replyTo string, req proto.ReqID, kind replyKind, s refusal
 	}
 	switch kind {
 	case replyPut:
-		n.send(replyTo, &proto.PutReply{Req: req, Status: proto.Status(s)})
+		n.send(replyTo, proto.New(proto.PutReply{Req: req, Status: proto.Status(s)}))
 	case replyDelete:
-		n.send(replyTo, &proto.DeleteReply{Req: req, Status: proto.Status(s)})
+		n.send(replyTo, proto.New(proto.DeleteReply{Req: req, Status: proto.Status(s)}))
 	case replyMove:
 		if id, ok := strings.CutPrefix(replyTo, bulkMovePrefix); ok {
 			n.bulkMoveDone(id, s)
 			return
 		}
-		n.send(replyTo, &proto.MoveReply{Req: req, Status: proto.Status(s)})
+		n.send(replyTo, proto.New(proto.MoveReply{Req: req, Status: proto.Status(s)}))
 	}
 }
 
@@ -298,17 +298,17 @@ func (n *Node) replyOK(q replog.Quorum, replyTo string, req proto.ReqID, kind re
 	q.Assert()
 	switch kind {
 	case replyPut:
-		n.send(replyTo, &proto.PutReply{Req: req, Status: proto.StOK, Version: ver})
+		n.send(replyTo, proto.New(proto.PutReply{Req: req, Status: proto.StOK, Version: ver}))
 	case replyDelete:
-		n.send(replyTo, &proto.DeleteReply{Req: req, Status: proto.StOK})
+		n.send(replyTo, proto.New(proto.DeleteReply{Req: req, Status: proto.StOK}))
 	case replyMove:
 		if id, ok := strings.CutPrefix(replyTo, bulkMovePrefix); ok {
 			if bm := n.bulkMoveDone(id, 0); bm != nil {
-				n.send(bm.client, &proto.MoveReply{Req: bm.req, Status: proto.StOK, Moved: bm.moved})
+				n.send(bm.client, proto.New(proto.MoveReply{Req: bm.req, Status: proto.StOK, Moved: bm.moved}))
 			}
 			return
 		}
-		n.send(replyTo, &proto.MoveReply{Req: req, Status: proto.StOK, Version: ver})
+		n.send(replyTo, proto.New(proto.MoveReply{Req: req, Status: proto.StOK, Version: ver}))
 	}
 }
 
@@ -343,7 +343,7 @@ func (n *Node) commitEntry(q replog.Quorum, st *mgState, cs *coordShard, key str
 	}
 
 	// Propagate the commit so redundancy copies flip their flag.
-	n.broadcastCommit(st, cs.shard, e.Seq)
+	n.broadcastCommit(st, cs, e.Seq)
 
 	// GC versions superseded by the newest committed one.
 	n.gcKey(cs.shard, key)
@@ -365,16 +365,9 @@ func (n *Node) commitEntry(q replog.Quorum, st *mgState, cs *coordShard, key str
 
 // broadcastCommit notifies the memgest's redundancy nodes that seq
 // committed.
-func (n *Node) broadcastCommit(st *mgState, shard uint32, seq proto.Seq) {
-	msg := &proto.RepCommit{Memgest: st.info.ID, Shard: shard, Seq: seq}
-	if st.info.Scheme.Kind == proto.SchemeSRS {
-		for _, pn := range parityNodes(&st.info) {
-			n.sendNode(pn, msg)
-		}
-	} else {
-		for _, rn := range replicaSet(n.cfg, &st.info, shard) {
-			n.sendNode(rn, msg)
-		}
+func (n *Node) broadcastCommit(st *mgState, cs *coordShard, seq proto.Seq) {
+	for _, id := range cs.redundant {
+		n.sendNode(id, proto.New(proto.RepCommit{Memgest: st.info.ID, Shard: cs.shard, Seq: seq}))
 	}
 }
 
@@ -441,21 +434,14 @@ func (n *Node) purgeVersion(shard uint32, key string, ref store.VersionRef) {
 	if ext := e.Extent(); ext.Len > 0 && cs.heap != nil {
 		cs.heap.Free(ext)
 	}
-	msg := &proto.Purge{Memgest: ref.Memgest, Shard: shard, Key: key, Version: ref.Version}
-	if st.info.Scheme.Kind == proto.SchemeSRS {
-		for _, pn := range parityNodes(&st.info) {
-			n.sendNode(pn, msg)
-		}
-	} else if st.info.Scheme.R > 1 {
-		for _, rn := range replicaSet(n.cfg, &st.info, shard) {
-			n.sendNode(rn, msg)
-		}
+	for _, id := range cs.redundant {
+		n.sendNode(id, proto.New(proto.Purge{Memgest: ref.Memgest, Shard: shard, Key: key, Version: ref.Version}))
 	}
 }
 
 func (n *Node) handleGet(from string, m *proto.Get) {
 	n.Stats.Gets++
-	fail := func(s refusal) { n.send(from, &proto.GetReply{Req: m.Req, Status: proto.Status(s)}) }
+	fail := func(s refusal) { n.send(from, proto.New(proto.GetReply{Req: m.Req, Status: proto.Status(s)})) }
 	shard, ok := n.checkClientOp(m.Key, fail)
 	if !ok {
 		return
@@ -490,7 +476,7 @@ func (n *Node) handleGet(from string, m *proto.Get) {
 func (n *Node) sendValueReply(st *mgState, cs *coordShard, e *store.Entry, client string, req proto.ReqID) {
 	if e.Rec.Tombstone {
 		n.Metrics.Trace.Record(metrics.TraceGet, e.Rec.Key, uint32(st.info.ID), uint64(e.Rec.Version), uint8(proto.StNotFound), n.now, 0)
-		n.send(client, &proto.GetReply{Req: req, Status: proto.StNotFound})
+		n.send(client, proto.New(proto.GetReply{Req: req, Status: proto.StNotFound}))
 		return
 	}
 	value, ok := n.localValue(st, cs, e, blockWaiter{client: client, req: req, key: e.Rec.Key, version: e.Rec.Version})
@@ -498,7 +484,7 @@ func (n *Node) sendValueReply(st *mgState, cs *coordShard, e *store.Entry, clien
 		return
 	}
 	n.Metrics.Trace.Record(metrics.TraceGet, e.Rec.Key, uint32(st.info.ID), uint64(e.Rec.Version), uint8(proto.StOK), n.now, 0)
-	n.sendScratch(client, &proto.GetReply{Req: req, Status: proto.StOK, Version: e.Rec.Version, Value: value}, value)
+	n.sendScratch(client, proto.New(proto.GetReply{Req: req, Status: proto.StOK, Version: e.Rec.Version, Value: value}), value)
 }
 
 // localValue returns a copy of the bytes behind a committed, live
@@ -527,6 +513,9 @@ func (n *Node) localValue(st *mgState, cs *coordShard, e *store.Entry, w blockWa
 			cs.heap.ReadInto(buf, ext)
 			return buf, true
 		}
+	}
+	if w.move != nil {
+		w.move = ownMove(w.move)
 	}
 	want := n.wants.open(lost)
 	want.parked = append(want.parked, w)
@@ -561,8 +550,8 @@ func (n *Node) handleAck(from string, mgID proto.MemgestID, shard uint32, seq pr
 	if !reached {
 		return
 	}
-	pc := cs.pending[seq]
-	if pc == nil {
+	pc, ok := cs.pending[seq]
+	if !ok {
 		return
 	}
 	delete(cs.pending, seq)

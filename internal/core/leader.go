@@ -33,14 +33,14 @@ func (n *Node) leaderTick() {
 	// simple, so evict the first silent node there is a change to make
 	// for (with no spare left a dead role-holder keeps its slots, and
 	// must not hide the silent nodes after it).
-	for _, id := range n.cfg.AllNodes() {
+	for _, id := range n.members {
 		if id != n.id && n.now-n.lastAck[id] > n.opts.FailAfter && n.propose(evict(id), proto.NilNode, noReply) {
 			break
 		}
 	}
-	for _, id := range n.cfg.AllNodes() {
+	for _, id := range n.members {
 		if id != n.id {
-			n.sendNode(id, &proto.Heartbeat{Epoch: n.cfg.Epoch})
+			n.sendNode(id, proto.New(proto.Heartbeat{Epoch: n.cfg.Epoch}))
 		}
 	}
 }
@@ -86,7 +86,7 @@ func (n *Node) handleHeartbeat(from string, m *proto.Heartbeat) {
 	n.lastHeartbeat = n.now
 	// The ack says what this node has installed, not what it was sent:
 	// a leader ahead of it re-pushes.
-	n.send(from, &proto.HeartbeatAck{Epoch: n.cfg.Epoch})
+	n.send(from, proto.New(proto.HeartbeatAck{Epoch: n.cfg.Epoch}))
 }
 
 // handleHeartbeatAck records a member's liveness and repairs a lost

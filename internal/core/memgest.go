@@ -48,7 +48,11 @@ type coordShard struct {
 	heap    *store.BlockHeap // SRS only
 	tracker *replog.Tracker
 	// pending maps in-flight sequences to their commit actions.
-	pending map[proto.Seq]*pendingCommit
+	pending map[proto.Seq]pendingCommit
+	// redundant are the nodes every write of the shard goes to: the
+	// memgest's parity nodes, or the shard's replica set. It is computed
+	// when a configuration installs, so a put does not.
+	redundant []proto.NodeID
 }
 
 // pendingCommit describes what to do when an in-flight entry reaches
@@ -118,6 +122,15 @@ func replicaSet(cfg *proto.Config, info *proto.MemgestInfo, shard uint32) []prot
 	return out
 }
 
+// redundancyOf returns the nodes that hold the redundancy of one shard
+// of a memgest: its parity nodes, or the shard's replica set.
+func redundancyOf(cfg *proto.Config, info *proto.MemgestInfo, shard uint32) []proto.NodeID {
+	if info.Scheme.Kind == proto.SchemeSRS {
+		return parityNodes(info)
+	}
+	return replicaSet(cfg, info, shard)
+}
+
 // parityNodes returns the parity nodes of an SRS memgest.
 func parityNodes(info *proto.MemgestInfo) []proto.NodeID {
 	return info.Redundant[:info.Scheme.M]
@@ -157,10 +170,11 @@ func (n *Node) newMgState(info proto.MemgestInfo) *mgState {
 // newCoordShard builds coordinator state for one shard of a memgest.
 func (n *Node) newCoordShard(st *mgState, shard uint32) *coordShard {
 	cs := &coordShard{
-		shard:   shard,
-		meta:    n.indexFor(shard).NewTable(),
-		tracker: replog.NewTracker(),
-		pending: make(map[proto.Seq]*pendingCommit),
+		shard:     shard,
+		meta:      n.indexFor(shard).NewTable(),
+		tracker:   replog.NewTracker(),
+		pending:   make(map[proto.Seq]pendingCommit),
+		redundant: redundancyOf(n.cfg, &st.info, shard),
 	}
 	if st.layout != nil {
 		lo, hi := st.layout.NodeBlocks(int(shard))
@@ -235,7 +249,7 @@ func rolesOf(cfg *proto.Config, id proto.NodeID) []role {
 // about whose shard it is.
 func (n *Node) installConfig(cfg *proto.Config) {
 	prev := n.cfg
-	n.cfg = cfg
+	n.cfg, n.members = cfg, cfg.AllNodes()
 	if cfg.Leader == n.id {
 		// Liveness is tracked for exactly the members. A node that left
 		// is forgotten; one just learned of, and every one at the start
@@ -243,7 +257,7 @@ func (n *Node) installConfig(cfg *proto.Config) {
 		// term or membership last heard.
 		led := prev != nil && prev.Leader == n.id
 		lastAck := make(map[proto.NodeID]time.Duration)
-		for _, id := range cfg.AllNodes() {
+		for _, id := range n.members {
 			lastAck[id] = n.now
 			if last, ok := n.lastAck[id]; ok && led {
 				lastAck[id] = last
@@ -277,6 +291,9 @@ func (n *Node) installConfig(cfg *proto.Config) {
 	for _, mi := range cfg.Memgests {
 		if st := n.mg[mi.ID]; st != nil {
 			st.info = mi
+			for shard, cs := range st.coord {
+				cs.redundant = redundancyOf(cfg, &st.info, shard)
+			}
 		} else {
 			n.mg[mi.ID] = n.newMgState(mi)
 		}

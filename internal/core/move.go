@@ -41,9 +41,10 @@ type moveKey struct {
 type moveState struct {
 	// client is the address the reply is owed to when the window closes
 	// (possibly a bulk-move internal address, see bulkMovePrefix); m is
-	// the request, kept so a replan can run it again from the top.
+	// a copy of the request, kept so a replan can run it again from the
+	// top.
 	client string
-	m      *proto.Move
+	m      proto.Move
 	// newVer is the version the destination write is in flight under.
 	newVer proto.Version
 	// parked holds client writes that arrived inside the window, in
@@ -79,19 +80,36 @@ type bulkMove struct {
 // move window. It reports whether the write was parked; a parked write
 // replays when the window closes. This is the retention site of every
 // parked op, whichever path it replays through (closeMove, replanMoves,
-// a re-park by redispatchParked): a put's value is a view into a packet
-// that is recycled long before the window closes, so the parked put
-// owns a copy. Deletes and moves carry no bytes.
+// a re-park by redispatchParked): the runner recycles the message when
+// its handler returns and the packet a put's value is a view into long
+// before the window closes, so the window keeps a copy of the message
+// and of the value.
 func (n *Node) parkOnMove(shard uint32, key, from string, msg proto.Message) bool {
 	mv := n.moving[moveKey{shard: shard, key: key}]
 	if mv == nil {
 		return false
 	}
-	if put, ok := msg.(*proto.Put); ok {
-		put.Value = bytes.Clone(put.Value)
+	switch m := msg.(type) {
+	case *proto.Put:
+		c := *m
+		c.Value = bytes.Clone(m.Value)
+		msg = &c
+	case *proto.Delete:
+		c := *m
+		msg = &c
+	case *proto.Move:
+		msg = ownMove(m)
 	}
 	mv.parked = append(mv.parked, parkedOp{from: from, msg: msg})
 	return true
+}
+
+// ownMove copies a move request that waits past its handler — on a
+// window, an uncommitted version or a want — since the runner recycles
+// the message it decoded once the handler returns.
+func ownMove(m *proto.Move) *proto.Move {
+	c := *m
+	return &c
 }
 
 // handleMove coordinates a client move.
@@ -134,7 +152,7 @@ func (n *Node) admitMove(from string, m *proto.Move) {
 		// The paper: "the move request will also be postponed if the
 		// requested object is not durable."
 		p := e.Park()
-		p.Moves = append(p.Moves, store.MoveWaiter{Client: from, Move: m})
+		p.Moves = append(p.Moves, store.MoveWaiter{Client: from, Move: ownMove(m)})
 		return
 	}
 	switch {
@@ -181,7 +199,7 @@ func (n *Node) startMove(client string, m *proto.Move, shard uint32, src store.V
 		return
 	}
 	mk := moveKey{shard: shard, key: m.Key}
-	mv := &moveState{client: client, m: m, newVer: newVer, started: n.now}
+	mv := &moveState{client: client, m: *m, newVer: newVer, started: n.now}
 	n.moving[mk] = mv
 	if !n.doWrite(client, m.Req, replyMove, shard, m.Key, value, m.Memgest, false) {
 		// The launch failed synchronously and the error reply is already
@@ -280,7 +298,7 @@ func (n *Node) bulkMoveDone(id string, s refusal) *bulkMove {
 	}
 	delete(n.bulkMoves, id)
 	if bm.failed != 0 {
-		n.send(bm.client, &proto.MoveReply{Req: bm.req, Status: proto.Status(bm.failed), Moved: bm.moved})
+		n.send(bm.client, proto.New(proto.MoveReply{Req: bm.req, Status: proto.Status(bm.failed), Moved: bm.moved}))
 		return nil
 	}
 	return bm
@@ -300,7 +318,7 @@ func (n *Node) abortMoveWrite(mk moveKey, mv *moveState) {
 				delete(cs.pending, e.Seq)
 				cs.tracker.Cancel(e.Seq)
 				for _, w := range e.TakeParked().Gets {
-					n.send(w.Client, &proto.GetReply{Req: w.Req, Status: proto.StRetry})
+					n.send(w.Client, proto.New(proto.GetReply{Req: w.Req, Status: proto.StRetry}))
 				}
 				n.purgeVersion(mk.shard, mk.key, store.VersionRef{Version: mv.newVer, Memgest: dst})
 			}
@@ -373,7 +391,7 @@ func (n *Node) replanMoves() {
 			n.abortMoveWrite(mk, mv)
 		} // else the shard moved to another coordinator along with all its state
 		delete(n.moving, mk)
-		n.admitMove(mv.client, mv.m)
+		n.admitMove(mv.client, &mv.m)
 		// The relaunch may have opened a fresh window for the key: carry
 		// the parked writes over (they arrived first, they stay first).
 		// Otherwise it settled synchronously and they replay now.

@@ -111,6 +111,8 @@ type Node struct {
 	opts Options
 
 	cfg *proto.Config
+	// members is cfg.AllNodes(), which the leader's every tick walks.
+	members []proto.NodeID
 
 	// idx is the volatile hashtable of each shard this node holds a role
 	// in: the one index behind the shard's table of every memgest.

@@ -37,9 +37,11 @@ func (p *peer) next(want func(proto.Message) bool) proto.Message {
 				return m
 			}
 		}
-		pkt, err := p.ep.Recv()
-		if err != nil {
-			p.t.Fatal(err)
+		var pkt transport.Packet
+		select {
+		case pkt = <-p.ep.(transport.ChanReceiver).RecvChan():
+		case <-time.After(10 * time.Second):
+			p.t.Fatal("no message in 10 s: the node dropped or misdirected one")
 		}
 		// The packet is never released, so the decoded views stay valid.
 		if err := proto.ForEachPacked(pkt.Payload, func(enc []byte) error {
@@ -59,14 +61,21 @@ func (p *peer) nextAppend() *proto.RepAppend {
 	return p.next(func(m proto.Message) bool { _, ok := m.(*proto.RepAppend); return ok }).(*proto.RepAppend)
 }
 
-// TestParkedPutOwnsItsValue pins the ownership rule at the park site: a
-// put that parks on an open move window outlives the packet it arrived
-// in, so it must own a copy of its value. The runner recycles the
-// packet (and, under PoisonPayloads, overwrites it with 0xDB) as soon
-// as the parking handler returns; when the window closes the replayed
-// put must still carry the client's bytes. Remove the copy in
-// parkOnMove and the replica below receives 16 KiB of 0xDB.
-func TestParkedPutOwnsItsValue(t *testing.T) {
+// handHeld is node 0 of a one-shard cluster of two Rep(2,1) memgests,
+// running under a real runner, with its client and its one replica,
+// node 1, played by the test. No timer traffic: every packet below is
+// caused by the test, which decides exactly when each ack arrives.
+type handHeld struct {
+	t               *testing.T
+	cfg             *proto.Config
+	r               *Runner
+	client, replica *peer
+}
+
+const coord0 = "node/0"
+
+func newHandHeld(t *testing.T) *handHeld {
+	t.Helper()
 	if !PoisonPayloads {
 		t.Fatal("PoisonPayloads is off: TestMain must switch it on")
 	}
@@ -77,14 +86,12 @@ func TestParkedPutOwnsItsValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Node 0 is real; its one replica, node 1, is played by the test. No
-	// timer traffic: every packet below is caused by the test.
 	fabric := transport.NewMemFabric(0)
-	r, err := StartRunner(New(0, cfg, Options{HeartbeatEvery: time.Minute, FailAfter: 10 * time.Minute}), fabric, time.Minute)
+	r, err := StartRunner(New(0, cfg.Clone(), Options{HeartbeatEvery: time.Minute, FailAfter: 10 * time.Minute}), fabric, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Stop()
+	t.Cleanup(r.Stop)
 	register := func(addr string) *peer {
 		ep, err := fabric.Register(addr)
 		if err != nil {
@@ -93,68 +100,225 @@ func TestParkedPutOwnsItsValue(t *testing.T) {
 		t.Cleanup(func() { ep.Close() })
 		return &peer{t: t, ep: ep}
 	}
-	client, replica := register("client/t"), register(NodeAddr(1))
-	coord := NodeAddr(0)
-	ack := func(a *proto.RepAppend) {
-		replica.send(coord, &proto.RepAck{Memgest: a.Memgest, Shard: a.Shard, Seq: a.Seq})
-	}
-	isReply := func(m proto.Message) bool {
-		switch m.(type) {
-		case *proto.PutReply, *proto.MoveReply, *proto.GetReply:
-			return true
-		}
-		return false
-	}
+	return &handHeld{t: t, cfg: cfg, r: r, client: register("client/t"), replica: register(NodeAddr(1))}
+}
 
-	client.send(coord, &proto.Put{Req: 1, Key: "k", Value: []byte("v1"), Memgest: 1})
-	ack(replica.nextAppend())
-	if rep := client.next(isReply).(*proto.PutReply); rep.Status != proto.StOK {
-		t.Fatalf("put: %v", rep.Status)
+func (h *handHeld) send(m proto.Message) { h.client.send(coord0, m) }
+
+func (h *handHeld) ack(a *proto.RepAppend) {
+	h.replica.send(coord0, &proto.RepAck{Memgest: a.Memgest, Shard: a.Shard, Seq: a.Seq})
+}
+
+// reply returns the client's next reply.
+func (h *handHeld) reply() proto.Reply {
+	h.t.Helper()
+	return h.client.next(func(m proto.Message) bool { _, ok := m.(proto.Reply); return ok }).(proto.Reply)
+}
+
+// expect fails unless the client's next reply answers req with StOK.
+func (h *handHeld) expect(req proto.ReqID) proto.Reply {
+	h.t.Helper()
+	rep := h.reply()
+	if rep.Request() != req || rep.Result() != proto.StOK {
+		h.t.Fatalf("reply %T answers request %#x with %v, want %d with OK", rep, rep.Request(), rep.Result(), req)
 	}
+	return rep
+}
+
+// put commits key's next version in memgest 1.
+func (h *handHeld) put(req proto.ReqID, key string, val []byte) {
+	h.t.Helper()
+	h.send(&proto.Put{Req: req, Key: key, Value: val, Memgest: 1})
+	h.ack(h.replica.nextAppend())
+	h.expect(req)
+}
+
+// behind sends a put of another key and waits for its append: the
+// runner handles packets in order, so everything sent before it has been
+// handled and its message given back (and poisoned). Its own append is
+// never acked.
+func (h *handHeld) behind() {
+	h.t.Helper()
+	h.send(&proto.Put{Req: 99, Key: "marker", Value: []byte("m"), Memgest: 1})
+	if a := h.replica.nextAppend(); a.Rec.Key != "marker" {
+		h.t.Fatalf("append for %q before the marker's", a.Rec.Key)
+	}
+}
+
+// parked counts the ops parked on open move windows.
+func (h *handHeld) parked() (n int) {
+	h.r.Inspect(func(node *Node) {
+		for _, mv := range node.moving {
+			n += len(mv.parked)
+		}
+	})
+	return n
+}
+
+// TestParkedPutOwnsItsValue pins the ownership rule at the park site: a
+// put that parks on an open move window outlives the packet it arrived
+// in, so it must own a copy of its value. The runner recycles the
+// packet (and, under PoisonPayloads, overwrites it with 0xDB) as soon
+// as the parking handler returns; when the window closes the replayed
+// put must still carry the client's bytes. Remove the copy in
+// parkOnMove and the replica below receives 16 KiB of 0xDB.
+func TestParkedPutOwnsItsValue(t *testing.T) {
+	h := newHandHeld(t)
+	h.put(1, "k", []byte("v1"))
 
 	// Open the window and hold it: the destination append stays unacked.
-	client.send(coord, &proto.Move{Req: 2, Key: "k", Memgest: 2})
-	moveAppend := replica.nextAppend()
+	h.send(&proto.Move{Req: 2, Key: "k", Memgest: 2})
+	moveAppend := h.replica.nextAppend()
 	if moveAppend.Memgest != 2 {
 		t.Fatalf("move's destination append went to memgest %d", moveAppend.Memgest)
 	}
 
-	// The put parks. The runner handles packets in order, so once the
-	// marker put behind it has reached the replica, the parked put's
-	// packet has been consumed and recycled.
+	// The put parks, and its packet is consumed and recycled.
 	val := bytes.Repeat([]byte("park"), 4<<10)
-	client.send(coord, &proto.Put{Req: 3, Key: "k", Value: val, Memgest: 1})
-	client.send(coord, &proto.Put{Req: 4, Key: "marker", Value: []byte("m"), Memgest: 1})
-	if a := replica.nextAppend(); a.Rec.Key != "marker" {
-		t.Fatalf("append for %q while the put should be parked", a.Rec.Key)
-	}
-	var parked int
-	r.Inspect(func(n *Node) {
-		for _, mv := range n.moving {
-			parked += len(mv.parked)
-		}
-	})
-	if parked != 1 {
-		t.Fatalf("%d ops parked on the window, want 1", parked)
+	h.send(&proto.Put{Req: 3, Key: "k", Value: val, Memgest: 1})
+	h.behind()
+	if n := h.parked(); n != 1 {
+		t.Fatalf("%d ops parked on the window, want 1", n)
 	}
 
 	// Close the window: the move commits and the parked put replays.
-	ack(moveAppend)
-	if rep := client.next(isReply).(*proto.MoveReply); rep.Status != proto.StOK {
-		t.Fatalf("move: %v", rep.Status)
-	}
-	replayed := replica.nextAppend()
+	h.ack(moveAppend)
+	h.expect(2)
+	replayed := h.replica.nextAppend()
 	if replayed.Rec.Key != "k" || !bytes.Equal(replayed.Value, val) {
 		t.Fatalf("replayed put carries %d bytes starting %x, want the client's %d bytes of %q",
 			len(replayed.Value), replayed.Value[:min(8, len(replayed.Value))], len(val), val[:4])
 	}
-	ack(replayed)
-	if rep := client.next(isReply).(*proto.PutReply); rep.Req != 3 || rep.Status != proto.StOK {
-		t.Fatalf("replayed put: %+v", rep)
+	h.ack(replayed)
+	h.expect(3)
+	h.send(&proto.Get{Req: 5, Key: "k"})
+	if rep := h.expect(5).(*proto.GetReply); !bytes.Equal(rep.Value, val) {
+		t.Fatalf("get after replay: %d bytes", len(rep.Value))
 	}
-	client.send(coord, &proto.Get{Req: 5, Key: "k"})
-	if rep := client.next(isReply).(*proto.GetReply); rep.Status != proto.StOK || !bytes.Equal(rep.Value, val) {
-		t.Fatalf("get after replay: %v, %d bytes", rep.Status, len(rep.Value))
+}
+
+// TestParkedOpsOwnTheirMessages extends the rule from a parked put's
+// bytes to the message itself: the runner gives a decoded message back
+// to its free list (and, under PoisonPayloads, overwrites it with junk)
+// once its handler returns, so a put, a delete and a move that park on a
+// held-open window each park a copy. Park the message parkOnMove was
+// handed instead and the replay answers request 0xffffffffffffffff, or
+// runs the marker put that reused the struct.
+func TestParkedOpsOwnTheirMessages(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   proto.Message
+		// dst is the memgest the replayed op's append goes to.
+		dst proto.MemgestID
+	}{
+		{"put", &proto.Put{Req: 3, Key: "k", Value: []byte("v2"), Memgest: 1}, 1},
+		{"delete", &proto.Delete{Req: 3, Key: "k"}, 2},
+		{"move", &proto.Move{Req: 3, Key: "k", Memgest: 1}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHandHeld(t)
+			h.put(1, "k", []byte("v1"))
+			h.send(&proto.Move{Req: 2, Key: "k", Memgest: 2})
+			window := h.replica.nextAppend()
+			h.send(tc.op)
+			h.behind()
+			if n := h.parked(); n != 1 {
+				t.Fatalf("%d ops parked on the window, want 1", n)
+			}
+			h.ack(window)
+			h.expect(2)
+			a := h.replica.nextAppend()
+			if a.Rec.Key != "k" || a.Memgest != tc.dst {
+				t.Fatalf("the replayed %s appends %q to memgest %d, want \"k\" to %d", tc.name, a.Rec.Key, a.Memgest, tc.dst)
+			}
+			h.ack(a)
+			h.expect(3)
+		})
+	}
+}
+
+// TestWindowKeepsItsMove pins the copy of the request a window keeps:
+// a configuration change replans every open window, running its move
+// again from the top (replanMoves). Keep the decoded message in the
+// window instead of a copy and the replan runs the junk the runner
+// wrote over it.
+func TestWindowKeepsItsMove(t *testing.T) {
+	h := newHandHeld(t)
+	h.put(1, "k", []byte("v1"))
+	h.send(&proto.Move{Req: 2, Key: "k", Memgest: 2})
+	h.replica.nextAppend() // the first launch, aborted by the replan
+	h.behind()
+	next := h.cfg.Clone()
+	next.Epoch++
+	h.replica.send(coord0, &proto.ConfigPush{Config: next})
+	relaunch := h.replica.nextAppend()
+	if relaunch.Rec.Key != "k" || relaunch.Memgest != 2 {
+		t.Fatalf("the replanned move appends %q to memgest %d, want \"k\" to 2", relaunch.Rec.Key, relaunch.Memgest)
+	}
+	h.ack(relaunch)
+	h.expect(2)
+}
+
+// TestMoveParkedOnUncommittedVersion pins the copy store.MoveWaiter
+// keeps: a move of a key whose newest version has not committed waits
+// on that version ("postponed if the requested object is not durable")
+// and runs when it commits, long after its message went back to the
+// free list.
+func TestMoveParkedOnUncommittedVersion(t *testing.T) {
+	h := newHandHeld(t)
+	h.send(&proto.Put{Req: 1, Key: "k", Value: []byte("v1"), Memgest: 1})
+	v1 := h.replica.nextAppend() // held: version 1 stays uncommitted
+	h.send(&proto.Move{Req: 2, Key: "k", Memgest: 2})
+	h.behind()
+	h.ack(v1)
+	h.expect(1)
+	a := h.replica.nextAppend()
+	if a.Rec.Key != "k" || a.Memgest != 2 {
+		t.Fatalf("the parked move appends %q to memgest %d, want \"k\" to 2", a.Rec.Key, a.Memgest)
+	}
+	h.ack(a)
+	h.expect(2)
+}
+
+// TestMoveParkedOnWant pins the copy blockWaiter keeps: a move whose
+// source value this coordinator lacks (a failover took it, and recovery
+// has not fetched it back) waits on the want for it and runs once the
+// value arrives.
+func TestMoveParkedOnWant(t *testing.T) {
+	h := newHandHeld(t)
+	val := []byte("the value")
+	h.put(1, "k", val)
+	h.r.Inspect(func(n *Node) { // lose the coordinator's copy
+		t := n.mg[1].coord[0].meta
+		t.Hold(t.Get("k", 1), nil)
+	})
+	h.send(&proto.Move{Req: 2, Key: "k", Memgest: 2})
+	fetch := h.replica.next(func(m proto.Message) bool { _, ok := m.(*proto.Fetch); return ok }).(*proto.Fetch)
+	h.behind()
+	h.replica.send(coord0, &proto.FetchReply{Req: fetch.Req, Status: proto.StOK, Data: val})
+	a := h.replica.nextAppend()
+	if a.Rec.Key != "k" || a.Memgest != 2 || !bytes.Equal(a.Value, val) {
+		t.Fatalf("the parked move appends %q to memgest %d with %q, want \"k\" to 2 with %q", a.Rec.Key, a.Memgest, a.Value, val)
+	}
+	h.ack(a)
+	h.expect(2)
+}
+
+// TestPrefixMoveKeepsItsRequest pins the copy a bulk move keeps: the
+// aggregated reply leaves when the last key's move commits, after the
+// request went back to the free list, so the bulk move holds the
+// client and the request id, not the message.
+func TestPrefixMoveKeepsItsRequest(t *testing.T) {
+	h := newHandHeld(t)
+	h.put(1, "p1", []byte("one"))
+	h.put(2, "p2", []byte("two"))
+	h.send(&proto.Move{Req: 3, Key: "p", Memgest: 2, Prefix: true})
+	first, second := h.replica.nextAppend(), h.replica.nextAppend()
+	h.behind()
+	h.ack(first)
+	h.ack(second)
+	if rep := h.expect(3).(*proto.MoveReply); rep.Moved != 2 {
+		t.Fatalf("the prefix move reports %d keys moved, want 2", rep.Moved)
 	}
 }
 

@@ -279,7 +279,7 @@ func (n *Node) closeWant(w *want) {
 		} else {
 			// The version was purged while the get waited (a newer one
 			// committed): the client asks again and gets that one.
-			n.send(pw.client, &proto.GetReply{Req: pw.req, Status: proto.StRetry})
+			n.send(pw.client, proto.New(proto.GetReply{Req: pw.req, Status: proto.StRetry}))
 		}
 	}
 }
@@ -300,7 +300,7 @@ func (n *Node) forgetWants(r role) {
 			if pw.move != nil {
 				n.refuse(pw.client, pw.move.Req, replyMove, refRetry)
 			} else {
-				n.send(pw.client, &proto.GetReply{Req: pw.req, Status: proto.StRetry})
+				n.send(pw.client, proto.New(proto.GetReply{Req: pw.req, Status: proto.StRetry}))
 			}
 		}
 	}

@@ -36,9 +36,9 @@ func (st *mgState) rseqFor(shard uint32) map[proto.Seq]store.EntryKey {
 // persistAppend returned — a redundancy node acks what it has logged.
 func (n *Node) ackAppend(to string, l logged) {
 	if l.st.info.Scheme.Kind == proto.SchemeSRS {
-		n.send(to, &proto.ParityAck{Memgest: l.st.info.ID, Shard: l.shard, Seq: l.seq})
+		n.send(to, proto.New(proto.ParityAck{Memgest: l.st.info.ID, Shard: l.shard, Seq: l.seq}))
 	} else {
-		n.send(to, &proto.RepAck{Memgest: l.st.info.ID, Shard: l.shard, Seq: l.seq})
+		n.send(to, proto.New(proto.RepAck{Memgest: l.st.info.ID, Shard: l.shard, Seq: l.seq}))
 	}
 }
 
@@ -52,9 +52,10 @@ func (n *Node) handleRepAppend(from string, m *proto.RepAppend) {
 	}
 	// Retention site: the replica keeps the value past this handler, and
 	// m.Value is a view into a packet the runner recycles — its one copy.
+	// So is m.Rec.Key: what outlives the handler names the table's key.
 	e := rt.Put(&store.Entry{Rec: m.Rec, Seq: m.Seq})
 	rt.Hold(e, m.Value)
-	st.rseqFor(m.Shard)[m.Seq] = store.EntryKey{Key: m.Rec.Key, Version: m.Rec.Version}
+	st.rseqFor(m.Shard)[m.Seq] = store.EntryKey{Key: e.Rec.Key, Version: e.Rec.Version}
 	n.ackAppend(from, n.persistAppend(st, m.Shard, e))
 }
 
@@ -71,7 +72,7 @@ func (n *Node) handleParityUpdate(from string, m *proto.ParityUpdate) {
 		n.Stats.BytesParityXor += uint64(len(m.Delta))
 	}
 	e := rt.Put(&store.Entry{Rec: m.Rec, Seq: m.Seq})
-	st.rseqFor(m.Shard)[m.Seq] = store.EntryKey{Key: m.Rec.Key, Version: m.Rec.Version}
+	st.rseqFor(m.Shard)[m.Seq] = store.EntryKey{Key: e.Rec.Key, Version: e.Rec.Version}
 	n.ackAppend(from, n.persistAppend(st, m.Shard, e))
 }
 

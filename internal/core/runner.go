@@ -15,12 +15,25 @@ import (
 )
 
 // PoisonPayloads makes every runner overwrite a consumed packet with
-// 0xDB before recycling it. It is a test switch, set (in TestMain,
-// before any runner starts) by every package whose tests drive a
-// Cluster: a handler that kept a view into a packet past its return
-// then reads 0xDB the first time it looks, instead of whatever a later
-// packet happens to put there under production timing.
+// 0xDB before recycling it, and a message it gives back with junk
+// (proto.Poison). It is a test switch, set (in TestMain, before any
+// runner starts) by every package whose tests drive a Cluster: a
+// handler that kept a view into a packet, or a pointer to a message,
+// past its return then reads junk the first time it looks, instead of
+// whatever a later packet or message happens to put there under
+// production timing.
 var PoisonPayloads bool
+
+// release ends the life of a message the runner decoded or encoded: it
+// goes back to its type's free list (proto.Release).
+//
+//ring:hotpath
+func release(m proto.Message) {
+	if PoisonPayloads {
+		proto.Poison(m)
+	}
+	proto.Release(m)
+}
 
 // RunnerGoroutines counts live runner event-loop goroutines
 // process-wide, one per hosted node. With memgest-group sharding a
@@ -157,6 +170,9 @@ func (r *Runner) drain(p transport.Packet) bool {
 				return nil // drop malformed messages
 			}
 			r.node.HandleMessage(now, p.From, msg)
+			// The handler has returned, and a handler copies what it
+			// keeps of a message: the struct goes back to its free list.
+			release(msg)
 			return nil
 		})
 		// Every handler of every message in the packet has returned,
@@ -218,10 +234,10 @@ func (r *Runner) endBatch() bool {
 // of posting back-to-back verbs with a single doorbell. Message order
 // per destination is preserved. Each packet is encoded into a pooled
 // buffer sized for it up front, so encoding never regrows one, and the
-// pooled payload buffers of its messages (Out.Scratch) go back to the
-// pool the moment the packet holds their bytes. Entries are cleared as
-// they are sent so the node's buffer and the scratch slices do not pin
-// messages.
+// pooled payload buffers of its messages (Out.Scratch) and the messages
+// themselves go back to their pools the moment the packet holds their
+// bytes. Entries are cleared as they are sent so the node's buffer and
+// the scratch slices do not pin messages.
 //
 //ring:hotpath
 func (r *Runner) flush(outs []Out) {
@@ -246,6 +262,9 @@ func (r *Runner) flush(outs []Out) {
 		buf := proto.AppendBatch(transport.AcquireBufSize(size), r.group...)
 		for _, b := range r.payloads {
 			transport.ReleaseBuf(b)
+		}
+		for _, m := range r.group {
+			release(m)
 		}
 		r.node.Metrics.MsgsOut.Add(uint64(len(r.group)))
 		r.node.Metrics.PacketsOut.Inc()

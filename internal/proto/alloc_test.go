@@ -76,6 +76,41 @@ func TestDecodeAllocs(t *testing.T) {
 	}
 }
 
+// TestReleasedMessagesAreReused pins the free lists: a message decoded
+// or built with New and then released — a node's runner's loop — costs
+// nothing but the strings Decode copies out (a Put's key); the struct
+// is the one given back.
+func TestReleasedMessagesAreReused(t *testing.T) {
+	rec := MetaRecord{Key: "bench-key", Version: 3, Memgest: 2, Length: 1024}
+	for _, tc := range []struct {
+		name string
+		m    Message
+		max  float64
+	}{
+		{"Put1KiB", &Put{Req: 1, Key: "bench-key", Value: make([]byte, 1024), Memgest: 2}, 1},
+		{"Get", &Get{Req: 1, Key: "bench-key"}, 0},
+		{"RepAppend1KiB", &RepAppend{Memgest: 2, Shard: 1, Seq: 9, Rec: rec, Value: make([]byte, 1024)}, 0},
+		{"Purge", &Purge{Memgest: 2, Shard: 1, Key: "bench-key", Version: 2}, 0},
+		{"RepAck", &RepAck{Memgest: 2, Shard: 1, Seq: 9}, 0},
+		{"GetReply1KiB", &GetReply{Req: 1, Status: StOK, Version: 3, Value: make([]byte, 1024)}, 0},
+	} {
+		enc := Encode(tc.m)
+		allocs := testing.AllocsPerRun(100, func() {
+			m, err := Decode(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			Release(m)
+		})
+		if allocs > tc.max {
+			t.Errorf("Decode and Release of %s: %.1f allocs/op, want <= %.0f", tc.name, allocs, tc.max)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Release(New(PutReply{Req: 1, Version: 3})) }); allocs != 0 {
+		t.Errorf("New and Release of a PutReply: %.1f allocs/op, want 0", allocs)
+	}
+}
+
 func TestEncodeDecodeRoundTripAllocs(t *testing.T) {
 	// The full round trip a live put pays per hop: encode into a warm
 	// buffer, then decode. Pinned so the end-to-end message cost stays

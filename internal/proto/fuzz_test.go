@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -12,6 +13,12 @@ import (
 // drifted (a field read but not written, or written twice):
 // TestWireTable pairs a tag with its type, the fuzzer guards the
 // byte-level contract between that type's two methods.
+//
+// It also pins the reuse Decode makes of a given-back message: every
+// message must decode into a struct that held another — the previous
+// message of its type in the packet, and one poisoned in every field —
+// exactly as it decodes fresh, so no field of the message before
+// survives (an optional tail it had and this one lacks, above all).
 func FuzzWireRoundTrip(f *testing.F) {
 	seeds := []Message{
 		&Put{Req: 7, Key: "k", Value: []byte("v"), Memgest: 3},
@@ -47,23 +54,48 @@ func FuzzWireRoundTrip(f *testing.F) {
 	// A TBatch whose count of three exceeds the bytes after it.
 	f.Add([]byte{byte(TBatch), 3, 2, byte(THeartbeat), 1})
 
+	// Each optional tail, then the same message without it.
+	f.Add(AppendBatch(nil,
+		&Move{Req: 17, Key: "user:", Memgest: 3, From: 1, Prefix: true}, &Move{Req: 18, Key: "k", Memgest: 2},
+		&MoveReply{Req: 17, Status: StOK, Moved: 7}, &MoveReply{Req: 18, Status: StOK, Version: 3},
+		&ReconfigReply{Req: 19, Status: StOK, Epoch: 6, Memgest: 8}, &ReconfigReply{Req: 20, Status: StRetry},
+		&Reconfig{Req: 21, Op: ReconfigCreate, Scheme: SRS(3, 2, 3)}, &Reconfig{Req: 22, Op: ReconfigJoin, Node: 7},
+	))
+
 	f.Fuzz(func(t *testing.T, pkt []byte) {
 		// ForEachPacked must never panic on arbitrary input, and every
 		// sub-message it yields goes through the round-trip check.
+		var prev [tEnd]Message
 		_ = ForEachPacked(pkt, func(enc []byte) error {
-			checkRoundTrip(t, enc)
+			checkRoundTrip(t, enc, &prev)
 			return nil
 		})
-		checkRoundTrip(t, pkt)
+		checkRoundTrip(t, pkt, new([tEnd]Message))
 	})
 }
 
-func checkRoundTrip(t *testing.T, pkt []byte) {
+// checkRoundTrip checks the fixed point on one message, and that it
+// decodes into a struct that held the last message of its type in prev,
+// and into a poisoned one, as it decodes fresh; it leaves its own
+// struct in prev.
+func checkRoundTrip(t *testing.T, pkt []byte, prev *[tEnd]Message) {
 	t.Helper()
 	m1, err := Decode(pkt)
 	if err != nil {
 		return // malformed input is fine; it just must not panic
 	}
+	tag := m1.Type()
+	poisoned := wire[tag].make()
+	Poison(poisoned)
+	for _, reused := range []Message{prev[tag], poisoned} {
+		if reused == nil {
+			continue
+		}
+		if err := reused.decode(reader{b: pkt[1:]}); err != nil || !reflect.DeepEqual(reused, m1) {
+			t.Fatalf("%T decoded into a used struct is %+v (%v), fresh %+v", m1, reused, err, m1)
+		}
+	}
+	prev[tag] = m1
 	enc1 := Encode(m1)
 	m2, err := Decode(enc1)
 	if err != nil {

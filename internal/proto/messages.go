@@ -2,6 +2,7 @@ package proto
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -52,29 +53,32 @@ const (
 // acknowledgement. A tag listed twice does not compile, and neither
 // does a type without Type, encode or decode; TestWireTable fails on a
 // tag without a row, a row whose message answers Type() with another
-// tag, and a tag two types claim. Decode and IsAck are read off it.
+// tag, and a tag two types claim. Decode and IsAck are read off it, and
+// free marks the types a node recycles (see Release): the ones every
+// client operation decodes or sends, and the heartbeats of every tick.
 var wire = [tEnd]struct {
 	make func() Message
 	ack  bool
+	free bool
 }{
-	TPut:            {make: func() Message { return new(Put) }},
-	TPutReply:       {make: func() Message { return new(PutReply) }, ack: true},
-	TGet:            {make: func() Message { return new(Get) }},
-	TGetReply:       {make: func() Message { return new(GetReply) }, ack: true},
-	TDelete:         {make: func() Message { return new(Delete) }},
-	TDeleteReply:    {make: func() Message { return new(DeleteReply) }, ack: true},
-	TMove:           {make: func() Message { return new(Move) }},
-	TMoveReply:      {make: func() Message { return new(MoveReply) }, ack: true},
+	TPut:            {make: func() Message { return new(Put) }, free: true},
+	TPutReply:       {make: func() Message { return new(PutReply) }, ack: true, free: true},
+	TGet:            {make: func() Message { return new(Get) }, free: true},
+	TGetReply:       {make: func() Message { return new(GetReply) }, ack: true, free: true},
+	TDelete:         {make: func() Message { return new(Delete) }, free: true},
+	TDeleteReply:    {make: func() Message { return new(DeleteReply) }, ack: true, free: true},
+	TMove:           {make: func() Message { return new(Move) }, free: true},
+	TMoveReply:      {make: func() Message { return new(MoveReply) }, ack: true, free: true},
 	TResolve:        {make: func() Message { return new(Resolve) }},
 	TResolveReply:   {make: func() Message { return new(ResolveReply) }, ack: true},
-	TRepAppend:      {make: func() Message { return new(RepAppend) }},
-	TRepAck:         {make: func() Message { return new(RepAck) }, ack: true},
-	TRepCommit:      {make: func() Message { return new(RepCommit) }},
-	TParityUpdate:   {make: func() Message { return new(ParityUpdate) }},
-	TParityAck:      {make: func() Message { return new(ParityAck) }, ack: true},
-	TPurge:          {make: func() Message { return new(Purge) }},
-	THeartbeat:      {make: func() Message { return new(Heartbeat) }},
-	THeartbeatAck:   {make: func() Message { return new(HeartbeatAck) }, ack: true},
+	TRepAppend:      {make: func() Message { return new(RepAppend) }, free: true},
+	TRepAck:         {make: func() Message { return new(RepAck) }, ack: true, free: true},
+	TRepCommit:      {make: func() Message { return new(RepCommit) }, free: true},
+	TParityUpdate:   {make: func() Message { return new(ParityUpdate) }, free: true},
+	TParityAck:      {make: func() Message { return new(ParityAck) }, ack: true, free: true},
+	TPurge:          {make: func() Message { return new(Purge) }, free: true},
+	THeartbeat:      {make: func() Message { return new(Heartbeat) }, free: true},
+	THeartbeatAck:   {make: func() Message { return new(HeartbeatAck) }, ack: true, free: true},
 	TConfigPush:     {make: func() Message { return new(ConfigPush) }},
 	TConfigAck:      {make: func() Message { return new(ConfigAck) }, ack: true},
 	TMetaFetch:      {make: func() Message { return new(MetaFetch) }},
@@ -206,8 +210,9 @@ func AppendEncode(buf []byte, m Message) []byte {
 	return buf
 }
 
-// Decode parses an envelope produced by Encode. The []byte fields of
-// the returned message alias buf (see the package doc).
+// Decode parses an envelope produced by Encode into a message taken
+// from its type's free list. The []byte fields of the returned message
+// alias buf (see the package doc).
 //
 //ring:hotpath
 func Decode(buf []byte) (Message, error) {
@@ -218,8 +223,9 @@ func Decode(buf []byte) (Message, error) {
 	if t >= tEnd || wire[t].make == nil {
 		return nil, errUnknownType(buf[0])
 	}
-	m := wire[t].make()
+	m := alloc(t)
 	if err := m.decode(reader{b: buf[1:]}); err != nil {
+		Release(m)
 		return nil, err
 	}
 	return m, nil
@@ -305,7 +311,7 @@ func (m *Get) encode(w *writer) {
 	w.u64(uint64(m.Version))
 }
 func (m *Get) decode(r reader) error {
-	*m = Get{Req: ReqID(r.u64()), Key: r.str(), Version: Version(r.u64())}
+	*m = Get{Req: ReqID(r.u64()), Key: r.view(), Version: Version(r.u64())}
 	return r.done()
 }
 
@@ -588,7 +594,7 @@ func (m *Purge) encode(w *writer) {
 	w.u64(uint64(m.Version))
 }
 func (m *Purge) decode(r reader) error {
-	*m = Purge{Memgest: MemgestID(r.u32()), Shard: r.u32(), Key: r.str(), Version: Version(r.u64())}
+	*m = Purge{Memgest: MemgestID(r.u32()), Shard: r.u32(), Key: r.view(), Version: Version(r.u64())}
 	return r.done()
 }
 
@@ -735,7 +741,10 @@ func (m *MetaFetchReply) decode(r reader) error {
 	}
 	m.Recs = make([]MetaRecord, n)
 	for i := range m.Recs {
+		// Recovery keeps these records past the packet: their keys are
+		// copies.
 		m.Recs[i] = r.metaRecord()
+		m.Recs[i].Key = strings.Clone(m.Recs[i].Key)
 	}
 	return r.done()
 }

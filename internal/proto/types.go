@@ -351,9 +351,12 @@ func (w *writer) metaRecord(m *MetaRecord) {
 	w.u32(m.LocOff)
 }
 
+// metaRecord reads a record whose Key is a view into the input, like
+// the payload beside it: what keeps a record keeps the key of the table
+// it went into.
 func (r *reader) metaRecord() MetaRecord {
 	return MetaRecord{
-		Key:       r.str(),
+		Key:       r.view(),
 		Version:   Version(r.u64()),
 		Memgest:   MemgestID(r.u32()),
 		Committed: r.bool(),

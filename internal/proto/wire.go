@@ -22,11 +22,22 @@
 // Decoding does not copy payloads: every []byte field of a decoded
 // message (Put.Value, RepAppend.Value, ParityUpdate.Delta, GetReply.Value,
 // the recovery replies' Value/Data) is a view into the buffer handed
-// to Decode and is valid only as long as that buffer is. Whoever
-// recycles the buffer owns the rule that goes with it: a consumer that
-// keeps such bytes past the buffer's release copies them first (see
-// the transport package's "Payload ownership"). Strings and all
-// integer fields are copied out as before.
+// to Decode and is valid only as long as that buffer is. So are the
+// keys of a Get, a Purge and a shipped MetaRecord (RepAppend,
+// ParityUpdate): their handlers keep nothing of them, or the copy the
+// metadata table made. Other strings and all integer fields are copied
+// out. Whoever recycles the buffer owns the rule that goes with it: a
+// consumer that keeps such bytes past the buffer's release copies them
+// first (see the transport package's "Payload ownership").
+//
+// A message lives as long as its buffer, or shorter. The types marked
+// free in the wire table (the ones every client operation decodes or
+// sends) come from per-type free lists: Decode and New take from them,
+// and Release gives a message back — a node's runner does so when the
+// handler of a decoded message returns and once a sent one is encoded.
+// Code that keeps a message longer keeps a copy, and a decoded message
+// is never sent on as it is. A client or the simulator, which never
+// release, just allocate.
 package proto
 
 import (
@@ -34,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // ErrTruncated is returned when a buffer ends before a complete value.
@@ -140,6 +152,16 @@ func (r *reader) bytes() []byte {
 }
 
 func (r *reader) str() string { return string(r.bytes()) }
+
+// view is str without the copy: a string over the input's bytes, valid
+// only as long as they are (see the package doc).
+func (r *reader) view() string {
+	b := r.bytes()
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
+}
 
 func (r *reader) done() error {
 	if r.err != nil {

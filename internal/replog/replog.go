@@ -12,6 +12,7 @@ package replog
 
 import (
 	"fmt"
+	"slices"
 
 	"ring/internal/proto"
 )
@@ -50,20 +51,38 @@ func Committed(recs ...*proto.MetaRecord) Quorum {
 func ChaosForgeQuorum() Quorum { return Quorum{held: true} }
 
 // Tracker allocates sequence numbers and counts acknowledgements until
-// each entry reaches its required quorum.
+// each entry reaches its required quorum. Entries are held by value, so
+// a write in flight costs the tracker no allocation of its own.
 type Tracker struct {
 	next    proto.Seq
-	pending map[proto.Seq]*entry
+	pending map[proto.Seq]entry
 }
 
+// entry is one write in flight: the acks it needs and the nodes that
+// sent one so far — in acks, and in more past the few a quorum of any
+// scheme in use needs.
 type entry struct {
-	need int
-	acks map[proto.NodeID]bool
+	need, n int
+	acks    [4]proto.NodeID
+	more    []proto.NodeID
+}
+
+func (e *entry) acked(id proto.NodeID) bool {
+	return slices.Contains(e.acks[:min(e.n, len(e.acks))], id) || slices.Contains(e.more, id)
+}
+
+func (e *entry) add(id proto.NodeID) {
+	if e.n < len(e.acks) {
+		e.acks[e.n] = id
+	} else {
+		e.more = append(e.more, id)
+	}
+	e.n++
 }
 
 // NewTracker creates a tracker whose first sequence is 1.
 func NewTracker() *Tracker {
-	return &Tracker{next: 1, pending: make(map[proto.Seq]*entry)}
+	return &Tracker{next: 1, pending: make(map[proto.Seq]entry)}
 }
 
 // Next allocates the next sequence number.
@@ -95,7 +114,7 @@ func (t *Tracker) Open(seq proto.Seq, need int) (Quorum, bool) {
 	if _, ok := t.pending[seq]; ok {
 		panic(fmt.Sprintf("replog: seq %d opened twice", seq))
 	}
-	t.pending[seq] = &entry{need: need, acks: make(map[proto.NodeID]bool)}
+	t.pending[seq] = entry{need: need}
 	return Quorum{}, false
 }
 
@@ -105,11 +124,11 @@ func (t *Tracker) Open(seq proto.Seq, need int) (Quorum, bool) {
 // complete, cancelled or never opened) sequences are ignored.
 func (t *Tracker) Ack(seq proto.Seq, from proto.NodeID) (Quorum, bool) {
 	e, ok := t.pending[seq]
-	if !ok || e.acks[from] {
+	if !ok || e.acked(from) {
 		return Quorum{}, false
 	}
-	e.acks[from] = true
-	if len(e.acks) < e.need {
+	if e.add(from); e.n < e.need {
+		t.pending[seq] = e
 		return Quorum{}, false
 	}
 	delete(t.pending, seq)

@@ -380,11 +380,16 @@ func TestAggregateProcessGauges(t *testing.T) {
 			"core.group.0.queue_depth": float64(2),
 			"core.group.1.queue_depth": int64(5), // as from an in-process snapshot
 			"transport.something":      "not a number",
+			"go.gc_cycles":             float64(1),
+			"go.alloc_bytes":           float64(1 << 20),
+			"go.alloc_objects":         float64(300),
 		}},
 		{Node: core.MetricsSnapshot{ConfigRepushes: 3}, Process: map[string]any{
 			"core.runner_goroutines":   int64(2),
 			"core.group.0.queue_depth": uint64(1),
 			"core.group.oops":          float64(9), // malformed name: ignored
+			"go.alloc_bytes":           uint64(4096),
+			"go.alloc_objects":         uint64(20),
 		}},
 	}
 	cs := Aggregate(nodes)
@@ -394,13 +399,18 @@ func TestAggregateProcessGauges(t *testing.T) {
 	if cs.GroupQueueDepth[0] != 3 || cs.GroupQueueDepth[1] != 5 || len(cs.GroupQueueDepth) != 2 {
 		t.Fatalf("GroupQueueDepth = %v, want {0:3 1:5}", cs.GroupQueueDepth)
 	}
+	// The Go heap's counters fold the same way: summed over processes.
+	if cs.GCCycles != 1 || cs.AllocBytes != 1<<20+4096 || cs.AllocObjects != 320 {
+		t.Fatalf("GCCycles, AllocBytes, AllocObjects = %d, %d, %d, want 1, %d, 320", cs.GCCycles, cs.AllocBytes, cs.AllocObjects, 1<<20+4096)
+	}
 
 	var buf bytes.Buffer
 	RenderStats(&buf, cs)
 	out := buf.String()
 	// A leader's configuration counters fold the same way: the nodes that
 	// have led each report their own.
-	for _, want := range []string{"runners: goroutines=5 group0_queue=3 group1_queue=5", "config: shards_moved=4 config_repushes=5"} {
+	for _, want := range []string{"runners: goroutines=5 group0_queue=3 group1_queue=5", "config: shards_moved=4 config_repushes=5",
+		" gc_cycles=1 alloc_bytes=1052672 alloc_objects=320 rss_anon="} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}

@@ -256,6 +256,11 @@ func (a *arena) occupy(c *chunk, p *byte, size int, owner *Entry) {
 		return
 	}
 	owner.slot, owner.at = p, uint32(len(c.owners))
+	if c.owners == nil {
+		// Room for a chunk of 1 KiB values at once: growing from one
+		// would leave six outgrown arrays behind per chunk.
+		c.owners = make([]*Entry, 0, chunkSize>>10)
+	}
 	c.owners = append(c.owners, owner)
 }
 

@@ -25,15 +25,18 @@
 // packet is consumed.
 //
 // Consumed means more than decoded: proto.Decode may alias the payload
-// (the byte fields of a decoded message are views into it), so a
-// packet is consumed only when every handler of every message it
-// carried has returned. The one rule: a handler that keeps bytes of a
-// message past its return copies them; everything else reads the
-// packet in place. AcquireBuf/AcquireBufSize/ReleaseBuf implement the
-// recycling: senders encode into acquired buffers, receivers release
-// consumed payloads, and the steady-state message path allocates
-// nothing. All are optional — any fresh slice may be sent, and
-// unreleased payloads are simply garbage collected.
+// (the byte fields of a decoded message, and the keys of some, are
+// views into it), so a packet is consumed only when every handler of
+// every message it carried has returned. The one rule: a handler that
+// keeps bytes of a message past its return copies them; everything else
+// reads the packet in place. A node's runner applies the same rule to
+// the message struct (proto.Release): it gives a decoded message back
+// when its handler returns and a sent one once it is encoded, so a
+// handler that keeps a message keeps a copy. AcquireBuf/AcquireBufSize/
+// ReleaseBuf implement the recycling: senders encode into acquired
+// buffers, receivers release consumed payloads, and the steady-state
+// message path allocates nothing. All are optional — any fresh slice
+// may be sent, and unreleased payloads are simply garbage collected.
 package transport
 
 import (
