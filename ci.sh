@@ -156,9 +156,12 @@ GOVULNCHECK_VERSION=v1.1.3
 # doc_refs fails on a dead reference in the documents a reader starts
 # from: a backticked Test*/Fuzz* name that no _test.go file defines (a
 # trailing * or a -run= in front makes it a prefix), a backticked
-# internal/... or cmd/... path that does not exist, or a backticked
+# internal/... or cmd/... path that does not exist, a backticked
 # composite literal Name{...} (a wire message, say) whose type no .go
-# file declares.
+# file declares, or a backticked name ending in Reply or Ack (a pkg.
+# in front and a .Field after allowed) that no .go file declares as a
+# type, constant, struct field, function or method: a deleted wire type
+# or its tag.
 doc_refs() {
     spans=$(grep -ohE '`[^`]+`' DESIGN.md README.md EXPERIMENTS.md benchmark/README.md)
     dead=$(
@@ -178,6 +181,12 @@ doc_refs() {
         echo "$spans" | grep -oE '\b[A-Z][A-Za-z0-9_]*\{' | tr -d '{' | sort -u |
             while read -r name; do
                 grep -rqE --include='*.go' "^type $name\b" . || echo "$name{}"
+            done
+        echo "$spans" | grep -oE '^`([a-z]+\.)?[A-Za-z_][A-Za-z0-9_]*(Reply|Ack)(\.[A-Za-z0-9_]+)?`$' |
+            sed -E 's/^`([a-z]+\.)?//; s/[.`].*//' | sort -u |
+            while read -r name; do
+                grep -rqE --include='*.go' "^(type|const|func) $name\b|^func \([^)]*\) $name\(|^"$'\t'"$name(\s+[^:].*)?\$" . ||
+                    echo "$name"
             done
     )
     if [ -n "$dead" ]; then

@@ -416,7 +416,7 @@ func (c *Client) GetVersion(key string, ver proto.Version) ([]byte, proto.Versio
 
 // Delete removes key.
 func (c *Client) Delete(key string) error {
-	return answer(do[*proto.DeleteReply](c.newCall(byKey, key), func(k *call, req proto.ReqID) proto.Message {
+	return answer(do[*proto.PutReply](c.newCall(byKey, key), func(k *call, req proto.ReqID) proto.Message {
 		return &proto.Delete{Req: req, Key: k.key}
 	}))
 }
@@ -444,7 +444,7 @@ func (c *Client) Move(key string, mg proto.MemgestID) (proto.Version, error) {
 // write committed — the window the coordinator holds open is invisible
 // here beyond latency.
 func (c *Client) MoveIf(key string, from, to proto.MemgestID) (proto.Version, error) {
-	r, err := do[*proto.MoveReply](c.newCall(byKey, key), func(k *call, req proto.ReqID) proto.Message {
+	r, err := do[*proto.PutReply](c.newCall(byKey, key), func(k *call, req proto.ReqID) proto.Message {
 		return &proto.Move{Req: req, Key: k.key, Memgest: to, From: from}
 	})
 	if err = answer(r, err); err != nil {

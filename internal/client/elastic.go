@@ -18,7 +18,7 @@ func (c *Client) MovePrefix(prefix string, from, to proto.MemgestID) (int, error
 		seen[id] = true
 		k := c.newCall(toNode, "")
 		k.node = id
-		r, err := do[*proto.MoveReply](k, func(_ *call, req proto.ReqID) proto.Message {
+		r, err := do[*proto.PutReply](k, func(_ *call, req proto.ReqID) proto.Message {
 			return &proto.Move{Req: req, Key: prefix, Memgest: to, From: from, Prefix: true}
 		})
 		if err == nil {

@@ -59,9 +59,9 @@ func replyTo(m proto.Message, st proto.Status) proto.Message {
 	case *proto.Get:
 		return &proto.GetReply{Req: r.Req, Status: st, Version: 1, Value: []byte("v")}
 	case *proto.Delete:
-		return &proto.DeleteReply{Req: r.Req, Status: st}
+		return &proto.PutReply{Req: r.Req, Status: st}
 	case *proto.Move:
-		return &proto.MoveReply{Req: r.Req, Status: st, Version: 1, Moved: 1}
+		return &proto.PutReply{Req: r.Req, Status: st, Version: 1, Moved: 1}
 	case *proto.Reconfig:
 		return &proto.ReconfigReply{Req: r.Req, Status: st, Epoch: 1}
 	}

@@ -68,7 +68,7 @@ func (n *Node) checkClientOp(key string, fail func(refusal)) (uint32, bool) {
 // handlePut coordinates a client write.
 func (n *Node) handlePut(from string, m *proto.Put) {
 	n.Stats.Puts++
-	fail := func(s refusal) { n.refuse(from, m.Req, replyPut, s) }
+	fail := func(s refusal) { n.refuse(from, m.Req, s) }
 	if len(m.Key) > proto.MaxKey || len(m.Value) > proto.MaxValue {
 		fail(refInvalid)
 		return
@@ -91,7 +91,7 @@ func (n *Node) handlePut(from string, m *proto.Put) {
 // handleDelete coordinates a client delete (a tombstone write).
 func (n *Node) handleDelete(from string, m *proto.Delete) {
 	n.Stats.Deletes++
-	fail := func(s refusal) { n.refuse(from, m.Req, replyDelete, s) }
+	fail := func(s refusal) { n.refuse(from, m.Req, s) }
 	shard, ok := n.checkClientOp(m.Key, fail)
 	if !ok {
 		return
@@ -118,12 +118,12 @@ func (n *Node) handleDelete(from string, m *proto.Delete) {
 func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard uint32, key string, value []byte, mgID proto.MemgestID, tombstone bool) bool {
 	st := n.mgFor(mgID)
 	if st == nil {
-		n.refuse(replyTo, req, kind, refNoMemgest)
+		n.refuse(replyTo, req, refNoMemgest)
 		return false
 	}
 	cs := st.coord[shard]
 	if cs == nil {
-		n.refuse(replyTo, req, kind, refWrongNode)
+		n.refuse(replyTo, req, refWrongNode)
 		return false
 	}
 	// Count the op against its memgest only now, with routing and
@@ -159,7 +159,7 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 		if st.info.Scheme.Kind == proto.SchemeSRS && !tombstone && len(value) > 0 {
 			ext, err := cs.heap.Alloc(len(value))
 			if err != nil {
-				n.refuse(replyTo, req, kind, refUnavailable)
+				n.refuse(replyTo, req, refUnavailable)
 				return false
 			}
 			cs.heap.Write(ext, value)
@@ -176,7 +176,7 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 		if !tombstone && len(value) > 0 {
 			ext, err := cs.heap.Alloc(len(value))
 			if err != nil {
-				n.refuse(replyTo, req, kind, refUnavailable)
+				n.refuse(replyTo, req, refUnavailable)
 				return false
 			}
 			if w := n.wants.at[blockWant(mgID, shard, ext.Block)]; w != nil {
@@ -185,7 +185,7 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 				// next: the client is about to come back.
 				cs.heap.Free(ext)
 				n.hurry(w)
-				n.refuse(replyTo, req, kind, refRetry)
+				n.refuse(replyTo, req, refRetry)
 				return false
 			}
 			delta := cs.heap.Write(ext, value)
@@ -271,44 +271,37 @@ const (
 	refUnavailable = refusal(proto.StUnavailable)
 )
 
-// refuse sends the error reply appropriate for a write kind.
-func (n *Node) refuse(replyTo string, req proto.ReqID, kind replyKind, s refusal) {
+// refuse sends a write's error reply: to the client, to the bulk move
+// that a per-key move's internal address names, or to no one for an
+// internal write (replyTo "").
+func (n *Node) refuse(replyTo string, req proto.ReqID, s refusal) {
 	if s == 0 {
 		panic("core: refusal carrying StOK")
 	}
-	switch kind {
-	case replyPut:
+	switch id, bulk := strings.CutPrefix(replyTo, bulkMovePrefix); {
+	case replyTo == "":
+	case bulk:
+		n.bulkMoveDone(id, s)
+	default:
 		n.send(replyTo, proto.New(proto.PutReply{Req: req, Status: proto.Status(s)}))
-	case replyDelete:
-		n.send(replyTo, proto.New(proto.DeleteReply{Req: req, Status: proto.Status(s)}))
-	case replyMove:
-		if id, ok := strings.CutPrefix(replyTo, bulkMovePrefix); ok {
-			n.bulkMoveDone(id, s)
-			return
-		}
-		n.send(replyTo, proto.New(proto.MoveReply{Req: req, Status: proto.Status(s)}))
 	}
 }
 
-// replyOK acknowledges a write. It is the only function that builds a
-// PutReply, DeleteReply or MoveReply able to say StOK, and it takes the
-// proof that the write's redundancy is complete: from commitEntry, or
-// from replog.Committed for a move that had nothing to write.
-func (n *Node) replyOK(q replog.Quorum, replyTo string, req proto.ReqID, kind replyKind, ver proto.Version) {
+// replyOK acknowledges a write with the version it committed, routed
+// as refuse routes. It is the only function that builds a PutReply able
+// to say StOK, and it takes the proof that the write's redundancy is
+// complete: from commitEntry, or from replog.Committed for a move that
+// had nothing to write.
+func (n *Node) replyOK(q replog.Quorum, replyTo string, req proto.ReqID, ver proto.Version) {
 	q.Assert()
-	switch kind {
-	case replyPut:
-		n.send(replyTo, proto.New(proto.PutReply{Req: req, Status: proto.StOK, Version: ver}))
-	case replyDelete:
-		n.send(replyTo, proto.New(proto.DeleteReply{Req: req, Status: proto.StOK}))
-	case replyMove:
-		if id, ok := strings.CutPrefix(replyTo, bulkMovePrefix); ok {
-			if bm := n.bulkMoveDone(id, 0); bm != nil {
-				n.send(bm.client, proto.New(proto.MoveReply{Req: bm.req, Status: proto.StOK, Moved: bm.moved}))
-			}
-			return
+	switch id, bulk := strings.CutPrefix(replyTo, bulkMovePrefix); {
+	case replyTo == "":
+	case bulk:
+		if bm := n.bulkMoveDone(id, 0); bm != nil {
+			n.send(bm.client, proto.New(proto.PutReply{Req: bm.req, Status: proto.StOK, Moved: bm.moved}))
 		}
-		n.send(replyTo, proto.New(proto.MoveReply{Req: req, Status: proto.StOK, Version: ver}))
+	default:
+		n.send(replyTo, proto.New(proto.PutReply{Req: req, Status: proto.StOK, Version: ver}))
 	}
 }
 
@@ -333,7 +326,7 @@ func (n *Node) commitEntry(q replog.Quorum, st *mgState, cs *coordShard, key str
 	if op := kind.traceOp(); op != metrics.TraceNone {
 		n.Metrics.Trace.Record(op, key, uint32(st.info.ID), uint64(ver), uint8(proto.StOK), n.now, n.now-start)
 	}
-	n.replyOK(q, replyTo, req, kind, ver)
+	n.replyOK(q, replyTo, req, ver)
 
 	// Answer gets parked on this entry (Figure 5: replies are released
 	// at commit time with this exact version).

@@ -188,16 +188,21 @@ func (h *harness) lastReply(client string) proto.Message {
 
 func (h *harness) replies(client string) []proto.Message { return h.clientIn[client] }
 
-// put is a synchronous helper returning the reply.
-func (h *harness) put(key string, value []byte, mg proto.MemgestID) *proto.PutReply {
+// write sends a write to key's coordinator as client/t and returns its
+// reply.
+func (h *harness) write(key string, m proto.Message) *proto.PutReply {
 	_, id := h.coordinatorOf(key)
-	h.send("client/t", id, &proto.Put{Req: 1, Key: key, Value: value, Memgest: mg})
+	h.send("client/t", id, m)
 	h.run()
 	r, ok := h.lastReply("client/t").(*proto.PutReply)
 	if !ok {
-		h.t.Fatalf("put %q: wrong reply type", key)
+		h.t.Fatalf("%T %q: wrong reply type", m, key)
 	}
 	return r
+}
+
+func (h *harness) put(key string, value []byte, mg proto.MemgestID) *proto.PutReply {
+	return h.write(key, &proto.Put{Req: 1, Key: key, Value: value, Memgest: mg})
 }
 
 func (h *harness) get(key string) *proto.GetReply {
@@ -211,20 +216,13 @@ func (h *harness) get(key string) *proto.GetReply {
 	return r
 }
 
-func (h *harness) move(key string, mg proto.MemgestID) *proto.MoveReply {
+func (h *harness) move(key string, mg proto.MemgestID) *proto.PutReply {
 	return h.moveIf(key, 0, mg)
 }
 
 // moveIf is move conditional on the key's current memgest (0 = any).
-func (h *harness) moveIf(key string, from, to proto.MemgestID) *proto.MoveReply {
-	_, id := h.coordinatorOf(key)
-	h.send("client/t", id, &proto.Move{Req: 3, Key: key, Memgest: to, From: from})
-	h.run()
-	r, ok := h.lastReply("client/t").(*proto.MoveReply)
-	if !ok {
-		h.t.Fatalf("move %q: wrong reply type", key)
-	}
-	return r
+func (h *harness) moveIf(key string, from, to proto.MemgestID) *proto.PutReply {
+	return h.write(key, &proto.Move{Req: 3, Key: key, Memgest: to, From: from})
 }
 
 // inject hands msg to the key's coordinator but holds back everything
@@ -251,15 +249,8 @@ func (h *harness) memgestOf(key string) proto.MemgestID {
 	return n.KeyVersions(key)[0].Memgest
 }
 
-func (h *harness) del(key string) *proto.DeleteReply {
-	_, id := h.coordinatorOf(key)
-	h.send("client/t", id, &proto.Delete{Req: 4, Key: key})
-	h.run()
-	r, ok := h.lastReply("client/t").(*proto.DeleteReply)
-	if !ok {
-		h.t.Fatalf("delete %q: wrong reply type", key)
-	}
-	return r
+func (h *harness) del(key string) *proto.PutReply {
+	return h.write(key, &proto.Delete{Req: 4, Key: key})
 }
 
 // checkParityInvariant verifies that for every SRS memgest, re-encoding
@@ -433,6 +424,51 @@ func TestDelete(t *testing.T) {
 	}
 	if d := h.del("never-existed"); d.Status != proto.StNotFound {
 		t.Fatalf("delete missing: %v", d.Status)
+	}
+	h.checkParityInvariant()
+}
+
+// TestEveryWriteReplyNamesItsVersion: a put, a delete and a move are
+// each answered by a PutReply naming the version the write committed —
+// a delete's is its tombstone's, a move's the one the key holds in the
+// destination memgest — and a bulk move's names the keys it moved.
+// The tombstone is reclaimed once it commits, so the put after the
+// delete starts the key at v1 again: a floor that keeps versions rising
+// (4 there, 5 for the move) is ROADMAP item 4(b).
+func TestEveryWriteReplyNamesItsVersion(t *testing.T) {
+	h := newHarness(t, figure3Spec())
+	_, owner := h.coordinatorOf("b/")
+	var bulk []string
+	for i := 0; len(bulk) < 3; i++ {
+		key := fmt.Sprintf("b/%d", i)
+		if _, id := h.coordinatorOf(key); id == owner {
+			bulk = append(bulk, key)
+		}
+	}
+	put := func(v string) func() *proto.PutReply {
+		return func() *proto.PutReply { return h.put("k", []byte(v), mgREP3) }
+	}
+	for _, step := range []struct {
+		name string
+		do   func() *proto.PutReply
+		want proto.PutReply
+	}{
+		{"put", put("a"), proto.PutReply{Req: 1, Version: 1}},
+		{"overwrite", put("b"), proto.PutReply{Req: 1, Version: 2}},
+		{"delete", func() *proto.PutReply { return h.del("k") }, proto.PutReply{Req: 4, Version: 3}},
+		{"put after the delete", put("c"), proto.PutReply{Req: 1, Version: 1}},
+		{"move", func() *proto.PutReply { return h.move("k", mgSRS32) }, proto.PutReply{Req: 3, Version: 2}},
+		{"bulk move", func() *proto.PutReply {
+			for _, key := range bulk {
+				h.put(key, []byte("x"), mgREP3)
+			}
+			return h.write("b/", &proto.Move{Req: 5, Key: "b/", Memgest: mgSRS32, Prefix: true})
+		}, proto.PutReply{Req: 5, Moved: uint32(len(bulk))}},
+		{"delete of an absent key", func() *proto.PutReply { return h.del("absent") }, proto.PutReply{Req: 4, Status: proto.StNotFound}},
+	} {
+		if got := *step.do(); got != step.want {
+			t.Errorf("%s: %+v, want %+v", step.name, got, step.want)
+		}
 	}
 	h.checkParityInvariant()
 }

@@ -48,7 +48,7 @@ func TestNodeMetricsExactCounts(t *testing.T) {
 		}
 	}
 	outs := step(&proto.Delete{Req: 200, Key: "k0"})
-	if r := outs[0].Msg.(*proto.DeleteReply); r.Status != proto.StOK {
+	if r := outs[0].Msg.(*proto.PutReply); r.Status != proto.StOK {
 		t.Fatalf("delete: %v", r.Status)
 	}
 

@@ -130,7 +130,7 @@ func (n *Node) handleMove(from string, m *proto.Move) {
 // from may be a bulk-move internal address; every reply goes through
 // refuse or replyOK so the routing is uniform.
 func (n *Node) admitMove(from string, m *proto.Move) {
-	fail := func(s refusal) { n.refuse(from, m.Req, replyMove, s) }
+	fail := func(s refusal) { n.refuse(from, m.Req, s) }
 	shard, ok := n.checkClientOp(m.Key, fail)
 	if !ok {
 		return
@@ -167,7 +167,7 @@ func (n *Node) admitMove(from string, m *proto.Move) {
 	case ref.Memgest == m.Memgest:
 		// Already there: succeed without a new version, on the proof of
 		// the committed one it names.
-		n.replyOK(replog.Committed(&e.Rec), from, m.Req, replyMove, ref.Version)
+		n.replyOK(replog.Committed(&e.Rec), from, m.Req, ref.Version)
 		return
 	}
 	value, ok := n.localValue(st, st.coord[shard], e, blockWaiter{client: from, req: m.Req, key: m.Key, version: ref.Version, move: m})
@@ -193,7 +193,7 @@ func (n *Node) startMove(client string, m *proto.Move, shard uint32, src store.V
 		// coordinator crash inside that gap silently loses the key's
 		// acknowledged state, which the linearizability checker must flag
 		// and the shrinker must reduce.
-		n.replyOK(replog.ChaosForgeQuorum(), client, m.Req, replyMove, newVer)
+		n.replyOK(replog.ChaosForgeQuorum(), client, m.Req, newVer)
 		n.doWrite("", 0, replyNone, shard, m.Key, value, m.Memgest, false)
 		n.purgeVersion(shard, m.Key, src)
 		return
@@ -236,7 +236,7 @@ func (n *Node) redispatchParked(p parkedOp) {
 // single-key move with an internal reply address; the client gets one
 // aggregated reply once the last key settles.
 func (n *Node) handleMovePrefix(from string, m *proto.Move) {
-	fail := func(s refusal) { n.refuse(from, m.Req, replyMove, s) }
+	fail := func(s refusal) { n.refuse(from, m.Req, s) }
 	if len(n.cfg.Coords) == 0 {
 		fail(refUnavailable)
 		return
@@ -264,7 +264,7 @@ func (n *Node) handleMovePrefix(from string, m *proto.Move) {
 	keys = slices.Compact(keys)
 	if len(keys) == 0 {
 		// Nothing matched, nothing is written: the proof over no entry.
-		n.replyOK(replog.Committed(), from, m.Req, replyMove, 0)
+		n.replyOK(replog.Committed(), from, m.Req, 0)
 		return
 	}
 	id := strconv.FormatUint(n.nextBulkID, 10)
@@ -298,7 +298,7 @@ func (n *Node) bulkMoveDone(id string, s refusal) *bulkMove {
 	}
 	delete(n.bulkMoves, id)
 	if bm.failed != 0 {
-		n.send(bm.client, proto.New(proto.MoveReply{Req: bm.req, Status: proto.Status(bm.failed), Moved: bm.moved}))
+		n.send(bm.client, proto.New(proto.PutReply{Req: bm.req, Status: proto.Status(bm.failed), Moved: bm.moved}))
 		return nil
 	}
 	return bm
@@ -366,7 +366,7 @@ func (n *Node) moveTick() {
 		}
 		n.Metrics.MovesAborted.Inc()
 		n.abortMoveWrite(mk, mv)
-		n.refuse(mv.client, mv.m.Req, replyMove, refRetry)
+		n.refuse(mv.client, mv.m.Req, refRetry)
 		n.closeMove(mk, mv)
 	}
 }

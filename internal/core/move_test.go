@@ -78,7 +78,7 @@ func TestMove(t *testing.T) {
 				t.Fatalf("move of uncommitted version answered immediately: %v", outs)
 			}
 			h.release(held)
-			if mr := h.lastReply("client/m").(*proto.MoveReply); mr.Status != proto.StOK || mr.Version != 3 {
+			if mr := h.lastReply("client/m").(*proto.PutReply); mr.Status != proto.StOK || mr.Version != 3 {
 				t.Fatalf("parked move reply: %+v", mr)
 			}
 			if g := h.get("mk"); g.Status != proto.StOK || string(g.Value) != "v2" || g.Version != 3 {
@@ -111,7 +111,7 @@ func TestMove(t *testing.T) {
 				}
 			}
 			h.release(held)
-			if r := h.lastReply("client/m").(*proto.MoveReply); r.Status != proto.StOK || r.Version != 2 {
+			if r := h.lastReply("client/m").(*proto.PutReply); r.Status != proto.StOK || r.Version != 2 {
 				t.Fatalf("move reply: %+v", r)
 			}
 			if r := h.lastReply("client/w0").(*proto.PutReply); r.Status != proto.StOK || r.Version != 3 {
@@ -120,7 +120,7 @@ func TestMove(t *testing.T) {
 			if r := h.lastReply("client/w2").(*proto.PutReply); r.Status != proto.StOK || r.Version != 4 {
 				t.Fatalf("last parked put: %+v", r)
 			}
-			if r := h.lastReply("client/w1").(*proto.MoveReply); r.Status != proto.StOK || r.Version != 5 {
+			if r := h.lastReply("client/w1").(*proto.PutReply); r.Status != proto.StOK || r.Version != 5 {
 				t.Fatalf("parked move: %+v", r)
 			}
 			if g := h.get("mk"); g.Status != proto.StOK || string(g.Value) != "last" || g.Version != 5 || h.memgestOf("mk") != mgREP2 {
@@ -148,7 +148,7 @@ func TestMove(t *testing.T) {
 			if !h.tickUntil(n.opts.HeartbeatEvery, 20, func() bool { return len(h.replies("client/m")) > 0 }) {
 				t.Fatal("the stuck window was never answered")
 			}
-			if r := h.lastReply("client/m").(*proto.MoveReply); r.Status != proto.StRetry {
+			if r := h.lastReply("client/m").(*proto.PutReply); r.Status != proto.StRetry {
 				t.Fatalf("aborted move: %+v, want StRetry", r)
 			}
 			cs := n.mg[mgSRS32].coord[n.shardOf("mk")]
@@ -176,7 +176,7 @@ func TestMove(t *testing.T) {
 				for id := proto.NodeID(0); id < 3; id++ {
 					h.send("client/b", id, &proto.Move{Req: 60, Key: "user:", Memgest: to, From: from, Prefix: true})
 					h.run()
-					r := h.lastReply("client/b").(*proto.MoveReply)
+					r := h.lastReply("client/b").(*proto.PutReply)
 					total += r.Moved
 					seen[r.Status] = true
 				}

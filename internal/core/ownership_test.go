@@ -317,7 +317,7 @@ func TestPrefixMoveKeepsItsRequest(t *testing.T) {
 	h.behind()
 	h.ack(first)
 	h.ack(second)
-	if rep := h.expect(3).(*proto.MoveReply); rep.Moved != 2 {
+	if rep := h.expect(3).(*proto.PutReply); rep.Moved != 2 {
 		t.Fatalf("the prefix move reports %d keys moved, want 2", rep.Moved)
 	}
 }

@@ -26,8 +26,8 @@ var ackMutations = []struct {
 }{
 	{"early ack", "coord.go",
 		"\tn.doWrite(from, m.Req, replyPut, shard,",
-		"\tn.replyOK(from, m.Req, replyPut, 1)\n\tn.doWrite(from, m.Req, replyPut, shard,",
-		"want (replog.Quorum, string, proto.ReqID, replyKind, proto.Version)"},
+		"\tn.replyOK(from, m.Req, 1)\n\tn.doWrite(from, m.Req, replyPut, shard,",
+		"want (replog.Quorum, string, proto.ReqID, proto.Version)"},
 	{"ack on one branch", "coord.go",
 		"\tif q, done := cs.tracker.Open(seq, n.quorumAcks(st.info.Scheme)); done {",
 		"\tif tombstone {\n\t\tn.commitEntry(st, cs, key, ver, replyTo, req, kind, n.now)\n\t\treturn true\n\t}\n\tif q, done := cs.tracker.Open(seq, n.quorumAcks(st.info.Scheme)); done {",
@@ -42,11 +42,11 @@ var ackMutations = []struct {
 		"cannot use q (variable of type int) as replog.Quorum value in argument to n.commitEntry"},
 	{"ack through a helper", "coord.go",
 		"\tn.doWrite(from, m.Req, replyPut, shard,",
-		"\tfunc(q replog.Quorum) { n.replyOK(q, from, m.Req, replyPut, 1) }()\n\tn.doWrite(from, m.Req, replyPut, shard,",
+		"\tfunc(q replog.Quorum) { n.replyOK(q, from, m.Req, 1) }()\n\tn.doWrite(from, m.Req, replyPut, shard,",
 		"want (replog.Quorum)"},
 	{"StOK forwarded through a status parameter", "move.go",
-		"\t\tn.replyOK(replog.Committed(&e.Rec), from, m.Req, replyMove, ref.Version)",
-		"\t\tn.refuse(from, m.Req, replyMove, proto.StOK)",
+		"\t\tn.replyOK(replog.Committed(&e.Rec), from, m.Req, ref.Version)",
+		"\t\tn.refuse(from, m.Req, proto.StOK)",
 		"as refusal value in argument to n.refuse"},
 	{"outputs taken before the sync", "runner.go",
 		"\t\t\tr.node.HandleMessage(now, p.From, msg)",
@@ -115,9 +115,9 @@ func TestZeroProofFailsLoudly(t *testing.T) {
 	st := n.mg[mgREP3]
 	cs := st.coord[n.shardOf("zk")]
 	for name, sink := range map[string]func(){
-		"replyOK":     func() { n.replyOK(replog.Quorum{}, "client/z", 1, replyPut, 1) },
+		"replyOK":     func() { n.replyOK(replog.Quorum{}, "client/z", 1, 1) },
 		"commitEntry": func() { n.commitEntry(replog.Quorum{}, st, cs, "zk", 1, "client/z", 1, replyPut, 0) },
-		"refuse":      func() { n.refuse("client/z", 1, replyPut, refusal(proto.StOK)) },
+		"refuse":      func() { n.refuse("client/z", 1, refusal(proto.StOK)) },
 	} {
 		func() {
 			defer func() {

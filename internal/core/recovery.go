@@ -298,7 +298,7 @@ func (n *Node) forgetWants(r role) {
 		n.wants.remove(w)
 		for _, pw := range w.parked {
 			if pw.move != nil {
-				n.refuse(pw.client, pw.move.Req, replyMove, refRetry)
+				n.refuse(pw.client, pw.move.Req, refRetry)
 			} else {
 				n.send(pw.client, proto.New(proto.GetReply{Req: pw.req, Status: proto.StRetry}))
 			}

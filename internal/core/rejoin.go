@@ -48,13 +48,13 @@ func (n *Node) handleRejoining(from string, msg proto.Message) {
 		// re-resolves.
 		n.send(from, &proto.ResolveReply{Req: m.Req, Config: n.cfg.Clone()})
 	case *proto.Put:
-		n.send(from, proto.New(proto.PutReply{Req: m.Req, Status: proto.StRetry}))
+		n.refuse(from, m.Req, refRetry)
 	case *proto.Get:
 		n.send(from, proto.New(proto.GetReply{Req: m.Req, Status: proto.StRetry}))
 	case *proto.Delete:
-		n.send(from, proto.New(proto.DeleteReply{Req: m.Req, Status: proto.StRetry}))
+		n.refuse(from, m.Req, refRetry)
 	case *proto.Move:
-		n.send(from, proto.New(proto.MoveReply{Req: m.Req, Status: proto.StRetry}))
+		n.refuse(from, m.Req, refRetry)
 	case *proto.Reconfig:
 		n.send(from, &proto.ReconfigReply{Req: m.Req, Status: proto.StRetry})
 	}

@@ -23,12 +23,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 	seeds := []Message{
 		&Put{Req: 7, Key: "k", Value: []byte("v"), Memgest: 3},
 		&PutReply{Req: 7, Status: StOK, Version: 9},
+		&PutReply{Req: 11, Status: StOK, Version: 4, Moved: 7},
 		&Get{Req: 8, Key: "k", Version: 2},
 		&GetReply{Req: 8, Status: StNotFound, Version: 0, Value: nil},
 		&Move{Req: 9, Key: "k", Memgest: 2},
 		&Move{Req: 10, Key: "k", Memgest: 2, From: 1},
 		&Move{Req: 11, Key: "user:", Memgest: 3, From: 1, Prefix: true},
-		&MoveReply{Req: 11, Status: StOK, Version: 4, Moved: 7},
 		&Reconfig{Req: 12, Op: ReconfigJoin, Node: 7},
 		&Reconfig{Req: 13, Op: ReconfigLeave, Node: 3},
 		&Reconfig{Req: 14, Op: ReconfigCreate, Scheme: SRS(3, 2, 3)},
@@ -57,7 +57,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 	// Each optional tail, then the same message without it.
 	f.Add(AppendBatch(nil,
 		&Move{Req: 17, Key: "user:", Memgest: 3, From: 1, Prefix: true}, &Move{Req: 18, Key: "k", Memgest: 2},
-		&MoveReply{Req: 17, Status: StOK, Moved: 7}, &MoveReply{Req: 18, Status: StOK, Version: 3},
+		&PutReply{Req: 17, Status: StOK, Moved: 7}, &PutReply{Req: 18, Status: StOK, Version: 3},
 		&ReconfigReply{Req: 19, Status: StOK, Epoch: 6, Memgest: 8}, &ReconfigReply{Req: 20, Status: StRetry},
 		&Reconfig{Req: 21, Op: ReconfigCreate, Scheme: SRS(3, 2, 3)}, &Reconfig{Req: 22, Op: ReconfigJoin, Node: 7},
 	))

@@ -16,9 +16,7 @@ const (
 	TGet
 	TGetReply
 	TDelete
-	TDeleteReply
 	TMove
-	TMoveReply
 	TResolve
 	TResolveReply
 	// Replication and parity propagation.
@@ -66,9 +64,7 @@ var wire = [tEnd]struct {
 	TGet:            {make: func() Message { return new(Get) }, free: true},
 	TGetReply:       {make: func() Message { return new(GetReply) }, ack: true, free: true},
 	TDelete:         {make: func() Message { return new(Delete) }, free: true},
-	TDeleteReply:    {make: func() Message { return new(DeleteReply) }, ack: true, free: true},
 	TMove:           {make: func() Message { return new(Move) }, free: true},
-	TMoveReply:      {make: func() Message { return new(MoveReply) }, ack: true, free: true},
 	TResolve:        {make: func() Message { return new(Resolve) }},
 	TResolveReply:   {make: func() Message { return new(ResolveReply) }, ack: true},
 	TRepAppend:      {make: func() Message { return new(RepAppend) }, free: true},
@@ -156,7 +152,7 @@ type Message interface {
 	decode(r reader) error
 }
 
-// Reply is implemented by the six replies a client receives: the
+// Reply is implemented by the four replies a client receives: the
 // request the reply answers and how that request ended. It is all a
 // client needs to correlate a reply and decide whether to retry, so
 // client code never switches over the concrete reply types.
@@ -170,10 +166,6 @@ func (m *PutReply) Request() ReqID      { return m.Req }
 func (m *PutReply) Result() Status      { return m.Status }
 func (m *GetReply) Request() ReqID      { return m.Req }
 func (m *GetReply) Result() Status      { return m.Status }
-func (m *DeleteReply) Request() ReqID   { return m.Req }
-func (m *DeleteReply) Result() Status   { return m.Status }
-func (m *MoveReply) Request() ReqID     { return m.Req }
-func (m *MoveReply) Result() Status     { return m.Status }
 func (m *ReconfigReply) Request() ReqID { return m.Req }
 func (m *ReconfigReply) Result() Status { return m.Status }
 func (m *ResolveReply) Request() ReqID  { return m.Req }
@@ -275,11 +267,15 @@ func (m *Put) decode(r reader) error {
 	return r.done()
 }
 
-// PutReply acknowledges a committed Put.
+// PutReply answers every write: a Put, a Delete and a Move. Version
+// is the version the write committed — the value's, the tombstone's, or
+// the one the key now holds in the destination memgest; Moved counts
+// the keys a bulk move moved (its Version is 0).
 type PutReply struct {
 	Req     ReqID
 	Status  Status
 	Version Version
+	Moved   uint32
 }
 
 func (*PutReply) Type() MsgType { return TPutReply }
@@ -287,9 +283,16 @@ func (m *PutReply) encode(w *writer) {
 	w.u64(uint64(m.Req))
 	w.u8(uint8(m.Status))
 	w.u64(uint64(m.Version))
+	// Only a bulk move's reply carries the count (see Move.encode).
+	if m.Moved != 0 {
+		w.u32(m.Moved)
+	}
 }
 func (m *PutReply) decode(r reader) error {
 	*m = PutReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Version: Version(r.u64())}
+	if len(r.b) > 0 {
+		m.Moved = r.u32()
+	}
 	return r.done()
 }
 
@@ -351,22 +354,6 @@ func (m *Delete) decode(r reader) error {
 	return r.done()
 }
 
-// DeleteReply acknowledges a Delete.
-type DeleteReply struct {
-	Req    ReqID
-	Status Status
-}
-
-func (*DeleteReply) Type() MsgType { return TDeleteReply }
-func (m *DeleteReply) encode(w *writer) {
-	w.u64(uint64(m.Req))
-	w.u8(uint8(m.Status))
-}
-func (m *DeleteReply) decode(r reader) error {
-	*m = DeleteReply{Req: ReqID(r.u64()), Status: Status(r.u8())}
-	return r.done()
-}
-
 // Move asks a key's coordinator to re-home its newest committed version
 // into another memgest — the paper's move (Section 4, Figure 8). No
 // value crosses the network: SRS co-location keeps it local to the
@@ -402,34 +389,6 @@ func (m *Move) decode(r reader) error {
 	*m = Move{Req: ReqID(r.u64()), Key: r.str(), Memgest: MemgestID(r.u32())}
 	if len(r.b) > 0 {
 		m.From, m.Prefix = MemgestID(r.u32()), r.bool()
-	}
-	return r.done()
-}
-
-// MoveReply acknowledges a committed Move. Version is the version the
-// key now holds in the destination memgest (single-key form); Moved
-// counts the keys moved (prefix form).
-type MoveReply struct {
-	Req     ReqID
-	Status  Status
-	Version Version
-	Moved   uint32
-}
-
-func (*MoveReply) Type() MsgType { return TMoveReply }
-func (m *MoveReply) encode(w *writer) {
-	w.u64(uint64(m.Req))
-	w.u8(uint8(m.Status))
-	w.u64(uint64(m.Version))
-	// Only a bulk reply carries the count (see Move.encode).
-	if m.Moved != 0 {
-		w.u32(m.Moved)
-	}
-}
-func (m *MoveReply) decode(r reader) error {
-	*m = MoveReply{Req: ReqID(r.u64()), Status: Status(r.u8()), Version: Version(r.u64())}
-	if len(r.b) > 0 {
-		m.Moved = r.u32()
 	}
 	return r.done()
 }

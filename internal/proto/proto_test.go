@@ -42,17 +42,15 @@ func TestRoundTripAllMessages(t *testing.T) {
 		&Put{Req: 1, Key: "k", Value: []byte("v"), Memgest: 2},
 		&Put{Req: 2, Key: "", Value: nil, Memgest: 0},
 		&PutReply{Req: 1, Status: StOK, Version: 5},
+		&PutReply{Req: 17, Status: StOK, Moved: 2},
 		&Get{Req: 3, Key: "key"},
 		&Get{Req: 31, Key: "key", Version: 7},
 		&GetReply{Req: 3, Status: StNotFound, Version: 0, Value: nil},
 		&GetReply{Req: 4, Status: StOK, Version: 2, Value: []byte{1, 2, 3}},
 		&Delete{Req: 5, Key: "gone"},
-		&DeleteReply{Req: 5, Status: StOK},
 		&Move{Req: 6, Key: "k", Memgest: 9},
 		&Move{Req: 16, Key: "k", Memgest: 4, From: 2},
 		&Move{Req: 17, Key: "user:", Memgest: 3, Prefix: true},
-		&MoveReply{Req: 6, Status: StRetry, Version: 3},
-		&MoveReply{Req: 17, Status: StOK, Moved: 2},
 		&Resolve{Req: 11},
 		&ResolveReply{Req: 11, Config: sampleConfig()},
 		&RepAppend{Memgest: 2, Shard: 1, Seq: 44, Rec: rec, Value: []byte("payload")},
@@ -163,9 +161,12 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(full); err != nil {
 		t.Fatalf("full message rejected: %v", err)
 	}
-	// Trailing garbage must be rejected.
+	// Trailing garbage must be rejected, after an optional tail too.
 	if _, err := Decode(append(append([]byte{}, full...), 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
+	}
+	if _, err := Decode(append(Encode(&PutReply{Req: 1, Status: StOK, Moved: 3}), 0)); err == nil {
+		t.Fatal("a byte after a PutReply's Moved accepted")
 	}
 }
 
@@ -192,6 +193,10 @@ func TestDecodeHugeLengthPrefix(t *testing.T) {
 //	Purge               29      14
 //	PutReply            18       7
 //	GetReply 1 KiB    1046    1033
+//
+// A delete's OK reply is a PutReply carrying the tombstone's version
+// (7 B; the DeleteReply it replaced had none, 5 B), and a bulk move's
+// carries Version 0 and the count of keys it moved.
 func TestWireSizes(t *testing.T) {
 	const (
 		req = ReqID(123456)
@@ -210,10 +215,12 @@ func TestWireSizes(t *testing.T) {
 		{&RepCommit{Memgest: 2, Shard: 1, Seq: seq}, 6},
 		{&Purge{Memgest: 2, Shard: 1, Key: key, Version: ver}, 14},
 		{&PutReply{Req: req, Status: StOK, Version: ver}, 7},
+		{&PutReply{Req: req, Status: StOK, Version: ver + 1}, 7}, // a delete's
+		{&PutReply{Req: req, Status: StOK, Moved: 300}, 8},       // a bulk move's
 		{&GetReply{Req: req, Status: StOK, Version: ver, Value: val}, 1033},
 	} {
 		if got := len(Encode(tc.m)); got != tc.want {
-			t.Errorf("%T encodes to %d bytes, want %d", tc.m, got, tc.want)
+			t.Errorf("%T %+v encodes to %d bytes, want %d", tc.m, tc.m, got, tc.want)
 		}
 	}
 }

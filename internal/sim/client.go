@@ -54,7 +54,7 @@ func (c *Client) GetAt(at time.Duration, key string, done func(time.Duration, *p
 }
 
 // MoveAt schedules a move.
-func (c *Client) MoveAt(at time.Duration, key string, mg proto.MemgestID, done func(time.Duration, *proto.MoveReply)) {
+func (c *Client) MoveAt(at time.Duration, key string, mg proto.MemgestID, done func(time.Duration, *proto.PutReply)) {
 	do(c, at, key, func(req proto.ReqID) proto.Message {
 		return &proto.Move{Req: req, Key: key, Memgest: mg}
 	}, done)
@@ -90,8 +90,8 @@ func (c *Client) GetSync(key string) (time.Duration, *proto.GetReply, error) {
 }
 
 // MoveSync performs a move synchronously.
-func (c *Client) MoveSync(key string, mg proto.MemgestID) (time.Duration, *proto.MoveReply, error) {
-	return await(c, "move", key, func(at time.Duration, done func(time.Duration, *proto.MoveReply)) {
+func (c *Client) MoveSync(key string, mg proto.MemgestID) (time.Duration, *proto.PutReply, error) {
+	return await(c, "move", key, func(at time.Duration, done func(time.Duration, *proto.PutReply)) {
 		c.MoveAt(at, key, mg, done)
 	})
 }

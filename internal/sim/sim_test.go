@@ -286,14 +286,14 @@ func TestSimMoveRetryAfterLostFanout(t *testing.T) {
 		_, fanout := msg.(*proto.ParityUpdate)
 		return FaultAction{Drop: fanout}
 	})
-	var first, retry *proto.MoveReply
-	c.MoveAt(s.Now(), "k", 7, func(_ time.Duration, r *proto.MoveReply) { first = r })
+	var first, retry *proto.PutReply
+	c.MoveAt(s.Now(), "k", 7, func(_ time.Duration, r *proto.PutReply) { first = r })
 	s.Run(s.Now() + 2*spec.Opts.HeartbeatEvery)
 	if first != nil {
 		t.Fatalf("move answered although its fan-out was dropped: %+v", first)
 	}
 	s.SetFaultFunc(nil)
-	c.MoveAt(s.Now(), "k", 7, func(_ time.Duration, r *proto.MoveReply) { retry = r })
+	c.MoveAt(s.Now(), "k", 7, func(_ time.Duration, r *proto.PutReply) { retry = r })
 	s.Run(s.Now() + 5*spec.Opts.FailAfter)
 
 	if first == nil || first.Status != proto.StRetry {
