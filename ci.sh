@@ -118,7 +118,9 @@
 #      Every client in these runs is a client.Session, the request logic
 #      ringd's clients run (internal/client/session.go, driven by
 #      internal/sim/session.go), so a change to how a client retries,
-#      re-resolves or gives up trips here per push. Then the
+#      re-resolves or gives up trips here per push; and every simulated
+#      node runs core.Host, ringd's packet path (decode, batch, Flush,
+#      one packet per peer, release), so a runner-level change does too. Then the
 #      three full bands (plain 1:2000, -durable 1:2000, -elasticity
 #      1:500, unshrunk: 24 + 23 + 6 s on 2 vCPUs): a change that touches
 #      recovery or message counts moves which seeds draw which faults,
@@ -280,7 +282,9 @@ stage_chaos() {
     # check it reads 23 / 22 / 22 / 25 / 23 / 25 (27 distinct seeds,
     # none red at an offset where it was green before); since recovery
     # writes nothing it reads 22 / 22 / 22 / 23 / 22 / 23 (23 distinct
-    # seeds).
+    # seeds). Since every simulated node runs core.Host (d is then per
+    # packet) the bands read plain 39 / 34 / 36 / 47 / 44 / 37, durable
+    # 22 at every offset, elasticity 5 / 5 / 5 / 4 / 6 / 5.
     chaos_band 51 -seeds 1:2000
     chaos_band 23 -durable -seeds 1:2000
     chaos_band 9 -elasticity -seeds 1:500

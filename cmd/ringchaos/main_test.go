@@ -175,7 +175,7 @@ func TestElasticityReproSchedules(t *testing.T) {
 }
 
 // TestKnownRedSchedules pins the shrunk schedules ROADMAP items 2, 4(b)
-// and 4(c) name as still red: plain 496, 1173, 703 and 199 (a retry
+// and 4(c) name as still red: plain 496, 1218, 703 and 199 (a retry
 // applied twice, item 2), durable 675 and 491 (versions that restart,
 // 4(b)) and durable 186 (a restarted leader-coordinator's stale gets,
 // 4(c)). Each must still report a violation. One that goes green went
@@ -186,7 +186,7 @@ func TestElasticityReproSchedules(t *testing.T) {
 func TestKnownRedSchedules(t *testing.T) {
 	for _, tc := range []struct{ item, lane, seed, schedule string }{
 		{"2", "", "496", "4.993434ms:flaky:5:4:860µs;14.311425ms:kill:0;16.061199ms:restart:0;20.805468ms:flaky:7:3:1.2ms"},
-		{"2", "", "1173", "25.30901ms:flaky:7:0:1.445ms;30.219671ms:kill:4;30.991786ms:restart:4;40ms:calm"},
+		{"2", "", "1218", "8.727092ms:flaky:8:1:685µs"},
 		{"2", "", "703", "8.079921ms:kill:0;9.73581ms:restart:0;17.180126ms:flaky:3:3:440µs;25.084193ms:calm;29.664645ms:flaky:5:0:260µs;40ms:calm"},
 		{"2", "", "199", "2.163915ms:flaky:6:0:690µs;27.292261ms:kill:1"},
 		{"4(b)", "-durable", "675", "683.911µs:kill:3;2.587839ms:restart:3;8.31316ms:kill:4;10.071707ms:restart:4;29.533497ms:kill:0"},

@@ -10,7 +10,7 @@ import (
 )
 
 // The client's half of the per-destination coalescing every node does
-// (core.Runner.flush): the requests concurrent callers address to one
+// (core.Host.Pack): the requests concurrent callers address to one
 // node leave in one packet, not one packet each. There is no sender
 // goroutine and no timer. A call appends its message to the
 // destination's outbox; the caller that finds the outbox idle becomes

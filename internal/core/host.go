@@ -1,0 +1,110 @@
+package core
+
+import (
+	"time"
+
+	"ring/internal/proto"
+	"ring/internal/transport"
+)
+
+// PoisonPayloads makes every host overwrite a consumed packet with 0xDB
+// before recycling it, and a message it gives back with junk
+// (proto.Poison). It is a test switch, set in TestMain before any node
+// is built: a handler that kept a view into a packet, or a message, past
+// its return reads junk at once, not what production timing puts there.
+var PoisonPayloads bool
+
+// release gives a message the host decoded or encoded back to its free list.
+//
+//ring:hotpath
+func release(m proto.Message) {
+	if PoisonPayloads {
+		proto.Poison(m)
+	}
+	proto.Release(m)
+}
+
+// MaxDrain bounds how many queued packets a batch takes behind its
+// first, so a flooded node still flushes its sends promptly.
+const MaxDrain = 64
+
+// Host runs one Node on packet bytes, with no transport and no clock.
+// The Runner and the simulator both run a batch as Deliver per packet
+// (or the node's HandleTick alone), Flush, and Pack of what Flush
+// returned; which packets share a batch, and how one travels, is theirs.
+type Host struct {
+	Node *Node
+
+	// Pack's scratch, reused so that sending allocates nothing beyond
+	// the packets: one destination's messages and their Out.Scratch.
+	group    []proto.Message
+	payloads [][]byte
+}
+
+// Deliver runs the messages of one packet (one, or a TBatch of several)
+// through the node at now, in order, dropping a malformed one. A message
+// goes back to its free list once its handler returns, the packet to the
+// buffer pool once every handler has: a handler copies what it keeps
+// (the ownership rule of package transport).
+//
+//ring:hotpath
+func (h *Host) Deliver(now time.Duration, from string, payload []byte) {
+	_ = proto.ForEachPacked(payload, func(enc []byte) error {
+		if msg, err := proto.Decode(enc); err == nil {
+			h.Node.HandleMessage(now, from, msg)
+			release(msg)
+		}
+		return nil
+	})
+	if PoisonPayloads {
+		for i := range payload {
+			payload[i] = 0xDB
+		}
+	}
+	transport.ReleaseBuf(payload)
+}
+
+// Pack coalesces one batch's outputs by destination and hands each
+// group to send as a single packet, in order: m parity updates or r
+// replica appends to the same peer cost one send, like back-to-back
+// verbs posted with a single doorbell. A packet is encoded into a pooled
+// buffer sized for it up front, and its messages and their Out.Scratch
+// go back to their pools once it holds their bytes. The packet is
+// send's, and a send error is ignored as a datagram's would be: dead
+// peers are the failure detector's problem. Entries are cleared as they
+// are packed so that nothing pins a message.
+//
+//ring:hotpath
+func (h *Host) Pack(outs []Out, send func(to string, pkt []byte) error) {
+	for i := range outs {
+		if outs[i].To == "" {
+			continue // already coalesced into an earlier group
+		}
+		to := outs[i].To
+		size := 0
+		h.group, h.payloads = h.group[:0], h.payloads[:0]
+		for j := i; j < len(outs); j++ {
+			if outs[j].To != to {
+				continue
+			}
+			h.group = append(h.group, outs[j].Msg)
+			size += proto.SizeHint(outs[j].Msg)
+			if outs[j].Scratch != nil {
+				h.payloads = append(h.payloads, outs[j].Scratch)
+			}
+			outs[j] = Out{}
+		}
+		buf := proto.AppendBatch(transport.AcquireBufSize(size), h.group...)
+		for _, b := range h.payloads {
+			transport.ReleaseBuf(b)
+		}
+		for _, m := range h.group {
+			release(m)
+		}
+		h.Node.Metrics.MsgsOut.Add(uint64(len(h.group)))
+		h.Node.Metrics.PacketsOut.Inc()
+		_ = send(to, buf)
+		clear(h.group)
+		clear(h.payloads)
+	}
+}

@@ -36,7 +36,7 @@ type NodeMetrics struct {
 	// timer dispatches.
 	Events metrics.Counter
 	Ticks  metrics.Counter
-	// MsgsOut and PacketsOut measure runner send coalescing: messages
+	// MsgsOut and PacketsOut measure the host's send coalescing: messages
 	// emitted by the state machine vs. packets actually transmitted
 	// after per-destination batching.
 	MsgsOut    metrics.Counter

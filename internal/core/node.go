@@ -97,9 +97,7 @@ type Out struct {
 	Msg proto.Message
 	// Scratch, when set, is the pooled buffer behind Msg's payload (a
 	// parity delta, the copy of a stored value): whoever encodes Msg
-	// hands it back with transport.ReleaseBuf afterwards.
-	// A consumer that never encodes (the simulator) ignores it and the
-	// collector takes the buffer.
+	// (Host.Pack) hands it back with transport.ReleaseBuf afterwards.
 	Scratch []byte
 }
 

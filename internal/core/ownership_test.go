@@ -350,7 +350,7 @@ func TestGetReplySurvivesPurgeInSameDrain(t *testing.T) {
 	}
 	self, client, replica := register(NodeAddr(0)), register("client/t"), register(NodeAddr(1))
 	// No event loop: the test decides which packets share a drain.
-	r := &Runner{ep: self.ep, node: New(0, cfg, Options{}), start: time.Now()}
+	r := &Runner{ep: self.ep, Host: Host{Node: New(0, cfg, Options{})}, start: time.Now()}
 	drain := func(from string, msgs ...proto.Message) {
 		t.Helper()
 		packets := make(chan transport.Packet, len(msgs))
@@ -437,7 +437,7 @@ func TestRepliesSurviveEvacuationInSameDrain(t *testing.T) {
 	self, client, replica := register(NodeAddr(0)), register("client/t"), register(NodeAddr(1))
 	// No event loop: the test decides which packets share a drain.
 	node := New(0, cfg, Options{})
-	r := &Runner{ep: self.ep, node: node, start: time.Now()}
+	r := &Runner{ep: self.ep, Host: Host{Node: node}, start: time.Now()}
 	drain := func(pkts ...transport.Packet) {
 		t.Helper()
 		rest := make(chan transport.Packet, len(pkts))
@@ -561,5 +561,57 @@ func TestStaleEntryPointerIsCaught(t *testing.T) {
 	h.put(other, []byte("three"), mgSRS32)
 	if got := n.mg[mgSRS32].coord[n.shardOf("k")].meta.Get(other, 1); got != stale {
 		t.Fatalf("the put of %q took the slot at %p, not the freed one at %p", other, got, stale)
+	}
+}
+
+// TestMetadataGatherKeepsItsReplies pins the copy a metadata gather
+// keeps: a spare handed a shard asks both replicas for the shard's
+// metadata and merges the answers once the last one is in, one batch
+// after the host gave the first answer's message back (and, under
+// PoisonPayloads, wrote junk over it). Keep the received message
+// instead of a copy and the first replica's records are lost.
+func TestMetadataGatherKeepsItsReplies(t *testing.T) {
+	if !PoisonPayloads {
+		t.Fatal("PoisonPayloads is off: TestMain must switch it on")
+	}
+	cfg, err := BootConfig(ClusterSpec{Shards: 1, Redundant: 2, Spares: 1, Memgests: []proto.Scheme{proto.Rep(3, 1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &Host{Node: New(3, cfg.Clone(), Options{})}
+	var fetches []*proto.MetaFetch
+	batch := func(from string, m proto.Message) {
+		t.Helper()
+		h.Deliver(0, from, proto.Encode(m))
+		outs, err := h.Node.Flush()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Pack(outs, func(_ string, pkt []byte) error {
+			return proto.ForEachPacked(pkt, func(enc []byte) error {
+				if f, err := proto.Decode(enc); err == nil && f.Type() == proto.TMetaFetch {
+					fetches = append(fetches, f.(*proto.MetaFetch))
+				}
+				return nil
+			})
+		})
+	}
+	// Node 3 takes over coordinator 0's shard.
+	next := cfg.Clone()
+	next.Epoch, next.Leader, next.Coords, next.Spares = 2, 1, []proto.NodeID{3}, nil
+	batch(NodeAddr(1), &proto.ConfigPush{Config: next})
+	if len(fetches) != 2 {
+		t.Fatalf("the new coordinator asked %d replicas for metadata, want 2", len(fetches))
+	}
+	for i, key := range []string{"a", "b"} {
+		batch(NodeAddr(proto.NodeID(i+1)), &proto.MetaFetchReply{
+			Req: fetches[0].Req, Status: proto.StOK, Memgest: 1, Shard: 0, Seq: 1,
+			Recs: []proto.MetaRecord{{Key: key, Version: 1, Memgest: 1, Committed: true, Length: 1}},
+		})
+	}
+	for _, key := range []string{"a", "b"} {
+		if h.Node.mg[1].coord[0].meta.Get(key, 1) == nil {
+			t.Errorf("the recovered table lacks %q", key)
+		}
 	}
 }

@@ -48,10 +48,10 @@ var ackMutations = []struct {
 		"\t\tn.replyOK(replog.Committed(&e.Rec), from, m.Req, ref.Version)",
 		"\t\tn.refuse(from, m.Req, proto.StOK)",
 		"as refusal value in argument to n.refuse"},
-	{"outputs taken before the sync", "runner.go",
-		"\t\t\tr.node.HandleMessage(now, p.From, msg)",
-		"\t\t\tr.flush(r.node.HandleMessage(now, p.From, msg))",
-		"r.node.HandleMessage(now, p.From, msg) (no value) used as value"},
+	{"outputs taken before the sync", "host.go",
+		"\t\t\th.Node.HandleMessage(now, from, msg)",
+		"\t\t\th.Pack(h.Node.HandleMessage(now, from, msg), nil)",
+		"h.Node.HandleMessage(now, from, msg) (no value) used as value"},
 }
 
 // TestAckBeforeBarrierDoesNotCompile is the check that runs before the

@@ -72,10 +72,11 @@ type want struct {
 	// A metadata want asks every peer holding a copy and merges what
 	// they answer: since is the delta floor (a node that recovered
 	// durable state needs only what came after), waiting the peers yet
-	// to answer, replies what the others said.
+	// to answer, replies what the others said (copies: the host gives
+	// each received message back once its handler returns).
 	since   proto.Seq
 	waiting []proto.NodeID
-	replies []*proto.MetaFetchReply
+	replies []proto.MetaFetchReply
 }
 
 // wantTable is what the node lacks: the open wants in the order the
@@ -373,7 +374,7 @@ func (n *Node) handleMetaFetchReply(from string, m *proto.MetaFetchReply) {
 	}
 	w.waiting = slices.DeleteFunc(w.waiting, func(p proto.NodeID) bool { return p == id })
 	if m.Status == proto.StOK {
-		w.replies = append(w.replies, m)
+		w.replies = append(w.replies, *m)
 	}
 	if len(w.waiting) == 0 {
 		n.finishMetadata(w)

@@ -14,27 +14,6 @@ import (
 	"ring/internal/wal"
 )
 
-// PoisonPayloads makes every runner overwrite a consumed packet with
-// 0xDB before recycling it, and a message it gives back with junk
-// (proto.Poison). It is a test switch, set (in TestMain, before any
-// runner starts) by every package whose tests drive a Cluster: a
-// handler that kept a view into a packet, or a pointer to a message,
-// past its return then reads junk the first time it looks, instead of
-// whatever a later packet or message happens to put there under
-// production timing.
-var PoisonPayloads bool
-
-// release ends the life of a message the runner decoded or encoded: it
-// goes back to its type's free list (proto.Release).
-//
-//ring:hotpath
-func release(m proto.Message) {
-	if PoisonPayloads {
-		proto.Poison(m)
-	}
-	proto.Release(m)
-}
-
 // RunnerGoroutines counts live runner event-loop goroutines
 // process-wide, one per hosted node. With memgest-group sharding a
 // process hosts one runner per (node, group) pair, so this gauge is
@@ -48,13 +27,14 @@ func init() {
 
 // Runner hosts one Node on a fabric: a single goroutine serializes
 // incoming packets and timer ticks through the state machine, exactly
-// like the paper's single-threaded servers.
+// like the paper's single-threaded servers. Outside the event loop the
+// node is reached through Inspect.
 type Runner struct {
-	node  *Node
+	Host
 	ep    transport.Endpoint
 	ticks time.Duration
 
-	mu     sync.Mutex // guards node during Inspect
+	mu     sync.Mutex // guards the node during Inspect
 	start  time.Time
 	done   chan struct{}
 	epOnce sync.Once // ep.Close exactly once (halt and Stop both close)
@@ -62,14 +42,6 @@ type Runner struct {
 	// inbox is the endpoint's receive channel; the queue-depth gauges
 	// read its length at scrape time.
 	inbox <-chan transport.Packet
-
-	// Event-loop scratch (single-goroutine): the per-destination
-	// coalescing group and the pooled payload buffers (Out.Scratch) of
-	// the group's messages. Reused across events so the steady-state send
-	// path does not allocate beyond the owned payload buffers handed to
-	// the fabric.
-	group    []proto.Message
-	payloads [][]byte
 }
 
 // StartRunner registers the node's endpoint on the fabric and starts
@@ -92,7 +64,7 @@ func StartRunner(n *Node, fabric transport.Fabric, tickEvery time.Duration) (*Ru
 		return nil, fmt.Errorf("core: endpoint %T has no inbox channel (transport.ChanReceiver)", ep)
 	}
 	r := &Runner{
-		node:  n,
+		Host:  Host{Node: n},
 		ep:    ep,
 		ticks: tickEvery,
 		start: time.Now(),
@@ -134,18 +106,13 @@ func (r *Runner) loop(epClosed <-chan struct{}) {
 	}
 }
 
-// maxDrain bounds how many queued packets one drain pass consumes, so
-// a flooded node still flushes sends and honours Stop promptly.
-const maxDrain = 64
-
-// drain runs p plus any backlog already queued in the inbox through the
-// state machine under a single lock, then flushes every resulting send
-// in one coalesced pass. Processing the backlog per wakeup instead of
-// per packet amortises lock and scheduler traffic, and lets outputs of
-// different events destined for the same peer share a packet — e.g. a
-// coordinator that finds several acks queued emits the commit fan-out
-// and the client replies they unlock as single per-peer sends. It
-// returns false once the node has crash-stopped.
+// drain runs p and up to MaxDrain packets already queued behind it
+// through the node under one lock, then sends the batch's outputs in one
+// coalesced pass: a wakeup amortises lock and scheduler traffic, and
+// outputs of different events to one peer share a packet (a coordinator
+// that finds several acks queued sends the commit fan-out and the
+// replies they unlock as single per-peer sends). It returns false once
+// the node has crash-stopped.
 //
 // Flush runs under r.mu by design: it is the node's group commit, and
 // the batch's outputs exist outside the node only once it has returned
@@ -160,32 +127,10 @@ func (r *Runner) drain(p transport.Packet) bool {
 	now := time.Since(r.start)
 	// The channel backlog plus the packet in hand is the inbox depth
 	// this wakeup observed.
-	r.node.Metrics.InboxHighWater.Observe(int64(len(r.inbox)) + 1)
+	r.Node.Metrics.InboxHighWater.Observe(int64(len(r.inbox)) + 1)
 	for drained := 0; ; drained++ {
-		// A packet carries one message or a TBatch of several; each is
-		// run through the state machine in arrival order.
-		_ = proto.ForEachPacked(p.Payload, func(enc []byte) error {
-			msg, err := proto.Decode(enc)
-			if err != nil {
-				return nil // drop malformed messages
-			}
-			r.node.HandleMessage(now, p.From, msg)
-			// The handler has returned, and a handler copies what it
-			// keeps of a message: the struct goes back to its free list.
-			release(msg)
-			return nil
-		})
-		// Every handler of every message in the packet has returned,
-		// and a handler copies what it keeps (the ownership rule of
-		// package transport): the decoded views are dead, the payload
-		// goes back to the pool.
-		if PoisonPayloads {
-			for i := range p.Payload {
-				p.Payload[i] = 0xDB
-			}
-		}
-		transport.ReleaseBuf(p.Payload)
-		if drained >= maxDrain {
+		r.Deliver(now, p.From, p.Payload)
+		if drained >= MaxDrain {
 			break
 		}
 		var more bool
@@ -207,7 +152,7 @@ func (r *Runner) drain(p transport.Packet) bool {
 //ring:lockok deliberate hold-across-fsync, see drain
 func (r *Runner) tick() bool {
 	r.mu.Lock()
-	r.node.HandleTick(time.Since(r.start))
+	r.Node.HandleTick(time.Since(r.start))
 	return r.endBatch()
 }
 
@@ -218,69 +163,21 @@ func (r *Runner) tick() bool {
 //
 //ring:hotpath
 func (r *Runner) endBatch() bool {
-	outs, err := r.node.Flush()
+	outs, err := r.Node.Flush()
 	r.mu.Unlock()
 	if err != nil {
 		r.halt()
 		return false
 	}
-	r.flush(outs)
+	r.Pack(outs, r.ep.Send)
 	return true
-}
-
-// flush coalesces one event's outputs by destination and transmits
-// each group as a single packet: m parity updates or r replica
-// appends fanning out to the same peer cost one Send, the equivalent
-// of posting back-to-back verbs with a single doorbell. Message order
-// per destination is preserved. Each packet is encoded into a pooled
-// buffer sized for it up front, so encoding never regrows one, and the
-// pooled payload buffers of its messages (Out.Scratch) and the messages
-// themselves go back to their pools the moment the packet holds their
-// bytes. Entries are cleared as they are sent so the node's buffer and
-// the scratch slices do not pin messages.
-//
-//ring:hotpath
-func (r *Runner) flush(outs []Out) {
-	for i := range outs {
-		if outs[i].To == "" {
-			continue // already coalesced into an earlier group
-		}
-		to := outs[i].To
-		size := 0
-		r.group, r.payloads = r.group[:0], r.payloads[:0]
-		for j := i; j < len(outs); j++ {
-			if outs[j].To != to {
-				continue
-			}
-			r.group = append(r.group, outs[j].Msg)
-			size += proto.SizeHint(outs[j].Msg)
-			if outs[j].Scratch != nil {
-				r.payloads = append(r.payloads, outs[j].Scratch)
-			}
-			outs[j] = Out{}
-		}
-		buf := proto.AppendBatch(transport.AcquireBufSize(size), r.group...)
-		for _, b := range r.payloads {
-			transport.ReleaseBuf(b)
-		}
-		for _, m := range r.group {
-			release(m)
-		}
-		r.node.Metrics.MsgsOut.Add(uint64(len(r.group)))
-		r.node.Metrics.PacketsOut.Inc()
-		// Best-effort, like a datagram fabric: dead peers are the
-		// failure detector's problem, not the sender's.
-		_ = r.ep.Send(to, buf)
-		clear(r.group)
-		clear(r.payloads)
-	}
 }
 
 // Inspect runs f with the node quiesced; for tests and stats scraping.
 func (r *Runner) Inspect(f func(*Node)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f(r.node)
+	f(r.Node)
 }
 
 // halt is the crash-stop path taken by the event loop itself when the
@@ -316,7 +213,7 @@ func (r *Runner) stop(closeDurable bool) {
 	<-r.done
 	if closeDurable {
 		r.mu.Lock()
-		err := r.node.CloseDurable()
+		err := r.Node.CloseDurable()
 		r.mu.Unlock()
 		_ = err // a node stopping anyway has nowhere to report it
 	}

@@ -12,8 +12,9 @@ import (
 )
 
 // TestFlushCoalescesPerDestination pins the coalescing contract of the
-// runner's send path: one event's outputs to the same peer leave as a
-// single packet, in order, while singletons stay plain envelopes.
+// host's send path, the runner's and the simulator's: one batch's
+// outputs to the same peer leave as a single packet, in order, while
+// singletons stay plain envelopes.
 func TestFlushCoalescesPerDestination(t *testing.T) {
 	f := transport.NewMemFabric(0)
 	a, err := f.Register("peer/a")
@@ -28,7 +29,7 @@ func TestFlushCoalescesPerDestination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &Runner{ep: self, node: New(0, &proto.Config{Epoch: 1}, Options{})}
+	host := &Host{Node: New(0, &proto.Config{Epoch: 1}, Options{})}
 
 	outs := []Out{
 		{To: "peer/a", Msg: &proto.RepCommit{Memgest: 1, Shard: 0, Seq: 7}},
@@ -36,14 +37,14 @@ func TestFlushCoalescesPerDestination(t *testing.T) {
 		{To: "peer/a", Msg: &proto.Purge{Memgest: 1, Shard: 0, Key: "k", Version: 1}},
 		{To: "peer/a", Msg: &proto.RepCommit{Memgest: 1, Shard: 0, Seq: 8}},
 	}
-	r.flush(outs)
+	host.Pack(outs, self.Send)
 	for i, o := range outs {
 		if o.To != "" || o.Msg != nil || o.Scratch != nil {
-			t.Errorf("outs[%d] not cleared after flush: %+v", i, o)
+			t.Errorf("outs[%d] not cleared after Pack: %+v", i, o)
 		}
 	}
 
-	// Sentinels: if flush had emitted more than one packet per peer,
+	// Sentinels: if Pack had emitted more than one packet per peer,
 	// the extra packet would arrive before the sentinel.
 	if err := self.Send("peer/a", proto.Encode(&proto.Heartbeat{Epoch: 9})); err != nil {
 		t.Fatal(err)

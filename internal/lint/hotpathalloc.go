@@ -25,7 +25,7 @@ import (
 //
 // Traversal is per package: a cross-package call is the callee
 // package's responsibility, annotated at its own entry point (proto's
-// AppendEncode/Decode, transport's Send, core's drain/flush). Calls
+// AppendEncode/Decode, transport's Send, core's Deliver/Pack). Calls
 // through an interface propagate to every same-package concrete method
 // implementing it, which is how annotating AppendEncode covers all 35+
 // message encode methods. //ring:hotpath-stop bounds the walk at

@@ -9,8 +9,8 @@ import (
 // free holds the given-back structs of every message type whose wire
 // row says free: the messages each operation sends, which a node
 // decodes and builds by the thousand a second. Decode and New take from
-// it, Release gives back; whoever never gives back (a client, the
-// simulator) just allocates, as before.
+// it, Release gives back (a node's core.Host, live or simulated);
+// whoever never gives back (a client) just allocates, as before.
 var free [tEnd]sync.Pool
 
 // alloc returns a message of tag t: a given-back one when there is one.

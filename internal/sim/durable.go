@@ -62,7 +62,7 @@ func (s *Sim) EnableDurable(seed int64, opts replog.DurableOptions) error {
 		if err != nil {
 			return err
 		}
-		s.nodes[id].node.SetDurable(d)
+		s.nodes[id].Node.SetDurable(d)
 		p.fs[id] = fsys
 	}
 	s.dur = p
@@ -135,9 +135,9 @@ func (s *Sim) crashDisk(id proto.NodeID) {
 }
 
 // syncCost returns the virtual time the fsyncs of node id's last Flush
-// (its group commit at the end of one CPU slot) cost.
+// (its group commit at the end of one batch) cost.
 func (s *Sim) syncCost(h *nodeHost, id proto.NodeID) time.Duration {
-	if s.dur == nil || !h.node.HasDurable() || s.dur.fs[id] == nil {
+	if s.dur == nil || !h.Node.HasDurable() || s.dur.fs[id] == nil {
 		return 0
 	}
 	total := s.dur.fs[id].Syncs()

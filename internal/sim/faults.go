@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"time"
 
 	"ring/internal/core"
@@ -8,16 +9,16 @@ import (
 )
 
 // This file is the simulator's fault plane: crash/restart with
-// incarnation fencing, address-pair partitions, and a per-message
+// incarnation fencing, address-pair partitions, and a per-packet
 // fault hook that can drop, delay, or duplicate traffic. Everything
 // runs in virtual time, so a seeded nemesis schedule (nemesis.go)
 // replays bit-for-bit.
 
-// FaultAction is the verdict of a FaultFunc for one message about to
+// FaultAction is the verdict of a FaultFunc for one packet about to
 // enter the fabric. Zero value = deliver normally. Reordering is not a
-// separate knob: delaying some messages and not others reorders them.
+// separate knob: delaying some packets and not others reorders them.
 type FaultAction struct {
-	// Drop discards the message (it never arrives).
+	// Drop discards the packet (it never arrives).
 	Drop bool
 	// Delay postpones arrival by the given extra virtual time.
 	Delay time.Duration
@@ -25,10 +26,11 @@ type FaultAction struct {
 	Duplicate bool
 }
 
-// FaultFunc inspects a message at send time and decides its fate. It
-// is called in deterministic event order, so a seeded implementation
-// makes the whole run replayable. It must not retain msg.
-type FaultFunc func(now time.Duration, from, to string, msg proto.Message, size int) FaultAction
+// FaultFunc inspects a packet (one message, or a batch's messages to one
+// peer) at send time and decides its fate. It is called in deterministic
+// event order, so a seeded implementation makes the whole run
+// replayable. It must neither keep nor change pkt.
+type FaultFunc func(now time.Duration, from, to string, pkt []byte) FaultAction
 
 // FaultStats counts injected faults.
 type FaultStats struct {
@@ -38,8 +40,8 @@ type FaultStats struct {
 	Corrupted uint64
 }
 
-// SetFaultFunc installs (or, with nil, removes) the message fault
-// hook. It is consulted for every message entering the fabric, from
+// SetFaultFunc installs (or, with nil, removes) the packet fault
+// hook. It is consulted for every packet entering the fabric, from
 // clients and nodes alike, after the partition check.
 func (s *Sim) SetFaultFunc(fn FaultFunc) { s.faultFn = fn }
 
@@ -113,22 +115,23 @@ func (s *Sim) Restart(id proto.NodeID) {
 	h.cpuFreeAt = s.now
 	h.nicFreeAt = s.now
 	h.lastStats = core.Stats{}
-	h.node = s.recoverNode(id)
+	h.Host = core.Host{Node: s.recoverNode(id)}
 	if h.tickEvery > 0 {
 		s.push(&event{at: s.now + h.tickEvery, kind: evTick, node: id, inc: h.inc})
 	}
 }
 
-// deliver schedules one message's arrival, applying the partition
-// table and the fault hook. `at` is the fault-free arrival time
-// (sender-side NIC serialization and propagation already included).
-func (s *Sim) deliver(at time.Duration, from, to string, msg proto.Message, size int) {
+// deliver schedules one packet's arrival, applying the partition table
+// and the fault hook. `at` is the fault-free arrival time (sender-side
+// NIC serialization and propagation already included). A duplicate is a
+// copy of the bytes: the receiver's host recycles each packet it runs.
+func (s *Sim) deliver(at time.Duration, from, to string, pkt []byte) {
 	if s.blocked[from][to] {
 		s.Faults.Dropped++
 		return
 	}
 	if s.faultFn != nil {
-		a := s.faultFn(s.now, from, to, msg, size)
+		a := s.faultFn(s.now, from, to, pkt)
 		if a.Drop {
 			s.Faults.Dropped++
 			return
@@ -139,11 +142,8 @@ func (s *Sim) deliver(at time.Duration, from, to string, msg proto.Message, size
 		}
 		if a.Duplicate {
 			s.Faults.Duplicated++
-			s.push(&event{
-				at:   at + s.Model.NetDelay,
-				kind: evDeliver, from: from, to: to, msg: msg, payload: size,
-			})
+			s.push(&event{at: at + s.Model.NetDelay, kind: evDeliver, from: from, to: to, pkt: slices.Clone(pkt)})
 		}
 	}
-	s.push(&event{at: at, kind: evDeliver, from: from, to: to, msg: msg, payload: size})
+	s.push(&event{at: at, kind: evDeliver, from: from, to: to, pkt: pkt})
 }

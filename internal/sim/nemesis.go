@@ -365,13 +365,13 @@ func (s Schedule) Apply(sim *Sim, faultSeed int64) {
 				sim.HealAll()
 			case NemFlaky:
 				drop, dup, maxDelay := step.DropPct, step.DupPct, step.MaxDelay
-				sim.SetFaultFunc(func(now time.Duration, from, to string, msg proto.Message, size int) FaultAction {
+				sim.SetFaultFunc(func(now time.Duration, from, to string, pkt []byte) FaultAction {
 					var a FaultAction
 					if rng.Intn(100) < drop {
 						a.Drop = true
 						return a
 					}
-					if dup > 0 && rng.Intn(100) < dup && dupSafe(msg) {
+					if dup > 0 && rng.Intn(100) < dup && dupSafe(pkt) {
 						a.Duplicate = true
 					}
 					if maxDelay > 0 {
@@ -407,14 +407,18 @@ func (s Schedule) Apply(sim *Sim, faultSeed int64) {
 // idempotent-tolerant messages — which still exercises every dedup
 // path the protocol really has (ack trackers, seq indexes, per-request
 // reply maps). Application-level duplication of client writes IS
-// tested, via the chaos client's own timeouts and retries.
-func dupSafe(msg proto.Message) bool {
-	switch msg.(type) {
-	case *proto.Put, *proto.Delete, *proto.Move, *proto.ParityUpdate,
-		// A duplicated Reconfig can fence a node that just rejoined: a
-		// client write in the same exactly-once contract as Put.
-		*proto.Reconfig:
-		return false
-	}
-	return true
+// tested, via the chaos client's own timeouts and retries. A packet is
+// duplicated only if every message it carries may be.
+func dupSafe(pkt []byte) bool {
+	safe := true
+	eachType(pkt, func(t proto.MsgType) {
+		switch t {
+		case proto.TPut, proto.TDelete, proto.TMove, proto.TParityUpdate,
+			// A duplicated Reconfig can fence a node that just rejoined: a
+			// client write in the same exactly-once contract as Put.
+			proto.TReconfig:
+			safe = false
+		}
+	})
+	return safe
 }

@@ -9,23 +9,29 @@ import (
 )
 
 // TestCPUQueueSerializes: two client requests arriving together at one
-// node must be served back to back, the second delayed by the first's
-// service time — single-threaded server semantics.
+// node share one CPU slot, as they would share one drain in ringd, so
+// both replies leave at the end of that batch — and the second request
+// still pays for the first's service time, single-threaded server
+// semantics: it takes at least one dispatch longer than a lone put.
 func TestCPUQueueSerializes(t *testing.T) {
 	s, c := newSim(t)
 	val := make([]byte, 1024)
 	// Same key -> same coordinator.
+	lone, _, err := c.PutSync("q", val, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var lat1, lat2 time.Duration
-	c.PutAt(0, "q", val, 1, func(l time.Duration, r *proto.PutReply) { lat1 = l })
-	c.PutAt(0, "q", val, 1, func(l time.Duration, r *proto.PutReply) { lat2 = l })
+	c.PutAt(s.Now(), "q", val, 1, func(l time.Duration, r *proto.PutReply) { lat1 = l })
+	c.PutAt(s.Now(), "q", val, 1, func(l time.Duration, r *proto.PutReply) { lat2 = l })
 	s.RunToQuiescence()
 	if lat1 == 0 || lat2 == 0 {
 		t.Fatal("puts did not complete")
 	}
-	if lat2 <= lat1 {
-		t.Fatalf("second request (%v) must queue behind the first (%v)", lat2, lat1)
+	if lat2 < lone+s.Model.CPUFixed {
+		t.Fatalf("second request (%v) must queue behind the first: a lone put takes %v", lat2, lone)
 	}
-	// The gap is roughly one service time, well below a full round trip.
+	// The gap is at most one service time, well below a full round trip.
 	if lat2-lat1 > lat1 {
 		t.Fatalf("queueing gap %v implausibly large", lat2-lat1)
 	}
@@ -77,25 +83,27 @@ func TestBytesOnWireAccounting(t *testing.T) {
 }
 
 // TestControlMessageClassification: client ops are never control
-// messages, acks always are.
+// messages, acks and ticks always are, the redundancy plane costs its
+// own rate, and a batched packet costs the sum of its messages.
 func TestControlMessageClassification(t *testing.T) {
-	if isControl(queuedMsg{msg: &proto.Get{Key: "k"}}) {
-		t.Fatal("Get classified as control")
-	}
-	if isControl(queuedMsg{msg: &proto.Put{Key: "k"}}) {
-		t.Fatal("Put classified as control")
-	}
-	if !isControl(queuedMsg{msg: &proto.RepAck{}}) || !isControl(queuedMsg{msg: &proto.ParityAck{}}) {
-		t.Fatal("acks not classified as control")
-	}
-	if !isControl(queuedMsg{tick: true}) {
-		t.Fatal("tick not control")
-	}
-	if !isReplicationPlane(&proto.RepAppend{}) || !isReplicationPlane(&proto.ParityUpdate{}) {
-		t.Fatal("replication plane misclassified")
-	}
-	if isReplicationPlane(&proto.Get{}) {
-		t.Fatal("Get classified as replication plane")
+	s := &Sim{Model: DefaultModel()}
+	m := s.Model
+	pkt := func(msgs ...proto.Message) []byte { return proto.AppendBatch(nil, msgs...) }
+	for _, tc := range []struct {
+		name string
+		pkt  []byte
+		want time.Duration
+	}{
+		{"get", pkt(&proto.Get{Key: "k"}), m.CPUFixed},
+		{"put", pkt(&proto.Put{Key: "k"}), m.CPUFixed},
+		{"acks", pkt(&proto.RepAck{}, &proto.ParityAck{}), m.CPUFixed / 2},
+		{"tick", nil, m.CPUFixed / 4},
+		{"replication plane", pkt(&proto.RepAppend{}, &proto.ParityUpdate{}), 2 * m.CPUFixedRepl},
+		{"mixed", pkt(&proto.Get{}, &proto.RepAck{}, &proto.Purge{}), m.CPUFixed + m.CPUFixed/4 + m.CPUFixedRepl},
+	} {
+		if got := s.charge(tc.pkt); got != tc.want {
+			t.Errorf("%s costs %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // reconfigSim is paperSpec with ticks on at a heartbeat short enough to
 // run hundreds of FailAfter periods, an operator address that collects
 // the control plane's replies, and a fault hook that counts every
-// ConfigPush entering the fabric and drops the first one addressed to
-// node 2 once armed.
+// ConfigPush entering the fabric and drops the first packet carrying
+// one to node 2 once armed.
 type reconfigSim struct {
 	*Sim
 	spec    core.ClusterSpec
@@ -43,11 +43,12 @@ func newReconfigSim(t *testing.T, spares int) *reconfigSim {
 	s.RegisterClient(operatorAddr, func(_ time.Duration, _ string, msg proto.Message) {
 		r.replies = append(r.replies, msg)
 	})
-	s.SetFaultFunc(func(_ time.Duration, _, to string, msg proto.Message, _ int) FaultAction {
-		if _, ok := msg.(*proto.ConfigPush); !ok {
+	s.SetFaultFunc(func(_ time.Duration, _, to string, pkt []byte) FaultAction {
+		n := carries(pkt, proto.TConfigPush)
+		if n == 0 {
 			return FaultAction{}
 		}
-		r.pushes++
+		r.pushes += n
 		if r.dropArm && to == core.NodeAddr(2) {
 			r.dropArm = false
 			r.dropped++

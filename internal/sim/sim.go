@@ -1,17 +1,19 @@
 // Package sim is the discrete-event network-and-CPU simulator that
 // stands in for the paper's InfiniBand testbed. It drives the exact
-// same core.Node state machines that run in production, but in virtual
-// time, with a calibrated cost model:
+// same core.Node state machines that run in production, through the
+// same core.Host the runner uses — packet bytes in, one batch and one
+// Flush per CPU slot, one packet per peer out — but in virtual time,
+// with a calibrated cost model:
 //
 //   - Links have a fixed one-way propagation delay plus a
 //     size-proportional serialization term (NIC bandwidth). Outgoing
-//     messages of one node share its NIC and are serialized.
+//     packets of one node share its NIC and are serialized.
 //   - Each node has a single CPU (the paper's servers are
-//     single-threaded). Handling a message costs a base overhead plus
-//     terms proportional to the actual bytes the node copied, XORed
-//     into parity, decoded, or installed during recovery — all read
-//     from the node's own Stats counters, so the model charges for
-//     the work the real implementation performed.
+//     single-threaded). A batch costs a base overhead per message, by
+//     its wire type, plus terms proportional to the actual bytes the
+//     node copied, XORed into parity, decoded, or installed during
+//     recovery — all read from the node's own Stats counters, so the
+//     model charges for the work the real implementation performed.
 //
 // Because the protocol structure (hops, fan-outs, byte counts) is
 // real, the relative shapes of the paper's figures — REP1 < REPr <
@@ -53,18 +55,16 @@ type CostModel struct {
 	// CPUPerByteMeta charges for metadata record installation during
 	// recovery.
 	CPUPerByteMeta time.Duration
-	// CPUPerByteSend charges for staging outgoing message bytes.
-	CPUPerByteSend time.Duration
 }
 
 // DefaultModel returns constants calibrated so that the Figure 7
 // reproduction lands in the paper's range (get ≈ 5 µs, REP1 put
 // ≈ 5 µs at small sizes, SRS32 put ≈ 3x REP1 at 2 KiB).
 //
-// Copy, decode, metadata and send bytes cost no CPU: a Duration counts
-// whole nanoseconds, so a rate below one per byte cannot be written
-// here (time.Nanosecond / 4 is an integer division equal to zero), and
-// every figure is calibrated with these four at zero. Byte volume
+// Copy, decode and metadata bytes cost no CPU: a Duration counts whole
+// nanoseconds, so a rate below one per byte cannot be written here
+// (time.Nanosecond / 4 is an integer division equal to zero), and every
+// figure is calibrated with these three at zero. Byte volume
 // reaches virtual time through NIC serialisation (NetBytesPerSec) and
 // parity XOR alone.
 func DefaultModel() CostModel {
@@ -77,7 +77,6 @@ func DefaultModel() CostModel {
 		CPUPerByteXor:    2 * time.Nanosecond,
 		CPUPerByteDecode: 0,
 		CPUPerByteMeta:   0,
-		CPUPerByteSend:   0,
 	}
 }
 
@@ -85,10 +84,10 @@ func DefaultModel() CostModel {
 type evKind uint8
 
 const (
-	evDeliver evKind = iota + 1 // message arrives at a node or client
+	evDeliver evKind = iota + 1 // a packet arrives at a node or client
 	evTick                      // periodic node timer
 	evUser                      // scheduled callback (workload arrival)
-	evProcess                   // a node CPU picks its next queued message
+	evProcess                   // a node CPU takes its next batch
 )
 
 type event struct {
@@ -96,10 +95,9 @@ type event struct {
 	seq  uint64 // tie-break for determinism
 	kind evKind
 
-	to      string
-	from    string
-	msg     proto.Message
-	payload int // wire size
+	to   string
+	from string
+	pkt  []byte // evDeliver
 
 	node proto.NodeID // evTick
 	inc  uint64       // target incarnation (evTick, evProcess)
@@ -125,15 +123,15 @@ func (h *eventHeap) Pop() interface{} {
 	return e
 }
 
-// nodeHost wraps a core.Node with its simulated CPU and NIC. Incoming
-// messages enter a FIFO queue and are handled one at a time by the
+// nodeHost gives a core.Host its simulated CPU and NIC. Incoming
+// packets enter a FIFO queue and are handled a batch at a time by the
 // single simulated CPU — state transitions run at the virtual time the
 // CPU reaches them, not at delivery time, so overload behaves like a
 // real single-threaded server (queueing delay, not reordering).
 type nodeHost struct {
-	node      *core.Node
-	queue     []queuedMsg
-	procAt    bool // an evProcess event is scheduled
+	core.Host
+	queue     []packet // a nil pkt is a tick
+	procAt    bool     // an evProcess event is scheduled
 	cpuFreeAt time.Duration
 	nicFreeAt time.Duration
 	dead      bool
@@ -149,11 +147,9 @@ type nodeHost struct {
 	lastStats core.Stats
 }
 
-type queuedMsg struct {
+type packet struct {
 	from string
-	msg  proto.Message
-	size int
-	tick bool
+	pkt  []byte
 }
 
 // Sim is one simulation instance. Not safe for concurrent use.
@@ -182,7 +178,7 @@ type Sim struct {
 	// move/join/leave nemesis step fires.
 	elastic *nemesisAgent
 
-	// Delivered counts messages delivered, for sanity checks.
+	// Delivered counts packets delivered, for sanity checks.
 	Delivered uint64
 	// BytesOnWire sums delivered payload bytes, for the ablations that
 	// compare network cost of different strategies.
@@ -204,7 +200,7 @@ func New(cfg *proto.Config, opts core.Options, model CostModel) *Sim {
 		blocked: make(map[string]map[string]bool),
 	}
 	for _, id := range cfg.AllNodes() {
-		s.nodes[id] = &nodeHost{node: core.New(id, cfg.Clone(), opts)}
+		s.nodes[id] = &nodeHost{Host: core.Host{Node: core.New(id, cfg.Clone(), opts)}}
 	}
 	return s
 }
@@ -222,7 +218,7 @@ func NewFromSpec(spec core.ClusterSpec, model CostModel) (*Sim, error) {
 func (s *Sim) Now() time.Duration { return s.now }
 
 // Node returns the state machine of a node (for inspection).
-func (s *Sim) Node(id proto.NodeID) *core.Node { return s.nodes[id].node }
+func (s *Sim) Node(id proto.NodeID) *core.Node { return s.nodes[id].Node }
 
 // Kill marks a node crashed: its CPU queue is discarded, node-bound
 // events already in the heap are invalidated by the incarnation bump,
@@ -239,7 +235,7 @@ func (s *Sim) Kill(id proto.NodeID) {
 }
 
 // RegisterClient installs a handler for messages sent to a client
-// address.
+// address; a client's packets are decoded on delivery, never recycled.
 func (s *Sim) RegisterClient(addr string, fn func(now time.Duration, from string, msg proto.Message)) {
 	s.clients[addr] = fn
 }
@@ -269,10 +265,11 @@ func (s *Sim) At(at time.Duration, fn func(now time.Duration)) {
 	s.push(&event{at: at, kind: evUser, fn: fn})
 }
 
-// Send injects a message from a client address into the fabric.
+// Send injects a message from a client address into the fabric, encoded
+// as it is sent: what the client does to msg afterwards does not travel.
 func (s *Sim) Send(from, to string, msg proto.Message) {
-	size := len(proto.Encode(msg))
-	s.deliver(s.now+s.Model.NetDelay+s.txTime(size), from, to, msg, size)
+	pkt := proto.AppendEncode(nil, msg)
+	s.deliver(s.now+s.Model.NetDelay+s.txTime(len(pkt)), from, to, pkt)
 }
 
 func (s *Sim) txTime(size int) time.Duration {
@@ -315,15 +312,20 @@ func (s *Sim) Step() bool {
 		if h.dead || e.inc != h.inc {
 			return true // stale chain from a previous incarnation
 		}
-		s.enqueue(h, e.node, queuedMsg{tick: true})
+		s.enqueue(h, e.node, packet{})
 		if h.tickEvery > 0 {
 			s.push(&event{at: s.now + h.tickEvery, kind: evTick, node: e.node, inc: h.inc})
 		}
 	case evDeliver:
 		s.Delivered++
-		s.BytesOnWire += uint64(e.payload)
+		s.BytesOnWire += uint64(len(e.pkt))
 		if fn, ok := s.clients[e.to]; ok {
-			fn(s.now, e.from, e.msg)
+			_ = proto.ForEachPacked(e.pkt, func(enc []byte) error {
+				if m, err := proto.Decode(enc); err == nil {
+					fn(s.now, e.from, m)
+				}
+				return nil
+			})
 			return true
 		}
 		id, ok := core.ParseNodeAddr(e.to)
@@ -334,7 +336,7 @@ func (s *Sim) Step() bool {
 		if !ok || h.dead {
 			return true
 		}
-		s.enqueue(h, id, queuedMsg{from: e.from, msg: e.msg, size: e.payload})
+		s.enqueue(h, id, packet{e.from, e.pkt})
 	case evProcess:
 		h := s.nodes[e.node]
 		if e.inc != h.inc {
@@ -344,9 +346,7 @@ func (s *Sim) Step() bool {
 		if h.dead || len(h.queue) == 0 {
 			return true
 		}
-		qm := h.queue[0]
-		h.queue = h.queue[1:]
-		s.process(h, e.node, qm)
+		s.process(h, e.node)
 		if len(h.queue) > 0 {
 			h.procAt = true
 			s.push(&event{at: h.cpuFreeAt, kind: evProcess, node: e.node, inc: h.inc})
@@ -355,10 +355,10 @@ func (s *Sim) Step() bool {
 	return true
 }
 
-// enqueue appends a message to a node's CPU queue and schedules the
-// processor if it is not already scheduled.
-func (s *Sim) enqueue(h *nodeHost, id proto.NodeID, qm queuedMsg) {
-	h.queue = append(h.queue, qm)
+// enqueue appends a packet or a tick to a node's CPU queue and schedules
+// the processor if it is not already scheduled.
+func (s *Sim) enqueue(h *nodeHost, id proto.NodeID, p packet) {
+	h.queue = append(h.queue, p)
 	if h.procAt {
 		return
 	}
@@ -373,93 +373,83 @@ func (s *Sim) enqueue(h *nodeHost, id proto.NodeID, qm queuedMsg) {
 // RunToQuiescence drains all events regardless of horizon.
 func (s *Sim) RunToQuiescence() { s.Run(0) }
 
-// process runs one queued message on the node's CPU at the current
-// virtual time and schedules its outputs through the NIC.
-func (s *Sim) process(h *nodeHost, id proto.NodeID, qm queuedMsg) {
+// process runs one batch on the node's CPU at the current virtual time
+// and sends its outputs through the NIC. A batch is what the runner's
+// drain takes: the head packet and up to core.MaxDrain packets queued
+// behind it, or a tick on its own.
+func (s *Sim) process(h *nodeHost, id proto.NodeID) {
 	start := s.now
-	if qm.tick {
-		h.node.HandleTick(start)
-	} else {
-		h.node.HandleMessage(start, qm.from, qm.msg)
+	n := 1
+	for h.queue[0].pkt != nil && n < len(h.queue) && n <= core.MaxDrain && h.queue[n].pkt != nil {
+		n++
 	}
+	var d time.Duration
+	for _, p := range h.queue[:n] {
+		d += s.charge(p.pkt) + time.Duration(len(p.pkt))*s.Model.CPUPerByteCopy
+		if p.pkt == nil {
+			h.Node.HandleTick(start)
+		} else {
+			h.Deliver(start, p.from, p.pkt)
+		}
+	}
+	h.queue = h.queue[n:]
 
 	// Charge CPU for the actual work performed, read from the node's
-	// own counters. Small control messages (acks, heartbeats, ticks)
-	// cost a fraction of a full request dispatch, approximating cheap
-	// RDMA completions.
-	st := h.node.Stats
-	var d time.Duration
-	switch {
-	case isControl(qm):
-		// Acks, heartbeats, commit notices, ticks: cheap completions.
-		d = s.Model.CPUFixed / 4
-	case isReplicationPlane(qm.msg):
-		d = s.Model.CPUFixedRepl
-	default:
-		d = s.Model.CPUFixed
-	}
+	// own counters.
+	st := h.Node.Stats
 	d += time.Duration(st.BytesWritten-h.lastStats.BytesWritten) * s.Model.CPUPerByteCopy
 	d += time.Duration(st.BytesParityXor-h.lastStats.BytesParityXor) * s.Model.CPUPerByteXor
 	d += time.Duration(st.BytesDecoded-h.lastStats.BytesDecoded) * s.Model.CPUPerByteDecode
 	d += time.Duration(st.BytesMetaInstalled-h.lastStats.BytesMetaInstalled) * s.Model.CPUPerByteMeta
-	d += time.Duration(qm.size) * s.Model.CPUPerByteCopy
 	h.lastStats = st
 
 	// Group commit at the batch boundary: the node hands its outputs
 	// over only once it has synced. A failed fsync crash-stops the node:
 	// its acknowledgements for this batch are never sent, exactly like
 	// the real runner.
-	outs, err := h.node.Flush()
+	outs, err := h.Node.Flush()
 	if err != nil {
 		s.Kill(id)
 		return
 	}
-	d += s.syncCost(h, id)
+	h.cpuFreeAt = start + d + s.syncCost(h, id)
 
-	outBufs := make([]int, len(outs))
-	for i, o := range outs {
-		size := len(proto.Encode(o.Msg))
-		outBufs[i] = size
-		d += time.Duration(size) * s.Model.CPUPerByteSend
-	}
-	done := start + d
-	h.cpuFreeAt = done
-
-	// Serialize outgoing messages through the NIC.
-	nic := h.nicFreeAt
-	if done > nic {
-		nic = done
-	}
-	for i, o := range outs {
-		tx := s.txTime(outBufs[i])
-		nic += tx
-		s.deliver(nic+s.Model.NetDelay, core.NodeAddr(id), o.To, o.Msg, outBufs[i])
-	}
+	// Serialize the batch's packets through the NIC as Pack makes them.
+	nic := max(h.nicFreeAt, h.cpuFreeAt)
+	h.Pack(outs, func(to string, pkt []byte) error {
+		nic += s.txTime(len(pkt))
+		s.deliver(nic+s.Model.NetDelay, core.NodeAddr(id), to, pkt)
+		return nil
+	})
 	h.nicFreeAt = nic
 }
 
-// isReplicationPlane reports whether a message is handled by the
-// redundancy apply path rather than the client dispatch path.
-func isReplicationPlane(m proto.Message) bool {
-	switch m.(type) {
-	case *proto.RepAppend, *proto.ParityUpdate, *proto.Purge, *proto.RepCommit:
-		return true
+// charge is the CPU time one packet's messages cost, by wire type: an
+// ack, heartbeat, commit notice or tick (a nil packet) is a cheap
+// completion, a redundancy-plane apply skips client dispatch, and any
+// other message, a client operation however small, is a full dispatch.
+func (s *Sim) charge(pkt []byte) (d time.Duration) {
+	if pkt == nil {
+		return s.Model.CPUFixed / 4
 	}
-	return false
+	eachType(pkt, func(t proto.MsgType) {
+		switch t {
+		case proto.TRepAck, proto.TParityAck, proto.TRepCommit,
+			proto.THeartbeat, proto.THeartbeatAck, proto.TConfigAck:
+			d += s.Model.CPUFixed / 4
+		case proto.TRepAppend, proto.TParityUpdate, proto.TPurge:
+			d += s.Model.CPUFixedRepl
+		default:
+			d += s.Model.CPUFixed
+		}
+	})
+	return d
 }
 
-// isControl reports whether a queued item is a pure control message
-// whose handling approximates a cheap RDMA completion. Client
-// operations are never control messages, however small their wire
-// size.
-func isControl(qm queuedMsg) bool {
-	if qm.tick {
-		return true
-	}
-	switch qm.msg.(type) {
-	case *proto.RepAck, *proto.ParityAck, *proto.RepCommit,
-		*proto.Heartbeat, *proto.HeartbeatAck, *proto.ConfigAck:
-		return true
-	}
-	return false
+// eachType calls fn with the wire type of every message pkt carries.
+func eachType(pkt []byte, fn func(proto.MsgType)) {
+	_ = proto.ForEachPacked(pkt, func(enc []byte) error {
+		fn(proto.MsgType(enc[0]))
+		return nil
+	})
 }

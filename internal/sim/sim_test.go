@@ -3,12 +3,21 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
 	"ring/internal/core"
 	"ring/internal/proto"
 )
+
+// TestMain switches payload poisoning on for every node these tests
+// drive: a handler that keeps a view into a packet, or a message, past
+// its return reads junk.
+func TestMain(m *testing.M) {
+	core.PoisonPayloads = true
+	os.Exit(m.Run())
+}
 
 func paperSpec() core.ClusterSpec {
 	return core.ClusterSpec{
@@ -282,9 +291,8 @@ func TestSimMoveRetryAfterLostFanout(t *testing.T) {
 	s.EnableTicks(spec.Opts.HeartbeatEvery)
 
 	// The move's destination is SRS(3,2): its fan-out is ParityUpdate.
-	s.SetFaultFunc(func(_ time.Duration, _, _ string, msg proto.Message, _ int) FaultAction {
-		_, fanout := msg.(*proto.ParityUpdate)
-		return FaultAction{Drop: fanout}
+	s.SetFaultFunc(func(_ time.Duration, _, _ string, pkt []byte) FaultAction {
+		return FaultAction{Drop: carries(pkt, proto.TParityUpdate) > 0}
 	})
 	var first, retry *proto.PutReply
 	c.MoveAt(s.Now(), "k", 7, func(_ time.Duration, r *proto.PutReply) { first = r })
@@ -307,5 +315,48 @@ func TestSimMoveRetryAfterLostFanout(t *testing.T) {
 	s.Run(s.Now() + spec.Opts.FailAfter)
 	if got == nil || got.Status != proto.StOK || !bytes.Equal(got.Value, val) || got.Version != retry.Version {
 		t.Fatalf("get after the retried move: %+v", got)
+	}
+}
+
+// carries counts the messages of type t a packet holds.
+func carries(pkt []byte, t proto.MsgType) (n int) {
+	eachType(pkt, func(mt proto.MsgType) {
+		if mt == t {
+			n++
+		}
+	})
+	return n
+}
+
+// TestSendTakesTheBytes: a message travels as the bytes it had when it
+// was sent, so a client that reuses its value buffer afterwards does not
+// change what the node stores.
+func TestSendTakesTheBytes(t *testing.T) {
+	s, c := newSim(t)
+	val := bytes.Repeat([]byte("a"), 64)
+	c.PutAt(0, "k", val, 3, nil)
+	s.Run(time.Nanosecond) // sent, not yet arrived
+	copy(val, bytes.Repeat([]byte("b"), len(val)))
+	s.RunToQuiescence()
+	if _, gr, err := c.GetSync("k"); err != nil || !bytes.Equal(gr.Value, bytes.Repeat([]byte("a"), 64)) {
+		t.Fatalf("get after the client reused its buffer: %v %q", err, gr.Value)
+	}
+}
+
+// TestDupSafePackets: a packet is duplicated only if every message in
+// it may be, so a batch that holds a client write, a parity delta or a
+// reconfiguration never is, whatever rides along.
+func TestDupSafePackets(t *testing.T) {
+	ack := &proto.RepAck{Seq: 1}
+	if !dupSafe(proto.AppendBatch(nil, ack, &proto.Heartbeat{Epoch: 1})) {
+		t.Fatal("a batch of an ack and a heartbeat is not duplicable")
+	}
+	for _, m := range []proto.Message{
+		&proto.Put{Key: "k"}, &proto.Delete{Key: "k"}, &proto.Move{Key: "k"},
+		&proto.ParityUpdate{Delta: []byte{1}}, &proto.Reconfig{Op: proto.ReconfigJoin},
+	} {
+		if dupSafe(proto.AppendBatch(nil, m)) || dupSafe(proto.AppendBatch(nil, ack, m)) {
+			t.Errorf("a packet holding a %T may be duplicated", m)
+		}
 	}
 }
