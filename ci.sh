@@ -13,9 +13,10 @@
 #      of the quorum or the sync does not compile, see stage 5.)
 #      Any finding fails the build; exemptions are //ring: directives
 #      in the source, where review can see them. doc_refs then fails
-#      on a backticked test name or internal/... or cmd/... path in
-#      DESIGN.md, README.md, EXPERIMENTS.md or benchmark/README.md that
-#      the tree does not have. scripts/loc.sh then
+#      on a backticked test name, internal/... or cmd/... path, or
+#      package-qualified Go name (`store.Waiter`) in DESIGN.md,
+#      README.md, EXPERIMENTS.md or benchmark/README.md that the tree
+#      does not have. scripts/loc.sh then
 #      prints the size report (non-test lines per internal/* package
 #      and under cmd/, scripts/ lines, wire message types, top-level
 #      files, the packages ringd links from outside the module and the
@@ -163,8 +164,14 @@ GOVULNCHECK_VERSION=v1.1.3
 # file declares, or a backticked name ending in Reply or Ack (a pkg.
 # in front and a .Field after allowed) that no .go file declares as a
 # type, constant, struct field, function or method: a deleted wire type
-# or its tag.
+# or its tag. A backticked name qualified by one of the packages below
+# (`store.Waiter`, `core.commitEntry`, `proto.New`) fails when no
+# non-test file of that package declares it as a type, function (generic
+# or not), method, constant, variable or struct field; a name with no
+# capital in it (`core.turn`, `store.meta_bytes`) is a trace span or a
+# metric key, not Go, and is not looked up.
 doc_refs() {
+    tab=$(printf '\t') # sh has no $'\t'
     spans=$(grep -ohE '`[^`]+`' DESIGN.md README.md EXPERIMENTS.md benchmark/README.md)
     dead=$(
         echo "$spans" | grep -oE '(-run=)?\b(Test|Fuzz)[A-Z][A-Za-z0-9_]*\*?' | sort -u |
@@ -187,8 +194,16 @@ doc_refs() {
         echo "$spans" | grep -oE '^`([a-z]+\.)?[A-Za-z_][A-Za-z0-9_]*(Reply|Ack)(\.[A-Za-z0-9_]+)?`$' |
             sed -E 's/^`([a-z]+\.)?//; s/[.`].*//' | sort -u |
             while read -r name; do
-                grep -rqE --include='*.go' "^(type|const|func) $name\b|^func \([^)]*\) $name\(|^"$'\t'"$name(\s+[^:].*)?\$" . ||
+                grep -rqE --include='*.go' "^(type|const|func) $name\b|^func \([^)]*\) $name\(|^$tab$name(\s+[^:].*)?\$" . ||
                     echo "$name"
+            done
+        echo "$spans" |
+            grep -oE '(^|[^/A-Za-z0-9_.])(core|store|proto|sim|client|replog|wal|transport|status|metrics)\.[A-Za-z_][A-Za-z0-9_]*' |
+            sed -E 's/^[^a-z]//' | grep -E '\.[^.]*[A-Z]' | sort -u |
+            while IFS=. read -r pkg name; do
+                grep -rqE --include='*.go' --exclude='*_test.go' \
+                    "^(type|func|const|var) $name\b|^func \([^)]*\) $name[[(]|^$tab+([A-Za-z_][A-Za-z0-9_]*, )*$name(,|\s|\$)" \
+                    "internal/$pkg" || echo "$pkg.$name"
             done
     )
     if [ -n "$dead" ]; then

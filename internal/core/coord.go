@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"strconv"
 	"strings"
 	"time"
@@ -26,14 +27,63 @@ func ParseNodeAddr(addr string) (proto.NodeID, bool) {
 	return proto.NodeID(v), true
 }
 
-// blockWaiter is a request parked on the want for a lost Rep value or
-// SRS block: a get, or (move set) a move that re-enters admitMove.
-type blockWaiter struct {
-	client  string
-	req     proto.ReqID
-	key     string
-	version proto.Version
-	move    *proto.Move
+// park is the one copy a request held past its handler gets — on a
+// move window, an uncommitted version or the want for lost bytes. Once
+// the handler returns the host recycles the message, and the packet a
+// put's value is a view into, so the waiter keeps its own struct, and
+// a put its own value.
+func park(from string, msg proto.Message) store.Waiter {
+	switch m := msg.(type) {
+	case *proto.Put:
+		c := *m
+		c.Value = bytes.Clone(m.Value)
+		msg = &c
+	case *proto.Delete:
+		c := *m
+		msg = &c
+	case *proto.Move:
+		c := *m
+		msg = &c
+	}
+	return store.Waiter{From: from, Msg: msg}
+}
+
+// getWaiter is a get held for entry e: it names the version by the
+// table's key and version, not by the packet the get arrived in.
+func getWaiter(from string, req proto.ReqID, e *store.Entry) store.Waiter {
+	return store.Waiter{From: from, Msg: &proto.Get{Req: req, Key: e.Rec.Key, Version: e.Rec.Version}}
+}
+
+// resume sends a held put, delete or move back through its handler,
+// which checks every rule (routing, version allocation, a window the
+// key has since opened) against the state it now runs on.
+func (n *Node) resume(p store.Waiter) {
+	switch m := p.Msg.(type) {
+	case *proto.Put:
+		n.handlePut(p.From, m)
+	case *proto.Delete:
+		n.handleDelete(p.From, m)
+	case *proto.Move:
+		n.admitMove(p.From, m)
+	}
+}
+
+// bounce answers a request this node will not serve StRetry, in the
+// reply its client waits for; the client asks again, of whichever node
+// serves the key by then. Any other message is dropped.
+func (n *Node) bounce(p store.Waiter) {
+	switch m := p.Msg.(type) {
+	case *proto.Put:
+		n.refuse(p.From, m.Req, refRetry)
+	case *proto.Delete:
+		n.refuse(p.From, m.Req, refRetry)
+	case *proto.Move:
+		n.refuse(p.From, m.Req, refRetry)
+	case *proto.Get:
+		n.send(p.From, proto.New(proto.GetReply{Req: m.Req, Status: proto.StRetry}))
+	case *proto.Reconfig:
+		n.send(p.From, &proto.ReconfigReply{Req: m.Req, Status: proto.StRetry})
+	}
 }
 
 // resolveMemgest maps a request's memgest field (0 = default) to the
@@ -331,8 +381,10 @@ func (n *Node) commitEntry(q replog.Quorum, st *mgState, cs *coordShard, key str
 	// Answer gets parked on this entry (Figure 5: replies are released
 	// at commit time with this exact version).
 	parked := e.TakeParked()
-	for _, w := range parked.Gets {
-		n.sendValueReply(st, cs, e, w.Client, w.Req)
+	for _, p := range parked {
+		if g, ok := p.Msg.(*proto.Get); ok {
+			n.sendValueReply(st, cs, e, p.From, g.Req)
+		}
 	}
 
 	// Propagate the commit so redundancy copies flip their flag.
@@ -351,8 +403,10 @@ func (n *Node) commitEntry(q replog.Quorum, st *mgState, cs *coordShard, key str
 	}
 
 	// Parked moves proceed now that the source version is durable.
-	for _, mw := range parked.Moves {
-		n.admitMove(mw.Client, mw.Move)
+	for _, p := range parked {
+		if _, ok := p.Msg.(*proto.Get); !ok {
+			n.resume(p)
+		}
 	}
 }
 
@@ -456,8 +510,7 @@ func (n *Node) handleGet(from string, m *proto.Get) {
 	if !e.Rec.Committed {
 		// Park: the reply is released when this exact version commits
 		// (Figure 5, client D).
-		p := e.Park()
-		p.Gets = append(p.Gets, store.Waiter{Client: from, Req: m.Req})
+		e.Park(getWaiter(from, m.Req, e))
 		n.Stats.ParkedGets++
 		return
 	}
@@ -472,8 +525,9 @@ func (n *Node) sendValueReply(st *mgState, cs *coordShard, e *store.Entry, clien
 		n.send(client, proto.New(proto.GetReply{Req: req, Status: proto.StNotFound}))
 		return
 	}
-	value, ok := n.localValue(st, cs, e, blockWaiter{client: client, req: req, key: e.Rec.Key, version: e.Rec.Version})
-	if !ok {
+	value, lost := n.localValue(st, cs, e)
+	if lost != nil {
+		lost.parked = append(lost.parked, getWaiter(client, req, e))
 		return
 	}
 	n.Metrics.Trace.Record(metrics.TraceGet, e.Rec.Key, uint32(st.info.ID), uint64(e.Rec.Version), uint8(proto.StOK), n.now, 0)
@@ -487,33 +541,30 @@ func (n *Node) sendValueReply(st *mgState, cs *coordShard, e *store.Entry, clien
 // slot or an SRS extent and write the next value there before a reply
 // is encoded — so no view of them leaves the handler that read them.
 // When a failover lost the bytes — a Rep value not yet re-fetched, an
-// SRS block not yet re-decoded — localValue parks w on their want, has
-// it asked at once, and reports false; closeWant resumes the request.
-func (n *Node) localValue(st *mgState, cs *coordShard, e *store.Entry, w blockWaiter) (value []byte, ok bool) {
+// SRS block not yet re-decoded — localValue has their want asked at
+// once and returns it: the caller parks the request there, and
+// closeWant resumes it.
+func (n *Node) localValue(st *mgState, cs *coordShard, e *store.Entry) (value []byte, lost *want) {
 	if e.Rec.Length == 0 {
-		return nil, true
+		return nil, nil
 	}
-	var lost wantID
+	var id wantID
 	if st.info.Scheme.Kind == proto.SchemeRep {
 		if b, held := e.Bytes(); held {
-			return copyOut(b), true
+			return copyOut(b), nil
 		}
-		lost = valueWant(role{st.info.ID, cs.shard, roleCoordinator}, e.Rec.Key, e.Rec.Version)
+		id = valueWant(role{st.info.ID, cs.shard, roleCoordinator}, e.Rec.Key, e.Rec.Version)
 	} else {
 		ext := e.Extent()
-		if lost = blockWant(st.info.ID, cs.shard, ext.Block); !n.lacks(lost) {
+		if id = blockWant(st.info.ID, cs.shard, ext.Block); !n.lacks(id) {
 			buf := transport.AcquireBufSize(int(ext.Len))[:ext.Len]
 			cs.heap.ReadInto(buf, ext)
-			return buf, true
+			return buf, nil
 		}
 	}
-	if w.move != nil {
-		w.move = ownMove(w.move)
-	}
-	want := n.wants.open(lost)
-	want.parked = append(want.parked, w)
-	n.hurry(want)
-	return nil, false
+	lost = n.wants.open(id)
+	n.hurry(lost)
+	return nil, lost
 }
 
 // copyOut copies b into a pooled buffer (nil for no bytes).

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"slices"
 	"sort"
 	"strconv"
@@ -48,19 +47,12 @@ type moveState struct {
 	// newVer is the version the destination write is in flight under.
 	newVer proto.Version
 	// parked holds client writes that arrived inside the window, in
-	// arrival order; they replay through the normal dispatch when the
-	// window closes.
-	parked []parkedOp
+	// arrival order; they resume when the window closes.
+	parked []store.Waiter
 	// started drives the window timeout (moveTick): a destination write
 	// whose appends or acks the network ate would otherwise hold the
 	// window — and every write parked on it — open forever.
 	started time.Duration
-}
-
-// parkedOp is one client write parked on a move window.
-type parkedOp struct {
-	from string
-	msg  proto.Message
 }
 
 // bulkMovePrefix marks the internal reply address of a per-key move
@@ -78,38 +70,14 @@ type bulkMove struct {
 
 // parkOnMove parks a client write that arrived inside the key's open
 // move window. It reports whether the write was parked; a parked write
-// replays when the window closes. This is the retention site of every
-// parked op, whichever path it replays through (closeMove, replanMoves,
-// a re-park by redispatchParked): the runner recycles the message when
-// its handler returns and the packet a put's value is a view into long
-// before the window closes, so the window keeps a copy of the message
-// and of the value.
+// resumes when the window closes.
 func (n *Node) parkOnMove(shard uint32, key, from string, msg proto.Message) bool {
 	mv := n.moving[moveKey{shard: shard, key: key}]
 	if mv == nil {
 		return false
 	}
-	switch m := msg.(type) {
-	case *proto.Put:
-		c := *m
-		c.Value = bytes.Clone(m.Value)
-		msg = &c
-	case *proto.Delete:
-		c := *m
-		msg = &c
-	case *proto.Move:
-		msg = ownMove(m)
-	}
-	mv.parked = append(mv.parked, parkedOp{from: from, msg: msg})
+	mv.parked = append(mv.parked, park(from, msg))
 	return true
-}
-
-// ownMove copies a move request that waits past its handler — on a
-// window, an uncommitted version or a want — since the runner recycles
-// the message it decoded once the handler returns.
-func ownMove(m *proto.Move) *proto.Move {
-	c := *m
-	return &c
 }
 
 // handleMove coordinates a client move.
@@ -151,8 +119,7 @@ func (n *Node) admitMove(from string, m *proto.Move) {
 	if !e.Rec.Committed {
 		// The paper: "the move request will also be postponed if the
 		// requested object is not durable."
-		p := e.Park()
-		p.Moves = append(p.Moves, store.MoveWaiter{Client: from, Move: ownMove(m)})
+		e.Park(park(from, m))
 		return
 	}
 	switch {
@@ -170,8 +137,9 @@ func (n *Node) admitMove(from string, m *proto.Move) {
 		n.replyOK(replog.Committed(&e.Rec), from, m.Req, ref.Version)
 		return
 	}
-	value, ok := n.localValue(st, st.coord[shard], e, blockWaiter{client: from, req: m.Req, key: m.Key, version: ref.Version, move: m})
-	if !ok {
+	value, lost := n.localValue(st, st.coord[shard], e)
+	if lost != nil {
+		lost.parked = append(lost.parked, park(from, m))
 		return
 	}
 	n.startMove(from, m, shard, ref, value)
@@ -208,26 +176,12 @@ func (n *Node) startMove(client string, m *proto.Move, shard uint32, src store.V
 	}
 }
 
-// closeMove closes a window and replays the writes that parked on it,
-// in arrival order, through the normal dispatch.
+// closeMove closes a window and resumes the writes that parked on it,
+// in arrival order.
 func (n *Node) closeMove(mk moveKey, mv *moveState) {
 	delete(n.moving, mk)
 	for _, p := range mv.parked {
-		n.redispatchParked(p)
-	}
-}
-
-// redispatchParked re-enters a parked client write. Replaying through
-// the public handlers keeps every rule (routing, version allocation,
-// re-parking on a window a replayed move just opened) in one place.
-func (n *Node) redispatchParked(p parkedOp) {
-	switch m := p.msg.(type) {
-	case *proto.Put:
-		n.handlePut(p.from, m)
-	case *proto.Delete:
-		n.handleDelete(p.from, m)
-	case *proto.Move:
-		n.admitMove(p.from, m)
+		n.resume(p)
 	}
 }
 
@@ -306,10 +260,10 @@ func (n *Node) bulkMoveDone(id string, s refusal) *bulkMove {
 
 // abortMoveWrite cancels a window's in-flight destination write: the
 // pending commit and its open quorum are dropped (a late ack must not
-// resurrect it), gets parked on the uncommitted destination version are
-// bounced with StRetry (moves never park there — they park on the
-// window), and the version is purged. The committed source version is
-// untouched — aborting a move always lands on the old scheme.
+// resurrect it), the gets parked on the uncommitted destination version
+// are bounced (moves never park there — they park on the window), and
+// the version is purged. The committed source version is untouched —
+// aborting a move always lands on the old scheme.
 func (n *Node) abortMoveWrite(mk moveKey, mv *moveState) {
 	dst := mv.m.Memgest
 	if st := n.mgFor(dst); st != nil {
@@ -317,8 +271,8 @@ func (n *Node) abortMoveWrite(mk moveKey, mv *moveState) {
 			if e := cs.meta.Get(mk.key, mv.newVer); e != nil && !e.Rec.Committed {
 				delete(cs.pending, e.Seq)
 				cs.tracker.Cancel(e.Seq)
-				for _, w := range e.TakeParked().Gets {
-					n.send(w.Client, proto.New(proto.GetReply{Req: w.Req, Status: proto.StRetry}))
+				for _, p := range e.TakeParked() {
+					n.bounce(p)
 				}
 				n.purgeVersion(mk.shard, mk.key, store.VersionRef{Version: mv.newVer, Memgest: dst})
 			}
@@ -399,7 +353,7 @@ func (n *Node) replanMoves() {
 			nv.parked = append(mv.parked, nv.parked...)
 		} else {
 			for _, p := range mv.parked {
-				n.redispatchParked(p)
+				n.resume(p)
 			}
 		}
 	}

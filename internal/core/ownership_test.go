@@ -160,8 +160,8 @@ func (h *handHeld) parked() (n int) {
 // in, so it must own a copy of its value. The runner recycles the
 // packet (and, under PoisonPayloads, overwrites it with 0xDB) as soon
 // as the parking handler returns; when the window closes the replayed
-// put must still carry the client's bytes. Remove the copy in
-// parkOnMove and the replica below receives 16 KiB of 0xDB.
+// put must still carry the client's bytes. Remove the copy in park
+// and the replica below receives 16 KiB of 0xDB.
 func TestParkedPutOwnsItsValue(t *testing.T) {
 	h := newHandHeld(t)
 	h.put(1, "k", []byte("v1"))
@@ -201,9 +201,9 @@ func TestParkedPutOwnsItsValue(t *testing.T) {
 // bytes to the message itself: the runner gives a decoded message back
 // to its free list (and, under PoisonPayloads, overwrites it with junk)
 // once its handler returns, so a put, a delete and a move that park on a
-// held-open window each park a copy. Park the message parkOnMove was
-// handed instead and the replay answers request 0xffffffffffffffff, or
-// runs the marker put that reused the struct.
+// held-open window each park a copy. Have park keep the message it
+// was handed instead and the replay answers request 0xffffffffffffffff,
+// or runs the marker put that reused the struct.
 func TestParkedOpsOwnTheirMessages(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -259,11 +259,11 @@ func TestWindowKeepsItsMove(t *testing.T) {
 	h.expect(2)
 }
 
-// TestMoveParkedOnUncommittedVersion pins the copy store.MoveWaiter
-// keeps: a move of a key whose newest version has not committed waits
-// on that version ("postponed if the requested object is not durable")
-// and runs when it commits, long after its message went back to the
-// free list.
+// TestMoveParkedOnUncommittedVersion pins park's copy of a move held
+// on an entry: a move of a key whose newest version has not committed
+// waits on that version ("postponed if the requested object is not
+// durable") and runs when it commits, long after its message went back
+// to the free list.
 func TestMoveParkedOnUncommittedVersion(t *testing.T) {
 	h := newHandHeld(t)
 	h.send(&proto.Put{Req: 1, Key: "k", Value: []byte("v1"), Memgest: 1})
@@ -280,10 +280,10 @@ func TestMoveParkedOnUncommittedVersion(t *testing.T) {
 	h.expect(2)
 }
 
-// TestMoveParkedOnWant pins the copy blockWaiter keeps: a move whose
-// source value this coordinator lacks (a failover took it, and recovery
-// has not fetched it back) waits on the want for it and runs once the
-// value arrives.
+// TestMoveParkedOnWant pins park's copy of a move held on a want: a
+// move whose source value this coordinator lacks (a failover took it,
+// and recovery has not fetched it back) waits on the want for it and
+// runs once the value arrives.
 func TestMoveParkedOnWant(t *testing.T) {
 	h := newHandHeld(t)
 	val := []byte("the value")

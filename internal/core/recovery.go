@@ -67,7 +67,7 @@ type want struct {
 	patience time.Duration
 	attempt  int
 	// parked are the gets and moves that need the bytes.
-	parked []blockWaiter
+	parked []store.Waiter
 
 	// A metadata want asks every peer holding a copy and merges what
 	// they answer: since is the delta floor (a node that recovered
@@ -272,15 +272,16 @@ func (n *Node) askAgain(w *want) {
 func (n *Node) closeWant(w *want) {
 	n.wants.remove(w)
 	st := n.mg[w.role.mg]
-	for _, pw := range w.parked {
-		if pw.move != nil {
-			n.admitMove(pw.client, pw.move)
-		} else if e := st.coord[w.role.shard].meta.Get(pw.key, pw.version); e != nil {
-			n.sendValueReply(st, st.coord[w.role.shard], e, pw.client, pw.req)
+	cs := st.coord[w.role.shard]
+	for _, p := range w.parked {
+		if g, get := p.Msg.(*proto.Get); !get {
+			n.resume(p)
+		} else if e := cs.meta.Get(g.Key, g.Version); e != nil {
+			n.sendValueReply(st, cs, e, p.From, g.Req)
 		} else {
 			// The version was purged while the get waited (a newer one
 			// committed): the client asks again and gets that one.
-			n.send(pw.client, proto.New(proto.GetReply{Req: pw.req, Status: proto.StRetry}))
+			n.bounce(p)
 		}
 	}
 }
@@ -297,12 +298,8 @@ func (n *Node) forgetWants(r role) {
 			continue
 		}
 		n.wants.remove(w)
-		for _, pw := range w.parked {
-			if pw.move != nil {
-				n.refuse(pw.client, pw.move.Req, refRetry)
-			} else {
-				n.send(pw.client, proto.New(proto.GetReply{Req: pw.req, Status: proto.StRetry}))
-			}
+		for _, p := range w.parked {
+			n.bounce(p)
 		}
 	}
 	if r.kind == roleParity {

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"ring/internal/proto"
+	"ring/internal/store"
 )
 
 // This file implements the crash-restart half of the membership
@@ -47,16 +48,8 @@ func (n *Node) handleRejoining(from string, msg proto.Message) {
 		// nodes; a wrong coordinator answers StWrongNode and the client
 		// re-resolves.
 		n.send(from, &proto.ResolveReply{Req: m.Req, Config: n.cfg.Clone()})
-	case *proto.Put:
-		n.refuse(from, m.Req, refRetry)
-	case *proto.Get:
-		n.send(from, proto.New(proto.GetReply{Req: m.Req, Status: proto.StRetry}))
-	case *proto.Delete:
-		n.refuse(from, m.Req, refRetry)
-	case *proto.Move:
-		n.refuse(from, m.Req, refRetry)
-	case *proto.Reconfig:
-		n.send(from, &proto.ReconfigReply{Req: m.Req, Status: proto.StRetry})
+	default:
+		n.bounce(store.Waiter{From: from, Msg: msg})
 	}
 }
 

@@ -114,7 +114,7 @@ func (s *Sim) Restart(id proto.NodeID) {
 	h.procAt = false
 	h.cpuFreeAt = s.now
 	h.nicFreeAt = s.now
-	h.lastStats = core.Stats{}
+	h.lastXor = 0
 	h.Host = core.Host{Node: s.recoverNode(id)}
 	if h.tickEvery > 0 {
 		s.push(&event{at: s.now + h.tickEvery, kind: evTick, node: id, inc: h.inc})

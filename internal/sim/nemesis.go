@@ -71,39 +71,42 @@ type NemesisStep struct {
 	MaxDelay time.Duration
 }
 
+// nemesisNames is each kind's token in a schedule string and the number
+// of node fields that follow it (flaky's fields are its rates instead).
+var nemesisNames = [...]struct {
+	token string
+	nodes int
+}{
+	NemKill:      {"kill", 1},
+	NemRestart:   {"restart", 1},
+	NemPartition: {"part", 2},
+	NemHeal:      {"heal", 2},
+	NemHealAll:   {"healall", 0},
+	NemFlaky:     {"flaky", 0},
+	NemCalm:      {"calm", 0},
+	NemCorrupt:   {"corrupt", 1},
+	NemFsyncErr:  {"fsyncerr", 1},
+	NemFsyncOK:   {"fsyncok", 1},
+	NemFsyncSlow: {"fsyncslow", 1},
+	NemMove:      {"move", 2},
+	NemJoin:      {"join", 1},
+	NemLeave:     {"leave", 1},
+}
+
 // String renders a step in the compact form ParseSchedule reads.
 func (st NemesisStep) String() string {
-	switch st.Kind {
-	case NemKill:
-		return fmt.Sprintf("%s:kill:%d", st.At, st.A)
-	case NemRestart:
-		return fmt.Sprintf("%s:restart:%d", st.At, st.A)
-	case NemPartition:
-		return fmt.Sprintf("%s:part:%d:%d", st.At, st.A, st.B)
-	case NemHeal:
-		return fmt.Sprintf("%s:heal:%d:%d", st.At, st.A, st.B)
-	case NemHealAll:
-		return fmt.Sprintf("%s:healall", st.At)
-	case NemFlaky:
-		return fmt.Sprintf("%s:flaky:%d:%d:%s", st.At, st.DropPct, st.DupPct, st.MaxDelay)
-	case NemCalm:
-		return fmt.Sprintf("%s:calm", st.At)
-	case NemCorrupt:
-		return fmt.Sprintf("%s:corrupt:%d", st.At, st.A)
-	case NemFsyncErr:
-		return fmt.Sprintf("%s:fsyncerr:%d", st.At, st.A)
-	case NemFsyncOK:
-		return fmt.Sprintf("%s:fsyncok:%d", st.At, st.A)
-	case NemFsyncSlow:
-		return fmt.Sprintf("%s:fsyncslow:%d", st.At, st.A)
-	case NemMove:
-		return fmt.Sprintf("%s:move:%d:%d", st.At, st.A, st.B)
-	case NemJoin:
-		return fmt.Sprintf("%s:join:%d", st.At, st.A)
-	case NemLeave:
-		return fmt.Sprintf("%s:leave:%d", st.At, st.A)
+	if st.Kind == 0 || int(st.Kind) >= len(nemesisNames) {
+		return fmt.Sprintf("%s:unknown", st.At)
 	}
-	return fmt.Sprintf("%s:unknown", st.At)
+	k := nemesisNames[st.Kind]
+	out := fmt.Sprintf("%s:%s", st.At, k.token)
+	if st.Kind == NemFlaky {
+		out += fmt.Sprintf(":%d:%d:%s", st.DropPct, st.DupPct, st.MaxDelay)
+	}
+	for _, id := range []proto.NodeID{st.A, st.B}[:k.nodes] {
+		out += fmt.Sprintf(":%d", id)
+	}
+	return out
 }
 
 // Schedule is an ordered list of nemesis steps.
@@ -146,65 +149,19 @@ func ParseSchedule(text string) (Schedule, error) {
 			return s, fmt.Errorf("nemesis: bad time in %q: %v", part, err)
 		}
 		st := NemesisStep{At: at}
-		node := func(i int) (proto.NodeID, error) {
-			if i >= len(fields) {
-				return 0, fmt.Errorf("nemesis: step %q is missing a node", part)
-			}
-			n, err := strconv.ParseUint(fields[i], 10, 32)
-			return proto.NodeID(n), err
+		name := fields[1]
+		if name == "convert" {
+			name = "move"
 		}
-		switch fields[1] {
-		case "kill", "restart":
-			st.Kind = NemKill
-			if fields[1] == "restart" {
-				st.Kind = NemRestart
+		for k := range nemesisNames {
+			if k > 0 && nemesisNames[k].token == name {
+				st.Kind = NemesisKind(k)
 			}
-			if st.A, err = node(2); err != nil {
-				return s, err
-			}
-		case "part", "heal":
-			st.Kind = NemPartition
-			if fields[1] == "heal" {
-				st.Kind = NemHeal
-			}
-			if st.A, err = node(2); err != nil {
-				return s, err
-			}
-			if st.B, err = node(3); err != nil {
-				return s, err
-			}
-		case "healall":
-			st.Kind = NemHealAll
-		case "calm":
-			st.Kind = NemCalm
-		case "corrupt", "fsyncerr", "fsyncok", "fsyncslow", "join", "leave":
-			switch fields[1] {
-			case "corrupt":
-				st.Kind = NemCorrupt
-			case "fsyncerr":
-				st.Kind = NemFsyncErr
-			case "fsyncok":
-				st.Kind = NemFsyncOK
-			case "fsyncslow":
-				st.Kind = NemFsyncSlow
-			case "join":
-				st.Kind = NemJoin
-			case "leave":
-				st.Kind = NemLeave
-			}
-			if st.A, err = node(2); err != nil {
-				return s, err
-			}
-		case "move", "convert":
-			st.Kind = NemMove
-			if st.A, err = node(2); err != nil {
-				return s, err
-			}
-			if st.B, err = node(3); err != nil {
-				return s, err
-			}
-		case "flaky":
-			st.Kind = NemFlaky
+		}
+		switch {
+		case st.Kind == 0:
+			return s, fmt.Errorf("nemesis: unknown step kind %q", fields[1])
+		case st.Kind == NemFlaky:
 			if len(fields) != 5 {
 				return s, fmt.Errorf("nemesis: bad flaky step %q", part)
 			}
@@ -217,8 +174,16 @@ func ParseSchedule(text string) (Schedule, error) {
 			if st.MaxDelay, err = time.ParseDuration(fields[4]); err != nil {
 				return s, err
 			}
-		default:
-			return s, fmt.Errorf("nemesis: unknown step kind %q", fields[1])
+		}
+		for i, id := range []*proto.NodeID{&st.A, &st.B}[:nemesisNames[st.Kind].nodes] {
+			if 2+i >= len(fields) {
+				return s, fmt.Errorf("nemesis: step %q is missing a node", part)
+			}
+			n, err := strconv.ParseUint(fields[2+i], 10, 32)
+			if err != nil {
+				return s, err
+			}
+			*id = proto.NodeID(n)
 		}
 		s.Steps = append(s.Steps, st)
 	}

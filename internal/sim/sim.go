@@ -10,10 +10,11 @@
 //     packets of one node share its NIC and are serialized.
 //   - Each node has a single CPU (the paper's servers are
 //     single-threaded). A batch costs a base overhead per message, by
-//     its wire type, plus terms proportional to the actual bytes the
-//     node copied, XORed into parity, decoded, or installed during
-//     recovery — all read from the node's own Stats counters, so the
-//     model charges for the work the real implementation performed.
+//     its wire type, plus a term proportional to the bytes the node
+//     XORed into parity, read from its own Stats counters, so the model
+//     charges for the parity work the real implementation performed.
+//     Copied, decoded and installed bytes cost no CPU (see
+//     DefaultModel).
 //
 // Because the protocol structure (hops, fan-outs, byte counts) is
 // real, the relative shapes of the paper's figures — REP1 < REPr <
@@ -46,37 +47,26 @@ type CostModel struct {
 	// plane (RepAppend/ParityUpdate/Purge apply paths have no client
 	// dispatch, routing, or version allocation).
 	CPUFixedRepl time.Duration
-	// CPUPerByteCopy charges for bytes written into the local store.
-	CPUPerByteCopy time.Duration
 	// CPUPerByteXor charges for bytes of GF-multiply/XOR parity work.
 	CPUPerByteXor time.Duration
-	// CPUPerByteDecode charges for erasure-decode bytes (recovery).
-	CPUPerByteDecode time.Duration
-	// CPUPerByteMeta charges for metadata record installation during
-	// recovery.
-	CPUPerByteMeta time.Duration
 }
 
 // DefaultModel returns constants calibrated so that the Figure 7
 // reproduction lands in the paper's range (get ≈ 5 µs, REP1 put
 // ≈ 5 µs at small sizes, SRS32 put ≈ 3x REP1 at 2 KiB).
 //
-// Copy, decode and metadata bytes cost no CPU: a Duration counts whole
-// nanoseconds, so a rate below one per byte cannot be written here
-// (time.Nanosecond / 4 is an integer division equal to zero), and every
-// figure is calibrated with these three at zero. Byte volume
-// reaches virtual time through NIC serialisation (NetBytesPerSec) and
-// parity XOR alone.
+// Copied, decoded and installed bytes cost no CPU: a Duration counts
+// whole nanoseconds, so a rate below one per byte cannot be written
+// here (time.Nanosecond / 4 is an integer division equal to zero), and
+// every figure is calibrated without one. Byte volume reaches virtual
+// time through NIC serialisation (NetBytesPerSec) and parity XOR alone.
 func DefaultModel() CostModel {
 	return CostModel{
-		NetDelay:         1500 * time.Nanosecond,
-		NetBytesPerSec:   3.2e9, // ~26 Gb/s effective of the 40 Gb/s link
-		CPUFixed:         1400 * time.Nanosecond,
-		CPUFixedRepl:     700 * time.Nanosecond,
-		CPUPerByteCopy:   0,
-		CPUPerByteXor:    2 * time.Nanosecond,
-		CPUPerByteDecode: 0,
-		CPUPerByteMeta:   0,
+		NetDelay:       1500 * time.Nanosecond,
+		NetBytesPerSec: 3.2e9, // ~26 Gb/s effective of the 40 Gb/s link
+		CPUFixed:       1400 * time.Nanosecond,
+		CPUFixedRepl:   700 * time.Nanosecond,
+		CPUPerByteXor:  2 * time.Nanosecond,
 	}
 }
 
@@ -144,7 +134,7 @@ type nodeHost struct {
 	// rejected by the rejoining quarantine in core.
 	inc       uint64
 	tickEvery time.Duration
-	lastStats core.Stats
+	lastXor   uint64 // Stats.BytesParityXor as the last batch left it
 }
 
 type packet struct {
@@ -385,7 +375,7 @@ func (s *Sim) process(h *nodeHost, id proto.NodeID) {
 	}
 	var d time.Duration
 	for _, p := range h.queue[:n] {
-		d += s.charge(p.pkt) + time.Duration(len(p.pkt))*s.Model.CPUPerByteCopy
+		d += s.charge(p.pkt)
 		if p.pkt == nil {
 			h.Node.HandleTick(start)
 		} else {
@@ -394,14 +384,10 @@ func (s *Sim) process(h *nodeHost, id proto.NodeID) {
 	}
 	h.queue = h.queue[n:]
 
-	// Charge CPU for the actual work performed, read from the node's
-	// own counters.
-	st := h.Node.Stats
-	d += time.Duration(st.BytesWritten-h.lastStats.BytesWritten) * s.Model.CPUPerByteCopy
-	d += time.Duration(st.BytesParityXor-h.lastStats.BytesParityXor) * s.Model.CPUPerByteXor
-	d += time.Duration(st.BytesDecoded-h.lastStats.BytesDecoded) * s.Model.CPUPerByteDecode
-	d += time.Duration(st.BytesMetaInstalled-h.lastStats.BytesMetaInstalled) * s.Model.CPUPerByteMeta
-	h.lastStats = st
+	// Charge CPU for the parity work performed, read from the node's
+	// own counter.
+	d += time.Duration(h.Node.Stats.BytesParityXor-h.lastXor) * s.Model.CPUPerByteXor
+	h.lastXor = h.Node.Stats.BytesParityXor
 
 	// Group commit at the batch boundary: the node hands its outputs
 	// over only once it has synced. A failed fsync crash-stops the node:

@@ -61,7 +61,7 @@ type Entry struct {
 	n    uint32
 	at   uint32
 	// parked exists only while requests wait for the entry to commit.
-	parked *Parked
+	parked *[]Waiter
 	// next is the slab slot, plus one, of the key's next older entry
 	// (of the next free slot while this one is free); tab marks the
 	// table the entry belongs to, 0 a free slot; tag is the low bits of
@@ -109,30 +109,23 @@ func (e *Entry) Held() bool {
 	return held
 }
 
-// Parked is what waits for an uncommitted entry to commit.
-type Parked struct {
-	// Gets are get requests answered with this exact version at commit
-	// time (client address + request id), per Figure 5 of the paper.
-	Gets []Waiter
-	// Moves are move requests waiting for durability.
-	Moves []MoveWaiter
-}
-
-// Park returns the entry's parked requests, to append to.
-func (e *Entry) Park() *Parked {
+// Park holds w on the entry until it commits: a get answered then with
+// this exact version (Figure 5 of the paper), or a move "postponed if
+// the requested object is not durable".
+func (e *Entry) Park(w Waiter) {
 	if e.parked == nil {
-		e.parked = new(Parked)
+		e.parked = new([]Waiter)
 	}
-	return e.parked
+	*e.parked = append(*e.parked, w)
 }
 
-// TakeParked detaches and returns what is parked on the entry; nothing
-// is once it has committed.
-func (e *Entry) TakeParked() Parked {
+// TakeParked detaches and returns what is parked on the entry, in
+// arrival order; nothing is once it has committed.
+func (e *Entry) TakeParked() []Waiter {
 	p := e.parked
 	e.parked = nil
 	if p == nil {
-		return Parked{}
+		return nil
 	}
 	return *p
 }
@@ -140,17 +133,14 @@ func (e *Entry) TakeParked() Parked {
 // HasParked reports whether any request waits on the entry.
 func (e *Entry) HasParked() bool { return e.parked != nil }
 
-// Waiter identifies a parked get reply.
+// Waiter is a client request held past the handler it arrived in — on
+// an uncommitted entry, a move window or the want for lost bytes — and
+// the address its reply is owed to. Msg is the waiter's own copy: the
+// message the request arrived in goes back to its free list when the
+// handler returns.
 type Waiter struct {
-	Client string
-	Req    proto.ReqID
-}
-
-// MoveWaiter identifies a parked move: the request re-enters the
-// coordinator's move path once the version it waits on is durable.
-type MoveWaiter struct {
-	Client string
-	Move   *proto.Move
+	From string
+	Msg  proto.Message
 }
 
 // MetaIndex is the volatile hashtable of one shard on one node: every
