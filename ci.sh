@@ -109,13 +109,13 @@
 #      the stage, and the numbers scroll by in the job log
 #   9. chaos smoke: the longest all-green prefix of every ringchaos lane
 #      through the full seed -> schedule -> workload ->
-#      linearizability-check pipeline: seeds 1:120 of the plain lane
-#      (crash, partition, loss, delay, duplication; 125 is its first
-#      red seed), 1:150 of the -durable lane over the disk fault plane
+#      linearizability-check pipeline: seeds 1:198 of the plain lane
+#      (crash, partition, loss, delay, duplication; 199 is its first
+#      red seed), 1:159 of the -durable lane over the disk fault plane
 #      (kill -9 + recover-from-disk, WAL corruption, fsync faults; 160
-#      is red) and 1:10 of the -elasticity lane mixing live scheme
-#      moves and join/leave resizes into the fault schedule (11 is red
-#      under message loss alone) — about 2 s each, hard-bounded at 30s.
+#      is red) and 1:145 of the -elasticity lane mixing live scheme
+#      moves and join/leave resizes into the fault schedule (146 is
+#      red) — about 3 s each, hard-bounded at 30s.
 #      Every client in these runs is a client.Session, the request logic
 #      ringd's clients run (internal/client/session.go, driven by
 #      internal/sim/session.go), so a change to how a client retries,
@@ -279,9 +279,9 @@ stage_chaos() {
     go test -run=NONE -bench=. -benchtime=1x ./...
 
     go build -o bin/ringchaos ./cmd/ringchaos
-    timeout 30 ./bin/ringchaos -seeds 1:120 -v
-    timeout 30 ./bin/ringchaos -durable -seeds 1:150 -v
-    timeout 30 ./bin/ringchaos -elasticity -seeds 1:10 -v
+    timeout 30 ./bin/ringchaos -seeds 1:198 -v
+    timeout 30 ./bin/ringchaos -durable -seeds 1:159 -v
+    timeout 30 ./bin/ringchaos -elasticity -seeds 1:145 -v
     # The ceilings are the maximum of six draws, not one. Patched in a
     # scratch copy only, the simulator charged every message size+d
     # bytes for d = 0, +1, -5, -20, +16, -30: no protocol or message
@@ -299,10 +299,12 @@ stage_chaos() {
     # writes nothing it reads 22 / 22 / 22 / 23 / 22 / 23 (23 distinct
     # seeds). Since every simulated node runs core.Host (d is then per
     # packet) the bands read plain 39 / 34 / 36 / 47 / 44 / 37, durable
-    # 22 at every offset, elasticity 5 / 5 / 5 / 4 / 6 / 5.
-    chaos_band 51 -seeds 1:2000
-    chaos_band 23 -durable -seeds 1:2000
-    chaos_band 9 -elasticity -seeds 1:500
+    # 22 at every offset, elasticity 5 / 5 / 5 / 4 / 6 / 5, and read the
+    # same once an operation kept one ReqID: the ceilings are their
+    # maxima.
+    chaos_band 47 -seeds 1:2000
+    chaos_band 22 -durable -seeds 1:2000
+    chaos_band 6 -elasticity -seeds 1:500
 
     timeout 120 go run ./benchmark -workload rep3_1k_fsync -seconds 5
     timeout 120 go run ./benchmark -workload tier_1k_read90_move -seconds 5

@@ -177,8 +177,11 @@ func TestElasticityReproSchedules(t *testing.T) {
 // TestKnownRedSchedules pins the shrunk schedules ROADMAP items 2, 4(b)
 // and 4(c) name as still red: plain 496, 1218, 703 and 199 (a retry
 // applied twice, item 2), durable 675 and 491 (versions that restart,
-// 4(b)) and durable 186 (a restarted leader-coordinator's stale gets,
-// 4(c)). Each must still report a violation. One that goes green went
+// 4(b)), and 4(c)'s unexplained reds: durable 186 (a restarted
+// leader-coordinator's stale gets), plain 1389 (a read returns filler
+// no client wrote), plain 962 (1(c)'s split) and elasticity 264 (an
+// acked put lost across a graceful leave). Each must still report a
+// violation. One that goes green went
 // green for one of two reasons, and the failure says which to act on:
 // a fix landed — then it belongs in Test*ReproSchedules, which require
 // it green — or its timing moved and it no longer reaches the bug —
@@ -192,6 +195,9 @@ func TestKnownRedSchedules(t *testing.T) {
 		{"4(b)", "-durable", "675", "683.911µs:kill:3;2.587839ms:restart:3;8.31316ms:kill:4;10.071707ms:restart:4;29.533497ms:kill:0"},
 		{"4(b)", "-durable", "491", "6.729392ms:fsyncerr:3;8.14341ms:fsyncok:3;8.14341ms:restart:3;24.667949ms:kill:0"},
 		{"4(c)", "-durable", "186", "19.517458ms:kill:0;23.401926ms:restart:0"},
+		{"4(c)", "", "1389", "2.192021ms:flaky:5:2:305µs;8.297259ms:calm;21.616406ms:kill:0"},
+		{"4(c)", "", "962", "11.925516ms:flaky:6:2:195µs;28.914783ms:part:0:1;40ms:calm"},
+		{"4(c)", "-elasticity", "264", "26.615448ms:leave:2"},
 	} {
 		t.Run(strings.TrimPrefix(tc.lane+"-", "-")+tc.seed, func(t *testing.T) {
 			var out, errw strings.Builder

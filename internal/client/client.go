@@ -213,8 +213,8 @@ func (c *Client) resolve(addrs []string) error {
 	}
 	a.left = len(addrs)
 	for _, to := range addrs {
-		m := c.sess.Ask(c.now())
-		a.hi = m.Req + 1 // the session files them one after another
+		m := c.sess.Ask()
+		a.hi = m.Req + 1 // the session mints them one after another
 		c.queue(to, m.Req, m)
 	}
 	a.lo = a.hi - proto.ReqID(a.left)
@@ -364,7 +364,7 @@ func do[R proto.Reply](k *call, msg func(*call, proto.ReqID) proto.Message) (R, 
 		k.timer.Stop()
 	}
 	r, err := k.reply, k.err
-	*k = call{OpState: OpState{reqs: k.reqs[:0]}, timer: k.timer, kicks: k.kicks, own: k.own[:0]}
+	*k = call{timer: k.timer, kicks: k.kicks, own: k.own[:0]}
 	calls.Put(k)
 	if r == nil {
 		return none, err

@@ -93,18 +93,17 @@ func (c *Client) send(ob *outbox) {
 	}
 }
 
-// forget, under c.mu, which it releases, takes k's queued attempts out
-// of the outboxes and waits for any encoder at work, so that k's caller
+// forget, under c.mu, which it releases, takes every queued attempt of
+// k (a resend may sit beside the first, under the same ReqID) out of
+// the outboxes and waits for any encoder at work, so that k's caller
 // may reuse what its messages point at. A lone attempt that was
 // answered has left already.
 func (c *Client) forget(k *call) {
-	if len(k.reqs) > 1 || k.reply == nil {
+	if k.attempts > 0 || k.reply == nil {
 		for _, ob := range c.outboxes {
-			for _, req := range k.reqs {
-				if i := slices.Index(ob.reqs, req); i >= 0 {
-					ob.reqs = slices.Delete(ob.reqs, i, i+1)
-					ob.msgs = slices.Delete(ob.msgs, i, i+1)
-				}
+			for i := slices.Index(ob.reqs, k.req); i >= 0; i = slices.Index(ob.reqs, k.req) {
+				ob.reqs = slices.Delete(ob.reqs, i, i+1)
+				ob.msgs = slices.Delete(ob.msgs, i, i+1)
 			}
 			ob.packing.Lock()
 			//lint:ignore SA2001 the critical section waited for is the encoder's

@@ -81,9 +81,9 @@ func mistyped(m proto.Message) proto.Message {
 
 // TestRoutedVerbsRetry pins the one retry loop for every way a request
 // is routed: a transient status or a mistyped reply is retried exactly
-// once (one Metrics.Retries, one more request on the wire) and the
-// verb then succeeds; a definitive status is the verb's answer, with
-// no retry.
+// once (one Metrics.Retries, one more request on the wire, under the
+// first one's ReqID) and the verb then succeeds; a definitive status is
+// the verb's answer, with no retry.
 func TestRoutedVerbsRetry(t *testing.T) {
 	verbs := []struct {
 		name string
@@ -114,13 +114,13 @@ func TestRoutedVerbsRetry(t *testing.T) {
 	for _, v := range verbs {
 		for _, f := range firsts {
 			t.Run(v.name+"/"+f.name, func(t *testing.T) {
-				requests := 0
+				var reqs []proto.ReqID
 				fabric := fakeNodes(t, 1, func(_ proto.NodeID, m proto.Message) proto.Message {
 					if r, ok := m.(*proto.Resolve); ok {
 						return &proto.ResolveReply{Req: r.Req, Config: cfg}
 					}
-					requests++
-					if requests == 1 {
+					reqs = append(reqs, replyTo(m, proto.StOK).(proto.Reply).Request())
+					if len(reqs) == 1 {
 						return f.first(m)
 					}
 					return replyTo(m, proto.StOK)
@@ -140,9 +140,12 @@ func TestRoutedVerbsRetry(t *testing.T) {
 				if (err == nil) != f.retried {
 					t.Errorf("err = %v, want success only after a retry (retried=%v)", err, f.retried)
 				}
-				if requests != wantRequests || retries != wantRetries || issued != 1 {
+				if len(reqs) != wantRequests || retries != wantRetries || issued != 1 {
 					t.Errorf("%d requests on the wire, Metrics.Retries +%d, Metrics.Requests +%d; want %d, +%d, +1",
-						requests, retries, issued, wantRequests, wantRetries)
+						len(reqs), retries, issued, wantRequests, wantRetries)
+				}
+				if f.retried && len(reqs) == 2 && reqs[1] != reqs[0] {
+					t.Errorf("the retry carried ReqID %d, want the first attempt's %d", reqs[1], reqs[0])
 				}
 			})
 		}

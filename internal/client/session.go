@@ -8,31 +8,24 @@ import (
 
 // Session is the client's protocol logic with no I/O, clock, goroutine
 // or lock, as core.Node is a node's: the view, ReqIDs, the table of
-// requests in flight and each operation's attempts (Section 5.5). An
+// operations in flight and each operation's attempts (Section 5.5). An
 // attempt unanswered after Timeout is resent at once; after a transient
 // answer (one Done does not take, or a lost packet) the n-th resend
 // waits min(Timeout/4, n×10ms). Every resend follows a Resolve to the
 // next node of the view, whose answer replaces the view unless older.
 // Client drives a Session over a fabric, package sim over its own.
 //
-// The table holds one ReqID per attempt of each unsettled operation and
-// the unanswered Resolves: settling takes an operation's ReqIDs out, a
-// Resolve whose packet did not leave goes at once, and one older than
-// Retries+1 Timeouts goes before the next request is filed.
+// An operation has one ReqID, which every attempt resends: the table
+// holds one entry per unsettled operation, and settling takes it out.
+// A Resolve never enters it.
 type Session struct {
-	sink     Sink
-	timeout  time.Duration
-	retries  int
-	view     *proto.Config
-	nextReq  proto.ReqID
-	pending  map[proto.ReqID]Op // nil for a Resolve
-	resolves []filed            // oldest first
-	rr       int
-}
-
-type filed struct {
-	req proto.ReqID
-	at  time.Duration
+	sink    Sink
+	timeout time.Duration
+	retries int
+	view    *proto.Config
+	nextReq proto.ReqID
+	pending map[proto.ReqID]Op
+	rr      int
 }
 
 // Sink takes a Session's outputs in order: sends, and wake-ups to hand
@@ -59,7 +52,7 @@ type Op interface {
 type OpState struct {
 	attempts int // resends so far
 	settled  bool
-	reqs     []proto.ReqID
+	req      proto.ReqID
 }
 
 func (o *OpState) state() *OpState { return o }
@@ -88,24 +81,24 @@ func (s *Session) Adopt(cfg *proto.Config) {
 	}
 }
 
-// Start sends the first attempt of op.
+// Start mints op's ReqID, files op under it and sends the first attempt.
 func (s *Session) Start(now time.Duration, op Op) {
 	st := op.state()
-	st.attempts, st.settled, st.reqs = 0, false, st.reqs[:0]
+	st.attempts, st.settled, st.req = 0, false, s.mint()
+	s.pending[st.req] = op
 	s.attempt(now, op)
 }
 
-// Reply hands r to the operation it answers, or adopts the view in a
-// Resolve's answer. A ReqID not in the table (a duplicate, a settled
-// operation's, a forgotten Resolve's, an earlier life's) is dropped.
+// Reply adopts the view in a Resolve's answer, or hands r to the
+// operation it answers. A ReqID not in the table (a duplicate, a
+// settled operation's, an earlier life's) is dropped.
 func (s *Session) Reply(now time.Duration, r proto.Reply) {
+	if rr, ok := r.(*proto.ResolveReply); ok {
+		s.Adopt(rr.Config)
+		return
+	}
 	switch op, ok := s.pending[r.Request()]; {
 	case !ok:
-	case op == nil:
-		delete(s.pending, r.Request())
-		if rr, ok := r.(*proto.ResolveReply); ok {
-			s.Adopt(rr.Config)
-		}
 	case op.Done(now, r):
 		s.settle(op)
 	default:
@@ -115,11 +108,7 @@ func (s *Session) Reply(now time.Duration, r proto.Reply) {
 
 // Failed says the packet carrying req did not leave.
 func (s *Session) Failed(now time.Duration, req proto.ReqID) {
-	switch op, ok := s.pending[req]; {
-	case !ok:
-	case op == nil:
-		delete(s.pending, req)
-	default:
+	if op, ok := s.pending[req]; ok {
 		s.backOff(now, op)
 	}
 }
@@ -137,46 +126,33 @@ func (s *Session) Wake(now time.Duration, w Wake) {
 		return
 	}
 	if ids := s.view.AllNodes(); len(ids) > 0 {
-		m := s.Ask(now)
+		m := s.Ask()
 		s.sink.Send(ids[s.rr%len(ids)], m.Req, m)
 		s.rr++
 	}
 	s.attempt(now, w.Op)
 }
 
-// Ask files a Resolve for the driver to send; its answer is adopted
+// Ask mints a Resolve for the driver to send; its answer is adopted
 // like that of the Resolve before a resend.
-func (s *Session) Ask(now time.Duration) *proto.Resolve {
-	req := s.file(now, nil)
-	s.resolves = append(s.resolves, filed{req, now})
-	return &proto.Resolve{Req: req}
+func (s *Session) Ask() *proto.Resolve { return &proto.Resolve{Req: s.mint()} }
+
+func (s *Session) mint() proto.ReqID {
+	s.nextReq++
+	return s.nextReq
 }
 
 func (s *Session) attempt(now time.Duration, op Op) {
-	req := s.file(now, op)
-	st := op.state()
-	st.reqs = append(st.reqs, req)
+	req := op.state().req
 	to, msg := op.Build(s.view, req)
 	s.sink.Send(to, req, msg)
 	s.arm(now+s.timeout, op, true)
 }
 
-func (s *Session) file(now time.Duration, op Op) proto.ReqID {
-	for len(s.resolves) > 0 && now-s.resolves[0].at > time.Duration(s.retries+1)*s.timeout {
-		delete(s.pending, s.resolves[0].req)
-		s.resolves = s.resolves[1:]
-	}
-	s.nextReq++
-	s.pending[s.nextReq] = op
-	return s.nextReq
-}
-
 func (s *Session) settle(op Op) {
 	st := op.state()
 	st.settled = true
-	for _, req := range st.reqs {
-		delete(s.pending, req)
-	}
+	delete(s.pending, st.req)
 }
 
 func (s *Session) backOff(now time.Duration, op Op) {

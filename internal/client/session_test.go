@@ -19,13 +19,12 @@ type script struct {
 }
 
 type sent struct {
-	at  time.Duration
 	req proto.ReqID
 	msg proto.Message
 }
 
 func (sc *script) Send(_ proto.NodeID, req proto.ReqID, msg proto.Message) {
-	sc.sent = append(sc.sent, sent{sc.now, req, msg})
+	sc.sent = append(sc.sent, sent{req, msg})
 }
 
 func (sc *script) At(w Wake) {
@@ -104,8 +103,8 @@ func join(outcomes *[]proto.Reply) Op {
 // abandoned exactly once after its attempt budget, with a Resolve
 // before every resend; replies that arrive for it afterwards are
 // ignored; a Resolve answer older than the view is ignored and a newer
-// one adopted; and a ReconfigReply reaches its operation like any other
-// reply.
+// one adopted, even after the operation it preceded settled; and a
+// ReconfigReply reaches its operation like any other reply.
 func TestSessionBudgetLateRepliesAndView(t *testing.T) {
 	const peer = proto.NodeID(9)
 	sc := &script{}
@@ -154,6 +153,18 @@ func TestSessionBudgetLateRepliesAndView(t *testing.T) {
 	if s.View().Epoch != 6 {
 		t.Fatalf("view is epoch %d after a Resolve answered epoch 6", s.View().Epoch)
 	}
+
+	// Late answers to a Resolve of the first, abandoned, operation.
+	i := slices.IndexFunc(sc.sent, func(m sent) bool { return m.msg.Type() == proto.TResolve })
+	late := sc.sent[i].req
+	s.Reply(sc.now, &proto.ResolveReply{Req: late, Config: view(5, 8)})
+	if v := s.View(); v.Epoch != 6 || v.Leader != peer {
+		t.Fatalf("view is epoch %d leader %d: a late epoch-5 answer replaced the epoch-6 view", v.Epoch, v.Leader)
+	}
+	s.Reply(sc.now, &proto.ResolveReply{Req: late, Config: view(8, 8)})
+	if v := s.View(); v.Epoch != 8 || v.Leader != 8 {
+		t.Fatalf("view is epoch %d leader %d after a late epoch-8 answer, want it adopted", v.Epoch, v.Leader)
+	}
 }
 
 // TestSessionBackOff pins min(Timeout/4, n×10ms) as the pause between a
@@ -188,15 +199,13 @@ func TestSessionBackOff(t *testing.T) {
 	}
 }
 
-// TestSessionPendingBound: a reply settles the operation whose attempt
-// it answers and takes every attempt of that operation out of the
-// table; an abandoned operation leaves nothing behind; and a Resolve
-// nobody answers is dropped once it is older than Retries+1 Timeouts,
-// before the next request is filed.
+// TestSessionPendingBound: the table holds one entry per unsettled
+// operation, however many attempts it made, and never a Resolve; a
+// reply to any attempt settles the operation and empties its entry; an
+// abandoned operation leaves nothing behind.
 func TestSessionPendingBound(t *testing.T) {
-	const timeout, retries = time.Millisecond, 2
 	sc := &script{}
-	s := NewSession(sc, view(1, 9), timeout, retries)
+	s := NewSession(sc, view(1, 9), time.Millisecond, 2)
 	var a, b []proto.Reply
 
 	// Two operations in flight, the first on its third attempt.
@@ -208,15 +217,23 @@ func TestSessionPendingBound(t *testing.T) {
 		s.Wake(sc.now, w)
 	}
 	s.Start(sc.now, join(&b))
-	if n := len(s.pending); n != 3+2+1 {
-		t.Fatalf("%d requests in the table, want 3 attempts, 2 Resolves and 1 attempt", n)
+	if n, r := count[*proto.Reconfig](sc, 0), count[*proto.Resolve](sc, 0); n != 3+1 || r != 2 {
+		t.Fatalf("%d attempts and %d Resolves sent, want 3+1 and 2", n, r)
+	}
+	if n := len(s.pending); n != 2 {
+		t.Fatalf("%d requests in the table, want one per operation in flight", n)
+	}
+	for _, m := range sc.sent {
+		if _, ok := s.pending[m.req]; ok && m.msg.Type() == proto.TResolve {
+			t.Fatalf("Resolve %d is in the table", m.req)
+		}
 	}
 	s.Reply(sc.now, &proto.ReconfigReply{Req: first, Status: proto.StOK})
 	if len(a) != 1 || len(b) != 0 {
-		t.Fatalf("a reply to the first operation's first attempt settled %d of it and %d of the second", len(a), len(b))
+		t.Fatalf("a reply to the first operation's attempts settled %d of it and %d of the second", len(a), len(b))
 	}
-	if n := len(s.pending); n != 2+1 {
-		t.Fatalf("%d requests in the table after the first operation settled, want its 2 Resolves and the second's attempt", n)
+	if _, ok := s.pending[first]; ok || len(s.pending) != 1 {
+		t.Fatalf("%d requests in the table after the first operation settled, want the second's alone", len(s.pending))
 	}
 
 	// The second runs out of attempts; its Resolves go unanswered.
@@ -225,29 +242,15 @@ func TestSessionPendingBound(t *testing.T) {
 	if len(b) != 1 || b[0] != nil {
 		t.Fatalf("second operation ended with %v, want it abandoned", b)
 	}
-	if n, r := len(s.pending), count[*proto.Resolve](sc, 0); n != r || r != 4 {
-		t.Fatalf("%d requests in the table after both ended, want the %d unanswered Resolves alone", n, r)
-	}
-	var last sent
-	for _, m := range sc.sent {
-		if _, ok := m.msg.(*proto.Resolve); ok {
-			last = m
-		}
-	}
-	s.Start(last.at+(retries+1)*timeout, join(&a))
-	if _, ok := s.pending[last.req]; !ok || len(s.pending) != 2 {
-		t.Fatalf("%d requests in the table, want the last Resolve, as old as the budget, and the new attempt", len(s.pending))
-	}
-	s.Start(last.at+(retries+1)*timeout+1, join(&a))
-	if _, ok := s.pending[last.req]; ok || len(s.pending) != 2 {
-		t.Fatalf("%d requests in the table, want only the two new attempts: every Resolve is older than the budget", len(s.pending))
+	if n := len(s.pending); n != 0 {
+		t.Fatalf("%d requests in the table after both ended, want none", n)
 	}
 }
 
 // TestSessionFailedIsTransient: a packet that did not leave is a
 // transient answer — a back-off, not a wait for the timeout, and not an
-// answer the operation sees — and a Resolve lost that way leaves the
-// table.
+// answer the operation sees; the resend carries the first attempt's
+// ReqID; and a Resolve lost that way changes nothing.
 func TestSessionFailedIsTransient(t *testing.T) {
 	sc := &script{}
 	s := NewSession(sc, view(1, 9), 2*time.Second, 8)
@@ -267,9 +270,13 @@ func TestSessionFailedIsTransient(t *testing.T) {
 	if _, ok := resolve.msg.(*proto.Resolve); !ok || resend.msg.Type() != proto.TReconfig {
 		t.Fatalf("after the back-off sent %T then %T, want a Resolve then the resend", resolve.msg, resend.msg)
 	}
+	if resend.req != sc.sent[0].req {
+		t.Fatalf("the resend carries ReqID %d, want the first attempt's %d", resend.req, sc.sent[0].req)
+	}
+	wakes := len(sc.wakes)
 	s.Failed(sc.now, resolve.req)
-	if _, ok := s.pending[resolve.req]; ok {
-		t.Fatal("a Resolve whose packet did not leave stayed in the table")
+	if len(sc.wakes) != wakes || len(outcomes) != 0 || len(s.pending) != 1 {
+		t.Fatalf("a lost Resolve armed %d wake-ups and gave %v; want nothing", len(sc.wakes)-wakes, outcomes)
 	}
 	s.Reply(sc.now, &proto.ReconfigReply{Req: resend.req, Status: proto.StOK})
 	if len(outcomes) != 1 || len(s.pending) != 0 {
