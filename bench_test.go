@@ -440,7 +440,7 @@ func TestValuePathAllocs(t *testing.T) {
 				_ = b.Send(p.From, p.Payload)
 			}
 		}()
-		perOp := allocBytesPerRun(200, func() {
+		allocs, perOp := allocsPerRun(200, func() {
 			if err := a.Send("pin-b", append(transport.AcquireBufSize(size), val...)); err != nil {
 				t.Fatal(err)
 			}
@@ -450,9 +450,14 @@ func TestValuePathAllocs(t *testing.T) {
 			}
 			transport.ReleaseBuf(p.Payload)
 		})
-		t.Logf("tcp echo: %.0f B per round trip", perOp)
+		t.Logf("tcp echo: %.2f allocations, %.0f B per round trip", allocs, perOp)
 		if perOp > size/4 {
 			t.Errorf("16 KiB echo over loopback TCP allocates %.0f B per round trip, want < %d", perOp, size/4)
+		}
+		// A frame write that allocates (a callback made per write) costs
+		// a few allocations per round trip and next to no bytes.
+		if allocs >= 0.1 {
+			t.Errorf("16 KiB echo over loopback TCP makes %.2f allocations per round trip, want < 0.1", allocs)
 		}
 	})
 

@@ -22,11 +22,20 @@
 #      files, the packages ringd links from outside the module and the
 #      size of its text and read-only data) so lines and types removed
 #      are reported results, not estimates. Then the import gate: `go
-#      list -deps ./cmd/ringd` must name none of net/http, crypto/tls,
-#      crypto/x509, math/big. An idle Go process keeps its whole text
-#      resident, and one net/http import is 90 packages and 3.2 MB of
-#      it in each of a cluster's processes (DESIGN.md section 11); a
-#      failure prints the ring/... packages that import one of the four.
+#      list -deps ./cmd/ringd` must name none of net, runtime/cgo,
+#      net/http, crypto/tls, crypto/x509, math/big. An idle Go process
+#      keeps its whole text resident, and one net/http import is 90
+#      packages and 3.2 MB of it in each of a cluster's processes
+#      (DESIGN.md section 11). net is the resolver, and through it cgo:
+#      a ringd that links it maps libc and ld.so, and dropped for the
+#      transport's own syscall sockets it took ringd from 94 to 89
+#      packages, 3633 to 3199 kB of text and read-only data, an idle
+#      node's file-backed RSS from 4.9 to 3.1 MB and rep3_1k_mixed's
+#      rss_loaded_mb from 47.9 to 38.1 MB; a failure prints the ring/...
+#      packages that import one of the six. Last, the other platforms
+#      build (GOOS=darwin and GOOS=windows, ./internal/... and
+#      ./cmd/...), so the transport's net-backed sock_other.go, which
+#      no Linux test runs, keeps compiling.
 #   4. external static analysis, version-pinned: staticcheck and
 #      govulncheck. Both run via `go run tool@version`, so they need
 #      module-proxy access; offline runs skip them with a warning
@@ -220,13 +229,15 @@ stage_lint() {
     ./bin/ringlint ./...
     doc_refs
     scripts/loc.sh
-    banned='net/http|crypto/tls|crypto/x509|math/big'
+    banned='net|runtime/cgo|net/http|crypto/tls|crypto/x509|math/big'
     if go list -deps ./cmd/ringd | grep -Ex "$banned"; then
         go list -deps -f '{{.ImportPath}} <- {{join .Imports " "}}' ./cmd/ringd |
             grep '^ring' | grep -E " ($banned)( |\$)" || true
         echo "cmd/ringd links the packages above; see DESIGN.md section 11" >&2
         exit 1
     fi
+    GOOS=darwin go build ./internal/... ./cmd/...
+    GOOS=windows go build ./internal/... ./cmd/...
 
     # External analyzers: enforced whenever the module proxy is
     # reachable (always true in CI), skipped with a loud warning when

@@ -1,22 +1,22 @@
 // Command ringctl is the command-line client for a Ring deployment
 // started with ringd.
 //
-//	ringctl -nodes host0:7000,host1:7000 put mykey "some value"
-//	ringctl -nodes host0:7000 put-in 3 mykey "erasure coded value"
-//	ringctl -nodes host0:7000 get mykey
-//	ringctl -nodes host0:7000 move mykey 2
-//	ringctl -nodes host0:7000 move mykey srs3.2 rep3
-//	ringctl -nodes host0:7000 move-prefix user/ srs3.2
-//	ringctl -nodes host0:7000 delete mykey
-//	ringctl -nodes host0:7000 join 7
-//	ringctl -nodes host0:7000 leave 3
-//	ringctl -nodes host0:7000 mkmemgest srs3.2
-//	ringctl -nodes host0:7000 rmmemgest 4
-//	ringctl -nodes host0:7000 set-default 2
-//	ringctl -nodes host0:7000 describe 2
-//	ringctl -nodes host0:7000 config
-//	ringctl -http host0:8080,host1:8080 stats
-//	ringctl -http host0:8080,host1:8080 stats -watch -interval 1s
+//	ringctl -nodes 10.0.0.1:7000,10.0.0.2:7000 put mykey "some value"
+//	ringctl -nodes 10.0.0.1:7000 put-in 3 mykey "erasure coded value"
+//	ringctl -nodes 10.0.0.1:7000 get mykey
+//	ringctl -nodes 10.0.0.1:7000 move mykey 2
+//	ringctl -nodes 10.0.0.1:7000 move mykey srs3.2 rep3
+//	ringctl -nodes 10.0.0.1:7000 move-prefix user/ srs3.2
+//	ringctl -nodes 10.0.0.1:7000 delete mykey
+//	ringctl -nodes 10.0.0.1:7000 join 7
+//	ringctl -nodes 10.0.0.1:7000 leave 3
+//	ringctl -nodes 10.0.0.1:7000 mkmemgest srs3.2
+//	ringctl -nodes 10.0.0.1:7000 rmmemgest 4
+//	ringctl -nodes 10.0.0.1:7000 set-default 2
+//	ringctl -nodes 10.0.0.1:7000 describe 2
+//	ringctl -nodes 10.0.0.1:7000 config
+//	ringctl -http 10.0.0.1:8080,10.0.0.2:8080 stats
+//	ringctl -http 10.0.0.1:8080,10.0.0.2:8080 stats -watch -interval 1s
 package main
 
 import (

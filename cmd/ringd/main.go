@@ -6,8 +6,13 @@
 // TCP addresses of all nodes, in node-ID order), the same role counts,
 // and the same -memgests list, plus its own -id:
 //
-//	ringd -id 0 -nodes host0:7000,host1:7000,host2:7000,host3:7000,host4:7000 \
+//	ringd -id 0 -nodes 10.0.0.1:7000,10.0.0.2:7000,10.0.0.3:7000,10.0.0.4:7000,10.0.0.5:7000 \
 //	      -shards 3 -redundant 2 -memgests rep1,rep3,srs3.2
+//
+// An address (-nodes, -http) is an IPv4 literal, a bracketed IPv6
+// literal, localhost, or an empty host (":7000", every IPv4 address),
+// then a port: ringd resolves no names, so that it links neither net
+// nor cgo and is one static binary. Any other host fails at start.
 //
 // Node IDs 0..shards-1 are coordinators, the next `redundant` are
 // redundancy nodes, and the rest are spares. Memgest descriptors are
@@ -46,7 +51,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -66,7 +70,7 @@ import (
 
 func main() {
 	id := flag.Uint("id", 0, "this node's ID (index into -nodes)")
-	nodes := flag.String("nodes", "", "comma-separated TCP addresses of all nodes, in ID order")
+	nodes := flag.String("nodes", "", "comma-separated TCP addresses (IP:port, [IPv6]:port, localhost:port) of all nodes, in ID order")
 	shards := flag.Int("shards", 3, "number of key shards (coordinator nodes)")
 	redundant := flag.Int("redundant", 2, "number of redundancy nodes")
 	memgests := flag.String("memgests", "rep1", "comma-separated schemes: repR or srsK.M")
@@ -134,7 +138,7 @@ func main() {
 	for g := 0; g < *groups; g++ {
 		fabric := transport.NewTCPFabric()
 		for i, a := range addrs {
-			ga, err := offsetPort(a, g)
+			ga, err := transport.OffsetPort(a, g)
 			if err != nil {
 				log.Fatalf("ringd: node %d: %v", i, err)
 			}
@@ -307,20 +311,6 @@ func splitAddrs(s string) []string {
 		}
 	}
 	return out
-}
-
-// offsetPort returns addr with its port shifted by delta — how group
-// fabrics share one -nodes list.
-func offsetPort(addr string, delta int) (string, error) {
-	host, port, err := net.SplitHostPort(addr)
-	if err != nil {
-		return "", fmt.Errorf("bad address %q: %v", addr, err)
-	}
-	p, err := strconv.Atoi(port)
-	if err != nil {
-		return "", fmt.Errorf("bad port in %q: %v", addr, err)
-	}
-	return net.JoinHostPort(host, strconv.Itoa(p+delta)), nil
 }
 
 // parseMemgests parses "rep1,rep3,srs3.2" into scheme descriptors.

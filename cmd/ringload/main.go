@@ -25,7 +25,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"sort"
 	"strconv"
@@ -175,7 +174,7 @@ func dialGroups(c config) ([]*client.Client, error) {
 	for g := 0; g < c.groups; g++ {
 		fabric := transport.NewTCPFabric()
 		for i, a := range addrs {
-			ga, err := offsetPort(strings.TrimSpace(a), g)
+			ga, err := transport.OffsetPort(strings.TrimSpace(a), g)
 			if err != nil {
 				return nil, err
 			}
@@ -485,18 +484,4 @@ func namedTrace(name string) (traces.Stats, bool) {
 		}
 	}
 	return traces.Stats{}, false
-}
-
-// offsetPort returns addr with its port shifted by delta (group g of a
-// node listens on the node's port + g; see cmd/ringd).
-func offsetPort(addr string, delta int) (string, error) {
-	host, port, err := net.SplitHostPort(addr)
-	if err != nil {
-		return "", fmt.Errorf("bad address %q: %v", addr, err)
-	}
-	p, err := strconv.Atoi(port)
-	if err != nil {
-		return "", fmt.Errorf("bad port in %q: %v", addr, err)
-	}
-	return net.JoinHostPort(host, strconv.Itoa(p+delta)), nil
 }

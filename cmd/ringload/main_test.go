@@ -173,28 +173,6 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestOffsetPort(t *testing.T) {
-	for _, tc := range []struct {
-		addr  string
-		delta int
-		want  string
-	}{
-		{"127.0.0.1:7100", 0, "127.0.0.1:7100"},
-		{"127.0.0.1:7100", 2, "127.0.0.1:7102"},
-		{"[::1]:7100", 1, "[::1]:7101"},
-		{"host:9", 1, "host:10"},
-	} {
-		if got, err := offsetPort(tc.addr, tc.delta); err != nil || got != tc.want {
-			t.Errorf("offsetPort(%q, %d) = %q, %v; want %q", tc.addr, tc.delta, got, err, tc.want)
-		}
-	}
-	for _, bad := range []string{"127.0.0.1", "127.0.0.1:http", ""} {
-		if got, err := offsetPort(bad, 1); err == nil {
-			t.Errorf("offsetPort(%q) = %q, want an error", bad, got)
-		}
-	}
-}
-
 func TestParseMix(t *testing.T) {
 	for _, tc := range []struct {
 		in   string

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/url"
 	"os"
 	rtmetrics "runtime/metrics"
@@ -18,6 +17,7 @@ import (
 	"ring/internal/metrics"
 	"ring/internal/proto"
 	"ring/internal/replog"
+	"ring/internal/transport"
 )
 
 // Ringvars is the expvar-style JSON document served at
@@ -160,14 +160,15 @@ func (s *Server) handleTrace(query url.Values) response {
 // node's HTTP listen address ("host:port").
 func FetchRingvars(addr string) (Ringvars, error) {
 	var rv Ringvars
-	c, err := net.Dial("tcp", addr)
+	c, err := transport.Dial(addr)
 	if err != nil {
 		return rv, err
 	}
 	defer c.Close()
 	// HTTP/1.0: the reply is neither chunked nor kept alive, whichever
 	// server answers, so the document is what follows the blank line.
-	if _, err := fmt.Fprintf(c, "GET /debug/ringvars HTTP/1.0\r\nHost: %s\r\n\r\n", addr); err != nil {
+	req := fmt.Sprintf("GET /debug/ringvars HTTP/1.0\r\nHost: %s\r\n\r\n", addr)
+	if err := c.Writev([][]byte{[]byte(req)}); err != nil {
 		return rv, err
 	}
 	br := bufio.NewReader(c)

@@ -7,13 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/url"
 	"strings"
 	"sync"
 	"time"
 
 	"ring/internal/core"
+	"ring/internal/transport"
 )
 
 // maxHead caps the bytes read for one request head. A scrape's head is
@@ -30,29 +30,29 @@ var headDeadline = 5 * time.Second
 // per connection, answered with a Content-Length and closed.
 type Server struct {
 	runner *core.Runner
-	ln     net.Listener
+	ln     *transport.Listener
 	done   chan struct{} // closed by Close; ends a profile's wait early
 
 	mu    sync.Mutex
-	conns map[net.Conn]struct{} // open connections; nil once Close has run
-	wg    sync.WaitGroup        // the accept loop and every connection's goroutine
+	conns map[*transport.Conn]struct{} // open connections; nil once Close has run
+	wg    sync.WaitGroup               // the accept loop and every connection's goroutine
 }
 
 // Serve starts the HTTP listener on addr (e.g. ":8080" or
 // "127.0.0.1:0") and returns the server; Close stops it.
 func Serve(r *core.Runner, addr string) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
+	ln, err := transport.Listen(addr)
 	if err != nil {
 		return nil, fmt.Errorf("status: listen %s: %w", addr, err)
 	}
-	s := &Server{runner: r, ln: ln, done: make(chan struct{}), conns: make(map[net.Conn]struct{})}
+	s := &Server{runner: r, ln: ln, done: make(chan struct{}), conns: make(map[*transport.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
 }
 
 // Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.ln.Addr() }
 
 // Close stops the server: the listener is closed, every open connection
 // is ended, and no goroutine of the server is left when it returns.
@@ -94,7 +94,7 @@ func (s *Server) acceptLoop() {
 }
 
 // serveConn answers the one request a connection carries.
-func (s *Server) serveConn(c net.Conn) {
+func (s *Server) serveConn(c *transport.Conn) {
 	defer func() {
 		c.Close()
 		s.mu.Lock()
@@ -112,14 +112,14 @@ func (s *Server) serveConn(c net.Conn) {
 		head.WriteString("Allow: GET\r\n")
 	}
 	fmt.Fprintf(&head, "Content-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n", resp.ctype, len(resp.body))
-	if _, err := (&net.Buffers{head.Bytes(), resp.body}).WriteTo(c); err != nil {
+	if err := c.Writev([][]byte{head.Bytes(), resp.body}); err != nil {
 		return
 	}
 	// Closing over input left unread (a head cut off at the cap, a body
 	// nobody asked for) resets the connection, and the reset may reach
 	// the client ahead of the reply: say the reply is over and let the
 	// client close first, within the deadline.
-	if tc, ok := c.(*net.TCPConn); ok && tc.CloseWrite() == nil {
+	if c.CloseWrite() == nil {
 		_, _ = io.Copy(io.Discard, c)
 	}
 }

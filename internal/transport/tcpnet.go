@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"net"
 	"strings"
 	"sync"
 )
@@ -70,7 +69,7 @@ func (f *TCPFabric) Register(addr string) (Endpoint, error) {
 	if tcpAddr == addr && !strings.Contains(addr, ":") {
 		tcpAddr = "127.0.0.1:0"
 	}
-	ln, err := net.Listen("tcp", tcpAddr)
+	ln, err := Listen(tcpAddr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
@@ -79,8 +78,9 @@ func (f *TCPFabric) Register(addr string) (Endpoint, error) {
 		addr:       addr,
 		ln:         ln,
 		inbox:      make(chan Packet, 1024),
-		conns:      make(map[string]net.Conn),
-		replyConns: make(map[string]net.Conn),
+		conns:      make(map[string]*Conn),
+		replyConns: make(map[string]*Conn),
+		live:       make(map[*Conn]struct{}),
 		done:       make(chan struct{}),
 	}
 	go ep.acceptLoop()
@@ -91,7 +91,7 @@ func (f *TCPFabric) Register(addr string) (Endpoint, error) {
 // on (useful when registering with port 0).
 func BoundAddr(e Endpoint) string {
 	if t, ok := e.(*tcpEndpoint); ok {
-		return t.ln.Addr().String()
+		return t.ln.Addr()
 	}
 	return e.Addr()
 }
@@ -99,15 +99,18 @@ func BoundAddr(e Endpoint) string {
 type tcpEndpoint struct {
 	fabric *TCPFabric
 	addr   string
-	ln     net.Listener
+	ln     *Listener
 	inbox  chan Packet
 
 	mu    sync.Mutex
-	conns map[string]net.Conn
+	conns map[string]*Conn
 	// replyConns remembers the inbound connection a peer last spoke
 	// on, so replies can be routed to peers with no dialable address
 	// (clients behind arbitrary ports).
-	replyConns map[string]net.Conn
+	replyConns map[string]*Conn
+	// live is every connection with a read loop, dialled or accepted,
+	// for Close to end; nil once Close has run.
+	live map[*Conn]struct{}
 
 	closeOnce sync.Once
 	done      chan struct{}
@@ -126,7 +129,17 @@ func (e *tcpEndpoint) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		go e.readLoop(c)
+		e.mu.Lock()
+		open := e.live != nil
+		if open {
+			e.live[c] = struct{}{}
+			go e.readLoop(c)
+		}
+		e.mu.Unlock()
+		if !open {
+			c.Close()
+			return
+		}
 	}
 }
 
@@ -135,37 +148,35 @@ func (e *tcpEndpoint) acceptLoop() {
 const maxFrame = 64 << 20
 
 // frameVec is the scratch of one frame write: the header and the
-// two-element vector handed to writev. Pooled, so a send allocates
+// two-element vector handed to Writev. Pooled, so a send allocates
 // neither; a pool rather than per-connection state, so concurrent
 // senders on one connection need no lock of ours (the socket's own
 // write lock keeps their frames whole).
 type frameVec struct {
-	hdr []byte      // [4-byte frame length][2-byte address length][address]
-	arr [2][]byte   // backing of vec: header, payload
-	vec net.Buffers // consumed by WriteTo, rebuilt from arr for every frame
+	hdr []byte    // [4-byte frame length][2-byte address length][address]
+	arr [2][]byte // header, payload
 }
 
 var frameVecs = sync.Pool{New: func() any { return new(frameVec) }}
 
-// writeFrame sends header and payload with one vectored write (writev
-// on a TCP socket): no staging copy of the payload.
+// writeFrame sends header and payload with one vectored write: no
+// staging copy of the payload.
 //
 //ring:hotpath
-func writeFrame(c net.Conn, from string, payload []byte) error {
+func writeFrame(c *Conn, from string, payload []byte) error {
 	v := frameVecs.Get().(*frameVec)
 	v.hdr = binary.BigEndian.AppendUint32(v.hdr[:0], uint32(2+len(from)+len(payload)))
 	v.hdr = binary.BigEndian.AppendUint16(v.hdr, uint16(len(from)))
 	v.hdr = append(v.hdr, from...)
 	v.arr[0], v.arr[1] = v.hdr, payload
-	v.vec = v.arr[:]
-	_, err := v.vec.WriteTo(c)
+	err := c.Writev(v.arr[:])
 	v.arr[1] = nil // do not pin the caller's buffer
 	frameVecs.Put(v)
 	return err
 }
 
 //ring:hotpath
-func (e *tcpEndpoint) readLoop(c net.Conn) {
+func (e *tcpEndpoint) readLoop(c *Conn) {
 	defer e.forget(c)
 	fr := frameReader{r: bufio.NewReaderSize(c, 64<<10)}
 	// last is the sender replyConns was last told speaks on c: on one
@@ -283,15 +294,16 @@ func (e *tcpEndpoint) Send(to string, payload []byte) error {
 // back is dialled, not written to on a dead socket.
 //
 //ring:hotpath-stop cold: a connection died
-func (e *tcpEndpoint) forget(c net.Conn) {
+func (e *tcpEndpoint) forget(c *Conn) {
 	e.mu.Lock()
-	for _, m := range []map[string]net.Conn{e.conns, e.replyConns} {
+	for _, m := range []map[string]*Conn{e.conns, e.replyConns} {
 		for peer, pc := range m {
 			if pc == c {
 				delete(m, peer)
 			}
 		}
 	}
+	delete(e.live, c)
 	e.mu.Unlock()
 	c.Close()
 }
@@ -299,27 +311,31 @@ func (e *tcpEndpoint) forget(c net.Conn) {
 // dial opens the outbound connection to a peer, once per peer.
 //
 //ring:hotpath-stop cold: first send to a peer
-func (e *tcpEndpoint) dial(to string) (net.Conn, error) {
-	nc, err := net.Dial("tcp", e.fabric.lookup(to))
+func (e *tcpEndpoint) dial(to string) (*Conn, error) {
+	nc, err := Dial(e.fabric.lookup(to))
 	if err != nil {
 		return nil, errPeer(to, err)
 	}
 	e.mu.Lock()
-	c := e.conns[to]
-	if c == nil {
+	c, kept := e.conns[to], false
+	if c == nil && e.live != nil {
+		c, kept = nc, true
 		e.conns[to] = nc
+		e.live[nc] = struct{}{}
 		// Connections are full duplex: the peer replies over the same
 		// socket, so read from dialed connections too.
 		go e.readLoop(nc)
 	}
 	e.mu.Unlock()
-	if c == nil {
-		return nc, nil
+	if !kept {
+		// Lost the race, or the endpoint is closed: close ours outside
+		// the lock — Close can block on the TCP stack and everything
+		// sending through this endpoint serializes on e.mu.
+		nc.Close()
 	}
-	// Lost the race; keep the existing connection and close ours outside
-	// the lock — Close can block on the TCP stack and everything sending
-	// through this endpoint serializes on e.mu.
-	nc.Close()
+	if c == nil {
+		return nil, ErrClosed
+	}
 	return c, nil
 }
 
@@ -346,17 +362,15 @@ func (e *tcpEndpoint) Close() error {
 	e.closeOnce.Do(func() {
 		close(e.done)
 		e.ln.Close()
-		// Snapshot under the lock, close outside it: a Close stuck in
-		// the TCP stack must not wedge concurrent transmits (they all
-		// take e.mu to look up a connection).
+		// Take the set under the lock, close outside it: a Close stuck
+		// in the TCP stack must not wedge concurrent transmits (they
+		// all take e.mu to look up a connection). Every read loop ends
+		// with its connection.
 		e.mu.Lock()
-		conns := make([]net.Conn, 0, len(e.conns))
-		for _, c := range e.conns {
-			conns = append(conns, c)
-		}
-		e.conns = map[string]net.Conn{}
+		live := e.live
+		e.live, e.conns, e.replyConns = nil, map[string]*Conn{}, map[string]*Conn{}
 		e.mu.Unlock()
-		for _, c := range conns {
+		for c := range live {
 			c.Close()
 		}
 	})

@@ -13,6 +13,15 @@
 // discrete-event simulator (package sim) reproduce latency behaviour
 // without any transport at all.
 //
+// # Sockets
+//
+// tcpnet runs over the package's own socket layer (Listen, Dial, Conn)
+// on syscall, not net (sock_linux.go; net off Linux, sock_other.go), so
+// ringd links no resolver and no cgo. An address is an IP literal,
+// localhost or an empty host, then a port: nothing resolves a name.
+// Connections have TCP_NODELAY set and no TCP keep-alive (net's is
+// 15 s): Ring's heartbeats are its failure detector.
+//
 // # Payload ownership
 //
 // Send transfers ownership of the payload slice to the transport: the
