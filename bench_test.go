@@ -397,6 +397,21 @@ func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
 	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
+// The allocation pins of the 16 KiB puts: the client's request and
+// reply and the put's decoded key, with room for a pool refill.
+const srsPutAllocs, repPutAllocs = 5.0, 5.0
+
+// freePort returns a loopback address nothing listens on yet.
+func freePort(t *testing.T) string {
+	t.Helper()
+	l, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	return l.Addr()
+}
+
 // allocBytesPerRun is the bytes of allocsPerRun.
 func allocBytesPerRun(runs int, f func()) float64 {
 	_, bytes := allocsPerRun(runs, f)
@@ -483,15 +498,15 @@ func TestValuePathAllocs(t *testing.T) {
 			}
 		}
 		i := 0
-		perOp := allocBytesPerRun(200, func() {
+		allocs, perOp := allocsPerRun(200, func() {
 			if _, err := c.Put(keys[i%len(keys)], val); err != nil {
 				t.Fatal(err)
 			}
 			i++
 		})
-		t.Logf("srs put: %.0f B per put", perOp)
-		if perOp > 250 {
-			t.Errorf("16 KiB SRS(3,2,3) put over memnet allocates %.0f B across all five nodes and the client, want at most 250", perOp)
+		t.Logf("srs put: %.2f allocations, %.0f B per put", allocs, perOp)
+		if perOp > 250 || allocs > srsPutAllocs {
+			t.Errorf("16 KiB SRS(3,2,3) put over memnet allocates %.2f times, %.0f B, across all five nodes and the client, want at most %.0f times and 250 B", allocs, perOp, srsPutAllocs)
 		}
 	})
 
@@ -522,15 +537,62 @@ func TestValuePathAllocs(t *testing.T) {
 			}
 		}
 		i := 0
-		perOp := allocBytesPerRun(200, func() {
+		allocs, perOp := allocsPerRun(200, func() {
 			if _, err := c.Put(keys[i%len(keys)], val); err != nil {
 				t.Fatal(err)
 			}
 			i++
 		})
-		t.Logf("rep put: %.0f B per put", perOp)
-		if perOp > 200 {
-			t.Errorf("16 KiB Rep(2,3) put over memnet allocates %.0f B across all five nodes and the client, want at most 200", perOp)
+		t.Logf("rep put: %.2f allocations, %.0f B per put", allocs, perOp)
+		if perOp > 200 || allocs > repPutAllocs {
+			t.Errorf("16 KiB Rep(2,3) put over memnet allocates %.2f times, %.0f B, across all five nodes and the client, want at most %.0f times and 200 B", allocs, perOp, repPutAllocs)
+		}
+	})
+
+	// The same Rep(3,3) overwrite through five runners over memnet and
+	// over loopback TCP: on TCP each packet goes socket -> the node's
+	// read buffer -> Deliver in place -> Pack -> writev, and none of it
+	// may allocate, so the two differ by at most 0.1 allocations a put.
+	t.Run("tcp rep put", func(t *testing.T) {
+		overwrite := func(fabric transport.Fabric) float64 {
+			cfg, err := core.BootConfig(core.ClusterSpec{Shards: 3, Redundant: 2, Memgests: []proto.Scheme{proto.Rep(3, 3)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range cfg.AllNodes() {
+				if tcp, ok := fabric.(*transport.TCPFabric); ok {
+					tcp.Map(core.NodeAddr(id), freePort(t))
+				}
+				r, err := core.StartRunner(core.New(id, cfg.Clone(), core.Options{}), fabric, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Stop()
+			}
+			c, err := client.Dial(fabric, []string{core.NodeAddr(0)}, client.Options{Timeout: 10 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			val := make([]byte, 1<<10)
+			keys := benchKeys("pin", 32)
+			i := 0
+			put := func() {
+				if _, err := c.Put(keys[i%len(keys)], val); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			}
+			for i < 8*len(keys) { // every table has its slots, every pool its buffers
+				put()
+			}
+			allocs, _ := allocsPerRun(1000, put)
+			return allocs
+		}
+		mem, tcp := overwrite(transport.NewMemFabric(0)), overwrite(transport.NewTCPFabric())
+		t.Logf("1 KiB Rep(3,3) overwrite: %.2f allocations over memnet, %.2f over tcp", mem, tcp)
+		if tcp > mem+0.1 {
+			t.Errorf("a 1 KiB Rep(3,3) overwrite allocates %.2f times over tcp and %.2f over memnet, want at most 0.1 more", tcp, mem)
 		}
 	})
 

@@ -112,7 +112,12 @@
 #      in between, bytes accounted exactly). FuzzRequestHead is the monitoring port's:
 #      arbitrary bytes as a request head never panic the parser, never
 #      make it read past its 8 KiB cap, and reach a handler only by a
-#      path that is on the route table as sent.
+#      path that is on the route table as sent. FuzzFrameStream is the
+#      transport's: two connections' bytes, cut at arbitrary read
+#      boundaries into one shared buffer and delivered a few frames a
+#      batch, yield exactly the frames a one-shot parse yields, no
+#      payload reaching past its declared length, and the same bad
+#      headers rejected.
 #   8. bench smoke: every Go benchmark compiles and runs one
 #      iteration; a benchmark that panics or no longer builds fails
 #      the stage, and the numbers scroll by in the job log
@@ -254,6 +259,8 @@ stage_test() {
     go build ./...
     GOOS=windows go build ./internal/store/ ./cmd/ringd/
     GOOS=darwin go vet ./internal/store/
+    GOOS=darwin go vet ./internal/transport/
+    GOOS=windows go vet ./internal/transport/
     go test ./...
     go test -race -timeout 900s ./internal/...
 }
@@ -286,6 +293,7 @@ stage_chaos() {
     go test -run=NONE -fuzz=FuzzValueArenaModel -fuzztime=10s ./internal/store/
     go test -run=NONE -fuzz=FuzzMetaIndexModel -fuzztime=10s ./internal/store/
     go test -run=NONE -fuzz=FuzzRequestHead -fuzztime=10s ./internal/status/
+    go test -run=NONE -fuzz=FuzzFrameStream -fuzztime=10s ./internal/transport/
 
     go test -run=NONE -bench=. -benchtime=1x ./...
 

@@ -43,9 +43,9 @@ type Host struct {
 
 // Deliver runs the messages of one packet (one, or a TBatch of several)
 // through the node at now, in order, dropping a malformed one. A message
-// goes back to its free list once its handler returns, the packet to the
-// buffer pool once every handler has: a handler copies what it keeps
-// (the ownership rule of package transport).
+// goes back to its free list once its handler returns. The packet stays
+// the caller's, who may reuse its bytes once Deliver returns: a handler
+// copies what it keeps (the ownership rule of package transport).
 //
 //ring:hotpath
 func (h *Host) Deliver(now time.Duration, from string, payload []byte) {
@@ -61,7 +61,6 @@ func (h *Host) Deliver(now time.Duration, from string, payload []byte) {
 			payload[i] = 0xDB
 		}
 	}
-	transport.ReleaseBuf(payload)
 }
 
 // Pack coalesces one batch's outputs by destination and hands each

@@ -56,6 +56,15 @@ func (p *peer) next(want func(proto.Message) bool) proto.Message {
 	}
 }
 
+// runBatch runs pkts through r as one batch, the way its loop runs what
+// one Poll delivers, and reports false if the node crash-stopped.
+func runBatch(r *Runner, pkts ...transport.Packet) bool {
+	for _, p := range pkts {
+		r.deliverOne(p.From, p.Payload)
+	}
+	return r.drain(len(pkts))
+}
+
 func (p *peer) nextAppend() *proto.RepAppend {
 	p.t.Helper()
 	return p.next(func(m proto.Message) bool { _, ok := m.(*proto.RepAppend); return ok }).(*proto.RepAppend)
@@ -353,12 +362,11 @@ func TestGetReplySurvivesPurgeInSameDrain(t *testing.T) {
 	r := &Runner{ep: self.ep, Host: Host{Node: New(0, cfg, Options{})}, start: time.Now()}
 	drain := func(from string, msgs ...proto.Message) {
 		t.Helper()
-		packets := make(chan transport.Packet, len(msgs))
-		for _, m := range msgs[1:] {
-			packets <- transport.Packet{From: from, Payload: proto.Encode(m)}
+		var pkts []transport.Packet
+		for _, m := range msgs {
+			pkts = append(pkts, transport.Packet{From: from, Payload: proto.Encode(m)})
 		}
-		r.inbox = packets
-		if !r.drain(transport.Packet{From: from, Payload: proto.Encode(msgs[0])}) {
+		if !runBatch(r, pkts...) {
 			t.Fatal("the node crash-stopped")
 		}
 	}
@@ -384,11 +392,10 @@ func TestGetReplySurvivesPurgeInSameDrain(t *testing.T) {
 	slot1 := slotOf("k", 1)
 
 	// One drain: read version 1, commit version 2 (purging 1), reuse the slot.
-	packets := make(chan transport.Packet, 2)
-	packets <- transport.Packet{From: replica.ep.Addr(), Payload: proto.Encode(&proto.RepAck{Memgest: a2.Memgest, Shard: a2.Shard, Seq: a2.Seq})}
-	packets <- transport.Packet{From: client.ep.Addr(), Payload: proto.Encode(&proto.Put{Req: 4, Key: "other", Value: val(3)})}
-	r.inbox = packets
-	r.drain(transport.Packet{From: client.ep.Addr(), Payload: proto.Encode(&proto.Get{Req: 3, Key: "k", Version: 1})})
+	runBatch(r,
+		transport.Packet{From: client.ep.Addr(), Payload: proto.Encode(&proto.Get{Req: 3, Key: "k", Version: 1})},
+		transport.Packet{From: replica.ep.Addr(), Payload: proto.Encode(&proto.RepAck{Memgest: a2.Memgest, Shard: a2.Shard, Seq: a2.Seq})},
+		transport.Packet{From: client.ep.Addr(), Payload: proto.Encode(&proto.Put{Req: 4, Key: "other", Value: val(3)})})
 
 	if slotOf("k", 1) != nil {
 		t.Fatal("version 1 was not purged in the drain")
@@ -440,12 +447,7 @@ func TestRepliesSurviveEvacuationInSameDrain(t *testing.T) {
 	r := &Runner{ep: self.ep, Host: Host{Node: node}, start: time.Now()}
 	drain := func(pkts ...transport.Packet) {
 		t.Helper()
-		rest := make(chan transport.Packet, len(pkts))
-		for _, p := range pkts[1:] {
-			rest <- p
-		}
-		r.inbox = rest
-		if !r.drain(pkts[0]) {
+		if !runBatch(r, pkts...) {
 			t.Fatal("the node crash-stopped")
 		}
 	}

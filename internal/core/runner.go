@@ -39,15 +39,21 @@ type Runner struct {
 	done   chan struct{}
 	epOnce sync.Once // ep.Close exactly once (halt and Stop both close)
 
-	// inbox is the endpoint's receive channel; the queue-depth gauges
-	// read its length at scrape time.
+	// inbox is the endpoint's receive channel on memnet, nil on tcpnet,
+	// whose backlog is in the kernel; the queue-depth gauges read its
+	// length at scrape time.
 	inbox <-chan transport.Packet
+
+	// The loop's batch: deliver (r.deliverOne) is what it polls with,
+	// and the first packet of a batch takes r.mu and the batch's now.
+	deliver func(from string, payload []byte)
+	locked  bool
+	now     time.Duration
 }
 
 // StartRunner registers the node's endpoint on the fabric and starts
-// its event loop, which selects on the endpoint's inbox itself: the
-// endpoint must be a transport.ChanReceiver, as both fabrics' are.
-// tickEvery <= 0 selects 10ms.
+// its event loop, which polls the endpoint itself. tickEvery <= 0
+// selects 10ms.
 //
 //ring:wallclock the Runner is the deliberate real-time boundary hosting the event-driven node
 func StartRunner(n *Node, fabric transport.Fabric, tickEvery time.Duration) (*Runner, error) {
@@ -58,61 +64,73 @@ func StartRunner(n *Node, fabric transport.Fabric, tickEvery time.Duration) (*Ru
 	if err != nil {
 		return nil, err
 	}
-	cr, ok := ep.(transport.ChanReceiver)
-	if !ok {
-		ep.Close()
-		return nil, fmt.Errorf("core: endpoint %T has no inbox channel (transport.ChanReceiver)", ep)
-	}
 	r := &Runner{
 		Host:  Host{Node: n},
 		ep:    ep,
 		ticks: tickEvery,
 		start: time.Now(),
 		done:  make(chan struct{}),
-		inbox: cr.RecvChan(),
 	}
+	if cr, ok := ep.(transport.ChanReceiver); ok {
+		r.inbox = cr.RecvChan()
+	}
+	r.deliver = r.deliverOne
 	RunnerGoroutines.Add(1)
-	go r.loop(cr.Closed())
+	go r.loop()
 	return r, nil
 }
 
-// InboxDepth returns the runner's current receive backlog — the
-// instantaneous form of the InboxHighWater mark, summed per group by
-// the queue-depth gauges.
+// InboxDepth returns the runner's current receive backlog on memnet —
+// the instantaneous form of the InboxHighWater mark, summed per group
+// by the queue-depth gauges — and 0 on tcpnet.
 func (r *Runner) InboxDepth() int { return len(r.inbox) }
 
-// loop is the node's event loop. The inbox never closes: closing the
-// endpoint, which Stop, Kill and halt do, ends it.
+// loop is the node's event loop: a batch of what Poll delivers, then a
+// tick whenever one is due. Closing the endpoint, which Stop, Kill and
+// halt do, ends it.
 //
-//ring:wallclock real-time ticker driving the node's virtual clock
-func (r *Runner) loop(epClosed <-chan struct{}) {
+//ring:wallclock real-time ticks driving the node's virtual clock
+func (r *Runner) loop() {
 	defer close(r.done)
 	defer RunnerGoroutines.Add(-1)
-	ticker := time.NewTicker(r.ticks)
-	defer ticker.Stop()
+	next := time.Now().Add(r.ticks)
 	for {
-		select {
-		case <-epClosed:
+		n, err := r.ep.Poll(next, 1+MaxDrain, r.deliver)
+		if n > 0 && !r.drain(n) || err != nil {
 			return
-		case p := <-r.inbox:
-			if !r.drain(p) {
-				return
-			}
-		case <-ticker.C:
+		}
+		if now := time.Now(); !now.Before(next) {
 			if !r.tick() {
 				return
+			}
+			if next = next.Add(r.ticks); !next.After(now) {
+				next = now.Add(r.ticks)
 			}
 		}
 	}
 }
 
-// drain runs p and up to MaxDrain packets already queued behind it
-// through the node under one lock, then sends the batch's outputs in one
-// coalesced pass: a wakeup amortises lock and scheduler traffic, and
-// outputs of different events to one peer share a packet (a coordinator
-// that finds several acks queued sends the commit fan-out and the
-// replies they unlock as single per-peer sends). It returns false once
-// the node has crash-stopped.
+// deliverOne runs one packet of the batch Poll is delivering; the first
+// takes r.mu and fixes the batch's clock.
+//
+//ring:hotpath
+//ring:wallclock converts wall time to the node's event clock
+func (r *Runner) deliverOne(from string, payload []byte) {
+	if !r.locked {
+		r.mu.Lock()
+		r.locked = true
+		r.now = time.Since(r.start)
+	}
+	r.Deliver(r.now, from, payload)
+}
+
+// drain ends the batch of n packets that Poll ran through the node
+// under one lock, and sends the batch's outputs in one coalesced pass:
+// a wakeup amortises lock and scheduler traffic, and outputs of
+// different events to one peer share a packet (a coordinator that finds
+// several acks queued sends the commit fan-out and the replies they
+// unlock as single per-peer sends). It returns false once the node has
+// crash-stopped.
 //
 // Flush runs under r.mu by design: it is the node's group commit, and
 // the batch's outputs exist outside the node only once it has returned
@@ -120,28 +138,12 @@ func (r *Runner) loop(epClosed <-chan struct{}) {
 // besides Inspect.
 //
 //ring:hotpath
-//ring:wallclock converts wall time to the node's event clock
 //ring:lockok deliberate hold-across-fsync, see above
-func (r *Runner) drain(p transport.Packet) bool {
-	r.mu.Lock()
-	now := time.Since(r.start)
-	// The channel backlog plus the packet in hand is the inbox depth
-	// this wakeup observed.
-	r.Node.Metrics.InboxHighWater.Observe(int64(len(r.inbox)) + 1)
-	for drained := 0; ; drained++ {
-		r.Deliver(now, p.From, p.Payload)
-		if drained >= MaxDrain {
-			break
-		}
-		var more bool
-		select {
-		case p, more = <-r.inbox:
-		default:
-		}
-		if !more {
-			break
-		}
-	}
+func (r *Runner) drain(n int) bool {
+	// The packets taken plus any still queued is the backlog this
+	// wakeup observed.
+	r.Node.Metrics.InboxHighWater.Observe(int64(n + len(r.inbox)))
+	r.locked = false
 	return r.endBatch()
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -218,10 +220,10 @@ func TestFanoutOnePacketPerPeerPerEvent(t *testing.T) {
 	}
 }
 
-// TestRunnerOverTCPStopsAndKills: a runner over the TCP fabric selects
-// on the endpoint's inbox itself (transport.ChanReceiver), as it does
-// over memnet — one event-loop goroutine and no forwarder — serves a
-// request that way, and both Stop and Kill return with the loop gone.
+// TestRunnerOverTCPStopsAndKills: a runner over the TCP fabric polls
+// the endpoint itself, as it does over memnet — one event-loop
+// goroutine — serves a request that way, and both Stop and Kill return
+// with the loop gone.
 func TestRunnerOverTCPStopsAndKills(t *testing.T) {
 	cfg, err := BootConfig(ClusterSpec{Shards: 1, Redundant: 0, Memgests: []proto.Scheme{proto.Rep(1, 1)}})
 	if err != nil {
@@ -235,8 +237,8 @@ func TestRunnerOverTCPStopsAndKills(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := r.ep.(transport.ChanReceiver); !ok || RunnerGoroutines.Load() != before+1 {
-				t.Fatalf("%T: ChanReceiver=%v, %d runner goroutines, want %d", r.ep, ok, RunnerGoroutines.Load(), before+1)
+			if got := RunnerGoroutines.Load(); got != before+1 {
+				t.Fatalf("%d runner goroutines, want %d", got, before+1)
 			}
 			fabric.Map(NodeAddr(0), transport.BoundAddr(r.ep))
 			client, err := fabric.Register("client/t")
@@ -271,30 +273,57 @@ func TestRunnerOverTCPStopsAndKills(t *testing.T) {
 	}
 }
 
-// recvOnlyFabric registers endpoints that hide their inbox channel.
-type recvOnlyFabric struct{ *transport.MemFabric }
-
-func (f recvOnlyFabric) Register(addr string) (transport.Endpoint, error) {
-	ep, err := f.MemFabric.Register(addr)
-	return struct{ transport.Endpoint }{ep}, err
-}
-
-// TestRunnerNeedsChanReceiver: a runner selects on its endpoint's inbox
-// and has no other way to read one, so an endpoint without an inbox
-// channel is refused — and closed, its address free again.
-func TestRunnerNeedsChanReceiver(t *testing.T) {
+// TestTCPRunnerIsOneGoroutine: on Linux a runner over the TCP fabric is
+// its event loop and nothing else, as the paper's servers are one
+// thread: it polls its listener and every connection itself, so the
+// process runs as many goroutines with six peers connected and answered
+// as with one, and one more than before the runner started.
+func TestTCPRunnerIsOneGoroutine(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("off Linux a read loop per connection feeds the runner")
+	}
 	cfg, err := BootConfig(ClusterSpec{Shards: 1, Memgests: []proto.Scheme{proto.Rep(1, 1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabric := recvOnlyFabric{transport.NewMemFabric(0)}
-	if r, err := StartRunner(New(0, cfg, Options{}), fabric, time.Minute); err == nil {
-		r.Stop()
-		t.Fatal("a runner started over an endpoint without an inbox channel")
-	}
-	ep, err := fabric.MemFabric.Register(NodeAddr(0))
+	before := runtime.NumGoroutine()
+	fabric := transport.NewTCPFabric()
+	r, err := StartRunner(New(0, cfg, Options{}), fabric, time.Minute)
 	if err != nil {
-		t.Fatalf("the refused endpoint still holds its address: %v", err)
+		t.Fatal(err)
 	}
-	ep.Close()
+	defer r.Stop()
+	fabric.Map(NodeAddr(0), transport.BoundAddr(r.ep))
+	ask := func(i int) {
+		t.Helper()
+		peer, err := fabric.Register(fmt.Sprintf("client/%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { peer.Close() })
+		if err := peer.Send(NodeAddr(0), proto.Encode(&proto.Get{Req: 1, Key: "absent"})); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := peer.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	count := func(peers int) int {
+		t.Helper()
+		// A goroutine an earlier test left may still be ending.
+		n := runtime.NumGoroutine()
+		testutil.Eventually(2*time.Second, 10*time.Millisecond, func() bool { n = runtime.NumGoroutine(); return n <= before+1 })
+		if n > before+1 {
+			t.Fatalf("%d goroutines with a tcp runner and %d peers, %d before the runner: want one more", n, peers, before)
+		}
+		return n
+	}
+	ask(1)
+	one := count(1)
+	for i := 2; i <= 6; i++ {
+		ask(i)
+	}
+	if six := count(6); six != one {
+		t.Fatalf("%d goroutines with six peers, %d with one", six, one)
+	}
 }

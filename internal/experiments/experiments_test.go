@@ -278,6 +278,21 @@ func TestFig10(t *testing.T) {
 	}
 }
 
+// TestFig12TimesTheServingSpare: when fig12 stops its clock, the spare
+// it timed is the leader's coordinator of the failed shard, not one the
+// leader has already evicted for a silence the harness made (no tick
+// ran while the cluster filled, so every member looked silent).
+func TestFig12TimesTheServingSpare(t *testing.T) {
+	_, s, err := recoverRun(2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := s.Node(0).Config()
+	if !s.Node(0).IsLeader() || len(cfg.Coords) < 2 || cfg.Coords[1] != 5 {
+		t.Fatalf("the leader's configuration at the stop (epoch %d): coordinators %v, want node 5 for shard 1", cfg.Epoch, cfg.Coords)
+	}
+}
+
 func TestFig12RecoveryGrowsWithMetadata(t *testing.T) {
 	pts, err := Fig12Recovery([]int{200, 1600})
 	if err != nil {

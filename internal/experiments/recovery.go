@@ -41,11 +41,17 @@ func Fig12Recovery(keyCounts []int) ([]Fig12Point, error) {
 }
 
 func recoverOnce(keys int) (Fig12Point, error) {
+	p, _, err := recoverRun(keys)
+	return p, err
+}
+
+// recoverRun is recoverOnce, with the simulator as the point was taken.
+func recoverRun(keys int) (Fig12Point, *sim.Sim, error) {
 	// Block size scaled so the SRS heaps hold the largest key counts.
 	spec := PaperSpec(1 << 20)
 	s, err := sim.NewFromSpec(spec, sim.DefaultModel())
 	if err != nil {
-		return Fig12Point{}, err
+		return Fig12Point{}, nil, err
 	}
 	cfg, _ := core.BootConfig(spec)
 	c := sim.NewClient(s, "rec", cfg)
@@ -56,9 +62,19 @@ func recoverOnce(keys int) (Fig12Point, error) {
 		mg := proto.MemgestID(i%len(PaperSchemes) + 1)
 		key := fmt.Sprintf("f12-%08d", i)
 		if _, pr, err := c.PutSync(key, val, mg); err != nil || pr.Status != proto.StOK {
-			return Fig12Point{}, fmt.Errorf("fig12 populate %s: %v (%+v)", key, err, pr)
+			return Fig12Point{}, nil, fmt.Errorf("fig12 populate %s: %v (%+v)", key, err, pr)
 		}
 	}
+	// No tick ran while the cluster filled, so the leader last heard
+	// from every member at boot and its first tick would find them all
+	// silent: it would promote the spare and evict it a tick later. Each
+	// member answers a heartbeat first, so the only silence is the kill.
+	for _, id := range cfg.AllNodes() {
+		if id != cfg.Leader {
+			s.Send(core.NodeAddr(id), core.NodeAddr(cfg.Leader), &proto.HeartbeatAck{Epoch: cfg.Epoch})
+		}
+	}
+	s.RunToQuiescence()
 	const dead, spare = proto.NodeID(1), proto.NodeID(5)
 	killAt := s.Now()
 	s.Kill(dead)
@@ -75,10 +91,10 @@ func recoverOnce(keys int) (Fig12Point, error) {
 				MetaBytes: n.Stats.BytesMetaInstalled,
 				Latency:   s.Now() - killAt,
 				Keys:      keys,
-			}, nil
+			}, s, nil
 		}
 	}
-	return Fig12Point{}, fmt.Errorf("fig12: spare never recovered (keys=%d)", keys)
+	return Fig12Point{}, nil, fmt.Errorf("fig12: spare never recovered (keys=%d)", keys)
 }
 
 // Fig13Point is one sample of the block-recovery experiment.

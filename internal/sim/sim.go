@@ -30,6 +30,7 @@ import (
 
 	"ring/internal/core"
 	"ring/internal/proto"
+	"ring/internal/transport"
 )
 
 // CostModel holds the calibrated constants. The defaults approximate
@@ -380,6 +381,7 @@ func (s *Sim) process(h *nodeHost, id proto.NodeID) {
 			h.Node.HandleTick(start)
 		} else {
 			h.Deliver(start, p.from, p.pkt)
+			transport.ReleaseBuf(p.pkt)
 		}
 	}
 	h.queue = h.queue[n:]

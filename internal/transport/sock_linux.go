@@ -95,17 +95,24 @@ func Listen(addr string) (*Listener, error) {
 func (l *Listener) Addr() string { return l.addr }
 
 // Accept waits for the next inbound connection.
-func (l *Listener) Accept() (*Conn, error) {
+func (l *Listener) Accept() (*Conn, error) { return l.accept(true) }
+
+// accept takes the next inbound connection; without wait it returns
+// nil, nil when none is queued.
+func (l *Listener) accept(wait bool) (*Conn, error) {
 	nfd, err := -1, error(nil)
 	if rerr := l.raw.Read(func(fd uintptr) bool {
 		for {
 			nfd, _, err = syscall.Accept4(int(fd), syscall.SOCK_NONBLOCK|syscall.SOCK_CLOEXEC)
 			if err != syscall.EINTR && err != syscall.ECONNABORTED { // not a peer that gave up while queued
-				return err != syscall.EAGAIN
+				return err != syscall.EAGAIN || !wait
 			}
 		}
 	}); rerr != nil {
 		return nil, rerr
+	}
+	if err == syscall.EAGAIN {
+		return nil, nil
 	}
 	if err != nil {
 		return nil, os.NewSyscallError("accept4", err)
@@ -155,6 +162,47 @@ func Dial(addr string) (*Conn, error) {
 	return &Conn{s}, nil
 }
 
+// reader reads a connection without waiting. Its callback is made
+// once, so a read allocates nothing; one goroutine uses it at a time.
+type reader struct {
+	p     []byte
+	n     int
+	errno syscall.Errno
+	fn    func(fd uintptr) bool // r.read
+}
+
+func newReader() *reader {
+	r := new(reader)
+	r.fn = r.read
+	return r
+}
+
+// readNow reads into p what c has received: 0 and EAGAIN when nothing
+// has, 0 and no errno once the peer has closed. err is the socket's, if
+// it has been closed.
+//
+//ring:hotpath
+func (r *reader) readNow(c *Conn, p []byte) (int, syscall.Errno, error) {
+	r.p = p
+	err := c.raw.Read(r.fn)
+	r.p = nil
+	return r.n, r.errno, err
+}
+
+//ring:hotpath
+func (r *reader) read(fd uintptr) bool {
+	for {
+		n, _, errno := syscall.Syscall(syscall.SYS_READ, fd, uintptr(unsafe.Pointer(&r.p[0])), uintptr(len(r.p)))
+		if errno != syscall.EINTR {
+			r.n, r.errno = int(n), errno
+			if errno != 0 {
+				r.n = 0
+			}
+			return true
+		}
+	}
+}
+
 // Close closes the socket; a blocked call on it returns an error.
 func (s *sock) Close() error { return s.f.Close() }
 
@@ -174,13 +222,14 @@ func (c *Conn) CloseWrite() error {
 	return os.NewSyscallError("shutdown", err)
 }
 
-// writer is the state of one Writev. Its callback is made once, with
+// writer is the state of one write. Its callback is made once, with
 // the pooled writer, so a write allocates nothing.
 type writer struct {
-	vec   []syscall.Iovec // backing of iov
-	iov   []syscall.Iovec // what is left to write
-	errno syscall.Errno
-	fn    func(fd uintptr) bool // w.write
+	vec    []syscall.Iovec // backing of iov
+	iov    []syscall.Iovec // what is left to write
+	nowait bool            // stop at a full socket instead of waiting for room
+	errno  syscall.Errno
+	fn     func(fd uintptr) bool // w.write
 }
 
 var writers = sync.Pool{New: func() any {
@@ -194,30 +243,45 @@ var writers = sync.Pool{New: func() any {
 //
 //ring:hotpath
 func (c *Conn) Writev(bufs [][]byte) error {
+	_, err := c.writev(bufs, false)
+	return err
+}
+
+// writev writes bufs in order and returns how many bytes it wrote: all
+// of them, or with nowait set what a full socket took before it stopped.
+//
+//ring:hotpath
+func (c *Conn) writev(bufs [][]byte, nowait bool) (int, error) {
 	w := writers.Get().(*writer)
 	w.vec = w.vec[:0]
+	n := 0
 	for _, b := range bufs {
 		if len(b) > 0 {
 			w.vec = append(w.vec, syscall.Iovec{Base: &b[0]})
 			w.vec[len(w.vec)-1].SetLen(len(b))
+			n += len(b)
 		}
 	}
-	w.iov = w.vec
+	w.iov, w.nowait = w.vec, nowait
 	err := c.raw.Write(w.fn)
 	if err == nil && w.errno != 0 {
 		err = writevError(w.errno)
 	}
+	for _, v := range w.iov {
+		n -= int(v.Len)
+	}
 	clear(w.vec) // do not pin the caller's buffers
 	w.errno = 0
 	writers.Put(w)
-	return err
+	return n, err
 }
 
 //ring:hotpath-stop cold error constructor
 func writevError(errno syscall.Errno) error { return os.NewSyscallError("writev", errno) }
 
 // write is the RawConn.Write callback: it writes until nothing is left,
-// over short writes, and returns false on EAGAIN to wait for room.
+// over short writes, and on EAGAIN returns false to wait for room, or
+// true to stop when the writer does not wait.
 //
 //ring:hotpath
 func (w *writer) write(fd uintptr) bool {
@@ -228,7 +292,7 @@ func (w *writer) write(fd uintptr) bool {
 		case syscall.EINTR:
 			continue
 		case syscall.EAGAIN:
-			return false
+			return w.nowait
 		default:
 			w.errno = errno
 			return true

@@ -23,15 +23,15 @@ func Listen(addr string) (*Listener, error) {
 	return nil, err
 }
 func (l *Listener) Addr() string           { return l.Listener.Addr().String() }
-func (l *Listener) Accept() (*Conn, error) { return tcpConn(l.Listener.Accept()) }
+func (l *Listener) Accept() (*Conn, error) { return asConn(l.Listener.Accept()) }
 func Dial(addr string) (*Conn, error) {
 	ap, err := parseAddr(addr)
 	if err != nil {
 		return nil, err
 	}
-	return tcpConn((&net.Dialer{KeepAlive: -1}).Dial("tcp", ap.String()))
+	return asConn((&net.Dialer{KeepAlive: -1}).Dial("tcp", ap.String()))
 }
-func tcpConn(c net.Conn, err error) (*Conn, error) {
+func asConn(c net.Conn, err error) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}

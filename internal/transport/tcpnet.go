@@ -1,12 +1,11 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
+	"time"
 )
 
 // TCPFabric implements the fabric over real TCP sockets. Each endpoint
@@ -22,11 +21,12 @@ import (
 //
 // Send follows the package-level ownership contract: header and
 // payload leave in one vectored write straight from the caller's
-// buffer, which is recycled into the buffer pool before Send returns,
-// so callers must hand over a buffer they will never touch again. The
-// receive side reads each payload into a pooled buffer of its size
-// class; nothing value-sized is allocated per frame in either
-// direction.
+// buffer, which is recycled into the buffer pool once the kernel has
+// every byte of it. On the receive side a frame is delivered where it
+// was read: Poll reads each ready connection into one buffer of the
+// endpoint's and hands deliver each whole frame in it (poll_linux.go;
+// elsewhere, read loops queue copies, poll_other.go). Nothing
+// value-sized is allocated per frame in either direction.
 type TCPFabric struct {
 	mu sync.Mutex
 	// resolve maps logical addresses to TCP "host:port" when the two
@@ -73,18 +73,20 @@ func (f *TCPFabric) Register(addr string) (Endpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	ep := &tcpEndpoint{
+	e := &tcpEndpoint{
 		fabric:     f,
 		addr:       addr,
 		ln:         ln,
-		inbox:      make(chan Packet, 1024),
-		conns:      make(map[string]*Conn),
-		replyConns: make(map[string]*Conn),
-		live:       make(map[*Conn]struct{}),
-		done:       make(chan struct{}),
+		conns:      make(map[string]*tcpConn),
+		replyConns: make(map[string]*tcpConn),
+		live:       make(map[*tcpConn]struct{}),
 	}
-	go ep.acceptLoop()
-	return ep, nil
+	e.recvFn = e.recvOne
+	if err := e.start(); err != nil {
+		ln.Close()
+		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
+	}
+	return e, nil
 }
 
 // BoundAddr returns the concrete TCP address an endpoint is listening
@@ -100,58 +102,101 @@ type tcpEndpoint struct {
 	fabric *TCPFabric
 	addr   string
 	ln     *Listener
-	inbox  chan Packet
+	poller // how frames reach Poll: poll_linux.go, poll_other.go
 
 	mu    sync.Mutex
-	conns map[string]*Conn
+	conns map[string]*tcpConn
 	// replyConns remembers the inbound connection a peer last spoke
 	// on, so replies can be routed to peers with no dialable address
 	// (clients behind arbitrary ports).
-	replyConns map[string]*Conn
-	// live is every connection with a read loop, dialled or accepted,
-	// for Close to end; nil once Close has run.
-	live map[*Conn]struct{}
+	replyConns map[string]*tcpConn
+	// live is every open connection, dialled or accepted, for Close to
+	// end; nil once Close has run.
+	live map[*tcpConn]struct{}
 
-	closeOnce sync.Once
-	done      chan struct{}
+	// Recv's scratch: Poll hands recvOne the packet Recv returns.
+	recvMu sync.Mutex
+	recvFn func(from string, payload []byte)
+	recvd  Packet
+}
+
+// tcpConn is one connection of an endpoint.
+type tcpConn struct {
+	*Conn
+	in    stream // the receive side, read only by the endpoint's poll
+	last  string // the sender replyConns was last told speaks on it
+	sendq        // what Send could not write yet (poll_linux.go)
 }
 
 func (e *tcpEndpoint) Addr() string { return e.addr }
 
-// RecvChan and Closed implement ChanReceiver: the read loops only ever
-// send on the inbox, and Close closes done.
-func (e *tcpEndpoint) RecvChan() <-chan Packet { return e.inbox }
-func (e *tcpEndpoint) Closed() <-chan struct{} { return e.done }
+// adopt makes nc one of e's connections, or closes it if e has closed.
+// Called under e.mu.
+//
+//ring:hotpath-stop cold: a new connection
+func (e *tcpEndpoint) adopt(nc *Conn) *tcpConn {
+	if e.live == nil {
+		nc.Close()
+		return nil
+	}
+	c := &tcpConn{Conn: nc}
+	if err := e.watch(c); err != nil {
+		nc.Close()
+		return nil
+	}
+	e.live[c] = struct{}{}
+	return c
+}
 
-func (e *tcpEndpoint) acceptLoop() {
+// heard notes that from spoke on c, so replies to it can go back that
+// way. Sent from the receive side whenever a connection's sender
+// changes, which on one connection happens once.
+//
+//ring:hotpath-stop cold: once per connection
+func (e *tcpEndpoint) heard(c *tcpConn, from string) {
+	e.mu.Lock()
+	if _, ok := e.live[c]; ok {
+		e.replyConns[from] = c
+	}
+	e.mu.Unlock()
+	c.last = from
+}
+
+// Recv implements Endpoint on Poll, copying the packet out.
+func (e *tcpEndpoint) Recv() (Packet, error) {
+	e.recvMu.Lock()
+	defer e.recvMu.Unlock()
 	for {
-		c, err := e.ln.Accept()
+		n, err := e.Poll(time.Time{}, 1, e.recvFn)
+		if n == 1 {
+			p := e.recvd
+			e.recvd = Packet{}
+			return p, nil
+		}
 		if err != nil {
-			return // listener closed
-		}
-		e.mu.Lock()
-		open := e.live != nil
-		if open {
-			e.live[c] = struct{}{}
-			go e.readLoop(c)
-		}
-		e.mu.Unlock()
-		if !open {
-			c.Close()
-			return
+			return Packet{}, err
 		}
 	}
+}
+
+// recvOne is Recv's deliver: it copies the borrowed payload out.
+func (e *tcpEndpoint) recvOne(from string, payload []byte) {
+	e.recvd = Packet{From: from, Payload: append(AcquireBufSize(len(payload)), payload...)}
 }
 
 // maxFrame bounds a frame's declared length; a whole-block transfer of
 // the largest supported block fits with room to spare.
 const maxFrame = 64 << 20
 
+// readBuf is the size of the buffer a connection is read into: an
+// endpoint's on Linux, a read loop's elsewhere. A frame longer than it
+// is read straight into a buffer of its own.
+const readBuf = 64 << 10
+
 // frameVec is the scratch of one frame write: the header and the
 // two-element vector handed to Writev. Pooled, so a send allocates
-// neither; a pool rather than per-connection state, so concurrent
-// senders on one connection need no lock of ours (the socket's own
-// write lock keeps their frames whole).
+// neither; a pool rather than per-connection state, since it lives for
+// one write.
 type frameVec struct {
 	hdr []byte    // [4-byte frame length][2-byte address length][address]
 	arr [2][]byte // header, payload
@@ -159,96 +204,156 @@ type frameVec struct {
 
 var frameVecs = sync.Pool{New: func() any { return new(frameVec) }}
 
+// frame fills v with the frame of payload from sender from.
+func (v *frameVec) frame(from string, payload []byte) {
+	v.hdr = binary.BigEndian.AppendUint32(v.hdr[:0], uint32(2+len(from)+len(payload)))
+	v.hdr = binary.BigEndian.AppendUint16(v.hdr, uint16(len(from)))
+	v.hdr = append(v.hdr, from...)
+	v.arr[0], v.arr[1] = v.hdr, payload
+}
+
 // writeFrame sends header and payload with one vectored write: no
 // staging copy of the payload.
 //
 //ring:hotpath
 func writeFrame(c *Conn, from string, payload []byte) error {
 	v := frameVecs.Get().(*frameVec)
-	v.hdr = binary.BigEndian.AppendUint32(v.hdr[:0], uint32(2+len(from)+len(payload)))
-	v.hdr = binary.BigEndian.AppendUint16(v.hdr, uint16(len(from)))
-	v.hdr = append(v.hdr, from...)
-	v.arr[0], v.arr[1] = v.hdr, payload
+	v.frame(from, payload)
 	err := c.Writev(v.arr[:])
 	v.arr[1] = nil // do not pin the caller's buffer
 	frameVecs.Put(v)
 	return err
 }
 
-//ring:hotpath
-func (e *tcpEndpoint) readLoop(c *Conn) {
-	defer e.forget(c)
-	fr := frameReader{r: bufio.NewReaderSize(c, 64<<10)}
-	// last is the sender replyConns was last told speaks on c: on one
-	// connection it is the same for every frame.
-	var last string
-	for {
-		from, payload, err := fr.next()
-		if err != nil {
-			return
-		}
-		if from != last {
-			e.mu.Lock()
-			e.replyConns[from] = c
-			e.mu.Unlock()
-			last = from
-		}
-		select {
-		case e.inbox <- Packet{From: from, Payload: payload}:
-			countRecv(payload, len(e.inbox))
-		case <-e.done:
-			ReleaseBuf(payload)
-			return
-		}
-	}
+// stream is the receive side of one connection: it cuts the bytes read
+// from it into frames, in place. A frame that the end of a read cuts
+// short waits in carry, a pooled buffer; the frame's next bytes are read
+// straight into carry when the frame is longer than the read buffer, and
+// into the read buffer behind a copy of carry otherwise. carry grows to
+// what has arrived, 1 MiB at least and doubling, not to what a header
+// declares.
+type stream struct {
+	carry []byte
+	from  string // the sender of the last frame
+	into  bool   // the last space was carry's own
+	kept  int    // bytes of carry copied to the front of the last space
 }
 
-// frameReader reads the frames of one connection. Its scratch makes a
-// frame cost no allocation: the fixed part of the header, the sender
-// address bytes, and the address as a string, rebuilt only when it
-// differs from the previous frame's (on one connection it never does).
-type frameReader struct {
-	r    io.Reader
-	hdr  [6]byte
-	addr []byte
-	from string
-}
+// carryMin is the least carry a frame longer than the read buffer gets.
+const carryMin = 1 << 20
 
-// next reads one frame, the payload into a pooled buffer of its size
-// class, which the receiver releases once the packet is consumed.
+// frameHead reads the header at the front of b: the frame's whole size,
+// or 0 while b is too short to tell, and an error for a frame that
+// declares more than maxFrame bytes or an address longer than itself.
 //
 //ring:hotpath
-func (fr *frameReader) next() (from string, payload []byte, err error) {
-	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
-		return "", nil, err
+func frameHead(b []byte) (size int, err error) {
+	if len(b) < 4 {
+		return 0, nil
 	}
-	n := int(binary.BigEndian.Uint32(fr.hdr[:]))
-	alen := int(binary.BigEndian.Uint16(fr.hdr[4:]))
-	if n > maxFrame || 2+alen > n {
-		return "", nil, errBadFrame(n, alen)
+	n := int(binary.BigEndian.Uint32(b))
+	if len(b) < 6 {
+		if n > maxFrame {
+			return 0, nil
+		}
+		return max(4+n, 6), nil // a frame too short for its header is judged at 6 bytes
 	}
-	if cap(fr.addr) < alen {
-		fr.addr = make([]byte, alen)
+	if alen := int(binary.BigEndian.Uint16(b[4:])); n > maxFrame || 2+alen > n {
+		return 0, errBadFrame(n, alen)
 	}
-	fr.addr = fr.addr[:alen]
-	if _, err := io.ReadFull(fr.r, fr.addr); err != nil {
-		return "", nil, err
-	}
-	if fr.from != string(fr.addr) {
-		fr.from = string(fr.addr)
-	}
-	plen := n - 2 - alen
-	payload = AcquireBufSize(plen)[:plen]
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
-		ReleaseBuf(payload)
-		return "", nil, err
-	}
-	return fr.from, payload, nil
+	return 4 + n, nil
 }
 
 //ring:hotpath-stop cold error constructor
 func errBadFrame(n, alen int) error {
 	return fmt.Errorf("transport: bad frame: length %d, address length %d", n, alen)
+}
+
+// space returns where the connection's next read goes, given the read
+// buffer buf: the rest of the frame in carry, when that frame is longer
+// than buf, so that no read goes past it; otherwise buf, behind a copy
+// of carry.
+//
+//ring:hotpath
+func (s *stream) space(buf []byte) []byte {
+	size, _ := frameHead(s.carry) // carry's header passed when it was cut
+	if s.into = size > len(buf); s.into {
+		if len(s.carry) == cap(s.carry) {
+			s.carry = s.grow(size)
+		}
+		return s.carry[len(s.carry):min(size, cap(s.carry))]
+	}
+	s.kept = copy(buf, s.carry)
+	if s.carry != nil {
+		ReleaseBuf(s.carry)
+		s.carry = nil
+	}
+	return buf[s.kept:]
+}
+
+// grow moves carry into a buffer twice its size, or carryMin, or the
+// frame's size bytes if that is less.
+//
+//ring:hotpath-stop cold: frames longer than the read buffer
+func (s *stream) grow(size int) []byte {
+	b := append(AcquireBufSize(min(size, max(2*cap(s.carry), carryMin))), s.carry...)
+	ReleaseBuf(s.carry)
+	return b
+}
+
+// got takes the k bytes a read put into the last space and delivers the
+// frames they complete, at most max (see cut).
+//
+//ring:hotpath
+func (s *stream) got(buf []byte, k, max int, deliver func(from string, payload []byte)) (rest []byte, n int, err error) {
+	if !s.into {
+		return s.cut(buf[:s.kept+k], max, deliver)
+	}
+	s.carry = s.carry[:len(s.carry)+k]
+	if size, _ := frameHead(s.carry); len(s.carry) < size {
+		return nil, 0, nil
+	}
+	b := s.carry
+	s.carry = nil
+	_, n, err = s.cut(b, 1, deliver)
+	ReleaseBuf(b)
+	return nil, n, err
+}
+
+// cut delivers the whole frames at the front of b, at most max, each
+// payload in place and capped at its own length. When max stops it,
+// rest is what of b is left for the next call; otherwise an incomplete
+// frame at the end of b goes to carry, and rest is empty.
+//
+//ring:hotpath
+func (s *stream) cut(b []byte, max int, deliver func(from string, payload []byte)) (rest []byte, n int, err error) {
+	for ; n < max; n++ {
+		size, err := frameHead(b)
+		if err != nil {
+			return nil, n, err
+		}
+		if size == 0 || len(b) < size {
+			s.keep(b, size)
+			return nil, n, nil
+		}
+		alen := int(binary.BigEndian.Uint16(b[4:]))
+		if addr := b[6 : 6+alen]; string(addr) != s.from {
+			s.from = string(addr)
+		}
+		deliver(s.from, b[6+alen:size:size])
+		b = b[size:]
+	}
+	return b, n, nil
+}
+
+// keep copies the start of a frame, of size bytes once whole (0: not
+// known yet), into carry.
+//
+//ring:hotpath
+func (s *stream) keep(b []byte, size int) {
+	if len(b) > 0 {
+		s.carry = append(AcquireBufSize(max(len(b), min(size, carryMin))), b...)
+	}
 }
 
 // Send performs the framed write, dialling on demand.
@@ -270,17 +375,9 @@ func (e *tcpEndpoint) Send(to string, payload []byte) error {
 			return err
 		}
 	}
-	err := writeFrame(c, e.addr, payload)
-	if err == nil {
-		countSend(payload)
-	} else {
+	// write takes the payload, whatever it returns.
+	if err := e.write(c, payload); err != nil {
 		Metrics.SendErrors.Inc()
-	}
-	// The write has returned, so the kernel has its copy; the caller's
-	// payload is transport-owned (package ownership contract) and is
-	// recycled either way.
-	ReleaseBuf(payload)
-	if err != nil {
 		// Connection broke: forget it, dialled or inbound, so the next
 		// send re-dials.
 		e.forget(c)
@@ -289,21 +386,24 @@ func (e *tcpEndpoint) Send(to string, payload []byte) error {
 	return nil
 }
 
-// forget closes c and drops every route that still leads to it: its
-// read loop has ended or a write to it failed, and a peer that comes
-// back is dialled, not written to on a dead socket.
+// forget closes c and drops every route that still leads to it: it has
+// ended or a write to it failed, and a peer that comes back is dialled,
+// not written to on a dead socket.
 //
 //ring:hotpath-stop cold: a connection died
-func (e *tcpEndpoint) forget(c *Conn) {
+func (e *tcpEndpoint) forget(c *tcpConn) {
 	e.mu.Lock()
-	for _, m := range []map[string]*Conn{e.conns, e.replyConns} {
-		for peer, pc := range m {
-			if pc == c {
-				delete(m, peer)
+	if _, ok := e.live[c]; ok {
+		for _, m := range []map[string]*tcpConn{e.conns, e.replyConns} {
+			for peer, pc := range m {
+				if pc == c {
+					delete(m, peer)
+				}
 			}
 		}
+		delete(e.live, c)
+		e.unwatch(c)
 	}
-	delete(e.live, c)
 	e.mu.Unlock()
 	c.Close()
 }
@@ -311,26 +411,26 @@ func (e *tcpEndpoint) forget(c *Conn) {
 // dial opens the outbound connection to a peer, once per peer.
 //
 //ring:hotpath-stop cold: first send to a peer
-func (e *tcpEndpoint) dial(to string) (*Conn, error) {
+func (e *tcpEndpoint) dial(to string) (*tcpConn, error) {
 	nc, err := Dial(e.fabric.lookup(to))
 	if err != nil {
 		return nil, errPeer(to, err)
 	}
 	e.mu.Lock()
-	c, kept := e.conns[to], false
-	if c == nil && e.live != nil {
-		c, kept = nc, true
-		e.conns[to] = nc
-		e.live[nc] = struct{}{}
+	c := e.conns[to]
+	if c == nil {
 		// Connections are full duplex: the peer replies over the same
-		// socket, so read from dialed connections too.
-		go e.readLoop(nc)
+		// socket, so dialled connections are read too.
+		if c = e.adopt(nc); c != nil {
+			e.conns[to] = c
+		}
+		nc = nil
 	}
 	e.mu.Unlock()
-	if !kept {
-		// Lost the race, or the endpoint is closed: close ours outside
-		// the lock — Close can block on the TCP stack and everything
-		// sending through this endpoint serializes on e.mu.
+	if nc != nil {
+		// Lost the race: close ours outside the lock — Close can block
+		// on the TCP stack and everything sending through this endpoint
+		// serializes on e.mu.
 		nc.Close()
 	}
 	if c == nil {
@@ -344,35 +444,23 @@ func errPeer(to string, err error) error {
 	return fmt.Errorf("%w: %s (%v)", ErrUnknownPeer, to, err)
 }
 
-func (e *tcpEndpoint) Recv() (Packet, error) {
-	select {
-	case p := <-e.inbox:
-		return p, nil
-	case <-e.done:
-		select {
-		case p := <-e.inbox:
-			return p, nil
-		default:
-			return Packet{}, ErrClosed
-		}
-	}
-}
-
+// Close ends the endpoint: its listener, its connections and whatever
+// waits in Poll.
 func (e *tcpEndpoint) Close() error {
-	e.closeOnce.Do(func() {
-		close(e.done)
-		e.ln.Close()
-		// Take the set under the lock, close outside it: a Close stuck
-		// in the TCP stack must not wedge concurrent transmits (they
-		// all take e.mu to look up a connection). Every read loop ends
-		// with its connection.
-		e.mu.Lock()
-		live := e.live
-		e.live, e.conns, e.replyConns = nil, map[string]*Conn{}, map[string]*Conn{}
-		e.mu.Unlock()
-		for c := range live {
-			c.Close()
-		}
-	})
+	// Take the set under the lock, close outside it: a Close stuck in
+	// the TCP stack must not wedge concurrent transmits (they all take
+	// e.mu to look up a connection).
+	e.mu.Lock()
+	live := e.live
+	e.live, e.conns, e.replyConns = nil, map[string]*tcpConn{}, map[string]*tcpConn{}
+	e.mu.Unlock()
+	if live == nil {
+		return nil
+	}
+	e.ln.Close()
+	e.stop()
+	for c := range live {
+		c.Close()
+	}
 	return nil
 }

@@ -29,9 +29,11 @@
 // not Send reported an error. This lets memnet hand the very same
 // slice to the receiver instead of copying it, and tcpnet write it to
 // the socket in place, the way an RDMA send posts a registered buffer
-// rather than staging a copy. Symmetrically the receiver owns Recv's
-// Packet.Payload outright and recycles it with ReleaseBuf once the
-// packet is consumed.
+// rather than staging a copy. The receiver borrows: Poll lends each
+// packet to its deliver callback and takes the bytes back when it
+// returns (tcpnet decodes frames in place in the buffer it read them
+// into), while Recv copies a packet out for a caller that keeps it,
+// who may recycle it with ReleaseBuf.
 //
 // Consumed means more than decoded: proto.Decode may alias the payload
 // (the byte fields of a decoded message, and the keys of some, are
@@ -43,15 +45,16 @@
 // when its handler returns and a sent one once it is encoded, so a
 // handler that keeps a message keeps a copy. AcquireBuf/AcquireBufSize/
 // ReleaseBuf implement the recycling: senders encode into acquired
-// buffers, receivers release consumed payloads, and the steady-state
-// message path allocates nothing. All are optional — any fresh slice
-// may be sent, and unreleased payloads are simply garbage collected.
+// buffers, and the steady-state message path allocates nothing. All are
+// optional — any fresh slice may be sent, and unreleased payloads are
+// simply garbage collected.
 package transport
 
 import (
 	"errors"
 	"math/bits"
 	"sync"
+	"time"
 )
 
 // The buffer pool is the stand-in for an RDMA registered-buffer pool.
@@ -158,11 +161,20 @@ type Endpoint interface {
 	// payload transfers to the transport (see the package doc): the
 	// caller must not touch the slice after Send returns.
 	Send(to string, payload []byte) error
+	// Poll waits until a packet arrives, deadline passes (the zero
+	// time: never) or the endpoint closes, then hands deliver the
+	// packets that are ready, at most max, in arrival order. deliver
+	// borrows the payload: its bytes are the endpoint's again once
+	// deliver returns (see the package doc). Poll returns how many
+	// packets it delivered, and ErrClosed once the endpoint has closed.
+	// One goroutine polls an endpoint at a time; a node's runner is
+	// that goroutine, and sends between its polls never wait.
+	Poll(deadline time.Time, max int, deliver func(from string, payload []byte)) (int, error)
 	// Recv blocks until a packet arrives or the endpoint closes. The
 	// returned Packet.Payload is owned by the caller, who may hand it
 	// to ReleaseBuf once consumed (see the package doc).
 	Recv() (Packet, error)
-	// Close unregisters the endpoint and unblocks Recv.
+	// Close unregisters the endpoint and unblocks Poll and Recv.
 	Close() error
 }
 
@@ -174,11 +186,9 @@ type Fabric interface {
 }
 
 // ChanReceiver is the Endpoint extension of fabrics whose inbox is a Go
-// channel: both of this package's, and what a node's runner requires.
-// Event loops select on RecvChan directly instead of dedicating a
-// forwarder goroutine to blocking Recv calls — one less goroutine
-// handoff on every packet, which on the in-process fabric is a large
-// share of per-message cost.
+// channel: memnet's. Its Poll drains the channel; a reader that wants
+// the queue itself (its depth, a select beside other channels) takes
+// RecvChan.
 type ChanReceiver interface {
 	// RecvChan returns the endpoint's inbox. A packet read from it is
 	// owned by the reader exactly as if Recv had returned it. The
@@ -267,6 +277,8 @@ type memEndpoint struct {
 
 	closeOnce sync.Once
 	done      chan struct{}
+
+	timer deadlineTimer // Poll's, the polling goroutine's
 }
 
 func (e *memEndpoint) Addr() string { return e.addr }
@@ -321,6 +333,97 @@ func (e *memEndpoint) Recv() (Packet, error) {
 			return Packet{}, ErrClosed
 		}
 	}
+}
+
+// Poll implements Endpoint over the inbox channel.
+//
+//ring:hotpath
+func (e *memEndpoint) Poll(deadline time.Time, max int, deliver func(from string, payload []byte)) (int, error) {
+	return pollChan(e.inbox, e.done, &e.timer, deadline, max, deliver)
+}
+
+// pollChan is Poll over a channel inbox: it waits for the first packet,
+// then takes the packets already queued behind it, and recycles each
+// payload once deliver has returned.
+//
+//ring:hotpath
+func pollChan(inbox <-chan Packet, done <-chan struct{}, t *deadlineTimer, deadline time.Time, max int, deliver func(from string, payload []byte)) (int, error) {
+	var p Packet
+	select {
+	case p = <-inbox:
+	default:
+		expired := t.at(deadline)
+		if expired == nil && !deadline.IsZero() {
+			return 0, nil
+		}
+		select {
+		case p = <-inbox:
+		case <-done:
+			return 0, ErrClosed
+		case <-expired:
+			t.due = time.Time{}
+			return 0, nil
+		}
+	}
+	n := 0
+	for {
+		deliver(p.From, p.Payload)
+		ReleaseBuf(p.Payload)
+		if n++; n == max {
+			return n, nil
+		}
+		select {
+		case p = <-inbox:
+		default:
+			return n, nil
+		}
+	}
+}
+
+// deadlineTimer is a channel poll's deadline. It stays armed across
+// polls that wait for the same deadline, as a runner's do between two
+// ticks, so such a poll costs no timer operation.
+type deadlineTimer struct {
+	t   *time.Timer
+	due time.Time // what t is armed for; zero once it has fired and been taken
+}
+
+// at returns the channel that fires at deadline: nil for the zero
+// deadline (never) and for one already past.
+//
+//ring:hotpath
+//ring:wallclock a poll waits in real time
+func (t *deadlineTimer) at(deadline time.Time) <-chan time.Time {
+	if deadline.IsZero() {
+		return nil
+	}
+	if !deadline.Equal(t.due) {
+		d := time.Until(deadline)
+		if d <= 0 {
+			return nil
+		}
+		t.arm(d)
+		t.due = deadline
+	}
+	return t.t.C
+}
+
+// arm sets the timer to fire in d, draining a firing of its last
+// deadline that nobody took.
+//
+//ring:hotpath-stop cold: once per deadline
+func (t *deadlineTimer) arm(d time.Duration) {
+	if t.t == nil {
+		t.t = time.NewTimer(d)
+		return
+	}
+	if !t.t.Stop() {
+		select {
+		case <-t.t.C:
+		default:
+		}
+	}
+	t.t.Reset(d)
 }
 
 func (e *memEndpoint) Close() error {
