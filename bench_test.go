@@ -401,6 +401,47 @@ func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
 // reply and the put's decoded key, with room for a pool refill.
 const srsPutAllocs, repPutAllocs = 5.0, 5.0
 
+// srsBurstBufBytes bounds what the buffer pool may allocate in
+// TestValuePathAllocs' tcp srs burst.
+const srsBurstBufBytes = 2 << 20
+
+// startRunners boots the five nodes of a 3+2 cluster of one memgest on
+// fabric, each on its own runner (on a free loopback port when fabric
+// is tcp), and dials a client to them. stop closes the client and stops
+// the runners.
+func startRunners(t *testing.T, fabric transport.Fabric, sc proto.Scheme, opts core.Options) (c *client.Client, stop func()) {
+	t.Helper()
+	cfg, err := core.BootConfig(core.ClusterSpec{Shards: 3, Redundant: 2, Memgests: []proto.Scheme{sc}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runners []*core.Runner
+	stop = func() {
+		if c != nil {
+			c.Close()
+		}
+		for _, r := range runners {
+			r.Stop()
+		}
+	}
+	for _, id := range cfg.AllNodes() {
+		if tcp, ok := fabric.(*transport.TCPFabric); ok {
+			tcp.Map(core.NodeAddr(id), freePort(t))
+		}
+		r, err := core.StartRunner(core.New(id, cfg.Clone(), opts), fabric, 0)
+		if err != nil {
+			stop()
+			t.Fatal(err)
+		}
+		runners = append(runners, r)
+	}
+	if c, err = client.Dial(fabric, []string{core.NodeAddr(0)}, client.Options{Timeout: 10 * time.Second}); err != nil {
+		stop()
+		t.Fatal(err)
+	}
+	return c, stop
+}
+
 // freePort returns a loopback address nothing listens on yet.
 func freePort(t *testing.T) string {
 	t.Helper()
@@ -555,25 +596,8 @@ func TestValuePathAllocs(t *testing.T) {
 	// may allocate, so the two differ by at most 0.1 allocations a put.
 	t.Run("tcp rep put", func(t *testing.T) {
 		overwrite := func(fabric transport.Fabric) float64 {
-			cfg, err := core.BootConfig(core.ClusterSpec{Shards: 3, Redundant: 2, Memgests: []proto.Scheme{proto.Rep(3, 3)}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, id := range cfg.AllNodes() {
-				if tcp, ok := fabric.(*transport.TCPFabric); ok {
-					tcp.Map(core.NodeAddr(id), freePort(t))
-				}
-				r, err := core.StartRunner(core.New(id, cfg.Clone(), core.Options{}), fabric, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer r.Stop()
-			}
-			c, err := client.Dial(fabric, []string{core.NodeAddr(0)}, client.Options{Timeout: 10 * time.Second})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+			c, stop := startRunners(t, fabric, proto.Rep(3, 3), core.Options{})
+			defer stop()
 			val := make([]byte, 1<<10)
 			keys := benchKeys("pin", 32)
 			i := 0
@@ -593,6 +617,45 @@ func TestValuePathAllocs(t *testing.T) {
 		t.Logf("1 KiB Rep(3,3) overwrite: %.2f allocations over memnet, %.2f over tcp", mem, tcp)
 		if tcp > mem+0.1 {
 			t.Errorf("a 1 KiB Rep(3,3) overwrite allocates %.2f times over tcp and %.2f over memnet, want at most 0.1 more", tcp, mem)
+		}
+	})
+
+	// 512 first 16 KiB puts to SRS(3,2,3), 64 in flight, through five
+	// runners and a client over loopback TCP: the pool must not have to
+	// make much more than a working set of packet buffers. While a
+	// batched packet could grow to hundreds of KiB, most client packets
+	// and coordinator batches of such a burst were read into buffers of
+	// their own, and the pool made 4.4-6.1 MB of buffers for it on a
+	// 2-vCPU host; with every packet that carries more than one message
+	// within transport.MaxPacket it makes 0.6-0.8 MB.
+	t.Run("tcp srs burst", func(t *testing.T) {
+		const puts, inFlight = 512, 64
+		// Two processors, as CI's hosts have: the pool keeps buffers per
+		// processor, and each more makes more misses.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+		c, stop := startRunners(t, transport.NewTCPFabric(), proto.SRS(3, 2, 3), core.Options{BlockSize: 4 << 20})
+		defer stop()
+		runtime.GC()
+		runtime.GC() // the pool starts empty, whatever ran before
+		before := transport.Metrics.BufAllocBytes.Load()
+		var wg sync.WaitGroup
+		for g := 0; g < inFlight; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := g; i < puts; i += inFlight {
+					if _, err := c.Put(fmt.Sprintf("burst-%d", i), val); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		made := transport.Metrics.BufAllocBytes.Load() - before
+		t.Logf("tcp srs burst: the buffer pool made %.2f MB", float64(made)/1e6)
+		if made > srsBurstBufBytes {
+			t.Errorf("512 16 KiB SRS(3,2,3) puts at 64 in flight made the buffer pool allocate %.2f MB, want at most %.1f MB", float64(made)/1e6, float64(srsBurstBufBytes)/1e6)
 		}
 	})
 

@@ -117,7 +117,11 @@
 #      boundaries into one shared buffer and delivered a few frames a
 #      batch, yield exactly the frames a one-shot parse yields, no
 #      payload reaching past its declared length, and the same bad
-#      headers rejected.
+#      headers rejected. FuzzPack is the send side's (internal/core):
+#      arbitrary outputs, destinations and message sizes up to twice
+#      transport.MaxPacket, leave core.Host.Pack each exactly once, in
+#      order per peer, and no packet of more than one message is over
+#      MaxPacket, the payload whose frame fills a receiver's read buffer.
 #   8. bench smoke: every Go benchmark compiles and runs one
 #      iteration; a benchmark that panics or no longer builds fails
 #      the stage, and the numbers scroll by in the job log
@@ -294,6 +298,7 @@ stage_chaos() {
     go test -run=NONE -fuzz=FuzzMetaIndexModel -fuzztime=10s ./internal/store/
     go test -run=NONE -fuzz=FuzzRequestHead -fuzztime=10s ./internal/status/
     go test -run=NONE -fuzz=FuzzFrameStream -fuzztime=10s ./internal/transport/
+    go test -run=NONE -fuzz=FuzzPack -fuzztime=10s ./internal/core/
 
     go test -run=NONE -bench=. -benchtime=1x ./...
 

@@ -137,34 +137,38 @@ func (c *Client) take(own []*outbox) []*outbox {
 	return own
 }
 
+// recvLoop reads the client's endpoint until it closes, each packet
+// where Poll put it.
 func (c *Client) recvLoop() {
+	deliver := c.deliver
 	for {
-		p, err := c.ep.Recv()
-		if err != nil {
+		if _, err := c.ep.Poll(time.Time{}, core.MaxDrain, deliver); err != nil {
 			return
 		}
-		// A packet may be a TBatch of replies.
-		_ = proto.ForEachPacked(p.Payload, func(enc []byte) error {
-			msg, err := proto.Decode(enc)
-			r, ok := msg.(proto.Reply)
-			if err != nil || !ok {
-				return nil
-			}
-			if gr, ok := msg.(*proto.GetReply); ok {
-				// The value goes to the caller; the packet it is a view
-				// into goes back to the pool below.
-				gr.Value = bytes.Clone(gr.Value)
-			}
-			c.mu.Lock()
-			if rr, ok := r.(*proto.ResolveReply); ok {
-				asked(c.asks, rr.Req, rr.Config != nil)
-			}
-			c.sess.Reply(c.now(), r)
-			c.mu.Unlock()
-			return nil
-		})
-		transport.ReleaseBuf(p.Payload)
 	}
+}
+
+// deliver hands the session the replies of one packet (one, or a TBatch
+// of several). The packet is the endpoint's again once deliver returns:
+// a reply keeps no view into it but a get's value, which is cloned.
+func (c *Client) deliver(_ string, payload []byte) {
+	_ = proto.ForEachPacked(payload, func(enc []byte) error {
+		msg, err := proto.Decode(enc)
+		r, ok := msg.(proto.Reply)
+		if err != nil || !ok {
+			return nil
+		}
+		if gr, ok := msg.(*proto.GetReply); ok {
+			gr.Value = bytes.Clone(gr.Value) // the caller's
+		}
+		c.mu.Lock()
+		if rr, ok := r.(*proto.ResolveReply); ok {
+			asked(c.asks, rr.Req, rr.Config != nil)
+		}
+		c.sess.Reply(c.now(), r)
+		c.mu.Unlock()
+		return nil
+	})
 }
 
 // failed tells the session the packet carrying reqs did not leave.

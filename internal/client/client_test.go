@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -54,6 +55,76 @@ func startCluster(t *testing.T) (*core.Cluster, *Client) {
 	}
 	t.Cleanup(c.Close)
 	return cl, c
+}
+
+// poisonFabric hands the clients dialled through it endpoints that
+// overwrite each packet with 0xDB once deliver has returned, as
+// core.PoisonPayloads does to a node's: a reply that kept a view into
+// its packet reads junk at once.
+type poisonFabric struct{ transport.Fabric }
+
+func (f poisonFabric) Register(addr string) (transport.Endpoint, error) {
+	ep, err := f.Fabric.Register(addr)
+	return poisonEndpoint{ep}, err
+}
+
+type poisonEndpoint struct{ transport.Endpoint }
+
+func (e poisonEndpoint) Poll(deadline time.Time, max int, deliver func(from string, payload []byte)) (int, error) {
+	return e.Endpoint.Poll(deadline, max, func(from string, payload []byte) {
+		deliver(from, payload)
+		for i := range payload {
+			payload[i] = 0xDB
+		}
+	})
+}
+
+// TestRepliesOutliveTheirPacket: the client decodes replies where Poll
+// put them, and nothing it keeps of one is a view into the packet: a
+// get's value, a move's version, a reconfiguration's memgest and the
+// configuration a resolve brought read the same after the packet is
+// overwritten.
+func TestRepliesOutliveTheirPacket(t *testing.T) {
+	cl, err := core.StartCluster(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	c, err := Dial(poisonFabric{cl.Fabric}, []string{core.NodeAddr(0)}, Options{Timeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	val := bytes.Repeat([]byte("v"), 4096)
+	if _, err := c.PutIn("poison", val, 2); err != nil {
+		t.Fatal(err)
+	}
+	got, ver, err := c.Get("poison")
+	if err != nil || ver != 1 || !bytes.Equal(got, val) {
+		t.Fatalf("get: version %d, %d bytes equal to the value put: %v, %v", ver, len(got), bytes.Equal(got, val), err)
+	}
+	if ver, err := c.Move("poison", 4); err != nil || ver != 2 {
+		t.Fatalf("move: version %d, %v", ver, err)
+	}
+	mg, err := c.CreateMemgest(proto.SRS(2, 1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := c.GetMemgestDescriptor(mg)
+	if err != nil || sc != proto.SRS(2, 1, 3) {
+		t.Fatalf("memgest %d reads back as %+v: %v", mg, sc, err)
+	}
+	other, err := Dial(cl.Fabric, []string{core.NodeAddr(0)}, Options{Timeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	if view, want := c.Config(), other.Config(); !reflect.DeepEqual(view, want) {
+		t.Fatalf("the view a resolve brought reads %+v, a client that reads its packets untouched %+v", view, want)
+	}
+	if _, _, err := c.Get("poison"); err != nil {
+		t.Fatalf("get after the view changed: %v", err)
+	}
 }
 
 func TestLivePutGetDelete(t *testing.T) {

@@ -14,10 +14,11 @@ import (
 // node leave in one packet, not one packet each. There is no sender
 // goroutine and no timer. A call appends its message to the
 // destination's outbox; the caller that finds the outbox idle becomes
-// its sender, yields the processor once, then packs whatever is queued
-// into one TBatch (a lone request stays its plain envelope), sends it,
-// and goes on until the outbox is empty, while the callers that came
-// after it only append and wait for their replies.
+// its sender, yields the processor once, then packs what is queued into
+// one TBatch (a lone request stays its plain envelope), as much as fits
+// the buffer a node reads a packet into, sends it, and goes on until
+// the outbox is empty, while the callers that came after it only append
+// and wait for their replies.
 //
 // The yield is what fills the packet. One reply packet wakes a burst of
 // callers, and they run one after another on the processor that read
@@ -62,8 +63,11 @@ func (c *Client) queue(to string, req proto.ReqID, msg proto.Message) {
 	}
 }
 
-// send empties ob, one packet per pass. A packet that does not leave
-// is a transient answer to every request in it at once.
+// send empties ob, one packet per pass. A packet takes the queued
+// requests in order while they fit transport.MaxPacket, by
+// proto.SizeHint, and a request longer than that alone; what does not
+// fit stays queued for the next pass. A packet that does not leave is a
+// transient answer to every request in it at once.
 func (c *Client) send(ob *outbox) {
 	runtime.Gosched()
 	for {
@@ -74,20 +78,25 @@ func (c *Client) send(ob *outbox) {
 			c.mu.Unlock()
 			return
 		}
-		ob.reqs, ob.msgs = ob.spareReqs[:0], ob.spareMsgs[:0]
+		n, size := 0, 0
+		for ; n < len(msgs); n++ {
+			hint := proto.SizeHint(msgs[n])
+			if n > 0 && size+hint > transport.MaxPacket {
+				break
+			}
+			size += hint
+		}
+		ob.reqs = append(ob.spareReqs[:0], reqs[n:]...)
+		ob.msgs = append(ob.spareMsgs[:0], msgs[n:]...)
 		ob.packing.Lock()
 		c.mu.Unlock()
-		size := 0
-		for _, m := range msgs {
-			size += proto.SizeHint(m)
-		}
-		buf := proto.AppendBatch(transport.AcquireBufSize(size), msgs...) //ring:lockok takes a buffer from the pool, never blocks
+		buf := proto.AppendBatch(transport.AcquireBufSize(size), msgs[:n]...) //ring:lockok takes a buffer from the pool, never blocks
 		// Do not pin the callers' values.
 		clear(msgs)
 		ob.packing.Unlock()
 		Metrics.Packets.Inc()
 		if err := c.ep.Send(ob.to, buf); err != nil {
-			c.failed(reqs)
+			c.failed(reqs[:n])
 		}
 		ob.spareReqs, ob.spareMsgs = reqs, msgs
 	}

@@ -252,6 +252,59 @@ func TestBurstLeavesInOnePacket(t *testing.T) {
 	}
 }
 
+// TestBigBurstFitsTheReadBuffer: 32 puts of 16 KiB queued behind one
+// packet do not leave in one 525 KiB packet but in as many as it takes
+// for each to fit the buffer a node reads it into; each request is sent
+// once, and each caller gets the reply to its own.
+func TestBigBurstFitsTheReadBuffer(t *testing.T) {
+	b := newBurst(t, 5*time.Second)
+	var rest []func() error
+	for i := 1; i <= 32; i++ {
+		rest = append(rest, func() error {
+			size := 16<<10 + i
+			ver, err := b.c.Put(fmt.Sprintf("burst-%d", i), make([]byte, size))
+			if err == nil && int(ver) != size {
+				err = fmt.Errorf("put of %d bytes answered with version %d", size, ver)
+			}
+			return err
+		})
+	}
+	errs := make(chan error, 1+len(rest))
+	b.hold(errs, b.ownGet(0), rest...)
+	close(b.release)
+	for i := 0; i < cap(errs); i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	sent := map[proto.ReqID]int{}
+	for i, pkt := range b.packets {
+		if n := packed(pkt); n > 1 && len(pkt) > transport.MaxPacket {
+			t.Errorf("packet %d carries %d requests in %d bytes, over MaxPacket (%d)", i, n, len(pkt), transport.MaxPacket)
+		}
+		_ = proto.ForEachPacked(pkt, func(enc []byte) error {
+			switch m, _ := proto.Decode(enc); m := m.(type) {
+			case *proto.Put:
+				sent[m.Req]++
+			case *proto.Get:
+				sent[m.Req]++
+			}
+			return nil
+		})
+	}
+	for req, n := range sent {
+		if n != 1 {
+			t.Errorf("request %d was sent %d times", req, n)
+		}
+	}
+	if len(sent) != 33 {
+		t.Errorf("%d requests sent, want 33", len(sent))
+	}
+	if len(b.packets) < 1+32*(16<<10)/transport.MaxPacket {
+		t.Errorf("32 puts of 16 KiB left in %d packets", len(b.packets)-1)
+	}
+}
+
 // TestFailedPacketFailsItsRequests: when a packet does not leave, every
 // request in it learns so at once and goes through re-resolve-and-retry,
 // not through its Timeout; each is answered once.

@@ -66,12 +66,18 @@ func (h *Host) Deliver(now time.Duration, from string, payload []byte) {
 // Pack coalesces one batch's outputs by destination and hands each
 // group to send as a single packet, in order: m parity updates or r
 // replica appends to the same peer cost one send, like back-to-back
-// verbs posted with a single doorbell. A packet is encoded into a pooled
-// buffer sized for it up front, and its messages and their Out.Scratch
-// go back to their pools once it holds their bytes. The packet is
-// send's, and a send error is ignored as a datagram's would be: dead
-// peers are the failure detector's problem. Entries are cleared as they
-// are packed so that nothing pins a message.
+// verbs posted with a single doorbell. A packet is closed before the
+// next message's proto.SizeHint would take it past transport.MaxPacket,
+// so that it fits the buffer its receiver reads into, and the peer's
+// next packet starts with that message; one message longer than that (a
+// block a recovery fetched, a value near proto.MaxValue) leaves alone.
+// SizeHint does not count a metadata table, so the MetaFetchReplys of a
+// recovery still share packets past that size. A packet is encoded into
+// a pooled buffer sized for it up front, and its messages and their
+// Out.Scratch go back to their pools once it holds their bytes. The
+// packet is send's, and a send error is ignored as a datagram's would
+// be: dead peers are the failure detector's problem. Entries are cleared
+// as they are packed so that nothing pins a message.
 //
 //ring:hotpath
 func (h *Host) Pack(outs []Out, send func(to string, pkt []byte) error) {
@@ -86,8 +92,12 @@ func (h *Host) Pack(outs []Out, send func(to string, pkt []byte) error) {
 			if outs[j].To != to {
 				continue
 			}
+			hint := proto.SizeHint(outs[j].Msg)
+			if len(h.group) > 0 && size+hint > transport.MaxPacket {
+				break // outs[j] starts to's next packet
+			}
 			h.group = append(h.group, outs[j].Msg)
-			size += proto.SizeHint(outs[j].Msg)
+			size += hint
 			if outs[j].Scratch != nil {
 				h.payloads = append(h.payloads, outs[j].Scratch)
 			}

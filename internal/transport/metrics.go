@@ -25,6 +25,10 @@ var Metrics struct {
 	BytesRecv   metrics.Counter
 	// InboxHighWater is the deepest any endpoint inbox has been.
 	InboxHighWater metrics.MaxGauge
+	// BufAllocBytes counts the bytes AcquireBuf and AcquireBufSize
+	// allocated because the pool had no buffer of the class asked for,
+	// or because the size asked for is past the largest class.
+	BufAllocBytes metrics.Counter
 }
 
 func init() {
@@ -37,6 +41,7 @@ func init() {
 	d.Register("transport.packets_recv", &Metrics.PacketsRecv)
 	d.Register("transport.bytes_recv", &Metrics.BytesRecv)
 	d.Register("transport.inbox_high_water", &Metrics.InboxHighWater)
+	d.Register("transport.buf_alloc_bytes", &Metrics.BufAllocBytes)
 }
 
 // countSend records one accepted outgoing payload.

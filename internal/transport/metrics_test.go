@@ -1,6 +1,9 @@
 package transport
 
-import "testing"
+import (
+	"math/bits"
+	"testing"
+)
 
 // TestSendCountersMove checks the transport instruments track sends,
 // drops, and failures on the memnet fabric. Counters are process-wide,
@@ -63,5 +66,47 @@ func TestSendCountersMove(t *testing.T) {
 	}
 	if got := Metrics.InboxHighWater.Load(); got < 1 {
 		t.Fatalf("inbox high water = %d", got)
+	}
+}
+
+// TestBufAllocBytesCountsMisses: Metrics.BufAllocBytes grows by the
+// capacity of each buffer the pool did not have, by nothing for one it
+// had, and by the size asked for past the largest class.
+func TestBufAllocBytesCountsMisses(t *testing.T) {
+	const size = 256 << 10 // a class the package's other tests leave alone
+	c := bits.Len(uint(size-1)) - minBufShift
+	for pooled(c) != nil {
+	}
+	before := Metrics.BufAllocBytes.Load()
+	b := AcquireBufSize(size - 1)
+	if got := Metrics.BufAllocBytes.Load() - before; got != uint64(cap(b)) || cap(b) != size {
+		t.Fatalf("a miss of the %d-byte class counts %d bytes for a buffer of %d", size, got, cap(b))
+	}
+	// The race detector's pool drops some of what it is given: a hit is
+	// the buffer given back coming out again.
+	hits := 0
+	for i := 0; i < 100 && hits < 10; i++ {
+		ReleaseBuf(b)
+		was := &b[:1][0]
+		before = Metrics.BufAllocBytes.Load()
+		b = AcquireBufSize(size)
+		got := Metrics.BufAllocBytes.Load() - before
+		switch {
+		case &b[:1][0] == was:
+			hits++
+			if got != 0 {
+				t.Fatalf("a hit counts %d bytes", got)
+			}
+		case got != size:
+			t.Fatalf("a miss counts %d bytes for a buffer of %d", got, size)
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no buffer given back came out of the pool again")
+	}
+	before = Metrics.BufAllocBytes.Load()
+	big := AcquireBufSize(3<<20 + 5)
+	if got := Metrics.BufAllocBytes.Load() - before; got != 3<<20+5 || cap(big) != 3<<20+5 {
+		t.Fatalf("a %d-byte buffer past the largest class counts %d bytes", cap(big), got)
 	}
 }

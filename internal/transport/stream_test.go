@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -202,6 +204,40 @@ func TestMutualFloodsDoNotDeadlock(t *testing.T) {
 			}
 		case <-time.After(30 * time.Second):
 			t.Fatal("two endpoints flooding each other are still stuck after 30 s")
+		}
+	}
+}
+
+// TestMaxPacketFitsReadBuffer: the frame of a MaxPacket payload from
+// the longest address a sender has, a client's, fills the read buffer
+// exactly and is delivered from it in place, with nothing carried; one
+// byte more and the frame is read into a buffer of its own.
+func TestMaxPacketFitsReadBuffer(t *testing.T) {
+	from := fmt.Sprintf("client/%016x", uint64(math.MaxUint64))
+	if len(from) != longestAddr {
+		t.Fatalf("a client's address is %d bytes, longestAddr says %d", len(from), longestAddr)
+	}
+	buf := make([]byte, readBuf)
+	for _, extra := range []int{0, 1} {
+		f := frame(from, make([]byte, MaxPacket+extra))
+		if extra == 0 && len(f) != readBuf {
+			t.Fatalf("a MaxPacket frame is %d bytes, the read buffer %d", len(f), readBuf)
+		}
+		var s stream
+		n, carried := 0, false
+		for len(f) > 0 {
+			dst := s.space(buf)
+			carried = carried || s.into
+			k := copy(dst, f)
+			f = f[k:]
+			_, got, err := s.got(buf, k, 1, func(string, []byte) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += got
+		}
+		if n != 1 || s.carry != nil || carried != (extra > 0) {
+			t.Fatalf("a frame of a %d-byte payload: %d delivered, read into a buffer of its own: %v, %d bytes left carried", MaxPacket+extra, n, carried, len(s.carry))
 		}
 	}
 }

@@ -229,9 +229,9 @@ func writeFrame(c *Conn, from string, payload []byte) error {
 // from it into frames, in place. A frame that the end of a read cuts
 // short waits in carry, a pooled buffer; the frame's next bytes are read
 // straight into carry when the frame is longer than the read buffer, and
-// into the read buffer behind a copy of carry otherwise. carry grows to
-// what has arrived, 1 MiB at least and doubling, not to what a header
-// declares.
+// into the read buffer behind a copy of carry otherwise. carry is sized
+// to the frame its header declares up to carryMin, and past that doubles
+// as bytes arrive, so a header alone cannot make a node allocate.
 type stream struct {
 	carry []byte
 	from  string // the sender of the last frame
@@ -239,7 +239,8 @@ type stream struct {
 	kept  int    // bytes of carry copied to the front of the last space
 }
 
-// carryMin is the least carry a frame longer than the read buffer gets.
+// carryMin is the most a carry is first sized to: a frame longer
+// than that gets a buffer that doubles as its bytes arrive.
 const carryMin = 1 << 20
 
 // frameHead reads the header at the front of b: the frame's whole size,

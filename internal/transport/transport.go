@@ -22,6 +22,17 @@
 // Connections have TCP_NODELAY set and no TCP keep-alive (net's is
 // 15 s): Ring's heartbeats are its failure detector.
 //
+// # Packet size
+//
+// A receiver reads each connection into one buffer of readBuf bytes, as
+// an RDMA receiver posts buffers of a fixed size that a SEND must fit.
+// So a packet that carries more than one message is at most MaxPacket
+// bytes, and a frame of one fits that buffer whoever sent it; senders
+// that batch (core.Host.Pack, the client's outbox) close a packet
+// before the next message would take it past that. A lone message that
+// is longer still travels: its frame is read into a pooled buffer of
+// its own. Metrics.BufAllocBytes counts what the pool had to allocate.
+//
 // # Payload ownership
 //
 // Send transfers ownership of the payload slice to the transport: the
@@ -78,6 +89,16 @@ var (
 	hdrPool sync.Pool
 )
 
+// MaxPacket is the largest payload that may carry more than one
+// message (see "Packet size" above): the frame of a MaxPacket payload
+// (6 header bytes, the sender's address, the payload) from the longest
+// sender address the tree uses fills one read buffer exactly.
+const MaxPacket = readBuf - 6 - longestAddr
+
+// longestAddr is the length of the longest sender address the tree
+// uses: a client's, "client/" and 16 hex digits (client.Dial).
+const longestAddr = len("client/") + 16
+
 // AcquireBuf returns an empty buffer for a caller that does not know
 // how much it will append: the smallest buffer the pool holds, whatever
 // its class, or a fresh 1 KiB one. Append to it, then pass the result to
@@ -91,7 +112,7 @@ func AcquireBuf() []byte {
 			return b
 		}
 	}
-	return make([]byte, 0, minBuf)
+	return fresh(minBuf)
 }
 
 // AcquireBufSize returns an empty buffer with room for n bytes.
@@ -103,12 +124,21 @@ func AcquireBufSize(n int) []byte {
 		c = bits.Len(uint(n-1)) - minBufShift
 	}
 	if c >= bufClasses {
-		return make([]byte, 0, n)
+		return fresh(n)
 	}
 	if b := pooled(c); b != nil {
 		return b
 	}
-	return make([]byte, 0, minBuf<<c)
+	return fresh(minBuf << c)
+}
+
+// fresh allocates the buffer the pool did not have, and counts it in
+// Metrics.BufAllocBytes.
+//
+//ring:hotpath
+func fresh(n int) []byte {
+	Metrics.BufAllocBytes.Add(uint64(n))
+	return make([]byte, 0, n)
 }
 
 // pooled takes a buffer out of class c, or returns nil if it is empty.
