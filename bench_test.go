@@ -256,9 +256,10 @@ func TestHotpathZeroAlloc(t *testing.T) {
 
 // TestSyncClientOpAllocs pins what one synchronous operation allocates
 // over memnet, the client, the coordinator and the read loops between
-// them counted together (Rep(1,3): nobody else takes part): 4 for a
-// Get and 3 for a 1 KiB Put — the client's request and reply, the
-// value a Get returns, a Put's decoded key. With a goroutine, a future,
+// them counted together (Rep(1,3): nobody else takes part): 3 each —
+// the client's request and reply, and the value a Get returns or a
+// Put's decoded key. A Get is held to 3.5, half an allocation over
+// what it makes, and a Put to 3. With a goroutine, a future,
 // a reply channel and a cleanup closure per call they were 13 and 17; a
 // put was 10 until PR 30, while the coordinator allocated the entry,
 // kept the decoded key for it and copied the key's version list to
@@ -298,8 +299,8 @@ func TestSyncClientOpAllocs(t *testing.T) {
 		i++
 	})
 	t.Logf("a Get allocates %v times, a 1 KiB Put %v", get, put)
-	if get > 4 || put > 3 {
-		t.Errorf("a Get allocates %v times and a 1 KiB Put %v, want at most 4 and 3", get, put)
+	if get > 3.5 || put > 3 {
+		t.Errorf("a Get allocates %v times and a 1 KiB Put %v, want at most 3.5 and 3", get, put)
 	}
 }
 
@@ -366,13 +367,13 @@ func TestRep3OpAllocs(t *testing.T) {
 		got, want float64
 	}{
 		{"a first put's allocations", first, 4},
-		{"an overwrite's allocations", over, 4},
+		{"an overwrite's allocations", over, 3.5},
 		{"an overwrite's bytes", overBytes, 200},
-		{"a get's allocations", get, 4},
-		{"a move's allocations", move, 6},
+		{"a get's allocations", get, 3.5},
+		{"a move's allocations", move, 5.8},
 	} {
 		if p.got > p.want {
-			t.Errorf("%s: %.1f, want at most %.0f", p.what, p.got, p.want)
+			t.Errorf("%s: %.1f, want at most %g", p.what, p.got, p.want)
 		}
 	}
 }
@@ -398,8 +399,11 @@ func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
 }
 
 // The allocation pins of the 16 KiB puts: the client's request and
-// reply and the put's decoded key, with room for a pool refill.
-const srsPutAllocs, repPutAllocs = 5.0, 5.0
+// reply and the put's decoded key; and of the SRS get, whose value the
+// client returns. Each is the most of 30 runs on 2 vCPUs (ten of them
+// beside two busy processes) plus 0.5: room for a pool refill, none for
+// one more allocation per operation on one node.
+const srsPutAllocs, repPutAllocs, srsGetAllocs = 3.55, 3.6, 3.7
 
 // srsBurstBufBytes bounds what the buffer pool may allocate in
 // TestValuePathAllocs' tcp srs burst.
@@ -451,12 +455,6 @@ func freePort(t *testing.T) string {
 	}
 	defer l.Close()
 	return l.Addr()
-}
-
-// allocBytesPerRun is the bytes of allocsPerRun.
-func allocBytesPerRun(runs int, f func()) float64 {
-	_, bytes := allocsPerRun(runs, f)
-	return bytes
 }
 
 // TestValuePathAllocs pins the single-copy value path end to end: with
@@ -517,12 +515,10 @@ func TestValuePathAllocs(t *testing.T) {
 		}
 	})
 
-	t.Run("srs put", func(t *testing.T) {
-		cl, err := ring.Start(ring.Config{
-			Shards: 3, Redundant: 2,
-			Memgests:  []ring.Scheme{ring.SRS(3, 2, 3)},
-			BlockSize: 4 << 20,
-		})
+	// overwrites of every key of a warm cluster of one memgest, or gets
+	// of them: the allocations and bytes per operation.
+	perOp := func(t *testing.T, cfg ring.Config, get bool) (allocs, bytes float64) {
+		cl, err := ring.Start(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -533,21 +529,45 @@ func TestValuePathAllocs(t *testing.T) {
 		}
 		defer c.Close()
 		keys := benchKeys("pin", 32)
-		for _, k := range keys { // first versions: the heaps reach working size
-			if _, err := c.Put(k, val); err != nil {
-				t.Fatal(err)
+		for r := 0; r < 8; r++ { // every table and heap has its slots, every pool its buffers
+			for _, k := range keys {
+				if _, err := c.Put(k, val); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		i := 0
-		allocs, perOp := allocsPerRun(200, func() {
-			if _, err := c.Put(keys[i%len(keys)], val); err != nil {
+		return allocsPerRun(200, func() {
+			var err error
+			if k := keys[i%len(keys)]; get {
+				_, _, err = c.Get(k)
+			} else {
+				_, err = c.Put(k, val)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			i++
 		})
-		t.Logf("srs put: %.2f allocations, %.0f B per put", allocs, perOp)
-		if perOp > 250 || allocs > srsPutAllocs {
-			t.Errorf("16 KiB SRS(3,2,3) put over memnet allocates %.2f times, %.0f B, across all five nodes and the client, want at most %.0f times and 250 B", allocs, perOp, srsPutAllocs)
+	}
+	srs := ring.Config{Shards: 3, Redundant: 2, Memgests: []ring.Scheme{ring.SRS(3, 2, 3)}, BlockSize: 4 << 20}
+
+	t.Run("srs put", func(t *testing.T) {
+		allocs, bytes := perOp(t, srs, false)
+		t.Logf("srs put: %.2f allocations, %.0f B per put", allocs, bytes)
+		if bytes > 250 || allocs > srsPutAllocs {
+			t.Errorf("16 KiB SRS(3,2,3) put over memnet allocates %.2f times, %.0f B, across all five nodes and the client, want at most %.2f times and 250 B", allocs, bytes, srsPutAllocs)
+		}
+	})
+
+	// A get returns the value: the client's copy is the one value-sized
+	// allocation. The coordinator reads the value out of its heap into
+	// a pooled buffer.
+	t.Run("srs get", func(t *testing.T) {
+		allocs, bytes := perOp(t, srs, true)
+		t.Logf("srs get: %.2f allocations, %.0f B per get", allocs, bytes)
+		if bytes > size+250 || allocs > srsGetAllocs {
+			t.Errorf("16 KiB SRS(3,2,3) get over memnet allocates %.2f times, %.0f B, want at most %.2f times and %d B", allocs, bytes, srsGetAllocs, size+250)
 		}
 	})
 
@@ -558,35 +578,10 @@ func TestValuePathAllocs(t *testing.T) {
 	// replica the put waits for every copy, so no replica lags behind
 	// the loop holding packets that the pool then has to replace.
 	t.Run("rep put", func(t *testing.T) {
-		cl, err := ring.Start(ring.Config{
-			Shards: 3, Redundant: 2,
-			Memgests: []ring.Scheme{ring.Rep(2, 3)},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Stop()
-		c, err := cl.NewClient()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		keys := benchKeys("pin", 32)
-		for _, k := range keys { // first versions: every table has its slots
-			if _, err := c.Put(k, val); err != nil {
-				t.Fatal(err)
-			}
-		}
-		i := 0
-		allocs, perOp := allocsPerRun(200, func() {
-			if _, err := c.Put(keys[i%len(keys)], val); err != nil {
-				t.Fatal(err)
-			}
-			i++
-		})
-		t.Logf("rep put: %.2f allocations, %.0f B per put", allocs, perOp)
-		if perOp > 200 || allocs > repPutAllocs {
-			t.Errorf("16 KiB Rep(2,3) put over memnet allocates %.2f times, %.0f B, across all five nodes and the client, want at most %.0f times and 200 B", allocs, perOp, repPutAllocs)
+		allocs, bytes := perOp(t, ring.Config{Shards: 3, Redundant: 2, Memgests: []ring.Scheme{ring.Rep(2, 3)}}, false)
+		t.Logf("rep put: %.2f allocations, %.0f B per put", allocs, bytes)
+		if bytes > 200 || allocs > repPutAllocs {
+			t.Errorf("16 KiB Rep(2,3) put over memnet allocates %.2f times, %.0f B, across all five nodes and the client, want at most %.2f times and 200 B", allocs, bytes, repPutAllocs)
 		}
 	})
 
@@ -664,7 +659,7 @@ func TestValuePathAllocs(t *testing.T) {
 	// a 1 KiB Rep(3,3) put allocated 5078 B on a durable cluster against
 	// 1121 B on a volatile one while every record had a buffer of its own.
 	t.Run("durable rep put", func(t *testing.T) {
-		perPut := func(dataDir string) float64 {
+		perPut := func(dataDir string) (allocs, bytes float64) {
 			cl, err := core.StartCluster(core.ClusterSpec{
 				Shards: 3, Redundant: 2,
 				Memgests: []proto.Scheme{proto.Rep(3, 3)},
@@ -681,23 +676,26 @@ func TestValuePathAllocs(t *testing.T) {
 			defer c.Close()
 			val := make([]byte, 1<<10)
 			keys := benchKeys("pin", 32)
-			for _, k := range keys {
-				if _, err := c.Put(k, val); err != nil {
-					t.Fatal(err)
+			for r := 0; r < 8; r++ { // every table has its slots, every pool its buffers
+				for _, k := range keys {
+					if _, err := c.Put(k, val); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			i := 0
-			return allocBytesPerRun(200, func() {
+			return allocsPerRun(200, func() {
 				if _, err := c.Put(keys[i%len(keys)], val); err != nil {
 					t.Fatal(err)
 				}
 				i++
 			})
 		}
-		volatile, durable := perPut(""), perPut(t.TempDir())
-		t.Logf("1 KiB Rep(3,3) put: %.0f B volatile, %.0f B durable", volatile, durable)
-		if durable > volatile+256 {
-			t.Errorf("a 1 KiB Rep(3,3) put allocates %.0f B on a durable cluster and %.0f B on a volatile one, want at most 256 B more", durable, volatile)
+		volatile, volatileBytes := perPut("")
+		durable, durableBytes := perPut(t.TempDir())
+		t.Logf("1 KiB Rep(3,3) put: %.2f allocations, %.0f B volatile; %.2f allocations, %.0f B durable", volatile, volatileBytes, durable, durableBytes)
+		if durable > volatile+0.5 || durableBytes > volatileBytes+256 {
+			t.Errorf("a 1 KiB Rep(3,3) put allocates %.2f times, %.0f B on a durable cluster and %.2f times, %.0f B on a volatile one, want at most 0.5 times and 256 B more", durable, durableBytes, volatile, volatileBytes)
 		}
 	})
 }

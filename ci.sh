@@ -6,11 +6,12 @@
 # lint — fast static gate:
 #   1. formatting: gofmt must be a no-op across the tree
 #   2. go vet across the tree
-#   3. ringlint: the six project-specific analyzers (internal/lint)
-#      over the whole tree — hot-path allocation, sim determinism,
-#      sleepy tests, durable-path errors, lock discipline, goroutine
-#      lifetimes. (Ack ordering is not among them: acknowledging ahead
-#      of the quorum or the sync does not compile, see stage 5.)
+#   3. ringlint: the five project-specific analyzers (internal/lint)
+#      over the whole tree — sim determinism, sleepy tests,
+#      durable-path errors, lock discipline, goroutine lifetimes.
+#      (Ack ordering is not among them: acknowledging ahead of the
+#      quorum or the sync does not compile, see stage 5. Nor is
+#      allocation: stage 5's AllocsPerRun pins count it.)
 #      Any finding fails the build; exemptions are //ring: directives
 #      in the source, where review can see them. doc_refs then fails
 #      on a backticked test name, internal/... or cmd/... path, or
@@ -18,10 +19,11 @@
 #      README.md, EXPERIMENTS.md or benchmark/README.md that the tree
 #      does not have. scripts/loc.sh then
 #      prints the size report (non-test lines per internal/* package
-#      and under cmd/, scripts/ lines, wire message types, top-level
-#      files, the packages ringd links from outside the module and the
-#      size of its text and read-only data) so lines and types removed
-#      are reported results, not estimates. Then the import gate: `go
+#      and under cmd/, scripts/ lines, wire message types, //ring:
+#      directives, top-level files, the packages ringd links from
+#      outside the module and the size of its text and read-only data)
+#      so lines, types and exemptions removed are reported results, not
+#      estimates. Then the import gate: `go
 #      list -deps ./cmd/ringd` must name none of net, runtime/cgo,
 #      net/http, crypto/tls, crypto/x509, math/big. An idle Go process
 #      keeps its whole text resident, and one net/http import is 90

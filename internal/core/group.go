@@ -30,8 +30,6 @@ const groupMix = 0xff51afd7ed558ccd
 
 // GroupOf routes a key to one of `groups` independent memgest groups.
 // Every client of a sharded deployment must use this same mapping.
-//
-//ring:hotpath
 func GroupOf(key string, groups int) int {
 	if groups <= 1 {
 		return 0

@@ -15,8 +15,6 @@ import (
 var PoisonPayloads bool
 
 // release gives a message the host decoded or encoded back to its free list.
-//
-//ring:hotpath
 func release(m proto.Message) {
 	if PoisonPayloads {
 		proto.Poison(m)
@@ -46,8 +44,6 @@ type Host struct {
 // goes back to its free list once its handler returns. The packet stays
 // the caller's, who may reuse its bytes once Deliver returns: a handler
 // copies what it keeps (the ownership rule of package transport).
-//
-//ring:hotpath
 func (h *Host) Deliver(now time.Duration, from string, payload []byte) {
 	_ = proto.ForEachPacked(payload, func(enc []byte) error {
 		if msg, err := proto.Decode(enc); err == nil {
@@ -78,8 +74,6 @@ func (h *Host) Deliver(now time.Duration, from string, payload []byte) {
 // packet is send's, and a send error is ignored as a datagram's would
 // be: dead peers are the failure detector's problem. Entries are cleared
 // as they are packed so that nothing pins a message.
-//
-//ring:hotpath
 func (h *Host) Pack(outs []Out, send func(to string, pkt []byte) error) {
 	for i := range outs {
 		if outs[i].To == "" {

@@ -266,8 +266,6 @@ func (n *Node) reqID() proto.ReqID {
 // HandleMessage processes one incoming message at the given node-local
 // time. `from` is the fabric address of the sender. The messages to
 // transmit stay in the node until Flush.
-//
-//ring:hotpath-stop the Node state machine is bounded by its own rules (simdeterminism), not the zero-alloc budget
 func (n *Node) HandleMessage(now time.Duration, from string, msg proto.Message) {
 	n.now = now
 	n.Metrics.Events.Inc()
@@ -327,8 +325,6 @@ func (n *Node) HandleMessage(now time.Duration, from string, msg proto.Message) 
 
 // HandleTick drives time-based behaviour (heartbeats, failure
 // detection, background recovery).
-//
-//ring:hotpath-stop the Node state machine is bounded by its own rules (simdeterminism), not the zero-alloc budget
 func (n *Node) HandleTick(now time.Duration) {
 	n.now = now
 	n.Metrics.Ticks.Inc()

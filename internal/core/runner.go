@@ -113,7 +113,6 @@ func (r *Runner) loop() {
 // deliverOne runs one packet of the batch Poll is delivering; the first
 // takes r.mu and fixes the batch's clock.
 //
-//ring:hotpath
 //ring:wallclock converts wall time to the node's event clock
 func (r *Runner) deliverOne(from string, payload []byte) {
 	if !r.locked {
@@ -137,7 +136,6 @@ func (r *Runner) deliverOne(from string, payload []byte) {
 // them (crash-stop-before-outputs); r.mu has no other contenders
 // besides Inspect.
 //
-//ring:hotpath
 //ring:lockok deliberate hold-across-fsync, see above
 func (r *Runner) drain(n int) bool {
 	// The packets taken plus any still queued is the backlog this
@@ -149,7 +147,6 @@ func (r *Runner) drain(n int) bool {
 
 // tick runs the node's timer step as a batch of its own.
 //
-//ring:hotpath
 //ring:wallclock converts wall time to the node's event clock
 //ring:lockok deliberate hold-across-fsync, see drain
 func (r *Runner) tick() bool {
@@ -162,8 +159,6 @@ func (r *Runner) tick() bool {
 // still under the lock, then the sends outside it. On a lost disk the
 // node hands no outputs over — nothing acknowledged this batch can be
 // un-durable — and the runner crash-stops, reporting false.
-//
-//ring:hotpath
 func (r *Runner) endBatch() bool {
 	outs, err := r.Node.Flush()
 	r.mu.Unlock()

@@ -160,8 +160,6 @@ func MulTable(c byte) *[256]byte {
 // building and publishing it on first use. Multiplication in GF(2^8)
 // is byte-local, so applying the table to a 16-bit lane multiplies
 // both bytes at once; four lane lookups cover a 64-bit word.
-//
-//ring:hotpath
 func wordTable(c byte) *[1 << 16]uint16 {
 	if t := wordTbl[c].Load(); t != nil {
 		return t
@@ -172,8 +170,6 @@ func wordTable(c byte) *[1 << 16]uint16 {
 // buildWordTable materializes wordTbl[c]. Concurrent builders race
 // benignly: the CAS keeps the first published table, and every build
 // produces identical contents.
-//
-//ring:hotpath-stop cold one-time table construction (128 KiB allocation)
 func buildWordTable(c byte) *[1 << 16]uint16 {
 	t := new([1 << 16]uint16)
 	row := &mulTbl[c]
@@ -208,15 +204,12 @@ func WarmTables(coeffs ...byte) {
 	}
 }
 
-//ring:hotpath-stop cold panic constructor
 func panicLen(kernel string, ns, nd int) {
 	panic(fmt.Sprintf("gf: %s length mismatch %d != %d", kernel, ns, nd))
 }
 
 // MulSlice sets dst[i] = c*src[i] for all i. dst and src must have the
 // same length (it panics otherwise). c==0 zeroes dst; c==1 copies.
-//
-//ring:hotpath
 func MulSlice(c byte, src, dst []byte) {
 	if len(src) != len(dst) {
 		panicLen("MulSlice", len(src), len(dst))
@@ -263,8 +256,6 @@ func MulSlice(c byte, src, dst []byte) {
 
 // MulSliceXor sets dst[i] ^= c*src[i] for all i. This is the kernel of
 // both parity generation and delta parity updates.
-//
-//ring:hotpath
 func MulSliceXor(c byte, src, dst []byte) {
 	if len(src) != len(dst) {
 		panicLen("MulSliceXor", len(src), len(dst))
@@ -309,8 +300,6 @@ func MulSliceXor(c byte, src, dst []byte) {
 // XorSlice sets dst[i] ^= src[i] for all i (multiplication by 1).
 // subtle.XORBytes is the stdlib's vectorized XOR; dst aliasing dst
 // exactly is explicitly permitted by its contract.
-//
-//ring:hotpath
 func XorSlice(src, dst []byte) {
 	if len(src) != len(dst) {
 		panicLen("XorSlice", len(src), len(dst))

@@ -1,11 +1,8 @@
 // Package lint implements ringlint, Ring's project-specific
-// static-analysis suite. It locks in the invariants the hot-path and
-// determinism work bought — properties the compiler cannot see and
-// reviewer vigilance cannot be trusted with:
+// static-analysis suite. It locks in the invariants the determinism,
+// durability and concurrency work bought — properties the compiler
+// cannot see and reviewer vigilance cannot be trusted with:
 //
-//   - hotpathalloc: functions annotated //ring:hotpath (and the local
-//     functions they reach) stay free of the allocation patterns that
-//     would regress the zero-allocation message path.
 //   - simdeterminism: the simulated packages (client, core, sim, srs)
 //     never read wall-clock time or the global math/rand state, so
 //     simnet runs stay reproducible.
@@ -27,7 +24,8 @@
 //
 // The paper's acknowledgement-ordering rule is not among them: it is
 // two function signatures (replog.Quorum, core.Node.Flush) the compiler
-// checks; see DESIGN.md section 7.
+// checks; see DESIGN.md section 7. Nor is the allocation-free message
+// path: the AllocsPerRun pins count what it allocates at run time.
 //
 // The suite is built directly on go/ast and go/types (no external
 // analysis framework: the module is dependency-free by policy), with
@@ -39,9 +37,6 @@
 //
 // Analyzers are steered by //ring: directive comments:
 //
-//	//ring:hotpath       marks a function as an allocation-free root
-//	//ring:hotpath-stop  stops hot-path traversal (cold error exits,
-//	                     subsystems bounded by their own rules)
 //	//ring:wallclock     exempts a function from simdeterminism (the
 //	                     deliberate real-time boundary, e.g. Runner)
 //	//ring:sleepok       exempts one sleep in a test (doc or same line)
@@ -117,7 +112,6 @@ func (p *Pass) FileOf(pos token.Pos) *ast.File {
 // Analyzers is the full suite in the order ringlint runs it.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		HotPathAlloc,
 		SimDeterminism,
 		SleepyTest,
 		DurablePath,
@@ -154,8 +148,8 @@ func matchDirective(comment, name string) bool {
 	if !ok {
 		return false
 	}
-	// Exact name match: "ring:hotpath-stop" must not satisfy
-	// "hotpath". Anything after the name must be separated by space.
+	// Exact name match: "ring:lockok-x" must not satisfy "lockok".
+	// Anything after the name must be separated by space.
 	return text == "" || text[0] == ' ' || text[0] == '\t'
 }
 
@@ -367,15 +361,6 @@ func implementorsOf(pass *Pass, iface *types.Interface, name string) []types.Obj
 		}
 	}
 	return out
-}
-
-// isInterface reports whether t's underlying type is an interface.
-func isInterface(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Interface)
-	return ok
 }
 
 // walkStack visits every node below root, passing the stack of

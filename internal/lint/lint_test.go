@@ -10,10 +10,6 @@ func fixtureDir(name string) string {
 	return filepath.Join("testdata", "src", name)
 }
 
-func TestHotPathAlloc(t *testing.T) {
-	RunFixture(t, HotPathAlloc, fixtureDir("hotpathalloc"), "fixture/hotpathalloc")
-}
-
 func TestSimDeterminism(t *testing.T) {
 	// The fixture impersonates a restricted import path.
 	RunFixture(t, SimDeterminism, fixtureDir("simdeterminism"), "ring/internal/core")
@@ -89,14 +85,14 @@ func TestMatchDirective(t *testing.T) {
 		comment, name string
 		want          bool
 	}{
-		{"//ring:hotpath", "hotpath", true},
-		{"// ring:hotpath", "hotpath", true},
-		{"//ring:hotpath reason text", "hotpath", true},
-		{"//ring:hotpath-stop", "hotpath", false},
-		{"//ring:hotpath-stop", "hotpath-stop", true},
-		{"//ring:hotpathx", "hotpath", false},
-		{"// regular comment", "hotpath", false},
-		{"/*ring:hotpath*/", "hotpath", false},
+		{"//ring:lockok", "lockok", true},
+		{"// ring:lockok", "lockok", true},
+		{"//ring:lockok reason text", "lockok", true},
+		{"//ring:lockok-x", "lockok", false},
+		{"//ring:lockok-x", "lockok-x", true},
+		{"//ring:lockokx", "lockok", false},
+		{"// regular comment", "lockok", false},
+		{"/*ring:lockok*/", "lockok", false},
 	}
 	for _, c := range cases {
 		if got := matchDirective(c.comment, c.name); got != c.want {

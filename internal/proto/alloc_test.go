@@ -11,25 +11,16 @@ import (
 // Decode pays exactly one allocation for the message struct plus one
 // per string it copies out; byte payloads are views into the input.
 
+// TestAppendEncodeAllocs pins every wire type's encode: into a warm
+// buffer it allocates nothing.
 func TestAppendEncodeAllocs(t *testing.T) {
-	val := make([]byte, 1024)
-	msgs := []struct {
-		name string
-		m    Message
-	}{
-		{"Put1KiB", &Put{Req: 1, Key: "bench-key", Value: val, Memgest: 2}},
-		{"RepAppend1KiB", &RepAppend{Memgest: 2, Shard: 1, Seq: 9, Rec: MetaRecord{Key: "bench-key", Version: 3, Memgest: 2, Length: 1024}, Value: val}},
-		{"ParityUpdate1KiB", &ParityUpdate{Memgest: 2, Shard: 1, Seq: 9, Rec: MetaRecord{Key: "bench-key", Version: 3, Memgest: 2, Length: 1024}, Block: 4, StripeOff: 1, Off: 128, Delta: val}},
-		{"RepCommit", &RepCommit{Memgest: 2, Shard: 1, Seq: 9}},
-		{"PutReply", &PutReply{Req: 1, Status: StOK, Version: 3}},
-	}
-	for _, tc := range msgs {
-		buf := make([]byte, 0, 8192)
+	buf := make([]byte, 0, 8192)
+	for _, s := range samples(t) {
 		allocs := testing.AllocsPerRun(100, func() {
-			buf = AppendEncode(buf[:0], tc.m)
+			buf = AppendEncode(buf[:0], s.m)
 		})
 		if allocs != 0 {
-			t.Errorf("AppendEncode(%s): %.1f allocs/op into a warm buffer, want 0", tc.name, allocs)
+			t.Errorf("AppendEncode(%T): %.1f allocs/op into a warm buffer, want 0", s.m, allocs)
 		}
 	}
 }
@@ -76,25 +67,14 @@ func TestDecodeAllocs(t *testing.T) {
 	}
 }
 
-// TestReleasedMessagesAreReused pins the free lists: a message decoded
-// or built with New and then released — a node's runner's loop — costs
-// nothing but the strings Decode copies out (a Put's key); the struct
-// is the one given back.
+// TestReleasedMessagesAreReused pins every wire type's decode, and
+// the free lists: a message decoded or built with New and then
+// released — a node's runner's loop — costs nothing but the strings
+// Decode copies out when its type is free-listed (the struct is the
+// one given back), and its struct and slices when it is not.
 func TestReleasedMessagesAreReused(t *testing.T) {
-	rec := MetaRecord{Key: "bench-key", Version: 3, Memgest: 2, Length: 1024}
-	for _, tc := range []struct {
-		name string
-		m    Message
-		max  float64
-	}{
-		{"Put1KiB", &Put{Req: 1, Key: "bench-key", Value: make([]byte, 1024), Memgest: 2}, 1},
-		{"Get", &Get{Req: 1, Key: "bench-key"}, 0},
-		{"RepAppend1KiB", &RepAppend{Memgest: 2, Shard: 1, Seq: 9, Rec: rec, Value: make([]byte, 1024)}, 0},
-		{"Purge", &Purge{Memgest: 2, Shard: 1, Key: "bench-key", Version: 2}, 0},
-		{"RepAck", &RepAck{Memgest: 2, Shard: 1, Seq: 9}, 0},
-		{"GetReply1KiB", &GetReply{Req: 1, Status: StOK, Version: 3, Value: make([]byte, 1024)}, 0},
-	} {
-		enc := Encode(tc.m)
+	for _, s := range samples(t) {
+		enc := Encode(s.m)
 		allocs := testing.AllocsPerRun(100, func() {
 			m, err := Decode(enc)
 			if err != nil {
@@ -102,8 +82,8 @@ func TestReleasedMessagesAreReused(t *testing.T) {
 			}
 			Release(m)
 		})
-		if allocs > tc.max {
-			t.Errorf("Decode and Release of %s: %.1f allocs/op, want <= %.0f", tc.name, allocs, tc.max)
+		if allocs > s.decode {
+			t.Errorf("Decode and Release of %T: %.1f allocs/op, want <= %.0f", s.m, allocs, s.decode)
 		}
 	}
 	if allocs := testing.AllocsPerRun(100, func() { Release(New(PutReply{Req: 1, Version: 3})) }); allocs != 0 {

@@ -47,8 +47,6 @@ func putPaddedUvarint(b []byte, v int) {
 // AppendBatch frames msgs into buf as one packet and returns the
 // extended slice. A single message is emitted as its plain envelope
 // (no batch overhead); two or more are wrapped in a TBatch frame.
-//
-//ring:hotpath
 func AppendBatch(buf []byte, msgs ...Message) []byte {
 	if len(msgs) == 1 {
 		return AppendEncode(buf, msgs[0])
@@ -75,8 +73,6 @@ func AppendBatch(buf []byte, msgs ...Message) []byte {
 // (96 bytes cover their other fields, ParityUpdate's 78 at most, and
 // AppendBatch's framing), and 96 bytes for the rest, where an outsized
 // one (a configuration, a metadata table) grows its buffer.
-//
-//ring:hotpath
 func SizeHint(m Message) int {
 	n := 96
 	switch m := m.(type) {
@@ -106,8 +102,6 @@ func IsBatch(pkt []byte) bool {
 // them: both are valid until pkt is recycled, and fn copies what it
 // keeps longer. A non-nil error from fn stops the iteration and is
 // returned.
-//
-//ring:hotpath
 func ForEachPacked(pkt []byte, fn func(enc []byte) error) error {
 	if !IsBatch(pkt) {
 		return fn(pkt)

@@ -15,8 +15,6 @@ var free [tEnd]sync.Pool
 
 // alloc returns a message of tag t: a given-back one when there is one.
 // Its fields are whatever they last held.
-//
-//ring:hotpath
 func alloc(t MsgType) Message {
 	if wire[t].free {
 		if m := free[t].Get(); m != nil {
@@ -29,8 +27,6 @@ func alloc(t MsgType) Message {
 // New returns a message holding v, taken from the free list of its
 // type: the allocation-free way to build a message that Release will
 // give back once it is encoded.
-//
-//ring:hotpath
 func New[T any, P interface {
 	*T
 	Message
@@ -47,8 +43,6 @@ func New[T any, P interface {
 // node's runner after the handler of a decoded message returns, or after
 // a sent message is encoded. A message type without a free list is left
 // to the collector.
-//
-//ring:hotpath
 func Release(m Message) {
 	if t := m.Type(); wire[t].free {
 		free[t].Put(m)
@@ -64,8 +58,6 @@ var junkBytes = []byte(junk)
 // flags set, strings and bytes 0xDB — so that code still reading a
 // message it gave back reads nonsense at once, not whatever the next
 // message decoded into it holds. It is for tests (core.PoisonPayloads).
-//
-//ring:hotpath-stop test-only, reflective
 func Poison(m Message) {
 	poison(reflect.ValueOf(m).Elem())
 }

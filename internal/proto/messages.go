@@ -176,8 +176,6 @@ func (m *ResolveReply) Result() Status { return StOK }
 
 // Encode serializes a message with its envelope type byte. It is a
 // convenience shim over AppendEncode that allocates a fresh buffer.
-//
-//ring:hotpath
 func Encode(m Message) []byte {
 	return AppendEncode(make([]byte, 0, 64), m)
 }
@@ -190,8 +188,6 @@ var writerPool = sync.Pool{New: func() any { return new(writer) }}
 // appending to buf (which may be nil) and returning the extended
 // slice. It is the allocation-free hot path: callers that reuse a
 // buffer with sufficient capacity pay zero allocations per message.
-//
-//ring:hotpath
 func AppendEncode(buf []byte, m Message) []byte {
 	w := writerPool.Get().(*writer)
 	w.b = append(buf, uint8(m.Type()))
@@ -205,8 +201,6 @@ func AppendEncode(buf []byte, m Message) []byte {
 // Decode parses an envelope produced by Encode into a message taken
 // from its type's free list. The []byte fields of the returned message
 // alias buf (see the package doc).
-//
-//ring:hotpath
 func Decode(buf []byte) (Message, error) {
 	if len(buf) < 1 {
 		return nil, ErrTruncated
@@ -223,12 +217,10 @@ func Decode(buf []byte) (Message, error) {
 	return m, nil
 }
 
-// errUnknownType builds the unknown-tag error. It lives behind a
-// hot-path stop so the fmt machinery never rides the decode fast path:
+// errUnknownType builds the unknown-tag error. It is a function of its
+// own so the fmt machinery never rides the decode fast path:
 // the wrapped error is only constructed once a packet is already
 // malformed.
-//
-//ring:hotpath-stop cold error constructor
 func errUnknownType(tag uint8) error {
 	return fmt.Errorf("%w: %d", ErrUnknownType, tag)
 }

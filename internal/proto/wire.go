@@ -175,9 +175,7 @@ func (r *reader) done() error {
 
 // errTrailing builds the trailing-bytes error. Cold by construction:
 // it only runs for malformed packets, so the fmt allocation is kept
-// off the decode fast path behind a hot-path stop.
-//
-//ring:hotpath-stop cold error constructor
+// off the decode fast path.
 func errTrailing(n int) error {
 	return fmt.Errorf("proto: %d trailing bytes", n)
 }

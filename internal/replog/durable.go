@@ -401,8 +401,6 @@ func (d *Durable) mark(kind byte, sk ShardKey, seq proto.Seq, key string, ver pr
 // Append persists a write-ahead append: the entry just added to a
 // metadata table, before any ack references it. value rides along for
 // Rep memgests (hasValue); SRS appends are metadata-only.
-//
-//ring:hotpath
 func (d *Durable) Append(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, value []byte, hasValue bool) error {
 	if err := d.put(kAppend, sk, seq, rec, value, hasValue); err != nil {
 		return err
@@ -414,24 +412,18 @@ func (d *Durable) Append(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, valu
 // Commit persists an entry's commit as a marker naming its key and
 // version; the append carries the rest, so value and hasValue, which
 // mirror Append's, are not written.
-//
-//ring:hotpath
 func (d *Durable) Commit(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, _ []byte, _ bool) error {
 	return d.mark(kCommit, sk, seq, rec.Key, rec.Version)
 }
 
 // Install persists an entry learned through recovery (already
 // committed group-wide).
-//
-//ring:hotpath
 func (d *Durable) Install(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, value []byte, hasValue bool) error {
 	return d.put(kInstall, sk, seq, rec, value, hasValue)
 }
 
 // Purge removes a version (GC of superseded versions, or abort of an
 // uncommitted append). seq is the purged entry's sequence when known.
-//
-//ring:hotpath
 func (d *Durable) Purge(sk ShardKey, seq proto.Seq, key string, ver proto.Version) error {
 	return d.mark(kPurge, sk, seq, key, ver)
 }

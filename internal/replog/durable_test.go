@@ -555,10 +555,11 @@ func TestDurableWritesDoNotAllocate(t *testing.T) {
 	r, value := rec("k", 1), make([]byte, 1<<10)
 	srs := &proto.MetaRecord{Key: "s", Version: 1, Memgest: 2, Length: 4096, LocBlock: 3}
 	for name, f := range map[string]func() error{
-		"rep append": func() error { return d.Append(testSK, 1, r, value, true) },
-		"rep commit": func() error { return d.Commit(testSK, 1, r, value, true) },
-		"rep purge":  func() error { return d.Purge(testSK, 1, r.Key, r.Version) },
-		"srs append": func() error { return d.Append(ShardKey{Memgest: 2}, 2, srs, nil, false) },
+		"rep append":  func() error { return d.Append(testSK, 1, r, value, true) },
+		"rep commit":  func() error { return d.Commit(testSK, 1, r, value, true) },
+		"rep install": func() error { return d.Install(testSK, 1, r, value, true) },
+		"rep purge":   func() error { return d.Purge(testSK, 1, r.Key, r.Version) },
+		"srs append":  func() error { return d.Append(ShardKey{Memgest: 2}, 2, srs, nil, false) },
 	} {
 		if n := testing.AllocsPerRun(100, func() {
 			if err := f(); err != nil {

@@ -160,7 +160,6 @@ func (l *Layout) checkBlock(b int) {
 	}
 }
 
-//ring:hotpath-stop cold panic constructor
 func (l *Layout) panicBlock(b int) {
 	panic(fmt.Sprintf("srs: logical block %d out of range [0,%d)", b, l.L))
 }
@@ -328,8 +327,6 @@ func (l *Layout) ParityDelta(b int, delta []byte) [][]byte {
 // ParityDeltaInto is ParityDelta into buffers the caller owns: out
 // holds M slices of len(delta) bytes each. The coordinator's put path
 // passes pooled buffers, so a put allocates nothing value-sized here.
-//
-//ring:hotpath
 func (l *Layout) ParityDeltaInto(b int, delta []byte, out [][]byte) {
 	j := l.StripePos(b)
 	for r := 0; r < l.M; r++ {

@@ -186,8 +186,6 @@ var pageSize = os.Getpagesize()
 // alloc returns n bytes (n > 0). Given an owner, they become its slot
 // and free or evacuate may take them away; given none, they stay put
 // for the arena's life.
-//
-//ring:hotpath-stop a chunk's worth of slots amortises the cut of a new chunk
 func (a *arena) alloc(n int, owner *Entry) []byte {
 	a.used += uint64(n)
 	if owner != nil {

@@ -57,8 +57,6 @@ func newRegion(nblocks, blockSize int) region {
 // piece of the chunk's backing that lies in the range and the piece's
 // position within the range. With back set, unbacked chunks are backed
 // first; otherwise they are visited with a nil piece of length m.
-//
-//ring:hotpath
 func (r *region) each(b, off, n int, back bool, fn func(p []byte, i, m int)) {
 	for i := 0; i < n; {
 		c, o := (off+i)/r.chunk, (off+i)%r.chunk
@@ -183,8 +181,6 @@ func (h *BlockHeap) Drop() { h.data.drop() }
 // Alloc reserves n bytes inside a single block (first fit) and returns
 // the extent. It fails with ErrHeapFull when no block has a large
 // enough free run, and rejects n larger than a block or zero.
-//
-//ring:hotpath
 func (h *BlockHeap) Alloc(n int) (Extent, error) {
 	if n <= 0 || uint32(n) > h.blockSize {
 		return Extent{}, errAllocSize(n, h.blockSize)
@@ -207,7 +203,6 @@ func (h *BlockHeap) Alloc(n int) (Extent, error) {
 	return Extent{}, ErrHeapFull
 }
 
-//ring:hotpath-stop cold error constructor
 func errAllocSize(n int, blockSize uint32) error {
 	if n <= 0 {
 		return fmt.Errorf("store: invalid allocation size %d", n)
@@ -286,7 +281,6 @@ func (h *BlockHeap) localBlock(ext Extent) int {
 	return b
 }
 
-//ring:hotpath-stop cold panic constructor
 func (h *BlockHeap) panicExtent(ext Extent) {
 	if b := int(ext.Block) - int(h.firstBlock); b < 0 || b >= len(h.free) {
 		panic(fmt.Sprintf("store: extent block %d outside heap [%d,%d)", ext.Block, h.firstBlock, int(h.firstBlock)+len(h.free)))
@@ -303,8 +297,6 @@ func (h *BlockHeap) Read(ext Extent) []byte {
 
 // ReadInto copies the bytes at ext into dst, which must be ext.Len
 // long (the coordinator passes a pooled buffer).
-//
-//ring:hotpath
 func (h *BlockHeap) ReadInto(dst []byte, ext Extent) {
 	if uint32(len(dst)) != ext.Len {
 		panicLen("read", len(dst), ext.Len)
@@ -321,8 +313,6 @@ func (h *BlockHeap) ReadInto(dst []byte, ext Extent) {
 // Write stores val at ext and returns the delta (old XOR new) that
 // parity nodes must apply, per the paper's update rule. The returned
 // slice is scratch owned by the heap: it is valid until the next Write.
-//
-//ring:hotpath
 func (h *BlockHeap) Write(ext Extent, val []byte) (delta []byte) {
 	if uint32(len(val)) != ext.Len {
 		panicLen("write", len(val), ext.Len)
@@ -338,7 +328,6 @@ func (h *BlockHeap) Write(ext Extent, val []byte) (delta []byte) {
 	return delta
 }
 
-//ring:hotpath-stop cold panic constructor
 func panicLen(op string, n int, want uint32) {
 	panic(fmt.Sprintf("store: %s of %d bytes on an extent of %d", op, n, want))
 }
@@ -377,8 +366,6 @@ func NewParityRegion(stripes, blockSize int) *ParityRegion {
 }
 
 // ApplyDelta XORs delta into parity block t at byte offset off.
-//
-//ring:hotpath
 func (p *ParityRegion) ApplyDelta(t, off int, delta []byte) {
 	end := off + len(delta)
 	if t < 0 || t >= len(p.data.blocks) || off < 0 || end > p.data.blockSize {
@@ -389,7 +376,6 @@ func (p *ParityRegion) ApplyDelta(t, off int, delta []byte) {
 	})
 }
 
-//ring:hotpath-stop cold panic constructor
 func (p *ParityRegion) panicRange(t, off, end int) {
 	p.checkBlock(t)
 	panic(fmt.Sprintf("store: parity delta [%d,%d) exceeds block size %d", off, end, p.data.blockSize))

@@ -212,23 +212,25 @@ func TestRegionsBackOnlyWhatIsTouched(t *testing.T) {
 	}
 }
 
-// TestHeapWriteAllocs pins the coordinator's store step: at working
-// size, Alloc+Write+Free allocates nothing, and neither does a parity
-// node's ApplyDelta.
+// TestHeapWriteAllocs pins the coordinator's store steps: at working
+// size, Alloc+Write+ReadInto+Free allocates nothing, and neither does a
+// parity node's ApplyDelta.
 func TestHeapWriteAllocs(t *testing.T) {
 	h := NewBlockHeap(0, 1, 1<<20)
 	p := NewParityRegion(1, 1<<20)
 	val := make([]byte, 16<<10)
+	got := make([]byte, len(val))
 	run := func() {
 		e, err := h.Alloc(len(val))
 		if err != nil {
 			t.Fatal(err)
 		}
 		p.ApplyDelta(0, int(e.Off), h.Write(e, val))
+		h.ReadInto(got, e)
 		h.Free(e)
 	}
 	run() // reach working size
 	if n := testing.AllocsPerRun(100, run); n != 0 {
-		t.Fatalf("Alloc+Write+ApplyDelta+Free allocates %v per run, want 0", n)
+		t.Fatalf("Alloc+Write+ApplyDelta+ReadInto+Free allocates %v per run, want 0", n)
 	}
 }

@@ -87,8 +87,6 @@ func (e *tcpEndpoint) start() error {
 func (e *tcpEndpoint) stop() { e.epf.Close() }
 
 // ctl changes the set's entry for fd.
-//
-//ring:hotpath-stop cold: a connection joins or leaves, or a socket fills
 func (e *tcpEndpoint) ctl(op int, fd int32, events uint32) error {
 	err := error(nil)
 	if cerr := e.epRaw.Control(func(epfd uintptr) {
@@ -100,8 +98,6 @@ func (e *tcpEndpoint) ctl(op int, fd int32, events uint32) error {
 }
 
 // watch puts c in the set. Called under e.mu.
-//
-//ring:hotpath-stop cold: a new connection
 func (e *tcpEndpoint) watch(c *tcpConn) error {
 	err := c.raw.Control(func(fd uintptr) { c.fd = int32(fd) })
 	if err == nil {
@@ -116,8 +112,6 @@ func (e *tcpEndpoint) watch(c *tcpConn) error {
 
 // unwatch takes c out of the set before its descriptor closes. Called
 // under e.mu.
-//
-//ring:hotpath-stop cold: a connection died
 func (e *tcpEndpoint) unwatch(c *tcpConn) {
 	if e.byFd[c.fd] == c {
 		delete(e.byFd, c.fd)
@@ -130,8 +124,6 @@ func (e *tcpEndpoint) unwatch(c *tcpConn) {
 // writes a full socket held back, and one read of each ready connection
 // into the endpoint's buffer, whose whole frames are delivered there.
 // Only a Poll that has delivered nothing yet waits.
-//
-//ring:hotpath
 func (e *tcpEndpoint) Poll(deadline time.Time, max int, deliver func(from string, payload []byte)) (int, error) {
 	e.pollMu.Lock()
 	defer e.pollMu.Unlock()
@@ -144,7 +136,6 @@ func (e *tcpEndpoint) Poll(deadline time.Time, max int, deliver func(from string
 	return e.n, err
 }
 
-//ring:hotpath
 func (e *tcpEndpoint) poll(deadline time.Time, max int) error {
 	if len(e.rest) > 0 {
 		e.cur = e.restOf
@@ -173,8 +164,6 @@ func (e *tcpEndpoint) poll(deadline time.Time, max int) error {
 
 // ready fills events with what is ready in the set, waiting until the
 // deadline for something to be unless nowait.
-//
-//ring:hotpath
 func (e *tcpEndpoint) ready(deadline time.Time, nowait bool) error {
 	if nowait {
 		return e.epRaw.Control(e.nowFn)
@@ -190,14 +179,11 @@ func (e *tcpEndpoint) ready(deadline time.Time, nowait bool) error {
 
 // wait is the set's RawConn.Read callback: it takes the ready events, or
 // returns false to park until there are some.
-//
-//ring:hotpath
 func (e *tcpEndpoint) wait(fd uintptr) bool {
 	e.waitNow(fd)
 	return e.nev > 0
 }
 
-//ring:hotpath
 func (e *tcpEndpoint) waitNow(fd uintptr) {
 	for {
 		n, err := syscall.EpollWait(int(fd), e.events[:], 0)
@@ -209,8 +195,6 @@ func (e *tcpEndpoint) waitNow(fd uintptr) {
 }
 
 // handle acts on one ready event.
-//
-//ring:hotpath
 func (e *tcpEndpoint) handle(ev syscall.EpollEvent, max int) {
 	if ev.Fd == e.lnFd {
 		e.acceptAll()
@@ -244,8 +228,6 @@ func (e *tcpEndpoint) handle(ev syscall.EpollEvent, max int) {
 
 // cut delivers the frames rest still holds from c, at most what is left
 // of max, and returns what is left of rest.
-//
-//ring:hotpath
 func (e *tcpEndpoint) cut(c *tcpConn, rest []byte, max int) []byte {
 	rest, _, err := c.in.cut(rest, max-e.n, e.frameFn)
 	if err != nil {
@@ -256,8 +238,6 @@ func (e *tcpEndpoint) cut(c *tcpConn, rest []byte, max int) []byte {
 }
 
 // frame is the streams' deliver: one frame of e.cur's to the caller's.
-//
-//ring:hotpath
 func (e *tcpEndpoint) frame(from string, payload []byte) {
 	if c := e.cur; from != c.last {
 		e.heard(c, from)
@@ -269,8 +249,6 @@ func (e *tcpEndpoint) frame(from string, payload []byte) {
 
 // acceptAll adopts every connection the kernel has queued. The listener
 // leaves the set if it fails, as a loop calling Accept would end.
-//
-//ring:hotpath-stop cold: peers connect once
 func (e *tcpEndpoint) acceptAll() {
 	for {
 		nc, err := e.ln.accept(false)
@@ -290,8 +268,6 @@ func (e *tcpEndpoint) acceptAll() {
 // write sends payload's frame on c, or queues it: behind frames already
 // queued, or, when something polls the endpoint, the part a full socket
 // did not take. It takes the payload either way.
-//
-//ring:hotpath
 func (e *tcpEndpoint) write(c *tcpConn, payload []byte) error {
 	v := frameVecs.Get().(*frameVec)
 	v.frame(e.addr, payload)
@@ -306,7 +282,6 @@ func (e *tcpEndpoint) write(c *tcpConn, payload []byte) error {
 // writeLocked is write under c.qmu, with the frame's header and its
 // vector [header, payload].
 //
-//ring:hotpath
 //ring:lockok the caller holds c.qmu
 func (e *tcpEndpoint) writeLocked(c *tcpConn, hdr []byte, vec [][]byte) error {
 	payload := vec[1]
@@ -335,8 +310,6 @@ func (e *tcpEndpoint) writeLocked(c *tcpConn, hdr []byte, vec [][]byte) error {
 // queue appends what is left of a frame, a copy of its header's rest and
 // the payload, to c's queue, and has the set report when c has room.
 // Called under c.qmu.
-//
-//ring:hotpath-stop cold: a full socket
 func (e *tcpEndpoint) queue(c *tcpConn, hdr, payload []byte) error {
 	if len(hdr) > 0 {
 		c.pend = append(c.pend, append([]byte(nil), hdr...))
@@ -346,8 +319,6 @@ func (e *tcpEndpoint) queue(c *tcpConn, hdr, payload []byte) error {
 }
 
 // arm adds EPOLLOUT to c's events, or takes it out. Called under c.qmu.
-//
-//ring:hotpath-stop cold: a full socket
 func (e *tcpEndpoint) arm(c *tcpConn, on bool) error {
 	if c.armed == on {
 		return nil
@@ -362,8 +333,6 @@ func (e *tcpEndpoint) arm(c *tcpConn, on bool) error {
 
 // flush writes what c's queue holds until the socket is full again, and
 // reports whether c is still open.
-//
-//ring:hotpath-stop cold: a full socket drained
 func (e *tcpEndpoint) flush(c *tcpConn) bool {
 	c.qmu.Lock()
 	e.outVec = e.outVec[:0]

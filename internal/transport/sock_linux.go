@@ -180,8 +180,6 @@ func newReader() *reader {
 // readNow reads into p what c has received: 0 and EAGAIN when nothing
 // has, 0 and no errno once the peer has closed. err is the socket's, if
 // it has been closed.
-//
-//ring:hotpath
 func (r *reader) readNow(c *Conn, p []byte) (int, syscall.Errno, error) {
 	r.p = p
 	err := c.raw.Read(r.fn)
@@ -189,7 +187,6 @@ func (r *reader) readNow(c *Conn, p []byte) (int, syscall.Errno, error) {
 	return r.n, r.errno, err
 }
 
-//ring:hotpath
 func (r *reader) read(fd uintptr) bool {
 	for {
 		n, _, errno := syscall.Syscall(syscall.SYS_READ, fd, uintptr(unsafe.Pointer(&r.p[0])), uintptr(len(r.p)))
@@ -240,8 +237,6 @@ var writers = sync.Pool{New: func() any {
 
 // Writev writes every byte of bufs, in order. The socket's write lock
 // is held to the last byte, so concurrent Writevs never interleave.
-//
-//ring:hotpath
 func (c *Conn) Writev(bufs [][]byte) error {
 	_, err := c.writev(bufs, false)
 	return err
@@ -249,8 +244,6 @@ func (c *Conn) Writev(bufs [][]byte) error {
 
 // writev writes bufs in order and returns how many bytes it wrote: all
 // of them, or with nowait set what a full socket took before it stopped.
-//
-//ring:hotpath
 func (c *Conn) writev(bufs [][]byte, nowait bool) (int, error) {
 	w := writers.Get().(*writer)
 	w.vec = w.vec[:0]
@@ -276,14 +269,11 @@ func (c *Conn) writev(bufs [][]byte, nowait bool) (int, error) {
 	return n, err
 }
 
-//ring:hotpath-stop cold error constructor
 func writevError(errno syscall.Errno) error { return os.NewSyscallError("writev", errno) }
 
 // write is the RawConn.Write callback: it writes until nothing is left,
 // over short writes, and on EAGAIN returns false to wait for room, or
 // true to stop when the writer does not wait.
-//
-//ring:hotpath
 func (w *writer) write(fd uintptr) bool {
 	for len(w.iov) > 0 {
 		n, _, errno := syscall.Syscall(syscall.SYS_WRITEV, fd, uintptr(unsafe.Pointer(&w.iov[0])), uintptr(len(w.iov)))

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -239,5 +240,62 @@ func TestMaxPacketFitsReadBuffer(t *testing.T) {
 		if n != 1 || s.carry != nil || carried != (extra > 0) {
 			t.Fatalf("a frame of a %d-byte payload: %d delivered, read into a buffer of its own: %v, %d bytes left carried", MaxPacket+extra, n, carried, len(s.carry))
 		}
+	}
+}
+
+// TestRemainderFramesDoNotAllocate pins the path of the frames a Poll's
+// max leaves in the read buffer: a sender writes many small frames,
+// which arrive in one read, and the receiver polls them one at a time,
+// so all but the first are delivered from what the read left over. Only
+// the polls are counted: the sends take pooled buffers, of which the
+// race detector's pool drops some.
+func TestRemainderFramesDoNotAllocate(t *testing.T) {
+	f := NewTCPFabric()
+	f.Map("a", "127.0.0.1:0")
+	f.Map("b", "127.0.0.1:0")
+	a, err := f.Register("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := f.Register("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	f.Map("b", BoundAddr(b))
+
+	const rounds, frames = 20, 256
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	payload := make([]byte, 16)
+	deliver := func(string, []byte) {}
+	var mallocs uint64
+	for r := 0; r <= rounds; r++ { // round 0 dials and warms up
+		for i := 0; i < frames; i++ {
+			if err := a.Send("b", append(AcquireBufSize(len(payload)), payload...)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for got := 0; got < frames; {
+			n, err := b.Poll(time.Now().Add(10*time.Second), 1, deliver)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == 0 {
+				t.Fatalf("%d of %d frames arrived", got, frames)
+			}
+			got += n
+		}
+		runtime.ReadMemStats(&after)
+		if r > 0 {
+			mallocs += after.Mallocs - before.Mallocs
+		}
+	}
+	perFrame := float64(mallocs) / (rounds * frames)
+	t.Logf("%.3f allocations per frame", perFrame)
+	if perFrame >= 0.1 {
+		t.Errorf("%d 16-byte frames polled one at a time make %.3f allocations per frame, want < 0.1", frames, perFrame)
 	}
 }

@@ -132,8 +132,6 @@ func (e *tcpEndpoint) Addr() string { return e.addr }
 
 // adopt makes nc one of e's connections, or closes it if e has closed.
 // Called under e.mu.
-//
-//ring:hotpath-stop cold: a new connection
 func (e *tcpEndpoint) adopt(nc *Conn) *tcpConn {
 	if e.live == nil {
 		nc.Close()
@@ -151,8 +149,6 @@ func (e *tcpEndpoint) adopt(nc *Conn) *tcpConn {
 // heard notes that from spoke on c, so replies to it can go back that
 // way. Sent from the receive side whenever a connection's sender
 // changes, which on one connection happens once.
-//
-//ring:hotpath-stop cold: once per connection
 func (e *tcpEndpoint) heard(c *tcpConn, from string) {
 	e.mu.Lock()
 	if _, ok := e.live[c]; ok {
@@ -214,8 +210,6 @@ func (v *frameVec) frame(from string, payload []byte) {
 
 // writeFrame sends header and payload with one vectored write: no
 // staging copy of the payload.
-//
-//ring:hotpath
 func writeFrame(c *Conn, from string, payload []byte) error {
 	v := frameVecs.Get().(*frameVec)
 	v.frame(from, payload)
@@ -246,8 +240,6 @@ const carryMin = 1 << 20
 // frameHead reads the header at the front of b: the frame's whole size,
 // or 0 while b is too short to tell, and an error for a frame that
 // declares more than maxFrame bytes or an address longer than itself.
-//
-//ring:hotpath
 func frameHead(b []byte) (size int, err error) {
 	if len(b) < 4 {
 		return 0, nil
@@ -265,7 +257,6 @@ func frameHead(b []byte) (size int, err error) {
 	return 4 + n, nil
 }
 
-//ring:hotpath-stop cold error constructor
 func errBadFrame(n, alen int) error {
 	return fmt.Errorf("transport: bad frame: length %d, address length %d", n, alen)
 }
@@ -274,8 +265,6 @@ func errBadFrame(n, alen int) error {
 // buffer buf: the rest of the frame in carry, when that frame is longer
 // than buf, so that no read goes past it; otherwise buf, behind a copy
 // of carry.
-//
-//ring:hotpath
 func (s *stream) space(buf []byte) []byte {
 	size, _ := frameHead(s.carry) // carry's header passed when it was cut
 	if s.into = size > len(buf); s.into {
@@ -294,8 +283,6 @@ func (s *stream) space(buf []byte) []byte {
 
 // grow moves carry into a buffer twice its size, or carryMin, or the
 // frame's size bytes if that is less.
-//
-//ring:hotpath-stop cold: frames longer than the read buffer
 func (s *stream) grow(size int) []byte {
 	b := append(AcquireBufSize(min(size, max(2*cap(s.carry), carryMin))), s.carry...)
 	ReleaseBuf(s.carry)
@@ -304,8 +291,6 @@ func (s *stream) grow(size int) []byte {
 
 // got takes the k bytes a read put into the last space and delivers the
 // frames they complete, at most max (see cut).
-//
-//ring:hotpath
 func (s *stream) got(buf []byte, k, max int, deliver func(from string, payload []byte)) (rest []byte, n int, err error) {
 	if !s.into {
 		return s.cut(buf[:s.kept+k], max, deliver)
@@ -325,8 +310,6 @@ func (s *stream) got(buf []byte, k, max int, deliver func(from string, payload [
 // payload in place and capped at its own length. When max stops it,
 // rest is what of b is left for the next call; otherwise an incomplete
 // frame at the end of b goes to carry, and rest is empty.
-//
-//ring:hotpath
 func (s *stream) cut(b []byte, max int, deliver func(from string, payload []byte)) (rest []byte, n int, err error) {
 	for ; n < max; n++ {
 		size, err := frameHead(b)
@@ -349,8 +332,6 @@ func (s *stream) cut(b []byte, max int, deliver func(from string, payload []byte
 
 // keep copies the start of a frame, of size bytes once whole (0: not
 // known yet), into carry.
-//
-//ring:hotpath
 func (s *stream) keep(b []byte, size int) {
 	if len(b) > 0 {
 		s.carry = append(AcquireBufSize(max(len(b), min(size, carryMin))), b...)
@@ -358,8 +339,6 @@ func (s *stream) keep(b []byte, size int) {
 }
 
 // Send performs the framed write, dialling on demand.
-//
-//ring:hotpath
 func (e *tcpEndpoint) Send(to string, payload []byte) error {
 	e.mu.Lock()
 	c := e.conns[to]
@@ -390,8 +369,6 @@ func (e *tcpEndpoint) Send(to string, payload []byte) error {
 // forget closes c and drops every route that still leads to it: it has
 // ended or a write to it failed, and a peer that comes back is dialled,
 // not written to on a dead socket.
-//
-//ring:hotpath-stop cold: a connection died
 func (e *tcpEndpoint) forget(c *tcpConn) {
 	e.mu.Lock()
 	if _, ok := e.live[c]; ok {
@@ -410,8 +387,6 @@ func (e *tcpEndpoint) forget(c *tcpConn) {
 }
 
 // dial opens the outbound connection to a peer, once per peer.
-//
-//ring:hotpath-stop cold: first send to a peer
 func (e *tcpEndpoint) dial(to string) (*tcpConn, error) {
 	nc, err := Dial(e.fabric.lookup(to))
 	if err != nil {
@@ -440,7 +415,6 @@ func (e *tcpEndpoint) dial(to string) (*tcpConn, error) {
 	return c, nil
 }
 
-//ring:hotpath-stop cold error constructor
 func errPeer(to string, err error) error {
 	return fmt.Errorf("%w: %s (%v)", ErrUnknownPeer, to, err)
 }

@@ -104,8 +104,6 @@ const longestAddr = len("client/") + 16
 // its class, or a fresh 1 KiB one. Append to it, then pass the result to
 // Send, which takes ownership. A caller that knows the size asks
 // AcquireBufSize and stays in its class.
-//
-//ring:hotpath
 func AcquireBuf() []byte {
 	for c := range bufPools {
 		if b := pooled(c); b != nil {
@@ -116,8 +114,6 @@ func AcquireBuf() []byte {
 }
 
 // AcquireBufSize returns an empty buffer with room for n bytes.
-//
-//ring:hotpath
 func AcquireBufSize(n int) []byte {
 	c := 0
 	if n > minBuf {
@@ -134,16 +130,12 @@ func AcquireBufSize(n int) []byte {
 
 // fresh allocates the buffer the pool did not have, and counts it in
 // Metrics.BufAllocBytes.
-//
-//ring:hotpath
 func fresh(n int) []byte {
 	Metrics.BufAllocBytes.Add(uint64(n))
 	return make([]byte, 0, n)
 }
 
 // pooled takes a buffer out of class c, or returns nil if it is empty.
-//
-//ring:hotpath
 func pooled(c int) []byte {
 	p, _ := bufPools[c].Get().(*[]byte)
 	if p == nil {
@@ -160,8 +152,6 @@ func pooled(c int) []byte {
 // doc). Releasing a buffer that is still aliased corrupts later
 // messages; when in doubt, don't release (the pool is purely an
 // optimization).
-//
-//ring:hotpath
 func ReleaseBuf(b []byte) {
 	c := bits.Len(uint(cap(b))) - 1 - minBufShift
 	if c < 0 || c >= bufClasses {
@@ -318,8 +308,6 @@ func (e *memEndpoint) RecvChan() <-chan Packet { return e.inbox }
 func (e *memEndpoint) Closed() <-chan struct{} { return e.done }
 
 // Send transfers payload ownership to the receiving endpoint's inbox.
-//
-//ring:hotpath
 func (e *memEndpoint) Send(to string, payload []byte) error {
 	f := e.fabric
 	f.mu.Lock()
@@ -366,8 +354,6 @@ func (e *memEndpoint) Recv() (Packet, error) {
 }
 
 // Poll implements Endpoint over the inbox channel.
-//
-//ring:hotpath
 func (e *memEndpoint) Poll(deadline time.Time, max int, deliver func(from string, payload []byte)) (int, error) {
 	return pollChan(e.inbox, e.done, &e.timer, deadline, max, deliver)
 }
@@ -375,8 +361,6 @@ func (e *memEndpoint) Poll(deadline time.Time, max int, deliver func(from string
 // pollChan is Poll over a channel inbox: it waits for the first packet,
 // then takes the packets already queued behind it, and recycles each
 // payload once deliver has returned.
-//
-//ring:hotpath
 func pollChan(inbox <-chan Packet, done <-chan struct{}, t *deadlineTimer, deadline time.Time, max int, deliver func(from string, payload []byte)) (int, error) {
 	var p Packet
 	select {
@@ -421,7 +405,6 @@ type deadlineTimer struct {
 // at returns the channel that fires at deadline: nil for the zero
 // deadline (never) and for one already past.
 //
-//ring:hotpath
 //ring:wallclock a poll waits in real time
 func (t *deadlineTimer) at(deadline time.Time) <-chan time.Time {
 	if deadline.IsZero() {
@@ -440,8 +423,6 @@ func (t *deadlineTimer) at(deadline time.Time) <-chan time.Time {
 
 // arm sets the timer to fire in d, draining a firing of its last
 // deadline that nobody took.
-//
-//ring:hotpath-stop cold: once per deadline
 func (t *deadlineTimer) arm(d time.Duration) {
 	if t.t == nil {
 		t.t = time.NewTimer(d)

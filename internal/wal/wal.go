@@ -294,8 +294,6 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 // FrameHeader spare bytes: the header is written into frame[:FrameHeader]
 // and the record reaches the file as one File.Append, with no copy. The
 // file keeps none of frame, so the caller may reuse it at once.
-//
-//ring:hotpath
 func (w *WAL) AppendFramed(frame []byte) (uint64, error) {
 	payload := frame[frameSize:]
 	if len(payload) > maxRecord {
@@ -317,13 +315,10 @@ func (w *WAL) AppendFramed(frame []byte) (uint64, error) {
 	return w.activeIdx, nil
 }
 
-//ring:hotpath-stop cold error constructor
 func errTooLarge(n int) error { return fmt.Errorf("wal: record of %d bytes exceeds limit", n) }
 
 // rotate seals the active segment — synced, closed, never written
 // again — and opens the next one.
-//
-//ring:hotpath-stop cold: once per segment
 func (w *WAL) rotate() error {
 	if err := w.active.Sync(); err != nil {
 		return err

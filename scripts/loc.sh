@@ -2,8 +2,10 @@
 # loc.sh — the size report ROADMAP's "quality of design" needle asks
 # for: non-test Go lines per internal/* package (lint fixtures under
 # testdata/ excluded) and under cmd/, lines under scripts/, the number
-# of wire message types in internal/proto, the files at the top of the
-# tree, and what a node is before it stores a byte: the packages ringd
+# of wire message types in internal/proto, the //ring: directives that
+# steer or exempt ringlint's checks in non-test source outside
+# internal/lint, the files at the top of the tree, and what a node is
+# before it stores a byte: the packages ringd
 # links from outside this module and the size of its text and read-only
 # data, which an idle process keeps resident whole. Run from anywhere;
 # pass a checkout root to measure another tree (e.g. the parent commit)
@@ -26,6 +28,8 @@ printf '%-24s %6d\n' 'cmd (total)' "$(golines cmd)"
 printf '%-24s %6d\n' 'scripts' "$(find scripts -type f -exec cat {} + | wc -l)"
 printf '%-24s %6d\n' 'proto message types' \
 	"$(find internal/proto -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -c ') Type() MsgType')"
+printf '%-24s %6d\n' 'ring: directives' \
+	"$(find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './internal/lint/*' -exec grep -ohE '//ring:[a-z]' {} + | wc -l)"
 # Tracked files when this is a git checkout, every file otherwise (an
 # archive of a commit holds exactly the tracked ones).
 printf '%-24s %6d\n' 'top-level files' \
