@@ -25,16 +25,26 @@
 #      so lines, types and exemptions removed are reported results, not
 #      estimates. Then the import gate: `go
 #      list -deps ./cmd/ringd` must name none of net, runtime/cgo,
-#      net/http, crypto/tls, crypto/x509, math/big. An idle Go process
-#      keeps its whole text resident, and one net/http import is 90
-#      packages and 3.2 MB of it in each of a cluster's processes
+#      net/http, crypto/tls, crypto/x509, math/big, os/exec, log. An
+#      idle Go process keeps its whole text resident, and one net/http
+#      import is 90 packages and 3.2 MB of it in each of a cluster's
+#      processes
 #      (DESIGN.md section 11). net is the resolver, and through it cgo:
 #      a ringd that links it maps libc and ld.so, and dropped for the
 #      transport's own syscall sockets it took ringd from 94 to 89
 #      packages, 3633 to 3199 kB of text and read-only data, an idle
 #      node's file-backed RSS from 4.9 to 3.1 MB and rep3_1k_mixed's
 #      rss_loaded_mb from 47.9 to 38.1 MB; a failure prints the ring/...
-#      packages that import one of the six. Last, the other platforms
+#      packages that import one of the eight. Then the symbol gate:
+#      `go tool nm` of the built ringd must name no text symbol
+#      encoding/json.(*encodeState)... or encoding/json.Marshal...
+#      The package stays linked for FetchRingvars' decoder, so only the
+#      symbols show whether the encoder came back. Its encoder (the
+#      JSON routes render through internal/status's own writer),
+#      os/exec (the launcher starts its children with os.StartProcess),
+#      log and gf's 64 KiB product table left ringd together: 89 to 86
+#      packages, 3221 to 2995 kB of text and read-only data, 224 to
+#      158 kB of bss. Last, the other platforms
 #      build (GOOS=darwin and GOOS=windows, ./internal/... and
 #      ./cmd/...), so the transport's net-backed sock_other.go, which
 #      no Linux test runs, keeps compiling.
@@ -78,11 +88,17 @@
 #      (a deleted memgest takes its entries out of every node's index,
 #      and the version under them is the key's newest again) and
 #      TestStaleEntryPointerIsCaught (an entry read after the purge that
-#      freed it reads 0xDB); internal/store's chunk
-#      source is the one build-tagged pair in the tree, so the half this
-#      host does not run is compiled too: the plain-heap fallback
-#      (GOOS=windows go build, with cmd/ringd on top of it) and the
-#      mmap one (GOOS=darwin go vet)
+#      freed it reads 0xDB), and TestEvacuatedChunksAreReleased (a
+#      chunk an arena evacuates reads zero once its pages are given
+#      back, 0xDB under poison); cmd/ringd's
+#      TestLauncherSupervisesChildren (`ringd -launch 2` prints its
+#      -nodes list, stops its cluster and exits 1 when a child dies,
+#      exits 0 on SIGTERM, and leaves no child behind; skipped under
+#      -short); internal/store's chunk source and its page release are
+#      the build-tagged pairs in the tree, so the halves this host does
+#      not run are compiled too: the plain-heap fallback and the release
+#      that does nothing (GOOS=windows go build, with cmd/ringd on top
+#      of it) and the mmap one (GOOS=darwin go vet)
 #   6. the concurrency-heavy packages under the race detector
 #      (the simulator-driven experiments are legitimately slow there,
 #      hence the generous timeout); the durable path — replog engine,
@@ -114,7 +130,11 @@
 #      in between, bytes accounted exactly). FuzzRequestHead is the monitoring port's:
 #      arbitrary bytes as a request head never panic the parser, never
 #      make it read past its 8 KiB cap, and reach a handler only by a
-#      path that is on the route table as sent. FuzzFrameStream is the
+#      path that is on the route table as sent. FuzzJSONWriter is its
+#      other one: strings of any bytes (control bytes, < > &, U+2028,
+#      invalid UTF-8) and floats of any value in the served documents
+#      render exactly as encoding/json's encoder renders them, and a NaN
+#      or an infinity fails with the encoder's message. FuzzFrameStream is the
 #      transport's: two connections' bytes, cut at arbitrary read
 #      boundaries into one shared buffer and delivered a few frames a
 #      batch, yield exactly the frames a one-shot parse yields, no
@@ -240,11 +260,16 @@ stage_lint() {
     ./bin/ringlint ./...
     doc_refs
     scripts/loc.sh
-    banned='net|runtime/cgo|net/http|crypto/tls|crypto/x509|math/big'
+    banned='net|runtime/cgo|net/http|crypto/tls|crypto/x509|math/big|os/exec|log'
     if go list -deps ./cmd/ringd | grep -Ex "$banned"; then
         go list -deps -f '{{.ImportPath}} <- {{join .Imports " "}}' ./cmd/ringd |
             grep '^ring' | grep -E " ($banned)( |\$)" || true
         echo "cmd/ringd links the packages above; see DESIGN.md section 11" >&2
+        exit 1
+    fi
+    go build -o bin/ringd ./cmd/ringd
+    if go tool nm bin/ringd | awk '$2 == "T" { print $3 }' | grep -E '^encoding/json\.(\(\*encodeState\)|Marshal)'; then
+        echo "cmd/ringd links encoding/json's encoder (symbols above); see DESIGN.md section 11" >&2
         exit 1
     fi
     GOOS=darwin go build ./internal/... ./cmd/...
@@ -299,6 +324,7 @@ stage_chaos() {
     go test -run=NONE -fuzz=FuzzValueArenaModel -fuzztime=10s ./internal/store/
     go test -run=NONE -fuzz=FuzzMetaIndexModel -fuzztime=10s ./internal/store/
     go test -run=NONE -fuzz=FuzzRequestHead -fuzztime=10s ./internal/status/
+    go test -run=NONE -fuzz=FuzzJSONWriter -fuzztime=10s ./internal/status/
     go test -run=NONE -fuzz=FuzzFrameStream -fuzztime=10s ./internal/transport/
     go test -run=NONE -fuzz=FuzzPack -fuzztime=10s ./internal/core/
 

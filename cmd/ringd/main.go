@@ -50,9 +50,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
-	"os/exec"
 	"os/signal"
 	"path/filepath"
 	"strconv"
@@ -93,17 +91,17 @@ func main() {
 
 	addrs := splitAddrs(*nodes)
 	if *nodes == "" || len(addrs) < *shards+*redundant {
-		log.Fatalf("ringd: -nodes must list at least shards+redundant (%d) addresses", *shards+*redundant)
+		fatalf("ringd: -nodes must list at least shards+redundant (%d) addresses", *shards+*redundant)
 	}
 	if int(*id) >= len(addrs) {
-		log.Fatalf("ringd: -id %d out of range for %d nodes", *id, len(addrs))
+		fatalf("ringd: -id %d out of range for %d nodes", *id, len(addrs))
 	}
 	if *groups < 1 {
 		*groups = 1
 	}
 	schemes, err := parseMemgests(*memgests, *shards)
 	if err != nil {
-		log.Fatal(err)
+		fatalf("%v", err)
 	}
 
 	spec := core.ClusterSpec{
@@ -119,14 +117,14 @@ func main() {
 	}
 	cfg, err := core.BootConfig(spec)
 	if err != nil {
-		log.Fatal(err)
+		fatalf("%v", err)
 	}
 
 	var durOpts replog.DurableOptions
 	if *dataDir != "" {
 		policy, err := replog.ParseFsyncPolicy(*fsyncMode)
 		if err != nil {
-			log.Fatalf("ringd: %v", err)
+			fatalf("ringd: %v", err)
 		}
 		durOpts = replog.DurableOptions{Policy: policy, Interval: *fsyncEvery}
 	}
@@ -140,33 +138,33 @@ func main() {
 		for i, a := range addrs {
 			ga, err := transport.OffsetPort(a, g)
 			if err != nil {
-				log.Fatalf("ringd: node %d: %v", i, err)
+				fatalf("ringd: node %d: %v", i, err)
 			}
 			fabric.Map(core.NodeAddr(proto.NodeID(i)), ga)
 		}
 		node, err := bootNode(proto.NodeID(*id), cfg, spec.Opts, *dataDir, g, durOpts)
 		if err != nil {
-			log.Fatalf("ringd: group %d: %v", g, err)
+			fatalf("ringd: group %d: %v", g, err)
 		}
 		r, err := core.StartRunner(node, fabric, 0)
 		if err != nil {
-			log.Fatalf("ringd: group %d: %v", g, err)
+			fatalf("ringd: group %d: %v", g, err)
 		}
 		defer r.Stop()
 		runners[g] = r
 		core.RegisterGroupQueueGauge(g, []*core.Runner{r})
 	}
-	log.Printf("ringd: node %d listening on %s (%d groups, %d shards, %d redundant, %d spares, %d memgests)",
+	logf("ringd: node %d listening on %s (%d groups, %d shards, %d redundant, %d spares, %d memgests)",
 		*id, addrs[*id], *groups, *shards, *redundant, spec.Spares, len(schemes))
 	if *httpAddr != "" {
 		// The monitor serves group 0's node plus the process registry,
 		// which carries the runner and queue-depth gauges of all groups.
 		mon, err := status.Serve(runners[0], *httpAddr)
 		if err != nil {
-			log.Fatalf("ringd: %v", err)
+			fatalf("ringd: %v", err)
 		}
 		defer mon.Close()
-		log.Printf("ringd: monitoring on http://%s/status", mon.Addr())
+		logf("ringd: monitoring on http://%s/status", mon.Addr())
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -177,7 +175,7 @@ func main() {
 	for _, r := range runners {
 		r.Stop()
 	}
-	log.Printf("ringd: node %d stopped", *id)
+	logf("ringd: node %d stopped", *id)
 }
 
 // bootNode constructs one group's state machine. Without -data-dir it
@@ -199,7 +197,7 @@ func bootNode(id proto.NodeID, cfg *proto.Config, opts core.Options, dataDir str
 		return nil, fmt.Errorf("opening durable store in %s: %v", dir, err)
 	}
 	if len(d.Recovered()) > 0 {
-		log.Printf("ringd: node %d group %d recovering from %s", id, group, dir)
+		logf("ringd: node %d group %d recovering from %s", id, group, dir)
 		return core.NewRecovered(id, cfg.Clone(), opts, d), nil
 	}
 	n := core.New(id, cfg.Clone(), opts)
@@ -216,7 +214,7 @@ func runLauncher(n, basePort, httpBase, groups int, dataDir string) int {
 	}
 	self, err := os.Executable()
 	if err != nil {
-		log.Fatalf("ringd: cannot find own binary: %v", err)
+		fatalf("ringd: cannot find own binary: %v", err)
 	}
 	addrs := make([]string, n)
 	for i := range addrs {
@@ -237,7 +235,15 @@ func runLauncher(n, basePort, httpBase, groups int, dataDir string) int {
 		shared = append(shared, "-"+f.Name, f.Value.String())
 	})
 
-	procs := make([]*exec.Cmd, n)
+	// A child reads nothing: its stdin is /dev/null. It writes to the
+	// launcher's stdout and stderr and inherits its environment.
+	devNull, err := os.Open(os.DevNull)
+	if err != nil {
+		fatalf("ringd: %v", err)
+	}
+	defer devNull.Close()
+	attr := &os.ProcAttr{Files: []*os.File{devNull, os.Stdout, os.Stderr}}
+	kids := make([]child, 0, n)
 	exited := make(chan int, n)
 	for i := 0; i < n; i++ {
 		args := append([]string{"-id", strconv.Itoa(i)}, shared...)
@@ -249,21 +255,21 @@ func runLauncher(n, basePort, httpBase, groups int, dataDir string) int {
 		if httpBase > 0 {
 			args = append(args, "-http", fmt.Sprintf("127.0.0.1:%d", httpBase+i))
 		}
-		cmd := exec.Command(self, args...)
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			log.Printf("ringd: launch node %d: %v", i, err)
-			stopAll(procs)
+		p, err := os.StartProcess(self, append([]string{self}, args...), attr)
+		if err != nil {
+			logf("ringd: launch node %d: %v", i, err)
+			stopAll(kids)
 			return 1
 		}
-		procs[i] = cmd
-		go func(i int, cmd *exec.Cmd) {
-			_ = cmd.Wait()
+		k := child{p, make(chan struct{})}
+		kids = append(kids, k)
+		go func(i int) {
+			_, _ = k.p.Wait()
+			close(k.done)
 			exited <- i
-		}(i, cmd)
+		}(i)
 	}
-	log.Printf("ringd: launched %d nodes on %s (groups=%d); Ctrl-C to stop", n, nodeList, groups)
+	logf("ringd: launched %d nodes on %s (groups=%d); Ctrl-C to stop", n, nodeList, groups)
 	fmt.Printf("RING_NODES=%s\n", nodeList)
 
 	sig := make(chan os.Signal, 1)
@@ -272,33 +278,53 @@ func runLauncher(n, basePort, httpBase, groups int, dataDir string) int {
 	select {
 	case <-sig:
 	case i := <-exited:
-		log.Printf("ringd: node %d exited; stopping cluster", i)
+		logf("ringd: node %d exited; stopping cluster", i)
 		code = 1
 	}
-	stopAll(procs)
+	stopAll(kids)
 	return code
 }
 
-// stopAll terminates every child and waits briefly for each.
-func stopAll(procs []*exec.Cmd) {
-	for _, cmd := range procs {
-		if cmd != nil && cmd.Process != nil {
-			_ = cmd.Process.Signal(syscall.SIGTERM)
-		}
+// child is one node the launcher started; done is closed once it has
+// exited and been waited for.
+type child struct {
+	p    *os.Process
+	done chan struct{}
+}
+
+// stopAll sends every child SIGTERM, gives them three seconds together
+// to exit, and kills and reaps whichever has not.
+func stopAll(kids []child) {
+	for _, k := range kids {
+		_ = k.p.Signal(syscall.SIGTERM)
 	}
-	deadline := time.After(3 * time.Second)
-	for _, cmd := range procs {
-		if cmd == nil || cmd.Process == nil {
-			continue
+	deadline := time.NewTimer(3 * time.Second)
+	defer deadline.Stop()
+	expired := false
+	for _, k := range kids {
+		if !expired {
+			select {
+			case <-k.done:
+				continue
+			case <-deadline.C:
+				expired = true
+			}
 		}
-		done := make(chan struct{})
-		go func(cmd *exec.Cmd) { _ = cmd.Wait(); close(done) }(cmd)
-		select {
-		case <-done:
-		case <-deadline:
-			_ = cmd.Process.Kill()
-		}
+		_ = k.p.Kill()
+		<-k.done
 	}
+}
+
+// logf writes one line to standard error behind the local date and
+// time, as the log package's default logger does.
+func logf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "%s %s\n", time.Now().Format("2006/01/02 15:04:05"), fmt.Sprintf(format, args...))
+}
+
+// fatalf logs like logf and exits with status 1.
+func fatalf(format string, args ...any) {
+	logf(format, args...)
+	os.Exit(1)
 }
 
 // splitAddrs parses a -nodes list, trimming whitespace.

@@ -4,7 +4,8 @@
 // x^8 + x^4 + x^3 + x^2 + 1 (0x11d), the same polynomial used by the
 // Jerasure/GF-Complete stack the paper builds on. Addition is XOR;
 // multiplication and division are driven by logarithm/antilogarithm
-// tables built once at package initialization.
+// tables built once at package initialization, 1 KiB in all: a process
+// holds no product table for a coefficient it never multiplies by.
 //
 // Besides scalar operations the package provides slice kernels
 // (MulSlice, MulSliceXor, XorSlice) that apply one coefficient to a
@@ -14,10 +15,13 @@
 // through a per-coefficient 65536-entry product table whose entries
 // are the pairwise products of both bytes — the split-table scheme of
 // GF-Complete's region operations, widened from nibbles to bytes
-// because scalar Go has no PSHUFB. XorSlice (multiplication by one,
-// the first parity row of our Cauchy matrices) defers to
-// crypto/subtle.XORBytes, which the runtime implements with the
-// platform's vector ISA. The byte-at-a-time kernels they replaced live
+// because scalar Go has no PSHUFB. The table is built on the first
+// use of its coefficient, and its first 256 entries are the products
+// c*x, so the tail of a buffer shorter than the 32-byte stride is
+// mapped through the same table a byte at a time. XorSlice
+// (multiplication by one, the first parity row of our Cauchy matrices)
+// defers to crypto/subtle.XORBytes, which the runtime implements with
+// the platform's vector ISA. The byte-at-a-time kernels they replaced live
 // on in gf_ref_test.go as the oracle the differential and fuzz tests
 // pin bit-exactness against.
 package gf
@@ -45,16 +49,12 @@ var (
 	// logTbl[x] = log_g(x); logTbl[0] is unused (log of zero is
 	// undefined) and left as 0.
 	logTbl [256]byte
-	// mulTbl[c] is the 256-entry row of products c*x for every x.
-	// All 256 rows (64 KiB) are materialized eagerly in init so
-	// MulTable is a branch-free lookup that is safe to call from
-	// concurrent encode/recovery goroutines.
-	mulTbl [256][256]byte
 	// invTbl[x] = x^-1; invTbl[0] unused.
 	invTbl [256]byte
 	// wordTbl[c] is the 65536-entry split product table for the
 	// word-wide kernels: entry i is the product of c with both bytes
-	// of i, packed in the same byte order (see wordTable). Each table
+	// of i, packed in the same byte order (see wordTable), so entry
+	// x < 256 is c*x and the byte-wise tails read it too. Each table
 	// is 128 KiB, so rows are built lazily on first use of the
 	// coefficient and published with an atomic CAS; an RS(k,m) code
 	// touches only the coefficients of its coding matrix.
@@ -74,11 +74,6 @@ func init() {
 	}
 	for i := 1; i < 256; i++ {
 		invTbl[i] = Exp(255 - int(logTbl[i]))
-	}
-	for c := 0; c < 256; c++ {
-		for x := 0; x < 256; x++ {
-			mulTbl[c][x] = Mul(byte(c), byte(x))
-		}
 	}
 }
 
@@ -148,14 +143,6 @@ func Pow(a byte, n int) byte {
 	return Exp(Log(a) * n % 255)
 }
 
-// MulTable returns the 256-entry product row for coefficient c:
-// row[x] == Mul(c, x). The returned array is shared and must not be
-// modified. Rows are precomputed at package init, so the call is a
-// data-race-free constant-time lookup.
-func MulTable(c byte) *[256]byte {
-	return &mulTbl[c]
-}
-
 // wordTable returns the split product table for coefficient c,
 // building and publishing it on first use. Multiplication in GF(2^8)
 // is byte-local, so applying the table to a 16-bit lane multiplies
@@ -171,10 +158,13 @@ func wordTable(c byte) *[1 << 16]uint16 {
 // benignly: the CAS keeps the first published table, and every build
 // produces identical contents.
 func buildWordTable(c byte) *[1 << 16]uint16 {
+	var row [256]uint16
+	for x := range row {
+		row[x] = uint16(Mul(c, byte(x)))
+	}
 	t := new([1 << 16]uint16)
-	row := &mulTbl[c]
 	for i := range t {
-		t[i] = uint16(row[i&0xff]) | uint16(row[i>>8])<<8
+		t[i] = row[i&0xff] | row[i>>8]<<8
 	}
 	if wordTbl[c].CompareAndSwap(nil, t) {
 		WordTablesBuilt.Inc()
@@ -248,9 +238,8 @@ func MulSlice(c byte, src, dst []byte) {
 		src = src[32:]
 		dst = dst[32:]
 	}
-	row := &mulTbl[c]
 	for i := range src {
-		dst[i] = row[src[i]]
+		dst[i] = byte(t[src[i]])
 	}
 }
 
@@ -291,9 +280,8 @@ func MulSliceXor(c byte, src, dst []byte) {
 		src = src[32:]
 		dst = dst[32:]
 	}
-	row := &mulTbl[c]
 	for i := range src {
-		dst[i] ^= row[src[i]]
+		dst[i] ^= byte(t[src[i]])
 	}
 }
 

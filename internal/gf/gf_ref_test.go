@@ -1,9 +1,24 @@
 package gf
 
+import "sync"
+
 // The byte-at-a-time kernels the word-wide versions in gf.go replaced:
 // the ground truth for the differential and fuzz tests in
 // gf_diff_test.go, and the baseline its benchmarks pair each kernel
 // with.
+
+// mulRows()[c][x] == Mul(c, x): the table the references look bytes
+// up in, built from the scalar multiplication rather than from anything
+// the kernels use (and on first use, after init has built Mul's tables).
+var mulRows = sync.OnceValue(func() *[256][256]byte {
+	rows := new([256][256]byte)
+	for c := range rows {
+		for x := range rows[c] {
+			rows[c][x] = Mul(byte(c), byte(x))
+		}
+	}
+	return rows
+})
 
 // mulSliceRef is the byte-wise reference for MulSlice.
 func mulSliceRef(c byte, src, dst []byte) {
@@ -20,7 +35,7 @@ func mulSliceRef(c byte, src, dst []byte) {
 		copy(dst, src)
 		return
 	}
-	t := MulTable(c)
+	t := &mulRows()[c]
 	n := len(src)
 	i := 0
 	for ; i+8 <= n; i += 8 {
@@ -50,7 +65,7 @@ func mulSliceXorRef(c byte, src, dst []byte) {
 		xorSliceRef(src, dst)
 		return
 	}
-	t := MulTable(c)
+	t := &mulRows()[c]
 	n := len(src)
 	i := 0
 	for ; i+8 <= n; i += 8 {

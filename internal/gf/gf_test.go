@@ -159,12 +159,15 @@ func TestGeneratorOrder(t *testing.T) {
 	}
 }
 
-func TestMulTableMatchesMul(t *testing.T) {
+// TestWordTableMatchesMul: entry i of a coefficient's split table is
+// the product with both bytes of i, so entry x < 256 is the product the
+// byte-wise tails read.
+func TestWordTableMatchesMul(t *testing.T) {
 	for _, c := range []byte{0, 1, 2, 3, 0x1d, 0x80, 0xff} {
-		tbl := MulTable(c)
-		for x := 0; x < 256; x++ {
-			if tbl[x] != Mul(c, byte(x)) {
-				t.Fatalf("MulTable(%d)[%d] mismatch", c, x)
+		tbl := wordTable(c)
+		for i := range tbl {
+			if want := uint16(Mul(c, byte(i))) | uint16(Mul(c, byte(i>>8)))<<8; tbl[i] != want {
+				t.Fatalf("wordTable(%d)[%#x] = %#x, want %#x", c, i, tbl[i], want)
 			}
 		}
 	}
@@ -309,26 +312,24 @@ func TestMulSliceXorAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { XorSlice(src, dst) }); allocs != 0 {
 		t.Errorf("XorSlice: %.1f allocs/op, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { _ = MulTable(0x3c) }); allocs != 0 {
-		t.Errorf("MulTable: %.1f allocs/op, want 0", allocs)
-	}
 }
 
-func TestMulTableConcurrent(t *testing.T) {
-	// The 256 byte rows are precomputed in init; the 128 KiB word
-	// tables are built lazily and CAS-published, so concurrent
-	// first-touch from parallel encode goroutines must be race-free
-	// (run under -race).
+func TestWordTableConcurrent(t *testing.T) {
+	// The 128 KiB word tables are built lazily and CAS-published, so
+	// concurrent first-touch from parallel encode goroutines must be
+	// race-free (run under -race), and a tail shorter than the 32-byte
+	// stride, which reads the table's first 256 entries, must see the
+	// products whichever goroutine built it.
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			src := make([]byte, 256)
-			dst := make([]byte, 256)
+			src := []byte{3}
+			dst := make([]byte, 1)
 			for c := 0; c < 256; c++ {
-				MulSliceXor(byte(c), src, dst)
-				if got := MulTable(byte(c))[3]; got != Mul(byte(c), 3) {
+				MulSlice(byte(c), src, dst)
+				if got := dst[0]; got != Mul(byte(c), 3) {
 					t.Errorf("row %d wrong", c)
 					return
 				}

@@ -54,14 +54,18 @@ func traceRow(e metrics.TraceEntry) TraceRow {
 	}
 }
 
-func (s *Server) handleRingvars(url.Values) response {
+func (s *Server) ringvars() Ringvars {
 	var rv Ringvars
 	s.runner.Inspect(func(n *core.Node) {
 		rv.NodeID = n.ID()
 		rv.Node = n.MetricsSnapshot()
 	})
 	rv.Process = processVars()
-	return jsonResponse(rv)
+	return rv
+}
+
+func (s *Server) handleRingvars(url.Values) response {
+	return jsonResponse(s.ringvars())
 }
 
 // goHeapVars maps the process vars that describe the Go heap to the

@@ -3,7 +3,6 @@ package status
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -153,13 +152,11 @@ func errorResponse(code int, msg string) response {
 
 // jsonResponse renders v the way every JSON route does, indented.
 func jsonResponse(v any) response {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	body, err := marshalJSON(v)
+	if err != nil {
 		return errorResponse(500, err.Error())
 	}
-	return response{code: 200, ctype: "application/json", body: buf.Bytes()}
+	return response{code: 200, ctype: "application/json", body: body}
 }
 
 // handler answers one route; the query is the only request input any

@@ -20,10 +20,14 @@ import (
 // the moment it is cut until the arena is dropped or evacuates it, and
 // then goes to a free list that the next arena of any node takes from
 // before anything new is mapped; a chunk is never unmapped, so a stale
-// reader sees wrong bytes (0xDB under poison), never a fault. Fresh
-// chunks are zero without having been touched; a recycled one is
-// cleared when it is handed out again. Chunks start at multiples of
-// chunkSize, so the chunk of a stored byte is its address shifted.
+// reader sees wrong bytes (0xDB under poison), never a fault. A chunk
+// entering the pool gives its pages back to the system (releasePages)
+// unless poison is on, so memory an arena evacuates or drops leaves the
+// resident set, not only the arena. Fresh chunks are zero without
+// having been touched; a recycled one is cleared when it is handed out
+// again, since a release is only advice, and a no-op off Linux. Chunks
+// start at multiples of chunkSize, so the chunk of a stored byte is its
+// address shifted.
 const (
 	// chunkSize bounds the slack of a block (the unused tail of its
 	// last backed chunk), how often a value straddles two chunks, and
@@ -372,9 +376,7 @@ func (a *arena) evacuate() bool {
 	a.moved.ChunksReleased++
 	a.unfile(c)
 	delete(a.chunks, key)
-	if a.poison {
-		poison(c.mem)
-	}
+	a.release(c.mem)
 	putChunks(c.mem)
 	return true
 }
@@ -409,9 +411,7 @@ func (a *arena) drop() {
 	chunks := make([][]byte, 0, len(a.chunks))
 	for _, f := range a.fill {
 		for _, c := range f {
-			if a.poison {
-				poison(c.mem)
-			}
+			a.release(c.mem)
 			chunks = append(chunks, c.mem)
 		}
 	}
@@ -420,6 +420,17 @@ func (a *arena) drop() {
 	}
 	putChunks(chunks...)
 	*a = arena{poison: a.poison}
+}
+
+// release readies a chunk the arena no longer holds for the pool: its
+// pages go back to the system, or under poison it is overwritten, so
+// that a stale reader sees 0xDB rather than zeros.
+func (a *arena) release(chunk []byte) {
+	if a.poison {
+		poison(chunk)
+	} else {
+		releasePages(chunk)
+	}
 }
 
 func poison(b []byte) {

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 	"unsafe"
@@ -410,4 +411,63 @@ func TestFreedBytesArePoisonedAndRecycledChunksZero(t *testing.T) {
 		t.Fatal("a recycled chunk was handed out dirty")
 	}
 	p.Drop()
+}
+
+// TestEvacuatedChunksAreReleased: a chunk an arena evacuates gives its
+// pages back on its way to the pool, so a view kept into it past the
+// move reads zero — and 0xDB under poison, where nothing is released —
+// while the pool counts the chunk all the same (the mapping stays).
+func TestEvacuatedChunksAreReleased(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("chunks are released with madvise(MADV_DONTNEED) on Linux only")
+	}
+	for _, poisoned := range []bool{false, true} {
+		t.Run(fmt.Sprintf("poison=%v", poisoned), func(t *testing.T) {
+			const keys = 1024
+			tb := NewMetaTable()
+			tb.x.Poison = poisoned
+			defer tb.Drop()
+			key := func(i int) string { return fmt.Sprintf("%08x", i) }
+			value := bytes.Repeat([]byte{7}, 1000)
+			views := make([][]byte, keys)
+			for i := range views {
+				e := tb.Put(&Entry{Rec: proto.MetaRecord{Key: key(i), Version: 1, Length: uint32(len(value))}})
+				tb.Hold(e, value)
+				views[i], _ = e.Bytes()
+			}
+			was := ArenaBytesPooled()
+			for i := 0; i < keys; i += 2 {
+				tb.Delete(key(i), 1)
+			}
+			moves := tb.ValueMoves()
+			if moves.ChunksReleased == 0 {
+				t.Fatal("deleting half the values evacuated no chunk")
+			}
+			if got := ArenaBytesPooled() - was; got != moves.ChunksReleased*chunkSize {
+				t.Errorf("the pool gained %d bytes for %d chunks released", got, moves.ChunksReleased)
+			}
+			stale := bytes.Repeat([]byte{0}, len(value))
+			if poisoned {
+				stale = bytes.Repeat([]byte{0xDB}, len(value))
+			}
+			moved := 0
+			for i := 1; i < keys; i += 2 {
+				e := tb.Get(key(i), 1)
+				now, _ := e.Bytes()
+				if !bytes.Equal(now, value) {
+					t.Fatalf("key %d reads %x... after the evacuations", i, now[:4])
+				}
+				if &now[0] == &views[i][0] {
+					continue
+				}
+				moved++
+				if !bytes.Equal(views[i], stale) {
+					t.Fatalf("the old slot of moved key %d reads %x..., want %x", i, views[i][:4], stale[:4])
+				}
+			}
+			if uint64(moved) != moves.SlotsRelocated {
+				t.Fatalf("%d values moved, the table says %d", moved, moves.SlotsRelocated)
+			}
+		})
+	}
 }
