@@ -81,8 +81,12 @@
 #      TestRestartedPeerIsDialledAgain (a peer reached only over its own
 #      connection is dialled once that connection is dead); the shard
 #      index (internal/store, internal/core): TestMetaBytesPerEntry
-#      (16 384 entries in three tables of one index cost at most 112 B
-#      of collected heap each, key and hash slot included),
+#      (16 384 entries in three tables of one index cost at most 66.8 B
+#      of collected heap each, key and hash slot included, and add under
+#      64 KiB to the heap the collector scans), TestEntrySize (a 48-byte
+#      entry with no pointer-shaped field), TestBytesPerValueSize
+#      (memory per user byte of Rep(3,3) and SRS(3,2,3) at 16 B, 64 B,
+#      256 B and 1 KiB, each row in a process of its own),
 #      TestMetaSlotsCrossTables (the slots one table frees are another's
 #      next entries: no slab is cut), TestDeleteMemgestUncoversOlderVersion
 #      (a deleted memgest takes its entries out of every node's index,

@@ -48,10 +48,11 @@ func park(from string, msg proto.Message) store.Waiter {
 	return store.Waiter{From: from, Msg: msg}
 }
 
-// getWaiter is a get held for entry e: it names the version by the
-// table's key and version, not by the packet the get arrived in.
-func getWaiter(from string, req proto.ReqID, e *store.Entry) store.Waiter {
-	return store.Waiter{From: from, Msg: &proto.Get{Req: req, Key: e.Rec.Key, Version: e.Rec.Version}}
+// getWaiter is a get held for an entry: it names the version by the
+// table's key (MetaIndex.Key) and the entry's version, not by the
+// packet the get arrived in.
+func getWaiter(from string, req proto.ReqID, key string, v proto.Version) store.Waiter {
+	return store.Waiter{From: from, Msg: &proto.Get{Req: req, Key: key, Version: v}}
 }
 
 // resume sends a held put, delete or move back through its handler,
@@ -153,11 +154,11 @@ func (n *Node) handleDelete(from string, m *proto.Delete) {
 	// the key's highest version (metadata suffices; no value). A key
 	// whose newest version is already a tombstone is absent.
 	e := n.indexFor(shard).Highest(m.Key)
-	if e == nil || e.Rec.Tombstone {
+	if e == nil || e.Tombstone() {
 		fail(refNotFound)
 		return
 	}
-	n.doWrite(from, m.Req, replyDelete, shard, m.Key, nil, e.Rec.Memgest, true)
+	n.doWrite(from, m.Req, replyDelete, shard, m.Key, nil, e.Memgest, true)
 }
 
 // doWrite runs the write-ahead, replicate, commit pipeline shared by
@@ -189,7 +190,7 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 	}
 	var ver proto.Version = 1
 	if hi := n.indexFor(shard).Highest(key); hi != nil {
-		ver = hi.Rec.Version + 1
+		ver = hi.Version + 1
 	}
 	rec := proto.MetaRecord{
 		Key: key, Version: ver, Memgest: mgID,
@@ -364,7 +365,7 @@ func (n *Node) commitEntry(q replog.Quorum, st *mgState, cs *coordShard, key str
 	if e == nil {
 		return // purged concurrently (superseded before committing)
 	}
-	e.Rec.Committed = true
+	e.Commit()
 	n.persistCommit(st, cs.shard, e)
 	n.Stats.Commits++
 	st.met.Commits.Inc()
@@ -380,7 +381,7 @@ func (n *Node) commitEntry(q replog.Quorum, st *mgState, cs *coordShard, key str
 
 	// Answer gets parked on this entry (Figure 5: replies are released
 	// at commit time with this exact version).
-	parked := e.TakeParked()
+	parked := n.indexFor(cs.shard).TakeParked(e)
 	for _, p := range parked {
 		if g, ok := p.Msg.(*proto.Get); ok {
 			n.sendValueReply(st, cs, e, p.From, g.Req)
@@ -424,14 +425,14 @@ func (n *Node) gcKey(shard uint32, key string) {
 	x := n.indexFor(shard)
 	head := x.Highest(key)
 	newest := head
-	for newest != nil && !newest.Rec.Committed {
+	for newest != nil && !newest.Committed() {
 		newest = x.Older(newest)
 	}
 	if newest == nil {
 		return
 	}
-	unreliable := func(e *store.Entry) bool {
-		mi := n.cfg.Memgest(e.Rec.Memgest)
+	unreliable := func(e *store.Meta) bool {
+		mi := n.cfg.Memgest(e.Memgest)
 		return mi != nil && mi.Scheme.Kind == proto.SchemeRep && mi.Scheme.R == 1
 	}
 	// With KeepDurableBackup, while the newest committed version is
@@ -441,10 +442,10 @@ func (n *Node) gcKey(shard uint32, key string) {
 	for e := x.Older(newest); e != nil; {
 		next := x.Older(e) // before a purge frees e's slot
 		switch {
-		case !e.Rec.Committed:
+		case !e.Committed():
 			// Uncommitted lower versions stay: they may commit later
 			// and owe parked replies (then this GC runs again).
-		case pin && n.cfg.Memgest(e.Rec.Memgest) != nil && !unreliable(e):
+		case pin && n.cfg.Memgest(e.Memgest) != nil && !unreliable(e):
 			pin = false // the pinned reliable backup
 		case kept < n.opts.KeepVersions:
 			kept++
@@ -457,7 +458,7 @@ func (n *Node) gcKey(shard uint32, key string) {
 	// carries no information: the key is absent either way. Reclaim it
 	// once no newer (uncommitted) versions are in flight and nothing
 	// is parked on it.
-	if newest == head && x.Older(newest) == nil && newest.Rec.Tombstone && !newest.HasParked() {
+	if newest == head && x.Older(newest) == nil && newest.Tombstone() && !newest.HasParked() {
 		n.purgeVersion(shard, key, newest.Ref())
 	}
 }
@@ -497,20 +498,20 @@ func (n *Node) handleGet(from string, m *proto.Get) {
 	e := x.Highest(m.Key)
 	// Exact-version read: serve the requested version if it is still
 	// retained (Options.KeepVersions governs retention).
-	for m.Version != 0 && e != nil && e.Rec.Version != m.Version {
+	for m.Version != 0 && e != nil && e.Version != m.Version {
 		e = x.Older(e)
 	}
 	if e == nil {
 		fail(refNotFound)
 		return
 	}
-	st := n.mgFor(e.Rec.Memgest)
+	st := n.mgFor(e.Memgest)
 	cs := st.coord[shard]
 	st.met.Gets.Inc()
-	if !e.Rec.Committed {
+	if !e.Committed() {
 		// Park: the reply is released when this exact version commits
 		// (Figure 5, client D).
-		e.Park(getWaiter(from, m.Req, e))
+		x.Park(e, getWaiter(from, m.Req, x.Key(e), e.Version))
 		n.Stats.ParkedGets++
 		return
 	}
@@ -519,19 +520,20 @@ func (n *Node) handleGet(from string, m *proto.Get) {
 
 // sendValueReply emits a GetReply for a committed entry, recovering
 // the backing SRS block on demand if it was lost in a failover.
-func (n *Node) sendValueReply(st *mgState, cs *coordShard, e *store.Entry, client string, req proto.ReqID) {
-	if e.Rec.Tombstone {
-		n.Metrics.Trace.Record(metrics.TraceGet, e.Rec.Key, uint32(st.info.ID), uint64(e.Rec.Version), uint8(proto.StNotFound), n.now, 0)
+func (n *Node) sendValueReply(st *mgState, cs *coordShard, e *store.Meta, client string, req proto.ReqID) {
+	key := cs.meta.Key(e)
+	if e.Tombstone() {
+		n.Metrics.Trace.Record(metrics.TraceGet, key, uint32(st.info.ID), uint64(e.Version), uint8(proto.StNotFound), n.now, 0)
 		n.send(client, proto.New(proto.GetReply{Req: req, Status: proto.StNotFound}))
 		return
 	}
 	value, lost := n.localValue(st, cs, e)
 	if lost != nil {
-		lost.parked = append(lost.parked, getWaiter(client, req, e))
+		lost.parked = append(lost.parked, getWaiter(client, req, key, e.Version))
 		return
 	}
-	n.Metrics.Trace.Record(metrics.TraceGet, e.Rec.Key, uint32(st.info.ID), uint64(e.Rec.Version), uint8(proto.StOK), n.now, 0)
-	n.sendScratch(client, proto.New(proto.GetReply{Req: req, Status: proto.StOK, Version: e.Rec.Version, Value: value}), value)
+	n.Metrics.Trace.Record(metrics.TraceGet, key, uint32(st.info.ID), uint64(e.Version), uint8(proto.StOK), n.now, 0)
+	n.sendScratch(client, proto.New(proto.GetReply{Req: req, Status: proto.StOK, Version: e.Version, Value: value}), value)
 }
 
 // localValue returns a copy of the bytes behind a committed, live
@@ -544,8 +546,8 @@ func (n *Node) sendValueReply(st *mgState, cs *coordShard, e *store.Entry, clien
 // SRS block not yet re-decoded — localValue has their want asked at
 // once and returns it: the caller parks the request there, and
 // closeWant resumes it.
-func (n *Node) localValue(st *mgState, cs *coordShard, e *store.Entry) (value []byte, lost *want) {
-	if e.Rec.Length == 0 {
+func (n *Node) localValue(st *mgState, cs *coordShard, e *store.Meta) (value []byte, lost *want) {
+	if e.Length == 0 {
 		return nil, nil
 	}
 	var id wantID
@@ -553,7 +555,7 @@ func (n *Node) localValue(st *mgState, cs *coordShard, e *store.Entry) (value []
 		if b, held := e.Bytes(); held {
 			return copyOut(b), nil
 		}
-		id = valueWant(role{st.info.ID, cs.shard, roleCoordinator}, e.Rec.Key, e.Rec.Version)
+		id = valueWant(role{st.info.ID, cs.shard, roleCoordinator}, cs.meta.Key(e), e.Version)
 	} else {
 		ext := e.Extent()
 		if id = blockWant(st.info.ID, cs.shard, ext.Block); !n.lacks(id) {

@@ -90,7 +90,7 @@ func durKey(mgID proto.MemgestID, shard uint32) replog.ShardKey {
 // entry's value: Rep memgests persist the full copy; SRS memgests
 // persist metadata only (block data is re-decoded from the parity
 // group on recovery, per the paper's recovery protocol).
-func durValue(st *mgState, e *store.Entry) ([]byte, bool) {
+func durValue(st *mgState, e *store.Meta) ([]byte, bool) {
 	if st.info.Scheme.Kind == proto.SchemeRep {
 		if b, _ := e.Bytes(); b != nil {
 			return b, true
@@ -110,31 +110,34 @@ type logged struct {
 
 // persistAppend records a write-ahead append (coordinator doWrite,
 // replica RepAppend, parity ParityUpdate).
-func (n *Node) persistAppend(st *mgState, shard uint32, e *store.Entry) logged {
+func (n *Node) persistAppend(st *mgState, shard uint32, e *store.Meta) logged {
 	if n.durable != nil && n.durableErr == nil {
 		value, hasValue := durValue(st, e)
-		n.persistErr(n.durable.Append(durKey(st.info.ID, shard), e.Seq, &e.Rec, value, hasValue))
+		rec := n.indexFor(shard).Record(e)
+		n.persistErr(n.durable.Append(durKey(st.info.ID, shard), e.Seq, &rec, value, hasValue))
 	}
 	return logged{st: st, shard: shard, seq: e.Seq}
 }
 
 // persistCommit records an entry's commit.
-func (n *Node) persistCommit(st *mgState, shard uint32, e *store.Entry) {
+func (n *Node) persistCommit(st *mgState, shard uint32, e *store.Meta) {
 	if n.durable == nil || n.durableErr != nil {
 		return
 	}
 	value, hasValue := durValue(st, e)
-	n.persistErr(n.durable.Commit(durKey(st.info.ID, shard), e.Seq, &e.Rec, value, hasValue))
+	rec := n.indexFor(shard).Record(e)
+	n.persistErr(n.durable.Commit(durKey(st.info.ID, shard), e.Seq, &rec, value, hasValue))
 }
 
 // persistInstall records an entry learned through recovery (already
 // committed group-wide).
-func (n *Node) persistInstall(st *mgState, shard uint32, e *store.Entry) {
+func (n *Node) persistInstall(st *mgState, shard uint32, e *store.Meta) {
 	if n.durable == nil || n.durableErr != nil {
 		return
 	}
 	value, hasValue := durValue(st, e)
-	n.persistErr(n.durable.Install(durKey(st.info.ID, shard), e.Seq, &e.Rec, value, hasValue))
+	rec := n.indexFor(shard).Record(e)
+	n.persistErr(n.durable.Install(durKey(st.info.ID, shard), e.Seq, &rec, value, hasValue))
 }
 
 // persistPurge records the removal of one version.
@@ -199,14 +202,14 @@ func (n *Node) installStash(st *mgState, r role) proto.Seq {
 	}
 	for i := range rs.Entries {
 		re := &rs.Entries[i]
-		e := &store.Entry{Rec: re.Rec, Seq: re.Seq}
-		if r.kind == roleCoordinator && st.layout != nil && cs.heap.Reserve(e.Extent()) != nil {
+		in := &store.Entry{Rec: re.Rec, Seq: re.Seq}
+		if r.kind == roleCoordinator && st.layout != nil && cs.heap.Reserve(in.Extent()) != nil {
 			// Conflicting extent (only possible after disk damage,
 			// which already forces Since == 0): let the group sync
 			// re-install this entry.
 			continue
 		}
-		if e = table.Put(e); re.HasValue {
+		if e := table.Put(in); re.HasValue {
 			table.Hold(e, re.Value)
 		}
 	}

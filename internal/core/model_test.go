@@ -173,21 +173,22 @@ func (n *Node) checkIndex(t testing.TB) {
 			}
 		}
 		walked := 0
-		x.Range(func(e *store.Entry) bool {
+		x.Range(func(e *store.Meta) bool {
 			walked++
-			st := n.mg[e.Rec.Memgest]
+			key := x.Key(e)
+			st := n.mg[e.Memgest]
 			if st == nil {
-				t.Fatalf("node %d shard %d: the index holds (%s,v%d) of memgest %d, which the node does not know", n.id, shard, e.Rec.Key, e.Rec.Version, e.Rec.Memgest)
+				t.Fatalf("node %d shard %d: the index holds (%s,v%d) of memgest %d, which the node does not know", n.id, shard, key, e.Version, e.Memgest)
 			}
 			table := st.rmeta[shard]
 			if cs := st.coord[shard]; cs != nil {
 				table = cs.meta
 			}
-			if table == nil || table.Get(e.Rec.Key, e.Rec.Version) != e {
-				t.Fatalf("node %d shard %d: index entry (%s,v%d,mg%d) is in no table of its memgest", n.id, shard, e.Rec.Key, e.Rec.Version, e.Rec.Memgest)
+			if table == nil || table.Get(key, e.Version) != e {
+				t.Fatalf("node %d shard %d: index entry (%s,v%d,mg%d) is in no table of its memgest", n.id, shard, key, e.Version, e.Memgest)
 			}
-			if o := x.Older(e); o != nil && (o.Rec.Key != e.Rec.Key || o.Rec.Version > e.Rec.Version) {
-				t.Fatalf("node %d shard %d: (%s,v%d) is followed by (%s,v%d)", n.id, shard, e.Rec.Key, e.Rec.Version, o.Rec.Key, o.Rec.Version)
+			if o := x.Older(e); o != nil && (x.Key(o) != key || o.Version > e.Version) {
+				t.Fatalf("node %d shard %d: (%s,v%d) is followed by (%s,v%d)", n.id, shard, key, e.Version, x.Key(o), o.Version)
 			}
 			return true
 		})

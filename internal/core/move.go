@@ -110,20 +110,21 @@ func (n *Node) admitMove(from string, m *proto.Move) {
 		fail(refNoMemgest)
 		return
 	}
-	e := n.indexFor(shard).Highest(m.Key)
+	x := n.indexFor(shard)
+	e := x.Highest(m.Key)
 	if e == nil {
 		fail(refNotFound)
 		return
 	}
-	ref, st := e.Ref(), n.mgFor(e.Rec.Memgest)
-	if !e.Rec.Committed {
+	ref, st := e.Ref(), n.mgFor(e.Memgest)
+	if !e.Committed() {
 		// The paper: "the move request will also be postponed if the
 		// requested object is not durable."
-		e.Park(park(from, m))
+		x.Park(e, park(from, m))
 		return
 	}
 	switch {
-	case e.Rec.Tombstone:
+	case e.Tombstone():
 		fail(refNotFound)
 		return
 	case m.From != 0 && ref.Memgest != m.From:
@@ -134,7 +135,8 @@ func (n *Node) admitMove(from string, m *proto.Move) {
 	case ref.Memgest == m.Memgest:
 		// Already there: succeed without a new version, on the proof of
 		// the committed one it names.
-		n.replyOK(replog.Committed(&e.Rec), from, m.Req, ref.Version)
+		rec := x.Record(e)
+		n.replyOK(replog.Committed(&rec), from, m.Req, ref.Version)
 		return
 	}
 	value, lost := n.localValue(st, st.coord[shard], e)
@@ -207,9 +209,10 @@ func (n *Node) handleMovePrefix(from string, m *proto.Move) {
 	// key order: the order of the moves is the order of their messages.
 	var keys []string
 	for _, shard := range n.ownedShards() {
-		n.indexFor(shard).Range(func(e *store.Entry) bool {
-			if strings.HasPrefix(e.Rec.Key, m.Key) {
-				keys = append(keys, e.Rec.Key)
+		x := n.indexFor(shard)
+		x.Range(func(e *store.Meta) bool {
+			if key := x.Key(e); strings.HasPrefix(key, m.Key) {
+				keys = append(keys, key)
 			}
 			return true
 		})
@@ -268,10 +271,10 @@ func (n *Node) abortMoveWrite(mk moveKey, mv *moveState) {
 	dst := mv.m.Memgest
 	if st := n.mgFor(dst); st != nil {
 		if cs := st.coord[mk.shard]; cs != nil {
-			if e := cs.meta.Get(mk.key, mv.newVer); e != nil && !e.Rec.Committed {
+			if e := cs.meta.Get(mk.key, mv.newVer); e != nil && !e.Committed() {
 				delete(cs.pending, e.Seq)
 				cs.tracker.Cancel(e.Seq)
-				for _, p := range e.TakeParked() {
+				for _, p := range n.indexFor(mk.shard).TakeParked(e) {
 					n.bounce(p)
 				}
 				n.purgeVersion(mk.shard, mk.key, store.VersionRef{Version: mv.newVer, Memgest: dst})

@@ -526,13 +526,14 @@ func TestRepliesSurviveEvacuationInSameDrain(t *testing.T) {
 }
 
 // TestStaleEntryPointerIsCaught extends the poison to metadata. Entries
-// live in slab slots of their shard's index, so a *store.Entry kept past
+// live in slab slots of their shard's index, so a *store.Meta kept past
 // the Delete that freed it points at a slot the next put takes: without
 // the poison it would go on reading as the purged version, plausibly,
 // and then as another key's record. A handler that holds an entry
 // across a step that may purge it — commitEntry holds one across
 // gcKey — and reads it afterwards reads 0xDB under PoisonPayloads, in
-// every field, and no test of its output passes by luck.
+// every field, and no test of its output passes by luck; its key, which
+// the index keeps, is not read at all: Key refuses a free slot.
 func TestStaleEntryPointerIsCaught(t *testing.T) {
 	if !PoisonPayloads {
 		t.Fatal("PoisonPayloads is off: TestMain must switch it on")
@@ -542,17 +543,25 @@ func TestStaleEntryPointerIsCaught(t *testing.T) {
 	n, _ := h.coordinatorOf("k")
 	table := n.mg[mgREP3].coord[n.shardOf("k")].meta
 	stale := table.Get("k", 1)
-	if stale == nil || stale.Rec.Key != "k" || !stale.Rec.Committed {
+	if stale == nil || table.Key(stale) != "k" || !stale.Committed() {
 		t.Fatalf("version 1 before it is purged: %+v", stale)
 	}
 	h.put("k", []byte("two"), mgREP3) // commits version 2 and purges version 1
 	if table.Get("k", 1) != nil {
 		t.Fatal("version 1 was not purged")
 	}
-	if b, _ := stale.Bytes(); stale.Rec.Version != 0xDBDBDBDBDBDBDBDB || stale.Rec.Memgest != 0xDBDBDBDB || stale.Seq != 0xDBDBDBDBDBDBDBDB ||
-		stale.Rec.Key != "\xDB\xDB\xDB\xDB\xDB\xDB\xDB\xDB" || b != nil {
-		t.Fatalf("an entry read after the purge that freed it reads %+v, want 0xDB throughout", stale.Rec)
+	if b, _ := stale.Bytes(); stale.Version != 0xDBDBDBDBDBDBDBDB || stale.Memgest != 0xDBDBDBDB || stale.Seq != 0xDBDBDBDBDBDBDBDB ||
+		stale.Length != 0xDBDBDBDB || b != nil {
+		t.Fatalf("an entry read after the purge that freed it reads %+v, want 0xDB throughout", *stale)
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the key of an entry read after the purge that freed it was read")
+			}
+		}()
+		table.Key(stale)
+	}()
 	// The slot is the next entry's, of any key in any table of the shard.
 	var other string
 	for i := 0; other == ""; i++ {

@@ -45,7 +45,7 @@ var ackMutations = []struct {
 		"\tfunc(q replog.Quorum) { n.replyOK(q, from, m.Req, 1) }()\n\tn.doWrite(from, m.Req, replyPut, shard,",
 		"want (replog.Quorum)"},
 	{"StOK forwarded through a status parameter", "move.go",
-		"\t\tn.replyOK(replog.Committed(&e.Rec), from, m.Req, ref.Version)",
+		"\t\tn.replyOK(replog.Committed(&rec), from, m.Req, ref.Version)",
 		"\t\tn.refuse(from, m.Req, proto.StOK)",
 		"as refusal value in argument to n.refuse"},
 	{"outputs taken before the sync", "host.go",

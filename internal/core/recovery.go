@@ -426,18 +426,18 @@ func (n *Node) finishMetadata(w *want) {
 	for _, ek := range keys {
 		e := table.Get(ek.Key, ek.Version)
 		switch {
-		case e != nil && e.Rec.Committed:
+		case e != nil && e.Committed():
 			continue
 		case e != nil:
 			// Already installed from the durable stash: keep its value and
 			// extent, just make sure it is committed.
-			e.Rec.Committed = true
+			e.Commit()
 		default:
-			e = &store.Entry{Rec: union[ek]}
-			if r.kind == roleCoordinator && st.layout != nil && cs.heap.Reserve(e.Extent()) != nil {
+			in := &store.Entry{Rec: union[ek]}
+			if r.kind == roleCoordinator && st.layout != nil && cs.heap.Reserve(in.Extent()) != nil {
 				continue // conflicting metadata (should not happen); skip
 			}
-			e = table.Put(e)
+			e = table.Put(in)
 		}
 		n.persistInstall(st, r.shard, e)
 	}
@@ -536,6 +536,10 @@ func (n *Node) handleFetchReply(_ string, m *proto.FetchReply) {
 	if w.what == wantBlock {
 		st.coord[w.role.shard].heap.SetBlockData(w.block, m.Data)
 	} else if e := st.table(w.role).Get(w.key, w.version); e != nil {
+		if len(m.Data) != int(e.Length) {
+			n.askAgain(w) // not the value the entry records
+			return
+		}
 		// Retention site: the table keeps a copy of the value, m.Data is a
 		// view into the packet.
 		st.table(w.role).Hold(e, m.Data)

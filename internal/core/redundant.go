@@ -47,15 +47,15 @@ func (n *Node) ackAppend(to string, l logged) {
 // value, then acknowledge.
 func (n *Node) handleRepAppend(from string, m *proto.RepAppend) {
 	st, rt := n.rmetaFor(m.Memgest, m.Shard)
-	if rt == nil {
-		return
+	if rt == nil || len(m.Value) != int(m.Rec.Length) {
+		return // a value that is not the length its record says is dropped unacked too
 	}
 	// Retention site: the replica keeps the value past this handler, and
 	// m.Value is a view into a packet the runner recycles — its one copy.
 	// So is m.Rec.Key: what outlives the handler names the table's key.
 	e := rt.Put(&store.Entry{Rec: m.Rec, Seq: m.Seq})
 	rt.Hold(e, m.Value)
-	st.rseqFor(m.Shard)[m.Seq] = store.EntryKey{Key: e.Rec.Key, Version: e.Rec.Version}
+	st.rseqFor(m.Shard)[m.Seq] = store.EntryKey{Key: rt.Key(e), Version: e.Version}
 	n.ackAppend(from, n.persistAppend(st, m.Shard, e))
 }
 
@@ -72,7 +72,7 @@ func (n *Node) handleParityUpdate(from string, m *proto.ParityUpdate) {
 		n.Stats.BytesParityXor += uint64(len(m.Delta))
 	}
 	e := rt.Put(&store.Entry{Rec: m.Rec, Seq: m.Seq})
-	st.rseqFor(m.Shard)[m.Seq] = store.EntryKey{Key: e.Rec.Key, Version: e.Rec.Version}
+	st.rseqFor(m.Shard)[m.Seq] = store.EntryKey{Key: rt.Key(e), Version: e.Version}
 	n.ackAppend(from, n.persistAppend(st, m.Shard, e))
 }
 
@@ -90,7 +90,7 @@ func (n *Node) handleRepCommit(_ string, m *proto.RepCommit) {
 	}
 	delete(seqIdx, m.Seq)
 	if e := rt.Get(ek.Key, ek.Version); e != nil {
-		e.Rec.Committed = true
+		e.Commit()
 		n.persistCommit(st, m.Shard, e)
 	}
 }
@@ -158,7 +158,7 @@ func (n *Node) handleFetch(from string, m *proto.Fetch) {
 		if st.coord[m.Shard] != nil {
 			r.kind = roleCoordinator
 		}
-		var e *store.Entry
+		var e *store.Meta
 		if t := st.table(r); t != nil && !n.lacks(valueWant(r, m.Key, m.Version)) {
 			e = t.Get(m.Key, m.Version)
 		}

@@ -206,3 +206,26 @@ func TestEarlyAppendDoesNotStandInForRecovery(t *testing.T) {
 		t.Fatalf("substitute holds %d entries, its predecessor held %d", got, want)
 	}
 }
+
+// TestMalformedAppendIsDropped: a RepAppend whose value is not the
+// length its record says is neither stored nor acknowledged, as if it
+// had not arrived. A table keeps a Rep value's length once, as the
+// record's, so it cannot hold the value the append carries; the same
+// append with the right length is stored and acknowledged.
+func TestMalformedAppendIsDropped(t *testing.T) {
+	h := newHarness(t, rolesSpec())
+	replica := h.nodes[3]
+	appendOf := func(value string) *proto.RepAppend {
+		return &proto.RepAppend{Memgest: rolesRep, Shard: 0, Seq: 1,
+			Rec: proto.MetaRecord{Key: "k", Version: 1, Memgest: rolesRep, Length: 5}, Value: []byte(value)}
+	}
+	if outs := replica.deliver(h.now, NodeAddr(0), appendOf("longer than five")); len(outs) != 0 {
+		t.Fatalf("a replica answered a malformed append with %T", outs[0].Msg)
+	}
+	if got := h.holdings(3).entries; got != 0 {
+		t.Fatalf("a replica stored a malformed append: %d entries", got)
+	}
+	if outs := replica.deliver(h.now, NodeAddr(0), appendOf("right")); len(outs) != 1 || h.holdings(3).entries != 1 {
+		t.Fatalf("the well-formed append left %d messages and %d entries, want an ack and one", len(outs), h.holdings(3).entries)
+	}
+}

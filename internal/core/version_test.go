@@ -169,9 +169,9 @@ func TestDeleteMemgestUncoversOlderVersion(t *testing.T) {
 	for id, n := range h.nodes {
 		n.checkIndex(t)
 		for _, x := range n.idx {
-			x.Range(func(e *store.Entry) bool {
-				if entries++; e.Rec.Memgest == mgSRS32 {
-					t.Fatalf("node %d still indexes (%s,v%d) of the deleted memgest", id, e.Rec.Key, e.Rec.Version)
+			x.Range(func(e *store.Meta) bool {
+				if entries++; e.Memgest == mgSRS32 {
+					t.Fatalf("node %d still indexes (%s,v%d) of the deleted memgest", id, x.Key(e), e.Version)
 				}
 				return true
 			})

@@ -71,14 +71,17 @@ func (s *Server) handleRingvars(url.Values) response {
 // goHeapVars maps the process vars that describe the Go heap to the
 // runtime/metrics samples behind them: what the collector counts as
 // live, the heap size it lets the process grow to before the next
-// cycle, how many cycles have run, and the bytes and objects allocated
-// since the process started. Resident memory tracks the goal, not the
+// cycle, how much of the heap a cycle has to scan for pointers (the
+// metadata slabs and the stored bytes are none of it), how many cycles
+// have run, and the bytes and objects allocated since the process
+// started. Resident memory tracks the goal, not the
 // live bytes, which is why all of them are worth seeing; two scrapes'
 // allocations over the operations between them are a node's garbage
 // per operation.
 var goHeapVars = [...][2]string{
 	{"go.heap_live_bytes", "/gc/heap/live:bytes"},
 	{"go.heap_goal_bytes", "/gc/heap/goal:bytes"},
+	{"go.heap_scan_bytes", "/gc/scan/heap:bytes"},
 	{"go.gc_cycles", "/gc/cycles/total:gc-cycles"},
 	{"go.alloc_bytes", "/gc/heap/allocs:bytes"},
 	{"go.alloc_objects", "/gc/heap/allocs:objects"},
@@ -232,10 +235,11 @@ type ClusterStats struct {
 	// GroupQueueDepth sums core.group.<g>.queue_depth per group: the
 	// instantaneous inbox backlog of each group's runners.
 	GroupQueueDepth map[int]int64
-	// HeapLive, HeapGoal, GCCycles, AllocBytes and AllocObjects sum
-	// go.heap_live_bytes, go.heap_goal_bytes, go.gc_cycles,
-	// go.alloc_bytes and go.alloc_objects across the scraped processes.
-	HeapLive, HeapGoal, GCCycles, AllocBytes, AllocObjects int64
+	// HeapLive, HeapGoal, HeapScan, GCCycles, AllocBytes and
+	// AllocObjects sum go.heap_live_bytes, go.heap_goal_bytes,
+	// go.heap_scan_bytes, go.gc_cycles, go.alloc_bytes and
+	// go.alloc_objects across the scraped processes.
+	HeapLive, HeapGoal, HeapScan, GCCycles, AllocBytes, AllocObjects int64
 	// ArenaBacked, ArenaPooled, MetaBacked, RSSAnon, RSSFile and RSSPeak
 	// sum process.arena_bytes_backed, process.arena_bytes_pooled,
 	// process.meta_bytes_backed, process.rss_anon_bytes,
@@ -297,6 +301,8 @@ func Aggregate(nodes []Ringvars) ClusterStats {
 				cs.HeapLive += iv
 			case "go.heap_goal_bytes":
 				cs.HeapGoal += iv
+			case "go.heap_scan_bytes":
+				cs.HeapScan += iv
 			case "go.gc_cycles":
 				cs.GCCycles += iv
 			case "go.alloc_bytes":
@@ -420,10 +426,10 @@ func RenderStats(w io.Writer, cs ClusterStats) {
 			id, c.Puts, c.Gets, c.Deletes, c.Moves, c.Commits)
 		mem.Add(c)
 	}
-	fmt.Fprintf(w, "memory: block_used=%d block_backed=%d parity_backed=%d value_used=%d value_backed=%d slots_relocated=%d chunks_released=%d arena_backed=%d arena_pooled=%d meta_bytes=%d meta_backed=%d meta_entries=%d heap_live=%d heap_goal=%d gc_cycles=%d alloc_bytes=%d alloc_objects=%d rss_anon=%d rss_file=%d rss_peak=%d\n",
+	fmt.Fprintf(w, "memory: block_used=%d block_backed=%d parity_backed=%d value_used=%d value_backed=%d slots_relocated=%d chunks_released=%d arena_backed=%d arena_pooled=%d meta_bytes=%d meta_backed=%d meta_entries=%d heap_live=%d heap_goal=%d heap_scan=%d gc_cycles=%d alloc_bytes=%d alloc_objects=%d rss_anon=%d rss_file=%d rss_peak=%d\n",
 		mem.BlockBytesUsed, mem.BlockBytesBacked, mem.ParityBytesBacked, mem.ValueBytesUsed, mem.ValueBytesBacked,
 		mem.ValueSlotsRelocated, mem.ValueChunksReleased,
-		cs.ArenaBacked, cs.ArenaPooled, mem.MetaBytes, cs.MetaBacked, cs.MetaEntries, cs.HeapLive, cs.HeapGoal, cs.GCCycles,
+		cs.ArenaBacked, cs.ArenaPooled, mem.MetaBytes, cs.MetaBacked, cs.MetaEntries, cs.HeapLive, cs.HeapGoal, cs.HeapScan, cs.GCCycles,
 		cs.AllocBytes, cs.AllocObjects, cs.RSSAnon, cs.RSSFile, cs.RSSPeak)
 	if d := cs.Durable; d != nil {
 		// Per group commit: the WAL records it made durable and the

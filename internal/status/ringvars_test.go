@@ -164,13 +164,13 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 		shard := cl.Cfg.ShardOf(store.KeyHash(k))
 		perShard[shard] = append(perShard[shard], k)
 	}
-	metaBytes := mid.MetaEntries * uint64(store.EntrySize)
+	metaBytes := mid.MetaEntries * uint64(store.MetaSize)
 	for _, keys := range perShard {
 		slots := 8
 		for slots*3 < len(keys)*4 {
 			slots *= 2
 		}
-		metaBytes += 3 * uint64(4*slots+len(strings.Join(keys, "")))
+		metaBytes += 3 * uint64(4*slots+len(strings.Join(keys, ""))+len(keys)) // each key after its 1-byte length
 	}
 	if got := mid.Memgests[1].MetaBytes + mid.Memgests[2].MetaBytes; got != metaBytes || mid.Memgests[1].MetaBytes <= mid.Memgests[2].MetaBytes {
 		t.Fatalf("store.meta_bytes sums to %d + %d, want %d in all and more for the seven Rep keys than for the four SRS ones", mid.Memgests[1].MetaBytes, mid.Memgests[2].MetaBytes, metaBytes)
@@ -189,9 +189,10 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 		t.Fatalf("process.rss_anon_bytes=%d process.rss_file_bytes=%d", mid.RSSAnon, mid.RSSFile)
 	}
 	// The Go heap vars crossed the boundary too (live bytes and cycles are
-	// legitimately zero before the first collection; the goal never is).
-	if mid.HeapGoal <= 0 {
-		t.Fatalf("go heap vars: live=%d goal=%d cycles=%d", mid.HeapLive, mid.HeapGoal, mid.GCCycles)
+	// legitimately zero before the first collection; the goal never is,
+	// nor the heap to scan: the nodes' own structures hold pointers).
+	if mid.HeapGoal <= 0 || mid.HeapScan <= 0 {
+		t.Fatalf("go heap vars: live=%d goal=%d scan=%d cycles=%d", mid.HeapLive, mid.HeapGoal, mid.HeapScan, mid.GCCycles)
 	}
 	for i := 0; i < 5; i++ {
 		if _, _, err := c.Get(fmt.Sprintf("rep-%d", i)); err != nil {
@@ -381,6 +382,7 @@ func TestAggregateProcessGauges(t *testing.T) {
 			"core.group.1.queue_depth": int64(5), // as from an in-process snapshot
 			"transport.something":      "not a number",
 			"go.gc_cycles":             float64(1),
+			"go.heap_scan_bytes":       float64(1 << 16),
 			"go.alloc_bytes":           float64(1 << 20),
 			"go.alloc_objects":         float64(300),
 		}},
@@ -388,6 +390,7 @@ func TestAggregateProcessGauges(t *testing.T) {
 			"core.runner_goroutines":   int64(2),
 			"core.group.0.queue_depth": uint64(1),
 			"core.group.oops":          float64(9), // malformed name: ignored
+			"go.heap_scan_bytes":       uint64(512),
 			"go.alloc_bytes":           uint64(4096),
 			"go.alloc_objects":         uint64(20),
 		}},
@@ -400,8 +403,8 @@ func TestAggregateProcessGauges(t *testing.T) {
 		t.Fatalf("GroupQueueDepth = %v, want {0:3 1:5}", cs.GroupQueueDepth)
 	}
 	// The Go heap's counters fold the same way: summed over processes.
-	if cs.GCCycles != 1 || cs.AllocBytes != 1<<20+4096 || cs.AllocObjects != 320 {
-		t.Fatalf("GCCycles, AllocBytes, AllocObjects = %d, %d, %d, want 1, %d, 320", cs.GCCycles, cs.AllocBytes, cs.AllocObjects, 1<<20+4096)
+	if cs.GCCycles != 1 || cs.HeapScan != 1<<16+512 || cs.AllocBytes != 1<<20+4096 || cs.AllocObjects != 320 {
+		t.Fatalf("GCCycles, HeapScan, AllocBytes, AllocObjects = %d, %d, %d, %d, want 1, %d, %d, 320", cs.GCCycles, cs.HeapScan, cs.AllocBytes, cs.AllocObjects, 1<<16+512, 1<<20+4096)
 	}
 
 	var buf bytes.Buffer
@@ -410,7 +413,7 @@ func TestAggregateProcessGauges(t *testing.T) {
 	// A leader's configuration counters fold the same way: the nodes that
 	// have led each report their own.
 	for _, want := range []string{"runners: goroutines=5 group0_queue=3 group1_queue=5", "config: shards_moved=4 config_repushes=5",
-		" gc_cycles=1 alloc_bytes=1052672 alloc_objects=320 rss_anon="} {
+		" heap_scan=66048 gc_cycles=1 alloc_bytes=1052672 alloc_objects=320 rss_anon="} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}

@@ -102,9 +102,9 @@ func putChunks(chunks ...[]byte) {
 // chunk is what an arena knows about one chunk it holds.
 type chunk struct {
 	mem    []byte
-	owners []*Entry // the entries whose slots are in mem; Entry.at is the position
-	live   int32    // bytes of the slots in use
-	level  int32    // the arena files the chunk at fill[level][pos]
+	owners []*Meta // the entries whose slots are in mem; Meta.at is the position
+	live   int32   // bytes of the slots in use
+	level  int32   // the arena files the chunk at fill[level][pos]
 	pos    int32
 	pinned bool // a slot without an owner is in use: the chunk stays
 }
@@ -190,11 +190,8 @@ var pageSize = os.Getpagesize()
 // alloc returns n bytes (n > 0). Given an owner, they become its slot
 // and free or evacuate may take them away; given none, they stay put
 // for the arena's life.
-func (a *arena) alloc(n int, owner *Entry) []byte {
+func (a *arena) alloc(n int, owner *Meta) []byte {
 	a.used += uint64(n)
-	if owner != nil {
-		owner.n = uint32(n)
-	}
 	if n > chunkSize {
 		run := mapAnon((n + pageSize - 1) &^ (pageSize - 1))
 		if a.runs == nil {
@@ -204,7 +201,7 @@ func (a *arena) alloc(n int, owner *Entry) []byte {
 		a.runLen += uint64(len(run))
 		arenaBacked.Add(uint64(len(run)))
 		if owner != nil {
-			owner.slot = &run[0]
+			owner.hold(&run[0])
 		}
 		return run[:n:n]
 	}
@@ -251,17 +248,18 @@ func chunkKey(p *byte) uintptr { return uintptr(unsafe.Pointer(p)) >> chunkShift
 
 // occupy puts the slot at p in c, of size bytes, in use, as owner's if
 // there is one.
-func (a *arena) occupy(c *chunk, p *byte, size int, owner *Entry) {
+func (a *arena) occupy(c *chunk, p *byte, size int, owner *Meta) {
 	a.refile(c, size)
 	if owner == nil {
 		c.pinned = true
 		return
 	}
-	owner.slot, owner.at = p, uint32(len(c.owners))
+	owner.hold(p)
+	owner.at = uint32(len(c.owners))
 	if c.owners == nil {
 		// Room for a chunk of 1 KiB values at once: growing from one
 		// would leave six outgrown arrays behind per chunk.
-		c.owners = make([]*Entry, 0, chunkSize>>10)
+		c.owners = make([]*Meta, 0, chunkSize>>10)
 	}
 	c.owners = append(c.owners, owner)
 }
@@ -288,9 +286,9 @@ func (a *arena) unfile(c *chunk) {
 }
 
 // free takes back the slot alloc made e's.
-func (a *arena) free(e *Entry) {
-	b := unsafe.Slice(e.slot, e.n)
-	e.slot, e.n = nil, 0
+func (a *arena) free(e *Meta) {
+	b := e.view()
+	e.unhold()
 	a.used -= uint64(len(b))
 	if a.poison {
 		poison(b)
@@ -340,7 +338,7 @@ func (a *arena) evacuate() bool {
 	key := chunkKey(&c.mem[0])
 	var need [numClasses]int
 	for _, e := range c.owners {
-		class, _ := slotClass(int(e.n))
+		class, _ := slotClass(int(e.Length))
 		need[class]++
 	}
 	for class, n := range need {
@@ -367,9 +365,9 @@ func (a *arena) evacuate() bool {
 		a.freed[class] = kept
 	}
 	for _, e := range c.owners {
-		class, size := slotClass(int(e.n))
+		class, size := slotClass(int(e.Length))
 		p, to := a.takeFreed(class, size)
-		copy(unsafe.Slice(p, e.n), unsafe.Slice(e.slot, e.n))
+		copy(unsafe.Slice(p, e.Length), e.view())
 		a.occupy(to, p, size, e)
 	}
 	a.moved.SlotsRelocated += uint64(len(c.owners))

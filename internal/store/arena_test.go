@@ -158,7 +158,7 @@ func FuzzValueArenaModel(f *testing.F) {
 					slots -= len(c.owners)
 					slotBytes -= int(c.live)
 					for at, e := range c.owners {
-						if int(e.at) != at || a.chunks[chunkKey(e.slot)] != c {
+						if int(e.at) != at || a.chunks[chunkKey(unsafe.SliceData(e.view()))] != c {
 							t.Fatalf("step %d: table %d: owner %d of a chunk says %d, or its slot is elsewhere", step, i, at, e.at)
 						}
 					}
@@ -177,7 +177,7 @@ func FuzzValueArenaModel(f *testing.F) {
 		}
 		// hold checks that a value goes into a freed slot of its class
 		// whenever there is one.
-		hold := func(step int, tb *MetaTable, e *Entry, val []byte) {
+		hold := func(step int, tb *MetaTable, e *Meta, val []byte) {
 			var cur *chunk
 			if tb.vals != nil {
 				cur = tb.vals.cur
@@ -207,8 +207,7 @@ func FuzzValueArenaModel(f *testing.F) {
 				if e == nil {
 					continue
 				}
-				val := bytes.Repeat([]byte{byte(step)}, size(arg()))
-				e.Rec.Length = uint32(len(val))
+				val := bytes.Repeat([]byte{byte(step)}, int(e.Length))
 				hold(step, tb, e, val)
 				m[ek] = val
 			case 3: // Delete

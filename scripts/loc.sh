@@ -4,8 +4,10 @@
 # testdata/ excluded) and under cmd/, lines under scripts/, the number
 # of wire message types in internal/proto, the //ring: directives that
 # steer or exempt ringlint's checks in non-test source outside
-# internal/lint, the files at the top of the tree, and what a node is
-# before it stores a byte: the packages ringd
+# internal/lint, the files at the top of the tree, the bytes of one
+# metadata entry in a slab (store.Meta, as TestEntrySize logs it: what
+# every version costs on every copy before its key and hash slot), and
+# what a node is before it stores a byte: the packages ringd
 # links from outside this module and the size of its text and read-only
 # data, which an idle process keeps resident whole. Run from anywhere;
 # pass a checkout root to measure another tree (e.g. the parent commit)
@@ -34,6 +36,8 @@ printf '%-24s %6d\n' 'ring: directives' \
 # archive of a commit holds exactly the tracked ones).
 printf '%-24s %6d\n' 'top-level files' \
 	"$( (git ls-files 2>/dev/null || find . -maxdepth 1 -type f -printf '%f\n') | grep -vc /)"
+printf '%-24s %6d\n' 'store.Meta bytes' \
+	"$(go test -count=1 -run '^TestEntrySize$' -v ./internal/store/ | sed -n 's/.*store\.Meta is \([0-9]*\) bytes.*/\1/p')"
 printf '%-24s %6d\n' 'ringd deps (non-ring)' \
 	"$(go list -deps ./cmd/ringd | grep -vc -e '^ring$' -e '^ring/')"
 ringd=$(mktemp)
