@@ -110,7 +110,9 @@
 #      ./internal/... and so runs under -race here too, and so do the
 #      arena tests (internal/store's model and poison tests, core's
 #      same-drain purge test and memory pin): the chunk pool is the one
-#      piece of the store that runners share
+#      piece of the store that runners share; and ringchaos's
+#      TestSweepSameForAnyWorkers, whose seeds run on four goroutines
+#      at once as every sweep's do
 #
 # chaos — fuzz, bench, and the chaos/benchmark canaries:
 #   7. fuzz smoke: each fuzz target runs for 10s — long enough to
@@ -151,29 +153,27 @@
 #   8. bench smoke: every Go benchmark compiles and runs one
 #      iteration; a benchmark that panics or no longer builds fails
 #      the stage, and the numbers scroll by in the job log
-#   9. chaos smoke: the longest all-green prefix of every ringchaos lane
-#      through the full seed -> schedule -> workload ->
-#      linearizability-check pipeline: seeds 1:198 of the plain lane
-#      (crash, partition, loss, delay, duplication; 199 is its first
-#      red seed), 1:159 of the -durable lane over the disk fault plane
-#      (kill -9 + recover-from-disk, WAL corruption, fsync faults; 160
-#      is red) and 1:145 of the -elasticity lane mixing live scheme
-#      moves and join/leave resizes into the fault schedule (146 is
-#      red) — about 3 s each, hard-bounded at 30s.
+#   9. chaos gate: `ringchaos -expect chaos.expect` runs the three bands
+#      the file declares (plain, -durable and -elasticity, seeds 1:2000
+#      each) through the full seed -> schedule -> workload ->
+#      linearizability-check pipeline, seeds on every core, and fails
+#      unless the seeds whose verdict is not ok (violation, incomplete:
+#      clients still unfinished at the horizon, inconclusive) are
+#      exactly the file's entries at offset 0, seed by seed: a seed that
+#      turns red or wedges fails it, and so does a listed seed that goes
+#      green, each printed as new:/gone: with its repro. The file lists
+#      every entry's verdict at six timing offsets (every packet charged
+#      0, +1, -5, -20, +16 or -30 bytes more, sim.CostModel.Skew); a
+#      change that moves timing regenerates it with `ringchaos -expect
+#      chaos.expect -update`, which prints each lane's six counts before
+#      and after, and `git diff chaos.expect` is the per-seed review.
 #      Every client in these runs is a client.Session, the request logic
 #      ringd's clients run (internal/client/session.go, driven by
 #      internal/sim/session.go), so a change to how a client retries,
 #      re-resolves or gives up trips here per push; and every simulated
 #      node runs core.Host, ringd's packet path (decode, batch, Flush,
-#      one packet per peer, release), so a runner-level change does too. Then the
-#      three full bands (plain 1:2000, -durable 1:2000, -elasticity
-#      1:500, unshrunk: 24 + 23 + 6 s on 2 vCPUs): a change that touches
-#      recovery or message counts moves which seeds draw which faults,
-#      so no band can be held seed by seed; what is held is that none
-#      gets redder. A band fails when its `N/M seeds FAILED` count is
-#      above the ceiling written below. ROADMAP item 1(a)'s
-#      `chaos.expect` (lane, seed, class) replaces the three numbers.
-#      The deep seed sweeps run nightly
+#      one packet per peer, release), so a runner-level change does too.
+#      The other five offsets run nightly
 #      (.github/workflows/nightly-chaos.yml).
 #  10. benchmark canaries: the real harness, twice. `go run ./benchmark`
 #      builds ringd and boots five processes: with -fsync always it
@@ -298,24 +298,7 @@ stage_test() {
     GOOS=windows go vet ./internal/transport/
     go test ./...
     go test -race -timeout 900s ./internal/...
-}
-
-# chaos_band CEILING ARGS... runs one full ringchaos band unshrunk and
-# fails unless it ran to its summary line with at most CEILING seeds red
-# (ringchaos itself exits 1 on any red seed, which a full band has).
-chaos_band() {
-    ceiling=$1
-    shift
-    out=$(timeout 60 ./bin/ringchaos -shrink=false "$@" | tail -n 1)
-    echo "$out"
-    case "$out" in
-    *"seeds ok"*) ;;
-    *"seeds FAILED"*)
-        red=${out#ringchaos: }
-        test "${red%%/*}" -le "$ceiling"
-        ;;
-    *) false ;;
-    esac
+    go test -race -run TestSweepSameForAnyWorkers ./cmd/ringchaos/
 }
 
 stage_chaos() {
@@ -335,32 +318,7 @@ stage_chaos() {
     go test -run=NONE -bench=. -benchtime=1x ./...
 
     go build -o bin/ringchaos ./cmd/ringchaos
-    timeout 30 ./bin/ringchaos -seeds 1:198 -v
-    timeout 30 ./bin/ringchaos -durable -seeds 1:159 -v
-    timeout 30 ./bin/ringchaos -elasticity -seeds 1:145 -v
-    # The ceilings are the maximum of six draws, not one. Patched in a
-    # scratch copy only, the simulator charged every message size+d
-    # bytes for d = 0, +1, -5, -20, +16, -30: no protocol or message
-    # changes, only when each lands. At 8263f1f (fixed-width wire) the
-    # bands read plain 40 / 38 / 44 / 51 / 44 / 48 red (mean 44.2, 106
-    # distinct seeds), durable 32 / 32 / 32 / 31 / 32 / 31, elasticity
-    # 7 / 7 / 6 / 9 / 9 / 6 (mean 7.3, 19 distinct seeds): a ceiling
-    # of 40 failed that unchanged tree in four of its five perturbed
-    # draws. A change that moves bytes or timing compares its own six
-    # draws and their per-seed union with the parent's. Since the log
-    # became the only durable file the durable band read 26 / 25 / 25 /
-    # 27 / 26 / 27 (30 distinct seeds); since the length word carries a
-    # check it reads 23 / 22 / 22 / 25 / 23 / 25 (27 distinct seeds,
-    # none red at an offset where it was green before); since recovery
-    # writes nothing it reads 22 / 22 / 22 / 23 / 22 / 23 (23 distinct
-    # seeds). Since every simulated node runs core.Host (d is then per
-    # packet) the bands read plain 39 / 34 / 36 / 47 / 44 / 37, durable
-    # 22 at every offset, elasticity 5 / 5 / 5 / 4 / 6 / 5, and read the
-    # same once an operation kept one ReqID: the ceilings are their
-    # maxima.
-    chaos_band 47 -seeds 1:2000
-    chaos_band 22 -durable -seeds 1:2000
-    chaos_band 6 -elasticity -seeds 1:500
+    timeout 300 ./bin/ringchaos -expect chaos.expect
 
     timeout 120 go run ./benchmark -workload rep3_1k_fsync -seconds 5
     timeout 120 go run ./benchmark -workload tier_1k_read90_move -seconds 5

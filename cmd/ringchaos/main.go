@@ -24,13 +24,29 @@
 //	                                   inject the ack-before-commit
 //	                                   move bug (the checker must catch
 //	                                   it)
+//	ringchaos -seed 42 -skew -20       the same run with every packet
+//	                                   charged 20 bytes less: one more
+//	                                   timing draw of the same protocol
 //	ringchaos -seeds 1:20 -shrink=false -v
 //	ringchaos -seeds 1:500 -dump out/    write failure artifacts to out/
+//	ringchaos -expect chaos.expect     run every band the file declares
+//	                                   and exit 1 unless the seeds that
+//	                                   are not ok are its entries at
+//	                                   -skew (default 0)
+//	ringchaos -expect chaos.expect -update
+//	                                   run the bands at the six offsets
+//	                                   and rewrite the file
+//
+// A seed's verdict is ok, violation (the history is not linearizable),
+// incomplete (linearizable, but clients were still unfinished at the
+// horizon, which usually means the cluster wedged) or inconclusive (the
+// checker's search budget ran out); any verdict but ok exits 1. Seeds run on GOMAXPROCS
+// workers and are printed in seed order.
 //
 // On a violation the driver greedily shrinks the failing schedule to a
 // locally minimal one, prints both, and exits nonzero. With -dump it
-// also writes, per failing seed, the full operation history, the
-// original and shrunk schedules, and the repro command lines — the
+// also writes, per seed that is not ok, the full operation history,
+// the original and shrunk schedules, and the repro command lines — the
 // files the nightly CI sweep uploads as artifacts.
 package main
 
@@ -40,8 +56,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"ring/internal/linearize"
@@ -49,6 +69,12 @@ import (
 )
 
 func main() {
+	if os.Getenv("GOGC") == "" {
+		// Runs allocate throughout and keep little: fewer collections
+		// for a larger heap. On 2 vCPUs plain seeds 1:500 took 6.5-7.0 s
+		// at the default and 4.5-4.7 s here, peak RSS 31 -> 59 MB.
+		debug.SetGCPercent(400)
+	}
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
@@ -68,8 +94,38 @@ func run(args []string, out, errw io.Writer) int {
 	budget := fs.Int("budget", 0, "linearizability search budget per key (default 2e6 states)")
 	dump := fs.String("dump", "", "directory to write failure artifacts into (history, schedules, repro)")
 	verbose := fs.Bool("v", false, "print per-seed stats for passing runs too")
+	skew := fs.Int("skew", 0, "bytes added to every packet's size when the simulator charges it (a timing draw; 0 is the calibrated model)")
+	expect := fs.String("expect", "", "run every band this file declares; exit 1 unless the seeds that are not ok are its entries at -skew")
+	update := fs.Bool("update", false, "with -expect: run the bands at the six offsets and rewrite the file")
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+
+	if *expect != "" || *update {
+		var bad []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "expect", "update", "skew", "dump":
+			default:
+				bad = append(bad, "-"+f.Name)
+			}
+		})
+		switch {
+		case *expect == "":
+			fmt.Fprintln(errw, "ringchaos: -update rewrites the file -expect names")
+			return 2
+		case len(bad) > 0:
+			fmt.Fprintf(errw, "ringchaos: -expect runs the bands its file declares; %s does not apply\n", strings.Join(bad, " "))
+			return 2
+		case *update && *skew != 0:
+			fmt.Fprintln(errw, "ringchaos: -update runs all six offsets; drop -skew")
+			return 2
+		}
+		g := gate{path: *expect, dump: *dump, out: out, errw: errw}
+		if *update {
+			return g.update()
+		}
+		return g.check(*skew)
 	}
 
 	lo, hi := *seed, *seed
@@ -92,76 +148,196 @@ func run(args []string, out, errw io.Writer) int {
 		explicit = &s
 	}
 
-	failures := 0
+	base := sim.ChaosRunSpec{
+		Schedule:    explicit,
+		UnsafeAck:   *bug,
+		UnsafeMove:  *movebug,
+		Durable:     *durable,
+		Elasticity:  *elasticity,
+		Active:      *active,
+		CheckBudget: *budget,
+		Skew:        *skew,
+	}
 	start := time.Now()
-	for s := lo; s <= hi; s++ {
-		spec := sim.ChaosRunSpec{
-			Seed:        s,
-			Schedule:    explicit,
-			UnsafeAck:   *bug,
-			UnsafeMove:  *movebug,
-			Durable:     *durable,
-			Elasticity:  *elasticity,
-			Active:      *active,
-			CheckBudget: *budget,
+	counts := tally{}
+	var dumpErr error
+	sweep(lo, hi, func(s int64) outcome {
+		spec := base
+		spec.Seed = s
+		return runSeed(spec, *shrink && explicit == nil, *dump != "")
+	}, func(o outcome) {
+		counts[o.verdict]++
+		if o.verdict != ok || *verbose {
+			io.WriteString(out, o.text)
 		}
-		r := sim.RunChaos(spec)
-		switch r.Check.Verdict {
-		case linearize.Linearizable:
-			if *verbose {
-				fmt.Fprintf(out, "seed %d: ok (%d ops, %d abandoned, %d moves/resizes acked, faults %+v)\n",
-					s, len(r.History), r.Abandoned, r.ElasticAcked, r.Faults)
-			}
-		case linearize.Exhausted:
-			// Not a verdict either way; report so the budget can be raised.
-			fmt.Fprintf(out, "seed %d: INCONCLUSIVE on key %q (search budget exhausted; re-run with -budget)\n",
-				s, r.Check.Key)
-		case linearize.Violation:
-			failures++
-			fmt.Fprintf(out, "seed %d: VIOLATION\n%s\n", s, indent(r.Check.String()))
-			fmt.Fprintf(out, "  schedule: %s\n", r.Schedule)
-			repro := fmt.Sprintf("ringchaos -seed %d", s)
-			if *bug {
-				repro += " -bug"
-			}
-			if *movebug {
-				repro += " -movebug"
-			}
-			if *durable {
-				repro += " -durable"
-			}
-			if *elasticity {
-				repro += " -elasticity"
-			}
-			if explicit != nil {
-				repro += fmt.Sprintf(" -schedule '%s'", explicit)
-			}
-			fmt.Fprintf(out, "  repro: %s\n", repro)
-			var repros strings.Builder
-			fmt.Fprintf(&repros, "%s\n", repro)
-			if *shrink && explicit == nil {
-				shrunk, runs := sim.ShrinkSchedule(spec, r.Schedule)
-				fmt.Fprintf(out, "  shrunk (%d -> %d steps, %d runs): %s\n",
-					len(r.Schedule.Steps), len(shrunk.Steps), runs, shrunk)
-				fmt.Fprintf(out, "  repro (shrunk): %s -schedule '%s'\n", repro, shrunk)
-				fmt.Fprintf(&repros, "%s -schedule '%s'\n", repro, shrunk)
-			}
-			if *dump != "" {
-				if err := dumpFailure(*dump, s, r, repros.String()); err != nil {
-					fmt.Fprintf(errw, "ringchaos: writing artifacts: %v\n", err)
-					return 2
-				}
-			}
+		if o.kept != nil && dumpErr == nil {
+			dumpErr = dumpFailure(*dump, o.seed, *o.kept, o.repros)
 		}
+	})
+	if dumpErr != nil {
+		fmt.Fprintf(errw, "ringchaos: writing artifacts: %v\n", dumpErr)
+		return 2
 	}
 
 	n := hi - lo + 1
-	if failures > 0 {
-		fmt.Fprintf(out, "ringchaos: %d/%d seeds FAILED (%.1fs)\n", failures, n, time.Since(start).Seconds())
+	if failed := counts.failed(); failed > 0 {
+		fmt.Fprintf(out, "ringchaos: %d/%d seeds FAILED: %s (%.1fs)\n", failed, n, counts, time.Since(start).Seconds())
 		return 1
 	}
 	fmt.Fprintf(out, "ringchaos: %d seeds ok (%.1fs)\n", n, time.Since(start).Seconds())
 	return 0
+}
+
+// The verdicts of one seed's run. Every one but ok fails it.
+const (
+	ok           = "ok"
+	violation    = "violation"    // the history is not linearizable
+	incomplete   = "incomplete"   // linearizable, with clients unfinished at the horizon
+	inconclusive = "inconclusive" // the checker's search budget ran out
+)
+
+// failing are the verdicts that fail a seed, in the order a summary
+// names them.
+var failing = []string{violation, incomplete, inconclusive}
+
+func verdictOf(r sim.ChaosRunResult) string {
+	switch {
+	case r.Check.Verdict == linearize.Violation:
+		return violation
+	case r.Check.Verdict == linearize.Exhausted:
+		return inconclusive
+	case !r.Completed:
+		return incomplete
+	}
+	return ok
+}
+
+// tally counts seeds by verdict.
+type tally map[string]int
+
+func (t tally) failed() int {
+	n := 0
+	for _, v := range failing {
+		n += t[v]
+	}
+	return n
+}
+
+// String names the failing verdicts: "39 violation, 13 incomplete".
+func (t tally) String() string {
+	var parts []string
+	for _, v := range failing {
+		if t[v] > 0 {
+			parts = append(parts, fmt.Sprintf("%d %s", t[v], v))
+		}
+	}
+	if len(parts) == 0 {
+		return "all ok"
+	}
+	return strings.Join(parts, ", ")
+}
+
+// outcome is one seed's run as the driver reports it.
+type outcome struct {
+	seed    int64
+	verdict string
+	text    string              // the lines the seed prints
+	repros  string              // its repro command lines (not ok only)
+	kept    *sim.ChaosRunResult // the run, when its artifacts are wanted
+}
+
+// runSeed runs spec and words the outcome. shrink spends further runs
+// shrinking a violation's schedule; keep holds on to a failing run for
+// its artifacts.
+func runSeed(spec sim.ChaosRunSpec, shrink, keep bool) outcome {
+	r := sim.RunChaos(spec)
+	o := outcome{seed: spec.Seed, verdict: verdictOf(r)}
+	repro := reproOf(spec)
+	var b strings.Builder
+	switch o.verdict {
+	case ok, incomplete:
+		word := "ok"
+		if o.verdict == incomplete {
+			word = "INCOMPLETE"
+		}
+		fmt.Fprintf(&b, "seed %d: %s (%d ops, %d abandoned, %d moves/resizes acked, faults %+v)\n",
+			spec.Seed, word, len(r.History), r.Abandoned, r.ElasticAcked, r.Faults)
+	case inconclusive:
+		fmt.Fprintf(&b, "seed %d: INCONCLUSIVE on key %q (search budget exhausted; re-run with -budget)\n",
+			spec.Seed, r.Check.Key)
+	case violation:
+		fmt.Fprintf(&b, "seed %d: VIOLATION\n%s\n", spec.Seed, indent(r.Check.String()))
+		fmt.Fprintf(&b, "  schedule: %s\n", r.Schedule)
+		fmt.Fprintf(&b, "  repro: %s\n", repro)
+	}
+	if o.verdict == ok {
+		o.text = b.String()
+		return o
+	}
+	o.repros = repro + "\n"
+	if o.verdict == violation && shrink {
+		shrunk, runs := sim.ShrinkSchedule(spec, r.Schedule)
+		fmt.Fprintf(&b, "  shrunk (%d -> %d steps, %d runs): %s\n",
+			len(r.Schedule.Steps), len(shrunk.Steps), runs, shrunk)
+		fmt.Fprintf(&b, "  repro (shrunk): %s -schedule '%s'\n", repro, shrunk)
+		o.repros += fmt.Sprintf("%s -schedule '%s'\n", repro, shrunk)
+	}
+	o.text = b.String()
+	if keep {
+		o.kept = &r
+	}
+	return o
+}
+
+// reproOf is the command line that replays spec.
+func reproOf(spec sim.ChaosRunSpec) string {
+	repro := fmt.Sprintf("ringchaos -seed %d", spec.Seed)
+	if spec.UnsafeAck {
+		repro += " -bug"
+	}
+	if spec.UnsafeMove {
+		repro += " -movebug"
+	}
+	if spec.Durable {
+		repro += " -durable"
+	}
+	if spec.Elasticity {
+		repro += " -elasticity"
+	}
+	if spec.Skew != 0 {
+		repro += fmt.Sprintf(" -skew %d", spec.Skew)
+	}
+	if spec.Schedule != nil {
+		repro += fmt.Sprintf(" -schedule '%s'", spec.Schedule)
+	}
+	return repro
+}
+
+// sweep runs seeds lo..hi on GOMAXPROCS workers and hands their
+// outcomes to emit in seed order, on the caller's goroutine. A run is a
+// pure function of its spec, so the output is the same for any number
+// of workers.
+func sweep(lo, hi int64, one func(seed int64) outcome, emit func(outcome)) {
+	n := hi - lo + 1
+	done := make([]chan outcome, n)
+	for i := range done {
+		done[i] = make(chan outcome, 1)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(int64(runtime.GOMAXPROCS(0)), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < n; i = next.Add(1) - 1 {
+				done[i] <- one(lo + i)
+			}
+		}()
+	}
+	for _, c := range done {
+		emit(<-c)
+	}
+	wg.Wait()
 }
 
 // dumpFailure writes a failing seed's artifacts: the full operation

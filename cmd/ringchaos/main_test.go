@@ -1,8 +1,12 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -155,20 +159,23 @@ func TestDurableReproSchedules(t *testing.T) {
 // before it left was read after every write since. The fourth returned
 // bytes no client wrote when it was shrunk (a parity node replaced at
 // 20 ms decoded for the coordinator replaced at 31 ms); it has been
-// green since before the want table and stays pinned.
+// green since before the want table and stays pinned. Its schedule
+// leaves two operations unfinished at the horizon, so its verdict is
+// incomplete: linearizable, and pinned at that.
 func TestElasticityReproSchedules(t *testing.T) {
-	for _, tc := range []struct{ name, seed, schedule string }{
-		{"spare-leak-41", "41", "1.266648ms:leave:5;3.007224ms:join:5;9.207951ms:leave:1;12.656982ms:join:1;24.212436ms:leave:5"},
-		{"spare-leak-127", "127", "1.38407ms:leave:1;3.303297ms:join:1;6.140004ms:leave:2;7.898554ms:join:2;12.347831ms:kill:0;12.881046ms:restart:0;18.31042ms:leave:2;30.399853ms:leave:5;35.115352ms:join:5"},
-		{"regained-role-3", "3", "2ms:leave:3;8ms:join:3;10ms:leave:5;14ms:join:5;16ms:leave:6;24ms:kill:1"},
-		{"phantom-333", "333", "12.140089ms:flaky:7:2:35µs;16.481737ms:flaky:5:0:1.215ms;20.039443ms:kill:3;21.088248ms:restart:3;26.92362ms:convert:2:2;31.830607ms:kill:1;33.817373ms:restart:1"},
+	for _, tc := range []struct{ name, seed, schedule, verdict string }{
+		{"spare-leak-41", "41", "1.266648ms:leave:5;3.007224ms:join:5;9.207951ms:leave:1;12.656982ms:join:1;24.212436ms:leave:5", "ok"},
+		{"spare-leak-127", "127", "1.38407ms:leave:1;3.303297ms:join:1;6.140004ms:leave:2;7.898554ms:join:2;12.347831ms:kill:0;12.881046ms:restart:0;18.31042ms:leave:2;30.399853ms:leave:5;35.115352ms:join:5", "ok"},
+		{"regained-role-3", "3", "2ms:leave:3;8ms:join:3;10ms:leave:5;14ms:join:5;16ms:leave:6;24ms:kill:1", "ok"},
+		{"phantom-333", "333", "12.140089ms:flaky:7:2:35µs;16.481737ms:flaky:5:0:1.215ms;20.039443ms:kill:3;21.088248ms:restart:3;26.92362ms:convert:2:2;31.830607ms:kill:1;33.817373ms:restart:1", "INCOMPLETE"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out, errw strings.Builder
-			args := []string{"-elasticity", "-seed", tc.seed, "-schedule", tc.schedule}
-			if code := run(args, &out, &errw); code != 0 {
-				t.Fatalf("repro `ringchaos %s` failed (exit %d)\n%s%s",
-					strings.Join(args, " "), code, out.String(), errw.String())
+			args := []string{"-v", "-elasticity", "-seed", tc.seed, "-schedule", tc.schedule}
+			run(args, &out, &errw)
+			if !strings.HasPrefix(out.String(), "seed "+tc.seed+": "+tc.verdict+" (") {
+				t.Fatalf("repro `ringchaos %s` is not %s\n%s%s",
+					strings.Join(args, " "), tc.verdict, out.String(), errw.String())
 			}
 		})
 	}
@@ -220,5 +227,146 @@ func TestBadFlags(t *testing.T) {
 	}
 	if code := run([]string{"-schedule", "1ms:frobnicate"}, &out, &errw); code != 2 {
 		t.Fatalf("expected exit 2 for bad schedule, got %d", code)
+	}
+	bad := filepath.Join(t.TempDir(), "bad.expect")
+	if err := os.WriteFile(bad, []byte("band plain 1:10\nplain 11 violation 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-expect", "../../chaos.expect", "-seeds", "1:3"},
+		{"-update"},
+		{"-expect", "../../chaos.expect", "-update", "-skew", "1"},
+		{"-expect", bad},
+	} {
+		if code := run(args, &out, &errw); code != 2 {
+			t.Fatalf("expected exit 2 for `ringchaos %s`, got %d", strings.Join(args, " "), code)
+		}
+	}
+}
+
+// runOut runs the driver and returns its exit code and standard output.
+func runOut(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	var out, errw strings.Builder
+	code := run(args, &out, &errw)
+	if code == 2 {
+		t.Fatalf("`ringchaos %s`: exit 2\n%s%s", strings.Join(args, " "), out.String(), errw.String())
+	}
+	return code, out.String()
+}
+
+// TestExpectFile: -update writes the failing verdicts of a small plain
+// and elasticity band at the six offsets; a second -update leaves the
+// file byte for byte as it was; the check passes on it, names the
+// entry a file misses, and names a listed seed that is green.
+func TestExpectFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "chaos.expect")
+	if err := os.WriteFile(path, []byte("band plain 197:200\nband elasticity 163:165\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, out := runOut(t, "-expect", path, "-update"); code != 0 {
+		t.Fatalf("-update: exit %d\n%s", code, out)
+	}
+	first, _ := os.ReadFile(path)
+	if code, out := runOut(t, "-expect", path, "-update"); code != 0 {
+		t.Fatalf("second -update: exit %d\n%s", code, out)
+	}
+	if second, _ := os.ReadFile(path); string(second) != string(first) {
+		t.Fatalf("-update did not round-trip:\n%s\nthen\n%s", first, second)
+	}
+	if code, out := runOut(t, "-expect", path); code != 0 || !strings.Contains(out, "as expected") {
+		t.Fatalf("check of a fresh file: exit %d\n%s", code, out)
+	}
+
+	// An entry red at offset 0 taken out of the file.
+	var missing string
+	var rest []string
+	for _, line := range strings.Split(strings.TrimSuffix(string(first), "\n"), "\n") {
+		f := strings.Fields(line)
+		if missing == "" && len(f) > 3 && f[0] == "plain" && slices.Contains(f[3:], "0") {
+			missing = strings.Join(f[:3], " ")
+			continue
+		}
+		rest = append(rest, line)
+	}
+	if missing == "" {
+		t.Fatalf("plain 197:200 has no seed red at offset 0 any more; pick a band that has one:\n%s", first)
+	}
+	if err := os.WriteFile(path, []byte(strings.Join(rest, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, out := runOut(t, "-expect", path); code != 1 || !strings.Contains(out, "new: "+missing+"\n") {
+		t.Fatalf("a file without %q: exit %d\n%s", missing, code, out)
+	}
+
+	// A green seed listed as red.
+	if err := os.WriteFile(path, append(first, "plain 198 violation 0\n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, out := runOut(t, "-expect", path); code != 1 || !strings.Contains(out, "gone: plain 198 violation\n") {
+		t.Fatalf("a file listing green seed 198: exit %d\n%s", code, out)
+	}
+}
+
+// TestSkewReproReplaysRed takes an entry of the committed chaos.expect
+// that is a violation at some offset d but not at 0: the repro line
+// the check prints for it carries -skew d and replays the violation.
+func TestSkewReproReplaysRed(t *testing.T) {
+	b, err := os.ReadFile("../../chaos.expect")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := parseExpect(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []entryKey
+	for key := range f.entries {
+		keys = append(keys, key)
+	}
+	var k entryKey
+	d := 0
+	for _, key := range sorted(keys) {
+		if at := f.entries[key]; key.verdict == violation && !slices.Contains(at, 0) {
+			k, d = key, at[0]
+			break
+		}
+	}
+	if d == 0 {
+		t.Fatal("chaos.expect has no violation that is red at some offset but not at 0")
+	}
+	path := filepath.Join(t.TempDir(), "one.expect")
+	band := fmt.Sprintf("band %s %d:%d\n", k.lane, k.seed, k.seed)
+	if err := os.WriteFile(path, []byte(band), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out := runOut(t, "-expect", path, "-skew", strconv.Itoa(d))
+	entry := fmt.Sprintf("new: %s %d violation\n  repro: ", k.lane, k.seed)
+	i := strings.Index(out, entry)
+	if code != 1 || i < 0 {
+		t.Fatalf("%s at skew %d: exit %d, no %q\n%s", k.lane, d, code, entry, out)
+	}
+	repro := out[i+len(entry):]
+	repro = repro[:strings.IndexByte(repro, '\n')]
+	if !strings.HasSuffix(repro, fmt.Sprintf(" -skew %d", d)) {
+		t.Fatalf("repro %q does not carry -skew %d", repro, d)
+	}
+	args := append(strings.Fields(repro)[1:], "-shrink=false")
+	if code, out := runOut(t, args...); code != 1 || !strings.Contains(out, "VIOLATION") {
+		t.Fatalf("`%s` does not replay the violation (exit %d)\n%s", repro, code, out)
+	}
+}
+
+// TestSweepSameForAnyWorkers: seeds run on four workers, whatever the
+// host's core count, print what one worker prints, line for line;
+// ci.sh runs it under -race too.
+func TestSweepSameForAnyWorkers(t *testing.T) {
+	sweepOut := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		_, out := runOut(t, "-seeds", "1:16", "-v")
+		return out[:strings.LastIndex(out, "ringchaos: ")] // the last line has the wall time
+	}
+	if one, four := sweepOut(1), sweepOut(4); one != four {
+		t.Fatalf("GOMAXPROCS=1:\n%s\nGOMAXPROCS=4:\n%s", one, four)
 	}
 }

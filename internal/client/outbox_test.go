@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,19 +39,25 @@ type tapEndpoint struct {
 func (e tapEndpoint) Send(to string, payload []byte) error { return e.send(e.Endpoint, to, payload) }
 
 // TestSyncOpsRunOnTheCaller: Put, Get and Delete send from the
-// goroutine that called them. Seen from inside Send, the process has
-// no more goroutines than it had before the call; a goroutine per
-// operation would be one more.
+// goroutine that called them. Seen from inside Send, no goroutine runs
+// this package's code that did not run it before the operations began;
+// a goroutine per operation would be one. Goroutines are told apart by
+// their number, so one an earlier test left behind that exits meanwhile
+// changes nothing.
 func TestSyncOpsRunOnTheCaller(t *testing.T) {
 	cl, err := core.StartCluster(testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Stop()
-	var most atomic.Int64
+	var before map[string]string
+	var armed atomic.Bool
+	var extra atomic.Pointer[string]
 	tap := tapFabric{cl.Fabric, func(ep transport.Endpoint, to string, payload []byte) error {
-		if n := int64(runtime.NumGoroutine()); n > most.Load() {
-			most.Store(n) // one sender at a time: the test is the only caller
+		if armed.Load() && extra.Load() == nil {
+			if g := newClientGoroutine(before); g != "" {
+				extra.Store(&g)
+			}
 		}
 		return ep.Send(to, payload)
 	}}
@@ -63,8 +70,8 @@ func TestSyncOpsRunOnTheCaller(t *testing.T) {
 	if _, err := c.Put("warm", val); err != nil { // Dial's resolve goroutines are gone after a round trip
 		t.Fatal(err)
 	}
-	most.Store(0)
-	before := runtime.NumGoroutine()
+	before = clientGoroutines()
+	armed.Store(true)
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("caller-%d", i%50)
 		switch i % 3 {
@@ -79,12 +86,46 @@ func TestSyncOpsRunOnTheCaller(t *testing.T) {
 			t.Fatalf("op %d on %s: %v", i, key, err)
 		}
 	}
-	if got := int(most.Load()); got > before {
-		t.Errorf("%d goroutines while a synchronous operation was sending, %d before it was called", got, before)
+	armed.Store(false)
+	if g := extra.Load(); g != nil {
+		t.Errorf("while a synchronous operation was sending, a goroutine the operations started ran:\n%s", *g)
 	}
-	if after := runtime.NumGoroutine(); after != before {
-		t.Errorf("%d goroutines after 1000 synchronous operations, %d before", after, before)
+	if g := newClientGoroutine(before); g != "" {
+		t.Errorf("after 1000 synchronous operations, a goroutine they started runs:\n%s", g)
 	}
+}
+
+// clientGoroutines returns the stacks of the goroutines that run, or
+// were started by, this package's code, by their "goroutine N" line.
+func clientGoroutines() map[string]string {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	stacks := map[string]string{}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "ring/internal/client.") {
+			id, _, _ := strings.Cut(g, " [")
+			stacks[id] = g
+		}
+	}
+	return stacks
+}
+
+// newClientGoroutine returns the stack of a goroutine clientGoroutines
+// finds that is not in before, or "".
+func newClientGoroutine(before map[string]string) string {
+	for id, g := range clientGoroutines() {
+		if _, ok := before[id]; !ok {
+			return g
+		}
+	}
+	return ""
 }
 
 // burst is the fixture of the outbox tests: one fake node that answers

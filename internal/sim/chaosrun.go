@@ -50,6 +50,9 @@ type ChaosRunSpec struct {
 	// (kill -9 + recover-from-disk, WAL corruption, fsync faults), and
 	// restarted nodes recover from disk instead of rejoining empty.
 	Durable bool
+	// Skew is CostModel.Skew: bytes added to every packet's size when
+	// the simulator charges its serialisation (0: the calibrated model).
+	Skew int
 }
 
 func (s ChaosRunSpec) withDefaults() ChaosRunSpec {
@@ -127,7 +130,9 @@ func RunChaos(spec ChaosRunSpec) ChaosRunResult {
 	if err != nil {
 		panic(err) // static spec; cannot fail
 	}
-	s := New(cfg, cluster.Opts, DefaultModel())
+	model := DefaultModel()
+	model.Skew = spec.Skew
+	s := New(cfg, cluster.Opts, model)
 	if spec.Durable {
 		// fsync=always: an acknowledged write is a durable write, so
 		// every committed entry must survive any kill in the schedule.
