@@ -85,8 +85,12 @@
 #      of collected heap each, key and hash slot included, and add under
 #      64 KiB to the heap the collector scans), TestEntrySize (a 48-byte
 #      entry with no pointer-shaped field), TestBytesPerValueSize
-#      (memory per user byte of Rep(3,3) and SRS(3,2,3) at 16 B, 64 B,
-#      256 B and 1 KiB, each row in a process of its own),
+#      (the store's exact bytes, index and arena, per user byte of
+#      Rep(3,3) and SRS(3,2,3) at 16 B, 64 B, 256 B and 1 KiB, each row
+#      in a process of its own), TestDurableIndexHasNoPointers and
+#      TestDurableIndexBytesPerRecord (internal/replog: the live-record
+#      index is a seq and a 16-byte record with no pointer, at most
+#      64 B of collected heap per live record),
 #      TestMetaSlotsCrossTables (the slots one table frees are another's
 #      next entries: no slab is cut), TestDeleteMemgestUncoversOlderVersion
 #      (a deleted memgest takes its entries out of every node's index,
@@ -213,7 +217,10 @@ GOVULNCHECK_VERSION=v1.1.3
 # non-test file of that package declares it as a type, function (generic
 # or not), method, constant, variable or struct field; a name with no
 # capital in it (`core.turn`, `store.meta_bytes`) is a trace span or a
-# metric key, not Go, and is not looked up.
+# metric key, not Go, and is not looked up. Last, a citation of the
+# ROADMAP by item (`ROADMAP item 4(b)`, `ROADMAP items 2, 4(b) and
+# 4(c)`, in a .go file or in DESIGN.md, README.md or EXPERIMENTS.md)
+# fails when ROADMAP.md's open items define no such item or sub-item.
 doc_refs() {
     tab=$(printf '\t') # sh has no $'\t'
     spans=$(grep -ohE '`[^`]+`' DESIGN.md README.md EXPERIMENTS.md benchmark/README.md)
@@ -248,6 +255,18 @@ doc_refs() {
                 grep -rqE --include='*.go' --exclude='*_test.go' \
                     "^(type|func|const|var) $name\b|^func \([^)]*\) $name[[(]|^$tab+([A-Za-z_][A-Za-z0-9_]*, )*$name(,|\s|\$)" \
                     "internal/$pkg" || echo "$pkg.$name"
+            done
+        items=$(awk '/^## Open items/ { on = 1; next } /^## / { on = 0 }
+            on && match($0, /^[0-9]+\. /) { item = substr($0, 1, RLENGTH - 2); print item }
+            on && item != "" && match($0, /^ *\([a-z]\) |^[0-9]+\. \*\*\([a-z]\) /) {
+                s = substr($0, RSTART, RLENGTH); sub(/^[^(]*/, "", s); print item substr(s, 1, 3)
+            }' ROADMAP.md)
+        ref='[0-9]+(\([a-z]\)|[a-z])?'
+        find . -name '*.go' -not -path './.git/*' -exec cat {} + | cat - DESIGN.md README.md EXPERIMENTS.md |
+            tr '\n' ' ' | sed 's#//# #g' | grep -oE "ROADMAP items? $ref((,? +and +|, *)$ref)*" |
+            sed -E 's/^ROADMAP items? //' | grep -oE "$ref" | sed -E 's/^([0-9]+)([a-z])$/\1(\2)/' | sort -u |
+            while read -r item; do
+                echo "$items" | grep -qxF "$item" || echo "ROADMAP-item-$item"
             done
     )
     if [ -n "$dead" ]; then

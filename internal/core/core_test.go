@@ -701,8 +701,8 @@ func TestCoordinatorFailover(t *testing.T) {
 // shard queues the background fetches of the values it lost in (key,
 // version) order, not in the order its metadata table — a Go map —
 // happens to walk, so two runs of one seed send the same Fetches in
-// the same order (ROADMAP item 1e: a dozen chaos seeds differed from
-// themselves on exactly this).
+// the same order (a dozen chaos seeds once differed from themselves on
+// exactly this).
 func TestRecoveryFetchesValuesInKeyOrder(t *testing.T) {
 	h := newHarness(t, figure3Spec())
 	want := 0

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"ring/internal/proto"
 	"ring/internal/replog"
 	"ring/internal/store"
+	"ring/internal/testutil"
 	"ring/internal/transport"
 )
 
@@ -256,4 +258,235 @@ func TestOversizedPutIsRefused(t *testing.T) {
 	if st, got := c.get(addr, 4, key); st != proto.StOK || !bytes.Equal(got, value) {
 		t.Fatalf("get after the refused puts: %v, %d bytes", st, len(got))
 	}
+}
+
+// write sends one put, delete or move to addr and fails the test unless
+// it is answered OK; a write that finds its key's node recovering is
+// sent again.
+func (c *durClient) write(addr string, msg proto.Message, req *proto.ReqID) {
+	c.t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		*req++
+		r := *req
+		switch m := msg.(type) {
+		case *proto.Put:
+			m.Req = r
+		case *proto.Delete:
+			m.Req = r
+		case *proto.Move:
+			m.Req = r
+		}
+		got := c.rpc(addr, msg, func(m proto.Message) bool {
+			p, ok := m.(*proto.PutReply)
+			return ok && p.Req == r
+		}).(*proto.PutReply)
+		if got.Status == proto.StOK {
+			return
+		}
+		if got.Status != proto.StRetry || time.Now().After(deadline) {
+			c.t.Fatalf("%#v: %v", msg, got.Status)
+		}
+		time.Sleep(5 * time.Millisecond) //ring:sleepok retry pacing against a recovering node, bounded by the deadline
+	}
+}
+
+// indexDiff compares a node's durable index with its metadata tables:
+// every entry of every table must be a live record of the same shard,
+// under the entry's seq (0 for one that recovery installed without
+// one) and as committed as the entry, and what the index holds beyond
+// the tables must be appends still open. It returns what differs.
+func indexDiff(n *Node) []string {
+	type rec struct {
+		sk        replog.ShardKey
+		seq       proto.Seq
+		committed bool
+	}
+	tables := map[rec]int{}
+	count := func(mg proto.MemgestID, shard uint32, t *store.MetaTable) {
+		t.Range(func(e *store.Meta) bool {
+			tables[rec{durKey(mg, shard), e.Seq, e.Committed()}]++
+			return true
+		})
+	}
+	for id, st := range n.mg {
+		for shard, cs := range st.coord {
+			count(id, shard, cs.meta)
+		}
+		for shard, t := range st.rmeta {
+			count(id, shard, t)
+		}
+	}
+	var diff []string
+	n.durable.Live(func(sk replog.ShardKey, seq proto.Seq, committed bool) {
+		r := rec{sk, seq, committed}
+		switch {
+		case tables[r] > 0:
+			tables[r]--
+		case committed:
+			diff = append(diff, fmt.Sprintf("index only: %+v", r))
+		}
+	})
+	for r, k := range tables {
+		if k > 0 {
+			diff = append(diff, fmt.Sprintf("tables only: %d x %+v", k, r))
+		}
+	}
+	return diff
+}
+
+// TestDurableIndexMatchesTables is the durable tier's state invariant:
+// after a Rep(3,3) and SRS(3,2,3) run with overwrites, deletes and
+// moves, a kill and restart over the data directory (the node takes its
+// roles back from its log) and a redundancy node's failover (the spare
+// learns every entry through recovery, with no seq), and more of the
+// same writes on top, every node's live-record index holds exactly the
+// (shard, seq) pairs of its metadata tables, plus its open appends.
+func TestDurableIndexMatchesTables(t *testing.T) {
+	spec := ClusterSpec{
+		Shards: 3, Redundant: 2, Spares: 1,
+		Memgests:    []proto.Scheme{proto.Rep(3, 3), proto.SRS(3, 2, 3)},
+		Opts:        Options{HeartbeatEvery: 10 * time.Millisecond, FailAfter: 300 * time.Millisecond},
+		TickEvery:   2 * time.Millisecond,
+		DataDir:     t.TempDir(),
+		DurableOpts: replog.DurableOptions{Policy: replog.FsyncAlways},
+	}
+	cl, err := StartCluster(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	c := newDurClient(t, cl)
+	var req proto.ReqID
+	keys := make([]string, 48)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("idx-key-%d", i)
+	}
+	addr := func(key string) string { return NodeAddr(cl.Cfg.CoordinatorOf(store.KeyHash(key))) }
+	round := func(r int) {
+		for i, key := range keys {
+			mg := proto.MemgestID(1 + (i+r)%2)
+			for v := 0; v < 2; v++ {
+				c.write(addr(key), &proto.Put{Key: key, Value: []byte(fmt.Sprintf("%s-%d-%d", key, r, v)), Memgest: mg}, &req)
+			}
+			switch {
+			case i%5 == r:
+				c.write(addr(key), &proto.Delete{Key: key}, &req)
+			case i%3 == r%3:
+				c.write(addr(key), &proto.Move{Key: key, Memgest: 3 - mg}, &req)
+			}
+		}
+	}
+	settled := func(what string) {
+		t.Helper()
+		var diff []string
+		ok := testutil.Eventually(10*time.Second, 10*time.Millisecond, func() bool {
+			diff = nil
+			for id, r := range cl.Runs {
+				r.Inspect(func(n *Node) {
+					if n.wants.order.Len() > 0 || n.MetricsSnapshot().WritesAwaitingQuorum > 0 {
+						diff = append(diff, fmt.Sprintf("node %d: busy", id))
+						return
+					}
+					for _, d := range indexDiff(n) {
+						diff = append(diff, fmt.Sprintf("node %d: %s", id, d))
+					}
+				})
+			}
+			return len(diff) == 0
+		})
+		if !ok {
+			t.Fatalf("%s: the durable index and the tables differ:\n%s", what, strings.Join(diff, "\n"))
+		}
+	}
+
+	round(0)
+	settled("after the first writes")
+
+	// A coordinator other than the leader dies and comes back over its
+	// data directory, within the failure detector's patience.
+	victim := cl.Cfg.Coords[0]
+	if victim == cl.Cfg.Leader {
+		victim = cl.Cfg.Coords[1]
+	}
+	cl.Kill(victim)
+	if err := cl.Restart(victim); err != nil {
+		t.Fatal(err)
+	}
+	round(1)
+	settled("after a restart")
+
+	// A redundancy node dies for good: the spare takes its roles and
+	// learns their entries through recovery.
+	gone := cl.Cfg.Redundant[1]
+	cl.Kill(gone)
+	spare := cl.Cfg.Spares[0]
+	if !testutil.Eventually(10*time.Second, 10*time.Millisecond, func() bool {
+		var ok bool
+		cl.Runs[spare].Inspect(func(n *Node) { ok = slices.Contains(n.Config().Redundant, spare) && n.wants.order.Len() == 0 })
+		return ok
+	}) {
+		t.Fatal("the spare never took over")
+	}
+	settled("after the failover")
+	bare := 0
+	cl.Runs[spare].Inspect(func(n *Node) {
+		n.durable.Live(func(_ replog.ShardKey, seq proto.Seq, _ bool) {
+			if seq == 0 {
+				bare++
+			}
+		})
+	})
+	if bare == 0 {
+		t.Fatal("the spare's index holds no entry recovery installed: the run does not cover them")
+	}
+	round(2)
+	settled("after writes over the recovered entries")
+}
+
+// TestReusedVersionLeavesOneRecord: a coordinator that allocates a
+// version again sends it under a new seq to a replica that holds it.
+// The table keeps one entry, and so must the durable index: the replica
+// tells it the older record is superseded (persistReplaced).
+func TestReusedVersionLeavesOneRecord(t *testing.T) {
+	spec := ClusterSpec{
+		Shards: 3, Redundant: 2,
+		Memgests:    []proto.Scheme{proto.Rep(3, 3)},
+		Opts:        Options{HeartbeatEvery: 20 * time.Millisecond, FailAfter: 10 * time.Minute},
+		TickEvery:   2 * time.Millisecond,
+		DataDir:     t.TempDir(),
+		DurableOpts: replog.DurableOptions{Policy: replog.FsyncAlways},
+	}
+	cl, err := StartCluster(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	c := newDurClient(t, cl)
+	const key = "reused"
+	h := store.KeyHash(key)
+	c.put(NodeAddr(cl.Cfg.CoordinatorOf(h)), 1, key, []byte("old"))
+	replica, shard := cl.Runs[cl.Cfg.Redundant[0]], uint32(cl.Cfg.ShardOf(h))
+	var seq proto.Seq
+	if !testutil.Eventually(10*time.Second, 5*time.Millisecond, func() bool {
+		replica.Inspect(func(n *Node) {
+			if e := n.mg[1].rmeta[shard].Get(key, 1); e != nil && e.Committed() {
+				seq = e.Seq
+			}
+		})
+		return seq != 0
+	}) {
+		t.Fatal("the replica never committed the put")
+	}
+	reuse := &proto.RepAppend{Memgest: 1, Shard: shard, Seq: seq + 100, Value: []byte("new"),
+		Rec: proto.MetaRecord{Key: key, Version: 1, Memgest: 1, Length: 3}}
+	c.rpc(NodeAddr(cl.Cfg.Redundant[0]), reuse, func(m proto.Message) bool {
+		a, ok := m.(*proto.RepAck)
+		return ok && a.Seq == seq+100
+	})
+	replica.Inspect(func(n *Node) {
+		if diff := indexDiff(n); len(diff) > 0 {
+			t.Errorf("after version 1 came again under seq %d (it had %d):\n%s", seq+100, seq, strings.Join(diff, "\n"))
+		}
+	})
 }

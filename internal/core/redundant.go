@@ -50,6 +50,7 @@ func (n *Node) handleRepAppend(from string, m *proto.RepAppend) {
 	if rt == nil || len(m.Value) != int(m.Rec.Length) {
 		return // a value that is not the length its record says is dropped unacked too
 	}
+	n.persistReplaced(st, m.Shard, rt, &m.Rec, m.Seq)
 	// Retention site: the replica keeps the value past this handler, and
 	// m.Value is a view into a packet the runner recycles — its one copy.
 	// So is m.Rec.Key: what outlives the handler names the table's key.
@@ -71,6 +72,7 @@ func (n *Node) handleParityUpdate(from string, m *proto.ParityUpdate) {
 		st.parity.ApplyDelta(int(m.StripeOff), int(m.Off), m.Delta)
 		n.Stats.BytesParityXor += uint64(len(m.Delta))
 	}
+	n.persistReplaced(st, m.Shard, rt, &m.Rec, m.Seq)
 	e := rt.Put(&store.Entry{Rec: m.Rec, Seq: m.Seq})
 	st.rseqFor(m.Shard)[m.Seq] = store.EntryKey{Key: rt.Key(e), Version: e.Version}
 	n.ackAppend(from, n.persistAppend(st, m.Shard, e))

@@ -33,8 +33,11 @@ type Durable struct {
 	stash   map[ShardKey]*RecoveredShard
 	damaged bool
 
-	live map[ShardKey]map[entryKey]liveRec
+	live map[ShardKey]*shardIndex
 	segs map[uint64]*segUse
+	// replaying is set while OpenDurable replays the log: every open
+	// append is then named by its key (see shardIndex.named).
+	replaying bool
 	// tail is where the next record lands if the WAL keeps the segment.
 	tail recPos
 	// sealedSeen is the WAL's sealed-segment count at the last merge check.
@@ -48,19 +51,99 @@ type Durable struct {
 	mergeLat metrics.Histogram
 }
 
-// recPos names one record: its segment and its ordinal there.
-type recPos struct {
-	seg uint64
-	n   uint32
+// recPos names one record: its segment in the high 32 bits, its
+// ordinal there in the low 32. A log seals a segment every
+// SegmentBytes, so 2^32 of them is a petabyte-scale history at 1 MiB.
+type recPos uint64
+
+func makeRecPos(seg uint64, n uint32) recPos { return recPos(seg<<32 | uint64(n)) }
+
+func (p recPos) seg() uint64 { return uint64(p >> 32) }
+
+// liveRec is an index entry, 16 bytes with no pointer: where the
+// entry's live record is, its framed size with the committed flag in
+// the top bit, and a fingerprint of the entry's key and version.
+type liveRec struct {
+	at   recPos
+	bits uint32
+	fp   uint32
 }
 
-// liveRec is an index entry: where the entry's live record is, its
-// sequence and framed size, and whether the entry has committed since.
-type liveRec struct {
-	recPos
-	seq       proto.Seq
-	size      uint32
-	committed bool
+// recCommitted is the flag in liveRec.bits: the entry has committed
+// since its record was written. The other 31 bits hold the frame's
+// size, which the WAL's 24-bit length keeps under 2^25.
+const recCommitted = 1 << 31
+
+func (l liveRec) size() int64     { return int64(l.bits &^ recCommitted) }
+func (l liveRec) committed() bool { return l.bits&recCommitted != 0 }
+
+// fingerprint hashes a key and version (FNV-1a) for liveRec.fp.
+func fingerprint(key string, ver proto.Version) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	for v, i := uint64(ver), 0; i < 8; v, i = v>>8, i+1 {
+		h = (h ^ uint32(v&0xff)) * 16777619
+	}
+	return h
+}
+
+// shardIndex is one shard's live records, filed by the seq that names
+// each entry.
+//
+// A seq names an entry within a shard: the coordinator allocates a
+// shard's seqs once each, above every seq a peer or its own log has seen
+// (Tracker.Advance on recovery and on rejoin), a redundancy node takes
+// them from the coordinator's RepAppend and ParityUpdate, and RepCommit
+// and ParityAck name an entry by nothing else. So commits, purges and a
+// merge's copies find an entry by its seq, and the index holds neither
+// keys nor pointers. Each record keeps its entry's fingerprint, so that
+// a seq another entry holds is not taken for this one's.
+//
+// Some entries cannot be found by their seq, and named holds them by
+// key and version, filed under a seq of the index's own (from
+// unseqBase up, which no allocator reaches) unless said otherwise:
+//   - a bare record, an install given seq 0 because recovery learned the
+//     entry from a MetaFetchReply, whose records carry none;
+//   - an entry whose seq another entry already holds: a coordinator
+//     that restarts can hand a seq out again (durable chaos seed 186
+//     does);
+//   - an append an earlier life of the node left open, filed under its
+//     seq. Recovery does not put it back in a metadata table, so what
+//     later purges or installs it names it with seq 0. Replay names every
+//     open append as it meets it, since it cannot tell where one life
+//     ended.
+//
+// named is empty on a node that never recovered anything, and while it
+// names an entry every record about that key and version goes there.
+// What the index cannot see is an entry a table holds under one seq
+// appended again under another, when the coordinator allocates its
+// version again (ROADMAP item 4(b)): the redundancy node that holds it
+// says so with Forget. And two entries that share a seq and a
+// fingerprint (one in 2^32 of the seqs handed out again) are taken for
+// one.
+type shardIndex struct {
+	recs  map[proto.Seq]liveRec
+	named map[entryKey]proto.Seq
+	// unseq is the last seq the index gave an entry of its own.
+	unseq proto.Seq
+}
+
+// unseqBase is where the seqs the index gives entries start.
+const unseqBase = proto.Seq(1) << 63
+
+// lookup returns the seq x files the entry ek under, given the seq a
+// record of it carries, and whether x holds it: a name wins, then the
+// seq if the record filed there is the entry's. A marker a merge left
+// behind names an entry that is gone, and must not touch another that
+// holds its seq now.
+func (x *shardIndex) lookup(seq proto.Seq, ek entryKey) (proto.Seq, bool) {
+	if s, ok := x.named[ek]; ok {
+		return s, true
+	}
+	l, ok := x.recs[seq]
+	return seq, ok && l.fp == fingerprint(ek.key, ek.ver)
 }
 
 // segUse is what one segment holds: framed bytes in all, and of them
@@ -220,10 +303,11 @@ func OpenDurable(fsys wal.FS, opts DurableOptions) (*Durable, error) {
 	d := &Durable{
 		opts:  opts,
 		stash: make(map[ShardKey]*RecoveredShard),
-		live:  make(map[ShardKey]map[entryKey]liveRec),
+		live:  make(map[ShardKey]*shardIndex),
 		segs:  make(map[uint64]*segUse),
 	}
 	shards := make(map[ShardKey]*replayShard)
+	d.replaying = true
 	d.w, err = wal.Open(fsys, wal.Options{SegmentBytes: opts.WALSegmentBytes}, func(seg uint64, payload []byte) error {
 		size := wal.FrameHeader + len(payload)
 		r, ok := decodeWALRecord(payload)
@@ -232,13 +316,17 @@ func OpenDurable(fsys wal.FS, opts DurableOptions) (*Durable, error) {
 			d.damaged = true
 			return nil
 		}
-		d.apply(r.kind, r.sk, r.seq, &r.rec, seg, size)
 		st := shards[r.sk]
 		if st == nil {
 			st = newReplayShard()
 			shards[r.sk] = st
 		}
 		ek := entryKey{r.rec.Key, r.rec.Version}
+		if e := st.entries[ek]; (r.kind == kAppend || r.kind == kInstall) && e != nil && e.Seq != 0 && r.seq != 0 && e.Seq != r.seq {
+			// The node held the entry under e.Seq when it took this record.
+			d.Forget(r.sk, e.Seq, r.rec.Key, r.rec.Version)
+		}
+		d.apply(r.kind, r.sk, r.seq, &r.rec, seg, size)
 		switch r.kind {
 		case kAppend, kInstall:
 			delete(st.orphans, ek)
@@ -269,6 +357,7 @@ func OpenDurable(fsys wal.FS, opts DurableOptions) (*Durable, error) {
 		st.maxSeq = max(st.maxSeq, r.seq)
 		return nil
 	})
+	d.replaying = false
 	if errors.Is(err, wal.ErrOldFormat) {
 		return nil, fmt.Errorf("replog: %w, which an older ringd wrote; remove the data directory and the node resyncs from its group", err)
 	}
@@ -318,12 +407,12 @@ func (d *Durable) Damaged() bool { return d.damaged }
 // landed books a framed record of size bytes that the WAL put in seg
 // and returns its position.
 func (d *Durable) landed(seg uint64, size int) recPos {
-	if seg != d.tail.seg {
-		d.tail = recPos{seg: seg}
+	if seg != d.tail.seg() {
+		d.tail = makeRecPos(seg, 0)
 		d.segs[seg] = &segUse{}
 	}
 	at := d.tail
-	d.tail.n++
+	d.tail++
 	d.segs[seg].bytes += int64(size)
 	return at
 }
@@ -331,10 +420,10 @@ func (d *Durable) landed(seg uint64, size int) recPos {
 // book adds (sign 1) or removes (sign -1) an index entry's share of the
 // counts.
 func (d *Durable) book(l liveRec, sign int) {
-	d.segs[l.seg].live += int64(sign) * int64(l.size)
-	d.stats.LiveBytes += int64(sign) * int64(l.size)
+	d.segs[l.at.seg()].live += int64(sign) * l.size()
+	d.stats.LiveBytes += int64(sign) * l.size()
 	d.stats.LiveRecords += sign
-	if !l.committed {
+	if !l.committed() {
 		d.stats.Unresolved += sign
 	}
 }
@@ -345,37 +434,102 @@ func (d *Durable) book(l liveRec, sign int) {
 // or reset drops what it names. Any other kind only takes its ordinal.
 func (d *Durable) apply(kind byte, sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, seg uint64, size int) {
 	at := d.landed(seg, size)
+	x := d.live[sk]
+	if x == nil {
+		if kind != kAppend && kind != kInstall {
+			return
+		}
+		x = &shardIndex{recs: make(map[proto.Seq]liveRec)}
+		d.live[sk] = x
+	}
 	ek := entryKey{rec.Key, rec.Version}
-	m := d.live[sk]
 	switch kind {
 	case kAppend, kInstall:
-		if m == nil {
-			m = make(map[entryKey]liveRec)
-			d.live[sk] = m
+		fp := fingerprint(rec.Key, rec.Version)
+		s, named := x.named[ek]
+		wasNamed := named
+		if named && seq != s && (seq != 0 || s < unseqBase) {
+			// Its seq names the entry now, or a bare record takes the place
+			// of an open one: file it afresh.
+			d.drop(x, s)
+			delete(x.named, ek)
+			named = false
 		}
-		if old, ok := m[ek]; ok {
+		if !named {
+			s = seq
+			if l, ok := x.recs[seq]; seq == 0 || ok && l.fp != fp {
+				x.unseq++
+				s = unseqBase + x.unseq
+			}
+		}
+		if old, ok := x.recs[s]; ok {
 			d.book(old, -1)
 		}
-		l := liveRec{recPos: at, seq: seq, size: uint32(size), committed: kind == kInstall}
-		m[ek] = l
+		l := liveRec{at: at, bits: uint32(size), fp: fp}
+		if kind == kInstall {
+			l.bits |= recCommitted
+		}
+		x.recs[s] = l
 		d.book(l, 1)
+		switch {
+		case s >= unseqBase || !l.committed() && (wasNamed || d.replaying):
+			if named {
+				break
+			}
+			if x.named == nil {
+				x.named = make(map[entryKey]proto.Seq)
+			}
+			if !d.replaying {
+				ek.key = strings.Clone(ek.key) // rec.Key may be a view into a table's key chunk
+			}
+			x.named[ek] = s
+		case named:
+			delete(x.named, ek) // committed under its seq: whoever names it again knows it
+		}
 	case kCommit:
-		if l, ok := m[ek]; ok && !l.committed {
-			l.committed = true
-			m[ek] = l
+		s, ok := x.lookup(seq, ek)
+		if l := x.recs[s]; ok && !l.committed() {
+			l.bits |= recCommitted
+			x.recs[s] = l
 			d.stats.Unresolved--
+			if s < unseqBase {
+				delete(x.named, ek) // open no more, and its seq finds it
+			}
 		}
 	case kPurge:
-		if l, ok := m[ek]; ok {
-			d.book(l, -1)
-			delete(m, ek)
-		}
+		d.forget(x, seq, ek)
 	case kReset:
-		for _, l := range m {
+		for _, l := range x.recs {
 			d.book(l, -1)
 		}
 		delete(d.live, sk)
 	}
+}
+
+// forget drops the entry ek, named seq by a record, from x.
+func (d *Durable) forget(x *shardIndex, seq proto.Seq, ek entryKey) {
+	if s, ok := x.lookup(seq, ek); ok {
+		d.drop(x, s)
+		delete(x.named, ek)
+	}
+}
+
+// drop removes the record filed under s, if any, from x.
+func (d *Durable) drop(x *shardIndex, s proto.Seq) {
+	if l, ok := x.recs[s]; ok {
+		d.book(l, -1)
+		delete(x.recs, s)
+	}
+}
+
+// find returns the live record of the entry a record read back from the
+// log names.
+func (x *shardIndex) find(seq proto.Seq, rec *proto.MetaRecord) (liveRec, bool) {
+	if x == nil {
+		return liveRec{}, false
+	}
+	s, ok := x.lookup(seq, entryKey{rec.Key, rec.Version})
+	return x.recs[s], ok
 }
 
 // write appends a framed record of rec and applies it to the index.
@@ -407,6 +561,18 @@ func (d *Durable) Append(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, valu
 	}
 	d.stats.Appends++
 	return nil
+}
+
+// Forget drops the entry key@ver, which a table holds under seq in
+// shard sk, from the index, writing nothing. A redundancy node calls it
+// when an append is about to replace that entry with one of the same
+// key and version under another seq (a version the coordinator
+// allocated again): the append supersedes its record, and replay, which
+// finds the key and version already there, forgets it the same way.
+func (d *Durable) Forget(sk ShardKey, seq proto.Seq, key string, ver proto.Version) {
+	if x := d.live[sk]; x != nil {
+		d.forget(x, seq, entryKey{key, ver})
+	}
 }
 
 // Commit persists an entry's commit as a marker naming its key and
@@ -514,22 +680,22 @@ func (d *Durable) merge() error {
 	end := d.w.ActiveSegment()
 	var buf []byte // one segment's bytes at a time
 	for _, seg := range d.w.SealedSegments() {
-		at := recPos{seg: seg}
+		at := makeRecPos(seg, 0)
 		var err error
 		buf, err = d.w.ReadSegment(seg, buf, func(frame []byte) error {
 			pos := at
-			at.n++
+			at++
 			r, ok := decodeWALRecord(frame[wal.FrameHeader:])
 			if !ok {
 				return nil // nothing live fails to decode: replay indexes no such record
 			}
-			l, ok := d.live[r.sk][entryKey{r.rec.Key, r.rec.Version}]
-			if !ok || l.recPos != pos {
+			l, ok := d.live[r.sk].find(r.seq, &r.rec)
+			if !ok || l.at != pos {
 				return nil
 			}
 			// The copy is the record as read, its kind set to the entry's state.
 			kind := byte(kAppend)
-			if l.committed {
+			if l.committed() {
 				kind = kInstall
 			}
 			frame[wal.FrameHeader] = kind
@@ -550,6 +716,22 @@ func (d *Durable) merge() error {
 	d.stats.Merges++
 	d.mergeLat.Observe(time.Since(start))
 	return nil
+}
+
+// Live calls fn for each live record in the index, in no order: its
+// shard, the seq the index files it under (0 for one filed under a seq
+// of its own: bare, or named a seq another entry holds) and whether its
+// entry has committed. It is the index as a state check compares it
+// with the node's metadata tables.
+func (d *Durable) Live(fn func(sk ShardKey, seq proto.Seq, committed bool)) {
+	for sk, x := range d.live {
+		for s, l := range x.recs {
+			if s >= unseqBase {
+				s = 0
+			}
+			fn(sk, s, l.committed())
+		}
+	}
 }
 
 // Stats is the durable tier's instrumentation: a point-in-time copy for

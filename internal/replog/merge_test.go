@@ -172,9 +172,9 @@ func copiedByMerge(t *testing.T, fs wal.FS) *Durable {
 	if err := d.merge(); err != nil {
 		t.Fatal(err)
 	}
-	for ek, l := range d.live[testSK] {
-		if l.seg < end {
-			t.Fatalf("%v still lives in merged segment %d", ek, l.seg)
+	for seq, l := range d.live[testSK].recs {
+		if l.at.seg() < end {
+			t.Fatalf("seq %d still lives in merged segment %d", seq, l.at.seg())
 		}
 	}
 	return d
@@ -487,9 +487,9 @@ func TestMergeAfterReopenReadsReplayedPositions(t *testing.T) {
 	if err := d.merge(); err != nil {
 		t.Fatal(err)
 	}
-	for ek, l := range d.live[testSK] {
-		if l.seg < end {
-			t.Fatalf("%v still lives in merged segment %d: the merge did not find it where replay put it", ek, l.seg)
+	for seq, l := range d.live[testSK].recs {
+		if l.at.seg() < end {
+			t.Fatalf("seq %d still lives in merged segment %d: the merge did not find it where replay put it", seq, l.at.seg())
 		}
 	}
 	if st := d.DurableStats(); st.LiveRecords != before.LiveRecords || st.WALPruned == 0 {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"ring/internal/proto"
+	"ring/internal/testutil"
 )
 
 func rec(key string, v proto.Version, mg proto.MemgestID, committed bool) proto.MetaRecord {
@@ -362,21 +363,9 @@ func TestEntrySize(t *testing.T) {
 	if typ.Size() != 48 {
 		t.Errorf("store.Meta is %d bytes, want 48", typ.Size())
 	}
-	var check func(path string, ty reflect.Type)
-	check = func(path string, ty reflect.Type) {
-		switch ty.Kind() {
-		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice, reflect.Map,
-			reflect.Interface, reflect.Chan, reflect.Func:
-			t.Errorf("%s is a %s: the collector would scan every slab", path, ty.Kind())
-		case reflect.Struct:
-			for i := range ty.NumField() {
-				check(path+"."+ty.Field(i).Name, ty.Field(i).Type)
-			}
-		case reflect.Array:
-			check(path+"[]", ty.Elem())
-		}
+	for _, f := range testutil.PointerFields("store.Meta", typ) {
+		t.Errorf("%s: the collector would scan every slab", f)
 	}
-	check("store.Meta", typ)
 }
 
 // TestMetaBytesPerEntry pins what a node's collected heap holds per

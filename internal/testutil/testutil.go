@@ -1,7 +1,10 @@
 // Package testutil holds small helpers shared by Ring's tests.
 package testutil
 
-import "time"
+import (
+	"reflect"
+	"time"
+)
 
 // Eventually polls cond every step until it returns true or timeout
 // elapses, and reports whether the condition was met. It is the
@@ -22,4 +25,25 @@ func Eventually(timeout, step time.Duration, cond func() bool) bool {
 		}
 		time.Sleep(step)
 	}
+}
+
+// PointerFields lists the paths, rooted at name, of every field of ty
+// that holds a pointer the collector must follow: a pointer, string,
+// slice, map, interface, channel or function, at any depth of structs
+// and arrays. A type it returns nothing for is never scanned.
+func PointerFields(name string, ty reflect.Type) []string {
+	switch ty.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice, reflect.Map,
+		reflect.Interface, reflect.Chan, reflect.Func:
+		return []string{name + " is a " + ty.Kind().String()}
+	case reflect.Struct:
+		var out []string
+		for i := range ty.NumField() {
+			out = append(out, PointerFields(name+"."+ty.Field(i).Name, ty.Field(i).Type)...)
+		}
+		return out
+	case reflect.Array:
+		return PointerFields(name+"[]", ty.Elem())
+	}
+	return nil
 }
