@@ -165,12 +165,16 @@
 #      clients still unfinished at the horizon, inconclusive) are
 #      exactly the file's entries at offset 0, seed by seed: a seed that
 #      turns red or wedges fails it, and so does a listed seed that goes
-#      green, each printed as new:/gone: with its repro. The file lists
-#      every entry's verdict at six timing offsets (every packet charged
-#      0, +1, -5, -20, +16 or -30 bytes more, sim.CostModel.Skew); a
-#      change that moves timing regenerates it with `ringchaos -expect
-#      chaos.expect -update`, which prints each lane's six counts before
-#      and after, and `git diff chaos.expect` is the per-seed review.
+#      green, each printed as new:/gone: with its repro and the file's
+#      shrunk one. The file lists every entry's verdict at six timing
+#      offsets (every packet charged 0, +1, -5, -20, +16 or -30 bytes
+#      more, sim.CostModel.Skew) and, under it, the schedule its seed
+#      shrinks to as a repro line (slow or wedged for an incomplete
+#      one), which TestKnownRedSchedules replays and the gate does not
+#      run; a change that moves timing regenerates it with `ringchaos
+#      -expect chaos.expect -update`, which shrinks every entry again
+#      and prints each lane's six counts before and after, and `git
+#      diff chaos.expect` is the per-seed review.
 #      Every client in these runs is a client.Session, the request logic
 #      ringd's clients run (internal/client/session.go, driven by
 #      internal/sim/session.go), so a change to how a client retries,

@@ -43,12 +43,22 @@ type entryKey struct {
 	verdict string
 }
 
-// expectFile is a parsed expect file: the bands it declares and, per
-// failing (lane, seed, verdict), the offsets at which it occurs, in the
-// order of offsets.
+// entry is what the file says of one failing (lane, seed, verdict):
+// the offsets it occurs at, in the order of offsets (none for a pin, a
+// shrunk schedule whose full seed is ok), and the repro line under it:
+// the command that replays the seed shrunk at its first offset, after
+// the pace of an incomplete one (slow or wedged). Only the tests replay
+// it; the check does not read it.
+type entry struct {
+	at          []int
+	pace, repro string
+}
+
+// expectFile is a parsed expect file: the bands it declares and its
+// entries.
 type expectFile struct {
 	bands   []band
-	entries map[entryKey][]int
+	entries map[entryKey]*entry
 }
 
 const expectHeader = `# What ringchaos reports that is not ok, per lane, seed and verdict,
@@ -59,6 +69,10 @@ const expectHeader = `# What ringchaos reports that is not ok, per lane, seed an
 # -update runs the six offsets and rewrites the file. Verdicts:
 # violation (not linearizable), incomplete (linearizable, with clients
 # unfinished at the horizon), inconclusive (search budget exhausted).
+# Under each entry, the schedule its seed shrinks to at its first
+# offset, as a repro command; an incomplete one says whether the full
+# seed completes at twice the horizon (slow) or not (wedged). A pin is
+# a shrunk schedule whose full seed is ok: -update keeps it as it is.
 `
 
 func readExpect(path string) (expectFile, error) {
@@ -73,17 +87,20 @@ func readExpect(path string) (expectFile, error) {
 	return f, nil
 }
 
-// parseExpect reads "band LANE LO:HI" and "LANE SEED VERDICT OFFSET..."
-// lines; blank lines and # comments are skipped.
+// parseExpect reads "band LANE LO:HI", "LANE SEED VERDICT OFFSET...",
+// "pin LANE SEED VERDICT" and, under either of the last two, "repro
+// [PACE] COMMAND" lines; blank lines and # comments are skipped.
 func parseExpect(b []byte) (expectFile, error) {
-	f := expectFile{entries: map[entryKey][]int{}}
+	f := expectFile{entries: map[entryKey]*entry{}}
+	var last *entryKey // the entry a repro line may follow
 	sc := bufio.NewScanner(bytes.NewReader(b))
 	for n := 1; sc.Scan(); n++ {
 		fields := strings.Fields(sc.Text())
 		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
 			continue
 		}
-		if err := f.add(fields); err != nil {
+		var err error
+		if last, err = f.add(fields, last); err != nil {
 			return expectFile{}, fmt.Errorf("line %d: %v", n, err)
 		}
 	}
@@ -96,51 +113,83 @@ func parseExpect(b []byte) (expectFile, error) {
 	return f, nil
 }
 
-func (f *expectFile) add(fields []string) error {
-	if fields[0] == "band" {
+// add reads one line that follows entry last (nil: none a repro line
+// may follow) and returns what the next line follows.
+func (f *expectFile) add(fields []string, last *entryKey) (*entryKey, error) {
+	switch fields[0] {
+	case "band":
 		if len(fields) != 3 {
-			return fmt.Errorf("want band LANE LO:HI, have %q", strings.Join(fields, " "))
+			return nil, fmt.Errorf("want band LANE LO:HI, have %q", strings.Join(fields, " "))
 		}
 		if _, known := lanes[fields[1]]; !known {
-			return fmt.Errorf("unknown lane %q", fields[1])
+			return nil, fmt.Errorf("unknown lane %q", fields[1])
 		}
 		if _, dup := f.band(fields[1]); dup {
-			return fmt.Errorf("second band for lane %s", fields[1])
+			return nil, fmt.Errorf("second band for lane %s", fields[1])
 		}
 		lo, hi, err := parseSeedRange(fields[2])
 		if err != nil {
-			return err
+			return nil, err
 		}
 		f.bands = append(f.bands, band{fields[1], lo, hi})
-		return nil
+		return nil, nil
+	case "repro":
+		if last == nil {
+			return nil, fmt.Errorf("repro line under no entry")
+		}
+		return nil, f.addRepro(*last, fields[1:])
 	}
-	if len(fields) < 4 {
-		return fmt.Errorf("want LANE SEED VERDICT OFFSET..., have %q", strings.Join(fields, " "))
+	pin := fields[0] == "pin"
+	if pin {
+		fields = fields[1:]
+	}
+	if len(fields) < 3 || pin != (len(fields) == 3) {
+		return nil, fmt.Errorf("want LANE SEED VERDICT OFFSET... or pin LANE SEED VERDICT, have %q", strings.Join(fields, " "))
 	}
 	seed, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	k := entryKey{fields[0], seed, fields[2]}
 	if b, ok := f.band(k.lane); !ok || seed < b.lo || seed > b.hi {
-		return fmt.Errorf("%s seed %d is in no band declared above it", k.lane, seed)
+		return nil, fmt.Errorf("%s seed %d is in no band declared above it", k.lane, seed)
 	}
 	if !slices.Contains(failing, k.verdict) {
-		return fmt.Errorf("unknown verdict %q", k.verdict)
+		return nil, fmt.Errorf("unknown verdict %q", k.verdict)
 	}
 	if _, dup := f.entries[k]; dup {
-		return fmt.Errorf("second entry for %s %d %s", k.lane, k.seed, k.verdict)
+		return nil, fmt.Errorf("second entry for %s %d %s", k.lane, k.seed, k.verdict)
 	}
-	var at []int
+	e := &entry{}
 	for _, s := range fields[3:] {
 		d, err := strconv.Atoi(s)
-		if err != nil || !slices.Contains(offsets, d) || slices.Contains(at, d) {
-			return fmt.Errorf("offset %q: want each of %v at most once", s, offsets)
+		if err != nil || !slices.Contains(offsets, d) || slices.Contains(e.at, d) {
+			return nil, fmt.Errorf("offset %q: want each of %v at most once", s, offsets)
 		}
-		at = append(at, d)
+		e.at = append(e.at, d)
 	}
-	slices.SortFunc(at, func(a, b int) int { return slices.Index(offsets, a) - slices.Index(offsets, b) })
-	f.entries[k] = at
+	slices.SortFunc(e.at, func(a, b int) int { return slices.Index(offsets, a) - slices.Index(offsets, b) })
+	f.entries[k] = e
+	return &k, nil
+}
+
+// addRepro reads the repro line under entry k: an optional pace, then
+// what reproOf words for k's lane and seed at its first offset (0 for a
+// pin), with a -schedule.
+func (f *expectFile) addRepro(k entryKey, fields []string) error {
+	e := f.entries[k]
+	if len(fields) > 0 && (fields[0] == "slow" || fields[0] == "wedged") {
+		e.pace, fields = fields[0], fields[1:]
+	}
+	e.repro = strings.Join(fields, " ")
+	spec := lanes[k.lane]
+	spec.Seed = k.seed
+	if len(e.at) > 0 {
+		spec.Skew = e.at[0]
+	}
+	if want := reproOf(spec) + " -schedule '"; !strings.HasPrefix(e.repro, want) {
+		return fmt.Errorf("repro %q is not one of %s %d: want %q...", e.repro, k.lane, k.seed, want)
+	}
 	return nil
 }
 
@@ -153,8 +202,12 @@ func (f *expectFile) band(lane string) (band, bool) {
 	return band{}, false
 }
 
-// sorted returns keys ordered by lane, seed and verdict.
-func sorted(keys []entryKey) []entryKey {
+// sorted returns m's keys ordered by lane, seed and verdict.
+func sorted[V any](m map[entryKey]V) []entryKey {
+	keys := make([]entryKey, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
 	slices.SortFunc(keys, func(a, b entryKey) int {
 		return cmp.Or(cmp.Compare(a.lane, b.lane), cmp.Compare(a.seed, b.seed), cmp.Compare(a.verdict, b.verdict))
 	})
@@ -162,7 +215,8 @@ func sorted(keys []entryKey) []entryKey {
 }
 
 // format writes the file in its one canonical form: the header, the
-// bands in declared order, then one sorted line per entry.
+// bands in declared order, then one sorted line per entry (a pin's
+// starts "pin"), each with its repro line under it.
 func (f expectFile) format() []byte {
 	var b bytes.Buffer
 	b.WriteString(expectHeader)
@@ -171,14 +225,17 @@ func (f expectFile) format() []byte {
 		fmt.Fprintf(&b, "band %s %d:%d\n", bd.lane, bd.lo, bd.hi)
 	}
 	b.WriteString("\n")
-	keys := make([]entryKey, 0, len(f.entries))
-	for k := range f.entries {
-		keys = append(keys, k)
-	}
-	for _, k := range sorted(keys) {
+	for _, k := range sorted(f.entries) {
+		e := f.entries[k]
+		if len(e.at) == 0 {
+			b.WriteString("pin ")
+		}
 		fmt.Fprintf(&b, "%s %d %s", k.lane, k.seed, k.verdict)
-		for _, d := range f.entries[k] {
+		for _, d := range e.at {
 			fmt.Fprintf(&b, " %d", d)
+		}
+		if e.repro != "" {
+			b.WriteString("\n  repro " + strings.TrimPrefix(e.pace+" ", " ") + e.repro)
 		}
 		b.WriteString("\n")
 	}
@@ -214,7 +271,7 @@ func (g gate) runBands(f expectFile, d int, want map[entryKey]bool) (map[entryKe
 			return o
 		}, func(o outcome) {
 			counts[o.verdict]++
-			if o.verdict != ok {
+			if o.verdict != sim.OK {
 				seen[entryKey{b.lane, o.seed, o.verdict}] = true
 			}
 			if o.kept != nil && dumpErr == nil {
@@ -240,8 +297,8 @@ func (g gate) check(d int) int {
 		return 2
 	}
 	want := map[entryKey]bool{}
-	for k, at := range f.entries {
-		want[k] = slices.Contains(at, d)
+	for k, e := range f.entries {
+		want[k] = slices.Contains(e.at, d)
 	}
 	start := time.Now()
 	seen, err := g.runBands(f, d, want)
@@ -249,25 +306,28 @@ func (g gate) check(d int) int {
 		fmt.Fprintf(g.errw, "ringchaos: %v\n", err)
 		return 2
 	}
-	var diff []entryKey
+	diff := map[entryKey]bool{} // each difference, true when it is new
 	for k := range seen {
 		if !want[k] {
-			diff = append(diff, k)
+			diff[k] = true
 		}
 	}
 	for k, listed := range want {
 		if listed && !seen[k] {
-			diff = append(diff, k)
+			diff[k] = false
 		}
 	}
 	for _, k := range sorted(diff) {
 		word := "new"
-		if !seen[k] {
+		if !diff[k] {
 			word = "gone"
 		}
 		spec := lanes[k.lane]
 		spec.Seed, spec.Skew = k.seed, d
 		fmt.Fprintf(g.out, "%s: %s %d %s\n  repro: %s\n", word, k.lane, k.seed, k.verdict, reproOf(spec))
+		if e := f.entries[k]; e != nil && e.repro != "" {
+			fmt.Fprintf(g.out, "  repro (shrunk, from the file): %s\n", e.repro)
+		}
 	}
 	if len(diff) > 0 {
 		fmt.Fprintf(g.out, "ringchaos: %s at skew %d: %d differences (%.1fs)\n", g.path, d, len(diff), time.Since(start).Seconds())
@@ -277,16 +337,22 @@ func (g gate) check(d int) int {
 	return 0
 }
 
-// update runs the bands at every offset, prints per lane and verdict
-// the seeds failing at each offset before and after, and rewrites the
-// file.
+// update runs the bands at every offset, shrinks each entry at the
+// first offset that lists it, prints per lane and verdict the seeds
+// failing at each offset before and after, and rewrites the file. A pin
+// stays as it is while its full seed is ok.
 func (g gate) update() int {
 	old, err := readExpect(g.path)
 	if err != nil {
 		fmt.Fprintf(g.errw, "ringchaos: %v\n", err)
 		return 2
 	}
-	next := expectFile{bands: old.bands, entries: map[entryKey][]int{}}
+	next := expectFile{bands: old.bands, entries: map[entryKey]*entry{}}
+	for k, e := range old.entries {
+		if len(e.at) == 0 {
+			next.entries[k] = &entry{pace: e.pace, repro: e.repro}
+		}
+	}
 	for _, d := range offsets {
 		seen, err := g.runBands(old, d, nil)
 		if err != nil {
@@ -294,9 +360,25 @@ func (g gate) update() int {
 			return 2
 		}
 		for k := range seen {
-			next.entries[k] = append(next.entries[k], d)
+			if next.entries[k] == nil {
+				next.entries[k] = &entry{}
+			}
+			next.entries[k].at = append(next.entries[k].at, d)
 		}
 	}
+	start := time.Now()
+	keys := sorted(next.entries)
+	keys = slices.DeleteFunc(keys, func(k entryKey) bool { return len(next.entries[k].at) == 0 })
+	n := 0
+	sweep(0, int64(len(keys))-1, func(i int64) outcome {
+		spec := lanes[keys[i].lane]
+		spec.Seed, spec.Skew = keys[i].seed, next.entries[keys[i]].at[0]
+		return runSeed(spec, true, false)
+	}, func(o outcome) {
+		next.entries[keys[n]].pace, next.entries[keys[n]].repro = o.pace, o.shrunk
+		n++
+	})
+	fmt.Fprintf(g.out, "ringchaos: %d entries shrunk (%.1fs)\n", len(keys), time.Since(start).Seconds())
 	fmt.Fprintf(g.out, "ringchaos: seeds per offset %v (mean ± standard deviation, seeds named), before -> after\n", offsets)
 	for _, b := range next.bands {
 		for _, v := range failing {
@@ -320,12 +402,12 @@ func (g gate) update() int {
 func (f expectFile) counts(lane, verdict string) (string, int) {
 	n := make([]float64, len(offsets))
 	seeds := 0
-	for k, at := range f.entries {
-		if k.lane != lane || k.verdict != verdict {
+	for k, e := range f.entries {
+		if k.lane != lane || k.verdict != verdict || len(e.at) == 0 {
 			continue
 		}
 		seeds++
-		for _, d := range at {
+		for _, d := range e.at {
 			n[slices.Index(offsets, d)]++
 		}
 	}

@@ -34,7 +34,8 @@
 //	                                   are not ok are its entries at
 //	                                   -skew (default 0)
 //	ringchaos -expect chaos.expect -update
-//	                                   run the bands at the six offsets
+//	                                   run the bands at the six offsets,
+//	                                   shrink every entry at its first,
 //	                                   and rewrite the file
 //
 // A seed's verdict is ok, violation (the history is not linearizable),
@@ -43,8 +44,10 @@
 // checker's search budget ran out); any verdict but ok exits 1. Seeds run on GOMAXPROCS
 // workers and are printed in seed order.
 //
-// On a violation the driver greedily shrinks the failing schedule to a
-// locally minimal one, prints both, and exits nonzero. With -dump it
+// On a seed that is not ok the driver greedily shrinks the schedule to a
+// locally minimal one with the same verdict, prints both, and exits
+// nonzero; an incomplete seed also says whether it completes at twice
+// the horizon (slow) or not (wedged). With -dump it
 // also writes, per seed that is not ok, the full operation history,
 // the original and shrunk schedules, and the repro command lines — the
 // files the nightly CI sweep uploads as artifacts.
@@ -64,7 +67,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ring/internal/linearize"
 	"ring/internal/sim"
 )
 
@@ -167,7 +169,7 @@ func run(args []string, out, errw io.Writer) int {
 		return runSeed(spec, *shrink && explicit == nil, *dump != "")
 	}, func(o outcome) {
 		counts[o.verdict]++
-		if o.verdict != ok || *verbose {
+		if o.verdict != sim.OK || *verbose {
 			io.WriteString(out, o.text)
 		}
 		if o.kept != nil && dumpErr == nil {
@@ -188,29 +190,9 @@ func run(args []string, out, errw io.Writer) int {
 	return 0
 }
 
-// The verdicts of one seed's run. Every one but ok fails it.
-const (
-	ok           = "ok"
-	violation    = "violation"    // the history is not linearizable
-	incomplete   = "incomplete"   // linearizable, with clients unfinished at the horizon
-	inconclusive = "inconclusive" // the checker's search budget ran out
-)
-
 // failing are the verdicts that fail a seed, in the order a summary
 // names them.
-var failing = []string{violation, incomplete, inconclusive}
-
-func verdictOf(r sim.ChaosRunResult) string {
-	switch {
-	case r.Check.Verdict == linearize.Violation:
-		return violation
-	case r.Check.Verdict == linearize.Exhausted:
-		return inconclusive
-	case !r.Completed:
-		return incomplete
-	}
-	return ok
-}
+var failing = []string{sim.Violation, sim.Incomplete, sim.Inconclusive}
 
 // tally counts seeds by verdict.
 type tally map[string]int
@@ -243,44 +225,55 @@ type outcome struct {
 	verdict string
 	text    string              // the lines the seed prints
 	repros  string              // its repro command lines (not ok only)
+	shrunk  string              // the shrunk schedule's repro (when shrunk)
+	pace    string              // slow or wedged (when an incomplete seed is shrunk)
 	kept    *sim.ChaosRunResult // the run, when its artifacts are wanted
 }
 
 // runSeed runs spec and words the outcome. shrink spends further runs
-// shrinking a violation's schedule; keep holds on to a failing run for
-// its artifacts.
+// shrinking a failing schedule, and an incomplete seed's one more run
+// at twice the horizon; keep holds on to a failing run for its
+// artifacts.
 func runSeed(spec sim.ChaosRunSpec, shrink, keep bool) outcome {
 	r := sim.RunChaos(spec)
-	o := outcome{seed: spec.Seed, verdict: verdictOf(r)}
+	o := outcome{seed: spec.Seed, verdict: r.Verdict()}
 	repro := reproOf(spec)
 	var b strings.Builder
 	switch o.verdict {
-	case ok, incomplete:
+	case sim.OK, sim.Incomplete:
 		word := "ok"
-		if o.verdict == incomplete {
+		if o.verdict == sim.Incomplete {
 			word = "INCOMPLETE"
 		}
 		fmt.Fprintf(&b, "seed %d: %s (%d ops, %d abandoned, %d moves/resizes acked, faults %+v)\n",
 			spec.Seed, word, len(r.History), r.Abandoned, r.ElasticAcked, r.Faults)
-	case inconclusive:
+	case sim.Inconclusive:
 		fmt.Fprintf(&b, "seed %d: INCONCLUSIVE on key %q (search budget exhausted; re-run with -budget)\n",
 			spec.Seed, r.Check.Key)
-	case violation:
+	case sim.Violation:
 		fmt.Fprintf(&b, "seed %d: VIOLATION\n%s\n", spec.Seed, indent(r.Check.String()))
 		fmt.Fprintf(&b, "  schedule: %s\n", r.Schedule)
 		fmt.Fprintf(&b, "  repro: %s\n", repro)
 	}
-	if o.verdict == ok {
+	if o.verdict == sim.OK {
 		o.text = b.String()
 		return o
 	}
 	o.repros = repro + "\n"
-	if o.verdict == violation && shrink {
-		shrunk, runs := sim.ShrinkSchedule(spec, r.Schedule)
+	if shrink {
+		shrunk, runs := sim.ShrinkSchedule(spec, r)
+		o.shrunk = fmt.Sprintf("%s -schedule '%s'", repro, shrunk)
 		fmt.Fprintf(&b, "  shrunk (%d -> %d steps, %d runs): %s\n",
 			len(r.Schedule.Steps), len(shrunk.Steps), runs, shrunk)
-		fmt.Fprintf(&b, "  repro (shrunk): %s -schedule '%s'\n", repro, shrunk)
-		o.repros += fmt.Sprintf("%s -schedule '%s'\n", repro, shrunk)
+		fmt.Fprintf(&b, "  repro (shrunk): %s\n", o.shrunk)
+		o.repros += o.shrunk + "\n"
+		if o.verdict == sim.Incomplete {
+			o.pace = "slow"
+			if sim.Wedged(spec) {
+				o.pace = "wedged"
+			}
+			fmt.Fprintf(&b, "  at twice the horizon: %s\n", o.pace)
+		}
 	}
 	o.text = b.String()
 	if keep {

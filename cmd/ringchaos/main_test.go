@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"ring/internal/sim"
 )
 
 func TestCleanSeedPasses(t *testing.T) {
@@ -181,40 +183,35 @@ func TestElasticityReproSchedules(t *testing.T) {
 	}
 }
 
-// TestKnownRedSchedules pins the shrunk schedules ROADMAP items 2, 4(b)
-// and 4(c) name as still red: plain 496, 1218, 703 and 199 (a retry
-// applied twice, item 2), durable 675 and 491 (versions that restart,
-// 4(b)), and 4(c)'s unexplained reds: durable 186 (a restarted
-// leader-coordinator's stale gets), plain 1389 (a read returns filler
-// no client wrote), plain 962 (1(c)'s split) and elasticity 264 (an
-// acked put lost across a graceful leave). Each must still report a
-// violation. One that goes green went
-// green for one of two reasons, and the failure says which to act on:
-// a fix landed — then it belongs in Test*ReproSchedules, which require
-// it green — or its timing moved and it no longer reaches the bug —
-// then it is re-found (item 12) and replaced here.
+// TestKnownRedSchedules replays the repro line under every entry of
+// the committed chaos.expect, and under its pin, and requires the
+// entry's verdict: a red seed's shortest known schedule lives in the
+// file. A line that no longer reports its verdict went green because a
+// fix landed or because its timing moved: an entry's line is rewritten
+// by -update, and a pin moves to Test*ReproSchedules once it is fixed.
 func TestKnownRedSchedules(t *testing.T) {
-	for _, tc := range []struct{ item, lane, seed, schedule string }{
-		{"2", "", "496", "4.993434ms:flaky:5:4:860µs;14.311425ms:kill:0;16.061199ms:restart:0;20.805468ms:flaky:7:3:1.2ms"},
-		{"2", "", "1218", "8.727092ms:flaky:8:1:685µs"},
-		{"2", "", "703", "8.079921ms:kill:0;9.73581ms:restart:0;17.180126ms:flaky:3:3:440µs;25.084193ms:calm;29.664645ms:flaky:5:0:260µs;40ms:calm"},
-		{"2", "", "199", "2.163915ms:flaky:6:0:690µs;27.292261ms:kill:1"},
-		{"4(b)", "-durable", "675", "683.911µs:kill:3;2.587839ms:restart:3;8.31316ms:kill:4;10.071707ms:restart:4;29.533497ms:kill:0"},
-		{"4(b)", "-durable", "491", "6.729392ms:fsyncerr:3;8.14341ms:fsyncok:3;8.14341ms:restart:3;24.667949ms:kill:0"},
-		{"4(c)", "-durable", "186", "19.517458ms:kill:0;23.401926ms:restart:0"},
-		{"4(c)", "", "1389", "2.192021ms:flaky:5:2:305µs;8.297259ms:calm;21.616406ms:kill:0"},
-		{"4(c)", "", "962", "11.925516ms:flaky:6:2:195µs;28.914783ms:part:0:1;40ms:calm"},
-		{"4(c)", "-elasticity", "264", "26.615448ms:leave:2"},
-	} {
-		t.Run(strings.TrimPrefix(tc.lane+"-", "-")+tc.seed, func(t *testing.T) {
+	replay(t, "../../chaos.expect")
+}
+
+// replay runs the repro line under every entry and pin of the expect
+// file at path, in parallel, and requires the entry's verdict.
+func replay(t *testing.T, path string) {
+	f, err := readExpect(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range sorted(f.entries) {
+		cmd := f.entries[k].repro
+		if cmd == "" {
+			continue
+		}
+		t.Run(strings.TrimPrefix(k.lane+"-", "plain-")+strconv.FormatInt(k.seed, 10), func(t *testing.T) {
+			t.Parallel()
 			var out, errw strings.Builder
-			args := []string{"-seed", tc.seed, "-schedule", tc.schedule}
-			if tc.lane != "" {
-				args = append([]string{tc.lane}, args...)
-			}
-			if code := run(args, &out, &errw); code == 0 {
-				t.Fatalf("`ringchaos %s` (ROADMAP item %s) reports no violation: if a fix landed, move it to Test*ReproSchedules; if not, its timing moved — re-find the bug (item 12) and pin the new schedule here",
-					strings.Join(args, " "), tc.item)
+			code := run(strings.Fields(strings.ReplaceAll(cmd, "'", ""))[1:], &out, &errw)
+			if want := fmt.Sprintf("seed %d: %s", k.seed, strings.ToUpper(k.verdict)); code != 1 || !strings.HasPrefix(out.String(), want) {
+				t.Fatalf("`%s` (exit %d) is not %s: if a fix landed, pin the schedule in Test*ReproSchedules; if not, run -update\n%s%s",
+					cmd, code, k.verdict, out.String(), errw.String())
 			}
 		})
 	}
@@ -228,16 +225,24 @@ func TestBadFlags(t *testing.T) {
 	if code := run([]string{"-schedule", "1ms:frobnicate"}, &out, &errw); code != 2 {
 		t.Fatalf("expected exit 2 for bad schedule, got %d", code)
 	}
-	bad := filepath.Join(t.TempDir(), "bad.expect")
-	if err := os.WriteFile(bad, []byte("band plain 1:10\nplain 11 violation 0\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, args := range [][]string{
+	cases := [][]string{
 		{"-expect", "../../chaos.expect", "-seeds", "1:3"},
 		{"-update"},
 		{"-expect", "../../chaos.expect", "-update", "-skew", "1"},
-		{"-expect", bad},
+	}
+	for i, text := range []string{
+		"plain 11 violation 0\n",                                                           // outside the band
+		"  repro ringchaos -seed 3 -schedule '1ms:kill:0'\n",                               // under no entry
+		"plain 3 violation 0\n  repro ringchaos -seed 4 -schedule '1ms:kill:0'\n",          // another seed
+		"plain 3 violation 0\n  repro ringchaos -seed 3 -durable -schedule '1ms:kill:0'\n", // another lane
 	} {
+		bad := filepath.Join(t.TempDir(), fmt.Sprintf("bad%d.expect", i))
+		if err := os.WriteFile(bad, []byte("band plain 1:10\n"+text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, []string{"-expect", bad})
+	}
+	for _, args := range cases {
 		if code := run(args, &out, &errw); code != 2 {
 			t.Fatalf("expected exit 2 for `ringchaos %s`, got %d", strings.Join(args, " "), code)
 		}
@@ -256,9 +261,10 @@ func runOut(t *testing.T, args ...string) (int, string) {
 }
 
 // TestExpectFile: -update writes the failing verdicts of a small plain
-// and elasticity band at the six offsets; a second -update leaves the
-// file byte for byte as it was; the check passes on it, names the
-// entry a file misses, and names a listed seed that is green.
+// and elasticity band at the six offsets, each with a repro line that
+// replays it; a second -update leaves the file byte for byte as it was;
+// the check passes on it, names the entry a file misses, and names a
+// listed seed that is green with the file's shrunk repro.
 func TestExpectFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chaos.expect")
 	if err := os.WriteFile(path, []byte("band plain 197:200\nband elasticity 163:165\n"), 0o644); err != nil {
@@ -274,6 +280,16 @@ func TestExpectFile(t *testing.T) {
 	if second, _ := os.ReadFile(path); string(second) != string(first) {
 		t.Fatalf("-update did not round-trip:\n%s\nthen\n%s", first, second)
 	}
+	f, err := parseExpect(first)
+	if err != nil || string(f.format()) != string(first) || len(f.entries) == 0 {
+		t.Fatalf("parse and format do not round-trip (%v):\n%s", err, first)
+	}
+	for k, e := range f.entries {
+		if e.repro == "" || (k.verdict == sim.Incomplete) != (e.pace != "") {
+			t.Fatalf("%v has repro line %q %q", k, e.pace, e.repro)
+		}
+	}
+	replay(t, path)
 	if code, out := runOut(t, "-expect", path); code != 0 || !strings.Contains(out, "as expected") {
 		t.Fatalf("check of a fresh file: exit %d\n%s", code, out)
 	}
@@ -281,13 +297,15 @@ func TestExpectFile(t *testing.T) {
 	// An entry red at offset 0 taken out of the file.
 	var missing string
 	var rest []string
-	for _, line := range strings.Split(strings.TrimSuffix(string(first), "\n"), "\n") {
-		f := strings.Fields(line)
+	lines := strings.Split(strings.TrimSuffix(string(first), "\n"), "\n")
+	for i := 0; i < len(lines); i++ {
+		f := strings.Fields(lines[i])
 		if missing == "" && len(f) > 3 && f[0] == "plain" && slices.Contains(f[3:], "0") {
 			missing = strings.Join(f[:3], " ")
+			i++ // and its repro line
 			continue
 		}
-		rest = append(rest, line)
+		rest = append(rest, lines[i])
 	}
 	if missing == "" {
 		t.Fatalf("plain 197:200 has no seed red at offset 0 any more; pick a band that has one:\n%s", first)
@@ -300,60 +318,13 @@ func TestExpectFile(t *testing.T) {
 	}
 
 	// A green seed listed as red.
-	if err := os.WriteFile(path, append(first, "plain 198 violation 0\n"...), 0o644); err != nil {
+	green := "plain 198 violation 0\n  repro ringchaos -seed 198 -schedule '1ms:kill:0'\n"
+	if err := os.WriteFile(path, append(first, green...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if code, out := runOut(t, "-expect", path); code != 1 || !strings.Contains(out, "gone: plain 198 violation\n") {
+	gone := "gone: plain 198 violation\n  repro: ringchaos -seed 198\n  repro (shrunk, from the file): ringchaos -seed 198 -schedule '1ms:kill:0'\n"
+	if code, out := runOut(t, "-expect", path); code != 1 || !strings.Contains(out, gone) {
 		t.Fatalf("a file listing green seed 198: exit %d\n%s", code, out)
-	}
-}
-
-// TestSkewReproReplaysRed takes an entry of the committed chaos.expect
-// that is a violation at some offset d but not at 0: the repro line
-// the check prints for it carries -skew d and replays the violation.
-func TestSkewReproReplaysRed(t *testing.T) {
-	b, err := os.ReadFile("../../chaos.expect")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := parseExpect(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var keys []entryKey
-	for key := range f.entries {
-		keys = append(keys, key)
-	}
-	var k entryKey
-	d := 0
-	for _, key := range sorted(keys) {
-		if at := f.entries[key]; key.verdict == violation && !slices.Contains(at, 0) {
-			k, d = key, at[0]
-			break
-		}
-	}
-	if d == 0 {
-		t.Fatal("chaos.expect has no violation that is red at some offset but not at 0")
-	}
-	path := filepath.Join(t.TempDir(), "one.expect")
-	band := fmt.Sprintf("band %s %d:%d\n", k.lane, k.seed, k.seed)
-	if err := os.WriteFile(path, []byte(band), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, out := runOut(t, "-expect", path, "-skew", strconv.Itoa(d))
-	entry := fmt.Sprintf("new: %s %d violation\n  repro: ", k.lane, k.seed)
-	i := strings.Index(out, entry)
-	if code != 1 || i < 0 {
-		t.Fatalf("%s at skew %d: exit %d, no %q\n%s", k.lane, d, code, entry, out)
-	}
-	repro := out[i+len(entry):]
-	repro = repro[:strings.IndexByte(repro, '\n')]
-	if !strings.HasSuffix(repro, fmt.Sprintf(" -skew %d", d)) {
-		t.Fatalf("repro %q does not carry -skew %d", repro, d)
-	}
-	args := append(strings.Fields(repro)[1:], "-shrink=false")
-	if code, out := runOut(t, args...); code != 1 || !strings.Contains(out, "VIOLATION") {
-		t.Fatalf("`%s` does not replay the violation (exit %d)\n%s", repro, code, out)
 	}
 }
 

@@ -207,9 +207,10 @@ func TestRecordingAllocs(t *testing.T) {
 
 // TestRecordingCheap is a coarse regression guard on per-sample cost.
 // The design target is <~20ns per recorded sample (a few uncontended
-// atomic adds); the assertion allows a wide margin so shared CI
-// machines do not flake, while still catching an accidental lock or
-// allocation (both cost an order of magnitude more).
+// atomic adds); the assertion (recordBudget, build-tag-selected) allows
+// a wide margin so shared CI machines do not flake, while still
+// catching an accidental lock or allocation (both cost an order of
+// magnitude more).
 func TestRecordingCheap(t *testing.T) {
 	var h Histogram
 	const n = 1_000_000
@@ -218,8 +219,9 @@ func TestRecordingCheap(t *testing.T) {
 		h.Observe(time.Duration(i))
 	}
 	perOp := time.Since(start) / n
-	if perOp > 500*time.Nanosecond {
-		t.Fatalf("Histogram.Observe costs %v/op, want well under 500ns (target ~20ns)", perOp)
+	t.Logf("Histogram.Observe: %v/op", perOp)
+	if perOp > recordBudget {
+		t.Fatalf("Histogram.Observe costs %v/op, want well under %v (target ~20ns)", perOp, recordBudget)
 	}
 	r := NewTraceRing(256)
 	start = time.Now()
@@ -227,8 +229,9 @@ func TestRecordingCheap(t *testing.T) {
 		r.Record(TraceGet, "hot-key", 1, uint64(i), 0, time.Duration(i), 0)
 	}
 	perOp = time.Since(start) / n
-	if perOp > 500*time.Nanosecond {
-		t.Fatalf("TraceRing.Record costs %v/op, want well under 500ns (target ~20ns)", perOp)
+	t.Logf("TraceRing.Record: %v/op", perOp)
+	if perOp > recordBudget {
+		t.Fatalf("TraceRing.Record costs %v/op, want well under %v (target ~20ns)", perOp, recordBudget)
 	}
 }
 

@@ -73,7 +73,7 @@ func TestChaosUnsafeAckCaught(t *testing.T) {
 		t.Fatal("injected ack-before-quorum bug not caught on any seed in 1..20")
 	}
 
-	shrunk, runs := ShrinkSchedule(spec, full.Schedule)
+	shrunk, runs := ShrinkSchedule(spec, full)
 	if len(shrunk.Steps) > len(full.Schedule.Steps) {
 		t.Fatalf("shrink grew the schedule: %d -> %d steps", len(full.Schedule.Steps), len(shrunk.Steps))
 	}
@@ -222,4 +222,34 @@ func mustChaosConfig(t *testing.T) *proto.Config {
 		t.Fatal(err)
 	}
 	return cfg
+}
+
+// TestShrinkIncompleteKeepsClosingSteps: plain seed 443 is incomplete,
+// and slow (it completes at twice the horizon). Shrunk under that
+// verdict it keeps every closing step at Active, so the shrunk run is
+// slow too; with them dropped, nodes 0 and 1 stayed dead and the run
+// was incomplete at any horizon.
+func TestShrinkIncompleteKeepsClosingSteps(t *testing.T) {
+	spec := ChaosRunSpec{Seed: 443}
+	full := RunChaos(spec)
+	if full.Verdict() != Incomplete || Wedged(spec) {
+		t.Fatalf("plain seed 443 is %s (wedged %v), want incomplete and slow", full.Verdict(), Wedged(spec))
+	}
+	shrunk, _ := ShrinkSchedule(spec, full)
+	closing := func(s Schedule) (n int) {
+		for _, st := range s.Steps {
+			if st.At >= 40*time.Millisecond {
+				n++
+			}
+		}
+		return n
+	}
+	if len(shrunk.Steps) >= len(full.Schedule.Steps) || closing(shrunk) != closing(full.Schedule) {
+		t.Fatalf("shrunk %d -> %d steps, %d of %d closing ones kept: %s",
+			len(full.Schedule.Steps), len(shrunk.Steps), closing(shrunk), closing(full.Schedule), shrunk)
+	}
+	spec.Schedule = &shrunk
+	if r := RunChaos(spec); r.Verdict() != Incomplete || Wedged(spec) {
+		t.Fatalf("shrunk schedule %s is %s (wedged %v), want incomplete and slow", shrunk, r.Verdict(), Wedged(spec))
+	}
 }

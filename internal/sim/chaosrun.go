@@ -79,9 +79,31 @@ type ChaosRunResult struct {
 	ElasticAcked     int
 	ElasticAbandoned int
 	// Completed is true when every client finished before the horizon
-	// (false usually means the cluster wedged — worth investigating
-	// even when the history is clean).
+	// (false: the cluster wedged, or its retries were too slow; see
+	// Wedged).
 	Completed bool
+}
+
+// The verdicts of a chaos run, as ringchaos prints them and
+// chaos.expect lists them. Every one but OK fails the run.
+const (
+	OK           = "ok"
+	Violation    = "violation"    // the history is not linearizable
+	Incomplete   = "incomplete"   // linearizable, with clients unfinished at the horizon
+	Inconclusive = "inconclusive" // the checker's search budget ran out
+)
+
+// Verdict names what the run found.
+func (r ChaosRunResult) Verdict() string {
+	switch {
+	case r.Check.Verdict == linearize.Violation:
+		return Violation
+	case r.Check.Verdict == linearize.Exhausted:
+		return Inconclusive
+	case !r.Completed:
+		return Incomplete
+	}
+	return OK
 }
 
 // chaosCluster is the fixed cluster shape chaos runs use: 3 shards,
@@ -185,26 +207,32 @@ func RunChaos(spec ChaosRunSpec) ChaosRunResult {
 	return res
 }
 
-// ShrinkSchedule greedily removes nemesis steps while the violation
-// persists: repeated passes try dropping each step and re-running the
-// (deterministic) run with the reduced schedule, keeping any removal
-// that still yields a non-linearizable verdict. The result is a
-// locally minimal schedule for the same seed. Returns the shrunk
-// schedule and the number of full runs spent.
-func ShrinkSchedule(spec ChaosRunSpec, sched Schedule) (Schedule, int) {
+// ShrinkSchedule greedily removes nemesis steps from r's schedule:
+// repeated passes try dropping each step and re-running the
+// (deterministic) run, keeping any removal that leaves r's verdict. An
+// incomplete run keeps its steps at or after Active, the generators'
+// closing calm, heal and restarts: without them a killed node stays
+// dead and any subset is incomplete. Returns the locally minimal
+// schedule for the same seed and the number of full runs spent.
+func ShrinkSchedule(spec ChaosRunSpec, r ChaosRunResult) (Schedule, int) {
+	spec = spec.withDefaults()
+	verdict, sched := r.Verdict(), r.Schedule
 	runs := 0
-	fails := func(cand Schedule) bool {
+	same := func(cand Schedule) bool {
 		runs++
 		s := spec
 		s.Schedule = &cand
-		return RunChaos(s).Check.Verdict == linearize.Violation
+		return RunChaos(s).Verdict() == verdict
 	}
 	improved := true
 	for improved {
 		improved = false
 		for i := 0; i < len(sched.Steps); i++ {
+			if verdict == Incomplete && sched.Steps[i].At >= spec.Active {
+				continue
+			}
 			cand := sched.Without(i)
-			if fails(cand) {
+			if same(cand) {
 				sched = cand
 				improved = true
 				i-- // the next step shifted into this slot
@@ -212,4 +240,13 @@ func ShrinkSchedule(spec ChaosRunSpec, sched Schedule) (Schedule, int) {
 		}
 	}
 	return sched, runs
+}
+
+// Wedged reruns spec at twice its horizon and reports whether clients
+// are still unfinished: an incomplete run that then completes was slow,
+// not wedged.
+func Wedged(spec ChaosRunSpec) bool {
+	spec = spec.withDefaults()
+	spec.Horizon *= 2
+	return !RunChaos(spec).Completed
 }

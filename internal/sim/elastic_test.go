@@ -117,7 +117,7 @@ func TestChaosUnsafeMoveCaught(t *testing.T) {
 		t.Fatal("injected ack-before-journal move bug not caught on any seed in 1..30")
 	}
 
-	shrunk, runs := ShrinkSchedule(spec, full.Schedule)
+	shrunk, runs := ShrinkSchedule(spec, full)
 	if len(shrunk.Steps) > len(full.Schedule.Steps) {
 		t.Fatalf("shrink grew the schedule: %d -> %d steps", len(full.Schedule.Steps), len(shrunk.Steps))
 	}
