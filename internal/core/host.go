@@ -66,9 +66,8 @@ func (h *Host) Deliver(now time.Duration, from string, payload []byte) {
 // next message's proto.SizeHint would take it past transport.MaxPacket,
 // so that it fits the buffer its receiver reads into, and the peer's
 // next packet starts with that message; one message longer than that (a
-// block a recovery fetched, a value near proto.MaxValue) leaves alone.
-// SizeHint does not count a metadata table, so the MetaFetchReplys of a
-// recovery still share packets past that size. A packet is encoded into
+// block a recovery fetched, a value near proto.MaxValue, a large
+// metadata table) leaves alone. A packet is encoded into
 // a pooled buffer sized for it up front, and its messages and their
 // Out.Scratch go back to their pools once it holds their bytes. The
 // packet is send's, and a send error is ignored as a datagram's would

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"ring/internal/proto"
@@ -15,13 +16,27 @@ type sentPacket struct {
 	tags []uint64
 }
 
+// Kinds of recovery reply tagged builds.
+const (
+	plain = iota // an ack or a parity update
+	fetch        // a FetchReply
+	table        // a MetaFetchReply
+)
+
 // tagged builds a message of about size bytes whose tag reads back
-// from its encoding: a recovery reply when fetch is set, else an ack
+// from its encoding: a recovery reply of the given kind, else an ack
 // under 100 bytes and a parity update from there.
-func tagged(tag uint64, size int, fetch bool) proto.Message {
+func tagged(tag uint64, size int, kind int) proto.Message {
 	switch {
-	case fetch:
+	case kind == fetch:
 		return &proto.FetchReply{Req: proto.ReqID(tag), Status: proto.StOK, Data: make([]byte, size)}
+	case kind == table:
+		// 32 bytes a record: a 24-byte key and its fields.
+		recs := make([]proto.MetaRecord, size/32)
+		for i := range recs {
+			recs[i] = proto.MetaRecord{Key: fmt.Sprintf("recovered-key-%010d", i), Version: 1, Memgest: 1, Committed: true}
+		}
+		return &proto.MetaFetchReply{Req: proto.ReqID(tag), Status: proto.StOK, Memgest: 1, Recs: recs}
 	case size < 100:
 		return &proto.ParityAck{Memgest: 1, Seq: proto.Seq(tag)}
 	}
@@ -31,6 +46,8 @@ func tagged(tag uint64, size int, fetch bool) proto.Message {
 func tagOf(m proto.Message) uint64 {
 	switch m := m.(type) {
 	case *proto.FetchReply:
+		return uint64(m.Req)
+	case *proto.MetaFetchReply:
 		return uint64(m.Req)
 	case *proto.ParityAck:
 		return uint64(m.Seq)
@@ -93,9 +110,10 @@ func checkPacked(t testing.TB, sent []sentPacket, want map[string][]uint64) {
 }
 
 // TestPackBoundsPackets: one batch's outputs to two peers, ten 16 KiB
-// parity updates and acks between them and one 100 KiB recovery reply,
-// leave each peer in order, in packets that fit the receiver's read
-// buffer, and the recovery reply, longer than that, alone.
+// parity updates and acks between them, one 100 KiB recovery reply and
+// four 24 KiB metadata tables, leave each peer in order, in packets that
+// fit the receiver's read buffer, and the recovery reply, longer than
+// that, alone.
 func TestPackBoundsPackets(t *testing.T) {
 	var outs []Out
 	want := map[string][]uint64{}
@@ -105,11 +123,14 @@ func TestPackBoundsPackets(t *testing.T) {
 	}
 	const fetchTag = 1000
 	for i := uint64(1); i <= 10; i++ {
-		add([]string{"peer/a", "peer/b"}[i%2], tagged(i, 16<<10, false))
-		add("peer/a", tagged(100+i, 0, false))
+		add([]string{"peer/a", "peer/b"}[i%2], tagged(i, 16<<10, plain))
+		add("peer/a", tagged(100+i, 0, plain))
 		if i == 6 {
-			add("peer/b", tagged(fetchTag, 100<<10, true))
+			add("peer/b", tagged(fetchTag, 100<<10, fetch))
 		}
+	}
+	for i := uint64(1); i <= 4; i++ {
+		add("peer/c", tagged(200+i, 24<<10, table))
 	}
 	sent := packAll(t, outs)
 	checkPacked(t, sent, want)
@@ -124,8 +145,8 @@ func TestPackBoundsPackets(t *testing.T) {
 	if !alone {
 		t.Error("the 100 KiB FetchReply shares a packet, want it alone")
 	}
-	if len(sent) < 4 {
-		t.Errorf("%d packets for 160 KiB of parity updates to two peers, want at least 4", len(sent))
+	if len(sent) < 6 {
+		t.Errorf("%d packets for 160 KiB of parity updates to two peers and 96 KiB of tables to a third, want at least 6", len(sent))
 	}
 }
 
@@ -133,18 +154,26 @@ func TestPackBoundsPackets(t *testing.T) {
 // (up to twice transport.MaxPacket), leave exactly once each, in order
 // per destination, and no packet of more than one message is over
 // MaxPacket. Three bytes make one output: the destination, whether it is
-// a recovery reply and whether its size doubles, then the size.
+// a recovery reply (a block, or a metadata table of records) and whether
+// its size doubles, then the size.
 func FuzzPack(f *testing.F) {
 	f.Add([]byte{0, 0x40, 0, 1, 0x40, 0, 0, 0x40, 0, 2, 0, 8})
 	f.Add([]byte{0, 0xff, 0xff, 1, 0, 1, 0, 0xff, 0xf0, 0, 0, 0})
 	f.Add([]byte{0x80, 0xc8, 0, 0x81, 0xff, 0x80, 0x02, 0x7f, 0xe0})
+	f.Add([]byte{0x20, 0x60, 0, 0x20, 0x60, 0, 0xa0, 0x60, 0, 0x21, 0x10, 0})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var outs []Out
 		want := map[string][]uint64{}
 		for i := 0; i+3 <= len(in) && len(outs) < 64; i += 3 {
 			to := []string{"peer/a", "peer/b", "peer/c"}[in[i]&3%3]
 			size := (int(in[i+1])<<8 | int(in[i+2])) * (1 + int(in[i]>>7))
-			m := tagged(uint64(len(outs)+1), size, in[i]&0x40 != 0)
+			kind := plain
+			if in[i]&0x40 != 0 {
+				kind = fetch
+			} else if in[i]&0x20 != 0 {
+				kind = table
+			}
+			m := tagged(uint64(len(outs)+1), size, kind)
 			outs = append(outs, Out{To: to, Msg: m})
 			want[to] = append(want[to], tagOf(m))
 		}

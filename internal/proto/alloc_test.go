@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -136,11 +137,18 @@ func TestDecodeViewsAliasInput(t *testing.T) {
 }
 
 // TestSizeHintBoundsPayloadMessages: for every message that carries a
-// payload, SizeHint covers the encoded size plus AppendBatch's framing,
-// so a buffer acquired from the hint is never regrown.
+// payload or a metadata table, SizeHint covers the encoded size plus
+// AppendBatch's framing, so a buffer acquired from the hint is never
+// regrown and a packet Pack closes on hints fits transport.MaxPacket.
 func TestSizeHintBoundsPayloadMessages(t *testing.T) {
 	key := "a-key-of-ordinary-length"
 	rec := MetaRecord{Key: key, Version: 3, Memgest: 2, Length: 1 << 14, LocBlock: 9, LocOff: 77}
+	// Records whose every field is at its widest varint.
+	widest := make([]MetaRecord, 1<<6)
+	for i := range widest {
+		widest[i] = MetaRecord{Key: key, Version: math.MaxUint64, Memgest: math.MaxUint32, Committed: true, Tombstone: true,
+			Length: math.MaxUint32, LocBlock: math.MaxUint32, LocOff: math.MaxUint32}
+	}
 	for _, n := range []int{0, 1, 1 << 10, 1 << 14} {
 		v := make([]byte, n)
 		msgs := []Message{
@@ -149,6 +157,7 @@ func TestSizeHintBoundsPayloadMessages(t *testing.T) {
 			&RepAppend{Memgest: 2, Shard: 1, Seq: 9, Rec: rec, Value: v},
 			&ParityUpdate{Memgest: 2, Shard: 1, Seq: 9, Rec: rec, Block: 4, StripeOff: 1, Off: 128, Delta: v},
 			&FetchReply{Req: 1, Status: StOK, Data: v},
+			&MetaFetchReply{Req: 1, Status: StOK, Memgest: 2, Shard: 1, Seq: 1 << 40, Recs: widest[:n>>8]},
 		}
 		hint := 0
 		for _, m := range msgs {

@@ -70,9 +70,9 @@ func AppendBatch(buf []byte, msgs ...Message) []byte {
 
 // SizeHint returns the buffer capacity to encode m into without
 // regrowing it: an upper bound for the messages that carry a payload
-// (96 bytes cover their other fields, ParityUpdate's 78 at most, and
-// AppendBatch's framing), and 96 bytes for the rest, where an outsized
-// one (a configuration, a metadata table) grows its buffer.
+// or a metadata table (96 bytes cover their other fields, ParityUpdate's
+// 78 at most, and AppendBatch's framing), and 96 bytes for the rest,
+// where an outsized one (a configuration, a long key) grows its buffer.
 func SizeHint(m Message) int {
 	n := 96
 	switch m := m.(type) {
@@ -86,9 +86,17 @@ func SizeHint(m Message) int {
 		n += len(m.Rec.Key) + len(m.Delta)
 	case *FetchReply:
 		n += len(m.Data)
+	case *MetaFetchReply:
+		for i := range m.Recs {
+			n += recordMax + len(m.Recs[i].Key)
+		}
 	}
 	return n
 }
+
+// recordMax bounds a MetaRecord's encoding beside its key's bytes: the
+// key's length, two bools and six varints, each at its widest.
+const recordMax = 5 + 10 + 5 + 2 + 3*5
 
 // IsBatch reports whether an encoded packet is a TBatch envelope.
 func IsBatch(pkt []byte) bool {

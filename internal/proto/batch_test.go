@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -39,14 +40,16 @@ func TestBatchRoundTrip(t *testing.T) {
 		// Under 128 bytes behind a prefix reserved for its 197-byte
 		// SizeHint: the length is padded to two bytes.
 		&RepAppend{Memgest: 1, Seq: 8, Rec: MetaRecord{Key: "k", Version: 2, Memgest: 1, Length: 100}, Value: make([]byte, 100)},
+		// A table's SizeHint counts its records: two bytes reserved.
+		&MetaFetchReply{Req: 4, Status: StOK, Memgest: 2, Seq: 20, Recs: recs},
 		// Past the one byte its 96-byte SizeHint reserves: re-encoded
 		// behind a two-byte prefix.
-		&MetaFetchReply{Req: 4, Status: StOK, Memgest: 2, Seq: 20, Recs: recs},
+		&Purge{Memgest: 1, Shard: 0, Key: strings.Repeat("k", 200), Version: 1},
 	}
 	pkt := AppendBatch(nil, msgs...)
 	// Each prefix is as wide as its reservation, and only as wide as it
 	// must be where the message outgrew it.
-	widths := []int{1, 1, 1, 2, 2}
+	widths := []int{1, 1, 1, 2, 2, 2}
 	b := pkt[2:]
 	for i, m := range msgs {
 		n, w := binary.Uvarint(b)
