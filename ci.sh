@@ -150,10 +150,13 @@
 #      batch, yield exactly the frames a one-shot parse yields, no
 #      payload reaching past its declared length, and the same bad
 #      headers rejected. FuzzPack is the send side's (internal/core):
-#      arbitrary outputs, destinations and message sizes up to twice
-#      transport.MaxPacket, leave core.Host.Pack each exactly once, in
-#      order per peer, and no packet of more than one message is over
-#      MaxPacket, the payload whose frame fills a receiver's read buffer.
+#      arbitrary outputs (acks, commits, purges, appends, parity updates,
+#      recovery blocks and metadata tables), destinations and message
+#      sizes up to twice transport.MaxPacket leave core.Host.Pack with
+#      every ack and commit seq and every purge exactly once, folded
+#      into runs that no message moves past, in order per peer, and no
+#      packet of more than one message is over MaxPacket, the payload
+#      whose frame fills a receiver's read buffer.
 #   8. bench smoke: every Go benchmark compiles and runs one
 #      iteration; a benchmark that panics or no longer builds fails
 #      the stage, and the numbers scroll by in the job log

@@ -243,7 +243,6 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 			n.Stats.BytesWritten += uint64(len(value))
 			rec.LocBlock = ext.Block
 			rec.LocOff = ext.Off
-			stripeOff := uint32(st.layout.StripeOffset(int(ext.Block)))
 			// The coordinator performs the GF multiplications that
 			// build the per-parity deltas ("data nodes are responsible
 			// for calculating updates"), each into a pooled buffer that
@@ -257,7 +256,7 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 			for r, pn := range cs.redundant {
 				n.sendScratch(NodeAddr(pn), proto.New(proto.ParityUpdate{
 					Memgest: mgID, Shard: shard, Seq: seq, Rec: rec,
-					Block: ext.Block, StripeOff: stripeOff, Off: ext.Off,
+					Block: ext.Block, Off: ext.Off,
 					Delta: n.deltas[r],
 				}), n.deltas[r])
 				n.Stats.ParityUpdates++

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"ring/internal/proto"
@@ -34,9 +35,11 @@ type Host struct {
 	Node *Node
 
 	// Pack's scratch, reused so that sending allocates nothing beyond
-	// the packets: one destination's messages and their Out.Scratch.
+	// the packets: one destination's messages, their Out.Scratch, and
+	// the purges its commits carry.
 	group    []proto.Message
 	payloads [][]byte
+	purges   []byte
 }
 
 // Deliver runs the messages of one packet (one, or a TBatch of several)
@@ -62,7 +65,9 @@ func (h *Host) Deliver(now time.Duration, from string, payload []byte) {
 // Pack coalesces one batch's outputs by destination and hands each
 // group to send as a single packet, in order: m parity updates or r
 // replica appends to the same peer cost one send, like back-to-back
-// verbs posted with a single doorbell. A packet is closed before the
+// verbs posted with a single doorbell. Inside a packet, a message that
+// continues the run of the one before it is folded into it (see fold),
+// so that each thing is said once. A packet is closed before the
 // next message's proto.SizeHint would take it past transport.MaxPacket,
 // so that it fits the buffer its receiver reads into, and the peer's
 // next packet starts with that message; one message longer than that (a
@@ -89,8 +94,12 @@ func (h *Host) Pack(outs []Out, send func(to string, pkt []byte) error) {
 			if len(h.group) > 0 && size+hint > transport.MaxPacket {
 				break // outs[j] starts to's next packet
 			}
-			h.group = append(h.group, outs[j].Msg)
 			size += hint
+			if len(h.group) > 0 && h.fold(h.group[len(h.group)-1], outs[j].Msg) {
+				release(outs[j].Msg)
+			} else {
+				h.group = append(h.group, outs[j].Msg)
+			}
 			if outs[j].Scratch != nil {
 				h.payloads = append(h.payloads, outs[j].Scratch)
 			}
@@ -101,12 +110,61 @@ func (h *Host) Pack(outs []Out, send func(to string, pkt []byte) error) {
 			transport.ReleaseBuf(b)
 		}
 		for _, m := range h.group {
+			if c, ok := m.(*proto.RepCommit); ok {
+				c.Purges = nil // h.purges, reused for the next packet
+			}
 			release(m)
 		}
+		h.purges = h.purges[:0]
 		h.Node.Metrics.MsgsOut.Add(uint64(len(h.group)))
 		h.Node.Metrics.PacketsOut.Inc()
 		_ = send(to, buf)
 		clear(h.group)
 		clear(h.payloads)
 	}
+}
+
+// fold merges m into last, the message before it in its packet, when m
+// continues last's run, and reports whether it did: an ack whose first
+// seq follows the last one an ack of its kind names, a commit that does
+// the same to a commit, each of the same memgest shard, or a purge of a
+// commit's memgest shard, which that commit then carries. Nothing else
+// folds, so a run never reaches across a message it does not absorb,
+// and its receiver applies what it carries in the order it was output:
+// every seq, then every purge. A commit's purges are kept in h.purges
+// until its packet is encoded; Pack's inputs carry none of their own.
+func (h *Host) fold(last, m proto.Message) bool {
+	switch m := m.(type) {
+	case *proto.RepAck:
+		l, ok := last.(*proto.RepAck)
+		return ok && extend(l.Memgest == m.Memgest && l.Shard == m.Shard, l.Seq, &l.More, m.Seq, m.More)
+	case *proto.ParityAck:
+		l, ok := last.(*proto.ParityAck)
+		return ok && extend(l.Memgest == m.Memgest && l.Shard == m.Shard, l.Seq, &l.More, m.Seq, m.More)
+	case *proto.RepCommit:
+		l, ok := last.(*proto.RepCommit)
+		return ok && extend(l.Memgest == m.Memgest && l.Shard == m.Shard, l.Seq, &l.More, m.Seq, m.More)
+	case *proto.Purge:
+		l, ok := last.(*proto.RepCommit)
+		if ok && l.Memgest == m.Memgest && l.Shard == m.Shard {
+			n := len(h.purges)
+			h.purges = proto.AppendPurge(h.purges, m.Key, m.Version)
+			l.Purges = h.purges[n-len(l.Purges):] // l's purges are the tail of h.purges
+			return true
+		}
+	}
+	return false
+}
+
+// extend appends the run of more+1 seqs from seq to the run of
+// *lmore+1 seqs from lseq when both are of one memgest shard (same),
+// the first starts where the second ends, and the two fit one count;
+// it reports whether it did.
+func extend(same bool, lseq proto.Seq, lmore *uint32, seq proto.Seq, more uint32) bool {
+	end := lseq + proto.Seq(*lmore)
+	if !same || end == math.MaxUint64 || end+1 != seq || uint64(*lmore)+uint64(more)+2 > math.MaxUint32 {
+		return false
+	}
+	*lmore += more + 1
+	return true
 }

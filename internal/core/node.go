@@ -291,15 +291,19 @@ func (n *Node) HandleMessage(now time.Duration, from string, msg proto.Message) 
 	case *proto.RepAppend:
 		n.handleRepAppend(from, m)
 	case *proto.RepAck:
-		n.handleAck(from, m.Memgest, m.Shard, m.Seq)
+		for i := range m.More + 1 {
+			n.handleAck(from, m.Memgest, m.Shard, m.Seq+proto.Seq(i))
+		}
 	case *proto.RepCommit:
 		n.handleRepCommit(from, m)
 	case *proto.ParityUpdate:
 		n.handleParityUpdate(from, m)
 	case *proto.ParityAck:
-		n.handleAck(from, m.Memgest, m.Shard, m.Seq)
+		for i := range m.More + 1 {
+			n.handleAck(from, m.Memgest, m.Shard, m.Seq+proto.Seq(i))
+		}
 	case *proto.Purge:
-		n.handlePurge(from, m)
+		n.handlePurge(m.Memgest, m.Shard, m.Key, m.Version)
 	// Membership.
 	case *proto.Heartbeat:
 		n.handleHeartbeat(from, m)

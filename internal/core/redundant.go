@@ -48,7 +48,9 @@ func (n *Node) ackAppend(to string, l logged) {
 func (n *Node) handleRepAppend(from string, m *proto.RepAppend) {
 	st, rt := n.rmetaFor(m.Memgest, m.Shard)
 	if rt == nil || len(m.Value) != int(m.Rec.Length) {
-		return // a value that is not the length its record says is dropped unacked too
+		// A decoded append's record has its value's length; one built in
+		// the process that does not is dropped unacked too.
+		return
 	}
 	n.persistReplaced(st, m.Shard, rt, &m.Rec, m.Seq)
 	// Retention site: the replica keeps the value past this handler, and
@@ -69,7 +71,7 @@ func (n *Node) handleParityUpdate(from string, m *proto.ParityUpdate) {
 		return
 	}
 	if len(m.Delta) > 0 {
-		st.parity.ApplyDelta(int(m.StripeOff), int(m.Off), m.Delta)
+		st.parity.ApplyDelta(st.layout.StripeOffset(int(m.Block)), int(m.Off), m.Delta)
 		n.Stats.BytesParityXor += uint64(len(m.Delta))
 	}
 	n.persistReplaced(st, m.Shard, rt, &m.Rec, m.Seq)
@@ -78,42 +80,46 @@ func (n *Node) handleParityUpdate(from string, m *proto.ParityUpdate) {
 	n.ackAppend(from, n.persistAppend(st, m.Shard, e))
 }
 
-// handleRepCommit flips the committed flag on the redundancy copy of a
-// log entry.
+// handleRepCommit flips the committed flag on the redundancy copy of
+// every log entry the commit names, then applies the purges it carries.
 func (n *Node) handleRepCommit(_ string, m *proto.RepCommit) {
 	st, rt := n.rmetaFor(m.Memgest, m.Shard)
 	if rt == nil {
 		return
 	}
 	seqIdx := st.rseqFor(m.Shard)
-	ek, ok := seqIdx[m.Seq]
-	if !ok {
-		return
+	for i := range m.More + 1 {
+		seq := m.Seq + proto.Seq(i)
+		ek, ok := seqIdx[seq]
+		if !ok {
+			continue
+		}
+		delete(seqIdx, seq)
+		if e := rt.Get(ek.Key, ek.Version); e != nil {
+			e.Commit()
+			n.persistCommit(st, m.Shard, e)
+		}
 	}
-	delete(seqIdx, m.Seq)
-	if e := rt.Get(ek.Key, ek.Version); e != nil {
-		e.Commit()
-		n.persistCommit(st, m.Shard, e)
-	}
+	m.EachPurge(func(key string, v proto.Version) { n.handlePurge(m.Memgest, m.Shard, key, v) })
 }
 
 // handlePurge removes a superseded version from the redundancy copy.
 // Parity bytes are left in place: the freed extent keeps its contents
 // until reused, and reuse deltas are computed against those contents,
 // so the stripe invariant holds throughout.
-func (n *Node) handlePurge(_ string, m *proto.Purge) {
-	st, rt := n.rmetaFor(m.Memgest, m.Shard)
+func (n *Node) handlePurge(mg proto.MemgestID, shard uint32, key string, v proto.Version) {
+	st, rt := n.rmetaFor(mg, shard)
 	if rt == nil {
 		return
 	}
 	var seq proto.Seq
-	if e, ok := rt.Delete(m.Key, m.Version); ok {
-		delete(st.rseqFor(m.Shard), e.Seq)
+	if e, ok := rt.Delete(key, v); ok {
+		delete(st.rseqFor(shard), e.Seq)
 		seq = e.Seq
 	}
 	// Persist even when the in-memory copy is already gone: the durable
 	// store may still hold the record from a previous life.
-	n.persistPurge(m.Memgest, m.Shard, m.Key, m.Version, seq)
+	n.persistPurge(mg, shard, key, v, seq)
 }
 
 // handleMetaFetch serves a node recovering the metadata hashtable of

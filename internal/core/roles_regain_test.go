@@ -211,7 +211,9 @@ func TestEarlyAppendDoesNotStandInForRecovery(t *testing.T) {
 // length its record says is neither stored nor acknowledged, as if it
 // had not arrived. A table keeps a Rep value's length once, as the
 // record's, so it cannot hold the value the append carries; the same
-// append with the right length is stored and acknowledged.
+// append with the right length is stored and acknowledged. (Decode
+// gives a record its value's length, so such an append is one built in
+// the process.)
 func TestMalformedAppendIsDropped(t *testing.T) {
 	h := newHarness(t, rolesSpec())
 	replica := h.nodes[3]

@@ -16,7 +16,8 @@ import (
 // TestFlushCoalescesPerDestination pins the coalescing contract of the
 // host's send path, the runner's and the simulator's: one batch's
 // outputs to the same peer leave as a single packet, in order, while
-// singletons stay plain envelopes.
+// singletons stay plain envelopes. (The purge is of another memgest
+// than the commits, so nothing folds: TestPackFoldsRuns.)
 func TestFlushCoalescesPerDestination(t *testing.T) {
 	f := transport.NewMemFabric(0)
 	a, err := f.Register("peer/a")
@@ -36,7 +37,7 @@ func TestFlushCoalescesPerDestination(t *testing.T) {
 	outs := []Out{
 		{To: "peer/a", Msg: &proto.RepCommit{Memgest: 1, Shard: 0, Seq: 7}},
 		{To: "peer/b", Msg: &proto.Heartbeat{Epoch: 3}},
-		{To: "peer/a", Msg: &proto.Purge{Memgest: 1, Shard: 0, Key: "k", Version: 1}},
+		{To: "peer/a", Msg: &proto.Purge{Memgest: 2, Shard: 0, Key: "k", Version: 1}},
 		{To: "peer/a", Msg: &proto.RepCommit{Memgest: 1, Shard: 0, Seq: 8}},
 	}
 	host.Pack(outs, self.Send)

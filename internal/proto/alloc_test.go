@@ -149,15 +149,20 @@ func TestSizeHintBoundsPayloadMessages(t *testing.T) {
 		widest[i] = MetaRecord{Key: key, Version: math.MaxUint64, Memgest: math.MaxUint32, Committed: true, Tombstone: true,
 			Length: math.MaxUint32, LocBlock: math.MaxUint32, LocOff: math.MaxUint32}
 	}
+	var purges []byte
+	for len(purges) < 1<<10 {
+		purges = AppendPurge(purges, key, math.MaxUint64)
+	}
 	for _, n := range []int{0, 1, 1 << 10, 1 << 14} {
 		v := make([]byte, n)
 		msgs := []Message{
 			&Put{Req: 1, Key: key, Value: v, Memgest: 2},
 			&GetReply{Req: 1, Status: StOK, Version: 3, Value: v},
 			&RepAppend{Memgest: 2, Shard: 1, Seq: 9, Rec: rec, Value: v},
-			&ParityUpdate{Memgest: 2, Shard: 1, Seq: 9, Rec: rec, Block: 4, StripeOff: 1, Off: 128, Delta: v},
+			&ParityUpdate{Memgest: 2, Shard: 1, Seq: 9, Rec: rec, Block: 4, Off: 128, Delta: v},
 			&FetchReply{Req: 1, Status: StOK, Data: v},
 			&MetaFetchReply{Req: 1, Status: StOK, Memgest: 2, Shard: 1, Seq: 1 << 40, Recs: widest[:n>>8]},
+			&RepCommit{Memgest: math.MaxUint32, Shard: math.MaxUint32, Seq: 1 << 40, More: math.MaxUint32 - 1, Purges: purges[:n>>4]},
 		}
 		hint := 0
 		for _, m := range msgs {

@@ -69,10 +69,11 @@ func AppendBatch(buf []byte, msgs ...Message) []byte {
 }
 
 // SizeHint returns the buffer capacity to encode m into without
-// regrowing it: an upper bound for the messages that carry a payload
-// or a metadata table (96 bytes cover their other fields, ParityUpdate's
-// 78 at most, and AppendBatch's framing), and 96 bytes for the rest,
-// where an outsized one (a configuration, a long key) grows its buffer.
+// regrowing it: an upper bound for the messages that carry a payload, a
+// metadata table or purges (96 bytes cover their other fields,
+// ParityUpdate's 52 at most, and AppendBatch's framing), and 96 bytes
+// for the rest, where an outsized one (a configuration, a long key)
+// grows its buffer.
 func SizeHint(m Message) int {
 	n := 96
 	switch m := m.(type) {
@@ -86,6 +87,8 @@ func SizeHint(m Message) int {
 		n += len(m.Rec.Key) + len(m.Delta)
 	case *FetchReply:
 		n += len(m.Data)
+	case *RepCommit:
+		n += len(m.Purges)
 	case *MetaFetchReply:
 		for i := range m.Recs {
 			n += recordMax + len(m.Recs[i].Key)

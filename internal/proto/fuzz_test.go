@@ -2,6 +2,8 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -60,7 +62,23 @@ func FuzzWireRoundTrip(f *testing.F) {
 		&PutReply{Req: 17, Status: StOK, Moved: 7}, &PutReply{Req: 18, Status: StOK, Version: 3},
 		&ReconfigReply{Req: 19, Status: StOK, Epoch: 6, Memgest: 8}, &ReconfigReply{Req: 20, Status: StRetry},
 		&Reconfig{Req: 21, Op: ReconfigCreate, Scheme: SRS(3, 2, 3)}, &Reconfig{Req: 22, Op: ReconfigJoin, Node: 7},
+		&RepAck{Memgest: 2, Shard: 1, Seq: 9, More: 2}, &RepAck{Memgest: 2, Shard: 1, Seq: 12},
+		&ParityAck{Memgest: 1, Seq: 40, More: 63}, &ParityAck{Memgest: 1, Seq: 104},
+		&RepCommit{Memgest: 2, Shard: 1, Seq: 9, More: 2, Purges: AppendPurge(AppendPurge(nil, "k", 3), "j", 1)},
+		&RepCommit{Memgest: 2, Shard: 1, Seq: 12, Purges: AppendPurge(nil, "k", 4)}, &RepCommit{Memgest: 2, Shard: 1, Seq: 13},
 	))
+	// The records a RepAppend and a ParityUpdate rebuild from their
+	// message, a tombstone's and a committed one's.
+	f.Add(AppendBatch(nil,
+		&RepAppend{Memgest: 2, Shard: 1, Seq: 9, Rec: MetaRecord{Key: "k", Version: 3, Memgest: 2, Length: 1}, Value: []byte("v")},
+		&RepAppend{Memgest: 2, Seq: 10, Rec: MetaRecord{Key: "k", Version: 4, Memgest: 2, Tombstone: true, Committed: true}},
+		&ParityUpdate{Memgest: 1, Seq: 11, Rec: MetaRecord{Key: "k", Version: 5, Memgest: 1, Length: 2, LocBlock: 7, LocOff: 300}, Block: 7, Off: 300, Delta: []byte{1, 2}},
+		&ParityUpdate{Memgest: 1, Seq: 12, Rec: MetaRecord{Key: "k", Version: 6, Memgest: 1, Tombstone: true}},
+	))
+	// A run of count 0, a run past the last Seq, a purge cut in its key.
+	f.Add([]byte{byte(TRepAck), 1, 0, 7, 0})
+	f.Add(append(binary.AppendUvarint([]byte{byte(TParityAck), 1, 0}, math.MaxUint64), 2))
+	f.Add([]byte{byte(TRepCommit), 1, 0, 7, 1, 3, 'k', 'e'})
 
 	f.Fuzz(func(t *testing.T, pkt []byte) {
 		// ForEachPacked must never panic on arbitrary input, and every

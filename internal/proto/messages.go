@@ -416,7 +416,10 @@ func (m *ResolveReply) decode(r reader) error {
 // ------------------------------------------------------------- replication
 
 // RepAppend replicates one log entry (metadata + value) of a
-// replicated memgest from the coordinator to a replica.
+// replicated memgest from the coordinator to a replica. Its record
+// travels as a key, a version and a flags byte: the rest of it is what
+// the message already says (the memgest, and the length of Value), or
+// zero (a Rep value has no block location), and Decode rebuilds it.
 type RepAppend struct {
 	Memgest MemgestID
 	Shard   uint32
@@ -430,19 +433,24 @@ func (m *RepAppend) encode(w *writer) {
 	w.u32(uint32(m.Memgest))
 	w.u32(m.Shard)
 	w.u64(uint64(m.Seq))
-	w.metaRecord(&m.Rec)
+	w.shortRecord(&m.Rec)
 	w.bytes(m.Value)
 }
 func (m *RepAppend) decode(r reader) error {
-	*m = RepAppend{Memgest: MemgestID(r.u32()), Shard: r.u32(), Seq: Seq(r.u64()), Rec: r.metaRecord(), Value: r.bytes()}
+	*m = RepAppend{Memgest: MemgestID(r.u32()), Shard: r.u32(), Seq: Seq(r.u64()), Rec: r.shortRecord()}
+	m.Value = r.bytes()
+	m.Rec.Memgest, m.Rec.Length = m.Memgest, uint32(len(m.Value))
 	return r.done()
 }
 
-// RepAck acknowledges replication of one log entry.
+// RepAck acknowledges replication of the log entries Seq to Seq+More
+// of one memgest shard: one entry, unless the packer folded the acks of
+// consecutive entries into one (see RepCommit).
 type RepAck struct {
 	Memgest MemgestID
 	Shard   uint32
 	Seq     Seq
+	More    uint32
 }
 
 func (*RepAck) Type() MsgType { return TRepAck }
@@ -450,18 +458,36 @@ func (m *RepAck) encode(w *writer) {
 	w.u32(uint32(m.Memgest))
 	w.u32(m.Shard)
 	w.u64(uint64(m.Seq))
+	if m.More != 0 {
+		w.u32(m.More + 1)
+	}
 }
 func (m *RepAck) decode(r reader) error {
 	*m = RepAck{Memgest: MemgestID(r.u32()), Shard: r.u32(), Seq: Seq(r.u64())}
+	if len(r.b) > 0 {
+		m.More = r.more(m.Seq)
+	}
 	return r.done()
 }
 
 // RepCommit advances the commit index on replicas and parity nodes so
-// they can flip committed flags (and lagging Rep replicas apply).
+// they can flip committed flags (and lagging Rep replicas apply): it
+// names the entries Seq to Seq+More, then carries the purges of
+// superseded versions in the same memgest shard that followed those
+// commits to this node, as Purge messages would (AppendPurge). Its
+// receiver commits every entry, then applies every purge, in order.
+//
+// One commit of one entry is [tag][memgest][shard][seq]. A run or
+// purges add a tail: the count of entries, then each purge as
+// [key length][key][version] up to the message's end.
 type RepCommit struct {
 	Memgest MemgestID
 	Shard   uint32
 	Seq     Seq
+	More    uint32
+	// Purges is the encoded (key, version) pairs; on a decoded message
+	// a view into its packet, like Purge.Key.
+	Purges []byte
 }
 
 func (*RepCommit) Type() MsgType { return TRepCommit }
@@ -469,26 +495,61 @@ func (m *RepCommit) encode(w *writer) {
 	w.u32(uint32(m.Memgest))
 	w.u32(m.Shard)
 	w.u64(uint64(m.Seq))
+	if m.More != 0 || len(m.Purges) > 0 {
+		w.u32(m.More + 1)
+		w.b = append(w.b, m.Purges...)
+	}
 }
 func (m *RepCommit) decode(r reader) error {
 	*m = RepCommit{Memgest: MemgestID(r.u32()), Shard: r.u32(), Seq: Seq(r.u64())}
+	if len(r.b) > 0 {
+		m.More = r.more(m.Seq)
+		if len(r.b) > 0 && r.err == nil {
+			all := r.b
+			for len(r.b) > 0 && r.err == nil {
+				r.key()
+				r.u64()
+			}
+			m.Purges = all[: len(all)-len(r.b) : len(all)-len(r.b)]
+		}
+	}
 	return r.done()
+}
+
+// AppendPurge appends the encoding of one carried purge of key's
+// version v to a RepCommit's Purges.
+func AppendPurge(purges []byte, key string, v Version) []byte {
+	w := writer{b: purges}
+	w.str(key)
+	w.u64(uint64(v))
+	return w.b
+}
+
+// EachPurge calls fn with the key and version of every purge m carries,
+// in order. A key is a view into what Purges views.
+func (m *RepCommit) EachPurge(fn func(key string, v Version)) {
+	r := reader{b: m.Purges}
+	for len(r.b) > 0 && r.err == nil {
+		key := r.key()
+		fn(key, Version(r.u64()))
+	}
 }
 
 // ParityUpdate carries the coefficient-multiplied delta produced by a
 // coordinator to one parity node of an SRS memgest, together with the
 // metadata record so the parity node can maintain its replica of the
-// metadata hashtable. Block is the coordinator's logical block,
-// StripeOff its stripe offset t, Off the byte offset within the block.
+// metadata hashtable. Block is the coordinator's logical block, Off the
+// byte offset within it; the parity node reads the stripe offset off
+// its layout. The record travels as RepAppend's does, its location
+// being Block and Off and its length that of Delta.
 type ParityUpdate struct {
-	Memgest   MemgestID
-	Shard     uint32
-	Seq       Seq
-	Rec       MetaRecord
-	Block     uint32
-	StripeOff uint32
-	Off       uint32
-	Delta     []byte
+	Memgest MemgestID
+	Shard   uint32
+	Seq     Seq
+	Rec     MetaRecord
+	Block   uint32
+	Off     uint32
+	Delta   []byte
 }
 
 func (*ParityUpdate) Type() MsgType { return TParityUpdate }
@@ -496,25 +557,29 @@ func (m *ParityUpdate) encode(w *writer) {
 	w.u32(uint32(m.Memgest))
 	w.u32(m.Shard)
 	w.u64(uint64(m.Seq))
-	w.metaRecord(&m.Rec)
+	w.shortRecord(&m.Rec)
 	w.u32(m.Block)
-	w.u32(m.StripeOff)
 	w.u32(m.Off)
 	w.bytes(m.Delta)
 }
 func (m *ParityUpdate) decode(r reader) error {
 	*m = ParityUpdate{
 		Memgest: MemgestID(r.u32()), Shard: r.u32(), Seq: Seq(r.u64()),
-		Rec: r.metaRecord(), Block: r.u32(), StripeOff: r.u32(), Off: r.u32(), Delta: r.bytes(),
+		Rec: r.shortRecord(), Block: r.u32(), Off: r.u32(),
 	}
+	m.Delta = r.bytes()
+	m.Rec.Memgest, m.Rec.Length = m.Memgest, uint32(len(m.Delta))
+	m.Rec.LocBlock, m.Rec.LocOff = m.Block, m.Off
 	return r.done()
 }
 
-// ParityAck acknowledges application of a parity update.
+// ParityAck acknowledges application of the parity updates Seq to
+// Seq+More, as RepAck does replication.
 type ParityAck struct {
 	Memgest MemgestID
 	Shard   uint32
 	Seq     Seq
+	More    uint32
 }
 
 func (*ParityAck) Type() MsgType { return TParityAck }
@@ -522,14 +587,21 @@ func (m *ParityAck) encode(w *writer) {
 	w.u32(uint32(m.Memgest))
 	w.u32(m.Shard)
 	w.u64(uint64(m.Seq))
+	if m.More != 0 {
+		w.u32(m.More + 1)
+	}
 }
 func (m *ParityAck) decode(r reader) error {
 	*m = ParityAck{Memgest: MemgestID(r.u32()), Shard: r.u32(), Seq: Seq(r.u64())}
+	if len(r.b) > 0 {
+		m.More = r.more(m.Seq)
+	}
 	return r.done()
 }
 
 // Purge garbage-collects an old version of a key on redundancy nodes
-// after a newer version committed.
+// after a newer version committed. The packer folds one into the
+// RepCommit of its memgest shard before it (RepCommit.Purges).
 type Purge struct {
 	Memgest MemgestID
 	Shard   uint32

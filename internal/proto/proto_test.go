@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -52,6 +53,10 @@ type sample struct {
 func samples(t *testing.T) []sample {
 	t.Helper()
 	rec := MetaRecord{Key: "user:42", Version: 9, Memgest: 3, Committed: true, Tombstone: false, Length: 1024, LocBlock: 2, LocOff: 4096}
+	// What a RepAppend's and a ParityUpdate's record can say: the rest
+	// is their message's.
+	repRec := MetaRecord{Key: "user:42", Version: 9, Memgest: 2, Committed: true, Length: 7}
+	parRec := MetaRecord{Key: "user:42", Version: 9, Memgest: 1, Tombstone: true, Length: 2, LocBlock: 3, LocOff: 128}
 	all := []sample{
 		{&Put{Req: 1, Key: "k", Value: []byte("v"), Memgest: 2}, 0},
 		{&Put{Req: 2, Key: "", Value: nil, Memgest: 0}, 0},
@@ -67,11 +72,14 @@ func samples(t *testing.T) []sample {
 		{&Move{Req: 17, Key: "user:", Memgest: 3, Prefix: true}, 1},
 		{&Resolve{Req: 11}, 1},
 		{&ResolveReply{Req: 11, Config: sampleConfig()}, 8},
-		{&RepAppend{Memgest: 2, Shard: 1, Seq: 44, Rec: rec, Value: []byte("payload")}, 0},
+		{&RepAppend{Memgest: 2, Shard: 1, Seq: 44, Rec: repRec, Value: []byte("payload")}, 0},
 		{&RepAck{Memgest: 2, Shard: 1, Seq: 44}, 0},
+		{&RepAck{Memgest: 2, Shard: 1, Seq: 44, More: 2}, 0},
 		{&RepCommit{Memgest: 2, Shard: 1, Seq: 44}, 0},
-		{&ParityUpdate{Memgest: 1, Shard: 0, Seq: 45, Rec: rec, Block: 3, StripeOff: 1, Off: 128, Delta: []byte{9, 9}}, 0},
+		{&RepCommit{Memgest: 2, Shard: 1, Seq: 44, More: 1, Purges: AppendPurge(AppendPurge(nil, "old", 1), "older", 2)}, 0},
+		{&ParityUpdate{Memgest: 1, Shard: 0, Seq: 45, Rec: parRec, Block: 3, Off: 128, Delta: []byte{9, 9}}, 0},
 		{&ParityAck{Memgest: 1, Shard: 0, Seq: 45}, 0},
+		{&ParityAck{Memgest: 1, Shard: 0, Seq: 45, More: 63}, 0},
 		{&Purge{Memgest: 1, Shard: 0, Key: "old", Version: 1}, 0},
 		{&Heartbeat{Epoch: 3}, 0},
 		{&HeartbeatAck{Epoch: 3}, 0},
@@ -204,16 +212,21 @@ func TestDecodeHugeLengthPrefix(t *testing.T) {
 // and get send, at the field values a long benchmark run reaches
 // (ReqID and Seq near 10^5, a hot key's Version near 10^3, an 8-byte
 // key, a 1 KiB value). Before every integer became a varint, with
-// 8-byte ReqID/Seq/Version and 4-byte memgest, shard and lengths:
+// 8-byte ReqID/Seq/Version and 4-byte memgest, shard and lengths, and
+// before a record left out what its message says:
 //
-//	message          fixed  varint
-//	RepAppend 1 KiB   1083    1050
-//	RepAck              17       6
-//	RepCommit           17       6
-//	Purge               29      14
-//	PutReply            18       7
-//	GetReply 1 KiB    1046    1033
+//	message          fixed  varint  record diet
+//	RepAppend 1 KiB   1083    1050         1044
+//	RepAck              17       6            6
+//	RepCommit           17       6            6
+//	Purge               29      14           14
+//	PutReply            18       7            7
+//	GetReply 1 KiB    1046    1033         1033
 //
+// A run of three acks is one 7-byte ack (three were 18 B), and a
+// commit that carries its purge is 18 B (the two were 20), and 29 with
+// a second (34). A 16 KiB ParityUpdate at offset 10240 of block 300 is
+// 16 409 B (16 419 with its record whole and a stripe offset of 100).
 // A delete's OK reply is a PutReply carrying the tombstone's version
 // (7 B; the DeleteReply it replaced had none, 5 B), and a bulk move's
 // carries Version 0 and the count of keys it moved.
@@ -226,13 +239,20 @@ func TestWireSizes(t *testing.T) {
 	)
 	val := make([]byte, 1024)
 	rec := MetaRecord{Key: key, Version: ver, Memgest: 2, Length: 1024}
+	delta := make([]byte, 16<<10)
+	prec := MetaRecord{Key: key, Version: ver, Memgest: 1, Length: 16 << 10, LocBlock: 300, LocOff: 10240}
+	one := AppendPurge(nil, key, ver-1)
 	for _, tc := range []struct {
 		m    Message
 		want int
 	}{
-		{&RepAppend{Memgest: 2, Shard: 1, Seq: seq, Rec: rec, Value: val}, 1050},
+		{&RepAppend{Memgest: 2, Shard: 1, Seq: seq, Rec: rec, Value: val}, 1044},
 		{&RepAck{Memgest: 2, Shard: 1, Seq: seq}, 6},
+		{&RepAck{Memgest: 2, Shard: 1, Seq: seq, More: 2}, 7},
 		{&RepCommit{Memgest: 2, Shard: 1, Seq: seq}, 6},
+		{&RepCommit{Memgest: 2, Shard: 1, Seq: seq, Purges: one}, 18},
+		{&RepCommit{Memgest: 2, Shard: 1, Seq: seq, More: 1, Purges: AppendPurge(one, key, ver)}, 29},
+		{&ParityUpdate{Memgest: 1, Shard: 1, Seq: seq, Rec: prec, Block: 300, Off: 10240, Delta: delta}, 16409},
 		{&Purge{Memgest: 2, Shard: 1, Key: key, Version: ver}, 14},
 		{&PutReply{Req: req, Status: StOK, Version: ver}, 7},
 		{&PutReply{Req: req, Status: StOK, Version: ver + 1}, 7}, // a delete's
@@ -300,7 +320,7 @@ func TestParseScheme(t *testing.T) {
 // overflows 64 bits, is malformed.
 func TestVarintBounds(t *testing.T) {
 	m, err := Decode([]byte{byte(TRepCommit), 1, 0, 0x87, 0x80, 0x00})
-	if err != nil || *m.(*RepCommit) != (RepCommit{Memgest: 1, Seq: 7}) {
+	if err != nil || !reflect.DeepEqual(m, &RepCommit{Memgest: 1, Seq: 7}) {
 		t.Fatalf("padded Seq: %v, %v", m, err)
 	}
 	if enc, want := Encode(m), []byte{byte(TRepCommit), 1, 0, 7}; !bytes.Equal(enc, want) {
@@ -313,6 +333,43 @@ func TestVarintBounds(t *testing.T) {
 	} {
 		if _, err := Decode(pkt); !errors.Is(err, ErrMalformed) {
 			t.Errorf("%s: %v, want ErrMalformed", name, err)
+		}
+	}
+}
+
+// TestRunsRejectMalformed: a run's count of zero, a run past the last
+// Seq and a carried purge's key over MaxKey are malformed; a count of
+// one decodes as the single entry it names, and a run that ends at the
+// last Seq is whole.
+func TestRunsRejectMalformed(t *testing.T) {
+	long := AppendPurge(nil, strings.Repeat("k", MaxKey+1), 1)
+	maxSeq := binary.AppendUvarint([]byte{byte(TRepAck), 1, 0}, math.MaxUint64)
+	for name, pkt := range map[string][]byte{
+		"ack of count 0":           {byte(TRepAck), 1, 0, 7, 0},
+		"parity ack of count 0":    {byte(TParityAck), 1, 0, 7, 0},
+		"commit of count 0":        {byte(TRepCommit), 1, 0, 7, 0},
+		"ack past the last seq":    append(maxSeq, 2),
+		"commit with a long key":   append([]byte{byte(TRepCommit), 1, 0, 7, 1}, long...),
+		"commit with a cut purge":  {byte(TRepCommit), 1, 0, 7, 1, 3, 'k', 'e'},
+		"commit with no version":   {byte(TRepCommit), 1, 0, 7, 1, 1, 'k'},
+		"append with flags 4":      {byte(TRepAppend), 1, 0, 7, 1, 'k', 1, 4, 0},
+		"parity update with flags": {byte(TParityUpdate), 1, 0, 7, 1, 'k', 1, 0x80, 1, 0, 0, 0},
+	} {
+		if _, err := Decode(pkt); err == nil {
+			t.Errorf("%s: %x accepted", name, pkt)
+		}
+	}
+	for name, tc := range map[string]struct {
+		pkt  []byte
+		want Message
+	}{
+		"ack of count 1":      {[]byte{byte(TRepAck), 1, 0, 7, 1}, &RepAck{Memgest: 1, Seq: 7}},
+		"ack at the last seq": {append(maxSeq, 1), &RepAck{Memgest: 1, Seq: math.MaxUint64}},
+		"longest key": {append([]byte{byte(TRepCommit), 1, 0, 7, 1}, AppendPurge(nil, strings.Repeat("k", MaxKey), 1)...),
+			&RepCommit{Memgest: 1, Seq: 7, Purges: AppendPurge(nil, strings.Repeat("k", MaxKey), 1)}},
+	} {
+		if m, err := Decode(tc.pkt); err != nil || !reflect.DeepEqual(m, tc.want) {
+			t.Errorf("%s: decodes to %+v, %v; want %+v", name, m, err, tc.want)
 		}
 	}
 }

@@ -351,6 +351,42 @@ func (w *writer) metaRecord(m *MetaRecord) {
 	w.u32(m.LocOff)
 }
 
+// Flags of a shipped record's one flags byte (shortRecord).
+const (
+	flagCommitted = 1 << iota
+	flagTombstone
+	flagsAll = flagCommitted | flagTombstone
+)
+
+// shortRecord writes the part of a record that a RepAppend or a
+// ParityUpdate does not already say: its key, its version and its two
+// bools as one flags byte.
+func (w *writer) shortRecord(m *MetaRecord) {
+	w.str(m.Key)
+	w.u64(uint64(m.Version))
+	var f uint8
+	if m.Committed {
+		f |= flagCommitted
+	}
+	if m.Tombstone {
+		f |= flagTombstone
+	}
+	w.u8(f)
+}
+
+// shortRecord reads what shortRecord wrote, the key a view into the
+// input (see metaRecord); the caller fills in the rest from its
+// message.
+func (r *reader) shortRecord() MetaRecord {
+	m := MetaRecord{Key: r.view(), Version: Version(r.u64())}
+	f := r.u8()
+	if f&^flagsAll != 0 && r.err == nil {
+		r.err = ErrMalformed
+	}
+	m.Committed, m.Tombstone = f&flagCommitted != 0, f&flagTombstone != 0
+	return m
+}
+
 // metaRecord reads a record whose Key is a view into the input, like
 // the payload beside it: what keeps a record keeps the key of the table
 // it went into.

@@ -21,14 +21,15 @@
 //
 // Decoding does not copy payloads: every []byte field of a decoded
 // message (Put.Value, RepAppend.Value, ParityUpdate.Delta, GetReply.Value,
-// the recovery replies' Value/Data) is a view into the buffer handed
-// to Decode and is valid only as long as that buffer is. So are the
-// keys of a Get, a Purge and a shipped MetaRecord (RepAppend,
-// ParityUpdate): their handlers keep nothing of them, or the copy the
-// metadata table made. Other strings and all integer fields are copied
-// out. Whoever recycles the buffer owns the rule that goes with it: a
-// consumer that keeps such bytes past the buffer's release copies them
-// first (see the transport package's "Payload ownership").
+// RepCommit.Purges, the recovery replies' Value/Data) is a view into the
+// buffer handed to Decode and is valid only as long as that buffer is.
+// So are the keys of a Get, a Purge, a commit's carried purges and a
+// shipped MetaRecord (RepAppend, ParityUpdate): their handlers keep
+// nothing of them, or the copy the metadata table made. Other strings
+// and all integer fields are copied out. Whoever recycles the buffer
+// owns the rule that goes with it: a consumer that keeps such bytes
+// past the buffer's release copies them first (see the transport
+// package's "Payload ownership").
 //
 // A message lives as long as its buffer, or shorter. The types marked
 // free in the wire table (the ones every client operation decodes or
@@ -140,8 +141,11 @@ func (r *reader) bool() bool { return r.u8() != 0 }
 // bytes returns a view into the input, not a copy (see Decode), with
 // its capacity clipped so that an append cannot run into the bytes that
 // follow it in the packet.
-func (r *reader) bytes() []byte {
-	n := int(r.u32())
+func (r *reader) bytes() []byte { return r.upTo(math.MaxUint32) }
+
+// upTo is bytes for a field whose length may not exceed max.
+func (r *reader) upTo(max uint64) []byte {
+	n := int(r.uvarint(max))
 	if r.err != nil || len(r.b) < n {
 		r.fail()
 		return nil
@@ -155,12 +159,30 @@ func (r *reader) str() string { return string(r.bytes()) }
 
 // view is str without the copy: a string over the input's bytes, valid
 // only as long as they are (see the package doc).
-func (r *reader) view() string {
-	b := r.bytes()
+func (r *reader) view() string { return viewOf(r.bytes()) }
+
+// key is view for a key: one longer than MaxKey is malformed.
+func (r *reader) key() string { return viewOf(r.upTo(MaxKey)) }
+
+func viewOf(b []byte) string {
 	if len(b) == 0 {
 		return ""
 	}
 	return unsafe.String(&b[0], len(b))
+}
+
+// more reads the count of a run of entries from seq and returns how
+// many follow seq: a count of zero, or one past the last Seq, is
+// malformed.
+func (r *reader) more(seq Seq) uint32 {
+	n := r.u32()
+	if r.err == nil && (n == 0 || uint64(n-1) > math.MaxUint64-uint64(seq)) {
+		r.err = ErrMalformed
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n - 1
 }
 
 func (r *reader) done() error {

@@ -421,22 +421,47 @@ func (s *Sim) process(h *nodeHost, id proto.NodeID) {
 // ack, heartbeat, commit notice or tick (a nil packet) is a cheap
 // completion, a redundancy-plane apply skips client dispatch, and any
 // other message, a client operation however small, is a full dispatch.
+// A run of acks or commits costs what its entries would alone, and a
+// purge a commit carries what a Purge costs.
 func (s *Sim) charge(pkt []byte) (d time.Duration) {
 	if pkt == nil {
 		return s.Model.CPUFixed / 4
 	}
-	eachType(pkt, func(t proto.MsgType) {
-		switch t {
-		case proto.TRepAck, proto.TParityAck, proto.TRepCommit,
-			proto.THeartbeat, proto.THeartbeatAck, proto.TConfigAck:
+	_ = proto.ForEachPacked(pkt, func(enc []byte) error {
+		switch proto.MsgType(enc[0]) {
+		case proto.TRepAck, proto.TParityAck, proto.TRepCommit:
+			seqs, purges := runItems(enc)
+			d += time.Duration(seqs)*(s.Model.CPUFixed/4) + time.Duration(purges)*s.Model.CPUFixedRepl
+		case proto.THeartbeat, proto.THeartbeatAck, proto.TConfigAck:
 			d += s.Model.CPUFixed / 4
 		case proto.TRepAppend, proto.TParityUpdate, proto.TPurge:
 			d += s.Model.CPUFixedRepl
 		default:
 			d += s.Model.CPUFixed
 		}
+		return nil
 	})
 	return d
+}
+
+// runItems returns how many entries an encoded ack or commit names and
+// how many purges it carries: one and none if it does not decode.
+func runItems(enc []byte) (seqs, purges int) {
+	m, err := proto.Decode(enc)
+	if err != nil {
+		return 1, 0
+	}
+	defer proto.Release(m)
+	switch m := m.(type) {
+	case *proto.RepAck:
+		return int(m.More) + 1, 0
+	case *proto.ParityAck:
+		return int(m.More) + 1, 0
+	case *proto.RepCommit:
+		m.EachPurge(func(string, proto.Version) { purges++ })
+		return int(m.More) + 1, purges
+	}
+	return 1, 0
 }
 
 // eachType calls fn with the wire type of every message pkt carries.

@@ -360,3 +360,26 @@ func TestDupSafePackets(t *testing.T) {
 		}
 	}
 }
+
+// TestChargeCountsItems: a run costs what its entries would alone, and
+// a purge a commit carries what a Purge costs: three acks folded into
+// one cost three single acks, and a commit of two entries carrying two
+// purges two commits and two Purges.
+func TestChargeCountsItems(t *testing.T) {
+	s := &Sim{Model: DefaultModel()}
+	ack := func(seq proto.Seq) proto.Message { return &proto.RepAck{Memgest: 1, Seq: seq} }
+	if run, three := s.charge(proto.Encode(&proto.RepAck{Memgest: 1, Seq: 7, More: 2})), 3*s.charge(proto.Encode(ack(7))); run != three {
+		t.Errorf("a run of three acks costs %v, three acks %v", run, three)
+	}
+	if run, three := s.charge(proto.Encode(&proto.ParityAck{Memgest: 1, Seq: 7, More: 2})), s.charge(proto.AppendBatch(nil, ack(7), ack(8), ack(9))); run != three {
+		t.Errorf("a run of three parity acks costs %v, three acks in a packet %v", run, three)
+	}
+	purges := proto.AppendPurge(proto.AppendPurge(nil, "a", 1), "b", 2)
+	carried := s.charge(proto.Encode(&proto.RepCommit{Memgest: 1, Seq: 7, More: 1, Purges: purges}))
+	alone := s.charge(proto.AppendBatch(nil,
+		&proto.RepCommit{Memgest: 1, Seq: 7}, &proto.Purge{Memgest: 1, Key: "a", Version: 1},
+		&proto.RepCommit{Memgest: 1, Seq: 8}, &proto.Purge{Memgest: 1, Key: "b", Version: 2}))
+	if carried != alone {
+		t.Errorf("a commit of two entries carrying two purges costs %v, the four messages %v", carried, alone)
+	}
+}
