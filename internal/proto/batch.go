@@ -98,7 +98,8 @@ func SizeHint(m Message) int {
 }
 
 // recordMax bounds a MetaRecord's encoding beside its key's bytes: the
-// key's length, two bools and six varints, each at its widest.
+// key's length and five other varints, each at its widest, and two
+// bools.
 const recordMax = 5 + 10 + 5 + 2 + 3*5
 
 // IsBatch reports whether an encoded packet is a TBatch envelope.
