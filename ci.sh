@@ -89,8 +89,12 @@
 #      Rep(3,3) and SRS(3,2,3) at 16 B, 64 B, 256 B and 1 KiB, each row
 #      in a process of its own), TestDurableIndexHasNoPointers and
 #      TestDurableIndexBytesPerRecord (internal/replog: the live-record
-#      index is a seq and a 16-byte record with no pointer, at most
-#      64 B of collected heap per live record),
+#      index is a hash of key and version and a 16-byte record with no
+#      pointer, at most 64 B of collected heap per live record),
+#      TestHashCollisionIsAnError (an append whose hash another live
+#      entry holds fails; a marker leaves that entry alone),
+#      TestDurableIndexMatchesTables (internal/core: every node's index
+#      holds its tables' entries by shard, key and version),
 #      TestMetaSlotsCrossTables (the slots one table frees are another's
 #      next entries: no slab is cut), TestDeleteMemgestUncoversOlderVersion
 #      (a deleted memgest takes its entries out of every node's index,
@@ -125,9 +129,11 @@
 #      arbitrary bytes as a WAL segment must replay without panicking
 #      and re-replay identically, and random appends, commits, purges,
 #      resets, installs, syncs, merges and power cuts over 2 KiB
-#      segments must keep the store equal to a map (a power cut
-#      recovers the map after some write since the last fsync; its
-#      minimisation is capped, since each input replays a whole store).
+#      segments, seqs and versions handed out again among them, must
+#      keep the store equal to a map and every live record under its
+#      own entry's hash and check word (a power cut recovers the map
+#      after some write since the last fsync; its minimisation is
+#      capped, since each input replays a whole store).
 #      FuzzBlockHeapModel, FuzzValueArenaModel and FuzzMetaIndexModel
 #      are the memory ones: the demand-backed block heap against a
 #      flat, fully allocated reference, the tables' value slots against

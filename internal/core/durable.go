@@ -119,20 +119,6 @@ func (n *Node) persistAppend(st *mgState, shard uint32, e *store.Meta) logged {
 	return logged{st: st, shard: shard, seq: e.Seq}
 }
 
-// persistReplaced tells the durable index that the append of rec under
-// seq, about to be put into the redundancy table t, replaces an entry t
-// holds with the same key and version under another seq: a version the
-// coordinator allocated again reaches a node that still holds the old
-// one (ROADMAP item 4(b)), and the index finds entries by seq.
-func (n *Node) persistReplaced(st *mgState, shard uint32, t *store.MetaTable, rec *proto.MetaRecord, seq proto.Seq) {
-	if n.durable == nil || n.durableErr != nil {
-		return
-	}
-	if old := t.Get(rec.Key, rec.Version); old != nil && old.Seq != 0 && old.Seq != seq {
-		n.durable.Forget(durKey(st.info.ID, shard), old.Seq, rec.Key, rec.Version)
-	}
-}
-
 // persistCommit records an entry's commit.
 func (n *Node) persistCommit(st *mgState, shard uint32, e *store.Meta) {
 	if n.durable == nil || n.durableErr != nil {

@@ -293,44 +293,37 @@ func (c *durClient) write(addr string, msg proto.Message, req *proto.ReqID) {
 
 // indexDiff compares a node's durable index with its metadata tables:
 // every entry of every table must be a live record of the same shard,
-// under the entry's seq (0 for one that recovery installed without
-// one) and as committed as the entry, and what the index holds beyond
-// the tables must be appends still open. It returns what differs.
+// key and version, as committed as the entry, and what the index holds
+// beyond the tables must be appends still open. It returns what
+// differs.
 func indexDiff(n *Node) []string {
-	type rec struct {
-		sk        replog.ShardKey
-		seq       proto.Seq
-		committed bool
-	}
-	tables := map[rec]int{}
-	count := func(mg proto.MemgestID, shard uint32, t *store.MetaTable) {
+	var diff []string
+	committed := 0
+	check := func(mg proto.MemgestID, shard uint32, t *store.MetaTable) {
 		t.Range(func(e *store.Meta) bool {
-			tables[rec{durKey(mg, shard), e.Seq, e.Committed()}]++
+			key := t.Key(e)
+			c, ok := n.durable.Holds(durKey(mg, shard), key, e.Version)
+			switch {
+			case !ok:
+				diff = append(diff, fmt.Sprintf("tables only: %v shard %d %s@%d", mg, shard, key, e.Version))
+			case c != e.Committed():
+				diff = append(diff, fmt.Sprintf("%v shard %d %s@%d: committed=%v in the table, %v in the index", mg, shard, key, e.Version, e.Committed(), c))
+			case c:
+				committed++
+			}
 			return true
 		})
 	}
 	for id, st := range n.mg {
 		for shard, cs := range st.coord {
-			count(id, shard, cs.meta)
+			check(id, shard, cs.meta)
 		}
 		for shard, t := range st.rmeta {
-			count(id, shard, t)
+			check(id, shard, t)
 		}
 	}
-	var diff []string
-	n.durable.Live(func(sk replog.ShardKey, seq proto.Seq, committed bool) {
-		r := rec{sk, seq, committed}
-		switch {
-		case tables[r] > 0:
-			tables[r]--
-		case committed:
-			diff = append(diff, fmt.Sprintf("index only: %+v", r))
-		}
-	})
-	for r, k := range tables {
-		if k > 0 {
-			diff = append(diff, fmt.Sprintf("tables only: %d x %+v", k, r))
-		}
+	if st := n.durable.DurableStats(); st.LiveRecords-st.Unresolved != committed {
+		diff = append(diff, fmt.Sprintf("index only: %d committed records, the tables %d", st.LiveRecords-st.Unresolved, committed))
 	}
 	return diff
 }
@@ -341,7 +334,8 @@ func indexDiff(n *Node) []string {
 // roles back from its log) and a redundancy node's failover (the spare
 // learns every entry through recovery, with no seq), and more of the
 // same writes on top, every node's live-record index holds exactly the
-// (shard, seq) pairs of its metadata tables, plus its open appends.
+// (shard, key, version) entries of its metadata tables, plus its open
+// appends.
 func TestDurableIndexMatchesTables(t *testing.T) {
 	spec := ClusterSpec{
 		Shards: 3, Redundant: 2, Spares: 1,
@@ -431,11 +425,16 @@ func TestDurableIndexMatchesTables(t *testing.T) {
 	settled("after the failover")
 	bare := 0
 	cl.Runs[spare].Inspect(func(n *Node) {
-		n.durable.Live(func(_ replog.ShardKey, seq proto.Seq, _ bool) {
-			if seq == 0 {
-				bare++
+		for id, st := range n.mg {
+			for shard, t := range st.rmeta {
+				t.Range(func(e *store.Meta) bool {
+					if _, ok := n.durable.Holds(durKey(id, shard), t.Key(e), e.Version); ok && e.Seq == 0 {
+						bare++
+					}
+					return true
+				})
 			}
-		})
+		}
 	})
 	if bare == 0 {
 		t.Fatal("the spare's index holds no entry recovery installed: the run does not cover them")
@@ -446,8 +445,8 @@ func TestDurableIndexMatchesTables(t *testing.T) {
 
 // TestReusedVersionLeavesOneRecord: a coordinator that allocates a
 // version again sends it under a new seq to a replica that holds it.
-// The table keeps one entry, and so must the durable index: the replica
-// tells it the older record is superseded (persistReplaced).
+// The table keeps one entry, and so must the durable index, which files
+// both appends under the hash of the same key and version.
 func TestReusedVersionLeavesOneRecord(t *testing.T) {
 	spec := ClusterSpec{
 		Shards: 3, Redundant: 2,

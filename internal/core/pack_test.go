@@ -272,6 +272,45 @@ func TestPackFoldsRuns(t *testing.T) {
 	}
 }
 
+// TestPackedRunIsCoalesced: a packet that holds one folded run of acks,
+// or one commit with the purges it carries, coalesces as a TBatch does
+// (proto.Coalesced, what transport.batched_sent counts), and a lone ack
+// of one entry does not. Telling them apart allocates nothing.
+func TestPackedRunIsCoalesced(t *testing.T) {
+	outs := []Out{
+		{To: "peer/run", Msg: &proto.RepAck{Memgest: 1, Seq: 5}},
+		{To: "peer/run", Msg: &proto.RepAck{Memgest: 1, Seq: 6}},
+		{To: "peer/run", Msg: &proto.RepAck{Memgest: 1, Seq: 7}},
+		{To: "peer/one", Msg: &proto.ParityAck{Memgest: 2, Seq: 9}},
+		{To: "peer/purge", Msg: &proto.RepCommit{Memgest: 1, Seq: 4}},
+		{To: "peer/purge", Msg: &proto.Purge{Memgest: 1, Key: "k", Version: 1}},
+		{To: "peer/batch", Msg: &proto.RepCommit{Memgest: 1, Seq: 4}},
+		{To: "peer/batch", Msg: &proto.RepAck{Memgest: 1, Seq: 8}},
+	}
+	host := &Host{Node: New(0, &proto.Config{Epoch: 1}, Options{})}
+	got := map[string]bool{}
+	var pkts [][]byte
+	host.Pack(outs, func(to string, pkt []byte) error {
+		got[to] = proto.Coalesced(pkt)
+		pkts = append(pkts, pkt)
+		return nil
+	})
+	want := map[string]bool{"peer/run": true, "peer/one": false, "peer/purge": true, "peer/batch": true}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("coalesced by peer: %v, want %v", got, want)
+	}
+	if proto.IsBatch(pkts[0]) || proto.IsBatch(pkts[2]) {
+		t.Error("a folded run left as a TBatch: the test does not cover a lone message's tail")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, p := range pkts {
+			proto.Coalesced(p)
+		}
+	}); allocs != 0 {
+		t.Errorf("proto.Coalesced allocates %.1f times per four packets, want 0", allocs)
+	}
+}
+
 func show(ms []proto.Message) (s string) {
 	for _, m := range ms {
 		s += fmt.Sprintf("%T%+v ", m, m)

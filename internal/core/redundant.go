@@ -52,7 +52,6 @@ func (n *Node) handleRepAppend(from string, m *proto.RepAppend) {
 		// the process that does not is dropped unacked too.
 		return
 	}
-	n.persistReplaced(st, m.Shard, rt, &m.Rec, m.Seq)
 	// Retention site: the replica keeps the value past this handler, and
 	// m.Value is a view into a packet the runner recycles — its one copy.
 	// So is m.Rec.Key: what outlives the handler names the table's key.
@@ -74,7 +73,6 @@ func (n *Node) handleParityUpdate(from string, m *proto.ParityUpdate) {
 		st.parity.ApplyDelta(st.layout.StripeOffset(int(m.Block)), int(m.Off), m.Delta)
 		n.Stats.BytesParityXor += uint64(len(m.Delta))
 	}
-	n.persistReplaced(st, m.Shard, rt, &m.Rec, m.Seq)
 	e := rt.Put(&store.Entry{Rec: m.Rec, Seq: m.Seq})
 	st.rseqFor(m.Shard)[m.Seq] = store.EntryKey{Key: rt.Key(e), Version: e.Version}
 	n.ackAppend(from, n.persistAppend(st, m.Shard, e))

@@ -107,6 +107,27 @@ func IsBatch(pkt []byte) bool {
 	return len(pkt) > 0 && MsgType(pkt[0]) == TBatch
 }
 
+// Coalesced reports whether an encoded packet carries more than one
+// thing said: a TBatch envelope, or a lone RepAck, ParityAck or
+// RepCommit with a tail past its seq (a folded run, or a commit's
+// carried purges). It reads the varints in place and allocates nothing.
+func Coalesced(pkt []byte) bool {
+	if len(pkt) == 0 {
+		return false
+	}
+	switch MsgType(pkt[0]) {
+	case TBatch:
+		return true
+	case TRepAck, TParityAck, TRepCommit:
+		r := reader{b: pkt[1:]}
+		r.u32()
+		r.u32()
+		r.u64()
+		return r.err == nil && len(r.b) > 0
+	}
+	return false
+}
+
 // ForEachPacked calls fn once per encoded message carried by pkt: for
 // a TBatch packet it visits every sub-message in order, for any other
 // packet it visits the packet itself. The sub-slices passed to fn

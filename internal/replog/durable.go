@@ -33,11 +33,8 @@ type Durable struct {
 	stash   map[ShardKey]*RecoveredShard
 	damaged bool
 
-	live map[ShardKey]*shardIndex
+	live map[ShardKey]shardIndex
 	segs map[uint64]*segUse
-	// replaying is set while OpenDurable replays the log: every open
-	// append is then named by its key (see shardIndex.named).
-	replaying bool
 	// tail is where the next record lands if the WAL keeps the segment.
 	tail recPos
 	// sealedSeen is the WAL's sealed-segment count at the last merge check.
@@ -62,11 +59,11 @@ func (p recPos) seg() uint64 { return uint64(p >> 32) }
 
 // liveRec is an index entry, 16 bytes with no pointer: where the
 // entry's live record is, its framed size with the committed flag in
-// the top bit, and a fingerprint of the entry's key and version.
+// the top bit, and the check word of the entry's key and version.
 type liveRec struct {
-	at   recPos
-	bits uint32
-	fp   uint32
+	at    recPos
+	bits  uint32
+	check uint32
 }
 
 // recCommitted is the flag in liveRec.bits: the entry has committed
@@ -77,74 +74,50 @@ const recCommitted = 1 << 31
 func (l liveRec) size() int64     { return int64(l.bits &^ recCommitted) }
 func (l liveRec) committed() bool { return l.bits&recCommitted != 0 }
 
-// fingerprint hashes a key and version (FNV-1a) for liveRec.fp.
-func fingerprint(key string, ver proto.Version) uint32 {
-	h := uint32(2166136261)
+// entryHash hashes a key and version in one pass, FNV-1a 64 for the
+// index key and FNV-1a 32 for liveRec.check. Both are fixed and
+// seedless, so a replay and a simulated run file each record where the
+// node that wrote it did.
+func entryHash(key string, ver proto.Version) (uint64, uint32) {
+	h, c := uint64(14695981039346656037), uint32(2166136261)
 	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
+		h = (h ^ uint64(key[i])) * 1099511628211
+		c = (c ^ uint32(key[i])) * 16777619
 	}
 	for v, i := uint64(ver), 0; i < 8; v, i = v>>8, i+1 {
-		h = (h ^ uint32(v&0xff)) * 16777619
+		h = (h ^ v&0xff) * 1099511628211
+		c = (c ^ uint32(v&0xff)) * 16777619
 	}
-	return h
+	return h, c
 }
 
-// shardIndex is one shard's live records, filed by the seq that names
-// each entry.
+// shardIndex is one shard's live records, each filed under the hash of
+// its entry's key and version: the paper names an entry by the two, and
+// a version is unique to its key across memgests. An append or install
+// replaces whatever record its entry had, whatever seq either carries
+// (a coordinator can hand a seq or a version out again), and a commit or
+// purge marker finds its entry the same way. The index holds neither
+// keys nor pointers.
 //
-// A seq names an entry within a shard: the coordinator allocates a
-// shard's seqs once each, above every seq a peer or its own log has seen
-// (Tracker.Advance on recovery and on rejoin), a redundancy node takes
-// them from the coordinator's RepAppend and ParityUpdate, and RepCommit
-// and ParityAck name an entry by nothing else. So commits, purges and a
-// merge's copies find an entry by its seq, and the index holds neither
-// keys nor pointers. Each record keeps its entry's fingerprint, so that
-// a seq another entry holds is not taken for this one's.
-//
-// Some entries cannot be found by their seq, and named holds them by
-// key and version, filed under a seq of the index's own (from
-// unseqBase up, which no allocator reaches) unless said otherwise:
-//   - a bare record, an install given seq 0 because recovery learned the
-//     entry from a MetaFetchReply, whose records carry none;
-//   - an entry whose seq another entry already holds: a coordinator
-//     that restarts can hand a seq out again (durable chaos seed 186
-//     does);
-//   - an append an earlier life of the node left open, filed under its
-//     seq. Recovery does not put it back in a metadata table, so what
-//     later purges or installs it names it with seq 0. Replay names every
-//     open append as it meets it, since it cannot tell where one life
-//     ended.
-//
-// named is empty on a node that never recovered anything, and while it
-// names an entry every record about that key and version goes there.
-// What the index cannot see is an entry a table holds under one seq
-// appended again under another, when the coordinator allocates its
-// version again (ROADMAP item 4(b)): the redundancy node that holds it
-// says so with Forget. And two entries that share a seq and a
-// fingerprint (one in 2^32 of the seqs handed out again) are taken for
-// one.
-type shardIndex struct {
-	recs  map[proto.Seq]liveRec
-	named map[entryKey]proto.Seq
-	// unseq is the last seq the index gave an entry of its own.
-	unseq proto.Seq
+// The check word tells entries whose hashes meet apart. A marker whose
+// check word differs names an entry that is gone (a merge left the
+// marker behind) and is ignored; an append or install whose check word
+// differs is a collision of two live entries, an error and not one
+// entry. Among N live records of a shard the odds of a collision are at
+// most N²/2^65, about 5·10⁻¹³ at 4096, and the check word misses one
+// with a further chance of 2^-32.
+type shardIndex map[uint64]liveRec
+
+// find returns the live record of the entry key@ver.
+func (x shardIndex) find(key string, ver proto.Version) (uint64, liveRec, bool) {
+	h, c := entryHash(key, ver)
+	l, ok := x[h]
+	return h, l, ok && l.check == c
 }
 
-// unseqBase is where the seqs the index gives entries start.
-const unseqBase = proto.Seq(1) << 63
-
-// lookup returns the seq x files the entry ek under, given the seq a
-// record of it carries, and whether x holds it: a name wins, then the
-// seq if the record filed there is the entry's. A marker a merge left
-// behind names an entry that is gone, and must not touch another that
-// holds its seq now.
-func (x *shardIndex) lookup(seq proto.Seq, ek entryKey) (proto.Seq, bool) {
-	if s, ok := x.named[ek]; ok {
-		return s, true
-	}
-	l, ok := x.recs[seq]
-	return seq, ok && l.fp == fingerprint(ek.key, ek.ver)
-}
+// errCollision is the error an append or install returns when its hash
+// files another live entry of the shard.
+var errCollision = errors.New("hashes as another live entry does")
 
 // segUse is what one segment holds: framed bytes in all, and of them
 // the bytes of live records.
@@ -242,13 +215,6 @@ type entryKey struct {
 	ver proto.Version
 }
 
-func (a entryKey) less(b entryKey) bool {
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	return a.ver < b.ver
-}
-
 // WAL record kinds.
 const (
 	kAppend = 1 // write-ahead append: full record (+ value for Rep)
@@ -286,7 +252,8 @@ func newReplayShard() *replayShard {
 // A directory holding Bitcask files ("bc-*") was written by an older
 // binary whose log no longer holds every committed entry, and one whose
 // segments are in the older WAL format has frames without a length
-// check; both are refused, not half-read.
+// check; both are refused, not half-read. So is a log in which two live
+// entries of a shard share an index hash (see shardIndex).
 func OpenDurable(fsys wal.FS, opts DurableOptions) (*Durable, error) {
 	if opts.Interval <= 0 {
 		opts.Interval = 5 * time.Millisecond
@@ -303,11 +270,10 @@ func OpenDurable(fsys wal.FS, opts DurableOptions) (*Durable, error) {
 	d := &Durable{
 		opts:  opts,
 		stash: make(map[ShardKey]*RecoveredShard),
-		live:  make(map[ShardKey]*shardIndex),
+		live:  make(map[ShardKey]shardIndex),
 		segs:  make(map[uint64]*segUse),
 	}
 	shards := make(map[ShardKey]*replayShard)
-	d.replaying = true
 	d.w, err = wal.Open(fsys, wal.Options{SegmentBytes: opts.WALSegmentBytes}, func(seg uint64, payload []byte) error {
 		size := wal.FrameHeader + len(payload)
 		r, ok := decodeWALRecord(payload)
@@ -321,12 +287,10 @@ func OpenDurable(fsys wal.FS, opts DurableOptions) (*Durable, error) {
 			st = newReplayShard()
 			shards[r.sk] = st
 		}
-		ek := entryKey{r.rec.Key, r.rec.Version}
-		if e := st.entries[ek]; (r.kind == kAppend || r.kind == kInstall) && e != nil && e.Seq != 0 && r.seq != 0 && e.Seq != r.seq {
-			// The node held the entry under e.Seq when it took this record.
-			d.Forget(r.sk, e.Seq, r.rec.Key, r.rec.Version)
+		if err := d.apply(r.kind, r.sk, &r.rec, seg, size); err != nil {
+			return err
 		}
-		d.apply(r.kind, r.sk, r.seq, &r.rec, seg, size)
+		ek := entryKey{r.rec.Key, r.rec.Version}
 		switch r.kind {
 		case kAppend, kInstall:
 			delete(st.orphans, ek)
@@ -357,7 +321,6 @@ func OpenDurable(fsys wal.FS, opts DurableOptions) (*Durable, error) {
 		st.maxSeq = max(st.maxSeq, r.seq)
 		return nil
 	})
-	d.replaying = false
 	if errors.Is(err, wal.ErrOldFormat) {
 		return nil, fmt.Errorf("replog: %w, which an older ringd wrote; remove the data directory and the node resyncs from its group", err)
 	}
@@ -432,124 +395,68 @@ func (d *Durable) book(l liveRec, sign int) {
 // replay meets where it lies — into the index: an append or install
 // becomes its entry's live record, a commit marks it committed, a purge
 // or reset drops what it names. Any other kind only takes its ordinal.
-func (d *Durable) apply(kind byte, sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, seg uint64, size int) {
+func (d *Durable) apply(kind byte, sk ShardKey, rec *proto.MetaRecord, seg uint64, size int) error {
 	at := d.landed(seg, size)
 	x := d.live[sk]
-	if x == nil {
-		if kind != kAppend && kind != kInstall {
-			return
-		}
-		x = &shardIndex{recs: make(map[proto.Seq]liveRec)}
-		d.live[sk] = x
-	}
-	ek := entryKey{rec.Key, rec.Version}
 	switch kind {
 	case kAppend, kInstall:
-		fp := fingerprint(rec.Key, rec.Version)
-		s, named := x.named[ek]
-		wasNamed := named
-		if named && seq != s && (seq != 0 || s < unseqBase) {
-			// Its seq names the entry now, or a bare record takes the place
-			// of an open one: file it afresh.
-			d.drop(x, s)
-			delete(x.named, ek)
-			named = false
+		h, c := entryHash(rec.Key, rec.Version)
+		old, held := x[h]
+		if held && old.check != c {
+			return fmt.Errorf("replog: %s@%d in memgest %d shard %d %w; remove the data directory and the node resyncs from its group",
+				rec.Key, rec.Version, sk.Memgest, sk.Shard, errCollision)
 		}
-		if !named {
-			s = seq
-			if l, ok := x.recs[seq]; seq == 0 || ok && l.fp != fp {
-				x.unseq++
-				s = unseqBase + x.unseq
-			}
+		if x == nil {
+			x = make(shardIndex)
+			d.live[sk] = x
 		}
-		if old, ok := x.recs[s]; ok {
+		if held {
 			d.book(old, -1)
 		}
-		l := liveRec{at: at, bits: uint32(size), fp: fp}
+		l := liveRec{at: at, bits: uint32(size), check: c}
 		if kind == kInstall {
 			l.bits |= recCommitted
 		}
-		x.recs[s] = l
+		x[h] = l
 		d.book(l, 1)
-		switch {
-		case s >= unseqBase || !l.committed() && (wasNamed || d.replaying):
-			if named {
-				break
-			}
-			if x.named == nil {
-				x.named = make(map[entryKey]proto.Seq)
-			}
-			if !d.replaying {
-				ek.key = strings.Clone(ek.key) // rec.Key may be a view into a table's key chunk
-			}
-			x.named[ek] = s
-		case named:
-			delete(x.named, ek) // committed under its seq: whoever names it again knows it
-		}
 	case kCommit:
-		s, ok := x.lookup(seq, ek)
-		if l := x.recs[s]; ok && !l.committed() {
+		if h, l, ok := x.find(rec.Key, rec.Version); ok && !l.committed() {
 			l.bits |= recCommitted
-			x.recs[s] = l
+			x[h] = l
 			d.stats.Unresolved--
-			if s < unseqBase {
-				delete(x.named, ek) // open no more, and its seq finds it
-			}
 		}
 	case kPurge:
-		d.forget(x, seq, ek)
+		if h, l, ok := x.find(rec.Key, rec.Version); ok {
+			d.book(l, -1)
+			delete(x, h)
+		}
 	case kReset:
-		for _, l := range x.recs {
+		for _, l := range x {
 			d.book(l, -1)
 		}
 		delete(d.live, sk)
 	}
-}
-
-// forget drops the entry ek, named seq by a record, from x.
-func (d *Durable) forget(x *shardIndex, seq proto.Seq, ek entryKey) {
-	if s, ok := x.lookup(seq, ek); ok {
-		d.drop(x, s)
-		delete(x.named, ek)
-	}
-}
-
-// drop removes the record filed under s, if any, from x.
-func (d *Durable) drop(x *shardIndex, s proto.Seq) {
-	if l, ok := x.recs[s]; ok {
-		d.book(l, -1)
-		delete(x.recs, s)
-	}
-}
-
-// find returns the live record of the entry a record read back from the
-// log names.
-func (x *shardIndex) find(seq proto.Seq, rec *proto.MetaRecord) (liveRec, bool) {
-	if x == nil {
-		return liveRec{}, false
-	}
-	s, ok := x.lookup(seq, entryKey{rec.Key, rec.Version})
-	return x.recs[s], ok
+	return nil
 }
 
 // write appends a framed record of rec and applies it to the index.
-func (d *Durable) write(kind byte, sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, frame []byte) error {
+func (d *Durable) write(kind byte, sk ShardKey, rec *proto.MetaRecord, frame []byte) error {
 	seg, err := d.w.AppendFramed(frame)
-	if err == nil {
-		d.apply(kind, sk, seq, rec, seg, len(frame))
+	if err != nil {
+		return err
 	}
-	return err
+	return d.apply(kind, sk, rec, seg, len(frame))
 }
 
 // put writes an entry's full record: an append or an install.
 func (d *Durable) put(kind byte, sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, value []byte, hasValue bool) error {
-	return d.write(kind, sk, seq, rec, d.encode(kind, sk, seq, rec, value, hasValue))
+	return d.write(kind, sk, rec, d.encode(kind, sk, seq, rec, value, hasValue))
 }
 
 // mark writes a commit, purge or reset marker: key and version only.
 func (d *Durable) mark(kind byte, sk ShardKey, seq proto.Seq, key string, ver proto.Version) error {
 	rec := proto.MetaRecord{Key: key, Version: ver}
-	return d.write(kind, sk, seq, &rec, d.encode(kind, sk, seq, &rec, nil, false))
+	return d.write(kind, sk, &rec, d.encode(kind, sk, seq, &rec, nil, false))
 }
 
 // Append persists a write-ahead append: the entry just added to a
@@ -561,18 +468,6 @@ func (d *Durable) Append(sk ShardKey, seq proto.Seq, rec *proto.MetaRecord, valu
 	}
 	d.stats.Appends++
 	return nil
-}
-
-// Forget drops the entry key@ver, which a table holds under seq in
-// shard sk, from the index, writing nothing. A redundancy node calls it
-// when an append is about to replace that entry with one of the same
-// key and version under another seq (a version the coordinator
-// allocated again): the append supersedes its record, and replay, which
-// finds the key and version already there, forgets it the same way.
-func (d *Durable) Forget(sk ShardKey, seq proto.Seq, key string, ver proto.Version) {
-	if x := d.live[sk]; x != nil {
-		d.forget(x, seq, entryKey{key, ver})
-	}
 }
 
 // Commit persists an entry's commit as a marker naming its key and
@@ -689,7 +584,7 @@ func (d *Durable) merge() error {
 			if !ok {
 				return nil // nothing live fails to decode: replay indexes no such record
 			}
-			l, ok := d.live[r.sk].find(r.seq, &r.rec)
+			_, l, ok := d.live[r.sk].find(r.rec.Key, r.rec.Version)
 			if !ok || l.at != pos {
 				return nil
 			}
@@ -699,7 +594,7 @@ func (d *Durable) merge() error {
 				kind = kInstall
 			}
 			frame[wal.FrameHeader] = kind
-			return d.write(kind, r.sk, r.seq, &r.rec, frame)
+			return d.write(kind, r.sk, &r.rec, frame)
 		})
 		if err != nil {
 			return err
@@ -718,20 +613,12 @@ func (d *Durable) merge() error {
 	return nil
 }
 
-// Live calls fn for each live record in the index, in no order: its
-// shard, the seq the index files it under (0 for one filed under a seq
-// of its own: bare, or named a seq another entry holds) and whether its
-// entry has committed. It is the index as a state check compares it
-// with the node's metadata tables.
-func (d *Durable) Live(fn func(sk ShardKey, seq proto.Seq, committed bool)) {
-	for sk, x := range d.live {
-		for s, l := range x.recs {
-			if s >= unseqBase {
-				s = 0
-			}
-			fn(sk, s, l.committed())
-		}
-	}
+// Holds reports whether the index holds a live record of key@ver in
+// shard sk, and whether that entry has committed: the index as a state
+// check compares it with the node's metadata tables.
+func (d *Durable) Holds(sk ShardKey, key string, ver proto.Version) (committed, ok bool) {
+	_, l, ok := d.live[sk].find(key, ver)
+	return l.committed(), ok
 }
 
 // Stats is the durable tier's instrumentation: a point-in-time copy for
@@ -852,9 +739,11 @@ func decodeWALRecord(b []byte) (walRecord, bool) {
 	return r, true
 }
 
-// appendMetaRecord mirrors the wire encoding of proto.MetaRecord
-// ([u16 keyLen][key][version u64][memgest u32][flags][length u32]
-// [locBlock u32][locOff u32]) without going through a proto writer.
+// appendMetaRecord appends proto.MetaRecord in the log's own fixed
+// layout, little-endian: [u16 keyLen][key][version u64][memgest u32]
+// [flags][length u32][locBlock u32][locOff u32]. The wire encodes the
+// record with varints and leaves out what its message implies; the log
+// keeps every field at a fixed width, so its format does not follow it.
 func appendMetaRecord(b []byte, m *proto.MetaRecord) []byte {
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(m.Key)))
 	b = append(b, m.Key...)

@@ -460,13 +460,13 @@ func TestMergeKeepsTheLiveVersion(t *testing.T) {
 	}
 }
 
-// The index files entries by seq, and the durable chaos run breaks the
-// two ways that could fool it: a coordinator that lost its log's tail
-// hands seq 2 out again for another version of the key, and one that
-// allocates a version again sends it under a new seq to a node that
-// holds it (which says so with Forget). The first keeps both entries,
-// the second the newer copy alone: so the node's index, replay's and,
-// through a merge and a power cut, the log.
+// The durable chaos run hands seqs and versions out again: a
+// coordinator that lost its log's tail gives seq 2 to another version
+// of the key, and one that allocates a version again sends it under a
+// new seq to a node that holds it. The index files entries by key and
+// version, so the first keeps both entries and the second the newer
+// copy alone: so the node's index, replay's and, through a merge and a
+// power cut, the log.
 func TestReusedSeqAndVersionSurviveMerge(t *testing.T) {
 	fs := wal.NewMemFS()
 	d := openDurable(t, fs, DurableOptions{Policy: FsyncAlways})
@@ -476,7 +476,6 @@ func TestReusedSeqAndVersionSurviveMerge(t *testing.T) {
 	mustCommit(t, d, testSK, 2, "k", 7)
 	mustAppend(t, d, testSK, 3, "v", 1)
 	mustCommit(t, d, testSK, 3, "v", 1)
-	d.Forget(testSK, 3, "v", 1)
 	if err := d.Append(testSK, 9, rec("v", 1), []byte("newer"), true); err != nil {
 		t.Fatal(err)
 	}
@@ -543,10 +542,9 @@ func TestStaleMarkersSpareTheSeqsNewHolder(t *testing.T) {
 	}
 }
 
-// An append an earlier life left open is named by its key, since what
-// purges it then names it with seq 0. Filed under a seq of the index's
-// own because another entry held its seq, it keeps that name when a
-// merge's copy files it under its own seq again.
+// An append an earlier life left open is purged by its key alone, with
+// seq 0, since no table holds it. It shared its seq with another entry
+// and a merge copied it: the purge still finds it.
 func TestOpenAppendKeepsItsName(t *testing.T) {
 	fs := wal.NewMemFS()
 	opts := DurableOptions{Policy: FsyncAlways, WALSegmentBytes: 256}
@@ -567,9 +565,6 @@ func TestOpenAppendKeepsItsName(t *testing.T) {
 	}
 	if err := d.merge(); err != nil {
 		t.Fatal(err)
-	}
-	if s := d.live[testSK].named[entryKey{"k", 7}]; s != 2 {
-		t.Fatalf("after the merge k@7 is named %d, want its own seq 2", s)
 	}
 	if err := d.Purge(testSK, 0, "k", 7); err != nil {
 		t.Fatal(err)
@@ -770,27 +765,56 @@ func TestRecordAtTheLimitsReopens(t *testing.T) {
 // not scan it, and it pins none of the key chunks a metadata table
 // names its entries' keys in.
 func TestDurableIndexHasNoPointers(t *testing.T) {
-	typ := reflect.TypeFor[map[proto.Seq]liveRec]()
-	if got := reflect.TypeFor[shardIndex]().Field(0).Type; got != typ {
-		t.Fatalf("shardIndex's first field is a %v, want the %v this test checks", got, typ)
+	typ := reflect.TypeFor[map[uint64]liveRec]()
+	if got := reflect.TypeFor[shardIndex](); got.Kind() != typ.Kind() || got.Key() != typ.Key() || got.Elem() != typ.Elem() {
+		t.Fatalf("shardIndex is a %v, want the %v this test checks", got, typ)
 	}
-	t.Logf("an index entry is a %d-byte seq and a %d-byte record", typ.Key().Size(), typ.Elem().Size())
+	t.Logf("an index entry is a %d-byte hash and a %d-byte record", typ.Key().Size(), typ.Elem().Size())
 	if size := typ.Elem().Size(); size != 16 {
 		t.Errorf("liveRec is %d bytes, want 16", size)
 	}
-	for _, f := range append(testutil.PointerFields("key", typ.Key()), testutil.PointerFields("liveRec", typ.Elem())...) {
+	for _, f := range testutil.PointerFields("liveRec", typ.Elem()) {
 		t.Errorf("%s: the collector would scan the index", f)
+	}
+}
+
+// Two live entries whose hashes meet are an error, not one entry. With
+// another entry's record filed under a's hash and a wrong check word,
+// an append of a fails with the collision error, and a commit or purge
+// of a names an entry that is gone: the record stays as it was.
+func TestHashCollisionIsAnError(t *testing.T) {
+	d := openDurable(t, wal.NewMemFS(), DurableOptions{Policy: FsyncAlways})
+	mustAppend(t, d, testSK, 1, "b", 1)
+	x := d.live[testSK]
+	hb, _ := entryHash("b", 1)
+	ha, ca := entryHash("a", 1)
+	l := x[hb]
+	delete(x, hb)
+	l.check = ca ^ 1
+	x[ha] = l
+	if err := d.Append(testSK, 2, rec("a", 1), val("a", 1), true); !errors.Is(err, errCollision) {
+		t.Fatalf("an append of a over another entry's record under its hash returned %v, want the collision error", err)
+	}
+	mustCommit(t, d, testSK, 2, "a", 1)
+	if err := d.Purge(testSK, 2, "a", 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := x[ha]; got != l || len(x) != 1 {
+		t.Fatalf("markers of a touched the record under its hash: %+v, want %+v alone", x, l)
+	}
+	if st := d.DurableStats(); st.LiveRecords != 1 || st.Unresolved != 1 {
+		t.Fatalf("the index counts %d records (%d open), want the one open append", st.LiveRecords, st.Unresolved)
 	}
 }
 
 // TestDurableIndexBytesPerRecord pins what the index costs per live
 // record: 4096 appends in one shard, as a preloaded node's shard holds
-// them, grow the collected heap by at most 64 B each. A map from seq to
-// a 16-byte record has 25-byte slots in tables at most 7/8 full, about
-// 40 B per record predicted, 53.7 measured. The index it replaced, a
-// map from key and version to a 40-byte record, measured 128.5 here
-// and about 187 B per record in a ringd's heap profile, where its keys
-// also kept key chunks alive.
+// them, grow the collected heap by at most 64 B each. A map from an
+// 8-byte hash to a 16-byte record has 25-byte slots in tables at most
+// 7/8 full, about 40 B per record predicted, 53.7 measured. An index
+// keyed by the key string and version, to a 40-byte record, measured
+// 128.5 here and about 187 B per record in a ringd's heap profile,
+// where its keys also kept key chunks alive.
 func TestDurableIndexBytesPerRecord(t *testing.T) {
 	const n, bound = 4096, 64.0
 	keys := make([]string, n)

@@ -64,13 +64,12 @@ func renderModel(m map[modelKey]modelEntry) string {
 }
 
 // storeModel renders a freshly opened store as renderModel renders its
-// model, through the seq-keyed index: the index says which records are
-// live and whether their entries committed, the records themselves,
-// read back from the log, what they name, and the stash what the
-// committed entries hold. Each live record must carry the fingerprint
-// the index keeps, sit under its own seq or a name, and each stash
-// entry must be met exactly once; a name must file an open record or
-// one its seq cannot find.
+// model, through the index: the index says which records are live and
+// whether their entries committed, the records themselves, read back
+// from the log, what they name, and the stash what the committed
+// entries hold. Each live record must be filed under its own entry's
+// hash with its own check word, and each stash entry must be met
+// exactly once.
 func storeModel(t *testing.T, d *Durable) string {
 	t.Helper()
 	logged := map[recPos]walRecord{}
@@ -98,16 +97,14 @@ func storeModel(t *testing.T, d *Durable) string {
 				stash[entryKey{e.Rec.Key, e.Rec.Version}] = e
 			}
 		}
-		for s, l := range x.recs {
+		for h, l := range x {
 			r, ok := logged[l.at]
 			ek := entryKey{r.rec.Key, r.rec.Version}
-			switch {
+			switch hr, c := entryHash(ek.key, ek.ver); {
 			case !ok || r.sk != sk:
-				t.Fatalf("%v: the index files %d at a record of %v", sk, s, r.sk)
-			case l.fp != fingerprint(ek.key, ek.ver):
-				t.Fatalf("%v: the index files %d with another entry's fingerprint", sk, s)
-			case s != r.seq && x.named[ek] != s:
-				t.Fatalf("%v: %s@%d, seq %d, is filed under %d and not named", sk, ek.key, ek.ver, r.seq, s)
+				t.Fatalf("%v: the index files %#x at a record of %v", sk, h, r.sk)
+			case hr != h || l.check != c:
+				t.Fatalf("%v: %s@%d is filed under %#x with check %#x, want %#x and %#x", sk, ek.key, ek.ver, h, l.check, hr, c)
 			}
 			e, ok := stash[ek]
 			delete(stash, ek)
@@ -118,11 +115,6 @@ func storeModel(t *testing.T, d *Durable) string {
 		}
 		if len(stash) > 0 {
 			t.Fatalf("%v: stash entries the index does not hold: %v", sk, stash)
-		}
-		for ek, s := range x.named {
-			if l, ok := x.recs[s]; !ok || s < unseqBase && l.committed() {
-				t.Fatalf("%v: %s@%d is named %d, which files no record or a committed one its seq finds", sk, ek.key, ek.ver, s)
-			}
 		}
 	}
 	for sk, rs := range d.Recovered() {
@@ -146,8 +138,8 @@ func storeModel(t *testing.T, d *Durable) string {
 // key names the entry (see below), when an append may bring a new one.
 // A new entry now and then takes a seq another entry of the shard
 // holds, as a coordinator that lost its log's tail does, and an entry
-// is now and then appended again under a new seq after Forget, as a
-// redundancy node does when the coordinator allocates a version again.
+// is now and then appended again under a new seq, as a redundancy node
+// does when the coordinator allocates a version again.
 // What core names with seq 0 the model does too: a new entry installed
 // bare (recovery learned it from a MetaFetchReply, which carries no
 // seqs), and any purge or install of an append that was open when the
@@ -185,8 +177,7 @@ func runModel(t *testing.T, ops []byte) {
 		case 0:
 			s := e.seq
 			switch {
-			case held && s != 0 && !e.left && b%4 == 3:
-				d.Forget(sk, s, ek.key, ek.ver) // a version allocated again
+			case held && s != 0 && !e.left && b%4 == 3: // a version allocated again
 				seq++
 				s = seq
 			case !held && b%4 == 3 && seq > 0:

@@ -11,8 +11,9 @@ import (
 // what a /debug/ringvars scrape of one ringd can meaningfully report.
 var Metrics struct {
 	// PacketsSent / BytesSent count every payload accepted by Send;
-	// BatchedSent is the subset carrying a TBatch of coalesced
-	// messages, so the batching ratio of PR 1's send path is visible.
+	// BatchedSent is the subset that coalesces (proto.Coalesced: a
+	// TBatch, or one folded run of acks or commits), so the batching
+	// ratio of the send path is visible.
 	PacketsSent metrics.Counter
 	BytesSent   metrics.Counter
 	BatchedSent metrics.Counter
@@ -48,7 +49,7 @@ func init() {
 func countSend(payload []byte) {
 	Metrics.PacketsSent.Inc()
 	Metrics.BytesSent.Add(uint64(len(payload)))
-	if proto.IsBatch(payload) {
+	if proto.Coalesced(payload) {
 		Metrics.BatchedSent.Inc()
 	}
 }
