@@ -45,9 +45,11 @@
 #      log and gf's 64 KiB product table left ringd together: 89 to 86
 #      packages, 3221 to 2995 kB of text and read-only data, 224 to
 #      158 kB of bss. Last, the other platforms
-#      build (GOOS=darwin and GOOS=windows, ./internal/... and
-#      ./cmd/...), so the transport's net-backed sock_other.go, which
-#      no Linux test runs, keeps compiling.
+#      build (GOOS=darwin, GOOS=windows and GOARCH=arm64, ./internal/...
+#      and ./cmd/...), so the transport's net-backed sock_other.go and
+#      gf's portable-only gf_other.go, which no linux/amd64 test
+#      compiles, keep compiling. (go vet checks gf_amd64.s against its
+#      Go declarations.)
 #   4. external static analysis, version-pinned: staticcheck and
 #      govulncheck. Both run via `go run tool@version`, so they need
 #      module-proxy access; offline runs skip them with a warning
@@ -310,6 +312,7 @@ stage_lint() {
     fi
     GOOS=darwin go build ./internal/... ./cmd/...
     GOOS=windows go build ./internal/... ./cmd/...
+    GOARCH=arm64 go build ./internal/... ./cmd/...
 
     # External analyzers: enforced whenever the module proxy is
     # reachable (always true in CI), skipped with a loud warning when

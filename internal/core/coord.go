@@ -118,7 +118,6 @@ func (n *Node) checkClientOp(key string, fail func(refusal)) (uint32, bool) {
 
 // handlePut coordinates a client write.
 func (n *Node) handlePut(from string, m *proto.Put) {
-	n.Stats.Puts++
 	fail := func(s refusal) { n.refuse(from, m.Req, s) }
 	if len(m.Key) > proto.MaxKey || len(m.Value) > proto.MaxValue {
 		fail(refInvalid)
@@ -141,7 +140,6 @@ func (n *Node) handlePut(from string, m *proto.Put) {
 
 // handleDelete coordinates a client delete (a tombstone write).
 func (n *Node) handleDelete(from string, m *proto.Delete) {
-	n.Stats.Deletes++
 	fail := func(s refusal) { n.refuse(from, m.Req, s) }
 	shard, ok := n.checkClientOp(m.Key, fail)
 	if !ok {
@@ -177,16 +175,20 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 		n.refuse(replyTo, req, refWrongNode)
 		return false
 	}
-	// Count the op against its memgest only now, with routing and
-	// memgest resolution behind us: these counters promise to match an
-	// accepted workload exactly.
+	// Count the op against its memgest and the node only now, with
+	// routing and memgest resolution behind us: these counters promise
+	// to match an accepted workload exactly, and a write that parked on
+	// a move window comes through here once, when it resumes.
 	switch kind {
 	case replyPut:
 		st.met.Puts.Inc()
+		n.Stats.Puts++
 	case replyDelete:
 		st.met.Deletes.Inc()
+		n.Stats.Deletes++
 	case replyMove:
 		st.met.Moves.Inc()
+		n.Stats.Moves++
 	}
 	var ver proto.Version = 1
 	if hi := n.indexFor(shard).Highest(key); hi != nil {
@@ -487,7 +489,6 @@ func (n *Node) purgeVersion(shard uint32, key string, ref store.VersionRef) {
 }
 
 func (n *Node) handleGet(from string, m *proto.Get) {
-	n.Stats.Gets++
 	fail := func(s refusal) { n.send(from, proto.New(proto.GetReply{Req: m.Req, Status: proto.Status(s)})) }
 	shard, ok := n.checkClientOp(m.Key, fail)
 	if !ok {
@@ -507,6 +508,7 @@ func (n *Node) handleGet(from string, m *proto.Get) {
 	st := n.mgFor(e.Memgest)
 	cs := st.coord[shard]
 	st.met.Gets.Inc()
+	n.Stats.Gets++
 	if !e.Committed() {
 		// Park: the reply is released when this exact version commits
 		// (Figure 5, client D).

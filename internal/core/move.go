@@ -82,7 +82,6 @@ func (n *Node) parkOnMove(shard uint32, key, from string, msg proto.Message) boo
 
 // handleMove coordinates a client move.
 func (n *Node) handleMove(from string, m *proto.Move) {
-	n.Stats.Moves++
 	if m.Prefix {
 		n.handleMovePrefix(from, m)
 		return

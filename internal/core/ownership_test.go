@@ -246,6 +246,47 @@ func TestParkedOpsOwnTheirMessages(t *testing.T) {
 	}
 }
 
+// TestNodeOpTotalsCountEachOpOnce: a node's op totals (the ops: line of
+// ringctl stats, ring_*_total in /metrics) count an operation where its
+// memgest's counters do (the memgest lines), once it is accepted. A put
+// that parks on a move window counts once, when it resumes, and a put
+// refused as too large counts on neither. Count on a handler's entry
+// instead and the node says 5 puts where its memgests say 3.
+func TestNodeOpTotalsCountEachOpOnce(t *testing.T) {
+	h := newHandHeld(t)
+	h.put(1, "k", []byte("v1"))
+	h.send(&proto.Move{Req: 2, Key: "k", Memgest: 2})
+	window := h.replica.nextAppend()
+	h.send(&proto.Put{Req: 3, Key: "k", Value: []byte("v2"), Memgest: 1})
+	h.behind() // the marker put: accepted, never acked
+	if n := h.parked(); n != 1 {
+		t.Fatalf("%d ops parked on the window, want 1", n)
+	}
+	h.ack(window)
+	h.expect(2)
+	h.ack(h.replica.nextAppend())
+	h.expect(3)
+	h.send(&proto.Put{Req: 4, Key: "big", Value: make([]byte, proto.MaxValue+1), Memgest: 1})
+	if rep := h.reply(); rep.Request() != 4 || rep.Result() != proto.StInvalid {
+		t.Fatalf("oversized put answered %#x with %v, want 4 with %v", rep.Request(), rep.Result(), proto.StInvalid)
+	}
+	var node Stats
+	var mg MemgestOpCounts
+	h.r.Inspect(func(n *Node) {
+		node = n.Stats
+		for _, c := range n.MetricsSnapshot().Memgests {
+			mg.Add(c)
+		}
+	})
+	if node.Puts != mg.Puts || node.Moves != mg.Moves || node.Gets != mg.Gets || node.Deletes != mg.Deletes {
+		t.Fatalf("node counts puts=%d moves=%d gets=%d deletes=%d, its memgests puts=%d moves=%d gets=%d deletes=%d",
+			node.Puts, node.Moves, node.Gets, node.Deletes, mg.Puts, mg.Moves, mg.Gets, mg.Deletes)
+	}
+	if mg.Puts != 3 || mg.Moves != 1 {
+		t.Fatalf("memgests count %d puts and %d moves, want 3 (v1, the marker, the resumed put) and 1", mg.Puts, mg.Moves)
+	}
+}
+
 // TestWindowKeepsItsMove pins the copy of the request a window keeps:
 // a configuration change replans every open window, running its move
 // again from the top (replanMoves). Keep the decoded message in the

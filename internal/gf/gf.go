@@ -4,26 +4,32 @@
 // x^8 + x^4 + x^3 + x^2 + 1 (0x11d), the same polynomial used by the
 // Jerasure/GF-Complete stack the paper builds on. Addition is XOR;
 // multiplication and division are driven by logarithm/antilogarithm
-// tables built once at package initialization, 1 KiB in all: a process
-// holds no product table for a coefficient it never multiplies by.
+// tables built once at package initialization, 1 KiB in all.
 //
 // Besides scalar operations the package provides slice kernels
 // (MulSlice, MulSliceXor, XorSlice) that apply one coefficient to a
 // whole buffer. These are the inner loops of Reed-Solomon encoding,
-// decoding, and delta parity updates, so they process eight bytes per
-// 64-bit word: each word is split into four 16-bit halves and mapped
-// through a per-coefficient 65536-entry product table whose entries
-// are the pairwise products of both bytes — the split-table scheme of
-// GF-Complete's region operations, widened from nibbles to bytes
-// because scalar Go has no PSHUFB. The table is built on the first
-// use of its coefficient, and its first 256 entries are the products
-// c*x, so the tail of a buffer shorter than the 32-byte stride is
-// mapped through the same table a byte at a time. XorSlice
+// decoding, and delta parity updates. On an amd64 CPU with AVX2 they
+// are GF-Complete's region multiply: for every 32 bytes, VPSHUFB looks
+// the low and high nibbles up in two 16-entry tables of the
+// coefficient's products, c*x and c*(x<<4), and XORs the two halves
+// (gf_amd64.s). The 256 coefficients' tables take 8 KiB, built at
+// package initialization. The kernel is chosen once from CPUID.
+// Every other host runs the portable kernel, eight bytes per 64-bit
+// word: each word is split into four 16-bit halves and mapped through
+// a per-coefficient 65536-entry product table whose entries are the
+// pairwise products of both bytes, the split-table scheme widened from
+// nibbles to bytes. That table is 128 KiB, built on the first use of
+// its coefficient (a process holds none for a coefficient it never
+// multiplies by), and its first 256 entries are the products c*x, so
+// the tail of a buffer shorter than the 32-byte stride is mapped
+// through the same table a byte at a time; the AVX2 kernel's tail reads
+// its nibble tables the same way. XorSlice
 // (multiplication by one, the first parity row of our Cauchy matrices)
 // defers to crypto/subtle.XORBytes, which the runtime implements with
 // the platform's vector ISA. The byte-at-a-time kernels they replaced live
 // on in gf_ref_test.go as the oracle the differential and fuzz tests
-// pin bit-exactness against.
+// pin both kernels bit-exact against.
 package gf
 
 import (
@@ -59,7 +65,16 @@ var (
 	// coefficient and published with an atomic CAS; an RS(k,m) code
 	// touches only the coefficients of its coding matrix.
 	wordTbl [256]atomic.Pointer[[1 << 16]uint16]
+	// nibbleTbl[c] is the AVX2 kernel's table for coefficient c: entry
+	// x < 16 is c*x and entry 16+x is c*(x<<4), so a byte b maps to
+	// nibbleTbl[c][b&15] ^ nibbleTbl[c][16+b>>4]. Built at init on a
+	// host that runs that kernel, left zero on any other.
+	nibbleTbl [256][32]byte
 )
+
+// useAVX2 selects the nibble-table kernel of gf_amd64.s for MulSlice
+// and MulSliceXor. It is read from CPUID once; only tests change it.
+var useAVX2 = hasAVX2
 
 func init() {
 	x := 1
@@ -74,6 +89,14 @@ func init() {
 	}
 	for i := 1; i < 256; i++ {
 		invTbl[i] = Exp(255 - int(logTbl[i]))
+	}
+	if hasAVX2 {
+		for c := range nibbleTbl {
+			for x := 0; x < 16; x++ {
+				nibbleTbl[c][x] = Mul(byte(c), byte(x))
+				nibbleTbl[c][16+x] = Mul(byte(c), byte(x<<4))
+			}
+		}
 	}
 }
 
@@ -175,18 +198,27 @@ func buildWordTable(c byte) *[1 << 16]uint16 {
 // WordTablesBuilt counts the split product tables this process holds,
 // 128 KiB each (gf.word_tables_built in /debug/ringvars): a node that
 // never multiplies — a replica, a parity node, which only XORs — builds
-// none.
+// none, and neither does any node on a host with AVX2.
 var WordTablesBuilt metrics.Counter
 
 func init() {
 	metrics.Default.Register("gf.word_tables_built", &WordTablesBuilt)
 }
 
+// SplitTables reports whether MulSlice and MulSliceXor multiply through
+// the 128 KiB split product tables, as every host without AVX2 does,
+// rather than through the AVX2 kernel's nibble tables.
+func SplitTables() bool { return !useAVX2 }
+
 // WarmTables pre-builds the split product tables for the given
 // coefficients. A node that is about to multiply by them on its commit
 // path calls it when it learns its role, so that no put pays a 128 KiB
-// table build; everything else builds on first use.
+// table build; everything else builds on first use. With the AVX2
+// kernel there is nothing to build.
 func WarmTables(coeffs ...byte) {
+	if useAVX2 {
+		return
+	}
 	for _, c := range coeffs {
 		if c > 1 {
 			wordTable(c)
@@ -212,6 +244,15 @@ func MulSlice(c byte, src, dst []byte) {
 		return
 	case 1:
 		copy(dst, src)
+		return
+	}
+	if useAVX2 {
+		t := &nibbleTbl[c]
+		n := len(src) &^ 31
+		mulAVX2(t, src[:n], dst[:n])
+		for i, b := range src[n:] {
+			dst[n+i] = t[b&15] ^ t[16+b>>4]
+		}
 		return
 	}
 	t := wordTable(c)
@@ -257,6 +298,15 @@ func MulSliceXor(c byte, src, dst []byte) {
 		// matrices is all ones, so this dispatch routes a full 1/m of
 		// parity work through the vectorized XOR.
 		XorSlice(src, dst)
+		return
+	}
+	if useAVX2 {
+		t := &nibbleTbl[c]
+		n := len(src) &^ 31
+		mulXorAVX2(t, src[:n], dst[:n])
+		for i, b := range src[n:] {
+			dst[n+i] ^= t[b&15] ^ t[16+b>>4]
+		}
 		return
 	}
 	t := wordTable(c)

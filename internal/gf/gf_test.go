@@ -248,23 +248,26 @@ func TestSliceLengthMismatchPanics(t *testing.T) {
 }
 
 func TestMulSliceLinearity(t *testing.T) {
-	// c*(a ^ b) == c*a ^ c*b over whole slices.
+	// c*(a ^ b) == c*a ^ c*b over whole slices, on both kernels.
 	rng := rand.New(rand.NewSource(4))
-	a := randBytes(rng, 512)
-	b := randBytes(rng, 512)
-	ab := make([]byte, 512)
+	const n = 512 + 13
+	a := randBytes(rng, n)
+	b := randBytes(rng, n)
+	ab := make([]byte, n)
 	copy(ab, a)
 	XorSlice(b, ab)
-	for _, c := range []byte{2, 5, 0x8e} {
-		lhs := make([]byte, 512)
-		MulSlice(c, ab, lhs)
-		rhs := make([]byte, 512)
-		MulSlice(c, a, rhs)
-		MulSliceXor(c, b, rhs)
-		if !bytes.Equal(lhs, rhs) {
-			t.Fatalf("linearity violated for c=%d", c)
+	forEachKernel(t, func(t *testing.T) {
+		for c := 2; c < 256; c++ {
+			lhs := make([]byte, n)
+			MulSlice(byte(c), ab, lhs)
+			rhs := make([]byte, n)
+			MulSlice(byte(c), a, rhs)
+			MulSliceXor(byte(c), b, rhs)
+			if !bytes.Equal(lhs, rhs) {
+				t.Fatalf("linearity violated for c=%d", c)
+			}
 		}
-	}
+	})
 }
 
 func BenchmarkMulSliceXor1KiB(b *testing.B) {
@@ -290,27 +293,50 @@ func BenchmarkXorSlice1KiB(b *testing.B) {
 
 func TestMulSliceXorAllocs(t *testing.T) {
 	// The GF kernels are the inner loop of encode/recovery: pinned at
-	// zero allocations once a coefficient's split product table has
-	// been built (the one-time 128 KiB build is warmed up explicitly
-	// here; steady-state encode/delta traffic reuses it).
-	src := make([]byte, 1024)
-	dst := make([]byte, 1024)
+	// zero allocations on both kernels, for the split-table one once a
+	// coefficient's product table has been built (the one-time 128 KiB
+	// build is warmed up explicitly here; steady-state encode/delta
+	// traffic reuses it). A length off the 32-byte stride runs each
+	// kernel's tail too.
+	src := make([]byte, 1024+5)
+	dst := make([]byte, 1024+5)
 	rand.New(rand.NewSource(7)).Read(src)
-	for _, c := range []byte{0, 1, 0x57} {
-		MulSliceXor(c, src, dst) // warm the lazy word table
-		allocs := testing.AllocsPerRun(100, func() {
-			MulSliceXor(c, src, dst)
-		})
-		if allocs != 0 {
-			t.Errorf("MulSliceXor(c=%#x): %.1f allocs/op, want 0", c, allocs)
+	forEachKernel(t, func(t *testing.T) {
+		for _, c := range []byte{0, 1, 0x57} {
+			MulSliceXor(c, src, dst) // warm the lazy word table
+			allocs := testing.AllocsPerRun(100, func() {
+				MulSliceXor(c, src, dst)
+			})
+			if allocs != 0 {
+				t.Errorf("MulSliceXor(c=%#x): %.1f allocs/op, want 0", c, allocs)
+			}
 		}
-	}
-	MulSlice(0x9e, src, dst)
-	if allocs := testing.AllocsPerRun(100, func() { MulSlice(0x9e, src, dst) }); allocs != 0 {
-		t.Errorf("MulSlice: %.1f allocs/op, want 0", allocs)
-	}
+		MulSlice(0x9e, src, dst)
+		if allocs := testing.AllocsPerRun(100, func() { MulSlice(0x9e, src, dst) }); allocs != 0 {
+			t.Errorf("MulSlice: %.1f allocs/op, want 0", allocs)
+		}
+	})
 	if allocs := testing.AllocsPerRun(100, func() { XorSlice(src, dst) }); allocs != 0 {
 		t.Errorf("XorSlice: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestAVX2BuildsNoWordTable: with the AVX2 kernel, multiplying by a
+// coefficient and warming its table build no 128 KiB split table.
+func TestAVX2BuildsNoWordTable(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("no AVX2 on this host")
+	}
+	keepKernel(t)
+	useAVX2 = true
+	const c = 0xc3
+	wordTbl[c].Store(nil) // other tests build every coefficient's table
+	src := make([]byte, 100)
+	WarmTables(c)
+	MulSlice(c, src, src)
+	MulSliceXor(c, src, src)
+	if SplitTables() || wordTbl[c].Load() != nil {
+		t.Fatalf("the AVX2 kernel built coefficient %#x's split table", c)
 	}
 }
 
@@ -320,6 +346,8 @@ func TestWordTableConcurrent(t *testing.T) {
 	// race-free (run under -race), and a tail shorter than the 32-byte
 	// stride, which reads the table's first 256 entries, must see the
 	// products whichever goroutine built it.
+	keepKernel(t)
+	useAVX2 = false
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

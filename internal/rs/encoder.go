@@ -41,9 +41,9 @@ func NewEncoder(k, m int) (*Encoder, error) {
 	}
 	// No product table is built here: most holders of an encoder never
 	// multiply (a parity node XORs deltas a coordinator multiplied), so
-	// the 128 KiB word tables are built by gf on first use, or ahead of
-	// it by the one caller with a commit path to protect
-	// (srs.Layout.WarmParityDelta).
+	// the 128 KiB word tables of gf's portable kernel are built on first
+	// use, or ahead of it by the one caller with a commit path to
+	// protect (srs.Layout.WarmParityDelta).
 	return &Encoder{k: k, m: m, h: buildCodingMatrix(k, m)}, nil
 }
 

@@ -339,6 +339,7 @@ func (l *Layout) ParityDeltaInto(b int, delta []byte, out [][]byte) {
 // do not build them (128 KiB per coefficient) on the commit path. A
 // node needs the coefficients of its own stripe positions only: at most
 // M tables when it holds one position, none for an all-ones parity row.
+// On a host with AVX2, gf builds no such table and this does nothing.
 func (l *Layout) WarmParityDelta(node int) {
 	lo, hi := l.NodeBlocks(node)
 	for b := lo; b < hi; b++ {
