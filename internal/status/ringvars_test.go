@@ -2,9 +2,12 @@ package status
 
 import (
 	"bytes"
+	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -367,6 +370,38 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 	}
 	if got := strings.Count(buf.String(), "--- "); got != 2 {
 		t.Fatalf("watch rendered %d rounds, want 2:\n%s", got, buf.String())
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/stats.golden from testdata/ringvars.json")
+
+// TestRenderStatsGolden pins the `ringctl stats` text of three nodes'
+// /debug/ringvars documents (testdata/ringvars.json: a durable tier on
+// one node only, two memgests, group queue gauges, a fractional and a
+// non-numeric process var), decoded as FetchRingvars decodes them. Run
+// with -update to rewrite testdata/stats.golden.
+func TestRenderStatsGolden(t *testing.T) {
+	b, err := os.ReadFile("testdata/ringvars.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nodes []Ringvars
+	if err := json.Unmarshal(b, &nodes); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	RenderStats(&buf, Aggregate(nodes))
+	if *update {
+		if err := os.WriteFile("testdata/stats.golden", buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile("testdata/stats.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("RenderStats differs from testdata/stats.golden:\n got: %s\nwant: %s", buf.Bytes(), want)
 	}
 }
 
