@@ -175,20 +175,18 @@ func (n *Node) doWrite(replyTo string, req proto.ReqID, kind replyKind, shard ui
 		n.refuse(replyTo, req, refWrongNode)
 		return false
 	}
-	// Count the op against its memgest and the node only now, with
-	// routing and memgest resolution behind us: these counters promise
-	// to match an accepted workload exactly, and a write that parked on
-	// a move window comes through here once, when it resumes.
-	switch kind {
-	case replyPut:
+	// Count the op against its memgest only now, with routing and
+	// memgest resolution behind us: these counters promise to match an
+	// accepted workload exactly, and a write that parked on a move window
+	// comes through here once, when it resumes. A replanned move was
+	// counted at its first launch.
+	switch {
+	case kind == replyPut:
 		st.met.Puts.Inc()
-		n.Stats.Puts++
-	case replyDelete:
+	case kind == replyDelete:
 		st.met.Deletes.Inc()
-		n.Stats.Deletes++
-	case replyMove:
+	case kind == replyMove && !n.replanning:
 		st.met.Moves.Inc()
-		n.Stats.Moves++
 	}
 	var ver proto.Version = 1
 	if hi := n.indexFor(shard).Highest(key); hi != nil {
@@ -368,7 +366,6 @@ func (n *Node) commitEntry(q replog.Quorum, st *mgState, cs *coordShard, key str
 	}
 	e.Commit()
 	n.persistCommit(st, cs.shard, e)
-	n.Stats.Commits++
 	st.met.Commits.Inc()
 	if st.info.Scheme.Kind == proto.SchemeSRS {
 		n.Metrics.CommitSRS.Observe(n.now - start)
@@ -508,7 +505,6 @@ func (n *Node) handleGet(from string, m *proto.Get) {
 	st := n.mgFor(e.Memgest)
 	cs := st.coord[shard]
 	st.met.Gets.Inc()
-	n.Stats.Gets++
 	if !e.Committed() {
 		// Park: the reply is released when this exact version commits
 		// (Figure 5, client D).

@@ -831,8 +831,8 @@ func TestStatsAccounting(t *testing.T) {
 	h.put("sk", []byte("v"), mgSRS32)
 	h.get("sk")
 	n, _ := h.coordinatorOf("sk")
-	if n.Stats.Puts != 1 || n.Stats.Gets != 1 || n.Stats.Commits != 1 {
-		t.Fatalf("stats: %+v", n.Stats)
+	if c := n.MetricsSnapshot().Memgests[mgSRS32]; c.Puts != 1 || c.Gets != 1 || c.Commits != 1 {
+		t.Fatalf("memgest counts: %+v", c)
 	}
 	if n.Stats.ParityUpdates != 2 {
 		t.Fatalf("SRS32 put sent %d parity updates, want 2", n.Stats.ParityUpdates)

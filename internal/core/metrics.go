@@ -28,9 +28,10 @@ type MemgestMetrics struct {
 // histograms are atomic (readable by a scraper at any time); the trace
 // ring and the per-memgest map follow the node's single-threaded
 // discipline and must be read under the runner lock (Runner.Inspect).
-//
-// It deliberately lives beside, not inside, Stats: Stats is copied by
-// value in the simulator's accounting, which atomics would forbid.
+// MsgsOut and PacketsOut are the only numbers of a node bumped off that
+// lock, by the host's send pass after Runner.endBatch releases it;
+// Stats and everything else here are bumped by the state machine under
+// it.
 type NodeMetrics struct {
 	// Events counts state-machine message dispatches; Ticks counts
 	// timer dispatches.
@@ -128,31 +129,16 @@ type MemgestOpCounts struct {
 	MetaBytes           uint64 `json:"store.meta_bytes"`
 }
 
-// Add accumulates another count set (for cluster-wide aggregation).
-func (c *MemgestOpCounts) Add(o MemgestOpCounts) {
-	c.Puts += o.Puts
-	c.Gets += o.Gets
-	c.Deletes += o.Deletes
-	c.Moves += o.Moves
-	c.Commits += o.Commits
-	c.BlockBytesUsed += o.BlockBytesUsed
-	c.BlockBytesBacked += o.BlockBytesBacked
-	c.ParityBytesBacked += o.ParityBytesBacked
-	c.ValueBytesUsed += o.ValueBytesUsed
-	c.ValueBytesBacked += o.ValueBytesBacked
-	c.ValueSlotsRelocated += o.ValueSlotsRelocated
-	c.ValueChunksReleased += o.ValueChunksReleased
-	c.MetaBytes += o.MetaBytes
-}
-
 // MetricsSnapshot is a point-in-time copy of a node's instrumentation,
-// shaped for /debug/ringvars and ringctl aggregation.
+// shaped for /debug/ringvars. Every view derives from it: /metrics
+// renders its leaves, and ringctl stats folds the nodes' copies into
+// one, adding every number except those tagged fold:"max".
 type MetricsSnapshot struct {
 	Events          uint64                              `json:"events"`
 	Ticks           uint64                              `json:"ticks"`
 	MsgsOut         uint64                              `json:"msgs_out"`
 	PacketsOut      uint64                              `json:"packets_out"`
-	InboxHighWater  int64                               `json:"inbox_high_water"`
+	InboxHighWater  int64                               `json:"inbox_high_water" fold:"max"`
 	RecoveryBacklog int64                               `json:"recovery_backlog"`
 	ShardsMoved     uint64                              `json:"shards_moved"`
 	ConfigRepushes  uint64                              `json:"config_repushes"`

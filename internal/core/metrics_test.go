@@ -136,23 +136,20 @@ func TestPerMemgestCountersSplitBySchemes(t *testing.T) {
 		put(proto.ReqID(100+i), fmt.Sprintf("srs-%d", i), 2)
 	}
 
-	var total map[proto.MemgestID]MemgestOpCounts
+	total := make(map[proto.MemgestID]uint64) // puts
 	var repLat, srsLat uint64
-	total = make(map[proto.MemgestID]MemgestOpCounts)
 	for _, r := range cl.Runs {
 		r.Inspect(func(n *Node) {
 			s := n.MetricsSnapshot()
 			for id, c := range s.Memgests {
-				agg := total[id]
-				agg.Add(c)
-				total[id] = agg
+				total[id] += c.Puts
 			}
 			repLat += s.CommitRep.Count
 			srsLat += s.CommitSRS.Count
 		})
 	}
-	if total[1].Puts != perMg || total[2].Puts != perMg {
-		t.Fatalf("per-memgest puts = %d/%d, want %d each", total[1].Puts, total[2].Puts, perMg)
+	if total[1] != perMg || total[2] != perMg {
+		t.Fatalf("per-memgest puts = %d/%d, want %d each", total[1], total[2], perMg)
 	}
 	if repLat != perMg || srsLat != perMg {
 		t.Fatalf("commit latency samples rep=%d srs=%d, want %d each", repLat, srsLat, perMg)

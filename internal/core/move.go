@@ -347,7 +347,9 @@ func (n *Node) replanMoves() {
 			n.abortMoveWrite(mk, mv)
 		} // else the shard moved to another coordinator along with all its state
 		delete(n.moving, mk)
+		n.replanning = true
 		n.admitMove(mv.client, &mv.m)
+		n.replanning = false
 		// The relaunch may have opened a fresh window for the key: carry
 		// the parked writes over (they arrived first, they stay first).
 		// Otherwise it settled synchronously and they replay now.

@@ -161,6 +161,9 @@ type Node struct {
 	// a batch with neither owes the disk nothing (see durable.go).
 	acksOwed int
 	tickOwed bool
+	// replanning is set while replanMoves runs a window's move again:
+	// doWrite does not count that relaunch as a second move.
+	replanning bool
 
 	nextReq proto.ReqID
 	now     time.Duration
@@ -179,10 +182,10 @@ type Node struct {
 	Metrics *NodeMetrics
 }
 
-// Stats counts node activity.
+// Stats counts node activity that no memgest's counters do; a node's
+// op totals are the sums of its MemgestMetrics.
 type Stats struct {
-	Puts, Gets, Deletes, Moves   uint64
-	Commits, ParkedGets          uint64
+	ParkedGets                   uint64
 	ParityUpdates, RepAppends    uint64
 	BlocksRecovered, MetaRecovs  uint64
 	BytesParityXor, BytesWritten uint64

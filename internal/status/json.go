@@ -61,30 +61,8 @@ func appendJSON(b []byte, v reflect.Value, depth int) []byte {
 		for i := 0; i < v.Len(); i++ {
 			ms = append(ms, member{val: v.Index(i)})
 		}
-	case k == reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			f, fv := v.Type().Field(i), v.Field(i)
-			tag := f.Tag.Get("json")
-			name, opt, _ := strings.Cut(tag, ",")
-			switch {
-			case f.Anonymous || opt != "" && opt != "omitempty":
-				panic(jsonError("json: unsupported type: " + v.Type().String()))
-			case !f.IsExported() || tag == "-" || opt == "omitempty" && isEmpty(fv):
-				continue
-			}
-			ms = append(ms, member{cmp.Or(name, f.Name), fv})
-		}
-	case k == reflect.Map:
-		for it := v.MapRange(); it.Next(); { // keys sort by their text
-			key, text := it.Key(), it.Key().String()
-			if key.CanInt() || key.CanUint() {
-				text = string(appendJSON(nil, key, 0))
-			} else if key.Kind() != reflect.String {
-				panic(jsonError("json: unsupported type: " + v.Type().String()))
-			}
-			ms = append(ms, member{text, it.Value()})
-		}
-		sort.Slice(ms, func(i, j int) bool { return ms[i].key < ms[j].key })
+	case k == reflect.Struct || k == reflect.Map:
+		ms = members(v)
 	default:
 		panic(jsonError("json: unsupported type: " + v.Type().String()))
 	}
@@ -101,6 +79,40 @@ func appendJSON(b []byte, v reflect.Value, depth int) []byte {
 		b = append(append(b, '\n'), strings.Repeat("  ", depth)...)
 	}
 	return append(b, end)
+}
+
+// members lists the keys and values of a struct or a map as the
+// encoder writes them: a struct's fields under their json names, those
+// tagged omitempty left out when empty, and a map's entries sorted by
+// the text of their keys.
+func members(v reflect.Value) []member {
+	var ms []member
+	if v.Kind() == reflect.Struct {
+		for i := 0; i < v.NumField(); i++ {
+			f, fv := v.Type().Field(i), v.Field(i)
+			tag := f.Tag.Get("json")
+			name, opt, _ := strings.Cut(tag, ",")
+			switch {
+			case f.Anonymous || opt != "" && opt != "omitempty":
+				panic(jsonError("json: unsupported type: " + v.Type().String()))
+			case !f.IsExported() || tag == "-" || opt == "omitempty" && isEmpty(fv):
+				continue
+			}
+			ms = append(ms, member{cmp.Or(name, f.Name), fv})
+		}
+		return ms
+	}
+	for it := v.MapRange(); it.Next(); {
+		key, text := it.Key(), it.Key().String()
+		if key.CanInt() || key.CanUint() {
+			text = string(appendJSON(nil, key, 0))
+		} else if key.Kind() != reflect.String {
+			panic(jsonError("json: unsupported type: " + v.Type().String()))
+		}
+		ms = append(ms, member{text, it.Value()})
+	}
+	sort.Slice(ms, func(i, j int) bool { return ms[i].key < ms[j].key })
+	return ms
 }
 
 // isEmpty is omitempty's test; no struct is empty, and -0 is.

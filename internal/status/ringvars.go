@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/url"
 	"os"
+	"reflect"
 	rtmetrics "runtime/metrics"
 	"sort"
 	"strconv"
@@ -16,7 +17,6 @@ import (
 	"ring/internal/core"
 	"ring/internal/metrics"
 	"ring/internal/proto"
-	"ring/internal/replog"
 	"ring/internal/transport"
 )
 
@@ -197,138 +197,77 @@ func FetchRingvars(addr string) (Ringvars, error) {
 	return rv, nil
 }
 
-// ClusterStats is the cluster-wide aggregation of per-node ringvars,
-// what `ringctl stats` renders.
+// ClusterStats is the cluster-wide fold of per-node ringvars, what
+// `ringctl stats` renders: the nodes' snapshots folded into one, and
+// their numeric process vars summed by name.
 type ClusterStats struct {
-	Nodes           int
-	Events          uint64
-	MsgsOut         uint64
-	PacketsOut      uint64
-	RecoveryBacklog int64
-	Stats           core.Stats
-	Memgests        map[proto.MemgestID]core.MemgestOpCounts
-	CommitRep       metrics.HistSnapshot
-	CommitSRS       metrics.HistSnapshot
-	// MovesAborted and MovesReplanned sum the move windows closed by the
-	// timeout and relaunched by a configuration change.
-	MovesAborted   uint64
-	MovesReplanned uint64
-	// WritesAwaitingQuorum sums core.writes_awaiting_quorum: coordinated
-	// writes whose redundancy acks are owed right now.
-	WritesAwaitingQuorum int64
-	// ShardsRecovering, ShardsDegraded and RecoveryReasks sum
-	// core.shards_recovering, core.shards_degraded and
-	// core.recovery_reasks: shards refusing requests until their metadata
-	// is in, shards fetching lost bytes on demand, and recovery asks that
-	// had to be repeated.
-	ShardsRecovering, ShardsDegraded int64
-	RecoveryReasks                   uint64
-	// ShardsMoved and ConfigRepushes sum, over the nodes that have led,
-	// the placement slots configuration changes reassigned and the
-	// configurations sent a second time.
-	ShardsMoved    uint64
-	ConfigRepushes uint64
-	// RunnerGoroutines sums core.runner_goroutines across the scraped
-	// processes: the runner event loops actually executing — one per
-	// (node, group) pair under memgest-group sharding.
-	RunnerGoroutines int64
-	// GroupQueueDepth sums core.group.<g>.queue_depth per group: the
-	// instantaneous inbox backlog of each group's runners.
-	GroupQueueDepth map[int]int64
-	// HeapLive, HeapGoal, HeapScan, GCCycles, AllocBytes and
-	// AllocObjects sum go.heap_live_bytes, go.heap_goal_bytes,
-	// go.heap_scan_bytes, go.gc_cycles, go.alloc_bytes and
-	// go.alloc_objects across the scraped processes.
-	HeapLive, HeapGoal, HeapScan, GCCycles, AllocBytes, AllocObjects int64
-	// ArenaBacked, ArenaPooled, MetaBacked, RSSAnon, RSSFile and RSSPeak
-	// sum process.arena_bytes_backed, process.arena_bytes_pooled,
-	// process.meta_bytes_backed, process.rss_anon_bytes,
-	// process.rss_file_bytes and process.rss_peak_bytes the same way;
-	// MetaEntries sums the nodes' meta_entries.
-	ArenaBacked, ArenaPooled, MetaBacked, RSSAnon, RSSFile, RSSPeak int64
-	MetaEntries                                                     uint64
-	// Durable sums the durable tiers of the nodes that have one (nil when
-	// none does); Failed then means some node's is in its sticky-error
-	// state.
-	Durable *replog.Stats
+	Nodes int
+	core.MetricsSnapshot
+	Process map[string]int64
 }
 
 // Aggregate folds per-node ringvars into cluster totals.
 func Aggregate(nodes []Ringvars) ClusterStats {
-	cs := ClusterStats{
-		Memgests:        make(map[proto.MemgestID]core.MemgestOpCounts),
-		GroupQueueDepth: make(map[int]int64),
-	}
+	cs := ClusterStats{Process: make(map[string]int64)}
 	for _, rv := range nodes {
 		cs.Nodes++
-		n := rv.Node
-		cs.Events += n.Events
-		cs.MsgsOut += n.MsgsOut
-		cs.PacketsOut += n.PacketsOut
-		cs.RecoveryBacklog += n.RecoveryBacklog
-		cs.MovesAborted += n.MovesAborted
-		cs.MovesReplanned += n.MovesReplanned
-		cs.WritesAwaitingQuorum += n.WritesAwaitingQuorum
-		cs.ShardsRecovering += n.ShardsRecovering
-		cs.ShardsDegraded += n.ShardsDegraded
-		cs.RecoveryReasks += n.RecoveryReasks
-		cs.ShardsMoved += n.ShardsMoved
-		cs.ConfigRepushes += n.ConfigRepushes
-		cs.MetaEntries += n.MetaEntries
-		addStats(&cs.Stats, n.Stats)
-		for id, c := range n.Memgests {
-			agg := cs.Memgests[id]
-			agg.Add(c)
-			cs.Memgests[id] = agg
-		}
-		cs.CommitRep = cs.CommitRep.Merge(n.CommitRep)
-		cs.CommitSRS = cs.CommitSRS.Merge(n.CommitSRS)
-		if n.Durable != nil {
-			if cs.Durable == nil {
-				cs.Durable = new(replog.Stats)
-			}
-			addDurable(cs.Durable, n.Durable)
-		}
+		fold(reflect.ValueOf(&cs.MetricsSnapshot).Elem(), reflect.ValueOf(rv.Node))
 		for name, v := range rv.Process {
-			iv, ok := processInt64(v)
-			if !ok {
-				continue
-			}
-			switch name {
-			case "core.runner_goroutines":
-				cs.RunnerGoroutines += iv
-			case "go.heap_live_bytes":
-				cs.HeapLive += iv
-			case "go.heap_goal_bytes":
-				cs.HeapGoal += iv
-			case "go.heap_scan_bytes":
-				cs.HeapScan += iv
-			case "go.gc_cycles":
-				cs.GCCycles += iv
-			case "go.alloc_bytes":
-				cs.AllocBytes += iv
-			case "go.alloc_objects":
-				cs.AllocObjects += iv
-			case "process.arena_bytes_backed":
-				cs.ArenaBacked += iv
-			case "process.arena_bytes_pooled":
-				cs.ArenaPooled += iv
-			case "process.meta_bytes_backed":
-				cs.MetaBacked += iv
-			case "process.rss_anon_bytes":
-				cs.RSSAnon += iv
-			case "process.rss_file_bytes":
-				cs.RSSFile += iv
-			case "process.rss_peak_bytes":
-				cs.RSSPeak += iv
-			default:
-				if g, ok := groupOfQueueGauge(name); ok {
-					cs.GroupQueueDepth[g] += iv
-				}
+			if iv, ok := processInt64(v); ok {
+				cs.Process[name] += iv
 			}
 		}
 	}
 	return cs
+}
+
+var histType = reflect.TypeOf(metrics.HistSnapshot{})
+
+// fold adds src into dst, a settable value of the same type: integers
+// add (a struct field tagged fold:"max" keeps the larger), bools OR,
+// histograms merge, maps fold per key, and structs and pointers fold
+// what they hold.
+func fold(dst, src reflect.Value) {
+	switch k := dst.Kind(); {
+	case dst.Type() == histType:
+		dst.Set(reflect.ValueOf(dst.Interface().(metrics.HistSnapshot).Merge(src.Interface().(metrics.HistSnapshot))))
+	case dst.CanInt():
+		dst.SetInt(dst.Int() + src.Int())
+	case dst.CanUint():
+		dst.SetUint(dst.Uint() + src.Uint())
+	case k == reflect.Bool:
+		dst.SetBool(dst.Bool() || src.Bool())
+	case k == reflect.Pointer:
+		if src.IsNil() {
+			return
+		}
+		if dst.IsNil() {
+			dst.Set(reflect.New(dst.Type().Elem()))
+		}
+		fold(dst.Elem(), src.Elem())
+	case k == reflect.Map:
+		if dst.IsNil() {
+			dst.Set(reflect.MakeMap(dst.Type()))
+		}
+		for it := src.MapRange(); it.Next(); {
+			v := reflect.New(dst.Type().Elem()).Elem()
+			if old := dst.MapIndex(it.Key()); old.IsValid() {
+				v.Set(old)
+			}
+			fold(v, it.Value())
+			dst.SetMapIndex(it.Key(), v)
+		}
+	case k == reflect.Struct:
+		for i := 0; i < dst.NumField(); i++ {
+			if d, s := dst.Field(i), src.Field(i); dst.Type().Field(i).Tag.Get("fold") != "max" {
+				fold(d, s)
+			} else if s.Int() > d.Int() {
+				d.SetInt(s.Int())
+			}
+		}
+	default:
+		panic("status: cannot fold a " + dst.Type().String())
+	}
 }
 
 // processInt64 widens a process-registry value to int64. Values arrive
@@ -359,59 +298,40 @@ func groupOfQueueGauge(name string) (int, bool) {
 	return g, true
 }
 
-func addStats(dst *core.Stats, s core.Stats) {
-	dst.Puts += s.Puts
-	dst.Gets += s.Gets
-	dst.Deletes += s.Deletes
-	dst.Moves += s.Moves
-	dst.Commits += s.Commits
-	dst.ParkedGets += s.ParkedGets
-	dst.ParityUpdates += s.ParityUpdates
-	dst.RepAppends += s.RepAppends
-	dst.BlocksRecovered += s.BlocksRecovered
-	dst.MetaRecovs += s.MetaRecovs
-	dst.BytesParityXor += s.BytesParityXor
-	dst.BytesWritten += s.BytesWritten
-	dst.BytesDecoded += s.BytesDecoded
-	dst.BytesMetaInstalled += s.BytesMetaInstalled
-}
-
-func addDurable(dst, s *replog.Stats) {
-	dst.Appends += s.Appends
-	dst.AppendsSynced += s.AppendsSynced
-	dst.Syncs += s.Syncs
-	dst.SyncRecords += s.SyncRecords
-	dst.SyncAcks += s.SyncAcks
-	dst.Fsync = dst.Fsync.Merge(s.Fsync)
-	dst.WALBytes += s.WALBytes
-	dst.WALSealed += s.WALSealed
-	dst.WALPruned += s.WALPruned
-	dst.Merges += s.Merges
-	dst.Merge = dst.Merge.Merge(s.Merge)
-	dst.LiveRecords += s.LiveRecords
-	dst.LiveBytes += s.LiveBytes
-	dst.Unresolved += s.Unresolved
-	dst.WALSegments += s.WALSegments
-	dst.Failed = dst.Failed || s.Failed
+// opTotals sums the memgests' counters: the node totals are these sums,
+// so a deleted memgest's counts leave them with its line.
+func (cs ClusterStats) opTotals() core.MemgestOpCounts {
+	var sum core.MemgestOpCounts
+	for _, c := range cs.Memgests {
+		fold(reflect.ValueOf(&sum).Elem(), reflect.ValueOf(c))
+	}
+	return sum
 }
 
 // RenderStats writes the `ringctl stats` text view of one aggregation.
 func RenderStats(w io.Writer, cs ClusterStats) {
 	fmt.Fprintf(w, "nodes=%d events=%d msgs_out=%d packets_out=%d recovery_backlog=%d\n",
 		cs.Nodes, cs.Events, cs.MsgsOut, cs.PacketsOut, cs.RecoveryBacklog)
-	fmt.Fprintf(w, "runners: goroutines=%d", cs.RunnerGoroutines)
-	gs := make([]int, 0, len(cs.GroupQueueDepth))
-	for g := range cs.GroupQueueDepth {
+	p := cs.Process
+	fmt.Fprintf(w, "runners: goroutines=%d", p["core.runner_goroutines"])
+	groups := make(map[int]int64)
+	for name, v := range p {
+		if g, ok := groupOfQueueGauge(name); ok {
+			groups[g] += v
+		}
+	}
+	gs := make([]int, 0, len(groups))
+	for g := range groups {
 		gs = append(gs, g)
 	}
 	sort.Ints(gs)
 	for _, g := range gs {
-		fmt.Fprintf(w, " group%d_queue=%d", g, cs.GroupQueueDepth[g])
+		fmt.Fprintf(w, " group%d_queue=%d", g, groups[g])
 	}
 	fmt.Fprintln(w)
-	st := cs.Stats
+	mem := cs.opTotals()
 	fmt.Fprintf(w, "ops: puts=%d gets=%d deletes=%d moves=%d moves_aborted=%d moves_replanned=%d commits=%d parked_gets=%d writes_awaiting_quorum=%d shards_recovering=%d shards_degraded=%d recovery_reasks=%d\n",
-		st.Puts, st.Gets, st.Deletes, st.Moves, cs.MovesAborted, cs.MovesReplanned, st.Commits, st.ParkedGets, cs.WritesAwaitingQuorum,
+		mem.Puts, mem.Gets, mem.Deletes, mem.Moves, cs.MovesAborted, cs.MovesReplanned, mem.Commits, cs.Stats.ParkedGets, cs.WritesAwaitingQuorum,
 		cs.ShardsRecovering, cs.ShardsDegraded, cs.RecoveryReasks)
 	fmt.Fprintf(w, "config: shards_moved=%d config_repushes=%d\n", cs.ShardsMoved, cs.ConfigRepushes)
 	ids := make([]proto.MemgestID, 0, len(cs.Memgests))
@@ -419,18 +339,17 @@ func RenderStats(w io.Writer, cs ClusterStats) {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var mem core.MemgestOpCounts
 	for _, id := range ids {
 		c := cs.Memgests[id]
 		fmt.Fprintf(w, "memgest %d: puts=%d gets=%d deletes=%d moves=%d commits=%d\n",
 			id, c.Puts, c.Gets, c.Deletes, c.Moves, c.Commits)
-		mem.Add(c)
 	}
 	fmt.Fprintf(w, "memory: block_used=%d block_backed=%d parity_backed=%d value_used=%d value_backed=%d slots_relocated=%d chunks_released=%d arena_backed=%d arena_pooled=%d meta_bytes=%d meta_backed=%d meta_entries=%d heap_live=%d heap_goal=%d heap_scan=%d gc_cycles=%d alloc_bytes=%d alloc_objects=%d rss_anon=%d rss_file=%d rss_peak=%d\n",
 		mem.BlockBytesUsed, mem.BlockBytesBacked, mem.ParityBytesBacked, mem.ValueBytesUsed, mem.ValueBytesBacked,
 		mem.ValueSlotsRelocated, mem.ValueChunksReleased,
-		cs.ArenaBacked, cs.ArenaPooled, mem.MetaBytes, cs.MetaBacked, cs.MetaEntries, cs.HeapLive, cs.HeapGoal, cs.HeapScan, cs.GCCycles,
-		cs.AllocBytes, cs.AllocObjects, cs.RSSAnon, cs.RSSFile, cs.RSSPeak)
+		p["process.arena_bytes_backed"], p["process.arena_bytes_pooled"], mem.MetaBytes, p["process.meta_bytes_backed"], cs.MetaEntries,
+		p["go.heap_live_bytes"], p["go.heap_goal_bytes"], p["go.heap_scan_bytes"], p["go.gc_cycles"],
+		p["go.alloc_bytes"], p["go.alloc_objects"], p["process.rss_anon_bytes"], p["process.rss_file_bytes"], p["process.rss_peak_bytes"])
 	if d := cs.Durable; d != nil {
 		// Per group commit: the WAL records it made durable and the
 		// acknowledgements it released.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -180,22 +181,23 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 	}
 	// Every node is in this process and reports the process's gauge: the
 	// slabs, hash indexes and key chunks cut, which hold at least that.
-	if mid.MetaBacked != int64(len(addrs))*int64(store.MetaBytesBacked()) || store.MetaBytesBacked() < metaBytes {
-		t.Fatalf("process.meta_bytes_backed sums to %d over %d nodes of a process that backs %d, for %d bytes in use", mid.MetaBacked, len(addrs), store.MetaBytesBacked(), metaBytes)
+	if backed := mid.Process["process.meta_bytes_backed"]; backed != int64(len(addrs))*int64(store.MetaBytesBacked()) || store.MetaBytesBacked() < metaBytes {
+		t.Fatalf("process.meta_bytes_backed sums to %d over %d nodes of a process that backs %d, for %d bytes in use", backed, len(addrs), store.MetaBytesBacked(), metaBytes)
 	}
 	// The process vars crossed the boundary: everything stored sits in
 	// the arena, and on Linux the kernel's view of the process comes with it.
-	if mid.ArenaBacked < int64(mid.Memgests[1].ValueBytesBacked) {
-		t.Fatalf("process.arena_bytes_backed sums to %d, below the %d behind the Rep values alone", mid.ArenaBacked, mid.Memgests[1].ValueBytesBacked)
+	p := mid.Process
+	if p["process.arena_bytes_backed"] < int64(mid.Memgests[1].ValueBytesBacked) {
+		t.Fatalf("process.arena_bytes_backed sums to %d, below the %d behind the Rep values alone", p["process.arena_bytes_backed"], mid.Memgests[1].ValueBytesBacked)
 	}
-	if runtime.GOOS == "linux" && (mid.RSSAnon <= 0 || mid.RSSFile <= 0) {
-		t.Fatalf("process.rss_anon_bytes=%d process.rss_file_bytes=%d", mid.RSSAnon, mid.RSSFile)
+	if runtime.GOOS == "linux" && (p["process.rss_anon_bytes"] <= 0 || p["process.rss_file_bytes"] <= 0) {
+		t.Fatalf("process.rss_anon_bytes=%d process.rss_file_bytes=%d", p["process.rss_anon_bytes"], p["process.rss_file_bytes"])
 	}
 	// The Go heap vars crossed the boundary too (live bytes and cycles are
 	// legitimately zero before the first collection; the goal never is,
 	// nor the heap to scan: the nodes' own structures hold pointers).
-	if mid.HeapGoal <= 0 || mid.HeapScan <= 0 {
-		t.Fatalf("go heap vars: live=%d goal=%d scan=%d cycles=%d", mid.HeapLive, mid.HeapGoal, mid.HeapScan, mid.GCCycles)
+	if p["go.heap_goal_bytes"] <= 0 || p["go.heap_scan_bytes"] <= 0 {
+		t.Fatalf("go heap vars: live=%d goal=%d scan=%d cycles=%d", p["go.heap_live_bytes"], p["go.heap_goal_bytes"], p["go.heap_scan_bytes"], p["go.gc_cycles"])
 	}
 	for i := 0; i < 5; i++ {
 		if _, _, err := c.Get(fmt.Sprintf("rep-%d", i)); err != nil {
@@ -223,15 +225,17 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 	}
 	// The runner gauge crossed the HTTP+JSON boundary: every scraped
 	// document reports this process's runners, at least one per node.
-	if cs.RunnerGoroutines < int64(len(addrs)) {
-		t.Fatalf("RunnerGoroutines = %d, want >= %d", cs.RunnerGoroutines, len(addrs))
+	if g := cs.Process["core.runner_goroutines"]; g < int64(len(addrs)) {
+		t.Fatalf("core.runner_goroutines sums to %d, want >= %d", g, len(addrs))
 	}
-	if cs.Stats.Puts != 10+durPuts || cs.Stats.Gets != 5 || cs.Stats.Deletes != 2 {
-		t.Fatalf("cluster ops: puts=%d gets=%d deletes=%d", cs.Stats.Puts, cs.Stats.Gets, cs.Stats.Deletes)
+	// The cluster's op totals are the memgests' sums.
+	ops := cs.opTotals()
+	if ops.Puts != 10+durPuts || ops.Gets != 5 || ops.Deletes != 2 {
+		t.Fatalf("cluster ops: puts=%d gets=%d deletes=%d", ops.Puts, ops.Gets, ops.Deletes)
 	}
 	// N client moves count exactly N, in the one move family.
-	if cs.Stats.Moves != 3 || cs.MovesAborted != 0 || cs.MovesReplanned != 0 {
-		t.Fatalf("cluster moves=%d aborted=%d replanned=%d, want 3/0/0", cs.Stats.Moves, cs.MovesAborted, cs.MovesReplanned)
+	if ops.Moves != 3 || cs.MovesAborted != 0 || cs.MovesReplanned != 0 {
+		t.Fatalf("cluster moves=%d aborted=%d replanned=%d, want 3/0/0", ops.Moves, cs.MovesAborted, cs.MovesReplanned)
 	}
 	// The configuration never changed and the fabric lost nothing: no
 	// slot moved, and no configuration was sent twice.
@@ -249,8 +253,8 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 		t.Fatalf("quiesced cluster reports shards_recovering=%d shards_degraded=%d recovery_reasks=%d recovery_backlog=%d",
 			cs.ShardsRecovering, cs.ShardsDegraded, cs.RecoveryReasks, cs.RecoveryBacklog)
 	}
-	if cs.Stats.Commits != 15+durPuts {
-		t.Fatalf("cluster commits = %d, want %d", cs.Stats.Commits, 15+durPuts)
+	if ops.Commits != 15+durPuts {
+		t.Fatalf("cluster commits = %d, want %d", ops.Commits, 15+durPuts)
 	}
 	mg1, mg2 := cs.Memgests[1], cs.Memgests[2]
 	if mg1.Puts != 6+durPuts || mg1.Gets != 5 || mg1.Deletes != 1 || mg1.Moves != 0 || mg1.Commits != 7+durPuts {
@@ -292,9 +296,9 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 		"commit latency SRS: n=8",
 		// 3 of the 4 SRS puts survive the delete, plus the 3 moved values.
 		fmt.Sprintf("memory: block_used=%d block_backed=", 3*len(srsVal)+3*len("replicated")),
-		fmt.Sprintf(" meta_bytes=%d meta_backed=%d meta_entries=%d heap_live=", cs.Memgests[1].MetaBytes+cs.Memgests[2].MetaBytes, cs.MetaBacked, cs.MetaEntries),
+		fmt.Sprintf(" meta_bytes=%d meta_backed=%d meta_entries=%d heap_live=", cs.Memgests[1].MetaBytes+cs.Memgests[2].MetaBytes, cs.Process["process.meta_bytes_backed"], cs.MetaEntries),
 		" rss_file=",
-		fmt.Sprintf(" rss_peak=%d\n", cs.RSSPeak),
+		fmt.Sprintf(" rss_peak=%d\n", cs.Process["process.rss_peak_bytes"]),
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
@@ -344,9 +348,9 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 	var gave ClusterStats
 	if !testutil.Eventually(5*time.Second, 5*time.Millisecond, func() bool {
 		gave, _ = CollectStats(addrs)
-		return gave.Memgests[1].ValueChunksReleased == 3 && gave.ArenaPooled == int64(len(addrs))*int64(store.ArenaBytesPooled())
+		return gave.Memgests[1].ValueChunksReleased == 3 && gave.Process["process.arena_bytes_pooled"] == int64(len(addrs))*int64(store.ArenaBytesPooled())
 	}) {
-		t.Fatalf("memgest 1 after ten large deletes: %+v, arena_pooled=%d", gave.Memgests[1], gave.ArenaPooled)
+		t.Fatalf("memgest 1 after ten large deletes: %+v, arena_pooled=%d", gave.Memgests[1], gave.Process["process.arena_bytes_pooled"])
 	}
 	if m := gave.Memgests[1]; m.ValueSlotsRelocated != 3 || gave.Memgests[2].ValueChunksReleased != 0 || store.ArenaBytesPooled() < pooledBefore+3*(64<<10) {
 		t.Fatalf("memgest 1 relocated %d slots, memgest 2 released %d chunks, the pool went from %d to %d bytes",
@@ -359,7 +363,7 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 	}
 	buf.Reset()
 	RenderStats(&buf, gave)
-	if want := fmt.Sprintf(" slots_relocated=3 chunks_released=3 arena_backed=%d arena_pooled=%d ", gave.ArenaBacked, gave.ArenaPooled); !strings.Contains(buf.String(), want) {
+	if want := fmt.Sprintf(" slots_relocated=3 chunks_released=3 arena_backed=%d arena_pooled=%d ", gave.Process["process.arena_bytes_backed"], gave.Process["process.arena_bytes_pooled"]); !strings.Contains(buf.String(), want) {
 		t.Fatalf("render missing %q:\n%s", want, buf.String())
 	}
 
@@ -370,6 +374,26 @@ func TestRingvarsAggregateExactCounts(t *testing.T) {
 	}
 	if got := strings.Count(buf.String(), "--- "); got != 2 {
 		t.Fatalf("watch rendered %d rounds, want 2:\n%s", got, buf.String())
+	}
+
+	// A deleted memgest's counts leave the ops: line with its memgest
+	// line, since the one is the sum of the others.
+	if err := c.DeleteMemgest(2); err != nil {
+		t.Fatal(err)
+	}
+	var left ClusterStats
+	if !testutil.Eventually(5*time.Second, 5*time.Millisecond, func() bool {
+		left, _ = CollectStats(addrs)
+		_, held := left.Memgests[2]
+		return !held
+	}) {
+		t.Fatalf("memgest 2 still counted after its delete: %+v", left.Memgests[2])
+	}
+	buf.Reset()
+	RenderStats(&buf, left)
+	mg1 = left.Memgests[1]
+	if want := fmt.Sprintf("ops: puts=%d gets=%d deletes=%d moves=0 ", mg1.Puts, mg1.Gets, mg1.Deletes); !strings.Contains(buf.String(), want) {
+		t.Fatalf("render missing %q:\n%s", want, buf.String())
 	}
 }
 
@@ -405,6 +429,120 @@ func TestRenderStatsGolden(t *testing.T) {
 	}
 }
 
+// TestAggregateFoldsEveryField gives every numeric leaf of two nodes'
+// snapshots a value of its own, with a durable tier (failed) on one node
+// only, one memgest both hold and one of each node's own, and histograms
+// that share one bucket. Through /debug/ringvars' JSON and FetchRingvars'
+// decoder, Aggregate must sum every leaf, but take the larger
+// inbox_high_water, OR durable.failed and add histograms bucket by
+// bucket: a field the fold skips reads 0.
+func TestAggregateFoldsEveryField(t *testing.T) {
+	n := 0
+	var fill func(v reflect.Value, node int)
+	fill = func(v reflect.Value, node int) {
+		switch k := v.Kind(); {
+		case v.Type() == reflect.TypeOf(metrics.HistSnapshot{}):
+			n += 2
+			v.Set(reflect.ValueOf(metrics.HistSnapshot{Count: uint64(2*n + 1), SumNS: uint64(n), Buckets: []metrics.HistBucket{
+				{Le: 1024 << (2 * node), Count: uint64(n)}, {Le: 4096 << (2 * node), Count: uint64(n + 1)}}}))
+		case v.CanInt():
+			n++
+			v.SetInt(int64(n))
+		case v.CanUint():
+			n++
+			v.SetUint(uint64(n))
+		case k == reflect.Bool:
+			v.SetBool(true)
+		case k == reflect.Pointer:
+			if node == 0 {
+				v.Set(reflect.New(v.Type().Elem()))
+				fill(v.Elem(), node)
+			}
+		case k == reflect.Map:
+			v.Set(reflect.MakeMap(v.Type()))
+			for _, id := range []int{1, 2 + node} {
+				e := reflect.New(v.Type().Elem()).Elem()
+				fill(e, node)
+				v.SetMapIndex(reflect.ValueOf(id).Convert(v.Type().Key()), e)
+			}
+		case k == reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(v.Field(i), node)
+			}
+		default:
+			t.Fatalf("no value for a %s", v.Type())
+		}
+	}
+	var nodes []Ringvars
+	for node := 0; node < 2; node++ {
+		var snap core.MetricsSnapshot
+		fill(reflect.ValueOf(&snap).Elem(), node)
+		doc, err := marshalJSON(Ringvars{NodeID: proto.NodeID(node), Node: snap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rv Ringvars
+		if err := json.NewDecoder(bytes.NewReader(doc)).Decode(&rv); err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, rv)
+	}
+	cs := Aggregate(nodes)
+	a, b, got := snapshotLeaves(t, nodes[0].Node), snapshotLeaves(t, nodes[1].Node), snapshotLeaves(t, cs.MetricsSnapshot)
+	if a[".durable.failed"] != 1 || len(a) < 60 {
+		t.Fatalf("node 0 has %d leaves, durable.failed=%v", len(a), a[".durable.failed"])
+	}
+	for path := range a {
+		b[path] += 0 // every path of either node
+	}
+	for path := range b {
+		want := a[path] + b[path]
+		if path == ".inbox_high_water" || path == ".durable.failed" {
+			want = max(a[path], b[path])
+		}
+		if got[path] != want {
+			t.Errorf("%s folds to %v from %v and %v, want %v", path, got[path], a[path], b[path], want)
+		}
+	}
+	if len(got) != len(b) {
+		t.Errorf("the fold has %d leaves, its nodes %d together", len(got), len(b))
+	}
+}
+
+// snapshotLeaves flattens a snapshot's JSON to its numeric leaves by
+// path, a bool as 0 or 1 and a histogram bucket under its le_ns.
+func snapshotLeaves(t *testing.T, s core.MetricsSnapshot) map[string]float64 {
+	doc, err := marshalJSON(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v any
+	if err := json.Unmarshal(doc, &v); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	var walk func(path string, v any)
+	walk = func(path string, v any) {
+		switch x := v.(type) {
+		case float64:
+			out[path] = x
+		case bool:
+			out[path] = map[bool]float64{true: 1}[x]
+		case map[string]any:
+			for k, e := range x {
+				walk(path+"."+k, e)
+			}
+		case []any:
+			for _, e := range x {
+				bk := e.(map[string]any)
+				out[fmt.Sprintf("%s.le_ns=%v", path, bk["le_ns"])] = bk["count"].(float64)
+			}
+		}
+	}
+	walk("", v)
+	return out
+}
+
 // TestAggregateProcessGauges checks that the runner-goroutine and
 // group queue-depth gauges fold from the process section of ringvars
 // into the cluster view — including values that went through a JSON
@@ -424,22 +562,19 @@ func TestAggregateProcessGauges(t *testing.T) {
 		{Node: core.MetricsSnapshot{ConfigRepushes: 3}, Process: map[string]any{
 			"core.runner_goroutines":   int64(2),
 			"core.group.0.queue_depth": uint64(1),
-			"core.group.oops":          float64(9), // malformed name: ignored
+			"core.group.oops":          float64(9), // malformed name: summed, but no group
 			"go.heap_scan_bytes":       uint64(512),
 			"go.alloc_bytes":           uint64(4096),
 			"go.alloc_objects":         uint64(20),
 		}},
 	}
 	cs := Aggregate(nodes)
-	if cs.RunnerGoroutines != 5 {
-		t.Fatalf("RunnerGoroutines = %d, want 5", cs.RunnerGoroutines)
-	}
-	if cs.GroupQueueDepth[0] != 3 || cs.GroupQueueDepth[1] != 5 || len(cs.GroupQueueDepth) != 2 {
-		t.Fatalf("GroupQueueDepth = %v, want {0:3 1:5}", cs.GroupQueueDepth)
+	if p := cs.Process; p["core.runner_goroutines"] != 5 || p["core.group.0.queue_depth"] != 3 || p["core.group.1.queue_depth"] != 5 || p["core.group.oops"] != 9 {
+		t.Fatalf("process vars fold to %v", p)
 	}
 	// The Go heap's counters fold the same way: summed over processes.
-	if cs.GCCycles != 1 || cs.HeapScan != 1<<16+512 || cs.AllocBytes != 1<<20+4096 || cs.AllocObjects != 320 {
-		t.Fatalf("GCCycles, HeapScan, AllocBytes, AllocObjects = %d, %d, %d, %d, want 1, %d, %d, 320", cs.GCCycles, cs.HeapScan, cs.AllocBytes, cs.AllocObjects, 1<<16+512, 1<<20+4096)
+	if p := cs.Process; p["go.gc_cycles"] != 1 || p["go.heap_scan_bytes"] != 1<<16+512 || p["go.alloc_bytes"] != 1<<20+4096 || p["go.alloc_objects"] != 320 {
+		t.Fatalf("go.gc_cycles, go.heap_scan_bytes, go.alloc_bytes, go.alloc_objects = %v, want 1, %d, %d, 320", p, 1<<16+512, 1<<20+4096)
 	}
 
 	var buf bytes.Buffer

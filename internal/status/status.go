@@ -12,11 +12,13 @@
 package status
 
 import (
-	"bytes"
 	"fmt"
 	"net/url"
+	"reflect"
+	"strings"
 
 	"ring/internal/core"
+	"ring/internal/metrics"
 	"ring/internal/proto"
 )
 
@@ -29,7 +31,6 @@ type Snapshot struct {
 	Serving  bool            `json:"serving"`
 	Shards   []uint32        `json:"shards"`
 	Memgests []MemgestStatus `json:"memgests"`
-	Stats    core.Stats      `json:"stats"`
 }
 
 // MemgestStatus summarizes one memgest from this node's perspective.
@@ -48,7 +49,6 @@ func Collect(n *core.Node) Snapshot {
 		Leader:   cfg.Leader,
 		IsLeader: n.IsLeader(),
 		Serving:  n.Serving(),
-		Stats:    n.Stats,
 	}
 	for i, c := range cfg.Coords {
 		if c == n.ID() {
@@ -73,58 +73,70 @@ func (s *Server) handleStatus(url.Values) response {
 	return jsonResponse(s.snapshot())
 }
 
+// handleMetrics renders the /debug/ringvars document as Prometheus
+// text, one line per numeric leaf: ring_ and the leaf's JSON path below
+// the node and process sections, each character a metric name cannot
+// hold turned into _ (node.core.shards_degraded is
+// ring_core_shards_degraded, process.go.gc_cycles ring_go_gc_cycles). A
+// map keyed by number adds no segment but a label named for it, without
+// its plural s (ring_puts{memgest="1"}); a histogram is its _count, its
+// _sum in nanoseconds and cumulative _bucket{le=} lines; a bool is 0 or 1.
 func (s *Server) handleMetrics(url.Values) response {
-	var snap Snapshot
-	var ms core.MetricsSnapshot
-	s.runner.Inspect(func(n *core.Node) { snap, ms = Collect(n), n.MetricsSnapshot() })
-	w := new(bytes.Buffer)
-	b := func(v bool) int {
-		if v {
-			return 1
+	rv := s.ringvars()
+	b := fmt.Appendf(nil, "ring_node_id %d\n", rv.NodeID)
+	b = appendMetrics(b, "ring", "", reflect.ValueOf(rv.Node))
+	b = appendMetrics(b, "ring", "", reflect.ValueOf(rv.Process))
+	return response{code: 200, ctype: "text/plain; version=0.0.4", body: b}
+}
+
+// appendMetrics writes the lines of v, whose name and labels (each
+// followed by a comma) its path gave it; see handleMetrics.
+func appendMetrics(b []byte, name, labels string, v reflect.Value) []byte {
+	braced := ""
+	if labels != "" {
+		braced = "{" + strings.TrimSuffix(labels, ",") + "}"
+	}
+	switch k := v.Kind(); {
+	case k == reflect.Interface || k == reflect.Pointer:
+		if !v.IsNil() {
+			b = appendMetrics(b, name, labels, v.Elem())
 		}
-		return 0
+	case k == reflect.Bool:
+		n := 0
+		if v.Bool() {
+			n = 1
+		}
+		b = fmt.Appendf(b, "%s%s %d\n", name, braced, n)
+	case v.CanInt() || v.CanUint() || v.CanFloat():
+		b = fmt.Appendf(b, "%s%s %v\n", name, braced, v)
+	case v.Type() == histType:
+		h := v.Interface().(metrics.HistSnapshot)
+		var n uint64
+		for _, bk := range h.Buckets {
+			n += bk.Count
+			b = fmt.Appendf(b, "%s_bucket{%sle=\"%d\"} %d\n", name, labels, bk.Le, n)
+		}
+		b = fmt.Appendf(b, "%s_bucket{%sle=\"+Inf\"} %d\n%s_sum%s %d\n%s_count%s %d\n",
+			name, labels, h.Count, name, braced, h.SumNS, name, braced, h.Count)
+	case k == reflect.Struct || k == reflect.Map:
+		for _, m := range members(v) {
+			if m.val.Kind() == reflect.Map && m.val.Type().Key().Kind() != reflect.String {
+				for _, e := range members(m.val) {
+					b = appendMetrics(b, name, fmt.Sprintf("%s%s=%q,", labels, strings.TrimSuffix(m.key, "s"), e.key), e.val)
+				}
+				continue
+			}
+			b = appendMetrics(b, name+"_"+strings.Map(metricRune, m.key), labels, m.val)
+		}
 	}
-	fmt.Fprintf(w, "ring_node_id %d\n", snap.NodeID)
-	fmt.Fprintf(w, "ring_epoch %d\n", snap.Epoch)
-	fmt.Fprintf(w, "ring_is_leader %d\n", b(snap.IsLeader))
-	fmt.Fprintf(w, "ring_serving %d\n", b(snap.Serving))
-	fmt.Fprintf(w, "ring_shards_owned %d\n", len(snap.Shards))
-	fmt.Fprintf(w, "ring_memgests %d\n", len(snap.Memgests))
-	st := snap.Stats
-	fmt.Fprintf(w, "ring_puts_total %d\n", st.Puts)
-	fmt.Fprintf(w, "ring_gets_total %d\n", st.Gets)
-	fmt.Fprintf(w, "ring_deletes_total %d\n", st.Deletes)
-	fmt.Fprintf(w, "ring_moves_total %d\n", st.Moves)
-	fmt.Fprintf(w, "ring_commits_total %d\n", st.Commits)
-	fmt.Fprintf(w, "ring_parked_gets_total %d\n", st.ParkedGets)
-	fmt.Fprintf(w, "ring_core_writes_awaiting_quorum %d\n", ms.WritesAwaitingQuorum)
-	fmt.Fprintf(w, "ring_core_shards_recovering %d\n", ms.ShardsRecovering)
-	fmt.Fprintf(w, "ring_core_shards_degraded %d\n", ms.ShardsDegraded)
-	fmt.Fprintf(w, "ring_core_recovery_reasks %d\n", ms.RecoveryReasks)
-	fmt.Fprintf(w, "ring_parity_updates_total %d\n", st.ParityUpdates)
-	fmt.Fprintf(w, "ring_rep_appends_total %d\n", st.RepAppends)
-	fmt.Fprintf(w, "ring_blocks_recovered_total %d\n", st.BlocksRecovered)
-	fmt.Fprintf(w, "ring_meta_recoveries_total %d\n", st.MetaRecovs)
-	fmt.Fprintf(w, "ring_bytes_written_total %d\n", st.BytesWritten)
-	fmt.Fprintf(w, "ring_bytes_parity_xor_total %d\n", st.BytesParityXor)
-	fmt.Fprintf(w, "ring_bytes_decoded_total %d\n", st.BytesDecoded)
-	// Memory, as /debug/ringvars attributes it: stored bytes per memgest,
-	// the entries that index them, and the process around both.
-	for _, m := range snap.Memgests {
-		c := ms.Memgests[m.ID]
-		fmt.Fprintf(w, "ring_store_block_bytes_used{memgest=\"%d\"} %d\n", m.ID, c.BlockBytesUsed)
-		fmt.Fprintf(w, "ring_store_block_bytes_backed{memgest=\"%d\"} %d\n", m.ID, c.BlockBytesBacked)
-		fmt.Fprintf(w, "ring_store_parity_bytes_backed{memgest=\"%d\"} %d\n", m.ID, c.ParityBytesBacked)
-		fmt.Fprintf(w, "ring_store_value_bytes_used{memgest=\"%d\"} %d\n", m.ID, c.ValueBytesUsed)
-		fmt.Fprintf(w, "ring_store_value_bytes_backed{memgest=\"%d\"} %d\n", m.ID, c.ValueBytesBacked)
-		fmt.Fprintf(w, "ring_store_value_slots_relocated_total{memgest=\"%d\"} %d\n", m.ID, c.ValueSlotsRelocated)
-		fmt.Fprintf(w, "ring_store_value_chunks_released_total{memgest=\"%d\"} %d\n", m.ID, c.ValueChunksReleased)
-		fmt.Fprintf(w, "ring_store_meta_bytes{memgest=\"%d\"} %d\n", m.ID, c.MetaBytes)
+	return b
+}
+
+// metricRune keeps what a Prometheus metric name may hold and turns
+// anything else into _.
+func metricRune(r rune) rune {
+	if r == '_' || r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' {
+		return r
 	}
-	fmt.Fprintf(w, "ring_meta_entries %d\n", ms.MetaEntries)
-	pv := processVars()
-	for _, name := range []string{"arena_bytes_backed", "arena_bytes_pooled", "meta_bytes_backed", "rss_anon_bytes", "rss_file_bytes", "rss_peak_bytes"} {
-		fmt.Fprintf(w, "ring_process_%s %v\n", name, pv["process."+name])
-	}
-	return response{code: 200, ctype: "text/plain; version=0.0.4", body: w.Bytes()}
+	return '_'
 }

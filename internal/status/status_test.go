@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -75,20 +76,42 @@ func TestStatusAndMetrics(t *testing.T) {
 		t.Fatalf("shards: %v", snap.Shards)
 	}
 
-	// /metrics: text format with moving counters. Node 0 coordinates
-	// one of three shards, so at least some traffic landed here.
-	mresp, err := http.Get("http://" + srv.Addr() + "/metrics")
-	if err != nil {
+	// /metrics: every numeric leaf of /debug/ringvars is a line, once.
+	fetch := func(path string) []byte {
+		resp, err := http.Get("http://" + srv.Addr() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %s, %v", path, resp.Status, err)
+		}
+		return body
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(fetch("/debug/ringvars"), &doc); err != nil {
 		t.Fatal(err)
 	}
-	defer mresp.Body.Close()
-	body, _ := io.ReadAll(mresp.Body)
-	text := string(body)
-	for _, want := range []string{"ring_node_id 0", "ring_is_leader 1", "ring_serving 1", "ring_memgests 2", "ring_puts_total", "ring_core_writes_awaiting_quorum 0", "ring_core_shards_recovering 0", "ring_core_shards_degraded 0", "ring_core_recovery_reasks 0", "ring_bytes_parity_xor_total",
-		`ring_store_value_bytes_used{memgest="1"} 0`, `ring_store_block_bytes_used{memgest="2"}`, `ring_store_meta_bytes{memgest="1"}`, "ring_meta_entries", "ring_process_arena_bytes_backed", "ring_process_meta_bytes_backed", "ring_process_rss_file_bytes",
-		`ring_store_value_slots_relocated_total{memgest="1"} 0`, `ring_store_value_chunks_released_total{memgest="1"} 0`, "ring_process_arena_bytes_pooled "} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("metrics missing %q:\n%s", want, text)
+	want := map[string]bool{"ring_node_id": true}
+	wantMetrics("ring", "", doc["node"], want)
+	wantMetrics("ring", "", doc["process"], want)
+	lines := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(fetch("/metrics")), "\n"), "\n") {
+		name := line[:strings.LastIndexByte(line, ' ')]
+		if lines[name] {
+			t.Fatalf("/metrics has %s twice", name)
+		}
+		lines[name] = true
+	}
+	for name := range want {
+		if !lines[name] {
+			t.Fatalf("/metrics has no line for %s", name)
+		}
+	}
+	for _, name := range []string{`ring_store_meta_bytes{memgest="2"}`, "ring_core_shards_degraded", "ring_commit_latency_srs_count", "ring_process_rss_peak_bytes"} {
+		if !want[name] {
+			t.Fatalf("/debug/ringvars has no leaf for %s", name)
 		}
 	}
 
@@ -101,4 +124,47 @@ func TestStatusAndMetrics(t *testing.T) {
 	if body, _ := io.ReadAll(presp.Body); presp.StatusCode != http.StatusOK || !strings.Contains(string(body), "heap profile") {
 		t.Fatalf("heap profile: %s\n%.200s", presp.Status, body)
 	}
+}
+
+// wantMetrics adds to want the /metrics name of every numeric leaf of
+// v, a section of a decoded /debug/ringvars document: ring_ and the
+// leaf's path, a map keyed by number a label, a histogram its _count,
+// _sum and _bucket lines.
+func wantMetrics(name, labels string, v any, want map[string]bool) {
+	braced := ""
+	if labels != "" {
+		braced = "{" + strings.TrimSuffix(labels, ",") + "}"
+	}
+	switch x := v.(type) {
+	case float64:
+		want[name+braced] = true
+	case map[string]any:
+		if _, ok := x["sum_ns"]; ok {
+			want[name+"_count"+braced], want[name+"_sum"+braced] = true, true
+			want[name+"_bucket{"+labels+`le="+Inf"}`] = true
+			buckets, _ := x["buckets"].([]any)
+			for _, b := range buckets {
+				want[fmt.Sprintf(`%s_bucket{%sle="%v"}`, name, labels, b.(map[string]any)["le_ns"])] = true
+			}
+			return
+		}
+		for k, e := range x {
+			if m, ok := e.(map[string]any); ok && numericKeys(m) {
+				for id, ev := range m {
+					wantMetrics(name, fmt.Sprintf(`%s%s="%s",`, labels, strings.TrimSuffix(k, "s"), id), ev, want)
+				}
+				continue
+			}
+			wantMetrics(name+"_"+strings.NewReplacer(".", "_").Replace(k), labels, e, want)
+		}
+	}
+}
+
+func numericKeys(m map[string]any) bool {
+	for k := range m {
+		if _, err := strconv.Atoi(k); err != nil {
+			return false
+		}
+	}
+	return len(m) > 0
 }
