@@ -73,7 +73,6 @@ func main() {
 	redundant := flag.Int("redundant", 2, "number of redundancy nodes")
 	memgests := flag.String("memgests", "rep1", "comma-separated schemes: repR or srsK.M")
 	blockSize := flag.Int("block-size", 64<<10, "SRS logical block capacity in bytes (blocks are backed only where they are written)")
-	heartbeat := flag.Duration("heartbeat", 50*time.Millisecond, "leader heartbeat period")
 	failAfter := flag.Duration("fail-after", 250*time.Millisecond, "failure detection threshold")
 	groups := flag.Int("groups", 1, "independent memgest groups hosted by this process (group g listens on the node port + g)")
 	dataDir := flag.String("data-dir", "", "durable storage directory (empty = volatile, the paper's model); a restart over an existing directory recovers from it")
@@ -110,9 +109,8 @@ func main() {
 		Spares:    len(addrs) - *shards - *redundant,
 		Memgests:  schemes,
 		Opts: core.Options{
-			BlockSize:      *blockSize,
-			HeartbeatEvery: *heartbeat,
-			FailAfter:      *failAfter,
+			BlockSize: *blockSize,
+			FailAfter: *failAfter,
 		},
 	}
 	cfg, err := core.BootConfig(spec)

@@ -23,9 +23,8 @@ func startTCPCluster(t *testing.T) string {
 		Shards: 3, Redundant: 2,
 		Memgests: []proto.Scheme{proto.Rep(3, 3), proto.SRS(3, 2, 3)},
 		Opts: core.Options{
-			BlockSize:      64 << 10,
-			HeartbeatEvery: 20 * time.Millisecond,
-			FailAfter:      2 * time.Second,
+			BlockSize: 64 << 10,
+			FailAfter: 2 * time.Second,
 		},
 	}
 	cfg, err := core.BootConfig(spec)

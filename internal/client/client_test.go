@@ -34,9 +34,8 @@ func testSpec() core.ClusterSpec {
 			proto.SRS(3, 2, 3),
 		},
 		Opts: core.Options{
-			BlockSize:      16 << 10,
-			HeartbeatEvery: 20 * time.Millisecond,
-			FailAfter:      120 * time.Millisecond,
+			BlockSize: 16 << 10,
+			FailAfter: 120 * time.Millisecond,
 		},
 		TickEvery: 10 * time.Millisecond,
 	}

@@ -27,9 +27,8 @@ func tcpSpec() core.ClusterSpec {
 			proto.SRS(3, 2, 3),
 		},
 		Opts: core.Options{
-			BlockSize:      64 << 10,
-			HeartbeatEvery: 20 * time.Millisecond,
-			FailAfter:      150 * time.Millisecond,
+			BlockSize: 64 << 10,
+			FailAfter: 150 * time.Millisecond,
 		},
 	}
 }

@@ -66,7 +66,7 @@ func figure3Spec() ClusterSpec {
 			proto.SRS(3, 1, 3), // 6
 			proto.SRS(3, 2, 3), // 7
 		},
-		Opts: Options{BlockSize: 4096, HeartbeatEvery: 10 * time.Millisecond, FailAfter: 50 * time.Millisecond},
+		Opts: Options{BlockSize: 4096, FailAfter: 50 * time.Millisecond},
 	}
 }
 
@@ -121,8 +121,8 @@ func (h *harness) run() {
 // tickUntil advances virtual time in steps of d until cond holds,
 // giving up after max steps. Tests assert on the protocol state they
 // actually need instead of hard-coding tick counts tuned to one
-// heartbeat configuration — the counts silently break when
-// HeartbeatEvery or FailAfter change.
+// heartbeat configuration — the counts silently break when the tick
+// step or FailAfter change.
 func (h *harness) tickUntil(d time.Duration, max int, cond func() bool) bool {
 	for i := 0; i < max; i++ {
 		if cond() {
@@ -909,9 +909,9 @@ func TestDoubleFailureRecovery(t *testing.T) {
 
 // TestFailoverTimingVariants runs a coordinator failover under both a
 // faster and a much slower failure detector, proving failover is
-// driven by the configured HeartbeatEvery/FailAfter rather than by
-// constants the other tests happen to match — and that the detector
-// does not fire early.
+// driven by the configured FailAfter rather than by constants the
+// other tests happen to match — and that the detector does not fire
+// early.
 func TestFailoverTimingVariants(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -922,7 +922,6 @@ func TestFailoverTimingVariants(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := figure3Spec()
-			spec.Opts.HeartbeatEvery = tc.hb
 			spec.Opts.FailAfter = tc.fail
 			h := newHarness(t, spec)
 			h.put("tk", []byte("v"), mgREP3)
@@ -930,9 +929,9 @@ func TestFailoverTimingVariants(t *testing.T) {
 			killedAt := h.now
 
 			// No premature detection: the last heartbeat from node 1
-			// arrived at most one heartbeat period before the kill, so
-			// the leader must not reconfigure before killedAt +
-			// FailAfter - HeartbeatEvery.
+			// arrived at most one tick step before the kill, so the
+			// leader must not reconfigure before killedAt + FailAfter -
+			// the step.
 			lead := h.nodes[0]
 			for h.now < killedAt+tc.fail-2*tc.hb {
 				h.tick(tc.hb)

@@ -44,23 +44,17 @@ func NewRecovered(id proto.NodeID, cfg *proto.Config, opts Options, d *replog.Du
 	n := NewRejoining(id, cfg, opts)
 	n.durable = d
 	n.durStash = d.Recovered()
+	// The Join's Durable bit: the stash holds still while the node is
+	// quarantined (only the install that ends quarantine consumes or
+	// resets it), so it is read once.
+	for _, rs := range n.durStash {
+		n.durableJoin = n.durableJoin || len(rs.Entries) > 0
+	}
 	return n
 }
 
 // HasDurable reports whether a durable store is attached.
 func (n *Node) HasDurable() bool { return n.durable != nil }
-
-// joinDurable reports whether the node's Join should advertise
-// recovered durable state (it holds committed entries worth keeping
-// its roles for).
-func (n *Node) joinDurable() bool {
-	for _, rs := range n.durStash {
-		if len(rs.Entries) > 0 {
-			return true
-		}
-	}
-	return false
-}
 
 // CloseDurable flushes and closes the durable store (clean shutdown;
 // a crash simply skips this).

@@ -108,7 +108,7 @@ func TestClusterKillRestartRecovers(t *testing.T) {
 		// Failure detection slower than the test: the kill/restart cycle
 		// races no role substitution, so the durable rejoin path (keep
 		// roles, delta-sync) is the one exercised.
-		Opts:        Options{HeartbeatEvery: 20 * time.Millisecond, FailAfter: 10 * time.Minute},
+		Opts:        Options{FailAfter: 10 * time.Minute},
 		TickEvery:   2 * time.Millisecond,
 		DataDir:     t.TempDir(),
 		DurableOpts: replog.DurableOptions{Policy: replog.FsyncAlways},
@@ -181,7 +181,7 @@ func TestClusterRestartAfterCleanStop(t *testing.T) {
 	spec := ClusterSpec{
 		Shards: 3, Redundant: 2,
 		Memgests:    []proto.Scheme{proto.Rep(3, 3)},
-		Opts:        Options{HeartbeatEvery: 20 * time.Millisecond, FailAfter: 10 * time.Minute},
+		Opts:        Options{FailAfter: 10 * time.Minute},
 		TickEvery:   2 * time.Millisecond,
 		DataDir:     t.TempDir(),
 		DurableOpts: replog.DurableOptions{Policy: replog.FsyncInterval, Interval: time.Hour},
@@ -233,7 +233,7 @@ func TestOversizedPutIsRefused(t *testing.T) {
 	spec := ClusterSpec{
 		Shards: 3, Redundant: 2,
 		Memgests:    []proto.Scheme{proto.Rep(3, 3)},
-		Opts:        Options{HeartbeatEvery: 20 * time.Millisecond, FailAfter: 10 * time.Minute},
+		Opts:        Options{FailAfter: 10 * time.Minute},
 		TickEvery:   2 * time.Millisecond,
 		DataDir:     t.TempDir(),
 		DurableOpts: replog.DurableOptions{Policy: replog.FsyncAlways},
@@ -340,7 +340,7 @@ func TestDurableIndexMatchesTables(t *testing.T) {
 	spec := ClusterSpec{
 		Shards: 3, Redundant: 2, Spares: 1,
 		Memgests:    []proto.Scheme{proto.Rep(3, 3), proto.SRS(3, 2, 3)},
-		Opts:        Options{HeartbeatEvery: 10 * time.Millisecond, FailAfter: 300 * time.Millisecond},
+		Opts:        Options{FailAfter: 300 * time.Millisecond},
 		TickEvery:   2 * time.Millisecond,
 		DataDir:     t.TempDir(),
 		DurableOpts: replog.DurableOptions{Policy: replog.FsyncAlways},
@@ -451,7 +451,7 @@ func TestReusedVersionLeavesOneRecord(t *testing.T) {
 	spec := ClusterSpec{
 		Shards: 3, Redundant: 2,
 		Memgests:    []proto.Scheme{proto.Rep(3, 3)},
-		Opts:        Options{HeartbeatEvery: 20 * time.Millisecond, FailAfter: 10 * time.Minute},
+		Opts:        Options{FailAfter: 10 * time.Minute},
 		TickEvery:   2 * time.Millisecond,
 		DataDir:     t.TempDir(),
 		DurableOpts: replog.DurableOptions{Policy: replog.FsyncAlways},

@@ -122,7 +122,7 @@ func TestGroupClusterShardsKeys(t *testing.T) {
 	spec := ClusterSpec{
 		Shards: 3, Redundant: 2,
 		Memgests: []proto.Scheme{proto.Rep(3, 3)},
-		Opts:     Options{HeartbeatEvery: time.Minute, FailAfter: 10 * time.Minute},
+		Opts:     Options{FailAfter: 10 * time.Minute},
 	}
 	gc, err := StartGroupCluster(spec, 2)
 	if err != nil {

@@ -239,39 +239,15 @@ func rolesOf(cfg *proto.Config, id proto.NodeID) []role {
 	return out
 }
 
-// installConfig applies a configuration. What this node holds is what
-// the configuration being replaced gave it — nothing when there was
-// none (initial cluster construction), and nothing on a quarantined
-// node, whose boot configuration names roles whose state the crash
-// took. Every role the new configuration adds to that goes through
+// installConfig is membership's install: it applies cfg, which
+// replaced prev. What this node holds is what prev gave it — nothing
+// when there was none (initial cluster construction), and nothing on a
+// quarantined node, whose boot configuration names roles whose state
+// the crash took. Every role the new configuration adds to that goes through
 // gainRole, every role it takes away through loseRole, and nothing
 // else creates or drops role state: a table's existence says nothing
 // about whose shard it is.
-func (n *Node) installConfig(cfg *proto.Config) {
-	prev := n.cfg
-	n.cfg, n.members = cfg, cfg.AllNodes()
-	if cfg.Leader == n.id {
-		// Liveness is tracked for exactly the members. A node that left
-		// is forgotten; one just learned of, and every one at the start
-		// of a term, is not instantly declared dead on what an earlier
-		// term or membership last heard.
-		led := prev != nil && prev.Leader == n.id
-		lastAck := make(map[proto.NodeID]time.Duration)
-		for _, id := range n.members {
-			lastAck[id] = n.now
-			if last, ok := n.lastAck[id]; ok && led {
-				lastAck[id] = last
-			}
-		}
-		n.lastAck = lastAck
-		// Memgest IDs continue above anything in the config.
-		for _, mi := range cfg.Memgests {
-			if mi.ID >= n.nextMgID {
-				n.nextMgID = mi.ID + 1
-			}
-		}
-	}
-
+func (n *Node) installConfig(prev, cfg *proto.Config) {
 	var held []role
 	if prev != nil && !n.rejoining {
 		held = rolesOf(prev, n.id)
@@ -305,14 +281,7 @@ func (n *Node) installConfig(cfg *proto.Config) {
 			n.gainRole(r, prev == nil || prev.Memgest(r.mg) == nil)
 		}
 	}
-	if n.rejoining && isMember(cfg, n.id) {
-		// The leader re-admitted us: leave quarantine. Usually we come
-		// back as a role-less spare and serve immediately; if no spare was
-		// free we kept our old roles and serve once the recoveries gainRole
-		// started re-fetched their state.
-		n.rejoining = false
-		n.joinAttempts = 0
-	}
+	n.leaveQuarantine()
 	// Durable shards no gained role claimed are voided: either the
 	// leader re-admitted us into different roles, or a role moved while
 	// we were down. Keeping them would resurrect stale state next life.

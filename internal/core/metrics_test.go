@@ -88,7 +88,7 @@ func TestPerMemgestCountersSplitBySchemes(t *testing.T) {
 	spec := ClusterSpec{
 		Shards: 3, Redundant: 2,
 		Memgests:  []proto.Scheme{proto.Rep(3, 3), proto.SRS(3, 2, 3)},
-		Opts:      Options{HeartbeatEvery: time.Minute, FailAfter: 10 * time.Minute},
+		Opts:      Options{FailAfter: 10 * time.Minute},
 		TickEvery: time.Minute,
 	}
 	cl, err := StartCluster(spec)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"ring/internal/proto"
 )
@@ -145,7 +146,7 @@ func TestMove(t *testing.T) {
 			if got := awaiting(); got != 1 {
 				t.Fatalf("writes_awaiting_quorum = %d mid-move, want 1", got)
 			}
-			if !h.tickUntil(n.opts.HeartbeatEvery, 20, func() bool { return len(h.replies("client/m")) > 0 }) {
+			if !h.tickUntil(10*time.Millisecond, 20, func() bool { return len(h.replies("client/m")) > 0 }) {
 				t.Fatal("the stuck window was never answered")
 			}
 			if r := h.lastReply("client/m").(*proto.PutReply); r.Status != proto.StRetry {

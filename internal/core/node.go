@@ -41,8 +41,6 @@ func NodeAddr(id proto.NodeID) string {
 type Options struct {
 	// BlockSize is the capacity of one SRS logical block in bytes.
 	BlockSize int
-	// HeartbeatEvery is the leader's heartbeat period.
-	HeartbeatEvery time.Duration
 	// FailAfter is the silence threshold after which the leader
 	// declares a node dead (and a follower suspects the leader).
 	FailAfter time.Duration
@@ -82,11 +80,8 @@ func (o Options) Defaults() Options {
 	if o.BlockSize <= 0 {
 		o.BlockSize = 64 << 10
 	}
-	if o.HeartbeatEvery <= 0 {
-		o.HeartbeatEvery = 50 * time.Millisecond
-	}
 	if o.FailAfter <= 0 {
-		o.FailAfter = 5 * o.HeartbeatEvery
+		o.FailAfter = 250 * time.Millisecond
 	}
 	return o
 }
@@ -107,23 +102,15 @@ type Out struct {
 type Node struct {
 	id   proto.NodeID
 	opts Options
-
-	cfg *proto.Config
-	// members is cfg.AllNodes(), which the leader's every tick walks.
-	members []proto.NodeID
+	// membership is the configuration protocol and the configuration it
+	// installed (membership.go).
+	membership
 
 	// idx is the volatile hashtable of each shard this node holds a role
 	// in: the one index behind the shard's table of every memgest.
 	idx map[uint32]*store.MetaIndex
 	// mg is the per-memgest state for every role this node plays.
 	mg map[proto.MemgestID]*mgState
-
-	// Leader state. lastAck holds when each member last answered a
-	// heartbeat; installConfig keeps its keys exactly the members.
-	lastAck  map[proto.NodeID]time.Duration
-	nextMgID proto.MemgestID
-	// Follower state.
-	lastHeartbeat time.Duration
 
 	// wants is everything this node's roles lack, and gathers the parity
 	// stripes it is collecting block by block (see recovery.go, which
@@ -139,16 +126,6 @@ type Node struct {
 	// them (node-local, never crosses the wire).
 	bulkMoves  map[string]*bulkMove
 	nextBulkID uint64
-	// pendingChange is the leader's configuration change held back behind a
-	// fence (one at a time; see reconfig.go, which owns it).
-	pendingChange *change
-
-	// rejoining is true on a node that restarted with empty state and
-	// has not yet been re-admitted by the leader (see rejoin.go). While
-	// set, only ConfigPush, Resolve, and client retries are serviced.
-	rejoining    bool
-	joinAttempts int
-
 	// durable is the optional persistent engine (see durable.go);
 	// durableErr is the sticky first persist failure (the node must
 	// crash-stop once set); durStash is state recovered from disk,
@@ -207,7 +184,7 @@ const (
 
 // newNode creates a node that holds nothing yet.
 func newNode(id proto.NodeID, opts Options) *Node {
-	return &Node{
+	n := &Node{
 		id:        id,
 		opts:      opts.Defaults(),
 		idx:       make(map[uint32]*store.MetaIndex),
@@ -216,9 +193,11 @@ func newNode(id proto.NodeID, opts Options) *Node {
 		moving:    make(map[moveKey]*moveState),
 		bulkMoves: make(map[string]*bulkMove),
 		nextReq:   1,
-		nextMgID:  1,
 		Metrics:   newNodeMetrics(),
 	}
+	n.membership = membership{self: id, failAfter: n.opts.FailAfter, nextMgID: 1,
+		send: n.send, install: n.installConfig, metrics: n.Metrics}
+	return n
 }
 
 // New creates a node with an installed initial configuration. All
@@ -226,7 +205,20 @@ func newNode(id proto.NodeID, opts Options) *Node {
 // recovery is triggered for roles assigned at construction.
 func New(id proto.NodeID, cfg *proto.Config, opts Options) *Node {
 	n := newNode(id, opts)
-	n.installConfig(cfg)
+	n.adopt(cfg)
+	return n
+}
+
+// NewRejoining creates a node restarting after a crash with empty
+// state. It knows only the (possibly stale) configuration it booted
+// from — used purely to locate peers — and installs no data roles
+// from it. Until a leader re-admits it via ConfigPush it drops all
+// replication, recovery, and membership traffic (an amnesiac replica
+// acking appends would silently weaken quorums) and answers client
+// operations with StRetry.
+func NewRejoining(id proto.NodeID, cfg *proto.Config, opts Options) *Node {
+	n := newNode(id, opts)
+	n.cfg, n.rejoining = cfg, true
 	return n
 }
 
@@ -236,8 +228,9 @@ func (n *Node) ID() proto.NodeID { return n.id }
 // Config returns the currently installed configuration.
 func (n *Node) Config() *proto.Config { return n.cfg }
 
-// IsLeader reports whether this node is the current leader.
-func (n *Node) IsLeader() bool { return n.cfg != nil && n.cfg.Leader == n.id }
+// Rejoining reports whether the node is quarantined awaiting
+// re-admission.
+func (n *Node) Rejoining() bool { return n.rejoining }
 
 // send queues an outgoing message.
 func (n *Node) send(to string, msg proto.Message) {
@@ -286,8 +279,6 @@ func (n *Node) HandleMessage(now time.Duration, from string, msg proto.Message) 
 		n.handleDelete(from, m)
 	case *proto.Move:
 		n.handleMove(from, m)
-	case *proto.Reconfig:
-		n.handleReconfig(from, m)
 	case *proto.Resolve:
 		n.send(from, &proto.ResolveReply{Req: m.Req, Config: n.cfg.Clone()})
 	// Replication plane.
@@ -307,17 +298,6 @@ func (n *Node) HandleMessage(now time.Duration, from string, msg proto.Message) 
 		}
 	case *proto.Purge:
 		n.handlePurge(m.Memgest, m.Shard, m.Key, m.Version)
-	// Membership.
-	case *proto.Heartbeat:
-		n.handleHeartbeat(from, m)
-	case *proto.HeartbeatAck:
-		n.handleHeartbeatAck(from, m)
-	case *proto.ConfigPush:
-		n.handleConfigPush(from, m)
-	case *proto.ConfigAck:
-		n.handleConfigAck(from, m)
-	case *proto.Join:
-		n.handleJoin(from, m)
 	// Recovery.
 	case *proto.MetaFetch:
 		n.handleMetaFetch(from, m)
@@ -327,6 +307,29 @@ func (n *Node) HandleMessage(now time.Duration, from string, msg proto.Message) 
 		n.handleFetch(from, m)
 	case *proto.FetchReply:
 		n.handleFetchReply(from, m)
+	// Membership: everything else is the protocol's or nobody's.
+	default:
+		n.membership.handle(now, from, msg)
+	}
+}
+
+// handleRejoining is the restricted message dispatch of a quarantined
+// node: configuration pushes are processed (they are how the node is
+// re-admitted), client operations get StRetry so callers re-resolve
+// and retry, and everything else — heartbeats, replication traffic,
+// recovery fetches addressed to state this node no longer has — is
+// dropped on the floor.
+func (n *Node) handleRejoining(from string, msg proto.Message) {
+	switch m := msg.(type) {
+	case *proto.ConfigPush:
+		n.membership.handle(n.now, from, m)
+	case *proto.Resolve:
+		// The boot config is stale but still routes the client to live
+		// nodes; a wrong coordinator answers StWrongNode and the client
+		// re-resolves.
+		n.send(from, &proto.ResolveReply{Req: m.Req, Config: n.cfg.Clone()})
+	default:
+		n.bounce(store.Waiter{From: from, Msg: msg})
 	}
 }
 
@@ -335,7 +338,14 @@ func (n *Node) HandleMessage(now time.Duration, from string, msg proto.Message) 
 func (n *Node) HandleTick(now time.Duration) {
 	n.now = now
 	n.Metrics.Ticks.Inc()
-	n.handleTick()
+	// A tick bounds how long a mutation nobody acknowledges (a replica's
+	// commit marker, a purge) stays unsynced.
+	n.tickOwed = true
+	n.membership.tick(now)
+	if !n.rejoining {
+		n.recoveryTick()
+		n.moveTick()
+	}
 }
 
 // Flush ends an event batch: it applies the fsync policy if the batch

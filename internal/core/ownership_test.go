@@ -96,7 +96,7 @@ func newHandHeld(t *testing.T) *handHeld {
 		t.Fatal(err)
 	}
 	fabric := transport.NewMemFabric(0)
-	r, err := StartRunner(New(0, cfg.Clone(), Options{HeartbeatEvery: time.Minute, FailAfter: 10 * time.Minute}), fabric, time.Minute)
+	r, err := StartRunner(New(0, cfg.Clone(), Options{FailAfter: 10 * time.Minute}), fabric, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}

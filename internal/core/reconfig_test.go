@@ -98,38 +98,90 @@ func TestDeltas(t *testing.T) {
 	}
 }
 
-// machine drives one node's configuration-change machine through
-// HandleMessage and HandleTick and reads the []Out each one flushes: no
-// router, no other state machine unless the test builds one.
+// machine drives one node's configuration protocol alone: a bare
+// membership whose host records what it sends and whose install does
+// only the protocol's own part (leaving quarantine, abandoning a
+// pending change). No data plane, no router, no other node unless the
+// test builds one — or, with node set, the same protocol hosted by a
+// whole Node through HandleMessage and HandleTick.
 type machine struct {
-	t   *testing.T
-	n   *Node
-	now time.Duration
+	*membership
+	t    *testing.T
+	outs []Out
+	node *Node
 }
 
-func newMachine(t *testing.T, id proto.NodeID) *machine {
+// step is the time one tick advances.
+const step = 10 * time.Millisecond
+
+// bareMembership is node id's protocol with the configuration cfg not
+// yet installed, hosted by a machine.
+func bareMembership(t *testing.T, id proto.NodeID, cfg *proto.Config) *machine {
+	m := &machine{t: t}
+	m.membership = &membership{self: id, failAfter: figure3Spec().Opts.FailAfter, nextMgID: 1, cfg: cfg,
+		metrics: newNodeMetrics(),
+		send:    func(to string, msg proto.Message) { m.outs = append(m.outs, Out{To: to, Msg: msg}) },
+		install: func(_, _ *proto.Config) { m.leaveQuarantine(); m.abandonPending() },
+	}
+	return m
+}
+
+func bootConfig(t *testing.T) *proto.Config {
 	cfg, err := BootConfig(figure3Spec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &machine{t: t, n: New(id, cfg, figure3Spec().Opts), now: time.Millisecond}
+	return cfg
+}
+
+// newMachine is node id of a fresh Figure 3 cluster, one millisecond
+// after boot.
+func newMachine(t *testing.T, id proto.NodeID) *machine {
+	m := bareMembership(t, id, nil)
+	m.adopt(bootConfig(t))
+	m.now = time.Millisecond
+	return m
+}
+
+// newNodeMachine is newMachine hosted by a Node, whose install must call
+// the protocol back.
+func newNodeMachine(t *testing.T, id proto.NodeID) *machine {
+	n := New(id, bootConfig(t), figure3Spec().Opts)
+	m := &machine{membership: &n.membership, t: t, node: n}
+	m.now = time.Millisecond
+	return m
+}
+
+// flush returns and forgets what the protocol sent.
+func (m *machine) flush() []Out {
+	outs := m.outs
+	m.outs = nil
+	return outs
 }
 
 func (m *machine) msg(from string, msg proto.Message) []Out {
-	return slices.Clone(m.n.deliver(m.now, from, msg))
+	if m.node != nil {
+		return slices.Clone(m.node.deliver(m.now, from, msg))
+	}
+	m.handle(m.now, from, msg)
+	return m.flush()
 }
 
-// tick advances one heartbeat period. Every member but the silent ones
-// answers the heartbeat before it, so the failure detector stays out of
-// what the test is about.
+// tick advances one step. Every member but the silent ones answers the
+// heartbeat before it, so the failure detector stays out of what the
+// test is about.
 func (m *machine) tick(silent ...proto.NodeID) []Out {
-	for _, id := range m.n.cfg.AllNodes() {
-		if id != m.n.id && !slices.Contains(silent, id) {
-			m.n.deliver(m.now, NodeAddr(id), &proto.HeartbeatAck{Epoch: m.n.cfg.Epoch})
+	for _, id := range m.cfg.AllNodes() {
+		if id != m.self && !slices.Contains(silent, id) {
+			m.msg(NodeAddr(id), &proto.HeartbeatAck{Epoch: m.cfg.Epoch})
 		}
 	}
-	m.now += m.n.opts.HeartbeatEvery
-	return slices.Clone(m.n.tickOuts(m.now))
+	m.now += step
+	if m.node != nil {
+		return slices.Clone(m.node.tickOuts(m.now))
+	}
+	m.membership.tick(m.now)
+	return m.flush()
 }
 
 // pushes returns the epoch of the ConfigPush each node was sent.
@@ -169,8 +221,8 @@ func (m *machine) fence(node proto.NodeID) *proto.ConfigPush {
 		m.t.Fatalf("leave must push to the departing node alone, got %+v", outs)
 	}
 	push := outs[0].Msg.(*proto.ConfigPush)
-	if push.Config.Epoch != 2 || isMember(push.Config, node) || m.n.cfg.Epoch != 1 {
-		m.t.Fatalf("fence carries epoch %d (member=%v), leader at %d", push.Config.Epoch, isMember(push.Config, node), m.n.cfg.Epoch)
+	if push.Config.Epoch != 2 || isMember(push.Config, node) || m.cfg.Epoch != 1 {
+		m.t.Fatalf("fence carries epoch %d (member=%v), leader at %d", push.Config.Epoch, isMember(push.Config, node), m.cfg.Epoch)
 	}
 	return push
 }
@@ -186,7 +238,7 @@ func TestFencePushLostIsRepushed(t *testing.T) {
 	if len(got) != 1 || got[NodeAddr(1)] != 2 {
 		t.Fatalf("tick with a fence pending pushed %v, want epoch 2 to node 1 only", got)
 	}
-	if c := m.n.Metrics.ConfigRepushes.Load(); c != 1 {
+	if c := m.metrics.ConfigRepushes.Load(); c != 1 {
 		t.Fatalf("ConfigRepushes = %d, want 1", c)
 	}
 
@@ -203,11 +255,11 @@ func TestFencePushLostIsRepushed(t *testing.T) {
 		t.Fatalf("announce went to %v, want the five remaining members", got)
 	}
 	r, _ := replyTo(t, outs, "client/op").(*proto.ReconfigReply)
-	if r == nil || r.Status != proto.StOK || r.Moved != 1 || r.Epoch != 2 || m.n.cfg.Epoch != 2 {
-		t.Fatalf("reply %+v, leader at epoch %d", r, m.n.cfg.Epoch)
+	if r == nil || r.Status != proto.StOK || r.Moved != 1 || r.Epoch != 2 || m.cfg.Epoch != 2 {
+		t.Fatalf("reply %+v, leader at epoch %d", r, m.cfg.Epoch)
 	}
-	if m.n.Metrics.ShardsMoved.Load() != 1 {
-		t.Fatalf("ShardsMoved = %d, want 1", m.n.Metrics.ShardsMoved.Load())
+	if m.metrics.ShardsMoved.Load() != 1 {
+		t.Fatalf("ShardsMoved = %d, want 1", m.metrics.ShardsMoved.Load())
 	}
 }
 
@@ -223,23 +275,23 @@ func TestFenceSilentDeparterCompletesAsFailover(t *testing.T) {
 	m.fence(4)
 
 	var outs []Out
-	for m.n.cfg.Epoch == 1 {
-		if m.now > 2*m.n.opts.FailAfter {
+	for m.cfg.Epoch == 1 {
+		if m.now > 2*m.failAfter {
 			t.Fatal("fence never completed")
 		}
 		outs = m.tick(4)
 	}
-	if m.now <= m.n.opts.FailAfter {
+	if m.now <= m.failAfter {
 		t.Fatalf("fence completed at %v, before FailAfter", m.now)
 	}
 	r, _ := replyTo(t, outs, "client/op").(*proto.ReconfigReply)
 	if r == nil || r.Status != proto.StOK || r.Moved != held || r.Epoch != 2 {
 		t.Fatalf("reply %+v, want StOK moved=%d epoch=2", r, held)
 	}
-	if got := pushes(t, outs); len(got) != 5 || m.n.cfg.Epoch != 2 || isMember(m.n.cfg, 4) {
-		t.Fatalf("announce %v, leader at epoch %d", got, m.n.cfg.Epoch)
+	if got := pushes(t, outs); len(got) != 5 || m.cfg.Epoch != 2 || isMember(m.cfg, 4) {
+		t.Fatalf("announce %v, leader at epoch %d", got, m.cfg.Epoch)
 	}
-	if c := m.n.Metrics.ShardsMoved.Load(); c != held {
+	if c := m.metrics.ShardsMoved.Load(); c != held {
 		t.Fatalf("ShardsMoved = %d, want %d", c, held)
 	}
 }
@@ -247,23 +299,26 @@ func TestFenceSilentDeparterCompletesAsFailover(t *testing.T) {
 // TestFenceOvertakenIsAbandoned: a configuration from another leader
 // lands while the fence is pending. The operator is told StRetry, the
 // held configuration is never announced, and the fence node's late ack
-// releases nothing.
+// releases nothing. On a Node as on the bare protocol: the node's
+// install is what calls abandonPending.
 func TestFenceOvertakenIsAbandoned(t *testing.T) {
-	m := newMachine(t, 0)
-	held := m.fence(1)
+	for _, newM := range []func(*testing.T, proto.NodeID) *machine{newMachine, newNodeMachine} {
+		m := newM(t, 0)
+		held := m.fence(1)
 
-	other := m.n.cfg.Clone()
-	other.Epoch, other.Leader = 3, 2
-	outs := m.msg(NodeAddr(2), &proto.ConfigPush{Config: other})
-	r, _ := replyTo(t, outs, "client/op").(*proto.ReconfigReply)
-	if r == nil || r.Status != proto.StRetry {
-		t.Fatalf("reply %+v, want StRetry", r)
-	}
-	if got := pushes(t, outs); len(got) != 0 || m.n.pendingChange != nil || m.n.cfg.Epoch != 3 {
-		t.Fatalf("pushed %v, pending %v, epoch %d", got, m.n.pendingChange, m.n.cfg.Epoch)
-	}
-	if outs := m.msg(NodeAddr(1), &proto.ConfigAck{Epoch: held.Config.Epoch}); len(outs) != 0 {
-		t.Fatalf("late fence ack produced %+v", outs)
+		other := m.cfg.Clone()
+		other.Epoch, other.Leader = 3, 2
+		outs := m.msg(NodeAddr(2), &proto.ConfigPush{Config: other})
+		r, _ := replyTo(t, outs, "client/op").(*proto.ReconfigReply)
+		if r == nil || r.Status != proto.StRetry {
+			t.Fatalf("node host %v: reply %+v, want StRetry", m.node != nil, r)
+		}
+		if got := pushes(t, outs); len(got) != 0 || m.pending != nil || m.cfg.Epoch != 3 {
+			t.Fatalf("node host %v: pushed %v, pending %v, epoch %d", m.node != nil, got, m.pending, m.cfg.Epoch)
+		}
+		if outs := m.msg(NodeAddr(1), &proto.ConfigAck{Epoch: held.Config.Epoch}); len(outs) != 0 {
+			t.Fatalf("node host %v: late fence ack produced %+v", m.node != nil, outs)
+		}
 	}
 }
 
@@ -274,7 +329,7 @@ func TestFenceOvertakenIsAbandoned(t *testing.T) {
 func TestProposalsWhileFencePending(t *testing.T) {
 	m := newMachine(t, 0)
 	m.fence(1)
-	pending := m.n.pendingChange
+	pending := m.pending
 
 	outs := m.msg("client/b", &proto.Reconfig{Req: 2, Op: proto.ReconfigLeave, Node: 2})
 	if r, _ := replyTo(t, outs, "client/b").(*proto.ReconfigReply); len(outs) != 1 || r == nil || r.Status != proto.StRetry {
@@ -287,8 +342,8 @@ func TestProposalsWhileFencePending(t *testing.T) {
 	if outs = m.msg(NodeAddr(2), &proto.Join{Node: 2}); len(outs) != 0 {
 		t.Fatalf("join: %+v", outs)
 	}
-	if m.n.pendingChange != pending || m.n.cfg.Epoch != 1 {
-		t.Fatalf("pending change disturbed: %v at epoch %d", m.n.pendingChange, m.n.cfg.Epoch)
+	if m.pending != pending || m.cfg.Epoch != 1 {
+		t.Fatalf("pending change disturbed: %v at epoch %d", m.pending, m.cfg.Epoch)
 	}
 }
 
@@ -296,11 +351,12 @@ func TestProposalsWhileFencePending(t *testing.T) {
 // dead leader's shard handed to a spare — is one configuration change.
 func TestLeaderTakeoverIsOneEpoch(t *testing.T) {
 	m := newMachine(t, 1)
-	m.n.tickOuts(m.now) // arms the follower's heartbeat timer
-	m.now += m.n.opts.FailAfter + m.n.opts.HeartbeatEvery
-	outs := slices.Clone(m.n.tickOuts(m.now))
+	m.membership.tick(m.now) // arms the follower's heartbeat timer
+	m.now += m.failAfter + step
+	m.membership.tick(m.now)
+	outs := m.flush()
 
-	cfg := m.n.cfg
+	cfg := m.cfg
 	if cfg.Epoch != 2 || cfg.Leader != 1 || cfg.Coords[0] != 5 || isMember(cfg, 0) {
 		t.Fatalf("after takeover: epoch %d leader %d coords %v", cfg.Epoch, cfg.Leader, cfg.Coords)
 	}
@@ -311,8 +367,8 @@ func TestLeaderTakeoverIsOneEpoch(t *testing.T) {
 		}
 	}
 	// The dead leader held shard 0 and nothing else.
-	if len(got) != 5 || m.n.Metrics.ShardsMoved.Load() != 1 {
-		t.Fatalf("takeover announced to %v, ShardsMoved %d", got, m.n.Metrics.ShardsMoved.Load())
+	if len(got) != 5 || m.metrics.ShardsMoved.Load() != 1 {
+		t.Fatalf("takeover announced to %v, ShardsMoved %d", got, m.metrics.ShardsMoved.Load())
 	}
 }
 
@@ -343,19 +399,19 @@ func TestReconfigRepliesCarryEpoch(t *testing.T) {
 		}
 		var mg proto.MemgestID
 		if op.Op == proto.ReconfigCreate {
-			mg = m.n.cfg.Memgests[len(m.n.cfg.Memgests)-1].ID
+			mg = m.cfg.Memgests[len(m.cfg.Memgests)-1].ID
 		}
 		r, _ := replyTo(t, outs, "client/op").(*proto.ReconfigReply)
-		if r == nil || r.Req != op.Req || r.Status != proto.StOK || r.Epoch != want || m.n.cfg.Epoch != want || r.Memgest != mg {
-			t.Fatalf("op %d: reply %+v, leader at epoch %d; want StOK at epoch %d, memgest %d", op.Op, r, m.n.cfg.Epoch, want, mg)
+		if r == nil || r.Req != op.Req || r.Status != proto.StOK || r.Epoch != want || m.cfg.Epoch != want || r.Memgest != mg {
+			t.Fatalf("op %d: reply %+v, leader at epoch %d; want StOK at epoch %d, memgest %d", op.Op, r, m.cfg.Epoch, want, mg)
 		}
 	}
-	if m.n.cfg.Default != mgSRS32 || m.n.cfg.Memgest(mgREP2) != nil || m.n.cfg.Memgest(8) == nil || isMember(m.n.cfg, 2) || !isMember(m.n.cfg, 9) {
-		t.Fatalf("after every op: %+v", m.n.cfg)
+	if m.cfg.Default != mgSRS32 || m.cfg.Memgest(mgREP2) != nil || m.cfg.Memgest(8) == nil || isMember(m.cfg, 2) || !isMember(m.cfg, 9) {
+		t.Fatalf("after every op: %+v", m.cfg)
 	}
 	outs := m.msg("client/op", &proto.Reconfig{Req: 6, Op: proto.ReconfigSetDefault, Memgest: mgSRS32})
-	if r, _ := replyTo(t, outs, "client/op").(*proto.ReconfigReply); len(outs) != 1 || r == nil || r.Status != proto.StOK || r.Epoch != 6 || m.n.cfg.Epoch != 6 {
-		t.Fatalf("a set-default that changes nothing: %+v, leader at epoch %d", outs, m.n.cfg.Epoch)
+	if r, _ := replyTo(t, outs, "client/op").(*proto.ReconfigReply); len(outs) != 1 || r == nil || r.Status != proto.StOK || r.Epoch != 6 || m.cfg.Epoch != 6 {
+		t.Fatalf("a set-default that changes nothing: %+v, leader at epoch %d", outs, m.cfg.Epoch)
 	}
 }
 
@@ -366,8 +422,8 @@ func TestReconfigUnknownOp(t *testing.T) {
 		m := newMachine(t, id)
 		outs := m.msg("client/op", &proto.Reconfig{Req: 7, Op: 99, Node: 3})
 		r, _ := replyTo(t, outs, "client/op").(*proto.ReconfigReply)
-		if len(outs) != 1 || r == nil || r.Req != 7 || r.Status != proto.StInvalid || m.n.cfg.Epoch != 1 {
-			t.Fatalf("node %d answered %+v at epoch %d", id, outs, m.n.cfg.Epoch)
+		if len(outs) != 1 || r == nil || r.Req != 7 || r.Status != proto.StInvalid || m.cfg.Epoch != 1 {
+			t.Fatalf("node %d answered %+v at epoch %d", id, outs, m.cfg.Epoch)
 		}
 	}
 }
@@ -376,11 +432,7 @@ func TestReconfigUnknownOp(t *testing.T) {
 // answers every op StRetry, so the operator re-resolves and finds the
 // leader, even when its boot configuration names the node leader.
 func TestRejoiningAnswersReconfigRetry(t *testing.T) {
-	cfg, err := BootConfig(figure3Spec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := NewRejoining(0, cfg, figure3Spec().Opts)
+	n := NewRejoining(0, bootConfig(t), figure3Spec().Opts)
 	for _, op := range append(reconfigOps(), &proto.Reconfig{Req: 6, Op: 99}) {
 		outs := n.deliver(time.Millisecond, "client/op", op)
 		r, _ := replyTo(t, outs, "client/op").(*proto.ReconfigReply)
@@ -402,11 +454,44 @@ func TestNoPacketRunsTheTimer(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		m := newMachine(t, 0)
-		for _, o := range m.msg("client/x", msg) {
+		n := New(0, bootConfig(t), figure3Spec().Opts)
+		for _, o := range n.deliver(time.Millisecond, "client/x", msg) {
 			if _, ok := o.Msg.(*proto.Heartbeat); ok {
 				t.Fatalf("the one-byte packet %d (%T) from a client made the leader heartbeat %s", b, msg, o.To)
 			}
 		}
+	}
+}
+
+// TestRejoinLeavesQuarantineOnNonLeaderPush pins step 2 of ROADMAP item
+// 28 as the protocol behaves today: node 0, the boot leader, restarts
+// quarantined and sends its first Join to node 1, which is not the
+// leader and answers with its own configuration — epoch 1, leader 0.
+// Node 0 installs it and leaves quarantine as the leader of epoch 1,
+// on a push no leader proposed for it. Item 28(b) inverts the
+// assertion: a rejoining node leaves quarantine only on a push from the
+// leader that the pushed configuration names, and never into that
+// configuration's leadership.
+func TestRejoinLeavesQuarantineOnNonLeaderPush(t *testing.T) {
+	restarted := bareMembership(t, 0, bootConfig(t))
+	restarted.rejoining = true
+	peer := newMachine(t, 1)
+
+	restarted.membership.tick(time.Millisecond)
+	joins := restarted.flush()
+	if len(joins) != 1 || joins[0].To != NodeAddr(1) {
+		t.Fatalf("first Join went %+v, want to node 1 alone", joins)
+	}
+	outs := peer.msg(NodeAddr(0), joins[0].Msg)
+	if len(outs) != 1 || outs[0].To != NodeAddr(0) {
+		t.Fatalf("node 1 answered the Join with %+v", outs)
+	}
+	push := outs[0].Msg.(*proto.ConfigPush)
+	if push.Config.Epoch != 1 || push.Config.Leader != 0 {
+		t.Fatalf("node 1 pushed epoch %d leader %d", push.Config.Epoch, push.Config.Leader)
+	}
+	restarted.msg(NodeAddr(1), push)
+	if restarted.rejoining || !restarted.IsLeader() || restarted.cfg.Epoch != 1 {
+		t.Fatalf("rejoining %v, leader %v at epoch %d", restarted.rejoining, restarted.IsLeader(), restarted.cfg.Epoch)
 	}
 }

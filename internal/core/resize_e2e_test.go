@@ -31,9 +31,8 @@ func TestResizeLeaveJoinMinimalMovement(t *testing.T) {
 		Shards: 3, Redundant: 2, Spares: 2,
 		Memgests: []proto.Scheme{proto.Rep(3, 3), proto.SRS(2, 1, 3)},
 		Opts: Options{
-			BlockSize:      16 << 10,
-			HeartbeatEvery: 20 * time.Millisecond,
-			FailAfter:      10 * time.Minute,
+			BlockSize: 16 << 10,
+			FailAfter: 10 * time.Minute,
 		},
 		TickEvery: 2 * time.Millisecond,
 	}

@@ -18,7 +18,7 @@ func rolesSpec() ClusterSpec {
 	return ClusterSpec{
 		Shards: 3, Redundant: 2, Spares: 1,
 		Memgests: []proto.Scheme{proto.Rep(3, 3), proto.SRS(2, 1, 3)},
-		Opts:     Options{BlockSize: 4096, HeartbeatEvery: 10 * time.Millisecond, FailAfter: 50 * time.Millisecond},
+		Opts:     Options{BlockSize: 4096, FailAfter: 50 * time.Millisecond},
 	}
 }
 

@@ -147,7 +147,7 @@ func TestFanoutOnePacketPerPeerPerEvent(t *testing.T) {
 				Memgests: []proto.Scheme{proto.Rep(3, 3), proto.SRS(3, 2, 3)},
 				// Quiesce all timer traffic: the only packets during the
 				// measurement window come from the puts themselves.
-				Opts:      Options{BlockSize: 64 << 10, HeartbeatEvery: time.Minute, FailAfter: 10 * time.Minute},
+				Opts:      Options{BlockSize: 64 << 10, FailAfter: 10 * time.Minute},
 				TickEvery: time.Minute,
 			}
 			cl, err := StartCluster(spec)

@@ -53,9 +53,8 @@ func PaperSpec(blockSize int) core.ClusterSpec {
 		Shards: 3, Redundant: 2, Spares: 2,
 		Memgests: PaperSchemes,
 		Opts: core.Options{
-			BlockSize:      blockSize,
-			HeartbeatEvery: 10 * time.Microsecond,
-			FailAfter:      50 * time.Microsecond,
+			BlockSize: blockSize,
+			FailAfter: 50 * time.Microsecond,
 		},
 	}
 }

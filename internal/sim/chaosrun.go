@@ -121,8 +121,7 @@ func chaosCluster(unsafeAck, unsafeMove bool) core.ClusterSpec {
 			proto.SRS(3, 2, 3),
 		},
 		Opts: core.Options{
-			BlockSize:      4096,
-			HeartbeatEvery: 200 * time.Microsecond,
+			BlockSize: 4096,
 			// FailAfter must sit comfortably above the nemesis's maximum
 			// message delay (GenSchedule caps it at 1.5ms): the paper's
 			// model is crash-stop with accurate-enough failure detection,

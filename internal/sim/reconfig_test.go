@@ -33,7 +33,6 @@ func newReconfigSim(t *testing.T, spares int) *reconfigSim {
 	// At paperSpec's 1 MiB blocks one block decode outlasts this
 	// FailAfter, and the node doing it would be declared dead.
 	spec.Opts.BlockSize = 4096
-	spec.Opts.HeartbeatEvery = 100 * time.Microsecond
 	spec.Opts.FailAfter = time.Millisecond
 	s, err := NewFromSpec(spec, DefaultModel())
 	if err != nil {
@@ -56,10 +55,11 @@ func newReconfigSim(t *testing.T, spares int) *reconfigSim {
 		}
 		return FaultAction{}
 	})
-	s.EnableTicks(spec.Opts.HeartbeatEvery)
+	const tick = 100 * time.Microsecond
+	s.EnableTicks(tick)
 	// Let heartbeats settle, and stop midway between two ticks so no
 	// heartbeat ack is in flight when the test acts.
-	s.Run(10*spec.Opts.HeartbeatEvery + spec.Opts.HeartbeatEvery/2)
+	s.Run(10*tick + tick/2)
 	return r
 }
 

@@ -208,7 +208,6 @@ func TestSimThroughputSaturation(t *testing.T) {
 // elect and promote, and verify data survives.
 func TestSimRecovery(t *testing.T) {
 	spec := paperSpec()
-	spec.Opts.HeartbeatEvery = 20 * time.Microsecond
 	spec.Opts.FailAfter = 100 * time.Microsecond
 	s, err := NewFromSpec(spec, DefaultModel())
 	if err != nil {
@@ -275,8 +274,8 @@ func TestSimDeterminism(t *testing.T) {
 // retry parked on the stuck version and neither attempt was ever
 // answered.)
 func TestSimMoveRetryAfterLostFanout(t *testing.T) {
+	const tick = 100 * time.Microsecond
 	spec := paperSpec()
-	spec.Opts.HeartbeatEvery = 100 * time.Microsecond
 	spec.Opts.FailAfter = time.Millisecond
 	s, err := NewFromSpec(spec, DefaultModel())
 	if err != nil {
@@ -288,7 +287,7 @@ func TestSimMoveRetryAfterLostFanout(t *testing.T) {
 	if _, pr, err := c.PutSync("k", val, 3); err != nil || pr.Status != proto.StOK {
 		t.Fatalf("put: %v %+v", err, pr)
 	}
-	s.EnableTicks(spec.Opts.HeartbeatEvery)
+	s.EnableTicks(tick)
 
 	// The move's destination is SRS(3,2): its fan-out is ParityUpdate.
 	s.SetFaultFunc(func(_ time.Duration, _, _ string, pkt []byte) FaultAction {
@@ -296,7 +295,7 @@ func TestSimMoveRetryAfterLostFanout(t *testing.T) {
 	})
 	var first, retry *proto.PutReply
 	c.MoveAt(s.Now(), "k", 7, func(_ time.Duration, r *proto.PutReply) { first = r })
-	s.Run(s.Now() + 2*spec.Opts.HeartbeatEvery)
+	s.Run(s.Now() + 2*tick)
 	if first != nil {
 		t.Fatalf("move answered although its fan-out was dropped: %+v", first)
 	}

@@ -72,9 +72,9 @@ type Config struct {
 	Memgests []Scheme
 	// BlockSize is the SRS logical block capacity (default 64 KiB).
 	BlockSize int
-	// HeartbeatEvery and FailAfter tune the failure detector.
-	HeartbeatEvery time.Duration
-	FailAfter      time.Duration
+	// FailAfter is the failure detector's silence threshold (default
+	// 250ms).
+	FailAfter time.Duration
 	// KeepVersions retains that many superseded committed versions of
 	// each key (default 0: GC after every committed put).
 	KeepVersions int
@@ -102,7 +102,6 @@ func Start(cfg Config) (*Cluster, error) {
 		Memgests:  cfg.Memgests,
 		Opts: core.Options{
 			BlockSize:         cfg.BlockSize,
-			HeartbeatEvery:    cfg.HeartbeatEvery,
 			FailAfter:         cfg.FailAfter,
 			KeepVersions:      cfg.KeepVersions,
 			KeepDurableBackup: cfg.KeepDurableBackup,
